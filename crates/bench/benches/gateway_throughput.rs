@@ -1,18 +1,18 @@
-//! Gateway admission throughput: the serving-layer perf baseline.
+//! ShardedGateway admission throughput: the serving-layer perf baseline.
 //!
 //! Four questions, each a group:
 //!
 //! * `gateway_submit_stream` — decisions/second for a stream of single
-//!   submissions, single gateway vs. sharded (the sharding claim: admission
+//!   submissions, 1 shard vs. K shards (the sharding claim: admission
 //!   cost sub-linear in cluster size, so more shards ⇒ more decisions/s at
 //!   the same total node count).
 //! * `gateway_submit_batch` — the same burst decided through `submit_batch`
-//!   vs. one `submit` per task (the amortization claim).
-//! * `gateway_reservations` — the v2 request path under rejection-heavy
+//!   vs. one `submit_request` per task (the amortization claim).
+//! * `gateway_reservations` — the request path under rejection-heavy
 //!   load: the cost of carrying a `max_delay` tolerance (every rejection
 //!   runs the earliest-feasible-start search) and of the full
 //!   book→dispatch→activate reservation cycle.
-//! * `gateway_tenant_mix` — the v2 request path under a multi-tenant
+//! * `gateway_tenant_mix` — the request path under a multi-tenant
 //!   population with quotas, vs. the anonymous single-tenant envelope.
 //!
 //! Besides the criterion output, the bench writes a machine-readable
@@ -65,7 +65,9 @@ fn bench_submit_stream(c: &mut Criterion) {
                     let mut g = gateway(params, shards);
                     let mut accepted = 0u64;
                     for t in &tasks {
-                        if g.submit(*t, t.arrival).is_accepted() {
+                        if g.submit_request(&SubmitRequest::new(*t), t.arrival)
+                            .is_accepted()
+                        {
                             accepted += 1;
                         }
                     }
@@ -95,7 +97,9 @@ fn bench_submit_batch(c: &mut Criterion) {
                     let mut g = gateway(params, shards);
                     let mut accepted = 0u64;
                     for t in &burst {
-                        if g.submit(*t, SimTime::ZERO).is_accepted() {
+                        if g.submit_request(&SubmitRequest::new(*t), SimTime::ZERO)
+                            .is_accepted()
+                        {
                             accepted += 1;
                         }
                     }
@@ -135,17 +139,23 @@ fn tight_stream(n_tasks: usize) -> (ClusterParams, Vec<Task>) {
 /// number of activated reservations (always 1; returned against DCE).
 fn reservation_cycle(params: ClusterParams, shapes: &(f64, f64, f64)) -> u64 {
     let (avail, d_w, d_c) = *shapes;
-    let mut g = Gateway::new(
+    let mut g = ShardedGateway::new(
         params,
+        1,
         AlgorithmKind::EDF_OPR_MN,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     for node in 0..params.num_nodes {
         rtdls_sim::frontend::Frontend::set_node_release(&mut g, node, SimTime::new(avail));
     }
     assert!(g
-        .submit(Task::new(1, 0.0, 800.0, d_w), SimTime::ZERO)
+        .submit_request(
+            &SubmitRequest::new(Task::new(1, 0.0, 800.0, d_w)),
+            SimTime::ZERO
+        )
         .is_accepted());
     let req = SubmitRequest::new(Task::new(2, 0.0, 10.0, d_c)).with_max_delay(Some(avail * 2.0));
     let verdict = g.submit_request(&req, SimTime::ZERO);
@@ -276,7 +286,10 @@ fn emit_baseline(_c: &mut Criterion) {
     let plain = median_secs(|| {
         let mut g = gateway(params, 8);
         for t in &tasks {
-            black_box(g.submit(*t, t.arrival).is_accepted());
+            black_box(
+                g.submit_request(&SubmitRequest::new(*t), t.arrival)
+                    .is_accepted(),
+            );
         }
     });
     let (tparams, ttasks) = tight_stream(192);

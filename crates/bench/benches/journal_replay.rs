@@ -60,7 +60,7 @@ fn build_journal(n: usize, snapshot_every: usize) -> Vec<u8> {
         },
     );
     for t in &tasks {
-        j.submit(*t, t.arrival);
+        j.submit_request(&SubmitRequest::new(*t), t.arrival);
         let _ = Frontend::take_due(&mut j, t.arrival);
     }
     j.journal().bytes().to_vec()

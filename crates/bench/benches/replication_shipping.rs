@@ -50,13 +50,16 @@ fn workload() -> Vec<Task> {
         .collect()
 }
 
-fn journaled() -> JournaledGateway<Gateway> {
-    let gw = Gateway::new(
+fn journaled() -> JournaledGateway<ShardedGateway> {
+    let gw = ShardedGateway::new(
         ClusterParams::paper_baseline(),
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     JournaledGateway::new(
         gw,
         JournalConfig {
@@ -71,7 +74,10 @@ fn run_bare(tasks: &[Task]) -> u64 {
     let mut gw = journaled();
     let mut accepted = 0u64;
     for t in tasks {
-        if gw.submit(*t, t.arrival).is_accepted() {
+        if gw
+            .submit_request(&SubmitRequest::new(*t), t.arrival)
+            .is_accepted()
+        {
             accepted += 1;
         }
     }
@@ -89,10 +95,10 @@ fn run_shipping(tasks: &[Task]) -> (u64, usize) {
     let mut accepted = 0u64;
     let mut shipped_msgs = 0usize;
     for t in tasks {
-        if gw.inner_mut().submit(*t, t.arrival).is_accepted() {
+        // `decide` pumps after the decision, as the edge reactor's turn does.
+        if gw.decide(&SubmitRequest::new(*t), t.arrival).is_accepted() {
             accepted += 1;
         }
-        gw.pump(t.arrival);
         shipped_msgs += gw.take_outbox().len();
         gw.on_ack(gw.shipper().shipped(), t.arrival);
     }
@@ -178,10 +184,9 @@ fn smoke() {
 
     // And the shipped stream reconstructs the WAL byte-for-byte.
     let mut gw = ShippingGateway::new(journaled(), ShipConfig::default());
-    let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
     for t in &tasks[..32] {
-        gw.inner_mut().submit(*t, t.arrival);
-        gw.pump(t.arrival);
+        gw.decide(&SubmitRequest::new(*t), t.arrival);
         for msg in gw.take_outbox() {
             if let Some(ShipMsg::Ack { seq }) = follower.on_msg(t.arrival, msg).unwrap() {
                 gw.on_ack(seq, t.arrival);

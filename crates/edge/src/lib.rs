@@ -26,9 +26,9 @@
 //! * [`server`] — the reactor ([`EdgeServer`]): accept → read → serve →
 //!   drive the gateway clock → push updates → flush, with bounded
 //!   per-connection write queues (overload answers `Throttled` at the
-//!   edge) and an [`EdgeGateway`] abstraction served by `Gateway`,
-//!   `ShardedGateway`, and — for a durable edge — `JournaledGateway`,
-//!   whose group-commit window the reactor closes once per turn; plus the
+//!   edge) over the [`EdgeGateway`] serving trait — a `ShardedGateway`,
+//!   or — for a durable edge — a `JournaledGateway` over one, whose
+//!   group-commit window the reactor closes once per turn; plus the
 //!   sharded [`EdgeCluster`] — N reactor threads, connections pinned to
 //!   their tenant's home reactor, a mutexed adoption mailbox as the only
 //!   inter-reactor seam.

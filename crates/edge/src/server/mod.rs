@@ -71,356 +71,17 @@ pub(crate) mod registry;
 
 pub use multi::{reactor_for_tenant, EdgeCluster};
 pub use reactor::EdgeServer;
+/// The serving trait the reactor drives its gateway stack through —
+/// implemented by `ShardedGateway`, `JournaledGateway` and
+/// `ShippingGateway`, each stating only what it intercepts.
+pub use rtdls_service::serve::EdgeGateway;
 
 use std::time::{Duration, Instant};
 
-use rtdls_core::prelude::{Admission, SimTime, SubmitRequest};
-use rtdls_journal::prelude::{JournaledGateway, Recoverable};
-use rtdls_replica::ShippingGateway;
-use rtdls_service::prelude::{DecisionUpdate, Gateway, ShardedGateway, Verdict};
-use rtdls_sim::frontend::Frontend;
-
-use rtdls_telemetry::{MetricsRegistry, Telemetry};
+use rtdls_core::prelude::SimTime;
+use rtdls_telemetry::MetricsRegistry;
 
 use crate::codec::DEFAULT_MAX_FRAME;
-
-/// The serving surface the edge needs from a gateway: decide submissions,
-/// advance the books with the clock, and expose the parked-task update
-/// stream. Implemented for both service gateways and for their journaled
-/// wrappers (where every call goes through the write-ahead path).
-pub trait EdgeGateway {
-    /// Decides one submission at the server clock's `now`.
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict;
-
-    /// Advances time-driven serving work to `now`: commit due dispatches,
-    /// re-test the defer queue, activate due reservations, and retire the
-    /// engine-facing resolution channel (the edge consumes the richer
-    /// [`DecisionUpdate`] stream instead). For journaled gateways this is
-    /// also the group-commit boundary.
-    fn drive(&mut self, now: SimTime);
-
-    /// Drains the parked-task updates recorded since the last call.
-    fn take_updates(&mut self) -> Vec<DecisionUpdate>;
-
-    /// Turns the update stream on (the edge calls this once at bind).
-    fn enable_observation(&mut self);
-
-    /// The earliest instant at which timed work becomes due — the next
-    /// planned dispatch, reservation activation, or defer-ticket
-    /// expiry deadline; `None` = nothing scheduled. The reactor drives
-    /// the gateway only when this is reached or a submission arrived
-    /// (the simulator's event-driven sweep semantics), so an idle edge
-    /// never busy-sweeps the books — and a journaled one never appends
-    /// no-op re-test events.
-    fn next_due(&self) -> Option<SimTime>;
-
-    /// Attaches a decision-tracing handle so the gateway's stages record
-    /// into the same flight recorder as the edge's. The default ignores
-    /// it (telemetry-unaware gateways keep compiling).
-    fn attach_telemetry(&mut self, _telemetry: &Telemetry) {}
-
-    /// Attaches a hot-path profiler so the gateway's phases (planning,
-    /// journal append/fsync, shipping) land in the same phase tree as the
-    /// edge's. The default ignores it.
-    fn attach_profiler(&mut self, _profiler: &rtdls_telemetry::Profiler) {}
-
-    /// The gateway's promotion epoch — which generation of the shard
-    /// answers (the ops channel's `Stats` surface). The default is 0
-    /// (never failed over / not journaled).
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    /// Frames appended but not yet acked by a replication follower, when
-    /// this gateway ships its journal. The default (`None`) means "does
-    /// not replicate / nothing known about the other side".
-    fn ack_lag(&self) -> Option<u64> {
-        None
-    }
-
-    /// Folds the gateway's native stats into the unified metrics registry
-    /// (the ops channel's `Stats` surface). The default folds nothing.
-    fn fold_metrics(&self, _reg: &mut MetricsRegistry) {}
-
-    /// Turns rejection/defer explanation annotation on (the edge calls
-    /// this once at bind, alongside [`enable_observation`]). The default
-    /// ignores it (explanation-unaware gateways keep compiling).
-    ///
-    /// [`enable_observation`]: EdgeGateway::enable_observation
-    fn enable_explanations(&mut self) {}
-
-    /// The deadline-SLO status table (the ops channel's `Slo` surface).
-    /// The default serves an empty table.
-    fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        Vec::new()
-    }
-
-    /// Explains why `request` would fail admission at `now` without
-    /// submitting it (the ops channel's `Explain` surface); `None` =
-    /// admissible as-is, or explanations unsupported (the default).
-    fn explain(
-        &self,
-        _request: &SubmitRequest,
-        _now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        None
-    }
-}
-
-/// The shared [`EdgeGateway::next_due`] body: earliest of the next
-/// dispatch, the next reservation wakeup, and the next defer-ticket
-/// deadline (expiry must be detected — and its resolution pushed — even
-/// when no other event ever arrives).
-fn next_due_of<F: Frontend>(
-    frontend: &F,
-    defer: &rtdls_service::prelude::DeferredQueue,
-) -> Option<SimTime> {
-    [
-        frontend.next_dispatch_due(),
-        frontend.next_wakeup(),
-        defer.next_deadline(),
-    ]
-    .into_iter()
-    .flatten()
-    .min()
-}
-
-impl<A: Admission> EdgeGateway for ShardedGateway<A> {
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        ShardedGateway::submit_request(self, request, now)
-    }
-
-    fn drive(&mut self, now: SimTime) {
-        let _ = Frontend::take_due(self, now);
-        Frontend::on_event(self, now);
-        Frontend::activate(self, now);
-        let _ = Frontend::drain_resolutions(self);
-    }
-
-    fn take_updates(&mut self) -> Vec<DecisionUpdate> {
-        ShardedGateway::take_decision_updates(self)
-    }
-
-    fn enable_observation(&mut self) {
-        ShardedGateway::observe_decisions(self, true);
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        next_due_of(self, self.deferred())
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        ShardedGateway::attach_telemetry(self, telemetry);
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        ShardedGateway::attach_profiler(self, profiler);
-    }
-
-    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
-        ShardedGateway::fold_metrics(self, reg);
-    }
-
-    fn enable_explanations(&mut self) {
-        ShardedGateway::enable_explanations(self, true);
-    }
-
-    fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        self.slo().rows()
-    }
-
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        ShardedGateway::explain(self, request, now)
-    }
-}
-
-impl<A: Admission> EdgeGateway for Gateway<A> {
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        Gateway::submit_request(self, request, now)
-    }
-
-    fn drive(&mut self, now: SimTime) {
-        let _ = Frontend::take_due(self, now);
-        Frontend::on_event(self, now);
-        Frontend::activate(self, now);
-        let _ = Frontend::drain_resolutions(self);
-    }
-
-    fn take_updates(&mut self) -> Vec<DecisionUpdate> {
-        Gateway::take_decision_updates(self)
-    }
-
-    fn enable_observation(&mut self) {
-        Gateway::observe_decisions(self, true);
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        next_due_of(self, self.deferred())
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        Gateway::attach_telemetry(self, telemetry);
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        Gateway::attach_profiler(self, profiler);
-    }
-
-    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
-        Gateway::fold_metrics(self, reg);
-    }
-
-    fn enable_explanations(&mut self) {
-        Gateway::enable_explanations(self, true);
-    }
-
-    fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        self.slo().rows()
-    }
-
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        Gateway::explain(self, request, now)
-    }
-}
-
-impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        JournaledGateway::submit_request(self, request, now)
-    }
-
-    fn drive(&mut self, now: SimTime) {
-        // All through the Frontend impl, so every state change is
-        // write-ahead journaled (and no-op polls stay out of the log).
-        let _ = Frontend::take_due(self, now);
-        Frontend::on_event(self, now);
-        Frontend::activate(self, now);
-        let _ = Frontend::drain_resolutions(self);
-        // One reactor turn = one group commit window. In a cluster each
-        // reactor owns its own journal file, so the single-writer
-        // crash-safety argument is per-reactor and unchanged.
-        self.flush_journal();
-    }
-
-    fn take_updates(&mut self) -> Vec<DecisionUpdate> {
-        JournaledGateway::take_decision_updates(self)
-    }
-
-    fn enable_observation(&mut self) {
-        JournaledGateway::observe_decisions(self, true);
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        next_due_of(self, self.deferred())
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        JournaledGateway::attach_telemetry(self, telemetry);
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        JournaledGateway::attach_profiler(self, profiler);
-    }
-
-    fn epoch(&self) -> u64 {
-        self.journal().epoch()
-    }
-
-    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
-        JournaledGateway::fold_metrics(self, reg);
-    }
-
-    fn enable_explanations(&mut self) {
-        JournaledGateway::enable_explanations(self, true);
-    }
-
-    fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        JournaledGateway::slo_rows(self)
-    }
-
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        JournaledGateway::explain_request(self, request, now)
-    }
-}
-
-impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        let verdict = self.inner_mut().submit_request(request, now);
-        // Ship the decision's journal frames in the same turn: replication
-        // lag is bounded by the reactor's turn cadence, not a side thread.
-        self.pump(now);
-        verdict
-    }
-
-    fn drive(&mut self, now: SimTime) {
-        let inner = self.inner_mut();
-        let _ = Frontend::take_due(inner, now);
-        Frontend::on_event(inner, now);
-        Frontend::activate(inner, now);
-        let _ = Frontend::drain_resolutions(inner);
-        inner.flush_journal();
-        self.pump(now);
-    }
-
-    fn take_updates(&mut self) -> Vec<DecisionUpdate> {
-        self.inner_mut().take_decision_updates()
-    }
-
-    fn enable_observation(&mut self) {
-        self.inner_mut().observe_decisions(true);
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        next_due_of(self.inner(), self.inner().deferred())
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        ShippingGateway::attach_telemetry(self, telemetry);
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        ShippingGateway::attach_profiler(self, profiler);
-    }
-
-    fn epoch(&self) -> u64 {
-        self.inner().journal().epoch()
-    }
-
-    fn ack_lag(&self) -> Option<u64> {
-        ShippingGateway::ack_lag(self)
-    }
-
-    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
-        ShippingGateway::fold_metrics(self, reg);
-    }
-
-    fn enable_explanations(&mut self) {
-        self.inner_mut().enable_explanations(true);
-    }
-
-    fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        self.inner().slo_rows()
-    }
-
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        self.inner().explain_request(request, now)
-    }
-}
 
 /// Maps wall-clock time to the gateway's [`SimTime`].
 #[derive(Clone, Copy, Debug)]

@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rtdls_core::prelude::TenantId;
+use rtdls_journal::wire::{fnv1a64, FNV_OFFSET};
 
 use crate::poll::{Event, Selector, Waker};
 
@@ -49,11 +50,7 @@ use super::{EdgeClock, EdgeConfig, EdgeGateway, EdgeStats};
 /// the cluster's pinning hash — anything partitioning work by tenant
 /// (capacity planning, WAL inspection) can reproduce the placement.
 pub fn reactor_for_tenant(tenant: TenantId, reactors: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in tenant.0.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a64(FNV_OFFSET, &tenant.0.to_le_bytes());
     (hash % reactors.max(1) as u64) as usize
 }
 

@@ -182,12 +182,15 @@ fn reserved_verdict_streams_its_activation_without_polling() {
     let e15 = homogeneous::exec_time(&p, 800.0, 15);
     let slack_w = (e15 - e16) * 0.75;
     let slack_c = slack_w * 0.8;
-    let mut gateway = Gateway::new(
+    let mut gateway = ShardedGateway::new(
         p,
+        1,
         AlgorithmKind::EDF_OPR_MN,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     let avail = SimTime::new(1000.0);
     for node in 0..16 {
         Frontend::set_node_release(&mut gateway, node, avail);
@@ -268,12 +271,15 @@ fn reserved_verdict_streams_its_activation_without_polling() {
 fn defer_expiry_is_pushed_on_an_otherwise_idle_server() {
     let p = ClusterParams::paper_baseline();
     let e16 = homogeneous::exec_time(&p, 800.0, 16);
-    let gateway = Gateway::new(
+    let gateway = ShardedGateway::new(
         p,
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut client = InlineClient::connect(addr);
@@ -604,12 +610,15 @@ fn ops_channel_reconstructs_a_reserved_flows_full_timeline_by_trace_id() {
 fn pending_entries_are_evicted_when_their_connection_dies() {
     let p = ClusterParams::paper_baseline();
     let e16 = homogeneous::exec_time(&p, 800.0, 16);
-    let gateway = Gateway::new(
+    let gateway = ShardedGateway::new(
         p,
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
     let addr = server.local_addr();
     let now = SimTime::ZERO;
@@ -670,12 +679,15 @@ fn pending_entries_are_evicted_when_their_connection_dies() {
 fn identical_task_ids_on_concurrent_connections_get_their_own_updates() {
     let p = ClusterParams::paper_baseline();
     let e16 = homogeneous::exec_time(&p, 800.0, 16);
-    let gateway = Gateway::new(
+    let gateway = ShardedGateway::new(
         p,
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
     let addr = server.local_addr();
     let t0 = SimTime::ZERO;

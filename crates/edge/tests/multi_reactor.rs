@@ -346,14 +346,17 @@ fn reserved_activation_pushes_on_the_owning_reactor() {
     let avail = SimTime::new(1000.0);
     // Only reactor 1's gateway is saturated until t=1000 — proof that the
     // verdicts below came from the home reactor's book, not reactor 0's.
-    let gateways: Vec<Gateway> = (0..REACTORS)
+    let gateways: Vec<ShardedGateway> = (0..REACTORS)
         .map(|i| {
-            let mut g = Gateway::new(
+            let mut g = ShardedGateway::new(
                 p,
+                1,
                 AlgorithmKind::EDF_OPR_MN,
                 PlanConfig::default(),
+                Routing::LeastLoaded,
                 DeferPolicy::default(),
-            );
+            )
+            .unwrap();
             if i == 1 {
                 for node in 0..16 {
                     Frontend::set_node_release(&mut g, node, avail);

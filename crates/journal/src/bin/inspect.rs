@@ -469,7 +469,8 @@ mod tests {
     use rtdls_service::prelude::*;
     use rtdls_sim::frontend::Frontend;
 
-    /// A small real WAL: one accept, one reject, a dispatch, a v2 request.
+    /// A small real WAL: one accept, one reject, a dispatch, a tenant's
+    /// premium request.
     fn sample_wal() -> Vec<u8> {
         let gateway = ShardedGateway::new(
             ClusterParams::paper_baseline(),
@@ -482,9 +483,15 @@ mod tests {
         .unwrap();
         let mut j = JournaledGateway::new(gateway, JournalConfig::default());
         assert!(j
-            .submit(Task::new(1, 0.0, 200.0, 30_000.0), SimTime::ZERO)
+            .submit_request(
+                &SubmitRequest::new(Task::new(1, 0.0, 200.0, 30_000.0)),
+                SimTime::ZERO
+            )
             .is_accepted());
-        let _ = j.submit(Task::new(2, 0.0, 200.0, 10.0), SimTime::ZERO);
+        let _ = j.submit_request(
+            &SubmitRequest::new(Task::new(2, 0.0, 200.0, 10.0)),
+            SimTime::ZERO,
+        );
         let _ = Frontend::take_due(&mut j, SimTime::ZERO);
         let req = SubmitRequest::new(Task::new(3, 1.0, 100.0, 50_000.0))
             .with_tenant(TenantId(5))
@@ -503,12 +510,15 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("rtdls-inspect-seg-{tag}-{}", std::process::id()));
         let sink = SegmentedSink::create(&dir).unwrap();
-        let gateway = Gateway::new(
+        let gateway = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         let mut j = JournaledGateway::with_sink(
             gateway,
             JournalConfig {
@@ -518,12 +528,12 @@ mod tests {
             Box::new(sink),
         );
         for i in 0..6 {
-            let _ = j.submit(
-                Task::new(i + 1, i as f64, 200.0, 30_000.0),
+            let _ = j.submit_request(
+                &SubmitRequest::new(Task::new(i + 1, i as f64, 200.0, 30_000.0)),
                 SimTime::new(i as f64),
             );
         }
-        j.flush_journal();
+        j.commit(SimTime::ZERO);
         dir
     }
 
@@ -534,7 +544,7 @@ mod tests {
         assert_eq!(tail, TailStatus::Clean);
         let text = lines.join("\n");
         assert!(text.contains("SNAPSHOT sharded"), "{text}");
-        assert!(text.contains("submit task 1"), "{text}");
+        assert!(text.contains("request task 1 tenant 0"), "{text}");
         assert!(text.contains("ACCEPTED"), "{text}");
         assert!(text.contains("REJECTED"), "{text}");
         assert!(text.contains("dispatch due"), "{text}");
@@ -545,6 +555,15 @@ mod tests {
             .chars()
             .next()
             .is_some_and(|c| c.is_ascii_digit())));
+        // A WAL from before the v1 writer was retired still prints as it
+        // always did: single-cluster genesis, `Submitted`, the batch.
+        let legacy = include_bytes!("../../tests/fixtures/legacy_single_cluster.wal");
+        let (lines, tail) = render(&single(legacy), None, usize::MAX);
+        assert_eq!(tail, TailStatus::Clean);
+        let text = lines.join("\n");
+        assert!(text.contains("SNAPSHOT single"), "{text}");
+        assert!(text.contains("submit task 1"), "{text}");
+        assert!(text.contains("batch of 2 [5, 6]"), "{text}");
     }
 
     #[test]

@@ -22,15 +22,18 @@ use rtdls_core::prelude::{Infeasible, SimTime, SubmitRequest, Task, TaskPlan};
 /// One journal record (see the module docs for the input/audit split).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum JournalEvent {
-    /// Input: one streaming submission at time `at` (the legacy v1
-    /// envelope: anonymous tenant, no reservation tolerance).
+    /// Input: one bare-task submission at time `at`, under the default
+    /// envelope (anonymous tenant, no reservation tolerance). Read-only:
+    /// no writer emits it any more (submissions journal as
+    /// [`RequestSubmitted`](JournalEvent::RequestSubmitted)), but WALs that
+    /// hold it still replay.
     Submitted {
         /// The submitted task.
         task: Task,
         /// Submission instant.
         at: SimTime,
     },
-    /// Input: one v2 submission envelope (task + tenant + QoS class +
+    /// Input: one submission envelope (task + tenant + QoS class +
     /// reservation tolerance) at time `at`.
     RequestSubmitted {
         /// The full submission envelope.

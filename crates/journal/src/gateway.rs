@@ -13,12 +13,11 @@
 //! itself a no-op, so the log stays proportional to *actual* state changes.
 
 use rtdls_core::prelude::{
-    AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan,
+    AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan, TenantId,
 };
-use rtdls_service::gateway::GatewayDecision;
-use rtdls_service::prelude::{DeferredQueue, ServiceMetrics, Verdict};
+use rtdls_service::prelude::{EdgeGateway, ServiceBook, ServiceMetrics, ShardedGateway, Verdict};
 use rtdls_sim::frontend::{Frontend, SubmitOutcome};
-use rtdls_telemetry::{Stage, Telemetry};
+use rtdls_telemetry::{MetricsRegistry, Profiler, Stage, Telemetry};
 
 use crate::event::JournalEvent;
 use crate::journal::{Journal, JournalConfig, JournalSink};
@@ -30,7 +29,7 @@ pub struct JournaledGateway<G: Recoverable> {
     inner: G,
     journal: Journal,
     /// Process-local recording handle (never journaled; see
-    /// [`Recoverable::attach_telemetry`]). Disabled by default.
+    /// [`EdgeGateway::attach_telemetry`]). Disabled by default.
     telemetry: Telemetry,
     /// Set when this gateway was rebuilt by [`recover`](crate::recover):
     /// the instant the re-admission pass ran at, stamped onto the
@@ -72,38 +71,6 @@ impl<G: Recoverable> JournaledGateway<G> {
         self.recovered_at = Some(at);
     }
 
-    /// Attaches a telemetry handle to this wrapper *and* the wrapped
-    /// gateway, so journal appends and the service layer's decision stages
-    /// record into the same flight recorder. Like decision observation,
-    /// telemetry is process-local — a recovered gateway starts disabled
-    /// and its owner re-attaches. Attaching to a recovery-built gateway
-    /// records a `Recovery` span and dumps the recorder to stderr (the
-    /// crash-recovery black-box hook).
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = telemetry.clone();
-        self.inner.attach_telemetry(telemetry);
-        if let Some(at) = self.recovered_at {
-            self.telemetry.record(
-                self.telemetry.mint(),
-                Stage::Recovery,
-                None,
-                0,
-                "recovered",
-                at,
-                None,
-            );
-            self.telemetry.dump_to_stderr("crash recovery");
-        }
-    }
-
-    /// Attaches a hot-path profiler handle to the journal (append/fsync
-    /// phases) *and* the wrapped gateway (plan phase). Process-local, like
-    /// telemetry.
-    pub fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        self.journal.attach_profiler(profiler);
-        self.inner.attach_profiler(profiler);
-    }
-
     /// The wrapped gateway.
     pub fn inner(&self) -> &G {
         &self.inner
@@ -121,57 +88,15 @@ impl<G: Recoverable> JournaledGateway<G> {
         &mut self.journal
     }
 
-    /// Completes any pending group commit in the journal's sink — the
-    /// group-commit boundary a driver (e.g. the network edge's reactor)
-    /// calls once per serving turn when the sink batches fsyncs
-    /// ([`FsyncPolicy::Batch`](crate::journal::FsyncPolicy::Batch)).
-    pub fn flush_journal(&mut self) {
-        self.journal.flush();
-    }
-
     /// The wrapped gateway's cumulative metrics.
     pub fn metrics(&self) -> &ServiceMetrics {
-        self.inner.service_metrics()
+        self.inner.bare().metrics()
     }
 
-    /// The wrapped gateway's defer queue.
-    pub fn deferred(&self) -> &DeferredQueue {
-        self.inner.defer_queue()
-    }
-
-    /// Enables or disables parked-task decision observation on the wrapped
-    /// gateway. Observer state is process-local (like the latency
-    /// histograms), so toggling it is deliberately *not* journaled: a
-    /// recovered gateway starts unobserved and its edge re-enables this.
-    pub fn observe_decisions(&mut self, on: bool) {
-        self.inner.observe_decisions(on);
-    }
-
-    /// Drains the wrapped gateway's parked-task decision updates (empty
-    /// unless observation is enabled). Not journaled: the durable record
-    /// of the same facts is the audit stream (`ReservationActivated`,
-    /// `Rescued`, `Rejected`), which replay regenerates.
-    pub fn take_decision_updates(&mut self) -> Vec<rtdls_service::prelude::DecisionUpdate> {
-        self.inner.take_decision_updates()
-    }
-
-    /// Decides one streaming submission at time `now`, journaling the
-    /// command first and the decision (with the installed plan, for
-    /// accepted tasks) after.
-    pub fn submit(&mut self, task: Task, now: SimTime) -> GatewayDecision {
-        self.journal
-            .append_event(&JournalEvent::Submitted { task, at: now });
-        let decision = self.inner.decide(task, now);
-        self.audit_decision(task.id, &decision);
-        self.audit_breaches();
-        self.maybe_snapshot();
-        decision
-    }
-
-    /// Decides one v2 submission envelope at time `now`, journaling the
-    /// full request first (write-ahead: tenant, QoS, and tolerance all
-    /// shape the verdict, so replay needs all of them) and the verdict
-    /// after.
+    /// Decides one submission envelope at time `now`, journaling the full
+    /// request first (write-ahead: tenant, QoS, and tolerance all shape the
+    /// verdict, so replay needs all of them) and the verdict (with the
+    /// installed plan, for accepted tasks) after.
     pub fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
         // Mint the trace *before* the write-ahead append so the WAL carries
         // it: a replay then reproduces the same request the live run
@@ -185,9 +110,9 @@ impl<G: Recoverable> JournaledGateway<G> {
         self.journal
             .append_event(&JournalEvent::RequestSubmitted { request, at: now });
         let ahead_ns = Telemetry::elapsed_ns(ahead);
-        let verdict = self.inner.decide_request(&request, now);
+        let verdict = self.inner.decide(&request, now);
         let audit = self.telemetry.timer();
-        self.audit_verdict(&request, &verdict);
+        self.audit_verdict(request.task.id, request.tenant, &verdict);
         self.audit_breaches();
         self.maybe_snapshot();
         if self.telemetry.is_enabled() {
@@ -208,53 +133,24 @@ impl<G: Recoverable> JournaledGateway<G> {
         verdict
     }
 
-    /// Folds the wrapped gateway's native stats (service counters, engine
-    /// profiles, queue depths) plus this journal's durability counters into
-    /// `reg` — the ops-poll entry point for a journaled deployment.
-    pub fn fold_metrics(&self, reg: &mut rtdls_telemetry::MetricsRegistry) {
-        self.inner.fold_metrics(reg);
-        crate::telemetry::fold_journal_metrics(reg, &self.journal);
-    }
-
     /// Decides a whole burst at once (see `submit_batch` on the wrapped
-    /// gateway), journaling the burst as one command.
-    pub fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<GatewayDecision> {
+    /// gateway), journaling the burst as one command. Members travel under
+    /// the default envelope (anonymous tenant, no reservation tolerance).
+    pub fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict> {
         self.journal.append_event(&JournalEvent::BatchSubmitted {
             tasks: batch.to_vec(),
             at: now,
         });
-        let decisions = self.inner.decide_batch(batch, now);
-        for (task, decision) in batch.iter().zip(&decisions) {
-            self.audit_decision(task.id, decision);
+        let verdicts = self.inner.decide_batch(batch, now);
+        for (task, verdict) in batch.iter().zip(&verdicts) {
+            self.audit_verdict(task.id, TenantId::default(), verdict);
         }
         self.audit_breaches();
         self.maybe_snapshot();
-        decisions
+        verdicts
     }
 
-    fn audit_decision(&mut self, task: TaskId, decision: &GatewayDecision) {
-        let ev = match decision {
-            GatewayDecision::Accepted => JournalEvent::Accepted {
-                task: task.0,
-                plan: match Frontend::find_plan(&self.inner, task) {
-                    Some(plan) => plan.clone(),
-                    None => return, // defensively skip a plan-less accept
-                },
-            },
-            GatewayDecision::Deferred(ticket) => JournalEvent::Deferred {
-                task: task.0,
-                ticket: *ticket,
-            },
-            GatewayDecision::Rejected(cause) => JournalEvent::Rejected {
-                task: task.0,
-                cause: *cause,
-            },
-        };
-        self.journal.append_event(&ev);
-    }
-
-    fn audit_verdict(&mut self, request: &SubmitRequest, verdict: &Verdict) {
-        let task = request.task.id;
+    fn audit_verdict(&mut self, task: TaskId, tenant: TenantId, verdict: &Verdict) {
         let ev = match verdict {
             Verdict::Accepted => JournalEvent::Accepted {
                 task: task.0,
@@ -278,7 +174,7 @@ impl<G: Recoverable> JournaledGateway<G> {
             },
             Verdict::Throttled => JournalEvent::Throttled {
                 task: task.0,
-                tenant: request.tenant.0,
+                tenant: tenant.0,
             },
         };
         self.journal.append_event(&ev);
@@ -288,7 +184,7 @@ impl<G: Recoverable> JournaledGateway<G> {
     /// produced (a miss's defer-or-reject fallback is audited by the
     /// resolution drain like any other ticket outcome).
     fn audit_activations(&mut self) {
-        for rec in self.inner.take_activation_log() {
+        for rec in self.inner.book_mut().take_activation_log() {
             self.journal
                 .append_event(&JournalEvent::ReservationActivated {
                     task: rec.task,
@@ -303,35 +199,10 @@ impl<G: Recoverable> JournaledGateway<G> {
     /// the durable half of breach-triggered forensics (the in-memory half
     /// is the flight-recorder dump the service layer fires).
     pub(crate) fn audit_breaches(&mut self) {
-        for breach in self.inner.take_breach_log() {
+        for breach in self.inner.book_mut().take_breach_log() {
             self.journal
                 .append_event(&JournalEvent::SloBreach { breach });
         }
-    }
-
-    /// The wrapped gateway's deadline-SLO status table (the `Ops::Slo`
-    /// surface).
-    pub fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        self.inner.slo_rows()
-    }
-
-    /// Enables or disables admission explanations on the wrapped gateway.
-    /// Process-local like decision observation — deliberately not
-    /// journaled, so a replayed WAL decides identically whether or not the
-    /// live run explained its refusals.
-    pub fn enable_explanations(&mut self, on: bool) {
-        self.inner.enable_explanations(on);
-    }
-
-    /// The wrapped gateway's non-mutating refusal explanation for
-    /// `request` at `now` (the `Ops::Explain` surface). A pure query:
-    /// nothing is journaled.
-    pub fn explain_request(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        self.inner.explain_request(request, now)
     }
 
     fn maybe_snapshot(&mut self) {
@@ -340,12 +211,6 @@ impl<G: Recoverable> JournaledGateway<G> {
             snap.epoch = self.journal.epoch();
             self.journal.append_snapshot(&snap);
         }
-    }
-
-    /// The promotion epoch this gateway journals under (0 for a gateway
-    /// that never failed over).
-    pub fn epoch(&self) -> u64 {
-        self.journal.epoch()
     }
 }
 
@@ -357,22 +222,82 @@ impl<G: Recoverable> core::fmt::Debug for JournaledGateway<G> {
     }
 }
 
-impl<G: Recoverable> Frontend for JournaledGateway<G> {
-    fn submit(&mut self, task: Task, now: SimTime) -> SubmitOutcome {
-        match JournaledGateway::submit(self, task, now) {
-            GatewayDecision::Accepted => SubmitOutcome::Accepted,
-            GatewayDecision::Deferred(_) => SubmitOutcome::Pending,
-            GatewayDecision::Rejected(cause) => SubmitOutcome::Rejected(cause),
+impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
+    type Engine = G::Engine;
+    type Driver = Self;
+
+    fn bare(&self) -> &ShardedGateway<G::Engine> {
+        self.inner.bare()
+    }
+
+    fn book_mut(&mut self) -> &mut ServiceBook {
+        self.inner.book_mut()
+    }
+
+    /// Every state change goes through this wrapper's [`Frontend`] impl,
+    /// so it is write-ahead journaled (and no-op polls stay out of the log).
+    fn driver(&mut self) -> &mut Self {
+        self
+    }
+
+    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
+        self.submit_request(request, now)
+    }
+
+    /// Completes any pending group commit in the journal's sink: one
+    /// serving turn is one group-commit window when the sink batches
+    /// fsyncs ([`FsyncPolicy::Batch`](crate::journal::FsyncPolicy::Batch)).
+    /// In an edge cluster each reactor owns its own journal file, so the
+    /// single-writer crash-safety argument is per-reactor and unchanged.
+    fn commit(&mut self, _now: SimTime) {
+        self.journal.flush();
+    }
+
+    /// The promotion epoch this gateway journals under (0 for a gateway
+    /// that never failed over).
+    fn epoch(&self) -> u64 {
+        self.journal.epoch()
+    }
+
+    /// Adds this journal's durability counters to the wrapped stack's.
+    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
+        self.inner.fold_metrics(reg);
+        crate::telemetry::fold_journal_metrics(reg, &self.journal);
+    }
+
+    /// Attaches to this wrapper *and* the wrapped gateway, so journal
+    /// appends and the service layer's decision stages record into the
+    /// same flight recorder. Attaching to a recovery-built gateway records
+    /// a `Recovery` span and dumps the recorder to stderr (the
+    /// crash-recovery black-box hook).
+    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.telemetry = telemetry.clone();
+        self.inner.attach_telemetry(telemetry);
+        if let Some(at) = self.recovered_at {
+            self.telemetry.record(
+                self.telemetry.mint(),
+                Stage::Recovery,
+                None,
+                0,
+                "recovered",
+                at,
+                None,
+            );
+            self.telemetry.dump_to_stderr("crash recovery");
         }
     }
 
+    /// Attaches to the journal (append/fsync phases) *and* the wrapped
+    /// gateway (plan phase).
+    fn attach_profiler(&mut self, profiler: &Profiler) {
+        self.journal.attach_profiler(profiler);
+        self.inner.attach_profiler(profiler);
+    }
+}
+
+impl<G: Recoverable> Frontend for JournaledGateway<G> {
     fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
-        match JournaledGateway::submit_request(self, request, now) {
-            Verdict::Accepted => SubmitOutcome::Accepted,
-            Verdict::Reserved { .. } | Verdict::Deferred { .. } => SubmitOutcome::Pending,
-            Verdict::Rejected { cause, .. } => SubmitOutcome::Rejected(cause),
-            Verdict::Throttled => SubmitOutcome::Rejected(Infeasible::NotEnoughNodes),
-        }
+        JournaledGateway::submit_request(self, request, now).into()
     }
 
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
@@ -426,7 +351,7 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
     }
 
     fn on_event(&mut self, now: SimTime) {
-        if !self.inner.defer_queue().is_empty() {
+        if !self.inner.bare().deferred().is_empty() {
             self.journal
                 .append_event(&JournalEvent::Retested { at: now });
             self.inner.on_event(now);
@@ -441,13 +366,12 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
         // proportional to real state changes.
         let due = self
             .inner
-            .reservation_book()
-            .next_activation()
+            .next_wakeup()
             .is_some_and(|t| t.at_or_before_eps(now));
         if due {
             self.journal
                 .append_event(&JournalEvent::ActivationDue { at: now });
-            self.inner.activate_reservations(now);
+            self.inner.activate(now);
             self.audit_activations();
             self.audit_breaches();
             self.maybe_snapshot();
@@ -455,11 +379,11 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
-        self.inner.reservation_book().next_activation()
+        self.inner.next_wakeup()
     }
 
     fn drain_resolutions(&mut self) -> Vec<(Task, Option<Infeasible>)> {
-        if self.inner.pending_resolutions().is_empty() {
+        if self.inner.bare().pending_resolutions().is_empty() {
             return Vec::new();
         }
         // Clearing the pending list is a state change: journal it as an
@@ -493,15 +417,18 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
 mod tests {
     use super::*;
     use rtdls_core::prelude::*;
-    use rtdls_service::prelude::{DeferPolicy, Gateway};
+    use rtdls_service::prelude::{DeferPolicy, Routing};
 
-    fn gateway() -> Gateway {
-        Gateway::new(
+    fn gateway() -> ShardedGateway {
+        ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -564,9 +491,13 @@ mod tests {
         let wal = j.journal().bytes().to_vec();
         drop(j);
 
-        let (mut recovered, _report) =
-            crate::recover::<Gateway>(&wal, SimTime::new(5.0), JournalConfig::default(), None)
-                .unwrap();
+        let (mut recovered, _report) = crate::recover::<ShardedGateway>(
+            &wal,
+            SimTime::new(5.0),
+            JournalConfig::default(),
+            None,
+        )
+        .unwrap();
         let telemetry = Telemetry::with_defaults();
         recovered.attach_telemetry(&telemetry);
         let spans = telemetry.recent_spans(4);

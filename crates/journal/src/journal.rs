@@ -517,14 +517,16 @@ mod tests {
 
     fn snap() -> GatewaySnapshot {
         use rtdls_core::prelude::*;
-        use rtdls_service::prelude::DeferPolicy;
-        use rtdls_service::prelude::Gateway;
-        let g = Gateway::new(
+        use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway};
+        let g = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         crate::snapshot::Recoverable::capture(&g)
     }
 

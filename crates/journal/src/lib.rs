@@ -8,7 +8,7 @@
 //! restart silently dropped the whole book. This crate makes the promises
 //! durable:
 //!
-//! * **[`JournaledGateway`]** wraps a [`Gateway`] or [`ShardedGateway`] and
+//! * **[`JournaledGateway`]** wraps a [`ShardedGateway`] and
 //!   write-ahead-logs every decision-relevant input (submissions, node
 //!   completions, dispatch/replan/re-test instants) into an append-only,
 //!   checksummed, length-prefixed [`Journal`] — plus audit records of each
@@ -44,7 +44,8 @@
 //! )
 //! .unwrap();
 //! let mut journaled = JournaledGateway::new(gateway, JournalConfig::default());
-//! journaled.submit(Task::new(1, 0.0, 200.0, 30_000.0), SimTime::ZERO);
+//! let request = SubmitRequest::new(Task::new(1, 0.0, 200.0, 30_000.0));
+//! journaled.submit_request(&request, SimTime::ZERO);
 //!
 //! // The process dies; only the journal bytes survive.
 //! let wal = journaled.journal().bytes().to_vec();
@@ -62,7 +63,6 @@
 //! assert!(report.demoted.is_empty(), "nothing became infeasible");
 //! ```
 //!
-//! [`Gateway`]: rtdls_service::gateway::Gateway
 //! [`ShardedGateway`]: rtdls_service::shard::ShardedGateway
 
 #![warn(missing_docs)]
@@ -110,4 +110,6 @@ pub mod prelude {
     pub use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
     pub use crate::telemetry::fold_journal_metrics;
     pub use crate::wire::TailStatus;
+    /// The serving trait a [`JournaledGateway`] is driven through.
+    pub use rtdls_service::serve::EdgeGateway;
 }

@@ -22,7 +22,7 @@
 //! The result is wrapped in a fresh [`JournaledGateway`] whose journal
 //! begins with a post-recovery snapshot — recovery doubles as compaction.
 
-use rtdls_core::prelude::{SimTime, TaskId};
+use rtdls_core::prelude::{SimTime, SubmitRequest, TaskId};
 
 use crate::event::JournalEvent;
 use crate::journal::{split_at_last_snapshot, Journal, JournalConfig, JournalSink};
@@ -58,17 +58,19 @@ pub struct RecoveryReport {
 /// code paths. Audit events are ignored (replay regenerates them).
 pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
     match event {
+        // No writer emits `Submitted` any more; WALs that hold it replay it
+        // as what it always was, a submission under the default envelope.
         JournalEvent::Submitted { task, at } => {
-            let _ = gateway.decide(*task, *at);
+            let _ = gateway.decide(&SubmitRequest::new(*task), *at);
         }
         JournalEvent::RequestSubmitted { request, at } => {
-            let _ = gateway.decide_request(request, *at);
+            let _ = gateway.decide(request, *at);
         }
         JournalEvent::ActivationDue { at } => {
-            gateway.activate_reservations(*at);
+            gateway.activate(*at);
             // Replay regenerates (and discards) the activation audit; the
             // recovery journal re-audits from its own fresh activations.
-            let _ = gateway.take_activation_log();
+            let _ = gateway.book_mut().take_activation_log();
         }
         JournalEvent::BatchSubmitted { tasks, at } => {
             let _ = gateway.decide_batch(tasks, *at);
@@ -131,7 +133,7 @@ pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), Journ
     // Replay regenerates (and discards) the pre-crash breach records — the
     // original WAL already holds them; re-auditing them into the recovery
     // journal would double-book the same breaches.
-    let _ = gateway.take_breach_log();
+    let _ = gateway.book_mut().take_breach_log();
     Ok((
         gateway,
         RecoveryReport {

@@ -39,7 +39,7 @@ use rtdls_core::prelude::SimTime;
 use crate::journal::{FsyncPolicy, JournalConfig, JournalSink, SinkStats};
 use crate::recover::RecoveryReport;
 use crate::snapshot::{JournalError, Recoverable};
-use crate::wire::{decode_frames, RecordKind};
+use crate::wire::{decode_frames, fnv1a64, RecordKind, FNV_OFFSET};
 use crate::JournaledGateway;
 
 /// The manifest's per-sealed-segment record (one JSON line in
@@ -79,21 +79,9 @@ pub struct SegmentStats {
     pub sealed: bool,
 }
 
-/// FNV-1a 64 offset basis / prime, matching [`crate::wire::checksum`].
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// FNV-1a 64 over a whole segment's bytes (what the manifest records).
 pub fn segment_checksum(bytes: &[u8]) -> u64 {
-    fnv_extend(FNV_OFFSET, bytes)
+    fnv1a64(FNV_OFFSET, bytes)
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -285,7 +273,7 @@ impl JournalSink for SegmentedSink {
             .expect("segment append must succeed");
         active.stats.frames += 1;
         active.stats.bytes += frame.len() as u64;
-        active.stats.checksum = fnv_extend(active.stats.checksum, frame);
+        active.stats.checksum = fnv1a64(active.stats.checksum, frame);
         self.totals.appends += 1;
         self.totals.bytes_written += frame.len() as u64;
         self.unsynced += 1;
@@ -313,7 +301,7 @@ impl JournalSink for SegmentedSink {
             .expect("segment write must succeed");
         active.stats.frames += decode_frames(bytes).0.len() as u64;
         active.stats.bytes += bytes.len() as u64;
-        active.stats.checksum = fnv_extend(active.stats.checksum, bytes);
+        active.stats.checksum = fnv1a64(active.stats.checksum, bytes);
         self.totals.bytes_written += bytes.len() as u64;
         self.unsynced += 1;
         // Rotation is a durability point regardless of the batch window:
@@ -507,15 +495,18 @@ mod tests {
     use crate::journal::Journal;
     use crate::snapshot::Recoverable;
     use rtdls_core::prelude::*;
-    use rtdls_service::prelude::{DeferPolicy, Gateway};
+    use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway};
 
-    fn gateway() -> Gateway {
-        Gateway::new(
+    fn gateway() -> ShardedGateway {
+        ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
         )
+        .unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -584,7 +575,10 @@ mod tests {
             Box::new(SegmentedSink::create(&dir).unwrap()),
         );
         for i in 0..7 {
-            let _ = live.submit(Task::new(i, 0.0, 400.0, 30_000.0), SimTime::ZERO);
+            let _ = live.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 400.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         let mem = live.journal().bytes().to_vec();
         let live_norm = live.inner().capture().normalized();
@@ -592,7 +586,7 @@ mod tests {
 
         // The concatenated segment stream recovers to the same state as
         // the in-memory image (which spans only the newest epoch).
-        let (recovered, report) = recover_segment_dir::<Gateway>(
+        let (recovered, report) = recover_segment_dir::<ShardedGateway>(
             &dir,
             SimTime::ZERO,
             JournalConfig::default(),
@@ -604,7 +598,8 @@ mod tests {
         assert_eq!(recovered.inner().capture().normalized(), live_norm);
 
         let (from_mem, _) =
-            crate::recover::<Gateway>(&mem, SimTime::ZERO, JournalConfig::default(), None).unwrap();
+            crate::recover::<ShardedGateway>(&mem, SimTime::ZERO, JournalConfig::default(), None)
+                .unwrap();
         assert_eq!(
             recovered.inner().capture().normalized(),
             from_mem.inner().capture().normalized()
@@ -641,7 +636,7 @@ mod tests {
         let bytes = std::fs::read(active).unwrap();
         std::fs::write(active, &bytes[..3.min(bytes.len())]).unwrap();
 
-        let (recovered, report) = recover_segment_dir::<Gateway>(
+        let (recovered, report) = recover_segment_dir::<ShardedGateway>(
             &dir,
             SimTime::ZERO,
             JournalConfig::default(),

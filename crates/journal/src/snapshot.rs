@@ -5,23 +5,19 @@
 //! node releases), the defer queue with its policy and ticket ids, the
 //! routing cursor, cumulative service metrics, and any undrained defer
 //! resolutions. Restoring a snapshot and replaying the journal events
-//! appended after it reproduces the pre-crash gateway exactly — both
-//! [`Gateway`] and [`ShardedGateway`] implement [`Recoverable`] through one
-//! shared snapshot shape (a single-cluster gateway is the one-shard special
-//! case).
+//! appended after it reproduces the pre-crash gateway exactly.
+//! [`ShardedGateway`] is the one [`Recoverable`]; a single cluster is its
+//! one-shard case.
 
 use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{
-    Admission, AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, SubmitRequest,
-    Task,
+    Admission, AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, Task,
 };
-use rtdls_service::book::ServiceBook;
-use rtdls_service::gateway::{Gateway, GatewayDecision};
 use rtdls_service::prelude::{
-    ActivationRecord, DecisionUpdate, DeferState, DeferredQueue, MetricsSnapshot, QuotaPolicy,
-    ReservationBook, ReservationState, Routing, ServiceMetrics, ShardedGateway, SloBreach,
-    SloStatusRow, SloTracker, TenantLedger, TenantLedgerState, Verdict,
+    DeferState, DeferredQueue, EdgeGateway, MetricsSnapshot, QuotaPolicy, ReservationBook,
+    ReservationState, Routing, ServiceBook, ServiceMetrics, ShardedGateway, SloTracker,
+    TenantLedger, TenantLedgerState, Verdict,
 };
 use rtdls_sim::frontend::Frontend;
 
@@ -34,8 +30,8 @@ pub enum JournalError {
     /// A checksum-valid record failed to parse or restore — a format/version
     /// bug rather than torn-write damage.
     Corrupt(String),
-    /// The snapshot disagrees with the gateway type or cluster shape being
-    /// recovered (e.g. a sharded snapshot restored as a single gateway).
+    /// The snapshot cannot describe a gateway (e.g. several shards but no
+    /// routing policy to deal submissions between them).
     Incompatible(&'static str),
     /// An I/O error from a journal file.
     Io(String),
@@ -81,18 +77,21 @@ impl From<rtdls_core::error::ModelError> for JournalError {
 /// quotas, which is exactly the pre-redesign behavior.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct GatewaySnapshot {
-    /// `true` for a [`ShardedGateway`] image, `false` for a [`Gateway`].
+    /// Whether the gateway has more than one shard. Derived from the
+    /// shard count on capture and ignored on restore; kept so the image's
+    /// key set matches every WAL written so far.
     pub sharded: bool,
     /// Global cluster parameters the gateway fronts.
     pub params: ClusterParams,
     /// Scheduling policy × partitioning strategy.
     pub algorithm: AlgorithmKind,
-    /// Routing policy (sharded gateways only).
+    /// Routing policy. Always written; `None` only in images of the
+    /// retired single-cluster gateway type, which restore as one shard
+    /// (where every policy routes alike).
     pub routing: Option<Routing>,
-    /// Round-robin routing cursor (sharded gateways only; 0 otherwise).
+    /// Round-robin routing cursor.
     pub cursor: usize,
-    /// Per-shard controller books, in shard order (exactly one entry for a
-    /// single-cluster gateway).
+    /// Per-shard controller books, in shard order.
     pub shards: Vec<ControllerState>,
     /// The defer queue: policy, ticket-id counter, parked tickets.
     pub defer: DeferState,
@@ -130,7 +129,7 @@ impl Deserialize for GatewaySnapshot {
             params: field(v, "params")?,
             algorithm: field(v, "algorithm")?,
             // `routing` predates the redesign: every writer serializes it
-            // (null for single-cluster images), so a missing key is
+            // (null in legacy single-cluster images), so a missing key is
             // corruption and must fail like any other v1 field.
             routing: field(v, "routing")?,
             cursor: field(v, "cursor")?,
@@ -170,13 +169,14 @@ impl GatewaySnapshot {
     }
 }
 
-/// A gateway the journal subsystem can persist and rebuild.
+/// A gateway the journal subsystem can persist and rebuild: the serving
+/// trait plus the four things only the journal needs.
 ///
 /// Implementors must be *deterministic state machines* over the journal's
-/// input events: same state + same inputs ⇒ same state. Both service
-/// gateways satisfy this (their only nondeterminism, wall-clock latency
-/// metrics, lives outside the captured state).
-pub trait Recoverable: Frontend + Sized {
+/// input events: same state + same inputs ⇒ same state. The gateway
+/// satisfies this (its only nondeterminism, wall-clock latency metrics,
+/// lives outside the captured state).
+pub trait Recoverable: EdgeGateway + Frontend + Sized {
     /// Captures the complete durable state.
     fn capture(&self) -> GatewaySnapshot;
 
@@ -185,233 +185,20 @@ pub trait Recoverable: Frontend + Sized {
     /// indistinguishable from `g`.
     fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError>;
 
-    /// Service-level single submission (the journaled command behind
-    /// [`JournalEvent::Submitted`](crate::event::JournalEvent::Submitted)).
-    fn decide(&mut self, task: Task, now: SimTime) -> GatewayDecision;
-
-    /// Service-level v2 submission (the journaled command behind
-    /// [`JournalEvent::RequestSubmitted`](crate::event::JournalEvent::RequestSubmitted)).
-    fn decide_request(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict;
-
-    /// Service-level batched submission.
-    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<GatewayDecision>;
-
-    /// The gateway's reservation book.
-    fn reservation_book(&self) -> &ReservationBook;
-
-    /// Activates every due reservation at `now` (the journaled command
-    /// behind [`JournalEvent::ActivationDue`](crate::event::JournalEvent::ActivationDue)).
-    fn activate_reservations(&mut self, now: SimTime);
-
-    /// Drains the activation audit records accumulated since the last
-    /// call (regenerated on replay; journaled as audit output).
-    fn take_activation_log(&mut self) -> Vec<ActivationRecord>;
-
-    /// Enables or disables parked-task decision observation (the network
-    /// edge's subscription channel). Observer state is process-local —
-    /// never journaled, never replayed — and defaults to off on a
-    /// restored gateway: an edge that recovers a journaled gateway must
-    /// re-enable it.
-    fn observe_decisions(&mut self, on: bool);
-
-    /// Drains the parked-task decision updates recorded since the last
-    /// call (empty unless observation is enabled).
-    fn take_decision_updates(&mut self) -> Vec<DecisionUpdate>;
-
-    /// Attaches a telemetry handle for span recording. Like observation,
-    /// telemetry is process-local — never captured in snapshots, never
-    /// replayed — so the owner re-attaches it after recovery. The default
-    /// keeps telemetry-unaware gateways compiling.
-    fn attach_telemetry(&mut self, _telemetry: &rtdls_telemetry::Telemetry) {}
-
-    /// Attaches a hot-path profiler handle for phase timing. Process-local
-    /// like telemetry; the default keeps profiler-unaware gateways
-    /// compiling.
-    fn attach_profiler(&mut self, _profiler: &rtdls_telemetry::Profiler) {}
-
-    /// Folds the gateway's native stats into the unified metrics registry
-    /// (the ops-poll surface). The default folds nothing, keeping
-    /// telemetry-unaware gateways compiling.
-    fn fold_metrics(&self, _reg: &mut rtdls_telemetry::MetricsRegistry) {}
+    /// Service-level batched submission (the journaled command behind
+    /// [`JournalEvent::BatchSubmitted`](crate::event::JournalEvent::BatchSubmitted)).
+    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict>;
 
     /// Post-recovery re-verification: re-run the strict admission test over
     /// every restored waiting plan at `now`, demoting newly infeasible
     /// tasks to the defer queue. Returns the demoted tasks.
     fn reverify(&mut self, now: SimTime) -> Vec<Task>;
-
-    /// Drains the SLO-breach audit records cut since the last call
-    /// (journaled as audit output, like activations). The default keeps
-    /// SLO-unaware gateways compiling.
-    fn take_breach_log(&mut self) -> Vec<SloBreach> {
-        Vec::new()
-    }
-
-    /// The deadline-SLO status table (the `Ops::Slo` surface). Empty by
-    /// default for SLO-unaware gateways.
-    fn slo_rows(&self) -> Vec<SloStatusRow> {
-        Vec::new()
-    }
-
-    /// Enables or disables admission explanations on refusal verdicts.
-    /// Process-local like observation: never journaled, off on a restored
-    /// gateway until its owner re-enables it.
-    fn enable_explanations(&mut self, _on: bool) {}
-
-    /// The non-mutating explanation for a request the gateway would refuse
-    /// at `now` (the `Ops::Explain` surface; `None` when feasible as-is or
-    /// unsupported).
-    fn explain_request(
-        &self,
-        _request: &SubmitRequest,
-        _now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        None
-    }
-
-    /// The gateway's cumulative metrics.
-    fn service_metrics(&self) -> &ServiceMetrics;
-
-    /// The gateway's defer queue.
-    fn defer_queue(&self) -> &DeferredQueue;
-
-    /// Defer verdicts reached but not yet drained by the engine.
-    fn pending_resolutions(&self) -> &[(Task, Option<Infeasible>)];
-}
-
-/// Rebuilds the shared serving-layer book from a snapshot's fields.
-fn book_from_snapshot(snap: &GatewaySnapshot) -> ServiceBook {
-    let mut book = ServiceBook::from_parts(
-        DeferredQueue::from_state(snap.defer.clone()),
-        ReservationBook::from_state(snap.reservations.clone()),
-        TenantLedger::from_state(snap.ledger.clone()),
-        snap.quota,
-        ServiceMetrics::restore(&snap.metrics),
-        snap.resolutions.clone(),
-    );
-    book.slo = snap.slo.clone();
-    book
-}
-
-impl<A: Admission> Recoverable for Gateway<A> {
-    fn capture(&self) -> GatewaySnapshot {
-        GatewaySnapshot {
-            sharded: false,
-            params: *self.controller().params(),
-            algorithm: self.controller().algorithm(),
-            routing: None,
-            cursor: 0,
-            shards: vec![self.controller().state()],
-            defer: self.deferred().state(),
-            reservations: self.reservations().state(),
-            ledger: self.ledger().state(),
-            quota: *self.quota(),
-            metrics: self.metrics().snapshot(),
-            resolutions: self.pending_resolutions().to_vec(),
-            slo: self.slo().clone(),
-            epoch: 0,
-        }
-    }
-
-    fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError> {
-        if snap.sharded || snap.shards.len() != 1 {
-            return Err(JournalError::Incompatible(
-                "snapshot is not a single-cluster gateway image",
-            ));
-        }
-        let ctl = A::from_state(snap.shards[0].clone())?;
-        if ctl.params() != &snap.params {
-            return Err(JournalError::Incompatible(
-                "controller shape disagrees with the snapshot's cluster",
-            ));
-        }
-        Ok(Gateway::from_parts(ctl, book_from_snapshot(snap)))
-    }
-
-    fn decide(&mut self, task: Task, now: SimTime) -> GatewayDecision {
-        Gateway::submit(self, task, now)
-    }
-
-    fn decide_request(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        Gateway::submit_request(self, request, now)
-    }
-
-    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<GatewayDecision> {
-        Gateway::submit_batch(self, batch, now)
-    }
-
-    fn reservation_book(&self) -> &ReservationBook {
-        self.reservations()
-    }
-
-    fn activate_reservations(&mut self, now: SimTime) {
-        Gateway::activate_reservations(self, now)
-    }
-
-    fn take_activation_log(&mut self) -> Vec<ActivationRecord> {
-        Gateway::take_activation_log(self)
-    }
-
-    fn observe_decisions(&mut self, on: bool) {
-        Gateway::observe_decisions(self, on)
-    }
-
-    fn take_decision_updates(&mut self) -> Vec<DecisionUpdate> {
-        Gateway::take_decision_updates(self)
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry) {
-        Gateway::attach_telemetry(self, telemetry)
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        Gateway::attach_profiler(self, profiler)
-    }
-
-    fn fold_metrics(&self, reg: &mut rtdls_telemetry::MetricsRegistry) {
-        Gateway::fold_metrics(self, reg)
-    }
-
-    fn reverify(&mut self, now: SimTime) -> Vec<Task> {
-        Gateway::reverify(self, now)
-    }
-
-    fn take_breach_log(&mut self) -> Vec<SloBreach> {
-        Gateway::take_breach_log(self)
-    }
-
-    fn slo_rows(&self) -> Vec<SloStatusRow> {
-        self.slo().rows()
-    }
-
-    fn enable_explanations(&mut self, on: bool) {
-        Gateway::enable_explanations(self, on)
-    }
-
-    fn explain_request(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        Gateway::explain(self, request, now)
-    }
-
-    fn service_metrics(&self) -> &ServiceMetrics {
-        self.metrics()
-    }
-
-    fn defer_queue(&self) -> &DeferredQueue {
-        self.deferred()
-    }
-
-    fn pending_resolutions(&self) -> &[(Task, Option<Infeasible>)] {
-        Gateway::pending_resolutions(self)
-    }
 }
 
 impl<A: Admission> Recoverable for ShardedGateway<A> {
     fn capture(&self) -> GatewaySnapshot {
         GatewaySnapshot {
-            sharded: true,
+            sharded: self.num_shards() > 1,
             params: *self.params(),
             algorithm: self.algorithm(),
             routing: Some(self.routing()),
@@ -429,103 +216,43 @@ impl<A: Admission> Recoverable for ShardedGateway<A> {
     }
 
     fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError> {
-        if !snap.sharded {
-            return Err(JournalError::Incompatible(
-                "snapshot is not a sharded gateway image",
-            ));
-        }
-        let routing = snap
-            .routing
-            .ok_or(JournalError::Incompatible("sharded snapshot lacks routing"))?;
+        let routing = match snap.routing {
+            Some(routing) => routing,
+            // A legacy single-cluster image: any policy is equivalent over
+            // one shard.
+            None if snap.shards.len() == 1 => Routing::LeastLoaded,
+            None => {
+                return Err(JournalError::Incompatible(
+                    "multi-shard snapshot lacks routing",
+                ))
+            }
+        };
+        let book = ServiceBook::from_parts(
+            DeferredQueue::from_state(snap.defer.clone()),
+            ReservationBook::from_state(snap.reservations.clone()),
+            TenantLedger::from_state(snap.ledger.clone()),
+            snap.quota,
+            ServiceMetrics::restore(&snap.metrics),
+            snap.resolutions.clone(),
+            snap.slo.clone(),
+        );
         ShardedGateway::from_parts(
             snap.params,
             snap.algorithm,
             routing,
             snap.cursor,
             snap.shards.clone(),
-            book_from_snapshot(snap),
+            book,
         )
         .map_err(JournalError::from)
     }
 
-    fn decide(&mut self, task: Task, now: SimTime) -> GatewayDecision {
-        ShardedGateway::submit(self, task, now)
-    }
-
-    fn decide_request(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        ShardedGateway::submit_request(self, request, now)
-    }
-
-    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<GatewayDecision> {
-        ShardedGateway::submit_batch(self, batch, now)
-    }
-
-    fn reservation_book(&self) -> &ReservationBook {
-        self.reservations()
-    }
-
-    fn activate_reservations(&mut self, now: SimTime) {
-        ShardedGateway::activate_reservations(self, now)
-    }
-
-    fn take_activation_log(&mut self) -> Vec<ActivationRecord> {
-        ShardedGateway::take_activation_log(self)
-    }
-
-    fn observe_decisions(&mut self, on: bool) {
-        ShardedGateway::observe_decisions(self, on)
-    }
-
-    fn take_decision_updates(&mut self) -> Vec<DecisionUpdate> {
-        ShardedGateway::take_decision_updates(self)
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry) {
-        ShardedGateway::attach_telemetry(self, telemetry)
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        ShardedGateway::attach_profiler(self, profiler)
-    }
-
-    fn fold_metrics(&self, reg: &mut rtdls_telemetry::MetricsRegistry) {
-        ShardedGateway::fold_metrics(self, reg)
+    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict> {
+        self.submit_batch(batch, now)
     }
 
     fn reverify(&mut self, now: SimTime) -> Vec<Task> {
         ShardedGateway::reverify(self, now)
-    }
-
-    fn take_breach_log(&mut self) -> Vec<SloBreach> {
-        ShardedGateway::take_breach_log(self)
-    }
-
-    fn slo_rows(&self) -> Vec<SloStatusRow> {
-        self.slo().rows()
-    }
-
-    fn enable_explanations(&mut self, on: bool) {
-        ShardedGateway::enable_explanations(self, on)
-    }
-
-    fn explain_request(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        ShardedGateway::explain(self, request, now)
-    }
-
-    fn service_metrics(&self) -> &ServiceMetrics {
-        self.metrics()
-    }
-
-    fn defer_queue(&self) -> &DeferredQueue {
-        self.deferred()
-    }
-
-    fn pending_resolutions(&self) -> &[(Task, Option<Infeasible>)] {
-        ShardedGateway::pending_resolutions(self)
     }
 }
 
@@ -551,13 +278,12 @@ mod tests {
         .unwrap();
         let e4 = rtdls_core::dlt::homogeneous::exec_time(&params, 400.0, 4);
         for i in 0..6 {
-            g.submit(
-                Task::new(i, 0.0, 400.0, e4 * (1.05 + i as f64)),
-                SimTime::ZERO,
-            );
+            let t = Task::new(i, 0.0, 400.0, e4 * (1.05 + i as f64));
+            g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
         }
         // Force at least one deferral.
-        g.submit(Task::new(90, 0.0, 790.0, e4 * 2.0), SimTime::ZERO);
+        let t = Task::new(90, 0.0, 790.0, e4 * 2.0);
+        g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
         let _ = Frontend::take_due(&mut g, SimTime::ZERO);
         g
     }
@@ -584,30 +310,50 @@ mod tests {
     #[test]
     fn single_capture_restore_round_trips_exactly() {
         let params = ClusterParams::paper_baseline();
-        let mut g = Gateway::new(
+        let mut g = ShardedGateway::new(
             params,
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
-        g.submit(Task::new(1, 0.0, 200.0, 30_000.0), SimTime::ZERO);
+        )
+        .unwrap();
+        let t = Task::new(1, 0.0, 200.0, 30_000.0);
+        g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
         let snap = g.capture();
         assert!(!snap.sharded);
-        let restored: Gateway = Gateway::restore(&snap).unwrap();
+        assert_eq!(snap.routing, Some(Routing::RoundRobin));
+        let restored: ShardedGateway = ShardedGateway::restore(&snap).unwrap();
         assert_eq!(restored.capture(), snap);
-        // Cross-type restores are refused.
-        assert!(ShardedGateway::<AdmissionController>::restore(&snap).is_err());
-        assert!(Gateway::<AdmissionController>::restore(&busy_sharded().capture()).is_err());
+        // An image of the retired single-cluster type (no routing) restores
+        // as one shard with the same books…
+        let legacy = GatewaySnapshot {
+            routing: None,
+            ..snap.clone()
+        };
+        let restored: ShardedGateway = ShardedGateway::restore(&legacy).unwrap();
+        assert_eq!(restored.capture().shards, snap.shards);
+        assert_eq!(restored.capture().metrics, snap.metrics);
+        // …but several shards cannot be dealt to without a policy.
+        let headless = GatewaySnapshot {
+            routing: None,
+            ..busy_sharded().capture()
+        };
+        assert!(matches!(
+            ShardedGateway::<AdmissionController>::restore(&headless),
+            Err(JournalError::Incompatible(_))
+        ));
     }
 
     #[test]
     fn restored_gateway_keeps_deciding_identically() {
         let mut live = busy_sharded();
         let mut restored: ShardedGateway = ShardedGateway::restore(&live.capture()).unwrap();
-        let probe = Task::new(200, 10.0, 150.0, 80_000.0);
+        let probe = SubmitRequest::new(Task::new(200, 10.0, 150.0, 80_000.0));
         assert_eq!(
-            live.decide(probe, SimTime::new(10.0)),
-            restored.decide(probe, SimTime::new(10.0))
+            live.decide(&probe, SimTime::new(10.0)),
+            restored.decide(&probe, SimTime::new(10.0))
         );
         // Wall-clock latency samples differ between the two processes;
         // everything else must agree exactly.

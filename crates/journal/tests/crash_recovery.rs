@@ -82,7 +82,7 @@ fn recover_from_wal(dead: &JG, now: SimTime) -> JG {
     let m = recovered.metrics();
     assert_eq!(m.demoted, report.demoted.len() as u64);
     let parked = m.deferred - (m.rescued + m.defer_evicted + m.defer_expired + m.defer_flushed);
-    assert_eq!(parked as usize, recovered.deferred().len());
+    assert_eq!(parked as usize, recovered.inner().deferred().len());
     assert_eq!(
         m.accepted_total() + m.rejected_total() + parked,
         m.submitted,
@@ -141,12 +141,16 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
 
     // A occupies the cluster until ≈ e16_800; dispatch commits it.
     let a = Task::new(1, 0.0, 800.0, e16_800 * 10.0);
-    assert!(j.submit(a, SimTime::ZERO).is_accepted());
+    assert!(j
+        .submit_request(&SubmitRequest::new(a), SimTime::ZERO)
+        .is_accepted());
     let dispatched = Frontend::take_due(&mut j, SimTime::ZERO);
     assert_eq!(dispatched.len(), 1);
     // B queues behind A with ~5% slack: feasible now, fragile to an outage.
     let b = Task::new(2, 0.0, 400.0, e16_800 + e16_400 * 1.05);
-    assert!(j.submit(b, SimTime::ZERO).is_accepted());
+    assert!(j
+        .submit_request(&SubmitRequest::new(b), SimTime::ZERO)
+        .is_accepted());
 
     let wal = j.journal().bytes().to_vec();
     drop(j); // the crash
@@ -168,7 +172,7 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
     // B is past even an idle cluster's help at that instant: it resolved as
     // a withdrawn guarantee (demote-rejection), not a parked ticket — and
     // not a submission-time rejection.
-    assert!(recovered.deferred().is_empty());
+    assert!(recovered.inner().deferred().is_empty());
     assert_eq!(recovered.metrics().demote_rejected, 1);
     assert_eq!(recovered.metrics().rejected_immediate, 0);
     assert_eq!(recovered.metrics().rejected_total(), 1);
@@ -249,8 +253,8 @@ fn incremental_engine_recovers_to_the_same_state_from_the_same_wal() {
         let mut inc_rec = inc_rec;
         let probe = Task::new(9_000_001, crash_time.as_f64() + 1.0, 150.0, 80_000.0);
         assert_eq!(
-            full_rec.submit(probe, probe.arrival),
-            inc_rec.submit(probe, probe.arrival),
+            full_rec.submit_request(&SubmitRequest::new(probe), probe.arrival),
+            inc_rec.submit_request(&SubmitRequest::new(probe), probe.arrival),
             "kill_at={kill_at}"
         );
         assert_eq!(
@@ -299,6 +303,42 @@ const V2_FIELDS: &[&str] = &[
     "tenant",
     "qos",
 ];
+
+/// A WAL written at the last commit that still had the single-cluster
+/// `Gateway` type and the v1 writer (`JournaledGateway<Gateway>`, EDF-OPR-MN,
+/// 16 nodes): a `sharded:false` / `routing:null` genesis snapshot, sixteen
+/// node releases at t=1000, v1 `Submitted` events (an accept, a defer, a
+/// reject), a `RequestSubmitted` that booked a reservation, and a
+/// `BatchSubmitted` of two. No writer produces this shape any more; this
+/// file is what keeps it readable. The pinned values are what that
+/// commit's own `recover::<Gateway>` reported for the same bytes.
+#[test]
+fn legacy_single_cluster_wal_recovers_as_one_shard() {
+    let wal = include_bytes!("fixtures/legacy_single_cluster.wal");
+    let (recovered, report) =
+        recover::<ShardedGateway>(wal, SimTime::new(5.0), JournalConfig::default(), None)
+            .expect("legacy WAL must recover");
+    assert!(report.tail.is_clean());
+    assert_eq!(report.events_replayed, 21);
+    assert_eq!(report.audit_records, 6);
+    assert!(report.demoted.is_empty());
+    let g = recovered.inner();
+    assert_eq!(g.num_shards(), 1);
+    let waiting: Vec<u64> = g.shard_states()[0]
+        .queue
+        .iter()
+        .map(|(t, _)| t.id.0)
+        .collect();
+    assert_eq!(waiting, vec![1, 5, 6]);
+    assert_eq!(g.deferred().len(), 1);
+    assert_eq!(g.reservations().len(), 1);
+    assert_eq!(g.metrics().accepted_total(), 3);
+    assert_eq!(g.metrics().submitted, 6);
+    // The rewritten journal opens with today's image of the same state.
+    let snap = recovered.inner().capture();
+    assert!(!snap.sharded);
+    assert!(snap.routing.is_some());
+}
 
 #[test]
 fn pre_redesign_wal_recovers_with_identical_shard_states() {
@@ -380,7 +420,10 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
         reference.shard_states(),
         "shard states diverged from the live reference"
     );
-    assert_eq!(recovered.deferred().len(), reference.deferred().len());
+    assert_eq!(
+        recovered.inner().deferred().len(),
+        reference.deferred().len()
+    );
     // The absent v2 fields defaulted: empty books, unlimited quotas.
     assert!(recovered.inner().reservations().is_empty());
     assert_eq!(recovered.inner().quota().max_inflight, None);
@@ -424,7 +467,9 @@ fn reservation_wal() -> (Vec<u8>, SimTime, Task) {
         Frontend::set_node_release(&mut j, node, SimTime::new(1000.0));
     }
     let w = Task::new(1, 0.0, 800.0, 1000.0 + e16 + slack_w);
-    assert!(j.submit(w, SimTime::ZERO).is_accepted());
+    assert!(j
+        .submit_request(&SubmitRequest::new(w), SimTime::ZERO)
+        .is_accepted());
     let c = Task::new(2, 0.0, 10.0, 1000.0 + e16 + slack_c);
     let req = SubmitRequest::new(c).with_max_delay(Some(2000.0));
     let verdict = j.submit_request(&req, SimTime::ZERO);
@@ -632,7 +677,7 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
             Box::new(sink),
         );
         for t in &tasks {
-            let _ = j.submit(*t, t.arrival);
+            let _ = j.submit_request(&SubmitRequest::new(*t), t.arrival);
         }
         // The "process" dies with a group commit still open (no flush;
         // FileSink's graceful-drop sync is irrelevant here because the

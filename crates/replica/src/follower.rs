@@ -363,7 +363,7 @@ impl<G: Recoverable> Follower<G> {
         let mut standby = self.standby.take().ok_or(JournalError::NoSnapshot)?;
         // Replay parity with `recover`: breach records accumulated while
         // replaying history are not live alarms.
-        let _ = standby.take_breach_log();
+        let _ = standby.book_mut().take_breach_log();
         self.epoch += 1;
         self.promoted = true;
         let (mut journaled, demoted) = requalify(standby, now, cfg, sink, self.epoch);
@@ -448,13 +448,16 @@ mod tests {
     use rtdls_core::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<Gateway> {
-        let gw = Gateway::new(
+    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<ShardedGateway> {
+        let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         JournaledGateway::new(
             gw,
             JournalConfig {
@@ -465,9 +468,9 @@ mod tests {
     }
 
     fn ship_all(
-        gw: &JournaledGateway<Gateway>,
+        gw: &JournaledGateway<ShardedGateway>,
         ship: &mut Shipper,
-        fol: &mut Follower<Gateway>,
+        fol: &mut Follower<ShardedGateway>,
         now: SimTime,
     ) {
         for msg in ship.poll(gw.journal(), now) {
@@ -481,16 +484,19 @@ mod tests {
     fn in_order_stream_builds_a_byte_identical_mirror() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         for i in 0..5 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::new(i as f64));
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::new(i as f64),
+            );
             ship_all(&gw, &mut ship, &mut fol, SimTime::new(i as f64));
         }
         assert_eq!(fol.bytes(), gw.journal().bytes(), "mirror == primary log");
         assert_eq!(fol.next_seq(), gw.journal().next_seq());
         assert_eq!(ship.lag(gw.journal()), 0);
         // The warm standby equals a cold replay of the mirror.
-        let (cold, _) = replay::<Gateway>(fol.bytes()).unwrap();
+        let (cold, _) = replay::<ShardedGateway>(fol.bytes()).unwrap();
         assert_eq!(
             fol.standby().unwrap().capture().normalized(),
             cold.capture().normalized()
@@ -501,9 +507,12 @@ mod tests {
     fn duplicates_and_reordering_never_double_apply() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         for i in 0..4 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         let msgs = ship.poll(gw.journal(), SimTime::ZERO);
         let frames: Vec<ShipMsg> = msgs
@@ -521,7 +530,7 @@ mod tests {
         assert_eq!(fol.bytes(), gw.journal().bytes());
         assert_eq!(fol.stats().applied, gw.journal().next_seq());
         assert!(fol.stats().duplicates >= 2 * gw.journal().next_seq());
-        let (cold, _) = replay::<Gateway>(fol.bytes()).unwrap();
+        let (cold, _) = replay::<ShardedGateway>(fol.bytes()).unwrap();
         assert_eq!(
             fol.standby().unwrap().capture().normalized(),
             cold.capture().normalized()
@@ -532,9 +541,12 @@ mod tests {
     fn a_gap_blocks_until_filled_then_drains_in_order() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         for i in 0..3 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         let frames: Vec<ShipMsg> = ship
             .poll(gw.journal(), SimTime::ZERO)
@@ -567,18 +579,21 @@ mod tests {
         // with the gap frames compacted out of existence. It must jump.
         let mut gw = journaled(2, true);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         // Let the log compact *before* the first poll: the early frames
         // are gone; shipping starts at the compacting snapshot.
         for i in 0..8 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         assert!(gw.journal().base_seq() > 0);
         ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
         assert_eq!(fol.next_seq(), gw.journal().next_seq());
         assert!(fol.stats().fast_forwards >= 1, "jumped the compacted gap");
         // The mirror holds the anchored suffix; replay still works.
-        let (cold, _) = replay::<Gateway>(fol.bytes()).unwrap();
+        let (cold, _) = replay::<ShardedGateway>(fol.bytes()).unwrap();
         assert_eq!(
             fol.standby().unwrap().capture().normalized(),
             cold.capture().normalized()
@@ -589,8 +604,11 @@ mod tests {
     fn stale_epochs_are_fenced_and_do_not_feed_the_failure_detector() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<Gateway> = Follower::new(FollowerConfig::default());
-        gw.submit(Task::new(1, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        gw.submit_request(
+            &SubmitRequest::new(Task::new(1, 0.0, 500.0, 30_000.0)),
+            SimTime::ZERO,
+        );
         ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
         let before = fol.standby().unwrap().capture();
         let heard = fol.last_heard();
@@ -619,9 +637,12 @@ mod tests {
         let cfg = FollowerConfig {
             promote_after: 50.0,
         };
-        let mut fol: Follower<Gateway> = Follower::new(cfg);
+        let mut fol: Follower<ShardedGateway> = Follower::new(cfg);
         for i in 0..3 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
         assert!(!fol.should_promote(SimTime::new(10.0)));
@@ -639,7 +660,7 @@ mod tests {
         assert!(!fol.should_promote(SimTime::new(1e9)), "promotes once");
 
         // The promoted state equals a reference recovery of the prefix.
-        let (reference, _) = recover_at_epoch::<Gateway>(
+        let (reference, _) = recover_at_epoch::<ShardedGateway>(
             &prefix,
             SimTime::new(60.0),
             JournalConfig::default(),

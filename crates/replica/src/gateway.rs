@@ -23,9 +23,10 @@
 
 use std::time::Duration;
 
-use rtdls_core::prelude::SimTime;
+use rtdls_core::prelude::{SimTime, SubmitRequest};
 use rtdls_journal::prelude::{JournaledGateway, Recoverable};
-use rtdls_telemetry::MetricsRegistry;
+use rtdls_service::prelude::{EdgeGateway, ServiceBook, ShardedGateway, Verdict};
+use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
 
 use crate::net::ShipClient;
 use crate::ship::{ShipConfig, ShipMsg, Shipper};
@@ -151,12 +152,6 @@ impl<G: Recoverable> ShippingGateway<G> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped journaled gateway. State changes made
-    /// through it ship on the next [`pump`](ShippingGateway::pump).
-    pub fn inner_mut(&mut self) -> &mut JournaledGateway<G> {
-        &mut self.inner
-    }
-
     /// Unwraps, dropping the replication channel.
     pub fn into_inner(self) -> JournaledGateway<G> {
         self.inner
@@ -167,25 +162,51 @@ impl<G: Recoverable> ShippingGateway<G> {
         &self.shipper
     }
 
-    /// Attaches a trace handle to both the wrapped gateway and the
-    /// shipper, so shipped frames carry the request's trace id and its
-    /// primary-side spans across the wire.
-    pub fn attach_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry) {
-        self.inner.attach_telemetry(telemetry);
-        self.shipper.attach_telemetry(telemetry);
+    /// Send failures observed so far (each one detaches the transport).
+    pub fn transport_errors(&self) -> u64 {
+        self.transport_errors
+    }
+}
+
+impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
+    type Engine = G::Engine;
+    type Driver = JournaledGateway<G>;
+
+    fn bare(&self) -> &ShardedGateway<G::Engine> {
+        self.inner.bare()
     }
 
-    /// Attaches a profiler to the journal, the planning core, and the
-    /// shipper's poll/ack phases.
-    pub fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        self.inner.attach_profiler(profiler);
-        self.shipper.attach_profiler(profiler);
+    fn book_mut(&mut self) -> &mut ServiceBook {
+        self.inner.book_mut()
+    }
+
+    /// The wrapped journaled gateway: state changes made through it ship
+    /// on the next [`pump`](ShippingGateway::pump).
+    fn driver(&mut self) -> &mut JournaledGateway<G> {
+        &mut self.inner
+    }
+
+    /// Ships the decision's journal frames in the same turn: replication
+    /// lag is bounded by the serving turn cadence, not a side thread.
+    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
+        let verdict = self.inner.decide(request, now);
+        self.pump(now);
+        verdict
+    }
+
+    fn commit(&mut self, now: SimTime) {
+        self.inner.commit(now);
+        self.pump(now);
+    }
+
+    fn epoch(&self) -> u64 {
+        self.inner.epoch()
     }
 
     /// Frames appended but not yet acked by the follower — the admitted
     /// history a failover right now would lose. `None` when no follower
     /// has ever acked (nothing is known about the other side).
-    pub fn ack_lag(&self) -> Option<u64> {
+    fn ack_lag(&self) -> Option<u64> {
         if self.shipper.acked() == 0 && self.transport.is_none() && self.transport_errors == 0 {
             return None;
         }
@@ -197,15 +218,9 @@ impl<G: Recoverable> ShippingGateway<G> {
         )
     }
 
-    /// Send failures observed so far (each one detaches the transport).
-    pub fn transport_errors(&self) -> u64 {
-        self.transport_errors
-    }
-
-    /// Folds the gateway's metrics plus the replication view: everything
-    /// [`JournaledGateway::fold_metrics`] folds, the
-    /// `rtdls_replica_*` offsets/lag, and the transport health gauges.
-    pub fn fold_metrics(&self, reg: &mut MetricsRegistry) {
+    /// Everything the journaled gateway folds, plus the `rtdls_replica_*`
+    /// offsets/lag and the transport health gauges.
+    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
         self.inner.fold_metrics(reg);
         fold_replication_metrics(reg, &self.shipper, self.inner.journal());
         reg.gauge(
@@ -214,6 +229,21 @@ impl<G: Recoverable> ShippingGateway<G> {
             if self.transport.is_some() { 1.0 } else { 0.0 },
         );
         reg.counter("rtdls_replica_transport_errors", &[], self.transport_errors);
+    }
+
+    /// Attaches to both the wrapped gateway and the shipper, so shipped
+    /// frames carry the request's trace id and its primary-side spans
+    /// across the wire.
+    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.inner.attach_telemetry(telemetry);
+        self.shipper.attach_telemetry(telemetry);
+    }
+
+    /// Attaches to the journal, the planning core, and the shipper's
+    /// poll/ack phases.
+    fn attach_profiler(&mut self, profiler: &Profiler) {
+        self.inner.attach_profiler(profiler);
+        self.shipper.attach_profiler(profiler);
     }
 }
 
@@ -226,13 +256,16 @@ mod tests {
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn primary() -> JournaledGateway<Gateway> {
-        let gw = Gateway::new(
+    fn primary() -> JournaledGateway<ShardedGateway> {
+        let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         JournaledGateway::new(
             gw,
             JournalConfig {
@@ -245,15 +278,17 @@ mod tests {
     #[test]
     fn outbox_mode_ships_on_pump_and_applies_manual_acks() {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
-        gw.inner_mut()
-            .submit(Task::new(1, 0.0, 20.0, 2_000.0), SimTime::ZERO);
+        gw.driver().submit_request(
+            &SubmitRequest::new(Task::new(1, 0.0, 20.0, 2_000.0)),
+            SimTime::ZERO,
+        );
         gw.pump(SimTime::ZERO);
         let msgs = gw.take_outbox();
         assert!(
             msgs.iter().any(|m| matches!(m, ShipMsg::Frame { .. })),
             "{msgs:?}"
         );
-        let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         let mut last_ack = None;
         for msg in msgs {
             if let Some(ShipMsg::Ack { seq }) = follower.on_msg(SimTime::ZERO, msg).unwrap() {
@@ -267,7 +302,7 @@ mod tests {
 
     #[test]
     fn tcp_transport_replicates_into_a_follower_server() {
-        let follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         let mut server = FollowerServer::bind("127.0.0.1:0", follower).expect("bind");
         let addr = server.local_addr().expect("addr");
         let handle = std::thread::spawn(move || {
@@ -280,8 +315,10 @@ mod tests {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
         gw.attach(ShipClient::connect(addr).expect("connect"));
         for (i, t) in [0.0, 10.0, 20.0].iter().enumerate() {
-            gw.inner_mut()
-                .submit(Task::new(i as u64, *t, 20.0, 2_000.0), SimTime::new(*t));
+            gw.driver().submit_request(
+                &SubmitRequest::new(Task::new(i as u64, *t, 20.0, 2_000.0)),
+                SimTime::new(*t),
+            );
             gw.pump(SimTime::new(*t));
         }
         let wal = gw.inner().journal().bytes().to_vec();
@@ -295,8 +332,10 @@ mod tests {
     #[test]
     fn fold_covers_gateway_and_replication_views() {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
-        gw.inner_mut()
-            .submit(Task::new(1, 0.0, 20.0, 2_000.0), SimTime::ZERO);
+        gw.driver().submit_request(
+            &SubmitRequest::new(Task::new(1, 0.0, 20.0, 2_000.0)),
+            SimTime::ZERO,
+        );
         gw.pump(SimTime::ZERO);
         let mut reg = MetricsRegistry::new();
         gw.fold_metrics(&mut reg);

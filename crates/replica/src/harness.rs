@@ -32,7 +32,9 @@
 use rtdls_core::prelude::{
     AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan,
 };
-use rtdls_journal::prelude::{GatewaySnapshot, JournalConfig, JournaledGateway, Recoverable};
+use rtdls_journal::prelude::{
+    EdgeGateway, GatewaySnapshot, JournalConfig, JournaledGateway, Recoverable,
+};
 use rtdls_sim::config::SimConfig;
 use rtdls_sim::engine::{SimReport, Simulation};
 use rtdls_sim::frontend::{Frontend, SubmitOutcome};
@@ -364,20 +366,6 @@ impl<G: Recoverable> ReplicaFrontend<G> {
 }
 
 impl<G: Recoverable> Frontend for ReplicaFrontend<G> {
-    fn submit(&mut self, task: Task, now: SimTime) -> SubmitOutcome {
-        self.pump(now);
-        let out = match &mut self.role {
-            Role::Primary(g) => Frontend::submit(g, task, now),
-            Role::Down => {
-                self.lost_submissions += 1;
-                SubmitOutcome::Rejected(Infeasible::NotEnoughNodes)
-            }
-            Role::Promoted(g) => Frontend::submit(g, task, now),
-        };
-        self.ship(now);
-        out
-    }
-
     fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
         self.pump(now);
         let out = match &mut self.role {

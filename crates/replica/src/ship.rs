@@ -318,13 +318,16 @@ mod tests {
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<Gateway> {
-        let gw = Gateway::new(
+    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<ShardedGateway> {
+        let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         JournaledGateway::new(
             gw,
             JournalConfig {
@@ -354,7 +357,10 @@ mod tests {
         ));
 
         for i in 0..4 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         let msgs = ship.poll(gw.journal(), SimTime::new(1.0));
         // Each submission journals an input event plus an audit record.
@@ -371,7 +377,10 @@ mod tests {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
         for i in 0..3 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         let msgs = ship.poll(gw.journal(), SimTime::ZERO);
         let seqs: Vec<u64> = msgs
@@ -400,7 +409,10 @@ mod tests {
             retransmit_after: 10.0,
         };
         let mut ship = Shipper::new(cfg);
-        gw.submit(Task::new(1, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+        gw.submit_request(
+            &SubmitRequest::new(Task::new(1, 0.0, 500.0, 30_000.0)),
+            SimTime::ZERO,
+        );
         let first = ship.poll(gw.journal(), SimTime::ZERO);
         let shipped = count_frames(&first);
         assert!(shipped >= 2);
@@ -461,7 +473,10 @@ mod tests {
         let mut gw = journaled(2, true);
         let mut ship = Shipper::new(ShipConfig::default());
         for i in 0..10 {
-            gw.submit(Task::new(i, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
         }
         let base = gw.journal().base_seq();
         assert!(base > 0, "the log compacted");

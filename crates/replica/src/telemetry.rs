@@ -84,12 +84,15 @@ mod tests {
 
     #[test]
     fn folds_cover_offsets_lag_and_fence_counters() {
-        let gw = Gateway::new(
+        let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         let mut gw = JournaledGateway::new(
             gw,
             JournalConfig {
@@ -97,10 +100,13 @@ mod tests {
                 compact_on_snapshot: false,
             },
         );
-        gw.submit(Task::new(1, 0.0, 500.0, 30_000.0), SimTime::ZERO);
+        gw.submit_request(
+            &SubmitRequest::new(Task::new(1, 0.0, 500.0, 30_000.0)),
+            SimTime::ZERO,
+        );
 
         let mut shipper = Shipper::new(ShipConfig::default());
-        let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         for msg in shipper.poll(gw.journal(), SimTime::ZERO) {
             if let Some(ShipMsg::Ack { seq }) = follower.on_msg(SimTime::ZERO, msg).unwrap() {
                 shipper.on_ack(seq, SimTime::ZERO);
@@ -122,7 +128,7 @@ mod tests {
 
     #[test]
     fn lag_frames_gauge_distinguishes_silence_from_caught_up() {
-        let follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         assert_eq!(follower.lag(), None, "nothing heard yet");
         let mut reg = MetricsRegistry::new();
         fold_follower_metrics(&mut reg, &follower);

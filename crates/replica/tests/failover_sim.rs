@@ -210,7 +210,7 @@ fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
     for &(node, time) in &out.buffered_releases {
         Frontend::set_node_release(&mut reference, node, time);
     }
-    let _ = reference.take_breach_log();
+    let _ = reference.book_mut().take_breach_log();
     let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
     let genesis = out.promoted_genesis.clone().expect("promotion snapshot");
     let ref_state = reference.inner().capture().normalized();

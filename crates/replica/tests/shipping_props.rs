@@ -25,13 +25,16 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway<Gateway> {
-    let gw = Gateway::new(
+fn primary() -> JournaledGateway<ShardedGateway> {
+    let gw = ShardedGateway::new(
         ClusterParams::paper_baseline(),
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     JournaledGateway::new(gw, journal_cfg())
 }
 
@@ -110,7 +113,7 @@ fn pump(schedule: &Schedule) -> RunResult {
     });
     let mut link: FaultyLink<ShipMsg> = FaultyLink::new(schedule.frame_plan());
     let mut acks: FaultyLink<ShipMsg> = FaultyLink::new(schedule.ack_plan());
-    let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
 
     let split_end = schedule.split.map(|(_, until)| until).unwrap_or(0.0);
     let settle_until = (1_200.0f64).max(split_end) + 3_000.0;
@@ -119,7 +122,7 @@ fn pump(schedule: &Schedule) -> RunResult {
     while t <= settle_until {
         let now = SimTime::new(t);
         if t <= 1_200.0 && (t / 40.0).fract() == 0.0 {
-            gw.submit(Task::new(id, t, 20.0, 2_000.0), now);
+            gw.submit_request(&SubmitRequest::new(Task::new(id, t, 20.0, 2_000.0)), now);
             id += 1;
         }
         for msg in shipper.poll(gw.journal(), now) {
@@ -172,7 +175,7 @@ proptest! {
         // The warm standby is exactly what cold recovery of the mirror
         // would rebuild.
         if let Some(standby) = &run.standby {
-            let (cold, report) = replay::<Gateway>(&run.mirror).expect("mirror replays");
+            let (cold, report) = replay::<ShardedGateway>(&run.mirror).expect("mirror replays");
             prop_assert!(report.tail.is_clean());
             prop_assert_eq!(standby, &cold.capture().normalized());
         } else {

@@ -1,19 +1,15 @@
-//! [`ServiceBook`]: the gateway-level bookkeeping shared between the
-//! single-cluster [`Gateway`] and the [`ShardedGateway`] — the defer
-//! queue, the reservation book, the tenant ledger, quota policy, metrics,
-//! and the engine-visible resolutions — plus the one copy of the v2
-//! request/verdict decision flow both gateways drive with their own
-//! engine closures. One copy, so verdicts, counters, and resolutions can
-//! never drift between the two gateways.
+//! [`ServiceBook`]: the [`ShardedGateway`]'s gateway-level bookkeeping —
+//! the defer queue, the reservation book, the tenant ledger, quota policy,
+//! metrics, and the engine-visible resolutions — plus the request/verdict
+//! decision flow the gateway drives over its routed shard set.
 //!
-//! [`Gateway`]: crate::gateway::Gateway
 //! [`ShardedGateway`]: crate::shard::ShardedGateway
 
 use std::time::Instant;
 
 use rtdls_core::prelude::{
-    AlgorithmKind, ClusterParams, Decision, Infeasible, QosClass, SimTime, SubmitRequest, Task,
-    TenantId,
+    Admission, AlgorithmKind, ClusterParams, Decision, Infeasible, QosClass, SimTime,
+    SubmitRequest, Task, TenantId,
 };
 use rtdls_telemetry::{Profiler, Stage, Telemetry};
 
@@ -22,29 +18,38 @@ use crate::metrics::ServiceMetrics;
 use crate::observe::DecisionUpdate;
 use crate::request::{QuotaPolicy, Verdict};
 use crate::reserve::{ActivationRecord, ReservationBook};
+use crate::shard::RoutedShards;
 use crate::slo::{SloBreach, SloObjective, SloTracker, SLO_BREACH_VERSION};
 use crate::tenant::TenantLedger;
 
 /// Recently decided task ids retained per tenant for breach forensics.
 const RECENT_TASKS_PER_TENANT: usize = 8;
 
-/// The shared serving-layer state both gateways embed: everything a
-/// journal snapshots besides the admission engines themselves.
+/// The serving-layer state the gateway embeds: everything a journal
+/// snapshots besides the admission engines themselves.
+///
+/// The durable fields are crate-private: outside this crate a
+/// `&mut ServiceBook` (see [`EdgeGateway::book_mut`]) reaches only the
+/// process-local channels — observation, explanations, telemetry, the
+/// audit logs — so no caller can change journaled state behind a
+/// journaling wrapper's back. Read them through the gateway's accessors.
+///
+/// [`EdgeGateway::book_mut`]: crate::serve::EdgeGateway::book_mut
 #[derive(Clone, Debug)]
 pub struct ServiceBook {
     /// Parked near-miss tickets.
-    pub defer: DeferredQueue,
+    pub(crate) defer: DeferredQueue,
     /// Booked future admissions.
-    pub reservations: ReservationBook,
+    pub(crate) reservations: ReservationBook,
     /// Waiting-task → tenant ownership (quota input).
-    pub ledger: TenantLedger,
+    pub(crate) ledger: TenantLedger,
     /// Per-tenant admission quotas.
-    pub quota: QuotaPolicy,
+    pub(crate) quota: QuotaPolicy,
     /// Cumulative gateway statistics.
-    pub metrics: ServiceMetrics,
+    pub(crate) metrics: ServiceMetrics,
     /// Verdicts reached for pending (deferred/reserved) tasks since the
     /// last engine drain.
-    pub resolutions: Vec<(Task, Option<Infeasible>)>,
+    pub(crate) resolutions: Vec<(Task, Option<Infeasible>)>,
     /// Activation attempts since the last audit drain (journal-only;
     /// regenerated on replay, so not part of the captured state).
     activation_log: Vec<ActivationRecord>,
@@ -65,7 +70,7 @@ pub struct ServiceBook {
     /// Deadline-SLO tracker. Durable: sim-time driven and deterministic, it
     /// rides inside gateway snapshots so alarm states and breach counts
     /// survive kill/recover.
-    pub slo: SloTracker,
+    pub(crate) slo: SloTracker,
     /// Breach audit records cut since the last journal drain. The records
     /// themselves are made durable by the journal's audit append; the
     /// *channel* is process-local like `activation_log`.
@@ -84,29 +89,19 @@ pub struct ServiceBook {
 impl ServiceBook {
     /// A fresh book under the given defer and quota policies.
     pub fn new(defer_policy: DeferPolicy, quota: QuotaPolicy) -> Self {
-        ServiceBook {
-            defer: DeferredQueue::new(defer_policy),
-            reservations: ReservationBook::new(),
-            ledger: TenantLedger::new(),
+        ServiceBook::from_parts(
+            DeferredQueue::new(defer_policy),
+            ReservationBook::new(),
+            TenantLedger::new(),
             quota,
-            metrics: ServiceMetrics::new(),
-            resolutions: Vec::new(),
-            activation_log: Vec::new(),
-            updates: Vec::new(),
-            observe: false,
-            telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
-            slo: SloTracker::default(),
-            breach_log: Vec::new(),
-            recents: Vec::new(),
-            explain_enabled: false,
-        }
+            ServiceMetrics::new(),
+            Vec::new(),
+            SloTracker::default(),
+        )
     }
 
     /// Reassembles a book from journaled parts (the recovery-side
-    /// counterpart of the field accessors). The SLO tracker starts fresh
-    /// here; recovery assigns the snapshotted tracker afterwards (the
-    /// field is public precisely so the journal layer can restore it).
+    /// counterpart of the gateway's accessors).
     pub fn from_parts(
         defer: DeferredQueue,
         reservations: ReservationBook,
@@ -114,6 +109,7 @@ impl ServiceBook {
         quota: QuotaPolicy,
         metrics: ServiceMetrics,
         resolutions: Vec<(Task, Option<Infeasible>)>,
+        slo: SloTracker,
     ) -> Self {
         ServiceBook {
             defer,
@@ -127,7 +123,7 @@ impl ServiceBook {
             observe: false,
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
-            slo: SloTracker::default(),
+            slo,
             breach_log: Vec::new(),
             recents: Vec::new(),
             explain_enabled: false,
@@ -296,7 +292,7 @@ pub(crate) fn record_slo(
 
 /// Books one admission into the waiting queue: ledger ownership plus the
 /// global and per-tenant accept counters. The single copy behind every
-/// accept path (request flow, legacy batch, spillover) so the books can
+/// accept path (request flow, batch, spillover) so the books can
 /// never drift between them.
 pub(crate) fn book_accept(
     book: &mut ServiceBook,
@@ -420,40 +416,8 @@ pub(crate) fn defer_or_reject(
     Verdict::rejected(cause)
 }
 
-/// The engine-side operations the shared decision flow needs — one
-/// adapter per gateway shape (a bare engine for [`Gateway`], the routed
-/// shard set for [`ShardedGateway`]).
-///
-/// [`Gateway`]: crate::gateway::Gateway
-/// [`ShardedGateway`]: crate::shard::ShardedGateway
-pub(crate) trait EngineOps {
-    /// The mutating admission test. Also reports which shard the task was
-    /// routed to, when the adapter routes at all (`None` for the
-    /// single-cluster gateway) — the decision-tracing `Route` span input.
-    fn submit(&mut self, task: &Task, now: SimTime) -> (Decision, Option<u32>);
-    /// The reservation search (non-mutating on the engine).
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
-    /// `true` when per-shard quota caps leave this request no shard to
-    /// route to (the sharded adapter under `QuotaPolicy::max_shard_inflight`;
-    /// single-engine adapters never throttle here).
-    fn all_routes_throttled(&self) -> bool {
-        false
-    }
-    /// The admission explanation for a request this engine refuses
-    /// (non-mutating; `None` when the request is feasible as-is or the
-    /// adapter does not support explanations).
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        let _ = (request, now);
-        None
-    }
-}
-
-/// The v2 decision flow, shared by both gateways via their [`EngineOps`]
-/// adapter: the core verdict ([`decide_request_inner`]) plus the
+/// The request/verdict decision flow over the gateway's routed shard set:
+/// the core verdict ([`decide_request_inner`]) plus the
 /// observability wrap-up — refusal explanations (when enabled), the
 /// forensics recent-task ring, and the acceptance/attainment SLO feeds.
 ///
@@ -462,13 +426,13 @@ pub(crate) trait EngineOps {
 /// attainment is judged at activation). Rejected and Throttled count as
 /// acceptance-bad. Deferred counts nothing yet — its fate lands in
 /// [`apply_departures`] when the ticket resolves.
-pub(crate) fn decide_request(
+pub(crate) fn decide_request<A: Admission>(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     request: &SubmitRequest,
     now: SimTime,
-    engine: &mut impl EngineOps,
+    engine: &mut RoutedShards<'_, A>,
 ) -> Verdict {
     let mut verdict = decide_request_inner(book, widest_params, algorithm, request, now, engine);
     book.note_recent(request.tenant, request.task.id.0);
@@ -524,13 +488,13 @@ pub(crate) fn decide_request(
 /// Order of business: quota gate → admission test → reservation search →
 /// defer-or-reject. The caller books the submission count and latency
 /// afterwards via [`record_request`].
-fn decide_request_inner(
+fn decide_request_inner<A: Admission>(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     request: &SubmitRequest,
     now: SimTime,
-    engine: &mut impl EngineOps,
+    engine: &mut RoutedShards<'_, A>,
 ) -> Verdict {
     let tenant = request.tenant;
     // Count the tenant's liabilities only when a cap could actually bind:
@@ -671,13 +635,12 @@ fn decide_request_inner(
 /// Activates every reservation whose `start_at` has been reached: the real
 /// admission test re-runs at `now`; a pass admits the task with the full
 /// deadline guarantee, a miss falls back to the defer-or-reject protocol.
-/// Shared by both gateways via their engine `submit` closure.
-pub(crate) fn activate_due(
+pub(crate) fn activate_due<A: Admission>(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     now: SimTime,
-    engine: &mut impl EngineOps,
+    engine: &mut RoutedShards<'_, A>,
 ) {
     for res in book.reservations.take_due(now) {
         let trace = book.telemetry.trace_of(res.task.id.0).unwrap_or(0);
@@ -817,7 +780,7 @@ pub(crate) fn flush_all(book: &mut ServiceBook) {
 /// the very next re-test sweep can rescue it.
 ///
 /// Returns the demoted tasks in demotion order.
-pub(crate) fn reverify_controller<A: rtdls_core::prelude::Admission>(
+pub(crate) fn reverify_controller<A: Admission>(
     ctl: &mut A,
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
@@ -873,7 +836,7 @@ pub(crate) fn reverify_controller<A: rtdls_core::prelude::Admission>(
 }
 
 /// Stamps the wall-clock window and records `n_decisions` latency samples
-/// (the elapsed time split evenly) for a legacy submit_batch call. Batch
+/// (the elapsed time split evenly) for a submit_batch call. Batch
 /// members travel under the anonymous tenant, whose book gets the
 /// submission counts (latency samples stay global-only on this path).
 pub(crate) fn record_decisions(metrics: &mut ServiceMetrics, start: Instant, n_decisions: usize) {

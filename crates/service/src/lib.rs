@@ -8,7 +8,7 @@
 //! task list fed to one [`AdmissionController`]. A production front door
 //! needs more:
 //!
-//! * **Request/verdict protocol** ([`Gateway::submit_request`]): a
+//! * **Request/verdict protocol** ([`ShardedGateway::submit_request`]): a
 //!   [`SubmitRequest`] envelope (task + tenant + QoS class + reservation
 //!   tolerance) is answered with a five-way [`Verdict`]:
 //!   `Accepted / Reserved{start_at, ticket} / Deferred(ticket) /
@@ -23,17 +23,21 @@
 //! * **Tenant awareness**: per-tenant quotas
 //!   ([`QuotaPolicy`](request::QuotaPolicy)) enforced before the test,
 //!   and tenant-keyed counters/latency histograms in [`ServiceMetrics`].
-//! * **Sharded dispatch** ([`ShardedGateway`]): a large cluster is
-//!   partitioned into `K` independent shards, each with its own admission
-//!   controller, behind pluggable [`Routing`] (round-robin, least-loaded,
-//!   best-fit by earliest estimated completion) — admission cost stays
-//!   sub-linear in cluster size.
+//! * **Sharded dispatch**: [`ShardedGateway`] is the one gateway. A large
+//!   cluster is partitioned into `K` independent shards, each with its own
+//!   admission controller, behind pluggable [`Routing`] (round-robin,
+//!   least-loaded, best-fit by earliest estimated completion) — admission
+//!   cost stays sub-linear in cluster size. A single cluster is
+//!   `num_shards = 1`.
 //! * **Batched submission** (`submit_batch`): a burst is decided through
 //!   one amortized temp-schedule pass instead of one full test per task.
 //! * **Observability** ([`ServiceMetrics`]): throughput, defer-rescue
 //!   rate, and per-decision latency histograms.
+//! * **One serving trait** ([`EdgeGateway`]): what the network edge, the
+//!   journal and the replication layer drive a gateway stack through;
+//!   wrappers implement only what they intercept.
 //!
-//! Both gateways implement the simulator's
+//! The gateway implements the simulator's
 //! [`Frontend`](rtdls_sim::frontend::Frontend) trait, so a discrete-event
 //! run can route every arrival through the service layer and verify, at
 //! run time, that every admitted task (including rescued ones) meets its
@@ -67,8 +71,8 @@
 //! ```
 //!
 //! [`AdmissionController`]: rtdls_core::admission::AdmissionController
-//! [`Gateway`]: gateway::Gateway
-//! [`Gateway::submit_request`]: gateway::Gateway::submit_request
+//! [`ShardedGateway::submit_request`]: shard::ShardedGateway::submit_request
+//! [`EdgeGateway`]: serve::EdgeGateway
 //! [`SubmitRequest`]: rtdls_core::request::SubmitRequest
 //! [`Verdict`]: request::Verdict
 //! [`ShardedGateway`]: shard::ShardedGateway
@@ -81,11 +85,11 @@
 
 pub mod book;
 pub mod defer;
-pub mod gateway;
 pub mod metrics;
 pub mod observe;
 pub mod request;
 pub mod reserve;
+pub mod serve;
 pub mod shard;
 pub mod slo;
 pub mod telemetry;
@@ -97,13 +101,13 @@ pub mod prelude {
     pub use crate::defer::{
         latest_feasible_start, DeferOutcome, DeferPolicy, DeferState, DeferTicket, DeferredQueue,
     };
-    pub use crate::gateway::Gateway;
     pub use crate::metrics::{
         LatencyHistogram, MetricsSnapshot, ServiceMetrics, TenantCounters, TenantMetrics,
     };
     pub use crate::observe::DecisionUpdate;
     pub use crate::request::{QuotaPolicy, Verdict};
     pub use crate::reserve::{ActivationRecord, Reservation, ReservationBook, ReservationState};
+    pub use crate::serve::EdgeGateway;
     pub use crate::shard::{Routing, ShardedGateway};
     pub use crate::slo::{
         SloBreach, SloHealth, SloObjective, SloPolicy, SloStatusRow, SloTracker, SloTransition,
@@ -111,13 +115,4 @@ pub mod prelude {
     };
     pub use crate::telemetry::{fold_engine_profile, fold_service_metrics};
     pub use crate::tenant::{TenantLedger, TenantLedgerState};
-
-    /// The legacy v1 verdict. Kept so pre-redesign call sites compile;
-    /// new code should consume [`Verdict`] from
-    /// [`Gateway::submit_request`](crate::gateway::Gateway::submit_request).
-    #[deprecated(
-        since = "0.5.0",
-        note = "v1 verdict — use `submit_request` and consume `Verdict` instead"
-    )]
-    pub use crate::gateway::GatewayDecision;
 }

@@ -1,7 +1,6 @@
-//! The v2 request/verdict protocol: [`Verdict`] and [`QuotaPolicy`].
+//! The request/verdict protocol: [`Verdict`] and [`QuotaPolicy`].
 //!
-//! The v1 surface answered `submit(Task, now)` with the three-way
-//! [`GatewayDecision`]. The v2 surface takes a full
+//! The gateway takes a full
 //! [`SubmitRequest`](rtdls_core::request::SubmitRequest) envelope (task +
 //! tenant + QoS class + reservation tolerance) and answers with a
 //! [`Verdict`], which adds two outcomes the binary admission test cannot
@@ -14,17 +13,13 @@
 //!   auto-activates when the clock reaches `start_at`.
 //! * [`Verdict::Throttled`] — the tenant is over its [`QuotaPolicy`]
 //!   limits; the task was never offered to the admission test.
-//!
-//! The legacy enum remains as a thin bridge ([`From<Verdict>`]) so v1 call
-//! sites keep compiling; new code should consume [`Verdict`] directly.
 
 use serde::{Deserialize, Serialize};
 
-use rtdls_core::prelude::{AdmissionExplanation, Infeasible, QosClass, SimTime, SubmitRequest};
+use rtdls_core::prelude::{AdmissionExplanation, Infeasible, QosClass, SimTime};
+use rtdls_sim::frontend::SubmitOutcome;
 
-use crate::gateway::GatewayDecision;
-
-/// The gateway's v2 admission verdict.
+/// The gateway's admission verdict.
 ///
 /// Serialization is hand-written (the derive stand-in does not cover the
 /// omitted-when-absent field below): unit variants render as strings, the
@@ -194,19 +189,18 @@ impl Deserialize for Verdict {
     }
 }
 
-impl From<Verdict> for GatewayDecision {
-    /// The v2 → v1 bridge. A reservation surfaces as a deferral (the
-    /// closest legacy notion of "parked, admitted later"); a quota
-    /// rejection surfaces as [`Infeasible::NotEnoughNodes`] (the closest
-    /// legacy cause: the cluster will not allocate nodes to this tenant
-    /// right now).
-    fn from(v: Verdict) -> GatewayDecision {
+impl From<Verdict> for SubmitOutcome {
+    /// What the simulation engine sees of a verdict: both parked outcomes
+    /// are `Pending` (they resolve later through the frontend's resolution
+    /// drain), and a quota refusal surfaces as
+    /// [`Infeasible::NotEnoughNodes`] — the closest planning-level cause:
+    /// the cluster will not allocate nodes to this tenant right now.
+    fn from(v: Verdict) -> SubmitOutcome {
         match v {
-            Verdict::Accepted => GatewayDecision::Accepted,
-            Verdict::Reserved { ticket, .. } => GatewayDecision::Deferred(ticket),
-            Verdict::Deferred { ticket, .. } => GatewayDecision::Deferred(ticket),
-            Verdict::Rejected { cause, .. } => GatewayDecision::Rejected(cause),
-            Verdict::Throttled => GatewayDecision::Rejected(Infeasible::NotEnoughNodes),
+            Verdict::Accepted => SubmitOutcome::Accepted,
+            Verdict::Reserved { .. } | Verdict::Deferred { .. } => SubmitOutcome::Pending,
+            Verdict::Rejected { cause, .. } => SubmitOutcome::Rejected(cause),
+            Verdict::Throttled => SubmitOutcome::Rejected(Infeasible::NotEnoughNodes),
         }
     }
 }
@@ -234,8 +228,9 @@ pub struct QuotaPolicy {
     /// admitted-but-undispatched work spreads across shards, so no shard
     /// failure or backlog spike lands on one tenant disproportionately).
     /// When *every* shard is at the cap the request is throttled before
-    /// the admission test, like the other limits. Single-cluster gateways
-    /// ignore it.
+    /// the admission test, like the other limits. On a one-shard gateway
+    /// there is nowhere to spread to, so it simply caps the tenant's
+    /// waiting tasks (still throttling before the admission test).
     pub max_shard_inflight: Option<u32>,
     /// Whether [`QosClass::Premium`] submissions bypass both limits.
     pub exempt_premium: bool,
@@ -282,43 +277,9 @@ impl QuotaPolicy {
     }
 }
 
-/// Convenience: the legacy envelope for a bare task (used by the v1
-/// bridge methods).
-pub(crate) fn legacy_request(task: rtdls_core::prelude::Task) -> SubmitRequest {
-    SubmitRequest::new(task)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdls_core::prelude::{Task, TenantId};
-
-    #[test]
-    fn bridge_maps_every_verdict() {
-        assert_eq!(
-            GatewayDecision::from(Verdict::Accepted),
-            GatewayDecision::Accepted
-        );
-        assert_eq!(
-            GatewayDecision::from(Verdict::Reserved {
-                start_at: SimTime::new(5.0),
-                ticket: 9
-            }),
-            GatewayDecision::Deferred(9)
-        );
-        assert_eq!(
-            GatewayDecision::from(Verdict::deferred(3)),
-            GatewayDecision::Deferred(3)
-        );
-        assert_eq!(
-            GatewayDecision::from(Verdict::rejected(Infeasible::NoTimeForTransmission)),
-            GatewayDecision::Rejected(Infeasible::NoTimeForTransmission)
-        );
-        assert_eq!(
-            GatewayDecision::from(Verdict::Throttled),
-            GatewayDecision::Rejected(Infeasible::NotEnoughNodes)
-        );
-    }
 
     #[test]
     fn default_quota_is_unlimited() {
@@ -344,13 +305,5 @@ mod tests {
             ..q
         };
         assert!(!strict.admits_inflight(QosClass::Premium, 2));
-    }
-
-    #[test]
-    fn legacy_request_is_the_default_envelope() {
-        let t = Task::new(4, 0.0, 10.0, 10.0);
-        let req = legacy_request(t);
-        assert_eq!(req.tenant, TenantId(0));
-        assert_eq!(req.max_delay, None);
     }
 }

@@ -128,14 +128,11 @@ pub fn fold_slo(reg: &mut MetricsRegistry, slo: &SloTracker) {
     }
 }
 
-/// Folds an engine's planning-cost profile into `reg`, labeled with its
-/// shard index when the engine is one shard of a sharded gateway.
-pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, shard: Option<u32>) {
-    let shard_label = shard.map(|s| s.to_string());
-    let labels: Vec<(&str, &str)> = match &shard_label {
-        Some(s) => vec![("shard", s.as_str())],
-        None => Vec::new(),
-    };
+/// Folds one shard engine's planning-cost profile into `reg`, labeled
+/// with its shard index.
+pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, shard: u32) {
+    let shard_label = shard.to_string();
+    let labels = [("shard", shard_label.as_str())];
     reg.counter("rtdls_engine_plans_reused", &labels, profile.plans_reused);
     reg.counter(
         "rtdls_engine_plans_computed",
@@ -188,11 +185,10 @@ mod tests {
             plan_nanos: 1000,
         };
         let mut reg = MetricsRegistry::new();
-        fold_engine_profile(&mut reg, &profile, Some(2));
-        fold_engine_profile(&mut reg, &profile, None);
+        fold_engine_profile(&mut reg, &profile, 2);
         let text = reg.to_prometheus();
         assert!(text.contains("rtdls_engine_plans_reused{shard=\"2\"} 30"));
         assert!(text.contains("rtdls_engine_plan_reuse_rate{shard=\"2\"} 0.75"));
-        assert!(text.contains("rtdls_engine_plans_computed 10"));
+        assert!(text.contains("rtdls_engine_plans_computed{shard=\"2\"} 10"));
     }
 }

@@ -6,7 +6,7 @@
 //!   admission behavior, every ticket leaves the queue within
 //!   `max_retries` re-tests (or expiry), and re-tests always visit in age
 //!   order.
-//! * **Gateway soundness end-to-end** — random clusters, shard counts,
+//! * **ShardedGateway soundness end-to-end** — random clusters, shard counts,
 //!   routings, and bursty workloads through the strict simulator: no
 //!   phantom accepts (every accepted task, rescued ones included, completes
 //!   inside its deadline — strict mode panics otherwise) and the gateway's
@@ -23,6 +23,25 @@ use rtdls_service::prelude::*;
 use rtdls_sim::frontend::Frontend;
 use rtdls_sim::prelude::*;
 use rtdls_workload::prelude::*;
+
+/// A single cluster: the one-shard gateway on the reference engine.
+fn single(params: ClusterParams, algorithm: AlgorithmKind) -> ShardedGateway {
+    ShardedGateway::new(
+        params,
+        1,
+        algorithm,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap()
+}
+
+/// A stand-alone copy of a one-shard gateway's engine, for probing
+/// hypotheticals without touching the gateway.
+fn one_shard_controller(g: &ShardedGateway) -> AdmissionController {
+    AdmissionController::from_state(g.shard_states().remove(0)).expect("a live shard's state")
+}
 
 fn defer_policy() -> impl Strategy<Value = DeferPolicy> {
     (1u32..6, 1usize..40, 1usize..50, 0u64..3).prop_map(
@@ -284,20 +303,10 @@ proptest! {
         };
         let burst: Vec<Task> = (0..n_tasks as u64).map(mk).collect();
 
-        let mut batched = Gateway::new(
-            params,
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-            DeferPolicy::default(),
-        );
+        let mut batched = single(params, AlgorithmKind::EDF_DLT);
         batched.submit_batch(&burst, SimTime::ZERO);
 
-        let mut sequential = Gateway::new(
-            params,
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-            DeferPolicy::default(),
-        );
+        let mut sequential = single(params, AlgorithmKind::EDF_DLT);
         let mut ordered = burst.clone();
         ordered.sort_by(|a, b| {
             a.absolute_deadline()
@@ -305,11 +314,11 @@ proptest! {
                 .then(a.id.cmp(&b.id))
         });
         for t in &ordered {
-            sequential.submit(*t, SimTime::ZERO);
+            sequential.submit_request(&SubmitRequest::new(*t), SimTime::ZERO);
         }
 
-        let queue_ids = |g: &Gateway| -> Vec<u64> {
-            g.controller().queue().iter().map(|(t, _)| t.id.0).collect()
+        let queue_ids = |g: &ShardedGateway| -> Vec<u64> {
+            g.shard_states()[0].queue.iter().map(|(t, _)| t.id.0).collect()
         };
         prop_assert_eq!(queue_ids(&batched), queue_ids(&sequential));
         prop_assert_eq!(
@@ -344,24 +353,22 @@ proptest! {
         spec.horizon = 40.0 * spec.mean_interarrival();
         let tasks: Vec<Task> = WorkloadGenerator::new(spec, seed).collect();
         prop_assume!(!tasks.is_empty());
-        let mut full = Gateway::new(
+        let mut full = single(params, algorithm);
+        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
-        let mut inc = Gateway::<IncrementalController>::with_engine(
-            params,
-            algorithm,
-            PlanConfig::default(),
-            DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         for t in &tasks {
             let now = t.arrival;
             // Advance the world: dispatch everything due by now.
             Frontend::take_due(&mut full, now);
             Frontend::take_due(&mut inc, now);
-            let before = full.controller().clone();
+            let before = one_shard_controller(&full);
             let req = SubmitRequest::new(*t).with_max_delay(Some(t.rel_deadline * 10.0));
             let verdict = full.submit_request(&req, now);
             let verdict_inc = inc.submit_request(&req, now);
@@ -425,28 +432,27 @@ proptest! {
         // (post-dispatch feasibility) but not fit around the waiting task.
         prop_assume!(homogeneous::exec_time(&params, sigma_c, 16) < slack_c * 0.8);
         let algorithm = AlgorithmKind::EDF_OPR_MN;
-        let mut full = Gateway::new(
+        let mut full = single(params, algorithm);
+        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy::default(),
-        );
-        let mut inc = Gateway::<IncrementalController>::with_engine(
-            params,
-            algorithm,
-            PlanConfig::default(),
-            DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         for node in 0..16 {
             Frontend::set_node_release(&mut full, node, SimTime::new(avail));
             Frontend::set_node_release(&mut inc, node, SimTime::new(avail));
         }
         let w = Task::new(1, 0.0, sigma_w, avail + e16 + slack_w);
-        prop_assert!(full.submit(w, SimTime::ZERO).is_accepted());
-        prop_assert!(inc.submit(w, SimTime::ZERO).is_accepted());
+        let req_w = SubmitRequest::new(w);
+        prop_assert!(full.submit_request(&req_w, SimTime::ZERO).is_accepted());
+        prop_assert!(inc.submit_request(&req_w, SimTime::ZERO).is_accepted());
         let c = Task::new(2, 0.0, sigma_c, avail + e16 + slack_c);
         let req = SubmitRequest::new(c).with_max_delay(Some(avail * 2.0));
-        let before = full.controller().clone();
+        let before = one_shard_controller(&full);
         let verdict = full.submit_request(&req, SimTime::ZERO);
         prop_assert_eq!(verdict, inc.submit_request(&req, SimTime::ZERO));
         let Verdict::Reserved { start_at, .. } = verdict else {

@@ -34,12 +34,15 @@ fn reservation_activates_inside_a_simulation_and_meets_its_deadline() {
     // `w` under EDF, it would starve it — reserved instead.
     let c = Task::new(2, 2.0, 10.0, (e16 - 2.0) + e16 + slack_c);
 
-    let gateway = Gateway::new(
+    let gateway = ShardedGateway::new(
         params,
+        1,
         algorithm,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     // Every arrival travels as a v2 request; the tolerance (1× the
     // relative deadline) is ample for the earliest feasible start.
     let mix = TenantMix::uniform(1).with_max_delay_factor(1.0);
@@ -83,15 +86,18 @@ fn without_reservations_the_same_task_only_gets_a_ticket() {
     let w = Task::new(1, 1.0, 800.0, (e16 - 1.0) + e16 + slack_w);
     let c = Task::new(2, 2.0, 10.0, (e16 - 2.0) + e16 + slack_c);
     let mk_gateway = |retries| {
-        Gateway::new(
+        ShardedGateway::new(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::LeastLoaded,
             DeferPolicy {
                 max_retries: retries,
                 ..Default::default()
             },
         )
+        .unwrap()
     };
     // Default budget: the ticket is rescued, but only by the lucky
     // post-dispatch re-test — it was never promised anything.

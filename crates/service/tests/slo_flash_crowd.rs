@@ -52,12 +52,15 @@ fn flash_crowd_walks_the_burn_alarm_to_breach_and_back() {
         tasks.len()
     );
 
-    let mut gateway = Gateway::new(
+    let mut gateway = ShardedGateway::new(
         params,
+        1,
         algorithm,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     gateway.set_slo(SloTracker::new(scaled_policy(scale)));
 
     let mix = TenantMix::uniform(1);
@@ -102,7 +105,7 @@ fn flash_crowd_walks_the_burn_alarm_to_breach_and_back() {
 
     // Breach forensics were captured: versioned records carrying the
     // offending scope's status row and its recent task ids.
-    let breaches = gateway.take_breach_log();
+    let breaches = gateway.book_mut().take_breach_log();
     assert!(
         !breaches.is_empty(),
         "every breach transition dumps a forensic record"
@@ -127,7 +130,7 @@ fn flash_crowd_walks_the_burn_alarm_to_breach_and_back() {
     }
 
     // Second drain is empty: the log is a hand-off, not a view.
-    assert!(gateway.take_breach_log().is_empty());
+    assert!(gateway.book_mut().take_breach_log().is_empty());
 }
 
 #[test]
@@ -139,12 +142,15 @@ fn calm_traffic_never_breaches() {
     spec.horizon = 600.0 * scale;
     let tasks: Vec<Task> = WorkloadGenerator::new(spec, 77).collect();
 
-    let mut gateway = Gateway::new(
+    let mut gateway = ShardedGateway::new(
         params,
+        1,
         algorithm,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     gateway.set_slo(SloTracker::new(scaled_policy(scale)));
     let cfg = SimConfig::new(params, algorithm).with_tenants(TenantMix::uniform(1));
     let (_report, mut gateway) =
@@ -153,5 +159,5 @@ fn calm_traffic_never_breaches() {
     for row in gateway.slo().rows() {
         assert_eq!(row.breaches, 0, "calm load must not breach: {row:?}");
     }
-    assert!(gateway.take_breach_log().is_empty());
+    assert!(gateway.book_mut().take_breach_log().is_empty());
 }

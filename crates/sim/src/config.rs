@@ -72,8 +72,8 @@ pub struct SimConfig {
     /// Tenant/QoS population model. When set, every arrival is wrapped in
     /// its deterministic [`SubmitRequest`] envelope (tenant id, QoS class,
     /// reservation tolerance) and submitted through
-    /// [`Frontend::submit_request`]; `None` keeps the legacy task-only
-    /// submission path.
+    /// [`Frontend::submit_request`]; `None` submits every task under the
+    /// default envelope (`SubmitRequest::new`).
     ///
     /// [`SubmitRequest`]: rtdls_core::request::SubmitRequest
     /// [`Frontend::submit_request`]: crate::frontend::Frontend::submit_request

@@ -266,10 +266,11 @@ impl<F: Frontend> Simulation<F> {
     }
 
     fn handle_arrival(&mut self, task: Task) {
-        let outcome = match self.cfg.tenant_mix {
-            Some(mix) => self.ctl.submit_request(&mix.assign(task), self.now),
-            None => self.ctl.submit(task, self.now),
+        let request = match self.cfg.tenant_mix {
+            Some(mix) => mix.assign(task),
+            None => SubmitRequest::new(task),
         };
+        let outcome = self.ctl.submit_request(&request, self.now);
         match outcome {
             SubmitOutcome::Accepted => {
                 self.metrics.on_admission(None);

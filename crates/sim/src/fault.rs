@@ -246,8 +246,12 @@ mod tests {
     }
 
     impl Frontend for WakeupFrontend {
-        fn submit(&mut self, task: Task, _now: SimTime) -> crate::frontend::SubmitOutcome {
-            self.pending = Some(task);
+        fn submit_request(
+            &mut self,
+            request: &SubmitRequest,
+            _now: SimTime,
+        ) -> crate::frontend::SubmitOutcome {
+            self.pending = Some(request.task);
             crate::frontend::SubmitOutcome::Pending
         }
         fn replan(&mut self, _now: SimTime) -> Result<(), AdmissionFailure> {

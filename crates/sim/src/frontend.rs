@@ -9,8 +9,9 @@
 //!
 //! The engine's contract with a frontend:
 //!
-//! * every arrival is passed to [`Frontend::submit`], which may resolve it
-//!   immediately (`Accepted` / `Rejected`) or park it (`Pending`);
+//! * every arrival is passed to [`Frontend::submit_request`], which may
+//!   resolve it immediately (`Accepted` / `Rejected`) or park it
+//!   (`Pending`);
 //! * after **every** admission or completion event the engine calls
 //!   [`Frontend::on_event`] — the re-test hook where deferred tasks get
 //!   another shot — and then collects newly resolved verdicts via
@@ -53,19 +54,14 @@ impl SubmitOutcome {
 /// [`AdmissionController`] implements this trait directly (the paper's
 /// baseline behavior); `rtdls-service` implements it for its gateways.
 pub trait Frontend {
-    /// Decides a newly arrived task at time `now`.
-    fn submit(&mut self, task: Task, now: SimTime) -> SubmitOutcome;
-
-    /// Decides a newly arrived task carried in its v2 [`SubmitRequest`]
-    /// envelope (tenant, QoS class, reservation tolerance). Frontends
-    /// without tenant awareness (the bare admission controllers) fall back
-    /// to the legacy task-only path; service gateways override this with
-    /// the full request/verdict protocol. A reservation verdict surfaces as
+    /// Decides a newly arrived task carried in its [`SubmitRequest`]
+    /// envelope (tenant, QoS class, reservation tolerance) at time `now`.
+    /// Frontends without tenant awareness (the bare admission controllers)
+    /// decide on the task alone; service gateways run the full
+    /// request/verdict protocol. A reservation verdict surfaces as
     /// [`SubmitOutcome::Pending`] and resolves through
     /// [`Frontend::drain_resolutions`] once it activates (or fails).
-    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
-        self.submit(request.task, now)
-    }
+    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome;
 
     /// Re-plans the waiting queue against current committed releases.
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure>;
@@ -127,8 +123,8 @@ pub trait Frontend {
 }
 
 impl Frontend for AdmissionController {
-    fn submit(&mut self, task: Task, now: SimTime) -> SubmitOutcome {
-        SubmitOutcome::from_decision(AdmissionController::submit(self, task, now))
+    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
+        SubmitOutcome::from_decision(self.submit(request.task, now))
     }
 
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
@@ -161,8 +157,8 @@ impl Frontend for AdmissionController {
 }
 
 impl Frontend for IncrementalController {
-    fn submit(&mut self, task: Task, now: SimTime) -> SubmitOutcome {
-        SubmitOutcome::from_decision(IncrementalController::submit(self, task, now))
+    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
+        SubmitOutcome::from_decision(self.submit(request.task, now))
     }
 
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
@@ -242,8 +238,8 @@ macro_rules! delegate_engine {
 }
 
 impl Frontend for EngineFrontend {
-    fn submit(&mut self, task: Task, now: SimTime) -> SubmitOutcome {
-        delegate_engine!(self, c => Frontend::submit(c, task, now))
+    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
+        delegate_engine!(self, c => Frontend::submit_request(c, request, now))
     }
 
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
@@ -288,7 +284,7 @@ mod tests {
             PlanConfig::default(),
         );
         let t = Task::new(1, 0.0, 200.0, 30_000.0);
-        let outcome = Frontend::submit(&mut ctl, t, SimTime::ZERO);
+        let outcome = Frontend::submit_request(&mut ctl, &SubmitRequest::new(t), SimTime::ZERO);
         assert_eq!(outcome, SubmitOutcome::Accepted);
         assert_eq!(Frontend::waiting_len(&ctl), 1);
         assert!(Frontend::find_plan(&ctl, t.id).is_some());
@@ -297,7 +293,8 @@ mod tests {
         assert!(Frontend::drain_resolutions(&mut ctl).is_empty());
 
         let hopeless = Task::new(2, 0.0, 200.0, 100.0);
-        let outcome = Frontend::submit(&mut ctl, hopeless, SimTime::ZERO);
+        let outcome =
+            Frontend::submit_request(&mut ctl, &SubmitRequest::new(hopeless), SimTime::ZERO);
         assert_eq!(
             outcome,
             SubmitOutcome::Rejected(Infeasible::NoTimeForTransmission)

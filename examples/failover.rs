@@ -31,19 +31,22 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway<Gateway> {
-    let gateway = Gateway::new(
+fn primary() -> JournaledGateway<ShardedGateway> {
+    let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::LeastLoaded,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     JournaledGateway::new(gateway, journal_cfg())
 }
 
 fn main() {
     // The warm standby: promotes after 0.3s of wall-clock silence.
-    let follower: Follower<Gateway> = Follower::new(FollowerConfig { promote_after: 0.3 });
+    let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig { promote_after: 0.3 });
     let mut standby = FollowerServer::bind("127.0.0.1:0", follower).expect("bind standby");
     let addr = standby.local_addr().expect("standby addr");
     println!("standby listening on {addr}");
@@ -60,13 +63,12 @@ fn main() {
     let mut accepted = 0;
     for i in 0..10u64 {
         let now = SimTime::new(i as f64 * 10.0);
-        let decision = gw
-            .inner_mut()
-            .submit(Task::new(i, now.as_f64(), 20.0, 2_000.0), now);
-        if decision.is_accepted() {
+        // `decide` journals the request, decides it, and pumps the frames
+        // to the standby in the same turn.
+        let request = SubmitRequest::new(Task::new(i, now.as_f64(), 20.0, 2_000.0));
+        if gw.decide(&request, now).is_accepted() {
             accepted += 1;
         }
-        gw.pump(now);
     }
     let wal = gw.inner().journal().bytes().to_vec();
     println!(
@@ -121,13 +123,13 @@ fn main() {
     // Guarantee 2: promotion is recovery. An independent cold replay of the
     // mirror plus the same strict re-admission pass must land on the same
     // state and the same demotion set.
-    let (mut reference, report) = replay::<Gateway>(&mirror).expect("mirror replays");
+    let (mut reference, report) = replay::<ShardedGateway>(&mirror).expect("mirror replays");
     assert!(
         report.tail.is_clean(),
         "mirror tail is clean: {:?}",
         report.tail
     );
-    let _ = reference.take_breach_log();
+    let _ = reference.book_mut().take_breach_log();
     let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
     assert_eq!(
         promoted.inner().capture().normalized(),
