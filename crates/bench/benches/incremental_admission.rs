@@ -1,10 +1,13 @@
-//! Incremental vs. full-replan admission: the perf case for the diff
-//! engine, measured head-to-head in one run.
+//! The admission engine against its reference: what the reuse cache saves,
+//! measured head-to-head in one run. This is the only place the two are
+//! timed against each other (criterion ids and baseline fields keep the
+//! names `full` = [`ReferenceController`], `incremental` =
+//! [`AdmissionController`]).
 //!
 //! Scenario: a steady gateway with a deep waiting queue (every node
 //! committed into the future, EDF order, newcomers near the back) — the
-//! regime where the full engine pays `O(queue)` planning calls per
-//! submission and the incremental engine pays ~1.
+//! regime where the literal full replan pays `O(queue)` planning calls per
+//! submission and the production engine pays ~1.
 //!
 //! Groups:
 //!
@@ -28,6 +31,7 @@ use std::time::Instant;
 
 use criterion::{black_box, BenchmarkId, Criterion};
 
+use rtdls_core::admission::reference::ReferenceController;
 use rtdls_core::prelude::*;
 
 const PRIME_SIGMA: f64 = 200.0;
@@ -61,14 +65,14 @@ fn primed<A: Admission>(depth: usize) -> (A, Task) {
 fn bench_submit(c: &mut Criterion) {
     let mut group = c.benchmark_group("admission_submit");
     for depth in [64usize, 256] {
-        let (full, probe) = primed::<AdmissionController>(depth);
+        let (full, probe) = primed::<ReferenceController>(depth);
         group.bench_with_input(BenchmarkId::new("full", depth), &depth, |b, _| {
             b.iter(|| {
                 let mut ctl = full.clone();
                 black_box(ctl.submit(probe, SimTime::ZERO))
             })
         });
-        let (inc, probe) = primed::<IncrementalController>(depth);
+        let (inc, probe) = primed::<AdmissionController>(depth);
         group.bench_with_input(BenchmarkId::new("incremental", depth), &depth, |b, _| {
             b.iter(|| {
                 let mut ctl = inc.clone();
@@ -82,11 +86,11 @@ fn bench_submit(c: &mut Criterion) {
 fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("admission_probe");
     for depth in [64usize, 256] {
-        let (full, probe) = primed::<AdmissionController>(depth);
+        let (full, probe) = primed::<ReferenceController>(depth);
         group.bench_with_input(BenchmarkId::new("full", depth), &depth, |b, _| {
             b.iter(|| black_box(full.probe_plan(&probe, SimTime::ZERO)))
         });
-        let (inc, probe) = primed::<IncrementalController>(depth);
+        let (inc, probe) = primed::<AdmissionController>(depth);
         group.bench_with_input(BenchmarkId::new("incremental", depth), &depth, |b, _| {
             b.iter(|| black_box(inc.probe_plan(&probe, SimTime::ZERO)))
         });
@@ -144,9 +148,9 @@ fn stream_ns<A: Admission>(ctl: &A, depth: usize, burst: u64) -> f64 {
 fn emit_baseline() {
     const DEPTH: usize = 256;
     const BURST: u64 = 32;
-    let (full, _) = primed::<AdmissionController>(DEPTH);
+    let (full, _) = primed::<ReferenceController>(DEPTH);
     let full_ns = stream_ns(&full, DEPTH, BURST);
-    let (inc, _) = primed::<IncrementalController>(DEPTH);
+    let (inc, _) = primed::<AdmissionController>(DEPTH);
     let inc_ns = stream_ns(&inc, DEPTH, BURST);
     let baseline = Baseline {
         queue_depth: DEPTH,
@@ -166,15 +170,15 @@ fn emit_baseline() {
 
 /// The `-- --test` CI smoke: conformance + diff-path liveness, no timing.
 fn smoke() {
-    let (mut full, probe) = primed::<AdmissionController>(64);
-    let (mut inc, _) = primed::<IncrementalController>(64);
+    let (mut full, probe) = primed::<ReferenceController>(64);
+    let (mut inc, _) = primed::<AdmissionController>(64);
     assert_eq!(full.state(), inc.state(), "primed engines agree");
     let a = full.submit(probe, SimTime::ZERO);
     let b = inc.submit(probe, SimTime::ZERO);
     assert_eq!(a, b, "decisions agree");
     assert!(a.is_accepted());
     assert_eq!(full.state(), inc.state(), "post-submit state agrees");
-    let stats = inc.stats();
+    let stats = inc.profile();
     assert!(
         stats.reuse_rate() > 0.9,
         "diff path must be live in the steady regime: {stats:?}"

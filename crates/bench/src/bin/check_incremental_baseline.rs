@@ -1,4 +1,5 @@
-//! CI regression guard for the incremental admission engine.
+//! CI regression guard for what the admission engine's reuse cache saves over
+//! the reference full replan.
 //!
 //! Reads the baseline the `incremental_admission` bench just emitted
 //! (`target/incremental_admission_baseline.json`) and compares it against

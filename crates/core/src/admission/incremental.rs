@@ -1,12 +1,13 @@
-//! The incremental (diff-based) admission engine.
+//! The production admission engine: incremental (diff-based) maintenance
+//! of the Fig. 2 temp schedule.
 //!
-//! [`AdmissionController`](super::AdmissionController) re-plans the whole
-//! waiting queue on every arrival — `O(queue)` planning calls per event,
-//! the dominant cost in the admission benches at gateway scale. This module
-//! implements the ROADMAP's *incremental temp-schedule maintenance*: the
-//! engine keeps, for every waiting task, the exact planning inputs its
-//! current plan was derived from, and on each event re-plans only the tasks
-//! whose inputs actually changed.
+//! A literal reading of Fig. 2 re-plans the whole waiting queue on every
+//! arrival — `O(queue)` planning calls per event, the dominant cost at
+//! gateway scale (that literal reading is kept as the test oracle,
+//! [`ReferenceController`](super::reference::ReferenceController)).
+//! [`AdmissionController`] keeps, for every waiting task, the exact
+//! planning inputs its current plan was derived from, and on each event
+//! re-plans only the tasks whose inputs actually changed.
 //!
 //! ## The reuse invariant
 //!
@@ -36,23 +37,24 @@
 //! instead of `queue + 1`. Whenever history shifts under the queue (an
 //! early node release via `set_node_release`, a dispatch that commits
 //! different nodes, a recovery restore with a cold cache), the gate fails
-//! and the engine transparently degrades to the reference full replan.
+//! and the engine transparently degrades to a full replan.
 //!
 //! Because reuse is gated on provable input equality, the engine is
 //! decision-, plan-, and state-identical to the reference controller; the
 //! differential oracle suite (`tests/differential_admission.rs`) replays
-//! randomized scenarios through both engines and asserts exact equality
-//! after every operation.
+//! randomized scenarios through both and asserts exact equality after every
+//! operation, including across a cold-cache restore.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::algorithm::AlgorithmKind;
+use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
 use crate::strategy::{plan_task, NodeAvailability, NodeCountPolicy, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
-use super::{Admission, AdmissionFailure, ControllerState, Decision};
+use super::{Admission, AdmissionFailure, ControllerState, Decision, EngineProfile};
 
 /// The cached planning inputs that make a queued plan provably reusable.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,30 +64,6 @@ struct PlanMeta {
     /// The (pre-clamp) release vector the planning walk had built when this
     /// task was planned; length = `num_nodes`.
     observed: Vec<SimTime>,
-}
-
-/// Reuse counters: how often the diff path avoided a planning call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncrementalStats {
-    /// Queue positions whose cached plan was reused verbatim.
-    pub plans_reused: u64,
-    /// Queue positions (or candidates) that went through `plan_task`.
-    pub plans_computed: u64,
-    /// Wall-clock nanoseconds spent inside `plan_task` calls (the planning
-    /// cost the reuse path avoids; the profiling hook telemetry reads).
-    pub plan_nanos: u64,
-}
-
-impl IncrementalStats {
-    /// Fraction of positions served from the cache (0 when nothing ran).
-    pub fn reuse_rate(&self) -> f64 {
-        let total = self.plans_reused + self.plans_computed;
-        if total == 0 {
-            0.0
-        } else {
-            self.plans_reused as f64 / total as f64
-        }
-    }
 }
 
 /// Outcome of one incremental planning walk (not yet installed): the
@@ -98,13 +76,14 @@ struct Pass {
     meta_tail: Vec<Option<PlanMeta>>,
 }
 
-/// Admission engine with incremental temp-schedule maintenance. Observably
-/// identical to [`AdmissionController`](super::AdmissionController) — same
+/// The head node's admission engine, with incremental temp-schedule
+/// maintenance. Observably identical to the literal Fig. 2 replan
+/// ([`ReferenceController`](super::reference::ReferenceController)) — same
 /// decisions, plans, releases, and serialized state for every call
 /// sequence — but `O(changed tasks)` planning calls per event instead of
 /// `O(queue)`.
 #[derive(Clone, Debug)]
-pub struct IncrementalController {
+pub struct AdmissionController {
     params: ClusterParams,
     algorithm: AlgorithmKind,
     cfg: PlanConfig,
@@ -116,29 +95,16 @@ pub struct IncrementalController {
     /// plan must be recomputed before it can be trusted (cold cache, e.g.
     /// right after `from_state`).
     meta: Vec<Option<PlanMeta>>,
-    stats: IncrementalStats,
+    profile: EngineProfile,
 }
 
-impl IncrementalController {
-    /// An engine for an idle cluster (all nodes available at time zero).
-    pub fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self {
-        IncrementalController {
-            params,
-            algorithm,
-            cfg,
-            releases: vec![SimTime::ZERO; params.num_nodes],
-            queue: Vec::new(),
-            meta: Vec::new(),
-            stats: IncrementalStats::default(),
-        }
-    }
-
+impl AdmissionController {
     /// Reuse counters accumulated by the mutating operations so far —
     /// including the work done by passes that ended in a rejection, so the
     /// reuse rate honestly reflects rejection-heavy streams. Probes are
     /// non-mutating and not counted.
-    pub fn stats(&self) -> IncrementalStats {
-        self.stats
+    pub fn profile(&self) -> EngineProfile {
+        self.profile
     }
 
     /// Whether the cached plan behind `meta` is provably identical to what
@@ -164,23 +130,21 @@ impl IncrementalController {
         releases: &mut [SimTime],
         now: SimTime,
         out: &mut Pass,
-        work: &mut IncrementalStats,
+        work: &mut EngineProfile,
     ) -> Result<(), AdmissionFailure> {
         // The attempt counts as work whether or not it succeeds — a failed
         // planning call cost just as much CPU.
         work.plans_computed += 1;
         let observed = releases.to_vec();
         let avail = NodeAvailability::new(releases, now);
-        let started = std::time::Instant::now();
-        let planned = plan_task(
+        let plan = plan_task(
             self.algorithm.strategy,
             task,
             &avail,
             &self.params,
             &self.cfg,
-        );
-        work.plan_nanos += started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let plan = planned.map_err(|reason| AdmissionFailure {
+        )
+        .map_err(|reason| AdmissionFailure {
             task: task.id,
             reason,
         })?;
@@ -212,7 +176,7 @@ impl IncrementalController {
         &self,
         now: SimTime,
         candidate: Option<&Task>,
-        work: &mut IncrementalStats,
+        work: &mut EngineProfile,
     ) -> Result<Pass, AdmissionFailure> {
         let policy = self.algorithm.policy;
         let cand_key = candidate.map(|t| policy.key(t));
@@ -257,11 +221,10 @@ impl IncrementalController {
     }
 
     /// Folds a (possibly failed) pass's work counters into the cumulative
-    /// stats.
-    fn book_work(&mut self, work: IncrementalStats) {
-        self.stats.plans_reused += work.plans_reused;
-        self.stats.plans_computed += work.plans_computed;
-        self.stats.plan_nanos += work.plan_nanos;
+    /// profile.
+    fn book_work(&mut self, work: EngineProfile) {
+        self.profile.plans_reused += work.plans_reused;
+        self.profile.plans_computed += work.plans_computed;
     }
 
     fn install(&mut self, pass: Pass) {
@@ -270,42 +233,45 @@ impl IncrementalController {
         self.meta.truncate(pass.prefix_len);
         self.meta.extend(pass.meta_tail);
     }
+}
 
-    /// The algorithm this engine runs.
-    pub fn algorithm(&self) -> AlgorithmKind {
-        self.algorithm
+impl Admission for AdmissionController {
+    fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self {
+        AdmissionController {
+            params,
+            algorithm,
+            cfg,
+            releases: vec![SimTime::ZERO; params.num_nodes],
+            queue: Vec::new(),
+            meta: Vec::new(),
+            profile: EngineProfile::default(),
+        }
     }
 
-    /// Cluster parameters.
-    pub fn params(&self) -> &ClusterParams {
+    fn params(&self) -> &ClusterParams {
         &self.params
     }
 
-    /// Planning knobs this engine tests with.
-    pub fn config(&self) -> &PlanConfig {
+    fn algorithm(&self) -> AlgorithmKind {
+        self.algorithm
+    }
+
+    fn config(&self) -> &PlanConfig {
         &self.cfg
     }
 
-    /// Committed per-node release times (index = node id).
-    pub fn committed_releases(&self) -> &[SimTime] {
+    fn committed_releases(&self) -> &[SimTime] {
         &self.releases
     }
 
-    /// Current waiting tasks and plans, in execution order.
-    pub fn queue(&self) -> &[(Task, TaskPlan)] {
+    fn queue(&self) -> &[(Task, TaskPlan)] {
         &self.queue
     }
 
-    /// Number of waiting (admitted, undispatched) tasks.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Runs the schedulability test for a newly arrived task at time `now`.
     /// On acceptance only the tasks whose planning inputs changed are
-    /// re-planned; on rejection nothing changes.
-    pub fn submit(&mut self, task: Task, now: SimTime) -> Decision {
-        let mut work = IncrementalStats::default();
+    /// re-planned.
+    fn submit(&mut self, task: Task, now: SimTime) -> Decision {
+        let mut work = EngineProfile::default();
         let result = self.pass(now, Some(&task), &mut work);
         self.book_work(work);
         match result {
@@ -317,20 +283,10 @@ impl IncrementalController {
         }
     }
 
-    /// Non-mutating admission probe; see
-    /// [`AdmissionController::probe`](super::AdmissionController::probe).
-    pub fn probe(&self, task: &Task, now: SimTime) -> Decision {
-        match self.probe_plan(task, now) {
-            Ok(_) => Decision::Accepted,
-            Err(f) => Decision::Rejected(f.reason),
-        }
-    }
-
-    /// Like [`probe`](IncrementalController::probe) but returns the plan the
-    /// candidate would receive. Reuses the cached prefix, so a probe costs
-    /// one planning call (plus any perturbed suffix) instead of a full pass.
-    pub fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
-        let mut scratch = IncrementalStats::default();
+    /// Reuses the cached prefix, so a probe costs one planning call (plus
+    /// any perturbed suffix) instead of a full pass.
+    fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
+        let mut scratch = EngineProfile::default();
         let pass = self.pass(now, Some(task), &mut scratch)?;
         // Match the reference engine exactly: the first id match over the
         // whole plan list in policy order (prefix first, then the rebuilt
@@ -347,22 +303,18 @@ impl IncrementalController {
             })
             .ok_or(AdmissionFailure {
                 task: task.id,
-                reason: crate::error::Infeasible::CompletionAfterDeadline,
+                reason: Infeasible::CompletionAfterDeadline,
             })
     }
 
-    /// Amortized admission for a burst of tasks: the same resumable
-    /// checkpoint-rewind pass as
-    /// [`AdmissionController::submit_batch`](super::AdmissionController::submit_batch),
-    /// with cached plans reused for waiting-queue positions whose inputs
-    /// are unchanged. The pass works entirely on scratch state; committed
-    /// releases and the installed queue are only replaced once the batch
-    /// has settled, so a mid-batch rejection can never leak a rejected
-    /// member's tentative dispatch into
-    /// [`committed_releases`](IncrementalController::committed_releases).
-    ///
-    /// Returns one [`Decision`] per batch entry, in input order.
-    pub fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
+    /// The same resumable checkpoint-rewind pass as the reference engine's
+    /// (its `submit_batch` documents the rationale), with cached plans
+    /// reused for waiting-queue positions whose inputs are unchanged. The
+    /// pass works entirely on scratch state; committed releases and the
+    /// installed queue are only replaced once the batch has settled, so a
+    /// mid-batch rejection can never leak a rejected member's tentative
+    /// dispatch into [`committed_releases`](Admission::committed_releases).
+    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -458,7 +410,7 @@ impl IncrementalController {
                 Err(reason) => {
                     // A previously admitted task lost feasibility: evict the
                     // most recently planned batch member and rewind to its
-                    // checkpoint (see the full engine for the rationale).
+                    // checkpoint (see the reference engine for the rationale).
                     match checkpoints.pop() {
                         Some(ck) => {
                             let evicted = ordered[ck.ordered_idx];
@@ -477,8 +429,8 @@ impl IncrementalController {
                                     *d = Some(Decision::Rejected(reason));
                                 }
                             }
-                            self.stats.plans_reused += reused;
-                            self.stats.plans_computed += computed;
+                            self.profile.plans_reused += reused;
+                            self.profile.plans_computed += computed;
                             return decisions.into_iter().map(|d| d.expect("decided")).collect();
                         }
                     }
@@ -497,8 +449,8 @@ impl IncrementalController {
             self.queue.push((t, p));
             self.meta.push(m);
         }
-        self.stats.plans_reused += reused;
-        self.stats.plans_computed += computed;
+        self.profile.plans_reused += reused;
+        self.profile.plans_computed += computed;
         // Rollback evictions picked a culprit heuristically; give each
         // evicted member one individual shot at the settled queue.
         self.algorithm.policy.sort(&mut evicted_by_rollback);
@@ -510,22 +462,12 @@ impl IncrementalController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    /// The committed work outstanding at `now`, in node-time units. See
-    /// [`Admission::backlog`].
-    pub fn backlog(&self, now: SimTime) -> f64 {
-        Admission::backlog(self, now)
-    }
-
-    /// The earliest instant `t ≥ now` at which `task` would be admitted,
-    /// assuming no further arrivals. Decision-identical to
-    /// [`AdmissionController::earliest_feasible_start`](super::AdmissionController::earliest_feasible_start)
-    /// (the differential oracle replays this op through both engines), but
-    /// the `t = now` probe — the common case, answered instantly for an
+    /// The `t = now` probe — the common case, answered instantly for an
     /// admissible task — runs through the incremental pass and reuses the
     /// cached plan prefix; only the search over future dispatch instants
     /// falls back to fresh temp-schedule walks.
-    pub fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        let mut scratch = IncrementalStats::default();
+    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+        let mut scratch = EngineProfile::default();
         if self.pass(now, Some(task), &mut scratch).is_ok() {
             return Some(now);
         }
@@ -540,14 +482,13 @@ impl IncrementalController {
         )
     }
 
-    /// Re-plans the waiting queue against the current committed releases.
     /// Positions whose inputs are unchanged keep their plans without a
-    /// planning call; on failure the previous plans stay installed.
-    pub fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+    /// planning call.
+    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
         if self.queue.is_empty() {
             return Ok(());
         }
-        let mut work = IncrementalStats::default();
+        let mut work = EngineProfile::default();
         let result = self.pass(now, None, &mut work);
         self.book_work(work);
         let pass = result?;
@@ -555,20 +496,11 @@ impl IncrementalController {
         Ok(())
     }
 
-    /// The earliest planned first-transmission instant across the waiting
-    /// queue.
-    pub fn next_dispatch_due(&self) -> Option<SimTime> {
-        self.queue.iter().map(|(_, p)| p.first_start()).min()
-    }
-
-    /// Removes and returns every waiting task whose plan is due at `now`,
-    /// committing its node release estimates; tasks in execution order.
-    ///
     /// The committed values are exactly the release updates the remaining
     /// cached plans already observed from this task's temp-schedule slot,
     /// so a dispatch of a queue *prefix* leaves every remaining plan's
     /// reuse gate intact — the steady-state path stays diff-only.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
         let mut due = Vec::new();
         let mut i = 0;
         while i < self.queue.len() {
@@ -586,27 +518,22 @@ impl IncrementalController {
         due
     }
 
-    /// Overrides one node's committed release time with an *actual* value.
     /// Cached plans that observed the previous value fail their reuse gate
     /// and re-plan on the next pass — the fallback the module docs describe.
-    pub fn set_node_release(&mut self, node: usize, time: SimTime) {
+    fn set_node_release(&mut self, node: usize, time: SimTime) {
         self.releases[node] = time;
     }
 
-    /// Removes one waiting task from the queue without touching committed
-    /// releases; see
-    /// [`AdmissionController::remove_waiting`](super::AdmissionController::remove_waiting).
-    pub fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
+    fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
         let pos = self.queue.iter().position(|(t, _)| t.id == id)?;
         let (task, _) = self.queue.remove(pos);
         self.meta.remove(pos);
         Some(task)
     }
 
-    /// Snapshots the complete engine state for journaling. The reuse cache
-    /// is derived state and deliberately not part of the image — both
-    /// engines share one [`ControllerState`] shape.
-    pub fn state(&self) -> ControllerState {
+    /// The reuse cache is derived state and deliberately not part of the
+    /// image — both engines share one [`ControllerState`] shape.
+    fn state(&self) -> ControllerState {
         ControllerState {
             params: self.params,
             algorithm: self.algorithm,
@@ -616,104 +543,27 @@ impl IncrementalController {
         }
     }
 
-    /// Rebuilds an engine from a journaled state with a *cold* reuse cache:
-    /// the first pass after a restore re-plans every position (exactly what
-    /// the reference engine does on every pass), re-warming the cache.
-    pub fn from_state(state: ControllerState) -> Result<Self, crate::error::ModelError> {
+    /// Restores with a *cold* reuse cache: the first pass after a restore
+    /// re-plans every position (exactly what the reference engine does on
+    /// every pass), re-warming the cache.
+    fn from_state(state: ControllerState) -> Result<Self, ModelError> {
         state.validate()?;
         let meta = vec![None; state.queue.len()];
-        Ok(IncrementalController {
+        Ok(AdmissionController {
             params: state.params,
             algorithm: state.algorithm,
             cfg: state.cfg,
             releases: state.releases,
             queue: state.queue,
             meta,
-            stats: IncrementalStats::default(),
+            profile: EngineProfile::default(),
         })
-    }
-}
-
-impl Admission for IncrementalController {
-    const NAME: &'static str = "incremental";
-
-    fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self {
-        IncrementalController::new(params, algorithm, cfg)
-    }
-
-    fn params(&self) -> &ClusterParams {
-        IncrementalController::params(self)
-    }
-
-    fn algorithm(&self) -> AlgorithmKind {
-        IncrementalController::algorithm(self)
-    }
-
-    fn config(&self) -> &PlanConfig {
-        IncrementalController::config(self)
-    }
-
-    fn committed_releases(&self) -> &[SimTime] {
-        IncrementalController::committed_releases(self)
-    }
-
-    fn queue(&self) -> &[(Task, TaskPlan)] {
-        IncrementalController::queue(self)
-    }
-
-    fn submit(&mut self, task: Task, now: SimTime) -> Decision {
-        IncrementalController::submit(self, task, now)
-    }
-
-    fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
-        IncrementalController::probe_plan(self, task, now)
-    }
-
-    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
-        IncrementalController::submit_batch(self, batch, now)
-    }
-
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        IncrementalController::earliest_feasible_start(self, task, now)
-    }
-
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        IncrementalController::replan(self, now)
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        IncrementalController::take_due(self, now)
-    }
-
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
-        IncrementalController::set_node_release(self, node, time)
-    }
-
-    fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
-        IncrementalController::remove_waiting(self, id)
-    }
-
-    fn profile(&self) -> Option<super::EngineProfile> {
-        let s = self.stats;
-        Some(super::EngineProfile {
-            plans_reused: s.plans_reused,
-            plans_computed: s.plans_computed,
-            plan_nanos: s.plan_nanos,
-        })
-    }
-
-    fn state(&self) -> ControllerState {
-        IncrementalController::state(self)
-    }
-
-    fn from_state(state: ControllerState) -> Result<Self, crate::error::ModelError> {
-        IncrementalController::from_state(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::AdmissionController;
+    use super::super::reference::ReferenceController;
     use super::*;
     use crate::dlt::homogeneous;
 
@@ -721,10 +571,10 @@ mod tests {
         ClusterParams::paper_baseline()
     }
 
-    fn both(algorithm: AlgorithmKind) -> (AdmissionController, IncrementalController) {
+    fn both(algorithm: AlgorithmKind) -> (ReferenceController, AdmissionController) {
         (
+            ReferenceController::new(params(), algorithm, PlanConfig::default()),
             AdmissionController::new(params(), algorithm, PlanConfig::default()),
-            IncrementalController::new(params(), algorithm, PlanConfig::default()),
         )
     }
 
@@ -732,7 +582,7 @@ mod tests {
         Task::new(id, arrival, sigma, rel_deadline)
     }
 
-    fn assert_same_state(full: &AdmissionController, inc: &IncrementalController) {
+    fn assert_same_state(full: &ReferenceController, inc: &AdmissionController) {
         assert_eq!(full.state(), inc.state(), "engines diverged");
     }
 
@@ -775,10 +625,10 @@ mod tests {
             let t = task(i, 0.0, 100.0, 1e7 + i as f64 * 1e4);
             assert!(inc.submit(t, SimTime::ZERO).is_accepted());
         }
-        let before = inc.stats();
+        let before = inc.profile();
         let probe = task(999, 0.0, 100.0, 9e8);
         assert!(inc.submit(probe, SimTime::ZERO).is_accepted());
-        let after = inc.stats();
+        let after = inc.profile();
         assert_eq!(
             after.plans_computed - before.plans_computed,
             1,
@@ -795,7 +645,7 @@ mod tests {
             full.submit(t, SimTime::ZERO);
             inc.submit(t, SimTime::ZERO);
         }
-        let mut thawed = IncrementalController::from_state(inc.state()).unwrap();
+        let mut thawed = AdmissionController::from_state(inc.state()).unwrap();
         let t = task(100, 1.0, 200.0, 8e5);
         assert_eq!(
             full.submit(t, SimTime::new(1.0)),
@@ -804,10 +654,10 @@ mod tests {
         assert_eq!(full.state(), thawed.state());
         // The pass after the restore re-warmed the cache: the next
         // back-of-queue submit is diff-only again.
-        let before = thawed.stats();
+        let before = thawed.profile();
         let t2 = task(101, 1.0, 200.0, 9e5);
         assert!(thawed.submit(t2, SimTime::new(1.0)).is_accepted());
-        assert_eq!(thawed.stats().plans_computed - before.plans_computed, 1);
+        assert_eq!(thawed.profile().plans_computed - before.plans_computed, 1);
     }
 
     #[test]
@@ -828,14 +678,14 @@ mod tests {
         assert!(!full.submit(bad, SimTime::ZERO).is_accepted());
         assert_same_state(&full, &inc);
         // And the cache still serves the prefix on the next acceptance.
-        let before = inc.stats();
+        let before = inc.profile();
         let ok = task(51, 0.0, 100.0, e16 * 40.0);
         assert_eq!(
             full.submit(ok, SimTime::ZERO),
             inc.submit(ok, SimTime::ZERO)
         );
         assert_same_state(&full, &inc);
-        assert!(inc.stats().plans_reused > before.plans_reused);
+        assert!(inc.profile().plans_reused > before.plans_reused);
     }
 
     #[test]
@@ -881,12 +731,12 @@ mod tests {
         assert!(inc
             .submit(task(0, 0.0, 800.0, e16 * 1.2), SimTime::ZERO)
             .is_accepted());
-        let before = inc.stats();
+        let before = inc.profile();
         // Hopeless newcomer: its own plan fails after the prefix walk.
         assert!(!inc
             .submit(task(1, 0.0, 800.0, e16 * 0.5), SimTime::ZERO)
             .is_accepted());
-        let after = inc.stats();
+        let after = inc.profile();
         assert!(
             after.plans_computed > before.plans_computed
                 || after.plans_reused > before.plans_reused,
@@ -940,12 +790,12 @@ mod tests {
 
     #[test]
     fn mid_batch_rejection_leaves_committed_releases_untouched() {
-        // The incremental regression twin of the full engine's test: the
+        // The incremental regression twin of the reference engine's test: the
         // checkpoint-rewind pass may never leak tentative dispatches.
         let p = params();
         let e8 = homogeneous::exec_time(&p, 400.0, 8);
         let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let mut c = IncrementalController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
+        let mut c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
         assert!(c
             .submit(task(10, 0.0, 50.0, 1e6), SimTime::ZERO)
             .is_accepted());
@@ -971,8 +821,8 @@ mod tests {
             node_count: NodeCountPolicy::OneShot,
             ..Default::default()
         };
-        let mut full = AdmissionController::new(params(), AlgorithmKind::EDF_DLT, cfg);
-        let mut inc = IncrementalController::new(params(), AlgorithmKind::EDF_DLT, cfg);
+        let mut full = ReferenceController::new(params(), AlgorithmKind::EDF_DLT, cfg);
+        let mut inc = AdmissionController::new(params(), AlgorithmKind::EDF_DLT, cfg);
         for i in 0..4 {
             let t = task(i, 0.0, 200.0, 5e5 + i as f64 * 1e4);
             assert_eq!(full.submit(t, SimTime::ZERO), inc.submit(t, SimTime::ZERO));
@@ -1004,7 +854,7 @@ mod tests {
         assert_same_state(&full, &inc);
         let json = serde_json::to_string(&inc.state()).unwrap();
         let back: ControllerState = serde_json::from_str(&json).unwrap();
-        let thawed = IncrementalController::from_state(back).unwrap();
+        let thawed = AdmissionController::from_state(back).unwrap();
         assert_eq!(thawed.state(), inc.state());
     }
 }

@@ -8,19 +8,23 @@
 //! estimated deadline miss fails the whole test — the newcomer is rejected
 //! and the previously feasible plans are kept.
 //!
-//! Two engines implement that contract behind the [`Admission`] trait:
+//! One engine serves that contract and one checks it, both behind the
+//! [`Admission`] trait:
 //!
-//! * [`AdmissionController`] ([`full`]) — the reference engine: a literal
-//!   whole-queue replan per event, exactly the paper's pseudocode. `O(queue)`
-//!   planning calls per arrival.
-//! * [`IncrementalController`] ([`incremental`]) — the production engine: it
-//!   caches, per waiting task, the exact planning inputs its current plan
-//!   was derived from, and on each event re-plans only the tasks whose
-//!   inputs actually changed (typically the suffix after the newcomer's
-//!   policy position). Reuse is gated on *provable input equality*, so the
-//!   engine is decision- and plan-identical to the reference — the
-//!   differential oracle suite (`tests/differential_admission.rs`) replays
-//!   every scenario through both and asserts exact equality.
+//! * [`AdmissionController`] ([`incremental`]) — the engine every layer
+//!   above this crate runs. It caches, per waiting task, the exact planning
+//!   inputs its current plan was derived from, and on each event re-plans
+//!   only the tasks whose inputs actually changed (typically the suffix
+//!   after the newcomer's policy position).
+//! * [`reference::ReferenceController`] — a literal whole-queue replan per
+//!   event, exactly the paper's pseudocode, `O(queue)` planning calls per
+//!   arrival. It is the oracle: reuse in the production engine is gated on
+//!   *provable input equality*, so the two must be decision-, plan- and
+//!   state-identical, and the differential suite
+//!   (`tests/differential_admission.rs`) replays every scenario through
+//!   both and asserts exact equality after every operation. It is public
+//!   so tests and the criterion guard can name it, and in no prelude so
+//!   nothing serves traffic with it by accident.
 //!
 //! Rejection here corresponds to the paper's deadline renegotiation footnote:
 //! the cluster proxy would bounce the job back to the client with modified
@@ -35,11 +39,10 @@ use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
-pub mod full;
 pub mod incremental;
+pub mod reference;
 
-pub use full::AdmissionController;
-pub use incremental::{IncrementalController, IncrementalStats};
+pub use incremental::AdmissionController;
 
 /// Why (and for which task) a schedulability test failed.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
@@ -58,7 +61,8 @@ impl core::fmt::Display for AdmissionFailure {
 
 impl std::error::Error for AdmissionFailure {}
 
-// `Infeasible` is re-serialized through AdmissionFailure in results output.
+// `Infeasible` travels by display string: in results output, in journaled
+// `cause` fields and on the edge wire.
 impl Serialize for Infeasible {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.to_string())
@@ -67,16 +71,22 @@ impl Serialize for Infeasible {
 
 impl Deserialize for Infeasible {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        // Round-trip by display string; unknown strings map to the generic
-        // rejection cause. Only used for result-file ingestion.
+        // The inverse of `Display`. The type is journaled and sent on the
+        // edge wire, so a damaged or foreign cause is an error, never a
+        // silently substituted one.
         let s = String::from_value(v)?;
-        Ok(match s.as_str() {
-            "deadline passes before any node is available" => Infeasible::DeadlineBeforeStart,
-            "not enough time to transmit the input data" => Infeasible::NoTimeForTransmission,
-            "no node count within the cluster meets the deadline" => Infeasible::NotEnoughNodes,
-            "user-split node request cannot meet the deadline" => Infeasible::UserRequestInfeasible,
-            _ => Infeasible::CompletionAfterDeadline,
-        })
+        match s.as_str() {
+            "deadline passes before any node is available" => Ok(Infeasible::DeadlineBeforeStart),
+            "not enough time to transmit the input data" => Ok(Infeasible::NoTimeForTransmission),
+            "no node count within the cluster meets the deadline" => Ok(Infeasible::NotEnoughNodes),
+            "user-split node request cannot meet the deadline" => {
+                Ok(Infeasible::UserRequestInfeasible)
+            }
+            "estimated completion exceeds the deadline" => Ok(Infeasible::CompletionAfterDeadline),
+            _ => Err(serde::Error::msg(format!(
+                "unknown infeasibility cause {s:?}"
+            ))),
+        }
     }
 }
 
@@ -440,9 +450,10 @@ impl Decision {
 /// The complete serializable state of an admission engine — the durable
 /// "book" a persistence layer journals and a recovery path restores.
 ///
-/// Both engines produce and consume the same shape (the incremental
+/// Both implementors produce and consume the same shape (the production
 /// engine's reuse cache is derived state, rebuilt lazily), so a journal
-/// written under one engine recovers under the other. Round-trips through
+/// written by the full-replan engine of earlier versions recovers under
+/// this one. Round-trips through
 /// the in-repo serde stand-ins ([`Admission::state`] /
 /// [`Admission::from_state`]); equality of two states is equality of the
 /// controllers they rebuild.
@@ -498,17 +509,17 @@ impl ControllerState {
     }
 }
 
-/// Planning-cost profile an engine may expose (see [`Admission::profile`]):
-/// how many positions were re-planned vs served from cache, and the
-/// wall-clock cost of the planning calls that did run.
+/// The production engine's reuse counters (see
+/// [`AdmissionController::profile`]): how many queue positions were
+/// re-planned and how many were served from the cache. Telemetry folds
+/// them into the unified metrics registry; what planning *costs* is timed
+/// by the profiler's `gateway/plan` phase, off the engine's hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineProfile {
     /// Queue positions whose cached plan was reused verbatim.
     pub plans_reused: u64,
     /// Queue positions (or candidates) that went through `plan_task`.
     pub plans_computed: u64,
-    /// Wall-clock nanoseconds spent inside `plan_task`.
-    pub plan_nanos: u64,
 }
 
 impl EngineProfile {
@@ -521,20 +532,13 @@ impl EngineProfile {
             self.plans_reused as f64 / total as f64
         }
     }
-
-    /// Mean nanoseconds per executed planning call (0 when none ran).
-    pub fn mean_plan_nanos(&self) -> f64 {
-        if self.plans_computed == 0 {
-            0.0
-        } else {
-            self.plan_nanos as f64 / self.plans_computed as f64
-        }
-    }
 }
 
-/// The contract every admission engine satisfies: the head node's view of
-/// the waiting queue, the committed node releases, and the current feasible
-/// plans.
+/// The contract the production engine and its oracle are compared under:
+/// the head node's view of the waiting queue, the committed node releases,
+/// and the current feasible plans. Each implementor defines every method
+/// here and nowhere else, so callers bring the trait into scope (it is in
+/// the prelude).
 ///
 /// Engines are clock-agnostic — callers (the discrete-event simulator, or a
 /// real dispatcher) drive them with explicit times. Invariants:
@@ -542,13 +546,10 @@ impl EngineProfile {
 /// * every waiting task has a plan whose estimate meets its deadline;
 /// * plans are kept in policy order (`queue()[0]` executes first);
 /// * committed releases only ever refer to dispatched work;
-/// * all engines are **observably identical**: the same call sequence
-///   produces the same decisions, plans, releases, and state on every
-///   implementation (the differential oracle suite enforces this).
+/// * both implementors are **observably identical**: the same call
+///   sequence produces the same decisions, plans, releases, and state (the
+///   differential oracle suite enforces this).
 pub trait Admission: Clone + core::fmt::Debug {
-    /// Short engine name for logs, benches, and config surfaces.
-    const NAME: &'static str;
-
     /// An engine for an idle cluster (all nodes available at time zero).
     fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self;
 
@@ -682,14 +683,6 @@ pub trait Admission: Clone + core::fmt::Debug {
         committed + waiting
     }
 
-    /// Planning-cost profile, when this engine keeps one. The default
-    /// engine returns `None` (it tracks nothing); the incremental engine
-    /// reports its reuse counters and cumulative `plan_task` nanoseconds.
-    /// Telemetry folds this into the unified metrics registry.
-    fn profile(&self) -> Option<EngineProfile> {
-        None
-    }
-
     /// Snapshots the complete engine state for journaling.
     fn state(&self) -> ControllerState;
 
@@ -799,12 +792,28 @@ mod tests {
             ..heavy
         };
         assert!(!c.probe(&heavier, SimTime::ZERO).is_accepted());
-        // Both engines explain identically (provided method, same inputs).
-        let inc = IncrementalController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
+        // The oracle explains identically (provided method, same inputs).
+        let oracle =
+            reference::ReferenceController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
         assert_eq!(
-            inc.explain(&SubmitRequest::new(heavy), SimTime::ZERO),
+            oracle.explain(&SubmitRequest::new(heavy), SimTime::ZERO),
             Some(ex)
         );
+    }
+
+    #[test]
+    fn infeasible_round_trips_and_refuses_unknown_causes() {
+        for cause in [
+            Infeasible::DeadlineBeforeStart,
+            Infeasible::NoTimeForTransmission,
+            Infeasible::NotEnoughNodes,
+            Infeasible::UserRequestInfeasible,
+            Infeasible::CompletionAfterDeadline,
+        ] {
+            assert_eq!(Infeasible::from_value(&cause.to_value()), Ok(cause));
+        }
+        let foreign = serde::Value::Str("estimated completion exceeds the dead1ine".into());
+        assert!(Infeasible::from_value(&foreign).is_err());
     }
 
     #[test]

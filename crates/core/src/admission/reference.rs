@@ -1,16 +1,19 @@
-//! The reference (full-replan) admission engine.
+//! The reference (full-replan) admission engine — the test oracle.
 //!
-//! [`AdmissionController`] is a literal implementation of the paper's Fig. 2
+//! [`ReferenceController`] is a literal implementation of the paper's Fig. 2
 //! test: every arrival rebuilds the whole temp schedule over
-//! `waiting ∪ {candidate}`. It is the semantic baseline the incremental
-//! engine ([`super::IncrementalController`]) is differentially tested
-//! against, and remains the right choice for shallow queues where a full
-//! pass is cheap anyway.
+//! `waiting ∪ {candidate}`, `O(queue)` planning calls per event. Nothing
+//! above `rtdls-core` serves traffic with it; it exists so that the
+//! production engine ([`super::AdmissionController`]) can be checked
+//! against an independent implementation of the same contract
+//! (`tests/differential_admission.rs` asserts exact state equality after
+//! every operation), and so the criterion guard can show what the reuse
+//! cache saves.
 
 use std::collections::HashSet;
 
 use crate::algorithm::AlgorithmKind;
-use crate::error::Infeasible;
+use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
 use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
@@ -18,17 +21,10 @@ use crate::time::SimTime;
 
 use super::{schedulability_test, Admission, AdmissionFailure, ControllerState, Decision};
 
-/// Stateful admission layer: the head node's view of the waiting queue, the
-/// committed node releases, and the current feasible plans.
-///
-/// This type is clock-agnostic — callers (the discrete-event simulator, or a
-/// real dispatcher) drive it with explicit times. Invariants:
-///
-/// * every waiting task has a plan whose estimate meets its deadline;
-/// * plans are kept in policy order (`plans()[0]` executes first);
-/// * committed releases only ever refer to dispatched work.
+/// The literal Fig. 2 engine: a whole-queue replan on every event. See the
+/// module docs for why it is kept and who may use it.
 #[derive(Clone, Debug)]
-pub struct AdmissionController {
+pub struct ReferenceController {
     params: ClusterParams,
     algorithm: AlgorithmKind,
     cfg: PlanConfig,
@@ -38,10 +34,30 @@ pub struct AdmissionController {
     queue: Vec<(Task, TaskPlan)>,
 }
 
-impl AdmissionController {
-    /// A controller for an idle cluster (all nodes available at time zero).
-    pub fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self {
-        AdmissionController {
+impl ReferenceController {
+    /// Rebuilds the queue from plans returned in policy order.
+    fn install(&mut self, plans: Vec<TaskPlan>, waiting: Vec<Task>, new_task: Option<Task>) {
+        let mut by_id: Vec<(TaskId, Task)> = waiting
+            .into_iter()
+            .chain(new_task)
+            .map(|t| (t.id, t))
+            .collect();
+        self.queue.clear();
+        for plan in plans {
+            let pos = by_id
+                .iter()
+                .position(|(id, _)| *id == plan.task)
+                .expect("plan for unknown task");
+            let (_, task) = by_id.swap_remove(pos);
+            self.queue.push((task, plan));
+        }
+        debug_assert!(by_id.is_empty(), "every waiting task must be planned");
+    }
+}
+
+impl Admission for ReferenceController {
+    fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self {
+        ReferenceController {
             params,
             algorithm,
             cfg,
@@ -50,40 +66,27 @@ impl AdmissionController {
         }
     }
 
-    /// The algorithm this controller runs.
-    pub fn algorithm(&self) -> AlgorithmKind {
-        self.algorithm
-    }
-
-    /// Cluster parameters.
-    pub fn params(&self) -> &ClusterParams {
+    fn params(&self) -> &ClusterParams {
         &self.params
     }
 
-    /// Planning knobs this controller tests with.
-    pub fn config(&self) -> &PlanConfig {
+    fn algorithm(&self) -> AlgorithmKind {
+        self.algorithm
+    }
+
+    fn config(&self) -> &PlanConfig {
         &self.cfg
     }
 
-    /// Committed per-node release times (index = node id).
-    pub fn committed_releases(&self) -> &[SimTime] {
+    fn committed_releases(&self) -> &[SimTime] {
         &self.releases
     }
 
-    /// Current waiting tasks and plans, in execution order.
-    pub fn queue(&self) -> &[(Task, TaskPlan)] {
+    fn queue(&self) -> &[(Task, TaskPlan)] {
         &self.queue
     }
 
-    /// Number of waiting (admitted, undispatched) tasks.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Runs the schedulability test for a newly arrived task at time `now`
-    /// (normally `task.arrival`). On acceptance the whole waiting queue is
-    /// re-planned; on rejection nothing changes.
-    pub fn submit(&mut self, task: Task, now: SimTime) -> Decision {
+    fn submit(&mut self, task: Task, now: SimTime) -> Decision {
         let waiting: Vec<Task> = self.queue.iter().map(|(t, _)| *t).collect();
         match schedulability_test(
             &self.params,
@@ -102,24 +105,7 @@ impl AdmissionController {
         }
     }
 
-    /// Non-mutating admission probe: the same Fig. 2 test [`submit`] runs,
-    /// but the controller state is untouched either way. Service layers use
-    /// this to ask "would this task be admitted right now?" — e.g. to
-    /// decide between rejecting outright and parking the task in a deferred
-    /// queue, or to best-fit route across shards.
-    ///
-    /// [`submit`]: AdmissionController::submit
-    pub fn probe(&self, task: &Task, now: SimTime) -> Decision {
-        match self.probe_plan(task, now) {
-            Ok(_) => Decision::Accepted,
-            Err(f) => Decision::Rejected(f.reason),
-        }
-    }
-
-    /// Like [`probe`](AdmissionController::probe) but returns the plan the
-    /// candidate would receive (with its completion estimate, for best-fit
-    /// routing) instead of a bare decision.
-    pub fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
+    fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
         let waiting: Vec<Task> = self.queue.iter().map(|(t, _)| *t).collect();
         let plans = schedulability_test(
             &self.params,
@@ -164,7 +150,7 @@ impl AdmissionController {
     /// vector and the installed plans are only replaced after the whole
     /// batch has settled, so a mid-batch rejection (or wholesale failure)
     /// can never leave a rejected member's tentative dispatch visible in
-    /// [`committed_releases`](AdmissionController::committed_releases).
+    /// [`committed_releases`](Admission::committed_releases).
     ///
     /// If the waiting queue *by itself* cannot be replanned at `now` (the
     /// same non-monotonicity that can make [`replan`] fail), the whole
@@ -173,9 +159,9 @@ impl AdmissionController {
     ///
     /// Returns one [`Decision`] per batch entry, in input order.
     ///
-    /// [`submit`]: AdmissionController::submit
-    /// [`replan`]: AdmissionController::replan
-    pub fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
+    /// [`submit`]: Admission::submit
+    /// [`replan`]: Admission::replan
+    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -303,19 +289,7 @@ impl AdmissionController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    /// The committed work outstanding at `now`, in node-time units. See
-    /// [`Admission::backlog`].
-    pub fn backlog(&self, now: SimTime) -> f64 {
-        Admission::backlog(self, now)
-    }
-
-    /// The earliest instant `t ≥ now` at which `task` would be admitted,
-    /// assuming no further arrivals: the release-vector-driven search over
-    /// the queue's dispatch instants (see
-    /// [`earliest_feasible_start_search`](super::earliest_feasible_start_search)).
-    /// Non-mutating; `Some(now)` iff [`probe`](AdmissionController::probe)
-    /// accepts right now.
-    pub fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
         super::earliest_feasible_start_search(
             &self.params,
             self.algorithm,
@@ -327,14 +301,10 @@ impl AdmissionController {
         )
     }
 
-    /// Re-plans the waiting queue against the current committed releases
-    /// (used when nodes free up earlier than estimated, letting waiting
-    /// tasks "utilize a processor as soon as it becomes available").
-    ///
     /// Admitted tasks were feasible under release times that can only have
     /// moved *earlier*; failure therefore indicates a broken invariant and is
     /// surfaced as an error rather than silently dropping a guarantee.
-    pub fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
         if self.queue.is_empty() {
             return Ok(());
         }
@@ -352,37 +322,7 @@ impl AdmissionController {
         Ok(())
     }
 
-    /// Rebuilds the queue from plans returned in policy order.
-    fn install(&mut self, plans: Vec<TaskPlan>, waiting: Vec<Task>, new_task: Option<Task>) {
-        let mut by_id: Vec<(TaskId, Task)> = waiting
-            .into_iter()
-            .chain(new_task)
-            .map(|t| (t.id, t))
-            .collect();
-        self.queue.clear();
-        for plan in plans {
-            let pos = by_id
-                .iter()
-                .position(|(id, _)| *id == plan.task)
-                .expect("plan for unknown task");
-            let (_, task) = by_id.swap_remove(pos);
-            self.queue.push((task, plan));
-        }
-        debug_assert!(by_id.is_empty(), "every waiting task must be planned");
-    }
-
-    /// The earliest planned first-transmission instant across the waiting
-    /// queue — when the next dispatch is due (if plans do not change first).
-    pub fn next_dispatch_due(&self) -> Option<SimTime> {
-        self.queue.iter().map(|(_, p)| p.first_start()).min()
-    }
-
-    /// Removes and returns every waiting task whose plan is due at `now`
-    /// (first transmission start ≤ `now` within tolerance), committing its
-    /// node release estimates. The simulator then executes the plans exactly.
-    ///
-    /// Returns tasks in execution order.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
         let mut due = Vec::new();
         // A dispatch changes committed releases, which can only delay other
         // waiting plans' nodes — but those plans were computed against these
@@ -403,25 +343,17 @@ impl AdmissionController {
         due
     }
 
-    /// Overrides one node's committed release time with an *actual* value
-    /// (e.g. the exact completion computed at dispatch, or an early release).
-    pub fn set_node_release(&mut self, node: usize, time: SimTime) {
+    fn set_node_release(&mut self, node: usize, time: SimTime) {
         self.releases[node] = time;
     }
 
-    /// Removes one waiting task (with its plan) from the queue without
-    /// touching committed releases — a waiting plan reserves nothing until
-    /// dispatch, so removal is always safe for the remaining plans (they
-    /// assumed *more* occupancy, never less). Recovery uses this to demote a
-    /// no-longer-feasible task instead of breaking other guarantees.
-    pub fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
+    fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
         let pos = self.queue.iter().position(|(t, _)| t.id == id)?;
         let (task, _) = self.queue.remove(pos);
         Some(task)
     }
 
-    /// Snapshots the complete controller state for journaling.
-    pub fn state(&self) -> ControllerState {
+    fn state(&self) -> ControllerState {
         ControllerState {
             params: self.params,
             algorithm: self.algorithm,
@@ -431,87 +363,15 @@ impl AdmissionController {
         }
     }
 
-    /// Rebuilds a controller from a journaled state. The inverse of
-    /// [`state`](AdmissionController::state): `from_state(c.state())`
-    /// compares equal to `c` in every observable way. Errors when the
-    /// release vector does not match the cluster shape.
-    pub fn from_state(state: ControllerState) -> Result<Self, crate::error::ModelError> {
+    fn from_state(state: ControllerState) -> Result<Self, ModelError> {
         state.validate()?;
-        Ok(AdmissionController {
+        Ok(ReferenceController {
             params: state.params,
             algorithm: state.algorithm,
             cfg: state.cfg,
             releases: state.releases,
             queue: state.queue,
         })
-    }
-}
-
-impl Admission for AdmissionController {
-    const NAME: &'static str = "full";
-
-    fn new(params: ClusterParams, algorithm: AlgorithmKind, cfg: PlanConfig) -> Self {
-        AdmissionController::new(params, algorithm, cfg)
-    }
-
-    fn params(&self) -> &ClusterParams {
-        AdmissionController::params(self)
-    }
-
-    fn algorithm(&self) -> AlgorithmKind {
-        AdmissionController::algorithm(self)
-    }
-
-    fn config(&self) -> &PlanConfig {
-        AdmissionController::config(self)
-    }
-
-    fn committed_releases(&self) -> &[SimTime] {
-        AdmissionController::committed_releases(self)
-    }
-
-    fn queue(&self) -> &[(Task, TaskPlan)] {
-        AdmissionController::queue(self)
-    }
-
-    fn submit(&mut self, task: Task, now: SimTime) -> Decision {
-        AdmissionController::submit(self, task, now)
-    }
-
-    fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
-        AdmissionController::probe_plan(self, task, now)
-    }
-
-    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
-        AdmissionController::submit_batch(self, batch, now)
-    }
-
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        AdmissionController::earliest_feasible_start(self, task, now)
-    }
-
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        AdmissionController::replan(self, now)
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        AdmissionController::take_due(self, now)
-    }
-
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
-        AdmissionController::set_node_release(self, node, time)
-    }
-
-    fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
-        AdmissionController::remove_waiting(self, id)
-    }
-
-    fn state(&self) -> ControllerState {
-        AdmissionController::state(self)
-    }
-
-    fn from_state(state: ControllerState) -> Result<Self, crate::error::ModelError> {
-        AdmissionController::from_state(state)
     }
 }
 
@@ -524,8 +384,8 @@ mod tests {
         ClusterParams::paper_baseline()
     }
 
-    fn ctl(algorithm: AlgorithmKind) -> AdmissionController {
-        AdmissionController::new(params(), algorithm, PlanConfig::default())
+    fn ctl(algorithm: AlgorithmKind) -> ReferenceController {
+        ReferenceController::new(params(), algorithm, PlanConfig::default())
     }
 
     fn task(id: u64, arrival: f64, sigma: f64, rel_deadline: f64) -> Task {
@@ -668,7 +528,7 @@ mod tests {
         for t in &ordered {
             sequential.submit(*t, SimTime::ZERO);
         }
-        let ids = |c: &AdmissionController| -> Vec<u64> {
+        let ids = |c: &ReferenceController| -> Vec<u64> {
             c.queue().iter().map(|(t, _)| t.id.0).collect()
         };
         assert_eq!(ids(&batched), ids(&sequential));
@@ -841,7 +701,7 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         let back: ControllerState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, state);
-        let restored = AdmissionController::from_state(back).unwrap();
+        let restored = ReferenceController::from_state(back).unwrap();
         assert_eq!(restored.queue(), c.queue());
         assert_eq!(restored.committed_releases(), c.committed_releases());
         assert_eq!(restored.algorithm(), c.algorithm());
@@ -858,14 +718,14 @@ mod tests {
         let c = ctl(AlgorithmKind::EDF_DLT);
         let mut bad = c.state();
         bad.releases.pop();
-        assert!(AdmissionController::from_state(bad).is_err());
+        assert!(ReferenceController::from_state(bad).is_err());
         let mut c2 = ctl(AlgorithmKind::EDF_DLT);
         assert!(c2
             .submit(task(1, 0.0, 200.0, 30_000.0), SimTime::ZERO)
             .is_accepted());
         let mut bad = c2.state();
         bad.queue[0].0 = task(9, 0.0, 200.0, 30_000.0);
-        assert!(AdmissionController::from_state(bad).is_err());
+        assert!(ReferenceController::from_state(bad).is_err());
     }
 
     #[test]

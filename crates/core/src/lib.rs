@@ -70,7 +70,6 @@ pub mod prelude {
     pub use crate::admission::{
         explain_infeasibility, schedulability_test, Admission, AdmissionController,
         AdmissionExplanation, AdmissionFailure, ControllerState, Decision, EngineProfile,
-        IncrementalController, IncrementalStats,
     };
     pub use crate::algorithm::AlgorithmKind;
     pub use crate::dlt::heterogeneous::HeterogeneousModel;

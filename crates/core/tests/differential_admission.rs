@@ -1,23 +1,25 @@
-//! The differential oracle: every scenario is replayed through BOTH
-//! admission engines — the reference full-replan [`AdmissionController`]
-//! and the diff-based [`IncrementalController`] — and the two must agree
-//! **exactly** after every single operation: same decisions, same plans,
-//! same committed releases, same serialized [`ControllerState`], same
-//! backlog and dispatch horizon.
+//! The differential oracle: every scenario is replayed through the
+//! production engine — the diff-based [`AdmissionController`] — and the
+//! literal Fig. 2 full replan, [`ReferenceController`], and the two must
+//! agree **exactly** after every single operation: same decisions, same
+//! plans, same committed releases, same serialized [`ControllerState`],
+//! same backlog and dispatch horizon.
 //!
-//! Because the incremental engine can silently diverge (a reuse gate that
+//! Because the production engine can silently diverge (a reuse gate that
 //! is one epsilon too permissive would admit a task the reference engine
 //! rejects, or install a stale plan), this suite is the heart of the
 //! engine's correctness story: scenarios cover streaming submissions,
 //! bursts through the checkpoint-rewind batch path, dispatches, early node
-//! releases, replans, demote-style removals, and real workload streams
-//! (Poisson, bursty, and heavy-tailed sizes) at >1000 generated cases.
+//! releases, replans, demote-style removals, mid-scenario restores from the
+//! journaled image (a cold reuse cache), and real workload streams (Poisson,
+//! bursty, and heavy-tailed sizes) at >1000 generated cases.
 //!
 //! On divergence the failing scenario is greedily *shrunk* — ops are
 //! removed one at a time while the divergence persists — and the minimal
 //! reproducer is printed in the panic message.
 
 use proptest::prelude::*;
+use rtdls_core::admission::reference::ReferenceController;
 use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::*;
 use rtdls_workload::prelude::*;
@@ -57,6 +59,9 @@ enum Op {
     RemoveWaiting {
         pick: usize,
     },
+    /// Crash recovery at engine level: both engines are rebuilt from the
+    /// production engine's journaled image.
+    Thaw,
 }
 
 /// Decodes a raw generated tuple into an [`Op`]. Pure, so the same raw
@@ -65,7 +70,7 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
     let (kind, a, b, c) = *raw;
     let sigma = 10.0 + a * 790.0;
     let user = (b > 0.25).then(|| 1 + (a * 97.0) as usize % 16);
-    match kind % 9 {
+    match kind % 10 {
         // Submissions get double weight (0 and 1): they are the hot path.
         0 | 1 => Op::Submit {
             sigma,
@@ -102,6 +107,7 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
         7 => Op::RemoveWaiting {
             pick: (a * 1_000.0) as usize,
         },
+        9 => Op::Thaw,
         // Deliberately tight deadline factors: the reservation search only
         // does interesting work on tasks the plain test rejects.
         _ => Op::EarliestFeasibleStart {
@@ -113,8 +119,8 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
 
 /// Both engines side by side, plus the scenario clock and id allocator.
 struct Harness {
-    full: AdmissionController,
-    inc: IncrementalController,
+    full: ReferenceController,
+    inc: AdmissionController,
     now: f64,
     next_id: u64,
 }
@@ -124,8 +130,8 @@ impl Harness {
         let params = ClusterParams::paper_baseline();
         let cfg = PlanConfig::default();
         Harness {
-            full: AdmissionController::new(params, algorithm, cfg),
-            inc: IncrementalController::new(params, algorithm, cfg),
+            full: ReferenceController::new(params, algorithm, cfg),
+            inc: AdmissionController::new(params, algorithm, cfg),
             now: 0.0,
             next_id: 0,
         }
@@ -154,6 +160,23 @@ impl Harness {
         if self.full.next_dispatch_due() != self.inc.next_dispatch_due() {
             return Err(format!("{context}: next_dispatch_due diverged"));
         }
+        Ok(())
+    }
+
+    /// Replaces the production engine with one restored from its own
+    /// image — reuse cache cold, as after crash recovery — and checks that
+    /// the oracle restored from that image is the oracle that lived through
+    /// the scenario, so the image loses nothing either engine decides on.
+    fn thaw(&mut self, context: &str) -> Result<(), String> {
+        let image = self.inc.state();
+        let oracle = ReferenceController::from_state(image.clone())
+            .map_err(|e| format!("{context}: oracle refused the image: {e}"))?;
+        if oracle.state() != self.full.state() {
+            return Err(format!("{context}: restored oracle diverged"));
+        }
+        self.full = oracle;
+        self.inc = AdmissionController::from_state(image)
+            .map_err(|e| format!("{context}: engine refused its own image: {e}"))?;
         Ok(())
     }
 
@@ -267,6 +290,7 @@ impl Harness {
                     }
                 }
             }
+            Op::Thaw => self.thaw(&format!("op {i} {op:?}"))?,
         }
         self.check(&format!("op {i} {op:?}"))
     }
@@ -335,7 +359,7 @@ proptest! {
     #[test]
     fn differential_random_ops(
         algorithm in prop::sample::select(algorithms()),
-        raws in prop::collection::vec((0u8..9, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
+        raws in prop::collection::vec((0u8..10, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
     ) {
         if let Err(e) = check_scenario(algorithm, &raws) {
             shrink_and_report(algorithm, &raws, e);
@@ -350,9 +374,9 @@ proptest! {
         algorithm in prop::sample::select(vec![AlgorithmKind::EDF_DLT, AlgorithmKind::FIFO_DLT]),
         raws in prop::collection::vec(
             // Kinds 2/4/5 dominate: bursts through the checkpoint-rewind
-            // path, interleaved with dispatches, early releases, and the
-            // reservation search (kind 8).
-            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
+            // path, interleaved with dispatches, early releases, the
+            // reservation search (kind 8) and restores (kind 9).
+            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
             1..16,
         ),
     ) {
@@ -364,7 +388,8 @@ proptest! {
 
 /// Drives both engines with a real workload stream: submissions at their
 /// arrival instants, a dispatch sweep before each, an early release every
-/// seventh task, and a closing burst through the batch path.
+/// seventh task, a restore every eleventh, and a closing burst through the
+/// batch path.
 fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(), String> {
     let mut h = Harness::new(algorithm);
     let (head, tail) = tasks.split_at(tasks.len().saturating_sub(5));
@@ -387,6 +412,9 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
             if ra != rb {
                 return Err(format!("task {i}: replan diverged {ra:?} vs {rb:?}"));
             }
+        }
+        if i % 11 == 6 {
+            h.thaw(&format!("task {i}"))?;
         }
         if i % 5 == 2 {
             // A reservation search for the incoming task before deciding
@@ -460,16 +488,16 @@ proptest! {
 
 #[test]
 fn steady_deep_queue_actually_exercises_the_diff_path() {
-    // Guard against the incremental engine silently degrading to
+    // Guard against the production engine silently degrading to
     // replan-always (it would still pass every differential check): in the
     // steady deep-queue regime the reuse rate must be overwhelming.
     let params = ClusterParams::paper_baseline();
-    let mut inc = IncrementalController::new(params, AlgorithmKind::EDF_DLT, PlanConfig::default());
+    let mut inc = AdmissionController::new(params, AlgorithmKind::EDF_DLT, PlanConfig::default());
     for i in 0..128u64 {
         let t = Task::new(i, 0.0, 100.0, 5e6 + i as f64 * 1e4);
         assert!(inc.submit(t, SimTime::ZERO).is_accepted());
     }
-    let stats = inc.stats();
+    let stats = inc.profile();
     assert!(
         stats.reuse_rate() > 0.9,
         "deep-queue streaming should be ~all reuse, got {:?}",

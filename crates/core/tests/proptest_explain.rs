@@ -11,7 +11,7 @@
 //! 2. **σ honesty** — the same, shrinking `data_size` to
 //!    `max_feasible_sigma` (and a meaningfully larger σ still fails).
 //! 3. **Engine agreement** — the reference full-replan engine and the
-//!    diff-based incremental engine explain identically (the provided
+//!    diff-based production engine explain identically (the provided
 //!    trait method is driven entirely through accessors, so this pins the
 //!    accessors, not the search).
 //!
@@ -27,6 +27,7 @@
 //! alone, feasibility is monotone and the promises are exact.
 
 use proptest::prelude::*;
+use rtdls_core::admission::reference::ReferenceController;
 use rtdls_core::prelude::*;
 
 const BASE_NODES: usize = 16;
@@ -34,10 +35,10 @@ const BASE_NODES: usize = 16;
 fn engines(
     algorithm: AlgorithmKind,
     releases: &[f64],
-) -> (AdmissionController, IncrementalController) {
+) -> (ReferenceController, AdmissionController) {
     let params = ClusterParams::new(BASE_NODES, 1.0, 50.0).expect("valid params");
-    let mut full = AdmissionController::new(params, algorithm, PlanConfig::default());
-    let mut inc = IncrementalController::new(params, algorithm, PlanConfig::default());
+    let mut full = ReferenceController::new(params, algorithm, PlanConfig::default());
+    let mut inc = AdmissionController::new(params, algorithm, PlanConfig::default());
     for (node, r) in releases.iter().enumerate() {
         full.set_node_release(node, SimTime::new(*r));
         inc.set_node_release(node, SimTime::new(*r));

@@ -223,10 +223,9 @@ impl<G: Recoverable> core::fmt::Debug for JournaledGateway<G> {
 }
 
 impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
-    type Engine = G::Engine;
     type Driver = Self;
 
-    fn bare(&self) -> &ShardedGateway<G::Engine> {
+    fn bare(&self) -> &ShardedGateway {
         self.inner.bare()
     }
 

@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{
-    Admission, AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, Task,
+    AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, Task,
 };
 use rtdls_service::prelude::{
     DeferState, DeferredQueue, EdgeGateway, MetricsSnapshot, QuotaPolicy, ReservationBook,
@@ -195,7 +195,7 @@ pub trait Recoverable: EdgeGateway + Frontend + Sized {
     fn reverify(&mut self, now: SimTime) -> Vec<Task>;
 }
 
-impl<A: Admission> Recoverable for ShardedGateway<A> {
+impl Recoverable for ShardedGateway {
     fn capture(&self) -> GatewaySnapshot {
         GatewaySnapshot {
             sharded: self.num_shards() > 1,
@@ -341,7 +341,7 @@ mod tests {
             ..busy_sharded().capture()
         };
         assert!(matches!(
-            ShardedGateway::<AdmissionController>::restore(&headless),
+            ShardedGateway::restore(&headless),
             Err(JournalError::Incompatible(_))
         ));
     }

@@ -202,19 +202,15 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
 }
 
 #[test]
-fn incremental_engine_recovers_to_the_same_state_from_the_same_wal() {
-    // Engine-conformance across the durability boundary: one WAL, written
-    // by a live full-replan gateway, recovered twice — once as
-    // `ShardedGateway<AdmissionController>` and once as
-    // `ShardedGateway<IncrementalController>`. The two engines are
-    // observably identical state machines over the journal's input events,
-    // so snapshot-restore + tail-replay + strict re-admission must land
-    // both on the *same* per-shard `ControllerState`s, the same demotions,
-    // and the same future decisions.
-    type IncJG = JournaledGateway<ShardedGateway<IncrementalController>>;
+fn one_wal_recovers_to_the_same_state_twice() {
+    // Recovery is a function of the log: one WAL recovered twice —
+    // snapshot-restore + tail-replay + strict re-admission, each time onto
+    // engines whose reuse caches start cold — must land on the *same*
+    // per-shard `ControllerState`s, the same demotions, and the same future
+    // decisions.
     for kill_at in [5usize, 37, 120] {
-        // Build the WAL with a live (full-engine) gateway driven by the
-        // stepped engine API, crashing after `kill_at` events.
+        // Build the WAL with a live gateway driven by the stepped engine
+        // API, crashing after `kill_at` events.
         let tasks = bursty_tasks(23);
         let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
         let mut sim = Simulation::with_frontend(cfg, fresh_gateway(16));
@@ -223,44 +219,30 @@ fn incremental_engine_recovers_to_the_same_state_from_the_same_wal() {
         let crash_time = sim.now();
         let wal = sim.frontend().journal().bytes().to_vec();
 
-        let (full_rec, full_report) =
+        let recover_once = || {
             recover::<ShardedGateway>(&wal, crash_time, JournalConfig::default(), None)
-                .expect("full-engine recovery");
-        let (inc_rec, inc_report): (IncJG, _) = recover::<ShardedGateway<IncrementalController>>(
-            &wal,
-            crash_time,
-            JournalConfig::default(),
-            None,
-        )
-        .expect("incremental-engine recovery");
+                .expect("recovery")
+        };
+        let (mut first, first_report) = recover_once();
+        let (mut second, second_report) = recover_once();
 
         assert_eq!(
-            full_report.demoted, inc_report.demoted,
+            first_report.demoted, second_report.demoted,
             "kill_at={kill_at}: demotions diverged"
         );
         assert_eq!(
-            full_rec.inner().shard_states(),
-            inc_rec.inner().shard_states(),
-            "kill_at={kill_at}: recovered ControllerStates diverged"
-        );
-        assert_eq!(
-            full_rec.inner().capture().normalized(),
-            inc_rec.inner().capture().normalized(),
-            "kill_at={kill_at}: full gateway snapshots diverged"
+            first.inner().capture().normalized(),
+            second.inner().capture().normalized(),
+            "kill_at={kill_at}: recovered gateways diverged"
         );
         // And both recovered gateways keep deciding identically.
-        let mut full_rec = full_rec;
-        let mut inc_rec = inc_rec;
         let probe = Task::new(9_000_001, crash_time.as_f64() + 1.0, 150.0, 80_000.0);
         assert_eq!(
-            full_rec.submit_request(&SubmitRequest::new(probe), probe.arrival),
-            inc_rec.submit_request(&SubmitRequest::new(probe), probe.arrival),
+            first.submit_request(&SubmitRequest::new(probe), probe.arrival),
+            second.submit_request(&SubmitRequest::new(probe), probe.arrival),
             "kill_at={kill_at}"
         );
-        assert_eq!(
-            full_rec.inner().shard_states(),
-            inc_rec.inner().shard_states()
-        );
+        assert_eq!(first.inner().shard_states(), second.inner().shard_states());
     }
 }
 
@@ -481,54 +463,27 @@ fn reservation_wal() -> (Vec<u8>, SimTime, Task) {
 }
 
 #[test]
-fn reservation_bearing_wal_recovers_with_its_book_intact_under_both_engines() {
+fn reservation_bearing_wal_recovers_with_its_book_intact() {
     let (wal, start_at, c) = reservation_wal();
-    let (full_rec, _) =
+    let (mut rec, _) =
         recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
-            .expect("full-engine recovery");
-    let (inc_rec, _) = recover::<ShardedGateway<IncrementalController>>(
-        &wal,
-        SimTime::ZERO,
-        JournalConfig::default(),
-        None,
-    )
-    .expect("incremental-engine recovery");
-    for (name, rec) in [
-        ("full", full_rec.inner().capture()),
-        ("inc", inc_rec.inner().capture()),
-    ] {
-        assert_eq!(rec.reservations.reservations.len(), 1, "{name}");
-        let res = &rec.reservations.reservations[0];
-        assert_eq!(res.task.id, c.id, "{name}");
-        assert_eq!(res.start_at, start_at, "{name}");
-        assert_eq!(res.ticket, 0, "{name}");
-    }
-    assert_eq!(
-        full_rec.inner().capture().normalized(),
-        inc_rec.inner().capture().normalized(),
-        "recovered gateways diverged across engines"
-    );
-    // Both recovered gateways honor the promise: dispatch the blocker at
+            .expect("recovery");
+    let book = rec.inner().capture().reservations;
+    assert_eq!(book.reservations.len(), 1);
+    let res = &book.reservations[0];
+    assert_eq!(res.task.id, c.id);
+    assert_eq!(res.start_at, start_at);
+    assert_eq!(res.ticket, 0);
+    // The recovered gateway honors the promise: dispatch the blocker at
     // start_at, then the activation sweep admits the reserved task.
-    let mut full_rec = full_rec;
-    let mut inc_rec = inc_rec;
-    for j in [
-        &mut full_rec as &mut dyn Frontend,
-        &mut inc_rec as &mut dyn Frontend,
-    ] {
-        assert_eq!(j.next_wakeup(), Some(start_at), "wakeup re-armed");
-        let due = j.take_due(start_at);
-        assert_eq!(due.len(), 1);
-        j.activate(start_at);
-        let resolutions = j.drain_resolutions();
-        assert_eq!(resolutions.len(), 1);
-        assert!(resolutions[0].1.is_none(), "activation = accepted");
-    }
-    assert_eq!(full_rec.metrics().reservations_activated, 1);
-    assert_eq!(
-        full_rec.inner().shard_states(),
-        inc_rec.inner().shard_states()
-    );
+    assert_eq!(rec.next_wakeup(), Some(start_at), "wakeup re-armed");
+    let due = rec.take_due(start_at);
+    assert_eq!(due.len(), 1);
+    rec.activate(start_at);
+    let resolutions = rec.drain_resolutions();
+    assert_eq!(resolutions.len(), 1);
+    assert!(resolutions[0].1.is_none(), "activation = accepted");
+    assert_eq!(rec.metrics().reservations_activated, 1);
 }
 
 #[test]

@@ -169,10 +169,9 @@ impl<G: Recoverable> ShippingGateway<G> {
 }
 
 impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
-    type Engine = G::Engine;
     type Driver = JournaledGateway<G>;
 
-    fn bare(&self) -> &ShardedGateway<G::Engine> {
+    fn bare(&self) -> &ShardedGateway {
         self.inner.bare()
     }
 

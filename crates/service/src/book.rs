@@ -8,8 +8,8 @@
 use std::time::Instant;
 
 use rtdls_core::prelude::{
-    Admission, AlgorithmKind, ClusterParams, Decision, Infeasible, QosClass, SimTime,
-    SubmitRequest, Task, TenantId,
+    Admission, AdmissionController, AlgorithmKind, ClusterParams, Decision, Infeasible, QosClass,
+    SimTime, SubmitRequest, Task, TenantId,
 };
 use rtdls_telemetry::{Profiler, Stage, Telemetry};
 
@@ -426,13 +426,13 @@ pub(crate) fn defer_or_reject(
 /// attainment is judged at activation). Rejected and Throttled count as
 /// acceptance-bad. Deferred counts nothing yet — its fate lands in
 /// [`apply_departures`] when the ticket resolves.
-pub(crate) fn decide_request<A: Admission>(
+pub(crate) fn decide_request(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     request: &SubmitRequest,
     now: SimTime,
-    engine: &mut RoutedShards<'_, A>,
+    engine: &mut RoutedShards<'_>,
 ) -> Verdict {
     let mut verdict = decide_request_inner(book, widest_params, algorithm, request, now, engine);
     book.note_recent(request.tenant, request.task.id.0);
@@ -488,13 +488,13 @@ pub(crate) fn decide_request<A: Admission>(
 /// Order of business: quota gate → admission test → reservation search →
 /// defer-or-reject. The caller books the submission count and latency
 /// afterwards via [`record_request`].
-fn decide_request_inner<A: Admission>(
+fn decide_request_inner(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     request: &SubmitRequest,
     now: SimTime,
-    engine: &mut RoutedShards<'_, A>,
+    engine: &mut RoutedShards<'_>,
 ) -> Verdict {
     let tenant = request.tenant;
     // Count the tenant's liabilities only when a cap could actually bind:
@@ -635,12 +635,12 @@ fn decide_request_inner<A: Admission>(
 /// Activates every reservation whose `start_at` has been reached: the real
 /// admission test re-runs at `now`; a pass admits the task with the full
 /// deadline guarantee, a miss falls back to the defer-or-reject protocol.
-pub(crate) fn activate_due<A: Admission>(
+pub(crate) fn activate_due(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     now: SimTime,
-    engine: &mut RoutedShards<'_, A>,
+    engine: &mut RoutedShards<'_>,
 ) {
     for res in book.reservations.take_due(now) {
         let trace = book.telemetry.trace_of(res.task.id.0).unwrap_or(0);
@@ -780,8 +780,8 @@ pub(crate) fn flush_all(book: &mut ServiceBook) {
 /// the very next re-test sweep can rescue it.
 ///
 /// Returns the demoted tasks in demotion order.
-pub(crate) fn reverify_controller<A: Admission>(
-    ctl: &mut A,
+pub(crate) fn reverify_controller(
+    ctl: &mut AdmissionController,
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,

@@ -9,7 +9,7 @@
 //! that applies state changes. Everything else is provided once, here, in
 //! terms of those.
 
-use rtdls_core::prelude::{Admission, AdmissionExplanation, SimTime, SubmitRequest};
+use rtdls_core::prelude::{AdmissionExplanation, SimTime, SubmitRequest};
 use rtdls_sim::frontend::Frontend;
 use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
 
@@ -21,16 +21,13 @@ use crate::slo::SloStatusRow;
 
 /// The serving surface of a gateway stack (see the module docs).
 pub trait EdgeGateway {
-    /// The admission engine the bare gateway's shards run.
-    type Engine: Admission;
-
     /// The layer whose [`Frontend`] calls apply this stack's state changes:
     /// the bare gateway itself, or the journaling wrapper over it (which
     /// logs every change before applying it).
     type Driver: Frontend;
 
     /// The bare gateway under every wrapper — the read side of the stack.
-    fn bare(&self) -> &ShardedGateway<Self::Engine>;
+    fn bare(&self) -> &ShardedGateway;
 
     /// The bare gateway's book. Outside `rtdls-service` only its
     /// process-local channels are reachable through this (observation,

@@ -23,10 +23,11 @@
 //!
 //! # Sharded dispatch
 //!
-//! The Fig. 2 schedulability test rebuilds a temp schedule over the whole
-//! waiting queue on every arrival — `O(queue × nodes)` per decision. On one
-//! big cluster both factors grow with cluster size, so admission cost grows
-//! superlinearly with offered load. [`ShardedGateway`] partitions the
+//! The Fig. 2 schedulability test walks a temp schedule over the whole
+//! waiting queue on every arrival — every position is checked, and from the
+//! first one whose planning inputs changed, re-planned over all nodes. On
+//! one big cluster both factors grow with cluster size, so admission cost
+//! grows superlinearly with offered load. [`ShardedGateway`] partitions the
 //! cluster into `K` independent shards, each with its own
 //! [`AdmissionController`] over `N/K` nodes and its own (shorter) waiting
 //! queue: one decision touches a single shard, keeping admission cost
@@ -80,12 +81,12 @@ pub enum Routing {
 /// One shard: an admission engine plus its node-id offset into the
 /// global cluster.
 #[derive(Clone, Debug)]
-struct Shard<A: Admission> {
-    ctl: A,
+struct Shard {
+    ctl: AdmissionController,
     offset: usize,
 }
 
-impl<A: Admission> Shard<A> {
+impl Shard {
     fn len(&self) -> usize {
         self.ctl.params().num_nodes
     }
@@ -114,8 +115,8 @@ fn routable(skip: &[bool], s: usize) -> bool {
 /// set (quota-throttled for this request's tenant); `Ok(shard)` on the
 /// first acceptance, `Err(a rejection cause)` when every candidate rejects
 /// (or none remain).
-fn try_admit<A: Admission>(
-    shards: &mut [Shard<A>],
+fn try_admit(
+    shards: &mut [Shard],
     routing: Routing,
     cursor: &mut usize,
     task: &Task,
@@ -189,14 +190,14 @@ fn try_admit<A: Admission>(
 /// search over all shards. `skip` is the per-shard quota-throttle mask for
 /// the request in flight (empty = unrestricted — activation and defer
 /// re-tests route freely so promises are honored).
-pub(crate) struct RoutedShards<'a, A: Admission> {
-    shards: &'a mut [Shard<A>],
+pub(crate) struct RoutedShards<'a> {
+    shards: &'a mut [Shard],
     routing: Routing,
     cursor: &'a mut usize,
     skip: &'a [bool],
 }
 
-impl<A: Admission> RoutedShards<'_, A> {
+impl RoutedShards<'_> {
     /// The mutating admission test, with the shard an accepted task was
     /// routed to (the decision-tracing `Route` span input).
     pub(crate) fn submit(&mut self, task: &Task, now: SimTime) -> (Decision, Option<u32>) {
@@ -246,8 +247,8 @@ impl<A: Admission> RoutedShards<'_, A> {
 /// honest across the whole fleet. Shards without a feasible deadline lose
 /// to any shard with one; `None` only when no shard refuses (feasible
 /// somewhere as-is).
-fn best_explanation<A: Admission>(
-    shards: &[Shard<A>],
+fn best_explanation(
+    shards: &[Shard],
     request: &SubmitRequest,
     now: SimTime,
 ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
@@ -276,42 +277,23 @@ fn best_explanation<A: Admission>(
     best
 }
 
-/// Online admission gateway over `K` independent cluster shards, generic
-/// over the per-shard admission engine `A` (the reference full-replan
-/// controller by default; the incremental diff engine via
-/// [`ShardedGateway::with_engine`]).
+/// Online admission gateway over `K` independent cluster shards, each an
+/// [`AdmissionController`] over its own nodes and waiting queue.
 #[derive(Clone, Debug)]
-pub struct ShardedGateway<A: Admission = AdmissionController> {
+pub struct ShardedGateway {
     params: ClusterParams,
     algorithm: AlgorithmKind,
-    shards: Vec<Shard<A>>,
+    shards: Vec<Shard>,
     routing: Routing,
     cursor: usize,
     book: ServiceBook,
 }
 
-impl ShardedGateway<AdmissionController> {
+impl ShardedGateway {
     /// Partitions `params.num_nodes` nodes into `num_shards` contiguous
-    /// shards (sizes differing by at most one), each on the reference
-    /// full-replan engine. Errors when `num_shards` is zero or exceeds the
-    /// node count.
+    /// shards (sizes differing by at most one). Errors when `num_shards` is
+    /// zero or exceeds the node count.
     pub fn new(
-        params: ClusterParams,
-        num_shards: usize,
-        algorithm: AlgorithmKind,
-        cfg: PlanConfig,
-        routing: Routing,
-        defer_policy: DeferPolicy,
-    ) -> Result<Self, ModelError> {
-        ShardedGateway::with_engine(params, num_shards, algorithm, cfg, routing, defer_policy)
-    }
-}
-
-impl<A: Admission> ShardedGateway<A> {
-    /// Like [`ShardedGateway::new`], with every shard on the admission
-    /// engine `A` (e.g.
-    /// `ShardedGateway::<IncrementalController>::with_engine(...)`).
-    pub fn with_engine(
         params: ClusterParams,
         num_shards: usize,
         algorithm: AlgorithmKind,
@@ -333,7 +315,7 @@ impl<A: Admission> ShardedGateway<A> {
             let size = base + usize::from(i < extra);
             let shard_params = ClusterParams::new(size, params.cms, params.cps)?;
             shards.push(Shard {
-                ctl: A::new(shard_params, algorithm, cfg),
+                ctl: AdmissionController::new(shard_params, algorithm, cfg),
                 offset,
             });
             offset += size;
@@ -473,7 +455,7 @@ impl<A: Admission> ShardedGateway<A> {
                 ));
             }
             shards.push(Shard {
-                ctl: A::from_state(state)?,
+                ctl: AdmissionController::from_state(state)?,
                 offset,
             });
             offset += shard_params.num_nodes;
@@ -589,9 +571,7 @@ impl<A: Admission> ShardedGateway<A> {
                 &[("shard", &label)],
                 depth as f64,
             );
-            if let Some(profile) = shard.ctl.profile() {
-                crate::telemetry::fold_engine_profile(reg, &profile, i as u32);
-            }
+            crate::telemetry::fold_engine_profile(reg, &shard.ctl.profile(), i as u32);
         }
         reg.gauge("rtdls_gateway_waiting", &[], waiting as f64);
     }
@@ -819,8 +799,7 @@ impl<A: Admission> ShardedGateway<A> {
     }
 }
 
-impl<A: Admission> EdgeGateway for ShardedGateway<A> {
-    type Engine = A;
+impl EdgeGateway for ShardedGateway {
     type Driver = Self;
 
     fn bare(&self) -> &Self {
@@ -840,14 +819,16 @@ impl<A: Admission> EdgeGateway for ShardedGateway<A> {
     }
 }
 
-impl<A: Admission> Frontend for ShardedGateway<A> {
+// `Frontend` and `Admission` share method names; on a shard's engine the
+// path calls say which one is meant.
+impl Frontend for ShardedGateway {
     fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
         ShardedGateway::submit_request(self, request, now).into()
     }
 
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
         for shard in &mut self.shards {
-            shard.ctl.replan(now)?;
+            Admission::replan(&mut shard.ctl, now)?;
         }
         Ok(())
     }
@@ -861,7 +842,7 @@ impl<A: Admission> Frontend for ShardedGateway<A> {
         // shard-major order is simply deterministic).
         let mut due = Vec::new();
         for shard in &mut self.shards {
-            for (task, plan) in shard.ctl.take_due(now) {
+            for (task, plan) in Admission::take_due(&mut shard.ctl, now) {
                 due.push((task, globalize(plan, shard.offset)));
             }
         }
@@ -872,7 +853,7 @@ impl<A: Admission> Frontend for ShardedGateway<A> {
     fn next_dispatch_due(&self) -> Option<SimTime> {
         self.shards
             .iter()
-            .filter_map(|s| s.ctl.next_dispatch_due())
+            .filter_map(|s| Admission::next_dispatch_due(&s.ctl))
             .min()
     }
 
@@ -883,7 +864,7 @@ impl<A: Admission> Frontend for ShardedGateway<A> {
 
     fn set_node_release(&mut self, node: usize, time: SimTime) {
         let (s, local) = self.shard_of(node);
-        self.shards[s].ctl.set_node_release(local, time);
+        Admission::set_node_release(&mut self.shards[s].ctl, local, time);
     }
 
     fn waiting_len(&self) -> usize {
@@ -894,13 +875,9 @@ impl<A: Admission> Frontend for ShardedGateway<A> {
     /// reads its timing fields here; dispatched plans go through
     /// [`Frontend::take_due`], which globalizes them).
     fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        self.shards.iter().find_map(|s| {
-            s.ctl
-                .queue()
-                .iter()
-                .find(|(t, _)| t.id == task)
-                .map(|(_, p)| p)
-        })
+        self.shards
+            .iter()
+            .find_map(|s| Admission::find_plan(&s.ctl, task))
     }
 
     fn on_event(&mut self, now: SimTime) {
@@ -932,7 +909,7 @@ mod tests {
 
     /// One task under the default envelope (anonymous tenant, no
     /// reservation tolerance).
-    fn submit<A: Admission>(g: &mut ShardedGateway<A>, task: Task, now: SimTime) -> Verdict {
+    fn submit(g: &mut ShardedGateway, task: Task, now: SimTime) -> Verdict {
         g.submit_request(&SubmitRequest::new(task), now)
     }
 
@@ -1427,56 +1404,6 @@ mod tests {
         // Books balance: accepted + rejected = submitted.
         let m = g.metrics();
         assert_eq!(m.accepted_total() + m.rejected_total(), m.submitted);
-    }
-
-    #[test]
-    fn incremental_engine_gateway_mirrors_full_engine_gateway() {
-        use rtdls_core::prelude::IncrementalController;
-        let p = ClusterParams::paper_baseline();
-        let e16 = homogeneous::exec_time(&p, 800.0, 16);
-        let mut full = single();
-        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
-            p,
-            1,
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-            Routing::LeastLoaded,
-            DeferPolicy::default(),
-        )
-        .unwrap();
-        // Accept, defer, reject — all three verdicts must coincide, and so
-        // must the controller books underneath.
-        let stream = [
-            Task::new(1, 0.0, 800.0, e16 * 1.05),
-            Task::new(2, 0.0, 800.0, e16 * 1.5), // deferred
-            Task::new(3, 0.0, 200.0, 100.0),     // hopeless
-            Task::new(4, 1.0, 100.0, e16 * 40.0),
-        ];
-        for t in &stream {
-            let a = submit(&mut full, *t, t.arrival);
-            let b = submit(&mut inc, *t, t.arrival);
-            assert_eq!(a, b, "{t:?}");
-        }
-        assert_eq!(full.shard_states(), inc.shard_states());
-        assert_eq!(full.metrics().deferred, inc.metrics().deferred);
-        // The defer re-test sweep rescues identically after early releases.
-        Frontend::take_due(&mut full, SimTime::new(1.0));
-        Frontend::take_due(&mut inc, SimTime::new(1.0));
-        let early = SimTime::new(e16 * 0.3);
-        for node in 0..16 {
-            Frontend::set_node_release(&mut full, node, early);
-            Frontend::set_node_release(&mut inc, node, early);
-        }
-        full.retest_deferred(early);
-        inc.retest_deferred(early);
-        assert_eq!(full.metrics().rescued, inc.metrics().rescued);
-        assert_eq!(full.shard_states(), inc.shard_states());
-        // And reservations book identically on both engines.
-        let probe =
-            SubmitRequest::new(Task::new(9, 1.0, 800.0, e16 * 3.0)).with_max_delay(Some(e16 * 4.0));
-        let va = full.submit_request(&probe, SimTime::new(1.0));
-        let vb = inc.submit_request(&probe, SimTime::new(1.0));
-        assert_eq!(va, vb);
     }
 
     #[test]

@@ -128,8 +128,8 @@ pub fn fold_slo(reg: &mut MetricsRegistry, slo: &SloTracker) {
     }
 }
 
-/// Folds one shard engine's planning-cost profile into `reg`, labeled
-/// with its shard index.
+/// Folds one shard engine's reuse counters into `reg`, labeled with its
+/// shard index.
 pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, shard: u32) {
     let shard_label = shard.to_string();
     let labels = [("shard", shard_label.as_str())];
@@ -139,16 +139,10 @@ pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, s
         &labels,
         profile.plans_computed,
     );
-    reg.counter("rtdls_engine_plan_nanos", &labels, profile.plan_nanos);
     reg.gauge(
         "rtdls_engine_plan_reuse_rate",
         &labels,
         profile.reuse_rate(),
-    );
-    reg.gauge(
-        "rtdls_engine_mean_plan_nanos",
-        &labels,
-        profile.mean_plan_nanos(),
     );
 }
 
@@ -182,7 +176,6 @@ mod tests {
         let profile = EngineProfile {
             plans_reused: 30,
             plans_computed: 10,
-            plan_nanos: 1000,
         };
         let mut reg = MetricsRegistry::new();
         fold_engine_profile(&mut reg, &profile, 2);

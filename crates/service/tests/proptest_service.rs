@@ -24,7 +24,7 @@ use rtdls_sim::frontend::Frontend;
 use rtdls_sim::prelude::*;
 use rtdls_workload::prelude::*;
 
-/// A single cluster: the one-shard gateway on the reference engine.
+/// A single cluster: the one-shard gateway.
 fn single(params: ClusterParams, algorithm: AlgorithmKind) -> ShardedGateway {
     ShardedGateway::new(
         params,
@@ -331,12 +331,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Reservation soundness over random streams, on both admission
-    /// engines: whenever the gateway answers `Reserved { start_at }`, the
-    /// promise is *minimal* (the task was not admissible at `now`, nor at
-    /// any earlier dispatch instant) and *honest* (dispatching the queue
-    /// through `start_at` and resubmitting there is accepted). Both
-    /// engines must also issue identical verdicts throughout.
+    /// Reservation soundness over random streams: whenever the gateway
+    /// answers `Reserved { start_at }`, the promise is *minimal* (the task
+    /// was not admissible at `now`, nor at any earlier dispatch instant)
+    /// and *honest* (dispatching the queue through `start_at` and
+    /// resubmitting there is accepted).
     #[test]
     fn reservations_are_minimal_and_honest(
         seed in 0u64..100_000,
@@ -353,26 +352,14 @@ proptest! {
         spec.horizon = 40.0 * spec.mean_interarrival();
         let tasks: Vec<Task> = WorkloadGenerator::new(spec, seed).collect();
         prop_assume!(!tasks.is_empty());
-        let mut full = single(params, algorithm);
-        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
-            params,
-            1,
-            algorithm,
-            PlanConfig::default(),
-            Routing::LeastLoaded,
-            DeferPolicy::default(),
-        )
-        .unwrap();
+        let mut gateway = single(params, algorithm);
         for t in &tasks {
             let now = t.arrival;
             // Advance the world: dispatch everything due by now.
-            Frontend::take_due(&mut full, now);
-            Frontend::take_due(&mut inc, now);
-            let before = one_shard_controller(&full);
+            Frontend::take_due(&mut gateway, now);
+            let before = one_shard_controller(&gateway);
             let req = SubmitRequest::new(*t).with_max_delay(Some(t.rel_deadline * 10.0));
-            let verdict = full.submit_request(&req, now);
-            let verdict_inc = inc.submit_request(&req, now);
-            prop_assert_eq!(verdict, verdict_inc, "engines issued different verdicts");
+            let verdict = gateway.submit_request(&req, now);
             if let Verdict::Reserved { start_at, .. } = verdict {
                 prop_assert!(
                     start_at.definitely_after(now),
@@ -392,7 +379,7 @@ proptest! {
                     .collect();
                 for s in earlier {
                     let mut world = before.clone();
-                    let _ = world.take_due(s);
+                    let _ = Admission::take_due(&mut world, s);
                     prop_assert!(
                         !world.submit(*t, s).is_accepted(),
                         "start_at is not minimal: {s:?} already admits"
@@ -400,7 +387,7 @@ proptest! {
                 }
                 // Honest: resubmitting at start_at is accepted.
                 let mut world = before.clone();
-                let _ = world.take_due(start_at);
+                let _ = Admission::take_due(&mut world, start_at);
                 prop_assert!(
                     world.submit(*t, start_at).is_accepted(),
                     "promise {start_at:?} dishonored"
@@ -413,7 +400,7 @@ proptest! {
     /// the EDF priority-inversion scenario (an earlier-deadline small task
     /// would starve a snug waiting all-node task — rejected now, feasible
     /// the instant that task dispatches). Every draw must produce a
-    /// `Reserved` verdict, on both engines, with the minimal honest start.
+    /// `Reserved` verdict with the minimal honest start.
     #[test]
     fn crafted_starvation_always_reserves(
         avail in 500.0f64..5_000.0,
@@ -432,29 +419,17 @@ proptest! {
         // (post-dispatch feasibility) but not fit around the waiting task.
         prop_assume!(homogeneous::exec_time(&params, sigma_c, 16) < slack_c * 0.8);
         let algorithm = AlgorithmKind::EDF_OPR_MN;
-        let mut full = single(params, algorithm);
-        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
-            params,
-            1,
-            algorithm,
-            PlanConfig::default(),
-            Routing::LeastLoaded,
-            DeferPolicy::default(),
-        )
-        .unwrap();
+        let mut gateway = single(params, algorithm);
         for node in 0..16 {
-            Frontend::set_node_release(&mut full, node, SimTime::new(avail));
-            Frontend::set_node_release(&mut inc, node, SimTime::new(avail));
+            Frontend::set_node_release(&mut gateway, node, SimTime::new(avail));
         }
         let w = Task::new(1, 0.0, sigma_w, avail + e16 + slack_w);
         let req_w = SubmitRequest::new(w);
-        prop_assert!(full.submit_request(&req_w, SimTime::ZERO).is_accepted());
-        prop_assert!(inc.submit_request(&req_w, SimTime::ZERO).is_accepted());
+        prop_assert!(gateway.submit_request(&req_w, SimTime::ZERO).is_accepted());
         let c = Task::new(2, 0.0, sigma_c, avail + e16 + slack_c);
         let req = SubmitRequest::new(c).with_max_delay(Some(avail * 2.0));
-        let before = one_shard_controller(&full);
-        let verdict = full.submit_request(&req, SimTime::ZERO);
-        prop_assert_eq!(verdict, inc.submit_request(&req, SimTime::ZERO));
+        let before = one_shard_controller(&gateway);
+        let verdict = gateway.submit_request(&req, SimTime::ZERO);
         let Verdict::Reserved { start_at, .. } = verdict else {
             prop_assert!(false, "expected Reserved, got {verdict:?}");
             unreachable!()
@@ -462,7 +437,7 @@ proptest! {
         prop_assert_eq!(start_at, SimTime::new(avail), "minimal start = the dispatch instant");
         prop_assert!(!before.probe(&c, SimTime::ZERO).is_accepted());
         let mut world = before;
-        let due = world.take_due(start_at);
+        let due = Admission::take_due(&mut world, start_at);
         prop_assert_eq!(due.len(), 1);
         prop_assert!(world.submit(c, start_at).is_accepted(), "promise dishonored");
     }

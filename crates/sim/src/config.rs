@@ -33,25 +33,6 @@ pub enum LinkModel {
     SharedGlobal,
 }
 
-/// Which admission engine the default-constructed simulation drives
-/// (see `rtdls_core::admission`): the reference full-replan controller or
-/// the diff-based incremental one. The two are decision- and plan-identical
-/// (enforced by the differential oracle suite), so this knob only trades
-/// admission CPU cost; `Incremental` is the production choice for deep
-/// queues.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum AdmissionEngine {
-    /// Whole-queue replan per event ([`AdmissionController`]).
-    ///
-    /// [`AdmissionController`]: rtdls_core::admission::AdmissionController
-    #[default]
-    Full,
-    /// Release-vector-diff maintenance ([`IncrementalController`]).
-    ///
-    /// [`IncrementalController`]: rtdls_core::admission::IncrementalController
-    Incremental,
-}
-
 /// Everything needed to run one simulation (workload arrives separately).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -65,10 +46,6 @@ pub struct SimConfig {
     pub replan: ReplanPolicy,
     /// Link contention model.
     pub link: LinkModel,
-    /// Which admission engine [`Simulation::new`] constructs.
-    ///
-    /// [`Simulation::new`]: crate::engine::Simulation::new
-    pub engine: AdmissionEngine,
     /// Tenant/QoS population model. When set, every arrival is wrapped in
     /// its deterministic [`SubmitRequest`] envelope (tenant id, QoS class,
     /// reservation tolerance) and submitted through
@@ -95,7 +72,6 @@ impl SimConfig {
             plan: PlanConfig::default(),
             replan: ReplanPolicy::default(),
             link: LinkModel::default(),
-            engine: AdmissionEngine::default(),
             tenant_mix: None,
             record_trace: false,
             strict_guarantees: false,
@@ -105,12 +81,6 @@ impl SimConfig {
     /// Enables the multi-tenant submission envelope.
     pub fn with_tenants(mut self, mix: TenantMix) -> Self {
         self.tenant_mix = Some(mix);
-        self
-    }
-
-    /// Overrides the admission engine.
-    pub fn with_engine(mut self, engine: AdmissionEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -167,15 +137,7 @@ mod tests {
         let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT);
         assert_eq!(cfg.replan, ReplanPolicy::OnRelease);
         assert_eq!(cfg.link, LinkModel::PerTask);
-        assert_eq!(cfg.engine, AdmissionEngine::Full);
         assert!(!cfg.record_trace);
         assert!(!cfg.strict_guarantees);
-    }
-
-    #[test]
-    fn engine_override_sticks() {
-        let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
-            .with_engine(AdmissionEngine::Incremental);
-        assert_eq!(cfg.engine, AdmissionEngine::Incremental);
     }
 }

@@ -25,7 +25,7 @@ use rtdls_core::prelude::*;
 
 use crate::config::{LinkModel, ReplanPolicy, SimConfig};
 use crate::event::{Event, EventQueue};
-use crate::frontend::{EngineFrontend, Frontend, SubmitOutcome};
+use crate::frontend::{Frontend, SubmitOutcome};
 use crate::metrics::{Metrics, MetricsCollector};
 use crate::trace::{ChunkRecord, TaskRecord, Trace};
 
@@ -51,7 +51,7 @@ struct RunningTask {
 /// admission control) or [`Simulation::with_frontend`] (any admission
 /// frontend, e.g. an `rtdls-service` gateway), feed arrivals with
 /// [`Simulation::run`].
-pub struct Simulation<F: Frontend = EngineFrontend> {
+pub struct Simulation<F: Frontend = AdmissionController> {
     cfg: SimConfig,
     ctl: F,
     events: EventQueue,
@@ -87,12 +87,12 @@ pub struct Simulation<F: Frontend = EngineFrontend> {
     trace_task_idx: HashMap<TaskId, usize>,
 }
 
-impl Simulation<EngineFrontend> {
-    /// Creates an idle simulation for `cfg`, driving the admission engine
-    /// [`SimConfig::engine`] selects (full replan by default, or the
-    /// incremental diff engine).
+impl Simulation {
+    /// Creates an idle simulation for `cfg`, driving a bare
+    /// [`AdmissionController`] — the paper's head node.
     pub fn new(cfg: SimConfig) -> Self {
-        Simulation::with_frontend(cfg, EngineFrontend::from_config(&cfg))
+        let ctl = AdmissionController::new(cfg.params, cfg.algorithm, cfg.plan);
+        Simulation::with_frontend(cfg, ctl)
     }
 }
 
@@ -821,33 +821,6 @@ mod tests {
             single.metrics.accepted
         );
         assert_eq!(multi.metrics.deadline_misses, 0);
-    }
-
-    #[test]
-    fn incremental_engine_reproduces_full_engine_reports() {
-        // The config-selected incremental engine must be observably
-        // identical to the full-replan engine across a whole simulation:
-        // same acceptances, same chunk-level trace, zero violations (strict
-        // mode is on, so any divergence in plans would surface as a
-        // different trace or a panic).
-        use crate::config::AdmissionEngine;
-        let tasks: Vec<Task> = (0..60)
-            .map(|i| {
-                Task::new(
-                    i,
-                    (i as f64) * 600.0,
-                    120.0 + (i % 9) as f64 * 40.0,
-                    30_000.0 + (i % 4) as f64 * 9_000.0,
-                )
-            })
-            .collect();
-        let base = baseline_cfg(AlgorithmKind::EDF_DLT);
-        let full = run_simulation(base, tasks.clone());
-        let incr = run_simulation(base.with_engine(AdmissionEngine::Incremental), tasks);
-        assert_eq!(full.metrics.accepted, incr.metrics.accepted);
-        assert_eq!(full.metrics.rejected, incr.metrics.rejected);
-        assert_eq!(incr.metrics.deadline_misses, 0);
-        assert_eq!(full.trace.unwrap().chunks, incr.trace.unwrap().chunks);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The admission frontend abstraction.
 //!
-//! The original engine was hard-wired to one [`AdmissionController`]: every
-//! arrival produced an immediate Accept/Reject. Online serving layers need a
+//! The paper's head node is one [`AdmissionController`]: every arrival
+//! produces an immediate Accept/Reject. Online serving layers need a
 //! richer protocol — a gateway may *defer* a near-miss task and admit it
 //! later when capacity frees up, or fan admission out across shards. This
 //! module decouples the engine from the decision-maker: the engine drives
@@ -21,11 +21,9 @@
 //!   rejected`).
 
 use rtdls_core::prelude::{
-    AdmissionController, AdmissionFailure, Decision, IncrementalController, Infeasible, SimTime,
-    SubmitRequest, Task, TaskId, TaskPlan,
+    Admission, AdmissionController, AdmissionFailure, Decision, Infeasible, SimTime, SubmitRequest,
+    Task, TaskId, TaskPlan,
 };
-
-use crate::config::{AdmissionEngine, SimConfig};
 
 /// The engine-visible outcome of submitting one task to a [`Frontend`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -122,21 +120,23 @@ pub trait Frontend {
     }
 }
 
+// `Frontend` and `Admission` share five method names; the path calls say
+// which one is meant.
 impl Frontend for AdmissionController {
     fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
         SubmitOutcome::from_decision(self.submit(request.task, now))
     }
 
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        AdmissionController::replan(self, now)
+        Admission::replan(self, now)
     }
 
     fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        AdmissionController::take_due(self, now)
+        Admission::take_due(self, now)
     }
 
     fn next_dispatch_due(&self) -> Option<SimTime> {
-        AdmissionController::next_dispatch_due(self)
+        Admission::next_dispatch_due(self)
     }
 
     fn committed_release(&self, node: usize) -> SimTime {
@@ -144,7 +144,7 @@ impl Frontend for AdmissionController {
     }
 
     fn set_node_release(&mut self, node: usize, time: SimTime) {
-        AdmissionController::set_node_release(self, node, time);
+        Admission::set_node_release(self, node, time);
     }
 
     fn waiting_len(&self) -> usize {
@@ -152,122 +152,7 @@ impl Frontend for AdmissionController {
     }
 
     fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        rtdls_core::admission::Admission::find_plan(self, task)
-    }
-}
-
-impl Frontend for IncrementalController {
-    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
-        SubmitOutcome::from_decision(self.submit(request.task, now))
-    }
-
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        IncrementalController::replan(self, now)
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        IncrementalController::take_due(self, now)
-    }
-
-    fn next_dispatch_due(&self) -> Option<SimTime> {
-        IncrementalController::next_dispatch_due(self)
-    }
-
-    fn committed_release(&self, node: usize) -> SimTime {
-        self.committed_releases()[node]
-    }
-
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
-        IncrementalController::set_node_release(self, node, time);
-    }
-
-    fn waiting_len(&self) -> usize {
-        self.queue_len()
-    }
-
-    fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        rtdls_core::admission::Admission::find_plan(self, task)
-    }
-}
-
-/// A [`Frontend`] whose engine is chosen at run time from
-/// [`SimConfig::engine`] — what [`Simulation::new`] drives. Both variants
-/// are observably identical deciders (see `rtdls_core::admission`), so the
-/// choice only affects admission CPU cost.
-///
-/// [`Simulation::new`]: crate::engine::Simulation::new
-#[derive(Clone, Debug)]
-pub enum EngineFrontend {
-    /// The reference full-replan controller.
-    Full(AdmissionController),
-    /// The diff-based incremental controller.
-    Incremental(IncrementalController),
-}
-
-impl EngineFrontend {
-    /// Builds the engine `cfg` selects, over an idle cluster.
-    pub fn from_config(cfg: &SimConfig) -> Self {
-        match cfg.engine {
-            AdmissionEngine::Full => EngineFrontend::Full(AdmissionController::new(
-                cfg.params,
-                cfg.algorithm,
-                cfg.plan,
-            )),
-            AdmissionEngine::Incremental => EngineFrontend::Incremental(
-                IncrementalController::new(cfg.params, cfg.algorithm, cfg.plan),
-            ),
-        }
-    }
-
-    /// Which engine this frontend runs.
-    pub fn kind(&self) -> AdmissionEngine {
-        match self {
-            EngineFrontend::Full(_) => AdmissionEngine::Full,
-            EngineFrontend::Incremental(_) => AdmissionEngine::Incremental,
-        }
-    }
-}
-
-macro_rules! delegate_engine {
-    ($self:ident, $ctl:ident => $body:expr) => {
-        match $self {
-            EngineFrontend::Full($ctl) => $body,
-            EngineFrontend::Incremental($ctl) => $body,
-        }
-    };
-}
-
-impl Frontend for EngineFrontend {
-    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
-        delegate_engine!(self, c => Frontend::submit_request(c, request, now))
-    }
-
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        delegate_engine!(self, c => Frontend::replan(c, now))
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        delegate_engine!(self, c => Frontend::take_due(c, now))
-    }
-
-    fn next_dispatch_due(&self) -> Option<SimTime> {
-        delegate_engine!(self, c => Frontend::next_dispatch_due(c))
-    }
-
-    fn committed_release(&self, node: usize) -> SimTime {
-        delegate_engine!(self, c => Frontend::committed_release(c, node))
-    }
-
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
-        delegate_engine!(self, c => Frontend::set_node_release(c, node, time))
-    }
-
-    fn waiting_len(&self) -> usize {
-        delegate_engine!(self, c => Frontend::waiting_len(c))
-    }
-
-    fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        delegate_engine!(self, c => Frontend::find_plan(c, task))
+        Admission::find_plan(self, task)
     }
 }
 

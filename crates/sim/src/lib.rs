@@ -42,10 +42,10 @@ pub mod trace;
 
 /// One-stop imports for running simulations.
 pub mod prelude {
-    pub use crate::config::{AdmissionEngine, LinkModel, ReplanPolicy, SimConfig};
+    pub use crate::config::{LinkModel, ReplanPolicy, SimConfig};
     pub use crate::engine::{run_simulation, SimReport, Simulation};
     pub use crate::fault::{run_with_crash, run_with_crash_schedule, CrashPlan, CrashSchedule};
-    pub use crate::frontend::{EngineFrontend, Frontend, SubmitOutcome};
+    pub use crate::frontend::{Frontend, SubmitOutcome};
     pub use crate::metrics::Metrics;
     pub use crate::net::{FaultPlan, FaultyLink, LinkStats};
     pub use crate::trace::{ChunkRecord, TaskRecord, Trace};
