@@ -279,6 +279,26 @@ fn bench_explain_slo(c: &mut Criterion) {
         b.iter(|| black_box(ctl.explain(black_box(&hopeless), SimTime::ZERO)))
     });
 
+    // The same search where it has a queue to walk (the case above has no
+    // waiting work, so no prefix to share between probes): one 8-node shard
+    // of the serving gateway, six tasks waiting, and a refused candidate
+    // that sorts behind five of them. Printed, not gated.
+    let shard = ClusterParams::new(8, 1.0, 100.0).unwrap();
+    let e8 = |sigma: f64| homogeneous::exec_time(&shard, sigma, 8);
+    let mut queued = AdmissionController::new(shard, AlgorithmKind::EDF_DLT, PlanConfig::default());
+    for i in 0..6u64 {
+        let task = Task::new(i, 0.0, 200.0, e8(200.0) * (2.0 + 1.5 * i as f64));
+        assert!(queued.submit(task, SimTime::ZERO).is_accepted());
+    }
+    let behind_five = SubmitRequest::new(Task::new(9, 0.0, 600.0, e8(200.0) * 8.5));
+    let explained = queued
+        .explain(&behind_five, SimTime::ZERO)
+        .expect("the candidate is refused");
+    assert!(explained.has_feasible_deadline() && queued.queue_len() == 6);
+    group.bench_function("explain_probe_queued", |b| {
+        b.iter(|| black_box(queued.explain(black_box(&behind_five), SimTime::ZERO)))
+    });
+
     // What SLO burn-rate tracking costs at the wire: the same loopback
     // serve with a per-tenant/per-QoS tracker folding every decision vs.
     // the bare path. check_edge_baseline gates the ratio at 5%.

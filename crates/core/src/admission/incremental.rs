@@ -471,7 +471,7 @@ impl Admission for AdmissionController {
         if self.pass(now, Some(task), &mut scratch).is_ok() {
             return Some(now);
         }
-        super::earliest_feasible_start_search(
+        super::probe::earliest_future_start(
             &self.params,
             self.algorithm,
             &self.cfg,

@@ -29,6 +29,11 @@
 //! Rejection here corresponds to the paper's deadline renegotiation footnote:
 //! the cluster proxy would bounce the job back to the client with modified
 //! parameters; from the scheduler's perspective the task simply leaves.
+//! *Which* modified parameters would have passed is what a refusal
+//! explanation searches for ([`ExplainSearch`], [`AdmissionExplanation`]):
+//! dozens of what-if tests against one book, run on a probe walk that
+//! plans the shared queue prefix once (`probe.rs`) — with the literal
+//! one-test-per-probe search kept as the oracle's, like the engine itself.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +44,12 @@ use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
+mod explain;
 pub mod incremental;
+mod probe;
 pub mod reference;
 
+pub use explain::{explain_infeasibility, AdmissionExplanation, ExplainSearch};
 pub use incremental::AdmissionController;
 
 /// Why (and for which task) a schedulability test failed.
@@ -159,276 +167,6 @@ pub fn schedulability_test(
         plans.push(plan);
     }
     Ok(plans)
-}
-
-/// Release-vector-driven search for the earliest instant `t ≥ now` at
-/// which `task` would pass the schedulability test, given the engine's
-/// current book (committed releases + waiting queue) and assuming no
-/// further arrivals.
-///
-/// The engine's deterministic future has one kind of state change left:
-/// *dispatches*. When the clock reaches a waiting plan's first transmission
-/// start, the task leaves the queue and its release estimates become
-/// committed — after which a candidate is planned *behind* it instead of
-/// competing with it in policy order (the mechanism that lets an
-/// EDF-early candidate stop starving a later-deadline waiting task it
-/// would otherwise push past its deadline). Between dispatch instants the
-/// test's inputs only get worse with time (availability is `max(r, t)`,
-/// non-decreasing in `t`), so feasibility within an interval is decided at
-/// its left endpoint: the candidate instants are exactly
-/// `{now} ∪ {first_start(p) > now}` and the first feasible one is the
-/// earliest feasible start overall.
-///
-/// Returns `None` when no candidate instant passes — the task can never be
-/// admitted against this book without some *external* change (an early
-/// release, a removal, a competing arrival being rejected).
-pub fn earliest_feasible_start_search(
-    params: &ClusterParams,
-    algorithm: AlgorithmKind,
-    cfg: &PlanConfig,
-    now: SimTime,
-    committed_releases: &[SimTime],
-    queue: &[(Task, TaskPlan)],
-    task: &Task,
-) -> Option<SimTime> {
-    // t = now: the engine's plain admission test (probe semantics — due
-    // but undispatched plans still count as waiting, exactly as a `submit`
-    // at this instant would see them). Some(now) iff a probe accepts.
-    let waiting_now: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
-    if schedulability_test(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        &waiting_now,
-        Some(task),
-    )
-    .is_ok()
-    {
-        return Some(now);
-    }
-    // Future instants: the activation protocol is "dispatches at `t`
-    // commit first, then the task is submitted", so each candidate instant
-    // is tested against the post-dispatch book.
-    let mut instants: Vec<SimTime> = queue
-        .iter()
-        .map(|(_, plan)| plan.first_start())
-        .filter(|start| start.definitely_after(now))
-        .collect();
-    instants.sort_unstable();
-    instants.dedup();
-    for t in instants {
-        // Simulate the dispatches due by `t`, exactly as `take_due` would:
-        // scan in execution order, commit each due plan's release
-        // estimates, keep the rest waiting.
-        let mut releases = committed_releases.to_vec();
-        let mut waiting: Vec<Task> = Vec::with_capacity(queue.len());
-        for (w, plan) in queue {
-            if plan.first_start().at_or_before_eps(t) {
-                for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                    releases[node.index()] = rel;
-                }
-            } else {
-                waiting.push(*w);
-            }
-        }
-        if schedulability_test(params, algorithm, cfg, t, &releases, &waiting, Some(task)).is_ok() {
-            return Some(t);
-        }
-    }
-    None
-}
-
-/// A structured account of why a submission failed the schedulability test
-/// at a given instant, with honest counterfactuals: every suggested value
-/// was verified by actually running the test against the engine's observed
-/// book (committed releases + waiting queue), so resubmitting at the
-/// suggestion — against an unchanged book — passes by construction.
-///
-/// Attached to `Rejected`/`Deferred` verdicts as an additive wire field and
-/// served on demand by the ops channel's `Explain` query. All-scalar and
-/// `Copy`; "no suggestion" travels as documented sentinel values so the
-/// struct stays trivially serializable.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
-pub struct AdmissionExplanation {
-    /// The binding rejection cause at the probe instant.
-    pub cause: Infeasible,
-    /// The probe instant the explanation is relative to. Feasibility
-    /// between dispatch instants is decided at the interval's left endpoint
-    /// (availability is `max(r, t)`, non-decreasing in `t`), so this is the
-    /// binding dispatch instant for the verdict it explains.
-    pub at: SimTime,
-    /// How much more relative deadline the request needed:
-    /// `min_feasible_deadline − rel_deadline`. 0 when no feasible deadline
-    /// was found within the search horizon.
-    pub slack_deficit: f64,
-    /// The smallest relative deadline (bisection-tight) that passes the
-    /// test with the request otherwise unchanged; 0 when none was found.
-    pub min_feasible_deadline: f64,
-    /// The largest data size σ (bisection-tight) that passes the test with
-    /// the request otherwise unchanged; 0 when even a near-zero σ fails.
-    pub max_feasible_sigma: f64,
-    /// The earliest instant `t ≥ at` at which the unchanged request would
-    /// pass (the reservation search); negative when no dispatch of the
-    /// current queue ever makes room.
-    pub earliest_feasible_start: f64,
-}
-
-impl AdmissionExplanation {
-    /// `true` when a feasible counterfactual deadline was found.
-    pub fn has_feasible_deadline(&self) -> bool {
-        self.min_feasible_deadline > 0.0
-    }
-
-    /// `true` when a feasible counterfactual data size was found.
-    pub fn has_feasible_sigma(&self) -> bool {
-        self.max_feasible_sigma > 0.0
-    }
-
-    /// `true` when waiting (without renegotiating) eventually admits.
-    pub fn has_feasible_start(&self) -> bool {
-        self.earliest_feasible_start >= 0.0
-    }
-}
-
-/// Relative convergence tolerance for the counterfactual bisections: the
-/// reported suggestion is the *feasible* end of a bracket this tight, so a
-/// renegotiated request even marginally looser is also feasible.
-const EXPLAIN_TOL: f64 = 1e-9;
-
-/// Explains why `task` fails the Fig. 2 test at `now` against the given
-/// book; `None` when it is in fact feasible as-is.
-///
-/// The counterfactual deadline search seeds its upper probe at the
-/// analytic full-cluster slack floor ([`crate::nmin::min_feasible_slack`])
-/// measured from the latest committed release, doubles until feasible, and
-/// bisects down keeping the infeasible/feasible bracket; the reported value
-/// is the bracket's feasible end. The σ search bisects between a near-zero
-/// size and the rejected size the same way. Every probe is the real
-/// [`schedulability_test`], so suggestions hold against the exact waiting
-/// queue and release vector the rejection saw.
-pub fn explain_infeasibility(
-    params: &ClusterParams,
-    algorithm: AlgorithmKind,
-    cfg: &PlanConfig,
-    now: SimTime,
-    committed_releases: &[SimTime],
-    queue: &[(Task, TaskPlan)],
-    task: &Task,
-) -> Option<AdmissionExplanation> {
-    let waiting: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
-    let feasible = |t: &Task| {
-        schedulability_test(
-            params,
-            algorithm,
-            cfg,
-            now,
-            committed_releases,
-            &waiting,
-            Some(t),
-        )
-        .is_ok()
-    };
-    let cause = match schedulability_test(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        &waiting,
-        Some(task),
-    ) {
-        Ok(_) => return None,
-        Err(f) => f.reason,
-    };
-
-    // Counterfactual deadline. The original deadline is known-infeasible
-    // (that is the rejection being explained), so it anchors the bracket's
-    // low end once a feasible high end is found.
-    let with_deadline = |d: f64| Task {
-        rel_deadline: d,
-        ..*task
-    };
-    let horizon = {
-        let last_release = committed_releases.iter().copied().fold(now, SimTime::max);
-        let floor = crate::nmin::min_feasible_slack(params, task.data_size);
-        (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
-    };
-    let mut hi = task.rel_deadline.max(horizon);
-    let mut found = feasible(&with_deadline(hi));
-    for _ in 0..64 {
-        if found || !hi.is_finite() {
-            break;
-        }
-        hi *= 2.0;
-        found = hi.is_finite() && feasible(&with_deadline(hi));
-    }
-    let min_feasible_deadline = if found {
-        let mut lo = task.rel_deadline;
-        for _ in 0..64 {
-            if hi - lo <= EXPLAIN_TOL * hi.max(1.0) {
-                break;
-            }
-            let mid = 0.5 * (lo + hi);
-            if feasible(&with_deadline(mid)) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    } else {
-        0.0
-    };
-
-    // Counterfactual σ: near-zero is the best case; if even that fails the
-    // deadline is hopeless at any size and no suggestion is made.
-    let with_sigma = |s: f64| Task {
-        data_size: s,
-        ..*task
-    };
-    let tiny = task.data_size * 1e-9;
-    let max_feasible_sigma = if tiny > 0.0 && feasible(&with_sigma(tiny)) {
-        let mut lo = tiny;
-        let mut hi_s = task.data_size;
-        for _ in 0..64 {
-            if hi_s - lo <= EXPLAIN_TOL * hi_s.max(1.0) {
-                break;
-            }
-            let mid = 0.5 * (lo + hi_s);
-            if feasible(&with_sigma(mid)) {
-                lo = mid;
-            } else {
-                hi_s = mid;
-            }
-        }
-        lo
-    } else {
-        0.0
-    };
-
-    let earliest = earliest_feasible_start_search(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        queue,
-        task,
-    );
-    Some(AdmissionExplanation {
-        cause,
-        at: now,
-        slack_deficit: if min_feasible_deadline > 0.0 {
-            min_feasible_deadline - task.rel_deadline
-        } else {
-            0.0
-        },
-        min_feasible_deadline,
-        max_feasible_sigma,
-        earliest_feasible_start: earliest.map(|t| t.as_f64()).unwrap_or(-1.0),
-    })
 }
 
 /// The outcome of submitting a task to an admission engine.
@@ -609,19 +347,37 @@ pub trait Admission: Clone + core::fmt::Debug {
     fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision>;
 
     /// The earliest instant `t ≥ now` at which `task` would pass the
-    /// schedulability test against this engine's current book, assuming no
-    /// further arrivals (see [`earliest_feasible_start_search`]). Some(now)
+    /// schedulability test against this engine's current book (committed
+    /// releases + waiting queue), assuming no further arrivals. Some(now)
     /// iff the task is admissible right now; `None` when no dispatch of the
-    /// current queue ever makes room. Non-mutating. The service layer's
-    /// reservation verdict (`Reserved { start_at, .. }`) is built on this.
+    /// current queue ever makes room — the task can never be admitted
+    /// against this book without some *external* change (an early release,
+    /// a removal, a competing arrival being rejected). Non-mutating. The
+    /// service layer's reservation verdict (`Reserved { start_at, .. }`) is
+    /// built on this.
+    ///
+    /// The engine's deterministic future has one kind of state change left:
+    /// *dispatches*. When the clock reaches a waiting plan's first
+    /// transmission start, the task leaves the queue and its release
+    /// estimates become committed — after which a candidate is planned
+    /// *behind* it instead of competing with it in policy order (the
+    /// mechanism that lets an EDF-early candidate stop starving a
+    /// later-deadline waiting task it would otherwise push past its
+    /// deadline). Between dispatch instants the test's inputs only get
+    /// worse with time (availability is `max(r, t)`, non-decreasing in
+    /// `t`), so feasibility within an interval is decided at its left
+    /// endpoint: the candidate instants are exactly
+    /// `{now} ∪ {first_start(p) > now}` and the first feasible one is the
+    /// earliest feasible start overall.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
 
     /// Explains why `request` would fail admission at `now` — the binding
     /// rejection cause plus honest counterfactuals computed against this
     /// engine's observed book (see [`explain_infeasibility`]); `None` when
     /// the request is admissible as-is. Non-mutating, and a *provided*
-    /// method driven entirely through the trait's accessors, so every
-    /// engine explains identically by construction.
+    /// method driven entirely through the trait's accessors: the one
+    /// production definition. (The oracle overrides it with the literal
+    /// search it is checked against.)
     fn explain(
         &self,
         request: &crate::request::SubmitRequest,
@@ -728,77 +484,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn explain_is_none_for_feasible_and_honest_for_infeasible() {
-        use crate::request::SubmitRequest;
-        let p = ClusterParams::paper_baseline();
-        let mut c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
-        // Busy cluster: every node committed until t = 5000.
-        for node in 0..p.num_nodes {
-            c.set_node_release(node, SimTime::new(5000.0));
-        }
-        let roomy = SubmitRequest::new(Task::new(1, 0.0, 200.0, 50_000.0));
-        assert!(c.explain(&roomy, SimTime::ZERO).is_none());
-        // A deadline entirely inside the busy window can never be met.
-        let tight = Task::new(2, 0.0, 200.0, 300.0);
-        let ex = c
-            .explain(&SubmitRequest::new(tight), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(ex.at, SimTime::ZERO);
-        assert_eq!(ex.cause, Infeasible::DeadlineBeforeStart);
-        assert!(ex.has_feasible_deadline());
-        assert!((ex.slack_deficit - (ex.min_feasible_deadline - 300.0)).abs() < 1e-9);
-        // Honesty: the suggestion passes, marginally tighter does not.
-        let ok = Task {
-            rel_deadline: ex.min_feasible_deadline,
-            ..tight
-        };
-        assert!(c.probe(&ok, SimTime::ZERO).is_accepted());
-        let tighter = Task {
-            rel_deadline: ex.min_feasible_deadline * 0.999,
-            ..tight
-        };
-        assert!(!c.probe(&tighter, SimTime::ZERO).is_accepted());
-        // No size fits a deadline that expires before any node frees, and
-        // with an empty waiting queue no dispatch ever makes room.
-        assert!(!ex.has_feasible_sigma());
-        assert!(!ex.has_feasible_start());
-    }
-
-    #[test]
-    fn explain_sigma_counterfactual_is_honest() {
-        use crate::dlt::homogeneous;
-        use crate::request::SubmitRequest;
-        let p = ClusterParams::paper_baseline();
-        let c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
-        // Idle cluster, but σ is twice what the deadline can absorb.
-        let sigma = 800.0;
-        let e16 = homogeneous::exec_time(&p, sigma, p.num_nodes);
-        let heavy = Task::new(3, 0.0, sigma, e16 * 0.5);
-        let ex = c
-            .explain(&SubmitRequest::new(heavy), SimTime::ZERO)
-            .unwrap();
-        assert!(ex.has_feasible_sigma());
-        assert!(ex.max_feasible_sigma < sigma);
-        let ok = Task {
-            data_size: ex.max_feasible_sigma,
-            ..heavy
-        };
-        assert!(c.probe(&ok, SimTime::ZERO).is_accepted());
-        let heavier = Task {
-            data_size: ex.max_feasible_sigma * 1.001,
-            ..heavy
-        };
-        assert!(!c.probe(&heavier, SimTime::ZERO).is_accepted());
-        // The oracle explains identically (provided method, same inputs).
-        let oracle =
-            reference::ReferenceController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
-        assert_eq!(
-            oracle.explain(&SubmitRequest::new(heavy), SimTime::ZERO),
-            Some(ex)
-        );
     }
 
     #[test]

@@ -1,0 +1,327 @@
+//! Many what-if admission tests against one book: the probe walk.
+//!
+//! The counterfactual searches behind a refusal explanation
+//! ([`ExplainSearch`](super::ExplainSearch)) and the reservation search
+//! ([`earliest_future_start`]) ask the Fig. 2 question dozens of times
+//! about *one* book and *one* task whose deadline or size is being varied.
+//! The literal test ([`schedulability_test`](super::schedulability_test))
+//! re-sorts and re-plans the whole waiting queue and materialises every
+//! plan for each of them. A [`ProbeWalk`] does the shared part once — the
+//! waiting tasks in policy order, and the positions ahead of the task's own
+//! insertion point planned into a release vector — and each probe plans
+//! only from there on, keeping nothing but the verdict.
+//!
+//! `plan_task` is a pure function of the release vector the walk has built,
+//! so a probe answers exactly what the literal test answers: the same
+//! `Ok`/`Err` and the same first failure (the unit tests here check that
+//! against the literal test over random books).
+
+use crate::algorithm::AlgorithmKind;
+use crate::params::ClusterParams;
+use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
+use crate::task::Task;
+use crate::time::SimTime;
+
+use super::{schedulability_test, AdmissionFailure};
+
+/// Plans one task against a walk's release vector and applies its release
+/// updates — one step of the Fig. 2 temp schedule, the plan itself dropped.
+fn place(
+    params: &ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &PlanConfig,
+    now: SimTime,
+    releases: &mut [SimTime],
+    task: &Task,
+) -> Result<(), AdmissionFailure> {
+    let avail = NodeAvailability::new(releases, now);
+    let plan = plan_task(algorithm.strategy, task, &avail, params, cfg).map_err(|reason| {
+        AdmissionFailure {
+            task: task.id,
+            reason,
+        }
+    })?;
+    debug_assert!(
+        !plan
+            .est_completion
+            .definitely_after(task.absolute_deadline()),
+        "strategy returned a plan missing its deadline"
+    );
+    for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
+        releases[node.index()] = rel;
+    }
+    Ok(())
+}
+
+/// One book (committed releases + waiting tasks) at one instant, prepared
+/// for repeated feasibility probes of variations of one task.
+pub(super) struct ProbeWalk<'a> {
+    pub(super) params: &'a ClusterParams,
+    pub(super) algorithm: AlgorithmKind,
+    pub(super) cfg: &'a PlanConfig,
+    pub(super) now: SimTime,
+    pub(super) committed: &'a [SimTime],
+    /// The waiting tasks in policy order (stable, so equal keys keep their
+    /// queue order — what the literal test's sort produces).
+    ordered: Vec<Task>,
+    /// How many leading `ordered` tasks sort at or before the walk's own
+    /// task: the shared prefix every probe at or after that key walks
+    /// through unchanged.
+    prefix_len: usize,
+    /// The release vector after the prefix, or the prefix's first failure
+    /// (which is then every sharing probe's first failure).
+    prefix: Result<Vec<SimTime>, AdmissionFailure>,
+    /// The per-probe release vector, reused across probes.
+    scratch: Vec<SimTime>,
+}
+
+impl<'a> ProbeWalk<'a> {
+    /// Prepares the walk for probes of `task` and of variations of it that
+    /// sort no earlier (a longer deadline, a different size).
+    pub(super) fn new(
+        params: &'a ClusterParams,
+        algorithm: AlgorithmKind,
+        cfg: &'a PlanConfig,
+        now: SimTime,
+        committed: &'a [SimTime],
+        waiting: impl Iterator<Item = Task>,
+        task: &Task,
+    ) -> Self {
+        debug_assert_eq!(committed.len(), params.num_nodes);
+        let policy = algorithm.policy;
+        let mut ordered: Vec<Task> = waiting.collect();
+        policy.sort(&mut ordered);
+        // The literal test appends the candidate and stable-sorts, so the
+        // candidate lands *after* any waiting task with an equal key.
+        let own = policy.key(task);
+        let prefix_len = ordered.partition_point(|w| policy.key(w) <= own);
+        let mut releases = committed.to_vec();
+        let prefix = ordered[..prefix_len]
+            .iter()
+            .try_for_each(|w| place(params, algorithm, cfg, now, &mut releases, w))
+            .map(|()| releases);
+        ProbeWalk {
+            params,
+            algorithm,
+            cfg,
+            now,
+            committed,
+            ordered,
+            prefix_len,
+            prefix,
+            scratch: Vec::with_capacity(committed.len()),
+        }
+    }
+
+    /// The Fig. 2 test for `candidate` against the walk's book: `Ok` iff
+    /// `schedulability_test(.., waiting, Some(candidate))` passes, and the
+    /// same first failure when it does not.
+    pub(super) fn probe(&mut self, candidate: &Task) -> Result<(), AdmissionFailure> {
+        let policy = self.algorithm.policy;
+        let key = policy.key(candidate);
+        // A probe sorting strictly ahead of the last prefix task would land
+        // inside the prefix: the literal test answers that one.
+        let prefix_last = self.prefix_len.checked_sub(1).map(|i| &self.ordered[i]);
+        if prefix_last.is_some_and(|last| key < policy.key(last)) {
+            return schedulability_test(
+                self.params,
+                self.algorithm,
+                self.cfg,
+                self.now,
+                self.committed,
+                &self.ordered,
+                Some(candidate),
+            )
+            .map(drop);
+        }
+        let after_prefix = self.prefix.as_ref().map_err(|f| *f)?;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(after_prefix);
+        let (params, algorithm, cfg, now) = (self.params, self.algorithm, self.cfg, self.now);
+        let mut pending = true;
+        for w in &self.ordered[self.prefix_len..] {
+            if pending && key < policy.key(w) {
+                place(params, algorithm, cfg, now, &mut self.scratch, candidate)?;
+                pending = false;
+            }
+            place(params, algorithm, cfg, now, &mut self.scratch, w)?;
+        }
+        if pending {
+            place(params, algorithm, cfg, now, &mut self.scratch, candidate)?;
+        }
+        Ok(())
+    }
+}
+
+/// The instants after `now` of [`Admission::earliest_feasible_start`]
+/// (which documents why dispatch instants are the only candidates): the
+/// first `first_start(p) > now` in `queue` at which `task` passes the test
+/// against the post-dispatch book, or `None`. The caller has already failed
+/// the test at `now` itself.
+///
+/// [`Admission::earliest_feasible_start`]: super::Admission::earliest_feasible_start
+pub(super) fn earliest_future_start(
+    params: &ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &PlanConfig,
+    now: SimTime,
+    committed_releases: &[SimTime],
+    queue: &[(Task, TaskPlan)],
+    task: &Task,
+) -> Option<SimTime> {
+    // The activation protocol is "dispatches at `t` commit first, then the
+    // task is submitted", so each candidate instant is tested against the
+    // post-dispatch book.
+    let mut instants: Vec<SimTime> = queue
+        .iter()
+        .map(|(_, plan)| plan.first_start())
+        .filter(|start| start.definitely_after(now))
+        .collect();
+    instants.sort_unstable();
+    instants.dedup();
+    let mut releases = Vec::with_capacity(committed_releases.len());
+    instants.into_iter().find(|&t| {
+        // Simulate the dispatches due by `t`, exactly as `take_due` would:
+        // scan in execution order, commit each due plan's release
+        // estimates, keep the rest waiting.
+        let due = |plan: &TaskPlan| plan.first_start().at_or_before_eps(t);
+        releases.clear();
+        releases.extend_from_slice(committed_releases);
+        for (_, plan) in queue.iter().filter(|(_, plan)| due(plan)) {
+            for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
+                releases[node.index()] = rel;
+            }
+        }
+        let waiting = queue.iter().filter(|(_, plan)| !due(plan)).map(|(w, _)| *w);
+        ProbeWalk::new(params, algorithm, cfg, t, &releases, waiting, task)
+            .probe(task)
+            .is_ok()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dlt::homogeneous;
+    use proptest::prelude::*;
+
+    const NODES: usize = 8;
+
+    /// A random book and walk task, decoded from unit-interval draws so
+    /// deadlines sit around what the cluster can serve (a mix of passing
+    /// and failing walks) and land on a coarse grid (so keys tie).
+    fn book(
+        releases: &[f64],
+        waiting: &[(f64, f64)],
+        own: (f64, f64),
+    ) -> (ClusterParams, Vec<SimTime>, Vec<Task>, Task) {
+        let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
+        let e = |sigma: f64| homogeneous::exec_time(&params, sigma, NODES);
+        let grid = e(100.0);
+        let mk = |id: u64, (s, d): (f64, f64)| {
+            let sigma = 20.0 + s * 180.0;
+            // Deadlines on a grid of a few steps: ties are common.
+            let steps = 2.0 + (d * 10.0).floor();
+            Task::new(id, 0.0, sigma, steps * grid)
+        };
+        let committed = releases
+            .iter()
+            .map(|r| SimTime::new(r * grid))
+            .collect::<Vec<_>>();
+        let queue = waiting
+            .iter()
+            .enumerate()
+            .map(|(i, w)| mk(i as u64 + 1, *w))
+            .collect();
+        (params, committed, queue, mk(100, own))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The probe walk answers exactly what the literal test answers —
+        /// verdict and first failure — for the walk's own task, for
+        /// variations sorting behind it, for variations sorting *ahead* of
+        /// the shared prefix (the literal fallback), and for keys that tie
+        /// a waiting task's.
+        #[test]
+        fn probe_walk_matches_the_literal_test(
+            algorithm in prop::sample::select(vec![
+                AlgorithmKind::EDF_DLT,
+                AlgorithmKind::FIFO_DLT,
+                AlgorithmKind::EDF_OPR_MN,
+            ]),
+            releases in proptest::collection::vec(0.0f64..1.5, NODES),
+            waiting in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..7),
+            own in (0.0f64..1.0, 0.0f64..1.0),
+            variations in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u64..3), 1..8),
+            now in 0.0f64..0.5,
+        ) {
+            let (params, committed, queue, task) = book(&releases, &waiting, own);
+            let cfg = PlanConfig::default();
+            let now = SimTime::new(now * 1_000.0);
+            let mut walk = ProbeWalk::new(
+                &params, algorithm, &cfg, now, &committed, queue.iter().copied(), &task,
+            );
+            let literal = |t: &Task| {
+                schedulability_test(&params, algorithm, &cfg, now, &committed, &queue, Some(t))
+                    .map(drop)
+            };
+            prop_assert_eq!(walk.probe(&task), literal(&task));
+            let grid = homogeneous::exec_time(&params, 100.0, NODES);
+            for (s, d, id_kind) in variations {
+                let varied = Task {
+                    // Shorter *and* longer deadlines than the walk's own,
+                    // on the waiting tasks' grid.
+                    rel_deadline: (1.0 + (d * 12.0).floor()) * grid,
+                    data_size: 20.0 + s * 380.0,
+                    // An id below, among and above the waiting ids: the
+                    // key's final tie-break goes both ways.
+                    id: crate::task::TaskId([0, 3, 100][id_kind as usize]),
+                    ..task
+                };
+                prop_assert_eq!(walk.probe(&varied), literal(&varied), "{:?}", varied);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_prefix_fails_every_probe_behind_it_with_its_failure() {
+        // Waiting task 1 can no longer be planned at `now` (its deadline
+        // has passed), and sorts ahead of the candidate: the literal test
+        // blames task 1 whatever the candidate looks like, and so must the
+        // walk — from the recorded prefix failure, without planning.
+        let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
+        let cfg = PlanConfig::default();
+        let committed = vec![SimTime::ZERO; NODES];
+        let stale = Task::new(1, 0.0, 100.0, 50.0);
+        let task = Task::new(2, 1_000.0, 100.0, 1e6);
+        let now = SimTime::new(1_000.0);
+        let mut walk = ProbeWalk::new(
+            &params,
+            AlgorithmKind::EDF_DLT,
+            &cfg,
+            now,
+            &committed,
+            [stale].into_iter(),
+            &task,
+        );
+        let literal = schedulability_test(
+            &params,
+            AlgorithmKind::EDF_DLT,
+            &cfg,
+            now,
+            &committed,
+            &[stale],
+            Some(&task),
+        )
+        .map(drop);
+        assert_eq!(literal.unwrap_err().task, stale.id);
+        assert_eq!(walk.probe(&task), literal);
+        let roomier = Task {
+            rel_deadline: 1e9,
+            ..task
+        };
+        assert_eq!(walk.probe(&roomier), literal);
+    }
+}

@@ -9,6 +9,13 @@
 //! (`tests/differential_admission.rs` asserts exact state equality after
 //! every operation), and so the criterion guard can show what the reuse
 //! cache saves.
+//!
+//! The same goes for the searches built on the test. The production
+//! refusal explanation ([`super::ExplainSearch`]) and reservation search
+//! probe one prepared book many times; here both are kept as first written
+//! — a closure over [`schedulability_test`], the whole queue re-sorted and
+//! re-planned per probe — and the differential suite asserts the two give
+//! the same `AdmissionExplanation`, field for field.
 
 use std::collections::HashSet;
 
@@ -19,7 +26,11 @@ use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
-use super::{schedulability_test, Admission, AdmissionFailure, ControllerState, Decision};
+use super::explain::EXPLAIN_TOL;
+use super::{
+    schedulability_test, Admission, AdmissionExplanation, AdmissionFailure, ControllerState,
+    Decision,
+};
 
 /// The literal Fig. 2 engine: a whole-queue replan on every event. See the
 /// module docs for why it is kept and who may use it.
@@ -53,6 +64,194 @@ impl ReferenceController {
         }
         debug_assert!(by_id.is_empty(), "every waiting task must be planned");
     }
+}
+
+/// The literal reservation search: the plain test at `now`, then at every
+/// later dispatch instant of `queue` against the post-dispatch book (see
+/// [`Admission::earliest_feasible_start`] for why those are the only
+/// candidates).
+fn earliest_feasible_start_search(
+    params: &ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &PlanConfig,
+    now: SimTime,
+    committed_releases: &[SimTime],
+    queue: &[(Task, TaskPlan)],
+    task: &Task,
+) -> Option<SimTime> {
+    // t = now: the engine's plain admission test (probe semantics — due
+    // but undispatched plans still count as waiting, exactly as a `submit`
+    // at this instant would see them). Some(now) iff a probe accepts.
+    let waiting_now: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
+    if schedulability_test(
+        params,
+        algorithm,
+        cfg,
+        now,
+        committed_releases,
+        &waiting_now,
+        Some(task),
+    )
+    .is_ok()
+    {
+        return Some(now);
+    }
+    // Future instants: the activation protocol is "dispatches at `t`
+    // commit first, then the task is submitted", so each candidate instant
+    // is tested against the post-dispatch book.
+    let mut instants: Vec<SimTime> = queue
+        .iter()
+        .map(|(_, plan)| plan.first_start())
+        .filter(|start| start.definitely_after(now))
+        .collect();
+    instants.sort_unstable();
+    instants.dedup();
+    for t in instants {
+        // Simulate the dispatches due by `t`, exactly as `take_due` would:
+        // scan in execution order, commit each due plan's release
+        // estimates, keep the rest waiting.
+        let mut releases = committed_releases.to_vec();
+        let mut waiting: Vec<Task> = Vec::with_capacity(queue.len());
+        for (w, plan) in queue {
+            if plan.first_start().at_or_before_eps(t) {
+                for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
+                    releases[node.index()] = rel;
+                }
+            } else {
+                waiting.push(*w);
+            }
+        }
+        if schedulability_test(params, algorithm, cfg, t, &releases, &waiting, Some(task)).is_ok() {
+            return Some(t);
+        }
+    }
+    None
+}
+
+/// The literal refusal explanation: the first test for the cause, the
+/// deadline doubling + bisection, the σ bisection and the start search,
+/// every probe a from-scratch [`schedulability_test`].
+fn explain_infeasibility(
+    params: &ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &PlanConfig,
+    now: SimTime,
+    committed_releases: &[SimTime],
+    queue: &[(Task, TaskPlan)],
+    task: &Task,
+) -> Option<AdmissionExplanation> {
+    let waiting: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
+    let feasible = |t: &Task| {
+        schedulability_test(
+            params,
+            algorithm,
+            cfg,
+            now,
+            committed_releases,
+            &waiting,
+            Some(t),
+        )
+        .is_ok()
+    };
+    let cause = match schedulability_test(
+        params,
+        algorithm,
+        cfg,
+        now,
+        committed_releases,
+        &waiting,
+        Some(task),
+    ) {
+        Ok(_) => return None,
+        Err(f) => f.reason,
+    };
+
+    // Counterfactual deadline. The original deadline is known-infeasible
+    // (that is the rejection being explained), so it anchors the bracket's
+    // low end once a feasible high end is found.
+    let with_deadline = |d: f64| Task {
+        rel_deadline: d,
+        ..*task
+    };
+    let horizon = {
+        let last_release = committed_releases.iter().copied().fold(now, SimTime::max);
+        let floor = crate::nmin::min_feasible_slack(params, task.data_size);
+        (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
+    };
+    let mut hi = task.rel_deadline.max(horizon);
+    let mut found = feasible(&with_deadline(hi));
+    for _ in 0..64 {
+        if found || !hi.is_finite() {
+            break;
+        }
+        hi *= 2.0;
+        found = hi.is_finite() && feasible(&with_deadline(hi));
+    }
+    let min_feasible_deadline = if found {
+        let mut lo = task.rel_deadline;
+        for _ in 0..64 {
+            if hi - lo <= EXPLAIN_TOL * hi.max(1.0) {
+                break;
+            }
+            let mid = 0.5 * (lo + hi);
+            if feasible(&with_deadline(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    } else {
+        0.0
+    };
+
+    // Counterfactual σ: near-zero is the best case; if even that fails the
+    // deadline is hopeless at any size and no suggestion is made.
+    let with_sigma = |s: f64| Task {
+        data_size: s,
+        ..*task
+    };
+    let tiny = task.data_size * 1e-9;
+    let max_feasible_sigma = if tiny > 0.0 && feasible(&with_sigma(tiny)) {
+        let mut lo = tiny;
+        let mut hi_s = task.data_size;
+        for _ in 0..64 {
+            if hi_s - lo <= EXPLAIN_TOL * hi_s.max(1.0) {
+                break;
+            }
+            let mid = 0.5 * (lo + hi_s);
+            if feasible(&with_sigma(mid)) {
+                lo = mid;
+            } else {
+                hi_s = mid;
+            }
+        }
+        lo
+    } else {
+        0.0
+    };
+
+    let earliest = earliest_feasible_start_search(
+        params,
+        algorithm,
+        cfg,
+        now,
+        committed_releases,
+        queue,
+        task,
+    );
+    Some(AdmissionExplanation {
+        cause,
+        at: now,
+        slack_deficit: if min_feasible_deadline > 0.0 {
+            min_feasible_deadline - task.rel_deadline
+        } else {
+            0.0
+        },
+        min_feasible_deadline,
+        max_feasible_sigma,
+        earliest_feasible_start: earliest.map(|t| t.as_f64()).unwrap_or(-1.0),
+    })
 }
 
 impl Admission for ReferenceController {
@@ -290,7 +489,7 @@ impl Admission for ReferenceController {
     }
 
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        super::earliest_feasible_start_search(
+        earliest_feasible_start_search(
             &self.params,
             self.algorithm,
             &self.cfg,
@@ -298,6 +497,22 @@ impl Admission for ReferenceController {
             &self.releases,
             &self.queue,
             task,
+        )
+    }
+
+    fn explain(
+        &self,
+        request: &crate::request::SubmitRequest,
+        now: SimTime,
+    ) -> Option<AdmissionExplanation> {
+        explain_infeasibility(
+            &self.params,
+            self.algorithm,
+            &self.cfg,
+            now,
+            &self.releases,
+            &self.queue,
+            &request.task,
         )
     }
 

@@ -14,6 +14,10 @@
 //! journaled image (a cold reuse cache), and real workload streams (Poisson,
 //! bursty, and heavy-tailed sizes) at >1000 generated cases.
 //!
+//! Refusal explanations are compared the same way, as whole values: the
+//! production engine explains on a probe walk that plans the queue prefix
+//! once, the oracle with a from-scratch `schedulability_test` per probe.
+//!
 //! On divergence the failing scenario is greedily *shrunk* — ops are
 //! removed one at a time while the divergence persists — and the minimal
 //! reproducer is printed in the panic message.
@@ -46,6 +50,10 @@ enum Op {
         sigma: f64,
         dc: f64,
     },
+    Explain {
+        sigma: f64,
+        dc: f64,
+    },
     TakeDue {
         dt: f64,
     },
@@ -70,7 +78,7 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
     let (kind, a, b, c) = *raw;
     let sigma = 10.0 + a * 790.0;
     let user = (b > 0.25).then(|| 1 + (a * 97.0) as usize % 16);
-    match kind % 10 {
+    match kind % 11 {
         // Submissions get double weight (0 and 1): they are the hot path.
         0 | 1 => Op::Submit {
             sigma,
@@ -108,6 +116,13 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
             pick: (a * 1_000.0) as usize,
         },
         9 => Op::Thaw,
+        // Tight factors again, spread wider: an explanation is only
+        // searched for a refusal, and where the candidate sorts in the
+        // waiting queue decides how much of the walk is shared.
+        10 => Op::Explain {
+            sigma,
+            dc: 0.2 + b * 6.0,
+        },
         // Deliberately tight deadline factors: the reservation search only
         // does interesting work on tasks the plain test rejects.
         _ => Op::EarliestFeasibleStart {
@@ -177,6 +192,23 @@ impl Harness {
         self.full = oracle;
         self.inc = AdmissionController::from_state(image)
             .map_err(|e| format!("{context}: engine refused its own image: {e}"))?;
+        Ok(())
+    }
+
+    /// The production search against the literal one, the whole
+    /// explanation compared.
+    fn check_explain(&self, task: &Task) -> Result<(), String> {
+        let now = SimTime::new(self.now);
+        let request = SubmitRequest::new(*task);
+        let a = self.full.explain(&request, now);
+        let b = self.inc.explain(&request, now);
+        if a != b {
+            return Err(format!("explain diverged {a:?} vs {b:?}"));
+        }
+        // `None` iff the plain probe accepts.
+        if a.is_none() != self.full.probe(task, now).is_accepted() {
+            return Err(format!("explain {a:?} disagrees with the probe"));
+        }
         Ok(())
     }
 
@@ -252,6 +284,11 @@ impl Harness {
                         ));
                     }
                 }
+            }
+            Op::Explain { sigma, dc } => {
+                let task = self.mk_task(*sigma, *dc, None);
+                self.check_explain(&task)
+                    .map_err(|e| format!("op {i} {op:?}: {e}"))?;
             }
             Op::TakeDue { dt } => {
                 self.now += dt;
@@ -359,7 +396,7 @@ proptest! {
     #[test]
     fn differential_random_ops(
         algorithm in prop::sample::select(algorithms()),
-        raws in prop::collection::vec((0u8..10, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
+        raws in prop::collection::vec((0u8..11, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
     ) {
         if let Err(e) = check_scenario(algorithm, &raws) {
             shrink_and_report(algorithm, &raws, e);
@@ -375,8 +412,9 @@ proptest! {
         raws in prop::collection::vec(
             // Kinds 2/4/5 dominate: bursts through the checkpoint-rewind
             // path, interleaved with dispatches, early releases, the
-            // reservation search (kind 8) and restores (kind 9).
-            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
+            // reservation search (kind 8), restores (kind 9) and refusal
+            // explanations (kind 10).
+            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9, 10]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
             1..16,
         ),
     ) {
@@ -426,6 +464,17 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
                     "task {i}: earliest_feasible_start diverged {ea:?} vs {eb:?}"
                 ));
             }
+        }
+        if i % 3 == 1 {
+            // And an explanation, as asked — `None` for most of a stream —
+            // and with the deadline cut until the queue refuses it.
+            h.check_explain(t).map_err(|e| format!("task {i}: {e}"))?;
+            let tight = Task {
+                rel_deadline: t.rel_deadline * 0.3,
+                ..*t
+            };
+            h.check_explain(&tight)
+                .map_err(|e| format!("task {i} (tight): {e}"))?;
         }
         let da = h.full.submit(*t, now);
         let db = h.inc.submit(*t, now);

@@ -11,9 +11,10 @@
 //! 2. **σ honesty** — the same, shrinking `data_size` to
 //!    `max_feasible_sigma` (and a meaningfully larger σ still fails).
 //! 3. **Engine agreement** — the reference full-replan engine and the
-//!    diff-based production engine explain identically (the provided
-//!    trait method is driven entirely through accessors, so this pins the
-//!    accessors, not the search).
+//!    diff-based production engine explain identically (the oracle runs
+//!    the literal search, one from-scratch test per probe; the engine the
+//!    probe-walk search — so this pins the search, over empty queues;
+//!    `differential_admission.rs` does it over waiting ones).
 //!
 //! Tightness margins are relative (`1 − 5·tol`-style factors squeezed to
 //! 0.999/1.001) because the bisection brackets to a relative tolerance:

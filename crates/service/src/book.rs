@@ -64,8 +64,9 @@ pub struct ServiceBook {
     /// default (the zero-telemetry path is one `Option` check), never
     /// captured in snapshots, re-attached by the owner after recovery.
     telemetry: Telemetry,
-    /// Hot-path profiler handle (phase timing on the plan path). Same
-    /// discipline as `telemetry`: disabled by default, process-local.
+    /// Hot-path profiler handle (phase timing on the plan and explain
+    /// paths). Same discipline as `telemetry`: disabled by default,
+    /// process-local.
     profiler: Profiler,
     /// Deadline-SLO tracker. Durable: sim-time driven and deterministic, it
     /// rides inside gateway snapshots so alarm states and breach counts
@@ -189,8 +190,8 @@ impl ServiceBook {
     }
 
     /// Enables or disables admission explanations on refusal verdicts.
-    /// Off by default (the counterfactual searches replan repeatedly);
-    /// the network edge turns it on.
+    /// Off by default (the counterfactual searches probe each shard's book
+    /// dozens of times); the network edge turns it on.
     pub fn enable_explanations(&mut self, on: bool) {
         self.explain_enabled = on;
     }
@@ -439,7 +440,9 @@ pub(crate) fn decide_request(
     if book.explain_enabled
         && matches!(verdict, Verdict::Rejected { .. } | Verdict::Deferred { .. })
     {
+        let explain_phase = book.profiler.start();
         verdict = verdict.with_explanation(engine.explain(request, now));
+        book.profiler.stop("gateway/explain", explain_phase);
     }
     match verdict {
         Verdict::Accepted => {

@@ -142,7 +142,8 @@ pub trait EdgeGateway {
     }
 
     /// Attaches a hot-path profiler handle: the routed admission/plan
-    /// phase of every decision starts timing into `gateway/plan`.
+    /// phase of every decision starts timing into `gateway/plan`, and a
+    /// refusal's explanation search into `gateway/explain`.
     fn attach_profiler(&mut self, profiler: &Profiler) {
         self.book_mut().set_profiler(profiler.clone());
     }

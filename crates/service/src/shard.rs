@@ -51,11 +51,12 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use rtdls_core::admission::ExplainSearch;
 use rtdls_core::error::ModelError;
 use rtdls_core::prelude::{
-    Admission, AdmissionController, AdmissionFailure, AlgorithmKind, ClusterParams,
-    ControllerState, Decision, Infeasible, NodeId, PlanConfig, SimTime, SubmitRequest, Task,
-    TaskId, TaskPlan,
+    Admission, AdmissionController, AdmissionExplanation, AdmissionFailure, AlgorithmKind,
+    ClusterParams, ControllerState, Decision, Infeasible, NodeId, PlanConfig, SimTime,
+    SubmitRequest, Task, TaskId, TaskPlan,
 };
 use rtdls_sim::frontend::{Frontend, SubmitOutcome};
 
@@ -235,46 +236,56 @@ impl RoutedShards<'_> {
         &self,
         request: &SubmitRequest,
         now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
+    ) -> Option<AdmissionExplanation> {
         best_explanation(self.shards, request, now)
     }
 }
 
 /// The cluster-level explanation for a request every shard refuses: each
-/// shard explains independently, and the shard offering the *smallest*
-/// feasible counterfactual deadline wins — a resubmission relaxed to that
+/// shard opens its own search, and the shard offering the *shortest*
+/// verified counterfactual deadline wins — a resubmission relaxed to that
 /// deadline would be admitted by that shard, so the suggestion stays
 /// honest across the whole fleet. Shards without a feasible deadline lose
-/// to any shard with one; `None` only when no shard refuses (feasible
-/// somewhere as-is).
+/// to any shard with one, and the first shard wins a tie; `None` only when
+/// some shard does not refuse (feasible there as-is). Only the winner's
+/// search is finished (the σ and start counterfactuals): the losers' would
+/// be thrown away.
+///
+/// Every shard runs its deadline search in full. A shard may **not** be
+/// skipped because it fails the test at the best deadline found so far:
+/// with waiting work the test is not monotone in the deadline (a longer
+/// one moves the request behind a waiting task that then takes its nodes),
+/// so a shard that fails at `d` can still verify a deadline shorter than
+/// `d` — that shortcut changed fleet answers when it was tried.
 fn best_explanation(
     shards: &[Shard],
     request: &SubmitRequest,
     now: SimTime,
-) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-    let mut best: Option<rtdls_core::prelude::AdmissionExplanation> = None;
+) -> Option<AdmissionExplanation> {
+    let mut best: Option<ExplainSearch<'_>> = None;
     for shard in shards {
-        let Some(ex) = shard.ctl.explain(request, now) else {
-            // Feasible as-is on this shard: nothing to explain.
-            return None;
-        };
-        best = Some(match best {
-            None => ex,
-            Some(cur) => {
-                let better = match (ex.has_feasible_deadline(), cur.has_feasible_deadline()) {
-                    (true, true) => ex.min_feasible_deadline < cur.min_feasible_deadline,
-                    (true, false) => true,
-                    _ => false,
-                };
-                if better {
-                    ex
-                } else {
-                    cur
-                }
-            }
+        let ctl = &shard.ctl;
+        // Feasible as-is on this shard: nothing to explain.
+        let search = ExplainSearch::open(
+            ctl.params(),
+            ctl.algorithm(),
+            ctl.config(),
+            now,
+            ctl.committed_releases(),
+            ctl.queue(),
+            &request.task,
+        )?;
+        // 0 stands for "no feasible deadline found".
+        let offer = search.min_feasible_deadline();
+        let better = best.as_ref().is_none_or(|cur| {
+            let held = cur.min_feasible_deadline();
+            offer > 0.0 && (held <= 0.0 || offer < held)
         });
+        if better {
+            best = Some(search);
+        }
     }
-    best
+    best.map(ExplainSearch::finish)
 }
 
 /// Online admission gateway over `K` independent cluster shards, each an
@@ -395,13 +406,9 @@ impl ShardedGateway {
 
     /// The cluster-level explanation for a request every shard would
     /// refuse right now (`None` when some shard admits it as-is) — the
-    /// `Ops::Explain` query surface. The best (smallest) feasible
-    /// counterfactual deadline across shards wins.
-    pub fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
+    /// `Ops::Explain` query surface. The shortest verified counterfactual
+    /// deadline across shards wins, the first shard on a tie.
+    pub fn explain(&self, request: &SubmitRequest, now: SimTime) -> Option<AdmissionExplanation> {
         best_explanation(&self.shards, request, now)
     }
 
