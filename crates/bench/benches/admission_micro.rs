@@ -1,6 +1,13 @@
 //! Benchmarks of the Fig. 2 schedulability test — the whole-queue replan a
 //! head node runs on every arrival. Cost grows with the waiting-queue depth,
 //! which bounds the arrival rate a head node can sustain.
+//!
+//! `deep_book` is the production engine where the repository benchmark's
+//! `admit_deep` workload keeps it: one 64-node shard, ≈ 46 tasks waiting, a
+//! candidate that sorts mid-queue and is refused. `submit_deep` is the
+//! failed pass, `start_search_deep` the reservation search that follows it
+//! (every later dispatch instant up to the candidate's deadline). Printed,
+//! not gated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -67,6 +74,56 @@ fn bench_controller_submit(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 64-node engine under pressure — `DEEP` tasks waiting behind staggered
+/// committed work, each admitted with 15 % more deadline than the shortest
+/// the book would still take, so plans spread over 4–15 nodes — and a
+/// candidate that sorts mid-queue and is refused now but admissible once
+/// half the queue has dispatched.
+fn deep_book() -> (AdmissionController, Task) {
+    const DEEP: usize = 46;
+    let params = ClusterParams::new(64, 1.0, 100.0).expect("valid params");
+    let mut ctl = AdmissionController::new(params, AlgorithmKind::EDF_DLT, PlanConfig::default());
+    for node in 0..64 {
+        ctl.set_node_release(node, SimTime::new(2_000.0 + 150.0 * node as f64));
+    }
+    let mut shortest = 0.0f64;
+    let mut i = 0u64;
+    while ctl.queue_len() < DEEP {
+        let sigma = 150.0 + (i % 7) as f64 * 40.0;
+        let mut d = shortest.max(2_000.0 + homogeneous::exec_time(&params, sigma, 64));
+        while !ctl
+            .probe(&Task::new(i, 0.0, sigma, d), SimTime::ZERO)
+            .is_accepted()
+        {
+            d *= 1.02;
+        }
+        shortest = d;
+        let _ = ctl.submit(Task::new(i, 0.0, sigma, d * 1.15), SimTime::ZERO);
+        i += 1;
+    }
+    let mid = ctl.queue()[DEEP / 2].0.absolute_deadline().as_f64();
+    let candidate = Task::new(10_000, 0.0, 200.0, mid);
+    let start = ctl.earliest_feasible_start(&candidate, SimTime::ZERO);
+    assert!(
+        start.is_some_and(|t| t > SimTime::ZERO),
+        "the candidate must be refused now and admissible later, got {start:?}"
+    );
+    (ctl, candidate)
+}
+
+fn bench_deep_book(c: &mut Criterion) {
+    let (mut ctl, candidate) = deep_book();
+    let mut group = c.benchmark_group("deep_book");
+    group.bench_function("submit_deep", |b| {
+        // Refused, so the book stays as it is.
+        b.iter(|| black_box(ctl.submit(black_box(candidate), SimTime::ZERO)))
+    });
+    group.bench_function("start_search_deep", |b| {
+        b.iter(|| black_box(ctl.earliest_feasible_start(black_box(&candidate), SimTime::ZERO)))
+    });
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -77,6 +134,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_schedulability_test, bench_controller_submit
+    targets = bench_schedulability_test, bench_controller_submit, bench_deep_book
 }
 criterion_main!(benches);

@@ -5,7 +5,8 @@
 //! * `partition_micro` — the DLT math hot paths (model construction,
 //!   partition computation, `ñ_min`).
 //! * `admission_micro` — the Fig. 2 schedulability test at several queue
-//!   depths.
+//!   depths, and the production engine's refused pass and reservation
+//!   search against a deep book on a 64-node shard.
 //! * `figures_sim` — one group per paper figure: a scaled-down simulation of
 //!   that figure's parameter point (the full-scale regeneration lives in the
 //!   `figures` binary of `rtdls-experiments`).

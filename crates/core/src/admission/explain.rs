@@ -218,7 +218,8 @@ impl<'a> ExplainSearch<'a> {
         };
 
         // `open` failed the test at `now` itself, so only later instants
-        // are left to search.
+        // are left to search — by the engine's own search, with no reuse
+        // cache behind it (an explanation sees the book through accessors).
         let walk = &self.walk;
         let earliest = earliest_future_start(
             walk.params,
@@ -228,6 +229,7 @@ impl<'a> ExplainSearch<'a> {
             walk.committed,
             self.queue,
             &task,
+            |_, _, _| false,
         );
         let min_feasible_deadline = self.min_feasible_deadline;
         AdmissionExplanation {

@@ -39,6 +39,22 @@
 //! different nodes, a recovery restore with a cold cache), the gate fails
 //! and the engine transparently degrades to a full replan.
 //!
+//! The invariant does not care *why* the walk's vector is what it is, so
+//! it serves future instants too. The reservation search
+//! ([`Admission::earliest_feasible_start`]) walks the book as it will stand
+//! at each later dispatch instant `t`: the plans due by `t` committed, the
+//! rest still waiting. A dispatch commits exactly the release updates the
+//! plans behind it already observed ([`take_due`](Admission::take_due)), so
+//! with every node busy past `t` the gate holds at `t` for the positions
+//! ahead of the task being searched for, and only the task and what its
+//! plan perturbs are planned. Where the clamp at `t` changes an input, or
+//! an out-of-order dispatch wrote releases a cached plan never saw, the
+//! gate fails and that position is planned at `t`.
+//!
+//! Every walk here — [`pass`](AdmissionController), `submit_batch`, the
+//! searches — steps on the `walk.rs` kernel: a fresh plan sees availability
+//! that was kept sorted across steps, a reused plan is only written back.
+//!
 //! Because reuse is gated on provable input equality, the engine is
 //! decision-, plan-, and state-identical to the reference controller; the
 //! differential oracle suite (`tests/differential_admission.rs`) replays
@@ -50,10 +66,11 @@ use std::collections::{HashMap, HashSet};
 use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
-use crate::strategy::{plan_task, NodeAvailability, NodeCountPolicy, PlanConfig, TaskPlan};
+use crate::strategy::{NodeCountPolicy, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
+use super::walk::Walk;
 use super::{Admission, AdmissionFailure, ControllerState, Decision, EngineProfile};
 
 /// The cached planning inputs that make a queued plan provably reusable.
@@ -122,12 +139,12 @@ impl AdmissionController {
             .all(|(&o, &r)| o.max(m.planned_at) == r.max(now))
     }
 
-    /// Plans one task against the walk's current release vector, recording
-    /// the inputs for future reuse, and applies its release updates.
+    /// Plans one task fresh at the walk's current step, recording the inputs
+    /// for future reuse.
     fn plan_fresh(
         &self,
         task: &Task,
-        releases: &mut [SimTime],
+        walk: &mut Walk,
         now: SimTime,
         out: &mut Pass,
         work: &mut EngineProfile,
@@ -135,28 +152,8 @@ impl AdmissionController {
         // The attempt counts as work whether or not it succeeds — a failed
         // planning call cost just as much CPU.
         work.plans_computed += 1;
-        let observed = releases.to_vec();
-        let avail = NodeAvailability::new(releases, now);
-        let plan = plan_task(
-            self.algorithm.strategy,
-            task,
-            &avail,
-            &self.params,
-            &self.cfg,
-        )
-        .map_err(|reason| AdmissionFailure {
-            task: task.id,
-            reason,
-        })?;
-        debug_assert!(
-            !plan
-                .est_completion
-                .definitely_after(task.absolute_deadline()),
-            "strategy returned a plan missing its deadline"
-        );
-        for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-            releases[node.index()] = rel;
-        }
+        let observed = walk.releases().to_vec();
+        let plan = walk.place(self.algorithm.strategy, task, &self.params, &self.cfg)?;
         out.queue_tail.push((*task, plan));
         out.meta_tail.push(Some(PlanMeta {
             planned_at: now,
@@ -181,7 +178,7 @@ impl AdmissionController {
         let policy = self.algorithm.policy;
         let cand_key = candidate.map(|t| policy.key(t));
         let mut cand_pending = candidate.copied();
-        let mut releases = self.releases.clone();
+        let mut walk = Walk::new(&self.releases, now);
         let mut out = Pass {
             prefix_len: 0,
             queue_tail: Vec::new(),
@@ -194,14 +191,12 @@ impl AdmissionController {
             if let (Some(c), Some(key)) = (cand_pending, cand_key) {
                 if key < policy.key(task) {
                     in_prefix = false;
-                    self.plan_fresh(&c, &mut releases, now, &mut out, work)?;
+                    self.plan_fresh(&c, &mut walk, now, &mut out, work)?;
                     cand_pending = None;
                 }
             }
-            if self.reusable(&self.meta[i], &releases, now) {
-                for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                    releases[node.index()] = rel;
-                }
+            if self.reusable(&self.meta[i], walk.releases(), now) {
+                walk.apply(plan);
                 if in_prefix {
                     out.prefix_len += 1;
                 } else {
@@ -211,11 +206,11 @@ impl AdmissionController {
                 work.plans_reused += 1;
             } else {
                 in_prefix = false;
-                self.plan_fresh(task, &mut releases, now, &mut out, work)?;
+                self.plan_fresh(task, &mut walk, now, &mut out, work)?;
             }
         }
         if let Some(c) = cand_pending {
-            self.plan_fresh(&c, &mut releases, now, &mut out, work)?;
+            self.plan_fresh(&c, &mut walk, now, &mut out, work)?;
         }
         Ok(out)
     }
@@ -328,7 +323,8 @@ impl Admission for AdmissionController {
         ordered.extend_from_slice(batch);
         self.algorithm.policy.sort(&mut ordered);
 
-        /// Rewind point recorded before each planned batch member.
+        /// Rewind point recorded before each planned batch member
+        /// (`releases` is the walk's vector before that member's plan).
         struct Checkpoint {
             ordered_idx: usize,
             releases: Vec<SimTime>,
@@ -338,11 +334,10 @@ impl Admission for AdmissionController {
         let mut decisions: Vec<Option<Decision>> = vec![None; batch.len()];
         let mut skipped: HashSet<TaskId> = HashSet::new();
         let mut evicted_by_rollback: Vec<Task> = Vec::new();
-        let mut releases = self.releases.clone();
+        let mut walk = Walk::new(&self.releases, now);
         let mut plans: Vec<(Task, TaskPlan, Option<PlanMeta>)> = Vec::with_capacity(ordered.len());
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut reused = 0u64;
-        let mut computed = 0u64;
+        let mut work = EngineProfile::default();
         let batch_index = |id: TaskId| batch.iter().position(|b| b.id == id).expect("member");
 
         let mut i = 0;
@@ -358,56 +353,41 @@ impl Admission for AdmissionController {
                 // id: a batch member that shares a waiting task's id but
                 // differs in size/deadline must be planned fresh (the
                 // reference engine plans it fresh regardless).
-                if self.queue[qi].0 == task && self.reusable(&self.meta[qi], &releases, now) {
+                if self.queue[qi].0 == task && self.reusable(&self.meta[qi], walk.releases(), now) {
                     let plan = self.queue[qi].1.clone();
-                    for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                        releases[node.index()] = rel;
-                    }
+                    walk.apply(&plan);
                     plans.push((task, plan, self.meta[qi].clone()));
-                    reused += 1;
+                    work.plans_reused += 1;
                     i += 1;
                     continue;
                 }
             }
             let is_batch = cached.is_none();
-            let observed = releases.clone();
-            let avail = NodeAvailability::new(&releases, now);
             // Every planning attempt counts as work, successful or not.
-            computed += 1;
-            match plan_task(
-                self.algorithm.strategy,
-                &task,
-                &avail,
-                &self.params,
-                &self.cfg,
-            ) {
+            work.plans_computed += 1;
+            let observed = walk.releases().to_vec();
+            match walk.place(self.algorithm.strategy, &task, &self.params, &self.cfg) {
                 Ok(plan) => {
                     if is_batch {
                         checkpoints.push(Checkpoint {
                             ordered_idx: i,
-                            releases: releases.clone(),
+                            releases: observed.clone(),
                             plans_len: plans.len(),
                         });
                     }
-                    for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                        releases[node.index()] = rel;
-                    }
-                    plans.push((
-                        task,
-                        plan,
-                        Some(PlanMeta {
-                            planned_at: now,
-                            observed,
-                        }),
-                    ));
+                    let meta = PlanMeta {
+                        planned_at: now,
+                        observed,
+                    };
+                    plans.push((task, plan, Some(meta)));
                     i += 1;
                 }
-                Err(reason) if is_batch => {
-                    decisions[batch_index(task.id)] = Some(Decision::Rejected(reason));
+                Err(f) if is_batch => {
+                    decisions[batch_index(task.id)] = Some(Decision::Rejected(f.reason));
                     skipped.insert(task.id);
                     i += 1;
                 }
-                Err(reason) => {
+                Err(AdmissionFailure { reason, .. }) => {
                     // A previously admitted task lost feasibility: evict the
                     // most recently planned batch member and rewind to its
                     // checkpoint (see the reference engine for the rationale).
@@ -417,7 +397,7 @@ impl Admission for AdmissionController {
                             decisions[batch_index(evicted.id)] = Some(Decision::Rejected(reason));
                             skipped.insert(evicted.id);
                             evicted_by_rollback.push(evicted);
-                            releases = ck.releases;
+                            walk.restart(&ck.releases, now);
                             plans.truncate(ck.plans_len);
                             i = ck.ordered_idx;
                         }
@@ -429,8 +409,7 @@ impl Admission for AdmissionController {
                                     *d = Some(Decision::Rejected(reason));
                                 }
                             }
-                            self.profile.plans_reused += reused;
-                            self.profile.plans_computed += computed;
+                            self.book_work(work);
                             return decisions.into_iter().map(|d| d.expect("decided")).collect();
                         }
                     }
@@ -449,8 +428,7 @@ impl Admission for AdmissionController {
             self.queue.push((t, p));
             self.meta.push(m);
         }
-        self.profile.plans_reused += reused;
-        self.profile.plans_computed += computed;
+        self.book_work(work);
         // Rollback evictions picked a culprit heuristically; give each
         // evicted member one individual shot at the settled queue.
         self.algorithm.policy.sort(&mut evicted_by_rollback);
@@ -462,10 +440,12 @@ impl Admission for AdmissionController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    /// The `t = now` probe — the common case, answered instantly for an
-    /// admissible task — runs through the incremental pass and reuses the
-    /// cached plan prefix; only the search over future dispatch instants
-    /// falls back to fresh temp-schedule walks.
+    /// The `t = now` test runs through the incremental pass. The search over
+    /// future dispatch instants is seeded from the same cache: a dispatch
+    /// commits exactly the releases the plans behind it already observed,
+    /// so at each instant the reuse gate vouches for most of the positions
+    /// ahead of the task and only the task and what its plan perturbs are
+    /// planned.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
         let mut scratch = EngineProfile::default();
         if self.pass(now, Some(task), &mut scratch).is_ok() {
@@ -479,6 +459,7 @@ impl Admission for AdmissionController {
             &self.releases,
             &self.queue,
             task,
+            |q, releases, t| self.reusable(&self.meta[q], releases, t),
         )
     }
 
@@ -507,9 +488,7 @@ impl Admission for AdmissionController {
             if self.queue[i].1.first_start().at_or_before_eps(now) {
                 let (task, plan) = self.queue.remove(i);
                 self.meta.remove(i);
-                for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                    self.releases[node.index()] = rel;
-                }
+                plan.write_releases(&mut self.releases);
                 due.push((task, plan));
             } else {
                 i += 1;
@@ -833,6 +812,96 @@ mod tests {
             inc.submit(t, SimTime::new(1.0))
         );
         assert_eq!(full.state(), inc.state());
+    }
+
+    #[test]
+    fn start_search_commits_due_plans_in_queue_order() {
+        // The due set need not be a queue prefix, and where two due plans
+        // share a node the later one *in the queue* wins, even if it became
+        // due at an earlier instant. Two nodes, FIFO; A waits ahead of B:
+        //   A = {node 0: starts 50, released 80}
+        //   B = {node 1: starts 10, released 60; node 0: starts 100,
+        //        released 200}
+        // At t = 10 only B is due; at t = 50 both are, and node 0 must read
+        // B's 200, not A's 80 — which a search that carried its releases
+        // from instant to instant and wrote A last would get wrong. C needs
+        // both nodes by ≈ 100 to meet its deadline: with node 0 at 80 it
+        // would be promised t = 50, with node 0 at 200 nothing ever admits
+        // it.
+        use crate::params::NodeId;
+        use crate::strategy::StrategyKind;
+        let params = ClusterParams::new(2, 1.0, 100.0).unwrap();
+        let plan = |task: u64, chunks: &[(u32, f64, f64)]| TaskPlan {
+            task: TaskId(task),
+            strategy: StrategyKind::DltIit,
+            nodes: chunks.iter().map(|c| NodeId(c.0)).collect(),
+            start_times: chunks.iter().map(|c| SimTime::new(c.1)).collect(),
+            fractions: vec![1.0 / chunks.len() as f64; chunks.len()],
+            est_completion: SimTime::new(chunks.iter().map(|c| c.2).fold(0.0, f64::max)),
+            node_release_estimates: chunks.iter().map(|c| SimTime::new(c.2)).collect(),
+        };
+        let a = task(1, 0.0, 5.0, 1e6);
+        let b = task(2, 1.0, 5.0, 1e6);
+        let state = ControllerState {
+            params,
+            algorithm: AlgorithmKind::FIFO_DLT,
+            cfg: PlanConfig::default(),
+            releases: vec![SimTime::ZERO; 2],
+            queue: vec![
+                (a, plan(1, &[(0, 50.0, 80.0)])),
+                (b, plan(2, &[(1, 10.0, 60.0), (0, 100.0, 200.0)])),
+            ],
+        };
+        let full = ReferenceController::from_state(state.clone()).unwrap();
+        let inc = AdmissionController::from_state(state).unwrap();
+        let now = SimTime::new(2.0);
+        let c = task(3, 2.0, 10.0, 618.0);
+        assert_eq!(full.earliest_feasible_start(&c, now), None);
+        assert_eq!(inc.earliest_feasible_start(&c, now), None);
+        // The scenario has teeth: were node 0 free at 80, t = 50 would do.
+        let mut early = full.clone();
+        let _ = early.take_due(SimTime::new(50.0));
+        early.set_node_release(0, SimTime::new(80.0));
+        assert!(early.probe(&c, SimTime::new(50.0)).is_accepted());
+    }
+
+    #[test]
+    fn start_search_replans_what_an_out_of_order_dispatch_perturbs() {
+        // A warm cache and a due plan *behind* a non-due one: B's plan is
+        // edited to start at 500, before A's 1000, so at t = 500 B's
+        // releases are committed while A — whose cached inputs never saw
+        // them — still waits ahead of it. A's reuse gate must fail there
+        // (and what follows is judged against the re-planned A), or the
+        // search would walk a book the oracle never sees.
+        let (_, mut inc) = both(AlgorithmKind::EDF_DLT);
+        for node in 0..16 {
+            inc.set_node_release(node, SimTime::new(1_000.0 + 100.0 * node as f64));
+        }
+        let e16 = homogeneous::exec_time(&params(), 50.0, 16);
+        for i in 0..4 {
+            let t = task(i, 0.0, 50.0, 2_500.0 + e16 * (2.0 + 0.3 * i as f64));
+            assert!(inc.submit(t, SimTime::ZERO).is_accepted());
+        }
+        assert!(inc.meta.iter().all(Option::is_some), "cache is warm");
+        assert_eq!(inc.queue[0].1.first_start(), SimTime::new(1_000.0));
+        inc.queue[1].1.start_times[0] = SimTime::new(500.0);
+        let full = ReferenceController::from_state(inc.state()).unwrap();
+        let mut outcomes = Vec::new();
+        for sigma in [20.0, 50.0, 200.0] {
+            for factor in [0.3, 0.8, 1.2, 2.0, 4.0] {
+                let c = task(99, 0.0, sigma, 2_500.0 + e16 * factor);
+                let at = inc.earliest_feasible_start(&c, SimTime::ZERO);
+                assert_eq!(at, full.earliest_feasible_start(&c, SimTime::ZERO), "{c:?}");
+                outcomes.push(at);
+            }
+        }
+        // Never, now, and the instant only B's early dispatch offers.
+        for outcome in [None, Some(SimTime::ZERO), Some(SimTime::new(500.0))] {
+            assert!(
+                outcomes.contains(&outcome),
+                "{outcome:?} not in {outcomes:?}"
+            );
+        }
     }
 
     #[test]

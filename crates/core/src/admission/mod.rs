@@ -34,6 +34,13 @@
 //! dozens of what-if tests against one book, run on a probe walk that
 //! plans the shared queue prefix once (`probe.rs`) — with the literal
 //! one-test-per-probe search kept as the oracle's, like the engine itself.
+//!
+//! Every production walk — the engine's passes, the probe walk, the
+//! reservation search — takes its steps on one kernel (`walk.rs`): the
+//! release vector and its sorted availability, kept sorted across steps.
+//! The oracle does not: [`schedulability_test`] takes a fresh, fully sorted
+//! snapshot at each step and shares nothing with the kernel but
+//! [`plan_task`].
 
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +55,7 @@ mod explain;
 pub mod incremental;
 mod probe;
 pub mod reference;
+mod walk;
 
 pub use explain::{explain_infeasibility, AdmissionExplanation, ExplainSearch};
 pub use incremental::AdmissionController;
@@ -369,6 +377,15 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// endpoint: the candidate instants are exactly
     /// `{now} ∪ {first_start(p) > now}` and the first feasible one is the
     /// earliest feasible start overall.
+    ///
+    /// An instant definitely after the task's own absolute deadline is
+    /// never feasible and need not be walked: if the walk there reaches the
+    /// task, every node is available no earlier than the instant, so the
+    /// task's own plan fails under every strategy (no slack left before its
+    /// first transmission); if a waiting task ahead of it fails first, the
+    /// instant fails anyway. The production search stops at the deadline;
+    /// the oracle walks every instant, and the differential suite compares
+    /// the two.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
 
     /// Explains why `request` would fail admission at `now` — the binding

@@ -1,57 +1,37 @@
-//! Many what-if admission tests against one book: the probe walk.
+//! Many what-if admission tests against one book: the probe walk and the
+//! start search.
 //!
 //! The counterfactual searches behind a refusal explanation
-//! ([`ExplainSearch`](super::ExplainSearch)) and the reservation search
-//! ([`earliest_future_start`]) ask the Fig. 2 question dozens of times
-//! about *one* book and *one* task whose deadline or size is being varied.
-//! The literal test ([`schedulability_test`](super::schedulability_test))
-//! re-sorts and re-plans the whole waiting queue and materialises every
-//! plan for each of them. A [`ProbeWalk`] does the shared part once — the
-//! waiting tasks in policy order, and the positions ahead of the task's own
-//! insertion point planned into a release vector — and each probe plans
-//! only from there on, keeping nothing but the verdict.
+//! ([`ExplainSearch`](super::ExplainSearch)) ask the Fig. 2 question dozens
+//! of times about *one* book and *one* task whose deadline or size is being
+//! varied. The literal test
+//! ([`schedulability_test`](super::schedulability_test)) re-sorts and
+//! re-plans the whole waiting queue and materialises every plan for each of
+//! them. A [`ProbeWalk`] does the shared part once — the waiting tasks in
+//! policy order, and the positions ahead of the task's own insertion point
+//! walked into a kept [`Walk`] state — and each probe copies that state
+//! into one reused scratch walk and plans only from there on, keeping
+//! nothing but the verdict.
+//!
+//! The reservation search ([`earliest_future_start`]) asks it once per
+//! future dispatch instant, about books that differ only in which waiting
+//! plans have been dispatched: order, keys and instants are computed once,
+//! and a waiting position whose cached plan the engine's reuse gate still
+//! vouches for *at that instant* is applied, not planned.
 //!
 //! `plan_task` is a pure function of the release vector the walk has built,
-//! so a probe answers exactly what the literal test answers: the same
+//! so both answer exactly what the literal test answers: the same
 //! `Ok`/`Err` and the same first failure (the unit tests here check that
 //! against the literal test over random books).
 
 use crate::algorithm::AlgorithmKind;
 use crate::params::ClusterParams;
-use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
+use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::Task;
 use crate::time::SimTime;
 
+use super::walk::Walk;
 use super::{schedulability_test, AdmissionFailure};
-
-/// Plans one task against a walk's release vector and applies its release
-/// updates — one step of the Fig. 2 temp schedule, the plan itself dropped.
-fn place(
-    params: &ClusterParams,
-    algorithm: AlgorithmKind,
-    cfg: &PlanConfig,
-    now: SimTime,
-    releases: &mut [SimTime],
-    task: &Task,
-) -> Result<(), AdmissionFailure> {
-    let avail = NodeAvailability::new(releases, now);
-    let plan = plan_task(algorithm.strategy, task, &avail, params, cfg).map_err(|reason| {
-        AdmissionFailure {
-            task: task.id,
-            reason,
-        }
-    })?;
-    debug_assert!(
-        !plan
-            .est_completion
-            .definitely_after(task.absolute_deadline()),
-        "strategy returned a plan missing its deadline"
-    );
-    for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-        releases[node.index()] = rel;
-    }
-    Ok(())
-}
 
 /// One book (committed releases + waiting tasks) at one instant, prepared
 /// for repeated feasibility probes of variations of one task.
@@ -68,11 +48,11 @@ pub(super) struct ProbeWalk<'a> {
     /// task: the shared prefix every probe at or after that key walks
     /// through unchanged.
     prefix_len: usize,
-    /// The release vector after the prefix, or the prefix's first failure
-    /// (which is then every sharing probe's first failure).
-    prefix: Result<Vec<SimTime>, AdmissionFailure>,
-    /// The per-probe release vector, reused across probes.
-    scratch: Vec<SimTime>,
+    /// The walk after the prefix, or the prefix's first failure (which is
+    /// then every sharing probe's first failure).
+    prefix: Result<Walk, AdmissionFailure>,
+    /// The per-probe walk, reused across probes.
+    scratch: Walk,
 }
 
 impl<'a> ProbeWalk<'a> {
@@ -95,11 +75,11 @@ impl<'a> ProbeWalk<'a> {
         // candidate lands *after* any waiting task with an equal key.
         let own = policy.key(task);
         let prefix_len = ordered.partition_point(|w| policy.key(w) <= own);
-        let mut releases = committed.to_vec();
+        let mut walk = Walk::new(committed, now);
         let prefix = ordered[..prefix_len]
             .iter()
-            .try_for_each(|w| place(params, algorithm, cfg, now, &mut releases, w))
-            .map(|()| releases);
+            .try_for_each(|w| walk.place(algorithm.strategy, w, params, cfg).map(drop))
+            .map(|()| walk);
         ProbeWalk {
             params,
             algorithm,
@@ -109,7 +89,7 @@ impl<'a> ProbeWalk<'a> {
             ordered,
             prefix_len,
             prefix,
-            scratch: Vec::with_capacity(committed.len()),
+            scratch: Walk::new(&[], now),
         }
     }
 
@@ -134,32 +114,41 @@ impl<'a> ProbeWalk<'a> {
             )
             .map(drop);
         }
-        let after_prefix = self.prefix.as_ref().map_err(|f| *f)?;
-        self.scratch.clear();
-        self.scratch.extend_from_slice(after_prefix);
-        let (params, algorithm, cfg, now) = (self.params, self.algorithm, self.cfg, self.now);
+        let after_prefix = self.prefix.as_mut().map_err(|f| *f)?;
+        // Every probe plans at least the candidate from here, so the
+        // prefix's last step is merged once, not once per copy.
+        after_prefix.settle();
+        let walk = &mut self.scratch;
+        walk.copy_from(after_prefix);
+        let (strategy, params, cfg) = (self.algorithm.strategy, self.params, self.cfg);
         let mut pending = true;
         for w in &self.ordered[self.prefix_len..] {
             if pending && key < policy.key(w) {
-                place(params, algorithm, cfg, now, &mut self.scratch, candidate)?;
+                walk.place(strategy, candidate, params, cfg)?;
                 pending = false;
             }
-            place(params, algorithm, cfg, now, &mut self.scratch, w)?;
+            walk.place(strategy, w, params, cfg)?;
         }
         if pending {
-            place(params, algorithm, cfg, now, &mut self.scratch, candidate)?;
+            walk.place(strategy, candidate, params, cfg)?;
         }
         Ok(())
     }
 }
 
 /// The instants after `now` of [`Admission::earliest_feasible_start`]
-/// (which documents why dispatch instants are the only candidates): the
-/// first `first_start(p) > now` in `queue` at which `task` passes the test
-/// against the post-dispatch book, or `None`. The caller has already failed
-/// the test at `now` itself.
+/// (which documents why dispatch instants up to the task's deadline are the
+/// only candidates): the first such `first_start(p) > now` in `queue` at
+/// which `task` passes the test against the post-dispatch book, or `None`.
+/// The caller has already failed the test at `now` itself.
+///
+/// `reusable(q, releases, t)` is the engine's reuse gate for the cached
+/// plan of `queue[q]`: `true` only when planning that task at `t` against
+/// `releases` provably returns `queue[q].1` again. A caller without a cache
+/// answers `false` and every position is planned — one search either way.
 ///
 /// [`Admission::earliest_feasible_start`]: super::Admission::earliest_feasible_start
+#[allow(clippy::too_many_arguments)]
 pub(super) fn earliest_future_start(
     params: &ClusterParams,
     algorithm: AlgorithmKind,
@@ -168,33 +157,64 @@ pub(super) fn earliest_future_start(
     committed_releases: &[SimTime],
     queue: &[(Task, TaskPlan)],
     task: &Task,
+    reusable: impl Fn(usize, &[SimTime], SimTime) -> bool,
 ) -> Option<SimTime> {
-    // The activation protocol is "dispatches at `t` commit first, then the
-    // task is submitted", so each candidate instant is tested against the
-    // post-dispatch book.
+    let deadline = task.absolute_deadline();
     let mut instants: Vec<SimTime> = queue
         .iter()
         .map(|(_, plan)| plan.first_start())
-        .filter(|start| start.definitely_after(now))
+        .filter(|start| start.definitely_after(now) && !start.definitely_after(deadline))
         .collect();
     instants.sort_unstable();
     instants.dedup();
+    if instants.is_empty() {
+        return None;
+    }
+    // The waiting positions in policy order (stable, as the literal test
+    // sorts them; dropping the dispatched ones from it keeps it so), and
+    // where the task lands among them: after any equal key.
+    let policy = algorithm.policy;
+    let mut order: Vec<usize> = (0..queue.len()).collect();
+    order.sort_by_key(|&q| policy.key(&queue[q].0));
+    let own = policy.key(task);
+    let (ahead, behind) =
+        order.split_at(order.partition_point(|&q| policy.key(&queue[q].0) <= own));
+    let strategy = algorithm.strategy;
+    let mut walk = Walk::new(&[], now);
     let mut releases = Vec::with_capacity(committed_releases.len());
     instants.into_iter().find(|&t| {
-        // Simulate the dispatches due by `t`, exactly as `take_due` would:
-        // scan in execution order, commit each due plan's release
-        // estimates, keep the rest waiting.
-        let due = |plan: &TaskPlan| plan.first_start().at_or_before_eps(t);
+        // The activation protocol is "dispatches at `t` commit first, then
+        // the task is submitted", so each instant is tested against the
+        // post-dispatch book. The dispatches are simulated exactly as
+        // `take_due` would: every due plan's release estimates committed in
+        // queue order — the due set need not be a queue prefix, and where
+        // two due plans share a node the later *in the queue* must win,
+        // whichever became due first — and the rest kept waiting.
+        let due = |q: usize| queue[q].1.first_start().at_or_before_eps(t);
         releases.clear();
         releases.extend_from_slice(committed_releases);
-        for (_, plan) in queue.iter().filter(|(_, plan)| due(plan)) {
-            for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                releases[node.index()] = rel;
+        for (q, (_, plan)) in queue.iter().enumerate() {
+            if due(q) {
+                plan.write_releases(&mut releases);
             }
         }
-        let waiting = queue.iter().filter(|(_, plan)| !due(plan)).map(|(w, _)| *w);
-        ProbeWalk::new(params, algorithm, cfg, t, &releases, waiting, task)
-            .probe(task)
+        walk.restart(&releases, t);
+        let step = |walk: &mut Walk, q: usize| {
+            let (waiting, plan) = &queue[q];
+            if due(q) {
+                Ok(())
+            } else if reusable(q, walk.releases(), t) {
+                walk.apply(plan);
+                Ok(())
+            } else {
+                walk.place(strategy, waiting, params, cfg).map(drop)
+            }
+        };
+        ahead
+            .iter()
+            .try_for_each(|&q| step(&mut walk, q))
+            .and_then(|()| walk.place(strategy, task, params, cfg).map(drop))
+            .and_then(|()| behind.iter().try_for_each(|&q| step(&mut walk, q)))
             .is_ok()
     })
 }

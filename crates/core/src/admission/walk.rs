@@ -1,0 +1,251 @@
+//! One step of the Fig. 2 temp schedule — the kernel every production walk
+//! runs on.
+//!
+//! A walk takes tasks in policy order and plans each against the release
+//! vector the tasks before it have built. A [`Walk`] holds that vector *and*
+//! its sorted availability at the walk's planning instant, and offers the
+//! two steps there are: [`place`](Walk::place) plans a task fresh,
+//! [`apply`](Walk::apply) takes a plan already known to be what `place`
+//! would return (the engine's reuse cache). Either way the plan's release
+//! estimates are written back and the walk moves on.
+//!
+//! Availability stays sorted *across* steps instead of being re-sorted per
+//! step: a plan occupies exactly the `n` earliest entries, so after it only
+//! that head has moved
+//! ([`NodeAvailability::retime_head`](crate::strategy::NodeAvailability)).
+//! The order is maintained lazily — first built when a task is planned
+//! fresh, and a step's head is merged back only when a later step plans
+//! again — so a walk that applies cached plans and plans one newcomer sorts
+//! once, and a walk's last step is never merged at all.
+//!
+//! The oracle ([`schedulability_test`](super::schedulability_test),
+//! [`ReferenceController`](super::reference::ReferenceController)) shares
+//! nothing with this file but `plan_task`: it takes a fresh, fully sorted
+//! snapshot at every step.
+
+use crate::params::{ClusterParams, NodeId};
+use crate::strategy::{plan_task, NodeAvailability, PlanConfig, StrategyKind, TaskPlan};
+use crate::task::Task;
+use crate::time::SimTime;
+
+use super::AdmissionFailure;
+
+/// The state of one temp-schedule walk at one planning instant.
+pub(super) struct Walk {
+    now: SimTime,
+    /// Per-node release times as the walk has built them (index = node id,
+    /// not clamped to `now`).
+    releases: Vec<SimTime>,
+    /// `releases` at `now` in availability order — meaningful only once
+    /// `built`, and then up to date except for its `stale_head`.
+    avail: NodeAvailability,
+    built: bool,
+    /// How many leading entries of `avail` the last step re-released
+    /// without re-sorting them yet.
+    stale_head: usize,
+    /// Scratch for sorting a head.
+    head: Vec<(SimTime, NodeId)>,
+}
+
+impl Walk {
+    /// A walk starting from `releases` at the planning instant `now`.
+    pub(super) fn new(releases: &[SimTime], now: SimTime) -> Self {
+        Walk {
+            now,
+            releases: releases.to_vec(),
+            avail: NodeAvailability::new(&[], now),
+            built: false,
+            stale_head: 0,
+            head: Vec::new(),
+        }
+    }
+
+    /// Starts over from `releases` at `now`, keeping the allocations.
+    pub(super) fn restart(&mut self, releases: &[SimTime], now: SimTime) {
+        self.now = now;
+        self.releases.clear();
+        self.releases.extend_from_slice(releases);
+        self.built = false;
+        self.stale_head = 0;
+    }
+
+    /// Makes this walk a copy of `other`, keeping the allocations.
+    pub(super) fn copy_from(&mut self, other: &Walk) {
+        self.now = other.now;
+        self.releases.clone_from(&other.releases);
+        self.built = other.built;
+        self.stale_head = other.stale_head;
+        if other.built {
+            self.avail.copy_from(&other.avail);
+        }
+    }
+
+    /// The release vector the steps so far have built.
+    #[inline]
+    pub(super) fn releases(&self) -> &[SimTime] {
+        &self.releases
+    }
+
+    /// Brings the sorted availability up to date with `releases`. Walks
+    /// that are copied many times settle first, so the copies do not each
+    /// repeat the merge.
+    pub(super) fn settle(&mut self) -> &NodeAvailability {
+        if !self.built {
+            self.avail.rebuild(&self.releases, self.now);
+            self.built = true;
+        } else if self.stale_head > 0 {
+            self.avail
+                .retime_head(self.stale_head, &self.releases, &mut self.head);
+        }
+        self.stale_head = 0;
+        &self.avail
+    }
+
+    /// How many of the (settled) availability's earliest nodes `plan`
+    /// starts on, in order.
+    fn head_of(&self, plan: &TaskPlan) -> usize {
+        plan.nodes
+            .iter()
+            .zip(self.avail.nodes())
+            .take_while(|(a, b)| **a == *b)
+            .count()
+    }
+
+    /// Plans `task` against the walk and writes its release estimates back.
+    pub(super) fn place(
+        &mut self,
+        strategy: StrategyKind,
+        task: &Task,
+        params: &ClusterParams,
+        cfg: &PlanConfig,
+    ) -> Result<TaskPlan, AdmissionFailure> {
+        let avail = self.settle();
+        let plan =
+            plan_task(strategy, task, avail, params, cfg).map_err(|reason| AdmissionFailure {
+                task: task.id,
+                reason,
+            })?;
+        debug_assert!(
+            !plan
+                .est_completion
+                .definitely_after(task.absolute_deadline()),
+            "strategy returned a plan missing its deadline"
+        );
+        // Planned on this availability, so on its earliest nodes.
+        self.stale_head = self.head_of(&plan);
+        plan.write_releases(&mut self.releases);
+        Ok(plan)
+    }
+
+    /// Takes `plan` as this step's plan: the caller has established that
+    /// [`place`](Walk::place) would return exactly it (the engine's reuse
+    /// gate holds), so only the write-back is left.
+    #[inline]
+    pub(super) fn apply(&mut self, plan: &TaskPlan) {
+        if self.built {
+            self.settle();
+            // A plan occupies the earliest nodes, round after round for a
+            // multi-round one. Anything else cannot come out of `plan_task`
+            // on this availability; should it ever, sort afresh.
+            let n = self.head_of(plan);
+            let on_head = n > 0
+                && plan.nodes[n..]
+                    .chunks(n)
+                    .all(|round| round == &plan.nodes[..round.len()]);
+            debug_assert!(on_head, "applied plan is not on the earliest nodes");
+            self.built = on_head;
+            self.stale_head = n;
+        }
+        plan.write_releases(&mut self.releases);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategy::{NodeCountPolicy, ReleaseEstimate};
+    use proptest::prelude::*;
+
+    const NODES: usize = 12;
+
+    fn strategies() -> Vec<StrategyKind> {
+        vec![
+            StrategyKind::DltIit,
+            StrategyKind::DltMultiRound { rounds: 3 },
+            StrategyKind::OprMn,
+            StrategyKind::OprAn,
+            StrategyKind::UserSplit,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// After every step — fresh or applied — the kernel's availability
+        /// is entry for entry what a fresh sort of its releases gives, with
+        /// release vectors on a coarse grid (ties, so the node-id tie-break
+        /// decides), a clamp that swallows some of them, and plans that
+        /// revisit their nodes (multi-round).
+        #[test]
+        fn availability_stays_what_a_fresh_sort_builds(
+            strategy in prop::sample::select(strategies()),
+            estimate in prop::sample::select(vec![
+                ReleaseEstimate::Exact,
+                ReleaseEstimate::Uniform,
+                ReleaseEstimate::TightPerNode,
+            ]),
+            releases in proptest::collection::vec(0u32..6, NODES),
+            now in 0u32..4,
+            tasks in proptest::collection::vec((0.0f64..1.0, 0u32..8, 1usize..NODES + 1, 0u8..2), 1..10),
+        ) {
+            // Transmission-heavy, so multi-round plans really are chosen.
+            let params = ClusterParams::new(NODES, 8.0, 100.0).expect("valid params");
+            let cfg = PlanConfig { release_estimate: estimate, node_count: NodeCountPolicy::FixedPoint };
+            let grid = 500.0;
+            let releases: Vec<SimTime> =
+                releases.iter().map(|&r| SimTime::new(r as f64 * grid)).collect();
+            let now = SimTime::new(now as f64 * grid);
+            let mut walk = Walk::new(&releases, now);
+            for (id, (sigma, slack, user, fresh)) in tasks.into_iter().enumerate() {
+                let task = Task::new(id as u64, 0.0, 20.0 + sigma * 300.0, 4_000.0 + slack as f64 * 6_000.0)
+                    .with_user_nodes(Some(user));
+                // What the literal walk would plan at this step.
+                let literal = plan_task(
+                    strategy, &task, &NodeAvailability::new(walk.releases(), now), &params, &cfg,
+                );
+                match (literal, fresh) {
+                    (Ok(plan), 0) => walk.apply(&plan),
+                    (literal, _) => {
+                        let placed = walk.place(strategy, &task, &params, &cfg).map_err(|f| f.reason);
+                        prop_assert_eq!(&placed, &literal);
+                    }
+                }
+                let expected = NodeAvailability::new(walk.releases(), now);
+                let kept = walk.settle();
+                prop_assert!(kept.times().eq(expected.times()));
+                prop_assert!(kept.nodes().eq(expected.nodes()));
+            }
+        }
+    }
+
+    /// Unreachable behind the reuse gate. Should it ever happen, a debug
+    /// build raises the alarm and a release build re-sorts — never a wrong
+    /// order.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "not on the earliest nodes"))]
+    fn a_plan_off_the_head_falls_back_to_a_fresh_sort() {
+        let params = ClusterParams::new(4, 1.0, 100.0).expect("valid params");
+        let cfg = PlanConfig::default();
+        let mut walk = Walk::new(&[SimTime::ZERO; 4], SimTime::ZERO);
+        let task = Task::new(1, 0.0, 50.0, 1e6);
+        let plan = walk
+            .place(StrategyKind::DltIit, &task, &params, &cfg)
+            .expect("feasible");
+        // The same plan again, on nodes that are no longer the earliest.
+        walk.apply(&plan);
+        let expected = NodeAvailability::new(walk.releases(), SimTime::ZERO);
+        let kept = walk.settle();
+        assert!(kept.times().eq(expected.times()));
+        assert!(kept.nodes().eq(expected.nodes()));
+    }
+}

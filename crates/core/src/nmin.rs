@@ -120,8 +120,18 @@ pub fn min_feasible_nodes(
         sorted_releases.windows(2).all(|w| w[0] <= w[1]),
         "release times must be sorted"
     );
-    let mut last_err = Infeasible::NotEnoughNodes;
-    for (idx, &r_n) in sorted_releases.iter().enumerate() {
+    scan_feasible_nodes(params, sigma, sorted_releases.iter().copied(), abs_deadline)
+}
+
+/// [`min_feasible_nodes`] over times read in place (the planner scans its
+/// availability snapshot without copying the cluster per plan).
+pub(crate) fn scan_feasible_nodes(
+    params: &ClusterParams,
+    sigma: f64,
+    sorted_releases: impl Iterator<Item = SimTime>,
+    abs_deadline: SimTime,
+) -> Result<ScanResult, Infeasible> {
+    for (idx, r_n) in sorted_releases.enumerate() {
         let n = idx + 1;
         match n_tilde_min(params, sigma, r_n, abs_deadline) {
             Ok(required) if required <= n => return Ok(ScanResult { n, r_n }),
@@ -129,9 +139,8 @@ pub fn min_feasible_nodes(
             // Slack shrinks monotonically with n; these errors are terminal.
             Err(e) => return Err(e),
         }
-        last_err = Infeasible::NotEnoughNodes;
     }
-    Err(last_err)
+    Err(Infeasible::NotEnoughNodes)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::dlt::heterogeneous::HeterogeneousModel;
 use crate::dlt::homogeneous;
 use crate::error::Infeasible;
-use crate::nmin::min_feasible_nodes;
+use crate::nmin::scan_feasible_nodes;
 use crate::params::{ClusterParams, NodeId};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
@@ -151,13 +151,68 @@ impl NodeAvailability {
     /// Builds the snapshot from the committed release vector (indexed by
     /// node id) and the planning instant.
     pub fn new(releases: &[SimTime], now: SimTime) -> Self {
-        let mut entries: Vec<(SimTime, NodeId)> = releases
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r.max(now), NodeId(i as u32)))
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        NodeAvailability { entries, now }
+        let mut avail = NodeAvailability {
+            entries: Vec::new(),
+            now,
+        };
+        avail.rebuild(releases, now);
+        avail
+    }
+
+    /// Re-takes the snapshot in place, keeping the allocation.
+    pub(crate) fn rebuild(&mut self, releases: &[SimTime], now: SimTime) {
+        self.now = now;
+        self.entries.clear();
+        self.entries.extend(
+            releases
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| (r.max(now), NodeId(i as u32))),
+        );
+        self.entries.sort_unstable();
+    }
+
+    /// Brings the snapshot up to date after the releases of its `n`
+    /// earliest nodes changed — what placing a plan does, since a plan
+    /// occupies exactly [`earliest(n)`](Self::earliest). The head is
+    /// re-timed from `releases`, sorted on its own (in `head`, a scratch
+    /// buffer) and merged with the untouched, still sorted tail. The
+    /// `(time, node)` order is total, so the result is entry for entry what
+    /// `new(releases, now)` builds, without sorting the whole cluster.
+    pub(crate) fn retime_head(
+        &mut self,
+        n: usize,
+        releases: &[SimTime],
+        head: &mut Vec<(SimTime, NodeId)>,
+    ) {
+        let now = self.now;
+        head.clear();
+        head.extend(
+            self.entries[..n]
+                .iter()
+                .map(|&(_, node)| (releases[node.index()].max(now), node)),
+        );
+        head.sort_unstable();
+        // Forward merge in place: output slot `i + j - n` trails the tail
+        // cursor `j` until the head runs out, and what is then left of the
+        // tail already sits where it belongs.
+        let (mut i, mut j) = (0, n);
+        while i < head.len() {
+            let slot = i + j - n;
+            if j < self.entries.len() && self.entries[j] < head[i] {
+                self.entries[slot] = self.entries[j];
+                j += 1;
+            } else {
+                self.entries[slot] = head[i];
+                i += 1;
+            }
+        }
+    }
+
+    /// Makes this snapshot a copy of `other`, keeping the allocation.
+    pub(crate) fn copy_from(&mut self, other: &NodeAvailability) {
+        self.entries.clone_from(&other.entries);
+        self.now = other.now;
     }
 
     /// The planning instant.
@@ -172,9 +227,19 @@ impl NodeAvailability {
         self.entries.len()
     }
 
-    /// Sorted available times (ascending).
+    /// The available times in ascending order, read in place.
+    pub(crate) fn times(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.entries.iter().map(|e| e.0)
+    }
+
+    /// The nodes in availability order (the order of [`times`](Self::times)).
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries.iter().map(|e| e.1)
+    }
+
+    /// Sorted available times (ascending), as an owned copy.
     pub fn sorted_times(&self) -> Vec<SimTime> {
-        self.entries.iter().map(|e| e.0).collect()
+        self.times().collect()
     }
 
     /// The `n` earliest-available nodes, in availability order.
@@ -238,6 +303,16 @@ impl TaskPlan {
         self.start_times[0]
     }
 
+    /// Records the plan's node releases in `releases` (index = node id):
+    /// how a placed plan advances the temp schedule and how a dispatch
+    /// commits. Later chunks on one node supersede earlier ones.
+    #[inline]
+    pub(crate) fn write_releases(&self, releases: &mut [SimTime]) {
+        for (node, &rel) in self.nodes.iter().zip(&self.node_release_estimates) {
+            releases[node.index()] = rel;
+        }
+    }
+
     fn validate(&self) {
         debug_assert_eq!(self.nodes.len(), self.start_times.len());
         debug_assert_eq!(self.nodes.len(), self.fractions.len());
@@ -298,7 +373,7 @@ fn select_node_count(
             }
         }
         NodeCountPolicy::FixedPoint => {
-            Ok(min_feasible_nodes(params, task.data_size, &avail.sorted_times(), deadline)?.n)
+            Ok(scan_feasible_nodes(params, task.data_size, avail.times(), deadline)?.n)
         }
     }
 }

@@ -18,6 +18,14 @@
 //! production engine explains on a probe walk that plans the queue prefix
 //! once, the oracle with a from-scratch `schedulability_test` per probe.
 //!
+//! So is the reservation search: the production engine walks each future
+//! dispatch instant once, applying the cached plans its reuse gate still
+//! vouches for, the oracle replans the whole remaining queue per instant.
+//! Besides its own op the search also runs right after every restore (cold
+//! cache: every gate misses) and every early release (stale cache: the
+//! gates of what the release perturbs must fail); an explanation runs the
+//! same search with no cache at all.
+//!
 //! On divergence the failing scenario is greedily *shrunk* — ops are
 //! removed one at a time while the divergence persists — and the minimal
 //! reproducer is printed in the panic message.
@@ -57,9 +65,13 @@ enum Op {
     TakeDue {
         dt: f64,
     },
+    /// An early node release, then a reservation search against the now
+    /// stale reuse cache.
     EarlyRelease {
         node: usize,
         frac: f64,
+        sigma: f64,
+        dc: f64,
     },
     Replan {
         dt: f64,
@@ -68,8 +80,12 @@ enum Op {
         pick: usize,
     },
     /// Crash recovery at engine level: both engines are rebuilt from the
-    /// production engine's journaled image.
-    Thaw,
+    /// production engine's journaled image; then a reservation search
+    /// against the cold reuse cache.
+    Thaw {
+        sigma: f64,
+        dc: f64,
+    },
 }
 
 /// Decodes a raw generated tuple into an [`Op`]. Pure, so the same raw
@@ -110,12 +126,17 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
         5 => Op::EarlyRelease {
             node: (a * 1_000.0) as usize,
             frac: b,
+            sigma: 10.0 + c * 790.0,
+            dc: 0.2 + (c * 7.0).fract() * 3.0,
         },
         6 => Op::Replan { dt: a * 500.0 },
         7 => Op::RemoveWaiting {
             pick: (a * 1_000.0) as usize,
         },
-        9 => Op::Thaw,
+        9 => Op::Thaw {
+            sigma,
+            dc: 0.2 + b * 3.0,
+        },
         // Tight factors again, spread wider: an explanation is only
         // searched for a refusal, and where the candidate sorts in the
         // waiting queue decides how much of the walk is shared.
@@ -212,6 +233,33 @@ impl Harness {
         Ok(())
     }
 
+    /// The production reservation search against the literal one, plus
+    /// the contract checks against the reference engine itself: Some(now)
+    /// iff the plain probe accepts, and a promised start honors the
+    /// dispatch-then-resubmit protocol.
+    fn check_earliest_start(&self, task: &Task) -> Result<(), String> {
+        let now = SimTime::new(self.now);
+        let a = self.full.earliest_feasible_start(task, now);
+        let b = self.inc.earliest_feasible_start(task, now);
+        if a != b {
+            return Err(format!("earliest_feasible_start diverged {a:?} vs {b:?}"));
+        }
+        let probe_accepts = self.full.probe(task, now).is_accepted();
+        if (a == Some(now)) != probe_accepts {
+            return Err(format!(
+                "Some(now)={a:?} disagrees with probe={probe_accepts}"
+            ));
+        }
+        if let Some(start) = a.filter(|s| s.definitely_after(now)) {
+            let mut replay = self.full.clone();
+            let _ = replay.take_due(start);
+            if !replay.submit(*task, start).is_accepted() {
+                return Err(format!("promised start {start:?} dishonored"));
+            }
+        }
+        Ok(())
+    }
+
     /// Applies one op to both engines, checking decision and state
     /// equality.
     fn apply(&mut self, i: usize, op: &Op) -> Result<(), String> {
@@ -257,33 +305,8 @@ impl Harness {
             }
             Op::EarliestFeasibleStart { sigma, dc } => {
                 let task = self.mk_task(*sigma, *dc, None);
-                let now = SimTime::new(self.now);
-                let a = self.full.earliest_feasible_start(&task, now);
-                let b = self.inc.earliest_feasible_start(&task, now);
-                if a != b {
-                    return Err(format!(
-                        "op {i} {op:?}: earliest_feasible_start diverged {a:?} vs {b:?}"
-                    ));
-                }
-                // Contract checks against the reference engine itself:
-                // Some(now) iff the plain probe accepts, and a promised
-                // start honors the dispatch-then-resubmit protocol.
-                let probe_accepts = self.full.probe(&task, now).is_accepted();
-                if (a == Some(now)) != probe_accepts {
-                    return Err(format!(
-                        "op {i} {op:?}: Some(now)={:?} disagrees with probe={probe_accepts}",
-                        a
-                    ));
-                }
-                if let Some(start) = a.filter(|s| s.definitely_after(now)) {
-                    let mut replay = self.full.clone();
-                    let _ = replay.take_due(start);
-                    if !replay.submit(task, start).is_accepted() {
-                        return Err(format!(
-                            "op {i} {op:?}: promised start {start:?} dishonored"
-                        ));
-                    }
-                }
+                self.check_earliest_start(&task)
+                    .map_err(|e| format!("op {i} {op:?}: {e}"))?;
             }
             Op::Explain { sigma, dc } => {
                 let task = self.mk_task(*sigma, *dc, None);
@@ -299,7 +322,12 @@ impl Harness {
                     return Err(format!("op {i} {op:?}: take_due diverged {a:?} vs {b:?}"));
                 }
             }
-            Op::EarlyRelease { node, frac } => {
+            Op::EarlyRelease {
+                node,
+                frac,
+                sigma,
+                dc,
+            } => {
                 let node = node % self.full.params().num_nodes;
                 // Pull the node's committed release part-way back toward
                 // `now` — the "node freed earlier than estimated" event.
@@ -307,6 +335,9 @@ impl Harness {
                 let time = SimTime::new(self.now + frac * (rel - self.now).max(0.0));
                 self.full.set_node_release(node, time);
                 self.inc.set_node_release(node, time);
+                let task = self.mk_task(*sigma, *dc, None);
+                self.check_earliest_start(&task)
+                    .map_err(|e| format!("op {i} {op:?}: after the release: {e}"))?;
             }
             Op::Replan { dt } => {
                 self.now += dt;
@@ -327,7 +358,12 @@ impl Harness {
                     }
                 }
             }
-            Op::Thaw => self.thaw(&format!("op {i} {op:?}"))?,
+            Op::Thaw { sigma, dc } => {
+                self.thaw(&format!("op {i} {op:?}"))?;
+                let task = self.mk_task(*sigma, *dc, None);
+                self.check_earliest_start(&task)
+                    .map_err(|e| format!("op {i} {op:?}: after the thaw: {e}"))?;
+            }
         }
         self.check(&format!("op {i} {op:?}"))
     }
@@ -411,8 +447,9 @@ proptest! {
         algorithm in prop::sample::select(vec![AlgorithmKind::EDF_DLT, AlgorithmKind::FIFO_DLT]),
         raws in prop::collection::vec(
             // Kinds 2/4/5 dominate: bursts through the checkpoint-rewind
-            // path, interleaved with dispatches, early releases, the
-            // reservation search (kind 8), restores (kind 9) and refusal
+            // path, interleaved with dispatches, early releases and
+            // restores (kinds 5 and 9, each followed by a reservation
+            // search), the reservation search itself (kind 8) and refusal
             // explanations (kind 10).
             (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9, 10]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
             1..16,
@@ -445,6 +482,17 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
             let time = SimTime::new(h.now + 0.5 * (rel - h.now).max(0.0));
             h.full.set_node_release(node, time);
             h.inc.set_node_release(node, time);
+            // The reservation search for the incoming task against the
+            // stale cache, as asked and with the deadline cut until the
+            // queue refuses it — then the replan.
+            let tight = Task {
+                rel_deadline: t.rel_deadline * 0.3,
+                ..*t
+            };
+            for probe in [t, &tight] {
+                h.check_earliest_start(probe)
+                    .map_err(|e| format!("task {i}: after the release: {e}"))?;
+            }
             let ra = h.full.replan(now);
             let rb = h.inc.replan(now);
             if ra != rb {
@@ -453,17 +501,14 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
         }
         if i % 11 == 6 {
             h.thaw(&format!("task {i}"))?;
+            h.check_earliest_start(t)
+                .map_err(|e| format!("task {i}: after the thaw: {e}"))?;
         }
         if i % 5 == 2 {
             // A reservation search for the incoming task before deciding
             // it: both engines must name the same instant (or none).
-            let ea = h.full.earliest_feasible_start(t, now);
-            let eb = h.inc.earliest_feasible_start(t, now);
-            if ea != eb {
-                return Err(format!(
-                    "task {i}: earliest_feasible_start diverged {ea:?} vs {eb:?}"
-                ));
-            }
+            h.check_earliest_start(t)
+                .map_err(|e| format!("task {i}: {e}"))?;
         }
         if i % 3 == 1 {
             // And an explanation, as asked — `None` for most of a stream —

@@ -158,8 +158,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     /// Turns the always-on hot-path profiler on: reactor turn phases
     /// (`edge/read`, `edge/drive`, `edge/flush`) and every phase the
-    /// gateway stack registers (`gateway/plan`, `gateway/explain`,
-    /// `journal/append`, `journal/fsync`, `ship/poll`, …) accumulate into
+    /// gateway stack registers (`gateway/plan`, `gateway/reserve`,
+    /// `gateway/explain`, `gateway/retest`, `journal/append`,
+    /// `journal/fsync`, `ship/poll`, …) accumulate into
     /// exponential-bucket histograms served by [`OpsQuery::Profile`]. Until
     /// this is called the profiler costs one `Option` check per phase.
     pub fn enable_profiler(&mut self) {

@@ -64,9 +64,9 @@ pub struct ServiceBook {
     /// default (the zero-telemetry path is one `Option` check), never
     /// captured in snapshots, re-attached by the owner after recovery.
     telemetry: Telemetry,
-    /// Hot-path profiler handle (phase timing on the plan and explain
-    /// paths). Same discipline as `telemetry`: disabled by default,
-    /// process-local.
+    /// Hot-path profiler handle (phase timing on the plan, reserve,
+    /// explain and defer re-test paths). Same discipline as `telemetry`:
+    /// disabled by default, process-local.
     profiler: Profiler,
     /// Deadline-SLO tracker. Durable: sim-time driven and deterministic, it
     /// rides inside gateway snapshots so alarm states and breach counts
@@ -581,7 +581,10 @@ fn decide_request_inner(
                     .admits_reservation(request.qos, book.reservations.count_for(tenant));
                 if can_book {
                     let reserve_timer = book.telemetry.timer();
-                    if let Some(start_at) = engine.earliest_feasible_start(&request.task, now) {
+                    let reserve_phase = book.profiler.start();
+                    let earliest = engine.earliest_feasible_start(&request.task, now);
+                    book.profiler.stop("gateway/reserve", reserve_phase);
+                    if let Some(start_at) = earliest {
                         if start_at.at_or_before_eps(now + SimTime::new(max_delay)) {
                             let ticket = book.reservations.book(
                                 request.task,

@@ -142,8 +142,10 @@ pub trait EdgeGateway {
     }
 
     /// Attaches a hot-path profiler handle: the routed admission/plan
-    /// phase of every decision starts timing into `gateway/plan`, and a
-    /// refusal's explanation search into `gateway/explain`.
+    /// phase of every decision starts timing into `gateway/plan`, a
+    /// refusal's reservation search into `gateway/reserve` and its
+    /// explanation search into `gateway/explain`, and every sweep of the
+    /// defer queue into `gateway/retest`.
     fn attach_profiler(&mut self, profiler: &Profiler) {
         self.book_mut().set_profiler(profiler.clone());
     }

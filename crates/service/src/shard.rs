@@ -750,9 +750,11 @@ impl ShardedGateway {
         let shards = &mut self.shards;
         let routing = self.routing;
         let cursor = &mut self.cursor;
+        let retest_phase = self.book.profiler().start();
         let (departed, retests) = self.book.defer.sweep(now, |task| {
             try_admit(shards, routing, cursor, task, now, None, NO_SKIP).is_ok()
         });
+        self.book.profiler().stop("gateway/retest", retest_phase);
         self.book.metrics.retests += retests;
         book::apply_departures(&mut self.book, departed, now);
     }
@@ -1312,6 +1314,40 @@ mod tests {
         assert_eq!(g.metrics().accepted_total(), 2);
         let plan = Frontend::find_plan(&g, c.id).expect("activated plan");
         assert!(!plan.est_completion.definitely_after(c.absolute_deadline()));
+    }
+
+    #[test]
+    fn profiler_times_the_reservation_search_and_the_defer_sweep() {
+        // `gateway/reserve` is the start search alone: a verdict that never
+        // reaches it (an acceptance) records none, a `Reserved` one does.
+        // `gateway/retest` is one entry per defer sweep.
+        use rtdls_telemetry::Profiler;
+        let count = |profiler: &Profiler, path: &str| {
+            profiler
+                .snapshot()
+                .iter()
+                .find(|p| p.path == path)
+                .map_or(0, |p| p.count)
+        };
+        let mut g = single();
+        let profiler = Profiler::enabled();
+        g.attach_profiler(&profiler);
+        let roomy = SubmitRequest::new(Task::new(1, 0.0, 100.0, 1e6)).with_max_delay(Some(2000.0));
+        assert!(g.submit_request(&roomy, SimTime::ZERO).is_accepted());
+        assert_eq!(count(&profiler, "gateway/plan"), 1);
+        assert_eq!(count(&profiler, "gateway/reserve"), 0);
+
+        let (mut g, c, _) = reservation_scenario();
+        let profiler = Profiler::enabled();
+        g.attach_profiler(&profiler);
+        let req = SubmitRequest::new(c).with_max_delay(Some(2000.0));
+        let verdict = g.submit_request(&req, SimTime::ZERO);
+        assert!(matches!(verdict, Verdict::Reserved { .. }), "{verdict:?}");
+        assert_eq!(count(&profiler, "gateway/plan"), 1);
+        assert_eq!(count(&profiler, "gateway/reserve"), 1);
+        assert_eq!(count(&profiler, "gateway/retest"), 0);
+        g.retest_deferred(SimTime::ZERO);
+        assert_eq!(count(&profiler, "gateway/retest"), 1);
     }
 
     #[test]
