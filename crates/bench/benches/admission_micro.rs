@@ -6,8 +6,10 @@
 //! `admit_deep` workload keeps it: one 64-node shard, ≈ 46 tasks waiting, a
 //! candidate that sorts mid-queue and is refused. `submit_deep` is the
 //! failed pass, `start_search_deep` the reservation search that follows it
-//! (every later dispatch instant up to the candidate's deadline). Printed,
-//! not gated.
+//! (every later dispatch instant up to the candidate's deadline).
+//! `explain_fleet` is one refusal explained by a fleet shaped like the
+//! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
+//! queue filled by one same-instant burst. Printed, not gated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -15,6 +17,8 @@ use std::hint::black_box;
 use rtdls_bench::{baseline, waiting_queue};
 use rtdls_core::admission::schedulability_test;
 use rtdls_core::prelude::*;
+use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway};
+use rtdls_workload::prelude::{WorkloadGenerator, WorkloadSpec};
 
 fn bench_schedulability_test(c: &mut Criterion) {
     let params = baseline();
@@ -124,6 +128,47 @@ fn bench_deep_book(c: &mut Criterion) {
     group.finish();
 }
 
+/// 8 shards × 8 nodes after one same-instant burst of twice what they can
+/// start at once, and the first request of the burst no shard could take.
+fn burst_fleet() -> (ShardedGateway, SubmitRequest, SimTime) {
+    let params = ClusterParams::new(64, 1.0, 100.0).expect("valid params");
+    let mut gateway = ShardedGateway::new(
+        params,
+        8,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .expect("valid shard count");
+    let mut spec = WorkloadSpec::paper_baseline(1.0);
+    spec.params = params;
+    spec.dc_ratio = 20.0;
+    spec.horizon = f64::MAX;
+    let now = SimTime::new(1_000.0);
+    let mut refused = None;
+    for mut task in WorkloadGenerator::new(spec, 3).take(64) {
+        task.arrival = now;
+        let request = SubmitRequest::new(task);
+        if !gateway.submit_request(&request, now).is_accepted() {
+            refused.get_or_insert(request);
+        }
+    }
+    let refused = refused.expect("the burst overfills the fleet");
+    // Explained against the full queues the rest of the burst left behind.
+    assert!(gateway.explain(&refused, now).is_some());
+    (gateway, refused, now)
+}
+
+fn bench_explain_fleet(c: &mut Criterion) {
+    let (gateway, refused, now) = burst_fleet();
+    let mut group = c.benchmark_group("explain_fleet");
+    group.bench_function("burst_refusal", |b| {
+        b.iter(|| black_box(gateway.explain(black_box(&refused), now)))
+    });
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -134,6 +179,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_schedulability_test, bench_controller_submit, bench_deep_book
+    targets = bench_schedulability_test, bench_controller_submit, bench_deep_book,
+        bench_explain_fleet
 }
 criterion_main!(benches);

@@ -2,13 +2,18 @@
 //! would have passed.
 //!
 //! The search is resumable ([`ExplainSearch`]): [`open`] finds the binding
-//! cause and the counterfactual deadline, [`finish`] adds the counterfactual
-//! size and start. A fleet compares shards by deadline alone, so it opens a
-//! search per shard and finishes only the winner's. Every probe of one
-//! search runs on one [`ProbeWalk`] — the book is put in policy order and
-//! its shared prefix planned once, not once per probe.
+//! cause and a [`Bracket`] around the counterfactual deadline, each
+//! [`refine`] halves that bracket once, and [`finish`] tightens what is
+//! left of it and adds the counterfactual size and start. A single
+//! explanation is `open` → `finish`. A fleet compares shards by deadline
+//! alone, so it opens a search per shard, refines them side by side,
+//! abandons a search whose bracket already lies wholly above another's, and
+//! finishes only the winner's. Every probe of one search runs on one
+//! [`ProbeWalk`] — the book is put in policy order once, and each probe
+//! starts from the kept walk state at its own insertion point.
 //!
 //! [`open`]: ExplainSearch::open
+//! [`refine`]: ExplainSearch::refine
 //! [`finish`]: ExplainSearch::finish
 
 use serde::{Deserialize, Serialize};
@@ -85,45 +90,77 @@ impl AdmissionExplanation {
 /// renegotiated request even marginally looser is also feasible.
 pub(super) const EXPLAIN_TOL: f64 = 1e-9;
 
-/// Bisects between a value known to fail and one known to pass (either may
-/// be the larger) until the bracket is [`EXPLAIN_TOL`]-tight, and returns
-/// its passing end.
-fn tighten(mut failing: f64, mut passing: f64, mut feasible: impl FnMut(f64) -> bool) -> f64 {
-    for _ in 0..64 {
-        if (passing - failing).abs() <= EXPLAIN_TOL * passing.max(failing).max(1.0) {
-            break;
-        }
-        let mid = 0.5 * (failing + passing);
-        if feasible(mid) {
-            passing = mid;
-        } else {
-            failing = mid;
-        }
-    }
-    passing
+/// A counterfactual bisection in progress: a value known to fail the test
+/// and one known to pass it (either may be the larger). The value the
+/// search will report — the passing end once [`done`](Bracket::done) — lies
+/// in `(failing, passing]` of every bracket on the way there, whatever the
+/// test answers in between: that is all a caller may conclude from an
+/// unfinished bracket (the test is not monotone, so nothing follows about
+/// values outside it).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Bracket {
+    /// The end known to fail.
+    pub failing: f64,
+    /// The end known to pass.
+    pub passing: f64,
+    /// Evaluations left before the search stops regardless.
+    budget: u32,
 }
 
-/// A refusal explanation in progress: the cause and the counterfactual
-/// deadline are known ([`ExplainSearch::open`]), the counterfactual size
-/// and start are still to be searched ([`ExplainSearch::finish`]).
+impl Bracket {
+    fn new(failing: f64, passing: f64) -> Self {
+        Bracket {
+            failing,
+            passing,
+            budget: 64,
+        }
+    }
+
+    /// `true` once the bracket is [`EXPLAIN_TOL`]-tight (or its evaluation
+    /// budget is spent): `passing` is then the search's answer.
+    pub fn done(&self) -> bool {
+        self.budget == 0
+            || (self.passing - self.failing).abs()
+                <= EXPLAIN_TOL * self.passing.max(self.failing).max(1.0)
+    }
+
+    /// Tests the midpoint and moves the end it agrees with there.
+    fn step(&mut self, feasible: impl FnOnce(f64) -> bool) {
+        debug_assert!(!self.done(), "stepping a converged bracket");
+        self.budget -= 1;
+        let mid = 0.5 * (self.failing + self.passing);
+        if feasible(mid) {
+            self.passing = mid;
+        } else {
+            self.failing = mid;
+        }
+    }
+}
+
+/// A refusal explanation in progress: the cause and a bracket around the
+/// counterfactual deadline are known ([`ExplainSearch::open`]), the bracket
+/// can be halved step by step ([`ExplainSearch::refine`]), and the
+/// counterfactual size and start are still to be searched
+/// ([`ExplainSearch::finish`]).
 pub struct ExplainSearch<'a> {
     /// The book at the refusal's instant; every probe runs on it.
     walk: ProbeWalk<'a>,
     queue: &'a [(Task, TaskPlan)],
     task: Task,
     cause: Infeasible,
-    min_feasible_deadline: f64,
+    /// `None` when no feasible deadline was found within the horizon.
+    deadline: Option<Bracket>,
 }
 
 impl<'a> ExplainSearch<'a> {
     /// Runs the Fig. 2 test for `task` at `now` against the given book —
     /// `None` when it is in fact feasible as-is — and, for a refusal,
-    /// the counterfactual deadline search: the upper probe is seeded at the
-    /// analytic full-cluster slack floor
+    /// brackets the counterfactual deadline: the upper probe is seeded at
+    /// the analytic full-cluster slack floor
     /// ([`crate::nmin::min_feasible_slack`]) measured from the latest
-    /// committed release, doubled until feasible, and bisected down keeping
-    /// the infeasible/feasible bracket; the reported value is the bracket's
-    /// feasible end.
+    /// committed release and doubled until feasible; the refused deadline
+    /// is the bracket's failing end. Bisecting it down is
+    /// [`refine`](ExplainSearch::refine)'s.
     pub fn open(
         params: &'a ClusterParams,
         algorithm: AlgorithmKind,
@@ -171,34 +208,60 @@ impl<'a> ExplainSearch<'a> {
             hi *= 2.0;
             found = hi.is_finite() && feasible(hi);
         }
-        let min_feasible_deadline = if found {
-            tighten(task.rel_deadline, hi, feasible)
-        } else {
-            0.0
-        };
+        let deadline = found.then(|| Bracket::new(task.rel_deadline, hi));
         Some(ExplainSearch {
             walk,
             queue,
             task: *task,
             cause,
-            min_feasible_deadline,
+            deadline,
         })
     }
 
-    /// What [`AdmissionExplanation::min_feasible_deadline`] will be: the
-    /// one value a fleet compares its shards' searches by. 0 when no
-    /// feasible deadline was found.
-    pub fn min_feasible_deadline(&self) -> f64 {
-        self.min_feasible_deadline
+    /// Where the counterfactual deadline search stands — the one thing a
+    /// fleet compares its shards' searches by: what
+    /// [`AdmissionExplanation::min_feasible_deadline`] will be lies in
+    /// `(failing, passing]`, and is `passing` once the bracket is
+    /// [`done`](Bracket::done). `None` when no feasible deadline was found.
+    pub fn deadline_bracket(&self) -> Option<Bracket> {
+        self.deadline
     }
 
-    /// Completes the explanation: the σ search bisects between a near-zero
-    /// size and the rejected size the way the deadline search does, and the
+    /// One bisection step of the deadline search; `false` when there was
+    /// none to take (converged, or no feasible deadline to converge on).
+    /// The midpoints a search tests depend on nothing but its own book, so
+    /// searches refined in any interleaving end where they would alone.
+    pub fn refine(&mut self) -> bool {
+        let Some(bracket) = self.deadline.as_mut().filter(|b| !b.done()) else {
+            return false;
+        };
+        let (walk, task) = (&mut self.walk, &self.task);
+        bracket.step(|d| {
+            walk.probe(&Task {
+                rel_deadline: d,
+                ..*task
+            })
+            .is_ok()
+        });
+        true
+    }
+
+    /// How many tests this search has run on its walk so far.
+    pub fn probes(&self) -> u64 {
+        self.walk.probes()
+    }
+
+    /// Completes the explanation: the deadline bracket is tightened the
+    /// rest of the way, the σ search bisects between a near-zero size and
+    /// the rejected size the way the deadline search does, and the
     /// reservation search ([`Admission::earliest_feasible_start`]) names
     /// the earliest later instant the unchanged request would pass at.
     ///
     /// [`Admission::earliest_feasible_start`]: super::Admission::earliest_feasible_start
     pub fn finish(mut self) -> AdmissionExplanation {
+        while self.refine() {}
+        // 0 stands for "no feasible deadline found".
+        let min_feasible_deadline = self.deadline.map_or(0.0, |b| b.passing);
         let task = self.task;
         let mut feasible = |s: f64| {
             self.walk
@@ -212,7 +275,11 @@ impl<'a> ExplainSearch<'a> {
         // hopeless at any size and no suggestion is made.
         let tiny = task.data_size * 1e-9;
         let max_feasible_sigma = if tiny > 0.0 && feasible(tiny) {
-            tighten(task.data_size, tiny, feasible)
+            let mut sigma = Bracket::new(task.data_size, tiny);
+            while !sigma.done() {
+                sigma.step(&mut feasible);
+            }
+            sigma.passing
         } else {
             0.0
         };
@@ -231,7 +298,6 @@ impl<'a> ExplainSearch<'a> {
             &task,
             |_, _, _| false,
         );
-        let min_feasible_deadline = self.min_feasible_deadline;
         AdmissionExplanation {
             cause: self.cause,
             at: walk.now,
@@ -338,6 +404,88 @@ mod tests {
             oracle.explain(&SubmitRequest::new(heavy), SimTime::ZERO),
             Some(ex)
         );
+    }
+
+    #[test]
+    fn a_bracket_holds_its_answer_at_every_step_whatever_the_test_answers() {
+        // What a fleet's race relies on, on a test that is not monotone
+        // (passes below 0.2 and from 0.7 up): the answer lies in
+        // `(failing, passing]` of every bracket on the way to it.
+        let feasible = |x: f64| !(0.2..0.7).contains(&x);
+        let mut bracket = Bracket::new(0.5, 1.0);
+        let mut on_the_way = vec![bracket];
+        while !bracket.done() {
+            bracket.step(feasible);
+            on_the_way.push(bracket);
+        }
+        assert!(feasible(bracket.passing) && !feasible(bracket.failing));
+        assert!(bracket.passing - bracket.failing <= EXPLAIN_TOL);
+        for earlier in on_the_way {
+            assert!(earlier.failing < bracket.passing && bracket.passing <= earlier.passing);
+        }
+        // Either end may be the larger (the σ search's failing end is).
+        let mut down = Bracket::new(1.0, 0.0);
+        while !down.done() {
+            down.step(|x| x <= 0.25);
+        }
+        assert!(down.passing <= 0.25 && 0.25 - down.passing <= EXPLAIN_TOL);
+        // A bracket too wide to tighten stops after 64 evaluations, and
+        // the tolerance is checked before each of them.
+        let mut evaluations = 0;
+        let mut wide = Bracket::new(0.0, 1e300);
+        while !wide.done() {
+            wide.step(|_| {
+                evaluations += 1;
+                true
+            });
+        }
+        assert_eq!(evaluations, 64);
+        assert!(Bracket::new(1.0, 1.0 + 1e-10).done());
+    }
+
+    #[test]
+    fn a_search_refined_step_by_step_ends_where_finish_alone_does() {
+        // The non-monotone two-node book of the test below, refused at 1850.
+        let p = ClusterParams::new(2, 1.0, 100.0).unwrap();
+        let mut c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
+        assert!(c
+            .submit(Task::new(1, 0.0, 10.0, 1750.0), SimTime::ZERO)
+            .is_accepted());
+        let task = Task::new(2, 0.0, 20.0, 1850.0);
+        let open = || {
+            ExplainSearch::open(
+                c.params(),
+                c.algorithm(),
+                c.config(),
+                SimTime::ZERO,
+                c.committed_releases(),
+                c.queue(),
+                &task,
+            )
+            .expect("refused")
+        };
+        let alone = open().finish();
+        let mut stepped = open();
+        let mut brackets = vec![stepped.deadline_bracket().expect("a feasible deadline")];
+        assert_eq!(brackets[0].failing, 1850.0);
+        let opened_with = stepped.probes();
+        while stepped.refine() {
+            brackets.push(stepped.deadline_bracket().expect("kept"));
+        }
+        assert!(brackets.len() > 20, "the bracket was found, not tightened");
+        assert_eq!(
+            stepped.probes(),
+            opened_with + brackets.len() as u64 - 1,
+            "one probe per step"
+        );
+        let last = *brackets.last().expect("at least the opening bracket");
+        assert!(last.done() && !stepped.refine());
+        let explained = stepped.finish();
+        assert_eq!(explained, alone);
+        assert_eq!(explained.min_feasible_deadline, last.passing);
+        for b in brackets {
+            assert!(b.failing < last.passing && last.passing <= b.passing);
+        }
     }
 
     #[test]

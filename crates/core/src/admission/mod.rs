@@ -32,8 +32,10 @@
 //! *Which* modified parameters would have passed is what a refusal
 //! explanation searches for ([`ExplainSearch`], [`AdmissionExplanation`]):
 //! dozens of what-if tests against one book, run on a probe walk that
-//! plans the shared queue prefix once (`probe.rs`) — with the literal
-//! one-test-per-probe search kept as the oracle's, like the engine itself.
+//! keeps the walk state at every insertion point a probe has used
+//! (`probe.rs`), as a resumable search a fleet can race shard against shard
+//! (`explain.rs`) — with the literal one-test-per-probe search kept as the
+//! oracle's, like the engine itself.
 //!
 //! Every production walk — the engine's passes, the probe walk, the
 //! reservation search — takes its steps on one kernel (`walk.rs`): the
@@ -57,7 +59,7 @@ mod probe;
 pub mod reference;
 mod walk;
 
-pub use explain::{explain_infeasibility, AdmissionExplanation, ExplainSearch};
+pub use explain::{explain_infeasibility, AdmissionExplanation, Bracket, ExplainSearch};
 pub use incremental::AdmissionController;
 
 /// Why (and for which task) a schedulability test failed.

@@ -8,10 +8,13 @@
 //! ([`schedulability_test`](super::schedulability_test)) re-sorts and
 //! re-plans the whole waiting queue and materialises every plan for each of
 //! them. A [`ProbeWalk`] does the shared part once — the waiting tasks in
-//! policy order, and the positions ahead of the task's own insertion point
-//! walked into a kept [`Walk`] state — and each probe copies that state
-//! into one reused scratch walk and plans only from there on, keeping
-//! nothing but the verdict.
+//! policy order, the positions ahead of the task's own insertion point
+//! walked into a kept [`Walk`] state, and, as probes ask for them, the
+//! states after each further waiting task (the *chain*) — and each probe
+//! copies the state at its candidate's insertion point into one reused
+//! scratch walk and plans only the candidate and what sorts behind it,
+//! keeping nothing but the verdict. A deadline search moves the candidate
+//! toward the back of the queue, where almost nothing is left to plan.
 //!
 //! The reservation search ([`earliest_future_start`]) asks it once per
 //! future dispatch instant, about books that differ only in which waiting
@@ -48,11 +51,16 @@ pub(super) struct ProbeWalk<'a> {
     /// task: the shared prefix every probe at or after that key walks
     /// through unchanged.
     prefix_len: usize,
-    /// The walk after the prefix, or the prefix's first failure (which is
-    /// then every sharing probe's first failure).
-    prefix: Result<Walk, AdmissionFailure>,
+    /// `chain[j]` is the walk after the prefix and the next `j` waiting
+    /// tasks, no candidate among them — or the first failure on the way
+    /// there, which is then the first failure of every probe landing at or
+    /// behind that point. `chain[0]` (the prefix) is built up front, the
+    /// links behind it when a probe first lands behind them.
+    chain: Vec<Result<Walk, AdmissionFailure>>,
     /// The per-probe walk, reused across probes.
     scratch: Walk,
+    /// Tests answered so far.
+    probes: u64,
 }
 
 impl<'a> ProbeWalk<'a> {
@@ -88,15 +96,22 @@ impl<'a> ProbeWalk<'a> {
             committed,
             ordered,
             prefix_len,
-            prefix,
+            chain: vec![prefix],
             scratch: Walk::new(&[], now),
+            probes: 0,
         }
+    }
+
+    /// How many tests this walk has answered.
+    pub(super) fn probes(&self) -> u64 {
+        self.probes
     }
 
     /// The Fig. 2 test for `candidate` against the walk's book: `Ok` iff
     /// `schedulability_test(.., waiting, Some(candidate))` passes, and the
     /// same first failure when it does not.
     pub(super) fn probe(&mut self, candidate: &Task) -> Result<(), AdmissionFailure> {
+        self.probes += 1;
         let policy = self.algorithm.policy;
         let key = policy.key(candidate);
         // A probe sorting strictly ahead of the last prefix task would land
@@ -114,23 +129,33 @@ impl<'a> ProbeWalk<'a> {
             )
             .map(drop);
         }
-        let after_prefix = self.prefix.as_mut().map_err(|f| *f)?;
-        // Every probe plans at least the candidate from here, so the
-        // prefix's last step is merged once, not once per copy.
-        after_prefix.settle();
-        let walk = &mut self.scratch;
-        walk.copy_from(after_prefix);
         let (strategy, params, cfg) = (self.algorithm.strategy, self.params, self.cfg);
-        let mut pending = true;
-        for w in &self.ordered[self.prefix_len..] {
-            if pending && key < policy.key(w) {
-                walk.place(strategy, candidate, params, cfg)?;
-                pending = false;
-            }
-            walk.place(strategy, w, params, cfg)?;
+        // The candidate lands after every waiting task with a key at or
+        // below its own, as in the literal test's stable sort.
+        let behind = &self.ordered[self.prefix_len..];
+        let at = behind.partition_point(|w| policy.key(w) <= key);
+        while self.chain.len() <= at {
+            let j = self.chain.len() - 1;
+            let next = match &mut self.chain[j] {
+                Err(failure) => Err(*failure),
+                Ok(link) => {
+                    // Settled before it is copied, here and below, so the
+                    // copies do not each repeat its last step's merge.
+                    link.settle();
+                    let mut walk = Walk::new(&[], self.now);
+                    walk.copy_from(link);
+                    walk.place(strategy, &behind[j], params, cfg).map(|_| walk)
+                }
+            };
+            self.chain.push(next);
         }
-        if pending {
-            walk.place(strategy, candidate, params, cfg)?;
+        let link = self.chain[at].as_mut().map_err(|f| *f)?;
+        link.settle();
+        let walk = &mut self.scratch;
+        walk.copy_from(link);
+        walk.place(strategy, candidate, params, cfg)?;
+        for w in &behind[at..] {
+            walk.place(strategy, w, params, cfg)?;
         }
         Ok(())
     }
@@ -229,11 +254,14 @@ mod tests {
 
     /// A random book and walk task, decoded from unit-interval draws so
     /// deadlines sit around what the cluster can serve (a mix of passing
-    /// and failing walks) and land on a coarse grid (so keys tie).
+    /// and failing walks) and land on a coarse grid (so keys tie). Waiting
+    /// task `heavy`, if there is one, is far too large for its deadline:
+    /// wherever it sorts, the walk fails on it.
     fn book(
         releases: &[f64],
         waiting: &[(f64, f64)],
         own: (f64, f64),
+        heavy: usize,
     ) -> (ClusterParams, Vec<SimTime>, Vec<Task>, Task) {
         let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
         let e = |sigma: f64| homogeneous::exec_time(&params, sigma, NODES);
@@ -251,7 +279,13 @@ mod tests {
         let queue = waiting
             .iter()
             .enumerate()
-            .map(|(i, w)| mk(i as u64 + 1, *w))
+            .map(|(i, w)| {
+                let task = mk(i as u64 + 1, *w);
+                Task {
+                    data_size: task.data_size * if i == heavy { 1e4 } else { 1.0 },
+                    ..task
+                }
+            })
             .collect();
         (params, committed, queue, mk(100, own))
     }
@@ -261,9 +295,12 @@ mod tests {
 
         /// The probe walk answers exactly what the literal test answers —
         /// verdict and first failure — for the walk's own task, for
-        /// variations sorting behind it, for variations sorting *ahead* of
-        /// the shared prefix (the literal fallback), and for keys that tie
-        /// a waiting task's.
+        /// variations sorting behind it in any order of asking (a probe
+        /// landing ahead of the chain's end starts from the earlier link),
+        /// for variations sorting *ahead* of the shared prefix (the literal
+        /// fallback), for keys that tie a waiting task's, and with a
+        /// waiting task that cannot be planned anywhere in the order (an
+        /// `Err` link hands its failure to every probe behind it).
         #[test]
         fn probe_walk_matches_the_literal_test(
             algorithm in prop::sample::select(vec![
@@ -276,8 +313,10 @@ mod tests {
             own in (0.0f64..1.0, 0.0f64..1.0),
             variations in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u64..3), 1..8),
             now in 0.0f64..0.5,
+            // Half the books have no unplannable task.
+            heavy in 0usize..14,
         ) {
-            let (params, committed, queue, task) = book(&releases, &waiting, own);
+            let (params, committed, queue, task) = book(&releases, &waiting, own, heavy);
             let cfg = PlanConfig::default();
             let now = SimTime::new(now * 1_000.0);
             let mut walk = ProbeWalk::new(
@@ -301,6 +340,27 @@ mod tests {
                     ..task
                 };
                 prop_assert_eq!(walk.probe(&varied), literal(&varied), "{:?}", varied);
+            }
+            // Long, short, long: behind the whole queue (the chain is built
+            // to its end), back at the walk's own position, part of the way
+            // out, and out again.
+            let (own, far) = (task.rel_deadline, 13.0 * grid);
+            for rel_deadline in [far, own, far, own + 2.0 * grid, far, own + grid] {
+                let varied = Task { rel_deadline, ..task };
+                prop_assert_eq!(walk.probe(&varied), literal(&varied), "{:?}", varied);
+            }
+            // Every waiting task's key tied exactly — id and all, so the
+            // candidate lands right after it — and missed by one id either
+            // way.
+            for w in &queue {
+                for id in [w.id.0 - 1, w.id.0, w.id.0 + 1] {
+                    let varied = Task {
+                        rel_deadline: w.rel_deadline,
+                        id: crate::task::TaskId(id),
+                        ..task
+                    };
+                    prop_assert_eq!(walk.probe(&varied), literal(&varied), "{:?}", varied);
+                }
             }
         }
     }
@@ -343,5 +403,65 @@ mod tests {
             ..task
         };
         assert_eq!(walk.probe(&roomier), literal);
+    }
+
+    #[test]
+    fn a_failing_middle_task_fails_every_probe_behind_it_with_its_failure() {
+        // Waiting task 2 is far too large for its deadline and sorts behind
+        // the candidate's own position, between two plannable tasks. A
+        // probe landing ahead of it meets it on its own walk; a probe
+        // landing behind it — right behind, or behind task 3 as well —
+        // gets the failure from the chain link, the candidate unplanned.
+        // Either way the literal test blames task 2, and so must the walk.
+        let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
+        let cfg = PlanConfig::default();
+        let committed = vec![SimTime::ZERO; NODES];
+        let waiting = [
+            Task::new(1, 0.0, 100.0, 20_000.0),
+            Task::new(2, 0.0, 1e6, 40_000.0),
+            Task::new(3, 0.0, 100.0, 60_000.0),
+        ];
+        let task = Task::new(100, 0.0, 100.0, 10_000.0);
+        let now = SimTime::ZERO;
+        let mut walk = ProbeWalk::new(
+            &params,
+            AlgorithmKind::EDF_DLT,
+            &cfg,
+            now,
+            &committed,
+            waiting.into_iter(),
+            &task,
+        );
+        // Long first: the chain is built through the failure to its end.
+        for rel_deadline in [70_000.0, 10_000.0, 30_000.0, 50_000.0, 70_000.0] {
+            let varied = Task {
+                rel_deadline,
+                ..task
+            };
+            let literal = schedulability_test(
+                &params,
+                AlgorithmKind::EDF_DLT,
+                &cfg,
+                now,
+                &committed,
+                &waiting,
+                Some(&varied),
+            )
+            .map(drop);
+            assert_eq!(literal.unwrap_err().task, waiting[1].id);
+            assert_eq!(walk.probe(&varied), literal, "deadline {rel_deadline}");
+        }
+        // Without the heavy task the same probes pass: it is the failure.
+        let light = [waiting[0], waiting[2]];
+        assert!(schedulability_test(
+            &params,
+            AlgorithmKind::EDF_DLT,
+            &cfg,
+            now,
+            &committed,
+            &light,
+            Some(&task),
+        )
+        .is_ok());
     }
 }

@@ -250,23 +250,47 @@ impl RoutedShards<'_> {
 /// some shard does not refuse (feasible there as-is). Only the winner's
 /// search is finished (the σ and start counterfactuals): the losers' would
 /// be thrown away.
-///
-/// Every shard runs its deadline search in full. A shard may **not** be
-/// skipped because it fails the test at the best deadline found so far:
-/// with waiting work the test is not monotone in the deadline (a longer
-/// one moves the request behind a waiting task that then takes its nodes),
-/// so a shard that fails at `d` can still verify a deadline shorter than
-/// `d` — that shortcut changed fleet answers when it was tried.
 fn best_explanation(
     shards: &[Shard],
     request: &SubmitRequest,
     now: SimTime,
 ) -> Option<AdmissionExplanation> {
-    let mut best: Option<ExplainSearch<'_>> = None;
+    race_deadline_searches(shards, request, now).map(|(winner, _)| winner.finish())
+}
+
+/// Runs the shards' deadline searches side by side and returns the one
+/// whose finished explanation the fleet reports, with the probes all the
+/// other searches spent.
+///
+/// The searches are bisected in rounds, one step each, and a search is
+/// abandoned as soon as its *own* bracket lies wholly above another live
+/// search's: the deadline a search will report lies in `(failing, passing]`
+/// of its current bracket whatever its tests answer from here on, so a
+/// shard whose failing end has reached another's passing end will offer
+/// strictly more than that shard does — it can neither win nor tie. Shards
+/// with equal brackets never drop each other, a shard with no feasible
+/// deadline has no bracket to be dropped by (and loses the fold below to
+/// any offer), and every surviving search tests exactly the midpoints it
+/// would have tested alone.
+///
+/// What stays unsound: skipping a shard because it fails the test at a
+/// deadline *another* shard found. With waiting work the test is not
+/// monotone in the deadline (a longer one moves the request behind a
+/// waiting task that then takes its nodes), so a shard that fails at `d`
+/// can still verify a deadline shorter than `d` — that shortcut changed
+/// fleet answers when it was tried. No shard is ever probed at a deadline
+/// derived from another shard, and the winner's deadline is tight at its
+/// own bracket, not a global minimum.
+fn race_deadline_searches<'a>(
+    shards: &'a [Shard],
+    request: &SubmitRequest,
+    now: SimTime,
+) -> Option<(ExplainSearch<'a>, u64)> {
+    let mut live = Vec::with_capacity(shards.len());
     for shard in shards {
         let ctl = &shard.ctl;
         // Feasible as-is on this shard: nothing to explain.
-        let search = ExplainSearch::open(
+        live.push(ExplainSearch::open(
             ctl.params(),
             ctl.algorithm(),
             ctl.config(),
@@ -274,18 +298,51 @@ fn best_explanation(
             ctl.committed_releases(),
             ctl.queue(),
             &request.task,
-        )?;
-        // 0 stands for "no feasible deadline found".
-        let offer = search.min_feasible_deadline();
-        let better = best.as_ref().is_none_or(|cur| {
-            let held = cur.min_feasible_deadline();
-            offer > 0.0 && (held <= 0.0 || offer < held)
+        )?);
+    }
+    let mut other_probes = 0;
+    loop {
+        let best_passing = live
+            .iter()
+            .filter_map(|s| s.deadline_bracket())
+            .map(|b| b.passing)
+            .fold(f64::INFINITY, f64::min);
+        live.retain(|s| {
+            let beaten = s
+                .deadline_bracket()
+                .is_some_and(|b| b.failing >= best_passing);
+            if beaten {
+                other_probes += s.probes();
+            }
+            !beaten
         });
-        if better {
-            best = Some(search);
+        // A lone contender is tightened by `finish`, like a search that
+        // never had a rival.
+        let contenders = live
+            .iter()
+            .filter(|s| s.deadline_bracket().is_some())
+            .count();
+        if contenders < 2 {
+            break;
+        }
+        let mut stepped = false;
+        for search in &mut live {
+            stepped |= search.refine();
+        }
+        if !stepped {
+            break;
         }
     }
-    best.map(ExplainSearch::finish)
+    // Every bracket left is converged (or alone): the passing ends are the
+    // offers, and no offer loses to any. `min_by` keeps the first of equal
+    // minima, so the first shard wins a tie.
+    let offer = |s: &ExplainSearch<'_>| s.deadline_bracket().map_or(f64::INFINITY, |b| b.passing);
+    let winner = (0..live.len())
+        .min_by(|&a, &b| offer(&live[a]).total_cmp(&offer(&live[b])))
+        .expect("at least one shard");
+    let winner = live.swap_remove(winner);
+    other_probes += live.iter().map(ExplainSearch::probes).sum::<u64>();
+    Some((winner, other_probes))
 }
 
 /// Online admission gateway over `K` independent cluster shards, each an
@@ -295,9 +352,23 @@ pub struct ShardedGateway {
     params: ClusterParams,
     algorithm: AlgorithmKind,
     shards: Vec<Shard>,
+    /// The largest shard's cluster shape — what defer eligibility and
+    /// reservation bounds are judged against (tasks never span shards, so
+    /// it is the best any future re-test can offer). Shard sizes are fixed
+    /// at construction, and so is this.
+    widest_params: ClusterParams,
     routing: Routing,
     cursor: usize,
     book: ServiceBook,
+}
+
+/// The shape of the largest of `shards`.
+fn widest_params(shards: &[Shard]) -> ClusterParams {
+    *shards
+        .iter()
+        .map(|s| s.ctl.params())
+        .max_by_key(|p| p.num_nodes)
+        .expect("at least one shard")
 }
 
 impl ShardedGateway {
@@ -334,6 +405,7 @@ impl ShardedGateway {
         Ok(ShardedGateway {
             params,
             algorithm,
+            widest_params: widest_params(&shards),
             shards,
             routing,
             cursor: 0,
@@ -482,6 +554,7 @@ impl ShardedGateway {
         Ok(ShardedGateway {
             params,
             algorithm,
+            widest_params: widest_params(&shards),
             shards,
             routing,
             cursor,
@@ -496,14 +569,13 @@ impl ShardedGateway {
     /// snapshot + tail-replay restore; it is also safe to call at any
     /// quiescent point. Returns all demoted tasks across shards.
     pub fn reverify(&mut self, now: SimTime) -> Vec<Task> {
-        let widest_params = self.widest_params();
         let algorithm = self.algorithm;
         let mut demoted = Vec::new();
         for shard in &mut self.shards {
             demoted.extend(book::reverify_controller(
                 &mut shard.ctl,
                 &mut self.book,
-                &widest_params,
+                &self.widest_params,
                 algorithm,
                 now,
             ));
@@ -549,19 +621,6 @@ impl ShardedGateway {
             .collect()
     }
 
-    /// The largest shard's cluster shape — what defer eligibility and
-    /// reservation bounds are judged against (tasks never span shards, so
-    /// it is the best any future re-test can offer).
-    fn widest_params(&self) -> ClusterParams {
-        let widest = self
-            .shards
-            .iter()
-            .map(|s| s.len())
-            .max()
-            .expect("at least one shard");
-        ClusterParams::new(widest, self.params.cms, self.params.cps).expect("valid by construction")
-    }
-
     /// Folds this gateway's native stats — service counters, tenant books,
     /// per-shard planning profiles and queue depths — into the unified
     /// registry. The edge's ops channel polls this.
@@ -590,7 +649,6 @@ impl ShardedGateway {
     /// honor the promise).
     pub fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
         let start = Instant::now();
-        let widest_params = self.widest_params();
         let algorithm = self.algorithm;
         let skip = self.shard_throttle_mask(request.tenant, request.qos);
         // In-process callers submit untraced requests; mint the trace id
@@ -603,7 +661,7 @@ impl ShardedGateway {
         let request = &request;
         let verdict = book::decide_request(
             &mut self.book,
-            &widest_params,
+            &self.widest_params,
             algorithm,
             request,
             now,
@@ -763,12 +821,10 @@ impl ShardedGateway {
     /// routing each across shards like any submission. The engine drives
     /// this after the dispatches at each instant commit.
     pub fn activate_reservations(&mut self, now: SimTime) {
-        let widest_params = self.widest_params();
-        let algorithm = self.algorithm;
         book::activate_due(
             &mut self.book,
-            &widest_params,
-            algorithm,
+            &self.widest_params,
+            self.algorithm,
             now,
             &mut RoutedShards {
                 shards: &mut self.shards,
@@ -780,12 +836,9 @@ impl ShardedGateway {
     }
 
     fn defer_or_reject(&mut self, task: Task, now: SimTime, cause: Infeasible) -> Verdict {
-        // Eligibility is judged against the *largest* shard: tasks never
-        // span shards, so that is the best any future re-test can offer.
-        let widest_params = self.widest_params();
         book::defer_or_reject(
             &mut self.book,
-            &widest_params,
+            &self.widest_params,
             self.algorithm,
             task,
             Default::default(),
@@ -1314,6 +1367,83 @@ mod tests {
         assert_eq!(g.metrics().accepted_total(), 2);
         let plan = Frontend::find_plan(&g, c.id).expect("activated plan");
         assert!(!plan.est_completion.definitely_after(c.absolute_deadline()));
+    }
+
+    #[test]
+    fn the_race_returns_the_fold_of_full_searches_for_under_half_their_probes() {
+        use rtdls_workload::prelude::{WorkloadGenerator, WorkloadSpec};
+        // One same-instant burst on 8 shards × 8 nodes, twice what they can
+        // start at once: every shard ends up with a full queue and the
+        // rest of the burst is refused everywhere.
+        let params = ClusterParams::new(64, 1.0, 100.0).unwrap();
+        let mut g = ShardedGateway::new(
+            params,
+            8,
+            AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
+            Routing::LeastLoaded,
+            DeferPolicy::default(),
+        )
+        .unwrap();
+        let mut spec = WorkloadSpec::paper_baseline(1.0);
+        spec.params = params;
+        spec.dc_ratio = 20.0;
+        spec.horizon = f64::MAX;
+        let now = SimTime::new(1_000.0);
+        let mut refused = Vec::new();
+        for mut task in WorkloadGenerator::new(spec, 3).take(64) {
+            task.arrival = now;
+            if !submit(&mut g, task, now).is_accepted() {
+                refused.push(SubmitRequest::new(task));
+            }
+        }
+        assert!(refused.len() >= 10, "refused: {}", refused.len());
+        let depths = g.shard_queue_lens();
+        assert!(depths.iter().all(|&depth| depth >= 3), "{depths:?}");
+
+        let (mut full_probes, mut raced_probes) = (0, 0);
+        for request in &refused {
+            // Every shard's search run to the end, then the documented
+            // fold: a feasible deadline beats none, a strictly shorter one
+            // wins, the first shard wins a tie.
+            let mut fold: Option<AdmissionExplanation> = None;
+            for shard in &g.shards {
+                let ctl = &shard.ctl;
+                let mut search = ExplainSearch::open(
+                    ctl.params(),
+                    ctl.algorithm(),
+                    ctl.config(),
+                    now,
+                    ctl.committed_releases(),
+                    ctl.queue(),
+                    &request.task,
+                )
+                .expect("refused everywhere");
+                while search.refine() {}
+                full_probes += search.probes();
+                let ex = search.finish();
+                let better = fold.is_none_or(|cur| {
+                    ex.has_feasible_deadline()
+                        && (!cur.has_feasible_deadline()
+                            || ex.min_feasible_deadline < cur.min_feasible_deadline)
+                });
+                if better {
+                    fold = Some(ex);
+                }
+            }
+            let (mut winner, other_probes) =
+                race_deadline_searches(&g.shards, request, now).expect("refused everywhere");
+            while winner.refine() {}
+            raced_probes += other_probes + winner.probes();
+            assert_eq!(Some(winner.finish()), fold);
+            assert_eq!(g.explain(request, now), fold);
+        }
+        // A race that tightened every bracket would spend what the full
+        // searches do; one that dropped wrongly would have failed above.
+        assert!(
+            raced_probes * 2 < full_probes,
+            "race {raced_probes} vs full {full_probes}"
+        );
     }
 
     #[test]

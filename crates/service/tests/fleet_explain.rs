@@ -1,7 +1,9 @@
 //! The fleet-level refusal explanation, checked from outside.
 //!
-//! `ShardedGateway::explain` opens one search per shard and finishes only
-//! the winner's. What a client must receive is stated without any of that:
+//! `ShardedGateway::explain` opens one search per shard, races their
+//! deadline brackets — abandoning a shard once its own bracket lies wholly
+//! above another's — and finishes only the winner's. What a client must
+//! receive is stated without any of that:
 //! explain the request on every shard *in full*, then fold — any shard
 //! feasible as-is → `None`; a feasible counterfactual deadline beats none;
 //! a strictly shorter one wins; the first shard wins a tie. Here the
@@ -16,6 +18,7 @@ use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_telemetry::Profiler;
+use rtdls_workload::prelude::{WorkloadGenerator, WorkloadSpec};
 
 /// The documented fold over complete per-shard explanations.
 fn fold(per_shard: &[Option<AdmissionExplanation>]) -> Option<AdmissionExplanation> {
@@ -84,6 +87,37 @@ fn gateway(
         DeferPolicy::default(),
     )
     .expect("valid shard count");
+    g.enable_explanations();
+    g
+}
+
+/// One shard's journaled image, built directly on an engine: committed
+/// releases per node, then the waiting tasks (all of which must be
+/// admitted at time zero).
+fn shard_image(algorithm: AlgorithmKind, releases: &[f64], waiting: &[Task]) -> ControllerState {
+    let params = ClusterParams::new(releases.len(), 1.0, 100.0).expect("valid shard");
+    let mut ctl = AdmissionController::new(params, algorithm, PlanConfig::default());
+    for (node, release) in releases.iter().enumerate() {
+        ctl.set_node_release(node, SimTime::new(*release));
+    }
+    for task in waiting {
+        assert!(ctl.submit(*task, SimTime::ZERO).is_accepted(), "{task:?}");
+    }
+    ctl.state()
+}
+
+/// An explaining fleet assembled from shard images, in the order given.
+fn fleet_of(algorithm: AlgorithmKind, shards: Vec<ControllerState>) -> ShardedGateway {
+    let nodes = shards.iter().map(|s| s.params.num_nodes).sum();
+    let mut g = ShardedGateway::from_parts(
+        ClusterParams::new(nodes, 1.0, 100.0).expect("valid cluster"),
+        algorithm,
+        Routing::RoundRobin,
+        0,
+        shards,
+        ServiceBook::new(DeferPolicy::default(), QuotaPolicy::default()),
+    )
+    .expect("the images tile the cluster");
     g.enable_explanations();
     g
 }
@@ -226,6 +260,149 @@ fn shards_without_a_feasible_deadline_lose_to_any_offer() {
         .explain(&SubmitRequest::new(wider), now)
         .expect("refused everywhere");
     assert!(!ex.has_feasible_deadline());
+}
+
+/// A shard that can offer a deadline behind shards that cannot: the first
+/// shards never enter the race, and still lose to the last.
+#[test]
+fn a_late_shard_with_the_only_offer_wins() {
+    let mut seen = Seen::default();
+    // User-split again, the narrow shards first: only the last one has the
+    // four nodes the request asks for, and it is busy.
+    let algorithm = AlgorithmKind::EDF_USER_SPLIT;
+    let g = fleet_of(
+        algorithm,
+        vec![
+            shard_image(algorithm, &[0.0; 3], &[]),
+            shard_image(algorithm, &[500.0; 3], &[]),
+            shard_image(algorithm, &[4_000.0; 4], &[]),
+        ],
+    );
+    let wide = Task::new(100, 0.0, 100.0, 3_000.0).with_user_nodes(Some(4));
+    check(&g, &SubmitRequest::new(wide), SimTime::ZERO, &mut seen);
+    assert_eq!((seen.refused, seen.later_shard_won), (1, 1));
+    assert_eq!(seen.none_lost_to_some, 1);
+}
+
+/// Two shards with the same book next to a worse one: equal brackets at
+/// every round of the race, so neither may abandon the other, and the
+/// worse shard may not win.
+#[test]
+fn shards_with_identical_books_never_drop_each_other() {
+    let mut seen = Seen::default();
+    let algorithm = AlgorithmKind::EDF_DLT;
+    let waiting = [
+        Task::new(1, 0.0, 150.0, 9_000.0),
+        Task::new(2, 0.0, 80.0, 14_000.0),
+    ];
+    let twin = shard_image(algorithm, &[1_000.0, 1_500.0, 2_000.0, 2_500.0], &waiting);
+    let worse = shard_image(algorithm, &[3_000.0, 3_500.0, 4_000.0, 4_500.0], &waiting);
+    for shards in [
+        vec![twin.clone(), twin.clone(), worse.clone()],
+        vec![worse.clone(), twin.clone(), twin.clone()],
+        vec![twin.clone(), worse, twin.clone()],
+    ] {
+        let g = fleet_of(algorithm, shards);
+        for rel_deadline in [2_000.0, 5_000.0, 8_000.0] {
+            let tight = Task::new(100, 0.0, 200.0, rel_deadline);
+            check(&g, &SubmitRequest::new(tight), SimTime::ZERO, &mut seen);
+        }
+    }
+    assert_eq!(seen.refused, 9, "every candidate is refused everywhere");
+    // The twins' offer wins wherever the twins stand.
+    let g = fleet_of(algorithm, vec![twin.clone(), twin]);
+    let tight = SubmitRequest::new(Task::new(100, 0.0, 200.0, 2_000.0));
+    let both = per_shard(&g, &tight, SimTime::ZERO);
+    assert_eq!(both[0], both[1]);
+    assert_eq!(g.explain(&tight, SimTime::ZERO), both[0]);
+}
+
+/// The two-node book on which the test is not monotone in the deadline
+/// (feasible at 1600, refused at 1850, feasible again near 2000), as one
+/// shard of a fleet. Its search answers from its own bracket above 1850;
+/// the fleet compares that answer with the other shard's, on either side
+/// of it — and never asks the shard about the other shard's deadline, at
+/// which it would have said something else.
+#[test]
+fn a_non_monotone_shard_is_judged_by_its_own_bracket() {
+    let mut seen = Seen::default();
+    let algorithm = AlgorithmKind::EDF_DLT;
+    let waiting = [Task::new(1, 0.0, 10.0, 1_750.0)];
+    let odd = shard_image(algorithm, &[0.0, 0.0], &waiting);
+    let candidate = |d: f64| SubmitRequest::new(Task::new(2, 0.0, 20.0, d));
+    let now = SimTime::ZERO;
+    let alone = ReferenceController::from_state(odd.clone()).expect("restores");
+    assert!(alone.probe(&candidate(1_600.0).task, now).is_accepted());
+    let own_answer = alone
+        .explain(&candidate(1_850.0), now)
+        .expect("refused at 1850")
+        .min_feasible_deadline;
+    assert!(own_answer > 1_850.0);
+    // The other shard: two nodes busy until `r`, nothing waiting, so it
+    // offers `r` plus the two-node execution time.
+    let two = ClusterParams::new(2, 1.0, 100.0).expect("valid shard");
+    let e2 = homogeneous::exec_time(&two, 20.0, 2);
+    for (offer, other_wins) in [
+        (0.5 * (1_850.0 + own_answer), true),
+        (own_answer + 100.0, false),
+    ] {
+        let r = offer - e2;
+        for other_first in [false, true] {
+            let other = shard_image(algorithm, &[r, r], &[]);
+            let shards = if other_first {
+                vec![other, odd.clone()]
+            } else {
+                vec![odd.clone(), other]
+            };
+            let g = fleet_of(algorithm, shards);
+            let request = candidate(1_850.0);
+            check(&g, &request, now, &mut seen);
+            let answer = g
+                .explain(&request, now)
+                .expect("refused")
+                .min_feasible_deadline;
+            if other_wins {
+                // Between the deadline the odd shard would admit and the
+                // one its search reports.
+                assert!(1_600.0 < answer && answer < own_answer, "{answer}");
+                assert!((answer - offer).abs() < 1e-3, "{answer} vs {offer}");
+            } else {
+                assert_eq!(answer, own_answer);
+            }
+        }
+    }
+    assert_eq!(seen.refused, 4);
+    assert_eq!(seen.later_shard_won, 2);
+}
+
+/// One same-instant burst on 8 shards × 8 nodes, twice what they can start
+/// at once (the `edge_burst` shape): every refusal of the burst, explained
+/// against eight full queues.
+#[test]
+fn a_burst_on_eight_full_shards_is_explained_as_the_fold() {
+    let mut seen = Seen::default();
+    let mut g = gateway(64, 8, AlgorithmKind::EDF_DLT, Routing::LeastLoaded);
+    let mut spec = WorkloadSpec::paper_baseline(1.0);
+    spec.params = *g.params();
+    spec.dc_ratio = 20.0;
+    spec.horizon = f64::MAX;
+    let now = SimTime::new(1_000.0);
+    for mut task in WorkloadGenerator::new(spec, 5).take(64) {
+        task.arrival = now;
+        let request = SubmitRequest::new(task);
+        // Checked before it is submitted: a refusal parks the task, and an
+        // explanation is about the book the refusal saw.
+        check(&g, &request, now, &mut seen);
+        let _ = g.submit_request(&request, now);
+    }
+    let lens = g.shard_queue_lens();
+    assert!(
+        lens.iter().all(|&l| l >= 3),
+        "every shard is deep: {lens:?}"
+    );
+    assert!(seen.refused >= 10, "refusals: {}", seen.refused);
+    assert!(seen.later_shard_won >= 5, "{}", seen.later_shard_won);
+    assert_eq!(seen.verdicts_checked, seen.refused);
 }
 
 /// A tie the client can see: two shards that can offer nothing (each holds
