@@ -5,8 +5,11 @@
 //! `deep_book` is the production engine where the repository benchmark's
 //! `admit_deep` workload keeps it: one 64-node shard, ≈ 46 tasks waiting, a
 //! candidate that sorts mid-queue and is refused. `submit_deep` is the
-//! failed pass, `start_search_deep` the reservation search that follows it
-//! (every later dispatch instant up to the candidate's deadline).
+//! failed pass (a task refused for the first time: walked, and remembered),
+//! `retest_deep` the same ticket asked about again on the unchanged book
+//! (answered from the engine's remembered refusal), `start_search_deep` the
+//! reservation search that follows a refusal (every later dispatch instant
+//! up to the candidate's deadline, less the ones that repeat the last).
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
 //! queue filled by one same-instant burst. Printed, not gated.
@@ -118,8 +121,20 @@ fn deep_book() -> (AdmissionController, Task) {
 fn bench_deep_book(c: &mut Criterion) {
     let (mut ctl, candidate) = deep_book();
     let mut group = c.benchmark_group("deep_book");
+    let mut next_id = candidate.id.0;
     group.bench_function("submit_deep", |b| {
-        // Refused, so the book stays as it is.
+        // Refused, so the book stays as it is; a new id each time, so the
+        // engine has no refusal of this task to remember.
+        b.iter(|| {
+            next_id += 1;
+            let first_time = Task {
+                id: TaskId(next_id),
+                ..candidate
+            };
+            black_box(ctl.submit(black_box(first_time), SimTime::ZERO))
+        })
+    });
+    group.bench_function("retest_deep", |b| {
         b.iter(|| black_box(ctl.submit(black_box(candidate), SimTime::ZERO)))
     });
     group.bench_function("start_search_deep", |b| {

@@ -296,7 +296,7 @@ impl<'a> ExplainSearch<'a> {
             walk.committed,
             self.queue,
             &task,
-            |_, _, _| false,
+            |_, _| false,
         );
         AdmissionExplanation {
             cause: self.cause,

@@ -51,6 +51,44 @@
 //! an out-of-order dispatch wrote releases a cached plan never saw, the
 //! gate fails and that position is planned at `t`.
 //!
+//! ### Verdicts, by the same argument
+//!
+//! A refusal is as reusable as a plan. Once a walk stands at the candidate's
+//! insertion point, what is left of it — the candidate's plan, then the
+//! waiting tasks behind it in order, each planned (or its cached plan taken,
+//! which is the same plan) against what the steps before it wrote — is a
+//! chain of pure functions of three things: the vector the walk has built so
+//! far *as the planner sees it* (clamped at the planning instant, plus the
+//! instant itself under `OneShot`: exactly what the plan gate compares), the
+//! candidate, and those tasks. If the chain failed once, it fails again, on
+//! the same task with the same reason, whenever all three are equal. So
+//! `submit` remembers each refusal it hands out (a small ring, one slot a
+//! task id): the candidate whole, the walk's inputs at the insertion point, the
+//! waiting tasks from there *up to and including the one whose plan failed*,
+//! and the [`AdmissionFailure`]; and every pass that brings a candidate to
+//! its insertion point looks there first. A hit returns the remembered
+//! failure and plans nothing — the defer queue's re-tests of a ticket whose
+//! neighbourhood has not moved, and the `t = now` test the reservation
+//! search repeats right after the refused submit.
+//!
+//! `behind` stops at the failing task because the walk did: nothing past it
+//! was ever looked at, so nothing past it can change the answer, and an
+//! arrival or a removal back there leaves the memory valid. Anything ahead
+//! of the failure does count — an arrival accepted ahead of the candidate
+//! moves the vector, one between it and the failure changes `behind`, a
+//! dispatch or an early release moves the vector unless the clamp hides it —
+//! and fails the comparison; the pass then simply walks on. An *acceptance*
+//! is never remembered: it is installed, the book changes under it, and the
+//! same task is not asked about again. The ring is derived state like the
+//! plan cache — not in [`ControllerState`], cold after `from_state` — and in
+//! debug builds every hit is checked against the literal
+//! [`schedulability_test`] on the spot.
+//!
+//! The reservation search uses the same fact between its own instants: an
+//! instant that reaches the task's position on the inputs the last one had,
+//! with the same positions behind it still waiting, would repeat that
+//! instant's failure, and is not walked (`probe.rs`).
+//!
 //! Every walk here — [`pass`](AdmissionController), `submit_batch`, the
 //! searches — steps on the `walk.rs` kernel: a fresh plan sees availability
 //! that was kept sorted across steps, a reused plan is only written back.
@@ -60,27 +98,75 @@
 //! differential oracle suite (`tests/differential_admission.rs`) replays
 //! randomized scenarios through both and asserts exact equality after every
 //! operation, including across a cold-cache restore.
+//!
+//! [`NodeCountPolicy::OneShot`]: crate::strategy::NodeCountPolicy::OneShot
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
-use crate::strategy::{NodeCountPolicy, PlanConfig, TaskPlan};
+use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
-use super::walk::Walk;
-use super::{Admission, AdmissionFailure, ControllerState, Decision, EngineProfile};
+use super::walk::{PlanMeta, Walk};
+use super::{
+    schedulability_test, Admission, AdmissionFailure, ControllerState, Decision, EngineProfile,
+};
 
-/// The cached planning inputs that make a queued plan provably reusable.
-#[derive(Clone, Debug, PartialEq)]
-struct PlanMeta {
-    /// The planning instant the cached plan was computed at.
-    planned_at: SimTime,
-    /// The (pre-clamp) release vector the planning walk had built when this
-    /// task was planned; length = `num_nodes`.
-    observed: Vec<SimTime>,
+/// How many refusals the engine remembers. The askers that come back are
+/// the service layer's parked tickets — the defer queue re-submits each of
+/// them on every event until it expires — and a deep, overloaded shard holds
+/// a handful of those at a time; a newcomer's own refusal is read back once,
+/// by the reservation search right behind it. Eight covers that with room,
+/// and keeps the per-candidate lookup a scan of one cache line of ids.
+const REFUSALS_KEPT: usize = 8;
+
+/// A refusal `submit` handed out, with everything the walk did from the
+/// candidate's insertion point on — the verdict half of the reuse invariant.
+#[derive(Clone, Debug)]
+struct Refusal {
+    /// The candidate, whole.
+    task: Task,
+    /// The walk's inputs where the candidate was inserted.
+    inputs: PlanMeta,
+    /// The waiting tasks the walk took after the candidate, in order, up to
+    /// and including the one whose plan failed (empty: the candidate's own).
+    behind: Vec<Task>,
+    failure: AdmissionFailure,
+}
+
+/// The engine's memory of refusals: derived state like the plan cache,
+/// validated against the walk at every use, cold after a restore.
+#[derive(Clone, Debug, Default)]
+struct Refusals {
+    /// The ids of the tasks in `kept`, slot for slot: what every candidate
+    /// is looked up in, one cache line whatever the refusals hold.
+    ids: Vec<TaskId>,
+    /// The last refusals handed out, at most [`REFUSALS_KEPT`], one per
+    /// task id.
+    kept: Vec<Refusal>,
+    /// The slot the next newly refused id replaces once `kept` is full.
+    oldest: usize,
+}
+
+impl Refusals {
+    fn slot_of(&self, id: TaskId) -> Option<usize> {
+        self.ids.iter().position(|&kept| kept == id)
+    }
+}
+
+/// A pass that ended in a refusal.
+struct Refused {
+    failure: AdmissionFailure,
+    /// What `submit` remembers the refusal by, when the pass planned the
+    /// candidate: the queue positions the walk took behind it, up to and
+    /// including the one whose plan failed (empty: the candidate's own), and
+    /// the walk's inputs where the candidate went in. `None` when the pass
+    /// stopped ahead of the candidate or was answered from the ring.
+    walked: Option<(Range<usize>, PlanMeta)>,
 }
 
 /// Outcome of one incremental planning walk (not yet installed): the
@@ -112,6 +198,7 @@ pub struct AdmissionController {
     /// plan must be recomputed before it can be trusted (cold cache, e.g.
     /// right after `from_state`).
     meta: Vec<Option<PlanMeta>>,
+    refusals: Refusals,
     profile: EngineProfile,
 }
 
@@ -125,41 +212,135 @@ impl AdmissionController {
     }
 
     /// Whether the cached plan behind `meta` is provably identical to what
-    /// a fresh plan at `now` against `releases` would produce (the module
-    /// docs' reuse invariant).
-    fn reusable(&self, meta: &Option<PlanMeta>, releases: &[SimTime], now: SimTime) -> bool {
-        let Some(m) = meta else { return false };
-        if self.cfg.node_count == NodeCountPolicy::OneShot && m.planned_at != now {
-            // OneShot evaluates ñ_min at the raw planning instant.
-            return false;
-        }
-        m.observed
-            .iter()
-            .zip(releases)
-            .all(|(&o, &r)| o.max(m.planned_at) == r.max(now))
+    /// a fresh plan at `walk`'s next step would produce (the module docs'
+    /// reuse invariant).
+    fn reusable(&self, meta: &Option<PlanMeta>, walk: &Walk) -> bool {
+        meta.as_ref().is_some_and(|m| m.holds_for(walk, &self.cfg))
     }
 
     /// Plans one task fresh at the walk's current step, recording the inputs
-    /// for future reuse.
+    /// for future reuse; a failure hands them back.
     fn plan_fresh(
         &self,
         task: &Task,
         walk: &mut Walk,
-        now: SimTime,
         out: &mut Pass,
         work: &mut EngineProfile,
-    ) -> Result<(), AdmissionFailure> {
+    ) -> Result<(), (AdmissionFailure, PlanMeta)> {
         // The attempt counts as work whether or not it succeeds — a failed
         // planning call cost just as much CPU.
         work.plans_computed += 1;
-        let observed = walk.releases().to_vec();
-        let plan = walk.place(self.algorithm.strategy, task, &self.params, &self.cfg)?;
-        out.queue_tail.push((*task, plan));
-        out.meta_tail.push(Some(PlanMeta {
-            planned_at: now,
-            observed,
-        }));
-        Ok(())
+        let inputs = PlanMeta::of(walk);
+        match walk.place(self.algorithm.strategy, task, &self.params, &self.cfg) {
+            Ok(plan) => {
+                out.queue_tail.push((*task, plan));
+                out.meta_tail.push(Some(inputs));
+                Ok(())
+            }
+            Err(failure) => Err((failure, inputs)),
+        }
+    }
+
+    /// The remembered failure of a walk that went on from the candidate's
+    /// insertion point exactly as `walk` is about to (the verdict half of
+    /// the reuse invariant): the same candidate, inputs that pass the plan
+    /// gate's own predicate, and the same waiting tasks behind it up to the
+    /// one that failed.
+    fn recall(&self, candidate: &Task, at: usize, walk: &Walk) -> Option<AdmissionFailure> {
+        let refusal = &self.refusals.kept[self.refusals.slot_of(candidate.id)?];
+        // A queue that ends before `behind` does compares unequal.
+        let behind = self.queue[at..].iter().map(|(t, _)| t);
+        let unchanged = refusal.task == *candidate
+            && refusal.inputs.holds_for(walk, &self.cfg)
+            && refusal.behind.iter().eq(behind.take(refusal.behind.len()));
+        unchanged.then_some(refusal.failure)
+    }
+
+    /// The candidate's own step, ahead of queue position `at`: a remembered
+    /// refusal under equal inputs is the answer, otherwise it is planned
+    /// (`Ok`: where in `out.meta_tail` its inputs went).
+    fn plan_candidate(
+        &self,
+        candidate: &Task,
+        at: usize,
+        walk: &mut Walk,
+        out: &mut Pass,
+        work: &mut EngineProfile,
+    ) -> Result<usize, Refused> {
+        if let Some(failure) = self.recall(candidate, at, walk) {
+            work.refusals_reused += 1;
+            debug_assert_eq!(
+                self.literal_test(candidate, walk.now()).err(),
+                Some(failure),
+                "a remembered refusal is not what the walk would answer"
+            );
+            return Err(Refused {
+                failure,
+                walked: None,
+            });
+        }
+        match self.plan_fresh(candidate, walk, out, work) {
+            Ok(()) => Ok(out.meta_tail.len() - 1),
+            Err((failure, inputs)) => Err(Refused {
+                failure,
+                walked: Some((at..at, inputs)),
+            }),
+        }
+    }
+
+    /// The Fig. 2 test as the oracle runs it — what the debug build holds
+    /// every remembered refusal against.
+    fn literal_test(&self, candidate: &Task, now: SimTime) -> Result<(), AdmissionFailure> {
+        let waiting: Vec<Task> = self.queue.iter().map(|(t, _)| *t).collect();
+        schedulability_test(
+            &self.params,
+            self.algorithm,
+            &self.cfg,
+            now,
+            &self.releases,
+            &waiting,
+            Some(candidate),
+        )
+        .map(drop)
+    }
+
+    /// Remembers the refusal of `task` a pass ended in, in its id's own ring
+    /// slot if it has one, else in the oldest. Steady state allocates
+    /// nothing: the inputs are the vector the candidate's plan was attempted
+    /// on, moved in; `behind` is overwritten in place.
+    fn remember(&mut self, task: Task, refused: Refused) {
+        let Some((behind, inputs)) = refused.walked else {
+            return;
+        };
+        let own = self.refusals.slot_of(task.id);
+        let Refusals { ids, kept, oldest } = &mut self.refusals;
+        let slot = match own {
+            Some(own) => own,
+            None if kept.len() < REFUSALS_KEPT => {
+                ids.push(task.id);
+                kept.push(Refusal {
+                    task,
+                    inputs: PlanMeta::default(),
+                    behind: Vec::new(),
+                    failure: refused.failure,
+                });
+                kept.len() - 1
+            }
+            None => {
+                let slot = *oldest;
+                *oldest = (slot + 1) % REFUSALS_KEPT;
+                slot
+            }
+        };
+        ids[slot] = task.id;
+        let refusal = &mut kept[slot];
+        refusal.task = task;
+        refusal.failure = refused.failure;
+        refusal.inputs = inputs;
+        refusal.behind.clear();
+        refusal
+            .behind
+            .extend(self.queue[behind].iter().map(|(t, _)| *t));
     }
 
     /// One walk over `waiting ∪ candidate` in policy order: the leading run
@@ -168,16 +349,19 @@ impl AdmissionController {
     /// first changed position — the candidate's insertion point or a failed
     /// reuse gate — a replacement tail is built, inside which still-valid
     /// cached plans are cloned rather than re-planned. Pure — the caller
-    /// decides whether to install the result.
+    /// decides whether to install the result, or to remember the refusal.
     fn pass(
         &self,
         now: SimTime,
         candidate: Option<&Task>,
         work: &mut EngineProfile,
-    ) -> Result<Pass, AdmissionFailure> {
+    ) -> Result<Pass, Refused> {
         let policy = self.algorithm.policy;
         let cand_key = candidate.map(|t| policy.key(t));
         let mut cand_pending = candidate.copied();
+        // Once the candidate is planned: the queue position it went in
+        // ahead of, and where in `out.meta_tail` its inputs are.
+        let mut cand_planned = None;
         let mut walk = Walk::new(&self.releases, now);
         let mut out = Pass {
             prefix_len: 0,
@@ -191,11 +375,12 @@ impl AdmissionController {
             if let (Some(c), Some(key)) = (cand_pending, cand_key) {
                 if key < policy.key(task) {
                     in_prefix = false;
-                    self.plan_fresh(&c, &mut walk, now, &mut out, work)?;
+                    let tail = self.plan_candidate(&c, i, &mut walk, &mut out, work)?;
+                    cand_planned = Some((i, tail));
                     cand_pending = None;
                 }
             }
-            if self.reusable(&self.meta[i], walk.releases(), now) {
+            if self.reusable(&self.meta[i], &walk) {
                 walk.apply(plan);
                 if in_prefix {
                     out.prefix_len += 1;
@@ -206,11 +391,19 @@ impl AdmissionController {
                 work.plans_reused += 1;
             } else {
                 in_prefix = false;
-                self.plan_fresh(task, &mut walk, now, &mut out, work)?;
+                if let Err((failure, _)) = self.plan_fresh(task, &mut walk, &mut out, work) {
+                    // By position, not by `failure.task`: the candidate may
+                    // carry the id of a waiting task.
+                    let walked = cand_planned.map(|(at, tail)| {
+                        let inputs = out.meta_tail[tail].take();
+                        (at..i + 1, inputs.expect("the candidate's inputs"))
+                    });
+                    return Err(Refused { failure, walked });
+                }
             }
         }
         if let Some(c) = cand_pending {
-            self.plan_fresh(&c, &mut walk, now, &mut out, work)?;
+            self.plan_candidate(&c, self.queue.len(), &mut walk, &mut out, work)?;
         }
         Ok(out)
     }
@@ -220,6 +413,7 @@ impl AdmissionController {
     fn book_work(&mut self, work: EngineProfile) {
         self.profile.plans_reused += work.plans_reused;
         self.profile.plans_computed += work.plans_computed;
+        self.profile.refusals_reused += work.refusals_reused;
     }
 
     fn install(&mut self, pass: Pass) {
@@ -239,6 +433,7 @@ impl Admission for AdmissionController {
             releases: vec![SimTime::ZERO; params.num_nodes],
             queue: Vec::new(),
             meta: Vec::new(),
+            refusals: Refusals::default(),
             profile: EngineProfile::default(),
         }
     }
@@ -264,7 +459,8 @@ impl Admission for AdmissionController {
     }
 
     /// On acceptance only the tasks whose planning inputs changed are
-    /// re-planned.
+    /// re-planned; a refusal is remembered, so that asking again about an
+    /// unchanged neighbourhood plans nothing.
     fn submit(&mut self, task: Task, now: SimTime) -> Decision {
         let mut work = EngineProfile::default();
         let result = self.pass(now, Some(&task), &mut work);
@@ -274,7 +470,11 @@ impl Admission for AdmissionController {
                 self.install(pass);
                 Decision::Accepted
             }
-            Err(f) => Decision::Rejected(f.reason),
+            Err(refused) => {
+                let reason = refused.failure.reason;
+                self.remember(task, refused);
+                Decision::Rejected(reason)
+            }
         }
     }
 
@@ -282,7 +482,9 @@ impl Admission for AdmissionController {
     /// any perturbed suffix) instead of a full pass.
     fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
         let mut scratch = EngineProfile::default();
-        let pass = self.pass(now, Some(task), &mut scratch)?;
+        let pass = self
+            .pass(now, Some(task), &mut scratch)
+            .map_err(|refused| refused.failure)?;
         // Match the reference engine exactly: the first id match over the
         // whole plan list in policy order (prefix first, then the rebuilt
         // tail) — load-bearing if the probed id shadows a waiting task's.
@@ -353,7 +555,7 @@ impl Admission for AdmissionController {
                 // id: a batch member that shares a waiting task's id but
                 // differs in size/deadline must be planned fresh (the
                 // reference engine plans it fresh regardless).
-                if self.queue[qi].0 == task && self.reusable(&self.meta[qi], walk.releases(), now) {
+                if self.queue[qi].0 == task && self.reusable(&self.meta[qi], &walk) {
                     let plan = self.queue[qi].1.clone();
                     walk.apply(&plan);
                     plans.push((task, plan, self.meta[qi].clone()));
@@ -365,21 +567,17 @@ impl Admission for AdmissionController {
             let is_batch = cached.is_none();
             // Every planning attempt counts as work, successful or not.
             work.plans_computed += 1;
-            let observed = walk.releases().to_vec();
+            let inputs = PlanMeta::of(&walk);
             match walk.place(self.algorithm.strategy, &task, &self.params, &self.cfg) {
                 Ok(plan) => {
                     if is_batch {
                         checkpoints.push(Checkpoint {
                             ordered_idx: i,
-                            releases: observed.clone(),
+                            releases: inputs.observed.clone(),
                             plans_len: plans.len(),
                         });
                     }
-                    let meta = PlanMeta {
-                        planned_at: now,
-                        observed,
-                    };
-                    plans.push((task, plan, Some(meta)));
+                    plans.push((task, plan, Some(inputs)));
                     i += 1;
                 }
                 Err(f) if is_batch => {
@@ -459,7 +657,7 @@ impl Admission for AdmissionController {
             &self.releases,
             &self.queue,
             task,
-            |q, releases, t| self.reusable(&self.meta[q], releases, t),
+            |q, walk| self.reusable(&self.meta[q], walk),
         )
     }
 
@@ -472,7 +670,7 @@ impl Admission for AdmissionController {
         let mut work = EngineProfile::default();
         let result = self.pass(now, None, &mut work);
         self.book_work(work);
-        let pass = result?;
+        let pass = result.map_err(|refused| refused.failure)?;
         self.install(pass);
         Ok(())
     }
@@ -535,6 +733,7 @@ impl Admission for AdmissionController {
             releases: state.releases,
             queue: state.queue,
             meta,
+            refusals: Refusals::default(),
             profile: EngineProfile::default(),
         })
     }
@@ -545,6 +744,7 @@ mod tests {
     use super::super::reference::ReferenceController;
     use super::*;
     use crate::dlt::homogeneous;
+    use crate::strategy::NodeCountPolicy;
 
     fn params() -> ClusterParams {
         ClusterParams::paper_baseline()
@@ -902,6 +1102,241 @@ mod tests {
                 "{outcome:?} not in {outcomes:?}"
             );
         }
+    }
+
+    /// A book in which a ticket is refused on behalf of a waiting task two
+    /// positions behind it, every node committed until 500 (so instants
+    /// before that clamp alike): in EDF order a first task, then where
+    /// `ticket` goes, then `b`, then `f`, whose deadline leaves room for a sliver of extra
+    /// work ahead of it but not for the ticket.
+    struct Neighbourhood {
+        inc: AdmissionController,
+        ticket: Task,
+        b: Task,
+        f: Task,
+    }
+
+    fn neighbourhood(cfg: PlanConfig) -> Neighbourhood {
+        let mut inc = AdmissionController::new(params(), AlgorithmKind::EDF_DLT, cfg);
+        for node in 0..16 {
+            inc.set_node_release(node, SimTime::new(500.0));
+        }
+        let a = task(1, 0.0, 100.0, 2_500.0);
+        let b = task(2, 0.0, 100.0, 4_500.0);
+        assert!(inc.submit(a, SimTime::ZERO).is_accepted());
+        assert!(inc.submit(b, SimTime::ZERO).is_accepted());
+        // The shortest deadline f can meet behind a and b, plus a little.
+        let (mut failing, mut passing) = (4_500.0, 1e6);
+        while passing - failing > 1.0 {
+            let mid = 0.5 * (failing + passing);
+            match inc.probe(&task(3, 0.0, 800.0, mid), SimTime::ZERO) {
+                Decision::Accepted => passing = mid,
+                Decision::Rejected(_) => failing = mid,
+            }
+        }
+        let f = task(3, 0.0, 800.0, passing + 40.0);
+        assert!(inc.submit(f, SimTime::ZERO).is_accepted());
+        let ticket = task(9, 0.0, 40.0, 3_000.0);
+        Neighbourhood { inc, ticket, b, f }
+    }
+
+    /// The neighbourhood with the ticket refused once, at time zero.
+    fn refused(cfg: PlanConfig) -> Neighbourhood {
+        let mut n = neighbourhood(cfg);
+        assert!(!n.inc.submit(n.ticket, SimTime::ZERO).is_accepted());
+        n
+    }
+
+    /// Submits the ticket again at `now`, checks the decision against the
+    /// oracle on the same book, and returns it with the work it took.
+    fn ask_again(
+        inc: &mut AdmissionController,
+        ticket: Task,
+        now: SimTime,
+    ) -> (Decision, EngineProfile) {
+        let mut oracle = ReferenceController::from_state(inc.state()).unwrap();
+        let before = inc.profile();
+        let decision = inc.submit(ticket, now);
+        assert_eq!(decision, oracle.submit(ticket, now));
+        assert_eq!(inc.state(), oracle.state());
+        let after = inc.profile();
+        let work = EngineProfile {
+            plans_reused: after.plans_reused - before.plans_reused,
+            plans_computed: after.plans_computed - before.plans_computed,
+            refusals_reused: after.refusals_reused - before.refusals_reused,
+        };
+        (decision, work)
+    }
+
+    #[test]
+    fn a_refusal_is_remembered_while_its_neighbourhood_stands() {
+        let mut n = neighbourhood(PlanConfig::default());
+        let walked = n.inc.probe_plan(&n.ticket, SimTime::ZERO).unwrap_err();
+        assert_eq!(walked.task, n.f.id, "the scenario refuses on behalf of f");
+        assert!(!n.inc.submit(n.ticket, SimTime::ZERO).is_accepted());
+        // What was kept: the walk from the ticket up to the task that failed.
+        assert_eq!(n.inc.refusals.kept.len(), 1);
+        assert_eq!(n.inc.refusals.kept[0].behind, vec![n.b, n.f]);
+        // The probe is now answered from the ring, with the same failure...
+        assert_eq!(n.inc.probe_plan(&n.ticket, SimTime::ZERO), Err(walked));
+        // ...and so is the re-test, at any instant that clamps alike.
+        for now in [0.0, 100.0, 499.0] {
+            let (decision, work) = ask_again(&mut n.inc, n.ticket, SimTime::new(now));
+            assert_eq!(decision, Decision::Rejected(walked.reason));
+            assert_eq!(work.plans_computed, 0, "at {now}");
+            assert_eq!(work.refusals_reused, 1, "at {now}");
+        }
+        assert_eq!(n.inc.refusals.kept.len(), 1, "a hit writes nothing");
+    }
+
+    /// A re-test that must be walked: it plans, and reuses no refusal.
+    fn assert_walked(work: EngineProfile) {
+        assert!(work.plans_computed > 0, "{work:?}");
+        assert_eq!(work.refusals_reused, 0, "{work:?}");
+    }
+
+    #[test]
+    fn an_arrival_ahead_of_the_ticket_forgets_the_refusal() {
+        let mut n = refused(PlanConfig::default());
+        // A sliver ahead of the ticket: the vector it is inserted on moves.
+        let sliver = task(20, 0.0, 1.0, 2_800.0);
+        assert!(n.inc.submit(sliver, SimTime::ZERO).is_accepted());
+        let (_, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert_walked(work);
+    }
+
+    #[test]
+    fn an_arrival_between_the_ticket_and_the_failure_forgets_the_refusal() {
+        let mut n = refused(PlanConfig::default());
+        // Same vector at the insertion point, one more task behind it.
+        let sliver = task(20, 0.0, 1.0, 3_500.0);
+        assert!(n.inc.submit(sliver, SimTime::ZERO).is_accepted());
+        let at = n.inc.queue.iter().position(|(t, _)| *t == sliver).unwrap();
+        assert_eq!(n.inc.queue[at + 1].0, n.b, "the sliver sorts ahead of b");
+        let (_, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert_walked(work);
+    }
+
+    #[test]
+    fn removing_the_task_that_failed_admits_the_ticket() {
+        let mut n = refused(PlanConfig::default());
+        assert_eq!(n.inc.remove_waiting(n.f.id), Some(n.f));
+        let (decision, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert!(decision.is_accepted());
+        assert_walked(work);
+    }
+
+    #[test]
+    fn an_earlier_release_on_a_node_the_ticket_needs_admits_it() {
+        let mut n = refused(PlanConfig::default());
+        for node in 0..16 {
+            n.inc.set_node_release(node, SimTime::ZERO);
+        }
+        let (decision, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert!(decision.is_accepted());
+        assert_walked(work);
+    }
+
+    #[test]
+    fn an_instant_past_an_idle_nodes_release_forgets_the_refusal() {
+        // Every node is released at 500: at 600 the clamp moves them all.
+        let mut n = refused(PlanConfig::default());
+        let (_, work) = ask_again(&mut n.inc, n.ticket, SimTime::new(600.0));
+        assert_walked(work);
+    }
+
+    #[test]
+    fn one_shot_remembers_a_refusal_for_its_own_instant_only() {
+        let cfg = PlanConfig {
+            node_count: NodeCountPolicy::OneShot,
+            ..Default::default()
+        };
+        let mut inc = AdmissionController::new(params(), AlgorithmKind::EDF_DLT, cfg);
+        for node in 0..16 {
+            inc.set_node_release(node, SimTime::new(500.0));
+        }
+        for i in 0..3 {
+            let t = task(i, 0.0, 100.0, 1e5 + i as f64 * 1e4);
+            assert!(inc.submit(t, SimTime::ZERO).is_accepted());
+        }
+        // No node count gets this one done in time: its own plan fails.
+        let ticket = task(9, 0.0, 800.0, 600.0);
+        assert!(!inc.submit(ticket, SimTime::ZERO).is_accepted());
+        assert!(inc.refusals.kept[0].behind.is_empty());
+        let (_, work) = ask_again(&mut inc, ticket, SimTime::ZERO);
+        assert_eq!((work.plans_computed, work.refusals_reused), (0, 1));
+        // Clamp-equal, but ñ_min is evaluated at the raw instant.
+        let (_, work) = ask_again(&mut inc, ticket, SimTime::new(100.0));
+        assert_walked(work);
+    }
+
+    #[test]
+    fn a_restored_engine_remembers_no_refusal() {
+        let n = refused(PlanConfig::default());
+        let mut thawed = AdmissionController::from_state(n.inc.state()).unwrap();
+        assert!(thawed.refusals.kept.is_empty());
+        let (decision, work) = ask_again(&mut thawed, n.ticket, SimTime::ZERO);
+        assert!(!decision.is_accepted());
+        assert_walked(work);
+    }
+
+    #[test]
+    fn a_ticket_shadowing_the_failing_tasks_id_keeps_the_right_neighbourhood() {
+        // The ticket carries the id of the waiting task that fails behind
+        // it, so the failure names both: what is kept goes by the queue
+        // position the pass was planning, and still ends at that task.
+        let mut n = neighbourhood(PlanConfig::default());
+        n.ticket.id = n.f.id;
+        let refusal = n.inc.probe_plan(&n.ticket, SimTime::ZERO).unwrap_err();
+        assert_eq!(refusal.task, n.ticket.id);
+        assert!(!n.inc.submit(n.ticket, SimTime::ZERO).is_accepted());
+        assert_eq!(n.inc.refusals.kept[0].behind, vec![n.b, n.f]);
+        // Kept as the ticket's own failure, it would outlive f's removal.
+        assert_eq!(n.inc.remove_waiting(n.f.id), Some(n.f));
+        let (decision, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert!(decision.is_accepted());
+        assert_walked(work);
+    }
+
+    #[test]
+    fn the_ring_keeps_the_last_refusals_one_slot_an_id() {
+        let mut n = refused(PlanConfig::default());
+        // Variations of the ticket, each refused: distinct tasks, own slots.
+        for i in 0..REFUSALS_KEPT as u64 + 2 {
+            let other = Task {
+                id: TaskId(100 + i),
+                ..n.ticket
+            };
+            assert!(!n.inc.submit(other, SimTime::ZERO).is_accepted());
+            assert!(n.inc.refusals.kept.len() <= REFUSALS_KEPT);
+        }
+        // The ticket's own slot was the oldest: gone, so it is walked, and
+        // written back without growing the ring.
+        let (_, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert_walked(work);
+        let (_, work) = ask_again(&mut n.inc, n.ticket, SimTime::ZERO);
+        assert_eq!((work.plans_computed, work.refusals_reused), (0, 1));
+        // The same id in another shape is not the task that was refused:
+        // walked, and given the id's slot.
+        let reshaped = Task {
+            data_size: n.ticket.data_size * 1.5,
+            ..n.ticket
+        };
+        let (decision, work) = ask_again(&mut n.inc, reshaped, SimTime::ZERO);
+        assert!(!decision.is_accepted());
+        assert_walked(work);
+        let refusals = &n.inc.refusals;
+        assert_eq!(refusals.kept.len(), REFUSALS_KEPT);
+        assert!(refusals
+            .ids
+            .iter()
+            .eq(refusals.kept.iter().map(|r| &r.task.id)));
+        let own = refusals.ids.iter().filter(|&&id| id == n.ticket.id);
+        assert_eq!(own.count(), 1);
+        assert_eq!(
+            refusals.kept[refusals.slot_of(n.ticket.id).unwrap()].task,
+            reshaped
+        );
     }
 
     #[test]

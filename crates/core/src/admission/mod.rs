@@ -259,7 +259,8 @@ impl ControllerState {
 
 /// The production engine's reuse counters (see
 /// [`AdmissionController::profile`]): how many queue positions were
-/// re-planned and how many were served from the cache. Telemetry folds
+/// re-planned, how many were served from the cache, and how many refusals
+/// were answered from a remembered one. Telemetry folds
 /// them into the unified metrics registry; what planning *costs* is timed
 /// by the profiler's `gateway/plan` phase, off the engine's hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -268,6 +269,10 @@ pub struct EngineProfile {
     pub plans_reused: u64,
     /// Queue positions (or candidates) that went through `plan_task`.
     pub plans_computed: u64,
+    /// Submissions refused by a remembered refusal: the walk reached the
+    /// candidate's insertion point on the inputs an earlier refusal of the
+    /// same task went on from, and planned nothing further.
+    pub refusals_reused: u64,
 }
 
 impl EngineProfile {
@@ -385,9 +390,14 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// task, every node is available no earlier than the instant, so the
     /// task's own plan fails under every strategy (no slack left before its
     /// first transmission); if a waiting task ahead of it fails first, the
-    /// instant fails anyway. The production search stops at the deadline;
-    /// the oracle walks every instant, and the differential suite compares
-    /// the two.
+    /// instant fails anyway. Nor is an instant whose walk reaches the task
+    /// on the inputs the previous one had there — the same release vector
+    /// after the clamp, the same tasks still waiting behind it: it would
+    /// repeat that instant's failure step for step. The production search
+    /// stops at the deadline and skips such repeats (and answers the test
+    /// at `now` from the refusal `submit` just remembered, when the book
+    /// has not moved since); the oracle walks every instant in full, and
+    /// the differential suite compares the two.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
 
     /// Explains why `request` would fail admission at `now` — the binding

@@ -20,7 +20,15 @@
 //! future dispatch instant, about books that differ only in which waiting
 //! plans have been dispatched: order, keys and instants are computed once,
 //! and a waiting position whose cached plan the engine's reuse gate still
-//! vouches for *at that instant* is applied, not planned.
+//! vouches for *at that instant* is applied, not planned. Most instants are
+//! not walked to the end at all: a dispatch commits what the plans behind it
+//! already observed, so instant after instant the walk arrives at the task's
+//! position on the same clamped vector with the same tasks still waiting
+//! behind it — and from there it could only repeat, step for step, the
+//! instant before, which failed (the search would have stopped there
+//! otherwise). Such an instant is refused on arrival; one where a task
+//! behind the searched one has been dispatched, or where the clamp at the
+//! new instant lifts a release, is walked on.
 //!
 //! `plan_task` is a pure function of the release vector the walk has built,
 //! so both answer exactly what the literal test answers: the same
@@ -33,7 +41,7 @@ use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::Task;
 use crate::time::SimTime;
 
-use super::walk::Walk;
+use super::walk::{PlanMeta, Walk};
 use super::{schedulability_test, AdmissionFailure};
 
 /// One book (committed releases + waiting tasks) at one instant, prepared
@@ -167,10 +175,16 @@ impl<'a> ProbeWalk<'a> {
 /// which `task` passes the test against the post-dispatch book, or `None`.
 /// The caller has already failed the test at `now` itself.
 ///
-/// `reusable(q, releases, t)` is the engine's reuse gate for the cached
-/// plan of `queue[q]`: `true` only when planning that task at `t` against
-/// `releases` provably returns `queue[q].1` again. A caller without a cache
-/// answers `false` and every position is planned — one search either way.
+/// `reusable(q, walk)` is the engine's reuse gate for the cached plan of
+/// `queue[q]`: `true` only when planning that task at `walk`'s next step
+/// provably returns `queue[q].1` again. A caller without a cache answers
+/// `false` and every position is planned — one search either way.
+///
+/// An instant whose walk reaches the task's position on the inputs the last
+/// instant to get there had — the same vector after the clamp, the same
+/// positions behind it still waiting — is not walked further: from there on
+/// it would repeat that instant's steps one for one, and that instant
+/// failed, or the search would have stopped at it.
 ///
 /// [`Admission::earliest_feasible_start`]: super::Admission::earliest_feasible_start
 #[allow(clippy::too_many_arguments)]
@@ -182,7 +196,7 @@ pub(super) fn earliest_future_start(
     committed_releases: &[SimTime],
     queue: &[(Task, TaskPlan)],
     task: &Task,
-    reusable: impl Fn(usize, &[SimTime], SimTime) -> bool,
+    reusable: impl Fn(usize, &Walk) -> bool,
 ) -> Option<SimTime> {
     let deadline = task.absolute_deadline();
     let mut instants: Vec<SimTime> = queue
@@ -207,6 +221,10 @@ pub(super) fn earliest_future_start(
     let strategy = algorithm.strategy;
     let mut walk = Walk::new(&[], now);
     let mut releases = Vec::with_capacity(committed_releases.len());
+    // The last instant whose walk got as far as the task: its inputs there,
+    // and how many of `behind` were still waiting (`None`: no instant yet).
+    let mut seen = PlanMeta::default();
+    let mut seen_waiting = None;
     instants.into_iter().find(|&t| {
         // The activation protocol is "dispatches at `t` commit first, then
         // the task is submitted", so each instant is tested against the
@@ -228,18 +246,37 @@ pub(super) fn earliest_future_start(
             let (waiting, plan) = &queue[q];
             if due(q) {
                 Ok(())
-            } else if reusable(q, walk.releases(), t) {
+            } else if reusable(q, walk) {
                 walk.apply(plan);
                 Ok(())
             } else {
                 walk.place(strategy, waiting, params, cfg).map(drop)
             }
         };
-        ahead
-            .iter()
-            .try_for_each(|&q| step(&mut walk, q))
-            .and_then(|()| walk.place(strategy, task, params, cfg).map(drop))
-            .and_then(|()| behind.iter().try_for_each(|&q| step(&mut walk, q)))
+        if ahead.iter().try_for_each(|&q| step(&mut walk, q)).is_err() {
+            return false;
+        }
+        // Dispatches only accumulate from instant to instant, so an equal
+        // count is the same set of positions.
+        let waiting = behind.iter().filter(|&&q| !due(q)).count();
+        if seen_waiting == Some(waiting) && seen.holds_for(&walk, cfg) {
+            debug_assert!(
+                {
+                    let left: Vec<Task> = (0..queue.len())
+                        .filter(|&q| !due(q))
+                        .map(|q| queue[q].0)
+                        .collect();
+                    schedulability_test(params, algorithm, cfg, t, &releases, &left, Some(task))
+                        .is_err()
+                },
+                "a skipped instant would have admitted the task"
+            );
+            return false;
+        }
+        seen.record(&walk);
+        seen_waiting = Some(waiting);
+        walk.place(strategy, task, params, cfg)
+            .and_then(|_| behind.iter().try_for_each(|&q| step(&mut walk, q)))
             .is_ok()
     })
 }
@@ -463,5 +500,120 @@ mod tests {
             Some(&task),
         )
         .is_ok());
+    }
+
+    /// A two-node FIFO book for the start search, with hand-made plans:
+    /// `(arrival, σ, relative deadline, node, first start, release)` per
+    /// waiting task, ids from 1 in queue order.
+    fn searched_book(rows: &[(f64, f64, f64, u32, f64, f64)]) -> Vec<(Task, TaskPlan)> {
+        use crate::params::NodeId;
+        use crate::strategy::StrategyKind;
+        rows.iter()
+            .enumerate()
+            .map(
+                |(i, &(arrival, sigma, rel_deadline, node, start, release))| {
+                    let task = Task::new(i as u64 + 1, arrival, sigma, rel_deadline);
+                    let plan = TaskPlan {
+                        task: task.id,
+                        strategy: StrategyKind::DltIit,
+                        nodes: vec![NodeId(node)],
+                        start_times: vec![SimTime::new(start)],
+                        fractions: vec![1.0],
+                        est_completion: SimTime::new(release),
+                        node_release_estimates: vec![SimTime::new(release)],
+                    };
+                    (task, plan)
+                },
+            )
+            .collect()
+    }
+
+    #[test]
+    fn a_dispatch_from_behind_the_task_is_walked_not_skipped() {
+        // Two instants at which the task stands on the same vector — both
+        // plans that come due commit what was committed already — but at
+        // the second the heavy task behind it has been dispatched: the
+        // first instant failed on that task, the second admits. Only the
+        // count of positions still waiting tells them apart.
+        let params = ClusterParams::new(2, 1.0, 100.0).expect("valid params");
+        let cfg = PlanConfig::default();
+        let committed = vec![SimTime::new(1_000.0); 2];
+        let queue = searched_book(&[
+            (0.0, 1.0, 1e6, 0, 100.0, 1_000.0),
+            (2.0, 10.0, 1_598.0, 1, 200.0, 1_000.0),
+        ]);
+        let task = Task::new(100, 1.0, 10.0, 2_999.0);
+        let now = SimTime::new(1.0);
+        let found = earliest_future_start(
+            &params,
+            AlgorithmKind::FIFO_DLT,
+            &cfg,
+            now,
+            &committed,
+            &queue,
+            &task,
+            |_, _| false,
+        );
+        assert_eq!(found, Some(SimTime::new(200.0)));
+        // The oracle agrees, and blames the heavy task until then.
+        use super::super::reference::ReferenceController;
+        use super::super::{Admission, ControllerState};
+        let oracle = ReferenceController::from_state(ControllerState {
+            params,
+            algorithm: AlgorithmKind::FIFO_DLT,
+            cfg,
+            releases: committed,
+            queue: queue.clone(),
+        })
+        .expect("valid state");
+        assert_eq!(oracle.earliest_feasible_start(&task, now), found);
+        assert_eq!(
+            oracle.probe_plan(&task, now).unwrap_err().task,
+            queue[1].0.id
+        );
+    }
+
+    #[test]
+    fn an_instant_whose_clamp_moves_a_release_is_walked_not_skipped() {
+        // Three instants, the same raw vector at the task's position each
+        // time (the plans ahead of it write the same releases whether they
+        // are dispatched or applied). At 120 it also clamps as it did at
+        // 100, so that instant is skipped; at 400 the clamp lifts node 0
+        // from 150 to 400, and the walk goes on to the task behind.
+        let params = ClusterParams::new(2, 1.0, 100.0).expect("valid params");
+        let cfg = PlanConfig::default();
+        let committed = vec![SimTime::new(100.0); 2];
+        let queue = searched_book(&[
+            (0.0, 1.0, 1e6, 0, 100.0, 140.0),
+            (0.1, 1.0, 1e6, 0, 120.0, 150.0),
+            (0.2, 1.0, 1e6, 1, 400.0, 500.0),
+            // Hopeless, and never dispatched within the search's horizon:
+            // every instant fails on it.
+            (2.0, 10.0, 10.0, 0, 9_000.0, 9_100.0),
+        ]);
+        let task = Task::new(100, 1.0, 10.0, 2_999.0);
+        let walked = std::cell::RefCell::new(Vec::new());
+        let found = earliest_future_start(
+            &params,
+            AlgorithmKind::FIFO_DLT,
+            &cfg,
+            SimTime::new(1.0),
+            &committed,
+            &queue,
+            &task,
+            |q, walk| {
+                // The cached plans ahead of the task are vouched for; the
+                // one behind it is planned, and seen to be.
+                if q == 3 {
+                    walked.borrow_mut().push(walk.now());
+                }
+                q < 3
+            },
+        );
+        assert_eq!(found, None);
+        assert_eq!(
+            walked.into_inner(),
+            vec![SimTime::new(100.0), SimTime::new(400.0)]
+        );
     }
 }

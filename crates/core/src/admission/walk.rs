@@ -24,11 +24,58 @@
 //! snapshot at every step.
 
 use crate::params::{ClusterParams, NodeId};
-use crate::strategy::{plan_task, NodeAvailability, PlanConfig, StrategyKind, TaskPlan};
+use crate::strategy::{
+    plan_task, NodeAvailability, NodeCountPolicy, PlanConfig, StrategyKind, TaskPlan,
+};
 use crate::task::Task;
 use crate::time::SimTime;
 
 use super::AdmissionFailure;
+
+/// The inputs a walk had built when it took a step: what that step's
+/// outcome — and, through the steps after it, the rest of the walk — is a
+/// pure function of (the reuse invariant in `incremental.rs`).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(super) struct PlanMeta {
+    /// The planning instant of the walk.
+    planned_at: SimTime,
+    /// The (pre-clamp) release vector the walk had built; length =
+    /// `num_nodes`.
+    pub(super) observed: Vec<SimTime>,
+}
+
+impl PlanMeta {
+    /// The inputs a step of `walk` would plan on now.
+    pub(super) fn of(walk: &Walk) -> Self {
+        PlanMeta {
+            planned_at: walk.now,
+            observed: walk.releases.clone(),
+        }
+    }
+
+    /// [`of`](PlanMeta::of) into a kept buffer.
+    pub(super) fn record(&mut self, walk: &Walk) {
+        self.planned_at = walk.now;
+        self.observed.clone_from(&walk.releases);
+    }
+
+    /// The reuse predicate: whether a step of `walk` now would plan on
+    /// exactly these inputs — every node's availability equal after the
+    /// clamp at each side's planning instant, and under
+    /// [`NodeCountPolicy::OneShot`], which evaluates ñ_min at the raw
+    /// instant, the instants equal too.
+    pub(super) fn holds_for(&self, walk: &Walk, cfg: &PlanConfig) -> bool {
+        if cfg.node_count == NodeCountPolicy::OneShot && self.planned_at != walk.now {
+            return false;
+        }
+        self.observed.len() == walk.releases.len()
+            && self
+                .observed
+                .iter()
+                .zip(&walk.releases)
+                .all(|(&o, &r)| o.max(self.planned_at) == r.max(walk.now))
+    }
+}
 
 /// The state of one temp-schedule walk at one planning instant.
 pub(super) struct Walk {
@@ -80,8 +127,14 @@ impl Walk {
         }
     }
 
-    /// The release vector the steps so far have built.
+    /// The walk's planning instant.
     #[inline]
+    pub(super) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The release vector the steps so far have built.
+    #[cfg(test)]
     pub(super) fn releases(&self) -> &[SimTime] {
         &self.releases
     }

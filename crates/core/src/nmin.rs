@@ -75,7 +75,12 @@ pub fn n_tilde_min(
 /// blindly from the rejected deadline upward.
 pub fn min_feasible_slack(params: &ClusterParams, sigma: f64) -> f64 {
     debug_assert!(sigma > 0.0);
-    let beta_n = params.beta().powi(params.num_nodes as i32);
+    // β^N by repeated multiplication, as `homogeneous::geometric_sum` builds
+    // its powers: `f64::powi` may round differently from one call site to
+    // the next in optimized builds, and both explanation searches seed
+    // their horizon here — their answers must not depend on the inlining.
+    let beta = params.beta();
+    let beta_n = (0..params.num_nodes).fold(1.0, |pow, _| pow * beta);
     sigma * params.cms / (1.0 - beta_n)
 }
 

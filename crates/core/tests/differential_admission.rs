@@ -26,6 +26,16 @@
 //! gates of what the release perturbs must fail); an explanation runs the
 //! same search with no cache at all.
 //!
+//! And so is a refusal asked about again: the production engine remembers
+//! the refusals it hands out and answers a re-submission from memory while
+//! the walk reaches the task on unchanged inputs, the oracle replans. Tasks
+//! either engine refused are re-submitted as-is by an op of their own and
+//! right after everything that can change the answer under them — a
+//! dispatch, an early release, a removal, a restore. (In debug builds every
+//! remembered refusal that is used, and every instant the reservation search
+//! skips, is also held against the literal test on the spot, so the whole
+//! suite checks the shortcut wherever it fires.)
+//!
 //! On divergence the failing scenario is greedily *shrunk* — ops are
 //! removed one at a time while the divergence persists — and the minimal
 //! reproducer is printed in the panic message.
@@ -86,6 +96,10 @@ enum Op {
         sigma: f64,
         dc: f64,
     },
+    /// One task refused earlier in the run, submitted again as it was.
+    Resubmit {
+        pick: usize,
+    },
 }
 
 /// Decodes a raw generated tuple into an [`Op`]. Pure, so the same raw
@@ -94,7 +108,7 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
     let (kind, a, b, c) = *raw;
     let sigma = 10.0 + a * 790.0;
     let user = (b > 0.25).then(|| 1 + (a * 97.0) as usize % 16);
-    match kind % 11 {
+    match kind % 12 {
         // Submissions get double weight (0 and 1): they are the hot path.
         0 | 1 => Op::Submit {
             sigma,
@@ -144,6 +158,9 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
             sigma,
             dc: 0.2 + b * 6.0,
         },
+        11 => Op::Resubmit {
+            pick: (a * 1_000.0) as usize,
+        },
         // Deliberately tight deadline factors: the reservation search only
         // does interesting work on tasks the plain test rejects.
         _ => Op::EarliestFeasibleStart {
@@ -159,7 +176,13 @@ struct Harness {
     inc: AdmissionController,
     now: f64,
     next_id: u64,
+    /// The tasks refused most recently — more of them than the production
+    /// engine remembers refusals.
+    refused: Vec<Task>,
 }
+
+/// How many refused tasks the harness keeps asking about.
+const REFUSED_KEPT: usize = 12;
 
 impl Harness {
     fn new(algorithm: AlgorithmKind) -> Self {
@@ -170,7 +193,38 @@ impl Harness {
             inc: AdmissionController::new(params, algorithm, cfg),
             now: 0.0,
             next_id: 0,
+            refused: Vec::new(),
         }
+    }
+
+    /// Submits `task` to both engines at the scenario clock; a refused task
+    /// is kept for asking again, an admitted one no longer is.
+    fn submit(&mut self, task: Task) -> Result<(), String> {
+        let now = SimTime::new(self.now);
+        let a = self.full.submit(task, now);
+        let b = self.inc.submit(task, now);
+        if a != b {
+            return Err(format!("decision on {task:?} diverged {a:?} vs {b:?}"));
+        }
+        self.refused.retain(|t| *t != task);
+        if !a.is_accepted() {
+            if self.refused.len() == REFUSED_KEPT {
+                self.refused.remove(0);
+            }
+            self.refused.push(task);
+        }
+        Ok(())
+    }
+
+    /// Asks again about every refused task, as it was, with the engines'
+    /// whole state compared after each.
+    fn resubmit_refused(&mut self, context: &str) -> Result<(), String> {
+        for task in self.refused.clone() {
+            self.submit(task)
+                .map_err(|e| format!("{context}: asked again: {e}"))?;
+            self.check(&format!("{context}: asked again about {:?}", task.id))?;
+        }
+        Ok(())
     }
 
     fn mk_task(&mut self, sigma: f64, dc: f64, user: Option<usize>) -> Task {
@@ -272,12 +326,8 @@ impl Harness {
             } => {
                 self.now += dt;
                 let task = self.mk_task(*sigma, *dc, *user);
-                let now = SimTime::new(self.now);
-                let a = self.full.submit(task, now);
-                let b = self.inc.submit(task, now);
-                if a != b {
-                    return Err(format!("op {i} {op:?}: decision diverged {a:?} vs {b:?}"));
-                }
+                self.submit(task)
+                    .map_err(|e| format!("op {i} {op:?}: {e}"))?;
             }
             Op::Batch { members, dt } => {
                 self.now += dt;
@@ -321,6 +371,7 @@ impl Harness {
                 if a != b {
                     return Err(format!("op {i} {op:?}: take_due diverged {a:?} vs {b:?}"));
                 }
+                self.resubmit_refused(&format!("op {i} {op:?}"))?;
             }
             Op::EarlyRelease {
                 node,
@@ -338,6 +389,7 @@ impl Harness {
                 let task = self.mk_task(*sigma, *dc, None);
                 self.check_earliest_start(&task)
                     .map_err(|e| format!("op {i} {op:?}: after the release: {e}"))?;
+                self.resubmit_refused(&format!("op {i} {op:?}"))?;
             }
             Op::Replan { dt } => {
                 self.now += dt;
@@ -356,6 +408,7 @@ impl Harness {
                     if a != b {
                         return Err(format!("op {i} {op:?}: remove diverged {a:?} vs {b:?}"));
                     }
+                    self.resubmit_refused(&format!("op {i} {op:?}"))?;
                 }
             }
             Op::Thaw { sigma, dc } => {
@@ -363,6 +416,14 @@ impl Harness {
                 let task = self.mk_task(*sigma, *dc, None);
                 self.check_earliest_start(&task)
                     .map_err(|e| format!("op {i} {op:?}: after the thaw: {e}"))?;
+                self.resubmit_refused(&format!("op {i} {op:?}"))?;
+            }
+            Op::Resubmit { pick } => {
+                if !self.refused.is_empty() {
+                    let task = self.refused[pick % self.refused.len()];
+                    self.submit(task)
+                        .map_err(|e| format!("op {i} {op:?}: {e}"))?;
+                }
             }
         }
         self.check(&format!("op {i} {op:?}"))
@@ -432,7 +493,7 @@ proptest! {
     #[test]
     fn differential_random_ops(
         algorithm in prop::sample::select(algorithms()),
-        raws in prop::collection::vec((0u8..11, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
+        raws in prop::collection::vec((0u8..12, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
     ) {
         if let Err(e) = check_scenario(algorithm, &raws) {
             shrink_and_report(algorithm, &raws, e);
@@ -449,9 +510,10 @@ proptest! {
             // Kinds 2/4/5 dominate: bursts through the checkpoint-rewind
             // path, interleaved with dispatches, early releases and
             // restores (kinds 5 and 9, each followed by a reservation
-            // search), the reservation search itself (kind 8) and refusal
-            // explanations (kind 10).
-            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9, 10]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
+            // search), the reservation search itself (kind 8), refusal
+            // explanations (kind 10) and refused tasks asked about again
+            // (kind 11).
+            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9, 10, 11]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
             1..16,
         ),
     ) {
@@ -463,8 +525,9 @@ proptest! {
 
 /// Drives both engines with a real workload stream: submissions at their
 /// arrival instants, a dispatch sweep before each, an early release every
-/// seventh task, a restore every eleventh, and a closing burst through the
-/// batch path.
+/// seventh task, a restore every eleventh, a removal every thirteenth — the
+/// tasks refused so far asked about again after each of those — and a
+/// closing burst through the batch path.
 fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(), String> {
     let mut h = Harness::new(algorithm);
     let (head, tail) = tasks.split_at(tasks.len().saturating_sub(5));
@@ -475,6 +538,9 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
         let b = h.inc.take_due(now);
         if a != b {
             return Err(format!("task {i}: take_due diverged"));
+        }
+        if !a.is_empty() {
+            h.resubmit_refused(&format!("task {i}: after the dispatch"))?;
         }
         if i % 7 == 3 {
             let node = i % h.full.params().num_nodes;
@@ -493,6 +559,7 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
                 h.check_earliest_start(probe)
                     .map_err(|e| format!("task {i}: after the release: {e}"))?;
             }
+            h.resubmit_refused(&format!("task {i}: after the release"))?;
             let ra = h.full.replan(now);
             let rb = h.inc.replan(now);
             if ra != rb {
@@ -503,6 +570,14 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
             h.thaw(&format!("task {i}"))?;
             h.check_earliest_start(t)
                 .map_err(|e| format!("task {i}: after the thaw: {e}"))?;
+            h.resubmit_refused(&format!("task {i}: after the thaw"))?;
+        }
+        if i % 13 == 9 && h.full.queue_len() > 0 {
+            let id = h.full.queue()[i % h.full.queue_len()].0.id;
+            if h.full.remove_waiting(id) != h.inc.remove_waiting(id) {
+                return Err(format!("task {i}: remove diverged"));
+            }
+            h.resubmit_refused(&format!("task {i}: after the removal"))?;
         }
         if i % 5 == 2 {
             // A reservation search for the incoming task before deciding
@@ -521,13 +596,7 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
             h.check_explain(&tight)
                 .map_err(|e| format!("task {i} (tight): {e}"))?;
         }
-        let da = h.full.submit(*t, now);
-        let db = h.inc.submit(*t, now);
-        if da != db {
-            return Err(format!(
-                "task {i} {t:?}: decision diverged {da:?} vs {db:?}"
-            ));
-        }
+        h.submit(*t).map_err(|e| format!("task {i}: {e}"))?;
         h.check(&format!("task {i}"))?;
     }
     if let Some(last) = tail.last() {

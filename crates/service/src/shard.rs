@@ -1478,6 +1478,23 @@ mod tests {
         assert_eq!(count(&profiler, "gateway/retest"), 0);
         g.retest_deferred(SimTime::ZERO);
         assert_eq!(count(&profiler, "gateway/retest"), 1);
+
+        // What a sweep costs the engine: a parked ticket asked about again
+        // with nothing changed around it (the task ahead of it dispatched as
+        // planned, every node busy past the new instant) is refused from the
+        // engine's memory, and counted.
+        let e16 = homogeneous::exec_time(&ClusterParams::paper_baseline(), 800.0, 16);
+        let mut g = single();
+        assert!(submit(&mut g, Task::new(1, 0.0, 800.0, e16 * 1.05), SimTime::ZERO).is_accepted());
+        let parked = submit(&mut g, Task::new(2, 0.0, 800.0, e16 * 1.5), SimTime::ZERO);
+        assert!(matches!(parked, Verdict::Deferred { .. }), "{parked:?}");
+        Frontend::take_due(&mut g, SimTime::ZERO);
+        let before = g.shards[0].ctl.profile();
+        g.retest_deferred(SimTime::new(1.0));
+        let after = g.shards[0].ctl.profile();
+        assert_eq!(g.metrics().retests, 1);
+        assert_eq!(after.refusals_reused - before.refusals_reused, 1);
+        assert_eq!(after.plans_computed, before.plans_computed);
     }
 
     #[test]

@@ -144,6 +144,11 @@ pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, s
         &labels,
         profile.reuse_rate(),
     );
+    reg.counter(
+        "rtdls_engine_refusals_reused",
+        &labels,
+        profile.refusals_reused,
+    );
 }
 
 #[cfg(test)]
@@ -176,6 +181,7 @@ mod tests {
         let profile = EngineProfile {
             plans_reused: 30,
             plans_computed: 10,
+            refusals_reused: 7,
         };
         let mut reg = MetricsRegistry::new();
         fold_engine_profile(&mut reg, &profile, 2);
@@ -183,5 +189,6 @@ mod tests {
         assert!(text.contains("rtdls_engine_plans_reused{shard=\"2\"} 30"));
         assert!(text.contains("rtdls_engine_plan_reuse_rate{shard=\"2\"} 0.75"));
         assert!(text.contains("rtdls_engine_plans_computed{shard=\"2\"} 10"));
+        assert!(text.contains("rtdls_engine_refusals_reused{shard=\"2\"} 7"));
     }
 }
