@@ -11,6 +11,12 @@
 //!   recovery restores the last snapshot and replays only the short tail
 //!   (the compaction claim).
 //!
+//! A fourth group, `group_commit/turn_of_17`, is printed and not gated (its
+//! number is the sandbox's disk): what one serving turn of 8 submits — 17
+//! frames — costs a file WAL in writes, syncs and microseconds when the
+//! turn is held for its commit (the `EdgeGateway` path) and when every
+//! event is handed over as it happens (the `Frontend` path).
+//!
 //! Besides the criterion output, the bench writes a machine-readable
 //! baseline to `target/journal_replay_baseline.json` so the perf trajectory
 //! can be tracked run over run.
@@ -197,6 +203,65 @@ fn emit_baseline(_c: &mut Criterion) {
     println!("baseline written to {}:\n{json}", path.display());
 }
 
+/// Prints `group_commit/turn_of_17` (see the module docs): the same 64
+/// turns through a `Batch(16)` file WAL, held and handed over per event.
+fn group_commit_turn(_c: &mut Criterion) {
+    // A lightly loaded stream: every submit is accepted, so a turn is 8
+    // requests + 8 verdicts + the turn's one dispatch record.
+    let params = ClusterParams::paper_baseline();
+    let mut spec = WorkloadSpec::paper_baseline(0.3);
+    spec.dc_ratio = 20.0;
+    spec.horizon = 1e9;
+    let tasks: Vec<Task> = WorkloadGenerator::new(spec, 11).take(8 * 64).collect();
+    let dir = std::env::temp_dir().join(format!("rtdls-journal-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("bench temp dir");
+    for held in [true, false] {
+        let label = if held { "held" } else { "frontend" };
+        let sink = FileSink::create(dir.join(format!("{label}.wal")))
+            .expect("bench WAL")
+            .with_fsync_policy(FsyncPolicy::Batch(16));
+        let cfg = JournalConfig {
+            snapshot_every: 0,
+            compact_on_snapshot: false,
+        };
+        let mut j = JournaledGateway::with_sink(gateway(params), cfg, Box::new(sink));
+        let before = j.journal().sink_stats().expect("sinked");
+        let start = Instant::now();
+        for turn in tasks.chunks(8) {
+            let now = turn.last().expect("non-empty").arrival;
+            for t in turn {
+                let request = SubmitRequest::new(*t);
+                if held {
+                    black_box(j.decide(&request, now));
+                } else {
+                    black_box(j.submit_request(&request, now));
+                }
+            }
+            if held {
+                j.drive(now);
+            } else {
+                // What `drive` applies, without opening a turn.
+                let _ = Frontend::take_due(&mut j, now);
+                j.on_event(now);
+                j.activate(now);
+                let _ = j.drain_resolutions();
+                j.commit(now);
+            }
+        }
+        let elapsed = start.elapsed();
+        let after = j.journal().sink_stats().expect("sinked");
+        let turns = tasks.len().div_ceil(8) as f64;
+        println!(
+            "group_commit/turn_of_17/{label:<8}  {:.1} frames  {:.2} writes  {:.2} syncs  {:.1} us  per turn",
+            (after.appends - before.appends) as f64 / turns,
+            (after.writes - before.writes) as f64 / turns,
+            (after.syncs - before.syncs) as f64 / turns,
+            elapsed.as_secs_f64() * 1e6 / turns,
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -207,6 +272,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_append, bench_recover, emit_baseline
+    targets = bench_append, bench_recover, emit_baseline, group_commit_turn
 }
 criterion_main!(benches);

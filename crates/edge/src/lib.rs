@@ -28,7 +28,8 @@
 //!   per-connection write queues (overload answers `Throttled` at the
 //!   edge) over the [`EdgeGateway`] serving trait — a `ShardedGateway`,
 //!   or — for a durable edge — a `JournaledGateway` over one, whose
-//!   group-commit window the reactor closes once per turn; plus the
+//!   journal gets each turn as one write and one sync at the turn's
+//!   commit, before any of the turn's verdicts is flushed; plus the
 //!   sharded [`EdgeCluster`] — N reactor threads, connections pinned to
 //!   their tenant's home reactor, a mutexed adoption mailbox as the only
 //!   inter-reactor seam.

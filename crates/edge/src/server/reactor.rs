@@ -159,8 +159,10 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// Turns the always-on hot-path profiler on: reactor turn phases
     /// (`edge/read`, `edge/drive`, `edge/flush`) and every phase the
     /// gateway stack registers (`gateway/plan`, `gateway/reserve`,
-    /// `gateway/explain`, `gateway/retest`, `journal/append`,
-    /// `journal/fsync`, `ship/poll`, …) accumulate into
+    /// `gateway/explain`, `gateway/retest`, `journal/append` (encoding a
+    /// frame into the journal's image), `journal/write` (the turn's one
+    /// hand-over to the sink, at commit), `journal/fsync` (the sync that
+    /// follows it), `ship/poll`, …) accumulate into
     /// exponential-bucket histograms served by [`OpsQuery::Profile`]. Until
     /// this is called the profiler costs one `Option` check per phase.
     pub fn enable_profiler(&mut self) {

@@ -934,6 +934,170 @@ fn killed_journaled_edge_recovers_from_the_wal_and_keeps_serving() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// A `FileSink` that, at every call the journal makes into it, looks at the
+/// client's end of the socket: whatever the reactor has decided this turn,
+/// none of it may be readable there before the sink's `flush` has
+/// returned.
+struct AckSpySink {
+    inner: FileSink,
+    /// The client's socket (a clone), once the test has connected.
+    client: Arc<std::sync::Mutex<Option<TcpStream>>>,
+    /// Frames handed over since the last flush.
+    pending_frames: usize,
+    /// Flushes that made frames durable while the client saw nothing.
+    guarded_flushes: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl AckSpySink {
+    fn assert_client_sees_nothing(&self, during: &str) {
+        if let Some(client) = self.client.lock().unwrap().as_ref() {
+            assert_eq!(
+                readable_bytes(client),
+                0,
+                "a verdict reached the client before its frames were durable ({during})"
+            );
+        }
+    }
+}
+
+/// Bytes readable on `stream` right now, without consuming them.
+/// (`O_NONBLOCK` is shared with the socket's other clones, so it is put
+/// back before returning.)
+fn readable_bytes(stream: &TcpStream) -> usize {
+    stream.set_nonblocking(true).unwrap();
+    let seen = stream.peek(&mut [0u8; 4096]);
+    stream.set_nonblocking(false).unwrap();
+    match seen {
+        Ok(n) => n,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => 0,
+        Err(e) => panic!("peek failed: {e}"),
+    }
+}
+
+impl JournalSink for AckSpySink {
+    fn append(&mut self, run: &[u8]) {
+        self.assert_client_sees_nothing("append");
+        self.pending_frames += rtdls_journal::wire::frame_count(run);
+        self.inner.append(run);
+    }
+    fn reset(&mut self, bytes: &[u8]) {
+        self.assert_client_sees_nothing("reset");
+        self.pending_frames += rtdls_journal::wire::frame_count(bytes);
+        self.inner.reset(bytes);
+    }
+    fn flush(&mut self) {
+        self.assert_client_sees_nothing("flush, before the sync");
+        self.inner.flush();
+        self.assert_client_sees_nothing("flush, after the sync");
+        if self.pending_frames > 0 && self.client.lock().unwrap().is_some() {
+            self.guarded_flushes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.pending_frames = 0;
+    }
+    fn stats(&self) -> SinkStats {
+        self.inner.stats()
+    }
+}
+
+/// Durable before acknowledged, observed from the client's side of the
+/// socket: in every reactor turn the journal's write and sync complete
+/// while the turn's verdicts are still unsent — and one poll later they
+/// are all there.
+#[test]
+fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
+    let wal = std::env::temp_dir().join(format!("rtdls-edge-ack-{}.wal", std::process::id()));
+    let client_slot = Arc::new(std::sync::Mutex::new(None));
+    let guarded = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let sink = AckSpySink {
+        inner: FileSink::create(&wal)
+            .unwrap()
+            .with_fsync_policy(FsyncPolicy::Batch(16)),
+        client: Arc::clone(&client_slot),
+        pending_frames: 0,
+        guarded_flushes: Arc::clone(&guarded),
+    };
+    let journal_cfg = JournalConfig {
+        snapshot_every: 20, // compactions fall inside turns
+        compact_on_snapshot: true,
+    };
+    let journaled = JournaledGateway::with_sink(sharded(2), journal_cfg, Box::new(sink));
+    let mut server = EdgeServer::bind("127.0.0.1:0", journaled, EdgeConfig::default()).unwrap();
+    let mut client = InlineClient::connect(server.local_addr());
+    assert!(matches!(
+        client.recv(&mut server, SimTime::ZERO),
+        ServerMsg::Hello { .. }
+    ));
+    *client_slot.lock().unwrap() = Some(client.stream.try_clone().unwrap());
+
+    let requests = request_stream(48, 31);
+    let mut seq = 0u64;
+    for (turn, window) in requests.chunks(8).enumerate() {
+        let now = window.last().unwrap().task.arrival;
+        let mut burst = Vec::new();
+        for request in window {
+            burst.extend(encode_client(&ClientMsg::Submit {
+                seq,
+                request: *request,
+            }));
+            seq += 1;
+        }
+        client.send_raw(&burst);
+        let submitted_before = server.gateway().metrics().submitted;
+        let guarded_before = guarded.load(Ordering::Relaxed);
+        // One turn: read, decide × 8, drive → commit (the spy looks at the
+        // socket inside it), and only then the socket flush.
+        for _ in 0..200 {
+            server.poll(now);
+            if server.gateway().metrics().submitted > submitted_before {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            server.gateway().metrics().submitted - submitted_before,
+            window.len() as u64,
+            "turn {turn}: the whole window was served in one turn"
+        );
+        assert_eq!(
+            guarded.load(Ordering::Relaxed) - guarded_before,
+            1,
+            "turn {turn}: one flush made the turn's frames durable, unseen"
+        );
+        // The probe is not blind: now the verdicts are there.
+        assert!(
+            readable_bytes(&client.stream) > 0,
+            "turn {turn}: verdicts left right after the commit"
+        );
+        // Read the socket dry (so the next turn starts with nothing
+        // readable): the window's verdicts, plus any pushed updates.
+        let mut verdicts = 0;
+        while readable_bytes(&client.stream) > 0 {
+            use std::io::Read;
+            let mut buf = [0u8; 8192];
+            let n = client.stream.read(&mut buf).unwrap();
+            client.decoder.push(&buf[..n]);
+            while let Some((_, payload)) = client.decoder.next_frame().unwrap() {
+                if matches!(decode_server(&payload).unwrap(), ServerMsg::Verdict { .. }) {
+                    verdicts += 1;
+                }
+            }
+        }
+        assert_eq!(
+            verdicts,
+            window.len(),
+            "turn {turn}: one verdict per submit"
+        );
+        assert_eq!(
+            FileSink::read(&wal).unwrap(),
+            server.gateway().journal().bytes(),
+            "turn {turn}: every acknowledged verdict's frames are in the file"
+        );
+    }
+    assert!(server.gateway().journal().snapshots_appended() >= 3);
+    drop(server);
+    let _ = std::fs::remove_file(&wal);
+}
+
 /// The full SLO observability acceptance story over the wire, on a manual
 /// clock: a flash crowd drives a journaled edge's acceptance alarm
 /// *healthy → burning → breached* as watched live through `Ops::Slo`;

@@ -11,6 +11,13 @@
 //! of an empty queue, a dispatch poll with nothing due) are skipped — the
 //! engine polls far more often than state changes, and replaying a no-op is
 //! itself a no-op, so the log stays proportional to *actual* state changes.
+//!
+//! The two traits drive the sink differently. [`Frontend`] calls have no
+//! commit boundary, so each journaled event is handed to the sink as it is
+//! appended. [`EdgeGateway`] calls — `decide`, and everything `drive`
+//! applies through `driver()` — belong to a serving turn that ends in
+//! `commit`: their frames wait in the journal's image and reach the sink
+//! as one write and one sync there (see [`Journal::flush`]).
 
 use rtdls_core::prelude::{
     AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan, TenantId,
@@ -234,19 +241,25 @@ impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
     }
 
     /// Every state change goes through this wrapper's [`Frontend`] impl,
-    /// so it is write-ahead journaled (and no-op polls stay out of the log).
+    /// so it is write-ahead journaled (and no-op polls stay out of the
+    /// log) — as part of the serving turn the next `commit` closes.
     fn driver(&mut self) -> &mut Self {
+        self.journal.hold_turn();
         self
     }
 
+    /// [`submit_request`](JournaledGateway::submit_request) as part of the
+    /// serving turn: the request and its verdict are journaled in memory
+    /// and become durable at the next `commit`.
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
+        self.journal.hold_turn();
         self.submit_request(request, now)
     }
 
-    /// Completes any pending group commit in the journal's sink: one
-    /// serving turn is one group-commit window when the sink batches
-    /// fsyncs ([`FsyncPolicy::Batch`](crate::journal::FsyncPolicy::Batch)).
-    /// In an edge cluster each reactor owns its own journal file, so the
+    /// The group commit: everything journaled since the last `commit`
+    /// reaches the sink as one write and is synced once, whatever the
+    /// sink's [`FsyncPolicy`](crate::journal::FsyncPolicy). In an edge
+    /// cluster each reactor owns its own journal file, so the
     /// single-writer crash-safety argument is per-reactor and unchanged.
     fn commit(&mut self, _now: SimTime) {
         self.journal.flush();
@@ -406,8 +419,8 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
         self.journal
             .append_event(&JournalEvent::Finalized { at: now });
         self.inner.finalize(now);
-        // End of stream closes the group-commit window: everything the
-        // journal acknowledged is durable from here on.
+        // End of stream closes the group-commit window (and a turn still
+        // held): everything journaled is durable from here on.
         self.journal.flush();
     }
 }

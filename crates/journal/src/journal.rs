@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 use crate::event::JournalEvent;
 use crate::snapshot::{GatewaySnapshot, JournalError};
-use crate::wire::{decode_frames, encode_frame, Frame, RecordKind, TailStatus};
+use crate::wire::{decode_frames, encode_frame, frame_count, Frame, RecordKind, TailStatus};
 
 /// Journal tunables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,32 +43,42 @@ impl Default for JournalConfig {
 /// saved).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SinkStats {
-    /// Frames appended over the sink's lifetime.
+    /// Frames appended over the sink's lifetime (a multi-frame run counts
+    /// as its frames).
     pub appends: u64,
-    /// `sync_data` calls performed (group commits completed).
+    /// Durability points performed: `sync_data` calls closing a group
+    /// commit, plus one per compaction rewrite.
     pub syncs: u64,
     /// Bytes written (appends plus compaction rewrites).
     pub bytes_written: u64,
-    /// Largest number of appends committed by one fsync.
+    /// Largest number of appended frames committed by one fsync.
     pub max_batch: u64,
+    /// Write calls issued: one per `append` (however many frames the run
+    /// holds) and one per compaction rewrite. `appends / writes` is how
+    /// many frames a write carries.
+    pub writes: u64,
 }
 
 /// A durable byte store the journal mirrors its frames into.
 ///
-/// `append` must *write* the frame (ordered after every earlier frame)
-/// before returning, and after [`JournalSink::flush`] every appended byte
-/// must be durable. Whether each individual append is synced immediately
-/// is the sink's durability policy (see [`FsyncPolicy`]): a crash between
-/// a batched append and the next flush may lose the unsynced tail, but —
-/// because writes stay ordered — never an earlier record, so recovery
-/// always finds a valid prefix. A sink that cannot persist at all must
-/// panic rather than silently continue.
+/// `append` takes **one or more whole frames, in order**, and must *write*
+/// them (ordered after every earlier frame) before returning; after
+/// [`JournalSink::flush`] every appended byte must be durable. The journal
+/// appends frame by frame, except at a commit, where a serving turn's
+/// frames arrive as one run **followed at once by `flush`** (see
+/// [`Journal::flush`]) — so a sink may leave a run's sync to that flush.
+/// Whether a single-frame append is synced immediately is the sink's
+/// durability policy (see [`FsyncPolicy`]): a crash between a batched
+/// append and the next flush may lose the unsynced tail — possibly tearing
+/// a run mid-frame — but, because writes stay ordered, never an earlier
+/// record, so recovery always finds a valid prefix. A sink that cannot
+/// persist at all must panic rather than silently continue.
 ///
 /// `Send` is required so a journaled gateway can serve from a dedicated
 /// thread (the network edge runs its reactor that way).
 pub trait JournalSink: Send {
-    /// Appends one encoded frame.
-    fn append(&mut self, frame: &[u8]);
+    /// Appends a run of one or more whole encoded frames.
+    fn append(&mut self, run: &[u8]);
     /// Replaces the entire stored log (compaction).
     fn reset(&mut self, bytes: &[u8]);
     /// Makes every appended byte durable (group-commit boundary). Sinks
@@ -90,22 +100,47 @@ pub trait JournalSink: Send {
     }
 }
 
-/// When a [`FileSink`] fsyncs its appended frames.
+/// When a [`FileSink`] fsyncs what it appended.
+///
+/// The policy governs [`JournalSink::append`] calls, and the two ways a
+/// journal is driven make different calls. Through
+/// [`Frontend`](rtdls_sim::frontend::Frontend) (the simulator, recovery's
+/// re-journaling) every event is its own append, so the policy applies per
+/// event. Through `EdgeGateway` a serving turn's events are one append made
+/// at `commit` and flushed at once: there either policy costs one sync per
+/// turn, and nothing of the turn is acknowledged before it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `sync_data` after every frame — the strongest guarantee: an
-    /// acknowledged append survives any crash.
+    /// `sync_data` inside every append — the strongest guarantee: an
+    /// append that returned survives any crash.
     EveryAppend,
-    /// Group commit: `sync_data` once per `window` appended frames (and on
-    /// [`JournalSink::flush`]). A crash can lose at most the last
-    /// `window − 1` acknowledged frames; writes stay ordered, so recovery
-    /// still finds a valid prefix of the history. `Batch(1)` behaves like
-    /// [`FsyncPolicy::EveryAppend`].
+    /// Group commit: `sync_data` once `window` appended *frames* are
+    /// pending, and on [`JournalSink::flush`]. A multi-frame run counts as
+    /// its frames but is never split or synced mid-way: it is synced once,
+    /// after its write, by the flush that follows it. A crash can lose at
+    /// most the last `window − 1` frames appended one by one (a committed
+    /// turn, never); writes stay ordered, so recovery still finds a valid
+    /// prefix of the history. On single-frame appends `Batch(1)` behaves
+    /// like [`FsyncPolicy::EveryAppend`].
     Batch(usize),
 }
 
-/// File-backed sink: `append` is write (+ `sync_data` per its
-/// [`FsyncPolicy`] — per frame by default, or batched into group commits),
+impl FsyncPolicy {
+    /// Whether an `append` that just wrote a run of `run_frames` frames,
+    /// leaving `pending` frames unsynced, owes the sync itself (the one
+    /// place the rule lives; both sinks ask it).
+    pub fn sync_due(self, run_frames: usize, pending: usize) -> bool {
+        match self {
+            FsyncPolicy::EveryAppend => true,
+            // A run is a turn being committed: the flush that follows is
+            // its one sync (see [`JournalSink`]).
+            FsyncPolicy::Batch(window) => run_frames == 1 && pending >= window.max(1),
+        }
+    }
+}
+
+/// File-backed sink: `append` is one write (+ `sync_data` per its
+/// [`FsyncPolicy`] — per append by default, or batched into group commits),
 /// `reset` swaps in the new log atomically via a synced temp file + rename,
 /// so a crash mid-compaction leaves either the old log or the new one —
 /// never a truncated in-between.
@@ -114,7 +149,7 @@ pub struct FileSink {
     file: File,
     path: PathBuf,
     policy: FsyncPolicy,
-    /// Appends written since the last `sync_data`.
+    /// Frames written since the last `sync_data`.
     unsynced: usize,
     /// Cumulative durability counters (observability/tests).
     stats: SinkStats,
@@ -185,20 +220,18 @@ impl FileSink {
 }
 
 impl JournalSink for FileSink {
-    fn append(&mut self, frame: &[u8]) {
+    fn append(&mut self, run: &[u8]) {
         self.file
-            .write_all(frame)
+            .write_all(run)
             .expect("journal file append must succeed");
-        self.stats.appends += 1;
-        self.stats.bytes_written += frame.len() as u64;
-        self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::EveryAppend => self.sync(),
-            FsyncPolicy::Batch(window) => {
-                if self.unsynced >= window.max(1) {
-                    self.sync();
-                }
-            }
+        let frames = frame_count(run);
+        debug_assert!(frames > 0, "append takes whole frames");
+        self.stats.writes += 1;
+        self.stats.appends += frames as u64;
+        self.stats.bytes_written += run.len() as u64;
+        self.unsynced += frames;
+        if self.policy.sync_due(frames, self.unsynced) {
+            self.sync();
         }
     }
 
@@ -228,7 +261,10 @@ impl JournalSink for FileSink {
             Ok(())
         };
         swap().expect("journal file rewrite must succeed");
-        // The staged file was fully synced before the rename.
+        // The staged file was fully synced before the rename: the rewrite
+        // is one durability point, counted like the segmented sink's.
+        self.stats.writes += 1;
+        self.stats.syncs += 1;
         self.stats.bytes_written += bytes.len() as u64;
         self.unsynced = 0;
     }
@@ -249,7 +285,11 @@ impl Drop for FileSink {
 }
 
 /// The journal proper. Owns the canonical byte image (what recovery would
-/// read) and forwards every mutation to the optional sink.
+/// read) and hands every mutation to the optional sink: at once, append by
+/// append, unless a serving turn is open — then the turn's frames wait in
+/// the image (shipping, [`frames_from`](Journal::frames_from) and
+/// [`bytes`](Journal::bytes) see them immediately) and reach the sink as
+/// one write at [`flush`](Journal::flush).
 ///
 /// Memory note: the in-memory image holds everything since the last
 /// compaction, so under the default compacting config it stays bounded by
@@ -280,6 +320,15 @@ pub struct Journal {
     /// Hot-path profiler handle (disabled by default: one `Option` check
     /// per append, no clock reads).
     profiler: rtdls_telemetry::Profiler,
+    /// How much of `bytes` the sink holds: `bytes[written..]` is the run of
+    /// whole frames still owed to it.
+    written: usize,
+    /// A compaction the sink has not seen yet: its stored log is superseded
+    /// as a whole and the hand-over is a `reset` to `bytes`, not an append.
+    rewrite_due: bool,
+    /// A serving turn is open ([`hold_turn`](Journal::hold_turn)): appends
+    /// stay in the image until [`flush`](Journal::flush) closes the turn.
+    held: bool,
 }
 
 impl Journal {
@@ -297,15 +346,17 @@ impl Journal {
             frame_index: Vec::new(),
             epoch: 0,
             profiler: rtdls_telemetry::Profiler::disabled(),
+            written: 0,
+            rewrite_due: false,
+            held: false,
         }
     }
 
     /// An empty journal mirrored to `sink`.
     pub fn with_sink(cfg: JournalConfig, sink: Box<dyn JournalSink>) -> Self {
-        Journal {
-            sink: Some(sink),
-            ..Journal::in_memory(cfg)
-        }
+        let mut journal = Journal::in_memory(cfg);
+        journal.sink = Some(sink);
+        journal
     }
 
     /// Attaches a durable sink after the fact, replacing the sink's stored
@@ -316,6 +367,8 @@ impl Journal {
         sink.set_epoch(self.epoch);
         sink.reset(&self.bytes);
         self.sink = Some(sink);
+        self.written = self.bytes.len();
+        self.rewrite_due = false;
     }
 
     /// The journal's configuration.
@@ -323,8 +376,10 @@ impl Journal {
         &self.cfg
     }
 
-    /// Attaches a hot-path profiler: appends, snapshots, and group-commit
-    /// flushes start timing into `journal/*` phases.
+    /// Attaches a hot-path profiler: `journal/append` and
+    /// `journal/snapshot` time the encoding into the image, `journal/write`
+    /// the hand-over to the sink (one frame, a held turn's run, or a
+    /// compaction rewrite) and `journal/fsync` the closing sync.
     pub fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
         self.profiler = profiler.clone();
     }
@@ -412,15 +467,49 @@ impl Journal {
         self.cfg.snapshot_every > 0 && self.events_since_snapshot >= self.cfg.snapshot_every
     }
 
-    /// Completes any pending group commit in the sink (see
-    /// [`JournalSink::flush`]). A no-op for in-memory journals and for
-    /// sinks that sync per append.
+    /// Opens a serving turn: until the next [`flush`](Journal::flush),
+    /// appended frames stay in the image and the sink sees none of them.
+    /// Only a caller that owes a `flush` before anything it appended is
+    /// acknowledged may hold — the `EdgeGateway` path, whose `commit` is
+    /// that flush.
+    pub(crate) fn hold_turn(&mut self) {
+        self.held = true;
+    }
+
+    /// Closes the turn, if one is open, and completes the group commit:
+    /// the sink gets the frames it does not hold yet as **one** append (an
+    /// offset into the image — no second buffer) or, when a compacting
+    /// snapshot fell inside the turn, as the one `reset` that snapshot
+    /// owed, with the turn's tail already inside the rewritten image; then
+    /// [`JournalSink::flush`] makes it durable. With nothing held this is
+    /// the sink's flush alone; for an in-memory journal it is a no-op.
     pub fn flush(&mut self) {
+        self.held = false;
+        self.hand_over();
         if let Some(sink) = &mut self.sink {
             let started = self.profiler.start();
             sink.flush();
             self.profiler.stop("journal/fsync", started);
         }
+    }
+
+    /// Brings the sink up to the image: the rewrite a compaction owes it,
+    /// or else the unwritten suffix as one run of whole frames.
+    fn hand_over(&mut self) {
+        if !self.rewrite_due && self.written == self.bytes.len() {
+            return;
+        }
+        if let Some(sink) = &mut self.sink {
+            let started = self.profiler.start();
+            if self.rewrite_due {
+                sink.reset(&self.bytes);
+            } else {
+                sink.append(&self.bytes[self.written..]);
+            }
+            self.profiler.stop("journal/write", started);
+        }
+        self.written = self.bytes.len();
+        self.rewrite_due = false;
     }
 
     /// Appends one event record.
@@ -433,14 +522,14 @@ impl Journal {
         self.frame_index.push(self.bytes.len());
         self.head_seq += 1;
         self.bytes.extend_from_slice(&frame);
-        if let Some(sink) = &mut self.sink {
-            sink.append(&frame);
-        }
         self.events_appended += 1;
         if ev.is_input() {
             self.events_since_snapshot += 1;
         }
         self.profiler.stop("journal/append", started);
+        if !self.held {
+            self.hand_over();
+        }
     }
 
     /// Appends a snapshot record, compacting away the preceding bytes when
@@ -458,20 +547,36 @@ impl Journal {
             self.frame_index.push(0);
             self.head_seq += 1;
             self.bytes.extend_from_slice(&frame);
-            if let Some(sink) = &mut self.sink {
-                sink.reset(&self.bytes);
-            }
+            // Whatever the sink stores — and whatever of this turn it was
+            // still owed — is superseded by this snapshot: the hand-over
+            // is now a rewrite, and the superseded frames are never
+            // written.
+            self.written = 0;
+            self.rewrite_due = true;
         } else {
             self.frame_index.push(self.bytes.len());
             self.head_seq += 1;
             self.bytes.extend_from_slice(&frame);
-            if let Some(sink) = &mut self.sink {
-                sink.append(&frame);
-            }
         }
         self.events_since_snapshot = 0;
         self.snapshots_appended += 1;
         self.profiler.stop("journal/snapshot", started);
+        if !self.held {
+            self.hand_over();
+        }
+    }
+}
+
+impl Drop for Journal {
+    /// A graceful stop loses nothing: a turn still held when the journal
+    /// goes away is handed to the sink (whose own `Drop` syncs it). Skipped
+    /// while unwinding — a sink failure then would abort the process, and
+    /// a held turn was never acknowledged, so a panic may lose it exactly
+    /// as a crash would.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.hand_over();
+        }
     }
 }
 
@@ -513,6 +618,11 @@ mod tests {
         JournalEvent::DispatchDue {
             at: SimTime::new(at),
         }
+    }
+
+    /// One whole (tiny) frame, for driving a bare sink.
+    fn frame() -> Vec<u8> {
+        encode_frame(RecordKind::Event, b"{}")
     }
 
     fn snap() -> GatewaySnapshot {
@@ -625,7 +735,7 @@ mod tests {
             .unwrap()
             .with_fsync_policy(FsyncPolicy::Batch(8));
         for _ in 0..20 {
-            sink.append(b"x");
+            sink.append(&frame());
         }
         assert_eq!(sink.syncs_performed(), 2, "two full windows");
         sink.flush();
@@ -639,16 +749,36 @@ mod tests {
         // Per-append policy syncs every time; Batch(1) matches it.
         let mut sink = FileSink::create(&path).unwrap();
         for _ in 0..3 {
-            sink.append(b"x");
+            sink.append(&frame());
         }
         assert_eq!(sink.syncs_performed(), 3);
         let mut sink = FileSink::create(&path)
             .unwrap()
             .with_fsync_policy(FsyncPolicy::Batch(1));
         for _ in 0..3 {
-            sink.append(b"x");
+            sink.append(&frame());
         }
         assert_eq!(sink.syncs_performed(), 3);
+        // A run counts as its frames but is left to the flush that follows
+        // it: synced once, after its write, however far past the window.
+        let mut sink = FileSink::create(&path)
+            .unwrap()
+            .with_fsync_policy(FsyncPolicy::Batch(8));
+        sink.append(&frame().repeat(20));
+        assert_eq!(sink.syncs_performed(), 0, "the run's sync is its flush");
+        sink.flush();
+        assert_eq!(sink.syncs_performed(), 1, "one sync for the whole run");
+        assert_eq!(sink.stats().max_batch, 20);
+        assert_eq!((sink.stats().appends, sink.stats().writes), (20, 1));
+        // ...and the frames it left pending count towards the window of
+        // the single-frame appends after it.
+        sink.append(&frame().repeat(7));
+        sink.append(&frame());
+        assert_eq!(sink.syncs_performed(), 2, "7 + 1 reach the window");
+        // Syncing per append, a run is durable when its append returns.
+        let mut sink = FileSink::create(&path).unwrap();
+        sink.append(&frame().repeat(20));
+        assert_eq!(sink.syncs_performed(), 1);
         drop(sink);
         let _ = std::fs::remove_file(&path);
     }
@@ -660,19 +790,24 @@ mod tests {
         let mut sink = FileSink::create(&path)
             .unwrap()
             .with_fsync_policy(FsyncPolicy::Batch(4));
+        let len = frame().len() as u64;
         for _ in 0..10 {
-            sink.append(b"abc");
+            sink.append(&frame());
         }
         sink.flush();
         let stats = sink.stats();
         assert_eq!(stats.appends, 10);
-        assert_eq!(stats.bytes_written, 30);
+        assert_eq!(stats.writes, 10);
+        assert_eq!(stats.bytes_written, 10 * len);
         assert_eq!(stats.syncs, 3, "two full windows + the flushed tail");
         assert_eq!(stats.max_batch, 4);
-        // Compaction counts its rewrite bytes but not as appends.
+        // Compaction counts its rewrite's bytes, write and durability
+        // point, but not as appends.
         sink.reset(b"0123456789");
         assert_eq!(sink.stats().appends, 10);
-        assert_eq!(sink.stats().bytes_written, 40);
+        assert_eq!(sink.stats().writes, 11);
+        assert_eq!(sink.stats().syncs, 4, "a rewrite is a durability point");
+        assert_eq!(sink.stats().bytes_written, 10 * len + 10);
         drop(sink);
         let _ = std::fs::remove_file(&path);
 

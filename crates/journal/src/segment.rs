@@ -20,6 +20,11 @@
 //! anchored* — independently recoverable from its own first frame — which
 //! makes segments the natural unit for journal shipping: a follower that
 //! receives a whole segment can restore from it without any earlier bytes.
+//! A rotation that falls inside a held serving turn is carried to the
+//! turn's commit (see [`Journal::flush`](crate::journal::Journal::flush)):
+//! the sealed segment then ends at the last committed turn, and the
+//! rotating turn's frames before its snapshot — superseded by it, and never
+//! acknowledged without it — are not written.
 //!
 //! Because the journal's in-memory image already drops compacted bytes,
 //! flushed history leaves process memory while the segment directory keeps
@@ -39,7 +44,7 @@ use rtdls_core::prelude::SimTime;
 use crate::journal::{FsyncPolicy, JournalConfig, JournalSink, SinkStats};
 use crate::recover::RecoveryReport;
 use crate::snapshot::{JournalError, Recoverable};
-use crate::wire::{decode_frames, fnv1a64, RecordKind, FNV_OFFSET};
+use crate::wire::{decode_frames, fnv1a64, frame_count, RecordKind, FNV_OFFSET};
 use crate::JournaledGateway;
 
 /// The manifest's per-sealed-segment record (one JSON line in
@@ -264,26 +269,24 @@ impl SegmentedSink {
 }
 
 impl JournalSink for SegmentedSink {
-    fn append(&mut self, frame: &[u8]) {
+    fn append(&mut self, run: &[u8]) {
         self.ensure_active();
         let active = self.active.as_mut().expect("ensured");
         active
             .file
-            .write_all(frame)
+            .write_all(run)
             .expect("segment append must succeed");
-        active.stats.frames += 1;
-        active.stats.bytes += frame.len() as u64;
-        active.stats.checksum = fnv1a64(active.stats.checksum, frame);
-        self.totals.appends += 1;
-        self.totals.bytes_written += frame.len() as u64;
-        self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::EveryAppend => self.sync_active(),
-            FsyncPolicy::Batch(window) => {
-                if self.unsynced >= window.max(1) {
-                    self.sync_active();
-                }
-            }
+        let frames = frame_count(run);
+        debug_assert!(frames > 0, "append takes whole frames");
+        active.stats.frames += frames as u64;
+        active.stats.bytes += run.len() as u64;
+        active.stats.checksum = fnv1a64(active.stats.checksum, run);
+        self.totals.writes += 1;
+        self.totals.appends += frames as u64;
+        self.totals.bytes_written += run.len() as u64;
+        self.unsynced += frames;
+        if self.policy.sync_due(frames, self.unsynced) {
+            self.sync_active();
         }
     }
 
@@ -299,9 +302,10 @@ impl JournalSink for SegmentedSink {
             .file
             .write_all(bytes)
             .expect("segment write must succeed");
-        active.stats.frames += decode_frames(bytes).0.len() as u64;
+        active.stats.frames += frame_count(bytes) as u64;
         active.stats.bytes += bytes.len() as u64;
         active.stats.checksum = fnv1a64(active.stats.checksum, bytes);
+        self.totals.writes += 1;
         self.totals.bytes_written += bytes.len() as u64;
         self.unsynced += 1;
         // Rotation is a durability point regardless of the batch window:

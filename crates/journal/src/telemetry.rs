@@ -24,6 +24,7 @@ pub fn fold_journal_metrics(reg: &mut MetricsRegistry, journal: &Journal) {
     reg.gauge("rtdls_journal_len_bytes", &[], journal.bytes().len() as f64);
     if let Some(stats) = journal.sink_stats() {
         reg.counter("rtdls_journal_sink_appends", &[], stats.appends);
+        reg.counter("rtdls_journal_sink_writes", &[], stats.writes);
         reg.counter("rtdls_journal_sink_syncs", &[], stats.syncs);
         reg.counter("rtdls_journal_sink_bytes_written", &[], stats.bytes_written);
         reg.gauge("rtdls_journal_sink_max_batch", &[], stats.max_batch as f64);
@@ -90,6 +91,7 @@ mod tests {
         let text = reg.to_prometheus();
         assert!(text.contains("rtdls_journal_events_appended 3"), "{text}");
         assert!(text.contains("rtdls_journal_sink_appends 3"), "{text}");
+        assert!(text.contains("rtdls_journal_sink_writes 3"), "{text}");
         assert!(text.contains("rtdls_journal_sink_syncs 1"), "{text}");
         assert!(text.contains("rtdls_journal_sink_bytes_written"), "{text}");
         drop(j);

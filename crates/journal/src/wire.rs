@@ -137,6 +137,25 @@ pub fn encode_frame(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// How many whole frames `run` holds, by walking the length prefixes alone
+/// (no checksum, no payload copy) — what a sink needs to account a
+/// multi-frame write. Stops at the first frame cut short; `run` is trusted
+/// to be the journal's own encoding, so magic and checksums are not
+/// re-verified here (that is [`decode_frames`]' job on the read side).
+pub fn frame_count(run: &[u8]) -> usize {
+    let mut frames = 0;
+    let mut pos = 0;
+    while run.len() - pos >= HEADER_LEN {
+        let len = u32::from_le_bytes(run[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
+        if run.len() - pos - HEADER_LEN < len {
+            break;
+        }
+        pos += HEADER_LEN + len;
+        frames += 1;
+    }
+    frames
+}
+
 /// Decodes every intact frame from `bytes`, classifying the tail. Never
 /// fails: damage only shortens the returned list.
 pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, TailStatus) {
@@ -207,6 +226,12 @@ mod tests {
                 .filter(|&(_, &end)| end <= cut)
                 .count();
             assert_eq!(frames.len(), complete_before_cut, "cut at {cut}");
+            // The prefix walk agrees without touching a payload.
+            assert_eq!(
+                frame_count(&log[..cut]),
+                complete_before_cut,
+                "cut at {cut}"
+            );
             let on_boundary = cut == log.len() || frame_starts.contains(&cut);
             if on_boundary {
                 // A cut exactly between frames is indistinguishable from a

@@ -600,16 +600,19 @@ fn recovery_through_a_journal_file_survives_process_boundaries() {
 
 #[test]
 fn group_commit_crash_still_recovers_a_valid_prefix() {
-    // A batched-fsync sink ([`FsyncPolicy::Batch`]) acknowledges appends
-    // before syncing them, so a crash can lose the unsynced tail — but
-    // writes stay ordered, so what survives is always a byte-prefix of the
-    // acknowledged log. Emulate every possible survival point by cutting
-    // the on-disk image and proving recovery accepts each prefix.
+    // A serving turn reaches the file as one multi-frame write, synced
+    // once at its commit, so a crash can lose the turn in flight — or tear
+    // its write at any byte — but writes stay ordered, so what survives is
+    // always a byte-prefix of the log. Emulate every possible survival
+    // point by cutting the on-disk image and proving recovery accepts each
+    // prefix and keeps every whole frame before the tear.
     let path = std::env::temp_dir().join(format!(
         "rtdls-group-commit-crash-{}.wal",
         std::process::id()
     ));
     let tasks = bursty_tasks(7);
+    // Where each turn's write starts in the file.
+    let mut run_starts = Vec::new();
     {
         let sink = FileSink::create(&path)
             .unwrap()
@@ -631,28 +634,64 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
             },
             Box::new(sink),
         );
-        for t in &tasks {
-            let _ = j.submit_request(&SubmitRequest::new(*t), t.arrival);
+        for turn in tasks.chunks(8) {
+            let now = turn.last().unwrap().arrival;
+            run_starts.push(j.journal().bytes().len());
+            for t in turn {
+                let _ = j.decide(&SubmitRequest::new(*t), now);
+            }
+            j.drive(now);
+            let writes = j.journal().sink_stats().unwrap().writes;
+            assert_eq!(writes as usize, 1 + run_starts.len(), "one write a turn");
         }
-        // The "process" dies with a group commit still open (no flush;
-        // FileSink's graceful-drop sync is irrelevant here because the
-        // cuts below emulate the lost page cache).
     }
     let full = FileSink::read(&path).unwrap();
     let (all_frames, tail) = rtdls_journal::wire::decode_frames(&full);
     assert!(tail.is_clean());
     assert!(all_frames.len() > tasks.len(), "genesis + events");
-    // Cut anywhere past the genesis snapshot: mid-frame, on frame
-    // boundaries, and at the clean end.
+
+    // Tear every run at every byte: exactly the frames that ended at or
+    // before the tear decode, and the tail is reported torn unless the
+    // tear fell between two frames.
+    let run_ends = run_starts.iter().skip(1).copied().chain([full.len()]);
+    for (&start, end) in run_starts.iter().zip(run_ends) {
+        let run_frames: Vec<_> = all_frames
+            .iter()
+            .filter(|f| (start..end).contains(&f.offset))
+            .collect();
+        assert!(run_frames.len() >= 2, "a run holds a turn's frames");
+        for cut in start..=end {
+            let (frames, tail) = rtdls_journal::wire::decode_frames(&full[start..cut]);
+            let whole = run_frames
+                .iter()
+                .filter(|f| f.offset + rtdls_journal::wire::HEADER_LEN + f.payload.len() <= cut)
+                .count();
+            assert_eq!(frames.len(), whole, "run at {start} torn at {cut}");
+            for (a, b) in frames.iter().zip(&run_frames) {
+                assert_eq!(a.payload, b.payload, "run at {start} torn at {cut}");
+            }
+            let between_frames = cut == end || run_frames.iter().any(|f| f.offset == cut);
+            assert_eq!(
+                tail.is_clean(),
+                between_frames,
+                "run at {start} torn at {cut}"
+            );
+        }
+    }
+
+    // Recover from cuts anywhere past the genesis snapshot: mid-frame, on
+    // run boundaries, and at the clean end.
     let genesis_end = all_frames[1].offset;
     let span = full.len() - genesis_end;
-    let cuts = [
+    let mut cuts = vec![
         genesis_end + span / 4,
         genesis_end + span / 2,
         genesis_end + 3 * span / 4,
         full.len() - 3,
         full.len(),
     ];
+    cuts.extend(&run_starts);
+    cuts.extend(run_starts.iter().map(|s| s + 700));
     for cut in cuts {
         let prefix = &full[..cut];
         let (frames, _) = rtdls_journal::wire::decode_frames(prefix);
@@ -663,22 +702,24 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
         let (recovered, report) =
             recover::<ShardedGateway>(prefix, SimTime::new(0.0), JournalConfig::default(), None)
                 .expect("every prefix recovers");
-        let inputs = frames
+        let inputs: Vec<JournalEvent> = frames
             .iter()
             .filter(|f| f.kind == rtdls_journal::wire::RecordKind::Event)
-            .filter(|f| {
-                serde_json::from_str::<JournalEvent>(&String::from_utf8_lossy(&f.payload))
-                    .map(|e| e.is_input())
-                    .unwrap_or(false)
-            })
-            .count();
+            .filter_map(|f| serde_json::from_str(&String::from_utf8_lossy(&f.payload)).ok())
+            .filter(JournalEvent::is_input)
+            .collect();
         assert_eq!(
-            report.events_replayed, inputs,
+            report.events_replayed,
+            inputs.len(),
             "cut at {cut}: exactly the surviving inputs replay"
         );
+        let submits = inputs
+            .iter()
+            .filter(|e| matches!(e, JournalEvent::RequestSubmitted { .. }))
+            .count();
         assert_eq!(
             recovered.metrics().submitted as usize,
-            inputs,
+            submits,
             "cut at {cut}: the recovered book covers the surviving history"
         );
     }

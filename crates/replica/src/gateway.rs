@@ -179,10 +179,11 @@ impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
         self.inner.book_mut()
     }
 
-    /// The wrapped journaled gateway: state changes made through it ship
-    /// on the next [`pump`](ShippingGateway::pump).
+    /// The wrapped journaled gateway's own driver, so a shipped stack's
+    /// turn is held for `commit` like an unshipped one's; state changes
+    /// made through it ship on the next [`pump`](ShippingGateway::pump).
     fn driver(&mut self) -> &mut JournaledGateway<G> {
-        &mut self.inner
+        self.inner.driver()
     }
 
     /// Ships the decision's journal frames in the same turn: replication

@@ -8,6 +8,16 @@
 //! must commit, and how to reach the bare gateway, its book and the layer
 //! that applies state changes. Everything else is provided once, here, in
 //! terms of those.
+//!
+//! **The turn contract.** A driver works in serving turns: any number of
+//! [`decide`](EdgeGateway::decide) calls, then one
+//! [`drive`](EdgeGateway::drive), which ends in
+//! [`commit`](EdgeGateway::commit). Nothing decided or applied since the
+//! last `commit` may be acknowledged to anyone outside the process — a
+//! verdict written to a socket, an update pushed — until the next `commit`
+//! has returned: a durable layer makes the turn's record durable there and
+//! not before. The reactor's turn is exactly this (serve, `drive`, then
+//! flush the sockets).
 
 use rtdls_core::prelude::{AdmissionExplanation, SimTime, SubmitRequest};
 use rtdls_sim::frontend::Frontend;
@@ -35,15 +45,21 @@ pub trait EdgeGateway {
     /// journaled state.
     fn book_mut(&mut self) -> &mut ServiceBook;
 
-    /// The state-changing layer (see [`EdgeGateway::Driver`]).
+    /// The state-changing layer (see [`EdgeGateway::Driver`]). What is
+    /// applied through it is part of the current turn (see the module
+    /// docs): follow it with a [`commit`](EdgeGateway::commit), as
+    /// [`drive`](EdgeGateway::drive) does.
     fn driver(&mut self) -> &mut Self::Driver;
 
-    /// Decides one submission at the server clock's `now`.
+    /// Decides one submission at the server clock's `now`. The verdict is
+    /// part of the current turn: it may leave the process only after the
+    /// next [`commit`](EdgeGateway::commit) (see the module docs).
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict;
 
-    /// What a layer owes at the end of a serving turn: a journaling wrapper
-    /// completes its group commit here, a shipping one pumps its channel.
-    /// The bare gateway owes nothing.
+    /// Ends the serving turn — what a layer owes before the turn's
+    /// verdicts may be acknowledged: a journaling wrapper hands the turn's
+    /// frames to its sink as one write and syncs it, a shipping one pumps
+    /// its channel. The bare gateway owes nothing.
     fn commit(&mut self, now: SimTime) {
         let _ = now;
     }
@@ -51,7 +67,9 @@ pub trait EdgeGateway {
     /// Advances time-driven serving work to `now`: commit due dispatches,
     /// re-test the defer queue, activate due reservations, retire the
     /// engine-facing resolution channel (drivers of this trait consume the
-    /// richer [`DecisionUpdate`] stream instead), then [`commit`] the turn.
+    /// richer [`DecisionUpdate`] stream instead), then [`commit`] the turn —
+    /// the decisions made since the last one included. Call it once per
+    /// turn, after the turn's `decide`s and before acknowledging them.
     ///
     /// [`commit`]: EdgeGateway::commit
     fn drive(&mut self, now: SimTime) {
