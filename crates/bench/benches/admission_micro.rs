@@ -12,7 +12,8 @@
 //! up to the candidate's deadline, less the ones that repeat the last).
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
-//! queue filled by one same-instant burst. Printed, not gated.
+//! queue filled by one same-instant burst. `place` is one fresh walk step on
+//! a 64-node shard, kept and verdict-only. Printed, not gated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -184,6 +185,57 @@ fn bench_explain_fleet(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fresh step of the temp-schedule walk on a 64-node shard with
+/// staggered releases and nothing waiting, both ways there are to take it.
+/// `kept` is `probe_plan`: a one-step pass that plans the task and hands the
+/// plan back (walk set-up, the step, the plan copied out). `verdict_only` is
+/// one bisection step of an open refusal explanation: the kept walk state
+/// copied, the step taken on the copy, nothing kept but the answer (about
+/// one iteration in 35 re-opens a converged search, which costs a few such
+/// steps).
+fn bench_place(c: &mut Criterion) {
+    use rtdls_core::admission::ExplainSearch;
+    let params = ClusterParams::new(64, 1.0, 100.0).expect("valid params");
+    let (algorithm, cfg, now) = (AlgorithmKind::EDF_DLT, PlanConfig::default(), SimTime::ZERO);
+    let mut ctl = AdmissionController::new(params, algorithm, cfg);
+    for node in 0..64 {
+        ctl.set_node_release(node, SimTime::new(2_000.0 + 150.0 * node as f64));
+    }
+    let releases = ctl.committed_releases().to_vec();
+    // What `wide` nodes manage from the moment the last of them is free.
+    let lands_at = |wide: usize, factor: f64| {
+        releases[wide - 1].as_f64() + homogeneous::exec_time(&params, 200.0, wide) * factor
+    };
+    let mut group = c.benchmark_group("place");
+    let admitted = Task::new(1, 0.0, 200.0, lands_at(12, 1.0001));
+    let plan = ctl.probe_plan(&admitted, now).expect("feasible");
+    assert!(
+        plan.n() >= 8,
+        "the kept step plans a wide task: {}",
+        plan.n()
+    );
+    group.bench_function("kept", |b| {
+        b.iter(|| black_box(ctl.probe_plan(black_box(&admitted), now)))
+    });
+    // Too tight for the staggered shard now, fine with a longer deadline:
+    // the search bisects between the two, a verdict-only step per probe.
+    let refused = Task::new(2, 0.0, 200.0, lands_at(12, 0.9));
+    let open = || {
+        ExplainSearch::open(&params, algorithm, &cfg, now, &releases, &[], &refused)
+            .expect("refused")
+    };
+    let mut search = open();
+    assert!(search.refine(), "the search has a bracket to halve");
+    group.bench_function("verdict_only", |b| {
+        b.iter(|| {
+            if !search.refine() {
+                search = open();
+            }
+        })
+    });
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -194,7 +246,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_schedulability_test, bench_controller_submit, bench_deep_book,
+    targets = bench_schedulability_test, bench_controller_submit, bench_place, bench_deep_book,
         bench_explain_fleet
 }
 criterion_main!(benches);

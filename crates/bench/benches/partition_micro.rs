@@ -52,21 +52,38 @@ fn bench_nmin(c: &mut Criterion) {
             )
         })
     });
-    for n in [16usize, 128] {
-        let params = ClusterParams::new(n, 1.0, 100.0).expect("valid");
-        let releases = staircase_releases(n, 50.0);
-        let deadline = SimTime::new(n as f64 * 50.0 + 30_000.0);
+    // A scan costs what it walks: on a 50-unit staircase, a deadline a hair
+    // above `r_d + E(σ, d)` is met by the d earliest nodes and by no fewer,
+    // so the scan stops at depth d; one a tenth short of what all 16 nodes
+    // manage walks the whole cluster and runs out.
+    let params = ClusterParams::new(16, 1.0, 100.0).expect("valid");
+    let releases = staircase_releases(16, 50.0);
+    let sigma = 200.0;
+    let lands_at = |d: usize, factor: f64| {
+        SimTime::new(releases[d - 1].as_f64() + homogeneous::exec_time(&params, sigma, d) * factor)
+    };
+    for depth in [4usize, 8, 16] {
+        let deadline = lands_at(depth, 1.0001);
+        let found = min_feasible_nodes(&params, sigma, &releases, deadline).expect("feasible");
+        assert_eq!(found.n, depth, "the scan must stop at depth {depth}");
         group.bench_with_input(
-            BenchmarkId::new("fixed_point_scan", n),
+            BenchmarkId::new("fixed_point_scan/stops_at", depth),
             &releases,
             |b, releases| {
-                b.iter(|| {
-                    min_feasible_nodes(&params, black_box(200.0), releases, deadline)
-                        .expect("feasible")
-                })
+                b.iter(|| min_feasible_nodes(&params, black_box(sigma), releases, deadline))
             },
         );
     }
+    let deadline = lands_at(16, 0.9);
+    assert_eq!(
+        min_feasible_nodes(&params, sigma, &releases, deadline),
+        Err(Infeasible::NotEnoughNodes)
+    );
+    group.bench_with_input(
+        BenchmarkId::new("fixed_point_scan/runs_out_of", 16),
+        &releases,
+        |b, releases| b.iter(|| min_feasible_nodes(&params, black_box(sigma), releases, deadline)),
+    );
     group.finish();
 }
 

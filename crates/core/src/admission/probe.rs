@@ -13,8 +13,12 @@
 //! states after each further waiting task (the *chain*) — and each probe
 //! copies the state at its candidate's insertion point into one reused
 //! scratch walk and plans only the candidate and what sorts behind it,
-//! keeping nothing but the verdict. A deadline search moves the candidate
-//! toward the back of the queue, where almost nothing is left to plan.
+//! keeping nothing but the verdict: every step here is the walk's
+//! verdict-only one ([`Walk::test`]), which materialises no plan and
+//! allocates nothing, and a chain link hands its step buffers on to the
+//! link built from it ([`Walk::fork`]). A deadline search moves the
+//! candidate toward the back of the queue, where almost nothing is left to
+//! plan.
 //!
 //! The reservation search ([`earliest_future_start`]) asks it once per
 //! future dispatch instant, about books that differ only in which waiting
@@ -94,7 +98,7 @@ impl<'a> ProbeWalk<'a> {
         let mut walk = Walk::new(committed, now);
         let prefix = ordered[..prefix_len]
             .iter()
-            .try_for_each(|w| walk.place(algorithm.strategy, w, params, cfg).map(drop))
+            .try_for_each(|w| walk.test(algorithm.strategy, w, params, cfg))
             .map(|()| walk);
         ProbeWalk {
             params,
@@ -149,10 +153,8 @@ impl<'a> ProbeWalk<'a> {
                 Ok(link) => {
                     // Settled before it is copied, here and below, so the
                     // copies do not each repeat its last step's merge.
-                    link.settle();
-                    let mut walk = Walk::new(&[], self.now);
-                    walk.copy_from(link);
-                    walk.place(strategy, &behind[j], params, cfg).map(|_| walk)
+                    let mut walk = link.fork();
+                    walk.test(strategy, &behind[j], params, cfg).map(|()| walk)
                 }
             };
             self.chain.push(next);
@@ -161,9 +163,9 @@ impl<'a> ProbeWalk<'a> {
         link.settle();
         let walk = &mut self.scratch;
         walk.copy_from(link);
-        walk.place(strategy, candidate, params, cfg)?;
+        walk.test(strategy, candidate, params, cfg)?;
         for w in &behind[at..] {
-            walk.place(strategy, w, params, cfg)?;
+            walk.test(strategy, w, params, cfg)?;
         }
         Ok(())
     }
@@ -250,7 +252,7 @@ pub(super) fn earliest_future_start(
                 walk.apply(plan);
                 Ok(())
             } else {
-                walk.place(strategy, waiting, params, cfg).map(drop)
+                walk.test(strategy, waiting, params, cfg)
             }
         };
         if ahead.iter().try_for_each(|&q| step(&mut walk, q)).is_err() {
@@ -275,8 +277,8 @@ pub(super) fn earliest_future_start(
         }
         seen.record(&walk);
         seen_waiting = Some(waiting);
-        walk.place(strategy, task, params, cfg)
-            .and_then(|_| behind.iter().try_for_each(|&q| step(&mut walk, q)))
+        walk.test(strategy, task, params, cfg)
+            .and_then(|()| behind.iter().try_for_each(|&q| step(&mut walk, q)))
             .is_ok()
     })
 }

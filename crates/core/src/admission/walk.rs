@@ -4,10 +4,16 @@
 //! A walk takes tasks in policy order and plans each against the release
 //! vector the tasks before it have built. A [`Walk`] holds that vector *and*
 //! its sorted availability at the walk's planning instant, and offers the
-//! two steps there are: [`place`](Walk::place) plans a task fresh,
-//! [`apply`](Walk::apply) takes a plan already known to be what `place`
-//! would return (the engine's reuse cache). Either way the plan's release
-//! estimates are written back and the walk moves on.
+//! three steps there are. Two plan a task fresh, on the planning kernel of
+//! `strategy.rs` and into a scratch the walk keeps for all of its steps:
+//! [`place`](Walk::place) copies the plan out (the engine's passes keep what
+//! they plan; four vectors are allocated for it), [`test`](Walk::test)
+//! wants the verdict only and allocates nothing (every probe of an
+//! explanation, every instant of a reservation search). The third,
+//! [`apply`](Walk::apply), takes a plan already known to be what `place`
+//! would return (the engine's reuse cache). Whichever it is, the plan's
+//! release estimates are written back — by the fresh steps straight from
+//! the scratch, through the availability's head — and the walk moves on.
 //!
 //! Availability stays sorted *across* steps instead of being re-sorted per
 //! step: a plan occupies exactly the `n` earliest entries, so after it only
@@ -21,11 +27,13 @@
 //! The oracle ([`schedulability_test`](super::schedulability_test),
 //! [`ReferenceController`](super::reference::ReferenceController)) shares
 //! nothing with this file but `plan_task`: it takes a fresh, fully sorted
-//! snapshot at every step.
+//! snapshot at every step, and every plan it asks for comes back as a value
+//! of its own.
 
 use crate::params::{ClusterParams, NodeId};
 use crate::strategy::{
-    plan_task, NodeAvailability, NodeCountPolicy, PlanConfig, StrategyKind, TaskPlan,
+    plan_into, NodeAvailability, NodeCountPolicy, PlanConfig, PlanScratch, Planned, StrategyKind,
+    TaskPlan,
 };
 use crate::task::Task;
 use crate::time::SimTime;
@@ -92,6 +100,9 @@ pub(super) struct Walk {
     stale_head: usize,
     /// Scratch for sorting a head.
     head: Vec<(SimTime, NodeId)>,
+    /// Scratch a fresh step plans in: allocated by the walk's first fresh
+    /// step, reused by every one after it.
+    scratch: PlanScratch,
 }
 
 impl Walk {
@@ -104,6 +115,7 @@ impl Walk {
             built: false,
             stale_head: 0,
             head: Vec::new(),
+            scratch: PlanScratch::default(),
         }
     }
 
@@ -125,6 +137,19 @@ impl Walk {
         if other.built {
             self.avail.copy_from(&other.avail);
         }
+    }
+
+    /// A settled copy of this walk to take the next step on, for a walk
+    /// that is itself kept only to be copied from (a probe chain's link):
+    /// its step buffers go along with the copy instead of being allocated
+    /// again behind every link.
+    pub(super) fn fork(&mut self) -> Walk {
+        self.settle();
+        let mut next = Walk::new(&[], self.now);
+        next.copy_from(self);
+        next.head = std::mem::take(&mut self.head);
+        next.scratch = std::mem::take(&mut self.scratch);
+        next
     }
 
     /// The walk's planning instant.
@@ -164,7 +189,35 @@ impl Walk {
             .count()
     }
 
-    /// Plans `task` against the walk and writes its release estimates back.
+    /// The fresh step both [`place`](Walk::place) and [`test`](Walk::test)
+    /// take: plans `task` into the walk's scratch and writes its release
+    /// estimates back, straight from there through the availability's head.
+    fn plan(
+        &mut self,
+        strategy: StrategyKind,
+        task: &Task,
+        params: &ClusterParams,
+        cfg: &PlanConfig,
+    ) -> Result<Planned, AdmissionFailure> {
+        self.settle();
+        let planned = plan_into(strategy, task, &self.avail, params, cfg, &mut self.scratch)
+            .map_err(|reason| AdmissionFailure {
+                task: task.id,
+                reason,
+            })?;
+        debug_assert!(
+            !planned.est.definitely_after(task.absolute_deadline()),
+            "strategy returned a plan missing its deadline"
+        );
+        // Planned on this availability, so on its earliest nodes.
+        self.stale_head = planned.nodes;
+        planned.write_releases(&self.avail, &self.scratch, &mut self.releases);
+        Ok(planned)
+    }
+
+    /// Plans `task` against the walk, writes its release estimates back and
+    /// returns the plan, copied out of the scratch — the step of a walk that
+    /// keeps what it plans (the engine's passes).
     pub(super) fn place(
         &mut self,
         strategy: StrategyKind,
@@ -172,22 +225,22 @@ impl Walk {
         params: &ClusterParams,
         cfg: &PlanConfig,
     ) -> Result<TaskPlan, AdmissionFailure> {
-        let avail = self.settle();
-        let plan =
-            plan_task(strategy, task, avail, params, cfg).map_err(|reason| AdmissionFailure {
-                task: task.id,
-                reason,
-            })?;
-        debug_assert!(
-            !plan
-                .est_completion
-                .definitely_after(task.absolute_deadline()),
-            "strategy returned a plan missing its deadline"
-        );
-        // Planned on this availability, so on its earliest nodes.
-        self.stale_head = self.head_of(&plan);
-        plan.write_releases(&mut self.releases);
-        Ok(plan)
+        let planned = self.plan(strategy, task, params, cfg)?;
+        // The head is merged back only by the next step's `settle`.
+        Ok(planned.to_plan(task.id, &self.avail, &self.scratch))
+    }
+
+    /// [`place`](Walk::place) for a walk that wants the verdict only (every
+    /// probe and search): the same step, the same releases written, no plan
+    /// materialised and nothing allocated.
+    pub(super) fn test(
+        &mut self,
+        strategy: StrategyKind,
+        task: &Task,
+        params: &ClusterParams,
+        cfg: &PlanConfig,
+    ) -> Result<(), AdmissionFailure> {
+        self.plan(strategy, task, params, cfg).map(drop)
     }
 
     /// Takes `plan` as this step's plan: the caller has established that
@@ -216,7 +269,7 @@ impl Walk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{NodeCountPolicy, ReleaseEstimate};
+    use crate::strategy::{plan_task, NodeCountPolicy, ReleaseEstimate};
     use proptest::prelude::*;
 
     const NODES: usize = 12;
@@ -234,11 +287,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// After every step — fresh or applied — the kernel's availability
-        /// is entry for entry what a fresh sort of its releases gives, with
-        /// release vectors on a coarse grid (ties, so the node-id tie-break
-        /// decides), a clamp that swallows some of them, and plans that
-        /// revisit their nodes (multi-round).
+        /// After every step — kept, verdict-only or applied — the kernel's
+        /// availability is entry for entry what a fresh sort of its releases
+        /// gives, with release vectors on a coarse grid (ties, so the
+        /// node-id tie-break decides), a clamp that swallows some of them,
+        /// and plans that revisit their nodes (multi-round). A second walk
+        /// takes every step verdict-only: it must fail where the first one
+        /// fails, with the same failure, and otherwise leave bit for bit the
+        /// same releases and the same availability behind.
         #[test]
         fn availability_stays_what_a_fresh_sort_builds(
             strategy in prop::sample::select(strategies()),
@@ -247,36 +303,46 @@ mod tests {
                 ReleaseEstimate::Uniform,
                 ReleaseEstimate::TightPerNode,
             ]),
+            node_count in prop::sample::select(vec![
+                NodeCountPolicy::FixedPoint,
+                NodeCountPolicy::OneShot,
+            ]),
             releases in proptest::collection::vec(0u32..6, NODES),
             now in 0u32..4,
             tasks in proptest::collection::vec((0.0f64..1.0, 0u32..8, 1usize..NODES + 1, 0u8..2), 1..10),
         ) {
             // Transmission-heavy, so multi-round plans really are chosen.
             let params = ClusterParams::new(NODES, 8.0, 100.0).expect("valid params");
-            let cfg = PlanConfig { release_estimate: estimate, node_count: NodeCountPolicy::FixedPoint };
+            let cfg = PlanConfig { release_estimate: estimate, node_count };
             let grid = 500.0;
             let releases: Vec<SimTime> =
                 releases.iter().map(|&r| SimTime::new(r as f64 * grid)).collect();
             let now = SimTime::new(now as f64 * grid);
             let mut walk = Walk::new(&releases, now);
+            let mut verdicts = Walk::new(&releases, now);
             for (id, (sigma, slack, user, fresh)) in tasks.into_iter().enumerate() {
                 let task = Task::new(id as u64, 0.0, 20.0 + sigma * 300.0, 4_000.0 + slack as f64 * 6_000.0)
                     .with_user_nodes(Some(user));
                 // What the literal walk would plan at this step.
                 let literal = plan_task(
                     strategy, &task, &NodeAvailability::new(walk.releases(), now), &params, &cfg,
-                );
+                ).map_err(|reason| AdmissionFailure { task: task.id, reason });
+                let tested = verdicts.test(strategy, &task, &params, &cfg);
+                prop_assert_eq!(tested.err(), literal.as_ref().err().copied());
                 match (literal, fresh) {
                     (Ok(plan), 0) => walk.apply(&plan),
                     (literal, _) => {
-                        let placed = walk.place(strategy, &task, &params, &cfg).map_err(|f| f.reason);
+                        let placed = walk.place(strategy, &task, &params, &cfg);
                         prop_assert_eq!(&placed, &literal);
                     }
                 }
+                let bits = |w: &Walk| w.releases().iter().map(|r| r.as_f64().to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&verdicts), bits(&walk));
                 let expected = NodeAvailability::new(walk.releases(), now);
-                let kept = walk.settle();
-                prop_assert!(kept.times().eq(expected.times()));
-                prop_assert!(kept.nodes().eq(expected.nodes()));
+                for kept in [walk.settle(), verdicts.settle()] {
+                    prop_assert!(kept.times().eq(expected.times()));
+                    prop_assert!(kept.nodes().eq(expected.nodes()));
+                }
             }
         }
     }

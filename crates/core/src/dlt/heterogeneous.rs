@@ -78,50 +78,16 @@ impl HeterogeneousModel {
         sigma: f64,
         releases: &[SimTime],
     ) -> Result<Self, ModelError> {
-        if releases.is_empty() {
-            return Err(ModelError::InvalidParams("need at least one node"));
-        }
-        if !(sigma.is_finite() && sigma > 0.0) {
-            return Err(ModelError::InvalidParams("sigma must be finite and > 0"));
-        }
-        let r: Vec<f64> = releases.iter().map(|t| t.as_f64()).collect();
-        if r.iter().any(|v| !v.is_finite()) {
-            return Err(ModelError::InvalidParams("release times must be finite"));
-        }
-        if r.windows(2).any(|w| w[1] < w[0]) {
-            return Err(ModelError::InvalidParams(
-                "release times must be sorted ascending",
-            ));
-        }
-        let n = r.len();
-        let r_n = r[n - 1];
-        let e = homogeneous::exec_time(params, sigma, n);
-
-        // Eq. 1: earlier-available nodes get proportionally more model power.
-        let cps_het: Vec<f64> = r
-            .iter()
-            .map(|&ri| e / (e + (r_n - ri)) * params.cps)
-            .collect();
-
-        // Eq. 4–5 via prefix products of X_i, then a single normalization:
-        //   prefix_1 = 1, prefix_i = prefix_{i−1} · X_i,  α_i = prefix_i / Σ prefix.
-        let mut prefix = Vec::with_capacity(n);
-        prefix.push(1.0);
-        for i in 1..n {
-            let x_i = cps_het[i - 1] / (params.cms + cps_het[i]);
-            prefix.push(prefix[i - 1] * x_i);
-        }
-        let total: f64 = prefix.iter().sum();
-        let alphas: Vec<f64> = prefix.iter().map(|p| p / total).collect();
-
-        // Eq. 6 (Cps_n = Cps because the latest node has zero IIT).
-        let exec_time = sigma * params.cms + alphas[n - 1] * sigma * params.cps;
-
+        check_inputs(sigma, releases)?;
+        let mut cps_het = Vec::new();
+        let mut alphas = Vec::new();
+        let (e_no_iit, exec_time) =
+            partition_into(params, sigma, releases, &mut cps_het, &mut alphas);
         Ok(HeterogeneousModel {
             params: *params,
             sigma,
-            releases: r,
-            e_no_iit: e,
+            releases: releases.iter().map(|t| t.as_f64()).collect(),
+            e_no_iit,
             cps_het,
             alphas,
             exec_time,
@@ -264,6 +230,91 @@ impl HeterogeneousModel {
     }
 }
 
+/// What the construction requires of its inputs: at least one node, a
+/// finite positive load, finite available times in ascending order. Checked
+/// by [`HeterogeneousModel::new`] and by the planning kernel
+/// (`strategy.rs`) alike.
+pub(crate) fn check_inputs(sigma: f64, releases: &[SimTime]) -> Result<(), ModelError> {
+    if releases.is_empty() {
+        return Err(ModelError::InvalidParams("need at least one node"));
+    }
+    if !(sigma.is_finite() && sigma > 0.0) {
+        return Err(ModelError::InvalidParams("sigma must be finite and > 0"));
+    }
+    if releases.iter().any(|t| !t.as_f64().is_finite()) {
+        return Err(ModelError::InvalidParams("release times must be finite"));
+    }
+    if releases.windows(2).any(|w| w[1] < w[0]) {
+        return Err(ModelError::InvalidParams(
+            "release times must be sorted ascending",
+        ));
+    }
+    Ok(())
+}
+
+/// The construction itself, into caller-owned buffers: `Cps_i` (Eq. 1) into
+/// `cps_het`, the optimal fractions (Eq. 4–5) into `alphas`, and the pair
+/// `(E(σ,n), Ê(σ,n))` (Eq. 6) returned. `releases` must have passed
+/// [`check_inputs`]. The one copy of this arithmetic: the model and every
+/// planning step run it.
+pub(crate) fn partition_into(
+    params: &ClusterParams,
+    sigma: f64,
+    releases: &[SimTime],
+    cps_het: &mut Vec<f64>,
+    alphas: &mut Vec<f64>,
+) -> (f64, f64) {
+    let n = releases.len();
+    let r_n = releases[n - 1].as_f64();
+    let e = homogeneous::exec_time(params, sigma, n);
+
+    // Eq. 1: earlier-available nodes get proportionally more model power.
+    cps_het.clear();
+    cps_het.extend(
+        releases
+            .iter()
+            .map(|r| e / (e + (r_n - r.as_f64())) * params.cps),
+    );
+
+    // Eq. 4–5 via prefix products of X_i, then a single normalization in
+    // place:
+    //   prefix_1 = 1, prefix_i = prefix_{i−1} · X_i,  α_i = prefix_i / Σ prefix.
+    alphas.clear();
+    alphas.reserve(n);
+    alphas.push(1.0);
+    for i in 1..n {
+        let x_i = cps_het[i - 1] / (params.cms + cps_het[i]);
+        alphas.push(alphas[i - 1] * x_i);
+    }
+    let total: f64 = alphas.iter().sum();
+    for alpha in alphas.iter_mut() {
+        *alpha /= total;
+    }
+
+    // Eq. 6 (Cps_n = Cps because the latest node has zero IIT).
+    let exec_time = sigma * params.cms + alphas[n - 1] * sigma * params.cps;
+    (e, exec_time)
+}
+
+/// Theorem 4's per-node bounds `t̃_act_1..t̃_act_n`
+/// ([`HeterogeneousModel::actual_completion_bound`]) for a whole plan in one
+/// pass, appended to `out`: the transmission prefix sum is carried instead
+/// of being re-added per node, term for term in the same order.
+pub(crate) fn completion_bounds_into(
+    params: &ClusterParams,
+    sigma: f64,
+    alphas: &[f64],
+    releases: &[SimTime],
+    out: &mut Vec<SimTime>,
+) {
+    let mut sent = 0.0;
+    out.extend(alphas.iter().zip(releases).map(|(&alpha, r)| {
+        sent += alpha;
+        let tx = sent * sigma * params.cms;
+        SimTime::new(tx + alpha * sigma * params.cps + r.as_f64())
+    }));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +389,23 @@ mod tests {
                     "node {i} bound {b} > estimate {est} for {releases:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_bounds_are_the_accessors_bit_for_bit() {
+        for releases in [
+            vec![0.0],
+            vec![0.0, 10.0, 20.0, 30.0, 1000.0],
+            vec![5.0, 5.0, 6.0, 6.0, 7.0, 8.0, 8.5, 9.25, 100.0, 100.0],
+        ] {
+            let m = model(&releases, 321.0);
+            let times: Vec<SimTime> = releases.iter().copied().map(SimTime::new).collect();
+            let mut bounds = Vec::new();
+            completion_bounds_into(&baseline(), 321.0, m.alphas(), &times, &mut bounds);
+            let accessors: Vec<SimTime> =
+                (0..m.n()).map(|i| m.actual_completion_bound(i)).collect();
+            assert_eq!(bounds, accessors);
         }
     }
 

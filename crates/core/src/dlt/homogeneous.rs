@@ -46,16 +46,22 @@ fn geometric_sum(beta: f64, n: usize) -> f64 {
 /// Returned in transmission order (node 1 receives the largest fraction).
 /// The fractions sum to 1 and decrease geometrically.
 pub fn alphas(params: &ClusterParams, n: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    alphas_into(params, n, &mut out);
+    out
+}
+
+/// [`alphas`] appended to a caller-owned buffer (the planning kernel's).
+pub(crate) fn alphas_into(params: &ClusterParams, n: usize, out: &mut Vec<f64>) {
     debug_assert!(n >= 1);
     let beta = params.beta();
     let denom = geometric_sum(beta, n);
-    let mut out = Vec::with_capacity(n);
+    out.reserve(n);
     let mut pow = 1.0;
     for _ in 0..n {
         out.push(pow / denom);
         pow *= beta;
     }
-    out
 }
 
 /// Per-node completion offsets (relative to the common start time) for the

@@ -14,6 +14,45 @@
 //! because `Ê(σ,n) ≤ E(σ,n)` (Eq. 9) and `r_n + E(σ,n) ≤ A + D` reduces to
 //! `β^n ≤ γ` (Eq. 11–14). The same bound applies verbatim to the no-IIT OPR
 //! baseline of \[22\], where all nodes start together at `r_n`.
+//!
+//! ## The scan without logarithms
+//!
+//! [`n_tilde_min`] is the definition, and what `OneShot` planning and the
+//! explanation seed call. The fixed-point scan ([`min_feasible_nodes`]) asks
+//! a narrower question at every node it tries — is `ñ_min(r_n) ≤ n`? — and
+//! that question is Eq. 14 itself, before the logarithm was taken: `βⁿ ≤ γ`.
+//! So the scan carries `βⁿ` along (one multiply per node, the way
+//! `homogeneous::geometric_sum` builds its powers), computes `γ` exactly as
+//! [`n_tilde_min`] does — same operations, same two terminal errors in the
+//! same order — and compares. Two things separate the comparison from the
+//! formula, and the guard band covers both:
+//!
+//! * **The tolerant ceiling.** [`n_tilde_min`] snaps `x = ln γ / ln β` to
+//!   the nearest integer when it is within `CEIL_TOL` of it, relatively, so
+//!   it answers "`≤ n`" exactly when `x ≤ n·(1 + CEIL_TOL)`, which is
+//!   `γ ≥ βⁿ·exp(−n·CEIL_TOL·|ln β|)`: the formula's threshold sits *below*
+//!   `βⁿ` by a relative `n·CEIL_TOL·|ln β|` (first order; `exp(−x) ≥ 1 − x`
+//!   makes it a bound). The band takes twice that, which also absorbs any
+//!   error of the library logarithm below `CEIL_TOL/2` relative (a correctly
+//!   working `ln` is within a few 10⁻¹⁶). `|ln β|` itself is bounded without
+//!   a logarithm by `(1 − β)/β` (from `ln x ≥ 1 − 1/x`) — loose for small
+//!   `β`, where the band widens and more steps take the formula, never
+//!   wrong.
+//! * **Rounding.** The running product is off by at most `(n − 1)` half-ulps
+//!   relative, and forming each threshold costs two more; `γ` and `β` are
+//!   the same floats on both routes. The band adds `2·ε` per node
+//!   (`ε = f64::EPSILON`, four half-ulps), and a product that has left the
+//!   normal range is not compared at all.
+//!
+//! With `b = n·(2·CEIL_TOL·(1 − β)/β + 2ε)`: `γ ≥ βⁿ(1 + b)` implies
+//! `x ≤ n`, so the formula — tolerant ceiling, rounding and all — answers
+//! yes; `γ ≤ βⁿ(1 − b)` implies `x ≥ n·(1 + 2·CEIL_TOL)`, so it answers
+//! no; anything between evaluates the formula, unchanged. The scan is a
+//! shortcut to [`n_tilde_min`], never a second opinion: nothing here is
+//! tuned, debug builds assert every step against it, and a proptest walks
+//! the `βⁿ = γ` boundary ulp by ulp. On the paper's baseline (`β = 100/101`,
+//! `N ≤ 64`) the band is about 10⁻⁹ at its widest and the formula runs on
+//! half a percent of steps — the last ones of a deadline bisection.
 
 use crate::error::Infeasible;
 use crate::params::ClusterParams;
@@ -51,6 +90,18 @@ pub fn n_tilde_min(
     r_n: SimTime,
     abs_deadline: SimTime,
 ) -> Result<usize, Infeasible> {
+    let gamma = gamma_at(params, sigma, r_n, abs_deadline)?;
+    Ok(nodes_for(gamma, params.beta()))
+}
+
+/// `γ = 1 − σ·Cms/(A + D − r_n)`, or the terminal error of a start at `r_n`.
+#[inline]
+fn gamma_at(
+    params: &ClusterParams,
+    sigma: f64,
+    r_n: SimTime,
+    abs_deadline: SimTime,
+) -> Result<f64, Infeasible> {
     debug_assert!(sigma > 0.0);
     let slack = abs_deadline.as_f64() - r_n.as_f64();
     if slack <= 0.0 {
@@ -60,10 +111,15 @@ pub fn n_tilde_min(
     if gamma <= 0.0 {
         return Err(Infeasible::NoTimeForTransmission);
     }
-    let beta = params.beta();
+    Ok(gamma)
+}
+
+/// `max(⌈ln γ / ln β⌉, 1)` with the tolerant ceiling.
+#[inline]
+fn nodes_for(gamma: f64, beta: f64) -> usize {
     // β ∈ (0,1) and γ ∈ (0,1): both logs are negative, the ratio positive.
     let raw = gamma.ln() / beta.ln();
-    Ok(ceil_tolerant(raw).max(1))
+    ceil_tolerant(raw).max(1)
 }
 
 /// The analytic infimum of slack (`A + D − r_n`) that *any* node count in
@@ -130,28 +186,69 @@ pub fn min_feasible_nodes(
 
 /// [`min_feasible_nodes`] over times read in place (the planner scans its
 /// availability snapshot without copying the cluster per plan).
+///
+/// Each step asks `ñ_min(r_n) ≤ n` and answers it by comparing `γ` with a
+/// running `βⁿ` wherever the two are further apart than [`guard_band`]
+/// (module docs, "The scan without logarithms"); inside the band the step is
+/// [`n_tilde_min`]'s own formula. Debug builds hold every step against
+/// [`n_tilde_min`] on the spot.
 pub(crate) fn scan_feasible_nodes(
     params: &ClusterParams,
     sigma: f64,
     sorted_releases: impl Iterator<Item = SimTime>,
     abs_deadline: SimTime,
 ) -> Result<ScanResult, Infeasible> {
+    let beta = params.beta();
+    let band_per_node = guard_band(beta);
+    let mut beta_n = 1.0;
     for (idx, r_n) in sorted_releases.enumerate() {
         let n = idx + 1;
-        match n_tilde_min(params, sigma, r_n, abs_deadline) {
-            Ok(required) if required <= n => return Ok(ScanResult { n, r_n }),
-            Ok(_) => {}
-            // Slack shrinks monotonically with n; these errors are terminal.
-            Err(e) => return Err(e),
+        beta_n *= beta;
+        // Slack shrinks monotonically with n; the errors are terminal.
+        let gamma = gamma_at(params, sigma, r_n, abs_deadline)?;
+        let band = n as f64 * band_per_node;
+        // A running product that has left the normal range has lost the
+        // relative accuracy the band assumes.
+        let comparable = beta_n >= f64::MIN_POSITIVE;
+        let enough = if comparable && gamma >= beta_n * (1.0 + band) {
+            true
+        } else if comparable && gamma <= beta_n * (1.0 - band) {
+            false
+        } else {
+            nodes_for(gamma, beta) <= n
+        };
+        debug_assert_eq!(
+            Ok(enough),
+            n_tilde_min(params, sigma, r_n, abs_deadline).map(|required| required <= n),
+            "the scan's shortcut disagrees with n_tilde_min at n = {n}"
+        );
+        if enough {
+            return Ok(ScanResult { n, r_n });
         }
     }
     Err(Infeasible::NotEnoughNodes)
+}
+
+/// The relative half-width, per node tried, of the zone around `βⁿ` in which
+/// the scan does not trust the comparison `γ ≷ βⁿ` and evaluates the formula
+/// (derivation in the module docs). Infinite — no comparison is ever
+/// trusted — for a `β` outside `(0, 1)`, which the cost model cannot produce
+/// but rounding can (`Cms/Cps < 2⁻⁵³` gives `β = 1.0`).
+#[inline]
+fn guard_band(beta: f64) -> f64 {
+    if !(beta > 0.0 && beta < 1.0) {
+        return f64::INFINITY;
+    }
+    // |ln β| ≤ (1 − β)/β, from ln x ≥ 1 − 1/x: a bound without a log.
+    let ln_beta_bound = (1.0 - beta) / beta;
+    2.0 * CEIL_TOL * ln_beta_bound + 2.0 * f64::EPSILON
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dlt::homogeneous;
+    use proptest::prelude::*;
 
     fn baseline() -> ClusterParams {
         ClusterParams::paper_baseline()
@@ -311,6 +408,77 @@ mod tests {
         let deadline = SimTime::new(sigma * p.cms + (e2 - sigma * p.cms) * 0.5);
         let err = min_feasible_nodes(&p, sigma, &releases, deadline);
         assert_eq!(err, Err(Infeasible::NotEnoughNodes));
+    }
+
+    /// The scan as it was before it had a shortcut: the definition, node by
+    /// node.
+    fn literal_scan(
+        p: &ClusterParams,
+        sigma: f64,
+        releases: &[SimTime],
+        deadline: SimTime,
+    ) -> Result<ScanResult, Infeasible> {
+        for (idx, &r_n) in releases.iter().enumerate() {
+            let n = idx + 1;
+            if n_tilde_min(p, sigma, r_n, deadline)? <= n {
+                return Ok(ScanResult { n, r_n });
+            }
+        }
+        Err(Infeasible::NotEnoughNodes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The scan against its definition where they could part: the slack
+        /// of one node count placed on the `βⁿ = γ` boundary, a few ulps or
+        /// a relative 10⁻⁹ / 10⁻⁶ off it, and fractions of the tolerant
+        /// ceiling's own zone (`n·CEIL_TOL·|ln β|`, relative to `γ`) off
+        /// it — over four orders of magnitude of `Cms/Cps` either way (so
+        /// `|ln β|` runs from 10⁻⁴ to 9) and clusters up to 256 nodes (so
+        /// the running product underflows for the small `β`s; half the
+        /// cases stay within four nodes, where `γ` is still large enough for
+        /// the slack to place it that finely).
+        #[test]
+        fn scan_is_n_tilde_min_on_and_around_the_boundary(
+            log_ratio in -3.0f64..4.0,
+            num_nodes in 1usize..257,
+            (at, shallow) in (0usize..256, 0u8..2),
+            sigma in 1.0f64..2_000.0,
+            staggered in 0u8..2,
+            ulps in prop::sample::select(vec![0i64, 1, -1, 2, -2, 1_000, -1_000]),
+            rel in prop::sample::select(vec![0.0, 1e-9, -1e-9, 1e-6, -1e-6]),
+            zone in prop::sample::select(vec![0.0, 0.5, -0.5, 0.9, -0.9, 1.1, -1.1, 3.0, -3.0]),
+        ) {
+            let p = ClusterParams::new(num_nodes, 10f64.powf(log_ratio), 1.0).expect("valid params");
+            let n = at % if shallow == 1 { num_nodes.min(4) } else { num_nodes } + 1;
+            // Nodes up to the n-th free together or a step apart, the rest later.
+            let step = if staggered == 1 { 0.5 } else { 0.0 };
+            let releases: Vec<SimTime> = (0..num_nodes)
+                .map(|i| SimTime::new(i.min(n - 1) as f64 * step + if i >= n { 3.0 } else { 0.0 }))
+                .collect();
+            // γ = βⁿ·(1 + zone·n·CEIL_TOL·|ln β|) at slack σ·Cms/(1 − γ).
+            let beta_n = (0..n).fold(1.0, |pow, _| pow * p.beta());
+            let gamma = beta_n * (1.0 + zone * n as f64 * CEIL_TOL * -p.beta().ln());
+            let slack = sigma * p.cms / (1.0 - gamma) * (1.0 + rel);
+            prop_assume!(slack.is_finite());
+            let deadline = releases[n - 1].as_f64() + slack;
+            let deadline = SimTime::new(f64::from_bits((deadline.to_bits() as i64 + ulps) as u64));
+            prop_assert_eq!(
+                min_feasible_nodes(&p, sigma, &releases, deadline),
+                literal_scan(&p, sigma, &releases, deadline)
+            );
+        }
+    }
+
+    #[test]
+    fn a_beta_that_rounds_to_one_is_never_compared() {
+        // Cms/Cps below 2⁻⁵³: β = 1.0 and ln β = 0. Whatever the formula
+        // makes of that, the scan makes the same.
+        assert!(guard_band(1.0).is_infinite());
+        assert!(guard_band(0.0).is_infinite());
+        assert!(guard_band(f64::NAN).is_infinite());
+        assert!(guard_band(0.5) > 0.0 && guard_band(0.5) < 1e-8);
     }
 
     #[test]

@@ -17,11 +17,30 @@
 //!   §5 as rarely used in practice; included for completeness).
 //! * [`StrategyKind::UserSplit`] — the current-practice emulation (§4.1.2):
 //!   the user pre-splits into `n` equal chunks, `n` drawn once per task.
+//!
+//! ## One planning kernel
+//!
+//! Each strategy's arithmetic exists once, in `plan_into`: it plans into
+//! buffers its caller owns (`PlanScratch`: per-chunk starts, the prefix
+//! products of Eq. 4–5 turned into `α` in place, per-chunk release
+//! estimates, and `Cps_i` of Eq. 1) and returns what it decided (`Planned`:
+//! the strategy, how many of the earliest-available nodes it took, the
+//! completion estimate). It keeps the heterogeneous model's input checks
+//! and checks the estimate against the deadline itself. Three callers read
+//! the result three ways: [`plan_task`] — the public function, and the one
+//! thing the admission oracle shares with the production walks — runs the
+//! kernel on fresh buffers and moves them into a [`TaskPlan`]; a walk's
+//! kept step copies the plan out of the walk's own scratch (four vectors);
+//! a walk's verdict-only step (every probe of an explanation or reservation
+//! search) writes the release estimates through the availability's head and
+//! allocates nothing. The heterogeneous recurrence itself
+//! (`dlt::heterogeneous::partition_into`) is also what
+//! [`HeterogeneousModel::new`](crate::dlt::heterogeneous::HeterogeneousModel::new)
+//! builds on.
 
 use serde::{Deserialize, Serialize};
 
-use crate::dlt::heterogeneous::HeterogeneousModel;
-use crate::dlt::homogeneous;
+use crate::dlt::{heterogeneous, homogeneous};
 use crate::error::Infeasible;
 use crate::nmin::scan_feasible_nodes;
 use crate::params::{ClusterParams, NodeId};
@@ -312,26 +331,13 @@ impl TaskPlan {
             releases[node.index()] = rel;
         }
     }
-
-    fn validate(&self) {
-        debug_assert_eq!(self.nodes.len(), self.start_times.len());
-        debug_assert_eq!(self.nodes.len(), self.fractions.len());
-        debug_assert_eq!(self.nodes.len(), self.node_release_estimates.len());
-        debug_assert!(
-            (self.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9,
-            "fractions must sum to 1"
-        );
-        debug_assert!(
-            self.start_times.windows(2).all(|w| w[0] <= w[1]),
-            "start times must be non-decreasing in transmission order"
-        );
-    }
 }
 
 /// Plans `task` under `kind` against the availability snapshot.
 ///
 /// Returns the plan or the reason the task cannot meet its deadline (which
-/// the admission layer turns into a rejection).
+/// the admission layer turns into a rejection). This is the planning kernel
+/// ([`plan_into`]) on fresh buffers, which then *are* the plan's vectors.
 pub fn plan_task(
     kind: StrategyKind,
     task: &Task,
@@ -339,17 +345,150 @@ pub fn plan_task(
     params: &ClusterParams,
     cfg: &PlanConfig,
 ) -> Result<TaskPlan, Infeasible> {
-    let plan = match kind {
-        StrategyKind::DltIit => plan_dlt_iit(task, avail, params, cfg)?,
-        StrategyKind::DltMultiRound { rounds } => {
-            plan_dlt_multi_round(task, avail, params, cfg, rounds)?
+    let mut scratch = PlanScratch::default();
+    let planned = plan_into(kind, task, avail, params, cfg, &mut scratch)?;
+    Ok(planned.into_plan(
+        task.id,
+        avail,
+        scratch.starts,
+        scratch.fractions,
+        scratch.releases,
+    ))
+}
+
+/// The buffers one planning step works in, owned by whoever takes the steps
+/// (a walk keeps one set for all of its steps; [`plan_task`] brings a fresh
+/// one). After a successful [`plan_into`] the per-chunk vectors hold the
+/// plan, chunk for chunk in transmission order.
+#[derive(Default)]
+pub(crate) struct PlanScratch {
+    /// Per chunk: the earliest instant its transmission may start.
+    starts: Vec<SimTime>,
+    /// Per chunk: prefix products of `X_i` while the partition is built,
+    /// the load fractions `α` once it is.
+    fractions: Vec<f64>,
+    /// Per chunk: the node release estimate.
+    releases: Vec<SimTime>,
+    /// Per node: the heterogeneous model's `Cps_i` (Eq. 1).
+    cps_het: Vec<f64>,
+    /// Per node: when its latest installment completes (multi-round replay).
+    node_free: Vec<f64>,
+}
+
+/// What [`plan_into`] decided; the chunks themselves are in the scratch it
+/// planned into, and the nodes are the availability's earliest.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Planned {
+    /// The strategy the plan is of (a multi-round request may settle for the
+    /// single-round plan).
+    strategy: StrategyKind,
+    /// How many of the earliest-available nodes the plan occupies.
+    pub(crate) nodes: usize,
+    /// Number of chunks: `nodes`, times the rounds of a multi-round plan.
+    /// Chunk `c` goes to the `c mod nodes`-th earliest node.
+    chunks: usize,
+    /// The completion estimate, checked against the deadline.
+    pub(crate) est: SimTime,
+}
+
+impl Planned {
+    /// The plan as a value of its own, around the per-chunk vectors it was
+    /// planned into — the scratch's own (fresh buffers) or copies of them.
+    fn into_plan(
+        self,
+        task: TaskId,
+        avail: &NodeAvailability,
+        start_times: Vec<SimTime>,
+        fractions: Vec<f64>,
+        node_release_estimates: Vec<SimTime>,
+    ) -> TaskPlan {
+        TaskPlan {
+            task,
+            strategy: self.strategy,
+            nodes: self.chunk_nodes(avail).collect(),
+            start_times,
+            fractions,
+            est_completion: self.est,
+            node_release_estimates,
         }
-        StrategyKind::OprMn => plan_opr(task, avail, params, cfg, false)?,
-        StrategyKind::OprAn => plan_opr(task, avail, params, cfg, true)?,
-        StrategyKind::UserSplit => plan_user_split(task, avail, params)?,
+    }
+
+    /// The copy-out of a step planned into a kept scratch.
+    pub(crate) fn to_plan(
+        self,
+        task: TaskId,
+        avail: &NodeAvailability,
+        scratch: &PlanScratch,
+    ) -> TaskPlan {
+        self.into_plan(
+            task,
+            avail,
+            scratch.starts.clone(),
+            scratch.fractions.clone(),
+            scratch.releases.clone(),
+        )
+    }
+
+    /// [`TaskPlan::write_releases`] without the plan: the release estimates
+    /// go from the scratch to the nodes at the head of `avail`, chunk by
+    /// chunk, so a later chunk on one node supersedes an earlier one.
+    #[inline]
+    pub(crate) fn write_releases(
+        self,
+        avail: &NodeAvailability,
+        scratch: &PlanScratch,
+        releases: &mut [SimTime],
+    ) {
+        for (node, &rel) in self.chunk_nodes(avail).zip(&scratch.releases) {
+            releases[node.index()] = rel;
+        }
+    }
+
+    /// The node of every chunk, in transmission order: the availability's
+    /// head, round after round.
+    fn chunk_nodes(self, avail: &NodeAvailability) -> impl Iterator<Item = NodeId> + '_ {
+        let head = &avail.entries[..self.nodes];
+        head.iter().map(|e| e.1).cycle().take(self.chunks)
+    }
+}
+
+/// The planning kernel: one task under `kind` against the availability
+/// snapshot, planned into `scratch`. Every strategy's arithmetic lives here
+/// and only here — [`plan_task`] copies the result out, a walk's kept step
+/// does the same from its own scratch, and a walk's verdict-only step reads
+/// nothing but the release estimates.
+pub(crate) fn plan_into(
+    kind: StrategyKind,
+    task: &Task,
+    avail: &NodeAvailability,
+    params: &ClusterParams,
+    cfg: &PlanConfig,
+    scratch: &mut PlanScratch,
+) -> Result<Planned, Infeasible> {
+    scratch.starts.clear();
+    scratch.fractions.clear();
+    scratch.releases.clear();
+    let planned = match kind {
+        StrategyKind::DltIit => plan_dlt_iit(task, avail, params, cfg, scratch)?,
+        StrategyKind::DltMultiRound { rounds } => {
+            plan_dlt_multi_round(task, avail, params, cfg, rounds, scratch)?
+        }
+        StrategyKind::OprMn => plan_opr(task, avail, params, cfg, false, scratch)?,
+        StrategyKind::OprAn => plan_opr(task, avail, params, cfg, true, scratch)?,
+        StrategyKind::UserSplit => plan_user_split(task, avail, params, scratch)?,
     };
-    plan.validate();
-    Ok(plan)
+    debug_assert_eq!(scratch.starts.len(), planned.chunks);
+    debug_assert_eq!(scratch.fractions.len(), planned.chunks);
+    debug_assert_eq!(scratch.releases.len(), planned.chunks);
+    debug_assert!(
+        (scratch.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9,
+        "fractions must sum to 1"
+    );
+    debug_assert!(
+        scratch.starts.windows(2).all(|w| w[0] <= w[1]),
+        "start times must be non-decreasing in transmission order"
+    );
+    Ok(planned)
 }
 
 /// The `n ← ñ_min(t)` step under the configured [`NodeCountPolicy`].
@@ -384,34 +523,48 @@ fn plan_dlt_iit(
     avail: &NodeAvailability,
     params: &ClusterParams,
     cfg: &PlanConfig,
-) -> Result<TaskPlan, Infeasible> {
+    scratch: &mut PlanScratch,
+) -> Result<Planned, Infeasible> {
     let deadline = task.absolute_deadline();
     let n = select_node_count(task, avail, params, cfg)?;
-    let (nodes, starts) = avail.earliest(n);
+    let PlanScratch {
+        starts,
+        fractions,
+        releases,
+        cps_het,
+        ..
+    } = scratch;
+    starts.extend(avail.times().take(n));
 
-    let model = HeterogeneousModel::new(params, task.data_size, &starts)
+    heterogeneous::check_inputs(task.data_size, starts)
         .expect("sorted positive inputs by construction");
-    let est = model.completion_estimate();
+    let (_, exec_time) =
+        heterogeneous::partition_into(params, task.data_size, starts, cps_het, fractions);
+    // Eq. 7: the model's nodes are all allocated at r_n.
+    let est = SimTime::new(starts[n - 1].as_f64() + exec_time);
     // Load-bearing under OneShot (the wait can defeat the optimistic n);
     // a pure float-noise guard under FixedPoint.
     if est.definitely_after(deadline) {
         return Err(Infeasible::CompletionAfterDeadline);
     }
-    let releases = match cfg.release_estimate {
+    match cfg.release_estimate {
         ReleaseEstimate::Exact => {
-            exact_completions(params, task.data_size, model.alphas(), &starts)
+            exact_completions_into(params, task.data_size, fractions, starts, releases)
         }
-        ReleaseEstimate::Uniform => vec![est; n],
-        ReleaseEstimate::TightPerNode => (0..n).map(|i| model.actual_completion_bound(i)).collect(),
-    };
-    Ok(TaskPlan {
-        task: task.id,
+        ReleaseEstimate::Uniform => releases.resize(n, est),
+        ReleaseEstimate::TightPerNode => heterogeneous::completion_bounds_into(
+            params,
+            task.data_size,
+            fractions,
+            starts,
+            releases,
+        ),
+    }
+    Ok(Planned {
         strategy: StrategyKind::DltIit,
-        nodes,
-        start_times: starts,
-        fractions: model.alphas().to_vec(),
-        est_completion: est,
-        node_release_estimates: releases,
+        nodes: n,
+        chunks: n,
+        est,
     })
 }
 
@@ -423,34 +576,34 @@ fn plan_opr(
     params: &ClusterParams,
     cfg: &PlanConfig,
     all_nodes: bool,
-) -> Result<TaskPlan, Infeasible> {
+    scratch: &mut PlanScratch,
+) -> Result<Planned, Infeasible> {
     let deadline = task.absolute_deadline();
     let n = if all_nodes {
         avail.num_nodes()
     } else {
         select_node_count(task, avail, params, cfg)?
     };
-    let (nodes, starts) = avail.earliest(n);
-    let t_start = *starts.last().expect("n >= 1");
+    let t_start = avail.entries[..n].last().expect("n >= 1").0;
     let e = homogeneous::exec_time(params, task.data_size, n);
     let est = t_start + SimTime::new(e);
     if est.definitely_after(deadline) {
         return Err(Infeasible::CompletionAfterDeadline);
     }
-    Ok(TaskPlan {
-        task: task.id,
+    // No IIT use: every node waits for the common start.
+    scratch.starts.resize(n, t_start);
+    homogeneous::alphas_into(params, n, &mut scratch.fractions);
+    // OPR's equal-finish property makes the estimate exact per node.
+    scratch.releases.resize(n, est);
+    Ok(Planned {
         strategy: if all_nodes {
             StrategyKind::OprAn
         } else {
             StrategyKind::OprMn
         },
-        nodes,
-        // No IIT use: every node waits for the common start.
-        start_times: vec![t_start; n],
-        fractions: homogeneous::alphas(params, n),
-        est_completion: est,
-        // OPR's equal-finish property makes the estimate exact per node.
-        node_release_estimates: vec![est; n],
+        nodes: n,
+        chunks: n,
+        est,
     })
 }
 
@@ -461,39 +614,37 @@ fn plan_user_split(
     task: &Task,
     avail: &NodeAvailability,
     params: &ClusterParams,
-) -> Result<TaskPlan, Infeasible> {
+    scratch: &mut PlanScratch,
+) -> Result<Planned, Infeasible> {
     let n = task.user_nodes.ok_or(Infeasible::UserRequestInfeasible)?;
     if n == 0 || n > avail.num_nodes() {
         return Err(Infeasible::UserRequestInfeasible);
     }
     let deadline = task.absolute_deadline();
-    let (nodes, starts) = avail.earliest(n);
     let chunk = task.data_size / n as f64;
     let tx = chunk * params.cms;
     let per_node = tx + chunk * params.cps;
 
-    let mut s = Vec::with_capacity(n);
-    let mut completions = Vec::with_capacity(n);
+    scratch.starts.reserve(n);
+    scratch.releases.reserve(n);
     let mut prev_tx_end = f64::NEG_INFINITY;
-    for &r in &starts {
+    for r in avail.times().take(n) {
         let si = r.as_f64().max(prev_tx_end);
         prev_tx_end = si + tx;
-        s.push(SimTime::new(si));
-        completions.push(SimTime::new(si + per_node));
+        scratch.starts.push(SimTime::new(si));
+        // Eq. 15 gives exact per-node completions for the equal split.
+        scratch.releases.push(SimTime::new(si + per_node));
     }
-    let est = *completions.last().expect("n >= 1");
+    let est = *scratch.releases.last().expect("n >= 1");
     if est.definitely_after(deadline) {
         return Err(Infeasible::CompletionAfterDeadline);
     }
-    Ok(TaskPlan {
-        task: task.id,
+    scratch.fractions.resize(n, 1.0 / n as f64);
+    Ok(Planned {
         strategy: StrategyKind::UserSplit,
-        nodes,
-        start_times: s,
-        fractions: vec![1.0 / n as f64; n],
-        est_completion: est,
-        // Eq. 15 gives exact per-node completions for the equal split.
-        node_release_estimates: completions,
+        nodes: n,
+        chunks: n,
+        est,
     })
 }
 
@@ -514,90 +665,97 @@ fn plan_dlt_multi_round(
     params: &ClusterParams,
     cfg: &PlanConfig,
     rounds: u8,
-) -> Result<TaskPlan, Infeasible> {
-    let single = plan_dlt_iit(task, avail, params, cfg)?;
+    scratch: &mut PlanScratch,
+) -> Result<Planned, Infeasible> {
+    let single = plan_dlt_iit(task, avail, params, cfg, scratch)?;
     if rounds <= 1 {
         return Ok(single);
     }
-    let n = single.n();
+    let n = single.nodes;
     let m = rounds as usize;
     let sigma = task.data_size;
     let deadline = task.absolute_deadline();
+    let PlanScratch {
+        starts,
+        fractions,
+        releases,
+        node_free,
+        ..
+    } = scratch;
 
-    // Chunk sequence: rounds × nodes, node order within each round, each
-    // chunk 1/m of the node's single-round fraction.
-    let mut nodes = Vec::with_capacity(n * m);
-    let mut fractions = Vec::with_capacity(n * m);
-    let mut avail_constraint = Vec::with_capacity(n * m);
+    // The multi-round chunks go behind the single-round plan's `n`: rounds ×
+    // nodes, node order within each round, each chunk 1/m of the node's
+    // single-round fraction.
+    fractions.reserve(n * m);
     for _ in 0..m {
         for i in 0..n {
-            nodes.push(single.nodes[i]);
-            fractions.push(single.fractions[i] / m as f64);
-            avail_constraint.push(single.start_times[i]);
+            fractions.push(fractions[i] / m as f64);
         }
     }
 
     // Exact replay: per-chunk transmission serialization + per-node busy
-    // chaining. `start_times[c]` records the replayed transmission start so
+    // chaining. The replayed transmission start is what the plan records, so
     // the engine reproduces the identical schedule.
-    let mut node_free: Vec<SimTime> = single.start_times.clone();
-    let mut start_times = Vec::with_capacity(n * m);
-    let mut completions = Vec::with_capacity(n * m);
+    node_free.clear();
+    node_free.extend(starts[..n].iter().map(|t| t.as_f64()));
+    starts.reserve(n * m);
+    releases.reserve(n * m);
     let mut prev_tx_end = f64::NEG_INFINITY;
-    for c in 0..n * m {
-        let i = c % n; // node index within the round
-        let tx_start = avail_constraint[c]
-            .as_f64()
-            .max(node_free[i].as_f64())
-            .max(prev_tx_end);
-        let tx_end = tx_start + fractions[c] * sigma * params.cms;
-        let compute_end = tx_end + fractions[c] * sigma * params.cps;
-        // The node is busy (receiving or computing) from tx_start on; the
-        // next installment cannot occupy it before this one completes.
-        node_free[i] = SimTime::new(compute_end);
-        start_times.push(SimTime::new(tx_start));
-        completions.push(SimTime::new(compute_end));
-        prev_tx_end = tx_end;
+    for round in 1..=m {
+        for i in 0..n {
+            let fraction = fractions[round * n + i];
+            let tx_start = starts[i].as_f64().max(node_free[i]).max(prev_tx_end);
+            let tx_end = tx_start + fraction * sigma * params.cms;
+            let compute_end = tx_end + fraction * sigma * params.cps;
+            // The node is busy (receiving or computing) from tx_start on;
+            // the next installment cannot occupy it before this one
+            // completes.
+            node_free[i] = compute_end;
+            starts.push(SimTime::new(tx_start));
+            releases.push(SimTime::new(compute_end));
+            prev_tx_end = tx_end;
+        }
     }
-    let est = *completions.iter().max().expect("non-empty");
-    if est.definitely_after(deadline) {
-        // The single-round plan already passed its own check.
+    let est = *releases[n..].iter().max().expect("non-empty");
+    // A replay past the deadline loses to the single-round plan, which
+    // passed its own check; so does one that is no better.
+    if est.definitely_after(deadline) || est >= single.est {
+        starts.truncate(n);
+        fractions.truncate(n);
+        releases.truncate(n);
         return Ok(single);
     }
-    if est >= single.est_completion {
-        return Ok(single);
-    }
-    Ok(TaskPlan {
-        task: task.id,
+    starts.drain(..n);
+    fractions.drain(..n);
+    releases.drain(..n);
+    Ok(Planned {
         strategy: StrategyKind::DltMultiRound { rounds },
-        nodes,
-        start_times,
-        fractions,
-        est_completion: est,
-        node_release_estimates: completions,
+        nodes: n,
+        chunks: n * m,
+        est,
     })
 }
 
-/// Replays a plan's execution timeline exactly: transmission to node `i`
-/// starts once the node is available *and* the task's preceding chunk has
-/// been sent, then compute follows. These are the true completion times the
-/// cluster realizes for this plan (the dispatch engine performs the same
-/// arithmetic), each bounded by the task's completion estimate (Theorem 4).
-pub fn exact_completions(
+/// Replays a plan's execution timeline exactly, appending each chunk's
+/// completion to `out`: transmission to node `i` starts once the node is
+/// available *and* the task's preceding chunk has been sent, then compute
+/// follows. These are the true completion times the cluster realizes for
+/// this plan (the dispatch engine performs the same arithmetic), each
+/// bounded by the task's completion estimate (Theorem 4).
+fn exact_completions_into(
     params: &ClusterParams,
     sigma: f64,
     fractions: &[f64],
     starts: &[SimTime],
-) -> Vec<SimTime> {
-    let mut out = Vec::with_capacity(fractions.len());
+    out: &mut Vec<SimTime>,
+) {
     let mut prev_tx_end = f64::NEG_INFINITY;
-    for (&alpha, &r) in fractions.iter().zip(starts) {
+    out.extend(fractions.iter().zip(starts).map(|(&alpha, &r)| {
         let tx_start = r.as_f64().max(prev_tx_end);
         let tx_end = tx_start + alpha * sigma * params.cms;
-        out.push(SimTime::new(tx_end + alpha * sigma * params.cps));
         prev_tx_end = tx_end;
-    }
-    out
+        SimTime::new(tx_end + alpha * sigma * params.cps)
+    }));
 }
 
 /// `N_min = ⌈σ·Cps / (D − σ·Cms)⌉` (§4.1.2): the fewest nodes with which the

@@ -14,7 +14,13 @@ use crate::time::SimTime;
 pub struct TaskId(pub u64);
 
 /// An arbitrarily divisible real-time task.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+///
+/// A `Task` is checked wherever one comes into being: [`Task::new`] panics
+/// on a size or deadline that is not finite and positive (a programming
+/// error), and deserialization — the edge wire, the ops channel, a journal —
+/// refuses one as a decode error, so the planner never sees a task its
+/// arithmetic is undefined for.
+#[derive(Clone, Copy, PartialEq, Debug, Serialize)]
 pub struct Task {
     /// Identifier, unique within one simulation / scheduler instance.
     pub id: TaskId,
@@ -42,7 +48,9 @@ impl Task {
             rel_deadline,
             user_nodes: None,
         };
-        t.validate();
+        if let Err(problem) = t.check() {
+            panic!("{problem}");
+        }
         t
     }
 
@@ -58,17 +66,42 @@ impl Task {
         self.arrival + SimTime::new(self.rel_deadline)
     }
 
-    fn validate(&self) {
-        assert!(
-            self.data_size.is_finite() && self.data_size > 0.0,
-            "task data size must be finite and > 0, got {}",
-            self.data_size
-        );
-        assert!(
-            self.rel_deadline.is_finite() && self.rel_deadline > 0.0,
-            "task relative deadline must be finite and > 0, got {}",
-            self.rel_deadline
-        );
+    /// What the task model (§3) requires of a task's numbers.
+    fn check(&self) -> Result<(), String> {
+        if !self.arrival.as_f64().is_finite() {
+            return Err(format!("task arrival must be finite, got {}", self.arrival));
+        }
+        if !(self.data_size.is_finite() && self.data_size > 0.0) {
+            return Err(format!(
+                "task data size must be finite and > 0, got {}",
+                self.data_size
+            ));
+        }
+        if !(self.rel_deadline.is_finite() && self.rel_deadline > 0.0) {
+            return Err(format!(
+                "task relative deadline must be finite and > 0, got {}",
+                self.rel_deadline
+            ));
+        }
+        if self.user_nodes == Some(0) {
+            return Err("task user-split node count must be >= 1, got 0".to_string());
+        }
+        Ok(())
+    }
+}
+
+impl Deserialize for Task {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        use serde::helpers::field;
+        let task = Task {
+            id: field(v, "id")?,
+            arrival: field(v, "arrival")?,
+            data_size: field(v, "data_size")?,
+            rel_deadline: field(v, "rel_deadline")?,
+            user_nodes: field(v, "user_nodes")?,
+        };
+        task.check().map_err(serde::Error::msg)?;
+        Ok(task)
     }
 }
 
@@ -102,5 +135,36 @@ mod tests {
     #[should_panic(expected = "deadline")]
     fn negative_deadline_is_rejected() {
         let _ = Task::new(1, 0.0, 10.0, -1.0);
+    }
+
+    #[test]
+    fn deserialization_refuses_what_the_constructor_refuses() {
+        let good = Task::new(7, 2.5, 100.0, 5_000.0).with_user_nodes(Some(3));
+        let wire = serde_json::to_string(&good).unwrap();
+        assert_eq!(serde_json::from_str::<Task>(&wire).unwrap(), good);
+        let plain = Task::new(8, 0.0, 1.0, 1.0);
+        let back: Task = serde_json::from_str(&serde_json::to_string(&plain).unwrap()).unwrap();
+        assert_eq!(back, plain);
+        // The same frame with one number a hostile peer would send.
+        for (field, hostile, names) in [
+            ("\"data_size\":100.0", "\"data_size\":0", "data size"),
+            ("\"data_size\":100.0", "\"data_size\":-3.5", "data size"),
+            ("\"data_size\":100.0", "\"data_size\":1e999", "data size"),
+            ("\"rel_deadline\":5000.0", "\"rel_deadline\":0", "deadline"),
+            ("\"rel_deadline\":5000.0", "\"rel_deadline\":-1", "deadline"),
+            (
+                "\"rel_deadline\":5000.0",
+                "\"rel_deadline\":1e999",
+                "deadline",
+            ),
+            ("\"arrival\":2.5", "\"arrival\":-1e999", "arrival"),
+            ("\"user_nodes\":3", "\"user_nodes\":0", "node count"),
+        ] {
+            assert!(wire.contains(field), "{field} not in {wire}");
+            let err = serde_json::from_str::<Task>(&wire.replace(field, hostile))
+                .expect_err(hostile)
+                .to_string();
+            assert!(err.contains(names), "{hostile}: {err}");
+        }
     }
 }

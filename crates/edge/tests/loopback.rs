@@ -386,6 +386,96 @@ fn protocol_violations_are_answered_and_close_the_connection() {
     assert!(matches!(&msg, ServerMsg::Error { message, .. } if message.contains("unsupported")));
 }
 
+/// A `Submit` (or an ops `Explain`) whose task no scheduler could hold —
+/// zero or negative size, a non-positive or infinite deadline — is a decode
+/// error on the connection that sent it. It never reaches the planner (where
+/// a zero size used to panic the reactor thread, taking every connection
+/// with it, and an infinite deadline was simply accepted), and the reactor
+/// goes on serving everyone else.
+#[test]
+fn a_hostile_task_fails_its_own_connection_and_the_reactor_serves_on() {
+    use rtdls_edge::codec::{encode_frame, Direction, HEADER_LEN};
+
+    let mut gateway = sharded(2);
+    gateway.enable_explanations();
+    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let now = SimTime::ZERO;
+    let task = Task::new(1, 0.0, 100.0, 50_000.0);
+    let payload_of = |msg: &ClientMsg| {
+        String::from_utf8(encode_client(msg)[HEADER_LEN..].to_vec()).expect("JSON payload")
+    };
+    let submit = payload_of(&ClientMsg::Submit {
+        seq: 1,
+        request: SubmitRequest::new(task),
+    });
+    let explain = payload_of(&ClientMsg::Ops {
+        query: OpsQuery::Explain {
+            request: SubmitRequest::new(task),
+        },
+    });
+    let hostile = [
+        (&submit, "\"data_size\":100.0", "\"data_size\":0"),
+        (&submit, "\"data_size\":100.0", "\"data_size\":-100.0"),
+        (
+            &submit,
+            "\"rel_deadline\":50000.0",
+            "\"rel_deadline\":1e999",
+        ),
+        (&submit, "\"rel_deadline\":50000.0", "\"rel_deadline\":0.0"),
+        (&explain, "\"data_size\":100.0", "\"data_size\":0"),
+    ];
+    for (k, (payload, field, poison)) in hostile.into_iter().enumerate() {
+        assert!(payload.contains(field), "{field} not in {payload}");
+        let mut violator = InlineClient::connect(addr);
+        assert!(matches!(
+            violator.recv(&mut server, now),
+            ServerMsg::Hello { .. }
+        ));
+        let frame = encode_frame(
+            Direction::FromClient,
+            payload.replace(field, poison).as_bytes(),
+        );
+        violator.send_raw(&frame);
+        let msg = violator.recv(&mut server, now);
+        assert!(
+            matches!(&msg, ServerMsg::Error { message, .. } if message.contains("undecodable")),
+            "{poison}: {msg:?}"
+        );
+        for _ in 0..20 {
+            server.poll(now);
+        }
+        assert_eq!(server.connections(), 0, "{poison}: violator disconnected");
+        assert_eq!(server.stats().protocol_errors, k as u64 + 1);
+
+        // The next connection is served as if nothing had happened.
+        let mut client = InlineClient::connect(addr);
+        assert!(matches!(
+            client.recv(&mut server, now),
+            ServerMsg::Hello { .. }
+        ));
+        client.send(&ClientMsg::Submit {
+            seq: 7,
+            request: SubmitRequest::new(Task::new(10 + k as u64, 0.0, 100.0, 50_000.0)),
+        });
+        let msg = client.recv(&mut server, now);
+        assert!(
+            matches!(&msg, ServerMsg::Verdict { seq: 7, verdict, .. } if verdict.is_accepted()),
+            "{poison}: {msg:?}"
+        );
+        client.send(&ClientMsg::Bye);
+        for _ in 0..20 {
+            server.poll(now);
+        }
+        assert_eq!(server.connections(), 0);
+    }
+    assert_eq!(
+        server.gateway().metrics().submitted,
+        5,
+        "none of the hostile tasks was submitted"
+    );
+}
+
 #[test]
 fn edge_backpressure_throttles_without_reaching_the_gateway() {
     // A zero-length write queue means every submit finds it "full".
