@@ -14,18 +14,13 @@
 //!   [`ShippingGateway`] in outbox mode, pumping after every decision the
 //!   way the edge reactor does.
 //!
-//! Besides the criterion output, the bench writes a machine-readable
-//! baseline to `target/replication_shipping_baseline.json` — both costs
-//! from the *same* run plus the overhead fraction — which
-//! `check_replication_baseline` (the CI guard) compares against the
-//! committed `crates/bench/baselines/replication_shipping.json` and the
-//! 10% acceptance ceiling.
-//!
-//! `-- --test` runs a seconds-fast smoke pass: the shipped stream lands
-//! byte-identically in a follower and decisions match the bare gateway,
-//! without the measurement loops.
-
-use std::time::Instant;
+//! After the criterion output the bench times both once more, medians of
+//! nine runs in this process, and hands `overhead` (`shipping/bare − 1`)
+//! to `rtdls_bench::guard`: over the 10 % ceiling, or more than 14 points
+//! past the committed reading, the run exits non-zero. That shipping
+//! never changes a decision and that the shipped stream rebuilds the WAL
+//! byte for byte is pinned by `crates/replica/tests/shipping_props.rs` and
+//! `crates/edge/tests/replicated.rs`.
 
 use criterion::{black_box, Criterion};
 
@@ -115,105 +110,29 @@ fn bench_shipping(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median per-submission nanoseconds over 9 timed runs of `run`.
-fn median_ns(mut run: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..9)
-        .map(|_| {
-            let start = Instant::now();
-            run();
-            start.elapsed().as_secs_f64() * 1e9 / STREAM as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-#[derive(serde::Serialize, serde::Deserialize)]
-struct Baseline {
-    stream_len: u64,
-    bare_submit_ns: f64,
-    shipping_submit_ns: f64,
-    /// `shipping/bare - 1`: the fraction of the bare cost shipping adds.
-    overhead: f64,
-}
-
-/// Emits the JSON baseline the CI overhead guard checks.
-fn emit_baseline() {
+/// Both gateways on the same stream in this process, and the gate on the
+/// fraction shipping adds.
+fn guard_overhead() {
     let tasks = workload();
-    let bare_ns = median_ns(|| {
+    let per_submit_ns = |secs: f64| secs * 1e9 / STREAM as f64;
+    let bare_ns = per_submit_ns(rtdls_bench::median(9, || {
         black_box(run_bare(&tasks));
-    });
-    let shipping_ns = median_ns(|| {
+    }));
+    let shipping_ns = per_submit_ns(rtdls_bench::median(9, || {
         black_box(run_shipping(&tasks));
-    });
-    let baseline = Baseline {
-        stream_len: STREAM,
-        bare_submit_ns: bare_ns,
-        shipping_submit_ns: shipping_ns,
-        overhead: shipping_ns / bare_ns - 1.0,
-    };
-    let json = serde_json::to_string_pretty(&baseline).expect("serializable");
-    let target = std::env::var_os("CARGO_TARGET_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target"));
-    let path = target.join("replication_shipping_baseline.json");
-    let _ = std::fs::create_dir_all(&target);
-    std::fs::write(&path, &json).expect("write baseline");
-    println!("baseline written to {}:\n{json}", path.display());
-}
-
-/// The `-- --test` CI smoke: correctness of the measured path, no timing.
-fn smoke() {
-    let tasks = workload();
-
-    // Decisions are unaffected by shipping.
-    let bare_accepted = run_bare(&tasks);
-    let (ship_accepted, shipped_msgs) = run_shipping(&tasks);
-    assert_eq!(
-        bare_accepted, ship_accepted,
-        "shipping never changes a decision"
-    );
-    assert_eq!(
-        ship_accepted, STREAM,
-        "the pipeline fixture is fully feasible"
-    );
-    assert!(
-        shipped_msgs as u64 > STREAM,
-        "every decision ships at least its frame: {shipped_msgs}"
-    );
-
-    // And the shipped stream reconstructs the WAL byte-for-byte.
-    let mut gw = ShippingGateway::new(journaled(), ShipConfig::default());
-    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
-    for t in &tasks[..32] {
-        gw.decide(&SubmitRequest::new(*t), t.arrival);
-        for msg in gw.take_outbox() {
-            if let Some(ShipMsg::Ack { seq }) = follower.on_msg(t.arrival, msg).unwrap() {
-                gw.on_ack(seq, t.arrival);
-            }
-        }
-    }
-    assert_eq!(
-        follower.bytes(),
-        gw.inner().journal().bytes(),
-        "mirror equals WAL"
-    );
-    assert_eq!(gw.shipper().lag(gw.inner().journal()), 0, "fully acked");
-    println!(
-        "replication_shipping smoke ok: {ship_accepted}/{STREAM} accepted identically, \
-         {shipped_msgs} messages shipped, 32-task mirror byte-identical"
+    }));
+    println!("{STREAM} submissions: {bare_ns:.0} ns bare / {shipping_ns:.0} ns shipping each");
+    rtdls_bench::guard(
+        "replication_shipping",
+        &[("overhead", shipping_ns / bare_ns - 1.0)],
     );
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--test") {
-        smoke();
-        return;
-    }
     let mut c = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1200));
     bench_shipping(&mut c);
-    emit_baseline();
+    guard_overhead();
 }

@@ -13,24 +13,13 @@
 //! rtdls-top --slo <addr>           # the deadline-SLO status table
 //! rtdls-top --history <series> <addr>  # one series' retained points
 //! rtdls-top --profile <addr>       # the hot-path phase profile tree
-//! rtdls-top --self-test            # in-process end-to-end smoke (CI)
-//! rtdls-top --scrape-smoke         # replicated scrape/history smoke (CI)
 //! ```
 //!
 //! Watch mode additionally renders a sparkline panel from the server's
-//! metrics history ring when [`EdgeServer::enable_history`] is on.
-//!
-//! `--self-test` boots a telemetry-attached sharded gateway behind an
-//! in-process edge on an ephemeral loopback port, submits through the real
-//! protocol, then exercises every ops query exactly as a remote `rtdls-top`
-//! would — the CI smoke for the whole ops path. `--scrape-smoke` does the
-//! same against a *replicated* edge (shipping gateway + warm standby) with
-//! history and profiler on, and proves the Prometheus exposition rebuilt
-//! from `Ops::Stats` parses line-for-line.
+//! metrics history ring when [`EdgeServer::enable_history`] is on. Every
+//! query the console sends is exercised over a real (replicated) edge by
+//! `crates/edge/tests/replicated.rs`.
 
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use rtdls_edge::prelude::*;
@@ -41,8 +30,6 @@ const POLL_DEADLINE: Duration = Duration::from_secs(5);
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("--self-test") => self_test(),
-        Some("--scrape-smoke") => scrape_smoke(),
         Some("--once") => require_addr(&args, 1)
             .map(|a| poll_once(a, false))
             .unwrap_or(2),
@@ -71,7 +58,7 @@ fn main() {
 fn usage() -> i32 {
     eprintln!(
         "usage: rtdls-top <addr> | --once <addr> | --json <addr> | --trace <id> <addr> | \
-         --slo <addr> | --history <series> <addr> | --profile <addr> | --self-test | --scrape-smoke"
+         --slo <addr> | --history <series> <addr> | --profile <addr>"
     );
     2
 }
@@ -424,291 +411,4 @@ fn sample_json(s: &MetricSample) -> String {
     };
     let _ = write!(out, ",\"kind\":\"{kind}\",\"value\":{}}}", s.value);
     out
-}
-
-/// End-to-end smoke: in-process server, real sockets, every ops query.
-fn self_test() -> i32 {
-    use rtdls_core::prelude::*;
-    use rtdls_service::prelude::*;
-    use rtdls_telemetry::{HistoryConfig, Telemetry, TelemetryConfig};
-
-    let params = ClusterParams::paper_baseline();
-    let gateway = ShardedGateway::new(
-        params,
-        2,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .expect("valid gateway");
-    let telemetry = Telemetry::new(TelemetryConfig::default());
-    let mut server =
-        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind loopback");
-    server.set_telemetry(&telemetry);
-    server.enable_profiler();
-    // Fast cadence so the smoke's short wall-clock run still lands samples.
-    server.enable_history(HistoryConfig {
-        capacity: 240,
-        cadence: 0.05,
-    });
-    let addr: SocketAddr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server_stop = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || server.run(EdgeClock::real_time(), &server_stop));
-
-    let requests = (1..=8u64).map(|id| SubmitRequest::new(Task::new(id, 0.0, 200.0, 30_000.0)));
-    let client = ReplayClient::connect(addr).expect("connect replay");
-    let report = client
-        .run(
-            requests,
-            4,
-            Duration::from_millis(50),
-            Duration::from_secs(5),
-        )
-        .expect("replay run");
-    assert_eq!(report.verdicts(), 8, "every submit answered: {report:?}");
-
-    let mut ops = OpsClient::connect(addr).expect("connect ops");
-    let samples = ops.stats(POLL_DEADLINE).expect("stats report");
-    let get = |name: &str| {
-        samples
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("missing sample {name}"))
-            .value
-    };
-    assert_eq!(get("rtdls_edge_submits"), 8.0);
-    assert_eq!(get("rtdls_gateway_submitted"), 8.0);
-    assert!(get("rtdls_edge_turns") >= 1.0, "phase timing accumulated");
-
-    let traces = ops.recent_traces(POLL_DEADLINE).expect("recent traces");
-    assert!(!traces.is_empty(), "submissions minted traces");
-    let spans = ops
-        .trace(*traces.last().expect("nonempty"), POLL_DEADLINE)
-        .expect("trace report");
-    assert!(
-        !spans.is_empty(),
-        "the newest trace has a recorded timeline"
-    );
-
-    let rows = ops.slo(POLL_DEADLINE).expect("slo report");
-    assert!(
-        rows.iter()
-            .any(|r| r.objective == SloObjective::Acceptance && r.good > 0),
-        "accepted submissions fed the acceptance SLO: {rows:?}"
-    );
-
-    // A hopeless probe (huge load, immediate deadline) explains itself; the
-    // same load with a generous deadline is admissible and explains nothing.
-    let hopeless = SubmitRequest::new(Task::new(900, 0.0, 30_000.0, 0.001));
-    let explanation = ops
-        .explain(&hopeless, POLL_DEADLINE)
-        .expect("explain report")
-        .expect("a hopeless request has an explanation");
-    assert!(
-        explanation.min_feasible_deadline > 0.001,
-        "counterfactual widens the deadline: {explanation:?}"
-    );
-    let easy = SubmitRequest::new(Task::new(901, 0.0, 200.0, 1.0e6));
-    assert!(
-        ops.explain(&easy, POLL_DEADLINE)
-            .expect("explain report")
-            .is_none(),
-        "an admissible request needs no explanation"
-    );
-
-    // Metrics history: the catalog lists edge stats, and a named series
-    // query returns its retained ring.
-    let (points, available) = ops
-        .history("", 0.0, POLL_DEADLINE)
-        .expect("history catalog");
-    assert!(points.is_empty(), "catalog query carries no points");
-    assert!(
-        available.iter().any(|s| s == "rtdls_edge_submits"),
-        "history tracks edge submits: {available:?}"
-    );
-    let (points, _) = ops
-        .history("rtdls_edge_submits", 0.0, POLL_DEADLINE)
-        .expect("history series");
-    assert!(!points.is_empty(), "the submit series has sampled points");
-
-    // Profiler: the reactor's drive phase accumulated intervals.
-    let phases = ops.profile(POLL_DEADLINE).expect("profile report");
-    assert!(
-        phases.iter().any(|p| p.path == "edge/drive" && p.count > 0),
-        "the drive phase profiled: {phases:?}"
-    );
-
-    // Identity: an unreplicated sharded gateway is epoch 0, no ack lag.
-    let identity = ops.identity(POLL_DEADLINE).expect("identity");
-    assert_eq!(identity, (0, None), "sharded gateway identity");
-
-    stop.store(true, Ordering::Relaxed);
-    let (_gateway, stats) = handle.join().expect("server thread");
-    assert_eq!(stats.submits, 8);
-    println!(
-        "self-test ok: {} samples, {} traces, newest timeline {} span(s), {} slo row(s), \
-         {} tracked series, {} profiled phase(s), explain ok",
-        samples.len(),
-        traces.len(),
-        spans.len(),
-        rows.len(),
-        available.len(),
-        phases.len()
-    );
-    0
-}
-
-/// CI scrape smoke: a *replicated* edge (shipping gateway + warm standby)
-/// with history and profiler enabled, driven through the real protocol.
-/// Rebuilds a registry from the `Ops::Stats` wire samples and proves the
-/// Prometheus exposition parses line-for-line, then round-trips a history
-/// series and the phase profile — the path a scrape agent would take.
-fn scrape_smoke() -> i32 {
-    use rtdls_core::prelude::*;
-    use rtdls_journal::prelude::*;
-    use rtdls_replica::prelude::*;
-    use rtdls_service::prelude::*;
-    use rtdls_telemetry::{HistoryConfig, MetricsRegistry, Telemetry, TelemetryConfig};
-
-    // The warm standby, accepting one primary.
-    let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
-    let mut standby = FollowerServer::bind("127.0.0.1:0", follower).expect("bind standby");
-    let standby_addr = standby.local_addr().expect("standby addr");
-    let standby_thread = std::thread::spawn(move || {
-        standby
-            .serve_connection(Duration::from_secs(10))
-            .expect("standby serves")
-    });
-
-    // The primary edge, shipping as it serves, observability fully on.
-    let sharded = ShardedGateway::new(
-        ClusterParams::paper_baseline(),
-        2,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .expect("valid gateway");
-    let journaled = JournaledGateway::new(
-        sharded,
-        JournalConfig {
-            snapshot_every: 0,
-            compact_on_snapshot: false,
-        },
-    );
-    let mut gateway = ShippingGateway::new(journaled, ShipConfig::default());
-    gateway.attach(ShipClient::connect(standby_addr).expect("connect standby"));
-    let telemetry = Telemetry::new(TelemetryConfig::default());
-    let mut server =
-        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
-    server.set_telemetry(&telemetry);
-    server.enable_profiler();
-    server.enable_history(HistoryConfig {
-        capacity: 240,
-        cadence: 0.05,
-    });
-    let addr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server_stop = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || server.run(EdgeClock::real_time(), &server_stop));
-
-    // Submit through the real protocol.
-    let requests = (1..=8u64).map(|id| SubmitRequest::new(Task::new(id, 0.0, 200.0, 30_000.0)));
-    let client = ReplayClient::connect(addr).expect("connect replay");
-    let report = client
-        .run(
-            requests,
-            4,
-            Duration::from_millis(50),
-            Duration::from_secs(5),
-        )
-        .expect("replay run");
-    assert_eq!(report.verdicts(), 8, "every submit answered: {report:?}");
-
-    // Scrape: rebuild a registry from the wire samples; the exposition it
-    // renders must parse — every non-comment line is `name[{labels}] value`.
-    let mut ops = OpsClient::connect(addr).expect("connect ops");
-    let samples = ops.stats(POLL_DEADLINE).expect("stats report");
-    let mut reg = MetricsRegistry::new();
-    for s in &samples {
-        let labels: Vec<(&str, &str)> = s
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        match s.kind {
-            MetricKind::Counter => reg.counter(&s.name, &labels, s.value as u64),
-            MetricKind::Gauge => reg.gauge(&s.name, &labels, s.value),
-        }
-    }
-    let exposition = reg.to_prometheus();
-    let mut scraped = 0usize;
-    for line in exposition.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name, value) = line.rsplit_once(' ').expect("metric line splits");
-        assert!(!name.is_empty(), "metric line has a name: {line:?}");
-        assert!(
-            value.parse::<f64>().is_ok(),
-            "metric value parses as f64: {line:?}"
-        );
-        scraped += 1;
-    }
-    assert!(scraped > 0, "the exposition has metric lines");
-    assert!(
-        exposition.contains("rtdls_replica_lag"),
-        "the primary's replica lag gauge is scrapeable"
-    );
-    assert!(
-        exposition.contains("rtdls_edge_submits"),
-        "edge stats are scrapeable"
-    );
-
-    // Identity: replicated primary at epoch 0, with a live ack-lag reading.
-    let (epoch, ack_lag) = ops.identity(POLL_DEADLINE).expect("identity");
-    assert_eq!(epoch, 0, "pre-failover primary is epoch 0");
-    assert!(ack_lag.is_some(), "an attached transport reports ack lag");
-
-    // History and profile round-trip over the wire.
-    let (_, available) = ops
-        .history("", 0.0, POLL_DEADLINE)
-        .expect("history catalog");
-    assert!(!available.is_empty(), "history sampled at least once");
-    let series = available
-        .iter()
-        .find(|s| *s == "rtdls_edge_submits")
-        .unwrap_or(&available[0])
-        .clone();
-    let (points, _) = ops
-        .history(&series, 0.0, POLL_DEADLINE)
-        .expect("history series");
-    assert!(!points.is_empty(), "series {series} has points");
-    let phases = ops.profile(POLL_DEADLINE).expect("profile report");
-    assert!(
-        phases.iter().any(|p| p.path.starts_with("ship/")),
-        "the shipper's phases profiled: {phases:?}"
-    );
-    assert!(
-        phases.iter().any(|p| p.path.starts_with("edge/")),
-        "the reactor's phases profiled: {phases:?}"
-    );
-
-    stop.store(true, Ordering::Relaxed);
-    let (gateway, stats) = handle.join().expect("edge thread");
-    assert_eq!(stats.submits, 8);
-    drop(gateway); // closes the ship link; the standby drains on EOF
-    let processed = standby_thread.join().expect("standby thread");
-    assert!(processed >= 9, "standby saw the stream: {processed}");
-    println!(
-        "scrape-smoke ok: {scraped} exposition line(s), {} tracked series, {} profiled phase(s), \
-         {} frame(s) replicated",
-        available.len(),
-        phases.len(),
-        processed
-    );
-    0
 }

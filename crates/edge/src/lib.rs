@@ -20,9 +20,8 @@
 //! * [`proto`] — the message vocabulary: [`ClientMsg::Submit`] →
 //!   [`ServerMsg::Verdict`], plus pushed [`ServerMsg::Update`]s for parked
 //!   tasks and a `Hello`/`Error`/`Bye` lifecycle;
-//! * [`poll`] — the OS selector: epoll via raw `extern "C"` syscalls on
-//!   Linux (with a cross-thread [`Waker`]), a bounded-sleep sweep
-//!   fallback elsewhere;
+//! * [`poll`] — the OS selector: epoll via raw `extern "C"` syscalls
+//!   (Linux is the only target), with a cross-thread [`Waker`];
 //! * [`server`] — the reactor ([`EdgeServer`]): accept → read → serve →
 //!   drive the gateway clock → push updates → flush, with bounded
 //!   per-connection write queues (overload answers `Throttled` at the

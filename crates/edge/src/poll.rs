@@ -1,18 +1,16 @@
 //! OS readiness selector for the edge reactors.
 //!
 //! The edge is built without external crates, so this module talks to the
-//! kernel directly: on Linux, `epoll` via raw `extern "C"` syscall
-//! declarations (the subset `mio`/`libc` would provide — create, ctl,
-//! wait, plus a self-wake pipe). Everything is level-triggered: a socket
+//! kernel directly: `epoll` via raw `extern "C"` syscall declarations (the
+//! subset `mio`/`libc` would provide — create, ctl, wait, plus a self-wake
+//! pipe). Everything is level-triggered: a socket
 //! that still has unread bytes or unflushed write space keeps reporting
 //! ready, so the reactor never needs to remember edge state across turns
 //! and a missed event is impossible by construction.
 //!
-//! On non-Linux hosts the [`Selector`] degrades to a bounded sleep and
-//! reports "no readiness information" (`wait` returns `None`), which the
-//! reactor interprets as *sweep every connection* — exactly the pre-epoll
-//! behavior. The reactor logic is therefore identical on both paths; only
-//! the idle cost differs.
+//! Linux is the only target: there is no second selector and no second
+//! serving loop. A failed `epoll_create1`, `pipe2` or `epoll_ctl` is an
+//! `io::Error` the caller gets from [`Selector::new`] / `register`.
 //!
 //! Tokens are caller-chosen `u64`s (the reactor uses connection ids, plus
 //! two reserved values for the listener and the wake pipe).
@@ -32,19 +30,15 @@ pub struct Event {
 
 /// Wakes a [`Selector`] blocked in `wait` from another thread.
 ///
-/// Cloneable and `Send`; each clone shares the same pipe write end. On the
-/// fallback (non-Linux) selector waking is a no-op — the bounded sleep in
-/// `wait` provides the latency guarantee instead.
+/// Cloneable and `Send`; each clone shares the same pipe write end.
 #[derive(Clone)]
 pub struct Waker {
-    #[cfg(target_os = "linux")]
     pipe: std::sync::Arc<sys::OwnedFd>,
 }
 
 impl Waker {
     /// Interrupts the selector's current (or next) `wait`.
     pub fn wake(&self) {
-        #[cfg(target_os = "linux")]
         sys::write_byte(self.pipe.0);
     }
 }
@@ -53,7 +47,6 @@ impl Waker {
 /// register fds under this token.
 pub const WAKE_TOKEN: u64 = u64::MAX;
 
-#[cfg(target_os = "linux")]
 mod sys {
     use std::io;
     use std::os::raw::{c_int, c_void};
@@ -178,89 +171,51 @@ mod sys {
 
 /// A readiness selector over non-blocking fds.
 pub struct Selector {
-    #[cfg(target_os = "linux")]
-    inner: LinuxSelector,
-    #[cfg(not(target_os = "linux"))]
-    inner: FallbackSelector,
-    events: Vec<Event>,
-}
-
-#[cfg(target_os = "linux")]
-struct LinuxSelector {
     ep: sys::OwnedFd,
     wake_rx: sys::OwnedFd,
     wake_tx: std::sync::Arc<sys::OwnedFd>,
     buf: Vec<sys::EpollEvent>,
+    events: Vec<Event>,
 }
-
-#[cfg(not(target_os = "linux"))]
-struct FallbackSelector;
 
 impl Selector {
     /// Creates a selector with its wake pipe already registered.
     pub fn new() -> io::Result<Self> {
-        #[cfg(target_os = "linux")]
-        {
-            let ep = sys::create()?;
-            let (wake_rx, wake_tx) = sys::make_pipe()?;
-            sys::ctl(
-                ep.0,
-                sys::EPOLL_CTL_ADD,
-                wake_rx.0,
-                sys::EPOLLIN,
-                WAKE_TOKEN,
-            )?;
-            Ok(Selector {
-                inner: LinuxSelector {
-                    ep,
-                    wake_rx,
-                    wake_tx: std::sync::Arc::new(wake_tx),
-                    buf: Vec::with_capacity(256),
-                },
-                events: Vec::with_capacity(256),
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Ok(Selector {
-                inner: FallbackSelector,
-                events: Vec::new(),
-            })
-        }
+        let ep = sys::create()?;
+        let (wake_rx, wake_tx) = sys::make_pipe()?;
+        sys::ctl(
+            ep.0,
+            sys::EPOLL_CTL_ADD,
+            wake_rx.0,
+            sys::EPOLLIN,
+            WAKE_TOKEN,
+        )?;
+        Ok(Selector {
+            ep,
+            wake_rx,
+            wake_tx: std::sync::Arc::new(wake_tx),
+            buf: Vec::with_capacity(256),
+            events: Vec::with_capacity(256),
+        })
     }
 
     /// A handle other threads can use to interrupt `wait`.
     pub fn waker(&self) -> Waker {
-        #[cfg(target_os = "linux")]
-        {
-            Waker {
-                pipe: self.inner.wake_tx.clone(),
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Waker {}
+        Waker {
+            pipe: self.wake_tx.clone(),
         }
     }
 
     /// Registers an fd for read readiness under `token`.
     pub fn register(&mut self, fd: &impl std::os::fd::AsRawFd, token: u64) -> io::Result<()> {
         debug_assert_ne!(token, WAKE_TOKEN);
-        #[cfg(target_os = "linux")]
-        {
-            sys::ctl(
-                self.inner.ep.0,
-                sys::EPOLL_CTL_ADD,
-                fd.as_raw_fd(),
-                sys::EPOLLIN | sys::EPOLLRDHUP,
-                token,
-            )
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = (fd.as_raw_fd(), token);
-            Ok(())
-        }
+        sys::ctl(
+            self.ep.0,
+            sys::EPOLL_CTL_ADD,
+            fd.as_raw_fd(),
+            sys::EPOLLIN | sys::EPOLLRDHUP,
+            token,
+        )
     }
 
     /// Adds or removes write-readiness interest for an already-registered fd.
@@ -270,80 +225,42 @@ impl Selector {
         token: u64,
         want_write: bool,
     ) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
-            if want_write {
-                events |= sys::EPOLLOUT;
-            }
-            sys::ctl(
-                self.inner.ep.0,
-                sys::EPOLL_CTL_MOD,
-                fd.as_raw_fd(),
-                events,
-                token,
-            )
+        let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
+        if want_write {
+            events |= sys::EPOLLOUT;
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = (fd.as_raw_fd(), token, want_write);
-            Ok(())
-        }
+        sys::ctl(self.ep.0, sys::EPOLL_CTL_MOD, fd.as_raw_fd(), events, token)
     }
 
     /// Deregisters an fd. Best-effort: closing the fd removes it anyway.
     pub fn deregister(&mut self, fd: &impl std::os::fd::AsRawFd) {
-        #[cfg(target_os = "linux")]
-        {
-            let _ = sys::ctl(self.inner.ep.0, sys::EPOLL_CTL_DEL, fd.as_raw_fd(), 0, 0);
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = fd.as_raw_fd();
-        }
+        let _ = sys::ctl(self.ep.0, sys::EPOLL_CTL_DEL, fd.as_raw_fd(), 0, 0);
     }
 
-    /// Blocks until readiness, a wake, or `timeout_ms` elapses.
-    ///
-    /// Returns `Some(events)` when the OS reported per-fd readiness (the
-    /// slice may be empty on a pure timeout — timers still need running),
-    /// or `None` when no readiness information is available (fallback
-    /// selector) and the caller must sweep every connection.
-    pub fn wait(&mut self, timeout_ms: i32) -> io::Result<Option<&[Event]>> {
-        #[cfg(target_os = "linux")]
-        {
-            self.inner.buf.clear();
-            let n = sys::wait(self.inner.ep.0, &mut self.inner.buf, timeout_ms)?;
-            self.events.clear();
-            for ev in &self.inner.buf[..n] {
-                let bits = ev.events;
-                let token = ev.data;
-                if token == WAKE_TOKEN {
-                    sys::drain_pipe(self.inner.wake_rx.0);
-                    continue;
-                }
-                self.events.push(Event {
-                    token,
-                    // Hangup/error surface as readable so the next read
-                    // observes EOF/ECONNRESET and the reactor reaps.
-                    readable: bits
-                        & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR)
-                        != 0,
-                    writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                });
+    /// Blocks until readiness, a wake, or `timeout_ms` elapses, and returns
+    /// the per-fd readiness the OS reported (empty on a pure timeout or a
+    /// wake — timers and the mailbox still need running).
+    pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Event]> {
+        self.buf.clear();
+        let n = sys::wait(self.ep.0, &mut self.buf, timeout_ms)?;
+        self.events.clear();
+        for ev in &self.buf[..n] {
+            let bits = ev.events;
+            let token = ev.data;
+            if token == WAKE_TOKEN {
+                sys::drain_pipe(self.wake_rx.0);
+                continue;
             }
-            Ok(Some(&self.events))
+            self.events.push(Event {
+                token,
+                // Hangup/error surface as readable so the next read
+                // observes EOF/ECONNRESET and the reactor reaps.
+                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR)
+                    != 0,
+                writable: bits & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+            });
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            // No readiness source: bound the sleep so timers and the
-            // mailbox stay responsive, then ask for a full sweep.
-            let ms = timeout_ms.clamp(0, 5) as u64;
-            if ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            Ok(None)
-        }
+        Ok(&self.events)
     }
 }
 
@@ -365,18 +282,10 @@ mod tests {
         // The listener must become readable (an inbound connection).
         let mut saw_accept = false;
         for _ in 0..200 {
-            match sel.wait(50).expect("wait") {
-                Some(events) => {
-                    if events.iter().any(|e| e.token == 7 && e.readable) {
-                        saw_accept = true;
-                        break;
-                    }
-                }
-                None => {
-                    // Fallback selector: no readiness info; accept blindly.
-                    saw_accept = true;
-                    break;
-                }
+            let events = sel.wait(50).expect("wait");
+            if events.iter().any(|e| e.token == 7 && e.readable) {
+                saw_accept = true;
+                break;
             }
         }
         assert!(saw_accept, "listener never became readable");
@@ -387,17 +296,10 @@ mod tests {
         client.write_all(b"ping").expect("write");
         let mut saw_data = false;
         for _ in 0..200 {
-            match sel.wait(50).expect("wait") {
-                Some(events) => {
-                    if events.iter().any(|e| e.token == 9 && e.readable) {
-                        saw_data = true;
-                        break;
-                    }
-                }
-                None => {
-                    saw_data = true;
-                    break;
-                }
+            let events = sel.wait(50).expect("wait");
+            if events.iter().any(|e| e.token == 9 && e.readable) {
+                saw_data = true;
+                break;
             }
         }
         assert!(saw_data, "connection never became readable");

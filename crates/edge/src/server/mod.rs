@@ -6,9 +6,9 @@
 //! accept → read → decode/serve → drive the gateway's timers → push
 //! updates → flush writes, never blocking on any of them. Between turns
 //! the driver blocks in an OS selector ([`crate::poll::Selector`] — epoll
-//! on Linux via raw syscalls, a bounded sleep elsewhere) with a timeout
-//! derived from the gateway's next due instant and the earliest drain
-//! deadline, so an unloaded edge parks in the kernel instead of spinning.
+//! via raw syscalls) with a timeout derived from the gateway's next due
+//! instant and the earliest drain deadline, so an unloaded edge parks in
+//! the kernel instead of spinning.
 //!
 //! The module splits along the reactor's seams:
 //!

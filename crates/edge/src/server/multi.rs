@@ -32,14 +32,13 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use rtdls_core::prelude::TenantId;
 use rtdls_journal::wire::{fnv1a64, FNV_OFFSET};
 
 use crate::poll::{Event, Selector, Waker};
 
-use super::reactor::{ConnTransfer, EdgeServer};
+use super::reactor::{listen, ConnTransfer, EdgeServer};
 use super::{EdgeClock, EdgeConfig, EdgeGateway, EdgeStats};
 
 /// The home reactor for `tenant` in a cluster of `reactors`.
@@ -71,20 +70,25 @@ struct Mailbox {
 pub struct EdgeCluster<G: EdgeGateway> {
     listener: TcpListener,
     cfg: EdgeConfig,
-    gateways: Vec<G>,
+    /// One gateway and one epoll set per reactor; reactor 0's already
+    /// watches the listener.
+    reactors: Vec<(G, Selector)>,
 }
 
 impl<G: EdgeGateway + Send> EdgeCluster<G> {
-    /// Binds the shared listener. `gateways` must be non-empty; its length
-    /// fixes the reactor count.
+    /// Binds the shared listener and creates every reactor's epoll set.
+    /// `gateways` must be non-empty; its length fixes the reactor count.
     pub fn bind(addr: impl ToSocketAddrs, gateways: Vec<G>, cfg: EdgeConfig) -> io::Result<Self> {
         assert!(!gateways.is_empty(), "a cluster needs at least one reactor");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let (listener, accepting) = listen(addr)?;
+        let mut selectors = vec![accepting];
+        for _ in 1..gateways.len() {
+            selectors.push(Selector::new()?);
+        }
         Ok(EdgeCluster {
             listener,
             cfg,
-            gateways,
+            reactors: gateways.into_iter().zip(selectors).collect(),
         })
     }
 
@@ -95,44 +99,37 @@ impl<G: EdgeGateway + Send> EdgeCluster<G> {
 
     /// The reactor count.
     pub fn num_reactors(&self) -> usize {
-        self.gateways.len()
+        self.reactors.len()
     }
 
     /// Runs every reactor until `stop` is set, then returns each
     /// reactor's gateway and stats, in reactor order. All reactors share
     /// `clock`, so the cluster has one notion of simulated time.
     pub fn run(self, clock: EdgeClock, stop: &AtomicBool) -> Vec<(G, EdgeStats)> {
-        let total = self.gateways.len();
+        let total = self.reactors.len();
         let cfg = self.cfg;
         let ids = Arc::new(AtomicU64::new(cfg.first_conn_id));
         let mailboxes: Arc<Vec<Mailbox>> =
             Arc::new((0..total).map(|_| Mailbox::default()).collect());
-        // Selectors are created up front so every reactor can hold every
-        // other reactor's waker before any thread starts.
-        let mut selectors: Vec<Option<Selector>> =
-            (0..total).map(|_| Selector::new().ok()).collect();
-        let wakers: Arc<Vec<Option<Waker>>> = Arc::new(
-            selectors
-                .iter()
-                .map(|s| s.as_ref().map(Selector::waker))
-                .collect(),
-        );
+        // Every reactor holds every other reactor's waker before any
+        // thread starts.
+        let wakers: Arc<Vec<Waker>> =
+            Arc::new(self.reactors.iter().map(|(_, s)| s.waker()).collect());
         let mut listener_slot = Some(self.listener);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(total);
-            for (index, gateway) in self.gateways.into_iter().enumerate() {
+            for (index, (gateway, selector)) in self.reactors.into_iter().enumerate() {
                 let listener = if index == 0 {
                     listener_slot.take()
                 } else {
                     None
                 };
-                let selector = selectors[index].take();
                 let ids = Arc::clone(&ids);
                 let mailboxes = Arc::clone(&mailboxes);
                 let wakers = Arc::clone(&wakers);
                 handles.push(scope.spawn(move || {
                     reactor_main(
-                        index, total, listener, gateway, cfg, ids, mailboxes, wakers, selector,
+                        index, total, listener, selector, gateway, cfg, ids, mailboxes, wakers,
                         clock, stop,
                     )
                 }));
@@ -152,50 +149,21 @@ fn reactor_main<G: EdgeGateway>(
     index: usize,
     total: usize,
     listener: Option<TcpListener>,
+    selector: Selector,
     gateway: G,
     cfg: EdgeConfig,
     ids: Arc<AtomicU64>,
     mailboxes: Arc<Vec<Mailbox>>,
-    wakers: Arc<Vec<Option<Waker>>>,
-    mut selector: Option<Selector>,
+    wakers: Arc<Vec<Waker>>,
     clock: EdgeClock,
     stop: &AtomicBool,
 ) -> (G, EdgeStats) {
-    let mut server = EdgeServer::for_cluster(listener, gateway, cfg, ids, (index, total));
-    if let (Some(sel), Some(listener)) = (selector.as_mut(), server.listener.as_ref()) {
-        // Reactor 0's listener joins its selector; a registration failure
-        // falls back to sweep turns below.
-        if sel
-            .register(listener, super::reactor::LISTENER_TOKEN)
-            .is_err()
-        {
-            selector = None;
-        }
-    }
+    let mut server = EdgeServer::for_cluster(listener, selector, gateway, cfg, ids, (index, total));
     let mut scratch: Vec<Event> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         // Phase 1: block until something happens (readiness, a mailbox
         // wake from a peer reactor, or the next timer).
-        let mut have_events = false;
-        match selector.as_mut() {
-            Some(sel) => {
-                let timeout = server.wait_timeout_ms(&clock);
-                match sel.wait(timeout) {
-                    Ok(Some(events)) => {
-                        scratch.clear();
-                        scratch.extend_from_slice(events);
-                        have_events = true;
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        scratch.clear();
-                        have_events = true;
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-            None => std::thread::sleep(Duration::from_micros(200)),
-        }
+        server.wait_ready(&clock, &mut scratch);
         let now = clock.now();
         // Phase 2: adopt connections transferred in — the only
         // inter-reactor seam, drained exactly once per turn.
@@ -204,17 +172,10 @@ fn reactor_main<G: EdgeGateway>(
             std::mem::take(&mut *inbound)
         };
         for transfer in adopted {
-            server.adopt(transfer, selector.as_mut(), now);
+            server.adopt(transfer, now);
         }
         // Phase 3: one reactor turn.
-        match (selector.as_mut(), have_events) {
-            (Some(sel), true) => {
-                server.poll_events(now, &scratch, sel);
-            }
-            _ => {
-                server.poll(now);
-            }
-        }
+        server.poll_events(now, &scratch);
         // Phase 4: hand staged connections to their home reactors.
         for transfer in server.outbox.drain(..) {
             let target = transfer.target;
@@ -223,9 +184,7 @@ fn reactor_main<G: EdgeGateway>(
                 .lock()
                 .expect("mailbox lock")
                 .push(transfer);
-            if let Some(Some(waker)) = wakers.get(target) {
-                waker.wake();
-            }
+            wakers[target].wake();
         }
     }
     let _ = server.poll(clock.now());

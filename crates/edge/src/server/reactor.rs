@@ -2,7 +2,8 @@
 //!
 //! [`EdgeServer::poll`] is one turn — accept, read/decode/serve, drive the
 //! gateway when dirty or due, push updates, flush, reap — and remains
-//! callable inline (tests drive it with a manual clock, no selector).
+//! callable inline (tests drive it with a manual clock, sweeping every
+//! connection instead of waiting for readiness).
 //! [`EdgeServer::run`] wraps the same turn in an epoll wait: the timeout
 //! is derived from the gateway's next due instant and the earliest drain
 //! deadline, readable events select which connections get read, and
@@ -65,10 +66,25 @@ enum Step {
     Incomplete,
 }
 
+/// Binds a non-blocking listener and a selector that already watches it.
+/// Every failure — bind, `epoll_create1`, the wake pipe, registering the
+/// listener — is the caller's `io::Error`: there is no second serving loop
+/// to absorb it.
+pub(crate) fn listen(addr: impl ToSocketAddrs) -> std::io::Result<(TcpListener, Selector)> {
+    let listener = TcpListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
+    let mut selector = Selector::new()?;
+    selector.register(&listener, LISTENER_TOKEN)?;
+    Ok((listener, selector))
+}
+
 /// The edge server: a listener (on reactor 0), its connections, and the
 /// gateway they serve. See the module docs for the reactor's shape.
 pub struct EdgeServer<G: EdgeGateway> {
     pub(crate) listener: Option<TcpListener>,
+    /// This reactor's epoll set: the listener (when held) and every live
+    /// connection are registered in it from the moment they exist.
+    pub(crate) selector: Selector,
     pub(crate) cfg: EdgeConfig,
     pub(crate) gateway: G,
     pub(crate) conns: Vec<Conn>,
@@ -98,30 +114,40 @@ pub struct EdgeServer<G: EdgeGateway> {
 }
 
 impl<G: EdgeGateway> EdgeServer<G> {
-    /// Binds the listener and takes ownership of the gateway (enabling its
-    /// decision-update stream). `addr` may be `"127.0.0.1:0"` for an
-    /// ephemeral port — see [`EdgeServer::local_addr`].
+    /// Binds the listener, creates the epoll set with the listener in it,
+    /// and takes ownership of the gateway (enabling its decision-update
+    /// stream). `addr` may be `"127.0.0.1:0"` for an ephemeral port — see
+    /// [`EdgeServer::local_addr`].
     pub fn bind(addr: impl ToSocketAddrs, gateway: G, cfg: EdgeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let (listener, selector) = listen(addr)?;
         let ids = Arc::new(AtomicU64::new(cfg.first_conn_id));
-        Ok(Self::assemble(Some(listener), gateway, cfg, ids, None))
+        Ok(Self::assemble(
+            Some(listener),
+            selector,
+            gateway,
+            cfg,
+            ids,
+            None,
+        ))
     }
 
-    /// A cluster reactor: reactor 0 carries the listener, everyone shares
-    /// the id allocator, and `home` routes first submits.
+    /// A cluster reactor: reactor 0 carries the listener (already in its
+    /// `selector`), everyone shares the id allocator, and `home` routes
+    /// first submits.
     pub(crate) fn for_cluster(
         listener: Option<TcpListener>,
+        selector: Selector,
         gateway: G,
         cfg: EdgeConfig,
         ids: Arc<AtomicU64>,
         home: (usize, usize),
     ) -> Self {
-        Self::assemble(listener, gateway, cfg, ids, Some(home))
+        Self::assemble(listener, selector, gateway, cfg, ids, Some(home))
     }
 
     fn assemble(
         listener: Option<TcpListener>,
+        selector: Selector,
         mut gateway: G,
         cfg: EdgeConfig,
         ids: Arc<AtomicU64>,
@@ -131,6 +157,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         gateway.enable_explanations();
         EdgeServer {
             listener,
+            selector,
             cfg,
             gateway,
             conns: Vec::new(),
@@ -226,31 +253,21 @@ impl<G: EdgeGateway> EdgeServer<G> {
     }
 
     /// One reactor turn at simulated instant `now`, sweeping every
-    /// connection (no readiness information — the inline-test and
-    /// fallback path). Returns `true` when the turn made progress
-    /// (accepted, read, served, pushed, or wrote anything) — the driver's
-    /// idle-sleep hint.
+    /// connection without asking the selector what is ready (the
+    /// inline-test path, and the last turn of a stopping reactor). Returns
+    /// `true` when the turn made progress (accepted, read, served, pushed,
+    /// or wrote anything).
     pub fn poll(&mut self, now: SimTime) -> bool {
-        self.poll_inner(now, None, None)
+        self.poll_inner(now, None)
     }
 
-    /// One selector-driven turn: only ready connections are read, and
-    /// accepted/adopted fds are (de)registered as they come and go.
-    pub(crate) fn poll_events(
-        &mut self,
-        now: SimTime,
-        events: &[Event],
-        selector: &mut Selector,
-    ) -> bool {
-        self.poll_inner(now, Some(events), Some(selector))
+    /// One selector-driven turn: only the connections `events` names are
+    /// read.
+    pub(crate) fn poll_events(&mut self, now: SimTime, events: &[Event]) -> bool {
+        self.poll_inner(now, Some(events))
     }
 
-    fn poll_inner(
-        &mut self,
-        now: SimTime,
-        readiness: Option<&[Event]>,
-        mut selector: Option<&mut Selector>,
-    ) -> bool {
+    fn poll_inner(&mut self, now: SimTime, readiness: Option<&[Event]>) -> bool {
         let mut progressed = false;
         // `timer()` is None while telemetry is disabled (and `start()`
         // while the profiler is), so the phase accounting below is free
@@ -264,11 +281,11 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 .any(|e| e.token == LISTENER_TOKEN && e.readable),
         };
         if accept_ready {
-            progressed |= self.accept_new(selector.as_deref_mut());
+            progressed |= self.accept_new();
         }
         progressed |= self.read_and_serve(now, readiness);
         if self.home.is_some() {
-            self.extract_transfers(selector.as_deref_mut());
+            self.extract_transfers();
         }
         self.profiler.stop("edge/read", read_phase);
         self.stats.read_ns += Telemetry::elapsed_ns(read_timer);
@@ -291,7 +308,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         }
         let flush_timer = self.telemetry.timer();
         let flush_phase = self.profiler.start();
-        progressed |= self.flush_writes(selector);
+        progressed |= self.flush_writes();
         self.reap(now);
         self.profiler.stop("edge/flush", flush_phase);
         self.stats.flush_ns += Telemetry::elapsed_ns(flush_timer);
@@ -347,56 +364,30 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// final stats. Blocks in the OS selector between turns, so an
     /// unloaded edge parks in the kernel instead of spinning.
     pub fn run(mut self, clock: EdgeClock, stop: &AtomicBool) -> (G, EdgeStats) {
-        let Ok(mut selector) = Selector::new() else {
-            return self.run_sleepy(clock, stop);
-        };
-        if let Some(listener) = &self.listener {
-            if selector.register(listener, LISTENER_TOKEN).is_err() {
-                return self.run_sleepy(clock, stop);
-            }
-        }
         let mut scratch: Vec<Event> = Vec::new();
         while !stop.load(Ordering::Relaxed) {
-            let timeout = self.wait_timeout_ms(&clock);
-            match selector.wait(timeout) {
-                Ok(Some(events)) => {
-                    scratch.clear();
-                    scratch.extend_from_slice(events);
-                    self.poll_events(clock.now(), &scratch, &mut selector);
-                }
-                Ok(None) => {
-                    // Fallback selector: it already slept; sweep everything
-                    // (registration calls are no-ops on this path).
-                    self.poll_inner(clock.now(), None, Some(&mut selector));
-                }
-                Err(_) => {
-                    // A transient wait failure: run an empty-event turn so
-                    // timers advance, keeping all registrations intact.
-                    scratch.clear();
-                    self.poll_events(clock.now(), &scratch, &mut selector);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
+            self.wait_ready(&clock, &mut scratch);
+            self.poll_events(clock.now(), &scratch);
         }
         // A graceful stop flushes what it can in one last turn.
         let _ = self.poll(clock.now());
         (self.gateway, self.stats)
     }
 
-    /// The selector-less driver (selector creation failed): spin turns,
-    /// sleeping briefly when idle.
-    fn run_sleepy(mut self, clock: EdgeClock, stop: &AtomicBool) -> (G, EdgeStats) {
-        while !stop.load(Ordering::Relaxed) {
-            let progressed = self.poll(clock.now());
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+    /// Blocks in the selector until readiness, a wake or the next timer,
+    /// and leaves what it reported in `events`.
+    pub(crate) fn wait_ready(&mut self, clock: &EdgeClock, events: &mut Vec<Event>) {
+        let timeout = self.wait_timeout_ms(clock);
+        events.clear();
+        match self.selector.wait(timeout) {
+            Ok(ready) => events.extend_from_slice(ready),
+            // A transient wait failure: the caller runs an empty-event turn
+            // so timers advance, keeping all registrations intact.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
-        let _ = self.poll(clock.now());
-        (self.gateway, self.stats)
     }
 
-    fn accept_new(&mut self, mut selector: Option<&mut Selector>) -> bool {
+    fn accept_new(&mut self) -> bool {
         let Some(listener) = &self.listener else {
             return false;
         };
@@ -416,9 +407,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     conn.enqueue(&ServerMsg::Hello {
                         protocol: PROTOCOL_VERSION,
                     });
-                    if let Some(sel) = selector.as_deref_mut() {
-                        let _ = sel.register(&conn.stream, conn.id);
-                    }
+                    let _ = self.selector.register(&conn.stream, conn.id);
                     self.conns.push(conn);
                     self.stats.connections_accepted += 1;
                     progressed = true;
@@ -773,7 +762,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         progressed
     }
 
-    fn flush_writes(&mut self, mut selector: Option<&mut Selector>) -> bool {
+    fn flush_writes(&mut self) -> bool {
         let mut progressed = false;
         for conn in &mut self.conns {
             if !conn.outq.is_empty() {
@@ -781,15 +770,16 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 progressed |= outcome.progressed;
                 self.stats.frames_sent += outcome.frames_sent;
             }
-            if let Some(sel) = selector.as_deref_mut() {
-                // EPOLLOUT only while there is something to write: a
-                // permanently-armed write interest would wake every turn.
-                let want = !conn.outq.is_empty() && !conn.dead;
-                if want != conn.write_armed
-                    && sel.set_write_interest(&conn.stream, conn.id, want).is_ok()
-                {
-                    conn.write_armed = want;
-                }
+            // EPOLLOUT only while there is something to write: a
+            // permanently-armed write interest would wake every turn.
+            let want = !conn.outq.is_empty() && !conn.dead;
+            if want != conn.write_armed
+                && self
+                    .selector
+                    .set_write_interest(&conn.stream, conn.id, want)
+                    .is_ok()
+            {
+                conn.write_armed = want;
             }
         }
         progressed
@@ -825,14 +815,12 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     /// Pulls connections staged for adoption out of the live set (cluster
     /// mode, after the read phase).
-    fn extract_transfers(&mut self, mut selector: Option<&mut Selector>) {
+    fn extract_transfers(&mut self) {
         let mut i = 0;
         while i < self.conns.len() {
             if self.conns[i].transfer.is_some() {
                 let mut conn = self.conns.swap_remove(i);
-                if let Some(sel) = selector.as_deref_mut() {
-                    sel.deregister(&conn.stream);
-                }
+                self.selector.deregister(&conn.stream);
                 let (target, carried) = conn.transfer.take().expect("just checked");
                 conn.write_armed = false;
                 self.outbox.push(ConnTransfer {
@@ -849,21 +837,14 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// Installs a connection transferred from another reactor: register
     /// its fd, serve the carried submit (the one that revealed its
     /// tenant), then drain whatever else its decoder already buffered.
-    pub(crate) fn adopt(
-        &mut self,
-        transfer: ConnTransfer,
-        selector: Option<&mut Selector>,
-        now: SimTime,
-    ) {
+    pub(crate) fn adopt(&mut self, transfer: ConnTransfer, now: SimTime) {
         let ConnTransfer {
             conn: mut adopted,
             carried,
             ..
         } = transfer;
         adopted.pinned = true;
-        if let Some(sel) = selector {
-            let _ = sel.register(&adopted.stream, adopted.id);
-        }
+        let _ = self.selector.register(&adopted.stream, adopted.id);
         self.stats.conns_adopted += 1;
         self.conns.push(adopted);
         let i = self.conns.len() - 1;

@@ -1,9 +1,9 @@
-//! The `examples/kill_and_recover.rs` acceptance scenario, promoted into a
-//! named tier-1 test so `cargo test -q` proves the full kill→recover→resume
-//! loop without relying on the CI example-smoke step: a 4-shard journaled
-//! gateway serves a bursty stream into a WAL *file*, dies at an arbitrary
-//! event index, is rebuilt from the file alone, and finishes the stream
-//! under the strict simulator (which panics on any violated guarantee).
+//! The kill-and-recover acceptance scenario as a workspace test, so
+//! `cargo test --workspace` proves the full kill→recover→resume loop: a
+//! 4-shard journaled gateway serves a bursty stream into a WAL *file*, dies
+//! at an arbitrary event index, is rebuilt from the file alone, and
+//! finishes the stream under the strict simulator (which panics on any
+//! violated guarantee).
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;

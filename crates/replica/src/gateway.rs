@@ -298,6 +298,22 @@ mod tests {
         gw.on_ack(last_ack.expect("follower acked"), SimTime::ZERO);
         assert_eq!(gw.shipper().lag(gw.inner().journal()), 0);
         assert_eq!(follower.bytes(), gw.inner().journal().bytes());
+
+        // Shipping never changes a decision: `decide` (which pumps, as a
+        // reactor turn does) answers what a bare journaled gateway answers,
+        // refusals included.
+        let mut bare = primary();
+        let mut shipping = ShippingGateway::new(primary(), ShipConfig::default());
+        let mut accepted = 0;
+        for id in 0..40u64 {
+            let deadline = 300.0 * (1 + id % 8) as f64;
+            let request = SubmitRequest::new(Task::new(id, 0.0, 200.0, deadline));
+            let verdict = shipping.decide(&request, SimTime::ZERO);
+            assert_eq!(verdict, bare.submit_request(&request, SimTime::ZERO));
+            accepted += verdict.is_accepted() as usize;
+        }
+        assert!(0 < accepted && accepted < 40, "both outcomes: {accepted}");
+        assert!(shipping.take_outbox().len() > 40, "every decision shipped");
     }
 
     #[test]
