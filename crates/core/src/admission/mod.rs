@@ -79,8 +79,9 @@ impl core::fmt::Display for AdmissionFailure {
 
 impl std::error::Error for AdmissionFailure {}
 
-// `Infeasible` travels by display string: in results output, in journaled
-// `cause` fields and on the edge wire.
+// Hand-written for a reason a derive cannot state: `Infeasible` travels by
+// display string — in results output, in journaled `cause` fields and on the
+// edge wire — not by variant name.
 impl Serialize for Infeasible {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.to_string())

@@ -47,12 +47,7 @@ pub enum QosClass {
 
 /// The v2 submission envelope: a task plus its tenant, QoS class, and
 /// reservation tolerance.
-///
-/// Serialization is hand-written for version compatibility in both
-/// directions: the telemetry `trace` id is omitted when zero (so traced-off
-/// encodings stay byte-identical to pre-telemetry ones) and defaults to
-/// zero on read (so journals written before tracing still recover).
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct SubmitRequest {
     /// The divisible task being submitted.
     pub task: Task,
@@ -66,37 +61,15 @@ pub struct SubmitRequest {
     pub max_delay: Option<f64>,
     /// Telemetry trace id riding the request through the stack; `0` =
     /// untraced (the only value in-process callers produce unless an
-    /// enabled telemetry handle minted one at ingress).
+    /// enabled telemetry handle minted one at ingress). Not written when
+    /// zero and zero when absent: an untraced request encodes as it did
+    /// before tracing existed, and journals from before it still recover.
+    #[serde(default, skip_serializing_if = "untraced")]
     pub trace: u64,
 }
 
-impl Serialize for SubmitRequest {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("task".to_string(), self.task.to_value()),
-            ("tenant".to_string(), self.tenant.to_value()),
-            ("qos".to_string(), self.qos.to_value()),
-            ("max_delay".to_string(), self.max_delay.to_value()),
-        ];
-        if self.trace != 0 {
-            entries.push(("trace".to_string(), self.trace.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for SubmitRequest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::{field, field_or_default};
-        Ok(SubmitRequest {
-            task: field(v, "task")?,
-            tenant: field(v, "tenant")?,
-            qos: field(v, "qos")?,
-            max_delay: field(v, "max_delay")?,
-            // Added with decision tracing: absent in earlier journals.
-            trace: field_or_default(v, "trace")?,
-        })
-    }
+fn untraced(trace: &u64) -> bool {
+    *trace == 0
 }
 
 impl SubmitRequest {

@@ -52,22 +52,6 @@ impl ReplayReport {
     pub fn verdicts(&self) -> u64 {
         self.accepted + self.reserved + self.deferred + self.rejected + self.throttled
     }
-
-    /// Pushed reservation-activation updates received.
-    pub fn activations_pushed(&self) -> u64 {
-        self.updates
-            .iter()
-            .filter(|u| matches!(u, DecisionUpdate::Activated { .. }))
-            .count() as u64
-    }
-
-    /// Pushed terminal resolutions received.
-    pub fn resolutions_pushed(&self) -> u64 {
-        self.updates
-            .iter()
-            .filter(|u| matches!(u, DecisionUpdate::Resolved { .. }))
-            .count() as u64
-    }
 }
 
 /// A windowed request-stream driver over one TCP connection.

@@ -1,19 +1,11 @@
 //! The edge wire framing: length-prefixed, checksummed, streamed.
 //!
-//! The edge reuses the journal's framing discipline (`crates/journal`'s
-//! [`wire`](rtdls_journal::wire) module — same header shape, same FNV-1a 64
-//! checksum routine) with its own magic and a *direction* byte instead of
-//! the journal's record kind:
-//!
-//! ```text
-//! offset  size  field
-//! 0       2     magic  "RE"
-//! 2       1     protocol framing version (currently 1)
-//! 3       1     direction (1 = client → server, 2 = server → client)
-//! 4       4     payload length, u32 little-endian
-//! 8       8     FNV-1a 64 checksum over direction byte + payload, u64 LE
-//! 16      len   payload (UTF-8 JSON, one protocol message)
-//! ```
+//! The edge frames its messages with the workspace's one header codec
+//! ([`rtdls_journal::wire`]: `write_frame` builds the 16 bytes,
+//! `parse_header` validates them) under its own magic, `RE`, with a
+//! *direction* byte (1 = client → server, 2 = server → client) as the tag
+//! and one JSON protocol message as the payload. The header table is in
+//! that module's docs and in README § Wire format.
 //!
 //! Unlike the journal (which decodes a complete byte image at rest), the
 //! edge decodes a *stream*: bytes arrive in arbitrary chunks, so
@@ -26,47 +18,30 @@
 //! The cap matters: without it a single 4-byte length prefix could demand
 //! a 4 GiB allocation from the server.
 
-use rtdls_journal::wire::checksum;
+use rtdls_journal::wire::{parse_header, write_frame, HeaderError};
+
+pub use rtdls_journal::wire::{DEFAULT_MAX_FRAME, HEADER_LEN};
 
 /// Frame magic: `RE` (rtdls edge).
 pub const MAGIC: [u8; 2] = *b"RE";
 
-/// Current framing version.
-pub const VERSION: u8 = 1;
-
-/// Frame header length in bytes (same layout as the journal's).
-pub const HEADER_LEN: usize = 16;
-
-/// Default cap on one frame's payload length (1 MiB — a submit request is
-/// a few hundred bytes, so this is generous headroom, not a limit anyone
-/// honest hits).
-pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
-
-/// Which way a frame travels. Encoded in the header so a peer that
-/// accidentally loops its own output back at itself fails fast instead of
-/// misparsing payloads.
+/// Which way a frame travels; the discriminant is the header tag. Encoded
+/// in the header so a peer that accidentally loops its own output back at
+/// itself fails fast instead of misparsing payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Direction {
     /// Client → server (payload is a `ClientMsg`).
-    FromClient,
+    FromClient = 1,
     /// Server → client (payload is a `ServerMsg`).
-    FromServer,
+    FromServer = 2,
 }
 
 impl Direction {
-    fn to_byte(self) -> u8 {
-        match self {
-            Direction::FromClient => 1,
-            Direction::FromServer => 2,
-        }
-    }
-
     fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            1 => Some(Direction::FromClient),
-            2 => Some(Direction::FromServer),
-            _ => None,
-        }
+        [Direction::FromClient, Direction::FromServer]
+            .into_iter()
+            .find(|direction| *direction as u8 == b)
     }
 }
 
@@ -113,7 +88,7 @@ impl std::error::Error for WireError {}
 
 /// Encodes one message payload into its frame bytes.
 pub fn encode_frame(direction: Direction, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::new();
     encode_frame_into(direction, payload, &mut out);
     out
 }
@@ -123,13 +98,7 @@ pub fn encode_frame(direction: Direction, payload: &[u8]) -> Vec<u8> {
 /// reactor's per-connection buffer pool).
 pub fn encode_frame_into(direction: Direction, payload: &[u8], out: &mut Vec<u8>) {
     out.clear();
-    out.reserve(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(direction.to_byte());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(direction.to_byte(), payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    write_frame(MAGIC, direction as u8, payload, out);
 }
 
 /// Incremental frame decoder over an arbitrary chunking of the stream.
@@ -214,55 +183,49 @@ impl FrameDecoder {
                 reason: "stream already failed",
             });
         }
-        let rest = &self.buf[self.pos..];
-        if rest.len() < HEADER_LEN {
+        let Some((head, body)) = self.buf[self.pos..].split_first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
+        };
         let fail = |reason| WireError::Corrupt {
             offset: self.offset,
             reason,
         };
-        if rest[0..2] != MAGIC {
-            self.poisoned = true;
-            return Err(fail("bad magic"));
-        }
-        if rest[2] != VERSION {
-            self.poisoned = true;
-            return Err(fail("unknown framing version"));
-        }
-        let Some(direction) = Direction::from_byte(rest[3]) else {
+        // `parse_header` holds the length against the cap before anything
+        // below reserves by it: `len` is attacker-controlled, and reserving
+        // first would let a 4-byte prefix demand a 4 GiB allocation.
+        let header = match parse_header(head, MAGIC, self.max_frame) {
+            Ok(header) => header,
+            Err(e) => {
+                self.poisoned = true;
+                return Err(match e {
+                    HeaderError::Corrupt(reason) => fail(reason),
+                    HeaderError::Oversized(len) => WireError::Oversized {
+                        offset: self.offset,
+                        len,
+                        max: self.max_frame,
+                    },
+                });
+            }
+        };
+        let Some(direction) = Direction::from_byte(header.tag) else {
             self.poisoned = true;
             return Err(fail("unknown direction byte"));
         };
-        let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        // The cap check MUST precede any capacity reservation: `len` is
-        // attacker-controlled, and reserving first would let a 4-byte
-        // header demand a 4 GiB allocation.
-        if len > self.max_frame {
-            self.poisoned = true;
-            return Err(WireError::Oversized {
-                offset: self.offset,
-                len,
-                max: self.max_frame,
-            });
-        }
-        if rest.len() < HEADER_LEN + len {
-            // The header passed the cap check, so it is now safe to size
-            // the buffer for the announced frame and spare the incremental
-            // regrowth as its chunks arrive.
-            let missing = HEADER_LEN + len - rest.len();
+        if body.len() < header.len {
+            // Size the buffer for the announced (capped) frame and spare
+            // the incremental regrowth as its chunks arrive.
+            let missing = header.len - body.len();
             self.buf.reserve(missing);
             return Ok(None);
         }
-        let crc = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
         let start = self.pos + HEADER_LEN;
-        let end = start + len;
-        if checksum(rest[3], &self.buf[start..end]) != crc {
+        let end = start + header.len;
+        if !header.verifies(&self.buf[start..end]) {
             self.poisoned = true;
             return Err(fail("checksum mismatch"));
         }
         self.pos = end;
-        self.offset += (HEADER_LEN + len) as u64;
+        self.offset += (HEADER_LEN + header.len) as u64;
         Ok(Some((direction, &self.buf[start..end])))
     }
 }
@@ -270,6 +233,13 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A well-formed header announcing a 4 GiB − 1 payload.
+    fn oversized_header() -> Vec<u8> {
+        let mut hdr = encode_frame(Direction::FromClient, b"");
+        hdr[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        hdr
+    }
 
     #[test]
     fn frames_round_trip_under_any_chunking() {
@@ -327,12 +297,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
         let mut dec = FrameDecoder::new(1024);
-        let mut hdr = Vec::new();
-        hdr.extend_from_slice(&MAGIC);
-        hdr.push(VERSION);
-        hdr.push(1);
-        hdr.extend_from_slice(&(u32::MAX).to_le_bytes());
-        hdr.extend_from_slice(&[0u8; 8]);
+        let hdr = oversized_header();
         dec.push(&hdr);
         assert!(matches!(
             dec.next_frame(),
@@ -375,12 +340,7 @@ mod tests {
     #[test]
     fn poisoned_decoder_discards_further_input() {
         let mut dec = FrameDecoder::new(1024);
-        let mut hdr = Vec::new();
-        hdr.extend_from_slice(&MAGIC);
-        hdr.push(VERSION);
-        hdr.push(1);
-        hdr.extend_from_slice(&(u32::MAX).to_le_bytes());
-        hdr.extend_from_slice(&[0u8; 8]);
+        let hdr = oversized_header();
         dec.push(&hdr);
         assert!(dec.next_frame().is_err());
         // A hostile peer keeps streaming after the violation; none of it

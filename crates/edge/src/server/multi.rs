@@ -163,7 +163,7 @@ fn reactor_main<G: EdgeGateway>(
     while !stop.load(Ordering::Relaxed) {
         // Phase 1: block until something happens (readiness, a mailbox
         // wake from a peer reactor, or the next timer).
-        server.wait_ready(&clock, &mut scratch);
+        server.wait_ready(server.wait_timeout_ms(&clock), &mut scratch);
         let now = clock.now();
         // Phase 2: adopt connections transferred in — the only
         // inter-reactor seam, drained exactly once per turn.

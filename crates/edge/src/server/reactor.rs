@@ -1,13 +1,13 @@
 //! The reactor turn loop: one [`EdgeServer`] per reactor thread.
 //!
-//! [`EdgeServer::poll`] is one turn — accept, read/decode/serve, drive the
-//! gateway when dirty or due, push updates, flush, reap — and remains
-//! callable inline (tests drive it with a manual clock, sweeping every
-//! connection instead of waiting for readiness).
-//! [`EdgeServer::run`] wraps the same turn in an epoll wait: the timeout
-//! is derived from the gateway's next due instant and the earliest drain
-//! deadline, readable events select which connections get read, and
-//! `EPOLLOUT` is armed only while a connection has unflushed frames.
+//! There is one turn — accept, read/decode/serve, drive the gateway when
+//! dirty or due, push updates, flush, reap — and readable events from the
+//! selector say which sockets it accepts from and reads.
+//! [`EdgeServer::run`] blocks in the epoll wait before each turn: the
+//! timeout is derived from the gateway's next due instant and the earliest
+//! drain deadline, and `EPOLLOUT` is armed only while a connection has
+//! unflushed frames. [`EdgeServer::poll`] is the same turn after a
+//! zero-timeout wait, callable inline (tests drive it with a manual clock).
 //!
 //! In a cluster ([`super::multi::EdgeCluster`]) the same type runs once
 //! per reactor thread; only reactor 0 holds the listener, and the `home`
@@ -252,38 +252,35 @@ impl<G: EdgeGateway> EdgeServer<G> {
         self.gateway
     }
 
-    /// One reactor turn at simulated instant `now`, sweeping every
-    /// connection without asking the selector what is ready (the
-    /// inline-test path, and the last turn of a stopping reactor). Returns
-    /// `true` when the turn made progress (accepted, read, served, pushed,
-    /// or wrote anything).
+    /// One reactor turn at simulated instant `now` without blocking: asks
+    /// the selector what is ready right now and runs the same turn
+    /// [`run`](EdgeServer::run) does (the selector is level-triggered, so
+    /// whatever is unread or unaccepted is reported again). The inline-test
+    /// path, and the last turn of a stopping reactor. Returns `true` when
+    /// the turn made progress (accepted, read, served, pushed, or wrote
+    /// anything).
     pub fn poll(&mut self, now: SimTime) -> bool {
-        self.poll_inner(now, None)
+        let mut events = Vec::new();
+        self.wait_ready(0, &mut events);
+        self.poll_events(now, &events)
     }
 
-    /// One selector-driven turn: only the connections `events` names are
-    /// read.
+    /// One selector-driven turn: the listener is accepted from and a
+    /// connection read only when `events` names it.
     pub(crate) fn poll_events(&mut self, now: SimTime, events: &[Event]) -> bool {
-        self.poll_inner(now, Some(events))
-    }
-
-    fn poll_inner(&mut self, now: SimTime, readiness: Option<&[Event]>) -> bool {
         let mut progressed = false;
         // `timer()` is None while telemetry is disabled (and `start()`
         // while the profiler is), so the phase accounting below is free
         // (no clock reads) on the bare path.
         let read_timer = self.telemetry.timer();
         let read_phase = self.profiler.start();
-        let accept_ready = match readiness {
-            None => true,
-            Some(events) => events
-                .iter()
-                .any(|e| e.token == LISTENER_TOKEN && e.readable),
-        };
-        if accept_ready {
+        if events
+            .iter()
+            .any(|e| e.token == LISTENER_TOKEN && e.readable)
+        {
             progressed |= self.accept_new();
         }
-        progressed |= self.read_and_serve(now, readiness);
+        progressed |= self.read_and_serve(now, events);
         if self.home.is_some() {
             self.extract_transfers();
         }
@@ -366,7 +363,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
     pub fn run(mut self, clock: EdgeClock, stop: &AtomicBool) -> (G, EdgeStats) {
         let mut scratch: Vec<Event> = Vec::new();
         while !stop.load(Ordering::Relaxed) {
-            self.wait_ready(&clock, &mut scratch);
+            self.wait_ready(self.wait_timeout_ms(&clock), &mut scratch);
             self.poll_events(clock.now(), &scratch);
         }
         // A graceful stop flushes what it can in one last turn.
@@ -374,12 +371,12 @@ impl<G: EdgeGateway> EdgeServer<G> {
         (self.gateway, self.stats)
     }
 
-    /// Blocks in the selector until readiness, a wake or the next timer,
-    /// and leaves what it reported in `events`.
-    pub(crate) fn wait_ready(&mut self, clock: &EdgeClock, events: &mut Vec<Event>) {
-        let timeout = self.wait_timeout_ms(clock);
+    /// Blocks in the selector for at most `timeout_ms` (readiness, a wake
+    /// or the next timer) and leaves what it reported in `events`: the one
+    /// place a turn's readiness comes from, `run` and `poll` alike.
+    pub(crate) fn wait_ready(&mut self, timeout_ms: i32, events: &mut Vec<Event>) {
         events.clear();
-        match self.selector.wait(timeout) {
+        match self.selector.wait(timeout_ms) {
             Ok(ready) => events.extend_from_slice(ready),
             // A transient wait failure: the caller runs an empty-event turn
             // so timers advance, keeping all registrations intact.
@@ -407,7 +404,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     conn.enqueue(&ServerMsg::Hello {
                         protocol: PROTOCOL_VERSION,
                     });
-                    let _ = self.selector.register(&conn.stream, conn.id);
+                    // A socket the selector will not watch would never be
+                    // read: it is reaped this turn instead.
+                    conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
                     self.conns.push(conn);
                     self.stats.connections_accepted += 1;
                     progressed = true;
@@ -420,7 +419,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         progressed
     }
 
-    fn read_and_serve(&mut self, now: SimTime, readiness: Option<&[Event]>) -> bool {
+    fn read_and_serve(&mut self, now: SimTime, events: &[Event]) -> bool {
         let mut progressed = false;
         // Index-based: handling a frame needs `&mut self.gateway` and the
         // connection simultaneously, so split via `take`-free indexing.
@@ -428,11 +427,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
             if self.conns[i].draining || self.conns[i].dead {
                 continue;
             }
-            if let Some(events) = readiness {
-                let id = self.conns[i].id;
-                if !events.iter().any(|e| e.readable && e.token == id) {
-                    continue;
-                }
+            let id = self.conns[i].id;
+            if !events.iter().any(|e| e.readable && e.token == id) {
+                continue;
             }
             progressed |= self.read_conn(i);
             progressed |= self.decode_and_serve(i, now);
@@ -844,7 +841,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
             ..
         } = transfer;
         adopted.pinned = true;
-        let _ = self.selector.register(&adopted.stream, adopted.id);
+        adopted.dead = self.selector.register(&adopted.stream, adopted.id).is_err();
         self.stats.conns_adopted += 1;
         self.conns.push(adopted);
         let i = self.conns.len() - 1;

@@ -391,9 +391,11 @@ fn protocol_violations_are_answered_and_close_the_connection() {
 /// error on the connection that sent it. It never reaches the planner (where
 /// a zero size used to panic the reactor thread, taking every connection
 /// with it, and an infinite deadline was simply accepted), and the reactor
-/// goes on serving everyone else.
+/// goes on serving everyone else. So is an integer its field cannot hold:
+/// decoded with `as`, tenant 2³² + 5 spoke for tenant 5, a node count of −1
+/// became `usize::MAX`, and sequence 1.5 was answered as sequence 1.
 #[test]
-fn a_hostile_task_fails_its_own_connection_and_the_reactor_serves_on() {
+fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
     use rtdls_edge::codec::{encode_frame, Direction, HEADER_LEN};
 
     let mut gateway = sharded(2);
@@ -424,6 +426,9 @@ fn a_hostile_task_fails_its_own_connection_and_the_reactor_serves_on() {
         ),
         (&submit, "\"rel_deadline\":50000.0", "\"rel_deadline\":0.0"),
         (&explain, "\"data_size\":100.0", "\"data_size\":0"),
+        (&submit, "\"tenant\":0", "\"tenant\":4294967301"),
+        (&submit, "\"user_nodes\":null", "\"user_nodes\":-1"),
+        (&submit, "\"seq\":1,", "\"seq\":1.5,"),
     ];
     for (k, (payload, field, poison)) in hostile.into_iter().enumerate() {
         assert!(payload.contains(field), "{field} not in {payload}");
@@ -471,8 +476,8 @@ fn a_hostile_task_fails_its_own_connection_and_the_reactor_serves_on() {
     }
     assert_eq!(
         server.gateway().metrics().submitted,
-        5,
-        "none of the hostile tasks was submitted"
+        8,
+        "none of the hostile submits reached the gateway"
     );
 }
 

@@ -184,14 +184,6 @@ pub fn run_sweep(jobs: &[SweepJob], opts: &RunOptions) -> Vec<PointResult> {
         .collect()
 }
 
-// `PointResult` must be cloneable for the Mutex<Vec<Option<…>>> pattern.
-impl PointResult {
-    /// Convenience accessor: the figure value (mean reject ratio).
-    pub fn mean_reject_ratio(&self) -> f64 {
-        self.summary.mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,12 +70,13 @@ impl From<rtdls_core::error::ModelError> for JournalError {
 
 /// The complete durable image of a gateway (see the module docs).
 ///
-/// Deserialization is hand-written: the reservation/tenant/quota fields
-/// arrived with the v2 request/verdict redesign, and a WAL written before
-/// it (whose snapshots lack them) must still recover — missing fields
-/// default to an empty reservation book, an empty ledger, and unlimited
-/// quotas, which is exactly the pre-redesign behavior.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+/// The `#[serde(default)]` fields arrived after WALs were already on
+/// disk — `reservations`, `ledger` and `quota` with the v2 request/verdict
+/// redesign, `slo` with the SLO engine, `epoch` with replication — and an
+/// image without them restores as what the gateway did before each: an
+/// empty reservation book, an empty ledger, unlimited quotas, a fresh
+/// default-policy tracker, epoch 0.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GatewaySnapshot {
     /// Whether the gateway has more than one shard. Derived from the
     /// shard count on capture and ignored on restore; kept so the image's
@@ -85,9 +86,9 @@ pub struct GatewaySnapshot {
     pub params: ClusterParams,
     /// Scheduling policy × partitioning strategy.
     pub algorithm: AlgorithmKind,
-    /// Routing policy. Always written; `None` only in images of the
-    /// retired single-cluster gateway type, which restore as one shard
-    /// (where every policy routes alike).
+    /// Routing policy. Always written (so a missing key is damage); `None`
+    /// only in images of the retired single-cluster gateway type, which
+    /// restore as one shard (where every policy routes alike).
     pub routing: Option<Routing>,
     /// Round-robin routing cursor.
     pub cursor: usize,
@@ -96,10 +97,13 @@ pub struct GatewaySnapshot {
     /// The defer queue: policy, ticket-id counter, parked tickets.
     pub defer: DeferState,
     /// The reservation book: ticket counter plus live reservations.
+    #[serde(default)]
     pub reservations: ReservationState,
     /// Waiting-task → tenant ownership pairs.
+    #[serde(default)]
     pub ledger: TenantLedgerState,
     /// The per-tenant quota policy in force.
+    #[serde(default)]
     pub quota: QuotaPolicy,
     /// Cumulative service metrics.
     pub metrics: MetricsSnapshot,
@@ -110,6 +114,7 @@ pub struct GatewaySnapshot {
     /// and latched breach counts. Sim-time driven and deterministic, so it
     /// snapshots like any other gateway book; a recovered gateway resumes
     /// alarming exactly where the crashed one stopped.
+    #[serde(default)]
     pub slo: SloTracker,
     /// Promotion epoch the snapshot was journaled under. [`capture`]
     /// (which is epoch-unaware) leaves it 0; the journaling wrapper stamps
@@ -118,39 +123,8 @@ pub struct GatewaySnapshot {
     /// promotion bumps it, fencing the previous primary's late appends.
     ///
     /// [`capture`]: Recoverable::capture
+    #[serde(default)]
     pub epoch: u64,
-}
-
-impl Deserialize for GatewaySnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::{field, field_or_default};
-        Ok(GatewaySnapshot {
-            sharded: field(v, "sharded")?,
-            params: field(v, "params")?,
-            algorithm: field(v, "algorithm")?,
-            // `routing` predates the redesign: every writer serializes it
-            // (null in legacy single-cluster images), so a missing key is
-            // corruption and must fail like any other v1 field.
-            routing: field(v, "routing")?,
-            cursor: field(v, "cursor")?,
-            shards: field(v, "shards")?,
-            defer: field(v, "defer")?,
-            // v2 request/verdict fields: absent in pre-redesign WALs.
-            reservations: field_or_default(v, "reservations")?,
-            ledger: field_or_default(v, "ledger")?,
-            quota: match v.get("quota") {
-                Some(q) => QuotaPolicy::from_value(q)?,
-                None => QuotaPolicy::default(),
-            },
-            metrics: field(v, "metrics")?,
-            resolutions: field(v, "resolutions")?,
-            // SLO-engine field: absent in pre-SLO WALs, where a fresh
-            // default-policy tracker is exactly the pre-SLO behavior.
-            slo: field_or_default(v, "slo")?,
-            // Replication field: pre-replication WALs are all epoch 0.
-            epoch: field_or_default(v, "epoch")?,
-        })
-    }
 }
 
 impl GatewaySnapshot {

@@ -1,19 +1,29 @@
-//! The on-disk record framing: length-prefixed, checksummed, append-only.
+//! The frame header every transport shares, and the journal's on-disk
+//! framing on top of it: length-prefixed, checksummed, append-only.
 //!
 //! Every record travels in one *frame*:
 //!
 //! ```text
 //! offset  size  field
-//! 0       2     magic  "RJ"
-//! 2       1     format version (currently 1)
-//! 3       1     record kind (1 = event, 2 = snapshot)
+//! 0       2     magic: "RJ" journal, "RE" edge, "RS" replication ship
+//! 2       1     header layout version (currently 1)
+//! 3       1     tag: the transport's own byte (journal: record kind,
+//!               1 = event, 2 = snapshot; edge: direction; ship: 1)
 //! 4       4     payload length, u32 little-endian
-//! 8       8     FNV-1a 64 checksum over kind byte + payload, u64 LE
+//! 8       8     FNV-1a 64 checksum over tag byte + payload, u64 LE
 //! 16      len   payload (UTF-8 JSON via the in-repo serde stand-ins)
 //! ```
 //!
-//! The decoder walks frames front to back and stops at the first anomaly,
-//! classifying the tail:
+//! The layout is built in one function, [`write_frame`], and validated in
+//! one, [`parse_header`] (magic, version, and the length against the
+//! caller's cap *before* anyone sizes a buffer by it); [`Header::verifies`]
+//! is the checksum. The journal decodes a byte image at rest
+//! ([`decode_frames`], [`frame_count`]); the edge's streaming
+//! `FrameDecoder` and the ship transport's blocking `read_msg` sit on the
+//! same two functions with their own magic, tag meaning and cap.
+//!
+//! The journal's decoder walks frames front to back and stops at the first
+//! anomaly, classifying the tail:
 //!
 //! * **Truncated** — the final frame's header or payload is cut short
 //!   (a torn write: the process died mid-`write`). Everything before it is
@@ -25,38 +35,114 @@
 //! Either way a recovery loses at most the records at the damaged tail —
 //! never an earlier one — which is exactly the write-ahead-log contract.
 
-/// Frame magic: `RJ` (rtdls journal).
+/// Journal frame magic: `RJ` (rtdls journal).
 pub const MAGIC: [u8; 2] = *b"RJ";
 
-/// Current format version.
+/// Current header layout version, shared by all three transports.
 pub const VERSION: u8 = 1;
 
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 16;
 
-/// What a frame's payload contains.
+/// The edge's default cap on one frame's payload length (1 MiB — a submit
+/// request is a few hundred bytes, so this is generous headroom, not a
+/// limit anyone honest hits).
+pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
+
+/// The ship transport's cap on one message. A message is one journal frame
+/// as a JSON byte array (≤ 4 characters a byte) plus its spans; the largest
+/// frame the biggest benchmark fleet journals (`recover`: 8 shards, 12 000
+/// requests) is a 28 168-byte snapshot, 94 397 bytes as a message, so 64 MiB
+/// refuses a hostile prefix with ≈ 700× headroom over a real one
+/// (`edge/tests/mutation.rs` ships that fleet's snapshot).
+pub const MAX_SHIP_FRAME: usize = 64 << 20;
+
+/// The fields of a header that passed [`parse_header`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Header {
+    /// The transport's tag byte (not interpreted here).
+    pub tag: u8,
+    /// Payload length, already held against the caller's cap.
+    pub len: usize,
+    /// The checksum the writer computed over tag + payload.
+    pub checksum: u64,
+}
+
+impl Header {
+    /// Whether `payload` is what the writer checksummed.
+    #[inline]
+    pub fn verifies(&self, payload: &[u8]) -> bool {
+        checksum(self.tag, payload) == self.checksum
+    }
+}
+
+/// Why sixteen bytes are not a header of the expected transport.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HeaderError {
+    /// Not this transport's framing, in words.
+    Corrupt(&'static str),
+    /// The declared payload length, which exceeds the caller's cap.
+    Oversized(usize),
+}
+
+/// Appends one frame to `out`: the 16-byte header, then `payload`. The one
+/// place the header layout is constructed.
+///
+/// Panics on a payload of 4 GiB or more, which the length field cannot
+/// state; every caller frames its own serialization of one record.
+#[inline]
+pub fn write_frame(magic: [u8; 2], tag: u8, payload: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(payload.len()).expect("frame payload under 4 GiB");
+    out.reserve(HEADER_LEN + payload.len());
+    out.extend_from_slice(&magic);
+    out.push(VERSION);
+    out.push(tag);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&checksum(tag, payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Parses and validates one header: the one place the layout is read. The
+/// length is checked against `max_len` here, so a caller never sizes a
+/// buffer by a length that has not been capped.
+#[inline]
+pub fn parse_header(
+    bytes: &[u8; HEADER_LEN],
+    magic: [u8; 2],
+    max_len: usize,
+) -> Result<Header, HeaderError> {
+    if bytes[0..2] != magic {
+        return Err(HeaderError::Corrupt("bad magic"));
+    }
+    if bytes[2] != VERSION {
+        return Err(HeaderError::Corrupt("unknown framing version"));
+    }
+    let len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
+    if len > max_len {
+        return Err(HeaderError::Oversized(len));
+    }
+    Ok(Header {
+        tag: bytes[3],
+        len,
+        checksum: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
+    })
+}
+
+/// What a frame's payload contains; the discriminant is the header tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RecordKind {
     /// One [`JournalEvent`](crate::event::JournalEvent).
-    Event,
+    Event = 1,
     /// One [`GatewaySnapshot`](crate::snapshot::GatewaySnapshot).
-    Snapshot,
+    Snapshot = 2,
 }
 
 impl RecordKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            RecordKind::Event => 1,
-            RecordKind::Snapshot => 2,
-        }
-    }
-
     fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            1 => Some(RecordKind::Event),
-            2 => Some(RecordKind::Snapshot),
-            _ => None,
-        }
+        [RecordKind::Event, RecordKind::Snapshot]
+            .into_iter()
+            .find(|kind| *kind as u8 == b)
     }
 }
 
@@ -106,8 +192,8 @@ pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// through it.
 ///
 /// `#[inline]` is measured, not decoration: every WAL and edge frame is
-/// checksummed, and with the two calls in [`checksum`] left out of line
-/// the durable edge read ≈ 5 % more reactor CPU per request.
+/// checksummed, and with the two calls in the frame checksum left out of
+/// line the durable edge read ≈ 5 % more reactor CPU per request.
 #[inline]
 pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
@@ -118,39 +204,39 @@ pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64 over the kind byte followed by the payload. Not
+/// FNV-1a 64 over the tag byte followed by the payload. Not
 /// cryptographic — it detects torn writes and bit rot, which is all a
 /// single-writer WAL needs.
-pub fn checksum(kind: u8, payload: &[u8]) -> u64 {
-    fnv1a64(fnv1a64(FNV_OFFSET, &[kind]), payload)
+fn checksum(tag: u8, payload: &[u8]) -> u64 {
+    fnv1a64(fnv1a64(FNV_OFFSET, &[tag]), payload)
 }
 
 /// Encodes one record into its frame bytes.
 pub fn encode_frame(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(kind.to_byte());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(kind.to_byte(), payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    write_frame(MAGIC, kind as u8, payload, &mut out);
     out
 }
 
-/// How many whole frames `run` holds, by walking the length prefixes alone
-/// (no checksum, no payload copy) — what a sink needs to account a
-/// multi-frame write. Stops at the first frame cut short; `run` is trusted
-/// to be the journal's own encoding, so magic and checksums are not
+/// The journal's own length cap: none beyond the field's width. A WAL is
+/// this process's own writing, decoded in place from an image already in
+/// memory — nothing is allocated from the prefix — and a compacting
+/// snapshot may be large.
+const NO_CAP: usize = u32::MAX as usize;
+
+/// How many whole frames `run` holds, by walking the headers alone (no
+/// checksum, no payload copy) — what a sink needs to account a multi-frame
+/// write. Stops at the first frame cut short or not a journal header;
+/// `run` is trusted to be the journal's own encoding, so checksums are not
 /// re-verified here (that is [`decode_frames`]' job on the read side).
 pub fn frame_count(run: &[u8]) -> usize {
     let mut frames = 0;
-    let mut pos = 0;
-    while run.len() - pos >= HEADER_LEN {
-        let len = u32::from_le_bytes(run[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-        if run.len() - pos - HEADER_LEN < len {
-            break;
+    let mut rest = run;
+    while let Some((head, body)) = rest.split_first_chunk::<HEADER_LEN>() {
+        match parse_header(head, MAGIC, NO_CAP) {
+            Ok(header) if header.len <= body.len() => rest = &body[header.len..],
+            _ => break,
         }
-        pos += HEADER_LEN + len;
         frames += 1;
     }
     frames
@@ -162,23 +248,19 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, TailStatus) {
     let mut frames = Vec::new();
     let mut pos = 0;
     while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < HEADER_LEN {
+        let Some((head, body)) = bytes[pos..].split_first_chunk::<HEADER_LEN>() else {
             return (frames, TailStatus::Truncated { offset: pos });
-        }
-        if rest[0..2] != MAGIC || rest[2] != VERSION {
-            return (frames, TailStatus::Corrupt { offset: pos });
-        }
-        let Some(kind) = RecordKind::from_byte(rest[3]) else {
+        };
+        let Ok(header) = parse_header(head, MAGIC, NO_CAP) else {
             return (frames, TailStatus::Corrupt { offset: pos });
         };
-        let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        let crc = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        if rest.len() < HEADER_LEN + len {
+        let Some(kind) = RecordKind::from_byte(header.tag) else {
+            return (frames, TailStatus::Corrupt { offset: pos });
+        };
+        let Some(payload) = body.get(..header.len) else {
             return (frames, TailStatus::Truncated { offset: pos });
-        }
-        let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-        if checksum(rest[3], payload) != crc {
+        };
+        if !header.verifies(payload) {
             return (frames, TailStatus::Corrupt { offset: pos });
         }
         frames.push(Frame {
@@ -186,7 +268,7 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, TailStatus) {
             offset: pos,
             payload: payload.to_vec(),
         });
-        pos += HEADER_LEN + len;
+        pos += HEADER_LEN + header.len;
     }
     (frames, TailStatus::Clean)
 }

@@ -426,6 +426,51 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
     );
 }
 
+/// A frame whose checksum holds but whose payload carries an integer its
+/// field cannot hold (a damaged writer, a hand-edited log) is a decode
+/// error. Narrowed with `as`, tenant 2³² + 5 replayed as tenant 5 and the
+/// node index −1 as `usize::MAX`.
+#[test]
+fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() {
+    use rtdls_journal::wire::{encode_frame, RecordKind};
+    let gateway = ShardedGateway::new(
+        params(),
+        1,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    let genesis = serde_json::to_string(&gateway.capture()).unwrap();
+    let submitted = serde_json::to_string(&JournalEvent::RequestSubmitted {
+        request: SubmitRequest::new(Task::new(1, 0.0, 100.0, 1e6)).with_tenant(TenantId(5)),
+        at: SimTime::ZERO,
+    })
+    .unwrap();
+    let completed = serde_json::to_string(&JournalEvent::Completed {
+        node: 1,
+        at: SimTime::ZERO,
+    })
+    .unwrap();
+    for (event, field, poison, ty) in [
+        (&submitted, "\"tenant\":5", "\"tenant\":4294967301", "u32"),
+        (&completed, "\"node\":1", "\"node\":-1", "usize"),
+    ] {
+        assert!(event.contains(field), "{field} not in {event}");
+        let mut wal = encode_frame(RecordKind::Snapshot, genesis.as_bytes());
+        wal.extend(encode_frame(
+            RecordKind::Event,
+            event.replace(field, poison).as_bytes(),
+        ));
+        match recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None) {
+            Err(JournalError::Corrupt(why)) => assert!(why.contains(ty), "{poison}: {why}"),
+            Err(other) => panic!("{poison}: {other}"),
+            Ok(_) => panic!("{poison} replayed as some other value"),
+        }
+    }
+}
+
 /// The deterministic EDF priority-inversion scenario on one 16-node shard:
 /// all nodes committed to t=1000, a snug all-node OPR task waiting, and a
 /// small earlier-deadline candidate that must be Reserved at t=1000.

@@ -2,9 +2,12 @@
 //!
 //! The sim harness proves the protocol correct under seeded faults; this
 //! module carries the *identical* messages over a real socket for the
-//! `failover` example and ops smoke tests. Framing is deliberately boring:
-//! each message is its JSON encoding behind a little-endian `u32` length
-//! prefix — torn reads surface as short frames, never as misparsed ones.
+//! `failover` example and ops smoke tests. Each message is its JSON
+//! encoding in one frame of the workspace's header codec
+//! ([`rtdls_journal::wire`], the header the journal and the edge use) under
+//! the magic `RS`: the length prefix is held against [`MAX_SHIP_FRAME`]
+//! before a byte of payload is read, and the checksum catches what a bare
+//! length prefix would pass on as a misparsed message.
 //!
 //! Two small blocking endpoints:
 //!
@@ -26,36 +29,58 @@ use std::time::{Duration, Instant};
 
 use rtdls_core::prelude::SimTime;
 use rtdls_journal::prelude::Recoverable;
+use rtdls_journal::wire::{parse_header, write_frame, HEADER_LEN, MAX_SHIP_FRAME};
 
 use crate::follower::Follower;
 use crate::ship::ShipMsg;
 
-/// Writes one length-prefixed message.
-pub fn write_msg(stream: &mut TcpStream, msg: &ShipMsg) -> io::Result<()> {
-    let body = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "message too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(body.as_bytes())
+/// Frame magic: `RS` (rtdls ship).
+pub const MAGIC: [u8; 2] = *b"RS";
+
+/// The header tag of a ship frame; the payload is always one [`ShipMsg`].
+const TAG: u8 = 1;
+
+fn invalid(reason: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
 }
 
-/// Reads one length-prefixed message. `Ok(None)` means clean EOF at a
-/// frame boundary; timeouts surface as `WouldBlock`/`TimedOut` errors.
+/// Writes one message as one frame.
+pub fn write_msg(stream: &mut TcpStream, msg: &ShipMsg) -> io::Result<()> {
+    let body = serde_json::to_string(msg).map_err(invalid)?;
+    if body.len() > MAX_SHIP_FRAME {
+        return Err(invalid("message exceeds the ship frame cap"));
+    }
+    let mut frame = Vec::new();
+    write_frame(MAGIC, TAG, body.as_bytes(), &mut frame);
+    stream.write_all(&frame)
+}
+
+/// Reads one framed message. `Ok(None)` means clean EOF at a frame
+/// boundary; timeouts surface as `WouldBlock`/`TimedOut` errors; a header
+/// that is not a ship header, a length beyond the cap, a checksum mismatch
+/// or an undecodable payload is `InvalidData`, after which the stream has
+/// lost its framing and must be dropped.
 pub fn read_msg(stream: &mut TcpStream) -> io::Result<Option<ShipMsg>> {
-    let mut len = [0u8; 4];
-    match stream.read_exact(&mut len) {
+    let mut head = [0u8; HEADER_LEN];
+    match stream.read_exact(&mut head) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    stream.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let msg = serde_json::from_str(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(Some(msg))
+    let header = parse_header(&head, MAGIC, MAX_SHIP_FRAME)
+        .map_err(|e| invalid(format!("bad ship frame header: {e:?}")))?;
+    // Sized for an ordinary message up front; beyond that it grows with what
+    // arrives, never by what the prefix announces.
+    let mut body = Vec::with_capacity(header.len.min(1 << 16));
+    Read::take(&mut *stream, header.len as u64).read_to_end(&mut body)?;
+    if body.len() < header.len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    if header.tag != TAG || !header.verifies(&body) {
+        return Err(invalid("ship frame fails its tag or checksum"));
+    }
+    let text = String::from_utf8(body).map_err(invalid)?;
+    serde_json::from_str(&text).map(Some).map_err(invalid)
 }
 
 /// The primary-side socket: sends frames/heartbeats, polls for acks.
@@ -139,10 +164,7 @@ impl<G: Recoverable> FollowerServer<G> {
                 Ok(Some(msg)) => {
                     processed += 1;
                     let now = self.now();
-                    let reply = self
-                        .follower
-                        .on_msg(now, msg)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                    let reply = self.follower.on_msg(now, msg).map_err(invalid)?;
                     if let Some(ack) = reply {
                         if peer_writable {
                             match write_msg(&mut stream, &ack) {
@@ -189,29 +211,105 @@ impl<G: Recoverable> FollowerServer<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::follower::FollowerConfig;
+    use rtdls_service::prelude::ShardedGateway;
+
+    /// Runs `peer` against a fresh loopback connection and hands back the
+    /// accepted side.
+    fn accept_from(peer: impl FnOnce(TcpStream) + Send + 'static) -> TcpStream {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || peer(TcpStream::connect(addr).unwrap()));
+        let (stream, _) = listener.accept().unwrap();
+        peer.join().unwrap();
+        stream
+    }
+
+    /// The bytes `write_msg` puts on the wire for `msg`.
+    fn wire_bytes(msg: &ShipMsg) -> Vec<u8> {
+        let msg = msg.clone();
+        let mut stream = accept_from(move |mut s| write_msg(&mut s, &msg).unwrap());
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// What `read_msg` makes of a peer that writes `bytes` and hangs up.
+    fn read_back(bytes: Vec<u8>) -> io::Result<Option<ShipMsg>> {
+        read_msg(&mut accept_from(move |mut s| s.write_all(&bytes).unwrap()))
+    }
 
     #[test]
     fn messages_round_trip_the_wire_framing() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let msgs = vec![
             ShipMsg::frame(3, 17, vec![0, 1, 2, 254, 255]),
             ShipMsg::Heartbeat { epoch: 3, head: 18 },
             ShipMsg::Ack { seq: 18 },
         ];
         let sent = msgs.clone();
-        let writer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = accept_from(move |mut s| {
             for m in &sent {
-                write_msg(&mut stream, m).unwrap();
+                write_msg(&mut s, m).unwrap();
             }
         });
-        let (mut stream, _) = listener.accept().unwrap();
         let mut got = Vec::new();
         while let Some(m) = read_msg(&mut stream).unwrap() {
             got.push(m);
         }
-        writer.join().unwrap();
         assert_eq!(got, msgs);
+    }
+
+    #[test]
+    fn a_hostile_or_damaged_frame_is_invalid_data() {
+        let good = wire_bytes(&ShipMsg::Heartbeat { epoch: 3, head: 18 });
+        assert_eq!(&good[..2], b"RS");
+        assert_eq!(
+            read_back(good.clone()).unwrap(),
+            Some(ShipMsg::Heartbeat { epoch: 3, head: 18 })
+        );
+        let mut oversized = good[..HEADER_LEN].to_vec();
+        oversized[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bad_magic = good.clone();
+        bad_magic[..4].copy_from_slice(&[0xFF; 4]);
+        let mut flipped = good.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        for (what, bytes) in [
+            ("oversized prefix", oversized),
+            ("bad magic", bad_magic),
+            ("flipped payload byte", flipped),
+        ] {
+            let err = read_back(bytes).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // A frame cut short is a torn stream, not a framing violation.
+        let err = read_back(good[..good.len() - 3].to_vec()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_framing_violation_ends_its_connection_and_keeps_the_follower() {
+        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut server = FollowerServer::bind("127.0.0.1:0", follower).unwrap();
+        let addr = server.local_addr().unwrap();
+        let beat = ShipMsg::Heartbeat { epoch: 0, head: 0 };
+        let peers = std::thread::spawn(move || {
+            let mut hostile = TcpStream::connect(addr).unwrap();
+            write_msg(&mut hostile, &beat).unwrap();
+            let mut prefix = wire_bytes(&beat)[..HEADER_LEN].to_vec();
+            prefix[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+            hostile.write_all(&prefix).unwrap();
+            // Stays open: the server must hang up on the header alone.
+            let mut honest = TcpStream::connect(addr).unwrap();
+            write_msg(&mut honest, &beat).unwrap();
+            drop(honest);
+            hostile
+        });
+        let silence = Duration::from_secs(10);
+        let err = server.serve_connection(silence).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(server.follower().stats().heartbeats, 1);
+        assert_eq!(server.serve_connection(silence).unwrap(), 1);
+        assert_eq!(server.follower().stats().heartbeats, 2);
+        drop(peers.join().unwrap());
     }
 }

@@ -196,20 +196,10 @@ impl ServiceBook {
         self.explain_enabled = on;
     }
 
-    /// Whether refusal verdicts carry explanations.
-    pub fn explanations_enabled(&self) -> bool {
-        self.explain_enabled
-    }
-
     /// Drains the SLO-breach audit records cut since the last call (for
     /// write-ahead journaling; process-local, like `activation_log`).
     pub fn take_breach_log(&mut self) -> Vec<SloBreach> {
         std::mem::take(&mut self.breach_log)
-    }
-
-    /// Breach records currently awaiting a journal drain.
-    pub fn pending_breaches(&self) -> &[SloBreach] {
-        &self.breach_log
     }
 
     /// A tenant's most recently decided task ids, oldest first.

@@ -39,12 +39,35 @@ pub struct DeferPolicy {
     pub max_queue: usize,
     /// Re-tests per sweep (caps the per-event admission work; the sweep
     /// resumes from the oldest ticket next time, preserving age priority).
+    #[serde(with = "unlimited_as_minus_one")]
     pub retest_budget: usize,
     /// Maximum simulated-time age of a ticket: a ticket parked for longer
     /// than this expires on the next sweep even if its latest feasible start
     /// has not passed. `None` (default) leaves the latest feasible start as
     /// the only time bound.
     pub max_age: Option<f64>,
+}
+
+/// The wire form of [`DeferPolicy::retest_budget`]: `usize::MAX` (no cap,
+/// the default) is `-1` in every WAL written so far — the serializer used to
+/// render a `usize` through `i64` — so that one value keeps that encoding in
+/// both directions. Any other negative is damage, as for every `usize`.
+mod unlimited_as_minus_one {
+    use serde::{Deserialize, Error, Serialize, Value};
+
+    pub fn to_value(budget: &usize) -> Value {
+        match *budget {
+            usize::MAX => Value::Int(-1),
+            capped => capped.to_value(),
+        }
+    }
+
+    pub fn from_value(v: &Value) -> Result<usize, Error> {
+        match v {
+            Value::Int(-1) => Ok(usize::MAX),
+            other => usize::from_value(other),
+        }
+    }
 }
 
 impl Default for DeferPolicy {
@@ -59,19 +82,20 @@ impl Default for DeferPolicy {
 }
 
 /// A parked near-miss task.
-///
-/// Deserialization is hand-written: the tenant/QoS fields arrived with the
-/// v2 request/verdict redesign, and tickets journaled before it must still
-/// restore (they default to the anonymous tenant 0, Standard tier).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DeferTicket {
     /// Monotonic ticket id (issue order = age order).
     pub id: u64,
     /// The parked task.
     pub task: Task,
-    /// The tenant whose quota this ticket counts against.
+    /// The tenant whose quota this ticket counts against. Absent in
+    /// tickets journaled before the v2 request/verdict redesign, which
+    /// restore as the anonymous tenant 0.
+    #[serde(default)]
     pub tenant: TenantId,
-    /// The QoS class of the original request.
+    /// The QoS class of the original request (Standard when absent, as
+    /// for `tenant`).
+    #[serde(default)]
     pub qos: QosClass,
     /// When the task was parked.
     pub deferred_at: SimTime,
@@ -82,22 +106,6 @@ pub struct DeferTicket {
     pub cause: Infeasible,
     /// Re-tests attempted so far.
     pub retries: u32,
-}
-
-impl Deserialize for DeferTicket {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::{field, field_or_default};
-        Ok(DeferTicket {
-            id: field(v, "id")?,
-            task: field(v, "task")?,
-            tenant: field_or_default(v, "tenant")?,
-            qos: field_or_default(v, "qos")?,
-            deferred_at: field(v, "deferred_at")?,
-            latest_start: field(v, "latest_start")?,
-            cause: field(v, "cause")?,
-            retries: field(v, "retries")?,
-        })
-    }
 }
 
 /// Why a ticket left the queue.

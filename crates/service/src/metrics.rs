@@ -1,160 +1,19 @@
 //! Gateway observability: decision counters, defer-queue accounting, and
 //! per-decision latency histograms — plus the serializable
 //! [`MetricsSnapshot`] a journal persists so a recovered gateway keeps its
-//! cumulative counters and histograms instead of resetting to zero.
+//! cumulative counters and histograms instead of resetting to zero. The
+//! histogram is `rtdls-telemetry`'s [`LatencyHistogram`], re-exported here
+//! under the name (and with the serialized shape) snapshots have always
+//! held.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{Infeasible, TenantId};
 
-/// A log₂-bucketed latency histogram over nanoseconds.
-///
-/// Bucket `i` holds samples in `[2^i, 2^(i+1))` ns; quantiles are read off
-/// the bucket boundaries (≤ 2× resolution error, plenty for admission-path
-/// latencies that span orders of magnitude).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum_ns: u128,
-    max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Fresh, empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: Duration) {
-        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
-        let bucket = (64 - ns.leading_zeros()).saturating_sub(1).min(63) as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Largest recorded sample in nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// The occupied buckets as `(upper_bound_ns, count)` pairs, bounds
-    /// ascending — the exposition shape the telemetry registry ingests.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (1u64 << (i + 1).min(63), n))
-            .collect()
-    }
-
-    /// Sum of all recorded samples in nanoseconds (saturating).
-    pub fn sum_ns(&self) -> u64 {
-        self.sum_ns.min(u64::MAX as u128) as u64
-    }
-
-    /// Upper bucket bound (ns) below which `q` of the samples fall
-    /// (`q ∈ [0, 1]`; 0 when empty).
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max_ns
-    }
-}
-
-// Hand-written serde: the in-repo derive stand-in has no fixed-size-array
-// support, so the 64 buckets travel as a sequence. Trailing zero buckets are
-// dropped on the way out to keep snapshots small.
-impl Serialize for LatencyHistogram {
-    fn to_value(&self) -> serde::Value {
-        let used = 64 - self.buckets.iter().rev().take_while(|&&b| b == 0).count();
-        serde::Value::Map(vec![
-            (
-                "buckets".to_string(),
-                self.buckets[..used].to_vec().to_value(),
-            ),
-            ("count".to_string(), self.count.to_value()),
-            (
-                "sum_ns".to_string(),
-                (self.sum_ns.min(u64::MAX as u128) as u64).to_value(),
-            ),
-            ("max_ns".to_string(), self.max_ns.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LatencyHistogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let flat: Vec<u64> = serde::helpers::field(v, "buckets")?;
-        if flat.len() > 64 {
-            return Err(serde::Error::msg("histogram has more than 64 buckets"));
-        }
-        let mut buckets = [0u64; 64];
-        buckets[..flat.len()].copy_from_slice(&flat);
-        Ok(LatencyHistogram {
-            buckets,
-            count: serde::helpers::field(v, "count")?,
-            sum_ns: serde::helpers::field::<u64>(v, "sum_ns")? as u128,
-            max_ns: serde::helpers::field(v, "max_ns")?,
-        })
-    }
-}
-
-impl fmt::Display for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1}µs p50≤{:.1}µs p90≤{:.1}µs p99≤{:.1}µs max={:.1}µs",
-            self.count,
-            self.mean_ns() / 1e3,
-            self.quantile_ns(0.50) as f64 / 1e3,
-            self.quantile_ns(0.90) as f64 / 1e3,
-            self.quantile_ns(0.99) as f64 / 1e3,
-            self.max_ns as f64 / 1e3,
-        )
-    }
-}
+pub use rtdls_telemetry::LatencyHistogram;
 
 /// Cumulative per-tenant decision counters plus the tenant's own decision
 /// latency histogram. Lives inside [`TenantMetrics`], keyed by tenant id.
@@ -322,11 +181,11 @@ impl RejectionCauses {
 /// [`ServiceMetrics`] embeds it directly (reachable through `Deref`), so
 /// the two can never drift apart field-wise.
 ///
-/// Deserialization is hand-written (see below): the reservation/tenant
-/// fields arrived with the v2 request/verdict redesign, and snapshots
-/// journaled before it must still restore — missing fields default to
-/// zero/empty.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+/// The fields marked `#[serde(default)]` arrived with the v2
+/// request/verdict redesign (`reserved` … `throttled`) and the explain/SLO
+/// layer (`rejection_causes`, `tenants`); snapshots journaled before them
+/// restore with zero/empty there.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Tasks submitted (single and batched).
     pub submitted: u64,
@@ -362,53 +221,29 @@ pub struct MetricsSnapshot {
     /// Tasks that went through the batched path.
     pub batch_tasks: u64,
     /// Reservations booked (`Verdict::Reserved`).
+    #[serde(default)]
     pub reserved: u64,
     /// Reservations whose activation admission test passed at `start_at`.
+    #[serde(default)]
     pub reservations_activated: u64,
     /// Reservations whose activation test failed (the book changed under
     /// the promise); the task fell back to the defer-or-reject protocol.
+    #[serde(default)]
     pub reservation_misses: u64,
     /// Reservations flushed unactivated when the stream ended.
+    #[serde(default)]
     pub reservations_flushed: u64,
     /// Requests refused over tenant quota, before any admission test.
+    #[serde(default)]
     pub throttled: u64,
     /// Rejections broken down by [`Infeasible`] cause.
+    #[serde(default)]
     pub rejection_causes: RejectionCauses,
     /// Per-tenant decision counters and latency histograms.
+    #[serde(default)]
     pub tenants: TenantMetrics,
     /// Wall-clock latency of each admission decision.
     pub decision_latency: LatencyHistogram,
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::{field, field_or_default};
-        Ok(MetricsSnapshot {
-            submitted: field(v, "submitted")?,
-            accepted_immediate: field(v, "accepted_immediate")?,
-            rejected_immediate: field(v, "rejected_immediate")?,
-            deferred: field(v, "deferred")?,
-            rescued: field(v, "rescued")?,
-            defer_evicted: field(v, "defer_evicted")?,
-            defer_expired: field(v, "defer_expired")?,
-            defer_flushed: field(v, "defer_flushed")?,
-            demoted: field(v, "demoted")?,
-            demote_rejected: field(v, "demote_rejected")?,
-            retests: field(v, "retests")?,
-            batch_calls: field(v, "batch_calls")?,
-            batch_tasks: field(v, "batch_tasks")?,
-            // v2 request/verdict fields: absent in pre-redesign snapshots.
-            reserved: field_or_default(v, "reserved")?,
-            reservations_activated: field_or_default(v, "reservations_activated")?,
-            reservation_misses: field_or_default(v, "reservation_misses")?,
-            reservations_flushed: field_or_default(v, "reservations_flushed")?,
-            throttled: field_or_default(v, "throttled")?,
-            // Added with the explain/SLO layer: absent in older snapshots.
-            rejection_causes: field_or_default(v, "rejection_causes")?,
-            tenants: field_or_default(v, "tenants")?,
-            decision_latency: field(v, "decision_latency")?,
-        })
-    }
 }
 
 impl MetricsSnapshot {
@@ -580,23 +415,7 @@ impl fmt::Display for ServiceMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_bracket_samples() {
-        let mut h = LatencyHistogram::new();
-        for us in [1u64, 2, 4, 8, 100, 1000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 6);
-        assert!(h.mean_ns() > 0.0);
-        // p50 bound is at least the 3rd smallest sample and at most 2× it.
-        let p50 = h.quantile_ns(0.5);
-        assert!(p50 >= 4_000, "p50 {p50}");
-        assert!(p50 <= 16_000, "p50 {p50}");
-        // p100 bound covers the max.
-        assert!(h.quantile_ns(1.0) >= h.max_ns() || h.quantile_ns(1.0) >= 1_000_000);
-        assert!(h.max_ns() >= 1_000_000);
-    }
+    use std::time::Duration;
 
     #[test]
     fn rates_and_totals_are_consistent() {

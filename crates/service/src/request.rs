@@ -21,9 +21,8 @@ use rtdls_sim::frontend::SubmitOutcome;
 
 /// The gateway's admission verdict.
 ///
-/// Serialization is hand-written (the derive stand-in does not cover the
-/// omitted-when-absent field below): unit variants render as strings, the
-/// data-bearing ones as single-key objects — `"Accepted"`,
+/// Unit variants render as strings, the data-bearing ones as single-key
+/// objects — `"Accepted"`,
 /// `{"Reserved":{"start_at":…, "ticket":…}}`, `{"Deferred":{"ticket":…}}`,
 /// `{"Rejected":{"cause":…}}`, `"Throttled"` — which is the network edge's
 /// wire representation, so the encoding is part of the protocol surface,
@@ -34,7 +33,7 @@ use rtdls_sim::frontend::SubmitOutcome;
 /// an **additive** wire field: the `explain` key is emitted only when
 /// present, so verdicts without one encode byte-identically to the
 /// pre-explain protocol, and decoders treat an absent key as `None`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Verdict {
     /// Admitted now; the deadline guarantee holds from this instant.
     Accepted,
@@ -54,6 +53,7 @@ pub enum Verdict {
         /// The defer ticket id.
         ticket: u64,
         /// Why the admission test failed, when explanation is enabled.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         explain: Option<AdmissionExplanation>,
     },
     /// Rejected for good.
@@ -61,6 +61,7 @@ pub enum Verdict {
         /// The binding infeasibility cause.
         cause: Infeasible,
         /// Why, in detail, when explanation is enabled.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         explain: Option<AdmissionExplanation>,
     },
     /// Refused before the admission test ran: the tenant is over quota.
@@ -123,72 +124,6 @@ impl Verdict {
     }
 }
 
-impl Serialize for Verdict {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        match self {
-            Verdict::Accepted => Value::Str("Accepted".to_string()),
-            Verdict::Reserved { start_at, ticket } => Value::Map(vec![(
-                "Reserved".to_string(),
-                Value::Map(vec![
-                    ("start_at".to_string(), start_at.to_value()),
-                    ("ticket".to_string(), ticket.to_value()),
-                ]),
-            )]),
-            Verdict::Deferred { ticket, explain } => {
-                let mut body = vec![("ticket".to_string(), ticket.to_value())];
-                if let Some(e) = explain {
-                    body.push(("explain".to_string(), e.to_value()));
-                }
-                Value::Map(vec![("Deferred".to_string(), Value::Map(body))])
-            }
-            Verdict::Rejected { cause, explain } => {
-                let mut body = vec![("cause".to_string(), cause.to_value())];
-                if let Some(e) = explain {
-                    body.push(("explain".to_string(), e.to_value()));
-                }
-                Value::Map(vec![("Rejected".to_string(), Value::Map(body))])
-            }
-            Verdict::Throttled => Value::Str("Throttled".to_string()),
-        }
-    }
-}
-
-impl Deserialize for Verdict {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::{field, field_or_default};
-        use serde::Value;
-        match v {
-            Value::Str(s) if s == "Accepted" => Ok(Verdict::Accepted),
-            Value::Str(s) if s == "Throttled" => Ok(Verdict::Throttled),
-            Value::Map(entries) if entries.len() == 1 => {
-                let (variant, body) = &entries[0];
-                match variant.as_str() {
-                    "Reserved" => Ok(Verdict::Reserved {
-                        start_at: field(body, "start_at")?,
-                        ticket: field(body, "ticket")?,
-                    }),
-                    "Deferred" => Ok(Verdict::Deferred {
-                        ticket: field(body, "ticket")?,
-                        // Additive: absent on pre-explain encodings.
-                        explain: field_or_default(body, "explain")?,
-                    }),
-                    "Rejected" => Ok(Verdict::Rejected {
-                        cause: field(body, "cause")?,
-                        explain: field_or_default(body, "explain")?,
-                    }),
-                    other => Err(serde::Error::msg(format!(
-                        "unknown Verdict variant `{other}`"
-                    ))),
-                }
-            }
-            other => Err(serde::Error::msg(format!(
-                "expected Verdict, found {other:?}"
-            ))),
-        }
-    }
-}
-
 impl From<Verdict> for SubmitOutcome {
     /// What the simulation engine sees of a verdict: both parked outcomes
     /// are `Pending` (they resolve later through the frontend's resolution
@@ -209,11 +144,8 @@ impl From<Verdict> for SubmitOutcome {
 ///
 /// Like [`DeferPolicy`](crate::defer::DeferPolicy), the quota policy is
 /// part of the gateway's durable state: journals persist it so a recovered
-/// gateway throttles exactly as the live one did. Deserialization is
-/// hand-written: `max_shard_inflight` arrived with quota-aware routing,
-/// and snapshots written before it must still restore (it defaults to
-/// unlimited, the pre-existing behavior).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+/// gateway throttles exactly as the live one did.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuotaPolicy {
     /// Maximum undispatched liabilities (waiting + deferred + reserved
     /// tasks) per tenant; `None` = unlimited.
@@ -231,6 +163,9 @@ pub struct QuotaPolicy {
     /// the admission test, like the other limits. On a one-shard gateway
     /// there is nowhere to spread to, so it simply caps the tenant's
     /// waiting tasks (still throttling before the admission test).
+    /// Arrived with quota-aware routing: absent in earlier snapshots,
+    /// where unlimited is what the gateway did.
+    #[serde(default)]
     pub max_shard_inflight: Option<u32>,
     /// Whether [`QosClass::Premium`] submissions bypass both limits.
     pub exempt_premium: bool,
@@ -244,19 +179,6 @@ impl Default for QuotaPolicy {
             max_shard_inflight: None,
             exempt_premium: true,
         }
-    }
-}
-
-impl Deserialize for QuotaPolicy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::{field, field_or_default};
-        Ok(QuotaPolicy {
-            max_inflight: field(v, "max_inflight")?,
-            max_reservations: field(v, "max_reservations")?,
-            // Added with quota-aware routing: absent in earlier snapshots.
-            max_shard_inflight: field_or_default(v, "max_shard_inflight")?,
-            exempt_premium: field(v, "exempt_premium")?,
-        })
     }
 }
 

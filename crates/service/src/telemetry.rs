@@ -69,7 +69,7 @@ pub fn fold_service_metrics(reg: &mut MetricsRegistry, metrics: &ServiceMetrics)
     reg.histogram(
         "rtdls_decision_latency_ns",
         &[],
-        metrics.decision_latency.nonzero_buckets(),
+        metrics.decision_latency.occupied().collect(),
         metrics.decision_latency.count(),
         metrics.decision_latency.sum_ns() as f64,
     );

@@ -223,12 +223,6 @@ impl<F: Frontend> Simulation<F> {
         &self.ctl
     }
 
-    /// Mutable access to the admission frontend (e.g. to read-and-reset its
-    /// accounting mid-run).
-    pub fn frontend_mut(&mut self) -> &mut F {
-        &mut self.ctl
-    }
-
     /// Swaps in a replacement frontend mid-run and returns the old one — the
     /// restart half of a crash/recovery fault injection. The engine keeps
     /// its own cluster bookkeeping (running tasks, node completions, pending

@@ -21,6 +21,7 @@
 //! violations, slow-consumer evictions, and crash recovery — the in-memory
 //! black box for the incidents that matter.
 
+mod histogram;
 mod history;
 mod profiler;
 mod recorder;
@@ -28,8 +29,9 @@ mod registry;
 mod span;
 mod window;
 
+pub use histogram::LatencyHistogram;
 pub use history::{HistoryConfig, SeriesPoint, TimeSeriesStore};
-pub use profiler::{render_tree, PhaseProfile, Profiler, PROFILE_BUCKETS};
+pub use profiler::{render_tree, PhaseProfile, Profiler};
 pub use recorder::FlightRecorder;
 pub use registry::{HistogramSample, MetricKind, MetricSample, MetricsRegistry};
 pub use span::{Span, Stage};

@@ -16,10 +16,10 @@
 //! [`Profiler::fold_metrics`] exposes the same data as one
 //! `rtdls_profile_ns` histogram per phase.
 //!
-//! Buckets are exponential: bound *i* is `2^(6+i)` nanoseconds, covering
-//! 64 ns up to ~8.6 s in 28 buckets — wide enough for a single branch and
-//! a batch fsync on the same scale, coarse enough that a phase histogram
-//! is a fixed 28-slot array.
+//! A phase's histogram is the workspace's one [`LatencyHistogram`] (log₂
+//! buckets, bound `2^(i+1)` over `[2^i, 2^(i+1))` ns): a single branch and
+//! a batch fsync sit on the same scale, and the quantiles here are the
+//! same walk every other latency series in the stack reports.
 //!
 //! [`Telemetry`]: crate::Telemetry
 
@@ -28,59 +28,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{HistogramSample, MetricsRegistry};
-
-/// Number of exponential buckets per phase histogram.
-pub const PROFILE_BUCKETS: usize = 28;
-
-/// Exponent of the first bucket bound (`2^6` = 64 ns).
-const FIRST_EXP: u32 = 6;
-
-/// Upper bound of bucket `i` in nanoseconds: `2^(6+i)`.
-pub fn bucket_bound(i: usize) -> u64 {
-    1u64 << (FIRST_EXP + i as u32)
-}
-
-fn bucket_index(ns: u64) -> usize {
-    let mut i = 0;
-    while i + 1 < PROFILE_BUCKETS && ns > bucket_bound(i) {
-        i += 1;
-    }
-    i
-}
-
-/// One phase's fixed-size histogram.
-#[derive(Clone, Debug)]
-struct PhaseHist {
-    counts: [u64; PROFILE_BUCKETS],
-    count: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl PhaseHist {
-    fn new() -> Self {
-        PhaseHist {
-            counts: [0; PROFILE_BUCKETS],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
-    }
-
-    fn observe(&mut self, ns: u64) {
-        self.counts[bucket_index(ns)] += 1;
-        self.count += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    fn buckets(&self) -> Vec<(u64, u64)> {
-        (0..PROFILE_BUCKETS)
-            .map(|i| (bucket_bound(i), self.counts[i]))
-            .collect()
-    }
-}
+use crate::{LatencyHistogram, MetricsRegistry};
 
 /// One phase's summary, the wire/report shape of a profiler snapshot.
 ///
@@ -142,7 +90,7 @@ pub fn render_tree(phases: &[PhaseProfile]) -> String {
 
 #[derive(Debug)]
 struct ProfInner {
-    phases: Mutex<Vec<(&'static str, PhaseHist)>>,
+    phases: Mutex<Vec<(&'static str, LatencyHistogram)>>,
 }
 
 /// The profiling handle threaded next to the [`Telemetry`] handle.
@@ -196,10 +144,10 @@ impl Profiler {
         let Some(inner) = &self.inner else { return };
         if let Ok(mut phases) = inner.phases.lock() {
             match phases.iter_mut().find(|(p, _)| *p == path) {
-                Some((_, hist)) => hist.observe(ns),
+                Some((_, hist)) => hist.record_ns(ns),
                 None => {
-                    let mut hist = PhaseHist::new();
-                    hist.observe(ns);
+                    let mut hist = LatencyHistogram::new();
+                    hist.record_ns(ns);
                     phases.push((path, hist));
                 }
             }
@@ -212,7 +160,7 @@ impl Profiler {
             Some(inner) => inner
                 .phases
                 .lock()
-                .map(|p| p.iter().map(|(_, h)| h.count).sum())
+                .map(|p| p.iter().map(|(_, h)| h.count()).sum())
                 .unwrap_or(0),
             None => 0,
         }
@@ -230,23 +178,14 @@ impl Profiler {
         };
         let mut out: Vec<PhaseProfile> = phases
             .iter()
-            .map(|(path, hist)| {
-                let sample = HistogramSample {
-                    name: path.to_string(),
-                    labels: Vec::new(),
-                    buckets: hist.buckets(),
-                    count: hist.count,
-                    sum: hist.sum_ns as f64,
-                };
-                PhaseProfile {
-                    path: path.to_string(),
-                    count: hist.count,
-                    total_ns: hist.sum_ns,
-                    max_ns: hist.max_ns,
-                    p50_ns: sample.quantile(0.50),
-                    p90_ns: sample.quantile(0.90),
-                    p99_ns: sample.quantile(0.99),
-                }
+            .map(|(path, hist)| PhaseProfile {
+                path: path.to_string(),
+                count: hist.count(),
+                total_ns: hist.sum_ns(),
+                max_ns: hist.max_ns(),
+                p50_ns: hist.quantile_ns(0.50),
+                p90_ns: hist.quantile_ns(0.90),
+                p99_ns: hist.quantile_ns(0.99),
             })
             .collect();
         out.sort_by(|a, b| a.path.cmp(&b.path));
@@ -254,7 +193,7 @@ impl Profiler {
     }
 
     /// Folds every phase into `reg` as an `rtdls_profile_ns` histogram
-    /// labeled `phase=<path>`. No-op when disabled.
+    /// labeled `phase=<path>` (occupied buckets only). No-op when disabled.
     pub fn fold_metrics(&self, reg: &mut MetricsRegistry) {
         let Some(inner) = &self.inner else { return };
         let Ok(phases) = inner.phases.lock() else {
@@ -264,9 +203,9 @@ impl Profiler {
             reg.histogram(
                 "rtdls_profile_ns",
                 &[("phase", path)],
-                hist.buckets(),
-                hist.count,
-                hist.sum_ns as f64,
+                hist.occupied().collect(),
+                hist.count(),
+                hist.sum_ns() as f64,
             );
         }
     }
@@ -288,15 +227,6 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         p.fold_metrics(&mut reg);
         assert!(reg.histograms().is_empty());
-    }
-
-    #[test]
-    fn exponential_buckets_cover_and_clamp() {
-        assert_eq!(bucket_bound(0), 64);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(64), 0);
-        assert_eq!(bucket_index(65), 1);
-        assert_eq!(bucket_index(u64::MAX), PROFILE_BUCKETS - 1);
     }
 
     #[test]

@@ -53,18 +53,7 @@ pub struct HistogramSample {
 impl HistogramSample {
     /// Upper bucket bound below which fraction `q` of samples fall.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for &(bound, n) in &self.buckets {
-            seen += n;
-            if seen >= target {
-                return bound;
-            }
-        }
-        self.buckets.last().map(|&(b, _)| b).unwrap_or(0)
+        crate::histogram::quantile(self.buckets.iter().copied(), self.count, q)
     }
 }
 
@@ -287,62 +276,6 @@ mod tests {
         assert_eq!(get("lat_p50"), 10.0);
         assert_eq!(get("lat_p90"), 10.0);
         assert_eq!(get("lat_p99"), 100.0);
-    }
-
-    #[test]
-    fn quantile_of_an_empty_histogram_is_zero() {
-        let h = HistogramSample {
-            name: "empty".to_string(),
-            labels: vec![],
-            buckets: vec![(10, 0), (100, 0)],
-            count: 0,
-            sum: 0.0,
-        };
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0);
-        }
-        let no_buckets = HistogramSample {
-            name: "bare".to_string(),
-            labels: vec![],
-            buckets: vec![],
-            count: 0,
-            sum: 0.0,
-        };
-        assert_eq!(no_buckets.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn quantile_of_a_single_sample_is_its_bucket_at_every_q() {
-        let h = HistogramSample {
-            name: "one".to_string(),
-            labels: vec![],
-            buckets: vec![(10, 0), (100, 1), (1000, 0)],
-            count: 1,
-            sum: 42.0,
-        };
-        // Every quantile of a one-sample distribution is that sample's
-        // bucket bound — including q=0, which still targets the first
-        // sample, never an empty bucket below it.
-        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 100, "q={q}");
-        }
-    }
-
-    #[test]
-    fn quantile_with_all_samples_in_one_bucket_is_flat() {
-        let h = HistogramSample {
-            name: "flat".to_string(),
-            labels: vec![],
-            buckets: vec![(10, 0), (100, 50), (1000, 0)],
-            count: 50,
-            sum: 0.0,
-        };
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 100, "q={q}");
-        }
-        // Out-of-range q clamps rather than walking off the buckets.
-        assert_eq!(h.quantile(-1.0), 100);
-        assert_eq!(h.quantile(2.0), 100);
     }
 
     #[test]

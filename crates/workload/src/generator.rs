@@ -79,11 +79,6 @@ impl WorkloadGenerator {
     pub fn spec(&self) -> &WorkloadSpec {
         &self.spec
     }
-
-    /// Generates the full task set (all arrivals within the horizon).
-    pub fn collect_all(self) -> Vec<Task> {
-        self.collect()
-    }
 }
 
 impl Iterator for WorkloadGenerator {
