@@ -83,29 +83,21 @@ impl std::error::Error for AdmissionFailure {}
 // display string — in results output, in journaled `cause` fields and on the
 // edge wire — not by variant name.
 impl Serialize for Infeasible {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
+    fn write_json(&self, out: &mut Vec<u8>) {
+        self.as_str().write_json(out)
     }
 }
 
 impl Deserialize for Infeasible {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn read_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::Error> {
         // The inverse of `Display`. The type is journaled and sent on the
         // edge wire, so a damaged or foreign cause is an error, never a
         // silently substituted one.
-        let s = String::from_value(v)?;
-        match s.as_str() {
-            "deadline passes before any node is available" => Ok(Infeasible::DeadlineBeforeStart),
-            "not enough time to transmit the input data" => Ok(Infeasible::NoTimeForTransmission),
-            "no node count within the cluster meets the deadline" => Ok(Infeasible::NotEnoughNodes),
-            "user-split node request cannot meet the deadline" => {
-                Ok(Infeasible::UserRequestInfeasible)
-            }
-            "estimated completion exceeds the deadline" => Ok(Infeasible::CompletionAfterDeadline),
-            _ => Err(serde::Error::msg(format!(
-                "unknown infeasibility cause {s:?}"
-            ))),
-        }
+        let s = p.string()?;
+        Infeasible::ALL
+            .into_iter()
+            .find(|cause| cause.as_str() == s)
+            .ok_or_else(|| serde::Error::msg(format!("unknown infeasibility cause {s:?}")))
     }
 }
 
@@ -518,17 +510,13 @@ mod tests {
 
     #[test]
     fn infeasible_round_trips_and_refuses_unknown_causes() {
-        for cause in [
-            Infeasible::DeadlineBeforeStart,
-            Infeasible::NoTimeForTransmission,
-            Infeasible::NotEnoughNodes,
-            Infeasible::UserRequestInfeasible,
-            Infeasible::CompletionAfterDeadline,
-        ] {
-            assert_eq!(Infeasible::from_value(&cause.to_value()), Ok(cause));
+        for cause in Infeasible::ALL {
+            let json = serde_json::to_string(&cause).unwrap();
+            assert_eq!(json, format!("{:?}", cause.to_string()));
+            assert_eq!(serde_json::from_str::<Infeasible>(&json), Ok(cause));
         }
-        let foreign = serde::Value::Str("estimated completion exceeds the dead1ine".into());
-        assert!(Infeasible::from_value(&foreign).is_err());
+        let foreign = "\"estimated completion exceeds the dead1ine\"";
+        assert!(serde_json::from_str::<Infeasible>(foreign).is_err());
     }
 
     #[test]

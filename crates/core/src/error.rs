@@ -39,16 +39,31 @@ pub enum Infeasible {
     CompletionAfterDeadline,
 }
 
-impl fmt::Display for Infeasible {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Infeasible {
+    /// Every cause.
+    pub const ALL: [Infeasible; 5] = [
+        Infeasible::DeadlineBeforeStart,
+        Infeasible::NoTimeForTransmission,
+        Infeasible::NotEnoughNodes,
+        Infeasible::UserRequestInfeasible,
+        Infeasible::CompletionAfterDeadline,
+    ];
+
+    /// The sentence the cause displays as — and journals and travels as.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Infeasible::DeadlineBeforeStart => "deadline passes before any node is available",
             Infeasible::NoTimeForTransmission => "not enough time to transmit the input data",
             Infeasible::NotEnoughNodes => "no node count within the cluster meets the deadline",
             Infeasible::UserRequestInfeasible => "user-split node request cannot meet the deadline",
             Infeasible::CompletionAfterDeadline => "estimated completion exceeds the deadline",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Infeasible {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -61,13 +76,7 @@ mod tests {
     #[test]
     fn displays_are_informative() {
         assert!(ModelError::InvalidParams("x").to_string().contains("x"));
-        for e in [
-            Infeasible::DeadlineBeforeStart,
-            Infeasible::NoTimeForTransmission,
-            Infeasible::NotEnoughNodes,
-            Infeasible::UserRequestInfeasible,
-            Infeasible::CompletionAfterDeadline,
-        ] {
+        for e in Infeasible::ALL {
             assert!(!e.to_string().is_empty());
         }
     }

@@ -93,14 +93,24 @@ impl Task {
 // Hand-written for a reason a derive cannot state: the five fields read as
 // the derive would read them, then the whole task goes through `check()`.
 impl Deserialize for Task {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::field;
+    fn read_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::Error> {
+        use serde::de::required;
+        let (mut id, mut arrival, mut data_size, mut rel_deadline, mut user_nodes) =
+            (None, None, None, None, None);
+        p.object(|p, key| match key {
+            "id" => p.field(&mut id, key),
+            "arrival" => p.field(&mut arrival, key),
+            "data_size" => p.field(&mut data_size, key),
+            "rel_deadline" => p.field(&mut rel_deadline, key),
+            "user_nodes" => p.field(&mut user_nodes, key),
+            _ => p.skip(),
+        })?;
         let task = Task {
-            id: field(v, "id")?,
-            arrival: field(v, "arrival")?,
-            data_size: field(v, "data_size")?,
-            rel_deadline: field(v, "rel_deadline")?,
-            user_nodes: field(v, "user_nodes")?,
+            id: required(id, "id")?,
+            arrival: required(arrival, "arrival")?,
+            data_size: required(data_size, "data_size")?,
+            rel_deadline: required(rel_deadline, "rel_deadline")?,
+            user_nodes: required(user_nodes, "user_nodes")?,
         };
         task.check().map_err(serde::Error::msg)?;
         Ok(task)

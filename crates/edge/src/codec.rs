@@ -88,17 +88,11 @@ impl std::error::Error for WireError {}
 
 /// Encodes one message payload into its frame bytes.
 pub fn encode_frame(direction: Direction, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_frame_into(direction, payload, &mut out);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    write_frame(MAGIC, direction as u8, &mut out, |out| {
+        out.extend_from_slice(payload)
+    });
     out
-}
-
-/// Encodes one message payload into `out` (cleared first) — the
-/// allocation-free path for callers that recycle frame buffers (the
-/// reactor's per-connection buffer pool).
-pub fn encode_frame_into(direction: Direction, payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    write_frame(MAGIC, direction as u8, payload, out);
 }
 
 /// Incremental frame decoder over an arbitrary chunking of the stream.

@@ -1,6 +1,9 @@
 //! The edge protocol messages: what travels inside the codec's frames.
 //!
-//! One JSON message per frame. The client speaks [`ClientMsg`]
+//! One JSON message per frame, rendered straight into the frame's buffer
+//! and decoded straight from its bytes: no `String` or value tree between,
+//! and nesting deeper than 128 is a decode error, not a stack overflow. The
+//! client speaks [`ClientMsg`]
 //! (client → server frames), the server [`ServerMsg`]. The conversation:
 //!
 //! 1. On accept, the server pushes [`ServerMsg::Hello`]. A client may send
@@ -28,7 +31,9 @@ use rtdls_core::prelude::{AdmissionExplanation, SubmitRequest};
 use rtdls_service::prelude::{DecisionUpdate, SloStatusRow, Verdict};
 use rtdls_telemetry::{MetricSample, PhaseProfile, SeriesPoint, Span};
 
-use crate::codec::{encode_frame, Direction};
+use rtdls_journal::wire::write_frame;
+
+use crate::codec::{Direction, MAGIC};
 
 /// Version of the message vocabulary (bumped on incompatible change; the
 /// codec's framing version is independent).
@@ -203,37 +208,44 @@ pub enum ServerMsg {
     },
 }
 
-/// Encodes one client message into a complete wire frame.
+/// `msg` as one frame at the end of `out`: rendered straight from the typed
+/// message into the destination, header patched in afterwards.
+fn frame<T: Serialize>(direction: Direction, msg: &T, mut out: Vec<u8>) -> Vec<u8> {
+    write_frame(MAGIC, direction as u8, &mut out, |out| {
+        serde_json::to_writer(out, msg).expect("protocol messages are serializable")
+    });
+    out
+}
+
+/// Encodes one client message into a complete wire frame (sized for a
+/// submit, ≈ 230 bytes, rather than grown into).
 pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
-    let payload = serde_json::to_string(msg).expect("client messages are serializable");
-    encode_frame(Direction::FromClient, payload.as_bytes())
+    frame(Direction::FromClient, msg, Vec::with_capacity(256))
 }
 
 /// Encodes one server message into a complete wire frame.
 pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
-    let payload = serde_json::to_string(msg).expect("server messages are serializable");
-    encode_frame(Direction::FromServer, payload.as_bytes())
+    frame(Direction::FromServer, msg, Vec::with_capacity(256))
 }
 
 /// Encodes one server message into a recycled frame buffer (cleared
 /// first). The reactor's per-connection buffer pool uses this to keep the
-/// reply path free of per-frame `Vec` allocations; the bytes produced are
+/// reply path free of per-frame allocations; the bytes produced are
 /// identical to [`encode_server`]'s.
 pub fn encode_server_into(msg: &ServerMsg, out: &mut Vec<u8>) {
-    let payload = serde_json::to_string(msg).expect("server messages are serializable");
-    crate::codec::encode_frame_into(Direction::FromServer, payload.as_bytes(), out);
+    out.clear();
+    *out = frame(Direction::FromServer, msg, std::mem::take(out));
 }
 
-/// Decodes one frame payload as a client message.
+/// Decodes one frame payload as a client message: from the frame's bytes
+/// to the typed value, no tree in between.
 pub fn decode_client(payload: &[u8]) -> Result<ClientMsg, serde::Error> {
-    let text = std::str::from_utf8(payload).map_err(|e| serde::Error::msg(e.to_string()))?;
-    serde_json::from_str(text)
+    serde_json::from_slice(payload)
 }
 
 /// Decodes one frame payload as a server message.
 pub fn decode_server(payload: &[u8]) -> Result<ServerMsg, serde::Error> {
-    let text = std::str::from_utf8(payload).map_err(|e| serde::Error::msg(e.to_string()))?;
-    serde_json::from_str(text)
+    serde_json::from_slice(payload)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use std::io::{ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
 
 use rtdls_core::prelude::SimTime;
+use rtdls_telemetry::Profiler;
 
 use crate::codec::FrameDecoder;
 use crate::proto::{encode_server_into, ClientMsg, ServerMsg};
@@ -79,10 +80,13 @@ impl Conn {
         }
     }
 
-    /// Encodes `msg` into a recycled buffer and queues it.
-    pub(crate) fn enqueue(&mut self, msg: &ServerMsg) {
+    /// Encodes `msg` into a recycled buffer (the `edge/encode` phase) and
+    /// queues it.
+    pub(crate) fn enqueue(&mut self, msg: &ServerMsg, profiler: &Profiler) {
         let mut buf = self.pool.pop().unwrap_or_default();
+        let started = profiler.start();
         encode_server_into(msg, &mut buf);
+        profiler.stop("edge/encode", started);
         self.outq.push_back(buf);
     }
 

@@ -51,21 +51,6 @@ pub(crate) struct ConnTransfer {
     pub carried: ClientMsg,
 }
 
-/// What one decode step produced (the borrow of the decoder's buffer ends
-/// before the message is handled).
-enum Step {
-    /// A complete, well-formed client frame.
-    Msg(ClientMsg),
-    /// A complete frame that failed to decode (counted as received).
-    Undecodable(String),
-    /// A server-direction frame on the inbound path.
-    Misdirected,
-    /// A stream-level framing violation (not counted as a frame).
-    Wire(String),
-    /// Need more bytes.
-    Incomplete,
-}
-
 /// Binds a non-blocking listener and a selector that already watches it.
 /// Every failure — bind, `epoll_create1`, the wake pipe, registering the
 /// listener — is the caller's `io::Error`: there is no second serving loop
@@ -184,7 +169,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
     }
 
     /// Turns the always-on hot-path profiler on: reactor turn phases
-    /// (`edge/read`, `edge/drive`, `edge/flush`) and every phase the
+    /// (`edge/read`, `edge/drive`, `edge/flush`; inside them `edge/decode`,
+    /// one per frame received, and `edge/encode`, one per frame queued) and
+    /// every phase the
     /// gateway stack registers (`gateway/plan`, `gateway/reserve`,
     /// `gateway/explain`, `gateway/retest`, `journal/append` (encoding a
     /// frame into the journal's image), `journal/write` (the turn's one
@@ -401,9 +388,10 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     // wait for the first submit's tenant.
                     let pinned = self.home.is_none();
                     let mut conn = Conn::new(id, stream, self.cfg.max_frame_len, pinned);
-                    conn.enqueue(&ServerMsg::Hello {
+                    let hello = ServerMsg::Hello {
                         protocol: PROTOCOL_VERSION,
-                    });
+                    };
+                    conn.enqueue(&hello, &self.profiler);
                     // A socket the selector will not watch would never be
                     // read: it is reaped this turn instead.
                     conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
@@ -471,43 +459,29 @@ impl<G: EdgeGateway> EdgeServer<G> {
             if self.conns[i].draining || self.conns[i].dead || self.conns[i].transfer.is_some() {
                 break;
             }
-            let step = match self.conns[i].decoder.next_frame_ref() {
+            // A complete frame counts as received whatever it holds; a
+            // stream-level framing violation is not a frame.
+            let decoded = match self.conns[i].decoder.next_frame_ref() {
+                Ok(None) => break,
+                Err(e) => Err(e.to_string()),
                 Ok(Some((direction, payload))) => {
+                    self.stats.frames_received += 1;
+                    progressed = true;
                     if direction != Direction::FromClient {
-                        // A server-direction frame on the inbound path
-                        // means a looped or confused peer: fail fast
-                        // instead of misparsing the payload.
-                        Step::Misdirected
+                        // A looped or confused peer: fail fast instead
+                        // of misparsing a server-direction payload.
+                        Err("misdirected frame".to_string())
                     } else {
-                        match decode_client(payload) {
-                            Ok(msg) => Step::Msg(msg),
-                            Err(e) => Step::Undecodable(format!("undecodable message: {e}")),
-                        }
+                        let started = self.profiler.start();
+                        let decoded = decode_client(payload);
+                        self.profiler.stop("edge/decode", started);
+                        decoded.map_err(|e| format!("undecodable message: {e}"))
                     }
                 }
-                Ok(None) => Step::Incomplete,
-                Err(e) => Step::Wire(e.to_string()),
             };
-            match step {
-                Step::Incomplete => break,
-                Step::Msg(msg) => {
-                    self.stats.frames_received += 1;
-                    progressed = true;
-                    self.handle(i, msg, now);
-                }
-                Step::Undecodable(message) => {
-                    self.stats.frames_received += 1;
-                    progressed = true;
-                    self.fail_conn(i, None, message, now);
-                }
-                Step::Misdirected => {
-                    self.stats.frames_received += 1;
-                    progressed = true;
-                    self.fail_conn(i, None, "misdirected frame".to_string(), now);
-                }
-                Step::Wire(message) => {
-                    self.fail_conn(i, None, message, now);
-                }
+            match decoded {
+                Ok(msg) => self.handle(i, msg, now),
+                Err(message) => self.fail_conn(i, None, message, now),
             }
         }
         progressed
@@ -625,11 +599,11 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     task: client_task,
                     verdict,
                 };
-                self.conns[i].enqueue(&reply);
+                self.conns[i].enqueue(&reply, &self.profiler);
             }
             ClientMsg::Ops { query } => {
                 let report = self.ops_report(query, now);
-                self.conns[i].enqueue(&ServerMsg::OpsReport { report });
+                self.conns[i].enqueue(&ServerMsg::OpsReport { report }, &self.profiler);
             }
             ClientMsg::Bye => {
                 self.conns[i].start_draining(now);
@@ -695,7 +669,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         // A protocol violation is a black-box moment: dump the recent
         // flight-recorder tail before answering and draining.
         self.telemetry.dump_to_stderr("protocol violation");
-        self.conns[i].enqueue(&ServerMsg::Error { seq, message });
+        self.conns[i].enqueue(&ServerMsg::Error { seq, message }, &self.profiler);
         self.conns[i].start_draining(now);
     }
 
@@ -728,9 +702,8 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 }
                 // Rewrite back to the id the client knows before the
                 // update leaves the reactor.
-                conn.enqueue(&ServerMsg::Update {
-                    update: update.retagged(client_task),
-                });
+                let update = update.retagged(client_task);
+                conn.enqueue(&ServerMsg::Update { update }, &self.profiler);
                 break 'push true;
             };
             if delivered {

@@ -393,7 +393,10 @@ fn protocol_violations_are_answered_and_close_the_connection() {
 /// with it, and an infinite deadline was simply accepted), and the reactor
 /// goes on serving everyone else. So is an integer its field cannot hold:
 /// decoded with `as`, tenant 2³² + 5 spoke for tenant 5, a node count of −1
-/// became `usize::MAX`, and sequence 1.5 was answered as sequence 1.
+/// became `usize::MAX`, and sequence 1.5 was answered as sequence 1. And so
+/// is nesting deeper than the parser's cap of 128 — a well-framed 10 000
+/// bytes of `[[[[…` used to recurse the reactor's thread off its stack and
+/// abort the process — and a key sent twice, which used to be first-wins.
 #[test]
 fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
     use rtdls_edge::codec::{encode_frame, Direction, HEADER_LEN};
@@ -416,7 +419,14 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
             request: SubmitRequest::new(task),
         },
     });
+    let deep = format!(
+        "\"seq\":1,\"deep\":{}{},",
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
     let hostile = [
+        (&submit, "\"seq\":1,", deep.as_str()),
+        (&submit, "\"seq\":1,", "\"seq\":1,\"seq\":1,"),
         (&submit, "\"data_size\":100.0", "\"data_size\":0"),
         (&submit, "\"data_size\":100.0", "\"data_size\":-100.0"),
         (
@@ -430,8 +440,10 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
         (&submit, "\"user_nodes\":null", "\"user_nodes\":-1"),
         (&submit, "\"seq\":1,", "\"seq\":1.5,"),
     ];
+    let rows = hostile.len() as u64;
     for (k, (payload, field, poison)) in hostile.into_iter().enumerate() {
         assert!(payload.contains(field), "{field} not in {payload}");
+        let poison_name = &poison[..poison.len().min(40)];
         let mut violator = InlineClient::connect(addr);
         assert!(matches!(
             violator.recv(&mut server, now),
@@ -445,12 +457,16 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
         let msg = violator.recv(&mut server, now);
         assert!(
             matches!(&msg, ServerMsg::Error { message, .. } if message.contains("undecodable")),
-            "{poison}: {msg:?}"
+            "{poison_name}: {msg:?}"
         );
         for _ in 0..20 {
             server.poll(now);
         }
-        assert_eq!(server.connections(), 0, "{poison}: violator disconnected");
+        assert_eq!(
+            server.connections(),
+            0,
+            "{poison_name}: violator disconnected"
+        );
         assert_eq!(server.stats().protocol_errors, k as u64 + 1);
 
         // The next connection is served as if nothing had happened.
@@ -466,7 +482,7 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
         let msg = client.recv(&mut server, now);
         assert!(
             matches!(&msg, ServerMsg::Verdict { seq: 7, verdict, .. } if verdict.is_accepted()),
-            "{poison}: {msg:?}"
+            "{poison_name}: {msg:?}"
         );
         client.send(&ClientMsg::Bye);
         for _ in 0..20 {
@@ -476,7 +492,7 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
     }
     assert_eq!(
         server.gateway().metrics().submitted,
-        8,
+        rows,
         "none of the hostile submits reached the gateway"
     );
 }

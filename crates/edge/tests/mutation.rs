@@ -10,7 +10,12 @@
 //! bytes of the frame, or one node of the payload's JSON tree — and allows
 //! two outcomes: an error (on a live reactor, a protocol violation on that
 //! connection alone), or a value that re-encodes to an equal value. Never
-//! a panic, never a buffer sized by what a prefix announces.
+//! a panic, never a buffer sized by what a prefix announces, never a stack
+//! sized by how deep a payload nests.
+//!
+//! Every payload that reaches a typed decoder is also decoded the long way
+//! round — text → `Value` tree → text → type — and the two must agree: the
+//! typed path builds no tree, so the tree is its differential oracle.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -150,7 +155,7 @@ fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
 fn mutate_bytes(rng: &mut SmallRng, bytes: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
     let at = rng.gen_range(0..out.len());
-    match rng.gen_range(0..6u32) {
+    match rng.gen_range(0..7u32) {
         0 => out[at] ^= 1 << rng.gen_range(0..8u32),
         1 => out[at] = rng.gen_range(0..=255u8),
         2 => out.truncate(at),
@@ -164,6 +169,8 @@ fn mutate_bytes(rng: &mut SmallRng, bytes: &[u8]) -> Vec<u8> {
             };
             out[4..8].copy_from_slice(&len.to_le_bytes());
         }
+        // A run of open brackets, deeper than the parser's cap.
+        5 => drop(out.splice(at..at, [b'['; 300])),
         _ => out.extend_from_slice(&bytes[..at]),
     }
     out
@@ -193,7 +200,8 @@ fn count(v: &Value) -> usize {
 /// The JSON of one of `values` with one node replaced by something its
 /// type may not hold, or one key dropped.
 fn mutate_field<T: Serialize>(rng: &mut SmallRng, values: &[T]) -> String {
-    let mut tree = pick(rng, values).to_value();
+    let text = serde_json::to_string(pick(rng, values)).unwrap();
+    let mut tree: Value = serde_json::from_str(&text).unwrap();
     let mut n = rng.gen_range(0..count(&tree));
     let node = nth_mut(&mut tree, &mut n).expect("index within the tree");
     let hostile = [
@@ -212,6 +220,8 @@ fn mutate_field<T: Serialize>(rng: &mut SmallRng, values: &[T]) -> String {
         Value::Str("Accepted".to_string()),
         Value::Seq(vec![Value::Int(1); 70]),
         Value::Map(Vec::new()),
+        // Nested past the parser's cap of 128.
+        (0..200).fold(Value::Int(1), |inner, _| Value::Seq(vec![inner])),
     ];
     match node {
         Value::Map(entries) if !entries.is_empty() && rng.gen_bool(0.5) => {
@@ -228,17 +238,52 @@ fn mutate_field<T: Serialize>(rng: &mut SmallRng, values: &[T]) -> String {
 }
 
 /// The rule of the file: `text` is refused, or is a value that survives its
-/// own encoding.
+/// own encoding — and the tree agrees. Typed decoding of `text` and typed
+/// decoding of `text` taken through a `Value` and rendered back both refuse
+/// or both give the same value, and what the typed encoder writes re-parses
+/// to a tree that renders to the same bytes.
 fn refused_or_stable<T>(text: &str)
 where
     T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
 {
-    if let Ok(value) = serde_json::from_str::<T>(text) {
-        let again = serde_json::to_string(&value).unwrap();
-        match serde_json::from_str::<T>(&again) {
-            Ok(back) => assert_eq!(back, value, "unstable under re-encoding: {text}"),
-            Err(e) => panic!("decoded {text} but not its re-encoding {again}: {e}"),
+    let typed = serde_json::from_str::<T>(text);
+    let by_tree = serde_json::from_str::<Value>(text)
+        .and_then(|tree| serde_json::from_str::<T>(&serde_json::to_string(&tree).unwrap()));
+    match (&typed, &by_tree) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "typed and tree decoding differ: {text}"),
+        (Err(_), Err(_)) => {}
+        _ => panic!("typed {typed:?} but by tree {by_tree:?}: {text}"),
+    }
+    let Ok(value) = typed else {
+        return;
+    };
+    let again = serde_json::to_string(&value).unwrap();
+    let tree: Value = serde_json::from_str(&again).expect("typed encoding is JSON");
+    assert_eq!(serde_json::to_string(&tree).unwrap(), again);
+    match serde_json::from_str::<T>(&again) {
+        Ok(back) => assert_eq!(back, value, "unstable under re-encoding: {text}"),
+        Err(e) => panic!("decoded {text} but not its re-encoding {again}: {e}"),
+    }
+}
+
+#[test]
+fn typed_and_tree_decoding_agree_on_the_whole_corpus() {
+    fn all<T>(msgs: &[T])
+    where
+        T: Serialize + Deserialize + PartialEq + std::fmt::Debug,
+    {
+        for msg in msgs {
+            let text = serde_json::to_string(msg).unwrap();
+            assert_eq!(serde_json::from_str::<T>(&text).as_ref(), Ok(msg), "{text}");
+            refused_or_stable::<T>(&text);
         }
+    }
+    for seed in SEEDS {
+        let corpus = corpus(seed);
+        all(&corpus.client);
+        all(&corpus.server);
+        all(&corpus.ship);
+        all(&corpus.events);
     }
 }
 

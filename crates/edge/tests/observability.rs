@@ -114,3 +114,78 @@ fn promoted_edge_serves_the_cross_node_timeline_over_the_wire() {
     stop.store(true, Ordering::Relaxed);
     let (_gateway, _stats) = handle.join().expect("edge thread");
 }
+
+/// The codec has its own rows in the profiler: over a loopback burst,
+/// `edge/decode` ran once per frame received and `edge/encode` once per
+/// frame queued (every one of which was then sent), nested inside the
+/// turn's `edge/read` / `edge/drive` phases.
+#[test]
+fn the_profiler_counts_one_decode_per_frame_in_and_one_encode_per_frame_out() {
+    use rtdls_edge::codec::{FrameDecoder, DEFAULT_MAX_FRAME};
+    use rtdls_edge::proto::encode_client;
+    use std::io::{Read, Write};
+
+    let gateway = ShardedGateway::new(
+        ClusterParams::paper_baseline(),
+        2,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
+    server.enable_profiler();
+    let now = SimTime::ZERO;
+    let mut client = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_millis(2)))
+        .unwrap();
+
+    // One write of forty submits: every frame in decodes, every frame out
+    // is the hello, a verdict or a pushed update.
+    let submits = 40u64;
+    let mut burst = Vec::new();
+    for seq in 0..submits {
+        burst.extend(encode_client(&ClientMsg::Submit {
+            seq,
+            request: SubmitRequest::new(Task::new(seq, 0.0, 200.0, 2_000.0))
+                .with_max_delay(Some(1_000.0)),
+        }));
+    }
+    client.write_all(&burst).unwrap();
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME);
+    let mut frames_read = 0u64;
+    for _ in 0..2_000 {
+        server.poll(now);
+        let mut buf = [0u8; 8192];
+        if let Ok(n) = client.read(&mut buf) {
+            decoder.push(&buf[..n]);
+        }
+        while decoder.next_frame().unwrap().is_some() {
+            frames_read += 1;
+        }
+        if frames_read > submits && server.stats().frames_sent == frames_read {
+            break;
+        }
+    }
+    let stats = server.stats();
+    assert_eq!(stats.frames_received, submits);
+    assert_eq!(
+        stats.frames_sent,
+        1 + submits + stats.updates_pushed,
+        "hello, one verdict a submit, the pushed updates"
+    );
+    assert_eq!(frames_read, stats.frames_sent, "everything queued was sent");
+    let phases = server.profiler().snapshot();
+    let count = |path: &str| {
+        phases
+            .iter()
+            .find(|p| p.path == path)
+            .unwrap_or_else(|| panic!("no {path} phase in {phases:?}"))
+            .count
+    };
+    assert_eq!(count("edge/decode"), stats.frames_received);
+    assert_eq!(count("edge/encode"), stats.frames_sent);
+    assert!(count("edge/read") > 0 && count("edge/flush") > 0);
+}

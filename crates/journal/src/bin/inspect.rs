@@ -148,13 +148,14 @@ fn render(sources: &[Source<'_>], filter: Option<bool>, limit: usize) -> (Vec<St
         let (frames, tail) = wire::decode_frames(bytes);
         worst = fold_tail(worst, tail);
         for frame in &frames {
-            let payload = String::from_utf8_lossy(&frame.payload);
             let line = match frame.kind {
-                RecordKind::Snapshot => match serde_json::from_str::<GatewaySnapshot>(&payload) {
-                    Ok(snap) => describe_snapshot(&snap),
-                    Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
-                },
-                RecordKind::Event => match serde_json::from_str::<JournalEvent>(&payload) {
+                RecordKind::Snapshot => {
+                    match serde_json::from_slice::<GatewaySnapshot>(&frame.payload) {
+                        Ok(snap) => describe_snapshot(&snap),
+                        Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
+                    }
+                }
+                RecordKind::Event => match serde_json::from_slice::<JournalEvent>(&frame.payload) {
                     Ok(ev) => {
                         if let Some(inputs_only) = filter {
                             if ev.is_input() != inputs_only {
@@ -206,11 +207,10 @@ fn render_json(
             .filter(|f| f.kind == RecordKind::Snapshot)
             .count();
         for frame in &frames {
-            let payload = String::from_utf8_lossy(&frame.payload);
             let (kind, class) = match frame.kind {
                 RecordKind::Snapshot => ("snapshot", None),
                 RecordKind::Event => {
-                    let is_input = serde_json::from_str::<JournalEvent>(&payload)
+                    let is_input = serde_json::from_slice::<JournalEvent>(&frame.payload)
                         .map(|ev| ev.is_input())
                         .ok();
                     if let (Some(inputs_only), Some(is_input)) = (filter, is_input) {
@@ -221,7 +221,7 @@ fn render_json(
                     ("event", is_input)
                 }
             };
-            let record: Value = serde_json::from_str(&payload).unwrap_or_else(|e| {
+            let record: Value = serde_json::from_slice(&frame.payload).unwrap_or_else(|e| {
                 Value::Map(vec![("undecodable".to_string(), Value::Str(e.to_string()))])
             });
             let mut obj = vec![("offset".to_string(), Value::Int(frame.offset as i64))];
@@ -276,9 +276,7 @@ fn segment_epoch(seg: &SegmentFile, frames: &[wire::Frame]) -> Option<u64> {
     frames
         .iter()
         .find(|f| f.kind == RecordKind::Snapshot)
-        .and_then(|f| {
-            serde_json::from_str::<GatewaySnapshot>(&String::from_utf8_lossy(&f.payload)).ok()
-        })
+        .and_then(|f| serde_json::from_slice::<GatewaySnapshot>(&f.payload).ok())
         .map(|s| s.epoch)
 }
 

@@ -1,5 +1,7 @@
 //! The append-only journal: framed records in memory, optionally mirrored
-//! to a durable sink, with periodic compacting snapshots.
+//! to a durable sink, with periodic compacting snapshots. A record is
+//! rendered straight into the image ([`write_frame`]'s in-place form): no
+//! payload `String`, no frame buffer, no copy between them.
 //!
 //! A journal always begins with a **genesis snapshot** — the gateway state
 //! at journal creation — so recovery never needs an out-of-band bootstrap
@@ -15,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use crate::event::JournalEvent;
 use crate::snapshot::{GatewaySnapshot, JournalError};
-use crate::wire::{decode_frames, encode_frame, frame_count, Frame, RecordKind, TailStatus};
+use crate::wire::{decode_frames, frame_count, write_frame, Frame, RecordKind, TailStatus, MAGIC};
 
 /// Journal tunables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -512,16 +514,19 @@ impl Journal {
         self.rewrite_due = false;
     }
 
+    /// Renders `record` as one frame at the end of the image, in place.
+    fn render(&mut self, kind: RecordKind, record: &impl serde::Serialize) {
+        write_frame(MAGIC, kind as u8, &mut self.bytes, |out| {
+            serde_json::to_writer(out, record).expect("record serialization is infallible")
+        });
+    }
+
     /// Appends one event record.
     pub fn append_event(&mut self, ev: &JournalEvent) {
         let started = self.profiler.start();
-        let payload = serde_json::to_string(ev)
-            .expect("event serialization is infallible")
-            .into_bytes();
-        let frame = encode_frame(RecordKind::Event, &payload);
         self.frame_index.push(self.bytes.len());
         self.head_seq += 1;
-        self.bytes.extend_from_slice(&frame);
+        self.render(RecordKind::Event, ev);
         self.events_appended += 1;
         if ev.is_input() {
             self.events_since_snapshot += 1;
@@ -536,28 +541,20 @@ impl Journal {
     /// configured to.
     pub fn append_snapshot(&mut self, snap: &GatewaySnapshot) {
         let started = self.profiler.start();
-        let payload = serde_json::to_string(snap)
-            .expect("snapshot serialization is infallible")
-            .into_bytes();
-        let frame = encode_frame(RecordKind::Snapshot, &payload);
         if self.cfg.compact_on_snapshot {
             self.bytes.clear();
             self.base_seq = self.head_seq;
             self.frame_index.clear();
-            self.frame_index.push(0);
-            self.head_seq += 1;
-            self.bytes.extend_from_slice(&frame);
             // Whatever the sink stores — and whatever of this turn it was
             // still owed — is superseded by this snapshot: the hand-over
             // is now a rewrite, and the superseded frames are never
             // written.
             self.written = 0;
             self.rewrite_due = true;
-        } else {
-            self.frame_index.push(self.bytes.len());
-            self.head_seq += 1;
-            self.bytes.extend_from_slice(&frame);
         }
+        self.frame_index.push(self.bytes.len());
+        self.head_seq += 1;
+        self.render(RecordKind::Snapshot, snap);
         self.events_since_snapshot = 0;
         self.snapshots_appended += 1;
         self.profiler.stop("journal/snapshot", started);
@@ -622,7 +619,7 @@ mod tests {
 
     /// One whole (tiny) frame, for driving a bare sink.
     fn frame() -> Vec<u8> {
-        encode_frame(RecordKind::Event, b"{}")
+        crate::wire::encode_frame(RecordKind::Event, b"{}")
     }
 
     fn snap() -> GatewaySnapshot {

@@ -109,9 +109,7 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
 pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), JournalError> {
     let (snapshot_frame, tail_frames, tail) = split_at_last_snapshot(bytes);
     let snapshot_frame = snapshot_frame.ok_or(JournalError::NoSnapshot)?;
-    let payload = String::from_utf8(snapshot_frame.payload)
-        .map_err(|e| JournalError::Corrupt(e.to_string()))?;
-    let snapshot: GatewaySnapshot = serde_json::from_str(&payload)?;
+    let snapshot: GatewaySnapshot = serde_json::from_slice(&snapshot_frame.payload)?;
     let epoch = snapshot.epoch;
     let mut gateway = G::restore(&snapshot)?;
     let mut events_replayed = 0;
@@ -120,9 +118,7 @@ pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), Journ
     for frame in tail_frames {
         frames_decoded += 1;
         debug_assert_eq!(frame.kind, RecordKind::Event, "snapshot split is exact");
-        let payload =
-            String::from_utf8(frame.payload).map_err(|e| JournalError::Corrupt(e.to_string()))?;
-        let event: JournalEvent = serde_json::from_str(&payload)?;
+        let event: JournalEvent = serde_json::from_slice(&frame.payload)?;
         if event.is_input() {
             apply_event(&mut gateway, &event);
             events_replayed += 1;

@@ -14,8 +14,10 @@
 //! 16      len   payload (UTF-8 JSON via the in-repo serde stand-ins)
 //! ```
 //!
-//! The layout is built in one function, [`write_frame`], and validated in
-//! one, [`parse_header`] (magic, version, and the length against the
+//! The layout is built in one function, [`write_frame`] — the payload is
+//! rendered in place after a reserved header, then length and checksum are
+//! patched in: typed value to framed bytes, no `String` or second copy
+//! between — and validated in one, [`parse_header`] (magic, version, and the length against the
 //! caller's cap *before* anyone sizes a buffer by it); [`Header::verifies`]
 //! is the checksum. The journal decodes a byte image at rest
 //! ([`decode_frames`], [`frame_count`]); the edge's streaming
@@ -85,21 +87,24 @@ pub enum HeaderError {
     Oversized(usize),
 }
 
-/// Appends one frame to `out`: the 16-byte header, then `payload`. The one
-/// place the header layout is constructed.
+/// Appends one frame to `out`, its payload rendered in place: sixteen bytes
+/// are reserved for the header, `render` appends the payload after them (a
+/// serializer writing straight into `out`, or a copy of bytes at hand), and
+/// length and checksum are patched in over what it wrote. The one place
+/// the header layout is constructed.
 ///
 /// Panics on a payload of 4 GiB or more, which the length field cannot
 /// state; every caller frames its own serialization of one record.
 #[inline]
-pub fn write_frame(magic: [u8; 2], tag: u8, payload: &[u8], out: &mut Vec<u8>) {
+pub fn write_frame(magic: [u8; 2], tag: u8, out: &mut Vec<u8>, render: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[magic[0], magic[1], VERSION, tag]);
+    out.extend_from_slice(&[0; HEADER_LEN - 4]);
+    render(out);
+    let (header, payload) = out[at..].split_at_mut(HEADER_LEN);
     let len = u32::try_from(payload.len()).expect("frame payload under 4 GiB");
-    out.reserve(HEADER_LEN + payload.len());
-    out.extend_from_slice(&magic);
-    out.push(VERSION);
-    out.push(tag);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&checksum(tag, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    header[4..8].copy_from_slice(&len.to_le_bytes());
+    header[8..].copy_from_slice(&checksum(tag, payload).to_le_bytes());
 }
 
 /// Parses and validates one header: the one place the layout is read. The
@@ -213,8 +218,10 @@ fn checksum(tag: u8, payload: &[u8]) -> u64 {
 
 /// Encodes one record into its frame bytes.
 pub fn encode_frame(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_frame(MAGIC, kind as u8, payload, &mut out);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    write_frame(MAGIC, kind as u8, &mut out, |out| {
+        out.extend_from_slice(payload)
+    });
     out
 }
 

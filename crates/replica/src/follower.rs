@@ -255,18 +255,16 @@ impl<G: Recoverable> Follower<G> {
             ));
         }
         let record = &frames[0];
-        let payload = std::str::from_utf8(&record.payload)
-            .map_err(|e| JournalError::Corrupt(e.to_string()))?;
         let mut trace = frame.trace;
         let mut task = 0u64;
         match record.kind {
             RecordKind::Snapshot => {
-                let snap: GatewaySnapshot = serde_json::from_str(payload)?;
+                let snap: GatewaySnapshot = serde_json::from_slice(&record.payload)?;
                 self.standby = Some(G::restore(&snap)?);
                 self.stats.snapshots_restored += 1;
             }
             RecordKind::Event => {
-                let event: JournalEvent = serde_json::from_str(payload)?;
+                let event: JournalEvent = serde_json::from_slice(&record.payload)?;
                 if let JournalEvent::RequestSubmitted { request, .. } = &event {
                     // Untraced transports (or a telemetry-off primary)
                     // ship trace 0; the trace minted at submission still

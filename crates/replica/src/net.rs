@@ -46,12 +46,13 @@ fn invalid(reason: impl ToString) -> io::Error {
 
 /// Writes one message as one frame.
 pub fn write_msg(stream: &mut TcpStream, msg: &ShipMsg) -> io::Result<()> {
-    let body = serde_json::to_string(msg).map_err(invalid)?;
-    if body.len() > MAX_SHIP_FRAME {
+    let mut frame = Vec::new();
+    write_frame(MAGIC, TAG, &mut frame, |out| {
+        serde_json::to_writer(out, msg).expect("ship messages are serializable")
+    });
+    if frame.len() - HEADER_LEN > MAX_SHIP_FRAME {
         return Err(invalid("message exceeds the ship frame cap"));
     }
-    let mut frame = Vec::new();
-    write_frame(MAGIC, TAG, body.as_bytes(), &mut frame);
     stream.write_all(&frame)
 }
 
@@ -79,8 +80,7 @@ pub fn read_msg(stream: &mut TcpStream) -> io::Result<Option<ShipMsg>> {
     if header.tag != TAG || !header.verifies(&body) {
         return Err(invalid("ship frame fails its tag or checksum"));
     }
-    let text = String::from_utf8(body).map_err(invalid)?;
-    serde_json::from_str(&text).map(Some).map_err(invalid)
+    serde_json::from_slice(&body).map(Some).map_err(invalid)
 }
 
 /// The primary-side socket: sends frames/heartbeats, polls for acks.
@@ -273,10 +273,18 @@ mod tests {
         bad_magic[..4].copy_from_slice(&[0xFF; 4]);
         let mut flipped = good.clone();
         *flipped.last_mut().unwrap() ^= 0x01;
+        // Well-framed, valid checksum, far under the cap — and 10 000 levels
+        // deep: refused by the parser's nesting cap, not by the stack.
+        let mut nested = Vec::new();
+        write_frame(MAGIC, TAG, &mut nested, |out| {
+            out.extend_from_slice("[".repeat(10_000).as_bytes());
+            out.extend_from_slice("]".repeat(10_000).as_bytes());
+        });
         for (what, bytes) in [
             ("oversized prefix", oversized),
             ("bad magic", bad_magic),
             ("flipped payload byte", flipped),
+            ("payload nested past the depth cap", nested),
         ] {
             let err = read_back(bytes).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");

@@ -103,10 +103,7 @@ pub fn frame_trace(bytes: &[u8]) -> (u64, u64) {
     if frame.kind != RecordKind::Event {
         return (0, 0);
     }
-    let Ok(payload) = std::str::from_utf8(&frame.payload) else {
-        return (0, 0);
-    };
-    match serde_json::from_str::<JournalEvent>(payload) {
+    match serde_json::from_slice::<JournalEvent>(&frame.payload) {
         Ok(JournalEvent::RequestSubmitted { request, .. }) => (request.trace, request.task.id.0),
         _ => (0, 0),
     }

@@ -53,19 +53,20 @@ pub struct DeferPolicy {
 /// render a `usize` through `i64` — so that one value keeps that encoding in
 /// both directions. Any other negative is damage, as for every `usize`.
 mod unlimited_as_minus_one {
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::de::{Number, Parser};
+    use serde::{Error, Serialize};
 
-    pub fn to_value(budget: &usize) -> Value {
+    pub fn write_json(budget: &usize, out: &mut Vec<u8>) {
         match *budget {
-            usize::MAX => Value::Int(-1),
-            capped => capped.to_value(),
+            usize::MAX => (-1i64).write_json(out),
+            capped => capped.write_json(out),
         }
     }
 
-    pub fn from_value(v: &Value) -> Result<usize, Error> {
-        match v {
-            Value::Int(-1) => Ok(usize::MAX),
-            other => usize::from_value(other),
+    pub fn read_json(p: &mut Parser<'_>) -> Result<usize, Error> {
+        match p.number()? {
+            Number::Int(-1) => Ok(usize::MAX),
+            other => other.to_int("usize"),
         }
     }
 }

@@ -124,36 +124,42 @@ impl LatencyHistogram {
 // Hand-written serde, for a reason a derive cannot state: the 64 buckets
 // travel as a sequence with its trailing zero buckets dropped (snapshots
 // hold one histogram per tenant, most of them short), and a sequence longer
-// than 64 is refused rather than truncated.
+// than 64 is refused rather than truncated. The keys and their order are
+// declared once, on the shape both impls go through.
+#[derive(Serialize, Deserialize)]
+struct Wire {
+    buckets: Vec<u64>,
+    count: u64,
+    sum_ns: u64,
+    max_ns: u64,
+}
+
 impl Serialize for LatencyHistogram {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut Vec<u8>) {
         let used = BUCKETS - self.buckets.iter().rev().take_while(|&&b| b == 0).count();
-        serde::Value::Map(vec![
-            (
-                "buckets".to_string(),
-                self.buckets[..used].to_vec().to_value(),
-            ),
-            ("count".to_string(), self.count.to_value()),
-            ("sum_ns".to_string(), self.sum_ns().to_value()),
-            ("max_ns".to_string(), self.max_ns.to_value()),
-        ])
+        let wire = Wire {
+            buckets: self.buckets[..used].to_vec(),
+            count: self.count,
+            sum_ns: self.sum_ns(),
+            max_ns: self.max_ns,
+        };
+        wire.write_json(out)
     }
 }
 
 impl Deserialize for LatencyHistogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::helpers::field;
-        let flat: Vec<u64> = field(v, "buckets")?;
-        if flat.len() > BUCKETS {
+    fn read_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::Error> {
+        let wire = Wire::read_json(p)?;
+        if wire.buckets.len() > BUCKETS {
             return Err(serde::Error::msg("histogram has more than 64 buckets"));
         }
         let mut buckets = [0u64; BUCKETS];
-        buckets[..flat.len()].copy_from_slice(&flat);
+        buckets[..wire.buckets.len()].copy_from_slice(&wire.buckets);
         Ok(LatencyHistogram {
             buckets,
-            count: field(v, "count")?,
-            sum_ns: field::<u64>(v, "sum_ns")? as u128,
-            max_ns: field(v, "max_ns")?,
+            count: wire.count,
+            sum_ns: wire.sum_ns as u128,
+            max_ns: wire.max_ns,
         })
     }
 }
@@ -250,14 +256,10 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record_ns(700);
         h.record_ns(90_000);
-        let v = h.to_value();
-        let buckets: Vec<u64> = serde::helpers::field(&v, "buckets").unwrap();
-        assert_eq!(buckets.len(), 17);
-        assert_eq!(LatencyHistogram::from_value(&v).unwrap(), h);
-        let serde::Value::Map(mut entries) = v else {
-            panic!("not a map");
-        };
-        entries[0].1 = vec![0u64; 65].to_value();
-        assert!(LatencyHistogram::from_value(&serde::Value::Map(entries)).is_err());
+        let json = serde_json::to_string(&h).unwrap();
+        assert_eq!(json.matches(',').count(), 16 + 3, "17 buckets: {json}");
+        assert_eq!(serde_json::from_str::<LatencyHistogram>(&json).unwrap(), h);
+        let wide = json.replacen('[', &format!("[{}", "0,".repeat(48)), 1);
+        assert!(serde_json::from_str::<LatencyHistogram>(&wide).is_err());
     }
 }

@@ -351,7 +351,7 @@ mod tests {
             at: SimTime::new(2.5),
             value: 7.0,
         };
-        let back = SeriesPoint::from_value(&p.to_value()).unwrap();
+        let back: SeriesPoint = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 }

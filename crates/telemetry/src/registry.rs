@@ -286,7 +286,8 @@ mod tests {
             kind: MetricKind::Gauge,
             value: 1.5,
         };
-        assert_eq!(MetricSample::from_value(&s.to_value()).unwrap(), s);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(serde_json::from_str::<MetricSample>(&json).unwrap(), s);
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
             at: SimTime::new(1.5),
             duration_ns: 900,
         };
-        let back = Span::from_value(&s.to_value()).unwrap();
+        let back: Span = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
     }
 
