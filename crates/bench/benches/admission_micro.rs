@@ -9,7 +9,10 @@
 //! `retest_deep` the same ticket asked about again on the unchanged book
 //! (answered from the engine's remembered refusal), `start_search_deep` the
 //! reservation search that follows a refusal (every later dispatch instant
-//! up to the candidate's deadline, less the ones that repeat the last).
+//! up to the candidate's deadline, less the ones that repeat the last),
+//! `explain_deep` that refusal explained (`open` → `finish`: the deadline and
+//! σ bisections and the same start search) — traffic no `BENCHMARK.json`
+//! workload sends a book this deep.
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
 //! queue filled by one same-instant burst. `place` is one fresh walk step on
@@ -141,6 +144,10 @@ fn bench_deep_book(c: &mut Criterion) {
     group.bench_function("start_search_deep", |b| {
         b.iter(|| black_box(ctl.earliest_feasible_start(black_box(&candidate), SimTime::ZERO)))
     });
+    let refused = SubmitRequest::new(candidate);
+    group.bench_function("explain_deep", |b| {
+        b.iter(|| black_box(ctl.explain(black_box(&refused), SimTime::ZERO)))
+    });
     group.finish();
 }
 
@@ -220,10 +227,7 @@ fn bench_place(c: &mut Criterion) {
     // Too tight for the staggered shard now, fine with a longer deadline:
     // the search bisects between the two, a verdict-only step per probe.
     let refused = Task::new(2, 0.0, 200.0, lands_at(12, 0.9));
-    let open = || {
-        ExplainSearch::open(&params, algorithm, &cfg, now, &releases, &[], &refused)
-            .expect("refused")
-    };
+    let open = || ExplainSearch::open(&ctl, &refused, now).expect("refused");
     let mut search = open();
     assert!(search.refine(), "the search has a bracket to halve");
     group.bench_function("verdict_only", |b| {

@@ -9,8 +9,8 @@
 //! alone, so it opens a search per shard, refines them side by side,
 //! abandons a search whose bracket already lies wholly above another's, and
 //! finishes only the winner's. Every probe of one search runs on one
-//! [`ProbeWalk`] — the book is put in policy order once, and each probe
-//! starts from the kept walk state at its own insertion point.
+//! [`ProbeWalk`] over the engine's own book and cache — each probe starts
+//! from the kept walk state at its own insertion point.
 //!
 //! [`open`]: ExplainSearch::open
 //! [`refine`]: ExplainSearch::refine
@@ -18,14 +18,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::algorithm::AlgorithmKind;
 use crate::error::Infeasible;
-use crate::params::ClusterParams;
-use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::Task;
 use crate::time::SimTime;
 
-use super::probe::{earliest_future_start, ProbeWalk};
+use super::probe::ProbeWalk;
+use super::{Admission, AdmissionController};
 
 /// A structured account of why a submission failed the schedulability test
 /// at a given instant, with honest counterfactuals: every suggested value
@@ -137,15 +135,24 @@ impl Bracket {
     }
 }
 
+/// One probe of a deadline search: whether `task` passes with the relative
+/// deadline `d`.
+fn passes_by(walk: &mut ProbeWalk<'_>, task: &Task, d: f64) -> bool {
+    let relaxed = Task {
+        rel_deadline: d,
+        ..*task
+    };
+    walk.probe(&relaxed).is_ok()
+}
+
 /// A refusal explanation in progress: the cause and a bracket around the
 /// counterfactual deadline are known ([`ExplainSearch::open`]), the bracket
 /// can be halved step by step ([`ExplainSearch::refine`]), and the
 /// counterfactual size and start are still to be searched
 /// ([`ExplainSearch::finish`]).
 pub struct ExplainSearch<'a> {
-    /// The book at the refusal's instant; every probe runs on it.
+    /// The engine's book at the refusal's instant; every probe runs on it.
     walk: ProbeWalk<'a>,
-    queue: &'a [(Task, TaskPlan)],
     task: Task,
     cause: Infeasible,
     /// `None` when no feasible deadline was found within the horizon.
@@ -153,7 +160,7 @@ pub struct ExplainSearch<'a> {
 }
 
 impl<'a> ExplainSearch<'a> {
-    /// Runs the Fig. 2 test for `task` at `now` against the given book —
+    /// Runs the Fig. 2 test for `task` at `now` against `engine`'s book —
     /// `None` when it is in fact feasible as-is — and, for a refusal,
     /// brackets the counterfactual deadline: the upper probe is seeded at
     /// the analytic full-cluster slack floor
@@ -161,24 +168,8 @@ impl<'a> ExplainSearch<'a> {
     /// committed release and doubled until feasible; the refused deadline
     /// is the bracket's failing end. Bisecting it down is
     /// [`refine`](ExplainSearch::refine)'s.
-    pub fn open(
-        params: &'a ClusterParams,
-        algorithm: AlgorithmKind,
-        cfg: &'a PlanConfig,
-        now: SimTime,
-        committed_releases: &'a [SimTime],
-        queue: &'a [(Task, TaskPlan)],
-        task: &Task,
-    ) -> Option<Self> {
-        let mut walk = ProbeWalk::new(
-            params,
-            algorithm,
-            cfg,
-            now,
-            committed_releases,
-            queue.iter().map(|(t, _)| *t),
-            task,
-        );
+    pub fn open(engine: &'a AdmissionController, task: &Task, now: SimTime) -> Option<Self> {
+        let mut walk = ProbeWalk::new(engine, task, now);
         let cause = match walk.probe(task) {
             Ok(()) => return None,
             Err(f) => f.reason,
@@ -187,16 +178,11 @@ impl<'a> ExplainSearch<'a> {
         // The original deadline is known-infeasible (that is the rejection
         // being explained), so it anchors the bracket's low end once a
         // feasible high end is found.
-        let mut feasible = |d: f64| {
-            walk.probe(&Task {
-                rel_deadline: d,
-                ..*task
-            })
-            .is_ok()
-        };
+        let mut feasible = |d: f64| passes_by(&mut walk, task, d);
         let horizon = {
-            let last_release = committed_releases.iter().copied().fold(now, SimTime::max);
-            let floor = crate::nmin::min_feasible_slack(params, task.data_size);
+            let committed = engine.committed_releases().iter().copied();
+            let last_release = committed.fold(now, SimTime::max);
+            let floor = crate::nmin::min_feasible_slack(engine.params(), task.data_size);
             (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
         };
         let mut hi = task.rel_deadline.max(horizon);
@@ -211,7 +197,6 @@ impl<'a> ExplainSearch<'a> {
         let deadline = found.then(|| Bracket::new(task.rel_deadline, hi));
         Some(ExplainSearch {
             walk,
-            queue,
             task: *task,
             cause,
             deadline,
@@ -236,19 +221,13 @@ impl<'a> ExplainSearch<'a> {
             return false;
         };
         let (walk, task) = (&mut self.walk, &self.task);
-        bracket.step(|d| {
-            walk.probe(&Task {
-                rel_deadline: d,
-                ..*task
-            })
-            .is_ok()
-        });
+        bracket.step(|d| passes_by(walk, task, d));
         true
     }
 
     /// How many tests this search has run on its walk so far.
     pub fn probes(&self) -> u64 {
-        self.walk.probes()
+        self.walk.probes
     }
 
     /// Completes the explanation: the deadline bracket is tightened the
@@ -256,8 +235,6 @@ impl<'a> ExplainSearch<'a> {
     /// the rejected size the way the deadline search does, and the
     /// reservation search ([`Admission::earliest_feasible_start`]) names
     /// the earliest later instant the unchanged request would pass at.
-    ///
-    /// [`Admission::earliest_feasible_start`]: super::Admission::earliest_feasible_start
     pub fn finish(mut self) -> AdmissionExplanation {
         while self.refine() {}
         // 0 stands for "no feasible deadline found".
@@ -285,22 +262,12 @@ impl<'a> ExplainSearch<'a> {
         };
 
         // `open` failed the test at `now` itself, so only later instants
-        // are left to search — by the engine's own search, with no reuse
-        // cache behind it (an explanation sees the book through accessors).
-        let walk = &self.walk;
-        let earliest = earliest_future_start(
-            walk.params,
-            walk.algorithm,
-            walk.cfg,
-            walk.now,
-            walk.committed,
-            self.queue,
-            &task,
-            |_, _| false,
-        );
+        // are left to search — by the engine's own search.
+        let (engine, now) = (self.walk.engine, self.walk.now);
+        let earliest = engine.earliest_start_after(&task, now);
         AdmissionExplanation {
             cause: self.cause,
-            at: walk.now,
+            at: now,
             slack_deficit: if min_feasible_deadline > 0.0 {
                 min_feasible_deadline - task.rel_deadline
             } else {
@@ -313,28 +280,13 @@ impl<'a> ExplainSearch<'a> {
     }
 }
 
-/// Explains why `task` fails the Fig. 2 test at `now` against the given
-/// book; `None` when it is in fact feasible as-is. One [`ExplainSearch`],
-/// opened and finished: every probe is the real test, so suggestions hold
-/// against the exact waiting queue and release vector the rejection saw.
-pub fn explain_infeasibility(
-    params: &ClusterParams,
-    algorithm: AlgorithmKind,
-    cfg: &PlanConfig,
-    now: SimTime,
-    committed_releases: &[SimTime],
-    queue: &[(Task, TaskPlan)],
-    task: &Task,
-) -> Option<AdmissionExplanation> {
-    ExplainSearch::open(params, algorithm, cfg, now, committed_releases, queue, task)
-        .map(ExplainSearch::finish)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::reference::ReferenceController;
-    use super::super::{Admission, AdmissionController};
     use super::*;
+    use crate::algorithm::AlgorithmKind;
+    use crate::params::ClusterParams;
+    use crate::strategy::PlanConfig;
 
     #[test]
     fn explain_is_none_for_feasible_and_honest_for_infeasible() {
@@ -452,18 +404,7 @@ mod tests {
             .submit(Task::new(1, 0.0, 10.0, 1750.0), SimTime::ZERO)
             .is_accepted());
         let task = Task::new(2, 0.0, 20.0, 1850.0);
-        let open = || {
-            ExplainSearch::open(
-                c.params(),
-                c.algorithm(),
-                c.config(),
-                SimTime::ZERO,
-                c.committed_releases(),
-                c.queue(),
-                &task,
-            )
-            .expect("refused")
-        };
+        let open = || ExplainSearch::open(&c, &task, SimTime::ZERO).expect("refused");
         let alone = open().finish();
         let mut stepped = open();
         let mut brackets = vec![stepped.deadline_bracket().expect("a feasible deadline")];

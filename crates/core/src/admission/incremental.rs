@@ -51,6 +51,13 @@
 //! an out-of-order dispatch wrote releases a cached plan never saw, the
 //! gate fails and that position is planned at `t`.
 //!
+//! Nor does it care what a walk keeps. The searches that follow a refusal —
+//! that one, and the deadline and σ bisections of an explanation
+//! (`probe.rs`, `explain.rs`) — want verdicts only, and take every waiting
+//! position on one step (`AdmissionController::step`): where the gate
+//! holds the cached plan is written back, where not the task is planned for
+//! its verdict and nothing is kept.
+//!
 //! ### Verdicts, by the same argument
 //!
 //! A refusal is as reusable as a plan. Once a walk stands at the candidate's
@@ -107,13 +114,15 @@ use std::ops::Range;
 use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
+use crate::request::SubmitRequest;
 use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
 use super::walk::{PlanMeta, Walk};
 use super::{
-    schedulability_test, Admission, AdmissionFailure, ControllerState, Decision, EngineProfile,
+    schedulability_test, Admission, AdmissionExplanation, AdmissionFailure, ControllerState,
+    Decision, EngineProfile, ExplainSearch,
 };
 
 /// How many refusals the engine remembers. The askers that come back are
@@ -218,6 +227,38 @@ impl AdmissionController {
         meta.as_ref().is_some_and(|m| m.holds_for(walk, &self.cfg))
     }
 
+    /// Where `task` would go into the queue: the full engine appends a
+    /// candidate and stable-sorts, so behind every waiting task with a key
+    /// at or below its own.
+    #[inline]
+    pub(super) fn insertion_point(&self, task: &Task) -> usize {
+        let policy = self.algorithm.policy;
+        let key = policy.key(task);
+        self.queue.partition_point(|(w, _)| policy.key(w) <= key)
+    }
+
+    /// The verdict-only step of a task that is not in the book (a candidate,
+    /// or a variation of one).
+    #[inline]
+    pub(super) fn test(&self, task: &Task, walk: &mut Walk) -> Result<(), AdmissionFailure> {
+        walk.test(self.algorithm.strategy, task, &self.params, &self.cfg)
+    }
+
+    /// The verdict-only step over waiting position `q` — the one step every
+    /// search takes (`probe.rs`): where the reuse gate vouches for the cached
+    /// plan it is written back, where not the task is planned for its
+    /// verdict.
+    #[inline]
+    pub(super) fn step(&self, q: usize, walk: &mut Walk) -> Result<(), AdmissionFailure> {
+        let (task, plan) = &self.queue[q];
+        if self.reusable(&self.meta[q], walk) {
+            walk.apply(plan);
+            Ok(())
+        } else {
+            self.test(task, walk)
+        }
+    }
+
     /// Plans one task fresh at the walk's current step, recording the inputs
     /// for future reuse; a failure hands them back.
     fn plan_fresh(
@@ -289,8 +330,12 @@ impl AdmissionController {
     }
 
     /// The Fig. 2 test as the oracle runs it — what the debug build holds
-    /// every remembered refusal against.
-    fn literal_test(&self, candidate: &Task, now: SimTime) -> Result<(), AdmissionFailure> {
+    /// every remembered refusal and every skipped search instant against.
+    pub(super) fn literal_test(
+        &self,
+        candidate: &Task,
+        now: SimTime,
+    ) -> Result<(), AdmissionFailure> {
         let waiting: Vec<Task> = self.queue.iter().map(|(t, _)| *t).collect();
         schedulability_test(
             &self.params,
@@ -638,27 +683,19 @@ impl Admission for AdmissionController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    /// The `t = now` test runs through the incremental pass. The search over
-    /// future dispatch instants is seeded from the same cache: a dispatch
-    /// commits exactly the releases the plans behind it already observed,
-    /// so at each instant the reuse gate vouches for most of the positions
-    /// ahead of the task and only the task and what its plan perturbs are
-    /// planned.
+    /// The `t = now` test runs through the incremental pass; the instants
+    /// after it are `probe.rs`'s search, on this engine's cache.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
         let mut scratch = EngineProfile::default();
         if self.pass(now, Some(task), &mut scratch).is_ok() {
             return Some(now);
         }
-        super::probe::earliest_future_start(
-            &self.params,
-            self.algorithm,
-            &self.cfg,
-            now,
-            &self.releases,
-            &self.queue,
-            task,
-            |q, walk| self.reusable(&self.meta[q], walk),
-        )
+        self.earliest_start_after(task, now)
+    }
+
+    /// One [`ExplainSearch`], opened and finished.
+    fn explain(&self, request: &SubmitRequest, now: SimTime) -> Option<AdmissionExplanation> {
+        ExplainSearch::open(self, &request.task, now).map(ExplainSearch::finish)
     }
 
     /// Positions whose inputs are unchanged keep their plans without a
@@ -1102,6 +1139,101 @@ mod tests {
                 "{outcome:?} not in {outcomes:?}"
             );
         }
+    }
+
+    /// A cold two-node FIFO engine for the start search, with hand-made
+    /// plans: `(arrival, σ, relative deadline, node, first start, release)`
+    /// per waiting task, ids from 1 in queue order.
+    fn searched_book(
+        committed: [f64; 2],
+        rows: &[(f64, f64, f64, u32, f64, f64)],
+    ) -> AdmissionController {
+        use crate::params::NodeId;
+        use crate::strategy::StrategyKind;
+        let hand_made = |(i, &(arrival, sigma, rel_deadline, node, start, release))| {
+            let task = task(i as u64 + 1, arrival, sigma, rel_deadline);
+            let plan = TaskPlan {
+                task: task.id,
+                strategy: StrategyKind::DltIit,
+                nodes: vec![NodeId(node)],
+                start_times: vec![SimTime::new(start)],
+                fractions: vec![1.0],
+                est_completion: SimTime::new(release),
+                node_release_estimates: vec![SimTime::new(release)],
+            };
+            (task, plan)
+        };
+        AdmissionController::from_state(ControllerState {
+            params: ClusterParams::new(2, 1.0, 100.0).unwrap(),
+            algorithm: AlgorithmKind::FIFO_DLT,
+            cfg: PlanConfig::default(),
+            releases: committed.map(SimTime::new).to_vec(),
+            queue: rows.iter().enumerate().map(hand_made).collect(),
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn a_dispatch_from_behind_the_task_is_walked_not_skipped() {
+        // Two instants at which the task stands on the same vector — both
+        // plans that come due commit what was committed already — but at
+        // the second the heavy task behind it has been dispatched: the
+        // first instant failed on that task, the second admits. Only the
+        // count of positions still waiting tells them apart.
+        let inc = searched_book(
+            [1_000.0; 2],
+            &[
+                (0.0, 1.0, 1e6, 0, 100.0, 1_000.0),
+                (2.0, 10.0, 1_598.0, 1, 200.0, 1_000.0),
+            ],
+        );
+        let c = task(100, 1.0, 10.0, 2_999.0);
+        let now = SimTime::new(1.0);
+        let found = inc.earliest_start_after(&c, now);
+        assert_eq!(found, Some(SimTime::new(200.0)));
+        // The oracle agrees, and blames the heavy task until then.
+        let oracle = ReferenceController::from_state(inc.state()).unwrap();
+        assert_eq!(oracle.earliest_feasible_start(&c, now), found);
+        assert_eq!(
+            oracle.probe_plan(&c, now).unwrap_err().task,
+            inc.queue[1].0.id
+        );
+    }
+
+    #[test]
+    fn an_instant_whose_clamp_moves_a_release_is_walked_not_skipped() {
+        // Three instants, the same raw vector at the task's position each
+        // time (the plans ahead of it write the same releases whether they
+        // are dispatched or applied). At 120 it also clamps as it did at
+        // 100, so that instant is skipped; at 400 the clamp lifts node 0
+        // from 150 to 400, and the walk goes on to the task behind.
+        let mut inc = searched_book(
+            [100.0, 120.0],
+            &[
+                (0.0, 1.0, 1e6, 0, 100.0, 140.0),
+                (0.1, 1.0, 1e6, 0, 120.0, 150.0),
+                (0.2, 1.0, 1e6, 1, 400.0, 500.0),
+                // Hopeless, and never dispatched within the search's
+                // horizon: every instant fails on it.
+                (2.0, 10.0, 10.0, 0, 9_000.0, 9_100.0),
+            ],
+        );
+        let now = SimTime::new(1.0);
+        // The cached plans ahead of the task are vouched for — each as if
+        // planned on what the ones before it wrote — so the walks apply
+        // them; the one behind it is planned.
+        let mut walk = Walk::new(&inc.releases, now);
+        for q in 0..3 {
+            inc.meta[q] = Some(PlanMeta::of(&walk));
+            walk.apply(&inc.queue[q].1);
+        }
+        let c = task(100, 1.0, 10.0, 2_999.0);
+        super::super::probe::WALKED_ON.take();
+        assert_eq!(inc.earliest_start_after(&c, now), None);
+        assert_eq!(
+            super::super::probe::WALKED_ON.take(),
+            vec![SimTime::new(100.0), SimTime::new(400.0)]
+        );
     }
 
     /// A book in which a ticket is refused on behalf of a waiting task two

@@ -31,24 +31,24 @@
 //! parameters; from the scheduler's perspective the task simply leaves.
 //! *Which* modified parameters would have passed is what a refusal
 //! explanation searches for ([`ExplainSearch`], [`AdmissionExplanation`]):
-//! dozens of what-if tests against one book, run on a probe walk that
-//! keeps the walk state at every insertion point a probe has used
-//! (`probe.rs`), as a resumable search a fleet can race shard against shard
-//! (`explain.rs`) — with the literal one-test-per-probe search kept as the
-//! oracle's, like the engine itself.
+//! dozens of what-if tests against one book, as a resumable search a fleet
+//! can race shard against shard (`explain.rs`) — with the literal
+//! one-test-per-probe search kept as the oracle's, like the engine itself.
 //!
-//! Every production walk — the engine's passes, the probe walk, the
-//! reservation search — takes its steps on one kernel (`walk.rs`): the
-//! release vector and its sorted availability, kept sorted across steps.
-//! The oracle does not: [`schedulability_test`] takes a fresh, fully sorted
-//! snapshot at each step and shares nothing with the kernel but
-//! [`plan_task`].
+//! Every production walk — the engine's passes, the probe walk and the
+//! reservation search (`probe.rs`) — runs on the engine's own queue and
+//! cache (the reuse invariant, stated once in [`incremental`]) and takes its
+//! steps on one kernel (`walk.rs`): the release vector and its sorted
+//! availability, kept sorted across steps. The oracle does not:
+//! [`schedulability_test`] takes a fresh, fully sorted snapshot at each step
+//! and shares nothing with the kernel but [`plan_task`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
+use crate::request::SubmitRequest;
 use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
@@ -59,7 +59,7 @@ mod probe;
 pub mod reference;
 mod walk;
 
-pub use explain::{explain_infeasibility, AdmissionExplanation, Bracket, ExplainSearch};
+pub use explain::{AdmissionExplanation, Bracket, ExplainSearch};
 pub use incremental::AdmissionController;
 
 /// Why (and for which task) a schedulability test failed.
@@ -214,13 +214,19 @@ pub struct ControllerState {
 
 impl ControllerState {
     /// Structural validation shared by every engine's `from_state`: the
-    /// release vector matches the cluster shape and each queued plan is
-    /// internally consistent and belongs to its task.
+    /// release vector matches the cluster shape, the queue is in policy
+    /// order (the production engine walks it as it stands; equal keys are a
+    /// shadowed id, and legal) and each queued plan is internally consistent
+    /// and belongs to its task.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.releases.len() != self.params.num_nodes {
             return Err(ModelError::InvalidParams(
                 "release vector length must equal num_nodes",
             ));
+        }
+        let key = |(task, _): &(Task, TaskPlan)| self.algorithm.policy.key(task);
+        if self.queue.windows(2).any(|w| key(&w[1]) < key(&w[0])) {
+            return Err(ModelError::InvalidParams("queue is not in policy order"));
         }
         for (task, plan) in &self.queue {
             if plan.task != task.id {
@@ -371,50 +377,33 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// *behind* it instead of competing with it in policy order (the
     /// mechanism that lets an EDF-early candidate stop starving a
     /// later-deadline waiting task it would otherwise push past its
-    /// deadline). Between dispatch instants the test's inputs only get
-    /// worse with time (availability is `max(r, t)`, non-decreasing in
-    /// `t`), so feasibility within an interval is decided at its left
-    /// endpoint: the candidate instants are exactly
-    /// `{now} ∪ {first_start(p) > now}` and the first feasible one is the
-    /// earliest feasible start overall.
+    /// deadline). The search tests exactly those instants,
+    /// `{now} ∪ {first_start(p) > now}`, and returns the first that passes:
+    /// the earliest feasible *dispatch instant*. Between two of them the
+    /// test's inputs only get worse with time (availability is `max(r, t)`,
+    /// non-decreasing in `t`) — an argument, not yet a proof, that nothing
+    /// strictly inside an interval is feasible when its left endpoint is
+    /// not (ROADMAP item 2).
     ///
     /// An instant definitely after the task's own absolute deadline is
     /// never feasible and need not be walked: if the walk there reaches the
     /// task, every node is available no earlier than the instant, so the
     /// task's own plan fails under every strategy (no slack left before its
     /// first transmission); if a waiting task ahead of it fails first, the
-    /// instant fails anyway. Nor is an instant whose walk reaches the task
-    /// on the inputs the previous one had there — the same release vector
-    /// after the clamp, the same tasks still waiting behind it: it would
-    /// repeat that instant's failure step for step. The production search
-    /// stops at the deadline and skips such repeats (and answers the test
-    /// at `now` from the refusal `submit` just remembered, when the book
-    /// has not moved since); the oracle walks every instant in full, and
-    /// the differential suite compares the two.
+    /// instant fails anyway. The production search stops there, and skips
+    /// what its cache shows to be repeats ([`incremental`], "Verdicts, by
+    /// the same argument"); the oracle walks every instant in full, and the
+    /// differential suite compares the two.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
 
     /// Explains why `request` would fail admission at `now` — the binding
-    /// rejection cause plus honest counterfactuals computed against this
-    /// engine's observed book (see [`explain_infeasibility`]); `None` when
-    /// the request is admissible as-is. Non-mutating, and a *provided*
-    /// method driven entirely through the trait's accessors: the one
-    /// production definition. (The oracle overrides it with the literal
-    /// search it is checked against.)
-    fn explain(
-        &self,
-        request: &crate::request::SubmitRequest,
-        now: SimTime,
-    ) -> Option<AdmissionExplanation> {
-        explain_infeasibility(
-            self.params(),
-            self.algorithm(),
-            self.config(),
-            now,
-            self.committed_releases(),
-            self.queue(),
-            &request.task,
-        )
-    }
+    /// rejection cause plus honest counterfactuals, every one verified by
+    /// running the test against this engine's observed book
+    /// ([`AdmissionExplanation`]); `None` when the request is admissible
+    /// as-is. Non-mutating. The engine's is an [`ExplainSearch`] on its own
+    /// book and cache, the oracle's the literal search it is checked
+    /// against.
+    fn explain(&self, request: &SubmitRequest, now: SimTime) -> Option<AdmissionExplanation>;
 
     /// Re-plans the waiting queue against the current committed releases
     /// (used when nodes free up earlier than estimated). Failure indicates
@@ -532,5 +521,28 @@ mod tests {
         let mut bad = Admission::state(&c);
         bad.releases.pop();
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn a_queue_out_of_policy_order_is_refused_by_both_engines() {
+        // The engine walks its queue as it stands, the oracle re-sorts:
+        // restored from a swapped image they would serve different orders.
+        let mut c = AdmissionController::new(
+            ClusterParams::paper_baseline(),
+            AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
+        );
+        for id in [1, 2, 3, 3] {
+            let task = Task::new(id, 0.0, 100.0, 1e5 * id as f64);
+            assert!(c.submit(task, SimTime::ZERO).is_accepted());
+        }
+        // Equal keys are one task submitted twice, and legal.
+        let mut image = c.state();
+        assert_eq!(image.queue[2].0, image.queue[3].0);
+        assert!(image.validate().is_ok());
+        image.queue.swap(0, 1);
+        assert!(image.validate().is_err());
+        assert!(AdmissionController::from_state(image.clone()).is_err());
+        assert!(reference::ReferenceController::from_state(image).is_err());
     }
 }

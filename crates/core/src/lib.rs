@@ -68,8 +68,8 @@ pub mod time;
 /// One-stop imports for typical users of the crate.
 pub mod prelude {
     pub use crate::admission::{
-        explain_infeasibility, schedulability_test, Admission, AdmissionController,
-        AdmissionExplanation, AdmissionFailure, ControllerState, Decision, EngineProfile,
+        schedulability_test, Admission, AdmissionController, AdmissionExplanation,
+        AdmissionFailure, ControllerState, Decision, EngineProfile,
     };
     pub use crate::algorithm::AlgorithmKind;
     pub use crate::dlt::heterogeneous::HeterogeneousModel;

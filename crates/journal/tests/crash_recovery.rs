@@ -471,6 +471,44 @@ fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() 
     }
 }
 
+/// A checksum-valid snapshot whose waiting queue is not in policy order (two
+/// entries swapped) restores to no gateway. The engine walks its queue as it
+/// stands where the oracle re-sorts, so restored it would have served the
+/// tasks in the damaged order.
+#[test]
+fn a_checksum_valid_snapshot_with_its_queue_out_of_order_is_corrupt_not_served() {
+    use rtdls_journal::wire::{encode_frame, RecordKind};
+    let mut gateway = ShardedGateway::new(
+        params(),
+        1,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    for id in 1..=3 {
+        let task = Task::new(id, 0.0, 100.0, 1e5 * id as f64);
+        let request = SubmitRequest::new(task);
+        assert!(gateway
+            .submit_request(&request, SimTime::ZERO)
+            .is_accepted());
+    }
+    let recover_image = |snapshot: &GatewaySnapshot| {
+        let image = serde_json::to_string(snapshot).unwrap();
+        let wal = encode_frame(RecordKind::Snapshot, image.as_bytes());
+        recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
+    };
+    let mut snapshot = gateway.capture();
+    assert!(recover_image(&snapshot).is_ok());
+    snapshot.shards[0].queue.swap(1, 2);
+    match recover_image(&snapshot) {
+        Err(JournalError::Corrupt(why)) => assert!(why.contains("policy order"), "{why}"),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("a queue out of order was restored"),
+    }
+}
+
 /// The deterministic EDF priority-inversion scenario on one 16-node shard:
 /// all nodes committed to t=1000, a snug all-node OPR task waiting, and a
 /// small earlier-deadline candidate that must be Reserved at t=1000.

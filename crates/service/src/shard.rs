@@ -288,17 +288,8 @@ fn race_deadline_searches<'a>(
 ) -> Option<(ExplainSearch<'a>, u64)> {
     let mut live = Vec::with_capacity(shards.len());
     for shard in shards {
-        let ctl = &shard.ctl;
         // Feasible as-is on this shard: nothing to explain.
-        live.push(ExplainSearch::open(
-            ctl.params(),
-            ctl.algorithm(),
-            ctl.config(),
-            now,
-            ctl.committed_releases(),
-            ctl.queue(),
-            &request.task,
-        )?);
+        live.push(ExplainSearch::open(&shard.ctl, &request.task, now)?);
     }
     let mut other_probes = 0;
     loop {
@@ -1408,17 +1399,8 @@ mod tests {
             // wins, the first shard wins a tie.
             let mut fold: Option<AdmissionExplanation> = None;
             for shard in &g.shards {
-                let ctl = &shard.ctl;
-                let mut search = ExplainSearch::open(
-                    ctl.params(),
-                    ctl.algorithm(),
-                    ctl.config(),
-                    now,
-                    ctl.committed_releases(),
-                    ctl.queue(),
-                    &request.task,
-                )
-                .expect("refused everywhere");
+                let mut search = ExplainSearch::open(&shard.ctl, &request.task, now)
+                    .expect("refused everywhere");
                 while search.refine() {}
                 full_probes += search.probes();
                 let ex = search.finish();
