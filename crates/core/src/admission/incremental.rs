@@ -39,24 +39,46 @@
 //! different nodes, a recovery restore with a cold cache), the gate fails
 //! and the engine transparently degrades to a full replan.
 //!
-//! The invariant does not care *why* the walk's vector is what it is, so
-//! it serves future instants too. The reservation search
-//! ([`Admission::earliest_feasible_start`]) walks the book as it will stand
-//! at each later dispatch instant `t`: the plans due by `t` committed, the
-//! rest still waiting. A dispatch commits exactly the release updates the
-//! plans behind it already observed ([`take_due`](Admission::take_due)), so
-//! with every node busy past `t` the gate holds at `t` for the positions
-//! ahead of the task being searched for, and only the task and what its
-//! plan perturbs are planned. Where the clamp at `t` changes an input, or
-//! an out-of-order dispatch wrote releases a cached plan never saw, the
-//! gate fails and that position is planned at `t`.
+//! ### The prefix, by proof
 //!
-//! Nor does it care what a walk keeps. The searches that follow a refusal —
-//! that one, and the deadline and σ bisections of an explanation
-//! (`probe.rs`, `explain.rs`) — want verdicts only, and take every waiting
-//! position on one step (`AdmissionController::step`): where the gate
-//! holds the cached plan is written back, where not the task is planned for
-//! its verdict and nothing is kept.
+//! Nor need the gate be *compared* all along that prefix. A position's
+//! `PlanMeta` *follows* when its `observed` is exactly the position ahead's
+//! with that one's plan written: `PlanMeta::of` records so from the walk
+//! that stepped the position ahead (a pass, or `submit_batch`; both
+//! re-record reused positions behind a change rather than clone them), and
+//! `take_due` and `remove_waiting` unchain what they close up behind.
+//!
+//! **Lemma.** If the gate holds at `q − 1` for a walk on `R` at `now` that
+//! then writes plan `q − 1`, it holds at `q` when (i) `follows[q]`, (ii)
+//! `t[q−1] ≤ t[q] ≤ now` (the recorded instants), (iii) plan `q − 1` has
+//! no release estimate before `now` or `t[q] = now`, and (iv) under
+//! `OneShot`, `t[q] = now` — which (ii) gives once the gate at `q − 1`
+//! held. *Proof.* Where the plan leaves node `j` alone, `observed` holds `o`
+//! and the walk `r`: `max(o, t[q]) = max(max(o, t[q−1]), t[q]) = max(max(r,
+//! now), t[q]) = max(r, now)` by (ii) and the gate at `q − 1`. Where it
+//! writes, both hold its estimate `e`, and `max(e, t[q]) = max(e, now)` by
+//! (ii) and (iii). ∎
+//!
+//! So `AdmissionController::held_run` compares a gate only where the chain
+//! cannot vouch — first in its run, behind a position skipped, planned or
+//! not followed, or a condition unmet — and elsewhere reads plan `q − 1`'s
+//! chunks, not the cluster. On a walk that has not planned yet it writes no
+//! reused plan back either: at a held position with `t ≤ now`, `observed`
+//! clamps at `now` to the walk's own vector, which is all a plan reads, so
+//! the walk is rebased once on the run's last record (`Walk::rebase`) where
+//! it next plans or compares — and the next position recorded follows.
+//! Every walk over waiting positions takes it: a pass up to the candidate,
+//! the searches everywhere (`walk_positions`, `probe.rs`). A debug build
+//! holds every gate and every rebase against a walk that writes each plan
+//! back.
+//!
+//! The invariant does not care *why* the walk's vector is what it is: the
+//! reservation search walks the book as it will stand at each later
+//! dispatch instant `t` ([`Admission::earliest_feasible_start`]), and a
+//! dispatch commits exactly the releases the plans behind it observed
+//! ([`take_due`](Admission::take_due)), so with every node busy past `t`
+//! the gate holds there too — and fails where the clamp at `t` or an
+//! out-of-order dispatch moved an input.
 //!
 //! ### Verdicts, by the same argument
 //!
@@ -89,16 +111,9 @@
 //! same task is not asked about again. The ring is derived state like the
 //! plan cache — not in [`ControllerState`], cold after `from_state` — and in
 //! debug builds every hit is checked against the literal
-//! [`schedulability_test`] on the spot.
-//!
-//! The reservation search uses the same fact between its own instants: an
-//! instant that reaches the task's position on the inputs the last one had,
-//! with the same positions behind it still waiting, would repeat that
-//! instant's failure, and is not walked (`probe.rs`).
-//!
-//! Every walk here — [`pass`](AdmissionController), `submit_batch`, the
-//! searches — steps on the `walk.rs` kernel: a fresh plan sees availability
-//! that was kept sorted across steps, a reused plan is only written back.
+//! [`schedulability_test`] on the spot. (The reservation search skips an
+//! instant that would repeat the last one's failure by the same argument,
+//! `probe.rs`.)
 //!
 //! Because reuse is gated on provable input equality, the engine is
 //! decision-, plan-, and state-identical to the reference controller; the
@@ -109,6 +124,7 @@
 //! [`NodeCountPolicy::OneShot`]: crate::strategy::NodeCountPolicy::OneShot
 
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::ops::Range;
 
 use crate::algorithm::AlgorithmKind;
@@ -220,11 +236,110 @@ impl AdmissionController {
         self.profile
     }
 
-    /// Whether the cached plan behind `meta` is provably identical to what
-    /// a fresh plan at `walk`'s next step would produce (the module docs'
-    /// reuse invariant).
-    fn reusable(&self, meta: &Option<PlanMeta>, walk: &Walk) -> bool {
-        meta.as_ref().is_some_and(|m| m.holds_for(walk, &self.cfg))
+    /// Whether the cached plan of waiting position `q` is provably what a
+    /// fresh plan at `walk`'s next step would produce, by comparison.
+    fn reusable(&self, q: usize, walk: &Walk, work: &mut EngineProfile) -> bool {
+        self.meta[q].as_ref().is_some_and(|m| {
+            work.gates_compared += 1;
+            m.holds_for(walk, &self.cfg)
+        })
+    }
+
+    /// Steps the waiting positions in `range` that `skip` does not drop:
+    /// where the reuse gate holds — proved or compared, the module docs'
+    /// prefix walk — the cached plan is taken; where it fails, `fresh` steps
+    /// the task and says whether to go on. Returns where it stopped: the
+    /// range's end, or the position `fresh` stopped at, not stepped.
+    pub(super) fn held_run<E>(
+        &self,
+        walk: &mut Walk,
+        range: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+        work: &mut EngineProfile,
+        mut fresh: impl FnMut(&Task, &mut Walk) -> Result<bool, E>,
+    ) -> Result<usize, E> {
+        let (now, end, defer) = (walk.now(), range.end, !walk.built());
+        // The last position stepped while its gate held (index, inputs,
+        // plan), and whether its plan is still to be written into the walk,
+        // with the run's ahead of it.
+        let mut last: Option<(usize, &PlanMeta, &TaskPlan)> = None;
+        let mut pending = false;
+        // The debug build's cross-check: a walk that writes every plan back.
+        let mut literal = cfg!(debug_assertions).then(|| walk.clone());
+        let unmoved = |walk: &Walk, literal: &Walk| {
+            let mut here = PlanMeta::default();
+            here.record(walk);
+            let moved = !here.holds_for(literal, &self.cfg);
+            assert!(!moved, "a rebase moved the walk");
+        };
+        for q in range.filter(|&q| !skip(q)) {
+            let ((task, plan), meta) = (&self.queue[q], self.meta[q].as_ref());
+            // The lemma's (i)–(iii), the gate ahead having held.
+            let proven = meta.zip(last).is_some_and(|(meta, (p, prev, ahead))| {
+                let t = meta.planned_at;
+                p + 1 == q
+                    && meta.follows
+                    && prev.planned_at <= t
+                    && t <= now
+                    && (t == now || ahead.node_release_estimates.iter().all(|&e| e >= now))
+            });
+            if !proven {
+                if let (true, Some((_, prev, ahead))) = (std::mem::take(&mut pending), last) {
+                    walk.rebase(prev, ahead);
+                }
+                work.gates_compared += u64::from(meta.is_some());
+            }
+            let held = meta.filter(|m| proven || m.holds_for(walk, &self.cfg));
+            if let Some(literal) = &mut literal {
+                let literally = meta.is_some_and(|m| m.holds_for(literal, &self.cfg));
+                assert_eq!(literally, held.is_some(), "gate {q} misjudged");
+            }
+            if let Some(meta) = held {
+                work.plans_reused += 1;
+                last = Some((q, meta, plan));
+                // Where `observed` clamps at `now` to the walk's vector.
+                pending = defer && meta.planned_at <= now;
+                if !pending {
+                    walk.apply(plan);
+                }
+                if let Some(literal) = &mut literal {
+                    literal.apply(plan);
+                }
+                continue;
+            }
+            last = None;
+            if let Some(literal) = &literal {
+                unmoved(walk, literal);
+            }
+            if !fresh(task, walk)? {
+                return Ok(q);
+            }
+            if let Some(literal) = &mut literal {
+                literal.clone_from(walk);
+            }
+        }
+        if let (true, Some((_, prev, ahead))) = (pending, last) {
+            walk.rebase(prev, ahead);
+        }
+        if let Some(literal) = &literal {
+            unmoved(walk, literal);
+        }
+        Ok(end)
+    }
+
+    /// The waiting positions in `range` that `skip` does not drop,
+    /// verdict-only: [`held_run`](Self::held_run), each position whose gate
+    /// fails planned for its verdict.
+    pub(super) fn walk_positions(
+        &self,
+        walk: &mut Walk,
+        range: Range<usize>,
+        skip: impl Fn(usize) -> bool,
+    ) -> Result<(), AdmissionFailure> {
+        let test = |task: &Task, walk: &mut Walk| self.test(task, walk).map(|()| true);
+        let mut uncounted = EngineProfile::default();
+        let walked = self.held_run(walk, range, skip, &mut uncounted, test);
+        walked.map(drop)
     }
 
     /// Where `task` would go into the queue: the full engine appends a
@@ -242,21 +357,6 @@ impl AdmissionController {
     #[inline]
     pub(super) fn test(&self, task: &Task, walk: &mut Walk) -> Result<(), AdmissionFailure> {
         walk.test(self.algorithm.strategy, task, &self.params, &self.cfg)
-    }
-
-    /// The verdict-only step over waiting position `q` — the one step every
-    /// search takes (`probe.rs`): where the reuse gate vouches for the cached
-    /// plan it is written back, where not the task is planned for its
-    /// verdict.
-    #[inline]
-    pub(super) fn step(&self, q: usize, walk: &mut Walk) -> Result<(), AdmissionFailure> {
-        let (task, plan) = &self.queue[q];
-        if self.reusable(&self.meta[q], walk) {
-            walk.apply(plan);
-            Ok(())
-        } else {
-            self.test(task, walk)
-        }
     }
 
     /// Plans one task fresh at the walk's current step, recording the inputs
@@ -390,65 +490,52 @@ impl AdmissionController {
 
     /// One walk over `waiting ∪ candidate` in policy order: the leading run
     /// of cached plans whose inputs are provably unchanged is *kept in
-    /// place* (validated and release-applied, but never cloned); from the
-    /// first changed position — the candidate's insertion point or a failed
-    /// reuse gate — a replacement tail is built, inside which still-valid
-    /// cached plans are cloned rather than re-planned. Pure — the caller
-    /// decides whether to install the result, or to remember the refusal.
+    /// place* ([`held_run`](Self::held_run): never cloned, mostly not even
+    /// compared); from the first changed position — the candidate's
+    /// insertion point or a failed reuse gate — a replacement tail is built,
+    /// inside which still-valid cached plans are re-recorded rather than
+    /// re-planned. Pure — the caller decides whether to install the result,
+    /// or to remember the refusal.
     fn pass(
         &self,
         now: SimTime,
         candidate: Option<&Task>,
         work: &mut EngineProfile,
     ) -> Result<Pass, Refused> {
-        let policy = self.algorithm.policy;
-        let cand_key = candidate.map(|t| policy.key(t));
-        let mut cand_pending = candidate.copied();
-        // Once the candidate is planned: the queue position it went in
-        // ahead of, and where in `out.meta_tail` its inputs are.
-        let mut cand_planned = None;
+        let at = candidate.map_or(self.queue.len(), |c| self.insertion_point(c));
         let mut walk = Walk::new(&self.releases, now);
+        let stop = |_: &Task, _: &mut Walk| Ok::<_, Infallible>(false);
+        let Ok(prefix_len) = self.held_run(&mut walk, 0..at, |_| false, work, stop);
         let mut out = Pass {
-            prefix_len: 0,
+            prefix_len,
             queue_tail: Vec::new(),
             meta_tail: Vec::new(),
         };
-        let mut in_prefix = true;
-        for (i, (task, plan)) in self.queue.iter().enumerate() {
-            // The full engine appends the candidate and stable-sorts, so a
-            // candidate lands *after* any waiting task with an equal key.
-            if let (Some(c), Some(key)) = (cand_pending, cand_key) {
-                if key < policy.key(task) {
-                    in_prefix = false;
-                    let tail = self.plan_candidate(&c, i, &mut walk, &mut out, work)?;
-                    cand_planned = Some((i, tail));
-                    cand_pending = None;
-                }
+        // Once the candidate is planned: where in `out.meta_tail` its inputs
+        // are.
+        let mut cand_planned = None;
+        for i in prefix_len..=self.queue.len() {
+            if let Some(c) = candidate.filter(|_| i == at) {
+                cand_planned = Some(self.plan_candidate(c, at, &mut walk, &mut out, work)?);
             }
-            if self.reusable(&self.meta[i], &walk) {
+            let Some((task, plan)) = self.queue.get(i) else {
+                break;
+            };
+            // Where the run stopped short of the candidate, its gate failed.
+            if (i > prefix_len || i == at) && self.reusable(i, &walk, work) {
+                out.meta_tail.push(Some(PlanMeta::of(&mut walk)));
                 walk.apply(plan);
-                if in_prefix {
-                    out.prefix_len += 1;
-                } else {
-                    out.queue_tail.push((*task, plan.clone()));
-                    out.meta_tail.push(self.meta[i].clone());
-                }
+                out.queue_tail.push((*task, plan.clone()));
                 work.plans_reused += 1;
-            } else {
-                in_prefix = false;
-                if let Err((failure, _)) = self.plan_fresh(task, &mut walk, &mut out, work) {
-                    // By position, not by `failure.task`: the candidate may
-                    // carry the id of a waiting task.
-                    let walked = cand_planned.map(|(at, tail)| {
-                        let inputs = out.meta_tail[tail].take();
-                        (at..i + 1, inputs.expect("the candidate's inputs"))
-                    });
-                    return Err(Refused { failure, walked });
-                }
+            } else if let Err((failure, _)) = self.plan_fresh(task, &mut walk, &mut out, work) {
+                // By position, not by `failure.task`: the candidate may
+                // carry the id of a waiting task.
+                let walked = cand_planned.map(|tail| {
+                    let inputs = out.meta_tail[tail].take();
+                    (at..i + 1, inputs.expect("the candidate's inputs"))
+                });
+                return Err(Refused { failure, walked });
             }
-        }
-        if let Some(c) = cand_pending {
-            self.plan_candidate(&c, self.queue.len(), &mut walk, &mut out, work)?;
         }
         Ok(out)
     }
@@ -458,7 +545,15 @@ impl AdmissionController {
     fn book_work(&mut self, work: EngineProfile) {
         self.profile.plans_reused += work.plans_reused;
         self.profile.plans_computed += work.plans_computed;
+        self.profile.gates_compared += work.gates_compared;
         self.profile.refusals_reused += work.refusals_reused;
+    }
+
+    /// Waiting position `q` has a new position ahead of it.
+    fn unchain(&mut self, q: usize) {
+        if let Some(Some(meta)) = self.meta.get_mut(q) {
+            meta.follows = false;
+        }
     }
 
     fn install(&mut self, pass: Pass) {
@@ -595,24 +690,24 @@ impl Admission for AdmissionController {
                 continue;
             }
             let cached = waiting_index.get(&task.id).copied();
-            if let Some(qi) = cached {
-                // Reuse requires the *whole task* to match, not just the
-                // id: a batch member that shares a waiting task's id but
-                // differs in size/deadline must be planned fresh (the
-                // reference engine plans it fresh regardless).
-                if self.queue[qi].0 == task && self.reusable(&self.meta[qi], &walk) {
-                    let plan = self.queue[qi].1.clone();
-                    walk.apply(&plan);
-                    plans.push((task, plan, self.meta[qi].clone()));
-                    work.plans_reused += 1;
-                    i += 1;
-                    continue;
-                }
+            // Reuse requires the *whole task* to match, not just the id: a
+            // batch member that shares a waiting task's id but differs in
+            // size/deadline must be planned fresh (the reference engine
+            // plans it fresh regardless).
+            let reused = cached
+                .filter(|&qi| self.queue[qi].0 == task && self.reusable(qi, &walk, &mut work));
+            let inputs = PlanMeta::of(&mut walk);
+            if let Some(qi) = reused {
+                let plan = self.queue[qi].1.clone();
+                walk.apply(&plan);
+                plans.push((task, plan, Some(inputs)));
+                work.plans_reused += 1;
+                i += 1;
+                continue;
             }
             let is_batch = cached.is_none();
             // Every planning attempt counts as work, successful or not.
             work.plans_computed += 1;
-            let inputs = PlanMeta::of(&walk);
             match walk.place(self.algorithm.strategy, &task, &self.params, &self.cfg) {
                 Ok(plan) => {
                     if is_batch {
@@ -723,6 +818,7 @@ impl Admission for AdmissionController {
             if self.queue[i].1.first_start().at_or_before_eps(now) {
                 let (task, plan) = self.queue.remove(i);
                 self.meta.remove(i);
+                self.unchain(i);
                 plan.write_releases(&mut self.releases);
                 due.push((task, plan));
             } else {
@@ -742,6 +838,7 @@ impl Admission for AdmissionController {
         let pos = self.queue.iter().position(|(t, _)| t.id == id)?;
         let (task, _) = self.queue.remove(pos);
         self.meta.remove(pos);
+        self.unchain(pos);
         Some(task)
     }
 
@@ -844,13 +941,14 @@ mod tests {
         let before = inc.profile();
         let probe = task(999, 0.0, 100.0, 9e8);
         assert!(inc.submit(probe, SimTime::ZERO).is_accepted());
-        let after = inc.profile();
+        let work = work_since(&inc, before);
         assert_eq!(
-            after.plans_computed - before.plans_computed,
-            1,
+            work.plans_computed, 1,
             "a back-of-queue submit must plan exactly the newcomer"
         );
-        assert_eq!(after.plans_reused - before.plans_reused, 64);
+        assert_eq!(work.plans_reused, 64);
+        // Compared at the head of the queue, proved behind it.
+        assert_eq!(work.gates_compared, 1);
     }
 
     #[test]
@@ -1224,7 +1322,7 @@ mod tests {
         // them; the one behind it is planned.
         let mut walk = Walk::new(&inc.releases, now);
         for q in 0..3 {
-            inc.meta[q] = Some(PlanMeta::of(&walk));
+            inc.meta[q] = Some(PlanMeta::of(&mut walk));
             walk.apply(&inc.queue[q].1);
         }
         let c = task(100, 1.0, 10.0, 2_999.0);
@@ -1234,6 +1332,190 @@ mod tests {
             super::super::probe::WALKED_ON.take(),
             vec![SimTime::new(100.0), SimTime::new(400.0)]
         );
+    }
+
+    // The prefix lemma's side conditions, one test each. On a book the
+    // engine built itself, (ii)'s left half and (iii) never bind: a walk
+    // rebases only on a position recorded no later than the one it records
+    // next, and a plan frees no node before the node was available. The
+    // lemma does not rest on either fact, so their tests vouch for
+    // hand-made books by hand. A dropped condition turns its test red in a
+    // debug build through the helper's own cross-check, and in any build
+    // through the test's count of compared gates or its oracle; a batch
+    // that cloned what it keeps would leave it unchained, which only the
+    // count shows.
+
+    /// Vouches for every cached plan of `inc` as a walk at `at` would have
+    /// recorded it, each on what the ones before it wrote (so each follows
+    /// the one ahead).
+    fn vouch(inc: &mut AdmissionController, at: f64) {
+        let mut walk = Walk::new(&inc.releases, SimTime::new(at));
+        for q in 0..inc.queue.len() {
+            inc.meta[q] = Some(PlanMeta::of(&mut walk));
+            walk.apply(&inc.queue[q].1);
+        }
+    }
+
+    /// The prefix helper over the whole queue at `now`: where it stopped,
+    /// and how many gates it compared.
+    fn held(inc: &AdmissionController, now: f64) -> (usize, u64) {
+        let mut walk = Walk::new(&inc.releases, SimTime::new(now));
+        let mut work = EngineProfile::default();
+        let stop = |_: &Task, _: &mut Walk| Ok::<_, Infallible>(false);
+        let Ok(stop) = inc.held_run(&mut walk, 0..inc.queue.len(), |_| false, &mut work, stop);
+        (stop, work.gates_compared)
+    }
+
+    /// A book every node of which is committed until 5 000.
+    fn busy(cfg: PlanConfig) -> (ReferenceController, AdmissionController) {
+        let mut full = ReferenceController::new(params(), AlgorithmKind::EDF_DLT, cfg);
+        let mut inc = AdmissionController::new(params(), AlgorithmKind::EDF_DLT, cfg);
+        for node in 0..16 {
+            full.set_node_release(node, SimTime::new(5_000.0));
+            inc.set_node_release(node, SimTime::new(5_000.0));
+        }
+        (full, inc)
+    }
+
+    #[test]
+    fn a_pass_before_a_cached_positions_planning_instant_compares_its_gate() {
+        // (ii), right half. a is planned at 40 and b at 100 behind it, so b
+        // follows a; then c is submitted at 50, before b's planning instant.
+        // b's gate holds at 50 as well — but a run that took it as proved
+        // would stand on b's record, which at 50 says nothing about a's
+        // node: the walk would plan c as if a had never taken it.
+        let (_, mut inc) = busy(PlanConfig::default());
+        assert!(inc
+            .submit(task(1, 40.0, 50.0, 1e6), SimTime::new(40.0))
+            .is_accepted());
+        assert!(inc
+            .submit(task(2, 100.0, 50.0, 1e6), SimTime::new(100.0))
+            .is_accepted());
+        assert!(inc.meta[1].as_ref().is_some_and(|m| m.follows));
+        assert_ne!(inc.queue[0].1.nodes, inc.queue[1].1.nodes);
+        let (decision, work) = ask_again(&mut inc, task(3, 50.0, 50.0, 2e6), SimTime::new(50.0));
+        assert!(decision.is_accepted());
+        assert_eq!((work.gates_compared, work.plans_computed), (2, 1));
+        // At 100 the chain vouches for b again; c, recorded at 50 behind a
+        // walk that took b's plan directly, does not follow it.
+        let (_, work) = ask_again(&mut inc, task(4, 100.0, 50.0, 3e6), SimTime::new(100.0));
+        assert_eq!((work.gates_compared, work.plans_reused), (2, 3));
+    }
+
+    #[test]
+    fn a_gate_recorded_before_the_one_ahead_is_compared() {
+        // (ii), left half. Node 1 is committed until 100, a (node 0, 500 →
+        // 600) waits ahead of b. b's inputs were recorded at 100 behind a's
+        // plan, a's at 150: b follows a but was planned before it. At 150
+        // node 1 clamps to 150 for a and for the walk, but b saw it at 100.
+        let mut inc = searched_book(
+            [500.0, 100.0],
+            &[
+                (0.0, 1.0, 1e6, 0, 500.0, 600.0),
+                (0.1, 1.0, 1e6, 1, 600.0, 700.0),
+            ],
+        );
+        vouch(&mut inc, 100.0);
+        let mut at_150 = Walk::new(&inc.releases, SimTime::new(150.0));
+        inc.meta[0] = Some(PlanMeta::of(&mut at_150));
+        assert!(inc.meta[1].as_ref().is_some_and(|m| m.follows));
+        assert_eq!(held(&inc, 150.0), (1, 2));
+    }
+
+    #[test]
+    fn a_gate_behind_a_plan_released_before_now_is_compared() {
+        // (iii). a releases node 0 at 140 — due since 100, and not yet
+        // dispatched when a walk at 150 comes by (a serving turn decides
+        // before it drives). b was recorded at 0 behind it and saw 140 where
+        // the walk at 150 sees 150.
+        let mut inc = searched_book(
+            [200.0, 200.0],
+            &[
+                (0.0, 1.0, 1e6, 0, 100.0, 140.0),
+                (0.1, 1.0, 1e6, 1, 300.0, 400.0),
+            ],
+        );
+        vouch(&mut inc, 0.0);
+        assert_eq!(held(&inc, 150.0), (1, 2));
+        // At b's own instant the chain vouches for it.
+        assert_eq!(held(&inc, 0.0), (2, 1));
+    }
+
+    #[test]
+    fn a_position_closed_up_behind_is_compared_not_proved() {
+        // (i), kept true by unchaining. Removing b from a, b, c leaves c
+        // recorded behind b's plan but standing behind a's: its gate is
+        // compared, and fails (b's node is free again).
+        let (_, mut inc) = busy(PlanConfig::default());
+        for id in 1..=3 {
+            let t = task(id, 0.0, 50.0, 1e6 + id as f64 * 1e3);
+            assert!(inc.submit(t, SimTime::ZERO).is_accepted());
+        }
+        assert!(inc.remove_waiting(TaskId(2)).is_some());
+        let (decision, work) = ask_again(&mut inc, task(4, 0.0, 50.0, 2e6), SimTime::ZERO);
+        assert!(decision.is_accepted());
+        assert_eq!((work.gates_compared, work.plans_computed), (2, 2));
+        // A dispatch from the middle of a, x, b that lowers node 1 from 1 000
+        // to 800 (hand-made: no plan of the engine's frees a node early),
+        // hidden from a by the clamp at 1 000 but not from b, recorded at 500.
+        let mut inc = searched_book(
+            [1_000.0; 2],
+            &[
+                (0.0, 1.0, 1e6, 0, 1_001.0, 1_100.0),
+                (0.1, 1.0, 1e6, 1, 400.0, 800.0),
+                (0.2, 1.0, 1e6, 0, 1_100.0, 1_200.0),
+            ],
+        );
+        vouch(&mut inc, 500.0);
+        assert_eq!(inc.take_due(SimTime::new(1_000.0)).len(), 1);
+        assert_eq!(held(&inc, 1_000.0), (1, 2));
+    }
+
+    #[test]
+    fn a_batch_rerecords_what_it_keeps_behind_a_new_member() {
+        // b leaves and comes back in a batch, planned where it was on what
+        // it was planned on: c's gate holds behind it and c is kept —
+        // re-recorded behind b's plan, not cloned unchained.
+        let (mut full, mut inc) = busy(PlanConfig::default());
+        let [a, b, c] = [1, 2, 3].map(|id| task(id, 0.0, 50.0, 1e6 + id as f64 * 1e3));
+        for t in [a, b, c] {
+            assert_eq!(full.submit(t, SimTime::ZERO), inc.submit(t, SimTime::ZERO));
+        }
+        assert_eq!(full.remove_waiting(b.id), inc.remove_waiting(b.id));
+        let before = inc.profile();
+        let decisions = inc.submit_batch(&[b], SimTime::ZERO);
+        assert_eq!(full.submit_batch(&[b], SimTime::ZERO), decisions);
+        assert_same_state(&full, &inc);
+        let work = work_since(&inc, before);
+        assert_eq!((work.plans_computed, work.plans_reused), (1, 2));
+        // A later pass proves every gate behind the first.
+        let (_, work) = ask_again(&mut inc, task(4, 10.0, 50.0, 2e6), SimTime::new(10.0));
+        assert_eq!((work.gates_compared, work.plans_reused), (1, 3));
+    }
+
+    #[test]
+    fn one_shot_proves_within_an_instant_and_never_across() {
+        // (iv) needs no check of its own: under OneShot the gate ahead held
+        // only at its own instant, and (ii) pins the next one to it.
+        let cfg = PlanConfig {
+            node_count: NodeCountPolicy::OneShot,
+            ..Default::default()
+        };
+        let (_, mut inc) = busy(cfg);
+        for id in 1..=4 {
+            let t = task(id, 0.0, 50.0, 1e6 + id as f64 * 1e3);
+            assert!(inc.submit(t, SimTime::ZERO).is_accepted());
+        }
+        let (_, work) = ask_again(&mut inc, task(10, 0.0, 50.0, 2e6), SimTime::ZERO);
+        assert_eq!((work.gates_compared, work.plans_reused), (1, 4));
+        // Clamp-equal at 10, but ñ_min is evaluated at the raw instant: the
+        // head's gate fails, and nothing behind it is proved.
+        for (id, at) in [(11, 10.0), (12, 0.0)] {
+            let (_, work) = ask_again(&mut inc, task(id, at, 50.0, 3e6), SimTime::new(at));
+            assert_eq!(work.plans_reused, 0, "at {at}");
+        }
+        let (_, work) = ask_again(&mut inc, task(13, 0.0, 50.0, 4e6), SimTime::ZERO);
+        assert_eq!((work.gates_compared, work.plans_reused), (1, 7));
     }
 
     /// A book in which a ticket is refused on behalf of a waiting task two
@@ -1291,13 +1573,18 @@ mod tests {
         let decision = inc.submit(ticket, now);
         assert_eq!(decision, oracle.submit(ticket, now));
         assert_eq!(inc.state(), oracle.state());
+        (decision, work_since(inc, before))
+    }
+
+    /// The work `inc` booked since its profile read `before`.
+    fn work_since(inc: &AdmissionController, before: EngineProfile) -> EngineProfile {
         let after = inc.profile();
-        let work = EngineProfile {
+        EngineProfile {
             plans_reused: after.plans_reused - before.plans_reused,
             plans_computed: after.plans_computed - before.plans_computed,
+            gates_compared: after.gates_compared - before.gates_compared,
             refusals_reused: after.refusals_reused - before.refusals_reused,
-        };
-        (decision, work)
+        }
     }
 
     #[test]

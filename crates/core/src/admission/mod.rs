@@ -216,8 +216,8 @@ impl ControllerState {
     /// Structural validation shared by every engine's `from_state`: the
     /// release vector matches the cluster shape, the queue is in policy
     /// order (the production engine walks it as it stands; equal keys are a
-    /// shadowed id, and legal) and each queued plan is internally consistent
-    /// and belongs to its task.
+    /// shadowed id, and legal) and each queued plan is internally consistent,
+    /// has at least one chunk and belongs to its task.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.releases.len() != self.params.num_nodes {
             return Err(ModelError::InvalidParams(
@@ -243,12 +243,14 @@ impl ControllerState {
                     "queued plan references a node outside the cluster",
                 ));
             }
-            if plan.nodes.len() != plan.node_release_estimates.len()
+            // A plan comes due at its first chunk's transmission.
+            if plan.nodes.is_empty()
+                || plan.nodes.len() != plan.node_release_estimates.len()
                 || plan.nodes.len() != plan.start_times.len()
                 || plan.nodes.len() != plan.fractions.len()
             {
                 return Err(ModelError::InvalidParams(
-                    "queued plan has inconsistent chunk vectors",
+                    "queued plan has no chunks or inconsistent chunk vectors",
                 ));
             }
         }
@@ -258,16 +260,21 @@ impl ControllerState {
 
 /// The production engine's reuse counters (see
 /// [`AdmissionController::profile`]): how many queue positions were
-/// re-planned, how many were served from the cache, and how many refusals
-/// were answered from a remembered one. Telemetry folds
-/// them into the unified metrics registry; what planning *costs* is timed
-/// by the profiler's `gateway/plan` phase, off the engine's hot path.
+/// re-planned, how many were served from the cache, how many reuse gates
+/// took a comparison, and how many refusals were answered from a
+/// remembered one. Telemetry folds them into the unified metrics registry;
+/// what planning *costs* is timed by the profiler's `gateway/plan` phase,
+/// off the engine's hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineProfile {
     /// Queue positions whose cached plan was reused verbatim.
     pub plans_reused: u64,
     /// Queue positions (or candidates) that went through `plan_task`.
     pub plans_computed: u64,
+    /// Reuse gates decided by comparing a cached plan's release vector with
+    /// the walk's, node by node; the others followed from the gate ahead of
+    /// them (the lemma in [`incremental`]) or had no cached plan.
+    pub gates_compared: u64,
     /// Submissions refused by a remembered refusal: the walk reached the
     /// candidate's insertion point on the inputs an earlier refusal of the
     /// same task went on from, and planned nothing further.
@@ -541,6 +548,29 @@ mod tests {
         assert_eq!(image.queue[2].0, image.queue[3].0);
         assert!(image.validate().is_ok());
         image.queue.swap(0, 1);
+        assert!(image.validate().is_err());
+        assert!(AdmissionController::from_state(image.clone()).is_err());
+        assert!(reference::ReferenceController::from_state(image).is_err());
+    }
+
+    #[test]
+    fn a_plan_with_no_chunks_is_refused_by_both_engines() {
+        // Restored, it would come due at `start_times[0]`, which is not
+        // there: the first `take_due` would panic.
+        let mut c = AdmissionController::new(
+            ClusterParams::paper_baseline(),
+            AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
+        );
+        assert!(c
+            .submit(Task::new(1, 0.0, 100.0, 1e5), SimTime::ZERO)
+            .is_accepted());
+        let mut image = c.state();
+        let plan = &mut image.queue[0].1;
+        plan.nodes.clear();
+        plan.start_times.clear();
+        plan.fractions.clear();
+        plan.node_release_estimates.clear();
         assert!(image.validate().is_err());
         assert!(AdmissionController::from_state(image.clone()).is_err());
         assert!(reference::ReferenceController::from_state(image).is_err());

@@ -5,13 +5,10 @@
 //! ([`ExplainSearch`](super::ExplainSearch)) ask the Fig. 2 question dozens
 //! of times about *one* book and *one* task whose deadline or size is being
 //! varied, and the reservation search asks it once per future dispatch
-//! instant. Both walk the engine's own queue — it is in policy order, and its
-//! cached plans are good wherever the reuse gate says so — and take every
-//! waiting position on the engine's one verdict-only step
-//! ([`AdmissionController::step`]: the cached plan written back where the
-//! gate holds, planned for its verdict where it does not; why that answers
-//! what the literal test answers is the reuse invariant, stated once in
-//! `incremental.rs`). Nothing is materialised and nothing allocated per step.
+//! instant. Both walk the engine's own queue on its cache, verdict-only, on
+//! [`AdmissionController::walk_positions`] (gates proved or compared as the
+//! lemma in `incremental.rs` allows; where one fails, the task planned for
+//! its verdict), and allocate nothing per step.
 //!
 //! A [`ProbeWalk`] keeps the walk state at the task's own insertion point
 //! and, as probes ask for them, the states after each further waiting task
@@ -22,15 +19,13 @@
 //! the queue, where almost nothing is left to step.
 //!
 //! The start search ([`AdmissionController::earliest_start_after`]) walks
-//! books that differ only in which waiting plans have been dispatched. Most
-//! instants are not walked to the end at all: a dispatch commits what the
-//! plans behind it already observed, so instant after instant the walk
-//! arrives at the task's position on the same clamped vector with the same
-//! tasks still waiting behind it — and from there it could only repeat, step
-//! for step, the instant before, which failed (the search would have stopped
-//! there otherwise). Such an instant is refused on arrival; one where a task
-//! behind the searched one has been dispatched, or where the clamp at the
-//! new instant lifts a release, is walked on.
+//! books that differ only in which waiting plans have been dispatched, so
+//! instant after instant the walk arrives at the task's position on the
+//! same clamped vector with the same tasks waiting behind it (the reuse
+//! invariant, `incremental.rs`) — and from there could only repeat, step for
+//! step, the instant before, which failed. Such an instant is refused on
+//! arrival; one where a task behind the searched one has been dispatched, or
+//! where the clamp at the new instant lifts a release, is walked on.
 //!
 //! The unit tests here hold both against the literal test over random
 //! books, cold (every position planned) and warm (cached plans applied).
@@ -67,8 +62,8 @@ impl<'a> ProbeWalk<'a> {
     pub(super) fn new(engine: &'a AdmissionController, task: &Task, now: SimTime) -> Self {
         let first = engine.insertion_point(task);
         let mut walk = Walk::new(engine.committed_releases(), now);
-        let head = (0..first)
-            .try_for_each(|q| engine.step(q, &mut walk))
+        let head = engine
+            .walk_positions(&mut walk, 0..first, |_| false)
             .map(|()| walk);
         ProbeWalk {
             engine,
@@ -92,7 +87,7 @@ impl<'a> ProbeWalk<'a> {
             // Ahead of the chain (no search asks; a shorter deadline would):
             // walked from the front of the queue.
             walk.restart(engine.committed_releases(), self.now);
-            (0..at).try_for_each(|q| engine.step(q, walk))?;
+            engine.walk_positions(walk, 0..at, |_| false)?;
         } else {
             while self.first + self.chain.len() <= at {
                 let last = self.chain.len() - 1;
@@ -102,7 +97,10 @@ impl<'a> ProbeWalk<'a> {
                         // Settled before it is copied, here and below, so the
                         // copies do not each repeat its last step's merge.
                         let mut next = link.fork();
-                        engine.step(self.first + last, &mut next).map(|()| next)
+                        let q = self.first + last;
+                        engine
+                            .walk_positions(&mut next, q..q + 1, |_| false)
+                            .map(|()| next)
                     }
                 };
                 self.chain.push(next);
@@ -112,7 +110,7 @@ impl<'a> ProbeWalk<'a> {
             walk.copy_from(link);
         }
         engine.test(candidate, walk)?;
-        (at..engine.queue_len()).try_for_each(|q| engine.step(q, walk))
+        engine.walk_positions(walk, at..engine.queue_len(), |_| false)
     }
 }
 
@@ -160,14 +158,12 @@ impl AdmissionController {
                 }
             }
             walk.restart(&releases, t);
-            let mut ahead = (0..at).filter(|&q| !due(q));
-            if ahead.try_for_each(|q| self.step(q, &mut walk)).is_err() {
+            if self.walk_positions(&mut walk, 0..at, due).is_err() {
                 return false;
             }
             // Dispatches only accumulate from instant to instant, so an equal
             // count is the same set of positions.
-            let behind = || (at..queue.len()).filter(|&q| !due(q));
-            let waiting = behind().count();
+            let waiting = (at..queue.len()).filter(|&q| !due(q)).count();
             if seen_waiting == Some(waiting) && seen.holds_for(&walk, cfg) {
                 debug_assert!(
                     {
@@ -184,7 +180,7 @@ impl AdmissionController {
             #[cfg(test)]
             WALKED_ON.with(|instants| instants.borrow_mut().push(t));
             self.test(task, &mut walk)
-                .and_then(|()| behind().try_for_each(|q| self.step(q, &mut walk)))
+                .and_then(|()| self.walk_positions(&mut walk, at..queue.len(), due))
                 .is_ok()
         })
     }
@@ -258,14 +254,16 @@ mod tests {
     ) -> AdmissionController {
         let mut ordered = waiting.to_vec();
         algorithm.policy.sort(&mut ordered);
+        // A one-chunk placeholder, never dispatched within a test and never
+        // read by a walk (no cached inputs vouch for it).
         let unplanned = |task: &Task| TaskPlan {
             task: task.id,
             strategy: StrategyKind::DltIit,
-            nodes: Vec::new(),
-            start_times: Vec::new(),
-            fractions: Vec::new(),
-            est_completion: SimTime::ZERO,
-            node_release_estimates: Vec::new(),
+            nodes: vec![crate::params::NodeId(0)],
+            start_times: vec![SimTime::FAR_FUTURE],
+            fractions: vec![1.0],
+            est_completion: SimTime::FAR_FUTURE,
+            node_release_estimates: vec![SimTime::FAR_FUTURE],
         };
         AdmissionController::from_state(ControllerState {
             params,

@@ -13,7 +13,10 @@
 //! [`apply`](Walk::apply), takes a plan already known to be what `place`
 //! would return (the engine's reuse cache). Whichever it is, the plan's
 //! release estimates are written back — by the fresh steps straight from
-//! the scratch, through the availability's head — and the walk moves on.
+//! the scratch, through the availability's head — and the walk moves on. A
+//! run of cached plans may instead be taken at once, by a
+//! [`rebase`](Walk::rebase) on the last one's recorded inputs (the lemma in
+//! `incremental.rs` says when).
 //!
 //! Availability stays sorted *across* steps instead of being re-sorted per
 //! step: a plan occupies exactly the `n` earliest entries, so after it only
@@ -46,22 +49,30 @@ use super::AdmissionFailure;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(super) struct PlanMeta {
     /// The planning instant of the walk.
-    planned_at: SimTime,
+    pub(super) planned_at: SimTime,
     /// The (pre-clamp) release vector the walk had built; length =
     /// `num_nodes`.
     pub(super) observed: Vec<SimTime>,
+    /// `observed` is exactly that of the queue position ahead with its plan
+    /// written (the lemma in `incremental.rs`); set true only by
+    /// [`of`](Self::of).
+    pub(super) follows: bool,
 }
 
 impl PlanMeta {
-    /// The inputs a step of `walk` would plan on now.
-    pub(super) fn of(walk: &Walk) -> Self {
+    /// The inputs a step of `walk` would plan on now, recorded for the
+    /// queue position that step takes.
+    pub(super) fn of(walk: &mut Walk) -> Self {
+        let follows = walk.since_record == Some(1);
+        walk.since_record = Some(0);
         PlanMeta {
             planned_at: walk.now,
             observed: walk.releases.clone(),
+            follows,
         }
     }
 
-    /// [`of`](PlanMeta::of) into a kept buffer.
+    /// The walk's inputs into a kept buffer (no queue position's).
     pub(super) fn record(&mut self, walk: &Walk) {
         self.planned_at = walk.now;
         self.observed.clone_from(&walk.releases);
@@ -86,6 +97,7 @@ impl PlanMeta {
 }
 
 /// The state of one temp-schedule walk at one planning instant.
+#[derive(Clone)]
 pub(super) struct Walk {
     now: SimTime,
     /// Per-node release times as the walk has built them (index = node id,
@@ -103,6 +115,9 @@ pub(super) struct Walk {
     /// Scratch a fresh step plans in: allocated by the walk's first fresh
     /// step, reused by every one after it.
     scratch: PlanScratch,
+    /// `Some(n)`: `releases` is the vector last recorded from this walk
+    /// ([`PlanMeta::of`]) with `n` plans written since.
+    since_record: Option<u8>,
 }
 
 impl Walk {
@@ -116,6 +131,7 @@ impl Walk {
             stale_head: 0,
             head: Vec::new(),
             scratch: PlanScratch::default(),
+            since_record: None,
         }
     }
 
@@ -126,6 +142,18 @@ impl Walk {
         self.releases.extend_from_slice(releases);
         self.built = false;
         self.stale_head = 0;
+        self.since_record = None;
+    }
+
+    /// Stands the walk on `meta`'s recorded vector with `plan` written, for
+    /// a caller that knows this clamps at `now` to what writing back the
+    /// plans it skipped would have built (the lemma in `incremental.rs`).
+    pub(super) fn rebase(&mut self, meta: &PlanMeta, plan: &TaskPlan) {
+        self.releases.clone_from(&meta.observed);
+        plan.write_releases(&mut self.releases);
+        self.built = false;
+        self.stale_head = 0;
+        self.since_record = Some(1);
     }
 
     /// Makes this walk a copy of `other`, keeping the allocations.
@@ -134,6 +162,7 @@ impl Walk {
         self.releases.clone_from(&other.releases);
         self.built = other.built;
         self.stale_head = other.stale_head;
+        self.since_record = None;
         if other.built {
             self.avail.copy_from(&other.avail);
         }
@@ -156,6 +185,12 @@ impl Walk {
     #[inline]
     pub(super) fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Whether the walk keeps its availability sorted (it has planned).
+    #[inline]
+    pub(super) fn built(&self) -> bool {
+        self.built
     }
 
     /// The release vector the steps so far have built.
@@ -212,6 +247,7 @@ impl Walk {
         // Planned on this availability, so on its earliest nodes.
         self.stale_head = planned.nodes;
         planned.write_releases(&self.avail, &self.scratch, &mut self.releases);
+        self.since_record = self.since_record.map(|n| n.saturating_add(1));
         Ok(planned)
     }
 
@@ -263,6 +299,7 @@ impl Walk {
             self.stale_head = n;
         }
         plan.write_releases(&mut self.releases);
+        self.since_record = self.since_record.map(|n| n.saturating_add(1));
     }
 }
 

@@ -360,7 +360,7 @@ pub fn plan_task(
 /// (a walk keeps one set for all of its steps; [`plan_task`] brings a fresh
 /// one). After a successful [`plan_into`] the per-chunk vectors hold the
 /// plan, chunk for chunk in transmission order.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct PlanScratch {
     /// Per chunk: the earliest instant its transmission may start.
     starts: Vec<SimTime>,

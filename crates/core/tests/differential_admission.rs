@@ -11,8 +11,10 @@
 //! engine's correctness story: scenarios cover streaming submissions,
 //! bursts through the checkpoint-rewind batch path, dispatches, early node
 //! releases, replans, demote-style removals, mid-scenario restores from the
-//! journaled image (a cold reuse cache), and real workload streams (Poisson,
-//! bursty, and heavy-tailed sizes) at >1000 generated cases.
+//! journaled image (a cold reuse cache), submissions stamped before the
+//! scenario clock (a pass at an instant earlier than the one its cached
+//! plans were planned at), and real workload streams (Poisson, bursty, and
+//! heavy-tailed sizes) at >1000 generated cases.
 //!
 //! Refusal explanations are compared the same way, as whole values: the
 //! production engine explains on a probe walk that plans the queue prefix
@@ -100,6 +102,13 @@ enum Op {
     Resubmit {
         pick: usize,
     },
+    /// A submission stamped `back` before the scenario clock: a pass at an
+    /// instant earlier than the ones the cached plans were planned at.
+    SubmitEarlier {
+        sigma: f64,
+        dc: f64,
+        back: f64,
+    },
 }
 
 /// Decodes a raw generated tuple into an [`Op`]. Pure, so the same raw
@@ -108,7 +117,7 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
     let (kind, a, b, c) = *raw;
     let sigma = 10.0 + a * 790.0;
     let user = (b > 0.25).then(|| 1 + (a * 97.0) as usize % 16);
-    match kind % 12 {
+    match kind % 13 {
         // Submissions get double weight (0 and 1): they are the hot path.
         0 | 1 => Op::Submit {
             sigma,
@@ -160,6 +169,11 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
         },
         11 => Op::Resubmit {
             pick: (a * 1_000.0) as usize,
+        },
+        12 => Op::SubmitEarlier {
+            sigma,
+            dc: 0.3 + b * 15.0,
+            back: c * 1_500.0,
         },
         // Deliberately tight deadline factors: the reservation search only
         // does interesting work on tasks the plain test rejects.
@@ -425,6 +439,14 @@ impl Harness {
                         .map_err(|e| format!("op {i} {op:?}: {e}"))?;
                 }
             }
+            Op::SubmitEarlier { sigma, dc, back } => {
+                let clock = self.now;
+                self.now = (clock - back).max(0.0);
+                let task = self.mk_task(*sigma, *dc, None);
+                let submitted = self.submit(task);
+                self.now = clock;
+                submitted.map_err(|e| format!("op {i} {op:?}: {e}"))?;
+            }
         }
         self.check(&format!("op {i} {op:?}"))
     }
@@ -493,7 +515,7 @@ proptest! {
     #[test]
     fn differential_random_ops(
         algorithm in prop::sample::select(algorithms()),
-        raws in prop::collection::vec((0u8..12, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
+        raws in prop::collection::vec((0u8..13, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
     ) {
         if let Err(e) = check_scenario(algorithm, &raws) {
             shrink_and_report(algorithm, &raws, e);

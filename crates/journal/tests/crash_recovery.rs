@@ -471,13 +471,8 @@ fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() 
     }
 }
 
-/// A checksum-valid snapshot whose waiting queue is not in policy order (two
-/// entries swapped) restores to no gateway. The engine walks its queue as it
-/// stands where the oracle re-sorts, so restored it would have served the
-/// tasks in the damaged order.
-#[test]
-fn a_checksum_valid_snapshot_with_its_queue_out_of_order_is_corrupt_not_served() {
-    use rtdls_journal::wire::{encode_frame, RecordKind};
+/// A one-shard gateway's snapshot with three tasks waiting.
+fn three_waiting() -> GatewaySnapshot {
     let mut gateway = ShardedGateway::new(
         params(),
         1,
@@ -494,18 +489,48 @@ fn a_checksum_valid_snapshot_with_its_queue_out_of_order_is_corrupt_not_served()
             .submit_request(&request, SimTime::ZERO)
             .is_accepted());
     }
-    let recover_image = |snapshot: &GatewaySnapshot| {
-        let image = serde_json::to_string(snapshot).unwrap();
-        let wal = encode_frame(RecordKind::Snapshot, image.as_bytes());
-        recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
-    };
-    let mut snapshot = gateway.capture();
+    gateway.capture()
+}
+
+/// Recovers a WAL holding nothing but `snapshot`, checksums intact.
+fn recover_image(snapshot: &GatewaySnapshot) -> Result<(JG, RecoveryReport), JournalError> {
+    use rtdls_journal::wire::{encode_frame, RecordKind};
+    let image = serde_json::to_string(snapshot).unwrap();
+    let wal = encode_frame(RecordKind::Snapshot, image.as_bytes());
+    recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
+}
+
+/// A checksum-valid snapshot whose waiting queue is not in policy order (two
+/// entries swapped) restores to no gateway. The engine walks its queue as it
+/// stands where the oracle re-sorts, so restored it would have served the
+/// tasks in the damaged order.
+#[test]
+fn a_checksum_valid_snapshot_with_its_queue_out_of_order_is_corrupt_not_served() {
+    let mut snapshot = three_waiting();
     assert!(recover_image(&snapshot).is_ok());
     snapshot.shards[0].queue.swap(1, 2);
     match recover_image(&snapshot) {
         Err(JournalError::Corrupt(why)) => assert!(why.contains("policy order"), "{why}"),
         Err(other) => panic!("{other}"),
         Ok(_) => panic!("a queue out of order was restored"),
+    }
+}
+
+/// A checksum-valid snapshot with a waiting plan of no chunks restores to no
+/// gateway: restored, its first drive would look for the plan's first
+/// transmission to see whether it is due, and panic.
+#[test]
+fn a_checksum_valid_snapshot_with_a_plan_of_no_chunks_is_corrupt_not_served() {
+    let mut snapshot = three_waiting();
+    let plan = &mut snapshot.shards[0].queue[1].1;
+    plan.nodes.clear();
+    plan.start_times.clear();
+    plan.fractions.clear();
+    plan.node_release_estimates.clear();
+    match recover_image(&snapshot) {
+        Err(JournalError::Corrupt(why)) => assert!(why.contains("no chunks"), "{why}"),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("a plan with no chunks was restored"),
     }
 }
 

@@ -145,6 +145,11 @@ pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, s
         profile.reuse_rate(),
     );
     reg.counter(
+        "rtdls_engine_gates_compared",
+        &labels,
+        profile.gates_compared,
+    );
+    reg.counter(
         "rtdls_engine_refusals_reused",
         &labels,
         profile.refusals_reused,
@@ -181,6 +186,7 @@ mod tests {
         let profile = EngineProfile {
             plans_reused: 30,
             plans_computed: 10,
+            gates_compared: 4,
             refusals_reused: 7,
         };
         let mut reg = MetricsRegistry::new();
@@ -189,6 +195,7 @@ mod tests {
         assert!(text.contains("rtdls_engine_plans_reused{shard=\"2\"} 30"));
         assert!(text.contains("rtdls_engine_plan_reuse_rate{shard=\"2\"} 0.75"));
         assert!(text.contains("rtdls_engine_plans_computed{shard=\"2\"} 10"));
+        assert!(text.contains("rtdls_engine_gates_compared{shard=\"2\"} 4"));
         assert!(text.contains("rtdls_engine_refusals_reused{shard=\"2\"} 7"));
     }
 }
