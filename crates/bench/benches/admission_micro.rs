@@ -8,11 +8,12 @@
 //! failed pass (a task refused for the first time: walked, and remembered),
 //! `retest_deep` the same ticket asked about again on the unchanged book
 //! (answered from the engine's remembered refusal), `start_search_deep` the
-//! reservation search that follows a refusal (every later dispatch instant
-//! up to the candidate's deadline, less the ones that repeat the last),
-//! `explain_deep` that refusal explained (`open` → `finish`: the deadline and
-//! σ bisections and the same start search) — traffic no `BENCHMARK.json`
-//! workload sends a book this deep.
+//! reservation search that follows a refusal (a verdict walk at `now`, then
+//! every later dispatch instant up to the candidate's deadline, less the ones
+//! that repeat the last), `explain_deep` that refusal explained (`open` →
+//! `finish`: the deadline and σ bisections, each probe a verdict walk from
+//! the front of the queue, and the same start search) — traffic no
+//! `BENCHMARK.json` workload sends a book this deep.
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
 //! queue filled by one same-instant burst. `place` is one fresh walk step on
@@ -196,9 +197,9 @@ fn bench_explain_fleet(c: &mut Criterion) {
 /// staggered releases and nothing waiting, both ways there are to take it.
 /// `kept` is `probe_plan`: a one-step pass that plans the task and hands the
 /// plan back (walk set-up, the step, the plan copied out). `verdict_only` is
-/// one bisection step of an open refusal explanation: the kept walk state
-/// copied, the step taken on the copy, nothing kept but the answer (about
-/// one iteration in 35 re-opens a converged search, which costs a few such
+/// one bisection step of an open refusal explanation: the reused walk
+/// restarted, the step taken, nothing kept but the answer (about one
+/// iteration in 35 re-opens a converged search, which costs a few such
 /// steps).
 fn bench_place(c: &mut Criterion) {
     use rtdls_core::admission::ExplainSearch;

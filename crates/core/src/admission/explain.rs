@@ -8,9 +8,9 @@
 //! explanation is `open` → `finish`. A fleet compares shards by deadline
 //! alone, so it opens a search per shard, refines them side by side,
 //! abandons a search whose bracket already lies wholly above another's, and
-//! finishes only the winner's. Every probe of one search runs on one
-//! [`ProbeWalk`] over the engine's own book and cache — each probe starts
-//! from the kept walk state at its own insertion point.
+//! finishes only the winner's. Every probe is one verdict walk
+//! (`AdmissionController::verdict`, `probe.rs`) over the engine's own book
+//! and cache, from the front of the queue, on one walk the search reuses.
 //!
 //! [`open`]: ExplainSearch::open
 //! [`refine`]: ExplainSearch::refine
@@ -22,7 +22,7 @@ use crate::error::Infeasible;
 use crate::task::Task;
 use crate::time::SimTime;
 
-use super::probe::ProbeWalk;
+use super::walk::Walk;
 use super::{Admission, AdmissionController};
 
 /// A structured account of why a submission failed the schedulability test
@@ -135,24 +135,20 @@ impl Bracket {
     }
 }
 
-/// One probe of a deadline search: whether `task` passes with the relative
-/// deadline `d`.
-fn passes_by(walk: &mut ProbeWalk<'_>, task: &Task, d: f64) -> bool {
-    let relaxed = Task {
-        rel_deadline: d,
-        ..*task
-    };
-    walk.probe(&relaxed).is_ok()
-}
-
 /// A refusal explanation in progress: the cause and a bracket around the
 /// counterfactual deadline are known ([`ExplainSearch::open`]), the bracket
 /// can be halved step by step ([`ExplainSearch::refine`]), and the
 /// counterfactual size and start are still to be searched
 /// ([`ExplainSearch::finish`]).
 pub struct ExplainSearch<'a> {
-    /// The engine's book at the refusal's instant; every probe runs on it.
-    walk: ProbeWalk<'a>,
+    /// The engine whose book at `now`, the refusal's instant, every probe
+    /// tests against.
+    engine: &'a AdmissionController,
+    now: SimTime,
+    /// The walk every probe restarts, reused across probes.
+    walk: Walk,
+    /// Tests answered so far.
+    probes: u64,
     task: Task,
     cause: Infeasible,
     /// `None` when no feasible deadline was found within the horizon.
@@ -160,6 +156,23 @@ pub struct ExplainSearch<'a> {
 }
 
 impl<'a> ExplainSearch<'a> {
+    /// One probe: whether `candidate` passes against the book.
+    fn passes(&mut self, candidate: &Task) -> bool {
+        self.probes += 1;
+        let verdict = self.engine.verdict(candidate, self.now, &mut self.walk);
+        verdict.is_ok()
+    }
+
+    /// One probe of a deadline search: whether the task passes with the
+    /// relative deadline `d`.
+    fn passes_by(&mut self, d: f64) -> bool {
+        let relaxed = Task {
+            rel_deadline: d,
+            ..self.task
+        };
+        self.passes(&relaxed)
+    }
+
     /// Runs the Fig. 2 test for `task` at `now` against `engine`'s book —
     /// `None` when it is in fact feasible as-is — and, for a refusal,
     /// brackets the counterfactual deadline: the upper probe is seeded at
@@ -169,16 +182,24 @@ impl<'a> ExplainSearch<'a> {
     /// is the bracket's failing end. Bisecting it down is
     /// [`refine`](ExplainSearch::refine)'s.
     pub fn open(engine: &'a AdmissionController, task: &Task, now: SimTime) -> Option<Self> {
-        let mut walk = ProbeWalk::new(engine, task, now);
-        let cause = match walk.probe(task) {
+        let mut walk = Walk::new(&[], now);
+        let cause = match engine.verdict(task, now, &mut walk) {
             Ok(()) => return None,
             Err(f) => f.reason,
+        };
+        let mut search = ExplainSearch {
+            engine,
+            now,
+            walk,
+            probes: 1,
+            task: *task,
+            cause,
+            deadline: None,
         };
 
         // The original deadline is known-infeasible (that is the rejection
         // being explained), so it anchors the bracket's low end once a
         // feasible high end is found.
-        let mut feasible = |d: f64| passes_by(&mut walk, task, d);
         let horizon = {
             let committed = engine.committed_releases().iter().copied();
             let last_release = committed.fold(now, SimTime::max);
@@ -186,21 +207,16 @@ impl<'a> ExplainSearch<'a> {
             (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
         };
         let mut hi = task.rel_deadline.max(horizon);
-        let mut found = feasible(hi);
+        let mut found = search.passes_by(hi);
         for _ in 0..64 {
             if found || !hi.is_finite() {
                 break;
             }
             hi *= 2.0;
-            found = hi.is_finite() && feasible(hi);
+            found = hi.is_finite() && search.passes_by(hi);
         }
-        let deadline = found.then(|| Bracket::new(task.rel_deadline, hi));
-        Some(ExplainSearch {
-            walk,
-            task: *task,
-            cause,
-            deadline,
-        })
+        search.deadline = found.then(|| Bracket::new(task.rel_deadline, hi));
+        Some(search)
     }
 
     /// Where the counterfactual deadline search stands — the one thing a
@@ -217,17 +233,17 @@ impl<'a> ExplainSearch<'a> {
     /// The midpoints a search tests depend on nothing but its own book, so
     /// searches refined in any interleaving end where they would alone.
     pub fn refine(&mut self) -> bool {
-        let Some(bracket) = self.deadline.as_mut().filter(|b| !b.done()) else {
+        let Some(mut bracket) = self.deadline.filter(|b| !b.done()) else {
             return false;
         };
-        let (walk, task) = (&mut self.walk, &self.task);
-        bracket.step(|d| passes_by(walk, task, d));
+        bracket.step(|d| self.passes_by(d));
+        self.deadline = Some(bracket);
         true
     }
 
-    /// How many tests this search has run on its walk so far.
+    /// How many tests this search has run so far.
     pub fn probes(&self) -> u64 {
-        self.walk.probes
+        self.probes
     }
 
     /// Completes the explanation: the deadline bracket is tightened the
@@ -241,12 +257,10 @@ impl<'a> ExplainSearch<'a> {
         let min_feasible_deadline = self.deadline.map_or(0.0, |b| b.passing);
         let task = self.task;
         let mut feasible = |s: f64| {
-            self.walk
-                .probe(&Task {
-                    data_size: s,
-                    ..task
-                })
-                .is_ok()
+            self.passes(&Task {
+                data_size: s,
+                ..task
+            })
         };
         // Near-zero is the best case; if even that fails the deadline is
         // hopeless at any size and no suggestion is made.
@@ -263,8 +277,8 @@ impl<'a> ExplainSearch<'a> {
 
         // `open` failed the test at `now` itself, so only later instants
         // are left to search — by the engine's own search.
-        let (engine, now) = (self.walk.engine, self.walk.now);
-        let earliest = engine.earliest_start_after(&task, now);
+        let now = self.now;
+        let earliest = self.engine.earliest_start_after(&task, now);
         AdmissionExplanation {
             cause: self.cause,
             at: now,

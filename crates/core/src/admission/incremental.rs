@@ -37,7 +37,8 @@
 //! instead of `queue + 1`. Whenever history shifts under the queue (an
 //! early node release via `set_node_release`, a dispatch that commits
 //! different nodes, a recovery restore with a cold cache), the gate fails
-//! and the engine transparently degrades to a full replan.
+//! and the engine transparently degrades to a full replan. With no plan
+//! reused, `admit_deep` runs 2.8× as long (`BENCH_memo.json`).
 //!
 //! ### The prefix, by proof
 //!
@@ -70,7 +71,8 @@
 //! Every walk over waiting positions takes it: a pass up to the candidate,
 //! the searches everywhere (`walk_positions`, `probe.rs`). A debug build
 //! holds every gate and every rebase against a walk that writes each plan
-//! back.
+//! back. Comparing every gate instead costs `admit_deep` 23 %
+//! (`BENCH_memo.json`).
 //!
 //! The invariant does not care *why* the walk's vector is what it is: the
 //! reservation search walks the book as it will stand at each later
@@ -97,8 +99,8 @@
 //! and the [`AdmissionFailure`]; and every pass that brings a candidate to
 //! its insertion point looks there first. A hit returns the remembered
 //! failure and plans nothing — the defer queue's re-tests of a ticket whose
-//! neighbourhood has not moved, and the `t = now` test the reservation
-//! search repeats right after the refused submit.
+//! neighbourhood has not moved. (The reservation search's `t = now` test is
+//! a verdict walk, `probe.rs`, and does not look.)
 //!
 //! `behind` stops at the failing task because the walk did: nothing past it
 //! was ever looked at, so nothing past it can change the answer, and an
@@ -144,9 +146,9 @@ use super::{
 /// How many refusals the engine remembers. The askers that come back are
 /// the service layer's parked tickets — the defer queue re-submits each of
 /// them on every event until it expires — and a deep, overloaded shard holds
-/// a handful of those at a time; a newcomer's own refusal is read back once,
-/// by the reservation search right behind it. Eight covers that with room,
-/// and keeps the per-candidate lookup a scan of one cache line of ids.
+/// a handful of those at a time. Eight covers that with room, and keeps the
+/// per-candidate lookup a scan of one cache line of ids. Without the ring
+/// `admit_deep` runs 21 % slower (`BENCH_memo.json`).
 const REFUSALS_KEPT: usize = 8;
 
 /// A refusal `submit` handed out, with everything the walk did from the
@@ -778,11 +780,10 @@ impl Admission for AdmissionController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    /// The `t = now` test runs through the incremental pass; the instants
-    /// after it are `probe.rs`'s search, on this engine's cache.
+    /// The `t = now` test is a verdict walk and the instants after it are
+    /// the start search, both `probe.rs`'s, on this engine's cache.
     fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        let mut scratch = EngineProfile::default();
-        if self.pass(now, Some(task), &mut scratch).is_ok() {
+        if self.verdict(task, now, &mut Walk::new(&[], now)).is_ok() {
             return Some(now);
         }
         self.earliest_start_after(task, now)

@@ -35,7 +35,7 @@
 //! can race shard against shard (`explain.rs`) — with the literal
 //! one-test-per-probe search kept as the oracle's, like the engine itself.
 //!
-//! Every production walk — the engine's passes, the probe walk and the
+//! Every production walk — the engine's passes, the verdict walk and the
 //! reservation search (`probe.rs`) — runs on the engine's own queue and
 //! cache (the reuse invariant, stated once in [`incremental`]) and takes its
 //! steps on one kernel (`walk.rs`): the release vector and its sorted

@@ -1,22 +1,20 @@
-//! Many what-if admission tests against the engine's book: the probe walk
+//! Many what-if admission tests against the engine's book: the verdict walk
 //! and the start search.
 //!
 //! The counterfactual searches behind a refusal explanation
 //! ([`ExplainSearch`](super::ExplainSearch)) ask the Fig. 2 question dozens
 //! of times about *one* book and *one* task whose deadline or size is being
-//! varied, and the reservation search asks it once per future dispatch
-//! instant. Both walk the engine's own queue on its cache, verdict-only, on
-//! [`AdmissionController::walk_positions`] (gates proved or compared as the
-//! lemma in `incremental.rs` allows; where one fails, the task planned for
-//! its verdict), and allocate nothing per step.
+//! varied, the reservation search asks it at `now` and then once per future
+//! dispatch instant. All of them walk the engine's own queue on its cache,
+//! verdict-only, on [`AdmissionController::walk_positions`] (gates proved or
+//! compared as the lemma in `incremental.rs` allows; where one fails, the
+//! task planned for its verdict), and allocate nothing per step.
 //!
-//! A [`ProbeWalk`] keeps the walk state at the task's own insertion point
-//! and, as probes ask for them, the states after each further waiting task
-//! (the *chain*; a link hands its step buffers on to the link built from it,
-//! [`Walk::fork`]). Each probe copies the state at its candidate's insertion
-//! point into one reused scratch walk and steps only the candidate and what
-//! sorts behind it. A deadline search moves the candidate toward the back of
-//! the queue, where almost nothing is left to step.
+//! A what-if test at one instant is [`AdmissionController::verdict`]: a walk
+//! from the front of the queue, restarted at the committed releases. No walk
+//! state is kept from one probe to the next: on a settled book the positions
+//! ahead of the candidate are a proved run, taken by reading each plan's
+//! chunks, and one rebase.
 //!
 //! The start search ([`AdmissionController::earliest_start_after`]) walks
 //! books that differ only in which waiting plans have been dispatched, so
@@ -25,7 +23,8 @@
 //! invariant, `incremental.rs`) — and from there could only repeat, step for
 //! step, the instant before, which failed. Such an instant is refused on
 //! arrival; one where a task behind the searched one has been dispatched, or
-//! where the clamp at the new instant lifts a release, is walked on.
+//! where the clamp at the new instant lifts a release, is walked on. Walking
+//! every instant instead costs `admit_deep` 24 % (`BENCH_memo.json`).
 //!
 //! The unit tests here hold both against the literal test over random
 //! books, cold (every position planned) and warm (cached plans applied).
@@ -36,85 +35,24 @@ use crate::time::SimTime;
 use super::walk::{PlanMeta, Walk};
 use super::{Admission, AdmissionController, AdmissionFailure};
 
-/// The engine's book at one instant, prepared for repeated feasibility
-/// probes of variations of one task.
-pub(super) struct ProbeWalk<'a> {
-    pub(super) engine: &'a AdmissionController,
-    pub(super) now: SimTime,
-    /// The queue position the walk's own task lands at, where the chain
-    /// starts: no search probes ahead of it (a longer deadline sorts behind,
-    /// a different size where it was).
-    first: usize,
-    /// `chain[j]` is the walk after the first `first + j` waiting positions,
-    /// no candidate among them — or the first failure on the way there,
-    /// which is then the first failure of every probe landing at or behind
-    /// that point. `chain[0]` is built up front, the links behind it when a
-    /// probe first lands behind them.
-    chain: Vec<Result<Walk, AdmissionFailure>>,
-    /// The per-probe walk, reused across probes.
-    scratch: Walk,
-    /// Tests answered so far.
-    pub(super) probes: u64,
-}
-
-impl<'a> ProbeWalk<'a> {
-    /// Prepares the walk for probes of `task` and of variations of it.
-    pub(super) fn new(engine: &'a AdmissionController, task: &Task, now: SimTime) -> Self {
-        let first = engine.insertion_point(task);
-        let mut walk = Walk::new(engine.committed_releases(), now);
-        let head = engine
-            .walk_positions(&mut walk, 0..first, |_| false)
-            .map(|()| walk);
-        ProbeWalk {
-            engine,
-            now,
-            first,
-            chain: vec![head],
-            scratch: Walk::new(&[], now),
-            probes: 0,
-        }
-    }
-
-    /// The Fig. 2 test for `candidate` against the engine's book at the
-    /// walk's instant: `Ok` iff the literal test of the waiting tasks plus
-    /// `candidate` passes, and the same first failure when it does not.
-    pub(super) fn probe(&mut self, candidate: &Task) -> Result<(), AdmissionFailure> {
-        self.probes += 1;
-        let engine = self.engine;
-        let at = engine.insertion_point(candidate);
-        let walk = &mut self.scratch;
-        if at < self.first {
-            // Ahead of the chain (no search asks; a shorter deadline would):
-            // walked from the front of the queue.
-            walk.restart(engine.committed_releases(), self.now);
-            engine.walk_positions(walk, 0..at, |_| false)?;
-        } else {
-            while self.first + self.chain.len() <= at {
-                let last = self.chain.len() - 1;
-                let next = match &mut self.chain[last] {
-                    Err(failure) => Err(*failure),
-                    Ok(link) => {
-                        // Settled before it is copied, here and below, so the
-                        // copies do not each repeat its last step's merge.
-                        let mut next = link.fork();
-                        let q = self.first + last;
-                        engine
-                            .walk_positions(&mut next, q..q + 1, |_| false)
-                            .map(|()| next)
-                    }
-                };
-                self.chain.push(next);
-            }
-            let link = self.chain[at - self.first].as_mut().map_err(|f| *f)?;
-            link.settle();
-            walk.copy_from(link);
-        }
-        engine.test(candidate, walk)?;
-        engine.walk_positions(walk, at..engine.queue_len(), |_| false)
-    }
-}
-
 impl AdmissionController {
+    /// The Fig. 2 test for `candidate` against the book at `now`,
+    /// verdict-only, on `walk` restarted at the committed releases: `Ok` iff
+    /// the literal test of the waiting tasks plus `candidate` passes, and the
+    /// same first failure when it does not.
+    pub(super) fn verdict(
+        &self,
+        candidate: &Task,
+        now: SimTime,
+        walk: &mut Walk,
+    ) -> Result<(), AdmissionFailure> {
+        let at = self.insertion_point(candidate);
+        walk.restart(self.committed_releases(), now);
+        self.walk_positions(walk, 0..at, |_| false)?;
+        self.test(candidate, walk)?;
+        self.walk_positions(walk, at..self.queue_len(), |_| false)
+    }
+
     /// The instants after `now` of [`Admission::earliest_feasible_start`]
     /// (which documents why dispatch instants up to the task's deadline are
     /// the only candidates): the first `first_start(p) > now` in the queue
@@ -278,17 +216,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// The probe walk answers exactly what the literal test answers —
-        /// verdict and first failure — for the walk's own task, for
-        /// variations sorting behind it in any order of asking (a probe
-        /// landing ahead of the chain's end starts from the earlier link),
-        /// for variations sorting *ahead* of the chain (walked from the
-        /// front of the queue), for keys that tie a waiting task's, and with
-        /// a waiting task that cannot be planned anywhere in the order (an
-        /// `Err` link hands its failure to every probe behind it). On a
-        /// cold engine — the book restored as drawn, every position planned
-        /// — and on a warm one: what of the book `submit` admits, its cached
-        /// plans applied wherever the candidate has not perturbed them.
+        /// The verdict walk answers exactly what the literal test answers —
+        /// verdict and first failure — for the searched task, for
+        /// variations sorting behind it in any order of asking, one walk
+        /// reused across them all, for variations sorting *ahead* of it, for
+        /// keys that tie a waiting task's, and with a waiting task that
+        /// cannot be planned anywhere in the order (its failure is every
+        /// probe's behind it). The reservation search answers `now` exactly
+        /// when the literal test passes there. On a cold engine — the book
+        /// restored as drawn, every position planned — and on a warm one:
+        /// what of the book `submit` admits, its cached plans applied
+        /// wherever the candidate has not perturbed them.
         #[test]
         fn probe_walk_matches_the_literal_test(
             algorithm in prop::sample::select(vec![
@@ -316,8 +254,13 @@ mod tests {
             }
             let grid = homogeneous::exec_time(&params, 100.0, NODES);
             for engine in [&cold, &warm] {
-                let mut walk = ProbeWalk::new(engine, &task, now);
-                prop_assert_eq!(walk.probe(&task), engine.literal_test(&task, now));
+                prop_assert_eq!(
+                    engine.earliest_feasible_start(&task, now) == Some(now),
+                    engine.literal_test(&task, now).is_ok()
+                );
+                let mut walk = Walk::new(&[], now);
+                let mut probe = |candidate: &Task| engine.verdict(candidate, now, &mut walk);
+                prop_assert_eq!(probe(&task), engine.literal_test(&task, now));
                 for &(s, d, id_kind) in &variations {
                     let varied = Task {
                         // Shorter *and* longer deadlines than the walk's own,
@@ -329,15 +272,15 @@ mod tests {
                         id: crate::task::TaskId([0, 3, 100][id_kind as usize]),
                         ..task
                     };
-                    prop_assert_eq!(walk.probe(&varied), engine.literal_test(&varied, now), "{:?}", varied);
+                    prop_assert_eq!(probe(&varied), engine.literal_test(&varied, now), "{:?}", varied);
                 }
-                // Long, short, long: behind the whole queue (the chain is
-                // built to its end), back at the walk's own position, part of
-                // the way out, and out again.
+                // Long, short, long: behind the whole queue, back at the
+                // searched task's own position, part of the way out, and out
+                // again.
                 let (own, far) = (task.rel_deadline, 13.0 * grid);
                 for rel_deadline in [far, own, far, own + 2.0 * grid, far, own + grid] {
                     let varied = Task { rel_deadline, ..task };
-                    prop_assert_eq!(walk.probe(&varied), engine.literal_test(&varied, now), "{:?}", varied);
+                    prop_assert_eq!(probe(&varied), engine.literal_test(&varied, now), "{:?}", varied);
                 }
                 // Every waiting task's key tied exactly — id and all, so the
                 // candidate lands right after it — and missed by one id
@@ -349,7 +292,7 @@ mod tests {
                             id: crate::task::TaskId(id),
                             ..task
                         };
-                        prop_assert_eq!(walk.probe(&varied), engine.literal_test(&varied, now), "{:?}", varied);
+                        prop_assert_eq!(probe(&varied), engine.literal_test(&varied, now), "{:?}", varied);
                     }
                 }
             }
@@ -361,7 +304,7 @@ mod tests {
         // Waiting task 1 can no longer be planned at `now` (its deadline
         // has passed), and sorts ahead of the candidate: the literal test
         // blames task 1 whatever the candidate looks like, and so must the
-        // walk — from the recorded prefix failure, without planning.
+        // walk — on task 1, without planning the candidate.
         let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
         let stale = Task::new(1, 0.0, 100.0, 50.0);
         let task = Task::new(2, 1_000.0, 100.0, 1e6);
@@ -372,15 +315,15 @@ mod tests {
             &[SimTime::ZERO; NODES],
             &[stale],
         );
-        let mut walk = ProbeWalk::new(&engine, &task, now);
+        let mut walk = Walk::new(&[], now);
         let literal = engine.literal_test(&task, now);
         assert_eq!(literal.unwrap_err().task, stale.id);
-        assert_eq!(walk.probe(&task), literal);
+        assert_eq!(engine.verdict(&task, now, &mut walk), literal);
         let roomier = Task {
             rel_deadline: 1e9,
             ..task
         };
-        assert_eq!(walk.probe(&roomier), literal);
+        assert_eq!(engine.verdict(&roomier, now, &mut walk), literal);
     }
 
     #[test]
@@ -389,7 +332,7 @@ mod tests {
         // the candidate's own position, between two plannable tasks. A
         // probe landing ahead of it meets it on its own walk; a probe
         // landing behind it — right behind, or behind task 3 as well —
-        // gets the failure from the chain link, the candidate unplanned.
+        // meets it ahead of the candidate, the candidate unplanned.
         // Either way the literal test blames task 2, and so must the walk.
         let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
         let committed = [SimTime::ZERO; NODES];
@@ -401,8 +344,8 @@ mod tests {
         let task = Task::new(100, 0.0, 100.0, 10_000.0);
         let now = SimTime::ZERO;
         let engine = restored(params, AlgorithmKind::EDF_DLT, &committed, &waiting);
-        let mut walk = ProbeWalk::new(&engine, &task, now);
-        // Long first: the chain is built through the failure to its end.
+        let mut walk = Walk::new(&[], now);
+        // Long first, then short: one walk reused, whatever was asked before.
         for rel_deadline in [70_000.0, 10_000.0, 30_000.0, 50_000.0, 70_000.0] {
             let varied = Task {
                 rel_deadline,
@@ -410,7 +353,8 @@ mod tests {
             };
             let literal = engine.literal_test(&varied, now);
             assert_eq!(literal.unwrap_err().task, waiting[1].id);
-            assert_eq!(walk.probe(&varied), literal, "deadline {rel_deadline}");
+            let verdict = engine.verdict(&varied, now, &mut walk);
+            assert_eq!(verdict, literal, "deadline {rel_deadline}");
         }
         // Without the heavy task the same probes pass: it is the failure.
         let light = restored(

@@ -25,7 +25,8 @@
 //! The order is maintained lazily — first built when a task is planned
 //! fresh, and a step's head is merged back only when a later step plans
 //! again — so a walk that applies cached plans and plans one newcomer sorts
-//! once, and a walk's last step is never merged at all.
+//! once, and a walk's last step is never merged at all. Re-sorting at every
+//! step instead makes `admit_deep` 2.5× as slow (`BENCH_memo.json`).
 //!
 //! The oracle ([`schedulability_test`](super::schedulability_test),
 //! [`ReferenceController`](super::reference::ReferenceController)) shares
@@ -156,31 +157,6 @@ impl Walk {
         self.since_record = Some(1);
     }
 
-    /// Makes this walk a copy of `other`, keeping the allocations.
-    pub(super) fn copy_from(&mut self, other: &Walk) {
-        self.now = other.now;
-        self.releases.clone_from(&other.releases);
-        self.built = other.built;
-        self.stale_head = other.stale_head;
-        self.since_record = None;
-        if other.built {
-            self.avail.copy_from(&other.avail);
-        }
-    }
-
-    /// A settled copy of this walk to take the next step on, for a walk
-    /// that is itself kept only to be copied from (a probe chain's link):
-    /// its step buffers go along with the copy instead of being allocated
-    /// again behind every link.
-    pub(super) fn fork(&mut self) -> Walk {
-        self.settle();
-        let mut next = Walk::new(&[], self.now);
-        next.copy_from(self);
-        next.head = std::mem::take(&mut self.head);
-        next.scratch = std::mem::take(&mut self.scratch);
-        next
-    }
-
     /// The walk's planning instant.
     #[inline]
     pub(super) fn now(&self) -> SimTime {
@@ -199,10 +175,8 @@ impl Walk {
         &self.releases
     }
 
-    /// Brings the sorted availability up to date with `releases`. Walks
-    /// that are copied many times settle first, so the copies do not each
-    /// repeat the merge.
-    pub(super) fn settle(&mut self) -> &NodeAvailability {
+    /// Brings the sorted availability up to date with `releases`.
+    fn settle(&mut self) -> &NodeAvailability {
         if !self.built {
             self.avail.rebuild(&self.releases, self.now);
             self.built = true;

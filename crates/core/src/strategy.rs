@@ -228,12 +228,6 @@ impl NodeAvailability {
         }
     }
 
-    /// Makes this snapshot a copy of `other`, keeping the allocation.
-    pub(crate) fn copy_from(&mut self, other: &NodeAvailability) {
-        self.entries.clone_from(&other.entries);
-        self.now = other.now;
-    }
-
     /// The planning instant.
     #[inline]
     pub fn now(&self) -> SimTime {

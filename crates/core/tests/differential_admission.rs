@@ -17,8 +17,8 @@
 //! heavy-tailed sizes) at >1000 generated cases.
 //!
 //! Refusal explanations are compared the same way, as whole values: the
-//! production engine explains on a probe walk that plans the queue prefix
-//! once, the oracle with a from-scratch `schedulability_test` per probe.
+//! production engine explains with a verdict walk per probe on its reuse
+//! cache, the oracle with a from-scratch `schedulability_test` per probe.
 //!
 //! So is the reservation search: the production engine walks each future
 //! dispatch instant once, applying the cached plans its reuse gate still
