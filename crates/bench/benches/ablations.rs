@@ -1,4 +1,4 @@
-//! Ablation benches (DESIGN.md §6): each group fixes the paper's baseline
+//! Ablation benches: each group fixes the paper's baseline
 //! workload at load 0.8 and toggles one design knob, reporting both the
 //! simulator cost and — via `eprintln` once per group — the reject-ratio
 //! consequence, so `cargo bench` output doubles as the ablation table's

@@ -17,7 +17,8 @@
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
 //! queue filled by one same-instant burst. `place` is one fresh walk step on
-//! a 64-node shard, kept and verdict-only. Printed, not gated.
+//! a 64-node shard, kept (into a pass's arena) and verdict-only. Printed,
+//! not gated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -196,7 +197,8 @@ fn bench_explain_fleet(c: &mut Criterion) {
 /// One fresh step of the temp-schedule walk on a 64-node shard with
 /// staggered releases and nothing waiting, both ways there are to take it.
 /// `kept` is `probe_plan`: a one-step pass that plans the task and hands the
-/// plan back (walk set-up, the step, the plan copied out). `verdict_only` is
+/// plan back (a pass set up on fresh buffers, the step into its arena, the
+/// plan read back out as a value of its own). `verdict_only` is
 /// one bisection step of an open refusal explanation: the reused walk
 /// restarted, the step taken, nothing kept but the answer (about one
 /// iteration in 35 re-opens a converged search, which costs a few such

@@ -10,7 +10,8 @@
 //! * `edge_throughput` — the same offered load against 1, 2 and 4 reactors.
 //! * `partition_micro`, `admission_micro` — the paper's own kernels (DLT
 //!   math, the Fig. 2 test, walk steps); printed, not gated.
-//! * `ablations` — the DESIGN.md §6 design-choice knobs.
+//! * `ablations` — one design-choice knob per `abl-*` group (node-count
+//!   selection, replanning, link model, release estimates, workload model).
 //!
 //! The first three end by handing the values they just measured to
 //! [`guard`], which holds them against the rows of [`TABLE`] that name the

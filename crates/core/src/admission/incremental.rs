@@ -44,10 +44,13 @@
 //!
 //! Nor need the gate be *compared* all along that prefix. A position's
 //! `PlanMeta` *follows* when its `observed` is exactly the position ahead's
-//! with that one's plan written: `PlanMeta::of` records so from the walk
-//! that stepped the position ahead (a pass, or `submit_batch`; both
-//! re-record reused positions behind a change rather than clone them), and
-//! `take_due` and `remove_waiting` unchain what they close up behind.
+//! with that one's plan written: a pass (or `submit_batch`) records so for
+//! every position of the tail it installs that the walk reached straight
+//! from the one ahead (`Walk::mark`; reused positions behind a change are
+//! re-recorded, not cloned), and `take_due` and `remove_waiting` unchain
+//! what they close up behind. The same fact is why a tail's inputs are
+//! stored as its first position's vector plus its plans (`walk.rs`,
+//! `Tail`): each next vector is the last with one plan written.
 //!
 //! **Lemma.** If the gate holds at `q − 1` for a walk on `R` at `now` that
 //! then writes plan `q − 1`, it holds at `q` when (i) `follows[q]`, (ii)
@@ -137,7 +140,7 @@ use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
-use super::walk::{PlanMeta, Walk};
+use super::walk::{PlanMeta, Tail, Walk};
 use super::{
     schedulability_test, Admission, AdmissionExplanation, AdmissionFailure, ControllerState,
     Decision, EngineProfile, ExplainSearch,
@@ -190,20 +193,25 @@ struct Refused {
     failure: AdmissionFailure,
     /// What `submit` remembers the refusal by, when the pass planned the
     /// candidate: the queue positions the walk took behind it, up to and
-    /// including the one whose plan failed (empty: the candidate's own), and
-    /// the walk's inputs where the candidate went in. `None` when the pass
-    /// stopped ahead of the candidate or was answered from the ring.
-    walked: Option<(Range<usize>, PlanMeta)>,
+    /// including the one whose plan failed (empty: the candidate's own).
+    /// The walk's inputs where the candidate went in are its tail's there.
+    /// `None` when the pass stopped ahead of the candidate or was answered
+    /// from the ring.
+    walked: Option<Range<usize>>,
 }
 
-/// Outcome of one incremental planning walk (not yet installed): the
-/// leading `prefix_len` queue entries are kept untouched (not even
-/// cloned — the hot-path win), and `queue_tail`/`meta_tail` replace
-/// everything after them.
+/// One pass's working state, which the engine keeps from pass to pass so
+/// that no buffer of it regrows: the walk, and the replacement tail it plans
+/// into one arena — every queue position from `tail.from` on, the
+/// candidate's included. The positions ahead of it stay as they are, not
+/// even cloned; `Tail::install` writes the tail over the rest in place (the
+/// one way a pass changes the book), and a refused pass touches nothing of
+/// the book. Derived state like the plan cache: not in [`ControllerState`],
+/// cold after `from_state`.
+#[derive(Clone, Debug, Default)]
 struct Pass {
-    prefix_len: usize,
-    queue_tail: Vec<(Task, TaskPlan)>,
-    meta_tail: Vec<Option<PlanMeta>>,
+    walk: Walk,
+    tail: Tail,
 }
 
 /// The head node's admission engine, with incremental temp-schedule
@@ -227,6 +235,9 @@ pub struct AdmissionController {
     meta: Vec<Option<PlanMeta>>,
     refusals: Refusals,
     profile: EngineProfile,
+    /// The last pass's working state, boxed so that the engine stays small
+    /// to move; `None` while a pass has it, or cold.
+    kept: Option<Box<Pass>>,
 }
 
 impl AdmissionController {
@@ -361,27 +372,18 @@ impl AdmissionController {
         walk.test(self.algorithm.strategy, task, &self.params, &self.cfg)
     }
 
-    /// Plans one task fresh at the walk's current step, recording the inputs
-    /// for future reuse; a failure hands them back.
+    /// Plans one task fresh at the walk's current step into the tail.
     fn plan_fresh(
         &self,
         task: &Task,
         walk: &mut Walk,
-        out: &mut Pass,
+        tail: &mut Tail,
         work: &mut EngineProfile,
-    ) -> Result<(), (AdmissionFailure, PlanMeta)> {
+    ) -> Result<(), AdmissionFailure> {
         // The attempt counts as work whether or not it succeeds — a failed
         // planning call cost just as much CPU.
         work.plans_computed += 1;
-        let inputs = PlanMeta::of(walk);
-        match walk.place(self.algorithm.strategy, task, &self.params, &self.cfg) {
-            Ok(plan) => {
-                out.queue_tail.push((*task, plan));
-                out.meta_tail.push(Some(inputs));
-                Ok(())
-            }
-            Err(failure) => Err((failure, inputs)),
-        }
+        walk.keep(self.algorithm.strategy, task, &self.params, &self.cfg, tail)
     }
 
     /// The remembered failure of a walk that went on from the candidate's
@@ -400,16 +402,15 @@ impl AdmissionController {
     }
 
     /// The candidate's own step, ahead of queue position `at`: a remembered
-    /// refusal under equal inputs is the answer, otherwise it is planned
-    /// (`Ok`: where in `out.meta_tail` its inputs went).
+    /// refusal under equal inputs is the answer, otherwise it is planned.
     fn plan_candidate(
         &self,
         candidate: &Task,
         at: usize,
         walk: &mut Walk,
-        out: &mut Pass,
+        tail: &mut Tail,
         work: &mut EngineProfile,
-    ) -> Result<usize, Refused> {
+    ) -> Result<(), Refused> {
         if let Some(failure) = self.recall(candidate, at, walk) {
             work.refusals_reused += 1;
             debug_assert_eq!(
@@ -422,13 +423,11 @@ impl AdmissionController {
                 walked: None,
             });
         }
-        match self.plan_fresh(candidate, walk, out, work) {
-            Ok(()) => Ok(out.meta_tail.len() - 1),
-            Err((failure, inputs)) => Err(Refused {
+        self.plan_fresh(candidate, walk, tail, work)
+            .map_err(|failure| Refused {
                 failure,
-                walked: Some((at..at, inputs)),
-            }),
-        }
+                walked: Some(at..at),
+            })
     }
 
     /// The Fig. 2 test as the oracle runs it — what the debug build holds
@@ -451,12 +450,12 @@ impl AdmissionController {
         .map(drop)
     }
 
-    /// Remembers the refusal of `task` a pass ended in, in its id's own ring
+    /// Remembers the refusal of `task` `pass` ended in, in its id's own ring
     /// slot if it has one, else in the oldest. Steady state allocates
-    /// nothing: the inputs are the vector the candidate's plan was attempted
-    /// on, moved in; `behind` is overwritten in place.
-    fn remember(&mut self, task: Task, refused: Refused) {
-        let Some((behind, inputs)) = refused.walked else {
+    /// nothing: the inputs — the vector the candidate's plan was attempted
+    /// on — and `behind` are overwritten in place.
+    fn remember(&mut self, task: Task, refused: Refused, pass: &Pass) {
+        let Some(behind) = refused.walked else {
             return;
         };
         let own = self.refusals.slot_of(task.id);
@@ -483,63 +482,65 @@ impl AdmissionController {
         let refusal = &mut kept[slot];
         refusal.task = task;
         refusal.failure = refused.failure;
-        refusal.inputs = inputs;
+        pass.tail.inputs_at(behind.start, &mut refusal.inputs);
         refusal.behind.clear();
         refusal
             .behind
             .extend(self.queue[behind].iter().map(|(t, _)| *t));
     }
 
-    /// One walk over `waiting ∪ candidate` in policy order: the leading run
-    /// of cached plans whose inputs are provably unchanged is *kept in
-    /// place* ([`held_run`](Self::held_run): never cloned, mostly not even
-    /// compared); from the first changed position — the candidate's
-    /// insertion point or a failed reuse gate — a replacement tail is built,
-    /// inside which still-valid cached plans are re-recorded rather than
-    /// re-planned. Pure — the caller decides whether to install the result,
-    /// or to remember the refusal.
+    /// One walk over `waiting ∪ candidate` in policy order, on `pass`: the
+    /// leading run of cached plans whose inputs are provably unchanged is
+    /// *kept in place* ([`held_run`](Self::held_run): never copied, mostly
+    /// not even compared); from the first changed position — the candidate's
+    /// insertion point or a failed reuse gate — a replacement tail is planned
+    /// into `pass.tail`, inside which still-valid cached plans are
+    /// re-recorded rather than re-planned. The book is untouched — the
+    /// caller decides whether to install the tail, or to remember the
+    /// refusal.
     fn pass(
         &self,
+        pass: &mut Pass,
         now: SimTime,
         candidate: Option<&Task>,
         work: &mut EngineProfile,
-    ) -> Result<Pass, Refused> {
+    ) -> Result<(), Refused> {
         let at = candidate.map_or(self.queue.len(), |c| self.insertion_point(c));
-        let mut walk = Walk::new(&self.releases, now);
+        let Pass { walk, tail } = pass;
+        walk.restart(&self.releases, now);
         let stop = |_: &Task, _: &mut Walk| Ok::<_, Infallible>(false);
-        let Ok(prefix_len) = self.held_run(&mut walk, 0..at, |_| false, work, stop);
-        let mut out = Pass {
-            prefix_len,
-            queue_tail: Vec::new(),
-            meta_tail: Vec::new(),
-        };
-        // Once the candidate is planned: where in `out.meta_tail` its inputs
-        // are.
-        let mut cand_planned = None;
-        for i in prefix_len..=self.queue.len() {
+        let Ok(prefix) = self.held_run(walk, 0..at, |_| false, work, stop);
+        tail.open(prefix, walk);
+        let mut cand_planned = false;
+        for i in prefix..=self.queue.len() {
             if let Some(c) = candidate.filter(|_| i == at) {
-                cand_planned = Some(self.plan_candidate(c, at, &mut walk, &mut out, work)?);
+                self.plan_candidate(c, at, walk, tail, work)?;
+                cand_planned = true;
             }
             let Some((task, plan)) = self.queue.get(i) else {
                 break;
             };
             // Where the run stopped short of the candidate, its gate failed.
-            if (i > prefix_len || i == at) && self.reusable(i, &walk, work) {
-                out.meta_tail.push(Some(PlanMeta::of(&mut walk)));
-                walk.apply(plan);
-                out.queue_tail.push((*task, plan.clone()));
+            if (i > prefix || i == at) && self.reusable(i, walk, work) {
+                walk.keep_cached(task, plan, tail);
                 work.plans_reused += 1;
-            } else if let Err((failure, _)) = self.plan_fresh(task, &mut walk, &mut out, work) {
+            } else if let Err(failure) = self.plan_fresh(task, walk, tail, work) {
                 // By position, not by `failure.task`: the candidate may
                 // carry the id of a waiting task.
-                let walked = cand_planned.map(|tail| {
-                    let inputs = out.meta_tail[tail].take();
-                    (at..i + 1, inputs.expect("the candidate's inputs"))
-                });
+                let walked = cand_planned.then_some(at..i + 1);
                 return Err(Refused { failure, walked });
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Runs `f` on the pass state the engine keeps (a cold one the first
+    /// time) and keeps it again.
+    fn with_pass<R>(&mut self, f: impl FnOnce(&mut Self, &mut Pass) -> R) -> R {
+        let mut pass = self.kept.take().unwrap_or_default();
+        let result = f(self, &mut pass);
+        self.kept = Some(pass);
+        result
     }
 
     /// Folds a (possibly failed) pass's work counters into the cumulative
@@ -557,13 +558,6 @@ impl AdmissionController {
             meta.follows = false;
         }
     }
-
-    fn install(&mut self, pass: Pass) {
-        self.queue.truncate(pass.prefix_len);
-        self.queue.extend(pass.queue_tail);
-        self.meta.truncate(pass.prefix_len);
-        self.meta.extend(pass.meta_tail);
-    }
 }
 
 impl Admission for AdmissionController {
@@ -577,6 +571,7 @@ impl Admission for AdmissionController {
             meta: Vec::new(),
             refusals: Refusals::default(),
             profile: EngineProfile::default(),
+            kept: None,
         }
     }
 
@@ -604,41 +599,40 @@ impl Admission for AdmissionController {
     /// re-planned; a refusal is remembered, so that asking again about an
     /// unchanged neighbourhood plans nothing.
     fn submit(&mut self, task: Task, now: SimTime) -> Decision {
-        let mut work = EngineProfile::default();
-        let result = self.pass(now, Some(&task), &mut work);
-        self.book_work(work);
-        match result {
-            Ok(pass) => {
-                self.install(pass);
-                Decision::Accepted
+        self.with_pass(|engine, pass| {
+            let mut work = EngineProfile::default();
+            let result = engine.pass(pass, now, Some(&task), &mut work);
+            engine.book_work(work);
+            match result {
+                Ok(()) => {
+                    pass.tail.install(&mut engine.queue, &mut engine.meta);
+                    Decision::Accepted
+                }
+                Err(refused) => {
+                    let reason = refused.failure.reason;
+                    engine.remember(task, refused, pass);
+                    Decision::Rejected(reason)
+                }
             }
-            Err(refused) => {
-                let reason = refused.failure.reason;
-                self.remember(task, refused);
-                Decision::Rejected(reason)
-            }
-        }
+        })
     }
 
     /// Reuses the cached prefix, so a probe costs one planning call (plus
     /// any perturbed suffix) instead of a full pass.
     fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure> {
-        let mut scratch = EngineProfile::default();
-        let pass = self
-            .pass(now, Some(task), &mut scratch)
+        let mut pass = Pass::default();
+        self.pass(&mut pass, now, Some(task), &mut EngineProfile::default())
             .map_err(|refused| refused.failure)?;
         // Match the reference engine exactly: the first id match over the
         // whole plan list in policy order (prefix first, then the rebuilt
         // tail) — load-bearing if the probed id shadows a waiting task's.
-        self.queue[..pass.prefix_len]
+        self.queue[..pass.tail.from]
             .iter()
             .find(|(t, _)| t.id == task.id)
             .map(|(_, p)| p.clone())
             .or_else(|| {
-                pass.queue_tail
-                    .into_iter()
-                    .find(|(t, _)| t.id == task.id)
-                    .map(|(_, p)| p)
+                let j = pass.tail.tasks().position(|t| t.id == task.id);
+                j.map(|j| pass.tail.plan(j))
             })
             .ok_or(AdmissionFailure {
                 task: task.id,
@@ -667,114 +661,108 @@ impl Admission for AdmissionController {
         ordered.extend_from_slice(batch);
         self.algorithm.policy.sort(&mut ordered);
 
-        /// Rewind point recorded before each planned batch member
-        /// (`releases` is the walk's vector before that member's plan).
+        /// Rewind point recorded before each planned batch member: its place
+        /// in `ordered`, and how many plans the tail held ahead of it.
         struct Checkpoint {
             ordered_idx: usize,
-            releases: Vec<SimTime>,
             plans_len: usize,
         }
 
         let mut decisions: Vec<Option<Decision>> = vec![None; batch.len()];
         let mut skipped: HashSet<TaskId> = HashSet::new();
         let mut evicted_by_rollback: Vec<Task> = Vec::new();
-        let mut walk = Walk::new(&self.releases, now);
-        let mut plans: Vec<(Task, TaskPlan, Option<PlanMeta>)> = Vec::with_capacity(ordered.len());
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut work = EngineProfile::default();
         let batch_index = |id: TaskId| batch.iter().position(|b| b.id == id).expect("member");
 
-        let mut i = 0;
-        while i < ordered.len() {
-            let task = ordered[i];
-            if skipped.contains(&task.id) {
-                i += 1;
-                continue;
-            }
-            let cached = waiting_index.get(&task.id).copied();
-            // Reuse requires the *whole task* to match, not just the id: a
-            // batch member that shares a waiting task's id but differs in
-            // size/deadline must be planned fresh (the reference engine
-            // plans it fresh regardless).
-            let reused = cached
-                .filter(|&qi| self.queue[qi].0 == task && self.reusable(qi, &walk, &mut work));
-            let inputs = PlanMeta::of(&mut walk);
-            if let Some(qi) = reused {
-                let plan = self.queue[qi].1.clone();
-                walk.apply(&plan);
-                plans.push((task, plan, Some(inputs)));
-                work.plans_reused += 1;
-                i += 1;
-                continue;
-            }
-            let is_batch = cached.is_none();
-            // Every planning attempt counts as work, successful or not.
-            work.plans_computed += 1;
-            match walk.place(self.algorithm.strategy, &task, &self.params, &self.cfg) {
-                Ok(plan) => {
-                    if is_batch {
-                        checkpoints.push(Checkpoint {
-                            ordered_idx: i,
-                            releases: inputs.observed.clone(),
-                            plans_len: plans.len(),
-                        });
-                    }
-                    plans.push((task, plan, Some(inputs)));
+        let settled = self.with_pass(|engine, pass| {
+            let Pass { walk, tail } = pass;
+            walk.restart(&engine.releases, now);
+            tail.open(0, walk);
+            let mut i = 0;
+            while i < ordered.len() {
+                let task = ordered[i];
+                if skipped.contains(&task.id) {
                     i += 1;
+                    continue;
                 }
-                Err(f) if is_batch => {
-                    decisions[batch_index(task.id)] = Some(Decision::Rejected(f.reason));
-                    skipped.insert(task.id);
+                let cached = waiting_index.get(&task.id).copied();
+                // Reuse requires the *whole task* to match, not just the id: a
+                // batch member that shares a waiting task's id but differs in
+                // size/deadline must be planned fresh (the reference engine
+                // plans it fresh regardless).
+                let reused = cached.filter(|&qi| {
+                    engine.queue[qi].0 == task && engine.reusable(qi, walk, &mut work)
+                });
+                if let Some(qi) = reused {
+                    walk.keep_cached(&task, &engine.queue[qi].1, tail);
+                    work.plans_reused += 1;
                     i += 1;
+                    continue;
                 }
-                Err(AdmissionFailure { reason, .. }) => {
-                    // A previously admitted task lost feasibility: evict the
-                    // most recently planned batch member and rewind to its
-                    // checkpoint (see the reference engine for the rationale).
-                    match checkpoints.pop() {
-                        Some(ck) => {
-                            let evicted = ordered[ck.ordered_idx];
-                            decisions[batch_index(evicted.id)] = Some(Decision::Rejected(reason));
-                            skipped.insert(evicted.id);
-                            evicted_by_rollback.push(evicted);
-                            walk.restart(&ck.releases, now);
-                            plans.truncate(ck.plans_len);
-                            i = ck.ordered_idx;
+                let is_batch = cached.is_none();
+                let plans_len = tail.tasks().len();
+                match engine.plan_fresh(&task, walk, tail, &mut work) {
+                    Ok(()) => {
+                        if is_batch {
+                            checkpoints.push(Checkpoint {
+                                ordered_idx: i,
+                                plans_len,
+                            });
                         }
-                        None => {
-                            // The waiting queue alone cannot be replanned at
-                            // `now`: reject the whole batch, keep all plans.
-                            for d in decisions.iter_mut() {
-                                if d.is_none() {
-                                    *d = Some(Decision::Rejected(reason));
-                                }
+                        i += 1;
+                    }
+                    Err(f) if is_batch => {
+                        decisions[batch_index(task.id)] = Some(Decision::Rejected(f.reason));
+                        skipped.insert(task.id);
+                        i += 1;
+                    }
+                    Err(AdmissionFailure { reason, .. }) => {
+                        // A previously admitted task lost feasibility: evict the
+                        // most recently planned batch member and rewind to its
+                        // checkpoint (see the reference engine for the rationale).
+                        match checkpoints.pop() {
+                            Some(ck) => {
+                                let evicted = ordered[ck.ordered_idx];
+                                decisions[batch_index(evicted.id)] =
+                                    Some(Decision::Rejected(reason));
+                                skipped.insert(evicted.id);
+                                evicted_by_rollback.push(evicted);
+                                tail.rewind(ck.plans_len, walk);
+                                i = ck.ordered_idx;
                             }
-                            self.book_work(work);
-                            return decisions.into_iter().map(|d| d.expect("decided")).collect();
+                            None => {
+                                // The waiting queue alone cannot be replanned at
+                                // `now`: reject the whole batch, keep all plans.
+                                for d in decisions.iter_mut() {
+                                    if d.is_none() {
+                                        *d = Some(Decision::Rejected(reason));
+                                    }
+                                }
+                                return false;
+                            }
                         }
                     }
                 }
             }
-        }
-        for (idx, d) in decisions.iter_mut().enumerate() {
-            if d.is_none() {
-                debug_assert!(plans.iter().any(|(_, p, _)| p.task == batch[idx].id));
-                *d = Some(Decision::Accepted);
+            for (idx, d) in decisions.iter_mut().enumerate() {
+                if d.is_none() {
+                    debug_assert!(tail.tasks().any(|t| t.id == batch[idx].id));
+                    *d = Some(Decision::Accepted);
+                }
             }
-        }
-        self.queue.clear();
-        self.meta.clear();
-        for (t, p, m) in plans {
-            self.queue.push((t, p));
-            self.meta.push(m);
-        }
+            tail.install(&mut engine.queue, &mut engine.meta);
+            true
+        });
         self.book_work(work);
-        // Rollback evictions picked a culprit heuristically; give each
-        // evicted member one individual shot at the settled queue.
-        self.algorithm.policy.sort(&mut evicted_by_rollback);
-        for task in evicted_by_rollback {
-            if self.submit(task, now).is_accepted() {
-                decisions[batch_index(task.id)] = Some(Decision::Accepted);
+        if settled {
+            // Rollback evictions picked a culprit heuristically; give each
+            // evicted member one individual shot at the settled queue.
+            self.algorithm.policy.sort(&mut evicted_by_rollback);
+            for task in evicted_by_rollback {
+                if self.submit(task, now).is_accepted() {
+                    decisions[batch_index(task.id)] = Some(Decision::Accepted);
+                }
             }
         }
         decisions.into_iter().map(|d| d.expect("decided")).collect()
@@ -800,12 +788,14 @@ impl Admission for AdmissionController {
         if self.queue.is_empty() {
             return Ok(());
         }
-        let mut work = EngineProfile::default();
-        let result = self.pass(now, None, &mut work);
-        self.book_work(work);
-        let pass = result.map_err(|refused| refused.failure)?;
-        self.install(pass);
-        Ok(())
+        self.with_pass(|engine, pass| {
+            let mut work = EngineProfile::default();
+            let result = engine.pass(pass, now, None, &mut work);
+            engine.book_work(work);
+            result.map_err(|refused| refused.failure)?;
+            pass.tail.install(&mut engine.queue, &mut engine.meta);
+            Ok(())
+        })
     }
 
     /// The committed values are exactly the release updates the remaining
@@ -870,6 +860,7 @@ impl Admission for AdmissionController {
             meta,
             refusals: Refusals::default(),
             profile: EngineProfile::default(),
+            kept: None,
         })
     }
 }
@@ -1323,7 +1314,7 @@ mod tests {
         // them; the one behind it is planned.
         let mut walk = Walk::new(&inc.releases, now);
         for q in 0..3 {
-            inc.meta[q] = Some(PlanMeta::of(&mut walk));
+            inc.meta[q] = Some(recorded(&mut walk));
             walk.apply(&inc.queue[q].1);
         }
         let c = task(100, 1.0, 10.0, 2_999.0);
@@ -1346,13 +1337,22 @@ mod tests {
     // that cloned what it keeps would leave it unchained, which only the
     // count shows.
 
+    /// The inputs a step of `walk` would plan on now, recorded as a pass
+    /// records the position that step takes.
+    fn recorded(walk: &mut Walk) -> PlanMeta {
+        let mut inputs = PlanMeta::default();
+        inputs.record(walk);
+        inputs.follows = walk.mark();
+        inputs
+    }
+
     /// Vouches for every cached plan of `inc` as a walk at `at` would have
     /// recorded it, each on what the ones before it wrote (so each follows
     /// the one ahead).
     fn vouch(inc: &mut AdmissionController, at: f64) {
         let mut walk = Walk::new(&inc.releases, SimTime::new(at));
         for q in 0..inc.queue.len() {
-            inc.meta[q] = Some(PlanMeta::of(&mut walk));
+            inc.meta[q] = Some(recorded(&mut walk));
             walk.apply(&inc.queue[q].1);
         }
     }
@@ -1418,7 +1418,7 @@ mod tests {
         );
         vouch(&mut inc, 100.0);
         let mut at_150 = Walk::new(&inc.releases, SimTime::new(150.0));
-        inc.meta[0] = Some(PlanMeta::of(&mut at_150));
+        inc.meta[0] = Some(recorded(&mut at_150));
         assert!(inc.meta[1].as_ref().is_some_and(|m| m.follows));
         assert_eq!(held(&inc, 150.0), (1, 2));
     }
@@ -1588,12 +1588,26 @@ mod tests {
         }
     }
 
+    /// The book and its cache of planning inputs, bit for bit, as text.
+    fn book_bits(inc: &AdmissionController) -> String {
+        let bits = |m: &PlanMeta| {
+            let observed: Vec<u64> = m.observed.iter().map(|r| r.as_f64().to_bits()).collect();
+            (m.planned_at.as_f64().to_bits(), observed, m.follows)
+        };
+        let cache: Vec<_> = inc.meta.iter().map(|m| m.as_ref().map(bits)).collect();
+        format!("{} {cache:?}", serde_json::to_string(&inc.state()).unwrap())
+    }
+
     #[test]
     fn a_refusal_is_remembered_while_its_neighbourhood_stands() {
         let mut n = neighbourhood(PlanConfig::default());
         let walked = n.inc.probe_plan(&n.ticket, SimTime::ZERO).unwrap_err();
         assert_eq!(walked.task, n.f.id, "the scenario refuses on behalf of f");
+        // The pass plans the ticket and b into its tail before f fails, and
+        // leaves the book as it was, bit for bit.
+        let book = book_bits(&n.inc);
         assert!(!n.inc.submit(n.ticket, SimTime::ZERO).is_accepted());
+        assert_eq!(book_bits(&n.inc), book);
         // What was kept: the walk from the ticket up to the task that failed.
         assert_eq!(n.inc.refusals.kept.len(), 1);
         assert_eq!(n.inc.refusals.kept[0].behind, vec![n.b, n.f]);

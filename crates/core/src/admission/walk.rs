@@ -6,17 +6,17 @@
 //! its sorted availability at the walk's planning instant, and offers the
 //! three steps there are. Two plan a task fresh, on the planning kernel of
 //! `strategy.rs` and into a scratch the walk keeps for all of its steps:
-//! [`place`](Walk::place) copies the plan out (the engine's passes keep what
-//! they plan; four vectors are allocated for it), [`test`](Walk::test)
-//! wants the verdict only and allocates nothing (every probe of an
+//! [`keep`](Walk::keep) appends the plan to a [`Tail`] (the engine's passes
+//! keep what they plan, end to end in one arena that allocates nothing once
+//! warm), [`test`](Walk::test) wants the verdict only (every probe of an
 //! explanation, every instant of a reservation search). The third,
-//! [`apply`](Walk::apply), takes a plan already known to be what `place`
-//! would return (the engine's reuse cache). Whichever it is, the plan's
-//! release estimates are written back — by the fresh steps straight from
-//! the scratch, through the availability's head — and the walk moves on. A
-//! run of cached plans may instead be taken at once, by a
-//! [`rebase`](Walk::rebase) on the last one's recorded inputs (the lemma in
-//! `incremental.rs` says when).
+//! [`apply`](Walk::apply), takes a plan already known to be what `keep`
+//! would plan (the engine's reuse cache; [`keep_cached`](Walk::keep_cached)
+//! also appends it to a tail). Whichever it is, the plan's release estimates
+//! are written back — by the fresh steps straight from the scratch, through
+//! the availability's head — and the walk moves on. A run of cached plans
+//! may instead be taken at once, by a [`rebase`](Walk::rebase) on the last
+//! one's recorded inputs (the lemma in `incremental.rs` says when).
 //!
 //! Availability stays sorted *across* steps instead of being re-sorted per
 //! step: a plan occupies exactly the `n` earliest entries, so after it only
@@ -33,6 +33,8 @@
 //! nothing with this file but `plan_task`: it takes a fresh, fully sorted
 //! snapshot at every step, and every plan it asks for comes back as a value
 //! of its own.
+
+use std::ops::Range;
 
 use crate::params::{ClusterParams, NodeId};
 use crate::strategy::{
@@ -56,24 +58,12 @@ pub(super) struct PlanMeta {
     pub(super) observed: Vec<SimTime>,
     /// `observed` is exactly that of the queue position ahead with its plan
     /// written (the lemma in `incremental.rs`); set true only by
-    /// [`of`](Self::of).
+    /// [`Tail::install`], from the walk that kept the position.
     pub(super) follows: bool,
 }
 
 impl PlanMeta {
-    /// The inputs a step of `walk` would plan on now, recorded for the
-    /// queue position that step takes.
-    pub(super) fn of(walk: &mut Walk) -> Self {
-        let follows = walk.since_record == Some(1);
-        walk.since_record = Some(0);
-        PlanMeta {
-            planned_at: walk.now,
-            observed: walk.releases.clone(),
-            follows,
-        }
-    }
-
-    /// The walk's inputs into a kept buffer (no queue position's).
+    /// The walk's inputs into a kept buffer.
     pub(super) fn record(&mut self, walk: &Walk) {
         self.planned_at = walk.now;
         self.observed.clone_from(&walk.releases);
@@ -97,8 +87,172 @@ impl PlanMeta {
     }
 }
 
+/// A kept plan but for its chunks, which lie at `chunks` in its tail's
+/// per-chunk vectors, and how its inputs were recorded.
+#[derive(Clone, Debug)]
+struct Head {
+    task: Task,
+    strategy: StrategyKind,
+    est: SimTime,
+    chunks: Range<usize>,
+    /// The [`PlanMeta::follows`] of its inputs.
+    follows: bool,
+}
+
+/// The replacement tail a pass plans — the queue positions from `from` to
+/// the back, each with its plan and the inputs it was planned on — in one
+/// arena the engine keeps from pass to pass.
+///
+/// The plans lie end to end: the per-chunk vectors of a [`TaskPlan`],
+/// concatenated, and a [`Head`] a plan for the rest. The inputs are not a
+/// vector a position: each position's is the one ahead's with that one's
+/// plan written (the lemma's (i) in `incremental.rs`), so the tail keeps the
+/// first position's and rebuilds the others from it.
+#[derive(Clone, Debug, Default)]
+pub(super) struct Tail {
+    /// The queue position of the first plan.
+    pub(super) from: usize,
+    /// The first position's inputs (`follows` is each head's own).
+    first: PlanMeta,
+    heads: Vec<Head>,
+    nodes: Vec<NodeId>,
+    starts: Vec<SimTime>,
+    fractions: Vec<f64>,
+    releases: Vec<SimTime>,
+}
+
+impl Tail {
+    /// Empties the tail, to start at queue position `from` where `walk`
+    /// stands.
+    pub(super) fn open(&mut self, from: usize, walk: &Walk) {
+        self.from = from;
+        self.first.record(walk);
+        self.truncate(0);
+    }
+
+    /// The tail's tasks, in queue order.
+    pub(super) fn tasks(&self) -> impl ExactSizeIterator<Item = &Task> {
+        self.heads.iter().map(|head| &head.task)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        let end = self
+            .heads
+            .get(len)
+            .map_or(self.nodes.len(), |h| h.chunks.start);
+        self.heads.truncate(len);
+        self.nodes.truncate(end);
+        self.starts.truncate(end);
+        self.fractions.truncate(end);
+        self.releases.truncate(end);
+    }
+
+    /// Heads the chunks appended since the last plan.
+    fn push(&mut self, task: &Task, strategy: StrategyKind, est: SimTime, follows: bool) {
+        let start = self.heads.last().map_or(0, |head| head.chunks.end);
+        self.heads.push(Head {
+            task: *task,
+            strategy,
+            est,
+            chunks: start..self.nodes.len(),
+            follows,
+        });
+    }
+
+    /// Drops the plans from the `len`-th on and restarts `walk` on the
+    /// inputs there (`submit_batch`'s rollback).
+    pub(super) fn rewind(&mut self, len: usize, walk: &mut Walk) {
+        self.truncate(len);
+        walk.restart(&self.first.observed, self.first.planned_at);
+        for j in 0..len {
+            self.write_releases(j, &mut walk.releases);
+        }
+    }
+
+    /// Plan `j`'s release estimates into `releases` (index = node id).
+    fn write_releases(&self, j: usize, releases: &mut [SimTime]) {
+        for c in self.heads[j].chunks.clone() {
+            releases[self.nodes[c].index()] = self.releases[c];
+        }
+    }
+
+    /// The inputs queue position `at` was planned on, into a kept buffer.
+    pub(super) fn inputs_at(&self, at: usize, inputs: &mut PlanMeta) {
+        inputs.planned_at = self.first.planned_at;
+        inputs.observed.clone_from(&self.first.observed);
+        for ahead in 0..at - self.from {
+            self.write_releases(ahead, &mut inputs.observed);
+        }
+    }
+
+    /// Refills `plan` with plan `j`, through the buffers it has.
+    fn fill(&self, j: usize, plan: &mut TaskPlan) {
+        let head = &self.heads[j];
+        plan.task = head.task.id;
+        plan.strategy = head.strategy;
+        plan.est_completion = head.est;
+        let c = head.chunks.clone();
+        plan.nodes.clear();
+        plan.nodes.extend_from_slice(&self.nodes[c.clone()]);
+        plan.start_times.clear();
+        plan.start_times.extend_from_slice(&self.starts[c.clone()]);
+        plan.fractions.clear();
+        plan.fractions.extend_from_slice(&self.fractions[c.clone()]);
+        plan.node_release_estimates.clear();
+        plan.node_release_estimates
+            .extend_from_slice(&self.releases[c]);
+    }
+
+    /// Plan `j` as a value of its own.
+    pub(super) fn plan(&self, j: usize) -> TaskPlan {
+        let mut plan = TaskPlan {
+            task: self.heads[j].task.id,
+            strategy: self.heads[j].strategy,
+            nodes: Vec::new(),
+            start_times: Vec::new(),
+            fractions: Vec::new(),
+            est_completion: self.heads[j].est,
+            node_release_estimates: Vec::new(),
+        };
+        self.fill(j, &mut plan);
+        plan
+    }
+
+    /// Writes the tail over `queue` and its inputs over `meta` from position
+    /// `from` on, in place: each position's plan and inputs are refilled
+    /// through the buffers already there, and what the old queue held past
+    /// the tail goes. Where the tail holds a task the old queue does not
+    /// have next — the candidate, a batch member — a position is inserted:
+    /// the only allocations, with a buffer too small for its new plan.
+    pub(super) fn install(
+        &mut self,
+        queue: &mut Vec<(Task, TaskPlan)>,
+        meta: &mut Vec<Option<PlanMeta>>,
+    ) {
+        // Each position's inputs, rebuilt in the first's buffer.
+        let mut observed = std::mem::take(&mut self.first.observed);
+        for (j, head) in self.heads.iter().enumerate() {
+            let q = self.from + j;
+            if queue.get(q).is_none_or(|(task, _)| *task != head.task) {
+                queue.insert(q, (head.task, self.plan(j)));
+                meta.insert(q, None);
+            } else {
+                self.fill(j, &mut queue[q].1);
+            }
+            let inputs = meta[q].get_or_insert_with(PlanMeta::default);
+            inputs.planned_at = self.first.planned_at;
+            inputs.observed.clone_from(&observed);
+            inputs.follows = head.follows;
+            self.write_releases(j, &mut observed);
+        }
+        self.first.observed = observed;
+        queue.truncate(self.from + self.heads.len());
+        meta.truncate(self.from + self.heads.len());
+    }
+}
+
 /// The state of one temp-schedule walk at one planning instant.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub(super) struct Walk {
     now: SimTime,
     /// Per-node release times as the walk has built them (index = node id,
@@ -117,8 +271,14 @@ pub(super) struct Walk {
     /// step, reused by every one after it.
     scratch: PlanScratch,
     /// `Some(n)`: `releases` is the vector last recorded from this walk
-    /// ([`PlanMeta::of`]) with `n` plans written since.
+    /// ([`mark`](Walk::mark)) with `n` plans written since.
     since_record: Option<u8>,
+}
+
+impl Default for Walk {
+    fn default() -> Self {
+        Walk::new(&[], SimTime::ZERO)
+    }
 }
 
 impl Walk {
@@ -155,6 +315,15 @@ impl Walk {
         self.built = false;
         self.stale_head = 0;
         self.since_record = Some(1);
+    }
+
+    /// Records a queue position where the walk stands: whether its vector
+    /// follows the position recorded last (one plan written since), and the
+    /// count starts over.
+    pub(super) fn mark(&mut self) -> bool {
+        let follows = self.since_record == Some(1);
+        self.since_record = Some(0);
+        follows
     }
 
     /// The walk's planning instant.
@@ -198,7 +367,7 @@ impl Walk {
             .count()
     }
 
-    /// The fresh step both [`place`](Walk::place) and [`test`](Walk::test)
+    /// The fresh step both [`keep`](Walk::keep) and [`test`](Walk::test)
     /// take: plans `task` into the walk's scratch and writes its release
     /// estimates back, straight from there through the availability's head.
     fn plan(
@@ -225,24 +394,34 @@ impl Walk {
         Ok(planned)
     }
 
-    /// Plans `task` against the walk, writes its release estimates back and
-    /// returns the plan, copied out of the scratch — the step of a walk that
-    /// keeps what it plans (the engine's passes).
-    pub(super) fn place(
+    /// Records the position, plans `task` against the walk, writes its
+    /// release estimates back and appends the plan to `tail`, copied from the
+    /// scratch — the step of a walk that keeps what it plans (the engine's
+    /// passes).
+    pub(super) fn keep(
         &mut self,
         strategy: StrategyKind,
         task: &Task,
         params: &ClusterParams,
         cfg: &PlanConfig,
-    ) -> Result<TaskPlan, AdmissionFailure> {
+        tail: &mut Tail,
+    ) -> Result<(), AdmissionFailure> {
+        let follows = self.mark();
         let planned = self.plan(strategy, task, params, cfg)?;
-        // The head is merged back only by the next step's `settle`.
-        Ok(planned.to_plan(task.id, &self.avail, &self.scratch))
+        // The head is merged back only by the next step's `settle`: the
+        // plan's nodes are still the availability's earliest.
+        let (starts, fractions, releases) = self.scratch.chunks();
+        tail.nodes.extend(planned.chunk_nodes(&self.avail));
+        tail.starts.extend_from_slice(starts);
+        tail.fractions.extend_from_slice(fractions);
+        tail.releases.extend_from_slice(releases);
+        tail.push(task, planned.strategy, planned.est, follows);
+        Ok(())
     }
 
-    /// [`place`](Walk::place) for a walk that wants the verdict only (every
+    /// [`keep`](Walk::keep) for a walk that wants the verdict only (every
     /// probe and search): the same step, the same releases written, no plan
-    /// materialised and nothing allocated.
+    /// kept and nothing allocated.
     pub(super) fn test(
         &mut self,
         strategy: StrategyKind,
@@ -254,8 +433,8 @@ impl Walk {
     }
 
     /// Takes `plan` as this step's plan: the caller has established that
-    /// [`place`](Walk::place) would return exactly it (the engine's reuse
-    /// gate holds), so only the write-back is left.
+    /// [`keep`](Walk::keep) would plan exactly it (the engine's reuse gate
+    /// holds), so only the write-back is left.
     #[inline]
     pub(super) fn apply(&mut self, plan: &TaskPlan) {
         if self.built {
@@ -274,6 +453,19 @@ impl Walk {
         }
         plan.write_releases(&mut self.releases);
         self.since_record = self.since_record.map(|n| n.saturating_add(1));
+    }
+
+    /// Records the position, [`apply`](Walk::apply)s `plan` and appends it to
+    /// `tail` — a cached plan kept behind a change.
+    pub(super) fn keep_cached(&mut self, task: &Task, plan: &TaskPlan, tail: &mut Tail) {
+        let follows = self.mark();
+        tail.nodes.extend_from_slice(&plan.nodes);
+        tail.starts.extend_from_slice(&plan.start_times);
+        tail.fractions.extend_from_slice(&plan.fractions);
+        tail.releases
+            .extend_from_slice(&plan.node_release_estimates);
+        tail.push(task, plan.strategy, plan.est_completion, follows);
+        self.apply(plan);
     }
 }
 
@@ -302,10 +494,13 @@ mod tests {
         /// availability is entry for entry what a fresh sort of its releases
         /// gives, with release vectors on a coarse grid (ties, so the
         /// node-id tie-break decides), a clamp that swallows some of them,
-        /// and plans that revisit their nodes (multi-round). A second walk
-        /// takes every step verdict-only: it must fail where the first one
-        /// fails, with the same failure, and otherwise leave bit for bit the
-        /// same releases and the same availability behind.
+        /// and plans that revisit their nodes (multi-round). A kept step's
+        /// plan, read back from the tail, is the one `plan_task` returns. A
+        /// second walk takes every step verdict-only: it must fail where the
+        /// first one fails, with the same failure, and otherwise leave bit
+        /// for bit the same releases and the same availability behind. The
+        /// tail, installed, is every plan kept or applied, each on the vector
+        /// it was planned on.
         #[test]
         fn availability_stays_what_a_fresh_sort_builds(
             strategy in prop::sample::select(strategies()),
@@ -331,6 +526,8 @@ mod tests {
             let now = SimTime::new(now as f64 * grid);
             let mut walk = Walk::new(&releases, now);
             let mut verdicts = Walk::new(&releases, now);
+            let (mut tail, mut kept) = (Tail::default(), Vec::new());
+            tail.open(0, &walk);
             for (id, (sigma, slack, user, fresh)) in tasks.into_iter().enumerate() {
                 let task = Task::new(id as u64, 0.0, 20.0 + sigma * 300.0, 4_000.0 + slack as f64 * 6_000.0)
                     .with_user_nodes(Some(user));
@@ -340,11 +537,20 @@ mod tests {
                 ).map_err(|reason| AdmissionFailure { task: task.id, reason });
                 let tested = verdicts.test(strategy, &task, &params, &cfg);
                 prop_assert_eq!(tested.err(), literal.as_ref().err().copied());
+                let observed = walk.releases().to_vec();
                 match (literal, fresh) {
-                    (Ok(plan), 0) => walk.apply(&plan),
+                    (Ok(plan), 0) => {
+                        walk.keep_cached(&task, &plan, &mut tail);
+                        kept.push((plan, observed));
+                    }
                     (literal, _) => {
-                        let placed = walk.place(strategy, &task, &params, &cfg);
+                        let placed = walk
+                            .keep(strategy, &task, &params, &cfg, &mut tail)
+                            .map(|()| tail.plan(tail.tasks().len() - 1));
                         prop_assert_eq!(&placed, &literal);
+                        if let Ok(plan) = placed {
+                            kept.push((plan, observed));
+                        }
                     }
                 }
                 let bits = |w: &Walk| w.releases().iter().map(|r| r.as_f64().to_bits()).collect::<Vec<_>>();
@@ -354,6 +560,13 @@ mod tests {
                     prop_assert!(kept.times().eq(expected.times()));
                     prop_assert!(kept.nodes().eq(expected.nodes()));
                 }
+            }
+            let (mut queue, mut meta) = (Vec::new(), Vec::new());
+            tail.install(&mut queue, &mut meta);
+            prop_assert_eq!(queue.len(), kept.len());
+            for (((_, installed), inputs), (plan, observed)) in queue.iter().zip(&meta).zip(&kept) {
+                prop_assert_eq!(installed, plan);
+                prop_assert_eq!(inputs.as_ref().map(|m| &m.observed), Some(observed));
             }
         }
     }
@@ -367,12 +580,12 @@ mod tests {
         let params = ClusterParams::new(4, 1.0, 100.0).expect("valid params");
         let cfg = PlanConfig::default();
         let mut walk = Walk::new(&[SimTime::ZERO; 4], SimTime::ZERO);
+        let mut tail = Tail::default();
         let task = Task::new(1, 0.0, 50.0, 1e6);
-        let plan = walk
-            .place(StrategyKind::DltIit, &task, &params, &cfg)
+        walk.keep(StrategyKind::DltIit, &task, &params, &cfg, &mut tail)
             .expect("feasible");
         // The same plan again, on nodes that are no longer the earliest.
-        walk.apply(&plan);
+        walk.apply(&tail.plan(0));
         let expected = NodeAvailability::new(walk.releases(), SimTime::ZERO);
         let kept = walk.settle();
         assert!(kept.times().eq(expected.times()));

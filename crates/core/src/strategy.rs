@@ -30,9 +30,10 @@
 //! the result three ways: [`plan_task`] — the public function, and the one
 //! thing the admission oracle shares with the production walks — runs the
 //! kernel on fresh buffers and moves them into a [`TaskPlan`]; a walk's
-//! kept step copies the plan out of the walk's own scratch (four vectors);
-//! a walk's verdict-only step (every probe of an explanation or reservation
-//! search) writes the release estimates through the availability's head and
+//! kept step appends the plan, from the walk's own scratch, to the arena
+//! its pass keeps (`admission/walk.rs`, no allocation once warm); a walk's
+//! verdict-only step (every probe of an explanation or reservation search)
+//! writes the release estimates through the availability's head and
 //! allocates nothing. The heterogeneous recurrence itself
 //! (`dlt::heterogeneous::partition_into`) is also what
 //! [`HeterogeneousModel::new`](crate::dlt::heterogeneous::HeterogeneousModel::new)
@@ -98,7 +99,7 @@ impl StrategyKind {
 }
 
 /// How an accepted task advances the node release times inside the
-/// temp-schedule (ablation knob; see DESIGN.md §6).
+/// temp-schedule (an ablation knob).
 ///
 /// This choice shapes the whole availability landscape: with staggered
 /// per-node releases, successor tasks see nodes freeing at *different* times
@@ -193,7 +194,7 @@ impl NodeAvailability {
 
     /// Brings the snapshot up to date after the releases of its `n`
     /// earliest nodes changed — what placing a plan does, since a plan
-    /// occupies exactly [`earliest(n)`](Self::earliest). The head is
+    /// occupies exactly the `n` earliest entries. The head is
     /// re-timed from `releases`, sorted on its own (in `head`, a scratch
     /// buffer) and merged with the untouched, still sorted tail. The
     /// `(time, node)` order is total, so the result is entry for entry what
@@ -253,13 +254,6 @@ impl NodeAvailability {
     /// Sorted available times (ascending), as an owned copy.
     pub fn sorted_times(&self) -> Vec<SimTime> {
         self.times().collect()
-    }
-
-    /// The `n` earliest-available nodes, in availability order.
-    pub fn earliest(&self, n: usize) -> (Vec<NodeId>, Vec<SimTime>) {
-        let nodes = self.entries[..n].iter().map(|e| e.1).collect();
-        let times = self.entries[..n].iter().map(|e| e.0).collect();
-        (nodes, times)
     }
 }
 
@@ -341,20 +335,22 @@ pub fn plan_task(
 ) -> Result<TaskPlan, Infeasible> {
     let mut scratch = PlanScratch::default();
     let planned = plan_into(kind, task, avail, params, cfg, &mut scratch)?;
-    Ok(planned.into_plan(
-        task.id,
-        avail,
-        scratch.starts,
-        scratch.fractions,
-        scratch.releases,
-    ))
+    Ok(TaskPlan {
+        task: task.id,
+        strategy: planned.strategy,
+        nodes: planned.chunk_nodes(avail).collect(),
+        start_times: scratch.starts,
+        fractions: scratch.fractions,
+        est_completion: planned.est,
+        node_release_estimates: scratch.releases,
+    })
 }
 
 /// The buffers one planning step works in, owned by whoever takes the steps
 /// (a walk keeps one set for all of its steps; [`plan_task`] brings a fresh
 /// one). After a successful [`plan_into`] the per-chunk vectors hold the
 /// plan, chunk for chunk in transmission order.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Per chunk: the earliest instant its transmission may start.
     starts: Vec<SimTime>,
@@ -375,7 +371,7 @@ pub(crate) struct PlanScratch {
 pub(crate) struct Planned {
     /// The strategy the plan is of (a multi-round request may settle for the
     /// single-round plan).
-    strategy: StrategyKind,
+    pub(crate) strategy: StrategyKind,
     /// How many of the earliest-available nodes the plan occupies.
     pub(crate) nodes: usize,
     /// Number of chunks: `nodes`, times the rounds of a multi-round plan.
@@ -385,44 +381,15 @@ pub(crate) struct Planned {
     pub(crate) est: SimTime,
 }
 
+impl PlanScratch {
+    /// The per-chunk vectors of the plan last planned here: transmission
+    /// starts, load fractions and release estimates.
+    pub(crate) fn chunks(&self) -> (&[SimTime], &[f64], &[SimTime]) {
+        (&self.starts, &self.fractions, &self.releases)
+    }
+}
+
 impl Planned {
-    /// The plan as a value of its own, around the per-chunk vectors it was
-    /// planned into — the scratch's own (fresh buffers) or copies of them.
-    fn into_plan(
-        self,
-        task: TaskId,
-        avail: &NodeAvailability,
-        start_times: Vec<SimTime>,
-        fractions: Vec<f64>,
-        node_release_estimates: Vec<SimTime>,
-    ) -> TaskPlan {
-        TaskPlan {
-            task,
-            strategy: self.strategy,
-            nodes: self.chunk_nodes(avail).collect(),
-            start_times,
-            fractions,
-            est_completion: self.est,
-            node_release_estimates,
-        }
-    }
-
-    /// The copy-out of a step planned into a kept scratch.
-    pub(crate) fn to_plan(
-        self,
-        task: TaskId,
-        avail: &NodeAvailability,
-        scratch: &PlanScratch,
-    ) -> TaskPlan {
-        self.into_plan(
-            task,
-            avail,
-            scratch.starts.clone(),
-            scratch.fractions.clone(),
-            scratch.releases.clone(),
-        )
-    }
-
     /// [`TaskPlan::write_releases`] without the plan: the release estimates
     /// go from the scratch to the nodes at the head of `avail`, chunk by
     /// chunk, so a later chunk on one node supersedes an earlier one.
@@ -440,7 +407,7 @@ impl Planned {
 
     /// The node of every chunk, in transmission order: the availability's
     /// head, round after round.
-    fn chunk_nodes(self, avail: &NodeAvailability) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn chunk_nodes(self, avail: &NodeAvailability) -> impl Iterator<Item = NodeId> + '_ {
         let head = &avail.entries[..self.nodes];
         head.iter().map(|e| e.1).cycle().take(self.chunks)
     }
@@ -448,8 +415,8 @@ impl Planned {
 
 /// The planning kernel: one task under `kind` against the availability
 /// snapshot, planned into `scratch`. Every strategy's arithmetic lives here
-/// and only here — [`plan_task`] copies the result out, a walk's kept step
-/// does the same from its own scratch, and a walk's verdict-only step reads
+/// and only here — [`plan_task`] moves the result into a plan, a walk's kept
+/// step appends it to its pass's arena, and a walk's verdict-only step reads
 /// nothing but the release estimates.
 pub(crate) fn plan_into(
     kind: StrategyKind,
@@ -790,16 +757,13 @@ mod tests {
             times,
             vec![SimTime::new(10.0), SimTime::new(20.0), SimTime::new(50.0)]
         );
-        let (nodes, starts) = a.earliest(2);
-        assert_eq!(nodes, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(starts[0], SimTime::new(10.0));
+        assert!(a.nodes().take(2).eq([NodeId(1), NodeId(2)]));
     }
 
     #[test]
     fn availability_breaks_ties_by_node_id() {
         let a = avail(&[7.0, 7.0, 7.0], 0.0);
-        let (nodes, _) = a.earliest(3);
-        assert_eq!(nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert!(a.nodes().eq([NodeId(0), NodeId(1), NodeId(2)]));
     }
 
     #[test]

@@ -153,7 +153,7 @@ fn sweep_figure(
     }
 }
 
-/// All figures of the paper, in order. See DESIGN.md §4 for the index.
+/// All figures of the paper, in order (`figures --list` prints the index).
 pub fn all_figures() -> Vec<FigureSpec> {
     let edf_iit = [AlgorithmKind::EDF_DLT, AlgorithmKind::EDF_OPR_MN];
     let fifo_iit = [AlgorithmKind::FIFO_DLT, AlgorithmKind::FIFO_OPR_MN];

@@ -6,9 +6,9 @@ use rtdls_core::prelude::{AlgorithmKind, ClusterParams, PlanConfig, TenantMix};
 
 /// When the waiting queue is re-planned against fresher node state.
 ///
-/// See DESIGN.md §5–6: the paper's Fig. 2 test runs on arrivals; whether the
-/// authors' simulator also exploited early (actual < estimated) node releases
-/// is unspecified. Both behaviors are implemented.
+/// The paper's Fig. 2 test runs on arrivals; whether the authors' simulator
+/// also exploited early (actual < estimated) node releases is unspecified.
+/// Both behaviors are implemented (ablation: the `abl-replan` bench group).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum ReplanPolicy {
     /// Re-plan whenever a node releases earlier than its estimate (default:
@@ -20,7 +20,8 @@ pub enum ReplanPolicy {
     ArrivalsOnly,
 }
 
-/// How the head node's outgoing link is contended (DESIGN.md §5, point 1).
+/// How the head node's outgoing link is contended (ablation: the `abl-link`
+/// bench group).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum LinkModel {
     /// Chunk transmissions are serialized *within* a task but tasks do not

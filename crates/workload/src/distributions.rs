@@ -3,7 +3,7 @@
 //!
 //! Implemented directly over [`rand::Rng`] (inverse-CDF and Box–Muller)
 //! instead of pulling in `rand_distr`, keeping the dependency set to the
-//! approved list (DESIGN.md §7).
+//! in-repo stand-ins (`vendor/README.md`).
 
 use rand::Rng;
 
@@ -81,8 +81,8 @@ impl Normal {
     /// Draws a strictly positive variate by rejection (resampling).
     ///
     /// The paper's data sizes are `N(Avgσ, Avgσ)`, which is negative ~16% of
-    /// the time; sizes must be positive, so negative draws are resampled
-    /// (DESIGN.md §5, point 2). With `mean = std_dev` the acceptance rate is
+    /// the time; sizes must be positive, so negative draws are resampled.
+    /// With `mean = std_dev` the acceptance rate is
     /// ≈ 84%, so the loop terminates almost immediately.
     pub fn sample_positive<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         loop {

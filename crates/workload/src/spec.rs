@@ -16,9 +16,8 @@ use serde::{Deserialize, Serialize};
 use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::ClusterParams;
 
-/// Which per-task minimum execution time floors the deadline draw
-/// (DESIGN.md §5; the paper's §5 under-determines this for the User-Split
-/// experiments).
+/// Which per-task minimum execution time floors the deadline draw (the
+/// paper's §5 under-determines this for the User-Split experiments).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum DeadlineFloor {
     /// `E(σ_i, N)` — the DLT-optimal minimum execution time, as the paper's
