@@ -105,8 +105,8 @@ impl StrategyKind {
 /// per-node releases, successor tasks see nodes freeing at *different* times
 /// — the very situation (Fig. 1b) the DLT-IIT strategy exploits. Uniform
 /// bookkeeping erases that staggering after every task, which suppresses
-/// nearly all of the IIT benefit (see EXPERIMENTS.md, ablation
-/// `abl-estimate`).
+/// nearly all of the IIT benefit (ablation `abl-estimate` in
+/// `crates/bench/benches/ablations.rs`; not gated).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum ReleaseEstimate {
     /// Each node is released at its **exact** completion time, obtained by
@@ -134,7 +134,9 @@ pub enum NodeCountPolicy {
     /// `n` with `ñ_min(r_n) ≤ n`, re-evaluating the bound at the start time
     /// the allocation actually implies. Default — this reading reproduces
     /// the paper's cross-figure ordering structure (DLT < OPR-MN in Fig. 3
-    /// *and* DLT < User-Split at DCRatio 2 in Fig. 5a; see EXPERIMENTS.md).
+    /// *and* DLT < User-Split at DCRatio 2 in Fig. 5a; gated by
+    /// `dlt_beats_opr_mn_at_every_load` and
+    /// `dlt_beats_user_split_at_tight_deadlines` in `tests/paper_claims.rs`).
     #[default]
     FixedPoint,
     /// The alternative literal reading: `ñ_min` is evaluated **once** at the

@@ -1,5 +1,4 @@
-//! `journalctl`-style audit inspector for rtdls WAL files and segment
-//! directories.
+//! `journalctl`-style audit inspector for rtdls WAL files.
 //!
 //! Walks a journal's frames ([`wire::decode_frames`]) and pretty-prints
 //! each record with its byte offset: snapshots as one-line gateway
@@ -8,38 +7,24 @@
 //! the v2 reservation / activation / quota events. The tail status closes
 //! the listing, so a torn or corrupt log is visible at a glance.
 //!
-//! The path may be a single WAL file or a [`SegmentedSink`] directory; in
-//! the latter case every segment is walked in sequence order and each
-//! record line leads with its `segment:offset` coordinate.
-//!
 //! ```text
-//! Usage: inspect <journal-file|segment-dir> [--inputs | --audit] [--segments] [--limit N] [--json]
+//! Usage: inspect <journal-file> [--inputs | --audit] [--limit N] [--json]
 //! ```
-//!
-//! `--segments` switches to the segment ledger: one line per segment with
-//! its seal point (sealed byte offset), epoch, frame count, manifest
-//! checksum, and whether the bytes on disk still match it.
 //!
 //! `--json` switches to a machine-readable mode for edge/ops tooling: one
 //! JSON object per line — `{"offset":…,"kind":"snapshot"|"event",
-//! "class":"input"|"audit","record":…}` (plus `"segment":…` when reading a
-//! segment directory) with the record's own JSON embedded verbatim —
-//! closed by `{"omitted":…}` when `--limit` truncates, a `{"durability":…}`
-//! summary of the physical log (bytes, record and snapshot counts), and a
-//! final `{"tail":…}` status object.
+//! "class":"input"|"audit","record":…}` with the record's own JSON
+//! embedded verbatim — closed by `{"omitted":…}` when `--limit` truncates,
+//! a `{"durability":…}` summary of the physical log (bytes, record and
+//! snapshot counts), and a final `{"tail":…}` status object.
 //!
-//! [`SegmentedSink`]: rtdls_journal::segment::SegmentedSink
+//! The exit status is 0 only for a log read whole with a clean tail.
 
 use std::process::ExitCode;
 
 use rtdls_journal::event::JournalEvent;
-use rtdls_journal::segment::{read_segment_dir, segment_checksum, SegmentFile};
 use rtdls_journal::snapshot::GatewaySnapshot;
 use rtdls_journal::wire::{self, RecordKind, TailStatus};
-
-/// One stream to inspect: `None` segment id for a single WAL file, one
-/// `(Some(seq), bytes)` entry per segment for a segment directory.
-type Source<'a> = (Option<u64>, &'a [u8]);
 
 /// One line per snapshot: the gateway shape and the sizes of its books.
 fn describe_snapshot(snap: &GatewaySnapshot) -> String {
@@ -127,51 +112,34 @@ fn describe_event(ev: &JournalEvent) -> String {
     format!("{class} {body}")
 }
 
-/// The overall tail verdict for a multi-source listing: the first damage
-/// found wins (earlier segments are supposed to be sealed and clean, so
-/// damage there is the more alarming finding).
-fn fold_tail(worst: TailStatus, tail: TailStatus) -> TailStatus {
-    match worst {
-        TailStatus::Clean => tail,
-        damaged => damaged,
-    }
-}
-
 /// Renders the whole log. `filter`: None = everything, Some(true) = inputs
 /// only, Some(false) = audit records only (snapshots always print).
-fn render(sources: &[Source<'_>], filter: Option<bool>, limit: usize) -> (Vec<String>, TailStatus) {
+fn render(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailStatus) {
     // Describe the frames that survive the filter first, so the
     // truncation marker counts exactly what the listing omits.
     let mut entries: Vec<String> = Vec::new();
-    let mut worst = TailStatus::Clean;
-    for (segment, bytes) in sources {
-        let (frames, tail) = wire::decode_frames(bytes);
-        worst = fold_tail(worst, tail);
-        for frame in &frames {
-            let line = match frame.kind {
-                RecordKind::Snapshot => {
-                    match serde_json::from_slice::<GatewaySnapshot>(&frame.payload) {
-                        Ok(snap) => describe_snapshot(&snap),
-                        Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
-                    }
+    let (frames, tail) = wire::decode_frames(wal);
+    for frame in &frames {
+        let line = match frame.kind {
+            RecordKind::Snapshot => {
+                match serde_json::from_slice::<GatewaySnapshot>(&frame.payload) {
+                    Ok(snap) => describe_snapshot(&snap),
+                    Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
                 }
-                RecordKind::Event => match serde_json::from_slice::<JournalEvent>(&frame.payload) {
-                    Ok(ev) => {
-                        if let Some(inputs_only) = filter {
-                            if ev.is_input() != inputs_only {
-                                continue;
-                            }
-                        }
-                        describe_event(&ev)
-                    }
-                    Err(e) => format!("EVENT <undecodable: {e}>"),
-                },
-            };
-            match segment {
-                Some(seq) => entries.push(format!("{seq:>6}:{:>8}  {line}", frame.offset)),
-                None => entries.push(format!("{:>10}  {line}", frame.offset)),
             }
-        }
+            RecordKind::Event => match serde_json::from_slice::<JournalEvent>(&frame.payload) {
+                Ok(ev) => {
+                    if let Some(inputs_only) = filter {
+                        if ev.is_input() != inputs_only {
+                            continue;
+                        }
+                    }
+                    describe_event(&ev)
+                }
+                Err(e) => format!("EVENT <undecodable: {e}>"),
+            },
+        };
+        entries.push(format!("{:>10}  {line}", frame.offset));
     }
     let omitted = entries.len().saturating_sub(limit);
     let mut lines = entries;
@@ -179,65 +147,47 @@ fn render(sources: &[Source<'_>], filter: Option<bool>, limit: usize) -> (Vec<St
         lines.truncate(limit);
         lines.push(format!("… {omitted} more record(s)"));
     }
-    (lines, worst)
+    (lines, tail)
 }
 
 /// Renders the whole log as JSON lines (see the module docs for the
 /// shape). Same `filter`/`limit` semantics as [`render`]; undecodable
 /// payloads become `{"undecodable": "<error>"}` records rather than
 /// aborting the listing.
-fn render_json(
-    sources: &[Source<'_>],
-    filter: Option<bool>,
-    limit: usize,
-) -> (Vec<String>, TailStatus) {
+fn render_json(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailStatus) {
     use serde::Value;
     let mut entries: Vec<String> = Vec::new();
-    let mut worst = TailStatus::Clean;
-    let mut total_bytes = 0usize;
-    let mut total_frames = 0usize;
-    let mut snapshots = 0usize;
-    for (segment, bytes) in sources {
-        let (frames, tail) = wire::decode_frames(bytes);
-        worst = fold_tail(worst, tail);
-        total_bytes += bytes.len();
-        total_frames += frames.len();
-        snapshots += frames
-            .iter()
-            .filter(|f| f.kind == RecordKind::Snapshot)
-            .count();
-        for frame in &frames {
-            let (kind, class) = match frame.kind {
-                RecordKind::Snapshot => ("snapshot", None),
-                RecordKind::Event => {
-                    let is_input = serde_json::from_slice::<JournalEvent>(&frame.payload)
-                        .map(|ev| ev.is_input())
-                        .ok();
-                    if let (Some(inputs_only), Some(is_input)) = (filter, is_input) {
-                        if is_input != inputs_only {
-                            continue;
-                        }
+    let (frames, tail) = wire::decode_frames(wal);
+    for frame in &frames {
+        let (kind, class) = match frame.kind {
+            RecordKind::Snapshot => ("snapshot", None),
+            RecordKind::Event => {
+                let is_input = serde_json::from_slice::<JournalEvent>(&frame.payload)
+                    .map(|ev| ev.is_input())
+                    .ok();
+                if let (Some(inputs_only), Some(is_input)) = (filter, is_input) {
+                    if is_input != inputs_only {
+                        continue;
                     }
-                    ("event", is_input)
                 }
-            };
-            let record: Value = serde_json::from_slice(&frame.payload).unwrap_or_else(|e| {
-                Value::Map(vec![("undecodable".to_string(), Value::Str(e.to_string()))])
-            });
-            let mut obj = vec![("offset".to_string(), Value::Int(frame.offset as i64))];
-            if let Some(seq) = segment {
-                obj.push(("segment".to_string(), Value::Int(*seq as i64)));
+                ("event", is_input)
             }
-            obj.push(("kind".to_string(), Value::Str(kind.to_string())));
-            if let Some(is_input) = class {
-                obj.push((
-                    "class".to_string(),
-                    Value::Str(if is_input { "input" } else { "audit" }.to_string()),
-                ));
-            }
-            obj.push(("record".to_string(), record));
-            entries.push(serde_json::to_string(&Value::Map(obj)).expect("serializable"));
+        };
+        let record: Value = serde_json::from_slice(&frame.payload).unwrap_or_else(|e| {
+            Value::Map(vec![("undecodable".to_string(), Value::Str(e.to_string()))])
+        });
+        let mut obj = vec![
+            ("offset".to_string(), Value::Int(frame.offset as i64)),
+            ("kind".to_string(), Value::Str(kind.to_string())),
+        ];
+        if let Some(is_input) = class {
+            obj.push((
+                "class".to_string(),
+                Value::Str(if is_input { "input" } else { "audit" }.to_string()),
+            ));
         }
+        obj.push(("record".to_string(), record));
+        entries.push(serde_json::to_string(&Value::Map(obj)).expect("serializable"));
     }
     let omitted = entries.len().saturating_sub(limit);
     let mut lines = entries;
@@ -247,15 +197,18 @@ fn render_json(
     }
     // Physical durability summary (unfiltered): what actually survives on
     // disk, for edge/ops tooling that watches WAL growth and compaction.
+    let snapshots = frames
+        .iter()
+        .filter(|f| f.kind == RecordKind::Snapshot)
+        .count();
     lines.push(format!(
-        "{{\"durability\":{{\"bytes\":{},\"records\":{},\"snapshots\":{},\"events\":{},\"segments\":{}}}}}",
-        total_bytes,
-        total_frames,
+        "{{\"durability\":{{\"bytes\":{},\"records\":{},\"snapshots\":{},\"events\":{}}}}}",
+        wal.len(),
+        frames.len(),
         snapshots,
-        total_frames - snapshots,
-        sources.iter().filter(|(seg, _)| seg.is_some()).count(),
+        frames.len() - snapshots,
     ));
-    let tail_line = match worst {
+    let tail_line = match tail {
         TailStatus::Clean => "{\"tail\":\"clean\"}".to_string(),
         TailStatus::Truncated { offset } => {
             format!("{{\"tail\":\"truncated\",\"offset\":{offset}}}")
@@ -263,83 +216,10 @@ fn render_json(
         TailStatus::Corrupt { offset } => format!("{{\"tail\":\"corrupt\",\"offset\":{offset}}}"),
     };
     lines.push(tail_line);
-    (lines, worst)
+    (lines, tail)
 }
 
-/// The epoch a segment was written under: the manifest entry when sealed,
-/// else the leading snapshot's stamp (the active segment has no manifest
-/// line yet).
-fn segment_epoch(seg: &SegmentFile, frames: &[wire::Frame]) -> Option<u64> {
-    if let Some(meta) = &seg.meta {
-        return Some(meta.epoch);
-    }
-    frames
-        .iter()
-        .find(|f| f.kind == RecordKind::Snapshot)
-        .and_then(|f| serde_json::from_slice::<GatewaySnapshot>(&f.payload).ok())
-        .map(|s| s.epoch)
-}
-
-/// The `--segments` ledger: one line per segment with its seal point,
-/// epoch, frame count, checksum, and verification verdict. Returns the
-/// lines plus whether every sealed segment still matches its manifest.
-fn render_segments(segments: &[SegmentFile], json: bool) -> (Vec<String>, bool) {
-    let mut lines = Vec::new();
-    let mut all_ok = true;
-    for seg in segments {
-        let (frames, tail) = wire::decode_frames(&seg.bytes);
-        let anchored = frames.first().map(|f| f.kind) == Some(RecordKind::Snapshot);
-        let sealed = seg.meta.is_some();
-        let ok = seg.checksum_ok() && (!sealed || matches!(tail, TailStatus::Clean));
-        all_ok &= ok;
-        let epoch = segment_epoch(seg, &frames);
-        let checksum = seg
-            .meta
-            .as_ref()
-            .map(|m| m.checksum)
-            .unwrap_or_else(|| segment_checksum(&seg.bytes));
-        if json {
-            use serde::Value;
-            let mut obj = vec![
-                ("segment".to_string(), Value::Int(seg.seq as i64)),
-                ("sealed".to_string(), Value::Bool(sealed)),
-                ("frames".to_string(), Value::Int(frames.len() as i64)),
-                ("bytes".to_string(), Value::Int(seg.bytes.len() as i64)),
-                (
-                    "checksum".to_string(),
-                    Value::Str(format!("{checksum:016x}")),
-                ),
-                ("checksum_ok".to_string(), Value::Bool(ok)),
-                ("anchored".to_string(), Value::Bool(anchored)),
-            ];
-            if let Some(epoch) = epoch {
-                obj.insert(2, ("epoch".to_string(), Value::Int(epoch as i64)));
-            }
-            lines.push(serde_json::to_string(&Value::Map(obj)).expect("serializable"));
-        } else {
-            let epoch = epoch.map_or("?".to_string(), |e| e.to_string());
-            lines.push(format!(
-                "seg-{:06}  epoch {epoch:>3}  frames {:>5}  {} {:>9}  checksum {checksum:016x}  {}{}",
-                seg.seq,
-                frames.len(),
-                if sealed { "sealed @" } else { "active @" },
-                seg.bytes.len(),
-                if ok {
-                    "OK"
-                } else if sealed {
-                    "MISMATCH"
-                } else {
-                    "TORN"
-                },
-                if anchored { "  [snapshot-anchored]" } else { "" },
-            ));
-        }
-    }
-    (lines, all_ok)
-}
-
-const USAGE: &str =
-    "Usage: inspect <journal-file|segment-dir> [--inputs | --audit] [--segments] [--limit N] [--json]";
+const USAGE: &str = "Usage: inspect <journal-file> [--inputs | --audit] [--limit N] [--json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -347,14 +227,12 @@ fn main() -> ExitCode {
     let mut filter = None;
     let mut limit = usize::MAX;
     let mut json = false;
-    let mut segments_mode = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--inputs" => filter = Some(true),
             "--audit" => filter = Some(false),
             "--json" => json = true,
-            "--segments" => segments_mode = true,
             "--limit" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => limit = n,
                 None => {
@@ -373,62 +251,15 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let is_dir = std::fs::metadata(&path)
-        .map(|m| m.is_dir())
-        .unwrap_or(false);
-    if segments_mode {
-        if !is_dir {
-            eprintln!("--segments needs a segment directory, and {path} is not one");
+    let wal = match std::fs::read(&path) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
-        let segs = match read_segment_dir(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read segment dir {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (lines, all_ok) = render_segments(&segs, json);
-        if !json {
-            println!("{path}: {} segment(s)", segs.len());
-        }
-        for line in lines {
-            println!("{line}");
-        }
-        return if all_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    // Resolve the path into inspection sources: each segment of a
-    // directory in sequence order, or the single file's bytes.
-    let seg_files: Vec<SegmentFile>;
-    let file_bytes: Vec<u8>;
-    let sources: Vec<Source<'_>> = if is_dir {
-        seg_files = match read_segment_dir(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read segment dir {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        seg_files
-            .iter()
-            .map(|s| (Some(s.seq), s.bytes.as_slice()))
-            .collect()
-    } else {
-        file_bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        vec![(None, file_bytes.as_slice())]
     };
     if json {
-        let (lines, tail) = render_json(&sources, filter, limit);
+        let (lines, tail) = render_json(&wal, filter, limit);
         for line in lines {
             println!("{line}");
         }
@@ -437,9 +268,8 @@ fn main() -> ExitCode {
             _ => ExitCode::FAILURE,
         };
     }
-    let (lines, tail) = render(&sources, filter, limit);
-    let total: usize = sources.iter().map(|(_, b)| b.len()).sum();
-    println!("{path}: {total} byte(s)");
+    let (lines, tail) = render(&wal, filter, limit);
+    println!("{path}: {} byte(s)", wal.len());
     for line in lines {
         println!("{line}");
     }
@@ -498,47 +328,10 @@ mod tests {
         j.journal().bytes().to_vec()
     }
 
-    fn single(wal: &[u8]) -> Vec<Source<'_>> {
-        vec![(None, wal)]
-    }
-
-    /// A real rotated segment directory: frequent compacting snapshots over
-    /// a [`SegmentedSink`] seal several segments plus an active tail.
-    fn sample_segment_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("rtdls-inspect-seg-{tag}-{}", std::process::id()));
-        let sink = SegmentedSink::create(&dir).unwrap();
-        let gateway = ShardedGateway::new(
-            ClusterParams::paper_baseline(),
-            1,
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-            Routing::LeastLoaded,
-            DeferPolicy::default(),
-        )
-        .unwrap();
-        let mut j = JournaledGateway::with_sink(
-            gateway,
-            JournalConfig {
-                snapshot_every: 2,
-                compact_on_snapshot: true,
-            },
-            Box::new(sink),
-        );
-        for i in 0..6 {
-            let _ = j.submit_request(
-                &SubmitRequest::new(Task::new(i + 1, i as f64, 200.0, 30_000.0)),
-                SimTime::new(i as f64),
-            );
-        }
-        j.commit(SimTime::ZERO);
-        dir
-    }
-
     #[test]
     fn renders_every_frame_with_offsets_and_clean_tail() {
         let wal = sample_wal();
-        let (lines, tail) = render(&single(&wal), None, usize::MAX);
+        let (lines, tail) = render(&wal, None, usize::MAX);
         assert_eq!(tail, TailStatus::Clean);
         let text = lines.join("\n");
         assert!(text.contains("SNAPSHOT sharded"), "{text}");
@@ -556,7 +349,7 @@ mod tests {
         // A WAL from before the v1 writer was retired still prints as it
         // always did: single-cluster genesis, `Submitted`, the batch.
         let legacy = include_bytes!("../../tests/fixtures/legacy_single_cluster.wal");
-        let (lines, tail) = render(&single(legacy), None, usize::MAX);
+        let (lines, tail) = render(legacy, None, usize::MAX);
         assert_eq!(tail, TailStatus::Clean);
         let text = lines.join("\n");
         assert!(text.contains("SNAPSHOT single"), "{text}");
@@ -567,9 +360,9 @@ mod tests {
     #[test]
     fn input_and_audit_filters_partition_the_events() {
         let wal = sample_wal();
-        let (all, _) = render(&single(&wal), None, usize::MAX);
-        let (inputs, _) = render(&single(&wal), Some(true), usize::MAX);
-        let (audit, _) = render(&single(&wal), Some(false), usize::MAX);
+        let (all, _) = render(&wal, None, usize::MAX);
+        let (inputs, _) = render(&wal, Some(true), usize::MAX);
+        let (audit, _) = render(&wal, Some(false), usize::MAX);
         // 1 snapshot line is in all three listings.
         assert_eq!(inputs.len() + audit.len(), all.len() + 1);
         assert!(inputs.iter().any(|l| l.contains("IN   ")));
@@ -579,16 +372,16 @@ mod tests {
     #[test]
     fn limit_truncates_with_an_accurate_marker() {
         let wal = sample_wal();
-        let (all, _) = render(&single(&wal), None, usize::MAX);
-        let (lines, _) = render(&single(&wal), None, 2);
+        let (all, _) = render(&wal, None, usize::MAX);
+        let (lines, _) = render(&wal, None, 2);
         assert_eq!(lines.len(), 3);
         assert_eq!(
             *lines.last().unwrap(),
             format!("… {} more record(s)", all.len() - 2)
         );
         // Under a filter the marker counts only the filtered remainder.
-        let (audit, _) = render(&single(&wal), Some(false), usize::MAX);
-        let (limited, _) = render(&single(&wal), Some(false), 2);
+        let (audit, _) = render(&wal, Some(false), usize::MAX);
+        let (limited, _) = render(&wal, Some(false), 2);
         assert_eq!(
             *limited.last().unwrap(),
             format!("… {} more record(s)", audit.len() - 2)
@@ -598,7 +391,7 @@ mod tests {
     #[test]
     fn json_mode_emits_one_parseable_object_per_record() {
         let wal = sample_wal();
-        let (lines, tail) = render_json(&single(&wal), None, usize::MAX);
+        let (lines, tail) = render_json(&wal, None, usize::MAX);
         assert_eq!(tail, TailStatus::Clean);
         // Every line is a standalone JSON object (JSON-lines contract).
         let objects: Vec<serde::Value> = lines
@@ -645,7 +438,7 @@ mod tests {
         );
         assert_eq!(durability.get("snapshots"), Some(&serde::Value::Int(1)));
         // The machine count matches the human listing's record count.
-        let (human, _) = render(&single(&wal), None, usize::MAX);
+        let (human, _) = render(&wal, None, usize::MAX);
         assert_eq!(
             objects.len(),
             human.len() + 2,
@@ -656,15 +449,15 @@ mod tests {
     #[test]
     fn json_mode_respects_filters_limits_and_damage() {
         let wal = sample_wal();
-        let (all, _) = render_json(&single(&wal), None, usize::MAX);
-        let (inputs, _) = render_json(&single(&wal), Some(true), usize::MAX);
-        let (audit, _) = render_json(&single(&wal), Some(false), usize::MAX);
+        let (all, _) = render_json(&wal, None, usize::MAX);
+        let (inputs, _) = render_json(&wal, Some(true), usize::MAX);
+        let (audit, _) = render_json(&wal, Some(false), usize::MAX);
         // snapshot + durability + tail appear in both filtered listings.
         assert_eq!(inputs.len() + audit.len(), all.len() + 3);
         assert!(inputs.iter().any(|l| l.contains("\"class\":\"input\"")));
         assert!(audit.iter().all(|l| !l.contains("\"class\":\"input\"")));
         // --limit truncates with a machine-readable omission marker.
-        let (limited, _) = render_json(&single(&wal), None, 2);
+        let (limited, _) = render_json(&wal, None, 2);
         assert_eq!(limited.len(), 5, "2 records + omitted + durability + tail");
         let marker: serde::Value = serde_json::from_str(&limited[2]).unwrap();
         assert_eq!(
@@ -675,7 +468,7 @@ mod tests {
         let mut torn = wal;
         let cut = torn.len() - 3;
         torn.truncate(cut);
-        let (lines, tail) = render_json(&single(&torn), None, usize::MAX);
+        let (lines, tail) = render_json(&torn, None, usize::MAX);
         assert!(matches!(tail, TailStatus::Truncated { .. }));
         let last: serde::Value = serde_json::from_str(lines.last().unwrap()).unwrap();
         assert!(matches!(last.get("tail"), Some(serde::Value::Str(s)) if s == "truncated"));
@@ -687,78 +480,8 @@ mod tests {
         let mut wal = sample_wal();
         let cut = wal.len() - 3;
         wal.truncate(cut);
-        let (lines, tail) = render(&single(&wal), None, usize::MAX);
+        let (lines, tail) = render(&wal, None, usize::MAX);
         assert!(matches!(tail, TailStatus::Truncated { .. }));
         assert!(!lines.is_empty(), "intact frames still render");
-    }
-
-    #[test]
-    fn segment_dir_listing_carries_segment_ids() {
-        let dir = sample_segment_dir("listing");
-        let segs = read_segment_dir(&dir).unwrap();
-        assert!(
-            segs.len() >= 2,
-            "rotation produced {} segment(s)",
-            segs.len()
-        );
-        let sources: Vec<Source<'_>> = segs
-            .iter()
-            .map(|s| (Some(s.seq), s.bytes.as_slice()))
-            .collect();
-        // Human listing: every line leads with its segment:offset pair.
-        let (lines, tail) = render(&sources, None, usize::MAX);
-        assert_eq!(tail, TailStatus::Clean);
-        assert!(lines.iter().all(|l| l.contains(':')), "{lines:?}");
-        // JSON listing: each record object carries its segment id, and the
-        // durability summary counts the segments.
-        let (json_lines, _) = render_json(&sources, None, usize::MAX);
-        let objects: Vec<serde::Value> = json_lines
-            .iter()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert!(objects
-            .iter()
-            .filter(|o| o.get("kind").is_some())
-            .all(|o| o.get("segment").is_some()));
-        let durability = objects[objects.len() - 2].get("durability").unwrap();
-        assert_eq!(
-            durability.get("segments"),
-            Some(&serde::Value::Int(segs.len() as i64))
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segments_ledger_lists_seal_points_epochs_and_checksums() {
-        let dir = sample_segment_dir("ledger");
-        let mut segs = read_segment_dir(&dir).unwrap();
-        let (lines, all_ok) = render_segments(&segs, false);
-        assert!(all_ok, "{lines:?}");
-        assert_eq!(lines.len(), segs.len());
-        assert!(lines.iter().any(|l| l.contains("sealed @")), "{lines:?}");
-        assert!(
-            lines
-                .iter()
-                .all(|l| l.contains("epoch") && l.contains("checksum")),
-            "{lines:?}"
-        );
-        assert!(
-            lines.iter().any(|l| l.contains("[snapshot-anchored]")),
-            "rotation anchors every sealed segment on a snapshot: {lines:?}"
-        );
-        // JSON ledger: one object per segment with a verdict.
-        let (json_lines, _) = render_segments(&segs, true);
-        for line in &json_lines {
-            let obj: serde::Value = serde_json::from_str(line).unwrap();
-            assert!(obj.get("segment").is_some());
-            assert!(obj.get("checksum_ok").is_some());
-        }
-        // Flipping a byte in a sealed segment is caught by the manifest.
-        let sealed = segs.iter_mut().find(|s| s.meta.is_some()).unwrap();
-        sealed.bytes[0] ^= 0xff;
-        let (lines, all_ok) = render_segments(&segs, false);
-        assert!(!all_ok);
-        assert!(lines.iter().any(|l| l.contains("MISMATCH")), "{lines:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

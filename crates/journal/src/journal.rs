@@ -61,7 +61,9 @@ pub struct SinkStats {
     pub writes: u64,
 }
 
-/// A durable byte store the journal mirrors its frames into.
+/// A durable byte store the journal mirrors its frames into: one WAL image,
+/// which `reset` replaces whole at each compaction. The tree's one
+/// durable implementation is [`FileSink`].
 ///
 /// `append` takes **one or more whole frames, in order**, and must *write*
 /// them (ordered after every earlier frame) before returning; after
@@ -90,15 +92,6 @@ pub trait JournalSink: Send {
     /// zeros.
     fn stats(&self) -> SinkStats {
         SinkStats::default()
-    }
-    /// Tells the sink the current promotion epoch (stamped into segment
-    /// manifests by [`SegmentedSink`](crate::segment::SegmentedSink)).
-    /// Sinks without epoch-aware storage ignore it.
-    fn set_epoch(&mut self, _epoch: u64) {}
-    /// Per-segment durability counters, for sinks that rotate their log
-    /// into segments. Single-file and in-memory sinks report none.
-    fn segments(&self) -> Vec<crate::segment::SegmentStats> {
-        Vec::new()
     }
 }
 
@@ -130,7 +123,7 @@ pub enum FsyncPolicy {
 impl FsyncPolicy {
     /// Whether an `append` that just wrote a run of `run_frames` frames,
     /// leaving `pending` frames unsynced, owes the sync itself (the one
-    /// place the rule lives; both sinks ask it).
+    /// place the rule lives; [`FileSink`] asks it).
     pub fn sync_due(self, run_frames: usize, pending: usize) -> bool {
         match self {
             FsyncPolicy::EveryAppend => true,
@@ -264,7 +257,7 @@ impl JournalSink for FileSink {
         };
         swap().expect("journal file rewrite must succeed");
         // The staged file was fully synced before the rename: the rewrite
-        // is one durability point, counted like the segmented sink's.
+        // is one write and one durability point.
         self.stats.writes += 1;
         self.stats.syncs += 1;
         self.stats.bytes_written += bytes.len() as u64;
@@ -297,8 +290,7 @@ impl Drop for FileSink {
 /// compaction, so under the default compacting config it stays bounded by
 /// one snapshot epoch. `snapshot_every: 0` or `compact_on_snapshot: false`
 /// trades that bound for full in-process history — on a long-lived
-/// file-backed gateway, prefer the compacting default (a segmented log that
-/// drops flushed bytes from memory is a ROADMAP follow-up).
+/// file-backed gateway, prefer the compacting default.
 pub struct Journal {
     cfg: JournalConfig,
     bytes: Vec<u8>,
@@ -315,9 +307,9 @@ pub struct Journal {
     /// Byte offset in `bytes` of each in-memory frame; entry `i` is the
     /// frame with sequence number `base_seq + i`.
     frame_index: Vec<usize>,
-    /// Promotion epoch stamped into snapshots and sealed segments. Bumped
-    /// by follower promotion; a zombie primary keeps its old epoch and its
-    /// late shipped frames are fenced by it.
+    /// Promotion epoch stamped into every snapshot. Bumped by follower
+    /// promotion; a zombie primary keeps its old epoch and its late shipped
+    /// frames are fenced by it.
     epoch: u64,
     /// Hot-path profiler handle (disabled by default: one `Option` check
     /// per append, no clock reads).
@@ -366,7 +358,6 @@ impl Journal {
     /// [`FileSink`]). Recovery uses this so the old journal file is only
     /// touched *after* recovery has succeeded.
     pub fn attach_sink(&mut self, mut sink: Box<dyn JournalSink>) {
-        sink.set_epoch(self.epoch);
         sink.reset(&self.bytes);
         self.sink = Some(sink);
         self.written = self.bytes.len();
@@ -407,12 +398,6 @@ impl Journal {
         self.sink.as_ref().map(|s| s.stats())
     }
 
-    /// Per-segment durability counters, when the sink rotates the log into
-    /// segments (empty for single-file and in-memory journals).
-    pub fn segment_stats(&self) -> Vec<crate::segment::SegmentStats> {
-        self.sink.as_ref().map(|s| s.segments()).unwrap_or_default()
-    }
-
     /// Global sequence number the next appended frame will get — the
     /// journal's *appended offset* in replication terms.
     pub fn next_seq(&self) -> u64 {
@@ -427,19 +412,15 @@ impl Journal {
     }
 
     /// The journal's promotion epoch (stamped into every snapshot it
-    /// writes and into sealed segment manifests).
+    /// writes).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Sets the promotion epoch (forwarded to the sink for its segment
-    /// manifests). Recovery sets this to the restored snapshot's epoch;
-    /// follower promotion sets it one higher.
+    /// Sets the promotion epoch. Recovery sets this to the restored
+    /// snapshot's epoch; follower promotion sets it one higher.
     pub fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
-        if let Some(sink) = &mut self.sink {
-            sink.set_epoch(epoch);
-        }
     }
 
     /// Raw encoded frames with sequence numbers `from..next_seq()`, clamped
@@ -826,6 +807,39 @@ mod tests {
         assert_eq!(stats.syncs, 1, "per-append policy syncs immediately");
         assert!(stats.bytes_written > 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn frames_from_ships_exactly_the_appended_tail() {
+        let mut j = Journal::in_memory(JournalConfig {
+            snapshot_every: 0,
+            compact_on_snapshot: true,
+        });
+        j.append_snapshot(&snap()); // seq 0
+        j.append_event(&ev(1.0)); // seq 1
+        j.append_event(&ev(2.0)); // seq 2
+        assert_eq!(j.next_seq(), 3);
+        assert_eq!(j.base_seq(), 0);
+        let (start, frames) = j.frames_from(1);
+        assert_eq!(start, 1);
+        assert_eq!(frames.len(), 2);
+        // Each slice is a standalone decodable frame.
+        for f in &frames {
+            let (decoded, tail) = decode_frames(f);
+            assert!(tail.is_clean());
+            assert_eq!(decoded.len(), 1);
+        }
+        // Compaction raises base_seq; the gap is bridged by the snapshot.
+        j.append_snapshot(&snap()); // seq 3, base 3
+        assert_eq!(j.base_seq(), 3);
+        let (start, frames) = j.frames_from(1);
+        assert_eq!(start, 3, "frames 1..3 are gone; snapshot 3 supersedes");
+        assert_eq!(frames.len(), 1);
+        let (decoded, _) = decode_frames(frames[0]);
+        assert_eq!(decoded[0].kind, RecordKind::Snapshot);
+        // Nothing new past the head.
+        let (_, frames) = j.frames_from(4);
+        assert!(frames.is_empty());
     }
 
     #[test]

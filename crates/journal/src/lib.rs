@@ -72,7 +72,6 @@ pub mod event;
 pub mod gateway;
 pub mod journal;
 pub mod recover;
-pub mod segment;
 pub mod snapshot;
 pub mod telemetry;
 pub mod wire;
@@ -81,12 +80,7 @@ pub use event::JournalEvent;
 pub use gateway::JournaledGateway;
 pub use journal::{FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink, SinkStats};
 pub use recover::{
-    apply_event, recover, recover_at_epoch, recover_file, recover_file_with_policy, replay,
-    requalify, RecoveryReport,
-};
-pub use segment::{
-    read_segment_dir, recover_segment_dir, recovery_bytes, SegmentFile, SegmentMeta, SegmentStats,
-    SegmentedSink,
+    apply_event, recover, recover_file, recover_file_with_policy, replay, requalify, RecoveryReport,
 };
 pub use snapshot::{GatewaySnapshot, JournalError, Recoverable};
 pub use telemetry::fold_journal_metrics;
@@ -100,12 +94,7 @@ pub mod prelude {
         FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink, SinkStats,
     };
     pub use crate::recover::{
-        recover, recover_at_epoch, recover_file, recover_file_with_policy, replay, requalify,
-        RecoveryReport,
-    };
-    pub use crate::segment::{
-        read_segment_dir, recover_segment_dir, SegmentFile, SegmentMeta, SegmentStats,
-        SegmentedSink,
+        recover, recover_file, recover_file_with_policy, replay, requalify, RecoveryReport,
     };
     pub use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
     pub use crate::telemetry::fold_journal_metrics;

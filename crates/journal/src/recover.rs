@@ -49,8 +49,8 @@ pub struct RecoveryReport {
     /// The recovery instant the re-admission pass ran at.
     pub recovered_at: SimTime,
     /// The promotion epoch the recovered gateway journals under: the
-    /// restored snapshot's epoch for a plain restart, one higher for a
-    /// follower promotion ([`recover_at_epoch`]).
+    /// restored snapshot's epoch (a promoted follower stamps every snapshot
+    /// it writes one higher than its old primary did).
     pub epoch: u64,
 }
 
@@ -159,25 +159,6 @@ pub fn recover<G: Recoverable>(
     let (journaled, demoted) = requalify(gateway, now, cfg, sink, report.epoch);
     report.demoted = demoted;
     report.recovered_at = now;
-    Ok((journaled, report))
-}
-
-/// [`recover`] under an explicitly bumped epoch — the promotion path. The
-/// new journal (and every snapshot it writes) is stamped `epoch` instead
-/// of the crashed primary's, so the primary's late appends — still
-/// carrying the old epoch — are fenced by every epoch-aware consumer.
-pub fn recover_at_epoch<G: Recoverable>(
-    bytes: &[u8],
-    now: SimTime,
-    cfg: JournalConfig,
-    sink: Option<Box<dyn JournalSink>>,
-    epoch: u64,
-) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
-    let (gateway, mut report) = replay::<G>(bytes)?;
-    let (journaled, demoted) = requalify(gateway, now, cfg, sink, epoch);
-    report.demoted = demoted;
-    report.recovered_at = now;
-    report.epoch = epoch;
     Ok((journaled, report))
 }
 

@@ -35,26 +35,6 @@ pub fn fold_journal_metrics(reg: &mut MetricsRegistry, journal: &Journal) {
         &[],
         journal.next_seq() as f64,
     );
-    // Per-segment durability: present only when the sink rotates segments
-    // (the previously process-global counters, broken out per segment).
-    for seg in journal.segment_stats() {
-        let id = seg.seq.to_string();
-        let labels: &[(&str, &str)] = &[("segment", id.as_str())];
-        reg.gauge("rtdls_journal_segment_frames", labels, seg.frames as f64);
-        reg.gauge("rtdls_journal_segment_bytes", labels, seg.bytes as f64);
-        reg.gauge("rtdls_journal_segment_syncs", labels, seg.syncs as f64);
-        reg.gauge("rtdls_journal_segment_epoch", labels, seg.epoch as f64);
-        reg.gauge(
-            "rtdls_journal_segment_sealed",
-            labels,
-            if seg.sealed { 1.0 } else { 0.0 },
-        );
-        reg.gauge(
-            "rtdls_journal_segment_sealed_offset",
-            labels,
-            if seg.sealed { seg.bytes as f64 } else { 0.0 },
-        );
-    }
 }
 
 #[cfg(test)]

@@ -193,8 +193,7 @@ pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
 /// FNV-1a 64 of `bytes`, continuing from `seed` ([`FNV_OFFSET`] to start;
 /// a previous result to extend a running hash). The tree's one copy: frame
-/// checksums, segment checksums and the edge's tenant placement all hash
-/// through it.
+/// checksums and the edge's tenant placement both hash through it.
 ///
 /// `#[inline]` is measured, not decoration: every WAL and edge frame is
 /// checksummed, and with the two calls in the frame checksum left out of

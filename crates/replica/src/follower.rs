@@ -657,15 +657,16 @@ mod tests {
         assert!(fol.promoted());
         assert!(!fol.should_promote(SimTime::new(1e9)), "promotes once");
 
-        // The promoted state equals a reference recovery of the prefix.
-        let (reference, _) = recover_at_epoch::<ShardedGateway>(
-            &prefix,
+        // The promoted state equals a reference recovery of the prefix:
+        // replay, then the strict re-admission pass under the new epoch.
+        let (replayed, _) = replay::<ShardedGateway>(&prefix).unwrap();
+        let (reference, _) = requalify(
+            replayed,
             SimTime::new(60.0),
             JournalConfig::default(),
             None,
             1,
-        )
-        .unwrap();
+        );
         assert_eq!(
             promoted.inner().capture().normalized(),
             reference.inner().capture().normalized()
@@ -675,5 +676,75 @@ mod tests {
         let zombie = ShipMsg::frame(0, 99, vec![0xde]);
         assert_eq!(fol.on_msg(SimTime::new(61.0), zombie).unwrap(), None);
         assert_eq!(fol.stats().fenced, 1);
+    }
+
+    #[test]
+    fn the_promoted_epoch_survives_compaction_and_a_file_restart() {
+        let mut gw = journaled(0, false);
+        let mut ship = Shipper::new(ShipConfig::default());
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        for i in 0..3 {
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
+        }
+        ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
+
+        // Promote onto a WAL file that compacts every second input, so the
+        // promoted gateway's genesis snapshot is compacted away and the
+        // file holds only snapshots written after promotion.
+        let path = std::env::temp_dir().join(format!(
+            "rtdls-promoted-epoch-test-{}.wal",
+            std::process::id()
+        ));
+        let cfg = JournalConfig {
+            snapshot_every: 2,
+            compact_on_snapshot: true,
+        };
+        let sink = FileSink::create(&path).unwrap();
+        let (mut promoted, record) = fol
+            .promote(SimTime::new(200.0), cfg, Some(Box::new(sink)))
+            .unwrap();
+        assert_eq!(record.epoch, 1);
+        for i in 10..15 {
+            promoted.submit_request(
+                &SubmitRequest::new(Task::new(i, 200.0, 500.0, 30_000.0)),
+                SimTime::new(200.0),
+            );
+        }
+        assert!(
+            promoted.journal().snapshots_appended() >= 2,
+            "at least one compacting snapshot after the genesis"
+        );
+        drop(promoted);
+
+        let wal = FileSink::read(&path).unwrap();
+        let (frames, tail) = decode_frames(&wal);
+        assert!(tail.is_clean());
+        let epochs: Vec<u64> = frames
+            .iter()
+            .filter(|f| f.kind == RecordKind::Snapshot)
+            .map(|f| {
+                serde_json::from_slice::<GatewaySnapshot>(&f.payload)
+                    .unwrap()
+                    .epoch
+            })
+            .collect();
+        assert!(!epochs.is_empty(), "the file opens with a snapshot");
+        assert!(epochs.iter().all(|&e| e == 1), "snapshot epochs {epochs:?}");
+
+        // A restart from the file journals under the promoted epoch.
+        let (restarted, report) = recover_file_with_policy::<ShardedGateway>(
+            &path,
+            SimTime::new(300.0),
+            cfg,
+            FsyncPolicy::Batch(8),
+        )
+        .unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(restarted.journal().epoch(), 1);
+        drop(restarted);
+        let _ = std::fs::remove_file(&path);
     }
 }

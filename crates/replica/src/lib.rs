@@ -1,7 +1,7 @@
 //! # rtdls-replica
 //!
 //! Shard replication and failover for the journaled admission gateway:
-//! segmented-journal **shipping**, warm-standby **followers**,
+//! journal **shipping**, warm-standby **followers**,
 //! epoch-fenced **promotion**, and a deterministic whole-system
 //! **fault harness**.
 //!

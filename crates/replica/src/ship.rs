@@ -2,7 +2,7 @@
 //!
 //! A [`Shipper`] rides next to a shard primary's [`Journal`] and turns its
 //! append stream into [`ShipMsg`]s. The unit of shipping is the journal's
-//! own wire frame (checksummed, length-prefixed, exactly what a segment
+//! own wire frame (checksummed, length-prefixed, exactly what the WAL file
 //! stores), addressed by the journal's global frame sequence number — so
 //! the follower can replay, deduplicate, and ack by offset without any
 //! side-band framing protocol.

@@ -44,7 +44,7 @@ pub type CrashPredicate<F> = Box<dyn FnMut(&F, SimTime, u64) -> bool>;
 
 /// The generalized kill trigger: by event index, by sim-time, or by an
 /// arbitrary predicate over the live frontend — e.g. "after the journal's
-/// Nth append" or "on the first segment seal", expressed as a
+/// Nth append" or "on the first compacting snapshot", expressed as a
 /// [`CrashSchedule::when`] closure reading the frontend's own counters.
 pub enum CrashSchedule<F> {
     /// Kill once this many events have been processed
@@ -109,7 +109,7 @@ pub fn run_with_crash<F: Frontend>(
 
 /// [`run_with_crash`] under the generalized [`CrashSchedule`] trigger:
 /// kill by event index, by sim-time, or on any frontend-observable
-/// condition (journal append counts, segment seals, queue depths).
+/// condition (journal append counts, snapshot counts, queue depths).
 pub fn run_with_crash_schedule<F: Frontend>(
     cfg: SimConfig,
     frontend: F,
@@ -339,7 +339,7 @@ mod tests {
         assert_eq!(report.metrics.completed, baseline.metrics.completed);
         // When: an arbitrary frontend-observable condition — here "the
         // tenth admitted task just landed", the shape a journal-append or
-        // segment-seal trigger takes.
+        // snapshot trigger takes.
         let (report, _, crashed) = run_with_crash_schedule(
             cfg(),
             controller(),

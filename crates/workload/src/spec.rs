@@ -41,8 +41,11 @@ pub enum DeadlineFloor {
 /// plain positive-truncation inflates the mean to `≈1.2876·Avgσ`, so a
 /// nominal `SystemLoad` of 1.0 would offer ~19% more work than one
 /// full-cluster capacity — yet the paper's DCRatio=100 runs reject ≈0.3% at
-/// `SystemLoad = 1.0`, which is only possible if the realized mean is ≈Avgσ
-/// (see EXPERIMENTS.md). Hence the calibrated default.
+/// `SystemLoad = 1.0`, which is only possible if the realized mean is ≈Avgσ.
+/// Hence the calibrated default. The two models are the `calibrated+*` and
+/// `raw+*` arms of ablation `abl-workload`
+/// (`crates/bench/benches/ablations.rs`); the paper's absolute level is not
+/// gated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SizeModel {
     /// Positive-truncated normal **rescaled so the realized mean is exactly
@@ -50,7 +53,8 @@ pub enum SizeModel {
     #[default]
     Calibrated,
     /// Plain rejection sampling of `N(Avgσ, Avgσ)` until positive; realized
-    /// mean `≈1.2876·Avgσ` (ablation `abl-sizes`).
+    /// mean `≈1.2876·Avgσ` (the `raw+resample` and `raw+clamp` arms of
+    /// ablation `abl-workload`).
     TruncatedRaw,
     /// Heavy-tailed sizes: Pareto with shape [`HEAVY_TAIL_SHAPE`] (= 1.5 —
     /// finite mean, infinite variance), scale chosen so the mean is exactly
@@ -77,8 +81,9 @@ pub enum FloorMode {
     /// Redraw the `(σ_i, D_i)` pair until `D_i` exceeds the floor. No
     /// probability mass piles up at the floor and over-long tasks whose
     /// minimum execution exceeds the whole deadline range never appear.
-    /// Default: reproduces the paper's absolute reject-ratio levels
-    /// (see EXPERIMENTS.md).
+    /// Default: reproduces the paper's absolute reject-ratio levels (the
+    /// `*+resample` vs `*+clamp` arms of ablation `abl-workload`; the levels
+    /// themselves are not gated).
     #[default]
     Resample,
     /// Clamp the drawn deadline up to the floor. Simpler, but concentrates

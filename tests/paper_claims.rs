@@ -1,7 +1,8 @@
 //! Integration tests for the paper's *qualitative* claims — the orderings
 //! and convergences its figures report, checked at reduced scale so they run
-//! in CI time. The full-scale reproduction lives in the `figures` binary and
-//! EXPERIMENTS.md.
+//! in CI time. The full-scale reproduction is the `figures` binary
+//! (`figures --list` names every figure); its results are not recorded or
+//! gated anywhere.
 
 use rtdls::core::prelude::PlanConfig;
 use rtdls::experiments::runner::{run_replicated, RunOptions};
