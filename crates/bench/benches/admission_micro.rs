@@ -8,9 +8,9 @@
 //! failed pass (a task refused for the first time: walked, and remembered),
 //! `retest_deep` the same ticket asked about again on the unchanged book
 //! (answered from the engine's remembered refusal), `start_search_deep` the
-//! reservation search that follows a refusal (a verdict walk at `now`, then
-//! every later dispatch instant up to the candidate's deadline, less the ones
-//! that repeat the last), `explain_deep` that refusal explained (`open` →
+//! reservation search that follows a refusal (every dispatch instant after
+//! `now` up to the candidate's deadline, less the ones that repeat the last),
+//! `explain_deep` that refusal explained (`open` →
 //! `finish`: the deadline and σ bisections, each probe a verdict walk from
 //! the front of the queue, and the same start search) — traffic no
 //! `BENCHMARK.json` workload sends a book this deep.
@@ -116,9 +116,10 @@ fn deep_book() -> (AdmissionController, Task) {
     }
     let mid = ctl.queue()[DEEP / 2].0.absolute_deadline().as_f64();
     let candidate = Task::new(10_000, 0.0, 200.0, mid);
-    let start = ctl.earliest_feasible_start(&candidate, SimTime::ZERO);
+    assert!(!ctl.probe(&candidate, SimTime::ZERO).is_accepted());
+    let start = ctl.earliest_start_after(&candidate, SimTime::ZERO);
     assert!(
-        start.is_some_and(|t| t > SimTime::ZERO),
+        start.is_some(),
         "the candidate must be refused now and admissible later, got {start:?}"
     );
     (ctl, candidate)
@@ -144,7 +145,7 @@ fn bench_deep_book(c: &mut Criterion) {
         b.iter(|| black_box(ctl.submit(black_box(candidate), SimTime::ZERO)))
     });
     group.bench_function("start_search_deep", |b| {
-        b.iter(|| black_box(ctl.earliest_feasible_start(black_box(&candidate), SimTime::ZERO)))
+        b.iter(|| black_box(ctl.earliest_start_after(black_box(&candidate), SimTime::ZERO)))
     });
     let refused = SubmitRequest::new(candidate);
     group.bench_function("explain_deep", |b| {

@@ -249,7 +249,7 @@ impl<'a> ExplainSearch<'a> {
     /// Completes the explanation: the deadline bracket is tightened the
     /// rest of the way, the σ search bisects between a near-zero size and
     /// the rejected size the way the deadline search does, and the
-    /// reservation search ([`Admission::earliest_feasible_start`]) names
+    /// reservation search ([`Admission::earliest_start_after`]) names
     /// the earliest later instant the unchanged request would pass at.
     pub fn finish(mut self) -> AdmissionExplanation {
         while self.refine() {}

@@ -79,7 +79,7 @@
 //!
 //! The invariant does not care *why* the walk's vector is what it is: the
 //! reservation search walks the book as it will stand at each later
-//! dispatch instant `t` ([`Admission::earliest_feasible_start`]), and a
+//! dispatch instant `t` ([`Admission::earliest_start_after`]), and a
 //! dispatch commits exactly the releases the plans behind it observed
 //! ([`take_due`](Admission::take_due)), so with every node busy past `t`
 //! the gate holds there too — and fails where the clamp at `t` or an
@@ -102,8 +102,7 @@
 //! and the [`AdmissionFailure`]; and every pass that brings a candidate to
 //! its insertion point looks there first. A hit returns the remembered
 //! failure and plans nothing — the defer queue's re-tests of a ticket whose
-//! neighbourhood has not moved. (The reservation search's `t = now` test is
-//! a verdict walk, `probe.rs`, and does not look.)
+//! neighbourhood has not moved.
 //!
 //! `behind` stops at the failing task because the walk did: nothing past it
 //! was ever looked at, so nothing past it can change the answer, and an
@@ -768,13 +767,9 @@ impl Admission for AdmissionController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    /// The `t = now` test is a verdict walk and the instants after it are
-    /// the start search, both `probe.rs`'s, on this engine's cache.
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        if self.verdict(task, now, &mut Walk::new(&[], now)).is_ok() {
-            return Some(now);
-        }
-        self.earliest_start_after(task, now)
+    /// `probe.rs`'s start search, on this engine's cache.
+    fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+        self.start_search(task, now)
     }
 
     /// One [`ExplainSearch`], opened and finished.

@@ -367,15 +367,13 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// one [`Decision`] per batch entry, in input order.
     fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision>;
 
-    /// The earliest instant `t ≥ now` at which `task` would pass the
-    /// schedulability test against this engine's current book (committed
-    /// releases + waiting queue), assuming no further arrivals. Some(now)
-    /// iff the task is admissible right now; `None` when no dispatch of the
-    /// current queue ever makes room — the task can never be admitted
-    /// against this book without some *external* change (an early release,
-    /// a removal, a competing arrival being rejected). Non-mutating. The
-    /// service layer's reservation verdict (`Reserved { start_at, .. }`) is
-    /// built on this.
+    /// The first dispatch instant after `now` at which `task` would pass the
+    /// schedulability test against this engine's book as it will stand then,
+    /// assuming no further arrivals; `None` when no dispatch of the current
+    /// queue ever makes room — only an *external* change (an early release, a
+    /// removal, a competing arrival rejected) could. Non-mutating. Asked once
+    /// the test at `now` has failed: by the service's reservation search and
+    /// by a refusal explanation.
     ///
     /// The engine's deterministic future has one kind of state change left:
     /// *dispatches*. When the clock reaches a waiting plan's first
@@ -385,12 +383,12 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// mechanism that lets an EDF-early candidate stop starving a
     /// later-deadline waiting task it would otherwise push past its
     /// deadline). The search tests exactly those instants,
-    /// `{now} ∪ {first_start(p) > now}`, and returns the first that passes:
-    /// the earliest feasible *dispatch instant*. Between two of them the
-    /// test's inputs only get worse with time (availability is `max(r, t)`,
+    /// `{first_start(p) > now}`, and returns the first that passes: the
+    /// earliest feasible *dispatch instant*. Between two of them the test's
+    /// inputs only get worse with time (availability is `max(r, t)`,
     /// non-decreasing in `t`) — an argument, not yet a proof, that nothing
     /// strictly inside an interval is feasible when its left endpoint is
-    /// not (ROADMAP item 2).
+    /// not (ROADMAP item 4).
     ///
     /// An instant definitely after the task's own absolute deadline is
     /// never feasible and need not be walked: if the walk there reaches the
@@ -401,7 +399,17 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// what its cache shows to be repeats ([`incremental`], "Verdicts, by
     /// the same argument"); the oracle walks every instant in full, and the
     /// differential suite compares the two.
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
+    fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime>;
+
+    /// The earliest feasible start `t ≥ now`, composed: `Some(now)` when the
+    /// task passes the test at `now` ([`probe_plan`](Admission::probe_plan)),
+    /// else [`earliest_start_after`](Admission::earliest_start_after).
+    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+        let admissible = self.probe_plan(task, now).is_ok();
+        admissible
+            .then_some(now)
+            .or_else(|| self.earliest_start_after(task, now))
+    }
 
     /// Explains why `request` would fail admission at `now` — the binding
     /// rejection cause plus honest counterfactuals, every one verified by

@@ -4,11 +4,11 @@
 //! The counterfactual searches behind a refusal explanation
 //! ([`ExplainSearch`](super::ExplainSearch)) ask the Fig. 2 question dozens
 //! of times about *one* book and *one* task whose deadline or size is being
-//! varied, the reservation search asks it at `now` and then once per future
-//! dispatch instant. All of them walk the engine's own queue on its cache,
-//! verdict-only, on [`AdmissionController::walk_positions`] (gates proved or
-//! compared as the lemma in `incremental.rs` allows; where one fails, the
-//! task planned for its verdict), and allocate nothing per step.
+//! varied, the reservation search once per dispatch instant after `now`. All
+//! of them walk the engine's own queue on its cache, verdict-only, on
+//! [`AdmissionController::walk_positions`] (gates proved or compared as the
+//! lemma in `incremental.rs` allows; where one fails, the task planned for
+//! its verdict), and allocate nothing per step.
 //!
 //! A what-if test at one instant is [`AdmissionController::verdict`]: a walk
 //! from the front of the queue, restarted at the committed releases. No walk
@@ -16,15 +16,16 @@
 //! ahead of the candidate are a proved run, taken by reading each plan's
 //! chunks, and one rebase.
 //!
-//! The start search ([`AdmissionController::earliest_start_after`]) walks
-//! books that differ only in which waiting plans have been dispatched, so
-//! instant after instant the walk arrives at the task's position on the
-//! same clamped vector with the same tasks waiting behind it (the reuse
-//! invariant, `incremental.rs`) — and from there could only repeat, step for
-//! step, the instant before, which failed. Such an instant is refused on
-//! arrival; one where a task behind the searched one has been dispatched, or
-//! where the clamp at the new instant lifts a release, is walked on. Walking
-//! every instant instead costs `admit_deep` 24 % (`BENCH_memo.json`).
+//! The start search ([`AdmissionController::start_search`]) builds each
+//! instant's post-dispatch book from the last one's, and walks books that
+//! differ only in which waiting plans have been dispatched, so instant after
+//! instant the walk arrives at the task's position on the same clamped
+//! vector with the same tasks waiting behind it (the reuse invariant,
+//! `incremental.rs`) — and from there could only repeat, step for step, the
+//! instant before, which failed. Such an instant is refused on arrival; one
+//! where a task behind the searched one has been dispatched, or where the
+//! clamp at the new instant lifts a release, is walked on. Walking every
+//! instant instead costs `admit_deep` 24 % (`BENCH_memo.json`).
 //!
 //! The unit tests here hold both against the literal test over random
 //! books, cold (every position planned) and warm (cached plans applied).
@@ -53,47 +54,64 @@ impl AdmissionController {
         self.walk_positions(walk, at..self.queue_len(), |_| false)
     }
 
-    /// The instants after `now` of [`Admission::earliest_feasible_start`]
-    /// (which documents why dispatch instants up to the task's deadline are
-    /// the only candidates): the first `first_start(p) > now` in the queue
-    /// at which `task` passes the test against the post-dispatch book, or
-    /// `None`. The caller has already failed the test at `now` itself.
-    /// Which instants are refused on arrival is in the module docs.
-    pub(super) fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+    /// [`Admission::earliest_start_after`] on this engine, which says why
+    /// dispatch instants up to the task's deadline are the only candidates;
+    /// which of them are refused on arrival is in the module docs.
+    pub(super) fn start_search(&self, task: &Task, now: SimTime) -> Option<SimTime> {
         let (queue, cfg) = (self.queue(), self.config());
         let deadline = task.absolute_deadline();
-        let mut instants: Vec<SimTime> = queue
+        // The waiting positions in the order they fall due: the plans due at
+        // an instant are a prefix of it, each instant's extending the last's.
+        let mut by_start: Vec<(SimTime, usize)> = queue
             .iter()
-            .map(|(_, plan)| plan.first_start())
-            .filter(|start| start.definitely_after(now) && !start.definitely_after(deadline))
+            .enumerate()
+            .map(|(q, (_, plan))| (plan.first_start(), q))
             .collect();
-        instants.sort_unstable();
-        instants.dedup();
+        by_start.sort_unstable();
+        let mut last = None;
+        let mut instants = by_start
+            .iter()
+            .map(|&(start, _)| start)
+            .skip_while(|start| !start.definitely_after(now))
+            .take_while(|start| !start.definitely_after(deadline))
+            .filter(|&start| last.replace(start) != Some(start));
         // The queue is in policy order, and dropping the dispatched
         // positions from it keeps it so.
         let at = self.insertion_point(task);
+        // The post-dispatch book, carried from instant to instant: the
+        // releases, which due plan wrote each node last (its position + 1;
+        // 0: none), how many of `by_start` have fallen due, and how many
+        // positions behind the task are still waiting.
+        let mut releases = self.committed_releases().to_vec();
+        let mut owner = vec![0; releases.len()];
+        let (mut fallen, mut waiting) = (0, queue.len() - at);
         let mut walk = Walk::new(&[], now);
-        let mut releases = Vec::new();
         // The last instant whose walk got as far as the task: its inputs
         // there, and how many positions behind it were still waiting
         // (`None`: no instant yet).
         let mut seen = PlanMeta::default();
         let mut seen_waiting = None;
-        instants.into_iter().find(|&t| {
+        instants.find(|&t| {
             // The activation protocol is "dispatches at `t` commit first,
             // then the task is submitted", so each instant is tested against
-            // the post-dispatch book. The dispatches are simulated exactly as
-            // `take_due` would: every due plan's release estimates committed
-            // in queue order — the due set need not be a queue prefix, and
-            // where two due plans share a node the later *in the queue* must
-            // win, whichever became due first — and the rest kept waiting.
+            // the post-dispatch book, as `take_due` would leave it: every due
+            // plan's release estimates committed in queue order, the rest
+            // kept waiting. The due set need not be a queue prefix, and where
+            // two due plans share a node the later *in the queue* must win,
+            // whichever became due first: a plan falling due writes only the
+            // nodes no due plan behind it in the queue has written.
             let due = |q: usize| queue[q].1.first_start().at_or_before_eps(t);
-            releases.clear();
-            releases.extend_from_slice(self.committed_releases());
-            for (q, (_, plan)) in queue.iter().enumerate() {
-                if due(q) {
-                    plan.write_releases(&mut releases);
+            let falling = by_start[fallen..].iter();
+            for &(_, q) in falling.take_while(|(start, _)| start.at_or_before_eps(t)) {
+                let plan = &queue[q].1;
+                for (node, &release) in plan.nodes.iter().zip(&plan.node_release_estimates) {
+                    let n = node.index();
+                    if owner[n] <= q + 1 {
+                        (releases[n], owner[n]) = (release, q + 1);
+                    }
                 }
+                waiting -= usize::from(q >= at);
+                fallen += 1;
             }
             walk.restart(&releases, t);
             if self.walk_positions(&mut walk, 0..at, due).is_err() {
@@ -101,7 +119,6 @@ impl AdmissionController {
             }
             // Dispatches only accumulate from instant to instant, so an equal
             // count is the same set of positions.
-            let waiting = (at..queue.len()).filter(|&q| !due(q)).count();
             if seen_waiting == Some(waiting) && seen.holds_for(&walk, cfg) {
                 debug_assert!(
                     {
@@ -133,6 +150,7 @@ thread_local! {
 
 #[cfg(test)]
 mod tests {
+    use super::super::reference::ReferenceController;
     use super::super::ControllerState;
     use super::*;
     use crate::algorithm::AlgorithmKind;
@@ -297,6 +315,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_node_written_by_two_due_plans_keeps_the_later_one_in_the_queue() {
+        // One node. Waiting task 2 sorts behind task 1 but falls due first
+        // (at 100, against 200), and both write the node: at 200 the book
+        // `take_due` leaves has task 2's estimate, 300, not task 1's, 500 —
+        // the later in the queue wins, whichever fell due first. The
+        // candidate passes from 300 (done at 401, due 500), not from 500.
+        let params = ClusterParams::new(1, 1.0, 100.0).expect("valid params");
+        let plan = |task: u64, start: f64, release: f64| TaskPlan {
+            task: crate::task::TaskId(task),
+            strategy: StrategyKind::DltIit,
+            nodes: vec![crate::params::NodeId(0)],
+            start_times: vec![SimTime::new(start)],
+            fractions: vec![1.0],
+            est_completion: SimTime::new(release),
+            node_release_estimates: vec![SimTime::new(release)],
+        };
+        let (first, second) = (Task::new(1, 0.0, 1.0, 150.0), Task::new(2, 0.0, 1.0, 200.0));
+        let state = ControllerState {
+            params,
+            algorithm: AlgorithmKind::EDF_DLT,
+            cfg: PlanConfig::default(),
+            releases: vec![SimTime::ZERO],
+            queue: vec![
+                (first, plan(1, 200.0, 500.0)),
+                (second, plan(2, 100.0, 300.0)),
+            ],
+        };
+        let engine = AdmissionController::from_state(state.clone()).expect("valid state");
+        let oracle = ReferenceController::from_state(state).expect("valid state");
+        let task = Task::new(3, 0.0, 1.0, 500.0);
+        let now = SimTime::ZERO;
+        // Refused now (task 2 misses behind task 1) and at 100 (task 1,
+        // still waiting, starts at 300).
+        assert!(engine.literal_test(&task, now).is_err());
+        assert_eq!(
+            oracle.earliest_start_after(&task, now),
+            Some(SimTime::new(200.0))
+        );
+        assert_eq!(
+            engine.earliest_start_after(&task, now),
+            Some(SimTime::new(200.0))
+        );
     }
 
     #[test]

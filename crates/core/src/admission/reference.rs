@@ -66,11 +66,11 @@ impl ReferenceController {
     }
 }
 
-/// The literal reservation search: the plain test at `now`, then at every
-/// later dispatch instant of `queue` against the post-dispatch book (see
-/// [`Admission::earliest_feasible_start`] for why those are the only
+/// The literal start search: the plain test at every dispatch instant of
+/// `queue` after `now` against the post-dispatch book (see
+/// [`Admission::earliest_start_after`] for why those are the only
 /// candidates).
-fn earliest_feasible_start_search(
+fn earliest_start_after_search(
     params: &ClusterParams,
     algorithm: AlgorithmKind,
     cfg: &PlanConfig,
@@ -79,26 +79,9 @@ fn earliest_feasible_start_search(
     queue: &[(Task, TaskPlan)],
     task: &Task,
 ) -> Option<SimTime> {
-    // t = now: the engine's plain admission test (probe semantics — due
-    // but undispatched plans still count as waiting, exactly as a `submit`
-    // at this instant would see them). Some(now) iff a probe accepts.
-    let waiting_now: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
-    if schedulability_test(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        &waiting_now,
-        Some(task),
-    )
-    .is_ok()
-    {
-        return Some(now);
-    }
-    // Future instants: the activation protocol is "dispatches at `t`
-    // commit first, then the task is submitted", so each candidate instant
-    // is tested against the post-dispatch book.
+    // The activation protocol is "dispatches at `t` commit first, then the
+    // task is submitted", so each candidate instant is tested against the
+    // post-dispatch book.
     let mut instants: Vec<SimTime> = queue
         .iter()
         .map(|(_, plan)| plan.first_start())
@@ -231,15 +214,9 @@ fn explain_infeasibility(
         0.0
     };
 
-    let earliest = earliest_feasible_start_search(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        queue,
-        task,
-    );
+    // The test at `now` failed above, so only later instants are left.
+    let earliest =
+        earliest_start_after_search(params, algorithm, cfg, now, committed_releases, queue, task);
     Some(AdmissionExplanation {
         cause,
         at: now,
@@ -488,8 +465,8 @@ impl Admission for ReferenceController {
         decisions.into_iter().map(|d| d.expect("decided")).collect()
     }
 
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        earliest_feasible_start_search(
+    fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+        earliest_start_after_search(
             &self.params,
             self.algorithm,
             &self.cfg,

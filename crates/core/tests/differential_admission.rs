@@ -23,6 +23,10 @@
 //! So is the reservation search: the production engine walks each future
 //! dispatch instant once, applying the cached plans its reuse gate still
 //! vouches for, the oracle replans the whole remaining queue per instant.
+//! Both the search after `now` (`earliest_start_after`, what the service
+//! asks a shard that has just refused, so it also runs after every refused
+//! submission) and its composition with the test at `now`
+//! (`earliest_feasible_start`) are compared.
 //! Besides its own op the search also runs right after every restore (cold
 //! cache: every gate misses) and every early release (stale cache: the
 //! gates of what the release perturbs must fail); an explanation runs the
@@ -301,10 +305,26 @@ impl Harness {
         Ok(())
     }
 
+    /// The start search after `now` on both engines, which must agree and
+    /// never name an instant at or before `now`.
+    fn check_start_after(&self, task: &Task) -> Result<Option<SimTime>, String> {
+        let now = SimTime::new(self.now);
+        let a = self.full.earliest_start_after(task, now);
+        let b = self.inc.earliest_start_after(task, now);
+        if a != b {
+            return Err(format!("earliest_start_after diverged {a:?} vs {b:?}"));
+        }
+        if a.is_some_and(|t| t <= now) {
+            return Err(format!("earliest_start_after {a:?} is not after {now:?}"));
+        }
+        Ok(a)
+    }
+
     /// The production reservation search against the literal one, plus
     /// the contract checks against the reference engine itself: Some(now)
-    /// iff the plain probe accepts, and a promised start honors the
-    /// dispatch-then-resubmit protocol.
+    /// iff the plain probe accepts, the search after `now` otherwise — on
+    /// each engine — and a promised start honors the dispatch-then-resubmit
+    /// protocol.
     fn check_earliest_start(&self, task: &Task) -> Result<(), String> {
         let now = SimTime::new(self.now);
         let a = self.full.earliest_feasible_start(task, now);
@@ -312,11 +332,16 @@ impl Harness {
         if a != b {
             return Err(format!("earliest_feasible_start diverged {a:?} vs {b:?}"));
         }
+        let after = self.check_start_after(task)?;
         let probe_accepts = self.full.probe(task, now).is_accepted();
-        if (a == Some(now)) != probe_accepts {
+        let composed = if probe_accepts { Some(now) } else { after };
+        if a != composed {
             return Err(format!(
-                "Some(now)={a:?} disagrees with probe={probe_accepts}"
+                "{a:?} is not the probe ({probe_accepts}) then the search after ({after:?})"
             ));
+        }
+        if self.inc.probe(task, now).is_accepted() != probe_accepts {
+            return Err(format!("probe diverged on {task:?}"));
         }
         if let Some(start) = a.filter(|s| s.definitely_after(now)) {
             let mut replay = self.full.clone();
@@ -342,6 +367,11 @@ impl Harness {
                 let task = self.mk_task(*sigma, *dc, *user);
                 self.submit(task)
                     .map_err(|e| format!("op {i} {op:?}: {e}"))?;
+                // What the service asks a shard that has just refused.
+                if self.refused.last() == Some(&task) {
+                    self.check_start_after(&task)
+                        .map_err(|e| format!("op {i} {op:?}: after the refusal: {e}"))?;
+                }
             }
             Op::Batch { members, dt } => {
                 self.now += dt;

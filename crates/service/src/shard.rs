@@ -216,12 +216,15 @@ impl RoutedShards<'_> {
         }
     }
 
-    /// The reservation search (non-mutating on the engines).
+    /// The reservation search (non-mutating on the engines) right after
+    /// [`submit`](Self::submit) refused `task` at `now`: a shard routing tried
+    /// is asked only for later instants, one the quota mask skipped in full.
     pub(crate) fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.ctl.earliest_feasible_start(task, now))
-            .min()
+        let search = |(s, shard): (usize, &Shard)| match routable(self.skip, s) {
+            true => shard.ctl.earliest_start_after(task, now),
+            false => shard.ctl.earliest_feasible_start(task, now),
+        };
+        self.shards.iter().enumerate().filter_map(search).min()
     }
 
     /// `true` when per-shard quota caps ([`QuotaPolicy::max_shard_inflight`])
@@ -1149,6 +1152,66 @@ mod tests {
         assert_eq!(g.shard_queue_lens(), vec![1]);
         Frontend::take_due(&mut g, SimTime::ZERO);
         assert!(g.submit_request(&mk(3), SimTime::ZERO).is_accepted());
+    }
+
+    #[test]
+    fn a_reservation_asks_a_capped_shard_the_full_search() {
+        use crate::request::QuotaPolicy;
+        // Shard 0 refuses the candidate now and takes it once its waiting
+        // all-node task dispatches at 1000 (the canonical reservation scenario
+        // on 8 nodes); shard 1 would take it now, but tenant 3 is at its cap
+        // there. Routing tries shard 0 alone, so the search asks shard 0 only
+        // for later instants, and shard 1 the full search — which answers
+        // `now`: a reservation due at once, on the shard the quota skipped.
+        let p = ClusterParams::paper_baseline();
+        let (e8, e7) = (
+            homogeneous::exec_time(&p, 800.0, 8),
+            homogeneous::exec_time(&p, 800.0, 7),
+        );
+        let slack_w = (e7 - e8) * 0.75;
+        let avail = SimTime::new(1000.0);
+        let mut g = ShardedGateway::new(
+            p,
+            2,
+            AlgorithmKind::EDF_OPR_MN,
+            PlanConfig::default(),
+            Routing::RoundRobin,
+            DeferPolicy::default(),
+        )
+        .unwrap()
+        .with_quota(QuotaPolicy {
+            max_shard_inflight: Some(1),
+            ..Default::default()
+        });
+        for node in 0..8 {
+            Frontend::set_node_release(&mut g, node, avail);
+        }
+        let w = SubmitRequest::new(Task::new(1, 0.0, 800.0, 1000.0 + e8 + slack_w))
+            .with_tenant(TenantId(9));
+        assert!(g.submit_request(&w, SimTime::ZERO).is_accepted());
+        let held = SubmitRequest::new(Task::new(2, 0.0, 50.0, 1e6)).with_tenant(TenantId(3));
+        assert!(g.submit_request(&held, SimTime::ZERO).is_accepted());
+        assert_eq!(g.shard_queue_lens(), vec![1, 1]);
+        // Too long for the slack `w` has left on one node, short on all 8.
+        assert!(homogeneous::exec_time(&p, 20.0, 8) < slack_w * 0.8);
+        let c = Task::new(3, 0.0, 20.0, 1000.0 + e8 + slack_w * 0.8);
+        let now = SimTime::ZERO;
+        let (refusing, capped) = (&g.shards[0].ctl, &g.shards[1].ctl);
+        assert!(!refusing.probe(&c, now).is_accepted());
+        let later = refusing.earliest_start_after(&c, now);
+        let full = capped.earliest_feasible_start(&c, now);
+        assert_eq!((later, full), (Some(avail), Some(now)));
+        // Asked for later instants only, the capped shard would answer
+        // otherwise: the test tells the two searches apart.
+        assert_ne!(capped.earliest_start_after(&c, now), full);
+        let req = SubmitRequest::new(c)
+            .with_tenant(TenantId(3))
+            .with_max_delay(Some(2000.0));
+        let verdict = g.submit_request(&req, now);
+        let Verdict::Reserved { start_at, .. } = verdict else {
+            panic!("expected Reserved, got {verdict:?}");
+        };
+        assert_eq!(Some(start_at), later.min(full));
     }
 
     #[test]
