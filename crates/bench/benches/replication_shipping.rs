@@ -9,10 +9,11 @@
 //! entirely. This bench measures that claim head-to-head in one process:
 //!
 //! * `replication_shipping/bare_journaled` — a [`JournaledGateway`]
-//!   deciding a submission stream, journal appends included, no shipping.
-//! * `replication_shipping/shipping_outbox` — the same stream through a
-//!   [`ShippingGateway`] in outbox mode, pumping after every decision the
-//!   way the edge reactor does.
+//!   serving a submission stream one turn per submission (`decide`, then
+//!   `drive`), journal appends included, no shipping.
+//! * `replication_shipping/shipping_outbox` — the same turns through a
+//!   [`ShippingGateway`] in outbox mode, whose `drive` pumps once the turn
+//!   committed, the way the edge reactor's turn does.
 //!
 //! After the criterion output the bench times both once more, medians of
 //! nine runs in this process, and hands `overhead` (`shipping/bare − 1`)
@@ -64,23 +65,21 @@ fn journaled() -> JournaledGateway<ShardedGateway> {
     )
 }
 
-/// One full stream through a bare journaled gateway.
+/// One full stream through a bare journaled gateway, a turn per submission.
 fn run_bare(tasks: &[Task]) -> u64 {
     let mut gw = journaled();
     let mut accepted = 0u64;
     for t in tasks {
-        if gw
-            .submit_request(&SubmitRequest::new(*t), t.arrival)
-            .is_accepted()
-        {
+        if gw.decide(&SubmitRequest::new(*t), t.arrival).is_accepted() {
             accepted += 1;
         }
+        gw.drive(t.arrival);
     }
     accepted
 }
 
-/// The same stream through a shipping gateway, pumped per decision the way
-/// the edge reactor pumps per turn. The outbox is drained as a transport
+/// The same turns through a shipping gateway, whose `drive` pumps the way
+/// the edge reactor's turn does. The outbox is drained as a transport
 /// would drain it and every shipped frame is acked — the steady state of a
 /// follower that keeps up, so the measurement excludes retransmission
 /// storms a dead follower would cause (the transport detaches in that case
@@ -90,10 +89,10 @@ fn run_shipping(tasks: &[Task]) -> (u64, usize) {
     let mut accepted = 0u64;
     let mut shipped_msgs = 0usize;
     for t in tasks {
-        // `decide` pumps after the decision, as the edge reactor's turn does.
         if gw.decide(&SubmitRequest::new(*t), t.arrival).is_accepted() {
             accepted += 1;
         }
+        gw.drive(t.arrival);
         shipped_msgs += gw.take_outbox().len();
         gw.on_ack(gw.shipper().shipped(), t.arrival);
     }

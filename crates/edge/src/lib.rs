@@ -25,7 +25,7 @@
 //! * [`server`] — the reactor ([`EdgeServer`]): accept → read → serve →
 //!   drive the gateway clock → push updates → flush, with bounded
 //!   per-connection write queues (overload answers `Throttled` at the
-//!   edge) over the [`EdgeGateway`] serving trait — a `ShardedGateway`,
+//!   edge) over the [`EdgeGateway`] bound — a `ShardedGateway`,
 //!   or — for a durable edge — a `JournaledGateway` over one, whose
 //!   journal gets each turn as one write and one sync at the turn's
 //!   commit, before any of the turn's verdicts is flushed; plus the

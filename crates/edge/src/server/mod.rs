@@ -71,9 +71,11 @@ pub(crate) mod registry;
 
 pub use multi::{reactor_for_tenant, EdgeCluster};
 pub use reactor::EdgeServer;
-/// The serving trait the reactor drives its gateway stack through —
+/// The bound the reactor holds its gateway stack to: the serving trait
+/// (`rtdls_sim::serve::Serve` — `decide` per submit, `drive` per turn,
+/// `next_due` for the timed-work check) plus the ops surface —
 /// implemented by `ShardedGateway`, `JournaledGateway` and
-/// `ShippingGateway`, each stating only what it intercepts.
+/// `ShippingGateway`, each writing its turn once.
 pub use rtdls_service::serve::EdgeGateway;
 
 use std::time::{Duration, Instant};

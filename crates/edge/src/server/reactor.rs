@@ -79,7 +79,7 @@ pub struct EdgeServer<G: EdgeGateway> {
     /// Parked-task pushback registry, keyed by server-minted ids.
     pub(crate) pending: PendingRegistry,
     /// Set when a submission reached the gateway this turn — with the
-    /// timed-work check, the drive trigger (see [`EdgeGateway::next_due`]).
+    /// timed-work check (the gateway's `next_due`), the drive trigger.
     pub(crate) dirty: bool,
     pub(crate) stats: EdgeStats,
     /// Tracing/metrics handle; disabled (and allocation-free on the hot

@@ -25,7 +25,6 @@ use rtdls_edge::prelude::*;
 use rtdls_edge::proto::{decode_server, encode_client};
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_sim::frontend::Frontend;
 use rtdls_workload::prelude::*;
 
 fn sharded(shards: usize) -> ShardedGateway {
@@ -193,7 +192,7 @@ fn reserved_verdict_streams_its_activation_without_polling() {
     .unwrap();
     let avail = SimTime::new(1000.0);
     for node in 0..16 {
-        Frontend::set_node_release(&mut gateway, node, avail);
+        gateway.node_released(node, avail);
     }
     let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
     let addr = server.local_addr();
@@ -562,7 +561,7 @@ fn ops_channel_reconstructs_a_reserved_flows_full_timeline_by_trace_id() {
     let mut journaled = JournaledGateway::new(gateway, JournalConfig::default());
     let avail = SimTime::new(1000.0);
     for node in 0..16 {
-        Frontend::set_node_release(&mut journaled, node, avail);
+        journaled.node_released(node, avail);
     }
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let mut server = EdgeServer::bind("127.0.0.1:0", journaled, EdgeConfig::default()).unwrap();

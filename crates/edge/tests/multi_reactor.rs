@@ -29,7 +29,6 @@ use rtdls_edge::prelude::*;
 use rtdls_edge::proto::{decode_server, encode_client};
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_sim::frontend::Frontend;
 use rtdls_workload::prelude::*;
 
 fn sharded(shards: usize) -> ShardedGateway {
@@ -359,7 +358,7 @@ fn reserved_activation_pushes_on_the_owning_reactor() {
             .unwrap();
             if i == 1 {
                 for node in 0..16 {
-                    Frontend::set_node_release(&mut g, node, avail);
+                    g.node_released(node, avail);
                 }
             }
             g

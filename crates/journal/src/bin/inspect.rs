@@ -295,7 +295,6 @@ mod tests {
     use rtdls_core::prelude::*;
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
-    use rtdls_sim::frontend::Frontend;
 
     /// A small real WAL: one accept, one reject, a dispatch, a tenant's
     /// premium request.
@@ -320,7 +319,7 @@ mod tests {
             &SubmitRequest::new(Task::new(2, 0.0, 200.0, 10.0)),
             SimTime::ZERO,
         );
-        let _ = Frontend::take_due(&mut j, SimTime::ZERO);
+        let _ = j.drive(SimTime::ZERO);
         let req = SubmitRequest::new(Task::new(3, 1.0, 100.0, 50_000.0))
             .with_tenant(TenantId(5))
             .with_qos(QosClass::Premium);

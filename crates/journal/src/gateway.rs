@@ -1,29 +1,31 @@
 //! [`JournaledGateway`]: the write-ahead-logging wrapper around a gateway.
 //!
-//! Implements the same [`Frontend`] trait as the wrapped gateway, so it
-//! drops into any `Simulation::with_frontend` run (or a real driver)
-//! unchanged. Every state-mutating call is journaled **before** it is
+//! Serves the same turns as the wrapped gateway ([`Serve`]), so it drops
+//! into the network edge, a `Simulation::with_frontend` run or a bench
+//! unchanged. Every state-mutating step is journaled **before** it is
 //! applied (write-ahead order): a crash between the journal append and the
 //! in-memory mutation replays the command on recovery and lands in the same
 //! state. Read-only calls are not journaled.
 //!
 //! Input events that would be no-ops (an empty defer queue swept, a replan
-//! of an empty queue, a dispatch poll with nothing due) are skipped — the
-//! engine polls far more often than state changes, and replaying a no-op is
-//! itself a no-op, so the log stays proportional to *actual* state changes.
+//! of an empty queue, a dispatch poll with nothing due) are skipped — a
+//! driver drives far more often than state changes, and replaying a no-op
+//! is itself a no-op, so the log stays proportional to *actual* state
+//! changes.
 //!
-//! The two traits drive the sink differently. [`Frontend`] calls have no
-//! commit boundary, so each journaled event is handed to the sink as it is
-//! appended. [`EdgeGateway`] calls — `decide`, and everything `drive`
-//! applies through `driver()` — belong to a serving turn that ends in
-//! `commit`: their frames wait in the journal's image and reach the sink
-//! as one write and one sync there (see [`Journal::flush`]).
+//! A turn — `decide` × k, then `drive` — is the journal's unit of sink
+//! I/O: its frames wait in the journal's image and reach the sink as one
+//! write and one sync when `drive` commits (see [`Journal::flush`]), so
+//! nothing of the turn is durable, or acknowledged, before. What is
+//! applied outside a turn (a node release fed back between turns, a
+//! replan, the turnless [`submit_request`](JournaledGateway::submit_request))
+//! is handed to the sink as it is appended.
 
 use rtdls_core::prelude::{
-    AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan, TenantId,
+    AdmissionFailure, SimTime, SubmitRequest, Task, TaskId, TaskPlan, TenantId,
 };
 use rtdls_service::prelude::{EdgeGateway, ServiceBook, ServiceMetrics, ShardedGateway, Verdict};
-use rtdls_sim::frontend::{Frontend, SubmitOutcome};
+use rtdls_sim::serve::{Resolution, Serve, Turn};
 use rtdls_telemetry::{MetricsRegistry, Profiler, Stage, Telemetry};
 
 use crate::event::JournalEvent;
@@ -161,7 +163,7 @@ impl<G: Recoverable> JournaledGateway<G> {
         let ev = match verdict {
             Verdict::Accepted => JournalEvent::Accepted {
                 task: task.0,
-                plan: match Frontend::find_plan(&self.inner, task) {
+                plan: match self.inner.plan_of(task) {
                     Some(plan) => plan.clone(),
                     None => return, // defensively skip a plan-less accept
                 },
@@ -230,39 +232,12 @@ impl<G: Recoverable> core::fmt::Debug for JournaledGateway<G> {
 }
 
 impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
-    type Driver = Self;
-
     fn bare(&self) -> &ShardedGateway {
         self.inner.bare()
     }
 
     fn book_mut(&mut self) -> &mut ServiceBook {
         self.inner.book_mut()
-    }
-
-    /// Every state change goes through this wrapper's [`Frontend`] impl,
-    /// so it is write-ahead journaled (and no-op polls stay out of the
-    /// log) — as part of the serving turn the next `commit` closes.
-    fn driver(&mut self) -> &mut Self {
-        self.journal.hold_turn();
-        self
-    }
-
-    /// [`submit_request`](JournaledGateway::submit_request) as part of the
-    /// serving turn: the request and its verdict are journaled in memory
-    /// and become durable at the next `commit`.
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        self.journal.hold_turn();
-        self.submit_request(request, now)
-    }
-
-    /// The group commit: everything journaled since the last `commit`
-    /// reaches the sink as one write and is synced once, whatever the
-    /// sink's [`FsyncPolicy`](crate::journal::FsyncPolicy). In an edge
-    /// cluster each reactor owns its own journal file, so the
-    /// single-writer crash-safety argument is per-reactor and unchanged.
-    fn commit(&mut self, _now: SimTime) {
-        self.journal.flush();
     }
 
     /// The promotion epoch this gateway journals under (0 for a gateway
@@ -307,99 +282,129 @@ impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
     }
 }
 
-impl<G: Recoverable> Frontend for JournaledGateway<G> {
-    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
-        JournaledGateway::submit_request(self, request, now).into()
+impl<G: Recoverable> Serve for JournaledGateway<G> {
+    type Outcome = Verdict;
+
+    /// [`submit_request`](JournaledGateway::submit_request) as part of the
+    /// serving turn: the request and its verdict are journaled in memory
+    /// and become durable when the turn's `drive` commits.
+    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
+        self.journal.hold_turn();
+        self.submit_request(request, now)
     }
 
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        if self.inner.waiting_len() > 0 {
+    /// The wrapped gateway's turn, each step journaled before it is
+    /// applied (and skipped when it would change nothing), then the group
+    /// commit: everything journaled since the last commit reaches the sink
+    /// as one write and is synced once, whatever the sink's
+    /// [`FsyncPolicy`](crate::journal::FsyncPolicy). In an edge cluster
+    /// each reactor owns its own journal file, so the single-writer
+    /// crash-safety argument is per-reactor and unchanged.
+    fn drive(&mut self, now: SimTime) -> Turn {
+        self.journal.hold_turn();
+        let dispatched = self.dispatch_due(now);
+        self.retest(now);
+        self.activate_due(now);
+        let resolved = self.drain();
+        self.journal.flush();
+        Turn {
+            dispatched,
+            resolved,
+        }
+    }
+
+    fn next_due(&self) -> Option<SimTime> {
+        self.inner.next_due()
+    }
+
+    /// End of stream: the flush is journaled, then the drain of what it
+    /// resolved, and everything journaled is durable on return.
+    fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
+        self.journal
+            .append_event(&JournalEvent::Finalized { at: now });
+        self.inner.flush_parked();
+        let resolved = self.drain();
+        self.journal.flush();
+        resolved
+    }
+
+    fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+        if self.inner.bare().waiting_len() > 0 {
             self.journal
                 .append_event(&JournalEvent::Replanned { at: now });
         }
-        self.inner.replan(now)
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        // Journal *before* taking (write-ahead), but only when something is
-        // actually due — the poll condition mirrors the gateway's own.
-        let due_now = self
-            .inner
-            .next_dispatch_due()
-            .is_some_and(|t| t.at_or_before_eps(now));
-        if due_now {
-            self.journal
-                .append_event(&JournalEvent::DispatchDue { at: now });
-        }
-        let due = self.inner.take_due(now);
-        debug_assert_eq!(due_now, !due.is_empty(), "poll condition mirrors take_due");
-        if due_now {
-            self.maybe_snapshot();
-        }
-        due
-    }
-
-    fn next_dispatch_due(&self) -> Option<SimTime> {
-        self.inner.next_dispatch_due()
+        self.inner.replan_waiting(now)
     }
 
     fn committed_release(&self, node: usize) -> SimTime {
         self.inner.committed_release(node)
     }
 
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
+    fn node_released(&mut self, node: usize, at: SimTime) {
         self.journal
-            .append_event(&JournalEvent::Completed { node, at: time });
-        self.inner.set_node_release(node, time);
+            .append_event(&JournalEvent::Completed { node, at });
+        self.inner.node_released(node, at);
         self.maybe_snapshot();
     }
 
-    fn waiting_len(&self) -> usize {
-        self.inner.waiting_len()
+    fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+        self.inner.plan_of(task)
+    }
+}
+
+/// The turn's steps, each journaled write-ahead only when it changes
+/// something — the poll conditions mirror the gateway's own.
+impl<G: Recoverable> JournaledGateway<G> {
+    fn dispatch_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+        let due_now = self
+            .inner
+            .bare()
+            .next_dispatch_due()
+            .is_some_and(|t| t.at_or_before_eps(now));
+        if !due_now {
+            return Vec::new();
+        }
+        self.journal
+            .append_event(&JournalEvent::DispatchDue { at: now });
+        let due = self.inner.take_due(now);
+        debug_assert!(!due.is_empty(), "poll condition mirrors take_due");
+        self.maybe_snapshot();
+        due
     }
 
-    fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        self.inner.find_plan(task)
-    }
-
-    fn on_event(&mut self, now: SimTime) {
+    fn retest(&mut self, now: SimTime) {
         if !self.inner.bare().deferred().is_empty() {
             self.journal
                 .append_event(&JournalEvent::Retested { at: now });
-            self.inner.on_event(now);
+            self.inner.retest_deferred(now);
             self.audit_breaches();
             self.maybe_snapshot();
         }
     }
 
-    fn activate(&mut self, now: SimTime) {
-        // Activation mutates state only when a reservation is actually due
-        // — mirror the gateway's own condition so the log stays
-        // proportional to real state changes.
+    fn activate_due(&mut self, now: SimTime) {
         let due = self
             .inner
-            .next_wakeup()
+            .bare()
+            .reservations()
+            .next_activation()
             .is_some_and(|t| t.at_or_before_eps(now));
         if due {
             self.journal
                 .append_event(&JournalEvent::ActivationDue { at: now });
-            self.inner.activate(now);
+            self.inner.activate_reservations(now);
             self.audit_activations();
             self.audit_breaches();
             self.maybe_snapshot();
         }
     }
 
-    fn next_wakeup(&self) -> Option<SimTime> {
-        self.inner.next_wakeup()
-    }
-
-    fn drain_resolutions(&mut self) -> Vec<(Task, Option<Infeasible>)> {
+    /// Clearing the pending list is a state change: journaled as an input
+    /// (write-ahead), then the per-task verdicts as audit records.
+    fn drain(&mut self) -> Vec<Resolution> {
         if self.inner.bare().pending_resolutions().is_empty() {
             return Vec::new();
         }
-        // Clearing the pending list is a state change: journal it as an
-        // input (write-ahead), then the per-task verdicts as audit records.
         self.journal.append_event(&JournalEvent::Drained);
         let resolutions = self.inner.drain_resolutions();
         for (task, cause) in &resolutions {
@@ -413,15 +418,6 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
             self.journal.append_event(&ev);
         }
         resolutions
-    }
-
-    fn finalize(&mut self, now: SimTime) {
-        self.journal
-            .append_event(&JournalEvent::Finalized { at: now });
-        self.inner.finalize(now);
-        // End of stream closes the group-commit window (and a turn still
-        // held): everything journaled is durable from here on.
-        self.journal.flush();
     }
 }
 

@@ -97,13 +97,14 @@ pub trait JournalSink: Send {
 
 /// When a [`FileSink`] fsyncs what it appended.
 ///
-/// The policy governs [`JournalSink::append`] calls, and the two ways a
-/// journal is driven make different calls. Through
-/// [`Frontend`](rtdls_sim::frontend::Frontend) (the simulator, recovery's
-/// re-journaling) every event is its own append, so the policy applies per
-/// event. Through `EdgeGateway` a serving turn's events are one append made
-/// at `commit` and flushed at once: there either policy costs one sync per
-/// turn, and nothing of the turn is acknowledged before it.
+/// The policy governs [`JournalSink::append`] calls. A serving turn —
+/// `decide` × k, then `drive`, however it is driven: the edge, the
+/// simulator, a bench — is one append made when `drive` commits and
+/// flushed at once: there either policy costs one sync per turn, and
+/// nothing of the turn is acknowledged before it. What is appended outside
+/// a turn (a node release fed back between turns, a replan, a turnless
+/// `submit_request`, recovery's demotion records) is its own append, so
+/// the policy applies per event there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `sync_data` inside every append — the strongest guarantee: an
@@ -453,7 +454,7 @@ impl Journal {
     /// Opens a serving turn: until the next [`flush`](Journal::flush),
     /// appended frames stay in the image and the sink sees none of them.
     /// Only a caller that owes a `flush` before anything it appended is
-    /// acknowledged may hold — the `EdgeGateway` path, whose `commit` is
+    /// acknowledged may hold — a turn's `decide`s, whose `drive` ends in
     /// that flush.
     pub(crate) fn hold_turn(&mut self) {
         self.held = true;

@@ -13,9 +13,11 @@
 //!   completions, dispatch/replan/re-test instants) into an append-only,
 //!   checksummed, length-prefixed [`Journal`] — plus audit records of each
 //!   decision (accepted plans with their per-node chunk maps, defer
-//!   tickets, rejection causes). It implements the simulator's
-//!   [`Frontend`](rtdls_sim::frontend::Frontend) trait, so it drops into
-//!   any existing driver unchanged.
+//!   tickets, rejection causes). It serves the same turns as the gateway
+//!   it wraps ([`Serve`](rtdls_sim::serve::Serve)), so it drops into any
+//!   driver — the edge, the simulator — unchanged, and a turn's records
+//!   reach the durable sink as one write, synced before the turn's
+//!   verdicts may leave the process.
 //! * **Snapshots** of the full gateway state (per-shard books, defer queue
 //!   with its policy, cumulative metrics) are appended periodically and
 //!   compact the log, bounding recovery replay time.
@@ -99,6 +101,7 @@ pub mod prelude {
     pub use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
     pub use crate::telemetry::fold_journal_metrics;
     pub use crate::wire::TailStatus;
-    /// The serving trait a [`JournaledGateway`] is driven through.
+    /// The serving traits a [`JournaledGateway`] is driven through.
     pub use rtdls_service::serve::EdgeGateway;
+    pub use rtdls_sim::serve::{Serve, Turn};
 }

@@ -67,7 +67,7 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
             let _ = gateway.decide(request, *at);
         }
         JournalEvent::ActivationDue { at } => {
-            gateway.activate(*at);
+            gateway.activate_reservations(*at);
             // Replay regenerates (and discards) the activation audit; the
             // recovery journal re-audits from its own fresh activations.
             let _ = gateway.book_mut().take_activation_log();
@@ -75,17 +75,17 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
         JournalEvent::BatchSubmitted { tasks, at } => {
             let _ = gateway.decide_batch(tasks, *at);
         }
-        JournalEvent::Completed { node, at } => gateway.set_node_release(*node, *at),
+        JournalEvent::Completed { node, at } => gateway.node_released(*node, *at),
         JournalEvent::DispatchDue { at } => {
             // The physical dispatch already happened pre-crash; replay only
             // re-commits its release bookkeeping.
             let _ = gateway.take_due(*at);
         }
         JournalEvent::Replanned { at } => {
-            let _ = gateway.replan(*at);
+            let _ = gateway.replan_waiting(*at);
         }
-        JournalEvent::Retested { at } => gateway.on_event(*at),
-        JournalEvent::Finalized { at } => gateway.finalize(*at),
+        JournalEvent::Retested { at } => gateway.retest_deferred(*at),
+        JournalEvent::Finalized { .. } => gateway.flush_parked(),
         JournalEvent::Drained => {
             let _ = gateway.drain_resolutions();
         }

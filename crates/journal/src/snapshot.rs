@@ -12,14 +12,14 @@
 use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{
-    AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, Task,
+    AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, Task, TaskPlan,
 };
 use rtdls_service::prelude::{
     DeferState, DeferredQueue, EdgeGateway, MetricsSnapshot, QuotaPolicy, ReservationBook,
     ReservationState, Routing, ServiceBook, ServiceMetrics, ShardedGateway, SloTracker,
     TenantLedger, TenantLedgerState, Verdict,
 };
-use rtdls_sim::frontend::Frontend;
+use rtdls_sim::serve::Resolution;
 
 /// Errors surfaced by snapshot restore and journal recovery.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,13 +144,17 @@ impl GatewaySnapshot {
 }
 
 /// A gateway the journal subsystem can persist and rebuild: the serving
-/// trait plus the four things only the journal needs.
+/// trait plus what only the journal needs — capture and restore, and the
+/// per-event operations a turn is made of, which the journaling wrapper
+/// applies one by one (each after its write-ahead record) and
+/// [`apply_event`](crate::recover::apply_event) replays. Submissions,
+/// node releases and replans replay through the serving trait itself.
 ///
 /// Implementors must be *deterministic state machines* over the journal's
 /// input events: same state + same inputs ⇒ same state. The gateway
 /// satisfies this (its only nondeterminism, wall-clock latency metrics,
 /// lives outside the captured state).
-pub trait Recoverable: EdgeGateway + Frontend + Sized {
+pub trait Recoverable: EdgeGateway + Sized {
     /// Captures the complete durable state.
     fn capture(&self) -> GatewaySnapshot;
 
@@ -167,6 +171,22 @@ pub trait Recoverable: EdgeGateway + Frontend + Sized {
     /// every restored waiting plan at `now`, demoting newly infeasible
     /// tasks to the defer queue. Returns the demoted tasks.
     fn reverify(&mut self, now: SimTime) -> Vec<Task>;
+
+    /// `DispatchDue`: removes and returns the plans due at `now`.
+    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)>;
+
+    /// `Retested`: one sweep of the defer queue.
+    fn retest_deferred(&mut self, now: SimTime);
+
+    /// `ActivationDue`: activates every reservation due at `now`.
+    fn activate_reservations(&mut self, now: SimTime);
+
+    /// `Drained`: hands over the resolutions reached since the last drain.
+    fn drain_resolutions(&mut self) -> Vec<Resolution>;
+
+    /// `Finalized`: end of stream — every parked task resolves as a
+    /// rejection (handed over by the next drain).
+    fn flush_parked(&mut self);
 }
 
 impl Recoverable for ShardedGateway {
@@ -228,6 +248,26 @@ impl Recoverable for ShardedGateway {
     fn reverify(&mut self, now: SimTime) -> Vec<Task> {
         ShardedGateway::reverify(self, now)
     }
+
+    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+        ShardedGateway::take_due(self, now)
+    }
+
+    fn retest_deferred(&mut self, now: SimTime) {
+        ShardedGateway::retest_deferred(self, now);
+    }
+
+    fn activate_reservations(&mut self, now: SimTime) {
+        ShardedGateway::activate_reservations(self, now);
+    }
+
+    fn drain_resolutions(&mut self) -> Vec<Resolution> {
+        ShardedGateway::drain_resolutions(self)
+    }
+
+    fn flush_parked(&mut self) {
+        ShardedGateway::flush_parked(self);
+    }
 }
 
 #[cfg(test)]
@@ -235,6 +275,7 @@ mod tests {
     use super::*;
     use rtdls_core::prelude::*;
     use rtdls_service::prelude::DeferPolicy;
+    use rtdls_sim::serve::Serve;
 
     fn busy_sharded() -> ShardedGateway {
         let params = ClusterParams::paper_baseline();
@@ -258,7 +299,7 @@ mod tests {
         // Force at least one deferral.
         let t = Task::new(90, 0.0, 790.0, e4 * 2.0);
         g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
-        let _ = Frontend::take_due(&mut g, SimTime::ZERO);
+        let _ = g.take_due(SimTime::ZERO);
         g
     }
 

@@ -144,7 +144,7 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
     assert!(j
         .submit_request(&SubmitRequest::new(a), SimTime::ZERO)
         .is_accepted());
-    let dispatched = Frontend::take_due(&mut j, SimTime::ZERO);
+    let dispatched = j.drive(SimTime::ZERO).dispatched;
     assert_eq!(dispatched.len(), 1);
     // B queues behind A with ~5% slack: feasible now, fragile to an outage.
     let b = Task::new(2, 0.0, 400.0, e16_800 + e16_400 * 1.05);
@@ -554,7 +554,7 @@ fn reservation_wal() -> (Vec<u8>, SimTime, Task) {
     .unwrap();
     let mut j = JournaledGateway::new(gateway, JournalConfig::default());
     for node in 0..16 {
-        Frontend::set_node_release(&mut j, node, SimTime::new(1000.0));
+        j.node_released(node, SimTime::new(1000.0));
     }
     let w = Task::new(1, 0.0, 800.0, 1000.0 + e16 + slack_w);
     assert!(j
@@ -582,13 +582,13 @@ fn reservation_bearing_wal_recovers_with_its_book_intact() {
     assert_eq!(res.task.id, c.id);
     assert_eq!(res.start_at, start_at);
     assert_eq!(res.ticket, 0);
-    // The recovered gateway honors the promise: dispatch the blocker at
-    // start_at, then the activation sweep admits the reserved task.
-    assert_eq!(rec.next_wakeup(), Some(start_at), "wakeup re-armed");
-    let due = rec.take_due(start_at);
-    assert_eq!(due.len(), 1);
-    rec.activate(start_at);
-    let resolutions = rec.drain_resolutions();
+    // The recovered gateway honors the promise: its turn at start_at
+    // dispatches the blocker, then the activation sweep admits the
+    // reserved task.
+    assert_eq!(rec.next_due(), Some(start_at), "activation re-armed");
+    let turn = rec.drive(start_at);
+    assert_eq!(turn.dispatched.len(), 1);
+    let resolutions = turn.resolved;
     assert_eq!(resolutions.len(), 1);
     assert!(resolutions[0].1.is_none(), "activation = accepted");
     assert_eq!(rec.metrics().reservations_activated, 1);

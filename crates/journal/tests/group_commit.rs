@@ -1,7 +1,7 @@
-//! The serving turn as the journal's unit of sink I/O: what a turn driven
-//! through `EdgeGateway` (`decide` × k, then `drive`) costs the sink, what
-//! the file holds afterwards, and that the `Frontend` path still hands
-//! every event over as it happens.
+//! The serving turn as the journal's unit of sink I/O: what a turn
+//! (`decide` × k, then `drive`) costs the sink, what the file holds
+//! afterwards, and that what is appended outside a turn is still handed
+//! over as it happens.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -9,7 +9,6 @@ use std::sync::{Arc, Mutex};
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_sim::prelude::Frontend;
 use rtdls_workload::prelude::*;
 
 type JG = JournaledGateway<ShardedGateway>;
@@ -99,15 +98,6 @@ fn turns(seed: u64, n: usize) -> Vec<(SimTime, Vec<SubmitRequest>)> {
         .collect()
 }
 
-/// What `EdgeGateway::drive` applies, called on the wrapper directly: the
-/// `Frontend` path, which holds nothing.
-fn drive_through_frontend(gateway: &mut JG, now: SimTime) {
-    let _ = gateway.take_due(now);
-    gateway.on_event(now);
-    gateway.activate(now);
-    let _ = gateway.drain_resolutions();
-}
-
 /// Asserts two logs tell the same story frame for frame: the same kinds in
 /// the same order, event frames byte-identical, snapshots equal once their
 /// wall-clock latency samples (the one thing two live runs of the same
@@ -187,11 +177,10 @@ fn a_snapshot_inside_a_held_turn_is_one_reset_and_the_same_file() {
             assert_eq!(a, b, "holding a turn changes no verdict");
         }
         held.drive(now);
-        drive_through_frontend(&mut through, now);
-        through.commit(now);
+        through.drive(now);
 
-        // The image is what writing through puts in the file, frame by
-        // frame; after the commit the held file is that image too.
+        // The image is what writing the submits through puts in the file,
+        // frame by frame; after the commit the held file is that image too.
         assert_eq!(
             FileSink::read(&through_path).unwrap(),
             through.journal().bytes()
@@ -217,21 +206,22 @@ fn a_snapshot_inside_a_held_turn_is_one_reset_and_the_same_file() {
 }
 
 #[test]
-fn the_frontend_path_still_syncs_per_event() {
-    let path = wal_path("frontend");
+fn what_is_appended_outside_a_turn_is_synced_per_event() {
+    let path = wal_path("turnless");
     let (mut gateway, log) = spied_gateway(&path, FsyncPolicy::EveryAppend, 0);
     let turns = turns(3, 8);
     let (now, requests) = &turns[0];
     log.lock().unwrap().clear();
     for request in requests {
-        let _ = Frontend::submit_request(&mut gateway, request, *now);
+        let _ = gateway.submit_request(request, *now);
         assert_eq!(
             FileSink::read(&path).unwrap(),
             gateway.journal().bytes(),
             "an append that returned is in the file"
         );
     }
-    drive_through_frontend(&mut gateway, *now);
+    // A node release fed back between turns, as the simulator feeds it.
+    gateway.node_released(0, *now);
     let calls = log.lock().unwrap().clone();
     assert!(calls.len() >= 2 * requests.len());
     assert!(

@@ -10,15 +10,15 @@
 //!   seq order) equals the sequence of trace ids in `RequestSubmitted`
 //!   events (WAL byte order).
 //!
-//! Interleaved non-submission ops (dispatch polls, defer sweeps,
-//! activation sweeps, node completions) must not perturb either sequence.
+//! Interleaved non-submission ops (turns driven — dispatch, defer sweep,
+//! activation sweep — and node completions) must not perturb either
+//! sequence.
 
 use proptest::prelude::*;
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_sim::frontend::Frontend;
 use rtdls_telemetry::{Stage, Telemetry, TelemetryConfig};
 
 /// One step of a random op stream.
@@ -27,12 +27,9 @@ enum Op {
     /// Submit a request: (data size, deadline factor over a feasible base,
     /// tenant, premium?, reservation tolerance).
     Submit(f64, f64, u32, bool, Option<f64>),
-    /// Poll dispatches at the current clock.
-    TakeDue,
-    /// Sweep the defer queue.
-    Retest,
-    /// Sweep due reservations.
-    Activate,
+    /// Drive a turn at the current clock: dispatch, sweep the defer queue,
+    /// sweep due reservations.
+    Drive,
     /// Release a node.
     Complete(usize),
     /// Advance the clock.
@@ -52,9 +49,7 @@ fn op() -> impl Strategy<Value = Op> {
     )
         .prop_map(|(d, sz, f, tenant, aux, dt)| match d {
             0..=5 => Op::Submit(sz, f, tenant, aux % 2 == 0, (aux >= 2).then_some(dt * 25.0)),
-            6 => Op::TakeDue,
-            7 => Op::Retest,
-            8 => Op::Activate,
+            6..=8 => Op::Drive,
             9 => Op::Complete(aux as usize),
             _ => Op::Tick(dt),
         })
@@ -108,16 +103,14 @@ proptest! {
                         .with_max_delay(*tol);
                     let _ = j.submit_request(&req, at);
                 }
-                Op::TakeDue => {
-                    let _ = Frontend::take_due(&mut j, at);
+                Op::Drive => {
+                    let _ = j.drive(at);
                 }
-                Op::Retest => Frontend::on_event(&mut j, at),
-                Op::Activate => Frontend::activate(&mut j, at),
                 Op::Complete(node) => {
                     let node = node % params.num_nodes;
                     // Releases must not move backwards.
-                    let t = Frontend::committed_release(&j, node).as_f64().max(now);
-                    Frontend::set_node_release(&mut j, node, SimTime::new(t));
+                    let t = j.committed_release(node).as_f64().max(now);
+                    j.node_released(node, SimTime::new(t));
                 }
                 Op::Tick(dt) => now += dt,
             }

@@ -1,10 +1,13 @@
 //! [`ShippingGateway`]: a journaled primary with replication riding along.
 //!
-//! This is the deployable bundle the edge serves: a [`JournaledGateway`]
-//! plus the [`Shipper`] on its journal, and optionally a live TCP
-//! [`ShipClient`] to a follower. Every [`pump`](ShippingGateway::pump)
-//! turns freshly appended journal frames into outbound [`ShipMsg`]s and
-//! drains any acks the follower sent back.
+//! This is the deployable bundle the edge serves, and the primary the
+//! failover harness kills: a [`JournaledGateway`] plus the [`Shipper`] on
+//! its journal, and optionally a live TCP [`ShipClient`] to a follower.
+//! Every [`pump`](ShippingGateway::pump) turns freshly appended journal
+//! frames into outbound [`ShipMsg`]s and drains any acks the follower sent
+//! back. A turn pumps once, after its `drive` has committed: the journal
+//! image holds a turn's frames from the moment they are decided, but none
+//! of them leaves the process before the turn is durable.
 //!
 //! Shipping must never make the admission hot path hostage to the
 //! follower:
@@ -23,9 +26,10 @@
 
 use std::time::Duration;
 
-use rtdls_core::prelude::{SimTime, SubmitRequest};
+use rtdls_core::prelude::{AdmissionFailure, SimTime, SubmitRequest, TaskId, TaskPlan};
 use rtdls_journal::prelude::{JournaledGateway, Recoverable};
 use rtdls_service::prelude::{EdgeGateway, ServiceBook, ShardedGateway, Verdict};
+use rtdls_sim::serve::{Resolution, Serve, Turn};
 use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
 
 use crate::net::ShipClient;
@@ -83,8 +87,9 @@ impl<G: Recoverable> ShippingGateway<G> {
     }
 
     /// Ships everything appended since the last pump and polls for acks.
-    /// Call after every state-changing gateway operation — the edge does
-    /// it once per reactor turn.
+    /// A turn's `drive` calls it once its commit returned; an owner may
+    /// call it between turns (a heartbeat with nothing to drive), never
+    /// inside one.
     pub fn pump(&mut self, now: SimTime) {
         for msg in self.shipper.poll(self.inner.journal(), now) {
             self.send(msg);
@@ -169,34 +174,12 @@ impl<G: Recoverable> ShippingGateway<G> {
 }
 
 impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
-    type Driver = JournaledGateway<G>;
-
     fn bare(&self) -> &ShardedGateway {
         self.inner.bare()
     }
 
     fn book_mut(&mut self) -> &mut ServiceBook {
         self.inner.book_mut()
-    }
-
-    /// The wrapped journaled gateway's own driver, so a shipped stack's
-    /// turn is held for `commit` like an unshipped one's; state changes
-    /// made through it ship on the next [`pump`](ShippingGateway::pump).
-    fn driver(&mut self) -> &mut JournaledGateway<G> {
-        self.inner.driver()
-    }
-
-    /// Ships the decision's journal frames in the same turn: replication
-    /// lag is bounded by the serving turn cadence, not a side thread.
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        let verdict = self.inner.decide(request, now);
-        self.pump(now);
-        verdict
-    }
-
-    fn commit(&mut self, now: SimTime) {
-        self.inner.commit(now);
-        self.pump(now);
     }
 
     fn epoch(&self) -> u64 {
@@ -247,6 +230,50 @@ impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
     }
 }
 
+impl<G: Recoverable> Serve for ShippingGateway<G> {
+    type Outcome = Verdict;
+
+    /// Decides inside the turn: the decision's frames ship with the turn,
+    /// once its `drive` has made them durable.
+    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
+        self.inner.decide(request, now)
+    }
+
+    /// The journaled turn, then the pump: replication lag is bounded by
+    /// the serving turn cadence, not a side thread.
+    fn drive(&mut self, now: SimTime) -> Turn {
+        let turn = self.inner.drive(now);
+        self.pump(now);
+        turn
+    }
+
+    fn next_due(&self) -> Option<SimTime> {
+        self.inner.next_due()
+    }
+
+    fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
+        let resolved = self.inner.finalize(now);
+        self.pump(now);
+        resolved
+    }
+
+    fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+        self.inner.replan_waiting(now)
+    }
+
+    fn committed_release(&self, node: usize) -> SimTime {
+        self.inner.committed_release(node)
+    }
+
+    fn node_released(&mut self, node: usize, at: SimTime) {
+        self.inner.node_released(node, at);
+    }
+
+    fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+        self.inner.plan_of(task)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,14 +302,46 @@ mod tests {
         )
     }
 
+    /// Task ids of the `RequestSubmitted` frames among `msgs`.
+    fn shipped_requests(msgs: &[ShipMsg]) -> Vec<u64> {
+        msgs.iter()
+            .filter_map(|m| match m {
+                ShipMsg::Frame { bytes, .. } => {
+                    let (frames, _) = rtdls_journal::wire::decode_frames(bytes);
+                    let ev: JournalEvent = serde_json::from_slice(&frames[0].payload).ok()?;
+                    match ev {
+                        JournalEvent::RequestSubmitted { request, .. } => Some(request.task.id.0),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_decision_leaves_the_process_only_with_its_turn() {
+        let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
+        let now = SimTime::ZERO;
+        for id in 0..4u64 {
+            let request = SubmitRequest::new(Task::new(id, 0.0, 20.0, 2_000.0));
+            assert!(gw.decide(&request, now).is_accepted());
+        }
+        // Decided, in the journal's image, not yet durable: nothing ships.
+        assert!(gw.inner().journal().next_seq() > 4);
+        assert!(shipped_requests(&gw.take_outbox()).is_empty());
+        gw.drive(now);
+        assert_eq!(shipped_requests(&gw.take_outbox()), vec![0, 1, 2, 3]);
+    }
+
     #[test]
     fn outbox_mode_ships_on_pump_and_applies_manual_acks() {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
-        gw.driver().submit_request(
+        gw.decide(
             &SubmitRequest::new(Task::new(1, 0.0, 20.0, 2_000.0)),
             SimTime::ZERO,
         );
-        gw.pump(SimTime::ZERO);
+        gw.drive(SimTime::ZERO);
         let msgs = gw.take_outbox();
         assert!(
             msgs.iter().any(|m| matches!(m, ShipMsg::Frame { .. })),
@@ -299,9 +358,8 @@ mod tests {
         assert_eq!(gw.shipper().lag(gw.inner().journal()), 0);
         assert_eq!(follower.bytes(), gw.inner().journal().bytes());
 
-        // Shipping never changes a decision: `decide` (which pumps, as a
-        // reactor turn does) answers what a bare journaled gateway answers,
-        // refusals included.
+        // Shipping never changes a decision: `decide` answers what a bare
+        // journaled gateway answers, refusals included.
         let mut bare = primary();
         let mut shipping = ShippingGateway::new(primary(), ShipConfig::default());
         let mut accepted = 0;
@@ -313,6 +371,7 @@ mod tests {
             accepted += verdict.is_accepted() as usize;
         }
         assert!(0 < accepted && accepted < 40, "both outcomes: {accepted}");
+        shipping.drive(SimTime::ZERO);
         assert!(shipping.take_outbox().len() > 40, "every decision shipped");
     }
 
@@ -331,11 +390,11 @@ mod tests {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
         gw.attach(ShipClient::connect(addr).expect("connect"));
         for (i, t) in [0.0, 10.0, 20.0].iter().enumerate() {
-            gw.driver().submit_request(
+            gw.decide(
                 &SubmitRequest::new(Task::new(i as u64, *t, 20.0, 2_000.0)),
                 SimTime::new(*t),
             );
-            gw.pump(SimTime::new(*t));
+            gw.drive(SimTime::new(*t));
         }
         let wal = gw.inner().journal().bytes().to_vec();
         drop(gw); // primary "dies": socket closes, server returns on EOF
@@ -348,11 +407,11 @@ mod tests {
     #[test]
     fn fold_covers_gateway_and_replication_views() {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
-        gw.driver().submit_request(
+        gw.decide(
             &SubmitRequest::new(Task::new(1, 0.0, 20.0, 2_000.0)),
             SimTime::ZERO,
         );
-        gw.pump(SimTime::ZERO);
+        gw.drive(SimTime::ZERO);
         let mut reg = MetricsRegistry::new();
         gw.fold_metrics(&mut reg);
         let text = reg.to_prometheus();

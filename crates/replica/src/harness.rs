@@ -1,17 +1,19 @@
 //! The deterministic whole-system failover harness.
 //!
 //! [`ReplicaFrontend`] packages a complete replication deployment — a
-//! journaled shard primary, the [`Shipper`] on its journal, two
-//! [`FaultyLink`]s (frames out, acks back), and a warm-standby
-//! [`Follower`] — behind the simulator's [`Frontend`] trait, so the
-//! discrete-event engine drives the *entire* failover story as one seeded,
-//! replayable run:
+//! journaled shard primary behind the one shipping wrapper
+//! ([`ShippingGateway`], in outbox mode), two [`FaultyLink`]s (frames out,
+//! acks back), and a warm-standby [`Follower`] — behind the serving trait
+//! the simulator drives ([`Serve`]), so the discrete-event engine drives
+//! the *entire* failover story as one seeded, replayable run, in the same
+//! turns the edge serves:
 //!
-//! 1. **Primary phase** — every frontend call pumps the channel: new
-//!    journal frames ship through the lossy link, the follower replays
-//!    them and acks, heartbeats keep the failure detector fed. Heartbeat
-//!    cadence is driven through [`Frontend::next_wakeup`], so the channel
-//!    stays live even when the cluster is idle.
+//! 1. **Primary phase** — every turn the primary drives ships what it
+//!    committed; the harness carries the outbox through the lossy link,
+//!    the follower replays the frames and acks, the acks come back through
+//!    [`ShippingGateway::on_ack`]. Heartbeat cadence is part of
+//!    [`Serve::next_due`], so the channel stays live even when the cluster
+//!    is idle.
 //! 2. **Kill** — at [`FailoverPlan::kill_at`] the primary process dies
 //!    mid-stream: its in-memory gateway is dropped, its unacked journal
 //!    tail is stashed as the **zombie** (the appends a partitioned primary
@@ -20,9 +22,9 @@
 //! 3. **Promotion** — when the follower's heartbeat silence exceeds its
 //!    timeout, the harness applies the buffered releases to the standby,
 //!    promotes it under `epoch + 1` (strict re-admission, demotions
-//!    journaled — exactly crash recovery's pass), and re-points the
-//!    frontend at the promoted gateway. The zombie's late appends are then
-//!    delivered to the still-alive follower and provably fenced.
+//!    journaled — exactly crash recovery's pass), and serves from the
+//!    promoted gateway. The zombie's late appends are then delivered to the
+//!    still-alive follower and provably fenced.
 //!
 //! Every random draw in the run comes from the engine's deterministic
 //! event order plus the two links' seeded RNGs: the same
@@ -35,13 +37,15 @@ use rtdls_core::prelude::{
 use rtdls_journal::prelude::{
     EdgeGateway, GatewaySnapshot, JournalConfig, JournaledGateway, Recoverable,
 };
+use rtdls_service::prelude::Verdict;
 use rtdls_sim::config::SimConfig;
 use rtdls_sim::engine::{SimReport, Simulation};
-use rtdls_sim::frontend::{Frontend, SubmitOutcome};
 use rtdls_sim::net::{FaultPlan, FaultyLink, LinkStats};
+use rtdls_sim::serve::{Resolution, Serve, Turn};
 
 use crate::follower::{Follower, FollowerConfig, FollowerStats, Promotion};
-use crate::ship::{ShipConfig, ShipMsg, ShipStats, Shipper};
+use crate::gateway::ShippingGateway;
+use crate::ship::{ShipConfig, ShipMsg, ShipStats};
 
 /// Everything that can go wrong, and when: the script for one seeded
 /// failover scenario.
@@ -112,14 +116,15 @@ impl FailoverPlan {
 }
 
 /// Which process currently answers for the shard.
-pub enum Role<G: Recoverable> {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
     /// The original primary is alive.
-    Primary(JournaledGateway<G>),
+    Primary,
     /// The primary is dead and the follower has not yet promoted: the
     /// outage window. Submissions are rejected, releases buffer.
     Down,
     /// The promoted follower answers.
-    Promoted(JournaledGateway<G>),
+    Promoted,
 }
 
 /// The forensic record of one failover run, for assertions and ops.
@@ -158,11 +163,13 @@ pub struct FailoverOutcome {
     pub ship: ShipStats,
 }
 
-/// A primary + channel + follower deployment driven as one [`Frontend`].
+/// A primary + channel + follower deployment served as one [`Serve`].
 pub struct ReplicaFrontend<G: Recoverable> {
     plan: FailoverPlan,
-    role: Role<G>,
-    shipper: Shipper,
+    role: Role,
+    /// The process answering for the shard — the primary, later the
+    /// promoted follower; `None` in the outage window.
+    live: Option<ShippingGateway<G>>,
     /// Primary → follower frames and heartbeats.
     link: FaultyLink<ShipMsg>,
     /// Follower → primary acks.
@@ -172,6 +179,8 @@ pub struct ReplicaFrontend<G: Recoverable> {
     buffered_releases: Vec<(usize, SimTime)>,
     /// The dead primary's unacked tail, re-delivered post-promotion.
     zombie: Vec<ShipMsg>,
+    /// The dead primary's shipping counters.
+    shipped: ShipStats,
     killed_at: Option<SimTime>,
     promoted_at: Option<SimTime>,
     promotion: Option<Promotion>,
@@ -185,19 +194,16 @@ pub struct ReplicaFrontend<G: Recoverable> {
 impl<G: Recoverable> ReplicaFrontend<G> {
     /// Deploys `primary` with a fresh follower under `plan`.
     pub fn new(primary: JournaledGateway<G>, plan: FailoverPlan) -> Self {
-        let shipper = Shipper::new(plan.ship);
-        let link = FaultyLink::new(plan.fault.clone());
-        let acks = FaultyLink::new(plan.ack_fault.clone());
-        let follower = Follower::new(plan.follower);
         ReplicaFrontend {
+            role: Role::Primary,
+            live: Some(ShippingGateway::new(primary, plan.ship)),
+            link: FaultyLink::new(plan.fault.clone()),
+            acks: FaultyLink::new(plan.ack_fault.clone()),
+            follower: Follower::new(plan.follower),
             plan,
-            role: Role::Primary(primary),
-            shipper,
-            link,
-            acks,
-            follower,
             buffered_releases: Vec::new(),
             zombie: Vec::new(),
+            shipped: ShipStats::default(),
             killed_at: None,
             promoted_at: None,
             promotion: None,
@@ -209,12 +215,13 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         }
     }
 
-    /// One channel round at sim-time `now`: kill if due, ship, deliver
-    /// frames to the follower, deliver acks back, promote if due. Called
-    /// at the top of every timestamped frontend method, so the channel
-    /// advances exactly as fast as the event clock.
+    /// One channel round at sim-time `now`: kill if due, carry what the
+    /// primary shipped into the link, deliver frames to the follower,
+    /// deliver acks back, promote if due. Called at the top of every
+    /// timestamped serving call, so the channel advances exactly as fast as
+    /// the event clock.
     fn pump(&mut self, now: SimTime) {
-        if matches!(self.role, Role::Primary(_)) && now >= self.plan.kill_at {
+        if self.role == Role::Primary && now >= self.plan.kill_at {
             self.kill(now);
         }
         self.ship(now);
@@ -229,20 +236,25 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         }
         for msg in self.acks.deliver_due(now) {
             // Acks addressed to a dead primary die with it.
-            if let (Role::Primary(_), ShipMsg::Ack { seq }) = (&self.role, &msg) {
-                self.shipper.on_ack(*seq, now);
+            if let (Role::Primary, Some(gw), ShipMsg::Ack { seq }) =
+                (self.role, &mut self.live, msg)
+            {
+                gw.on_ack(seq, now);
             }
         }
-        if matches!(self.role, Role::Down) && self.follower.should_promote(now) {
+        if self.role == Role::Down && self.follower.should_promote(now) {
             self.promote(now);
         }
     }
 
-    /// Ships whatever the journal owes the channel (primary phase only).
+    /// Carries the live gateway's outbox into the frame link. Only the
+    /// primary has a follower; the promoted gateway ships to nobody.
     fn ship(&mut self, now: SimTime) {
-        if let Role::Primary(gw) = &self.role {
-            for msg in self.shipper.poll(gw.journal(), now) {
-                self.link.send(now, msg);
+        if let Some(gw) = &mut self.live {
+            for msg in gw.take_outbox() {
+                if self.role == Role::Primary {
+                    self.link.send(now, msg);
+                }
             }
         }
     }
@@ -252,19 +264,22 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// zombie — stamped with the dying epoch, exactly as a partitioned
     /// primary would later try to ship it.
     fn kill(&mut self, now: SimTime) {
-        let dead = std::mem::replace(&mut self.role, Role::Down);
-        if let Role::Primary(gw) = dead {
-            self.primary_wal = gw.journal().bytes().to_vec();
-            let epoch = gw.journal().epoch();
-            let (start, frames) = gw.journal().frames_from(self.shipper.acked());
-            self.zombie = frames
-                .iter()
-                .enumerate()
-                .map(|(i, bytes)| ShipMsg::frame(epoch, start + i as u64, bytes.to_vec()))
-                .collect();
-            self.zombie_frames = self.zombie.len() as u64;
-            self.killed_at = Some(now);
-        }
+        let Some(dead) = self.live.take() else {
+            return;
+        };
+        let journal = dead.inner().journal();
+        self.primary_wal = journal.bytes().to_vec();
+        let epoch = journal.epoch();
+        let (start, frames) = journal.frames_from(dead.shipper().acked());
+        self.zombie = frames
+            .iter()
+            .enumerate()
+            .map(|(i, bytes)| ShipMsg::frame(epoch, start + i as u64, bytes.to_vec()))
+            .collect();
+        self.zombie_frames = self.zombie.len() as u64;
+        self.shipped = dead.shipper().stats();
+        self.killed_at = Some(now);
+        self.role = Role::Down;
     }
 
     /// Heartbeat silence exceeded the follower's timeout: promote.
@@ -274,7 +289,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         // before the re-admission pass judges feasibility.
         if let Some(standby) = self.follower.standby_mut() {
             for &(node, time) in &self.buffered_releases {
-                Frontend::set_node_release(standby, node, time);
+                standby.node_released(node, time);
             }
         }
         let (promoted, record) = self
@@ -289,18 +304,18 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         for msg in std::mem::take(&mut self.zombie) {
             let _ = self.follower.on_msg(now, msg);
         }
-        self.role = Role::Promoted(promoted);
+        self.live = Some(ShippingGateway::new(promoted, self.plan.ship));
+        self.role = Role::Promoted;
     }
 
     /// Attaches a trace handle to the *primary process*: the primary
-    /// gateway records its pipeline spans into it, and the shipper copies
+    /// gateway records its pipeline spans into it, and its shipper copies
     /// each frame's spans onto the wire. Models the head node's recorder —
     /// it dies with the kill.
     pub fn attach_primary_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry) {
-        if let Role::Primary(g) = &mut self.role {
-            g.attach_telemetry(telemetry);
+        if let (Role::Primary, Some(gw)) = (self.role, &mut self.live) {
+            gw.attach_telemetry(telemetry);
         }
-        self.shipper.attach_telemetry(telemetry);
     }
 
     /// Attaches a trace handle to the *follower process*: replayed frames
@@ -316,23 +331,17 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// failover) — e.g. to put it behind an edge server and serve timeline
     /// queries from the surviving process.
     pub fn into_gateway(self) -> Option<JournaledGateway<G>> {
-        match self.role {
-            Role::Primary(g) | Role::Promoted(g) => Some(g),
-            Role::Down => None,
-        }
+        self.live.map(ShippingGateway::into_inner)
     }
 
     /// Which process currently answers for the shard.
-    pub fn role(&self) -> &Role<G> {
-        &self.role
+    pub fn role(&self) -> Role {
+        self.role
     }
 
     /// The live gateway, if any (primary before the kill, promoted after).
     pub fn gateway(&self) -> Option<&JournaledGateway<G>> {
-        match &self.role {
-            Role::Primary(g) | Role::Promoted(g) => Some(g),
-            Role::Down => None,
-        }
+        self.live.as_ref().map(ShippingGateway::inner)
     }
 
     /// The follower (post-promotion: the fence).
@@ -340,13 +349,12 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         &self.follower
     }
 
-    /// The shipper (meaningful during the primary phase).
-    pub fn shipper(&self) -> &Shipper {
-        &self.shipper
-    }
-
     /// The forensic record of the run so far.
     pub fn outcome(&self) -> FailoverOutcome {
+        let ship = match (self.role, &self.live) {
+            (Role::Primary, Some(gw)) => gw.shipper().stats(),
+            _ => self.shipped,
+        };
         FailoverOutcome {
             killed_at: self.killed_at,
             promoted_at: self.promoted_at,
@@ -360,162 +368,102 @@ impl<G: Recoverable> ReplicaFrontend<G> {
             follower: self.follower.stats(),
             link: self.link.stats(),
             acks: self.acks.stats(),
-            ship: self.shipper.stats(),
+            ship,
         }
     }
 }
 
-impl<G: Recoverable> Frontend for ReplicaFrontend<G> {
-    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
+impl<G: Recoverable> Serve for ReplicaFrontend<G> {
+    type Outcome = Verdict;
+
+    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
         self.pump(now);
-        let out = match &mut self.role {
-            Role::Primary(g) => Frontend::submit_request(g, request, now),
-            Role::Down => {
+        match &mut self.live {
+            Some(gw) => gw.decide(request, now),
+            None => {
                 self.lost_submissions += 1;
-                SubmitOutcome::Rejected(Infeasible::NotEnoughNodes)
+                Verdict::rejected(Infeasible::NotEnoughNodes)
             }
-            Role::Promoted(g) => Frontend::submit_request(g, request, now),
-        };
-        self.ship(now);
-        out
-    }
-
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        self.pump(now);
-        let out = match &mut self.role {
-            Role::Primary(g) => Frontend::replan(g, now),
-            Role::Down => Ok(()),
-            Role::Promoted(g) => Frontend::replan(g, now),
-        };
-        self.ship(now);
-        out
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        self.pump(now);
-        let out = match &mut self.role {
-            Role::Primary(g) => Frontend::take_due(g, now),
-            Role::Down => Vec::new(),
-            Role::Promoted(g) => Frontend::take_due(g, now),
-        };
-        self.ship(now);
-        out
-    }
-
-    fn next_dispatch_due(&self) -> Option<SimTime> {
-        match &self.role {
-            Role::Primary(g) | Role::Promoted(g) => Frontend::next_dispatch_due(g),
-            Role::Down => None,
         }
+    }
+
+    /// The live gateway's turn — which ships what it committed — then the
+    /// shipped frames into the link.
+    fn drive(&mut self, now: SimTime) -> Turn {
+        self.pump(now);
+        let turn = self
+            .live
+            .as_mut()
+            .map(|gw| gw.drive(now))
+            .unwrap_or_default();
+        self.ship(now);
+        turn
+    }
+
+    fn next_due(&self) -> Option<SimTime> {
+        let live = self.live.as_ref();
+        // With a kill planned, the channel stays due-driven: heartbeats
+        // tick, the kill fires on time even in an idle lull. The no-kill
+        // control arm lets the channel idle out with the event queue
+        // instead of heartbeating forever.
+        let (kill, heartbeat) = match (self.role, live) {
+            (Role::Primary, Some(gw)) if self.plan.kill_at.as_f64().is_finite() => {
+                (Some(self.plan.kill_at), gw.shipper().next_heartbeat())
+            }
+            _ => (None, None),
+        };
+        let promote = match self.role {
+            Role::Down => self.follower.promote_at(),
+            _ => None,
+        };
+        [
+            live.and_then(Serve::next_due),
+            kill,
+            heartbeat,
+            promote,
+            self.link.next_delivery(),
+            self.acks.next_delivery(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
+        self.pump(now);
+        let resolved = self
+            .live
+            .as_mut()
+            .map(|gw| gw.finalize(now))
+            .unwrap_or_default();
+        self.ship(now);
+        resolved
+    }
+
+    fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+        self.live
+            .as_mut()
+            .map_or(Ok(()), |gw| gw.replan_waiting(now))
     }
 
     fn committed_release(&self, node: usize) -> SimTime {
-        match &self.role {
-            Role::Primary(g) | Role::Promoted(g) => Frontend::committed_release(g, node),
-            Role::Down => SimTime::ZERO,
-        }
+        self.live
+            .as_ref()
+            .map_or(SimTime::ZERO, |gw| gw.committed_release(node))
     }
 
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
-        self.pump(time);
-        match &mut self.role {
-            Role::Primary(g) => Frontend::set_node_release(g, node, time),
+    fn node_released(&mut self, node: usize, at: SimTime) {
+        self.pump(at);
+        match &mut self.live {
+            Some(gw) => gw.node_released(node, at),
             // The worker node released; the head node isn't there to hear
             // it. Buffer for the promoted successor.
-            Role::Down => self.buffered_releases.push((node, time)),
-            Role::Promoted(g) => Frontend::set_node_release(g, node, time),
-        }
-        self.ship(time);
-    }
-
-    fn waiting_len(&self) -> usize {
-        match &self.role {
-            Role::Primary(g) | Role::Promoted(g) => Frontend::waiting_len(g),
-            Role::Down => 0,
+            None => self.buffered_releases.push((node, at)),
         }
     }
 
-    fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        match &self.role {
-            Role::Primary(g) | Role::Promoted(g) => Frontend::find_plan(g, task),
-            Role::Down => None,
-        }
-    }
-
-    fn on_event(&mut self, now: SimTime) {
-        self.pump(now);
-        match &mut self.role {
-            Role::Primary(g) => Frontend::on_event(g, now),
-            Role::Down => {}
-            Role::Promoted(g) => Frontend::on_event(g, now),
-        }
-        self.ship(now);
-    }
-
-    fn activate(&mut self, now: SimTime) {
-        self.pump(now);
-        match &mut self.role {
-            Role::Primary(g) => Frontend::activate(g, now),
-            Role::Down => {}
-            Role::Promoted(g) => Frontend::activate(g, now),
-        }
-        self.ship(now);
-    }
-
-    fn next_wakeup(&self) -> Option<SimTime> {
-        let mut candidates: Vec<SimTime> = Vec::new();
-        match &self.role {
-            Role::Primary(g) => {
-                if let Some(w) = Frontend::next_wakeup(g) {
-                    candidates.push(w);
-                }
-                // With a kill planned, the channel stays wakeup-driven:
-                // heartbeats tick, the kill fires on time even in an idle
-                // lull. The no-kill control arm lets the channel idle out
-                // with the event queue instead of heartbeating forever.
-                if self.plan.kill_at.as_f64().is_finite() {
-                    candidates.push(self.plan.kill_at);
-                    if let Some(hb) = self.shipper.next_heartbeat() {
-                        candidates.push(hb);
-                    }
-                }
-            }
-            Role::Down => {
-                if let Some(p) = self.follower.promote_at() {
-                    candidates.push(p);
-                }
-            }
-            Role::Promoted(g) => {
-                if let Some(w) = Frontend::next_wakeup(g) {
-                    candidates.push(w);
-                }
-            }
-        }
-        if let Some(d) = self.link.next_delivery() {
-            candidates.push(d);
-        }
-        if let Some(d) = self.acks.next_delivery() {
-            candidates.push(d);
-        }
-        candidates
-            .into_iter()
-            .min_by(|a, b| a.as_f64().total_cmp(&b.as_f64()))
-    }
-
-    fn drain_resolutions(&mut self) -> Vec<(Task, Option<Infeasible>)> {
-        match &mut self.role {
-            Role::Primary(g) | Role::Promoted(g) => Frontend::drain_resolutions(g),
-            Role::Down => Vec::new(),
-        }
-    }
-
-    fn finalize(&mut self, now: SimTime) {
-        self.pump(now);
-        match &mut self.role {
-            Role::Primary(g) => Frontend::finalize(g, now),
-            Role::Down => {}
-            Role::Promoted(g) => Frontend::finalize(g, now),
-        }
+    fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+        self.live.as_ref().and_then(|gw| gw.plan_of(task))
     }
 }
 

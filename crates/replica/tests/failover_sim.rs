@@ -17,7 +17,6 @@ use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_sim::config::SimConfig;
 use rtdls_sim::engine::{SimReport, Simulation};
-use rtdls_sim::frontend::Frontend;
 use rtdls_sim::net::FaultPlan;
 use rtdls_telemetry::{Stage, Telemetry};
 
@@ -144,6 +143,30 @@ fn submitted_ids(bytes: &[u8]) -> Vec<u64> {
         .collect()
 }
 
+/// The promoted gateway's state equals a reference recovery of the
+/// shipped prefix: cold replay + the buffered outage releases + the same
+/// strict re-admission pass at the promotion instant.
+fn assert_promotion_is_a_recovery_of_the_shipped_prefix(out: &FailoverOutcome) {
+    let promoted_at = out.promoted_at.expect("follower promoted");
+    let promotion = out.promotion.clone().expect("promotion record");
+    let (mut reference, replay_report) =
+        replay::<ShardedGateway>(&out.shipped_prefix).expect("shipped prefix replays");
+    assert!(replay_report.tail.is_clean());
+    for &(node, time) in &out.buffered_releases {
+        reference.node_released(node, time);
+    }
+    let _ = reference.book_mut().take_breach_log();
+    let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
+    let genesis = out.promoted_genesis.clone().expect("promotion snapshot");
+    let ref_state = reference.inner().capture().normalized();
+    assert_eq!(
+        genesis.shards, ref_state.shards,
+        "per-shard ControllerState diverged from the reference recovery"
+    );
+    assert_eq!(genesis, ref_state, "full gateway state diverged");
+    assert_eq!(promotion.demoted, ref_demoted);
+}
+
 #[test]
 fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
     let (report, frontend) = run(42);
@@ -196,30 +219,12 @@ fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
             "task {id} must not have reached the follower"
         );
         assert!(
-            Frontend::find_plan(&frontend, TaskId(id)).is_none(),
+            frontend.plan_of(TaskId(id)).is_none(),
             "task {id} must not survive into the promoted gateway"
         );
     }
 
-    // The promoted gateway's state equals a reference recovery of the
-    // shipped prefix: cold replay + the buffered outage releases + the
-    // same strict re-admission pass at the promotion instant.
-    let (mut reference, replay_report) =
-        replay::<ShardedGateway>(&out.shipped_prefix).expect("shipped prefix replays");
-    assert!(replay_report.tail.is_clean());
-    for &(node, time) in &out.buffered_releases {
-        Frontend::set_node_release(&mut reference, node, time);
-    }
-    let _ = reference.book_mut().take_breach_log();
-    let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
-    let genesis = out.promoted_genesis.clone().expect("promotion snapshot");
-    let ref_state = reference.inner().capture().normalized();
-    assert_eq!(
-        genesis.shards, ref_state.shards,
-        "per-shard ControllerState diverged from the reference recovery"
-    );
-    assert_eq!(genesis, ref_state, "full gateway state diverged");
-    assert_eq!(promotion.demoted, ref_demoted);
+    assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
 
     // Demotions (and the new primary's genesis) are journaled under the
     // bumped epoch.
@@ -313,20 +318,37 @@ fn one_trace_id_reconstructs_the_cross_node_timeline_after_failover() {
 
 #[test]
 fn the_whole_scenario_replays_bit_identically_from_its_seed() {
-    let (r1, f1) = run(42);
-    let (r2, f2) = run(42);
-    // The forensic outcome covers every byte that matters: the shipped
-    // prefix, the promoted genesis snapshot, the dead primary's WAL, all
-    // link/follower/shipper counters.
-    assert_eq!(f1.outcome(), f2.outcome());
-    assert_eq!(r1.metrics.accepted, r2.metrics.accepted);
-    assert_eq!(r1.metrics.rejected, r2.metrics.rejected);
-    assert_eq!(r1.metrics.completed, r2.metrics.completed);
-    assert_eq!(r1.metrics.deadline_misses, r2.metrics.deadline_misses);
+    for seed in 42..=49 {
+        let (r1, f1) = run(seed);
+        let (r2, f2) = run(seed);
+        // The forensic outcome covers every byte that matters: the shipped
+        // prefix, the promoted genesis snapshot, the dead primary's WAL,
+        // all link/follower/shipper counters.
+        assert_eq!(f1.outcome(), f2.outcome(), "seed {seed}");
+        assert_eq!(r1.metrics.accepted, r2.metrics.accepted);
+        assert_eq!(r1.metrics.rejected, r2.metrics.rejected);
+        assert_eq!(r1.metrics.completed, r2.metrics.completed);
+        assert_eq!(r1.metrics.deadline_misses, r2.metrics.deadline_misses);
 
-    // A different seed misbehaves differently.
-    let (_, f3) = run(43);
-    assert_ne!(f1.outcome(), f3.outcome());
+        // A different seed misbehaves differently.
+        let (_, f3) = run(seed + 1);
+        assert_ne!(f1.outcome(), f3.outcome(), "seed {seed}");
+    }
+}
+
+#[test]
+fn every_seed_promotes_a_recovery_of_its_shipped_prefix() {
+    for seed in 42..=49 {
+        let (_, frontend) = run(seed);
+        let out = frontend.outcome();
+        assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
+        // What reached the follower is a prefix of what the primary
+        // journaled: frames leave only whole, in order, after their commit.
+        assert!(
+            out.primary_wal.starts_with(&out.shipped_prefix),
+            "seed {seed}: the mirror is not a prefix of the primary's WAL"
+        );
+    }
 }
 
 #[test]

@@ -33,15 +33,16 @@
 //!   one amortized temp-schedule pass instead of one full test per task.
 //! * **Observability** ([`ServiceMetrics`]): throughput, defer-rescue
 //!   rate, and per-decision latency histograms.
-//! * **One serving trait** ([`EdgeGateway`]): what the network edge, the
-//!   journal and the replication layer drive a gateway stack through;
-//!   wrappers implement only what they intercept.
+//! * **One serving trait** ([`Serve`], defined by the simulator, and
+//!   [`EdgeGateway`], its ops extension): what the network edge, the
+//!   simulator, the journal and the replication layer drive a gateway
+//!   stack through, in turns — `decide` × k, then `drive`. Each layer
+//!   writes its turn once.
 //!
-//! The gateway implements the simulator's
-//! [`Frontend`](rtdls_sim::frontend::Frontend) trait, so a discrete-event
-//! run can route every arrival through the service layer and verify, at
-//! run time, that every admitted task (including rescued ones) meets its
-//! deadline:
+//! Because the simulator drives the same turns the edge drives, a
+//! discrete-event run routes every arrival through the service layer and
+//! verifies, at run time, that every admitted task (including rescued
+//! ones) meets its deadline:
 //!
 //! ```
 //! use rtdls_core::prelude::*;
@@ -73,6 +74,7 @@
 //! [`AdmissionController`]: rtdls_core::admission::AdmissionController
 //! [`ShardedGateway::submit_request`]: shard::ShardedGateway::submit_request
 //! [`EdgeGateway`]: serve::EdgeGateway
+//! [`Serve`]: rtdls_sim::serve::Serve
 //! [`SubmitRequest`]: rtdls_core::request::SubmitRequest
 //! [`Verdict`]: request::Verdict
 //! [`ShardedGateway`]: shard::ShardedGateway
@@ -115,4 +117,6 @@ pub mod prelude {
     };
     pub use crate::telemetry::{fold_engine_profile, fold_service_metrics};
     pub use crate::tenant::{TenantLedger, TenantLedgerState};
+    /// The turn trait every [`EdgeGateway`] extends.
+    pub use rtdls_sim::serve::{Serve, Turn};
 }

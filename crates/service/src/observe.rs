@@ -6,10 +6,11 @@
 //! `Accepted` / `Rejected` / `Throttled`, but `Reserved` and `Deferred`
 //! are promises that resolve later — at a reservation's activation sweep,
 //! at a defer re-test, or at end-of-stream flush. The simulation engine
-//! learns those resolutions through `Frontend::drain_resolutions`; a
-//! network edge cannot use that channel (the engine owns it) and needs
-//! richer records anyway (tickets, activation outcomes) to push updates to
-//! still-connected clients.
+//! learns those resolutions from the [`Turn`] each `drive` returns; a
+//! network edge needs richer records (tickets, activation outcomes) to
+//! push updates to still-connected clients.
+//!
+//! [`Turn`]: rtdls_sim::serve::Turn
 //!
 //! [`DecisionUpdate`] is that record. The [`ServiceBook`] appends one for
 //! every parked-task resolution and every reservation-activation attempt —

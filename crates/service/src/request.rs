@@ -17,7 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{AdmissionExplanation, Infeasible, QosClass, SimTime};
-use rtdls_sim::frontend::SubmitOutcome;
+use rtdls_sim::serve::SubmitOutcome;
 
 /// The gateway's admission verdict.
 ///

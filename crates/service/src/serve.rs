@@ -1,26 +1,21 @@
-//! [`EdgeGateway`]: the one serving trait every gateway layer implements.
+//! [`EdgeGateway`]: the service-level extension of the serving trait.
 //!
 //! A serving stack is a bare [`ShardedGateway`] under zero or more
 //! wrappers (write-ahead journaling, journal shipping). Whatever the
-//! stack's height, a driver — the network edge's reactor, a bench ladder,
-//! a recovery pass — talks to it through this trait. A layer states only
-//! what differs for it: how a submission is decided, what a serving turn
-//! must commit, and how to reach the bare gateway, its book and the layer
-//! that applies state changes. Everything else is provided once, here, in
-//! terms of those.
+//! stack's height, a driver — the network edge's reactor, the simulator, a
+//! bench ladder, a recovery pass — drives it through [`Serve`]: `decide`
+//! × k, then `drive`, whose return is the point after which the turn's
+//! verdicts may leave the process (the turn contract in
+//! [`rtdls_sim::serve`]). Each layer writes its turn once.
 //!
-//! **The turn contract.** A driver works in serving turns: any number of
-//! [`decide`](EdgeGateway::decide) calls, then one
-//! [`drive`](EdgeGateway::drive), which ends in
-//! [`commit`](EdgeGateway::commit). Nothing decided or applied since the
-//! last `commit` may be acknowledged to anyone outside the process — a
-//! verdict written to a socket, an update pushed — until the next `commit`
-//! has returned: a durable layer makes the turn's record durable there and
-//! not before. The reactor's turn is exactly this (serve, `drive`, then
-//! flush the sockets).
+//! On top of that, this trait is the ops surface every layer shares: the
+//! bare gateway and its book under the wrappers, the parked-task update
+//! stream, explanations, SLO rows, metrics and the replication view. A
+//! layer states only what it adds; the rest is provided here in terms of
+//! [`bare`](EdgeGateway::bare) and [`book_mut`](EdgeGateway::book_mut).
 
 use rtdls_core::prelude::{AdmissionExplanation, SimTime, SubmitRequest};
-use rtdls_sim::frontend::Frontend;
+use rtdls_sim::serve::Serve;
 use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
 
 use crate::book::ServiceBook;
@@ -30,12 +25,7 @@ use crate::shard::ShardedGateway;
 use crate::slo::SloStatusRow;
 
 /// The serving surface of a gateway stack (see the module docs).
-pub trait EdgeGateway {
-    /// The layer whose [`Frontend`] calls apply this stack's state changes:
-    /// the bare gateway itself, or the journaling wrapper over it (which
-    /// logs every change before applying it).
-    type Driver: Frontend;
-
+pub trait EdgeGateway: Serve<Outcome = Verdict> {
     /// The bare gateway under every wrapper — the read side of the stack.
     fn bare(&self) -> &ShardedGateway;
 
@@ -44,61 +34,6 @@ pub trait EdgeGateway {
     /// explanations, telemetry handles, audit logs), none of which is
     /// journaled state.
     fn book_mut(&mut self) -> &mut ServiceBook;
-
-    /// The state-changing layer (see [`EdgeGateway::Driver`]). What is
-    /// applied through it is part of the current turn (see the module
-    /// docs): follow it with a [`commit`](EdgeGateway::commit), as
-    /// [`drive`](EdgeGateway::drive) does.
-    fn driver(&mut self) -> &mut Self::Driver;
-
-    /// Decides one submission at the server clock's `now`. The verdict is
-    /// part of the current turn: it may leave the process only after the
-    /// next [`commit`](EdgeGateway::commit) (see the module docs).
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict;
-
-    /// Ends the serving turn — what a layer owes before the turn's
-    /// verdicts may be acknowledged: a journaling wrapper hands the turn's
-    /// frames to its sink as one write and syncs it, a shipping one pumps
-    /// its channel. The bare gateway owes nothing.
-    fn commit(&mut self, now: SimTime) {
-        let _ = now;
-    }
-
-    /// Advances time-driven serving work to `now`: commit due dispatches,
-    /// re-test the defer queue, activate due reservations, retire the
-    /// engine-facing resolution channel (drivers of this trait consume the
-    /// richer [`DecisionUpdate`] stream instead), then [`commit`] the turn —
-    /// the decisions made since the last one included. Call it once per
-    /// turn, after the turn's `decide`s and before acknowledging them.
-    ///
-    /// [`commit`]: EdgeGateway::commit
-    fn drive(&mut self, now: SimTime) {
-        let driver = self.driver();
-        let _ = driver.take_due(now);
-        driver.on_event(now);
-        driver.activate(now);
-        let _ = driver.drain_resolutions();
-        self.commit(now);
-    }
-
-    /// The earliest instant at which timed work becomes due — the next
-    /// planned dispatch, reservation activation, or defer-ticket expiry
-    /// deadline (expiry must be detected, and its resolution pushed, even
-    /// when no other event ever arrives); `None` = nothing scheduled. A
-    /// driver calls [`drive`](EdgeGateway::drive) only when this is reached
-    /// or a submission arrived, so an idle stack never busy-sweeps the
-    /// books — and a journaled one never appends no-op re-test events.
-    fn next_due(&self) -> Option<SimTime> {
-        let bare = self.bare();
-        [
-            bare.next_dispatch_due(),
-            bare.next_wakeup(),
-            bare.deferred().next_deadline(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
 
     /// Drains the parked-task updates recorded since the last call (empty
     /// unless [`enable_observation`](EdgeGateway::enable_observation) ran).

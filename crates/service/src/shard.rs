@@ -58,7 +58,7 @@ use rtdls_core::prelude::{
     ClusterParams, ControllerState, Decision, Infeasible, NodeId, PlanConfig, SimTime,
     SubmitRequest, Task, TaskId, TaskPlan,
 };
-use rtdls_sim::frontend::{Frontend, SubmitOutcome};
+use rtdls_sim::serve::{Resolution, Serve, Turn};
 
 use crate::book::{self, ServiceBook};
 use crate::defer::{DeferPolicy, DeferredQueue};
@@ -497,11 +497,56 @@ impl ShardedGateway {
     }
 
     /// Verdicts reached for pending (deferred/reserved) tasks but not yet
-    /// drained by the engine (`None` = accepted, `Some(cause)` =
-    /// rejected). Part of the durable state: a snapshot taken between a
-    /// re-test sweep and the engine's drain must not lose these.
-    pub fn pending_resolutions(&self) -> &[(Task, Option<Infeasible>)] {
+    /// drained into a turn (`None` = accepted, `Some(cause)` = rejected).
+    /// Part of the durable state: a snapshot taken between a re-test sweep
+    /// and the drain must not lose these.
+    pub fn pending_resolutions(&self) -> &[Resolution] {
         &self.book.resolutions
+    }
+
+    /// Hands over (and forgets) the verdicts reached for pending tasks
+    /// since the last call — the last step of a turn.
+    pub fn drain_resolutions(&mut self) -> Vec<Resolution> {
+        std::mem::take(&mut self.book.resolutions)
+    }
+
+    /// Removes and returns every waiting task due for dispatch at `now`,
+    /// node ids global — the first step of a turn. Shard-major, controller
+    /// order within each shard. The within-shard order is load-bearing: a
+    /// shard's temp schedule commits nodes in policy order, and dispatching
+    /// a successor before its predecessor would let it occupy a node the
+    /// predecessor's plan still needs (shards never share nodes, so
+    /// cross-shard order is free — keeping shard-major order is simply
+    /// deterministic).
+    pub fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+        let mut due = Vec::new();
+        for shard in &mut self.shards {
+            for (task, plan) in shard.ctl.take_due(now) {
+                due.push((task, globalize(plan, shard.offset)));
+            }
+        }
+        self.book.ledger.prune_dispatched(&due);
+        due
+    }
+
+    /// The earliest planned first transmission across the shards' queues.
+    pub fn next_dispatch_due(&self) -> Option<SimTime> {
+        self.shards
+            .iter()
+            .filter_map(|s| s.ctl.next_dispatch_due())
+            .min()
+    }
+
+    /// Admitted, undispatched tasks across the shards.
+    pub fn waiting_len(&self) -> usize {
+        self.shards.iter().map(|s| s.ctl.queue_len()).sum()
+    }
+
+    /// End of stream: every defer ticket and reservation still parked
+    /// resolves as a rejection (drained by the next
+    /// [`drain_resolutions`](ShardedGateway::drain_resolutions)).
+    pub fn flush_parked(&mut self) {
+        book::flush_all(&mut self.book);
     }
 
     /// Reassembles a sharded gateway from journaled parts. Shard offsets are
@@ -857,8 +902,6 @@ impl ShardedGateway {
 }
 
 impl EdgeGateway for ShardedGateway {
-    type Driver = Self;
-
     fn bare(&self) -> &Self {
         self
     }
@@ -866,52 +909,56 @@ impl EdgeGateway for ShardedGateway {
     fn book_mut(&mut self) -> &mut ServiceBook {
         &mut self.book
     }
+}
 
-    fn driver(&mut self) -> &mut Self {
-        self
-    }
+impl Serve for ShardedGateway {
+    type Outcome = Verdict;
 
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
         self.submit_request(request, now)
     }
-}
 
-// `Frontend` and `Admission` share method names; on a shard's engine the
-// path calls say which one is meant.
-impl Frontend for ShardedGateway {
-    fn submit_request(&mut self, request: &SubmitRequest, now: SimTime) -> SubmitOutcome {
-        ShardedGateway::submit_request(self, request, now).into()
+    /// Dispatch what fell due, re-test the defer queue against the freed
+    /// capacity, activate due reservations against the post-dispatch book
+    /// (a reservation's `start_at` is typically exactly a dispatch
+    /// instant), then drain what the turn resolved. The bare gateway owes
+    /// nothing to commit.
+    fn drive(&mut self, now: SimTime) -> Turn {
+        let dispatched = self.take_due(now);
+        self.retest_deferred(now);
+        self.activate_reservations(now);
+        Turn {
+            dispatched,
+            resolved: self.drain_resolutions(),
+        }
     }
 
-    fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+    /// The next planned dispatch, reservation activation or defer-ticket
+    /// deadline (expiry must be detected, and its resolution pushed, even
+    /// when no other event ever arrives). A driver drives only when this is
+    /// reached or a submission arrived, so an idle stack never busy-sweeps
+    /// the books — and a journaled one never appends no-op re-test events.
+    fn next_due(&self) -> Option<SimTime> {
+        [
+            self.next_dispatch_due(),
+            self.book.reservations.next_activation(),
+            self.book.defer.next_deadline(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    fn finalize(&mut self, _now: SimTime) -> Vec<Resolution> {
+        self.flush_parked();
+        self.drain_resolutions()
+    }
+
+    fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
         for shard in &mut self.shards {
-            Admission::replan(&mut shard.ctl, now)?;
+            shard.ctl.replan(now)?;
         }
         Ok(())
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        // Shard-major, controller order within each shard. The within-shard
-        // order is load-bearing: a shard's temp schedule commits nodes in
-        // policy order, and dispatching a successor before its predecessor
-        // would let it occupy a node the predecessor's plan still needs
-        // (shards never share nodes, so cross-shard order is free — keeping
-        // shard-major order is simply deterministic).
-        let mut due = Vec::new();
-        for shard in &mut self.shards {
-            for (task, plan) in Admission::take_due(&mut shard.ctl, now) {
-                due.push((task, globalize(plan, shard.offset)));
-            }
-        }
-        self.book.ledger.prune_dispatched(&due);
-        due
-    }
-
-    fn next_dispatch_due(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|s| Admission::next_dispatch_due(&s.ctl))
-            .min()
     }
 
     fn committed_release(&self, node: usize) -> SimTime {
@@ -919,42 +966,15 @@ impl Frontend for ShardedGateway {
         self.shards[s].ctl.committed_releases()[local]
     }
 
-    fn set_node_release(&mut self, node: usize, time: SimTime) {
+    fn node_released(&mut self, node: usize, at: SimTime) {
         let (s, local) = self.shard_of(node);
-        Admission::set_node_release(&mut self.shards[s].ctl, local, time);
+        self.shards[s].ctl.set_node_release(local, at);
     }
 
-    fn waiting_len(&self) -> usize {
-        self.shards.iter().map(|s| s.ctl.queue_len()).sum()
-    }
-
-    /// Note: the returned plan is in *shard-local* node ids (the engine only
-    /// reads its timing fields here; dispatched plans go through
-    /// [`Frontend::take_due`], which globalizes them).
-    fn find_plan(&self, task: TaskId) -> Option<&TaskPlan> {
-        self.shards
-            .iter()
-            .find_map(|s| Admission::find_plan(&s.ctl, task))
-    }
-
-    fn on_event(&mut self, now: SimTime) {
-        self.retest_deferred(now);
-    }
-
-    fn activate(&mut self, now: SimTime) {
-        self.activate_reservations(now);
-    }
-
-    fn next_wakeup(&self) -> Option<SimTime> {
-        self.book.reservations.next_activation()
-    }
-
-    fn drain_resolutions(&mut self) -> Vec<(Task, Option<Infeasible>)> {
-        std::mem::take(&mut self.book.resolutions)
-    }
-
-    fn finalize(&mut self, _now: SimTime) {
-        book::flush_all(&mut self.book);
+    /// Note: the returned plan is in *shard-local* node ids (drivers read
+    /// its timing fields; dispatched plans come globalized in the turn).
+    fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+        self.shards.iter().find_map(|s| s.ctl.find_plan(task))
     }
 }
 
@@ -1089,7 +1109,7 @@ mod tests {
         for i in 0..4 {
             assert!(submit(&mut g, Task::new(i, 0.0, 50.0, 1e6), SimTime::ZERO).is_accepted());
         }
-        let due = Frontend::take_due(&mut g, SimTime::ZERO);
+        let due = g.take_due(SimTime::ZERO);
         assert_eq!(due.len(), 4);
         let mut seen_nodes: Vec<u32> = Vec::new();
         for (_, plan) in &due {
@@ -1138,7 +1158,7 @@ mod tests {
         let premium = mk(6).with_qos(QosClass::Premium);
         assert!(g.submit_request(&premium, SimTime::ZERO).is_accepted());
         // Dispatch frees the waiting liabilities: the tenant submits again.
-        Frontend::take_due(&mut g, SimTime::ZERO);
+        g.take_due(SimTime::ZERO);
         assert!(g.submit_request(&mk(7), SimTime::ZERO).is_accepted());
         // One shard: nowhere to spread to, so the cap bounds the tenant's
         // waiting tasks outright — still a throttle, never an admission test.
@@ -1150,7 +1170,7 @@ mod tests {
         assert_eq!(g.submit_request(&mk(2), SimTime::ZERO), Verdict::Throttled);
         assert_eq!(g.metrics().throttled, 1);
         assert_eq!(g.shard_queue_lens(), vec![1]);
-        Frontend::take_due(&mut g, SimTime::ZERO);
+        g.take_due(SimTime::ZERO);
         assert!(g.submit_request(&mk(3), SimTime::ZERO).is_accepted());
     }
 
@@ -1184,7 +1204,7 @@ mod tests {
             ..Default::default()
         });
         for node in 0..8 {
-            Frontend::set_node_release(&mut g, node, avail);
+            g.node_released(node, avail);
         }
         let w = SubmitRequest::new(Task::new(1, 0.0, 800.0, 1000.0 + e8 + slack_w))
             .with_tenant(TenantId(9));
@@ -1328,21 +1348,21 @@ mod tests {
         // Dispatch the blocker, then let its nodes come back *earlier* than
         // the committed estimate (the slack conservative release estimates
         // produce); the re-test sweep must rescue the parked task.
-        Frontend::take_due(&mut g, SimTime::ZERO);
+        g.take_due(SimTime::ZERO);
         let early = SimTime::new(e16 * 0.3);
         for node in 0..16 {
-            Frontend::set_node_release(&mut g, node, early);
+            g.node_released(node, early);
         }
         g.retest_deferred(early);
         assert_eq!(g.metrics().rescued, 1);
         assert!(g.deferred().is_empty());
-        let resolutions = Frontend::drain_resolutions(&mut g);
+        let resolutions = g.drain_resolutions();
         assert_eq!(resolutions.len(), 1);
         assert_eq!(resolutions[0].0.id, near_miss.id);
         assert!(resolutions[0].1.is_none(), "rescued = accepted resolution");
         assert!((g.metrics().defer_rescue_rate() - 1.0).abs() < 1e-12);
         // The rescued plan carries the usual deadline guarantee.
-        let plan = Frontend::find_plan(&g, near_miss.id).expect("rescued plan");
+        let plan = g.plan_of(near_miss.id).expect("rescued plan");
         assert!(!plan
             .est_completion
             .definitely_after(near_miss.absolute_deadline()));
@@ -1375,11 +1395,11 @@ mod tests {
         .unwrap();
         let avail = SimTime::new(1000.0);
         for node in 0..16 {
-            Frontend::set_node_release(&mut g, node, avail);
+            g.node_released(node, avail);
         }
         let w = Task::new(1, 0.0, 800.0, 1000.0 + e16 + slack_w);
         assert!(submit(&mut g, w, SimTime::ZERO).is_accepted());
-        assert_eq!(Frontend::find_plan(&g, w.id).unwrap().first_start(), avail);
+        assert_eq!(g.plan_of(w.id).unwrap().first_start(), avail);
         let c = Task::new(2, 0.0, 10.0, 1000.0 + e16 + slack_c);
         // Sanity: the plain submission is rejected (c would be planned
         // before w under EDF and starve it).
@@ -1401,16 +1421,16 @@ mod tests {
         assert_eq!(start_at, avail, "earliest start = the blocker's dispatch");
         assert_eq!(g.reservations().len(), 1);
         assert_eq!(g.metrics().reserved, 1);
-        assert_eq!(Frontend::next_wakeup(&g), Some(start_at));
+        assert_eq!(g.reservations().next_activation(), Some(start_at));
         // Honesty: dispatch the blocker, then activating exactly at
         // start_at admits the task.
-        let due = Frontend::take_due(&mut g, start_at);
+        let due = g.take_due(start_at);
         assert_eq!(due.len(), 1, "the waiting blocker dispatches");
         g.activate_reservations(start_at);
         assert_eq!(g.metrics().reservations_activated, 1);
         assert!(g.reservations().is_empty());
-        assert_eq!(Frontend::next_wakeup(&g), None);
-        let resolutions = Frontend::drain_resolutions(&mut g);
+        assert_eq!(g.reservations().next_activation(), None);
+        let resolutions = g.drain_resolutions();
         assert_eq!(resolutions.len(), 1);
         assert!(resolutions[0].1.is_none(), "activated = accepted");
         let log = g.book_mut().take_activation_log();
@@ -1420,7 +1440,7 @@ mod tests {
         // Tenant books the accept; the admitted plan holds the guarantee.
         assert_eq!(g.metrics().tenants.get(TenantId(7)).unwrap().accepted, 1);
         assert_eq!(g.metrics().accepted_total(), 2);
-        let plan = Frontend::find_plan(&g, c.id).expect("activated plan");
+        let plan = g.plan_of(c.id).expect("activated plan");
         assert!(!plan.est_completion.definitely_after(c.absolute_deadline()));
     }
 
@@ -1534,7 +1554,7 @@ mod tests {
         assert!(submit(&mut g, Task::new(1, 0.0, 800.0, e16 * 1.05), SimTime::ZERO).is_accepted());
         let parked = submit(&mut g, Task::new(2, 0.0, 800.0, e16 * 1.5), SimTime::ZERO);
         assert!(matches!(parked, Verdict::Deferred { .. }), "{parked:?}");
-        Frontend::take_due(&mut g, SimTime::ZERO);
+        g.take_due(SimTime::ZERO);
         let before = g.shards[0].ctl.profile();
         g.retest_deferred(SimTime::new(1.0));
         let after = g.shards[0].ctl.profile();
@@ -1553,7 +1573,7 @@ mod tests {
         let Verdict::Reserved { start_at, ticket } = g.submit_request(&req, SimTime::ZERO) else {
             panic!("expected Reserved");
         };
-        Frontend::take_due(&mut g, start_at);
+        g.take_due(start_at);
         g.activate_reservations(start_at);
         let updates = g.take_updates();
         assert_eq!(
@@ -1577,10 +1597,10 @@ mod tests {
         let Verdict::Deferred { ticket, .. } = submit(&mut g, near_miss, SimTime::ZERO) else {
             panic!("expected Deferred");
         };
-        Frontend::take_due(&mut g, SimTime::ZERO);
+        g.take_due(SimTime::ZERO);
         let early = SimTime::new(e16 * 0.3);
         for node in 0..16 {
-            Frontend::set_node_release(&mut g, node, early);
+            g.node_released(node, early);
         }
         g.retest_deferred(early);
         let updates = g.take_updates();
@@ -1597,7 +1617,7 @@ mod tests {
         let (mut g, c, _) = reservation_scenario();
         let req = SubmitRequest::new(c).with_max_delay(Some(2000.0));
         assert!(g.submit_request(&req, SimTime::ZERO).is_reserved());
-        Frontend::take_due(&mut g, SimTime::new(1000.0));
+        g.take_due(SimTime::new(1000.0));
         g.activate_reservations(SimTime::new(1000.0));
         assert!(g.take_updates().is_empty());
     }
@@ -1634,7 +1654,7 @@ mod tests {
         let premium = mk(5).with_qos(QosClass::Premium);
         assert!(g.submit_request(&premium, SimTime::ZERO).is_accepted());
         // Dispatch frees the liability: the tenant can submit again.
-        Frontend::take_due(&mut g, SimTime::ZERO);
+        g.take_due(SimTime::ZERO);
         assert_eq!(g.ledger().count_for(TenantId(1)), 0);
         assert!(g.submit_request(&mk(6), SimTime::ZERO).is_accepted());
         // Books balance: accepted + rejected = submitted.
@@ -1692,8 +1712,7 @@ mod tests {
         let req = SubmitRequest::new(c2).with_max_delay(Some(2000.0));
         assert!(g.submit_request(&req, SimTime::ZERO).is_reserved());
         // The stream ends before either resolves.
-        Frontend::finalize(&mut g, SimTime::ZERO);
-        let resolutions = Frontend::drain_resolutions(&mut g);
+        let resolutions = g.finalize(SimTime::ZERO);
         assert_eq!(resolutions.len(), 2);
         assert!(
             resolutions.iter().all(|(_, cause)| cause.is_some()),

@@ -20,7 +20,6 @@ use proptest::prelude::*;
 
 use rtdls_core::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_sim::frontend::Frontend;
 use rtdls_sim::prelude::*;
 use rtdls_workload::prelude::*;
 
@@ -356,7 +355,7 @@ proptest! {
         for t in &tasks {
             let now = t.arrival;
             // Advance the world: dispatch everything due by now.
-            Frontend::take_due(&mut gateway, now);
+            gateway.take_due(now);
             let before = one_shard_controller(&gateway);
             let req = SubmitRequest::new(*t).with_max_delay(Some(t.rel_deadline * 10.0));
             let verdict = gateway.submit_request(&req, now);
@@ -421,7 +420,7 @@ proptest! {
         let algorithm = AlgorithmKind::EDF_OPR_MN;
         let mut gateway = single(params, algorithm);
         for node in 0..16 {
-            Frontend::set_node_release(&mut gateway, node, SimTime::new(avail));
+            gateway.node_released(node, SimTime::new(avail));
         }
         let w = Task::new(1, 0.0, sigma_w, avail + e16 + slack_w);
         let req_w = SubmitRequest::new(w);

@@ -1,5 +1,5 @@
 //! End-to-end reservation and tenancy tests through the discrete-event
-//! engine: the reservation's `start_at` is honored by the engine's wakeup
+//! engine: the reservation's `start_at` is honored by the engine's due
 //! event (activation runs *after* the dispatches at that instant commit),
 //! and the `SimConfig` tenant mix routes every arrival through the v2
 //! request envelope. Strict mode panics on any violated deadline, so each
@@ -16,7 +16,7 @@ use rtdls_workload::prelude::*;
 /// finish all nodes simultaneously), a snug all-node OPR task waits behind
 /// it, and a small earlier-deadline task would starve the waiting one —
 /// rejected at arrival, reserved for the waiting task's dispatch instant,
-/// and activated by the engine's wakeup machinery.
+/// and activated by the turn the engine drives at that instant.
 #[test]
 fn reservation_activates_inside_a_simulation_and_meets_its_deadline() {
     let params = ClusterParams::paper_baseline();
@@ -54,7 +54,7 @@ fn reservation_activates_inside_a_simulation_and_meets_its_deadline() {
     assert_eq!(m.reserved, 1, "the starved task books a reservation");
     assert_eq!(
         m.reservations_activated, 1,
-        "the engine wakeup activates it"
+        "the engine's turn at start_at activates it"
     );
     assert_eq!(m.reservation_misses, 0);
     assert_eq!(m.accepted_total(), 3);
@@ -71,9 +71,10 @@ fn reservation_activates_inside_a_simulation_and_meets_its_deadline() {
 /// The same scenario without a reservation tolerance: the legacy path can
 /// only *defer* the starved task — no promised start instant, admission
 /// contingent on an opportunistic re-test landing after the blocker's
-/// dispatch (here one does, off the same-instant release events; a client
-/// gets no such guarantee, and a tight retry budget loses the task). The
-/// v2 contract difference is the upfront `start_at` promise.
+/// dispatch (here one does, in the turn the blocker dispatches in; a
+/// client gets no such guarantee, and a tight retry budget loses the task
+/// to any re-test before that). The v2 contract difference is the upfront
+/// `start_at` promise.
 #[test]
 fn without_reservations_the_same_task_only_gets_a_ticket() {
     let params = ClusterParams::paper_baseline();
@@ -85,6 +86,11 @@ fn without_reservations_the_same_task_only_gets_a_ticket() {
     let filler = Task::new(0, 0.0, 800.0, e16 * 1.05);
     let w = Task::new(1, 1.0, 800.0, (e16 - 1.0) + e16 + slack_w);
     let c = Task::new(2, 2.0, 10.0, (e16 - 2.0) + e16 + slack_c);
+    // A hopeless arrival halfway to the blocker's dispatch: rejected at
+    // once, its turn re-tests the parked ticket while the blocker still
+    // waits.
+    let probe = Task::new(3, e16 * 0.5, 800.0, 1.0);
+    let tasks = vec![filler, w, c, probe];
     let mk_gateway = |retries| {
         ShardedGateway::new(
             params,
@@ -103,7 +109,7 @@ fn without_reservations_the_same_task_only_gets_a_ticket() {
     // post-dispatch re-test — it was never promised anything.
     let cfg = SimConfig::new(params, algorithm).strict();
     let (report, gateway) =
-        Simulation::with_frontend(cfg, mk_gateway(16)).run_returning_frontend(vec![filler, w, c]);
+        Simulation::with_frontend(cfg, mk_gateway(16)).run_returning_frontend(tasks.clone());
     let m = gateway.metrics();
     assert_eq!(m.reserved, 0, "no tolerance, no reservation");
     assert_eq!(m.deferred, 1, "legacy path parks the starved task");
@@ -111,7 +117,7 @@ fn without_reservations_the_same_task_only_gets_a_ticket() {
     // A single-retry budget evicts the ticket at the first (pre-dispatch)
     // re-test: the task is lost where a reservation would have held.
     let (report, gateway) =
-        Simulation::with_frontend(cfg, mk_gateway(1)).run_returning_frontend(vec![filler, w, c]);
+        Simulation::with_frontend(cfg, mk_gateway(1)).run_returning_frontend(tasks);
     let m = gateway.metrics();
     assert_eq!(m.deferred, 1);
     assert_eq!(m.defer_evicted, 1, "the ticket burned its only retry");
@@ -186,4 +192,44 @@ fn tenant_mix_stream_balances_books_across_shards() {
     );
     // The premium tenant (id 0) is quota-exempt: it can never be throttled.
     assert_eq!(m.tenants.get(TenantId(0)).unwrap().throttled, 0);
+}
+
+/// The engine drives a gateway at a defer ticket's deadline (it is part of
+/// `next_due`), and a ticket whose `latest_start` is the current instant
+/// expires only once the clock is past it: the turn at that instant
+/// re-tests it once and changes nothing else. An engine that re-armed an
+/// event at every `next_due ≤ now` would re-test it at that same instant
+/// until its retry budget evicted it.
+#[test]
+fn a_parked_ticket_is_re_tested_once_at_its_deadline_then_expires() {
+    let params = ClusterParams::paper_baseline();
+    let algorithm = AlgorithmKind::EDF_DLT;
+    let e16 = homogeneous::exec_time(&params, 800.0, 16);
+    // Holds every node until e16.
+    let filler = Task::new(0, 0.0, 800.0, e16 * 1.05);
+    // Fits an idle cluster if it starts by 2000 — long before the filler
+    // lets go of a node: parked at arrival, never rescuable.
+    let latest = 2_000.0;
+    assert!(latest < e16);
+    let e = homogeneous::exec_time(&params, 200.0, 16);
+    let c = Task::new(1, 1.0, 200.0, latest - 1.0 + e);
+    let gateway = ShardedGateway::new(
+        params,
+        1,
+        algorithm,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    let cfg = SimConfig::new(params, algorithm).strict();
+    let (report, gateway) =
+        Simulation::with_frontend(cfg, gateway).run_returning_frontend(vec![filler, c]);
+    let m = gateway.metrics();
+    assert_eq!(m.deferred, 1, "parked at arrival");
+    assert_eq!(m.retests, 1, "re-tested once, at its deadline");
+    assert_eq!(m.defer_evicted, 0, "its retry budget untouched");
+    assert_eq!(m.defer_expired, 1, "expired once the clock passed it");
+    assert_eq!(report.metrics.accepted, 1);
+    assert_eq!(report.metrics.rejected, 1);
 }

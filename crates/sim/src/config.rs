@@ -49,12 +49,12 @@ pub struct SimConfig {
     pub link: LinkModel,
     /// Tenant/QoS population model. When set, every arrival is wrapped in
     /// its deterministic [`SubmitRequest`] envelope (tenant id, QoS class,
-    /// reservation tolerance) and submitted through
-    /// [`Frontend::submit_request`]; `None` submits every task under the
-    /// default envelope (`SubmitRequest::new`).
+    /// reservation tolerance) and decided through [`Serve::decide`];
+    /// `None` submits every task under the default envelope
+    /// (`SubmitRequest::new`).
     ///
     /// [`SubmitRequest`]: rtdls_core::request::SubmitRequest
-    /// [`Frontend::submit_request`]: crate::frontend::Frontend::submit_request
+    /// [`Serve::decide`]: crate::serve::Serve::decide
     pub tenant_mix: Option<TenantMix>,
     /// Record a full execution trace (memory-heavy; for tests/examples).
     pub record_trace: bool,

@@ -25,8 +25,8 @@ use rtdls_core::prelude::*;
 
 use crate::config::{LinkModel, ReplanPolicy, SimConfig};
 use crate::event::{Event, EventQueue};
-use crate::frontend::{Frontend, SubmitOutcome};
 use crate::metrics::{Metrics, MetricsCollector};
+use crate::serve::{Resolution, Serve, SubmitOutcome};
 use crate::trace::{ChunkRecord, TaskRecord, Trace};
 
 /// Result of a completed simulation.
@@ -48,18 +48,18 @@ struct RunningTask {
 }
 
 /// The simulation state machine. Construct with [`Simulation::new`] (plain
-/// admission control) or [`Simulation::with_frontend`] (any admission
-/// frontend, e.g. an `rtdls-service` gateway), feed arrivals with
+/// admission control) or [`Simulation::with_frontend`] (anything that
+/// [`Serve`]s, e.g. an `rtdls-service` gateway stack), feed arrivals with
 /// [`Simulation::run`].
-pub struct Simulation<F: Frontend = AdmissionController> {
+pub struct Simulation<F: Serve = AdmissionController> {
     cfg: SimConfig,
     ctl: F,
     events: EventQueue,
     now: SimTime,
     /// Events processed so far (the fault-injection "kill index" clock).
     events_processed: u64,
-    /// Plan-generation stamp; bumped whenever plans may have changed so that
-    /// previously scheduled dispatch-due events are recognized as stale.
+    /// Plan-generation stamp; bumped after every turn so that previously
+    /// scheduled due events are recognized as stale.
     generation: u64,
     /// Actual (exact) completion time of the last chunk dispatched per node.
     node_free_actual: Vec<SimTime>,
@@ -96,7 +96,7 @@ impl Simulation {
     }
 }
 
-impl<F: Frontend> Simulation<F> {
+impl<F: Serve> Simulation<F> {
     /// Creates an idle simulation whose admission decisions are delegated
     /// to `frontend`. The frontend must manage the same `cfg.params.num_nodes`
     /// node space the engine executes plans on.
@@ -170,9 +170,9 @@ impl<F: Frontend> Simulation<F> {
         match event {
             Event::Arrival(task) => self.handle_arrival(task),
             Event::NodeRelease { node, task } => self.handle_release(node, task),
-            Event::DispatchDue { generation } | Event::Wakeup { generation } => {
+            Event::Due { generation } => {
                 if generation == self.generation {
-                    self.settle(false);
+                    self.settle(false, None);
                 }
             }
         }
@@ -186,10 +186,9 @@ impl<F: Frontend> Simulation<F> {
     pub fn finish(mut self) -> (SimReport, F) {
         // No more capacity will ever free up: every still-deferred task must
         // resolve now so the books close.
-        self.ctl.finalize(self.now);
-        self.apply_resolutions();
+        let resolved = self.ctl.finalize(self.now);
+        self.apply_resolutions(resolved, &[]);
         debug_assert!(self.running.is_empty(), "tasks still running after drain");
-        debug_assert_eq!(self.ctl.waiting_len(), 0, "tasks still waiting after drain");
         self.metrics.set_end_time(self.now);
         (
             SimReport {
@@ -205,7 +204,7 @@ impl<F: Frontend> Simulation<F> {
         self.now
     }
 
-    /// Number of events processed so far (arrivals, releases, dispatch-due).
+    /// Number of events processed so far (arrivals, releases, due events).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -227,8 +226,10 @@ impl<F: Frontend> Simulation<F> {
     /// restart half of a crash/recovery fault injection. The engine keeps
     /// its own cluster bookkeeping (running tasks, node completions, pending
     /// release events): the modeled worker nodes survive a head-node crash.
-    /// Pending dispatch-due events for the old frontend are invalidated and
-    /// the next dispatch is re-armed from the replacement's queue.
+    /// Pending due events for the old frontend are invalidated and the next
+    /// one is re-armed from the replacement's [`Serve::next_due`] — a
+    /// recovered reservation book gets its activation instant even if no
+    /// dispatch or cluster event would otherwise wake it.
     ///
     /// Note on accounting: admission metrics the engine already recorded for
     /// the old frontend are not rewritten, so engine-side accept/reject
@@ -237,24 +238,9 @@ impl<F: Frontend> Simulation<F> {
     pub fn replace_frontend(&mut self, replacement: F) -> F {
         let old = std::mem::replace(&mut self.ctl, replacement);
         self.generation += 1;
-        if let Some(t) = self.ctl.next_dispatch_due() {
-            self.events.push(
-                t.max(self.now),
-                Event::DispatchDue {
-                    generation: self.generation,
-                },
-            );
-        }
-        // Re-arm the replacement's wakeup as well: a recovered reservation
-        // book must get its activation instant even if no dispatch or
-        // cluster event would otherwise wake the frontend.
-        if let Some(t) = self.ctl.next_wakeup() {
-            self.events.push(
-                t.max(self.now),
-                Event::Wakeup {
-                    generation: self.generation,
-                },
-            );
+        if let Some(t) = self.ctl.next_due() {
+            let generation = self.generation;
+            self.events.push(t.max(self.now), Event::Due { generation });
         }
         old
     }
@@ -264,73 +250,65 @@ impl<F: Frontend> Simulation<F> {
             Some(mix) => mix.assign(task),
             None => SubmitRequest::new(task),
         };
-        let outcome = self.ctl.submit_request(&request, self.now);
+        let outcome = self.ctl.decide(&request, self.now).into();
+        self.settle(false, Some((task, outcome)));
+    }
+
+    /// Books an arrival's outcome, once its turn has been driven: the
+    /// admission metrics (a pending task is counted when it resolves) and
+    /// its trace record. `dispatched` is what the turn dispatched — the
+    /// task's plan is there if it fell due at once.
+    fn note_arrival(
+        &mut self,
+        task: Task,
+        outcome: SubmitOutcome,
+        dispatched: &[(Task, TaskPlan)],
+    ) {
+        let accepted = outcome == SubmitOutcome::Accepted;
+        let plan = (accepted || self.trace.is_some())
+            .then(|| plan_in(dispatched, &self.ctl, task.id))
+            .flatten();
+        let est = plan.map_or(task.arrival, |p| p.est_completion);
+        let gain = plan.and_then(|p| admission_gain(&self.cfg.params, &task, p));
         match outcome {
             SubmitOutcome::Accepted => {
                 self.metrics.on_admission(None);
-                self.note_accepted(&task);
+                if let Some(gain) = gain {
+                    self.metrics.on_admission_gain(gain);
+                }
             }
             SubmitOutcome::Rejected(cause) => self.metrics.on_admission(Some(cause)),
-            // Deferred: counted when the frontend resolves it.
             SubmitOutcome::Pending => {}
         }
         if let Some(trace) = &mut self.trace {
-            let est = self
-                .ctl
-                .find_plan(task.id)
-                .map(|p| p.est_completion)
-                .unwrap_or(task.arrival);
             self.trace_task_idx.insert(task.id, trace.tasks.len());
             trace.tasks.push(TaskRecord {
                 task: task.id,
                 arrival: task.arrival,
                 deadline: task.absolute_deadline(),
-                accepted: outcome == SubmitOutcome::Accepted,
+                accepted,
                 n_nodes: 0,
                 est_completion: est,
                 actual_completion: None,
             });
         }
-        self.settle(false);
     }
 
-    /// Books the admission-gain metric and trace updates for a task that
-    /// just entered the waiting queue (at arrival, or later when a deferred
-    /// task is rescued).
-    fn note_accepted(&mut self, task: &Task) {
-        // How much the (possibly IIT-utilizing) completion estimate beat
-        // the no-IIT estimate for the same allocation, *at the admission
-        // decision*: (r_n + E(σ,n)) − e. This is the slack that lets the
-        // DLT strategy accept tasks the OPR baseline must reject.
-        if let Some(plan) = self.ctl.find_plan(task.id) {
-            // For multi-round plans start_times are replayed transmission
-            // starts, not node availabilities — the single-round baseline
-            // comparison is not meaningful there.
-            if !matches!(plan.strategy, StrategyKind::DltMultiRound { .. }) {
-                let r_n = *plan.start_times.last().expect("n >= 1");
-                let e_no_iit = rtdls_core::dlt::homogeneous::exec_time(
-                    &self.cfg.params,
-                    task.data_size,
-                    plan.n(),
-                );
-                let gain = (r_n.as_f64() + e_no_iit) - plan.est_completion.as_f64();
-                self.metrics.on_admission_gain(gain);
-            }
-        }
-    }
-
-    /// Applies verdicts the frontend reached for previously deferred tasks.
-    fn apply_resolutions(&mut self) {
-        for (task, rejection) in self.ctl.drain_resolutions() {
+    /// Applies verdicts the frontend reached for previously pending tasks.
+    fn apply_resolutions(&mut self, resolved: Vec<Resolution>, dispatched: &[(Task, TaskPlan)]) {
+        for (task, rejection) in resolved {
             let rescued = rejection.is_none();
             self.metrics.on_admission(rejection);
+            let plan = plan_in(dispatched, &self.ctl, task.id);
             if rescued {
-                self.note_accepted(&task);
+                if let Some(gain) = plan.and_then(|p| admission_gain(&self.cfg.params, &task, p)) {
+                    self.metrics.on_admission_gain(gain);
+                }
             }
             if let Some(trace) = &mut self.trace {
                 if let Some(&i) = self.trace_task_idx.get(&task.id) {
                     trace.tasks[i].accepted = rescued;
-                    if let Some(plan) = self.ctl.find_plan(task.id) {
+                    if let Some(plan) = plan {
                         trace.tasks[i].est_completion = plan.est_completion;
                     }
                 }
@@ -353,7 +331,7 @@ impl<F: Frontend> Simulation<F> {
             {
                 self.release_slack_seen = true;
             }
-            self.ctl.set_node_release(node.index(), self.now);
+            self.ctl.node_released(node.index(), self.now);
         }
         let finished = {
             let rt = self
@@ -390,16 +368,16 @@ impl<F: Frontend> Simulation<F> {
             }
         }
         let replan = self.cfg.replan == ReplanPolicy::OnRelease && self.release_slack_seen;
-        self.settle(replan);
+        self.settle(replan, None);
     }
 
-    /// Post-event consolidation: optionally re-plan the waiting queue, give
-    /// the frontend its re-test hook (deferred tasks may be rescued here),
-    /// then dispatch everything due at the current instant and re-arm the
-    /// next dispatch-due event.
-    fn settle(&mut self, replan: bool) {
+    /// Post-event consolidation: optionally re-plan the waiting queue, drive
+    /// the frontend's turn, book what the turn produced — the event's own
+    /// arrival first, then the resolutions, then the dispatches — and
+    /// re-arm at the frontend's next due instant.
+    fn settle(&mut self, replan: bool, arrival: Option<(Task, SubmitOutcome)>) {
         if replan {
-            match self.ctl.replan(self.now) {
+            match self.ctl.replan_waiting(self.now) {
                 Ok(()) => self.release_slack_seen = false,
                 Err(_) => {
                     // Releases only moved earlier, yet the replanned queue
@@ -415,35 +393,28 @@ impl<F: Frontend> Simulation<F> {
                 }
             }
         }
-        self.ctl.on_event(self.now);
-        self.apply_resolutions();
-        let due = self.ctl.take_due(self.now);
-        for (task, plan) in due {
+        let turn = self.ctl.drive(self.now);
+        let busy = !turn.is_empty();
+        if let Some((task, outcome)) = arrival {
+            self.note_arrival(task, outcome, &turn.dispatched);
+        }
+        self.apply_resolutions(turn.resolved, &turn.dispatched);
+        for (task, plan) in turn.dispatched {
             self.dispatch(task, plan);
         }
-        // Reservation activation runs after the dispatches at this instant
-        // committed their releases — a reservation's start_at is typically
-        // exactly a dispatch instant, and the activation test must see the
-        // post-dispatch book. A plan admitted here that is itself already
-        // due dispatches through the re-armed same-instant event below.
-        self.ctl.activate(self.now);
-        self.apply_resolutions();
         self.generation += 1;
-        if let Some(t) = self.ctl.next_dispatch_due() {
-            self.events.push(
-                t.max(self.now),
-                Event::DispatchDue {
-                    generation: self.generation,
-                },
-            );
-        }
-        if let Some(t) = self.ctl.next_wakeup() {
-            self.events.push(
-                t.max(self.now),
-                Event::Wakeup {
-                    generation: self.generation,
-                },
-            );
+        // Work due at this very instant runs again at once only after a
+        // turn that did something: a plan admitted after the turn's
+        // dispatch step (a reservation activation, a rescue) dispatches at
+        // its start instant. An empty turn leaves it to the next event —
+        // otherwise a defer ticket whose deadline is `now` (it expires only
+        // once the clock is past it) would be re-tested once per re-armed
+        // event until its retry budget evicted it.
+        if let Some(t) = self.ctl.next_due() {
+            if busy || t > self.now {
+                let generation = self.generation;
+                self.events.push(t.max(self.now), Event::Due { generation });
+            }
         }
     }
 
@@ -546,6 +517,35 @@ impl<F: Frontend> Simulation<F> {
             plan.est_completion
         );
     }
+}
+
+/// The plan of `task`: the one it dispatched with this turn, else its
+/// waiting plan.
+fn plan_in<'a, F: Serve>(
+    dispatched: &'a [(Task, TaskPlan)],
+    ctl: &'a F,
+    task: TaskId,
+) -> Option<&'a TaskPlan> {
+    dispatched
+        .iter()
+        .find(|(t, _)| t.id == task)
+        .map(|(_, plan)| plan)
+        .or_else(|| ctl.plan_of(task))
+}
+
+/// How much the (possibly IIT-utilizing) completion estimate beat the
+/// no-IIT estimate for the same allocation, *at the admission decision*:
+/// `(r_n + E(σ,n)) − e`. This is the slack that lets the DLT strategy
+/// accept tasks the OPR baseline must reject. `None` for multi-round
+/// plans, whose start times are replayed transmission starts, not node
+/// availabilities — the single-round comparison means nothing there.
+fn admission_gain(params: &ClusterParams, task: &Task, plan: &TaskPlan) -> Option<f64> {
+    if matches!(plan.strategy, StrategyKind::DltMultiRound { .. }) {
+        return None;
+    }
+    let r_n = *plan.start_times.last().expect("n >= 1");
+    let e_no_iit = rtdls_core::dlt::homogeneous::exec_time(params, task.data_size, plan.n());
+    Some((r_n.as_f64() + e_no_iit) - plan.est_completion.as_f64())
 }
 
 /// Convenience: build and run in one call.
@@ -835,5 +835,87 @@ mod tests {
         assert_eq!(a.metrics.rejected, b.metrics.rejected);
         assert!((a.metrics.total_response_time - b.metrics.total_response_time).abs() < 1e-9);
         assert_eq!(a.trace.unwrap().chunks, b.trace.unwrap().chunks);
+    }
+
+    /// The shape of a reservation activated at its `start_at`: the parked
+    /// task is admitted in the turn at `at`, *after* that turn's dispatch
+    /// step, with a plan that starts at `at` itself.
+    struct LateAdmission {
+        at: SimTime,
+        planner: AdmissionController,
+        parked: Option<Task>,
+        waiting: Option<(Task, TaskPlan)>,
+    }
+
+    impl Serve for LateAdmission {
+        type Outcome = SubmitOutcome;
+
+        fn decide(&mut self, request: &SubmitRequest, _now: SimTime) -> SubmitOutcome {
+            self.parked = Some(request.task);
+            SubmitOutcome::Pending
+        }
+        fn drive(&mut self, now: SimTime) -> crate::serve::Turn {
+            let mut turn = crate::serve::Turn::default();
+            if self
+                .waiting
+                .as_ref()
+                .is_some_and(|(_, p)| p.first_start() <= now)
+            {
+                turn.dispatched.extend(self.waiting.take());
+            }
+            if now >= self.at {
+                if let Some(task) = self.parked.take() {
+                    let plan = self.planner.probe_plan(&task, now).expect("idle cluster");
+                    assert_eq!(plan.first_start(), now, "due at once");
+                    self.waiting = Some((task, plan));
+                    turn.resolved.push((task, None));
+                }
+            }
+            turn
+        }
+        fn next_due(&self) -> Option<SimTime> {
+            let start = self.waiting.as_ref().map(|(_, p)| p.first_start());
+            start.or(self.parked.map(|_| self.at))
+        }
+        fn replan_waiting(&mut self, _now: SimTime) -> Result<(), AdmissionFailure> {
+            Ok(())
+        }
+        fn committed_release(&self, node: usize) -> SimTime {
+            self.planner.committed_releases()[node]
+        }
+        fn node_released(&mut self, _node: usize, _at: SimTime) {}
+        fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+            self.waiting
+                .as_ref()
+                .filter(|(t, _)| t.id == task)
+                .map(|(_, plan)| plan)
+        }
+    }
+
+    #[test]
+    fn a_plan_admitted_due_at_once_dispatches_at_that_instant() {
+        // A turn that admitted work re-arms the instant it ran at: the
+        // admitted plan is taken by the next turn at the same instant. An
+        // engine that never re-armed a same-instant event would leave it
+        // waiting for an event that never comes.
+        let at = SimTime::new(100.0);
+        let frontend = LateAdmission {
+            at,
+            planner: AdmissionController::new(
+                ClusterParams::paper_baseline(),
+                AlgorithmKind::EDF_DLT,
+                PlanConfig::default(),
+            ),
+            parked: None,
+            waiting: None,
+        };
+        let task = Task::new(1, 0.0, 200.0, 1e6);
+        let (report, _) = Simulation::with_frontend(baseline_cfg(AlgorithmKind::EDF_DLT), frontend)
+            .run_returning_frontend(vec![task]);
+        assert_eq!(report.metrics.accepted, 1);
+        assert_eq!(report.metrics.completed, 1, "the admitted plan ran");
+        let trace = report.trace.unwrap();
+        let first = trace.task_chunks(task.id).next().expect("dispatched");
+        assert_eq!(first.tx_start, at, "dispatched at the instant it fell due");
     }
 }

@@ -3,7 +3,7 @@
 //! Events are ordered by `(time, type priority, insertion sequence)`. The
 //! type priority resolves simultaneous events deterministically and in the
 //! causally sensible order: a node releasing at time `t` is visible to an
-//! arrival at the same `t`, and dispatch checks run after state changes.
+//! arrival at the same `t`, and due work runs after state changes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,17 +22,15 @@ pub enum Event {
     },
     /// A task arrives and requests admission.
     Arrival(Task),
-    /// A waiting task's planned first transmission is due; carries the plan
-    /// generation it was scheduled under (stale generations are ignored).
-    DispatchDue {
-        /// Plan-generation stamp at scheduling time.
-        generation: u64,
-    },
-    /// The frontend asked to be woken (e.g. a reservation's `start_at` was
-    /// reached); carries the generation it was scheduled under. Runs after
-    /// same-instant dispatches so an activation sees their releases
-    /// committed.
-    Wakeup {
+    /// The frontend's next timed work is due ([`Serve::next_due`]: a
+    /// planned dispatch, a reservation activation, a defer deadline, a
+    /// replication channel's next delivery); carries the generation it was
+    /// scheduled under (stale generations are ignored). Runs after
+    /// same-instant releases and arrivals, whose own turns may already
+    /// have done the work.
+    ///
+    /// [`Serve::next_due`]: crate::serve::Serve::next_due
+    Due {
         /// Plan-generation stamp at scheduling time.
         generation: u64,
     },
@@ -44,8 +42,7 @@ impl Event {
         match self {
             Event::NodeRelease { .. } => 0,
             Event::Arrival(_) => 1,
-            Event::DispatchDue { .. } => 2,
-            Event::Wakeup { .. } => 3,
+            Event::Due { .. } => 2,
         }
     }
 }
@@ -152,7 +149,7 @@ mod tests {
     fn equal_times_order_by_type_priority() {
         let mut q = EventQueue::new();
         let t = SimTime::new(7.0);
-        q.push(t, Event::DispatchDue { generation: 0 });
+        q.push(t, Event::Due { generation: 0 });
         q.push(t, Event::Arrival(Task::new(1, 7.0, 1.0, 1.0)));
         q.push(t, release(4));
         let kinds: Vec<u8> = std::iter::from_fn(|| q.pop())
@@ -161,7 +158,7 @@ mod tests {
         assert_eq!(
             kinds,
             vec![0, 1, 2],
-            "release before arrival before dispatch"
+            "release before arrival before due work"
         );
     }
 

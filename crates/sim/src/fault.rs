@@ -21,7 +21,7 @@ use rtdls_core::prelude::{SimTime, Task};
 
 use crate::config::SimConfig;
 use crate::engine::{SimReport, Simulation};
-use crate::frontend::Frontend;
+use crate::serve::Serve;
 
 /// When to kill the frontend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +97,7 @@ impl<F> core::fmt::Debug for CrashSchedule<F> {
 /// Strict-mode configs keep all their run-time guarantee checks across the
 /// crash: any admitted task (pre- or post-crash) missing its deadline still
 /// panics the run.
-pub fn run_with_crash<F: Frontend>(
+pub fn run_with_crash<F: Serve>(
     cfg: SimConfig,
     frontend: F,
     tasks: Vec<Task>,
@@ -110,7 +110,7 @@ pub fn run_with_crash<F: Frontend>(
 /// [`run_with_crash`] under the generalized [`CrashSchedule`] trigger:
 /// kill by event index, by sim-time, or on any frontend-observable
 /// condition (journal append counts, snapshot counts, queue depths).
-pub fn run_with_crash_schedule<F: Frontend>(
+pub fn run_with_crash_schedule<F: Serve>(
     cfg: SimConfig,
     frontend: F,
     tasks: Vec<Task>,
@@ -233,78 +233,65 @@ mod tests {
         assert_eq!(recovered.queue_len(), 0);
     }
 
-    /// A minimal frontend whose only liveness signal is the wakeup event:
+    /// A minimal frontend whose only liveness signal is its due instant:
     /// it parks the one submission it sees and resolves it (accepted) the
-    /// first time `activate` runs at or after `wake_at`. No dispatches, no
-    /// cluster events — if the engine loses the wakeup, the task is lost.
+    /// first turn driven at or after `wake_at`. No dispatches, no cluster
+    /// events — if the engine loses the due event, the task is lost.
     #[derive(Clone)]
     struct WakeupFrontend {
         wake_at: SimTime,
         pending: Option<Task>,
-        resolutions: Vec<(Task, Option<Infeasible>)>,
         woken: bool,
     }
 
-    impl Frontend for WakeupFrontend {
-        fn submit_request(
-            &mut self,
-            request: &SubmitRequest,
-            _now: SimTime,
-        ) -> crate::frontend::SubmitOutcome {
+    impl Serve for WakeupFrontend {
+        type Outcome = crate::serve::SubmitOutcome;
+
+        fn decide(&mut self, request: &SubmitRequest, _now: SimTime) -> Self::Outcome {
             self.pending = Some(request.task);
-            crate::frontend::SubmitOutcome::Pending
+            crate::serve::SubmitOutcome::Pending
         }
-        fn replan(&mut self, _now: SimTime) -> Result<(), AdmissionFailure> {
+        fn drive(&mut self, now: SimTime) -> crate::serve::Turn {
+            let mut turn = crate::serve::Turn::default();
+            if now >= self.wake_at {
+                if let Some(task) = self.pending.take() {
+                    self.woken = true;
+                    turn.resolved.push((task, None));
+                }
+            }
+            turn
+        }
+        fn next_due(&self) -> Option<SimTime> {
+            self.pending.as_ref().map(|_| self.wake_at)
+        }
+        fn finalize(&mut self, _now: SimTime) -> Vec<crate::serve::Resolution> {
+            self.pending
+                .take()
+                .map(|task| (task, Some(Infeasible::NotEnoughNodes)))
+                .into_iter()
+                .collect()
+        }
+        fn replan_waiting(&mut self, _now: SimTime) -> Result<(), AdmissionFailure> {
             Ok(())
-        }
-        fn take_due(&mut self, _now: SimTime) -> Vec<(Task, TaskPlan)> {
-            Vec::new()
-        }
-        fn next_dispatch_due(&self) -> Option<SimTime> {
-            None
         }
         fn committed_release(&self, _node: usize) -> SimTime {
             SimTime::ZERO
         }
-        fn set_node_release(&mut self, _node: usize, _time: SimTime) {}
-        fn waiting_len(&self) -> usize {
-            0
-        }
-        fn find_plan(&self, _task: TaskId) -> Option<&TaskPlan> {
+        fn node_released(&mut self, _node: usize, _at: SimTime) {}
+        fn plan_of(&self, _task: TaskId) -> Option<&TaskPlan> {
             None
-        }
-        fn activate(&mut self, now: SimTime) {
-            if now >= self.wake_at {
-                if let Some(task) = self.pending.take() {
-                    self.woken = true;
-                    self.resolutions.push((task, None));
-                }
-            }
-        }
-        fn next_wakeup(&self) -> Option<SimTime> {
-            self.pending.as_ref().map(|_| self.wake_at)
-        }
-        fn drain_resolutions(&mut self) -> Vec<(Task, Option<Infeasible>)> {
-            std::mem::take(&mut self.resolutions)
-        }
-        fn finalize(&mut self, _now: SimTime) {
-            if let Some(task) = self.pending.take() {
-                self.resolutions
-                    .push((task, Some(Infeasible::NotEnoughNodes)));
-            }
         }
     }
 
     #[test]
     fn replace_frontend_rearms_the_pending_wakeup() {
         // Crash immediately after the arrival parks the task: the pending
-        // wakeup event is generation-invalidated by the swap, so the
-        // replacement's own `next_wakeup` must be re-armed — otherwise the
-        // engine never drives `activate` and finalize rejects the task.
+        // due event is generation-invalidated by the swap, so the
+        // replacement's own `next_due` must be re-armed — otherwise the
+        // engine never drives it at `wake_at` and finalize rejects the task.
         let frontend = WakeupFrontend {
             wake_at: SimTime::new(100.0),
             pending: None,
-            resolutions: Vec::new(),
             woken: false,
         };
         let (report, recovered, crashed) = run_with_crash(

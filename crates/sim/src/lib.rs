@@ -11,6 +11,16 @@
 //! time: every accepted task's actual completion is checked against its
 //! admission-time estimate (Theorem 4) and its deadline.
 //!
+//! The head node is anything that implements [`serve::Serve`], the one
+//! serving trait: the bare [`AdmissionController`] (the paper's baseline)
+//! or a whole `rtdls-service` gateway stack, journaled and shipped. The
+//! engine drives it in the serving turns the network edge drives —
+//! `decide` each arrival, then `drive`, whose returned dispatches it
+//! executes — so group commit and "nothing acknowledged before its turn's
+//! commit" hold, and are checked, in every seeded run.
+//!
+//! [`AdmissionController`]: rtdls_core::prelude::AdmissionController
+//!
 //! ```
 //! use rtdls_core::prelude::*;
 //! use rtdls_sim::prelude::*;
@@ -35,9 +45,9 @@ pub mod config;
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod frontend;
 pub mod metrics;
 pub mod net;
+pub mod serve;
 pub mod trace;
 
 /// One-stop imports for running simulations.
@@ -45,8 +55,8 @@ pub mod prelude {
     pub use crate::config::{LinkModel, ReplanPolicy, SimConfig};
     pub use crate::engine::{run_simulation, SimReport, Simulation};
     pub use crate::fault::{run_with_crash, run_with_crash_schedule, CrashPlan, CrashSchedule};
-    pub use crate::frontend::{Frontend, SubmitOutcome};
     pub use crate::metrics::Metrics;
     pub use crate::net::{FaultPlan, FaultyLink, LinkStats};
+    pub use crate::serve::{Resolution, Serve, SubmitOutcome, Turn};
     pub use crate::trace::{ChunkRecord, TaskRecord, Trace};
 }

@@ -63,12 +63,14 @@ fn main() {
     let mut accepted = 0;
     for i in 0..10u64 {
         let now = SimTime::new(i as f64 * 10.0);
-        // `decide` journals the request, decides it, and pumps the frames
-        // to the standby in the same turn.
+        // One serving turn: `decide` journals the request and decides it;
+        // `drive` commits the turn and only then pumps its frames to the
+        // standby.
         let request = SubmitRequest::new(Task::new(i, now.as_f64(), 20.0, 2_000.0));
         if gw.decide(&request, now).is_accepted() {
             accepted += 1;
         }
+        gw.drive(now);
     }
     let wal = gw.inner().journal().bytes().to_vec();
     println!(

@@ -1,13 +1,18 @@
 //! Durable before acknowledged, under power loss at every sink call.
 //!
-//! A journaled gateway is driven the way the edge reactor drives it —
-//! `decide` × k, then `drive`, whose `commit` is the point after which the
-//! turn's verdicts may leave the process — over a sink that models a disk:
-//! it keeps what was written, remembers how much of that was synced, and
-//! at a chosen call loses power. What survives is only the synced prefix
-//! (plus, in the torn variant, the first half of the write in flight); the
-//! journal's held turn dies with the process. Whatever the kill point,
-//! recovery must hold every submit of every turn whose `commit` returned.
+//! A journaled gateway is driven in serving turns — `decide` × k, then
+//! `drive`, whose commit is the point after which the turn's verdicts may
+//! leave the process — over a sink that models a disk: it keeps what was
+//! written, remembers how much of that was synced, and at a chosen call
+//! loses power. What survives is only the synced prefix (plus, in the torn
+//! variant, the first half of the write in flight); the journal's held
+//! turn dies with the process. Whatever the kill point, recovery must hold
+//! every submit of every turn whose commit returned.
+//!
+//! Two drivers make the turns: a hand-written loop shaped like the edge
+//! reactor's (uneven same-instant batches), and the discrete-event
+//! simulator, whose turns are its events — with node releases fed back
+//! between them, outside any turn.
 
 use std::sync::{Arc, Mutex};
 
@@ -121,17 +126,18 @@ struct Outcome {
     /// and the rewrites among them.
     calls: usize,
     rewrites: usize,
-    /// After each turn whose `commit` returned: submits so far, and the
+    /// After each turn whose commit returned: submits so far, and the
     /// gateway's state.
     committed: Vec<(u64, GatewaySnapshot)>,
 }
 
-fn drive_until_power_loss(
-    requests: &[SubmitRequest],
+/// A journaled gateway over a fresh [`Disk`] that loses power at sink call
+/// `kill_at`.
+fn powered_gateway(
     policy: FsyncPolicy,
     kill_at: usize,
     torn: bool,
-) -> Outcome {
+) -> (JournaledGateway<ShardedGateway>, Arc<Mutex<Disk>>) {
     let disk = Arc::new(Mutex::new(Disk {
         kill_at,
         torn,
@@ -150,7 +156,17 @@ fn drive_until_power_loss(
         DeferPolicy::default(),
     )
     .unwrap();
-    let mut gateway = JournaledGateway::with_sink(gateway, JOURNAL, Box::new(sink));
+    let gateway = JournaledGateway::with_sink(gateway, JOURNAL, Box::new(sink));
+    (gateway, disk)
+}
+
+fn drive_until_power_loss(
+    requests: &[SubmitRequest],
+    policy: FsyncPolicy,
+    kill_at: usize,
+    torn: bool,
+) -> Outcome {
+    let (mut gateway, disk) = powered_gateway(policy, kill_at, torn);
     let mut committed = vec![(0, gateway.inner().capture().normalized())];
     let mut rest = requests;
     let mut sizes = TURN_SIZES.iter().cycle();
@@ -163,7 +179,7 @@ fn drive_until_power_loss(
         }
         gateway.drive(now);
         if disk.lock().unwrap().dead {
-            // The process died somewhere in this turn: its `commit` never
+            // The process died somewhere in this turn: its commit never
             // returned and none of its verdicts left.
             break;
         }
@@ -239,6 +255,81 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
                 // And the full recovery (re-verification, fresh journal)
                 // accepts the same bytes.
                 let now = requests[held.max(1) as usize - 1].task.arrival;
+                let (recovered, _) = recover::<ShardedGateway>(&run.survivors, now, JOURNAL, None)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(recovered.metrics().submitted, held, "{what}");
+            }
+        }
+    }
+}
+
+/// What a simulator-driven run left behind.
+struct SimOutcome {
+    survivors: Vec<u8>,
+    calls: usize,
+    /// Submits decided by the events that completed while the power was
+    /// on — every one of them committed — and by the event it went in.
+    acknowledged: u64,
+    decided: u64,
+}
+
+fn simulate_until_power_loss(
+    tasks: &[Task],
+    policy: FsyncPolicy,
+    kill_at: usize,
+    torn: bool,
+) -> SimOutcome {
+    let (gateway, disk) = powered_gateway(policy, kill_at, torn);
+    let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT).strict();
+    let mut sim = Simulation::with_frontend(cfg, gateway);
+    sim.prime(tasks.iter().copied());
+    let mut acknowledged = 0;
+    let decided = loop {
+        let stepped = sim.step();
+        let decided = sim.frontend().metrics().submitted;
+        if disk.lock().unwrap().dead || !stepped {
+            break decided;
+        }
+        acknowledged = decided;
+    };
+    if !disk.lock().unwrap().dead {
+        let (_, gateway) = sim.finish();
+        std::mem::forget(gateway);
+    } else {
+        std::mem::forget(sim);
+    }
+    let disk = disk.lock().unwrap();
+    SimOutcome {
+        survivors: disk.written[..disk.synced].to_vec(),
+        calls: disk.calls,
+        acknowledged,
+        decided,
+    }
+}
+
+#[test]
+fn power_loss_in_a_simulated_run_keeps_every_completed_arrival() {
+    let tasks: Vec<Task> = requests(23, 12).into_iter().map(|r| r.task).collect();
+    for policy in [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend] {
+        let whole = simulate_until_power_loss(&tasks, policy, usize::MAX, false);
+        assert_eq!(whole.acknowledged, tasks.len() as u64);
+        for kill_at in 1..whole.calls {
+            for torn in [false, true] {
+                let what = format!("{policy:?}, killed at sink call {kill_at}, torn={torn}");
+                let run = simulate_until_power_loss(&tasks, policy, kill_at, torn);
+                let (gateway, report) = replay::<ShardedGateway>(&run.survivors)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let held = gateway.metrics().submitted;
+                assert!(
+                    (run.acknowledged..=run.decided).contains(&held),
+                    "{what}: {} arrivals completed, {} decided, recovered {held}",
+                    run.acknowledged,
+                    run.decided
+                );
+                if !torn {
+                    assert!(report.tail.is_clean(), "{what}: {:?}", report.tail);
+                }
+                let now = tasks[held.max(1) as usize - 1].arrival;
                 let (recovered, _) = recover::<ShardedGateway>(&run.survivors, now, JOURNAL, None)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(recovered.metrics().submitted, held, "{what}");
