@@ -329,7 +329,8 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
     }
 
     fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        if self.inner.bare().waiting_len() > 0 {
+        // Every waiting task has a planned dispatch: none = nothing waits.
+        if self.inner.bare().next_dispatch_due().is_some() {
             self.journal
                 .append_event(&JournalEvent::Replanned { at: now });
         }

@@ -3,11 +3,11 @@
 //! This is the deployable bundle the edge serves, and the primary the
 //! failover harness kills: a [`JournaledGateway`] plus the [`Shipper`] on
 //! its journal, and optionally a live TCP [`ShipClient`] to a follower.
-//! Every [`pump`](ShippingGateway::pump) turns freshly appended journal
-//! frames into outbound [`ShipMsg`]s and drains any acks the follower sent
-//! back. A turn pumps once, after its `drive` has committed: the journal
-//! image holds a turn's frames from the moment they are decided, but none
-//! of them leaves the process before the turn is durable.
+//! Once per turn, after its `drive` has committed, freshly appended journal
+//! frames become outbound [`ShipMsg`]s and any acks the follower sent back
+//! are drained: the journal image holds a turn's frames from the moment
+//! they are decided, but none of them leaves the process before the turn
+//! is durable.
 //!
 //! Shipping must never make the admission hot path hostage to the
 //! follower:
@@ -86,11 +86,9 @@ impl<G: Recoverable> ShippingGateway<G> {
         self.transport.is_some()
     }
 
-    /// Ships everything appended since the last pump and polls for acks.
-    /// A turn's `drive` calls it once its commit returned; an owner may
-    /// call it between turns (a heartbeat with nothing to drive), never
-    /// inside one.
-    pub fn pump(&mut self, now: SimTime) {
+    /// Ships everything appended since the last pump and polls for acks —
+    /// after a commit, never inside a turn.
+    fn pump(&mut self, now: SimTime) {
         for msg in self.shipper.poll(self.inner.journal(), now) {
             self.send(msg);
         }

@@ -537,11 +537,6 @@ impl ShardedGateway {
             .min()
     }
 
-    /// Admitted, undispatched tasks across the shards.
-    pub fn waiting_len(&self) -> usize {
-        self.shards.iter().map(|s| s.ctl.queue_len()).sum()
-    }
-
     /// End of stream: every defer ticket and reservation still parked
     /// resolves as a rejection (drained by the next
     /// [`drain_resolutions`](ShardedGateway::drain_resolutions)).

@@ -187,7 +187,7 @@ impl<F: Serve> Simulation<F> {
         // No more capacity will ever free up: every still-deferred task must
         // resolve now so the books close.
         let resolved = self.ctl.finalize(self.now);
-        self.apply_resolutions(resolved, &[]);
+        self.apply_resolutions(resolved);
         debug_assert!(self.running.is_empty(), "tasks still running after drain");
         self.metrics.set_end_time(self.now);
         (
@@ -295,11 +295,13 @@ impl<F: Serve> Simulation<F> {
     }
 
     /// Applies verdicts the frontend reached for previously pending tasks.
-    fn apply_resolutions(&mut self, resolved: Vec<Resolution>, dispatched: &[(Task, TaskPlan)]) {
+    /// A turn resolves after its dispatch step, so a rescued task is still
+    /// waiting.
+    fn apply_resolutions(&mut self, resolved: Vec<Resolution>) {
         for (task, rejection) in resolved {
             let rescued = rejection.is_none();
             self.metrics.on_admission(rejection);
-            let plan = plan_in(dispatched, &self.ctl, task.id);
+            let plan = self.ctl.plan_of(task.id);
             if rescued {
                 if let Some(gain) = plan.and_then(|p| admission_gain(&self.cfg.params, &task, p)) {
                     self.metrics.on_admission_gain(gain);
@@ -398,7 +400,7 @@ impl<F: Serve> Simulation<F> {
         if let Some((task, outcome)) = arrival {
             self.note_arrival(task, outcome, &turn.dispatched);
         }
-        self.apply_resolutions(turn.resolved, &turn.dispatched);
+        self.apply_resolutions(turn.resolved);
         for (task, plan) in turn.dispatched {
             self.dispatch(task, plan);
         }

@@ -1,30 +1,16 @@
-//! [`Serve`]: the one serving surface, driven in turns.
-//!
-//! The paper's head node is one [`AdmissionController`]: every arrival gets
-//! an immediate Accept/Reject. Online serving layers answer richer verdicts
-//! — a gateway may *defer* a near-miss task and admit it later, book a
-//! *reservation*, journal every change, ship its journal — and every one of
-//! them is driven the same way, whether by this crate's discrete-event
-//! engine or by the network edge's reactor.
+//! [`Serve`]: the one serving surface — the paper's bare head node or a
+//! whole gateway stack — driven in turns by this crate's engine and by the
+//! network edge's reactor alike.
 //!
 //! **The turn contract.** A driver works in serving turns: any number of
-//! [`decide`](Serve::decide) calls, then one [`drive`](Serve::drive). `drive`
-//! dispatches the plans that fell due, re-tests parked work, activates due
-//! reservations and hands the driver what the turn produced ([`Turn`]);
-//! then it *commits* the turn — a durable layer makes the turn's record
-//! durable there, a shipping one ships it. Nothing decided since the last
-//! turn may be acknowledged to anyone outside the process — a verdict
-//! written to a socket, a resolution counted, a frame sent to a follower —
-//! before that turn's `drive` has returned. The engine reads an arrival's
-//! outcome only after the arrival's turn; the reactor flushes its sockets
-//! only after its turn.
-//!
-//! [`next_due`](Serve::next_due) is when timed work next falls due (a
-//! planned dispatch, a reservation activation, a defer-ticket deadline): a
-//! driver drives at that instant even if nothing arrives. Node releases
-//! are fed back through [`node_released`](Serve::node_released), and at
-//! end of stream [`finalize`](Serve::finalize) resolves whatever is still
-//! parked so the books close (`arrivals = accepted + rejected`).
+//! [`decide`](Serve::decide) calls, then one [`drive`](Serve::drive), which
+//! dispatches what fell due, re-tests parked work, activates due
+//! reservations, hands the driver the [`Turn`] and then *commits* it — a
+//! durable layer makes the turn's record durable there, a shipping one
+//! ships it. Nothing decided since the last turn may leave the process (a
+//! verdict on a socket, a resolution counted, a frame sent to a follower)
+//! before that turn's `drive` has returned. A driver drives again at
+//! [`next_due`](Serve::next_due) even if nothing arrives.
 //!
 //! No method here shares a name with an [`Admission`] method, so a type
 //! implementing both never needs a path call to say which one it means.
