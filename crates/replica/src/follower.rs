@@ -324,17 +324,15 @@ impl<G: Recoverable> Follower<G> {
     }
 
     /// Whether the failure detector has fired: a standby exists and the
-    /// primary has been silent for [`FollowerConfig::promote_after`].
+    /// primary has been silent for [`FollowerConfig::promote_after`] — the
+    /// clock has reached [`promote_at`](Follower::promote_at).
     pub fn should_promote(&self, now: SimTime) -> bool {
-        !self.promoted
-            && self.standby.is_some()
-            && self
-                .last_heard
-                .is_some_and(|t| now.as_f64() - t.as_f64() >= self.cfg.promote_after)
+        self.promote_at().is_some_and(|at| now >= at)
     }
 
     /// The earliest instant promotion could fire absent further traffic
-    /// (`None` if already promoted or nothing has ever been heard).
+    /// (`None` if already promoted, no standby exists, or nothing has ever
+    /// been heard).
     pub fn promote_at(&self) -> Option<SimTime> {
         if self.promoted || self.standby.is_none() {
             return None;

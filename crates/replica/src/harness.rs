@@ -23,8 +23,8 @@
 //!    timeout, the harness applies the buffered releases to the standby,
 //!    promotes it under `epoch + 1` (strict re-admission, demotions
 //!    journaled — exactly crash recovery's pass), and serves from the
-//!    promoted gateway. The zombie's late appends are then delivered to the
-//!    still-alive follower and provably fenced.
+//!    promoted gateway, which nobody follows. The zombie's late appends are
+//!    then delivered to the still-alive follower and provably fenced.
 //!
 //! Every random draw in the run comes from the engine's deterministic
 //! event order plus the two links' seeded RNGs: the same
@@ -115,16 +115,32 @@ impl FailoverPlan {
     }
 }
 
-/// Which process currently answers for the shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// The original primary is alive.
-    Primary,
-    /// The primary is dead and the follower has not yet promoted: the
-    /// outage window. Submissions are rejected, releases buffer.
+/// The process answering for the shard, by phase of the failover.
+enum Process<G: Recoverable> {
+    /// The original primary, shipping to the follower.
+    Primary(ShippingGateway<G>),
+    /// The outage window: nobody answers.
     Down,
-    /// The promoted follower answers.
-    Promoted,
+    /// The promoted follower. Nobody follows it, so it ships nothing.
+    Promoted(JournaledGateway<G>),
+}
+
+impl<G: Recoverable> Process<G> {
+    fn serving(&self) -> Option<&dyn Serve<Outcome = Verdict>> {
+        match self {
+            Process::Primary(gw) => Some(gw),
+            Process::Down => None,
+            Process::Promoted(gw) => Some(gw),
+        }
+    }
+
+    fn serving_mut(&mut self) -> Option<&mut dyn Serve<Outcome = Verdict>> {
+        match self {
+            Process::Primary(gw) => Some(gw),
+            Process::Down => None,
+            Process::Promoted(gw) => Some(gw),
+        }
+    }
 }
 
 /// The forensic record of one failover run, for assertions and ops.
@@ -166,10 +182,7 @@ pub struct FailoverOutcome {
 /// A primary + channel + follower deployment served as one [`Serve`].
 pub struct ReplicaFrontend<G: Recoverable> {
     plan: FailoverPlan,
-    role: Role,
-    /// The process answering for the shard — the primary, later the
-    /// promoted follower; `None` in the outage window.
-    live: Option<ShippingGateway<G>>,
+    process: Process<G>,
     /// Primary → follower frames and heartbeats.
     link: FaultyLink<ShipMsg>,
     /// Follower → primary acks.
@@ -195,8 +208,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// Deploys `primary` with a fresh follower under `plan`.
     pub fn new(primary: JournaledGateway<G>, plan: FailoverPlan) -> Self {
         ReplicaFrontend {
-            role: Role::Primary,
-            live: Some(ShippingGateway::new(primary, plan.ship)),
+            process: Process::Primary(ShippingGateway::new(primary, plan.ship)),
             link: FaultyLink::new(plan.fault.clone()),
             acks: FaultyLink::new(plan.ack_fault.clone()),
             follower: Follower::new(plan.follower),
@@ -219,12 +231,17 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// primary shipped into the link, deliver frames to the follower,
     /// deliver acks back, promote if due. Called at the top of every
     /// timestamped serving call, so the channel advances exactly as fast as
-    /// the event clock.
+    /// the event clock, and again at the end of a turn, so what the turn
+    /// shipped over a zero-delay link arrives — and is acked — at once.
     fn pump(&mut self, now: SimTime) {
-        if self.role == Role::Primary && now >= self.plan.kill_at {
+        if matches!(self.process, Process::Primary(_)) && now >= self.plan.kill_at {
             self.kill(now);
         }
-        self.ship(now);
+        if let Process::Primary(gw) = &mut self.process {
+            for msg in gw.take_outbox() {
+                self.link.send(now, msg);
+            }
+        }
         for msg in self.link.deliver_due(now) {
             let reply = self
                 .follower
@@ -236,26 +253,12 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         }
         for msg in self.acks.deliver_due(now) {
             // Acks addressed to a dead primary die with it.
-            if let (Role::Primary, Some(gw), ShipMsg::Ack { seq }) =
-                (self.role, &mut self.live, msg)
-            {
+            if let (Process::Primary(gw), ShipMsg::Ack { seq }) = (&mut self.process, msg) {
                 gw.on_ack(seq, now);
             }
         }
-        if self.role == Role::Down && self.follower.should_promote(now) {
+        if matches!(self.process, Process::Down) && self.follower.should_promote(now) {
             self.promote(now);
-        }
-    }
-
-    /// Carries the live gateway's outbox into the frame link. Only the
-    /// primary has a follower; the promoted gateway ships to nobody.
-    fn ship(&mut self, now: SimTime) {
-        if let Some(gw) = &mut self.live {
-            for msg in gw.take_outbox() {
-                if self.role == Role::Primary {
-                    self.link.send(now, msg);
-                }
-            }
         }
     }
 
@@ -264,8 +267,8 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// zombie — stamped with the dying epoch, exactly as a partitioned
     /// primary would later try to ship it.
     fn kill(&mut self, now: SimTime) {
-        let Some(dead) = self.live.take() else {
-            return;
+        let Process::Primary(dead) = std::mem::replace(&mut self.process, Process::Down) else {
+            unreachable!("only a live primary is killed");
         };
         let journal = dead.inner().journal();
         self.primary_wal = journal.bytes().to_vec();
@@ -279,7 +282,6 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         self.zombie_frames = self.zombie.len() as u64;
         self.shipped = dead.shipper().stats();
         self.killed_at = Some(now);
-        self.role = Role::Down;
     }
 
     /// Heartbeat silence exceeded the follower's timeout: promote.
@@ -304,8 +306,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
         for msg in std::mem::take(&mut self.zombie) {
             let _ = self.follower.on_msg(now, msg);
         }
-        self.live = Some(ShippingGateway::new(promoted, self.plan.ship));
-        self.role = Role::Promoted;
+        self.process = Process::Promoted(promoted);
     }
 
     /// Attaches a trace handle to the *primary process*: the primary
@@ -313,7 +314,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// each frame's spans onto the wire. Models the head node's recorder —
     /// it dies with the kill.
     pub fn attach_primary_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry) {
-        if let (Role::Primary, Some(gw)) = (self.role, &mut self.live) {
+        if let Process::Primary(gw) = &mut self.process {
             gw.attach_telemetry(telemetry);
         }
     }
@@ -331,17 +332,20 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// failover) — e.g. to put it behind an edge server and serve timeline
     /// queries from the surviving process.
     pub fn into_gateway(self) -> Option<JournaledGateway<G>> {
-        self.live.map(ShippingGateway::into_inner)
-    }
-
-    /// Which process currently answers for the shard.
-    pub fn role(&self) -> Role {
-        self.role
+        match self.process {
+            Process::Primary(gw) => Some(gw.into_inner()),
+            Process::Down => None,
+            Process::Promoted(gw) => Some(gw),
+        }
     }
 
     /// The live gateway, if any (primary before the kill, promoted after).
     pub fn gateway(&self) -> Option<&JournaledGateway<G>> {
-        self.live.as_ref().map(ShippingGateway::inner)
+        match &self.process {
+            Process::Primary(gw) => Some(gw.inner()),
+            Process::Down => None,
+            Process::Promoted(gw) => Some(gw),
+        }
     }
 
     /// The follower (post-promotion: the fence).
@@ -351,8 +355,8 @@ impl<G: Recoverable> ReplicaFrontend<G> {
 
     /// The forensic record of the run so far.
     pub fn outcome(&self) -> FailoverOutcome {
-        let ship = match (self.role, &self.live) {
-            (Role::Primary, Some(gw)) => gw.shipper().stats(),
+        let ship = match &self.process {
+            Process::Primary(gw) => gw.shipper().stats(),
             _ => self.shipped,
         };
         FailoverOutcome {
@@ -378,7 +382,7 @@ impl<G: Recoverable> Serve for ReplicaFrontend<G> {
 
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
         self.pump(now);
-        match &mut self.live {
+        match self.process.serving_mut() {
             Some(gw) => gw.decide(request, now),
             None => {
                 self.lost_submissions += 1;
@@ -387,37 +391,36 @@ impl<G: Recoverable> Serve for ReplicaFrontend<G> {
         }
     }
 
-    /// The live gateway's turn — which ships what it committed — then the
-    /// shipped frames into the link.
+    /// The live gateway's turn — the primary's ships what it committed —
+    /// then a channel round that carries it to the follower.
     fn drive(&mut self, now: SimTime) -> Turn {
         self.pump(now);
         let turn = self
-            .live
-            .as_mut()
+            .process
+            .serving_mut()
             .map(|gw| gw.drive(now))
             .unwrap_or_default();
-        self.ship(now);
+        self.pump(now);
         turn
     }
 
     fn next_due(&self) -> Option<SimTime> {
-        let live = self.live.as_ref();
         // With a kill planned, the channel stays due-driven: heartbeats
         // tick, the kill fires on time even in an idle lull. The no-kill
         // control arm lets the channel idle out with the event queue
         // instead of heartbeating forever.
-        let (kill, heartbeat) = match (self.role, live) {
-            (Role::Primary, Some(gw)) if self.plan.kill_at.as_f64().is_finite() => {
+        let (kill, heartbeat) = match &self.process {
+            Process::Primary(gw) if self.plan.kill_at.as_f64().is_finite() => {
                 (Some(self.plan.kill_at), gw.shipper().next_heartbeat())
             }
             _ => (None, None),
         };
-        let promote = match self.role {
-            Role::Down => self.follower.promote_at(),
+        let promote = match self.process {
+            Process::Down => self.follower.promote_at(),
             _ => None,
         };
         [
-            live.and_then(Serve::next_due),
+            self.process.serving().and_then(|gw| gw.next_due()),
             kill,
             heartbeat,
             promote,
@@ -432,29 +435,29 @@ impl<G: Recoverable> Serve for ReplicaFrontend<G> {
     fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
         self.pump(now);
         let resolved = self
-            .live
-            .as_mut()
+            .process
+            .serving_mut()
             .map(|gw| gw.finalize(now))
             .unwrap_or_default();
-        self.ship(now);
+        self.pump(now);
         resolved
     }
 
     fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        self.live
-            .as_mut()
+        self.process
+            .serving_mut()
             .map_or(Ok(()), |gw| gw.replan_waiting(now))
     }
 
     fn committed_release(&self, node: usize) -> SimTime {
-        self.live
-            .as_ref()
+        self.process
+            .serving()
             .map_or(SimTime::ZERO, |gw| gw.committed_release(node))
     }
 
     fn node_released(&mut self, node: usize, at: SimTime) {
         self.pump(at);
-        match &mut self.live {
+        match self.process.serving_mut() {
             Some(gw) => gw.node_released(node, at),
             // The worker node released; the head node isn't there to hear
             // it. Buffer for the promoted successor.
@@ -463,7 +466,7 @@ impl<G: Recoverable> Serve for ReplicaFrontend<G> {
     }
 
     fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
-        self.live.as_ref().and_then(|gw| gw.plan_of(task))
+        self.process.serving().and_then(|gw| gw.plan_of(task))
     }
 }
 

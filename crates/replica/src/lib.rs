@@ -43,7 +43,7 @@ pub mod telemetry;
 
 pub use follower::{Follower, FollowerConfig, FollowerStats, Promotion};
 pub use gateway::ShippingGateway;
-pub use harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend, Role};
+pub use harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend};
 pub use ship::{ShipConfig, ShipMsg, Shipper};
 pub use telemetry::{fold_follower_metrics, fold_replication_metrics};
 
@@ -51,7 +51,7 @@ pub use telemetry::{fold_follower_metrics, fold_replication_metrics};
 pub mod prelude {
     pub use crate::follower::{Follower, FollowerConfig, FollowerStats, Promotion};
     pub use crate::gateway::ShippingGateway;
-    pub use crate::harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend, Role};
+    pub use crate::harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend};
     pub use crate::net::{FollowerServer, ShipClient};
     pub use crate::ship::{ShipConfig, ShipMsg, Shipper};
     pub use crate::telemetry::{fold_follower_metrics, fold_replication_metrics};

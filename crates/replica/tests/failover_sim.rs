@@ -370,3 +370,36 @@ fn the_control_arm_never_kills_and_never_promotes() {
     assert_eq!(report.metrics.completed, report.metrics.accepted);
     assert_eq!(report.metrics.deadline_misses, 0);
 }
+
+#[test]
+fn over_clean_links_the_kill_fires_on_time_in_an_idle_tail() {
+    // Zero-delay links: every frame and heartbeat a turn ships reaches the
+    // follower, and its ack the primary, inside that turn. The channel's
+    // only remaining timers are the heartbeat cadence and the kill, so the
+    // kill lands at its instant with the cluster long idle.
+    let kill_at = SimTime::new(5_000.3);
+    let plan = FailoverPlan::kill_at(kill_at, 11).with_journal(journal_cfg());
+    let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT);
+    let tasks = (0..5u64)
+        .map(|i| Task::new(i, i as f64 * 100.0, 20.0, 2_000.0))
+        .collect();
+    let (report, frontend) = run_failover(cfg, primary(), plan, tasks);
+    let out = frontend.outcome();
+    assert_eq!(report.metrics.accepted, 5);
+    assert_eq!(report.metrics.completed, 5);
+    assert_eq!(out.killed_at, Some(kill_at), "the kill fired on time");
+    assert_eq!(
+        out.zombie_frames, 0,
+        "every frame was acked before the kill"
+    );
+    assert_eq!(out.shipped_prefix, out.primary_wal);
+    let ship = ShipConfig::default();
+    let silence = FollowerConfig::default().promote_after;
+    let promoted_at = out.promoted_at.expect("the follower promoted").as_f64();
+    assert!(
+        promoted_at > kill_at.as_f64() - ship.heartbeat_every + silence
+            && promoted_at <= kill_at.as_f64() + silence,
+        "promoted {silence} after the last heartbeat: {promoted_at}"
+    );
+    assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
+}

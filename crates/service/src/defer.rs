@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use rtdls_core::prelude::{
     AlgorithmKind, ClusterParams, Infeasible, QosClass, SimTime, Task, TenantId,
 };
+use rtdls_core::time::TIME_EPS;
 
 /// Tunables for the defer queue.
 ///
@@ -262,20 +263,24 @@ impl DeferredQueue {
     }
 
     /// The earliest instant at which a parked ticket's fate can change
-    /// with no other cluster event: its latest feasible start passing, or
-    /// its max-age expiring. Event-driven drivers (the network edge's
-    /// reactor) use this as a sweep timer so expiries are detected — and
-    /// their resolutions pushed — even on an otherwise idle gateway.
-    /// `None` when nothing is parked.
+    /// with no other cluster event: the first instant [`sweep`] sees its
+    /// latest feasible start, or its max-age, as passed — strictly after
+    /// the bound itself, which a sweep still re-tests at. Event-driven
+    /// drivers (the network edge's reactor, the simulator) use this as a
+    /// sweep timer so expiries are detected — and their resolutions pushed
+    /// — even on an otherwise idle gateway, and a sweep at the instant it
+    /// reports always retires a ticket. `None` when nothing is parked.
+    ///
+    /// [`sweep`]: DeferredQueue::sweep
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.tickets
             .iter()
             .map(|t| {
-                let expiry = t.latest_start;
-                match self.policy.max_age {
-                    Some(age) => expiry.min(t.deferred_at + SimTime::new(age)),
-                    None => expiry,
-                }
+                let bound = match self.policy.max_age {
+                    Some(age) => t.latest_start.min(t.deferred_at + SimTime::new(age)),
+                    None => t.latest_start,
+                };
+                first_instant_after(bound)
             })
             .min()
     }
@@ -314,6 +319,12 @@ impl DeferredQueue {
             .map(|t| (t, DeferOutcome::Flushed))
             .collect()
     }
+}
+
+/// The first instant `t` with `t.definitely_after(bound)`: the clock
+/// comparison [`DeferredQueue::sweep`] expires a ticket by.
+fn first_instant_after(bound: SimTime) -> SimTime {
+    SimTime::new((bound.as_f64() + TIME_EPS).next_up())
 }
 
 /// The latest instant at which planning could still meet `task`'s deadline,
@@ -385,14 +396,27 @@ mod tests {
         assert_eq!(q.next_deadline(), None);
         park(&mut q, 1, 50.0);
         park(&mut q, 2, 20.0);
-        assert_eq!(q.next_deadline(), Some(SimTime::new(20.0)));
+        let due = q.next_deadline().expect("parked");
+        assert_eq!(due, first_instant_after(SimTime::new(20.0)));
+        // The timer is the first instant the sweep expires at: the bound
+        // itself is still a re-test, the reported instant never is.
+        assert!(due > SimTime::new(20.0) && due < SimTime::new(20.0 + 2.0 * TIME_EPS));
+        let (departed, retests) = q.clone().sweep(SimTime::new(20.0), |_| false);
+        assert_eq!((departed.len(), retests), (0, 2));
+        let (departed, retests) = q.sweep(due, |_| false);
+        assert_eq!(retests, 1, "only the later ticket is re-tested");
+        assert_eq!(departed[0].0.task.id.0, 2);
+        assert!(matches!(departed[0].1, DeferOutcome::Expired));
         // A max-age tighter than the latest feasible start wins.
         let mut aged = DeferredQueue::new(DeferPolicy {
             max_age: Some(5.0),
             ..Default::default()
         });
         park(&mut aged, 3, 50.0);
-        assert_eq!(aged.next_deadline(), Some(SimTime::new(5.0)));
+        assert_eq!(
+            aged.next_deadline(),
+            Some(first_instant_after(SimTime::new(5.0)))
+        );
         // Sweeping past the deadline retires the ticket and the timer.
         let (departed, _) = aged.sweep(SimTime::new(6.0), |_| false);
         assert_eq!(departed.len(), 1);

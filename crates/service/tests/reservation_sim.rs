@@ -195,13 +195,14 @@ fn tenant_mix_stream_balances_books_across_shards() {
 }
 
 /// The engine drives a gateway at a defer ticket's deadline (it is part of
-/// `next_due`), and a ticket whose `latest_start` is the current instant
-/// expires only once the clock is past it: the turn at that instant
-/// re-tests it once and changes nothing else. An engine that re-armed an
-/// event at every `next_due ≤ now` would re-test it at that same instant
-/// until its retry budget evicted it.
+/// `next_due`): the first instant the clock is past the ticket's
+/// `latest_start`, where the sweep expires it. With no capacity freed
+/// since it was parked, the ticket is never re-tested in between. An
+/// engine woken at `latest_start` itself, where the sweep still re-tests,
+/// would find the ticket due again at the same instant and re-test it until
+/// its retry budget evicted it.
 #[test]
-fn a_parked_ticket_is_re_tested_once_at_its_deadline_then_expires() {
+fn a_parked_ticket_expires_just_past_its_deadline_without_a_retest() {
     let params = ClusterParams::paper_baseline();
     let algorithm = AlgorithmKind::EDF_DLT;
     let e16 = homogeneous::exec_time(&params, 800.0, 16);
@@ -222,14 +223,72 @@ fn a_parked_ticket_is_re_tested_once_at_its_deadline_then_expires() {
         DeferPolicy::default(),
     )
     .unwrap();
-    let cfg = SimConfig::new(params, algorithm).strict();
+    let cfg = SimConfig::new(params, algorithm).with_trace().strict();
     let (report, gateway) =
         Simulation::with_frontend(cfg, gateway).run_returning_frontend(vec![filler, c]);
     let m = gateway.metrics();
     assert_eq!(m.deferred, 1, "parked at arrival");
-    assert_eq!(m.retests, 1, "re-tested once, at its deadline");
+    assert_eq!(m.retests, 0, "nothing freed up to re-test it against");
     assert_eq!(m.defer_evicted, 0, "its retry budget untouched");
     assert_eq!(m.defer_expired, 1, "expired once the clock passed it");
     assert_eq!(report.metrics.accepted, 1);
     assert_eq!(report.metrics.rejected, 1);
+}
+
+/// A defer deadline falling between the last early node release and a
+/// waiting plan's first start, with no event after it: the turn at the
+/// deadline must not cost the waiting plan its dispatch event. The run
+/// keeps the admission-time plans (`ArrivalsOnly`) under conservative
+/// release estimates (`Uniform`), so the nodes free up before the plan's
+/// start and nothing but the engine's due event marks that start.
+#[test]
+fn a_defer_deadline_before_a_waiting_plan_leaves_its_dispatch_armed() {
+    let params = ClusterParams::new(4, 1.0, 10.0).unwrap();
+    let algorithm = AlgorithmKind::EDF_DLT;
+    let plan = PlanConfig {
+        release_estimate: ReleaseEstimate::Uniform,
+        ..Default::default()
+    };
+    let e = |size: f64, n: usize| homogeneous::exec_time(&params, size, n);
+    // One node busy until 33, then a task that needs all four — that node
+    // joining late — and whose chunks finish before its estimate.
+    let a1 = Task::new(0, 0.0, 3.0, 1e4);
+    let a2 = Task::new(1, 1.0, 40.0, 160.0);
+    // Needs all four nodes, from a2's estimate on.
+    let b = Task::new(2, 2.0, 40.0, 280.0);
+    // Parked behind b; latest feasible start 140.
+    let latest = 140.0;
+    let c = Task::new(3, 3.0, 80.0, latest - 3.0 + e(80.0, 4));
+    let gateway = ShardedGateway::new(
+        params,
+        1,
+        algorithm,
+        plan,
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    let cfg = SimConfig::new(params, algorithm)
+        .with_plan(plan)
+        .with_replan(ReplanPolicy::ArrivalsOnly)
+        .with_trace()
+        .strict();
+    let (report, gateway) =
+        Simulation::with_frontend(cfg, gateway).run_returning_frontend(vec![a1, a2, b, c]);
+    let m = gateway.metrics();
+    assert_eq!((m.deferred, m.defer_expired, m.defer_evicted), (1, 1, 0));
+    assert_eq!(report.metrics.accepted, 3);
+    assert_eq!(
+        report.metrics.completed, 3,
+        "b dispatched after the deadline's turn"
+    );
+    let trace = report.trace.unwrap();
+    let a2_done = trace.task(a2.id).and_then(|r| r.actual_completion).unwrap();
+    let first = trace.task_chunks(b.id).next().expect("b dispatched");
+    assert!(
+        a2_done.as_f64() < latest && latest < first.available.as_f64(),
+        "the deadline falls between the last release ({a2_done}) and b's start ({})",
+        first.available
+    );
+    assert_eq!(first.tx_start, first.available, "b started as planned");
 }

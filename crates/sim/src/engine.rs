@@ -47,6 +47,10 @@ struct RunningTask {
     estimate: SimTime,
 }
 
+/// An arrival's admitted plan at the admission decision: its completion
+/// estimate and its [`admission_gain`].
+type Admitted = (SimTime, Option<f64>);
+
 /// The simulation state machine. Construct with [`Simulation::new`] (plain
 /// admission control) or [`Simulation::with_frontend`] (anything that
 /// [`Serve`]s, e.g. an `rtdls-service` gateway stack), feed arrivals with
@@ -82,6 +86,9 @@ pub struct Simulation<F: Serve = AdmissionController> {
     ever_dispatched: HashSet<TaskId>,
     /// Re-offered dispatches the engine suppressed (see `ever_dispatched`).
     duplicate_dispatches: u64,
+    /// Whether a frontend was swapped in mid-run (its predecessor's
+    /// admissions may be lost or re-offered).
+    swapped: bool,
     metrics: MetricsCollector,
     trace: Option<Trace>,
     trace_task_idx: HashMap<TaskId, usize>,
@@ -116,6 +123,7 @@ impl<F: Serve> Simulation<F> {
             running: HashMap::new(),
             ever_dispatched: HashSet::new(),
             duplicate_dispatches: 0,
+            swapped: false,
             metrics: MetricsCollector::new(),
             trace: cfg.record_trace.then(Trace::default),
             trace_task_idx: HashMap::new(),
@@ -190,9 +198,22 @@ impl<F: Serve> Simulation<F> {
         self.apply_resolutions(resolved);
         debug_assert!(self.running.is_empty(), "tasks still running after drain");
         self.metrics.set_end_time(self.now);
+        let metrics = self.metrics.finish();
+        // Under the guarantees, every admission the one frontend made was
+        // dispatched: a plan whose due instant no turn reached would be
+        // missing here. (A failover loses admissions by design and runs
+        // non-strict; a swapped-in frontend may drop or re-offer them.)
+        debug_assert!(
+            !self.cfg.strict_guarantees
+                || self.swapped
+                || metrics.accepted == self.ever_dispatched.len() as u64,
+            "{} accepted, {} dispatched",
+            metrics.accepted,
+            self.ever_dispatched.len()
+        );
         (
             SimReport {
-                metrics: self.metrics.finish(),
+                metrics,
                 trace: self.trace,
             },
             self.ctl,
@@ -237,6 +258,7 @@ impl<F: Serve> Simulation<F> {
     /// (deadline misses, Theorem 4 overruns) remain exact.
     pub fn replace_frontend(&mut self, replacement: F) -> F {
         let old = std::mem::replace(&mut self.ctl, replacement);
+        self.swapped = true;
         self.generation += 1;
         if let Some(t) = self.ctl.next_due() {
             let generation = self.generation;
@@ -250,26 +272,22 @@ impl<F: Serve> Simulation<F> {
             Some(mix) => mix.assign(task),
             None => SubmitRequest::new(task),
         };
-        let outcome = self.ctl.decide(&request, self.now).into();
-        self.settle(false, Some((task, outcome)));
+        let outcome: SubmitOutcome = self.ctl.decide(&request, self.now).into();
+        // The admitted plan as the decision left it: the turn may replan it
+        // (a rescue or an activation inserted ahead of it) or dispatch it.
+        let admitted = (outcome == SubmitOutcome::Accepted || self.trace.is_some())
+            .then(|| self.ctl.plan_of(task.id))
+            .flatten()
+            .map(|p| (p.est_completion, admission_gain(&self.cfg.params, &task, p)));
+        self.settle(false, Some((task, outcome, admitted)));
     }
 
     /// Books an arrival's outcome, once its turn has been driven: the
     /// admission metrics (a pending task is counted when it resolves) and
-    /// its trace record. `dispatched` is what the turn dispatched — the
-    /// task's plan is there if it fell due at once.
-    fn note_arrival(
-        &mut self,
-        task: Task,
-        outcome: SubmitOutcome,
-        dispatched: &[(Task, TaskPlan)],
-    ) {
+    /// its trace record, with the plan read at the admission decision.
+    fn note_arrival(&mut self, task: Task, outcome: SubmitOutcome, admitted: Option<Admitted>) {
         let accepted = outcome == SubmitOutcome::Accepted;
-        let plan = (accepted || self.trace.is_some())
-            .then(|| plan_in(dispatched, &self.ctl, task.id))
-            .flatten();
-        let est = plan.map_or(task.arrival, |p| p.est_completion);
-        let gain = plan.and_then(|p| admission_gain(&self.cfg.params, &task, p));
+        let (est, gain) = admitted.unwrap_or((task.arrival, None));
         match outcome {
             SubmitOutcome::Accepted => {
                 self.metrics.on_admission(None);
@@ -377,7 +395,7 @@ impl<F: Serve> Simulation<F> {
     /// the frontend's turn, book what the turn produced — the event's own
     /// arrival first, then the resolutions, then the dispatches — and
     /// re-arm at the frontend's next due instant.
-    fn settle(&mut self, replan: bool, arrival: Option<(Task, SubmitOutcome)>) {
+    fn settle(&mut self, replan: bool, arrival: Option<(Task, SubmitOutcome, Option<Admitted>)>) {
         if replan {
             match self.ctl.replan_waiting(self.now) {
                 Ok(()) => self.release_slack_seen = false,
@@ -396,27 +414,28 @@ impl<F: Serve> Simulation<F> {
             }
         }
         let turn = self.ctl.drive(self.now);
-        let busy = !turn.is_empty();
-        if let Some((task, outcome)) = arrival {
-            self.note_arrival(task, outcome, &turn.dispatched);
+        let idle = turn.is_empty();
+        if let Some((task, outcome, admitted)) = arrival {
+            self.note_arrival(task, outcome, admitted);
         }
         self.apply_resolutions(turn.resolved);
         for (task, plan) in turn.dispatched {
             self.dispatch(task, plan);
         }
         self.generation += 1;
-        // Work due at this very instant runs again at once only after a
-        // turn that did something: a plan admitted after the turn's
-        // dispatch step (a reservation activation, a rescue) dispatches at
-        // its start instant. An empty turn leaves it to the next event —
-        // otherwise a defer ticket whose deadline is `now` (it expires only
-        // once the clock is past it) would be re-tested once per re-armed
-        // event until its retry budget evicted it.
+        // A plan admitted after the turn's dispatch step (a reservation
+        // activation, a rescue) may be due at this very instant: the next
+        // turn runs at once and dispatches it.
         if let Some(t) = self.ctl.next_due() {
-            if busy || t > self.now {
-                let generation = self.generation;
-                self.events.push(t.max(self.now), Event::Due { generation });
-            }
+            // A turn that did nothing yet left work due now would do nothing
+            // again, forever: every due instant must be one a turn acts at.
+            debug_assert!(
+                !idle || t > self.now,
+                "an idle turn at {} left work due at {t}",
+                self.now
+            );
+            let generation = self.generation;
+            self.events.push(t.max(self.now), Event::Due { generation });
         }
     }
 
@@ -519,20 +538,6 @@ impl<F: Serve> Simulation<F> {
             plan.est_completion
         );
     }
-}
-
-/// The plan of `task`: the one it dispatched with this turn, else its
-/// waiting plan.
-fn plan_in<'a, F: Serve>(
-    dispatched: &'a [(Task, TaskPlan)],
-    ctl: &'a F,
-    task: TaskId,
-) -> Option<&'a TaskPlan> {
-    dispatched
-        .iter()
-        .find(|(t, _)| t.id == task)
-        .map(|(_, plan)| plan)
-        .or_else(|| ctl.plan_of(task))
 }
 
 /// How much the (possibly IIT-utilizing) completion estimate beat the

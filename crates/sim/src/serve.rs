@@ -84,7 +84,8 @@ pub trait Serve {
     fn drive(&mut self, now: SimTime) -> Turn;
 
     /// The earliest instant at which timed work falls due; `None` =
-    /// nothing scheduled.
+    /// nothing scheduled. A drive at that instant acts: after a turn at
+    /// `now` that dispatched and resolved nothing, it lies after `now`.
     fn next_due(&self) -> Option<SimTime>;
 
     /// End of stream: resolves every task still parked (no capacity will
