@@ -114,7 +114,7 @@ impl Bracket {
         }
     }
 
-    /// `true` once the bracket is [`EXPLAIN_TOL`]-tight (or its evaluation
+    /// `true` once the bracket is `EXPLAIN_TOL`-tight (or its evaluation
     /// budget is spent): `passing` is then the search's answer.
     pub fn done(&self) -> bool {
         self.budget == 0

@@ -541,7 +541,8 @@ mod tests {
     #[test]
     fn a_queue_out_of_policy_order_is_refused_by_both_engines() {
         // The engine walks its queue as it stands, the oracle re-sorts:
-        // restored from a swapped image they would serve different orders.
+        // restored from an image with two entries exchanged they would
+        // serve different orders.
         let mut c = AdmissionController::new(
             ClusterParams::paper_baseline(),
             AlgorithmKind::EDF_DLT,

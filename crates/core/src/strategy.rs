@@ -327,7 +327,7 @@ impl TaskPlan {
 ///
 /// Returns the plan or the reason the task cannot meet its deadline (which
 /// the admission layer turns into a rejection). This is the planning kernel
-/// ([`plan_into`]) on fresh buffers, which then *are* the plan's vectors.
+/// (`plan_into`) on fresh buffers, which then *are* the plan's vectors.
 pub fn plan_task(
     kind: StrategyKind,
     task: &Task,

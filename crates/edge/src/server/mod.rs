@@ -14,9 +14,9 @@
 //!
 //! * [`reactor`] — the turn loop itself ([`EdgeServer`]): accept, read,
 //!   serve, drive, push, flush, reap;
-//! * [`conn`] — per-connection state: decoder, bounded write queue with
+//! * `conn` — per-connection state: decoder, bounded write queue with
 //!   vectored flush, recycled frame buffers, the drain lifecycle;
-//! * [`registry`] — the pending-pushback map, keyed by **server-minted**
+//! * `registry` — the pending-pushback map, keyed by **server-minted**
 //!   task ids (`conn_id` in the high 32 bits, the client's task id in the
 //!   low 32) so identical client ids on different connections never alias;
 //! * [`multi`] — the sharded edge ([`EdgeCluster`]): N reactor threads,

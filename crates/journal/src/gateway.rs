@@ -150,7 +150,7 @@ impl<G: Recoverable> JournaledGateway<G> {
             tasks: batch.to_vec(),
             at: now,
         });
-        let verdicts = self.inner.decide_batch(batch, now);
+        let verdicts = self.inner.bare_mut().submit_batch(batch, now);
         for (task, verdict) in batch.iter().zip(&verdicts) {
             self.audit_verdict(task.id, TenantId::default(), verdict);
         }
@@ -322,7 +322,7 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
     fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
         self.journal
             .append_event(&JournalEvent::Finalized { at: now });
-        self.inner.flush_parked();
+        self.inner.bare_mut().flush_parked();
         let resolved = self.drain();
         self.journal.flush();
         resolved
@@ -367,7 +367,7 @@ impl<G: Recoverable> JournaledGateway<G> {
         }
         self.journal
             .append_event(&JournalEvent::DispatchDue { at: now });
-        let due = self.inner.take_due(now);
+        let due = self.inner.bare_mut().take_due(now);
         debug_assert!(!due.is_empty(), "poll condition mirrors take_due");
         self.maybe_snapshot();
         due
@@ -377,7 +377,7 @@ impl<G: Recoverable> JournaledGateway<G> {
         if !self.inner.bare().deferred().is_empty() {
             self.journal
                 .append_event(&JournalEvent::Retested { at: now });
-            self.inner.retest_deferred(now);
+            self.inner.bare_mut().retest_deferred(now);
             self.audit_breaches();
             self.maybe_snapshot();
         }
@@ -393,7 +393,7 @@ impl<G: Recoverable> JournaledGateway<G> {
         if due {
             self.journal
                 .append_event(&JournalEvent::ActivationDue { at: now });
-            self.inner.activate_reservations(now);
+            self.inner.bare_mut().activate_reservations(now);
             self.audit_activations();
             self.audit_breaches();
             self.maybe_snapshot();
@@ -407,7 +407,7 @@ impl<G: Recoverable> JournaledGateway<G> {
             return Vec::new();
         }
         self.journal.append_event(&JournalEvent::Drained);
-        let resolutions = self.inner.drain_resolutions();
+        let resolutions = self.inner.bare_mut().drain_resolutions();
         for (task, cause) in &resolutions {
             let ev = match cause {
                 None => JournalEvent::Rescued { task: task.id.0 },

@@ -21,7 +21,7 @@
 //! * **Snapshots** of the full gateway state (per-shard books, defer queue
 //!   with its policy, cumulative metrics) are appended periodically and
 //!   compact the log, bounding recovery replay time.
-//! * **[`recover`]** rebuilds a gateway from nothing but journal bytes:
+//! * **[`recover()`]** rebuilds a gateway from nothing but journal bytes:
 //!   restore the last intact snapshot, replay the input tail (the gateway
 //!   is a deterministic state machine, so the replayed state equals the
 //!   pre-crash state exactly), then **re-verify** every recovered plan

@@ -67,27 +67,27 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
             let _ = gateway.decide(request, *at);
         }
         JournalEvent::ActivationDue { at } => {
-            gateway.activate_reservations(*at);
+            gateway.bare_mut().activate_reservations(*at);
             // Replay regenerates (and discards) the activation audit; the
             // recovery journal re-audits from its own fresh activations.
             let _ = gateway.book_mut().take_activation_log();
         }
         JournalEvent::BatchSubmitted { tasks, at } => {
-            let _ = gateway.decide_batch(tasks, *at);
+            let _ = gateway.bare_mut().submit_batch(tasks, *at);
         }
         JournalEvent::Completed { node, at } => gateway.node_released(*node, *at),
         JournalEvent::DispatchDue { at } => {
             // The physical dispatch already happened pre-crash; replay only
             // re-commits its release bookkeeping.
-            let _ = gateway.take_due(*at);
+            let _ = gateway.bare_mut().take_due(*at);
         }
         JournalEvent::Replanned { at } => {
             let _ = gateway.replan_waiting(*at);
         }
-        JournalEvent::Retested { at } => gateway.retest_deferred(*at),
-        JournalEvent::Finalized { .. } => gateway.flush_parked(),
+        JournalEvent::Retested { at } => gateway.bare_mut().retest_deferred(*at),
+        JournalEvent::Finalized { .. } => gateway.bare_mut().flush_parked(),
         JournalEvent::Drained => {
-            let _ = gateway.drain_resolutions();
+            let _ = gateway.bare_mut().drain_resolutions();
         }
         // Audit records carry no state.
         JournalEvent::Accepted { .. }
@@ -174,7 +174,12 @@ pub fn requalify<G: Recoverable>(
     sink: Option<Box<dyn JournalSink>>,
     epoch: u64,
 ) -> (JournaledGateway<G>, Vec<TaskId>) {
-    let demoted: Vec<TaskId> = gateway.reverify(now).iter().map(|t| t.id).collect();
+    let demoted: Vec<TaskId> = gateway
+        .bare_mut()
+        .reverify(now)
+        .iter()
+        .map(|t| t.id)
+        .collect();
     let mut journal = match sink {
         Some(sink) => Journal::with_sink(cfg, sink),
         None => Journal::in_memory(cfg),

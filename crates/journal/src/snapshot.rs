@@ -11,15 +11,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use rtdls_core::prelude::{
-    AlgorithmKind, ClusterParams, ControllerState, Infeasible, SimTime, Task, TaskPlan,
-};
+use rtdls_core::prelude::{AlgorithmKind, ClusterParams, ControllerState, Infeasible, Task};
 use rtdls_service::prelude::{
     DeferState, DeferredQueue, EdgeGateway, MetricsSnapshot, QuotaPolicy, ReservationBook,
     ReservationState, Routing, ServiceBook, ServiceMetrics, ShardedGateway, SloTracker,
-    TenantLedger, TenantLedgerState, Verdict,
+    TenantLedger, TenantLedgerState,
 };
-use rtdls_sim::serve::Resolution;
 
 /// Errors surfaced by snapshot restore and journal recovery.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,11 +141,12 @@ impl GatewaySnapshot {
 }
 
 /// A gateway the journal subsystem can persist and rebuild: the serving
-/// trait plus what only the journal needs — capture and restore, and the
-/// per-event operations a turn is made of, which the journaling wrapper
-/// applies one by one (each after its write-ahead record) and
-/// [`apply_event`](crate::recover::apply_event) replays. Submissions,
-/// node releases and replans replay through the serving trait itself.
+/// trait plus capture and restore, and mutable access to the bare
+/// [`ShardedGateway`] whose own methods are the per-event steps a turn is
+/// made of — the journaling wrapper applies them one by one (each after its
+/// write-ahead record) and [`apply_event`](crate::recover::apply_event)
+/// replays them. Submissions, node releases and replans replay through the
+/// serving trait itself.
 ///
 /// Implementors must be *deterministic state machines* over the journal's
 /// input events: same state + same inputs ⇒ same state. The gateway
@@ -163,30 +161,9 @@ pub trait Recoverable: EdgeGateway + Sized {
     /// indistinguishable from `g`.
     fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError>;
 
-    /// Service-level batched submission (the journaled command behind
-    /// [`JournalEvent::BatchSubmitted`](crate::event::JournalEvent::BatchSubmitted)).
-    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict>;
-
-    /// Post-recovery re-verification: re-run the strict admission test over
-    /// every restored waiting plan at `now`, demoting newly infeasible
-    /// tasks to the defer queue. Returns the demoted tasks.
-    fn reverify(&mut self, now: SimTime) -> Vec<Task>;
-
-    /// `DispatchDue`: removes and returns the plans due at `now`.
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)>;
-
-    /// `Retested`: one sweep of the defer queue.
-    fn retest_deferred(&mut self, now: SimTime);
-
-    /// `ActivationDue`: activates every reservation due at `now`.
-    fn activate_reservations(&mut self, now: SimTime);
-
-    /// `Drained`: hands over the resolutions reached since the last drain.
-    fn drain_resolutions(&mut self) -> Vec<Resolution>;
-
-    /// `Finalized`: end of stream — every parked task resolves as a
-    /// rejection (handed over by the next drain).
-    fn flush_parked(&mut self);
+    /// The bare gateway, mutably (the mutable twin of
+    /// [`EdgeGateway::bare`]).
+    fn bare_mut(&mut self) -> &mut ShardedGateway;
 }
 
 impl Recoverable for ShardedGateway {
@@ -241,32 +218,8 @@ impl Recoverable for ShardedGateway {
         .map_err(JournalError::from)
     }
 
-    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict> {
-        self.submit_batch(batch, now)
-    }
-
-    fn reverify(&mut self, now: SimTime) -> Vec<Task> {
-        ShardedGateway::reverify(self, now)
-    }
-
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        ShardedGateway::take_due(self, now)
-    }
-
-    fn retest_deferred(&mut self, now: SimTime) {
-        ShardedGateway::retest_deferred(self, now);
-    }
-
-    fn activate_reservations(&mut self, now: SimTime) {
-        ShardedGateway::activate_reservations(self, now);
-    }
-
-    fn drain_resolutions(&mut self) -> Vec<Resolution> {
-        ShardedGateway::drain_resolutions(self)
-    }
-
-    fn flush_parked(&mut self) {
-        ShardedGateway::flush_parked(self);
+    fn bare_mut(&mut self) -> &mut ShardedGateway {
+        self
     }
 }
 

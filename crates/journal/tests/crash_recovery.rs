@@ -1,9 +1,14 @@
 //! The acceptance scenario: kill the gateway mid-stream at an arbitrary
-//! event index, recover from snapshot + tail replay, and let the *strict*
+//! turn, recover from snapshot + tail replay, and let the *strict*
 //! simulator verify that every previously accepted task still meets its
 //! deadline — or was explicitly demoted to the defer queue with the
 //! demotion journaled. Strict mode panics on any violated guarantee, so a
 //! completing run is the proof.
+//!
+//! The crash happens inside the serving stack: [`Restarting`] is the one
+//! frontend the simulator drives for the whole run, and the head node dies
+//! and comes back behind it — from the WAL image it leaves in memory, or
+//! from a WAL file.
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
@@ -50,10 +55,107 @@ fn fresh_gateway(snapshot_every: usize) -> JG {
     )
 }
 
-/// Recovers from the dead gateway's journal bytes — the only artifact a
-/// real crash leaves behind — and asserts the demotion audit contract.
-fn recover_from_wal(dead: &JG, now: SimTime) -> JG {
-    let wal = dead.journal().bytes().to_vec();
+/// How a dead head node comes back: from the WAL image it left and the
+/// instant it restarts at. Never shown the dying gateway.
+type Recovery = Box<dyn FnOnce(Vec<u8>, SimTime) -> JG>;
+
+/// A journaled gateway whose process dies before its `kill_before`-th
+/// serving turn and restarts from its write-ahead log alone, the way a
+/// replicated deployment fails one over. The worker nodes outlive the head
+/// node: the simulator keeps running the dispatched chunks and feeds their
+/// releases to whichever process is alive.
+struct Restarting {
+    live: Option<JG>,
+    /// Serving turns committed so far (`drive` calls).
+    turns: u64,
+    kill_before: u64,
+    recover: Option<Recovery>,
+}
+
+impl Restarting {
+    fn new(
+        live: JG,
+        kill_before: u64,
+        recover: impl FnOnce(Vec<u8>, SimTime) -> JG + 'static,
+    ) -> Self {
+        Restarting {
+            live: Some(live),
+            turns: 0,
+            kill_before,
+            recover: Some(Box::new(recover)),
+        }
+    }
+
+    /// Whether the process died and came back.
+    fn restarted(&self) -> bool {
+        self.recover.is_none()
+    }
+
+    fn gateway(&self) -> &JG {
+        self.live
+            .as_ref()
+            .expect("a process is alive between calls")
+    }
+
+    /// The process serving a call at `now`: the first call after turn
+    /// `kill_before - 1` committed finds it dead, and what comes back is
+    /// rebuilt from the WAL image alone.
+    fn serving(&mut self, now: SimTime) -> &mut JG {
+        if self.turns + 1 >= self.kill_before {
+            if let Some(recover) = self.recover.take() {
+                let dead = self.live.take().expect("alive until killed");
+                let wal = dead.journal().bytes().to_vec();
+                drop(dead);
+                self.live = Some(recover(wal, now));
+            }
+        }
+        self.live
+            .as_mut()
+            .expect("a process is alive between calls")
+    }
+}
+
+impl Serve for Restarting {
+    type Outcome = Verdict;
+
+    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
+        self.serving(now).decide(request, now)
+    }
+
+    fn drive(&mut self, now: SimTime) -> Turn {
+        let turn = self.serving(now).drive(now);
+        self.turns += 1;
+        turn
+    }
+
+    fn next_due(&self) -> Option<SimTime> {
+        self.gateway().next_due()
+    }
+
+    fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
+        self.live.as_mut().expect("alive").finalize(now)
+    }
+
+    fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+        self.serving(now).replan_waiting(now)
+    }
+
+    fn committed_release(&self, node: usize) -> SimTime {
+        self.gateway().committed_release(node)
+    }
+
+    fn node_released(&mut self, node: usize, at: SimTime) {
+        self.serving(at).node_released(node, at);
+    }
+
+    fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+        self.gateway().plan_of(task)
+    }
+}
+
+/// Recovers from the dead gateway's WAL image — the only artifact a real
+/// crash leaves behind — and asserts the demotion audit contract.
+fn recover_from_wal(wal: Vec<u8>, now: SimTime) -> JG {
     let (recovered, report) =
         recover::<ShardedGateway>(&wal, now, JournalConfig::default(), None).expect("recovery");
     assert!(
@@ -92,31 +194,139 @@ fn recover_from_wal(dead: &JG, now: SimTime) -> JG {
 }
 
 #[test]
-fn kill_and_recover_at_many_event_indices_keeps_all_guarantees() {
+fn a_restart_before_a_chosen_turn_keeps_every_guarantee_and_every_count() {
     // Strict mode panics on any deadline miss or estimate overrun — for
-    // tasks admitted before *or* after the crash — so every kill index that
-    // completes is itself the acceptance proof.
-    for kill_at in [3u64, 10, 40, 90, 200] {
-        let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
-        let (report, recovered, crashed) = run_with_crash(
-            cfg,
-            fresh_gateway(16),
-            bursty_tasks(7),
-            CrashPlan::at_event(kill_at),
-            recover_from_wal,
+    // tasks admitted before *or* after the crash — so every kill point
+    // that completes is itself the acceptance proof.
+    let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
+    let uncrashed = Simulation::with_frontend(cfg, fresh_gateway(16)).run(bursty_tasks(7));
+    // The run serves 192 turns; a kill at its 200th event fell before
+    // turn 111, and 192 restarts before the last one.
+    for kill_before in [3u64, 10, 40, 90, 111, 192] {
+        let frontend = Restarting::new(fresh_gateway(16), kill_before, recover_from_wal);
+        let (report, frontend) =
+            Simulation::with_frontend(cfg, frontend).run_returning_frontend(bursty_tasks(7));
+        assert!(
+            frontend.restarted(),
+            "turn {kill_before} lies inside the run"
         );
-        assert_eq!(report.metrics.deadline_misses, 0, "kill_at={kill_at}");
-        assert_eq!(report.metrics.estimate_overruns, 0, "kill_at={kill_at}");
-        if crashed {
-            // The recovered gateway carried its cumulative metrics across
-            // the crash: it has seen every arrival the engine delivered.
-            assert_eq!(
-                recovered.metrics().submitted,
-                report.metrics.arrivals,
-                "kill_at={kill_at}: metrics survived the crash"
-            );
-        }
+        let m = &report.metrics;
+        assert_eq!(m.deadline_misses, 0, "kill_before={kill_before}");
+        assert_eq!(m.estimate_overruns, 0, "kill_before={kill_before}");
+        assert_eq!(
+            (m.accepted, m.rejected, m.completed),
+            (
+                uncrashed.metrics.accepted,
+                uncrashed.metrics.rejected,
+                uncrashed.metrics.completed
+            ),
+            "kill_before={kill_before}: the restart changed no outcome"
+        );
+        // The recovered gateway carried its cumulative metrics across the
+        // crash: it has seen every arrival the engine delivered.
+        assert_eq!(
+            frontend.gateway().metrics().submitted,
+            m.arrivals,
+            "kill_before={kill_before}: metrics survived the crash"
+        );
     }
+}
+
+#[test]
+fn a_kill_past_the_end_never_recovers() {
+    let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
+    let frontend = Restarting::new(fresh_gateway(16), u64::MAX, |_, _| {
+        panic!("recovery must not run")
+    });
+    let (report, frontend) =
+        Simulation::with_frontend(cfg, frontend).run_returning_frontend(bursty_tasks(7));
+    assert!(!frontend.restarted());
+    assert_eq!(report.metrics.deadline_misses, 0);
+    assert_eq!(report.metrics.completed, report.metrics.accepted);
+}
+
+/// The full loop through a WAL *file*: a 4-shard journaled gateway serves a
+/// bursty stream, dies two-thirds of the way through, is rebuilt from the
+/// file alone, and finishes the stream under the strict simulator.
+#[test]
+fn a_restart_from_a_wal_file_finishes_with_all_guarantees() {
+    let params = params();
+    let algorithm = AlgorithmKind::EDF_DLT;
+    let plan = PlanConfig {
+        release_estimate: ReleaseEstimate::Uniform,
+        ..Default::default()
+    };
+    // Bursty, deadline-rich, defer-queue-exercising.
+    let mut spec = WorkloadSpec::paper_baseline(1.2);
+    spec.dc_ratio = 6.0;
+    spec.horizon = 1e5;
+    let profile = BurstProfile {
+        rate_factor: 4.0,
+        ..BurstProfile::moderate(&spec)
+    };
+    let tasks: Vec<Task> = BurstyPoisson::new(spec, profile, 42).collect();
+    assert!(tasks.len() > 20, "workload too small to exercise a crash");
+
+    let wal_path = std::env::temp_dir().join(format!(
+        "rtdls-restart-from-file-test-{}.wal",
+        std::process::id()
+    ));
+    let journal_cfg = JournalConfig {
+        snapshot_every: 64,
+        compact_on_snapshot: true,
+    };
+    let gateway = ShardedGateway::new(
+        params,
+        4,
+        algorithm,
+        plan,
+        Routing::LeastLoaded,
+        DeferPolicy {
+            max_retries: 64,
+            ..Default::default()
+        },
+    )
+    .expect("valid shard layout");
+    let journaled = JournaledGateway::with_sink(
+        gateway,
+        journal_cfg,
+        Box::new(FileSink::create(&wal_path).expect("create WAL")),
+    );
+
+    let kill_before = 2 * tasks.len() as u64 / 3;
+    let path = wal_path.clone();
+    let frontend = Restarting::new(journaled, kill_before, move |_image, now| {
+        // The only artifact that crosses the crash is the file on disk.
+        let (recovered, rec) =
+            recover_file::<ShardedGateway>(&path, now, journal_cfg).expect("recovery from WAL");
+        assert!(rec.frames_decoded > 0, "recovery read the journal");
+        recovered
+    });
+    let cfg = SimConfig::new(params, algorithm).with_plan(plan).strict();
+    let (report, frontend) = Simulation::with_frontend(cfg, frontend).run_returning_frontend(tasks);
+    assert!(frontend.restarted(), "the kill must fall inside the run");
+
+    assert_eq!(
+        report.metrics.deadline_misses, 0,
+        "no admitted deadline missed"
+    );
+    assert_eq!(report.metrics.estimate_overruns, 0);
+    assert_eq!(
+        frontend.gateway().metrics().submitted,
+        report.metrics.arrivals,
+        "cumulative metrics crossed the crash intact"
+    );
+    drop(frontend);
+    let wal = FileSink::read(&wal_path).expect("read WAL");
+    let (frames, tail) = rtdls_journal::wire::decode_frames(&wal);
+    assert!(tail.is_clean());
+    assert!(
+        frames
+            .iter()
+            .any(|f| f.kind == rtdls_journal::wire::RecordKind::Snapshot),
+        "compacted WAL keeps a snapshot"
+    );
+    let _ = std::fs::remove_file(&wal_path);
 }
 
 #[test]
@@ -501,7 +711,7 @@ fn recover_image(snapshot: &GatewaySnapshot) -> Result<(JG, RecoveryReport), Jou
 }
 
 /// A checksum-valid snapshot whose waiting queue is not in policy order (two
-/// entries swapped) restores to no gateway. The engine walks its queue as it
+/// entries exchanged) restores to no gateway. The engine walks its queue as it
 /// stands where the oracle re-sorts, so restored it would have served the
 /// tasks in the damaged order.
 #[test]

@@ -5,8 +5,8 @@
 //!
 //! * a **mirror** — the byte-for-byte concatenation of every frame it has
 //!   applied, i.e. the shipped prefix of the primary's journal. Recovering
-//!   from the mirror with [`replay`](rtdls_journal::replay) must always
-//!   reproduce the standby exactly — the invariant the property tests pin.
+//!   from the mirror with [`replay`] must always reproduce the standby
+//!   exactly — the invariant the property tests pin.
 //! * a **warm standby** gateway — the mirror's state, maintained
 //!   *incrementally*: each snapshot frame restores it, each input event
 //!   frame is applied through the same [`apply_event`] dispatcher crash

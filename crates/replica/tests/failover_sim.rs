@@ -403,3 +403,68 @@ fn over_clean_links_the_kill_fires_on_time_in_an_idle_tail() {
     );
     assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
 }
+
+#[test]
+fn a_dispatch_the_standby_never_heard_of_runs_once() {
+    // The one path on which a task's dispatch is offered twice: the primary
+    // accepts A (shipped and acked), dispatches it in a later turn whose
+    // frames a netsplit eats, and dies. The promoted standby still holds A
+    // as waiting, re-admits it and offers it again; the engine has already
+    // run it and drops the second offer.
+    let params = ClusterParams::paper_baseline();
+    let one_shard = || {
+        let gateway = ShardedGateway::new(
+            params,
+            1,
+            AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
+            Routing::LeastLoaded,
+            DeferPolicy::default(),
+        )
+        .unwrap();
+        JournaledGateway::new(gateway, journal_cfg())
+    };
+    // B takes all sixteen nodes at once; A waits behind it with room to
+    // spare, so its dispatch is a turn of its own.
+    let e16 = rtdls_core::dlt::homogeneous::exec_time(&params, 200.0, 16);
+    let a = Task::new(2, 10.0, 20.0, 1e6);
+    let tasks = vec![Task::new(1, 0.0, 200.0, e16 * 1.01), a];
+    let cfg = SimConfig::new(params, AlgorithmKind::EDF_DLT).with_trace();
+    let run = |plan: FailoverPlan| {
+        let mut sim = Simulation::with_frontend(cfg, ReplicaFrontend::new(one_shard(), plan));
+        sim.prime(tasks.clone());
+        while sim.step() {}
+        let duplicates = sim.duplicate_dispatches();
+        let (report, frontend) = sim.finish();
+        (report, frontend.outcome(), duplicates)
+    };
+
+    let (control, _, duplicates) = run(FailoverPlan::no_kill(5).with_journal(journal_cfg()));
+    assert_eq!(duplicates, 0);
+    let trace = control.trace.expect("traced");
+    let chunks = trace.task_chunks(a.id).count();
+    let dispatched_at = trace.task_chunks(a.id).next().expect("A ran").tx_start;
+    assert!(dispatched_at > a.arrival, "A waited for B's nodes");
+
+    let kill_at = SimTime::new(dispatched_at.as_f64() + 1.0);
+    let split = FaultPlan::clean(5).with_split(dispatched_at, SimTime::new(kill_at.as_f64() + 1.0));
+    let (report, out, duplicates) = run(FailoverPlan::kill_at(kill_at, 5)
+        .with_fault(split)
+        .with_journal(journal_cfg()));
+    assert_eq!(out.killed_at, Some(kill_at));
+    assert!(out.promoted_at.is_some(), "the standby took over");
+    assert!(
+        out.link.split_dropped > 0,
+        "the dispatch's frames were lost"
+    );
+    assert_eq!(duplicates, 1, "the standby offered A again");
+    let trace = report.trace.expect("traced");
+    assert_eq!(trace.task_chunks(a.id).count(), chunks, "A ran once");
+    assert_eq!(
+        trace.task_chunks(a.id).next().map(|c| c.tx_start),
+        Some(dispatched_at)
+    );
+    assert_eq!(report.metrics.accepted, 2);
+    assert_eq!(report.metrics.completed, 2);
+    assert_eq!(report.metrics.deadline_misses, 0);
+}

@@ -2,7 +2,7 @@
 //! telemetry [`MetricsRegistry`].
 //!
 //! The registry is a snapshot container (see `rtdls-telemetry`); the
-//! gateway keeps counting in [`ServiceMetrics`] / [`TenantMetrics`] exactly
+//! gateway keeps counting in [`ServiceMetrics`] / [`TenantMetrics`](crate::metrics::TenantMetrics) exactly
 //! as before, and an ops poll folds the current values in here. Metric
 //! names are stable API surface — the README's observability section
 //! catalogs them.

@@ -60,7 +60,7 @@ pub struct Simulation<F: Serve = AdmissionController> {
     ctl: F,
     events: EventQueue,
     now: SimTime,
-    /// Events processed so far (the fault-injection "kill index" clock).
+    /// Events processed so far.
     events_processed: u64,
     /// Plan-generation stamp; bumped after every turn so that previously
     /// scheduled due events are recognized as stale.
@@ -79,16 +79,13 @@ pub struct Simulation<F: Serve = AdmissionController> {
     /// End of the most recent transmission under the shared-link ablation.
     link_free: SimTime,
     running: HashMap<TaskId, RunningTask>,
-    /// Every task ever physically dispatched. A frontend swapped in mid-run
-    /// (crash recovery, failover promotion) replays its predecessor's
-    /// committed book and may re-offer a plan the cluster already executed;
-    /// the engine dispatches each task at most once.
+    /// Every task ever physically dispatched. A promoted standby that never
+    /// heard of a dispatch its dead primary made still holds that task as
+    /// waiting and may offer it again; the engine dispatches each task at
+    /// most once.
     ever_dispatched: HashSet<TaskId>,
     /// Re-offered dispatches the engine suppressed (see `ever_dispatched`).
     duplicate_dispatches: u64,
-    /// Whether a frontend was swapped in mid-run (its predecessor's
-    /// admissions may be lost or re-offered).
-    swapped: bool,
     metrics: MetricsCollector,
     trace: Option<Trace>,
     trace_task_idx: HashMap<TaskId, usize>,
@@ -123,7 +120,6 @@ impl<F: Serve> Simulation<F> {
             running: HashMap::new(),
             ever_dispatched: HashSet::new(),
             duplicate_dispatches: 0,
-            swapped: false,
             metrics: MetricsCollector::new(),
             trace: cfg.record_trace.then(Trace::default),
             trace_task_idx: HashMap::new(),
@@ -149,8 +145,8 @@ impl<F: Serve> Simulation<F> {
     }
 
     /// Enqueues a workload's arrival events without running anything —
-    /// the setup half of the stepped API ([`step`] / [`finish`]) that
-    /// fault-injection harnesses use to pause a run mid-stream.
+    /// the setup half of the stepped API ([`step`] / [`finish`]), which
+    /// lets a caller pause a run mid-stream and read the frontend.
     ///
     /// [`step`]: Simulation::step
     /// [`finish`]: Simulation::finish
@@ -199,14 +195,12 @@ impl<F: Serve> Simulation<F> {
         debug_assert!(self.running.is_empty(), "tasks still running after drain");
         self.metrics.set_end_time(self.now);
         let metrics = self.metrics.finish();
-        // Under the guarantees, every admission the one frontend made was
+        // Under the guarantees, every admission the frontend made was
         // dispatched: a plan whose due instant no turn reached would be
         // missing here. (A failover loses admissions by design and runs
-        // non-strict; a swapped-in frontend may drop or re-offer them.)
+        // non-strict.)
         debug_assert!(
-            !self.cfg.strict_guarantees
-                || self.swapped
-                || metrics.accepted == self.ever_dispatched.len() as u64,
+            !self.cfg.strict_guarantees || metrics.accepted == self.ever_dispatched.len() as u64,
             "{} accepted, {} dispatched",
             metrics.accepted,
             self.ever_dispatched.len()
@@ -231,9 +225,8 @@ impl<F: Serve> Simulation<F> {
     }
 
     /// Re-offered dispatches the engine suppressed because the task was
-    /// already physically dispatched — nonzero only when a swapped-in
-    /// frontend (crash recovery, failover promotion) replayed a committed
-    /// dispatch its predecessor had executed.
+    /// already physically dispatched — nonzero only when a promoted
+    /// standby offered a dispatch its dead primary had made unseen.
     pub fn duplicate_dispatches(&self) -> u64 {
         self.duplicate_dispatches
     }
@@ -241,30 +234,6 @@ impl<F: Serve> Simulation<F> {
     /// The admission frontend being driven.
     pub fn frontend(&self) -> &F {
         &self.ctl
-    }
-
-    /// Swaps in a replacement frontend mid-run and returns the old one — the
-    /// restart half of a crash/recovery fault injection. The engine keeps
-    /// its own cluster bookkeeping (running tasks, node completions, pending
-    /// release events): the modeled worker nodes survive a head-node crash.
-    /// Pending due events for the old frontend are invalidated and the next
-    /// one is re-armed from the replacement's [`Serve::next_due`] — a
-    /// recovered reservation book gets its activation instant even if no
-    /// dispatch or cluster event would otherwise wake it.
-    ///
-    /// Note on accounting: admission metrics the engine already recorded for
-    /// the old frontend are not rewritten, so engine-side accept/reject
-    /// counts straddling a swap are approximate; the guarantee checks
-    /// (deadline misses, Theorem 4 overruns) remain exact.
-    pub fn replace_frontend(&mut self, replacement: F) -> F {
-        let old = std::mem::replace(&mut self.ctl, replacement);
-        self.swapped = true;
-        self.generation += 1;
-        if let Some(t) = self.ctl.next_due() {
-            let generation = self.generation;
-            self.events.push(t.max(self.now), Event::Due { generation });
-        }
-        old
     }
 
     fn handle_arrival(&mut self, task: Task) {
@@ -924,5 +893,25 @@ mod tests {
         let trace = report.trace.unwrap();
         let first = trace.task_chunks(task.id).next().expect("dispatched");
         assert_eq!(first.tx_start, at, "dispatched at the instant it fell due");
+    }
+
+    #[test]
+    fn stepping_api_equals_one_shot_run() {
+        let tasks: Vec<Task> = (0..30)
+            .map(|i| Task::new(i, i as f64 * 900.0, 150.0 + (i % 5) as f64 * 80.0, 45_000.0))
+            .collect();
+        let one_shot = run(AlgorithmKind::EDF_DLT, tasks.clone());
+        let mut sim = Simulation::new(baseline_cfg(AlgorithmKind::EDF_DLT));
+        sim.prime(tasks.iter().copied());
+        let mut steps = 0u64;
+        while sim.step() {
+            steps += 1;
+            assert_eq!(steps, sim.events_processed());
+        }
+        let (stepped, _) = sim.finish();
+        assert!(steps >= tasks.len() as u64);
+        assert_eq!(stepped.metrics.accepted, one_shot.metrics.accepted);
+        assert_eq!(stepped.metrics.rejected, one_shot.metrics.rejected);
+        assert_eq!(stepped.metrics.completed, one_shot.metrics.completed);
     }
 }

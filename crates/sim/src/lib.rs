@@ -44,7 +44,6 @@
 pub mod config;
 pub mod engine;
 pub mod event;
-pub mod fault;
 pub mod metrics;
 pub mod net;
 pub mod serve;
@@ -54,7 +53,6 @@ pub mod trace;
 pub mod prelude {
     pub use crate::config::{LinkModel, ReplanPolicy, SimConfig};
     pub use crate::engine::{run_simulation, SimReport, Simulation};
-    pub use crate::fault::{run_with_crash, run_with_crash_schedule, CrashPlan, CrashSchedule};
     pub use crate::metrics::Metrics;
     pub use crate::net::{FaultPlan, FaultyLink, LinkStats};
     pub use crate::serve::{Resolution, Serve, SubmitOutcome, Turn};

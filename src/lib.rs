@@ -6,7 +6,7 @@
 //! TR-UNL-CSE-2007-0013 / ICPP 2007), including the paper's full simulation
 //! substrate and evaluation harness.
 //!
-//! This facade crate re-exports the four workspace crates:
+//! This facade crate re-exports the eight workspace crates:
 //!
 //! | Crate | What it provides |
 //! |-------|------------------|

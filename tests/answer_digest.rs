@@ -1,9 +1,9 @@
-//! Every answer the stack gives on three seeded streams, pinned by digest.
+//! Every answer the stack gives on four seeded streams, pinned by digest.
 //!
 //! Engine, oracle and every planner share one kernel, so no test inside the
 //! tree can tell that an edit to it kept the answers — only a replay against
 //! the commit before can. This file is that replay, committed: it rebuilds
-//! three seeded streams from `rtdls-workload`, writes one line per answer
+//! four seeded streams, writes one line per answer
 //! with every float as its `f64::to_bits`, and holds the FNV-1a 64 of each
 //! stream against `tests/answer_digest.golden`.
 //!
@@ -22,6 +22,11 @@
 //! * `sim/grid` — `Simulation::new` over a reduced §5 grid (N = 16,
 //!   DCRatio 2, two loads, four algorithms, strict), every trace record
 //!   and the run's metrics.
+//! * `plan/kernel` — the planning kernel on its own, where the streams
+//!   above never take it: `plan_task` under every `StrategyKind`, every
+//!   `ReleaseEstimate` and both `NodeCountPolicy`s, `min_feasible_nodes`
+//!   and `HeterogeneousModel::new`, on release snapshots drawn by a
+//!   xorshift in this file. One line per plan or refusal.
 //!
 //! A dev build (tier-1) runs the `small` size of every stream in a few
 //! seconds; a release build the `full` one. When an answer is meant to
@@ -309,10 +314,121 @@ fn sim_stream(size: Size) -> Stream {
     out
 }
 
+/// A 64-bit xorshift: the kernel stream's inputs, the same on every
+/// commit whatever the workload generator does.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn int(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+fn bits(x: f64) -> String {
+    format!("0x{:016x}", x.to_bits())
+}
+
+/// The planning kernel on xorshift release snapshots: per snapshot the
+/// `ñ_min` scan, the heterogeneous model on the nodes it chose, and a plan
+/// under every strategy and knob.
+fn kernel_stream(size: Size) -> Stream {
+    const STRATEGIES: [StrategyKind; 6] = [
+        StrategyKind::DltIit,
+        StrategyKind::DltMultiRound { rounds: 2 },
+        StrategyKind::DltMultiRound { rounds: 4 },
+        StrategyKind::OprMn,
+        StrategyKind::OprAn,
+        StrategyKind::UserSplit,
+    ];
+    const ESTIMATES: [ReleaseEstimate; 3] = [
+        ReleaseEstimate::Exact,
+        ReleaseEstimate::Uniform,
+        ReleaseEstimate::TightPerNode,
+    ];
+    const POLICIES: [NodeCountPolicy; 2] = [NodeCountPolicy::FixedPoint, NodeCountPolicy::OneShot];
+    let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+    let mut out = Stream::default();
+    for k in 0..size.pick(150, 1_500) {
+        let nodes = rng.int(1, 32);
+        let params = ClusterParams::new(nodes, rng.uniform(0.2, 4.0), rng.uniform(10.0, 400.0))
+            .expect("positive costs");
+        let now = rng.uniform(0.0, 1e4);
+        let sigma = rng.uniform(1.0, 500.0);
+        // From "only transmission fits" to "one node would do", then some
+        // of it spent waiting for nodes that free up later.
+        let work = sigma * params.cms + sigma * params.cps / rng.int(1, nodes) as f64;
+        let rel_deadline = work * rng.uniform(0.6, 3.0);
+        let releases: Vec<SimTime> = (0..nodes)
+            .map(|_| SimTime::new(now + rel_deadline * rng.uniform(-0.5, 1.0)))
+            .collect();
+        let task = Task::new(k as u64, now, sigma, rel_deadline)
+            .with_user_nodes(Some(rng.int(1, nodes + 2)));
+        let avail = NodeAvailability::new(&releases, task.arrival);
+        let sorted = avail.sorted_times();
+        let n = match min_feasible_nodes(&params, sigma, &sorted, task.absolute_deadline()) {
+            Ok(scan) => {
+                let line = format!("nmin {k} {} {}", scan.n, bits(scan.r_n.as_f64()));
+                out.lines.push(line);
+                scan.n
+            }
+            Err(cause) => {
+                out.push(&format!("nmin {k}"), &cause);
+                nodes
+            }
+        };
+        let mut line = format!("model {k}");
+        match HeterogeneousModel::new(&params, sigma, &sorted[..n]) {
+            Ok(model) => {
+                for x in [model.exec_time(), model.e_no_iit()] {
+                    write!(line, " {}", bits(x)).unwrap();
+                }
+                for (i, &alpha) in model.alphas().iter().enumerate() {
+                    write!(line, " {}/{}", bits(alpha), bits(model.cps_het(i))).unwrap();
+                }
+            }
+            Err(err) => write!(line, " {err:?}").unwrap(),
+        }
+        out.lines.push(line);
+        for strategy in STRATEGIES {
+            for release_estimate in ESTIMATES {
+                for node_count in POLICIES {
+                    let cfg = PlanConfig {
+                        release_estimate,
+                        node_count,
+                    };
+                    let tag = format!(
+                        "plan {k} {} {release_estimate:?} {node_count:?}",
+                        strategy.paper_name()
+                    );
+                    match plan_task(strategy, &task, &avail, &params, &cfg) {
+                        Ok(plan) => out.push(&tag, &plan),
+                        Err(cause) => out.push(&tag, &cause),
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 fn streams(size: Size) -> Vec<(&'static str, Stream)> {
     let mut all = admit_streams(size);
     all.push(("edge/burst", edge_stream(size)));
     all.push(("sim/grid", sim_stream(size)));
+    all.push(("plan/kernel", kernel_stream(size)));
     all
 }
 
