@@ -81,11 +81,6 @@ impl AlgorithmKind {
             self.strategy.paper_name()
         )
     }
-
-    /// Whether the workload must carry user-requested node counts.
-    pub fn needs_user_nodes(&self) -> bool {
-        self.strategy == StrategyKind::UserSplit
-    }
 }
 
 impl fmt::Display for AlgorithmKind {
@@ -153,11 +148,5 @@ mod tests {
     fn unknown_name_errors_with_suggestions() {
         let err = "EDF-MAGIC".parse::<AlgorithmKind>().unwrap_err();
         assert!(err.to_string().contains("EDF-DLT"));
-    }
-
-    #[test]
-    fn user_nodes_requirement() {
-        assert!(AlgorithmKind::EDF_USER_SPLIT.needs_user_nodes());
-        assert!(!AlgorithmKind::EDF_DLT.needs_user_nodes());
     }
 }

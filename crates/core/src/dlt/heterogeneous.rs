@@ -113,11 +113,6 @@ impl HeterogeneousModel {
         &self.alphas
     }
 
-    /// Absolute chunk sizes `σ_i = α_i · σ` (Eq. 4–5 applied to the load).
-    pub fn chunk_sizes(&self) -> Vec<f64> {
-        self.alphas.iter().map(|a| a * self.sigma).collect()
-    }
-
     /// Sorted node available times `r_1..r_n`.
     #[inline]
     pub fn releases(&self) -> &[f64] {
@@ -417,16 +412,6 @@ mod tests {
         assert!((m.exec_time() - expect).abs() < 1e-9);
         assert!((m.completion_estimate().as_f64() - (17.0 + expect)).abs() < 1e-9);
         m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn chunk_sizes_scale_alphas_by_sigma() {
-        let m = model(&[0.0, 10.0], 400.0);
-        let chunks = m.chunk_sizes();
-        assert!((chunks.iter().sum::<f64>() - 400.0).abs() < 1e-9);
-        for (c, a) in chunks.iter().zip(m.alphas()) {
-            assert!((c - a * 400.0).abs() < 1e-12);
-        }
     }
 
     #[test]

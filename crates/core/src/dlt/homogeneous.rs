@@ -64,21 +64,6 @@ pub(crate) fn alphas_into(params: &ClusterParams, n: usize, out: &mut Vec<f64>) 
     }
 }
 
-/// Per-node completion offsets (relative to the common start time) for the
-/// optimal simultaneous partition; with OPR all nodes finish at exactly
-/// `E(σ,n)`, so this returns the transmission-serialized finish times which
-/// should all equal `exec_time` (used as a cross-check and by the simulator).
-pub fn completion_offsets(params: &ClusterParams, sigma: f64, n: usize) -> Vec<f64> {
-    let a = alphas(params, n);
-    let mut out = Vec::with_capacity(n);
-    let mut tx_end = 0.0;
-    for &alpha in &a {
-        tx_end += alpha * sigma * params.cms;
-        out.push(tx_end + alpha * sigma * params.cps);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +145,12 @@ mod tests {
         let sigma = 500.0;
         for n in [2usize, 4, 16, 64] {
             let e = exec_time(&params, sigma, n);
-            for (i, c) in completion_offsets(&params, sigma, n).iter().enumerate() {
+            // Node i finishes when its chunk has been sent (after every
+            // earlier chunk) and computed.
+            let mut tx_end = 0.0;
+            for (i, alpha) in alphas(&params, n).iter().enumerate() {
+                tx_end += alpha * sigma * params.cms;
+                let c = tx_end + alpha * sigma * params.cps;
                 let rel = ((c - e) / e).abs();
                 assert!(rel < 1e-9, "node {i} finishes at {c}, expected {e} (n={n})");
             }

@@ -48,12 +48,6 @@ impl SimTime {
         self.0
     }
 
-    /// `true` for the distinguished far-future value.
-    #[inline]
-    pub fn is_far_future(self) -> bool {
-        self.0.is_infinite()
-    }
-
     /// Element-wise maximum.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -199,12 +193,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_is_rejected() {
         let _ = SimTime::new(f64::NAN);
-    }
-
-    #[test]
-    fn far_future_flag() {
-        assert!(SimTime::FAR_FUTURE.is_far_future());
-        assert!(!SimTime::ZERO.is_far_future());
     }
 
     #[test]

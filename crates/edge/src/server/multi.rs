@@ -97,11 +97,6 @@ impl<G: EdgeGateway + Send> EdgeCluster<G> {
         self.listener.local_addr().expect("bound listener")
     }
 
-    /// The reactor count.
-    pub fn num_reactors(&self) -> usize {
-        self.reactors.len()
-    }
-
     /// Runs every reactor until `stop` is set, then returns each
     /// reactor's gateway and stats, in reactor order. All reactors share
     /// `clock`, so the cluster has one notion of simulated time.

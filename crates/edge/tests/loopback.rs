@@ -1042,6 +1042,7 @@ fn killed_journaled_edge_recovers_from_the_wal_and_keeps_serving() {
     let (_, tail) = rtdls_journal::wire::decode_frames(&on_disk);
     assert!(tail.is_clean());
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
 }
 
 /// A `FileSink` that, at every call the journal makes into it, looks at the
@@ -1206,6 +1207,7 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
     assert!(server.gateway().journal().snapshots_appended() >= 3);
     drop(server);
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
 }
 
 /// The full SLO observability acceptance story over the wire, on a manual
@@ -1220,6 +1222,7 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
 fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     let wal = std::env::temp_dir().join(format!("rtdls-edge-slo-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
 
     // The scenario: calm paper traffic, a 12x crowd, then calm again —
     // identical shape to the simulator acceptance test, but every arrival
@@ -1469,4 +1472,5 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     );
 
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
 }

@@ -85,7 +85,6 @@ fn mixed_tenant_stream_across_reactors_reconciles_exactly() {
 
     let gateways: Vec<_> = (0..REACTORS).map(|_| sharded(2)).collect();
     let cluster = EdgeCluster::bind("127.0.0.1:0", gateways, EdgeConfig::default()).unwrap();
-    assert_eq!(cluster.num_reactors(), REACTORS);
     let addr = cluster.local_addr();
     let stop = AtomicBool::new(false);
     let (results, reports) = std::thread::scope(|s| {
@@ -175,6 +174,7 @@ fn killed_cluster_recovers_per_reactor_wals_with_the_same_reactor_count() {
         .collect();
     for w in &wals {
         let _ = std::fs::remove_file(w);
+        let _ = std::fs::remove_file(w.with_extension("wal.spare"));
     }
     let journal_cfg = JournalConfig {
         snapshot_every: 32,
@@ -280,6 +280,7 @@ fn killed_cluster_recovers_per_reactor_wals_with_the_same_reactor_count() {
     }
     for w in &wals {
         let _ = std::fs::remove_file(w);
+        let _ = std::fs::remove_file(w.with_extension("wal.spare"));
     }
 }
 

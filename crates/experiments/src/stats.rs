@@ -62,14 +62,6 @@ impl Summary {
             ci95_half_width,
         }
     }
-
-    /// The interval `[mean − hw, mean + hw]`.
-    pub fn ci95(&self) -> (f64, f64) {
-        (
-            self.mean - self.ci95_half_width,
-            self.mean + self.ci95_half_width,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +78,6 @@ mod tests {
         // CI uses t(7) = 2.365.
         let expected_hw = 2.365 * s.std_dev / (8.0f64).sqrt();
         assert!((s.ci95_half_width - expected_hw).abs() < 1e-12);
-        let (lo, hi) = s.ci95();
-        assert!(lo < 5.0 && hi > 5.0);
     }
 
     #[test]

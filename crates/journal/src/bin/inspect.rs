@@ -18,7 +18,11 @@
 //! a `{"durability":…}` summary of the physical log (bytes, record and
 //! snapshot counts), and a final `{"tail":…}` status object.
 //!
-//! The exit status is 0 only for a log read whole with a clean tail.
+//! The file is read as recovery reads it ([`FileSink::read`]: the zero
+//! tail a live log keeps ahead of its end is dropped). The exit status is 0
+//! only for a log read whole with a clean tail.
+//!
+//! [`FileSink::read`]: rtdls_journal::FileSink::read
 
 use std::process::ExitCode;
 
@@ -251,7 +255,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let wal = match std::fs::read(&path) {
+    let wal = match rtdls_journal::FileSink::read(&path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");

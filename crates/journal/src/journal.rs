@@ -12,7 +12,8 @@
 //! replay time.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::Read as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use crate::event::JournalEvent;
@@ -62,8 +63,8 @@ pub struct SinkStats {
 }
 
 /// A durable byte store the journal mirrors its frames into: one WAL image,
-/// which `reset` replaces whole at each compaction. The tree's one
-/// durable implementation is [`FileSink`].
+/// which `reset` replaces whole and atomically at each compaction (the one
+/// durable implementation, [`FileSink`], swaps in its recycled spare file).
 ///
 /// `append` takes **one or more whole frames, in order**, and must *write*
 /// them (ordered after every earlier frame) before returning; after
@@ -83,7 +84,8 @@ pub struct SinkStats {
 pub trait JournalSink: Send {
     /// Appends a run of one or more whole encoded frames.
     fn append(&mut self, run: &[u8]);
-    /// Replaces the entire stored log (compaction).
+    /// Replaces the entire stored log (compaction): a crash leaves the old
+    /// log or the new one, never a mix.
     fn reset(&mut self, bytes: &[u8]);
     /// Makes every appended byte durable (group-commit boundary). Sinks
     /// that sync per append need not override this.
@@ -135,14 +137,20 @@ impl FsyncPolicy {
     }
 }
 
-/// File-backed sink: `append` is one write (+ `sync_data` per its
-/// [`FsyncPolicy`] — per append by default, or batched into group commits),
-/// `reset` swaps in the new log atomically via a synced temp file + rename,
-/// so a crash mid-compaction leaves either the old log or the new one —
-/// never a truncated in-between.
+/// File-backed sink that syncs only over blocks its files already own: the
+/// log at `path` and the retired log at `<path>.spare`, each its frames
+/// followed by zeros. `append` writes at the log's end, over zeros laid
+/// down ahead of it (doubled when a run would pass them), so a group
+/// commit's `sync_data` overwrites instead of allocating. `reset` writes
+/// the new image into the retired log, zeroes what that held past the new
+/// end, syncs it and swaps the two names with one
+/// `renameat2(RENAME_EXCHANGE)` and a directory fsync: a crash leaves the
+/// old log or the new one, and no byte of a retired log is ever readable at
+/// `path`. Needs Linux ≥ 3.15 on a filesystem with `RENAME_EXCHANGE`.
 #[derive(Debug)]
 pub struct FileSink {
-    file: File,
+    log: WalFile,
+    spare: WalFile,
     path: PathBuf,
     policy: FsyncPolicy,
     /// Frames written since the last `sync_data`.
@@ -151,33 +159,106 @@ pub struct FileSink {
     stats: SinkStats,
 }
 
+/// One of a [`FileSink`]'s files: frames to `end`, then zeros to `owned`.
+#[derive(Debug)]
+struct WalFile {
+    file: File,
+    end: u64,
+    owned: u64,
+}
+
+impl WalFile {
+    fn open(path: &Path, truncate: bool) -> std::io::Result<Self> {
+        let mut options = OpenOptions::new();
+        let file = options.create(true).read(true).write(true);
+        let file = file.truncate(truncate).open(path)?;
+        let (end, owned) = (logical_end(&file)?, file.metadata()?.len());
+        Ok(WalFile { file, end, owned })
+    }
+
+    /// Writes `bytes` at `at`, the new end, and keeps zeros past it: over
+    /// what the file held beyond the new end, and ahead of it to the next
+    /// power of two when the write passes what the file owns.
+    fn write_at(&mut self, bytes: &[u8], at: u64) -> std::io::Result<()> {
+        self.file.write_all_at(bytes, at)?;
+        let mut from = at + bytes.len() as u64;
+        let to = if from > self.owned {
+            (from + 1).next_power_of_two()
+        } else {
+            self.end
+        };
+        (self.end, self.owned) = (from, self.owned.max(to));
+        // On the stack: a static would be read-only data paged in from disk.
+        let zeros = [0u8; 4096];
+        while from < to {
+            let n = (to - from).min(zeros.len() as u64);
+            self.file.write_all_at(&zeros[..n as usize], from)?;
+            from += n;
+        }
+        Ok(())
+    }
+}
+
+/// One past the last non-zero byte of `file`, found without reading the
+/// log: backwards from the end of the file, over its zero tail.
+fn logical_end(file: &File) -> std::io::Result<u64> {
+    let (mut at, mut block) = (file.metadata()?.len(), [0u8; 4096]);
+    loop {
+        let from = at.saturating_sub(block.len() as u64);
+        let chunk = &mut block[..(at - from) as usize];
+        file.read_exact_at(chunk, from)?;
+        match chunk.iter().rposition(|&b| b != 0) {
+            Some(last) => return Ok(from + last as u64 + 1),
+            None if from == 0 => return Ok(0),
+            None => at = from,
+        }
+    }
+}
+
+fn spare_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".spare");
+    name.into()
+}
+
+/// Swaps the names `a` and `b` in one step: `renameat2(RENAME_EXCHANGE)`.
+fn exchange(a: &Path, b: &Path) -> std::io::Result<()> {
+    use std::ffi::{c_char, CString};
+    use std::os::unix::ffi::OsStrExt;
+    // No `libc` crate in the tree: the one call is declared directly.
+    extern "C" {
+        fn renameat2(fd1: i32, p1: *const c_char, fd2: i32, p2: *const c_char, flags: u32) -> i32;
+    }
+    const AT_FDCWD: i32 = -100;
+    let [a, b] = [a, b].map(|p| CString::new(p.as_os_str().as_bytes()));
+    let (a, b) = (a?, b?);
+    // SAFETY: two NUL-terminated paths that outlive the call; flag 2 is
+    // RENAME_EXCHANGE.
+    match unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), 2) } {
+        0 => Ok(()),
+        _ => Err(std::io::Error::last_os_error()),
+    }
+}
+
 impl FileSink {
     /// Creates (truncating) the journal file, syncing every append.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(FileSink {
-            file,
-            path,
-            policy: FsyncPolicy::EveryAppend,
-            unsynced: 0,
-            stats: SinkStats::default(),
-        })
+        Self::open(path.as_ref(), true)
     }
 
     /// Opens the file for appending **without touching its contents**.
     /// Recovery attaches a sink this way so the existing log survives until
     /// the atomic post-recovery rewrite replaces it.
     pub fn open_preserving(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        Self::open(path.as_ref(), false)
+    }
+
+    fn open(path: &Path, truncate: bool) -> Result<Self, JournalError> {
         Ok(FileSink {
-            file,
-            path,
+            log: WalFile::open(path, truncate)?,
+            // Whatever a spare holds is stale.
+            spare: WalFile::open(&spare_path(path), true)?,
+            path: path.to_path_buf(),
             policy: FsyncPolicy::EveryAppend,
             unsynced: 0,
             stats: SinkStats::default(),
@@ -190,23 +271,21 @@ impl FileSink {
         self
     }
 
-    /// The file this sink writes.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// `sync_data` calls performed so far (group-commit observability).
-    pub fn syncs_performed(&self) -> u64 {
-        self.stats.syncs
-    }
-
-    /// Reads a journal file back into bytes (the recovery entry point).
+    /// Reads a journal file back into bytes up to its zero tail (no frame
+    /// ends in 0x00) — the recovery entry point.
     pub fn read(path: impl AsRef<Path>) -> Result<Vec<u8>, JournalError> {
-        Ok(std::fs::read(path.as_ref())?)
+        let file = File::open(path.as_ref())?;
+        let end = logical_end(&file)?;
+        // Not `vec![0; end]`: zeroing a buffer the read overwrites costs a
+        // pass over the whole log once the allocator recycles heap memory.
+        let mut bytes = Vec::with_capacity(end as usize);
+        (&file).take(end).read_to_end(&mut bytes)?;
+        Ok(bytes)
     }
 
     fn sync(&mut self) {
-        self.file
+        self.log
+            .file
             .sync_data()
             .expect("journal file fsync must succeed");
         self.stats.max_batch = self.stats.max_batch.max(self.unsynced as u64);
@@ -217,8 +296,8 @@ impl FileSink {
 
 impl JournalSink for FileSink {
     fn append(&mut self, run: &[u8]) {
-        self.file
-            .write_all(run)
+        self.log
+            .write_at(run, self.log.end)
             .expect("journal file append must succeed");
         let frames = frame_count(run);
         debug_assert!(frames > 0, "append takes whole frames");
@@ -239,26 +318,22 @@ impl JournalSink for FileSink {
 
     fn reset(&mut self, bytes: &[u8]) {
         let mut swap = || -> std::io::Result<()> {
-            let mut tmp_name = self.path.file_name().unwrap_or_default().to_os_string();
-            tmp_name.push(".tmp");
-            let tmp = self.path.with_file_name(tmp_name);
-            let mut staged = File::create(&tmp)?;
-            staged.write_all(bytes)?;
-            staged.sync_data()?;
-            std::fs::rename(&tmp, &self.path)?;
-            // Make the rename itself durable: without the directory fsync a
-            // power failure could resurrect the old directory entry, and
-            // frames appended (and acknowledged) after this compaction
-            // would vanish with the new inode.
+            self.spare.write_at(bytes, 0)?;
+            self.spare.file.sync_data()?;
+            exchange(&self.path, &spare_path(&self.path))?;
+            // Make the exchange itself durable: without the directory fsync
+            // a power failure could bring back the old names, and frames
+            // appended (and acknowledged) after this compaction would
+            // vanish with the new log.
             if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
                 File::open(parent)?.sync_all()?;
             }
-            self.file = OpenOptions::new().append(true).open(&self.path)?;
             Ok(())
         };
         swap().expect("journal file rewrite must succeed");
-        // The staged file was fully synced before the rename: the rewrite
-        // is one write and one durability point.
+        std::mem::swap(&mut self.log, &mut self.spare);
+        // The new log was fully synced before the exchange: the rewrite is
+        // one write and one durability point.
         self.stats.writes += 1;
         self.stats.syncs += 1;
         self.stats.bytes_written += bytes.len() as u64;
@@ -275,7 +350,7 @@ impl Drop for FileSink {
     /// not lose the batched tail (a crash, by definition, skips this).
     fn drop(&mut self) {
         if self.unsynced > 0 {
-            let _ = self.file.sync_data();
+            let _ = self.log.file.sync_data();
         }
     }
 }
@@ -363,11 +438,6 @@ impl Journal {
         self.sink = Some(sink);
         self.written = self.bytes.len();
         self.rewrite_due = false;
-    }
-
-    /// The journal's configuration.
-    pub fn config(&self) -> &JournalConfig {
-        &self.cfg
     }
 
     /// Attaches a hot-path profiler: `journal/append` and
@@ -678,6 +748,7 @@ mod tests {
             assert_eq!(frames.len(), 2);
         }
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
     }
 
     #[test]
@@ -716,50 +787,47 @@ mod tests {
         for _ in 0..20 {
             sink.append(&frame());
         }
-        assert_eq!(sink.syncs_performed(), 2, "two full windows");
+        assert_eq!(sink.stats().syncs, 2, "two full windows");
         sink.flush();
-        assert_eq!(sink.syncs_performed(), 3, "flush commits the tail");
+        assert_eq!(sink.stats().syncs, 3, "flush commits the tail");
         sink.flush();
-        assert_eq!(
-            sink.syncs_performed(),
-            3,
-            "flush with nothing pending is free"
-        );
+        assert_eq!(sink.stats().syncs, 3, "flush with nothing pending is free");
         // Per-append policy syncs every time; Batch(1) matches it.
         let mut sink = FileSink::create(&path).unwrap();
         for _ in 0..3 {
             sink.append(&frame());
         }
-        assert_eq!(sink.syncs_performed(), 3);
+        assert_eq!(sink.stats().syncs, 3);
         let mut sink = FileSink::create(&path)
             .unwrap()
             .with_fsync_policy(FsyncPolicy::Batch(1));
         for _ in 0..3 {
             sink.append(&frame());
         }
-        assert_eq!(sink.syncs_performed(), 3);
+        assert_eq!(sink.stats().syncs, 3);
         // A run counts as its frames but is left to the flush that follows
         // it: synced once, after its write, however far past the window.
         let mut sink = FileSink::create(&path)
             .unwrap()
             .with_fsync_policy(FsyncPolicy::Batch(8));
         sink.append(&frame().repeat(20));
-        assert_eq!(sink.syncs_performed(), 0, "the run's sync is its flush");
+        assert_eq!(sink.stats().syncs, 0, "the run's sync is its flush");
         sink.flush();
-        assert_eq!(sink.syncs_performed(), 1, "one sync for the whole run");
+        assert_eq!(sink.stats().syncs, 1, "one sync for the whole run");
         assert_eq!(sink.stats().max_batch, 20);
         assert_eq!((sink.stats().appends, sink.stats().writes), (20, 1));
         // ...and the frames it left pending count towards the window of
         // the single-frame appends after it.
         sink.append(&frame().repeat(7));
         sink.append(&frame());
-        assert_eq!(sink.syncs_performed(), 2, "7 + 1 reach the window");
+        assert_eq!(sink.stats().syncs, 2, "7 + 1 reach the window");
         // Syncing per append, a run is durable when its append returns.
         let mut sink = FileSink::create(&path).unwrap();
         sink.append(&frame().repeat(20));
-        assert_eq!(sink.syncs_performed(), 1);
+        assert_eq!(sink.stats().syncs, 1);
         drop(sink);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
     }
 
     #[test]
@@ -789,6 +857,7 @@ mod tests {
         assert_eq!(sink.stats().bytes_written, 10 * len + 10);
         drop(sink);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
 
         // The journal surfaces its sink's stats; in-memory has none.
         assert!(Journal::in_memory(JournalConfig::default())
@@ -808,6 +877,7 @@ mod tests {
         assert_eq!(stats.syncs, 1, "per-append policy syncs immediately");
         assert!(stats.bytes_written > 0);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
     }
 
     #[test]

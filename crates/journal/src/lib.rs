@@ -82,7 +82,7 @@ pub use event::JournalEvent;
 pub use gateway::JournaledGateway;
 pub use journal::{FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink, SinkStats};
 pub use recover::{
-    apply_event, recover, recover_file, recover_file_with_policy, replay, requalify, RecoveryReport,
+    apply_event, recover, recover_file_with_policy, replay, requalify, RecoveryReport,
 };
 pub use snapshot::{GatewaySnapshot, JournalError, Recoverable};
 pub use telemetry::fold_journal_metrics;
@@ -96,7 +96,7 @@ pub mod prelude {
         FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink, SinkStats,
     };
     pub use crate::recover::{
-        recover, recover_file, recover_file_with_policy, replay, requalify, RecoveryReport,
+        recover, recover_file_with_policy, replay, requalify, RecoveryReport,
     };
     pub use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
     pub use crate::telemetry::fold_journal_metrics;

@@ -202,28 +202,16 @@ pub fn requalify<G: Recoverable>(
     (journaled, demoted)
 }
 
-/// Convenience for the common file round trip: read `path`, recover at
-/// `now`, and re-journal into the same file (the rewrite compacts the log
-/// down to the post-recovery snapshot). The file is only rewritten — via
-/// an atomic temp-file + rename — *after* recovery has succeeded, so a
-/// failed recovery (or a crash mid-rewrite) always leaves the original
+/// The file round trip: read `path`, recover at `now`, and re-journal into
+/// the same file under `policy` (the rewrite compacts the log down to the
+/// post-recovery snapshot). The file is only rewritten — by the sink's
+/// atomic exchange with its retired log — *after* recovery has succeeded,
+/// so a failed recovery (or a crash mid-rewrite) always leaves the original
 /// journal intact for a retry or an operator post-mortem.
 ///
-/// The reattached sink syncs per append (the safest default); a server
-/// that ran with group commit must say so again via
-/// [`recover_file_with_policy`] — the policy is process configuration,
-/// not journaled state, so recovery cannot infer it from the log.
-pub fn recover_file<G: Recoverable>(
-    path: impl AsRef<std::path::Path>,
-    now: SimTime,
-    cfg: JournalConfig,
-) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
-    recover_file_with_policy(path, now, cfg, crate::journal::FsyncPolicy::EveryAppend)
-}
-
-/// [`recover_file`] with an explicit [`FsyncPolicy`] for the reattached
-/// sink, so a group-commit edge keeps its durability/cost point across a
-/// restart instead of silently falling back to per-append fsync.
+/// The [`FsyncPolicy`] is process configuration, not journaled state, so recovery
+/// cannot infer it from the log: a group-commit edge passes its own to keep
+/// its durability/cost point across a restart.
 ///
 /// [`FsyncPolicy`]: crate::journal::FsyncPolicy
 pub fn recover_file_with_policy<G: Recoverable>(

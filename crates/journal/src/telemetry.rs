@@ -76,6 +76,7 @@ mod tests {
         assert!(text.contains("rtdls_journal_sink_bytes_written"), "{text}");
         drop(j);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
 
         // An in-memory journal folds only its own counters.
         let j = Journal::in_memory(JournalConfig::default());

@@ -297,8 +297,13 @@ fn a_restart_from_a_wal_file_finishes_with_all_guarantees() {
     let path = wal_path.clone();
     let frontend = Restarting::new(journaled, kill_before, move |_image, now| {
         // The only artifact that crosses the crash is the file on disk.
-        let (recovered, rec) =
-            recover_file::<ShardedGateway>(&path, now, journal_cfg).expect("recovery from WAL");
+        let (recovered, rec) = recover_file_with_policy::<ShardedGateway>(
+            &path,
+            now,
+            journal_cfg,
+            FsyncPolicy::EveryAppend,
+        )
+        .expect("recovery from WAL");
         assert!(rec.frames_decoded > 0, "recovery read the journal");
         recovered
     });
@@ -327,6 +332,7 @@ fn a_restart_from_a_wal_file_finishes_with_all_guarantees() {
         "compacted WAL keeps a snapshot"
     );
     let _ = std::fs::remove_file(&wal_path);
+    let _ = std::fs::remove_file(wal_path.with_extension("wal.spare"));
 }
 
 #[test]
@@ -399,7 +405,7 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
         (t0.submitted, t0.accepted, t0.demoted, t0.rejected),
         (2, 2, 1, 1)
     );
-    assert_eq!(t0.accepted_net() + t0.rejected, t0.submitted);
+    assert_eq!(t0.accepted - t0.demoted + t0.rejected, t0.submitted);
     // And the demotion is in the new journal (checked via the audit path).
     let (frames, _) = rtdls_journal::wire::decode_frames(recovered.journal().bytes());
     let has_demoted = frames.iter().any(|f| {
@@ -897,8 +903,13 @@ fn recovery_through_a_journal_file_survives_process_boundaries() {
         crash_time = sim.now();
         // The process "dies": everything in memory is dropped.
     }
-    let (recovered, report) =
-        recover_file::<ShardedGateway>(&path, crash_time, JournalConfig::default()).unwrap();
+    let (recovered, report) = recover_file_with_policy::<ShardedGateway>(
+        &path,
+        crash_time,
+        JournalConfig::default(),
+        FsyncPolicy::EveryAppend,
+    )
+    .unwrap();
     assert!(report.frames_decoded > 0);
     assert!(recovered.metrics().submitted > 0);
     // The file was compacted down to the post-recovery snapshot (+ audits).
@@ -914,6 +925,7 @@ fn recovery_through_a_journal_file_survives_process_boundaries() {
         1
     );
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("wal.spare"));
 }
 
 #[test]
@@ -1042,4 +1054,5 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
         );
     }
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("wal.spare"));
 }

@@ -260,3 +260,37 @@ fn gateway_snapshot_reads_a_pre_redesign_image() {
     // absence is damage.
     assert!(serde_json::from_str::<GatewaySnapshot>(&without(&json, &["routing"])).is_err());
 }
+
+#[test]
+fn a_recycled_wal_recovers_past_its_zero_tail() {
+    // Written by `FileSink` through two compactions (`snapshot_every: 4`,
+    // ten submits on one 2-node shard): the log, then the zeros it keeps
+    // ahead of its end, up to 16 KiB.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/zero_tail.wal");
+    let raw = std::fs::read(path).unwrap();
+    let wal = FileSink::read(path).unwrap();
+    assert_eq!((raw.len(), wal.len()), (16_384, 10_812));
+    assert!(raw[wal.len()..].iter().all(|&b| b == 0));
+    let (recovered, report) =
+        recover::<ShardedGateway>(&wal, SimTime::new(90.0), JournalConfig::default(), None)
+            .unwrap();
+    assert!(report.tail.is_clean());
+    assert_eq!(
+        (
+            report.frames_decoded,
+            report.events_replayed,
+            report.audit_records
+        ),
+        (5, 2, 2)
+    );
+    let m = recovered.metrics();
+    assert_eq!(
+        (
+            m.submitted,
+            m.accepted_total(),
+            m.deferred,
+            m.rejected_immediate
+        ),
+        (10, 3, 6, 1)
+    );
+}

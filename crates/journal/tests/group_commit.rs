@@ -156,6 +156,7 @@ fn a_held_turn_is_one_append_and_one_sync() {
         }
         drop(gateway);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
     }
 }
 
@@ -202,7 +203,9 @@ fn a_snapshot_inside_a_held_turn_is_one_reset_and_the_same_file() {
     assert!(snapshot_turns >= 3, "compactions fell inside held turns");
     drop((held, through));
     let _ = std::fs::remove_file(&held_path);
+    let _ = std::fs::remove_file(held_path.with_extension("wal.spare"));
     let _ = std::fs::remove_file(&through_path);
+    let _ = std::fs::remove_file(through_path.with_extension("wal.spare"));
 }
 
 #[test]
@@ -238,6 +241,7 @@ fn what_is_appended_outside_a_turn_is_synced_per_event() {
     assert_eq!(stats.syncs, 1 + stats.appends, "every append synced");
     drop(gateway);
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("wal.spare"));
 }
 
 #[test]
@@ -268,5 +272,6 @@ fn a_graceful_stop_writes_the_held_tail() {
         drop(gateway);
         assert_eq!(FileSink::read(&path).unwrap(), image, "finalize={finalize}");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
     }
 }

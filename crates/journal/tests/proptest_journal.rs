@@ -1,6 +1,6 @@
 //! Property-based tests for the journal subsystem.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * **Replay determinism** — `recover(journal(events)) == live_state(events)`:
 //!   for arbitrary workloads, shard counts, routings, snapshot cadences, and
@@ -11,6 +11,8 @@
 //!   never panics recovery and never loses a record before the damage
 //!   point: recovery comes back with a clean prefix of the history (or
 //!   reports the genesis snapshot itself as lost).
+//! * **Frame endings** — no frame ends in a 0x00 byte, so dropping a WAL
+//!   file's zero tail (`FileSink::read`) is exact.
 
 use proptest::prelude::*;
 
@@ -119,6 +121,26 @@ proptest! {
         let (replayed, report) = replay::<ShardedGateway>(&bytes).unwrap();
         prop_assert!(report.tail.is_clean());
         prop_assert_eq!(replayed.capture().normalized(), live);
+    }
+
+    /// A `FileSink` keeps zeros ahead of its log and `FileSink::read`
+    /// drops the zero tail, which is exact only because no frame ends in a
+    /// 0x00 byte.
+    #[test]
+    fn no_frame_ends_in_a_zero_byte(
+        (params, shards, routing, load, dc, seed) in service_inputs(),
+        snapshot_every in 0usize..24,
+        kill_at in 1u64..160,
+    ) {
+        let tasks = workload(params, load, dc, seed);
+        let sim = drive(params, tasks, journaled(params, shards, routing, snapshot_every), kill_at);
+        let bytes = sim.frontend().journal().bytes();
+        let (frames, tail) = rtdls_journal::wire::decode_frames(bytes);
+        prop_assert!(tail.is_clean());
+        for f in &frames {
+            let end = f.offset + rtdls_journal::wire::HEADER_LEN + f.payload.len();
+            prop_assert!(bytes[end - 1] != 0, "the frame at {} ends in 0x00", f.offset);
+        }
     }
 
     /// Compaction invariance: aggressive snapshotting (tiny cadence, log

@@ -744,5 +744,6 @@ mod tests {
         assert_eq!(restarted.journal().epoch(), 1);
         drop(restarted);
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("wal.spare"));
     }
 }

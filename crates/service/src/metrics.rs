@@ -42,14 +42,6 @@ pub struct TenantCounters {
     pub decision_latency: LatencyHistogram,
 }
 
-impl TenantCounters {
-    /// Net admitted count: gross accepts minus recovery demotions — the
-    /// tenant-level counterpart of [`MetricsSnapshot::accepted_total`].
-    pub fn accepted_net(&self) -> u64 {
-        self.accepted.saturating_sub(self.demoted)
-    }
-}
-
 /// Tenant-keyed decision metrics: one [`TenantCounters`] per tenant that
 /// has ever submitted, id-sorted so equal books serialize identically and
 /// both admission engines produce byte-identical snapshots.

@@ -177,17 +177,6 @@ pub struct FlashCrowd {
 }
 
 impl FlashCrowd {
-    /// A crowd that desaturates a healthy cluster: 8× the base rate for
-    /// 60 mean interarrivals, arriving after a 120-interarrival warmup.
-    pub fn severe(spec: &WorkloadSpec) -> Self {
-        let scale = spec.mean_interarrival();
-        FlashCrowd {
-            at: 120.0 * scale,
-            duration: 60.0 * scale,
-            rate_factor: 8.0,
-        }
-    }
-
     fn validate(&self) {
         assert!(
             self.rate_factor.is_finite() && self.rate_factor >= 1.0,
@@ -387,7 +376,12 @@ mod tests {
     #[test]
     fn flash_crowd_is_deterministic_and_ordered() {
         let spec = short_spec(0.5);
-        let crowd = FlashCrowd::severe(&spec);
+        let scale = spec.mean_interarrival();
+        let crowd = FlashCrowd {
+            at: 120.0 * scale,
+            duration: 60.0 * scale,
+            rate_factor: 8.0,
+        };
         let a: Vec<Task> = crowd.stream(spec, 13).collect();
         let b: Vec<Task> = crowd.stream(spec, 13).collect();
         assert_eq!(a, b);

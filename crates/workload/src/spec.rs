@@ -193,11 +193,6 @@ impl WorkloadSpec {
     pub fn avg_deadline(&self) -> f64 {
         self.dc_ratio * self.avg_min_exec_time()
     }
-
-    /// Expected number of arrivals over the horizon.
-    pub fn expected_arrivals(&self) -> f64 {
-        self.horizon / self.mean_interarrival()
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +236,7 @@ mod tests {
         let s = WorkloadSpec::paper_baseline(1.0);
         let e = s.avg_min_exec_time();
         assert!((1300.0..1400.0).contains(&e), "E = {e}");
-        let n = s.expected_arrivals();
+        let n = s.horizon / s.mean_interarrival();
         assert!((7000.0..7700.0).contains(&n), "expected arrivals {n}");
     }
 

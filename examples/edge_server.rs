@@ -150,4 +150,5 @@ fn main() {
     println!("server : {m}");
     println!("\nedge demo OK: 600 requests served across a kill/recover boundary");
     let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
 }

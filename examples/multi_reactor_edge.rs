@@ -218,5 +218,6 @@ fn main() {
     );
     for w in &wals {
         let _ = std::fs::remove_file(w);
+        let _ = std::fs::remove_file(w.with_extension("wal.spare"));
     }
 }
