@@ -44,11 +44,11 @@
 //!
 //! Nor need the gate be *compared* all along that prefix. A position's
 //! `PlanMeta` *follows* when its `observed` is exactly the position ahead's
-//! with that one's plan written: a pass (or `submit_batch`) records so for
-//! every position of the tail it installs that the walk reached straight
-//! from the one ahead (`Walk::mark`; reused positions behind a change are
-//! re-recorded, not cloned), and `take_due` and `remove_waiting` unchain
-//! what they close up behind. The same fact is why a tail's inputs are
+//! with that one's plan written: a pass records so for every position of
+//! the tail it installs that the walk reached straight from the one ahead
+//! (`Walk::mark`; reused positions behind a change are re-recorded, not
+//! cloned), and `take_due` and `remove_waiting` unchain what they close up
+//! behind. The same fact is why a tail's inputs are
 //! stored as its first position's vector plus its plans (`walk.rs`,
 //! `Tail`): each next vector is the last with one plan written.
 //!
@@ -127,7 +127,6 @@
 //!
 //! [`NodeCountPolicy::OneShot`]: crate::strategy::NodeCountPolicy::OneShot
 
-use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::ops::Range;
 
@@ -639,134 +638,6 @@ impl Admission for AdmissionController {
             })
     }
 
-    /// The same resumable checkpoint-rewind pass as the reference engine's
-    /// (its `submit_batch` documents the rationale), with cached plans
-    /// reused for waiting-queue positions whose inputs are unchanged. The
-    /// pass works entirely on scratch state; committed releases and the
-    /// installed queue are only replaced once the batch has settled, so a
-    /// mid-batch rejection can never leak a rejected member's tentative
-    /// dispatch into [`committed_releases`](Admission::committed_releases).
-    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let waiting_index: HashMap<TaskId, usize> = self
-            .queue
-            .iter()
-            .enumerate()
-            .map(|(i, (t, _))| (t.id, i))
-            .collect();
-        let mut ordered: Vec<Task> = self.queue.iter().map(|(t, _)| *t).collect();
-        ordered.extend_from_slice(batch);
-        self.algorithm.policy.sort(&mut ordered);
-
-        /// Rewind point recorded before each planned batch member: its place
-        /// in `ordered`, and how many plans the tail held ahead of it.
-        struct Checkpoint {
-            ordered_idx: usize,
-            plans_len: usize,
-        }
-
-        let mut decisions: Vec<Option<Decision>> = vec![None; batch.len()];
-        let mut skipped: HashSet<TaskId> = HashSet::new();
-        let mut evicted_by_rollback: Vec<Task> = Vec::new();
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut work = EngineProfile::default();
-        let batch_index = |id: TaskId| batch.iter().position(|b| b.id == id).expect("member");
-
-        let settled = self.with_pass(|engine, pass| {
-            let Pass { walk, tail } = pass;
-            walk.restart(&engine.releases, now);
-            tail.open(0, walk);
-            let mut i = 0;
-            while i < ordered.len() {
-                let task = ordered[i];
-                if skipped.contains(&task.id) {
-                    i += 1;
-                    continue;
-                }
-                let cached = waiting_index.get(&task.id).copied();
-                // Reuse requires the *whole task* to match, not just the id: a
-                // batch member that shares a waiting task's id but differs in
-                // size/deadline must be planned fresh (the reference engine
-                // plans it fresh regardless).
-                let reused = cached.filter(|&qi| {
-                    engine.queue[qi].0 == task && engine.reusable(qi, walk, &mut work)
-                });
-                if let Some(qi) = reused {
-                    walk.keep_cached(&task, &engine.queue[qi].1, tail);
-                    work.plans_reused += 1;
-                    i += 1;
-                    continue;
-                }
-                let is_batch = cached.is_none();
-                let plans_len = tail.tasks().len();
-                match engine.plan_fresh(&task, walk, tail, &mut work) {
-                    Ok(()) => {
-                        if is_batch {
-                            checkpoints.push(Checkpoint {
-                                ordered_idx: i,
-                                plans_len,
-                            });
-                        }
-                        i += 1;
-                    }
-                    Err(f) if is_batch => {
-                        decisions[batch_index(task.id)] = Some(Decision::Rejected(f.reason));
-                        skipped.insert(task.id);
-                        i += 1;
-                    }
-                    Err(AdmissionFailure { reason, .. }) => {
-                        // A previously admitted task lost feasibility: evict the
-                        // most recently planned batch member and rewind to its
-                        // checkpoint (see the reference engine for the rationale).
-                        match checkpoints.pop() {
-                            Some(ck) => {
-                                let evicted = ordered[ck.ordered_idx];
-                                decisions[batch_index(evicted.id)] =
-                                    Some(Decision::Rejected(reason));
-                                skipped.insert(evicted.id);
-                                evicted_by_rollback.push(evicted);
-                                tail.rewind(ck.plans_len, walk);
-                                i = ck.ordered_idx;
-                            }
-                            None => {
-                                // The waiting queue alone cannot be replanned at
-                                // `now`: reject the whole batch, keep all plans.
-                                for d in decisions.iter_mut() {
-                                    if d.is_none() {
-                                        *d = Some(Decision::Rejected(reason));
-                                    }
-                                }
-                                return false;
-                            }
-                        }
-                    }
-                }
-            }
-            for (idx, d) in decisions.iter_mut().enumerate() {
-                if d.is_none() {
-                    debug_assert!(tail.tasks().any(|t| t.id == batch[idx].id));
-                    *d = Some(Decision::Accepted);
-                }
-            }
-            tail.install(&mut engine.queue, &mut engine.meta);
-            true
-        });
-        self.book_work(work);
-        if settled {
-            // Rollback evictions picked a culprit heuristically; give each
-            // evicted member one individual shot at the settled queue.
-            self.algorithm.policy.sort(&mut evicted_by_rollback);
-            for task in evicted_by_rollback {
-                if self.submit(task, now).is_accepted() {
-                    decisions[batch_index(task.id)] = Some(Decision::Accepted);
-                }
-            }
-        }
-        decisions.into_iter().map(|d| d.expect("decided")).collect()
-    }
-
     /// `probe.rs`'s start search, on this engine's cache.
     fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime> {
         self.start_search(task, now)
@@ -990,6 +861,27 @@ mod tests {
     }
 
     #[test]
+    fn a_queue_that_cannot_replan_refuses_a_newcomer_and_keeps_its_plan() {
+        // The waiting task's deadline has passed by the time the newcomer
+        // arrives: the queue alone cannot be replanned, so the newcomer is
+        // refused on its behalf and the installed plan stays.
+        let p = params();
+        let e16 = homogeneous::exec_time(&p, 400.0, 16);
+        let (mut full, mut inc) = both(AlgorithmKind::EDF_DLT);
+        let w = task(1, 0.0, 400.0, e16 * 1.05);
+        assert_eq!(full.submit(w, SimTime::ZERO), inc.submit(w, SimTime::ZERO));
+        let plan_before = inc.queue()[0].1.clone();
+        let late = SimTime::new(e16 * 3.0);
+        let newcomer = task(2, late.as_f64(), 50.0, 1e9);
+        let decision = inc.submit(newcomer, late);
+        assert!(!decision.is_accepted());
+        assert_eq!(full.submit(newcomer, late), decision);
+        assert_eq!(inc.queue_len(), 1);
+        assert_eq!(inc.queue()[0].1, plan_before);
+        assert_same_state(&full, &inc);
+    }
+
+    #[test]
     fn probe_plan_matches_full_engine_and_does_not_mutate() {
         let (mut full, mut inc) = both(AlgorithmKind::EDF_DLT);
         for i in 0..6 {
@@ -1043,75 +935,6 @@ mod tests {
                 || after.plans_reused > before.plans_reused,
             "rejected pass left no trace in the stats: {after:?}"
         );
-    }
-
-    #[test]
-    fn batch_matches_full_engine_including_rollback() {
-        let p = params();
-        let e8 = homogeneous::exec_time(&p, 400.0, 8);
-        let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let (mut full, mut inc) = both(AlgorithmKind::EDF_DLT);
-        let w = task(1, 0.0, 400.0, e8 * 1.005);
-        assert_eq!(full.submit(w, SimTime::ZERO), inc.submit(w, SimTime::ZERO));
-        let m1 = task(2, 0.0, 400.0, e16 * 1.05);
-        let m2 = task(3, 0.0, 10.0, e8 * 0.8);
-        assert_eq!(
-            full.submit_batch(&[m1, m2], SimTime::ZERO),
-            inc.submit_batch(&[m1, m2], SimTime::ZERO)
-        );
-        assert_same_state(&full, &inc);
-    }
-
-    #[test]
-    fn batch_member_shadowing_a_waiting_id_is_planned_fresh() {
-        // A batch member that shares a waiting task's id but differs in
-        // shape must NOT inherit the cached plan — the reference engine
-        // plans it fresh, and so must the diff engine (regression for the
-        // id-keyed reuse cache).
-        let (mut full, mut inc) = both(AlgorithmKind::EDF_DLT);
-        let w = task(7, 0.0, 100.0, 1e6);
-        assert_eq!(full.submit(w, SimTime::ZERO), inc.submit(w, SimTime::ZERO));
-        let shadow = task(7, 0.0, 800.0, 5e5);
-        assert_eq!(
-            full.submit_batch(&[shadow], SimTime::ZERO),
-            inc.submit_batch(&[shadow], SimTime::ZERO)
-        );
-        assert_same_state(&full, &inc);
-        // And a *fully identical* duplicate also stays conformant (its
-        // second occurrence sees post-first-copy releases, so the cache
-        // input gate rejects reuse).
-        let (mut full, mut inc) = both(AlgorithmKind::EDF_DLT);
-        assert_eq!(full.submit(w, SimTime::ZERO), inc.submit(w, SimTime::ZERO));
-        assert_eq!(
-            full.submit_batch(&[w], SimTime::ZERO),
-            inc.submit_batch(&[w], SimTime::ZERO)
-        );
-        assert_same_state(&full, &inc);
-    }
-
-    #[test]
-    fn mid_batch_rejection_leaves_committed_releases_untouched() {
-        // The incremental regression twin of the reference engine's test: the
-        // checkpoint-rewind pass may never leak tentative dispatches.
-        let p = params();
-        let e8 = homogeneous::exec_time(&p, 400.0, 8);
-        let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let mut c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
-        assert!(c
-            .submit(task(10, 0.0, 50.0, 1e6), SimTime::ZERO)
-            .is_accepted());
-        let _ = c.take_due(SimTime::ZERO);
-        let committed_before = c.committed_releases().to_vec();
-        let w = task(1, 0.0, 400.0, e8 * 1.05 + committed_before[0].as_f64());
-        let _ = c.submit(w, SimTime::ZERO);
-        let m1 = task(2, 0.0, 400.0, e16 * 1.05);
-        let m2 = task(3, 0.0, 10.0, e8 + 10_000.0);
-        let decisions = c.submit_batch(&[m1, m2], SimTime::ZERO);
-        assert!(
-            decisions.iter().any(|d| !d.is_accepted()),
-            "scenario must reject a mid-batch member: {decisions:?}"
-        );
-        assert_eq!(c.committed_releases(), committed_before.as_slice());
     }
 
     #[test]
@@ -1328,7 +1151,7 @@ mod tests {
     // lemma does not rest on either fact, so their tests vouch for
     // hand-made books by hand. A dropped condition turns its test red in a
     // debug build through the helper's own cross-check, and in any build
-    // through the test's count of compared gates or its oracle; a batch
+    // through the test's count of compared gates or its oracle; a pass
     // that cloned what it keeps would leave it unchained, which only the
     // count shows.
 
@@ -1468,10 +1291,10 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_rerecords_what_it_keeps_behind_a_new_member() {
-        // b leaves and comes back in a batch, planned where it was on what
-        // it was planned on: c's gate holds behind it and c is kept —
-        // re-recorded behind b's plan, not cloned unchained.
+    fn a_pass_rerecords_what_it_keeps_behind_a_new_member() {
+        // b leaves and comes back, planned where it was on what it was
+        // planned on: c's gate holds behind it and c is kept — re-recorded
+        // behind b's plan, not cloned unchained.
         let (mut full, mut inc) = busy(PlanConfig::default());
         let [a, b, c] = [1, 2, 3].map(|id| task(id, 0.0, 50.0, 1e6 + id as f64 * 1e3));
         for t in [a, b, c] {
@@ -1479,8 +1302,8 @@ mod tests {
         }
         assert_eq!(full.remove_waiting(b.id), inc.remove_waiting(b.id));
         let before = inc.profile();
-        let decisions = inc.submit_batch(&[b], SimTime::ZERO);
-        assert_eq!(full.submit_batch(&[b], SimTime::ZERO), decisions);
+        let decision = inc.submit(b, SimTime::ZERO);
+        assert_eq!(full.submit(b, SimTime::ZERO), decision);
         assert_same_state(&full, &inc);
         let work = work_since(&inc, before);
         assert_eq!((work.plans_computed, work.plans_reused), (1, 2));

@@ -362,11 +362,6 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// instead of a bare decision.
     fn probe_plan(&self, task: &Task, now: SimTime) -> Result<TaskPlan, AdmissionFailure>;
 
-    /// Amortized admission for a burst of tasks; decides like calling
-    /// [`submit`](Admission::submit) once per task in policy order. Returns
-    /// one [`Decision`] per batch entry, in input order.
-    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision>;
-
     /// The first dispatch instant after `now` at which `task` would pass the
     /// schedulability test against this engine's book as it will stand then,
     /// assuming no further arrivals; `None` when no dispatch of the current

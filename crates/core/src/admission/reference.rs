@@ -17,12 +17,10 @@
 //! re-planned per probe — and the differential suite asserts the two give
 //! the same `AdmissionExplanation`, field for field.
 
-use std::collections::HashSet;
-
 use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
-use crate::strategy::{plan_task, NodeAvailability, PlanConfig, TaskPlan};
+use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
@@ -301,170 +299,6 @@ impl Admission for ReferenceController {
             })
     }
 
-    /// Amortized admission for a burst of tasks.
-    ///
-    /// Decides like calling [`submit`] once per task in policy order, but
-    /// the temp schedule is built in one resumable pass over
-    /// `waiting ∪ batch` instead of once per candidate:
-    ///
-    /// * a failing **batch** member is simply skipped — tasks planned before
-    ///   it never saw it, and its removal can only help tasks planned after
-    ///   it, so the pass continues in place;
-    /// * a failing **waiting** member means an earlier-deadline batch member
-    ///   pushed an already-admitted task out — the most recently planned
-    ///   batch member is provisionally evicted and the pass *rewinds to its
-    ///   checkpoint* (releases and plans as they stood just before it was
-    ///   planned) rather than restarting. Because that eviction choice is a
-    ///   heuristic, every evicted member gets one final individual re-test
-    ///   against the settled queue before being rejected — so the batch
-    ///   never rejects a task the per-task path would have admitted into
-    ///   the same final queue. With an empty waiting queue the pass is a
-    ///   single linear sweep and exactly equivalent to sequential
-    ///   policy-order submission.
-    ///
-    /// The pass works entirely on scratch state: the committed release
-    /// vector and the installed plans are only replaced after the whole
-    /// batch has settled, so a mid-batch rejection (or wholesale failure)
-    /// can never leave a rejected member's tentative dispatch visible in
-    /// [`committed_releases`](Admission::committed_releases).
-    ///
-    /// If the waiting queue *by itself* cannot be replanned at `now` (the
-    /// same non-monotonicity that can make [`replan`] fail), the whole
-    /// batch is rejected and the existing plans are kept — matching what
-    /// each individual [`submit`] would have done.
-    ///
-    /// Returns one [`Decision`] per batch entry, in input order.
-    ///
-    /// [`submit`]: Admission::submit
-    /// [`replan`]: Admission::replan
-    fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Decision> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let waiting: Vec<Task> = self.queue.iter().map(|(t, _)| *t).collect();
-        let waiting_ids: HashSet<TaskId> = waiting.iter().map(|t| t.id).collect();
-        let mut ordered: Vec<Task> = waiting;
-        ordered.extend_from_slice(batch);
-        self.algorithm.policy.sort(&mut ordered);
-
-        /// Rewind point recorded before each planned batch member.
-        struct Checkpoint {
-            ordered_idx: usize,
-            releases: Vec<SimTime>,
-            plans_len: usize,
-        }
-
-        let mut decisions: Vec<Option<Decision>> = vec![None; batch.len()];
-        let mut skipped: HashSet<TaskId> = HashSet::new();
-        // Members evicted by a rollback (as opposed to failing their own
-        // plan); they get a final individual re-test below.
-        let mut evicted_by_rollback: Vec<Task> = Vec::new();
-        let mut releases = self.releases.clone();
-        let mut plans: Vec<TaskPlan> = Vec::with_capacity(ordered.len());
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let batch_index = |id: TaskId| batch.iter().position(|b| b.id == id).expect("member");
-
-        let mut i = 0;
-        while i < ordered.len() {
-            let task = ordered[i];
-            if skipped.contains(&task.id) {
-                i += 1;
-                continue;
-            }
-            let is_batch = !waiting_ids.contains(&task.id);
-            let avail = NodeAvailability::new(&releases, now);
-            match plan_task(
-                self.algorithm.strategy,
-                &task,
-                &avail,
-                &self.params,
-                &self.cfg,
-            ) {
-                Ok(plan) => {
-                    if is_batch {
-                        checkpoints.push(Checkpoint {
-                            ordered_idx: i,
-                            releases: releases.clone(),
-                            plans_len: plans.len(),
-                        });
-                    }
-                    for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-                        releases[node.index()] = rel;
-                    }
-                    plans.push(plan);
-                    i += 1;
-                }
-                Err(reason) if is_batch => {
-                    decisions[batch_index(task.id)] = Some(Decision::Rejected(reason));
-                    skipped.insert(task.id);
-                    i += 1;
-                }
-                Err(reason) => {
-                    // A previously admitted task lost feasibility.
-                    match checkpoints.pop() {
-                        Some(ck) => {
-                            // Evict the most recently planned batch member
-                            // (top checkpoint) and replan the suffix from
-                            // its position.
-                            let evicted = ordered[ck.ordered_idx];
-                            decisions[batch_index(evicted.id)] = Some(Decision::Rejected(reason));
-                            skipped.insert(evicted.id);
-                            evicted_by_rollback.push(evicted);
-                            releases = ck.releases;
-                            plans.truncate(ck.plans_len);
-                            i = ck.ordered_idx;
-                        }
-                        None => {
-                            // No batch member precedes the failing waiting
-                            // task: the waiting queue alone cannot be
-                            // replanned at `now` (the FixedPoint ñ_min
-                            // non-monotonicity — see `replan`). Every
-                            // per-task submit would fail the same way, so
-                            // reject the whole batch and keep the current
-                            // plans untouched.
-                            for d in decisions.iter_mut() {
-                                if d.is_none() {
-                                    *d = Some(Decision::Rejected(reason));
-                                }
-                            }
-                            return decisions.into_iter().map(|d| d.expect("decided")).collect();
-                        }
-                    }
-                }
-            }
-        }
-        for (idx, d) in decisions.iter_mut().enumerate() {
-            if d.is_none() {
-                debug_assert!(plans.iter().any(|p| p.task == batch[idx].id));
-                *d = Some(Decision::Accepted);
-            }
-        }
-        self.queue.clear();
-        let mut by_id: Vec<(TaskId, Task)> = ordered
-            .into_iter()
-            .filter(|t| !skipped.contains(&t.id))
-            .map(|t| (t.id, t))
-            .collect();
-        for plan in plans {
-            let pos = by_id
-                .iter()
-                .position(|(id, _)| *id == plan.task)
-                .expect("plan for unknown task");
-            let (_, task) = by_id.swap_remove(pos);
-            self.queue.push((task, plan));
-        }
-        // Rollback evictions picked a culprit heuristically; give each
-        // evicted member one individual shot at the settled queue so no
-        // task is rejected that the per-task path would have admitted.
-        self.algorithm.policy.sort(&mut evicted_by_rollback);
-        for task in evicted_by_rollback {
-            if self.submit(task, now).is_accepted() {
-                decisions[batch_index(task.id)] = Some(Decision::Accepted);
-            }
-        }
-        decisions.into_iter().map(|d| d.expect("decided")).collect()
-    }
-
     fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime> {
         earliest_start_after_search(
             &self.params,
@@ -705,130 +539,6 @@ mod tests {
         let mut c = ctl(AlgorithmKind::EDF_DLT);
         c.replan(SimTime::new(42.0)).unwrap();
         assert_eq!(c.queue_len(), 0);
-    }
-
-    #[test]
-    fn batch_on_empty_queue_matches_sequential() {
-        let burst: Vec<Task> = (0..10)
-            .map(|i| task(i, 0.0, 300.0, 4_000.0 + (i % 4) as f64 * 3_000.0))
-            .collect();
-        let mut batched = ctl(AlgorithmKind::EDF_DLT);
-        let decisions = batched.submit_batch(&burst, SimTime::ZERO);
-        let mut sequential = ctl(AlgorithmKind::EDF_DLT);
-        let mut ordered = burst.clone();
-        crate::policy::Policy::Edf.sort(&mut ordered);
-        for t in &ordered {
-            sequential.submit(*t, SimTime::ZERO);
-        }
-        let ids = |c: &ReferenceController| -> Vec<u64> {
-            c.queue().iter().map(|(t, _)| t.id.0).collect()
-        };
-        assert_eq!(ids(&batched), ids(&sequential));
-        assert_eq!(
-            decisions.iter().filter(|d| d.is_accepted()).count(),
-            sequential.queue_len()
-        );
-    }
-
-    #[test]
-    fn batch_rollback_recovers_the_innocent_member() {
-        // Waiting task W is snug on 8 nodes. Batch member M1 (earliest
-        // deadline, whole cluster) starves W; member M2 (tiny, deadline in
-        // between) is harmless. The rollback heuristic evicts M2 first, but
-        // the final individual re-test must bring it back: sequential
-        // policy-order submission rejects only M1.
-        let p = params();
-        let e8 = homogeneous::exec_time(&p, 400.0, 8);
-        let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let mut c = ctl(AlgorithmKind::EDF_DLT);
-        let w = task(1, 0.0, 400.0, e8 * 1.005);
-        assert!(c.submit(w, SimTime::ZERO).is_accepted());
-        let m1 = task(2, 0.0, 400.0, e16 * 1.05);
-        let m2 = task(3, 0.0, 10.0, e8 * 0.8);
-        let decisions = c.submit_batch(&[m1, m2], SimTime::ZERO);
-        assert!(
-            !decisions[0].is_accepted(),
-            "M1 starves the waiting task and must be rejected"
-        );
-        assert!(
-            decisions[1].is_accepted(),
-            "M2 is innocent and must survive the rollback: {decisions:?}"
-        );
-        let ids: Vec<u64> = c.queue().iter().map(|(t, _)| t.id.0).collect();
-        assert!(
-            ids.contains(&1) && ids.contains(&3) && !ids.contains(&2),
-            "{ids:?}"
-        );
-        // And the exact same outcome sequentially.
-        let mut s = ctl(AlgorithmKind::EDF_DLT);
-        assert!(s.submit(w, SimTime::ZERO).is_accepted());
-        assert!(!s.submit(m1, SimTime::ZERO).is_accepted());
-        assert!(s.submit(m2, SimTime::ZERO).is_accepted());
-    }
-
-    #[test]
-    fn batch_rejects_all_when_waiting_queue_cannot_replan() {
-        // The waiting task's deadline has passed by the time the batch
-        // arrives: replanning the queue alone is infeasible, so the batch
-        // must be rejected wholesale and the existing plan kept.
-        let p = params();
-        let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let mut c = ctl(AlgorithmKind::EDF_DLT);
-        let w = task(1, 0.0, 400.0, e16 * 1.05);
-        assert!(c.submit(w, SimTime::ZERO).is_accepted());
-        let plan_before = c.queue()[0].1.clone();
-        let late = SimTime::new(e16 * 3.0);
-        let decisions = c.submit_batch(&[task(2, late.as_f64(), 50.0, 1e9)], late);
-        assert_eq!(decisions.len(), 1);
-        assert!(!decisions[0].is_accepted());
-        assert_eq!(c.queue_len(), 1, "waiting task must keep its plan");
-        assert_eq!(c.queue()[0].1, plan_before);
-    }
-
-    #[test]
-    fn mid_batch_rejection_leaves_committed_releases_untouched() {
-        // Regression guard for the checkpoint-rewind path: a batch with a
-        // member rejected at an index k < len-1 (here the first member,
-        // evicted by the rollback when the waiting task loses feasibility)
-        // must not leak that member's tentative release updates into the
-        // committed vector — committed releases only ever reflect real
-        // dispatches.
-        let p = params();
-        let e8 = homogeneous::exec_time(&p, 400.0, 8);
-        let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let mut c = ctl(AlgorithmKind::EDF_DLT);
-        // Commit real work first: a small dispatched task occupies nodes.
-        assert!(c
-            .submit(task(10, 0.0, 50.0, 1e6), SimTime::ZERO)
-            .is_accepted());
-        let _ = c.take_due(SimTime::ZERO);
-        let committed_before = c.committed_releases().to_vec();
-        // A snug waiting task, then a batch whose first member starves it
-        // (rejected via rollback at index 0 of 2) while the second fits.
-        let w = task(1, 0.0, 400.0, e8 * 1.05 + committed_before[0].as_f64());
-        let _ = c.submit(w, SimTime::ZERO);
-        let queue_before = c.queue_len();
-        let m1 = task(2, 0.0, 400.0, e16 * 1.05);
-        let m2 = task(3, 0.0, 10.0, e8 + 10_000.0);
-        let decisions = c.submit_batch(&[m1, m2], SimTime::ZERO);
-        assert!(
-            decisions.iter().any(|d| !d.is_accepted()),
-            "scenario must reject at least one mid-batch member: {decisions:?}"
-        );
-        assert!(c.queue_len() >= queue_before, "waiting tasks survive");
-        assert_eq!(
-            c.committed_releases(),
-            committed_before.as_slice(),
-            "a rejected batch member's tentative dispatch leaked into \
-             committed releases"
-        );
-        // Wholesale-failure path too: an un-replannable queue rejects the
-        // whole batch without touching the committed vector.
-        let late = SimTime::new(1e8);
-        let ds = c.submit_batch(&[task(4, late.as_f64(), 50.0, 1e9)], late);
-        if ds.iter().any(|d| !d.is_accepted()) {
-            assert_eq!(c.committed_releases(), committed_before.as_slice());
-        }
     }
 
     #[test]

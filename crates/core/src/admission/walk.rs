@@ -127,24 +127,16 @@ impl Tail {
     pub(super) fn open(&mut self, from: usize, walk: &Walk) {
         self.from = from;
         self.first.record(walk);
-        self.truncate(0);
+        self.heads.clear();
+        self.nodes.clear();
+        self.starts.clear();
+        self.fractions.clear();
+        self.releases.clear();
     }
 
     /// The tail's tasks, in queue order.
     pub(super) fn tasks(&self) -> impl ExactSizeIterator<Item = &Task> {
         self.heads.iter().map(|head| &head.task)
-    }
-
-    fn truncate(&mut self, len: usize) {
-        let end = self
-            .heads
-            .get(len)
-            .map_or(self.nodes.len(), |h| h.chunks.start);
-        self.heads.truncate(len);
-        self.nodes.truncate(end);
-        self.starts.truncate(end);
-        self.fractions.truncate(end);
-        self.releases.truncate(end);
     }
 
     /// Heads the chunks appended since the last plan.
@@ -157,16 +149,6 @@ impl Tail {
             chunks: start..self.nodes.len(),
             follows,
         });
-    }
-
-    /// Drops the plans from the `len`-th on and restarts `walk` on the
-    /// inputs there (`submit_batch`'s rollback).
-    pub(super) fn rewind(&mut self, len: usize, walk: &mut Walk) {
-        self.truncate(len);
-        walk.restart(&self.first.observed, self.first.planned_at);
-        for j in 0..len {
-            self.write_releases(j, &mut walk.releases);
-        }
     }
 
     /// Plan `j`'s release estimates into `releases` (index = node id).
@@ -222,8 +204,8 @@ impl Tail {
     /// `from` on, in place: each position's plan and inputs are refilled
     /// through the buffers already there, and what the old queue held past
     /// the tail goes. Where the tail holds a task the old queue does not
-    /// have next — the candidate, a batch member — a position is inserted:
-    /// the only allocations, with a buffer too small for its new plan.
+    /// have next — the candidate — a position is inserted: the only
+    /// allocations, with a buffer too small for its new plan.
     pub(super) fn install(
         &mut self,
         queue: &mut Vec<(Task, TaskPlan)>,

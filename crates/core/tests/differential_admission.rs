@@ -9,8 +9,7 @@
 //! is one epsilon too permissive would admit a task the reference engine
 //! rejects, or install a stale plan), this suite is the heart of the
 //! engine's correctness story: scenarios cover streaming submissions,
-//! bursts through the checkpoint-rewind batch path, dispatches, early node
-//! releases, replans, demote-style removals, mid-scenario restores from the
+//! same-instant bursts, dispatches, early node releases, replans, demote-style removals, mid-scenario restores from the
 //! journaled image (a cold reuse cache), submissions stamped before the
 //! scenario clock (a pass at an instant earlier than the one its cached
 //! plans were planned at), and real workload streams (Poisson, bursty, and
@@ -61,10 +60,6 @@ enum Op {
         dc: f64,
         dt: f64,
         user: Option<usize>,
-    },
-    Batch {
-        members: Vec<(f64, f64)>,
-        dt: f64,
     },
     Probe {
         sigma: f64,
@@ -121,7 +116,7 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
     let (kind, a, b, c) = *raw;
     let sigma = 10.0 + a * 790.0;
     let user = (b > 0.25).then(|| 1 + (a * 97.0) as usize % 16);
-    match kind % 13 {
+    match kind % 12 {
         // Submissions get double weight (0 and 1): they are the hot path.
         0 | 1 => Op::Submit {
             sigma,
@@ -129,52 +124,36 @@ fn decode(raw: &(u8, f64, f64, f64)) -> Op {
             dt: c * 1_500.0,
             user,
         },
-        2 => {
-            let n = 1 + (a * 5.0) as usize;
-            let members = (0..n)
-                .map(|i| {
-                    let fi = i as f64;
-                    (
-                        10.0 + ((a * 613.0 + fi * 131.0) % 790.0),
-                        0.3 + ((b * 11.0 + fi * 2.3) % 15.0),
-                    )
-                })
-                .collect();
-            Op::Batch {
-                members,
-                dt: c * 1_000.0,
-            }
-        }
-        3 => Op::Probe {
+        2 => Op::Probe {
             sigma,
             dc: 0.3 + b * 15.0,
         },
-        4 => Op::TakeDue { dt: a * 2_000.0 },
-        5 => Op::EarlyRelease {
+        3 => Op::TakeDue { dt: a * 2_000.0 },
+        4 => Op::EarlyRelease {
             node: (a * 1_000.0) as usize,
             frac: b,
             sigma: 10.0 + c * 790.0,
             dc: 0.2 + (c * 7.0).fract() * 3.0,
         },
-        6 => Op::Replan { dt: a * 500.0 },
-        7 => Op::RemoveWaiting {
+        5 => Op::Replan { dt: a * 500.0 },
+        6 => Op::RemoveWaiting {
             pick: (a * 1_000.0) as usize,
         },
-        9 => Op::Thaw {
+        8 => Op::Thaw {
             sigma,
             dc: 0.2 + b * 3.0,
         },
         // Tight factors again, spread wider: an explanation is only
         // searched for a refusal, and where the candidate sorts in the
         // waiting queue decides how much of the walk is shared.
-        10 => Op::Explain {
+        9 => Op::Explain {
             sigma,
             dc: 0.2 + b * 6.0,
         },
-        11 => Op::Resubmit {
+        10 => Op::Resubmit {
             pick: (a * 1_000.0) as usize,
         },
-        12 => Op::SubmitEarlier {
+        11 => Op::SubmitEarlier {
             sigma,
             dc: 0.3 + b * 15.0,
             back: c * 1_500.0,
@@ -373,21 +352,6 @@ impl Harness {
                         .map_err(|e| format!("op {i} {op:?}: after the refusal: {e}"))?;
                 }
             }
-            Op::Batch { members, dt } => {
-                self.now += dt;
-                let batch: Vec<Task> = members
-                    .iter()
-                    .map(|&(sigma, dc)| self.mk_task(sigma, dc, None))
-                    .collect();
-                let now = SimTime::new(self.now);
-                let a = self.full.submit_batch(&batch, now);
-                let b = self.inc.submit_batch(&batch, now);
-                if a != b {
-                    return Err(format!(
-                        "op {i} {op:?}: batch decisions diverged {a:?} vs {b:?}"
-                    ));
-                }
-            }
             Op::Probe { sigma, dc } => {
                 let task = self.mk_task(*sigma, *dc, None);
                 let now = SimTime::new(self.now);
@@ -545,7 +509,7 @@ proptest! {
     #[test]
     fn differential_random_ops(
         algorithm in prop::sample::select(algorithms()),
-        raws in prop::collection::vec((0u8..13, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
+        raws in prop::collection::vec((0u8..12, 0.0..1.0, 0.0..1.0, 0.0..1.0), 1..30),
     ) {
         if let Err(e) = check_scenario(algorithm, &raws) {
             shrink_and_report(algorithm, &raws, e);
@@ -556,16 +520,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
     #[test]
-    fn differential_batch_heavy(
+    fn differential_dispatch_heavy(
         algorithm in prop::sample::select(vec![AlgorithmKind::EDF_DLT, AlgorithmKind::FIFO_DLT]),
         raws in prop::collection::vec(
-            // Kinds 2/4/5 dominate: bursts through the checkpoint-rewind
-            // path, interleaved with dispatches, early releases and
-            // restores (kinds 5 and 9, each followed by a reservation
-            // search), the reservation search itself (kind 8), refusal
-            // explanations (kind 10) and refused tasks asked about again
-            // (kind 11).
-            (prop::sample::select(vec![2u8, 2, 2, 4, 5, 0, 8, 9, 10, 11]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
+            // Kinds 0/3/4 dominate: submissions interleaved with
+            // dispatches, early releases and restores (kinds 4 and 8, each
+            // followed by a reservation search), the reservation search
+            // itself (kind 7), refusal explanations (kind 9) and refused
+            // tasks asked about again (kind 10).
+            (prop::sample::select(vec![0u8, 0, 0, 3, 4, 0, 7, 8, 9, 10]), 0.0..1.0, 0.0..1.0, 0.0..1.0),
             1..16,
         ),
     ) {
@@ -579,7 +542,7 @@ proptest! {
 /// arrival instants, a dispatch sweep before each, an early release every
 /// seventh task, a restore every eleventh, a removal every thirteenth — the
 /// tasks refused so far asked about again after each of those — and a
-/// closing burst through the batch path.
+/// closing burst, submitted one by one in policy order at one instant.
 fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(), String> {
     let mut h = Harness::new(algorithm);
     let (head, tail) = tasks.split_at(tasks.len().saturating_sub(5));
@@ -653,13 +616,12 @@ fn check_workload_stream(tasks: &[Task], algorithm: AlgorithmKind) -> Result<(),
     }
     if let Some(last) = tail.last() {
         h.now = last.arrival.as_f64();
-        let now = last.arrival;
-        let a = h.full.submit_batch(tail, now);
-        let b = h.inc.submit_batch(tail, now);
-        if a != b {
-            return Err("closing batch decisions diverged".into());
+        let mut burst = tail.to_vec();
+        algorithm.policy.sort(&mut burst);
+        for t in burst {
+            h.submit(t).map_err(|e| format!("closing burst: {e}"))?;
+            h.check("closing burst")?;
         }
-        h.check("closing batch")?;
     }
     Ok(())
 }

@@ -47,7 +47,10 @@ pub enum JournalEvent {
         /// The activation instant.
         at: SimTime,
     },
-    /// Input: a burst decided through the batched path at time `at`.
+    /// Input: a burst decided through the retired batched path at time
+    /// `at`. Read-only: no writer emits it any more, and WALs that hold it
+    /// replay each member as a default-envelope submission, in the
+    /// algorithm's policy order.
     BatchSubmitted {
         /// The burst, in submission order.
         tasks: Vec<Task>,

@@ -142,23 +142,6 @@ impl<G: Recoverable> JournaledGateway<G> {
         verdict
     }
 
-    /// Decides a whole burst at once (see `submit_batch` on the wrapped
-    /// gateway), journaling the burst as one command. Members travel under
-    /// the default envelope (anonymous tenant, no reservation tolerance).
-    pub fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict> {
-        self.journal.append_event(&JournalEvent::BatchSubmitted {
-            tasks: batch.to_vec(),
-            at: now,
-        });
-        let verdicts = self.inner.bare_mut().submit_batch(batch, now);
-        for (task, verdict) in batch.iter().zip(&verdicts) {
-            self.audit_verdict(task.id, TenantId::default(), verdict);
-        }
-        self.audit_breaches();
-        self.maybe_snapshot();
-        verdicts
-    }
-
     fn audit_verdict(&mut self, task: TaskId, tenant: TenantId, verdict: &Verdict) {
         let ev = match verdict {
             Verdict::Accepted => JournalEvent::Accepted {

@@ -63,6 +63,16 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
         JournalEvent::Submitted { task, at } => {
             let _ = gateway.decide(&SubmitRequest::new(*task), *at);
         }
+        // Nor `BatchSubmitted`: its members replay as what the batched path
+        // promised to decide like, default-envelope submissions in policy
+        // order.
+        JournalEvent::BatchSubmitted { tasks, at } => {
+            let mut tasks = tasks.clone();
+            gateway.bare().algorithm().policy.sort(&mut tasks);
+            for task in tasks {
+                let _ = gateway.decide(&SubmitRequest::new(task), *at);
+            }
+        }
         JournalEvent::RequestSubmitted { request, at } => {
             let _ = gateway.decide(request, *at);
         }
@@ -71,9 +81,6 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
             // Replay regenerates (and discards) the activation audit; the
             // recovery journal re-audits from its own fresh activations.
             let _ = gateway.book_mut().take_activation_log();
-        }
-        JournalEvent::BatchSubmitted { tasks, at } => {
-            let _ = gateway.bare_mut().submit_batch(tasks, *at);
         }
         JournalEvent::Completed { node, at } => gateway.node_released(*node, *at),
         JournalEvent::DispatchDue { at } => {

@@ -642,6 +642,101 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
     );
 }
 
+/// A legacy `BatchSubmitted` that lands on a non-empty queue replays as
+/// its members submitted one by one under the default envelope, in the
+/// algorithm's policy order: a WAL holding the batch recovers to the state
+/// of the same WAL with the members written as `RequestSubmitted` in EDF
+/// order.
+#[test]
+fn a_legacy_batch_on_a_busy_queue_recovers_as_its_members_in_policy_order() {
+    use rtdls_journal::wire::{encode_frame, RecordKind};
+    let p = params();
+    let genesis = ShardedGateway::new(
+        p,
+        2,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::RoundRobin,
+        DeferPolicy::default(),
+    )
+    .unwrap()
+    .capture();
+    let e8 = rtdls_core::dlt::homogeneous::exec_time(&p, 400.0, 8);
+    let submitted = |task: Task, at: f64| JournalEvent::RequestSubmitted {
+        request: SubmitRequest::new(task),
+        at: SimTime::new(at),
+    };
+    let waiting = [
+        Task::new(1, 0.0, 400.0, e8 * 3.0),
+        Task::new(2, 0.0, 400.0, e8 * 2.0),
+        Task::new(3, 0.0, 400.0, e8 * 2.5),
+    ];
+    // In submission order, not EDF order (6, 5, 7, 4): the order decides
+    // which shard each member's round-robin turn starts on.
+    let members = [
+        Task::new(4, 1.0, 400.0, e8 * 5.0),
+        Task::new(5, 1.0, 400.0, e8 * 1.1),
+        Task::new(6, 1.0, 200.0, e8 * 0.9),
+        Task::new(7, 1.0, 200.0, e8 * 3.0),
+    ];
+    let tail = [JournalEvent::Retested {
+        at: SimTime::new(1.0),
+    }];
+    let wal_of = |events: &[JournalEvent]| {
+        let mut wal = encode_frame(
+            RecordKind::Snapshot,
+            serde_json::to_string(&genesis).unwrap().as_bytes(),
+        );
+        for ev in events {
+            wal.extend(encode_frame(
+                RecordKind::Event,
+                serde_json::to_string(ev).unwrap().as_bytes(),
+            ));
+        }
+        wal
+    };
+    let mut batched: Vec<JournalEvent> = waiting.iter().map(|&t| submitted(t, 0.0)).collect();
+    let mut single = batched.clone();
+    batched.push(JournalEvent::BatchSubmitted {
+        tasks: members.to_vec(),
+        at: SimTime::new(1.0),
+    });
+    single.extend([2, 1, 3, 0].map(|i| submitted(members[i], 1.0)));
+    batched.extend(tail.iter().cloned());
+    single.extend(tail.iter().cloned());
+    let recover_wal = |events: &[JournalEvent]| {
+        let (recovered, report) = recover::<ShardedGateway>(
+            &wal_of(events),
+            SimTime::new(1.0),
+            JournalConfig::default(),
+            None,
+        )
+        .expect("hand-built WAL must recover");
+        assert!(report.tail.is_clean());
+        recovered
+    };
+    // The batch met a waiting queue on both shards.
+    let lens = recover_wal(&batched[..waiting.len()])
+        .inner()
+        .shard_queue_lens();
+    assert!(lens.iter().all(|&n| n > 0), "{lens:?}");
+    let (from_batch, from_single) = (recover_wal(&batched), recover_wal(&single));
+    let (a, b) = (from_batch.inner(), from_single.inner());
+    assert_eq!(a.shard_states(), b.shard_states());
+    assert_eq!(a.deferred().len(), b.deferred().len());
+    assert_eq!(a.metrics().submitted, b.metrics().submitted);
+    assert_eq!((a.deferred().len(), a.metrics().submitted), (1, 7));
+    // And the order is load-bearing: in submission order the members
+    // land elsewhere.
+    let mut unordered = batched[..waiting.len()].to_vec();
+    unordered.extend(members.map(|t| submitted(t, 1.0)));
+    unordered.extend(tail.iter().cloned());
+    assert_ne!(
+        recover_wal(&unordered).inner().shard_states(),
+        a.shard_states()
+    );
+}
+
 /// A frame whose checksum holds but whose payload carries an integer its
 /// field cannot hold (a damaged writer, a hand-edited log) is a decode
 /// error. Narrowed with `as`, tenant 2³² + 5 replayed as tenant 5 and the

@@ -281,20 +281,6 @@ pub(crate) fn record_slo(
     }
 }
 
-/// Books one admission into the waiting queue: ledger ownership plus the
-/// global and per-tenant accept counters. The single copy behind every
-/// accept path (request flow, batch, spillover) so the books can
-/// never drift between them.
-pub(crate) fn book_accept(
-    book: &mut ServiceBook,
-    task: rtdls_core::prelude::TaskId,
-    tenant: TenantId,
-) {
-    book.ledger.insert(task, tenant);
-    book.metrics.accepted_immediate += 1;
-    book.metrics.tenants.counters_mut(tenant).accepted += 1;
-}
-
 /// Books the tickets that left the defer queue in one sweep: metric
 /// counters (global and per-tenant), ledger entries for rescued tasks,
 /// and the engine-visible resolutions (`None` = rescued/accepted,
@@ -550,7 +536,9 @@ fn decide_request_inner(
                 plan_timer,
             );
             book.telemetry.remember(task_id, trace);
-            book_accept(book, request.task.id, tenant);
+            book.ledger.insert(request.task.id, tenant);
+            book.metrics.accepted_immediate += 1;
+            book.metrics.tenants.counters_mut(tenant).accepted += 1;
             Verdict::Accepted
         }
         Decision::Rejected(cause) => {
@@ -831,25 +819,8 @@ pub(crate) fn reverify_controller(
     demoted
 }
 
-/// Stamps the wall-clock window and records `n_decisions` latency samples
-/// (the elapsed time split evenly) for a submit_batch call. Batch
-/// members travel under the anonymous tenant, whose book gets the
-/// submission counts (latency samples stay global-only on this path).
-pub(crate) fn record_decisions(metrics: &mut ServiceMetrics, start: Instant, n_decisions: usize) {
-    metrics.submitted += n_decisions as u64;
-    metrics.tenants.counters_mut(TenantId::default()).submitted += n_decisions as u64;
-    metrics.stamp_decision_window(start);
-    let elapsed = start.elapsed();
-    let per_decision = elapsed
-        .checked_div(n_decisions.max(1) as u32)
-        .unwrap_or(elapsed);
-    for _ in 0..n_decisions {
-        metrics.decision_latency.record(per_decision);
-    }
-}
-
-/// The request-path variant of [`record_decisions`]: one decision, booked
-/// globally and under the request's tenant.
+/// Stamps the wall-clock window around one decision and books it, its
+/// latency sample included, globally and under the request's tenant.
 pub(crate) fn record_request(metrics: &mut ServiceMetrics, start: Instant, tenant: TenantId) {
     let elapsed = start.elapsed();
     metrics.submitted += 1;

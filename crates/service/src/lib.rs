@@ -29,8 +29,6 @@
 //!   least-loaded, best-fit by earliest estimated completion) — admission
 //!   cost stays sub-linear in cluster size. A single cluster is
 //!   `num_shards = 1`.
-//! * **Batched submission** (`submit_batch`): a burst is decided through
-//!   one amortized temp-schedule pass instead of one full test per task.
 //! * **Observability** ([`ServiceMetrics`]): throughput, defer-rescue
 //!   rate, and per-decision latency histograms.
 //! * **One serving trait** ([`Serve`], defined by the simulator, and

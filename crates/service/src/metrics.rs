@@ -179,7 +179,7 @@ impl RejectionCauses {
 /// restore with zero/empty there.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Tasks submitted (single and batched).
+    /// Tasks submitted.
     pub submitted: u64,
     /// Accepted immediately at submission.
     pub accepted_immediate: u64,
@@ -208,9 +208,11 @@ pub struct MetricsSnapshot {
     pub demote_rejected: u64,
     /// Re-test attempts performed across all defer-queue sweeps.
     pub retests: u64,
-    /// `submit_batch` invocations.
+    /// Calls of the retired batched submission path. Nothing counts here
+    /// any more; kept so that images written while it existed restore.
     pub batch_calls: u64,
-    /// Tasks that went through the batched path.
+    /// Tasks that went through the retired batched path (see
+    /// [`batch_calls`](MetricsSnapshot::batch_calls)).
     pub batch_tasks: u64,
     /// Reservations booked (`Verdict::Reserved`).
     #[serde(default)]
@@ -314,7 +316,7 @@ impl ServiceMetrics {
         Self::default()
     }
 
-    /// Stamps the wall-clock window around one decision (or batch).
+    /// Stamps the wall-clock window around one decision.
     pub fn stamp_decision_window(&mut self, at: Instant) {
         if self.first_decision.is_none() {
             self.first_decision = Some(at);

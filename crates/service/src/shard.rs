@@ -111,8 +111,7 @@ fn routable(skip: &[bool], s: usize) -> bool {
     skip.get(s).copied() != Some(true)
 }
 
-/// Tries shards in routing order, skipping `exclude` (a shard already known
-/// to reject, e.g. from a batch pass) and every shard whose `skip` bit is
+/// Tries shards in routing order, skipping every shard whose `skip` bit is
 /// set (quota-throttled for this request's tenant); `Ok(shard)` on the
 /// first acceptance, `Err(a rejection cause)` when every candidate rejects
 /// (or none remain).
@@ -122,7 +121,6 @@ fn try_admit(
     cursor: &mut usize,
     task: &Task,
     now: SimTime,
-    exclude: Option<usize>,
     skip: &[bool],
 ) -> Result<usize, Infeasible> {
     let k = shards.len();
@@ -133,7 +131,7 @@ fn try_admit(
         let mut best: Option<(SimTime, usize)> = None;
         let mut first_cause = None;
         for (i, shard) in shards.iter().enumerate() {
-            if Some(i) == exclude || !routable(skip, i) {
+            if !routable(skip, i) {
                 continue;
             }
             match shard.ctl.probe_plan(task, now) {
@@ -173,7 +171,7 @@ fn try_admit(
     };
     let mut first_cause = None;
     for s in order {
-        if Some(s) == exclude || !routable(skip, s) {
+        if !routable(skip, s) {
             continue;
         }
         match shards[s].ctl.submit(*task, now) {
@@ -202,15 +200,7 @@ impl RoutedShards<'_> {
     /// The mutating admission test, with the shard an accepted task was
     /// routed to (the decision-tracing `Route` span input).
     pub(crate) fn submit(&mut self, task: &Task, now: SimTime) -> (Decision, Option<u32>) {
-        match try_admit(
-            self.shards,
-            self.routing,
-            self.cursor,
-            task,
-            now,
-            None,
-            self.skip,
-        ) {
+        match try_admit(self.shards, self.routing, self.cursor, task, now, self.skip) {
             Ok(shard) => (Decision::Accepted, Some(shard as u32)),
             Err(cause) => (Decision::Rejected(cause), None),
         }
@@ -711,133 +701,6 @@ impl ShardedGateway {
         verdict
     }
 
-    /// Decides a whole burst at once. Tasks are dealt to shards up front
-    /// (cyclically for round-robin, greedily by backlog estimate otherwise),
-    /// each shard amortizes its group through one temp-schedule pass
-    /// ([`AdmissionController::submit_batch`]), and shard-rejected tasks
-    /// fall back to individual routing before being deferred or rejected.
-    /// Equivalent to one [`submit_request`](ShardedGateway::submit_request)
-    /// per task in policy order on a single shard.
-    pub fn submit_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<Verdict> {
-        let start = Instant::now();
-        let k = self.shards.len();
-        // Batch members travel under the default envelope (anonymous
-        // tenant, default tier); under a per-shard cap the deal must skip
-        // shards already at — or, counting this batch's own assignments,
-        // reaching — the tenant's cap, so a batch cannot concentrate past
-        // what the single-submit path enforces. Assignments count at deal
-        // time (before acceptance is known): conservative, like the
-        // backlog estimate itself. With every shard at cap the deal
-        // degenerates to unrestricted (the batch path has no Throttled
-        // verdict to give).
-        let cap = self
-            .book
-            .quota
-            .max_shard_inflight
-            .filter(|_| self.book.quota.applies_to(Default::default()));
-        let mut held: Vec<u32> = match cap {
-            Some(_) => self.shard_held_counts(Default::default()),
-            None => Vec::new(),
-        };
-        let at_cap =
-            |held: &[u32], s: usize| cap.is_some_and(|cap| held.get(s).is_some_and(|&h| h >= cap));
-        let allowed = |held: &[u32], s: usize| !at_cap(held, s) || (0..k).all(|j| at_cap(held, j));
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-        match self.routing {
-            Routing::RoundRobin => {
-                let mut dealt = 0usize;
-                for i in 0..batch.len() {
-                    while !allowed(&held, (self.cursor + dealt) % k) {
-                        dealt += 1;
-                    }
-                    let s = (self.cursor + dealt) % k;
-                    groups[s].push(i);
-                    if cap.is_some() {
-                        held[s] += 1;
-                    }
-                    dealt += 1;
-                }
-                self.cursor = (self.cursor + dealt) % k;
-            }
-            Routing::LeastLoaded | Routing::BestFit => {
-                // Greedy balance on the backlog estimate, updated with each
-                // assignment's demand (per-node, so shard sizes compare).
-                let mut est: Vec<f64> = self
-                    .shards
-                    .iter()
-                    .map(|s| s.ctl.backlog(now) / s.len() as f64)
-                    .collect();
-                for (i, task) in batch.iter().enumerate() {
-                    let s = (0..k)
-                        .filter(|&s| allowed(&held, s))
-                        .min_by(|&a, &b| est[a].total_cmp(&est[b]).then(a.cmp(&b)))
-                        .expect("at least one allowed shard");
-                    groups[s].push(i);
-                    if cap.is_some() {
-                        held[s] += 1;
-                    }
-                    est[s] += task.data_size * (self.params.cms + self.params.cps)
-                        / self.shards[s].len() as f64;
-                }
-            }
-        }
-        let mut out: Vec<Option<Verdict>> = vec![None; batch.len()];
-        let mut spilled: Vec<(usize, usize, Infeasible)> = Vec::new();
-        for (s, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let tasks: Vec<Task> = group.iter().map(|&i| batch[i]).collect();
-            let decisions = self.shards[s].ctl.submit_batch(&tasks, now);
-            for (&i, decision) in group.iter().zip(decisions) {
-                match decision {
-                    Decision::Accepted => {
-                        book::book_accept(&mut self.book, batch[i].id, Default::default());
-                        out[i] = Some(Verdict::Accepted);
-                    }
-                    Decision::Rejected(cause) => {
-                        spilled.push((i, s, cause));
-                    }
-                }
-            }
-        }
-        // Spillover: a shard-rejected task retries the *other* shards (its
-        // own shard's verdict is deterministic and final for this instant),
-        // still under the cap the deal maintained (a landed spillover
-        // counts against its shard like any assignment).
-        for (i, home, cause) in spilled {
-            let all_capped = (0..k).all(|j| at_cap(&held, j));
-            let skip: Vec<bool> = if cap.is_some() && !all_capped {
-                (0..k).map(|s| at_cap(&held, s)).collect()
-            } else {
-                Vec::new()
-            };
-            let d = match try_admit(
-                &mut self.shards,
-                self.routing,
-                &mut self.cursor,
-                &batch[i],
-                now,
-                Some(home),
-                &skip,
-            ) {
-                Ok(s) => {
-                    if cap.is_some() {
-                        held[s] += 1;
-                    }
-                    book::book_accept(&mut self.book, batch[i].id, Default::default());
-                    Verdict::Accepted
-                }
-                Err(_) => self.defer_or_reject(batch[i], now, cause),
-            };
-            out[i] = Some(d);
-        }
-        self.book.metrics.batch_calls += 1;
-        self.book.metrics.batch_tasks += batch.len() as u64;
-        book::record_decisions(&mut self.book.metrics, start, batch.len());
-        out.into_iter().map(|d| d.expect("decided")).collect()
-    }
-
     /// Re-tests the defer queue against current capacity across all shards.
     pub fn retest_deferred(&mut self, now: SimTime) {
         let shards = &mut self.shards;
@@ -845,7 +708,7 @@ impl ShardedGateway {
         let cursor = &mut self.cursor;
         let retest_phase = self.book.profiler().start();
         let (departed, retests) = self.book.defer.sweep(now, |task| {
-            try_admit(shards, routing, cursor, task, now, None, NO_SKIP).is_ok()
+            try_admit(shards, routing, cursor, task, now, NO_SKIP).is_ok()
         });
         self.book.profiler().stop("gateway/retest", retest_phase);
         self.book.metrics.retests += retests;
@@ -868,19 +731,6 @@ impl ShardedGateway {
                 skip: NO_SKIP,
             },
         );
-    }
-
-    fn defer_or_reject(&mut self, task: Task, now: SimTime, cause: Infeasible) -> Verdict {
-        book::defer_or_reject(
-            &mut self.book,
-            &self.widest_params,
-            self.algorithm,
-            task,
-            Default::default(),
-            Default::default(),
-            now,
-            cause,
-        )
     }
 
     fn shard_of(&self, node: usize) -> (usize, usize) {
@@ -1230,57 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_dealing_skips_shards_throttled_for_the_anonymous_tenant() {
-        use crate::request::QuotaPolicy;
-        use rtdls_core::prelude::{SubmitRequest, TenantId};
-        let mut g = sharded(2, Routing::LeastLoaded).with_quota(QuotaPolicy {
-            max_shard_inflight: Some(1),
-            ..Default::default()
-        });
-        // The anonymous tenant holds one task on shard 0; another tenant
-        // makes shard 1 the heavier one.
-        assert!(submit(&mut g, Task::new(1, 0.0, 50.0, 1e6), SimTime::ZERO).is_accepted());
-        let big = SubmitRequest::new(Task::new(2, 0.0, 800.0, 1e6)).with_tenant(TenantId(9));
-        assert!(g.submit_request(&big, SimTime::ZERO).is_accepted());
-        assert_eq!(g.shard_queue_lens(), vec![1, 1]);
-        // Backlog-greedy dealing would hand the batch member to shard 0;
-        // the per-shard cap forces it to shard 1.
-        let ds = g.submit_batch(&[Task::new(3, 0.0, 50.0, 1e6)], SimTime::ZERO);
-        assert!(ds[0].is_accepted());
-        assert_eq!(
-            g.shard_queue_lens(),
-            vec![1, 2],
-            "batch dealing skipped the throttled shard"
-        );
-    }
-
-    #[test]
-    fn batch_members_count_against_the_per_shard_cap_as_they_are_dealt() {
-        use crate::request::QuotaPolicy;
-        use rtdls_core::prelude::{SubmitRequest, TenantId};
-        let mut g = sharded(2, Routing::LeastLoaded).with_quota(QuotaPolicy {
-            max_shard_inflight: Some(1),
-            ..Default::default()
-        });
-        // Another tenant makes shard 0 the heavy one, so backlog-greedy
-        // dealing would put BOTH batch members on shard 1 — the cap must
-        // count the batch's own first assignment and push the second back
-        // to shard 0.
-        let big = SubmitRequest::new(Task::new(10, 0.0, 800.0, 1e6)).with_tenant(TenantId(9));
-        assert!(g.submit_request(&big, SimTime::ZERO).is_accepted());
-        assert_eq!(g.shard_queue_lens(), vec![1, 0]);
-        let burst = [Task::new(1, 0.0, 50.0, 1e6), Task::new(2, 0.0, 50.0, 1e6)];
-        let ds = g.submit_batch(&burst, SimTime::ZERO);
-        assert!(ds.iter().all(|d| d.is_accepted()));
-        assert_eq!(
-            g.shard_queue_lens(),
-            vec![2, 1],
-            "the deal's own accounting enforced the cap mid-batch"
-        );
-    }
-
-    #[test]
-    fn batch_and_single_paths_close_the_books() {
+    fn every_routing_closes_the_books() {
         let p = ClusterParams::paper_baseline();
         let e16 = homogeneous::exec_time(&p, 400.0, 16);
         let burst: Vec<Task> = (0..20)
@@ -1288,8 +1088,9 @@ mod tests {
             .collect();
         for routing in [Routing::RoundRobin, Routing::LeastLoaded, Routing::BestFit] {
             let mut g = sharded(4, routing);
-            let ds = g.submit_batch(&burst, SimTime::ZERO);
-            assert_eq!(ds.len(), 20);
+            for t in &burst {
+                submit(&mut g, *t, SimTime::ZERO);
+            }
             let m = g.metrics();
             assert_eq!(m.submitted, 20);
             assert_eq!(
@@ -1297,7 +1098,6 @@ mod tests {
                 20,
                 "{routing:?}"
             );
-            assert_eq!(m.batch_calls, 1);
         }
     }
 
@@ -1655,46 +1455,6 @@ mod tests {
         // Books balance: accepted + rejected = submitted.
         let m = g.metrics();
         assert_eq!(m.accepted_total() + m.rejected_total(), m.submitted);
-    }
-
-    #[test]
-    fn batch_matches_sequential_semantics() {
-        let p = ClusterParams::paper_baseline();
-        let e16 = homogeneous::exec_time(&p, 400.0, 16);
-        let burst: Vec<Task> = (0..12)
-            .map(|i| Task::new(i, 0.0, 400.0, e16 * (2.0 + (i % 5) as f64)))
-            .collect();
-        let mut batched = single();
-        let batch_decisions = batched.submit_batch(&burst, SimTime::ZERO);
-        let mut sequential = single();
-        // Sequential submission must follow policy order for equivalence.
-        let mut ordered = burst.clone();
-        ordered.sort_by(|a, b| {
-            a.absolute_deadline()
-                .cmp(&b.absolute_deadline())
-                .then(a.id.cmp(&b.id))
-        });
-        for t in &ordered {
-            submit(&mut sequential, *t, SimTime::ZERO);
-        }
-        let queue_ids = |g: &ShardedGateway| -> Vec<u64> {
-            g.shard_states()[0]
-                .queue
-                .iter()
-                .map(|(t, _)| t.id.0)
-                .collect()
-        };
-        let seq_accepted = queue_ids(&sequential);
-        let batch_accepted = queue_ids(&batched);
-        assert_eq!(seq_accepted, batch_accepted, "same queue either way");
-        assert_eq!(
-            batch_decisions.iter().filter(|d| d.is_accepted()).count(),
-            batch_accepted.len()
-        );
-        assert_eq!(batched.metrics().batch_calls, 1);
-        assert_eq!(batched.metrics().batch_tasks, 12);
-        // Both paths track the waiting liabilities in the ledger.
-        assert_eq!(batched.ledger().len(), batch_accepted.len());
     }
 
     #[test]

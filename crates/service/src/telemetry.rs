@@ -44,8 +44,6 @@ pub fn fold_service_metrics(reg: &mut MetricsRegistry, metrics: &ServiceMetrics)
         metrics.demote_rejected,
     );
     reg.counter("rtdls_gateway_retests", &[], metrics.retests);
-    reg.counter("rtdls_gateway_batch_calls", &[], metrics.batch_calls);
-    reg.counter("rtdls_gateway_batch_tasks", &[], metrics.batch_tasks);
     reg.counter(
         "rtdls_gateway_reservations_activated",
         &[],

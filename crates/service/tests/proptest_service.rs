@@ -283,48 +283,6 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
-
-    /// Batched submission decides exactly like sequential policy-order
-    /// submission on a fresh gateway (same accepted set, same queue).
-    #[test]
-    fn batch_equals_sequential_policy_order(
-        n_tasks in 1usize..24,
-        sigma_scale in 0.5f64..4.0,
-        tightness in 1.2f64..6.0,
-        seed in 0u64..10_000,
-    ) {
-        let params = ClusterParams::paper_baseline();
-        let e16 = rtdls_core::dlt::homogeneous::exec_time(&params, 200.0, 16);
-        let mk = |i: u64| {
-            let sigma = 50.0 + sigma_scale * ((seed + i * 37) % 97) as f64 * 4.0;
-            let d = e16 * tightness * (1.0 + ((seed + i * 13) % 11) as f64 / 5.0);
-            Task::new(i, 0.0, sigma, d)
-        };
-        let burst: Vec<Task> = (0..n_tasks as u64).map(mk).collect();
-
-        let mut batched = single(params, AlgorithmKind::EDF_DLT);
-        batched.submit_batch(&burst, SimTime::ZERO);
-
-        let mut sequential = single(params, AlgorithmKind::EDF_DLT);
-        let mut ordered = burst.clone();
-        ordered.sort_by(|a, b| {
-            a.absolute_deadline()
-                .cmp(&b.absolute_deadline())
-                .then(a.id.cmp(&b.id))
-        });
-        for t in &ordered {
-            sequential.submit_request(&SubmitRequest::new(*t), SimTime::ZERO);
-        }
-
-        let queue_ids = |g: &ShardedGateway| -> Vec<u64> {
-            g.shard_states()[0].queue.iter().map(|(t, _)| t.id.0).collect()
-        };
-        prop_assert_eq!(queue_ids(&batched), queue_ids(&sequential));
-        prop_assert_eq!(
-            batched.metrics().accepted_immediate,
-            sequential.metrics().accepted_immediate
-        );
-    }
 }
 
 proptest! {

@@ -4,7 +4,7 @@
 //! ([`crate::generator::WorkloadGenerator`]). An online serving layer is
 //! stressed differently: load arrives **open-loop** (the source does not
 //! wait for admission verdicts) and in **bursts** — exactly the regime where
-//! a gateway's Defer queue and batched submission earn their keep.
+//! a gateway's Defer queue earns its keep.
 //!
 //! [`BurstyPoisson`] is a Markov-modulated Poisson process: the source
 //! alternates between a *calm* phase at the spec's base rate and a *burst*

@@ -13,7 +13,7 @@
 //! | [`core`] | DLT mathematics, the heterogeneous model for different processor available times, partitioning strategies, EDF/FIFO policies, the Fig. 2 schedulability test |
 //! | [`sim`] | the discrete-event cluster simulator (head node, workers, dispatch, metrics, traces) and the one serving trait, [`Serve`](sim::serve::Serve), it drives in the turns the edge drives |
 //! | [`workload`] | the paper's workload generator (`SystemLoad`, `DCRatio`, normal sizes, uniform deadlines) plus bursty open-loop arrival streams |
-//! | [`service`] | the online serving layer: admission gateways with Accept/Defer/Reject, batched submission, and sharded multi-cluster dispatch |
+//! | [`service`] | the online serving layer: admission gateways with Accept/Defer/Reject and sharded multi-cluster dispatch |
 //! | [`journal`] | durability for the serving layer: write-ahead journaling of every gateway decision, compacting snapshots, and crash recovery with strict re-admission |
 //! | [`replica`] | shard replication & failover: journal shipping to a warm standby, epoch-fenced promotion, and a deterministic network-fault harness |
 //! | [`edge`] | the network front-end: a hand-rolled non-blocking reactor serving the request/verdict protocol over TCP, with streamed reservation updates |
