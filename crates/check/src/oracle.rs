@@ -1,34 +1,135 @@
-//! The reference (full-replan) admission engine — the test oracle.
+//! The reference (full-replan) admission engine and the helpers that hold
+//! the production engine against it.
 //!
 //! [`ReferenceController`] is a literal implementation of the paper's Fig. 2
 //! test: every arrival rebuilds the whole temp schedule over
 //! `waiting ∪ {candidate}`, `O(queue)` planning calls per event. Nothing
-//! above `rtdls-core` serves traffic with it; it exists so that the
-//! production engine ([`super::AdmissionController`]) can be checked
-//! against an independent implementation of the same contract
-//! (`tests/differential_admission.rs` asserts exact state equality after
-//! every operation), and so the criterion guard can show what the reuse
-//! cache saves.
+//! serves traffic with it, and no shipped crate can: this crate is a
+//! dev-dependency only. It exists so that the production engine
+//! ([`AdmissionController`]) can be checked against an independent
+//! implementation of the same contract (`differential_admission.rs` asserts
+//! exact state equality after every operation, through [`pair`] and
+//! [`agree`]), and so the `incremental_admission` bench can show what the
+//! reuse cache saves.
 //!
 //! The same goes for the searches built on the test. The production
-//! refusal explanation ([`super::ExplainSearch`]) and reservation search
-//! probe one prepared book many times; here both are kept as first written
-//! — a closure over [`schedulability_test`], the whole queue re-sorted and
+//! refusal explanation (`ExplainSearch`) and reservation search probe one
+//! prepared book many times; here both are kept as first written — a
+//! closure over [`schedulability_test`], the whole queue re-sorted and
 //! re-planned per probe — and the differential suite asserts the two give
 //! the same `AdmissionExplanation`, field for field.
+//!
+//! The oracle shares the planning kernel with the engine (both plan through
+//! `plan_task`), so it cannot tell a wrong formula from a right one; that is
+//! [`crate::independent`]'s job. [`check_invariants`] lives here for the
+//! same reason: it reads a [`HeterogeneousModel`] the kernel built.
 
-use crate::algorithm::AlgorithmKind;
-use crate::error::{Infeasible, ModelError};
-use crate::params::ClusterParams;
-use crate::strategy::{PlanConfig, TaskPlan};
-use crate::task::{Task, TaskId};
-use crate::time::SimTime;
-
-use super::explain::EXPLAIN_TOL;
-use super::{
-    schedulability_test, Admission, AdmissionExplanation, AdmissionFailure, ControllerState,
-    Decision,
+use rtdls_core::admission::{
+    schedulability_test, Admission, AdmissionController, AdmissionExplanation, AdmissionFailure,
+    ControllerState, Decision, EXPLAIN_TOL,
 };
+use rtdls_core::algorithm::AlgorithmKind;
+use rtdls_core::dlt::heterogeneous::HeterogeneousModel;
+use rtdls_core::error::{Infeasible, ModelError};
+use rtdls_core::nmin::min_feasible_slack;
+use rtdls_core::params::ClusterParams;
+use rtdls_core::request::SubmitRequest;
+use rtdls_core::strategy::{PlanConfig, TaskPlan};
+use rtdls_core::task::{Task, TaskId};
+use rtdls_core::time::SimTime;
+
+/// The oracle and the production engine over one cluster, built alike:
+/// every node's committed release is set to `releases` on both (empty: an
+/// idle cluster).
+pub fn pair(
+    params: ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: PlanConfig,
+    releases: &[SimTime],
+) -> (ReferenceController, AdmissionController) {
+    let mut oracle = ReferenceController::new(params, algorithm, cfg);
+    let mut engine = AdmissionController::new(params, algorithm, cfg);
+    for (node, &release) in releases.iter().enumerate() {
+        oracle.set_node_release(node, release);
+        engine.set_node_release(node, release);
+    }
+    (oracle, engine)
+}
+
+/// Whether the two engines are observably the same at `now`: the whole
+/// serialized state, the backlog and the next dispatch. The error says what
+/// differs.
+pub fn agree(
+    oracle: &ReferenceController,
+    engine: &AdmissionController,
+    now: SimTime,
+) -> Result<(), String> {
+    let (expected, found) = (oracle.state(), engine.state());
+    if expected != found {
+        return Err(format!(
+            "ControllerState diverged\n full: {expected:?}\n incr: {found:?}"
+        ));
+    }
+    if oracle.backlog(now) != engine.backlog(now) {
+        return Err("backlog diverged".into());
+    }
+    if oracle.next_dispatch_due() != engine.next_dispatch_due() {
+        return Err("next_dispatch_due diverged".into());
+    }
+    Ok(())
+}
+
+/// The heterogeneous model's defining invariants, read through its public
+/// accessors: `Σα = 1`, `α` non-increasing, `Cps_i` non-decreasing up to
+/// `Cps_n = Cps` (Eq. 1), equal finish inside the model (Eq. 3), `Ê ≤ E`
+/// (Eq. 9) and every Theorem 4 per-node bound within the estimate.
+/// `params` is the cluster the model was built for. Returns a description
+/// of the first violated invariant.
+pub fn check_invariants(model: &HeterogeneousModel, params: &ClusterParams) -> Result<(), String> {
+    let n = model.n();
+    let alphas = model.alphas();
+    let sum: f64 = alphas.iter().sum();
+    if (sum - 1.0).abs() > 1e-9 {
+        return Err(format!("alpha sum {sum} != 1"));
+    }
+    for w in alphas.windows(2) {
+        if w[1] >= w[0] + 1e-15 {
+            return Err(format!("alphas not non-increasing: {} -> {}", w[0], w[1]));
+        }
+    }
+    for i in 1..n {
+        let (prev, next) = (model.cps_het(i - 1), model.cps_het(i));
+        if next < prev - 1e-12 {
+            return Err(format!("Cps_i not non-decreasing: {prev} -> {next}"));
+        }
+    }
+    let cps_n = model.cps_het(n - 1);
+    if ((cps_n - params.cps) / params.cps).abs() > 1e-12 {
+        return Err(format!("Cps_n {cps_n} != Cps {}", params.cps));
+    }
+    let exec_time = model.exec_time();
+    for i in 0..n {
+        let f = model.model_finish_offset(i);
+        if ((f - exec_time) / exec_time).abs() > 1e-9 {
+            return Err(format!(
+                "model node {i} finishes at {f}, expected Ê = {exec_time}"
+            ));
+        }
+    }
+    if exec_time > model.e_no_iit() * (1.0 + 1e-12) {
+        return Err(format!("Ê {exec_time} exceeds E {}", model.e_no_iit()));
+    }
+    let est = model.completion_estimate().as_f64();
+    for i in 0..n {
+        let b = model.actual_completion_bound(i).as_f64();
+        if b > est * (1.0 + 1e-9) + 1e-9 {
+            return Err(format!(
+                "Theorem-4 bound of node {i} ({b}) exceeds estimate {est}"
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// The literal Fig. 2 engine: a whole-queue replan on every event. See the
 /// module docs for why it is kept and who may use it.
@@ -156,7 +257,7 @@ fn explain_infeasibility(
     };
     let horizon = {
         let last_release = committed_releases.iter().copied().fold(now, SimTime::max);
-        let floor = crate::nmin::min_feasible_slack(params, task.data_size);
+        let floor = min_feasible_slack(params, task.data_size);
         (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
     };
     let mut hi = task.rel_deadline.max(horizon);
@@ -311,11 +412,7 @@ impl Admission for ReferenceController {
         )
     }
 
-    fn explain(
-        &self,
-        request: &crate::request::SubmitRequest,
-        now: SimTime,
-    ) -> Option<AdmissionExplanation> {
+    fn explain(&self, request: &SubmitRequest, now: SimTime) -> Option<AdmissionExplanation> {
         explain_infeasibility(
             &self.params,
             self.algorithm,
@@ -404,7 +501,7 @@ impl Admission for ReferenceController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dlt::homogeneous;
+    use rtdls_core::dlt::homogeneous;
 
     fn params() -> ClusterParams {
         ClusterParams::paper_baseline()

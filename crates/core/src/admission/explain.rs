@@ -23,7 +23,7 @@ use crate::task::Task;
 use crate::time::SimTime;
 
 use super::walk::Walk;
-use super::{Admission, AdmissionController};
+use super::{Admission, AdmissionController, EXPLAIN_TOL};
 
 /// A structured account of why a submission failed the schedulability test
 /// at a given instant, with honest counterfactuals: every suggested value
@@ -82,11 +82,6 @@ impl AdmissionExplanation {
         self.earliest_feasible_start >= 0.0
     }
 }
-
-/// Relative convergence tolerance for the counterfactual bisections: the
-/// reported suggestion is the *feasible* end of a bracket this tight, so a
-/// renegotiated request even marginally looser is also feasible.
-pub(super) const EXPLAIN_TOL: f64 = 1e-9;
 
 /// A counterfactual bisection in progress: a value known to fail the test
 /// and one known to pass it (either may be the larger). The value the
@@ -296,7 +291,6 @@ impl<'a> ExplainSearch<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::reference::ReferenceController;
     use super::*;
     use crate::algorithm::AlgorithmKind;
     use crate::params::ClusterParams;
@@ -337,39 +331,6 @@ mod tests {
         // with an empty waiting queue no dispatch ever makes room.
         assert!(!ex.has_feasible_sigma());
         assert!(!ex.has_feasible_start());
-    }
-
-    #[test]
-    fn explain_sigma_counterfactual_is_honest() {
-        use crate::dlt::homogeneous;
-        use crate::request::SubmitRequest;
-        let p = ClusterParams::paper_baseline();
-        let c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
-        // Idle cluster, but σ is twice what the deadline can absorb.
-        let sigma = 800.0;
-        let e16 = homogeneous::exec_time(&p, sigma, p.num_nodes);
-        let heavy = Task::new(3, 0.0, sigma, e16 * 0.5);
-        let ex = c
-            .explain(&SubmitRequest::new(heavy), SimTime::ZERO)
-            .unwrap();
-        assert!(ex.has_feasible_sigma());
-        assert!(ex.max_feasible_sigma < sigma);
-        let ok = Task {
-            data_size: ex.max_feasible_sigma,
-            ..heavy
-        };
-        assert!(c.probe(&ok, SimTime::ZERO).is_accepted());
-        let heavier = Task {
-            data_size: ex.max_feasible_sigma * 1.001,
-            ..heavy
-        };
-        assert!(!c.probe(&heavier, SimTime::ZERO).is_accepted());
-        // The oracle's literal search explains identically.
-        let oracle = ReferenceController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
-        assert_eq!(
-            oracle.explain(&SubmitRequest::new(heavy), SimTime::ZERO),
-            Some(ex)
-        );
     }
 
     #[test]

@@ -8,23 +8,19 @@
 //! estimated deadline miss fails the whole test — the newcomer is rejected
 //! and the previously feasible plans are kept.
 //!
-//! One engine serves that contract and one checks it, both behind the
-//! [`Admission`] trait:
+//! One engine serves that contract: [`AdmissionController`]
+//! ([`incremental`]), which every layer above this crate runs. It caches,
+//! per waiting task, the exact planning inputs its current plan was derived
+//! from, and on each event re-plans only the tasks whose inputs actually
+//! changed (typically the suffix after the newcomer's policy position).
 //!
-//! * [`AdmissionController`] ([`incremental`]) — the engine every layer
-//!   above this crate runs. It caches, per waiting task, the exact planning
-//!   inputs its current plan was derived from, and on each event re-plans
-//!   only the tasks whose inputs actually changed (typically the suffix
-//!   after the newcomer's policy position).
-//! * [`reference::ReferenceController`] — a literal whole-queue replan per
-//!   event, exactly the paper's pseudocode, `O(queue)` planning calls per
-//!   arrival. It is the oracle: reuse in the production engine is gated on
-//!   *provable input equality*, so the two must be decision-, plan- and
-//!   state-identical, and the differential suite
-//!   (`tests/differential_admission.rs`) replays every scenario through
-//!   both and asserts exact equality after every operation. It is public
-//!   so tests and the criterion guard can name it, and in no prelude so
-//!   nothing serves traffic with it by accident.
+//! Its oracle, a literal whole-queue replan per event exactly as the
+//! paper's pseudocode, lives in `rtdls-check` (`oracle`), a dev-only crate,
+//! so nothing shipped can serve traffic with it. Reuse is
+//! gated on *provable input equality*, so the two must be decision-, plan-
+//! and state-identical: `tests/differential_admission.rs` replays every
+//! scenario through both, behind the [`Admission`] trait, and asserts exact
+//! equality after every operation.
 //!
 //! Rejection here corresponds to the paper's deadline renegotiation footnote:
 //! the cluster proxy would bounce the job back to the client with modified
@@ -56,7 +52,6 @@ use crate::time::SimTime;
 mod explain;
 pub mod incremental;
 mod probe;
-pub mod reference;
 mod walk;
 
 pub use explain::{AdmissionExplanation, Bracket, ExplainSearch};
@@ -172,6 +167,12 @@ pub fn schedulability_test(
     Ok(plans)
 }
 
+/// Relative convergence tolerance of the counterfactual bisections (the
+/// suggestion is the feasible end of a bracket this tight). Public for the
+/// oracle's literal search in `rtdls-check`, which must bracket alike.
+#[doc(hidden)]
+pub const EXPLAIN_TOL: f64 = 1e-9;
+
 /// The outcome of submitting a task to an admission engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Decision {
@@ -191,10 +192,10 @@ impl Decision {
 /// The complete serializable state of an admission engine — the durable
 /// "book" a persistence layer journals and a recovery path restores.
 ///
-/// Both implementors produce and consume the same shape (the production
-/// engine's reuse cache is derived state, rebuilt lazily), so a journal
-/// written by the full-replan engine of earlier versions recovers under
-/// this one. Round-trips through
+/// The engine and its oracle produce and consume the same shape (the
+/// production engine's reuse cache is derived state, rebuilt lazily), so a
+/// journal written by the full-replan engine of earlier versions recovers
+/// under this one. Round-trips through
 /// the in-repo serde stand-ins ([`Admission::state`] /
 /// [`Admission::from_state`]); equality of two states is equality of the
 /// controllers they rebuild.
@@ -305,7 +306,7 @@ impl EngineProfile {
 /// * every waiting task has a plan whose estimate meets its deadline;
 /// * plans are kept in policy order (`queue()[0]` executes first);
 /// * committed releases only ever refer to dispatched work;
-/// * both implementors are **observably identical**: the same call
+/// * the engine and the oracle are **observably identical**: the same call
 ///   sequence produces the same decisions, plans, releases, and state (the
 ///   differential oracle suite enforces this).
 pub trait Admission: Clone + core::fmt::Debug {
@@ -531,52 +532,5 @@ mod tests {
         let mut bad = Admission::state(&c);
         bad.releases.pop();
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn a_queue_out_of_policy_order_is_refused_by_both_engines() {
-        // The engine walks its queue as it stands, the oracle re-sorts:
-        // restored from an image with two entries exchanged they would
-        // serve different orders.
-        let mut c = AdmissionController::new(
-            ClusterParams::paper_baseline(),
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-        );
-        for id in [1, 2, 3, 3] {
-            let task = Task::new(id, 0.0, 100.0, 1e5 * id as f64);
-            assert!(c.submit(task, SimTime::ZERO).is_accepted());
-        }
-        // Equal keys are one task submitted twice, and legal.
-        let mut image = c.state();
-        assert_eq!(image.queue[2].0, image.queue[3].0);
-        assert!(image.validate().is_ok());
-        image.queue.swap(0, 1);
-        assert!(image.validate().is_err());
-        assert!(AdmissionController::from_state(image.clone()).is_err());
-        assert!(reference::ReferenceController::from_state(image).is_err());
-    }
-
-    #[test]
-    fn a_plan_with_no_chunks_is_refused_by_both_engines() {
-        // Restored, it would come due at `start_times[0]`, which is not
-        // there: the first `take_due` would panic.
-        let mut c = AdmissionController::new(
-            ClusterParams::paper_baseline(),
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-        );
-        assert!(c
-            .submit(Task::new(1, 0.0, 100.0, 1e5), SimTime::ZERO)
-            .is_accepted());
-        let mut image = c.state();
-        let plan = &mut image.queue[0].1;
-        plan.nodes.clear();
-        plan.start_times.clear();
-        plan.fractions.clear();
-        plan.node_release_estimates.clear();
-        assert!(image.validate().is_err());
-        assert!(AdmissionController::from_state(image.clone()).is_err());
-        assert!(reference::ReferenceController::from_state(image).is_err());
     }
 }

@@ -150,7 +150,6 @@ thread_local! {
 
 #[cfg(test)]
 mod tests {
-    use super::super::reference::ReferenceController;
     use super::super::ControllerState;
     use super::*;
     use crate::algorithm::AlgorithmKind;
@@ -324,6 +323,7 @@ mod tests {
         // `take_due` leaves has task 2's estimate, 300, not task 1's, 500 —
         // the later in the queue wins, whichever fell due first. The
         // candidate passes from 300 (done at 401, due 500), not from 500.
+        // (`tests/engine_vs_oracle.rs` holds the oracle to the same answer.)
         let params = ClusterParams::new(1, 1.0, 100.0).expect("valid params");
         let plan = |task: u64, start: f64, release: f64| TaskPlan {
             task: crate::task::TaskId(task),
@@ -345,17 +345,12 @@ mod tests {
                 (second, plan(2, 100.0, 300.0)),
             ],
         };
-        let engine = AdmissionController::from_state(state.clone()).expect("valid state");
-        let oracle = ReferenceController::from_state(state).expect("valid state");
+        let engine = AdmissionController::from_state(state).expect("valid state");
         let task = Task::new(3, 0.0, 1.0, 500.0);
         let now = SimTime::ZERO;
         // Refused now (task 2 misses behind task 1) and at 100 (task 1,
         // still waiting, starts at 300).
         assert!(engine.literal_test(&task, now).is_err());
-        assert_eq!(
-            oracle.earliest_start_after(&task, now),
-            Some(SimTime::new(200.0))
-        );
         assert_eq!(
             engine.earliest_start_after(&task, now),
             Some(SimTime::new(200.0))

@@ -28,8 +28,8 @@
 //! once, and a walk's last step is never merged at all. Re-sorting at every
 //! step instead makes `admit_deep` 2.5× as slow (`BENCH_memo.json`).
 //!
-//! The oracle ([`schedulability_test`](super::schedulability_test),
-//! [`ReferenceController`](super::reference::ReferenceController)) shares
+//! The oracle ([`schedulability_test`](super::schedulability_test), and the
+//! `rtdls-check` engine built on it) shares
 //! nothing with this file but `plan_task`: it takes a fresh, fully sorted
 //! snapshot at every step, and every plan it asks for comes back as a value
 //! of its own.

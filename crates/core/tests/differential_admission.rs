@@ -41,13 +41,21 @@
 //! skips, is also held against the literal test on the spot, so the whole
 //! suite checks the shortcut wherever it fires.)
 //!
+//! After every operation each plan left in the queue — the two engines'
+//! queues are equal by then — is certified
+//! ([`rtdls_check::independent::certify`]) against the release vector it was
+//! planned on: the partition, node count, timeline and deadline re-derived
+//! from the paper's formulas by code that shares nothing with the planning
+//! kernel both engines run. Agreement alone cannot catch a kernel that is
+//! wrong in both.
+//!
 //! On divergence the failing scenario is greedily *shrunk* — ops are
 //! removed one at a time while the divergence persists — and the minimal
 //! reproducer is printed in the panic message.
 
 use proptest::prelude::*;
-use rtdls_core::admission::reference::ReferenceController;
-use rtdls_core::dlt::homogeneous;
+use rtdls_check::independent::certify;
+use rtdls_check::oracle::{agree, pair, ReferenceController};
 use rtdls_core::prelude::*;
 use rtdls_workload::prelude::*;
 
@@ -176,6 +184,8 @@ struct Harness {
     /// The tasks refused most recently — more of them than the production
     /// engine remembers refusals.
     refused: Vec<Task>,
+    /// The queue's plans as of the last check, every one certified.
+    certified: Vec<TaskPlan>,
 }
 
 /// How many refused tasks the harness keeps asking about.
@@ -183,14 +193,19 @@ const REFUSED_KEPT: usize = 12;
 
 impl Harness {
     fn new(algorithm: AlgorithmKind) -> Self {
-        let params = ClusterParams::paper_baseline();
-        let cfg = PlanConfig::default();
+        let (full, inc) = pair(
+            ClusterParams::paper_baseline(),
+            algorithm,
+            PlanConfig::default(),
+            &[],
+        );
         Harness {
-            full: ReferenceController::new(params, algorithm, cfg),
-            inc: AdmissionController::new(params, algorithm, cfg),
+            full,
+            inc,
             now: 0.0,
             next_id: 0,
             refused: Vec::new(),
+            certified: Vec::new(),
         }
     }
 
@@ -232,21 +247,36 @@ impl Harness {
         Task::new(id, self.now, sigma, dc * e16).with_user_nodes(user)
     }
 
-    /// Asserts full observable equality between the two engines.
-    fn check(&self, context: &str) -> Result<(), String> {
-        let (fs, is) = (self.full.state(), self.inc.state());
-        if fs != is {
-            return Err(format!(
-                "{context}: ControllerState diverged\n full: {fs:?}\n incr: {is:?}"
-            ));
+    /// Asserts full observable equality between the two engines, then
+    /// certifies their (equal) queue.
+    fn check(&mut self, context: &str) -> Result<(), String> {
+        agree(&self.full, &self.inc, SimTime::new(self.now))
+            .map_err(|e| format!("{context}: {e}"))?;
+        self.certify_queue()
+            .map_err(|e| format!("{context}: certificate: {e}"))
+    }
+
+    /// Certifies every plan that entered the queue since the last check
+    /// against the release vector it was planned on: what is committed and
+    /// what every plan ahead of it releases (this op's pass planned it
+    /// there). A plan certified before is left alone: a dispatch, a removal
+    /// or an early release since has not re-planned it, and the vector it
+    /// was planned on has moved on.
+    fn certify_queue(&mut self) -> Result<(), String> {
+        let params = *self.inc.params();
+        let mut walk = self.inc.committed_releases().to_vec();
+        let mut certified = Vec::with_capacity(self.inc.queue_len());
+        for (task, plan) in self.inc.queue() {
+            if !self.certified.contains(plan) {
+                certify(&params, task, &walk, plan)
+                    .map_err(|v| format!("task {:?}: {v}\n plan: {plan:?}", task.id))?;
+            }
+            for (node, &release) in plan.nodes.iter().zip(&plan.node_release_estimates) {
+                walk[node.index()] = release;
+            }
+            certified.push(plan.clone());
         }
-        let now = SimTime::new(self.now);
-        if self.full.backlog(now) != self.inc.backlog(now) {
-            return Err(format!("{context}: backlog diverged"));
-        }
-        if self.full.next_dispatch_due() != self.inc.next_dispatch_due() {
-            return Err(format!("{context}: next_dispatch_due diverged"));
-        }
+        self.certified = certified;
         Ok(())
     }
 
@@ -486,7 +516,7 @@ fn shrink_and_report(
     let minimal_error = check_scenario(algorithm, &ops).unwrap_err();
     let decoded: Vec<Op> = ops.iter().map(decode).collect();
     panic!(
-        "differential oracle: engines diverged.\n\
+        "differential oracle: engines diverged, or a plan failed its certificate.\n\
          original error: {first_error}\n\
          minimal scenario ({} ops, algorithm {algorithm}):\n{decoded:#?}\n\
          raw tuples for replay: {ops:?}\n\

@@ -10,67 +10,11 @@
 //! ```
 //!
 //! with unknowns `α_1..α_n, T`. Solving that system directly with a dense
-//! Gaussian elimination (written here, sharing no code with the library)
-//! must reproduce the library's partition and execution time.
+//! Gaussian elimination (`rtdls_check::independent`, sharing no code with
+//! the library) must reproduce the library's partition and execution time.
 
-#![allow(clippy::needless_range_loop)] // translated numeric reference code
-
+use rtdls_check::independent::solve_equal_finish;
 use rtdls_core::prelude::*;
-
-/// Dense Gaussian elimination with partial pivoting. `a` is row-major
-/// `n×n`, `b` the right-hand side; returns `x` with `a·x = b`.
-fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
-    let n = b.len();
-    for col in 0..n {
-        // Pivot.
-        let pivot = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).unwrap())
-            .unwrap();
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        assert!(a[col][col].abs() > 1e-14, "singular system");
-        for row in col + 1..n {
-            let f = a[row][col] / a[col][col];
-            for k in col..n {
-                a[row][k] -= f * a[col][k];
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in row + 1..n {
-            acc -= a[row][k] * x[k];
-        }
-        x[row] = acc / a[row][row];
-    }
-    x
-}
-
-/// Solves the equal-finish system for the given heterogeneous speeds and
-/// returns `(alphas, exec_time)`.
-fn solve_equal_finish(sigma: f64, cms: f64, cps_het: &[f64]) -> (Vec<f64>, f64) {
-    let n = cps_het.len();
-    // Unknowns x = [α_1..α_n, T]; n equal-finish rows + 1 normalization row.
-    let mut a = vec![vec![0.0; n + 1]; n + 1];
-    let mut b = vec![0.0; n + 1];
-    for i in 0..n {
-        for j in 0..=i {
-            a[i][j] += sigma * cms;
-        }
-        a[i][i] += sigma * cps_het[i];
-        a[i][n] = -1.0; // − T
-        b[i] = 0.0;
-    }
-    for j in 0..n {
-        a[n][j] = 1.0;
-    }
-    b[n] = 1.0;
-    let x = solve_dense(a, b);
-    (x[..n].to_vec(), x[n])
-}
 
 #[test]
 fn closed_form_partition_matches_direct_linear_solve() {

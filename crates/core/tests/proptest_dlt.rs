@@ -2,6 +2,7 @@
 //! Lemma 2, Eq. 9, and Theorem 4 checked over randomized inputs.
 
 use proptest::prelude::*;
+use rtdls_check::oracle::check_invariants;
 use rtdls_core::prelude::*;
 
 /// Strategy for realistic cluster parameters spanning the paper's sweeps
@@ -110,7 +111,7 @@ proptest! {
         sigma in 1.0f64..5_000.0,
     ) {
         let m = HeterogeneousModel::new(&params, sigma, &to_simtimes(&releases)).unwrap();
-        if let Err(msg) = m.check_invariants() {
+        if let Err(msg) = check_invariants(&m, &params) {
             prop_assert!(false, "invariant violated: {msg}");
         }
     }
@@ -239,5 +240,41 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+fn model(releases: &[f64], sigma: f64) -> HeterogeneousModel {
+    HeterogeneousModel::new(
+        &ClusterParams::paper_baseline(),
+        sigma,
+        &to_simtimes(releases),
+    )
+    .unwrap()
+}
+
+#[test]
+fn invariants_hold_on_staggered_releases() {
+    let m = model(&[0.0, 5.0, 5.0, 120.0, 400.0], 200.0);
+    check_invariants(&m, &ClusterParams::paper_baseline()).unwrap();
+}
+
+#[test]
+fn single_node_degenerates_cleanly() {
+    let m = model(&[17.0], 50.0);
+    assert_eq!(m.alphas(), &[1.0]);
+    let expect = 50.0 * (1.0 + 100.0);
+    assert!((m.exec_time() - expect).abs() < 1e-9);
+    assert!((m.completion_estimate().as_f64() - (17.0 + expect)).abs() < 1e-9);
+    check_invariants(&m, &ClusterParams::paper_baseline()).unwrap();
+}
+
+#[test]
+fn extreme_parameter_regimes_stay_finite() {
+    for (cms, cps) in [(1.0, 10_000.0), (8.0, 10.0), (1.0, 10.0)] {
+        let params = ClusterParams::new(16, cms, cps).unwrap();
+        let r: Vec<SimTime> = (0..16).map(|i| SimTime::new(i as f64 * 100.0)).collect();
+        let m = HeterogeneousModel::new(&params, 800.0, &r).unwrap();
+        check_invariants(&m, &params).unwrap();
+        assert!(m.exec_time().is_finite() && m.exec_time() > 0.0);
     }
 }

@@ -28,7 +28,7 @@
 //! alone, feasibility is monotone and the promises are exact.
 
 use proptest::prelude::*;
-use rtdls_core::admission::reference::ReferenceController;
+use rtdls_check::oracle::{pair, ReferenceController};
 use rtdls_core::prelude::*;
 
 const BASE_NODES: usize = 16;
@@ -38,13 +38,8 @@ fn engines(
     releases: &[f64],
 ) -> (ReferenceController, AdmissionController) {
     let params = ClusterParams::new(BASE_NODES, 1.0, 50.0).expect("valid params");
-    let mut full = ReferenceController::new(params, algorithm, PlanConfig::default());
-    let mut inc = AdmissionController::new(params, algorithm, PlanConfig::default());
-    for (node, r) in releases.iter().enumerate() {
-        full.set_node_release(node, SimTime::new(*r));
-        inc.set_node_release(node, SimTime::new(*r));
-    }
-    (full, inc)
+    let releases: Vec<SimTime> = releases.iter().copied().map(SimTime::new).collect();
+    pair(params, algorithm, PlanConfig::default(), &releases)
 }
 
 fn arb_algorithm() -> impl Strategy<Value = AlgorithmKind> {

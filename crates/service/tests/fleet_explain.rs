@@ -13,7 +13,7 @@
 //! neither the fleet's shortcut nor the production search with the code it
 //! checks.
 
-use rtdls_core::admission::reference::ReferenceController;
+use rtdls_check::oracle::ReferenceController;
 use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::*;
 use rtdls_service::prelude::*;

@@ -26,7 +26,9 @@
 //!   above never take it: `plan_task` under every `StrategyKind`, every
 //!   `ReleaseEstimate` and both `NodeCountPolicy`s, `min_feasible_nodes`
 //!   and `HeterogeneousModel::new`, on release snapshots drawn by a
-//!   xorshift in this file. One line per plan or refusal.
+//!   xorshift in this file. One line per plan or refusal; every plan is
+//!   also certified (`rtdls_check::independent::certify`), which the
+//!   digest cannot do: it pins answers, not their correctness.
 //!
 //! A dev build (tier-1) runs the `small` size of every stream in a few
 //! seconds; a release build the `full` one. When an answer is meant to
@@ -44,6 +46,7 @@ use std::fmt::Write as _;
 
 use rtdls::journal::wire::{decode_frames, fnv1a64, FNV_OFFSET};
 use rtdls::prelude::*;
+use rtdls_check::independent::certify;
 use serde::{Serialize, Value};
 
 /// The committed digests: `<stream> <size> <answers> <fnv64>` per line.
@@ -414,7 +417,12 @@ fn kernel_stream(size: Size) -> Stream {
                         strategy.paper_name()
                     );
                     match plan_task(strategy, &task, &avail, &params, &cfg) {
-                        Ok(plan) => out.push(&tag, &plan),
+                        Ok(plan) => {
+                            if let Err(v) = certify(&params, &task, &releases, &plan) {
+                                panic!("{tag}: {v}\n{task:?}\n{plan:?}");
+                            }
+                            out.push(&tag, &plan)
+                        }
                         Err(cause) => out.push(&tag, &cause),
                     }
                 }

@@ -2,7 +2,12 @@
 //! admitted task finishes by its deadline, and no later than its
 //! admission-time estimate (Theorem 4) — checked across all eight
 //! algorithms, every planning-knob combination, and randomized workloads.
+//! Every strict run also certifies each plan it dispatches
+//! (`common::Certified`).
 
+mod common;
+
+use common::run_certified;
 use rtdls::prelude::*;
 
 fn paper_workload(load: f64, seed: u64, horizon: f64) -> Vec<Task> {
@@ -21,7 +26,7 @@ fn no_accepted_task_ever_misses_under_any_algorithm() {
         for load in [0.4, 1.0] {
             for seed in 0..3 {
                 let cfg = SimConfig::new(params, algorithm).strict();
-                let report = run_simulation(cfg, paper_workload(load, seed, 3e5));
+                let report = run_certified(cfg, paper_workload(load, seed, 3e5));
                 let m = &report.metrics;
                 assert_eq!(m.deadline_misses, 0, "{algorithm} load={load} seed={seed}");
                 assert_eq!(
@@ -57,7 +62,7 @@ fn guarantees_hold_under_all_planning_knobs() {
                         release_estimate,
                     })
                     .with_replan(replan);
-                let report = run_simulation(cfg, tasks.clone());
+                let report = run_certified(cfg, tasks.clone());
                 assert_eq!(
                     report.metrics.deadline_misses, 0,
                     "{node_count:?}/{release_estimate:?}/{replan:?}"
@@ -87,7 +92,7 @@ fn guarantees_hold_on_extreme_cluster_shapes() {
         spec.horizon = 50.0 * spec.mean_interarrival(); // ~50 tasks
         for algorithm in [AlgorithmKind::EDF_DLT, AlgorithmKind::FIFO_DLT] {
             let cfg = SimConfig::new(params, algorithm).strict();
-            let report = run_simulation(cfg, WorkloadGenerator::new(spec, 11));
+            let report = run_certified(cfg, WorkloadGenerator::new(spec, 11));
             assert_eq!(
                 report.metrics.deadline_misses, 0,
                 "N={n} Cms={cms} Cps={cps} {algorithm}"
@@ -103,7 +108,7 @@ fn traces_are_physically_consistent() {
     let params = ClusterParams::paper_baseline();
     for algorithm in AlgorithmKind::ALL {
         let cfg = SimConfig::new(params, algorithm).strict().with_trace();
-        let report = run_simulation(cfg, paper_workload(1.0, 3, 2e5));
+        let report = run_certified(cfg, paper_workload(1.0, 3, 2e5));
         let trace = report.trace.expect("traced");
         trace
             .check_consistency()

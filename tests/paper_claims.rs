@@ -3,9 +3,17 @@
 //! in CI time. The full-scale reproduction is the `figures` binary
 //! (`figures --list` names every figure); its results are not recorded or
 //! gated anywhere.
+//!
+//! Each run is the experiments runner's (`run_one`: strict, per-task link),
+//! with the head node certifying every plan it dispatches
+//! (`common::Certified`).
 
+mod common;
+
+use common::run_certified;
 use rtdls::core::prelude::PlanConfig;
-use rtdls::experiments::runner::{run_replicated, RunOptions};
+use rtdls::experiments::runner::RunOptions;
+use rtdls::experiments::stats::Summary;
 use rtdls::prelude::*;
 
 fn spec(load: f64, dc_ratio: f64) -> WorkloadSpec {
@@ -15,8 +23,30 @@ fn spec(load: f64, dc_ratio: f64) -> WorkloadSpec {
     s
 }
 
+/// One seeded run as `rtdls::experiments::runner::run_one` makes it, every
+/// dispatched plan certified.
+fn run_one(
+    workload: &WorkloadSpec,
+    algorithm: AlgorithmKind,
+    seed: u64,
+    opts: &RunOptions,
+) -> Metrics {
+    assert_eq!(opts.link, LinkModel::PerTask, "strict runs only");
+    let cfg = SimConfig::new(workload.params, algorithm)
+        .with_replan(opts.replan)
+        .with_link(opts.link)
+        .with_plan(opts.plan)
+        .strict();
+    run_certified(cfg, WorkloadGenerator::new(*workload, seed)).metrics
+}
+
+/// The mean reject ratio over `opts.replicates` seeds, as
+/// `run_replicated` summarizes it.
 fn mean_reject(workload: &WorkloadSpec, algorithm: AlgorithmKind, opts: &RunOptions) -> f64 {
-    run_replicated(workload, algorithm, opts).summary.mean
+    let ratios: Vec<f64> = (0..opts.replicates)
+        .map(|k| run_one(workload, algorithm, opts.base_seed + k, opts).reject_ratio())
+        .collect();
+    Summary::from_values(&ratios).mean
 }
 
 /// Fig. 3 claim: EDF-DLT's reject ratio never exceeds EDF-OPR-MN's
@@ -140,7 +170,6 @@ fn reject_ratio_increases_with_load() {
 /// (`estimate_iit_gain > 0`), while OPR-MN's gain is identically zero.
 #[test]
 fn iit_gain_is_positive_for_dlt_and_zero_for_opr() {
-    use rtdls::experiments::runner::run_one;
     let opts = RunOptions::default();
     let w = spec(1.0, 2.0);
     let dlt = run_one(&w, AlgorithmKind::EDF_DLT, 3, &opts);
