@@ -295,8 +295,8 @@ impl AdmissionController {
                     && (t == now || ahead.node_release_estimates.iter().all(|&e| e >= now))
             });
             if !proven {
-                if let (true, Some((_, prev, ahead))) = (std::mem::take(&mut pending), last) {
-                    walk.rebase(prev, ahead);
+                if let (true, Some((p, prev, ahead))) = (std::mem::take(&mut pending), last) {
+                    walk.rebase(p, prev, ahead);
                 }
                 work.gates_compared += u64::from(meta.is_some());
             }
@@ -329,8 +329,8 @@ impl AdmissionController {
                 literal.clone_from(walk);
             }
         }
-        if let (true, Some((_, prev, ahead))) = (pending, last) {
-            walk.rebase(prev, ahead);
+        if let (true, Some((p, prev, ahead))) = (pending, last) {
+            walk.rebase(p, prev, ahead);
         }
         if let Some(literal) = &literal {
             unmoved(walk, literal);
@@ -367,7 +367,9 @@ impl AdmissionController {
     /// or a variation of one).
     #[inline]
     pub(super) fn test(&self, task: &Task, walk: &mut Walk) -> Result<(), AdmissionFailure> {
-        walk.test(self.algorithm.strategy, task, &self.params, &self.cfg)
+        let strategy = self.algorithm.strategy;
+        walk.test(strategy, task, &self.params, &self.cfg, &self.meta)
+            .map(drop)
     }
 
     /// Plans one task fresh at the walk's current step into the tail.
@@ -381,7 +383,8 @@ impl AdmissionController {
         // The attempt counts as work whether or not it succeeds — a failed
         // planning call cost just as much CPU.
         work.plans_computed += 1;
-        walk.keep(self.algorithm.strategy, task, &self.params, &self.cfg, tail)
+        let strategy = self.algorithm.strategy;
+        walk.keep(strategy, task, &self.params, &self.cfg, &self.meta, tail)
     }
 
     /// The remembered failure of a walk that went on from the candidate's

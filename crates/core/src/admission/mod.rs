@@ -286,11 +286,7 @@ impl EngineProfile {
     /// Fraction of positions served from the cache (0 when nothing ran).
     pub fn reuse_rate(&self) -> f64 {
         let total = self.plans_reused + self.plans_computed;
-        if total == 0 {
-            0.0
-        } else {
-            self.plans_reused as f64 / total as f64
-        }
+        self.plans_reused as f64 / total.max(1) as f64
     }
 }
 

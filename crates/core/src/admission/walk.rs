@@ -19,14 +19,22 @@
 //! one's recorded inputs (the lemma in `incremental.rs` says when).
 //!
 //! Availability stays sorted *across* steps instead of being re-sorted per
-//! step: a plan occupies exactly the `n` earliest entries, so after it only
-//! that head has moved
+//! step: a plan occupies exactly the `n` earliest entries, and only that
+//! head moves, merged back from the end of a window sliding in a buffer of
+//! twice the cluster
 //! ([`NodeAvailability::retime_head`](crate::strategy::NodeAvailability)).
-//! The order is maintained lazily — first built when a task is planned
-//! fresh, and a step's head is merged back only when a later step plans
-//! again — so a walk that applies cached plans and plans one newcomer sorts
-//! once, and a walk's last step is never merged at all. Re-sorting at every
-//! step instead makes `admit_deep` 2.5× as slow (`BENCH_memo.json`).
+//! The order is built lazily, when a task is first planned fresh, and each
+//! head merged back only when a later step plans again. From
+//! [`SEED_MIN_NODES`] nodes on, a kept position records the order it was
+//! planned on ([`PlanMeta::order`]), and a walk [`rebase`](Walk::rebase)d
+//! there builds from that record instead of sorting
+//! (`NodeAvailability::reseed`); sorts are left only on books no position
+//! was planned on (the committed releases, a search instant's post-dispatch
+//! book). On `admit_deep` (64 nodes) full sorts per decision fall 0.89 →
+//! 0.44 and `retime_head` ≈ 790 → ≈ 560 TSC cycles a call, op_us 0.87×
+//! (`BENCH_admit_deep.json`, `issue_37`). Smaller clusters (`edge_burst`'s
+//! 8-node shards, `paper_sim`'s 16) record nothing: every kept position
+//! would pay a copy of the order, to save sorts of a few hundred cycles.
 //!
 //! The oracle ([`schedulability_test`](super::schedulability_test), and the
 //! `rtdls-check` engine built on it) shares
@@ -60,6 +68,12 @@ pub(super) struct PlanMeta {
     /// written (the lemma in `incremental.rs`); set true only by
     /// [`Tail::install`], from the walk that kept the position.
     pub(super) follows: bool,
+    /// The availability order (node ids) the position's plan was planned
+    /// on, for a walk [`rebase`](Walk::rebase)d here to build from.
+    /// Invariant: the plan occupies its head — the first `n` nodes, round
+    /// after round. Empty where not recorded (below [`SEED_MIN_NODES`], and
+    /// in any record but a kept position's).
+    pub(super) order: Vec<NodeId>,
 }
 
 impl PlanMeta {
@@ -97,6 +111,8 @@ struct Head {
     chunks: Range<usize>,
     /// The [`PlanMeta::follows`] of its inputs.
     follows: bool,
+    /// Where its [`PlanMeta::order`] lies in its tail's `orders`.
+    order: Range<usize>,
 }
 
 /// The replacement tail a pass plans — the queue positions from `from` to
@@ -119,6 +135,9 @@ pub(super) struct Tail {
     starts: Vec<SimTime>,
     fractions: Vec<f64>,
     releases: Vec<SimTime>,
+    /// Every plan's availability order, end to end (none below
+    /// [`SEED_MIN_NODES`]).
+    orders: Vec<NodeId>,
 }
 
 impl Tail {
@@ -132,6 +151,7 @@ impl Tail {
         self.starts.clear();
         self.fractions.clear();
         self.releases.clear();
+        self.orders.clear();
     }
 
     /// The tail's tasks, in queue order.
@@ -139,15 +159,20 @@ impl Tail {
         self.heads.iter().map(|head| &head.task)
     }
 
-    /// Heads the chunks appended since the last plan.
+    /// Heads the chunks and the order appended since the last plan.
     fn push(&mut self, task: &Task, strategy: StrategyKind, est: SimTime, follows: bool) {
-        let start = self.heads.last().map_or(0, |head| head.chunks.end);
+        let ends = self
+            .heads
+            .last()
+            .map(|head| (head.chunks.end, head.order.end));
+        let (chunks, order) = ends.unwrap_or_default();
         self.heads.push(Head {
             task: *task,
             strategy,
             est,
-            chunks: start..self.nodes.len(),
+            chunks: chunks..self.nodes.len(),
             follows,
+            order: order..self.orders.len(),
         });
     }
 
@@ -225,6 +250,10 @@ impl Tail {
             inputs.planned_at = self.first.planned_at;
             inputs.observed.clone_from(&observed);
             inputs.follows = head.follows;
+            inputs.order.clear();
+            inputs
+                .order
+                .extend_from_slice(&self.orders[head.order.clone()]);
             self.write_releases(j, &mut observed);
         }
         self.first.observed = observed;
@@ -233,8 +262,12 @@ impl Tail {
     }
 }
 
+/// The cluster size from which walks record and build from orders (the
+/// module docs' crossover).
+pub(super) const SEED_MIN_NODES: usize = 32;
+
 /// The state of one temp-schedule walk at one planning instant.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct Walk {
     now: SimTime,
     /// Per-node release times as the walk has built them (index = node id,
@@ -255,26 +288,20 @@ pub(super) struct Walk {
     /// `Some(n)`: `releases` is the vector last recorded from this walk
     /// ([`mark`](Walk::mark)) with `n` plans written since.
     since_record: Option<u8>,
-}
-
-impl Default for Walk {
-    fn default() -> Self {
-        Walk::new(&[], SimTime::ZERO)
-    }
+    /// `Some((q, n))` while `releases` is what a [`rebase`](Walk::rebase)
+    /// on position `q`, its plan on `n` nodes, left: the next build starts
+    /// from `q`'s order.
+    seed: Option<(usize, usize)>,
 }
 
 impl Walk {
     /// A walk starting from `releases` at the planning instant `now`.
     pub(super) fn new(releases: &[SimTime], now: SimTime) -> Self {
+        let releases = releases.to_vec();
         Walk {
             now,
-            releases: releases.to_vec(),
-            avail: NodeAvailability::new(&[], now),
-            built: false,
-            stale_head: 0,
-            head: Vec::new(),
-            scratch: PlanScratch::default(),
-            since_record: None,
+            releases,
+            ..Walk::default()
         }
     }
 
@@ -286,17 +313,25 @@ impl Walk {
         self.built = false;
         self.stale_head = 0;
         self.since_record = None;
+        self.seed = None;
     }
 
-    /// Stands the walk on `meta`'s recorded vector with `plan` written, for
-    /// a caller that knows this clamps at `now` to what writing back the
-    /// plans it skipped would have built (the lemma in `incremental.rs`).
-    pub(super) fn rebase(&mut self, meta: &PlanMeta, plan: &TaskPlan) {
+    /// Stands the walk on `meta`'s recorded vector with `plan` written —
+    /// position `at`'s — for a caller that knows this clamps at `now` to
+    /// what writing back the plans it skipped would have built (the lemma
+    /// in `incremental.rs`; `meta` planned no later than `now`). No order is
+    /// copied: a next fresh step builds from `at`'s in the book it is given.
+    pub(super) fn rebase(&mut self, at: usize, meta: &PlanMeta, plan: &TaskPlan) {
+        debug_assert!(meta.planned_at <= self.now, "a rebase on a later record");
         self.releases.clone_from(&meta.observed);
         plan.write_releases(&mut self.releases);
         self.built = false;
         self.stale_head = 0;
         self.since_record = Some(1);
+        self.seed = (!meta.order.is_empty()).then(|| {
+            let on_head = plan.nodes.iter().zip(&meta.order);
+            (at, on_head.take_while(|(a, b)| a == b).count())
+        });
     }
 
     /// Records a queue position where the walk stands: whether its vector
@@ -326,10 +361,24 @@ impl Walk {
         &self.releases
     }
 
-    /// Brings the sorted availability up to date with `releases`.
-    fn settle(&mut self) -> &NodeAvailability {
+    /// Brings the sorted availability up to date with `releases`: built
+    /// from the seed's order in `book` (the queue's records) after a rebase,
+    /// else sorted, and once built by merging back the stale head.
+    fn settle(&mut self, book: &[Option<PlanMeta>]) -> &NodeAvailability {
         if !self.built {
-            self.avail.rebuild(&self.releases, self.now);
+            let (releases, now) = (&self.releases, self.now);
+            let seed = self.seed.take();
+            match seed.and_then(|(q, n)| Some((&book.get(q)?.as_ref()?.order, n))) {
+                Some((order, n)) => {
+                    self.avail.reseed(order, n, releases, now, &mut self.head);
+                    let sorted = || NodeAvailability::new(releases, now);
+                    debug_assert!(
+                        self.avail.nodes().eq(sorted().nodes()),
+                        "a seeded snapshot is not what a fresh sort builds"
+                    );
+                }
+                None => self.avail.rebuild(releases, now),
+            }
             self.built = true;
         } else if self.stale_head > 0 {
             self.avail
@@ -349,17 +398,20 @@ impl Walk {
             .count()
     }
 
-    /// The fresh step both [`keep`](Walk::keep) and [`test`](Walk::test)
-    /// take: plans `task` into the walk's scratch and writes its release
-    /// estimates back, straight from there through the availability's head.
-    fn plan(
+    /// The fresh step, verdict-only (every probe and search) and the first
+    /// half of [`keep`](Walk::keep)'s: plans `task` into the walk's scratch
+    /// and writes its release estimates back, straight from there through
+    /// the availability's head — no plan kept, nothing allocated. `book` is
+    /// the queue's records, which a rebased walk seeds from.
+    pub(super) fn test(
         &mut self,
         strategy: StrategyKind,
         task: &Task,
         params: &ClusterParams,
         cfg: &PlanConfig,
+        book: &[Option<PlanMeta>],
     ) -> Result<Planned, AdmissionFailure> {
-        self.settle();
+        self.settle(book);
         let planned = plan_into(strategy, task, &self.avail, params, cfg, &mut self.scratch)
             .map_err(|reason| AdmissionFailure {
                 task: task.id,
@@ -378,20 +430,22 @@ impl Walk {
 
     /// Records the position, plans `task` against the walk, writes its
     /// release estimates back and appends the plan to `tail`, copied from the
-    /// scratch — the step of a walk that keeps what it plans (the engine's
-    /// passes).
+    /// scratch, with the order it was planned on — the step of a walk that
+    /// keeps what it plans (the engine's passes).
     pub(super) fn keep(
         &mut self,
         strategy: StrategyKind,
         task: &Task,
         params: &ClusterParams,
         cfg: &PlanConfig,
+        book: &[Option<PlanMeta>],
         tail: &mut Tail,
     ) -> Result<(), AdmissionFailure> {
         let follows = self.mark();
-        let planned = self.plan(strategy, task, params, cfg)?;
+        let planned = self.test(strategy, task, params, cfg, book)?;
         // The head is merged back only by the next step's `settle`: the
         // plan's nodes are still the availability's earliest.
+        self.record_order(tail);
         let (starts, fractions, releases) = self.scratch.chunks();
         tail.nodes.extend(planned.chunk_nodes(&self.avail));
         tail.starts.extend_from_slice(starts);
@@ -401,17 +455,12 @@ impl Walk {
         Ok(())
     }
 
-    /// [`keep`](Walk::keep) for a walk that wants the verdict only (every
-    /// probe and search): the same step, the same releases written, no plan
-    /// kept and nothing allocated.
-    pub(super) fn test(
-        &mut self,
-        strategy: StrategyKind,
-        task: &Task,
-        params: &ClusterParams,
-        cfg: &PlanConfig,
-    ) -> Result<(), AdmissionFailure> {
-        self.plan(strategy, task, params, cfg).map(drop)
+    /// Appends to `tail` the order the step just taken was planned on, its
+    /// plan still on the head, where the walk keeps one and records.
+    fn record_order(&self, tail: &mut Tail) {
+        if self.built && self.releases.len() >= SEED_MIN_NODES {
+            tail.orders.extend(self.avail.nodes());
+        }
     }
 
     /// Takes `plan` as this step's plan: the caller has established that
@@ -419,8 +468,10 @@ impl Walk {
     /// holds), so only the write-back is left.
     #[inline]
     pub(super) fn apply(&mut self, plan: &TaskPlan) {
+        // The vector no longer is what a rebase left.
+        self.seed = None;
         if self.built {
-            self.settle();
+            self.settle(&[]);
             // A plan occupies the earliest nodes, round after round for a
             // multi-round one. Anything else cannot come out of `plan_task`
             // on this availability; should it ever, sort afresh.
@@ -438,16 +489,18 @@ impl Walk {
     }
 
     /// Records the position, [`apply`](Walk::apply)s `plan` and appends it to
-    /// `tail` — a cached plan kept behind a change.
+    /// `tail` with the order it is applied on — a cached plan kept behind a
+    /// change.
     pub(super) fn keep_cached(&mut self, task: &Task, plan: &TaskPlan, tail: &mut Tail) {
         let follows = self.mark();
+        self.apply(plan);
+        self.record_order(tail);
         tail.nodes.extend_from_slice(&plan.nodes);
         tail.starts.extend_from_slice(&plan.start_times);
         tail.fractions.extend_from_slice(&plan.fractions);
         tail.releases
             .extend_from_slice(&plan.node_release_estimates);
         tail.push(task, plan.strategy, plan.est_completion, follows);
-        self.apply(plan);
     }
 }
 
@@ -457,7 +510,9 @@ mod tests {
     use crate::strategy::{plan_task, NodeCountPolicy, ReleaseEstimate};
     use proptest::prelude::*;
 
-    const NODES: usize = 12;
+    /// A cluster below the crossover, and one above it.
+    const SMALL: usize = 12;
+    const LARGE: usize = SEED_MIN_NODES + 8;
 
     fn strategies() -> Vec<StrategyKind> {
         vec![
@@ -469,6 +524,14 @@ mod tests {
         ]
     }
 
+    /// Whether `walk`'s settled availability is entry for entry what a fresh
+    /// sort of its releases gives.
+    fn sorted_afresh(walk: &mut Walk, book: &[Option<PlanMeta>]) -> bool {
+        let expected = NodeAvailability::new(walk.releases(), walk.now());
+        let kept = walk.settle(book);
+        kept.times().eq(expected.times()) && kept.nodes().eq(expected.nodes())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -476,15 +539,22 @@ mod tests {
         /// availability is entry for entry what a fresh sort of its releases
         /// gives, with release vectors on a coarse grid (ties, so the
         /// node-id tie-break decides), a clamp that swallows some of them,
-        /// and plans that revisit their nodes (multi-round). A kept step's
-        /// plan, read back from the tail, is the one `plan_task` returns. A
-        /// second walk takes every step verdict-only: it must fail where the
-        /// first one fails, with the same failure, and otherwise leave bit
-        /// for bit the same releases and the same availability behind. The
-        /// tail, installed, is every plan kept or applied, each on the vector
-        /// it was planned on.
+        /// plans that revisit their nodes (multi-round), and enough steps to
+        /// slide the availability's window past the end of its buffer. A kept
+        /// step's plan, read back from the tail, is the one `plan_task`
+        /// returns. A second walk takes every step verdict-only: it must fail
+        /// where the first one fails, with the same failure, and otherwise
+        /// leave bit for bit the same releases and the same availability
+        /// behind. The tail, installed, is every plan kept or applied, each
+        /// on the vector it was planned on and — on the large cluster, from
+        /// the first fresh step on — with the order it was planned on, its
+        /// plan on the head. Last, a walk rebased on one installed position
+        /// at a later instant, where the clamp lifts entries, plans the tasks
+        /// again from there: its first snapshot is built from the recorded
+        /// order, and every snapshot is still a fresh sort's.
         #[test]
         fn availability_stays_what_a_fresh_sort_builds(
+            nodes in prop::sample::select(vec![SMALL, LARGE]),
             strategy in prop::sample::select(strategies()),
             estimate in prop::sample::select(vec![
                 ReleaseEstimate::Exact,
@@ -495,60 +565,100 @@ mod tests {
                 NodeCountPolicy::FixedPoint,
                 NodeCountPolicy::OneShot,
             ]),
-            releases in proptest::collection::vec(0u32..6, NODES),
+            releases in proptest::collection::vec(0u32..6, LARGE),
             now in 0u32..4,
-            tasks in proptest::collection::vec((0.0f64..1.0, 0u32..8, 1usize..NODES + 1, 0u8..2), 1..10),
+            tasks in proptest::collection::vec((0.0f64..1.0, 0u32..8, 0.0f64..1.0, 0u8..2), 1..24),
+            (pick, later) in (0.0f64..1.0, 0u32..4),
         ) {
             // Transmission-heavy, so multi-round plans really are chosen.
-            let params = ClusterParams::new(NODES, 8.0, 100.0).expect("valid params");
+            let params = ClusterParams::new(nodes, 8.0, 100.0).expect("valid params");
             let cfg = PlanConfig { release_estimate: estimate, node_count };
             let grid = 500.0;
             let releases: Vec<SimTime> =
-                releases.iter().map(|&r| SimTime::new(r as f64 * grid)).collect();
+                releases[..nodes].iter().map(|&r| SimTime::new(r as f64 * grid)).collect();
             let now = SimTime::new(now as f64 * grid);
+            let tasks: Vec<(Task, u8)> = tasks
+                .into_iter()
+                .enumerate()
+                .map(|(id, (sigma, slack, user, fresh))| {
+                    let user = 1 + (user * nodes as f64) as usize % nodes;
+                    let task = Task::new(id as u64, 0.0, 20.0 + sigma * 300.0, 4_000.0 + slack as f64 * 6_000.0)
+                        .with_user_nodes(Some(user));
+                    (task, fresh)
+                })
+                .collect();
             let mut walk = Walk::new(&releases, now);
             let mut verdicts = Walk::new(&releases, now);
             let (mut tail, mut kept) = (Tail::default(), Vec::new());
             tail.open(0, &walk);
-            for (id, (sigma, slack, user, fresh)) in tasks.into_iter().enumerate() {
-                let task = Task::new(id as u64, 0.0, 20.0 + sigma * 300.0, 4_000.0 + slack as f64 * 6_000.0)
-                    .with_user_nodes(Some(user));
+            for &(task, fresh) in &tasks {
                 // What the literal walk would plan at this step.
                 let literal = plan_task(
                     strategy, &task, &NodeAvailability::new(walk.releases(), now), &params, &cfg,
                 ).map_err(|reason| AdmissionFailure { task: task.id, reason });
-                let tested = verdicts.test(strategy, &task, &params, &cfg);
+                let tested = verdicts.test(strategy, &task, &params, &cfg, &[]);
                 prop_assert_eq!(tested.err(), literal.as_ref().err().copied());
                 let observed = walk.releases().to_vec();
+                // An order is recorded where the walk keeps one: from its
+                // first fresh step or its first settle on.
+                let ordered = nodes >= SEED_MIN_NODES && (walk.built() || fresh != 0);
                 match (literal, fresh) {
                     (Ok(plan), 0) => {
                         walk.keep_cached(&task, &plan, &mut tail);
-                        kept.push((plan, observed));
+                        kept.push((plan, observed, ordered));
                     }
                     (literal, _) => {
                         let placed = walk
-                            .keep(strategy, &task, &params, &cfg, &mut tail)
+                            .keep(strategy, &task, &params, &cfg, &[], &mut tail)
                             .map(|()| tail.plan(tail.tasks().len() - 1));
                         prop_assert_eq!(&placed, &literal);
                         if let Ok(plan) = placed {
-                            kept.push((plan, observed));
+                            kept.push((plan, observed, ordered));
                         }
                     }
                 }
                 let bits = |w: &Walk| w.releases().iter().map(|r| r.as_f64().to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&verdicts), bits(&walk));
-                let expected = NodeAvailability::new(walk.releases(), now);
-                for kept in [walk.settle(), verdicts.settle()] {
-                    prop_assert!(kept.times().eq(expected.times()));
-                    prop_assert!(kept.nodes().eq(expected.nodes()));
-                }
+                prop_assert!(sorted_afresh(&mut walk, &[]));
+                prop_assert!(sorted_afresh(&mut verdicts, &[]));
             }
             let (mut queue, mut meta) = (Vec::new(), Vec::new());
             tail.install(&mut queue, &mut meta);
             prop_assert_eq!(queue.len(), kept.len());
-            for (((_, installed), inputs), (plan, observed)) in queue.iter().zip(&meta).zip(&kept) {
+            for (((_, installed), inputs), (plan, observed, ordered)) in queue.iter().zip(&meta).zip(&kept) {
                 prop_assert_eq!(installed, plan);
-                prop_assert_eq!(inputs.as_ref().map(|m| &m.observed), Some(observed));
+                let inputs = inputs.as_ref().expect("installed inputs");
+                prop_assert_eq!(&inputs.observed, observed);
+                if *ordered {
+                    let order = NodeAvailability::new(observed, now);
+                    prop_assert!(order.nodes().eq(inputs.order.iter().copied()));
+                    // The plan on the head, round after round.
+                    let on = inputs.order.iter().zip(&installed.nodes);
+                    let n = on.take_while(|(a, b)| a == b).count();
+                    prop_assert!(n > 0);
+                    prop_assert!(installed.nodes.chunks(n).all(|round| round == &installed.nodes[..round.len()]));
+                } else {
+                    prop_assert!(inputs.order.is_empty());
+                }
+            }
+            // The rebase, and the tasks planned again from there.
+            if queue.is_empty() {
+                return;
+            }
+            let p = (pick * queue.len() as f64) as usize;
+            let later = SimTime::new(now.as_f64() + later as f64 * grid);
+            let mut rebased = Walk::new(&releases, later);
+            rebased.rebase(p, meta[p].as_ref().expect("installed inputs"), &queue[p].1);
+            let mut expected = kept[p].1.clone();
+            queue[p].1.write_releases(&mut expected);
+            prop_assert_eq!(rebased.releases(), &expected[..]);
+            for (task, _) in &tasks {
+                let literal = plan_task(
+                    strategy, task, &NodeAvailability::new(rebased.releases(), later), &params, &cfg,
+                ).map_err(|reason| AdmissionFailure { task: task.id, reason });
+                let tested = rebased.test(strategy, task, &params, &cfg, &meta);
+                prop_assert_eq!(tested.err(), literal.err());
+                prop_assert!(sorted_afresh(&mut rebased, &meta));
             }
         }
     }
@@ -564,13 +674,10 @@ mod tests {
         let mut walk = Walk::new(&[SimTime::ZERO; 4], SimTime::ZERO);
         let mut tail = Tail::default();
         let task = Task::new(1, 0.0, 50.0, 1e6);
-        walk.keep(StrategyKind::DltIit, &task, &params, &cfg, &mut tail)
+        walk.keep(StrategyKind::DltIit, &task, &params, &cfg, &[], &mut tail)
             .expect("feasible");
         // The same plan again, on nodes that are no longer the earliest.
         walk.apply(&tail.plan(0));
-        let expected = NodeAvailability::new(walk.releases(), SimTime::ZERO);
-        let kept = walk.settle();
-        assert!(kept.times().eq(expected.times()));
-        assert!(kept.nodes().eq(expected.nodes()));
+        assert!(sorted_afresh(&mut walk, &[]));
     }
 }

@@ -161,10 +161,14 @@ pub struct PlanConfig {
 /// planning instant `now`: the effective availability of node `k` is
 /// `max(Release(node_k), now)` (a node released in the past is available
 /// *now*, not retroactively).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NodeAvailability {
-    /// `(available_time, node)` sorted ascending, ties by node id.
-    entries: Vec<(SimTime, NodeId)>,
+    /// Twice the cluster's entries, of which the snapshot is the window
+    /// `start..start + nodes`: `(available_time, node)` sorted ascending,
+    /// ties by node id. [`retime_head`](Self::retime_head) slides it right.
+    buf: Vec<(SimTime, NodeId)>,
+    start: usize,
+    nodes: usize,
     /// The planning instant the snapshot was taken at.
     now: SimTime,
 }
@@ -173,34 +177,68 @@ impl NodeAvailability {
     /// Builds the snapshot from the committed release vector (indexed by
     /// node id) and the planning instant.
     pub fn new(releases: &[SimTime], now: SimTime) -> Self {
-        let mut avail = NodeAvailability {
-            entries: Vec::new(),
-            now,
-        };
+        let mut avail = NodeAvailability::default();
         avail.rebuild(releases, now);
         avail
     }
 
     /// Re-takes the snapshot in place, keeping the allocation.
     pub(crate) fn rebuild(&mut self, releases: &[SimTime], now: SimTime) {
-        self.now = now;
-        self.entries.clear();
-        self.entries.extend(
-            releases
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| (r.max(now), NodeId(i as u32))),
-        );
-        self.entries.sort_unstable();
+        let window = self.reset(releases.len(), now);
+        for (entry, (i, &r)) in window.iter_mut().zip(releases.iter().enumerate()) {
+            *entry = (r.max(now), NodeId(i as u32));
+        }
+        window.sort_unstable();
+    }
+
+    /// [`rebuild`](Self::rebuild) from `order` instead of a sort: the node
+    /// order of a snapshot, taken no later than `now`, of a vector that
+    /// differs from `releases` only on `order[..head]` (a plan placed on its
+    /// head). Behind the head that order holds at `now` but for the entries
+    /// the clamp lifts, which tie at `now` and are re-sorted by node id; the
+    /// head is re-timed as after a plan.
+    pub(crate) fn reseed(
+        &mut self,
+        order: &[NodeId],
+        head: usize,
+        releases: &[SimTime],
+        now: SimTime,
+        scratch: &mut Vec<(SimTime, NodeId)>,
+    ) {
+        let window = self.reset(order.len(), now);
+        for (entry, &node) in window.iter_mut().zip(order) {
+            *entry = (releases[node.index()].max(now), node);
+        }
+        let tail = &mut window[head..];
+        let lifted = tail.partition_point(|&(t, _)| t <= now);
+        tail[..lifted].sort_unstable();
+        self.retime_head(head, releases, scratch);
+    }
+
+    /// The window of `nodes` entries at the buffer's start, at `now`, to
+    /// be filled.
+    fn reset(&mut self, nodes: usize, now: SimTime) -> &mut [(SimTime, NodeId)] {
+        (self.start, self.nodes, self.now) = (0, nodes, now);
+        self.buf.resize(2 * nodes, (now, NodeId(0)));
+        &mut self.buf[..nodes]
+    }
+
+    /// The snapshot, in availability order.
+    #[inline]
+    fn entries(&self) -> &[(SimTime, NodeId)] {
+        &self.buf[self.start..self.start + self.nodes]
     }
 
     /// Brings the snapshot up to date after the releases of its `n`
     /// earliest nodes changed — what placing a plan does, since a plan
-    /// occupies exactly the `n` earliest entries. The head is
-    /// re-timed from `releases`, sorted on its own (in `head`, a scratch
-    /// buffer) and merged with the untouched, still sorted tail. The
-    /// `(time, node)` order is total, so the result is entry for entry what
-    /// `new(releases, now)` builds, without sorting the whole cluster.
+    /// occupies exactly the `n` earliest entries. The head, re-timed from
+    /// `releases` and sorted on its own (in `head`, a scratch buffer),
+    /// leaves the window by its start moving `n` right, and merges back in
+    /// from the window's new end: only tail entries later than some
+    /// re-timed one move. (With no room left on the right, the tail first
+    /// slides back to the buffer's start.) The `(time, node)` order is
+    /// total, so the result is entry for entry what `new(releases, now)`
+    /// builds.
     pub(crate) fn retime_head(
         &mut self,
         n: usize,
@@ -210,23 +248,29 @@ impl NodeAvailability {
         let now = self.now;
         head.clear();
         head.extend(
-            self.entries[..n]
+            self.entries()[..n]
                 .iter()
                 .map(|&(_, node)| (releases[node.index()].max(now), node)),
         );
         head.sort_unstable();
-        // Forward merge in place: output slot `i + j - n` trails the tail
-        // cursor `j` until the head runs out, and what is then left of the
-        // tail already sits where it belongs.
-        let (mut i, mut j) = (0, n);
-        while i < head.len() {
-            let slot = i + j - n;
-            if j < self.entries.len() && self.entries[j] < head[i] {
-                self.entries[slot] = self.entries[j];
-                j += 1;
+        let (nodes, len) = (self.num_nodes(), self.num_nodes() - n);
+        self.start += n;
+        if self.start + nodes > self.buf.len() {
+            self.buf.copy_within(self.start..self.start + len, 0);
+            self.start = 0;
+        }
+        // Backward merge: output slot `i + j - 1` leads the tail cursor `j`
+        // until the head runs out, and what is then left of the tail already
+        // sits where it belongs.
+        let window = &mut self.buf[self.start..self.start + nodes];
+        let (mut i, mut j) = (n, len);
+        while i > 0 {
+            if j > 0 && window[j - 1] > head[i - 1] {
+                window[i + j - 1] = window[j - 1];
+                j -= 1;
             } else {
-                self.entries[slot] = head[i];
-                i += 1;
+                window[i + j - 1] = head[i - 1];
+                i -= 1;
             }
         }
     }
@@ -240,17 +284,17 @@ impl NodeAvailability {
     /// Number of nodes in the cluster.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.entries.len()
+        self.nodes
     }
 
     /// The available times in ascending order, read in place.
     pub(crate) fn times(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.entries.iter().map(|e| e.0)
+        self.entries().iter().map(|e| e.0)
     }
 
     /// The nodes in availability order (the order of [`times`](Self::times)).
     pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|e| e.1)
+        self.entries().iter().map(|e| e.1)
     }
 
     /// Sorted available times (ascending), as an owned copy.
@@ -410,7 +454,7 @@ impl Planned {
     /// The node of every chunk, in transmission order: the availability's
     /// head, round after round.
     pub(crate) fn chunk_nodes(self, avail: &NodeAvailability) -> impl Iterator<Item = NodeId> + '_ {
-        let head = &avail.entries[..self.nodes];
+        let head = &avail.entries()[..self.nodes];
         head.iter().map(|e| e.1).cycle().take(self.chunks)
     }
 }
@@ -547,7 +591,7 @@ fn plan_opr(
     } else {
         select_node_count(task, avail, params, cfg)?
     };
-    let t_start = avail.entries[..n].last().expect("n >= 1").0;
+    let t_start = avail.entries()[..n].last().expect("n >= 1").0;
     let e = homogeneous::exec_time(params, task.data_size, n);
     let est = t_start + SimTime::new(e);
     if est.definitely_after(deadline) {

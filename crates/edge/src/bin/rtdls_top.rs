@@ -109,13 +109,16 @@ fn watch(addr: String) -> i32 {
     }
 }
 
+/// A connection to `addr`, or `None` with the error on stderr.
+fn connect(addr: &str) -> Option<OpsClient> {
+    OpsClient::connect(addr)
+        .map_err(|e| eprintln!("rtdls-top: {addr}: {e}"))
+        .ok()
+}
+
 fn show_trace(addr: String, id: u64) -> i32 {
-    let mut client = match OpsClient::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("rtdls-top: {addr}: {e}");
-            return 1;
-        }
+    let Some(mut client) = connect(&addr) else {
+        return 1;
     };
     match client.trace(id, POLL_DEADLINE) {
         Ok(spans) if spans.is_empty() => {
@@ -135,12 +138,8 @@ fn show_trace(addr: String, id: u64) -> i32 {
 }
 
 fn show_slo(addr: String) -> i32 {
-    let mut client = match OpsClient::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("rtdls-top: {addr}: {e}");
-            return 1;
-        }
+    let Some(mut client) = connect(&addr) else {
+        return 1;
     };
     match client.slo(POLL_DEADLINE) {
         Ok(rows) if rows.is_empty() => {
@@ -329,12 +328,8 @@ fn render(addr: &str, samples: &[MetricSample], traces: &[u64], panel: &HistoryP
 
 /// `--history`: dump one series' retained ring (or the catalog on a miss).
 fn show_history(addr: String, series: String) -> i32 {
-    let mut client = match OpsClient::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("rtdls-top: {addr}: {e}");
-            return 1;
-        }
+    let Some(mut client) = connect(&addr) else {
+        return 1;
     };
     match client.history(&series, 0.0, POLL_DEADLINE) {
         Ok((points, available)) => {
@@ -369,12 +364,8 @@ fn show_history(addr: String, series: String) -> i32 {
 
 /// `--profile`: render the hot-path phase tree the profiler accumulated.
 fn show_profile(addr: String) -> i32 {
-    let mut client = match OpsClient::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("rtdls-top: {addr}: {e}");
-            return 1;
-        }
+    let Some(mut client) = connect(&addr) else {
+        return 1;
     };
     match client.profile(POLL_DEADLINE) {
         Ok(phases) if phases.is_empty() => {

@@ -134,23 +134,7 @@ impl ReplayClient {
     }
 
     fn send(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
-        let frame = encode_client(msg);
-        let mut written = 0;
-        while written < frame.len() {
-            match self.stream.write(&frame[written..]) {
-                Ok(n) => written += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        write_frame(&mut self.stream, &encode_client(msg))
     }
 
     /// Reads and applies every available server message; `Ok(true)` when
@@ -245,22 +229,7 @@ impl OpsClient {
     /// server messages arriving in between (the greeting, stray updates)
     /// are skipped; a server `Error` or an expired deadline is an error.
     pub fn query(&mut self, query: OpsQuery, deadline: Duration) -> std::io::Result<OpsReport> {
-        let frame = encode_client(&ClientMsg::Ops { query });
-        let mut written = 0;
-        while written < frame.len() {
-            match self.stream.write(&frame[written..]) {
-                Ok(n) => written += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        write_frame(&mut self.stream, &encode_client(&ClientMsg::Ops { query }))?;
         let started = Instant::now();
         let mut buf = [0u8; 8192];
         loop {
@@ -413,4 +382,22 @@ fn mismatched(got: OpsReport) -> std::io::Error {
         ErrorKind::InvalidData,
         format!("ops report does not answer the query: {got:?}"),
     )
+}
+
+/// Writes all of `frame`, retrying where the socket's timeout or a signal
+/// cut a write short.
+fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
+    let mut written = 0;
+    while written < frame.len() {
+        match stream.write(&frame[written..]) {
+            Ok(n) => written += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }

@@ -138,23 +138,13 @@ pub fn summarize(comparisons: &[Comparison]) -> SummaryStats {
         .filter(|&g| g > 0.0)
         .collect();
     let user_split_wins = us_gains.len();
-    let avg = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
+    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
     let min = |v: &[f64]| v.iter().cloned().fold(f64::INFINITY, f64::min);
     SummaryStats {
         total,
         user_split_wins,
-        user_split_win_rate: if total == 0 {
-            0.0
-        } else {
-            user_split_wins as f64 / total as f64
-        },
+        user_split_win_rate: user_split_wins as f64 / total.max(1) as f64,
         dlt_gain_avg: avg(&dlt_gains),
         dlt_gain_max: max(&dlt_gains),
         dlt_gain_min: if dlt_gains.is_empty() {

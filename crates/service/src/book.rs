@@ -420,46 +420,17 @@ pub(crate) fn decide_request(
         verdict = verdict.with_explanation(engine.explain(request, now));
         book.profiler.stop("gateway/explain", explain_phase);
     }
-    match verdict {
-        Verdict::Accepted => {
-            record_slo(
-                book,
-                request.tenant,
-                request.qos,
-                SloObjective::Acceptance,
-                true,
-                now,
-            );
-            record_slo(
-                book,
-                request.tenant,
-                request.qos,
-                SloObjective::Attainment,
-                true,
-                now,
-            );
-        }
-        Verdict::Reserved { .. } => {
-            record_slo(
-                book,
-                request.tenant,
-                request.qos,
-                SloObjective::Acceptance,
-                true,
-                now,
-            );
-        }
-        Verdict::Rejected { .. } | Verdict::Throttled => {
-            record_slo(
-                book,
-                request.tenant,
-                request.qos,
-                SloObjective::Acceptance,
-                false,
-                now,
-            );
-        }
-        Verdict::Deferred { .. } => {}
+    let (tenant, qos) = (request.tenant, request.qos);
+    let acceptance = match verdict {
+        Verdict::Accepted | Verdict::Reserved { .. } => Some(true),
+        Verdict::Rejected { .. } | Verdict::Throttled => Some(false),
+        Verdict::Deferred { .. } => None,
+    };
+    if let Some(good) = acceptance {
+        record_slo(book, tenant, qos, SloObjective::Acceptance, good, now);
+    }
+    if let Verdict::Accepted = verdict {
+        record_slo(book, tenant, qos, SloObjective::Attainment, true, now);
     }
     verdict
 }
@@ -477,30 +448,15 @@ fn decide_request_inner(
 ) -> Verdict {
     let tenant = request.tenant;
     // Count the tenant's liabilities only when a cap could actually bind:
-    // the three book scans are O(queue) and sit on the hot path.
+    // the three book scans are O(queue) and sit on the hot path. At its
+    // per-shard cap on every shard the tenant has nowhere to route: a quota
+    // refusal like any other (the admission test never runs).
     let quota_binds = book.quota.applies_to(request.qos) && book.quota.max_inflight.is_some();
-    if quota_binds
+    let over_quota = quota_binds
         && !book
             .quota
-            .admits_inflight(request.qos, book.inflight(tenant))
-    {
-        book.metrics.throttled += 1;
-        book.metrics.tenants.counters_mut(tenant).throttled += 1;
-        book.telemetry.record(
-            request.trace,
-            Stage::Plan,
-            None,
-            request.task.id.0,
-            "Throttled",
-            now,
-            None,
-        );
-        return Verdict::Throttled;
-    }
-    // Per-shard caps: when the tenant is at `max_shard_inflight` on every
-    // shard there is nowhere to route, which is a quota refusal like any
-    // other (the admission test never runs).
-    if engine.all_routes_throttled() {
+            .admits_inflight(request.qos, book.inflight(tenant));
+    if over_quota || engine.all_routes_throttled() {
         book.metrics.throttled += 1;
         book.metrics.tenants.counters_mut(tenant).throttled += 1;
         book.telemetry.record(

@@ -65,29 +65,17 @@ impl Metrics {
     /// Rejections over arrivals — the paper's Task Reject Ratio.
     /// Zero when nothing arrived.
     pub fn reject_ratio(&self) -> f64 {
-        if self.arrivals == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.arrivals as f64
-        }
+        self.rejected as f64 / self.arrivals.max(1) as f64
     }
 
     /// Mean response time of completed tasks.
     pub fn mean_response_time(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total_response_time / self.completed as f64
-        }
+        self.total_response_time / self.completed.max(1) as f64
     }
 
     /// Mean nodes allocated per accepted task.
     pub fn mean_nodes_per_task(&self) -> f64 {
-        if self.accepted == 0 {
-            0.0
-        } else {
-            self.total_nodes_allocated as f64 / self.accepted as f64
-        }
+        self.total_nodes_allocated as f64 / self.accepted.max(1) as f64
     }
 
     /// Fraction of `num_nodes × horizon` node-time spent busy.

@@ -87,11 +87,7 @@ impl LatencyHistogram {
 
     /// Mean latency in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
+        self.sum_ns as f64 / self.count.max(1) as f64
     }
 
     /// Largest recorded sample in nanoseconds.

@@ -108,12 +108,7 @@ impl RollingWindow {
     /// Fraction of in-window events that were bad (0 when empty).
     pub fn bad_rate(&self, now: f64) -> f64 {
         let (good, bad) = self.totals(now);
-        let total = good + bad;
-        if total == 0 {
-            0.0
-        } else {
-            bad as f64 / total as f64
-        }
+        bad as f64 / (good + bad).max(1) as f64
     }
 }
 

@@ -10,10 +10,14 @@
 # pair, seed, order (pc: parent first, cp: change first), correct, failed
 # and the five end-to-end metrics — and ends with one JSON line per metric:
 # each side's median and quartiles, the pairs the change won, the median
-# change/parent ratio, and whether the claim rule holds (the change better
-# in >= 9/10 of the pairs, and its median better than the parent's by more
-# than the parent's interquartile range). Run it on copies of the trees
-# (git clone or git archive), not on a working tree being edited.
+# change/parent ratio, whether the claim rule holds (the change better in
+# >= 9/10 of the pairs, and its median better than the parent's by more
+# than the parent's interquartile range), and the no-regression rule: the
+# metric's bound from the change tree's BENCHMARK.json, worse_by (the change
+# median against the parent median, relative, positive = worse in the
+# metric's own direction) and inside_bound (worse_by <= bound). Run it on
+# copies of the trees (git clone or git archive), not on a working tree
+# being edited.
 set -eu
 
 [ $# -ge 4 ] || {
@@ -71,6 +75,14 @@ while [ "$pair" -le "$pairs" ]; do
 done
 
 awk '
+FNR == NR {
+    # BENCHMARK.json, one key a line: each end-to-end metric'"'"'s direction
+    # and bound, by name.
+    if (match($0, /"name": *"[^"]*"/)) { name = substr($0, RSTART, RLENGTH); sub(/.*: *"/, "", name); sub(/"$/, "", name) }
+    if ($0 ~ /"better": *"higher"/) better[name] = "higher"
+    if (match($0, /"bound": *[0-9.eE+-]+/)) { v = substr($0, RSTART, RLENGTH); sub(/.*: */, "", v); bound[name] = v + 0 }
+    next
+}
 function quantile(v, n, q,    a, i, j, t, h, k) {
     for (i = 1; i <= n; i++) a[i] = v[i]
     for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t }
@@ -91,7 +103,7 @@ function value(name,    s) {
 }
 END {
     for (i = 1; i <= n; i++) {
-        m = names[i]; higher = (m == "within_limit_ratio")
+        m = names[i]; higher = (better[m] == "higher")
         wins = 0
         for (p = 1; p <= pairs; p++) {
             a[p] = x["parent", m, p]; b[p] = x["change", m, p]
@@ -102,9 +114,12 @@ END {
         cm = quantile(b, pairs, 0.5); c25 = quantile(b, pairs, 0.25); c75 = quantile(b, pairs, 0.75)
         gap = higher ? cm - pm : pm - cm
         holds = (wins >= 0.9 * pairs && gap > p75 - p25) ? "true" : "false"
+        worse = pm == 0 ? 0 : (higher ? pm - cm : cm - pm) / pm
+        inside = worse <= bound[m] ? "true" : "false"
         printf "{\"metric\": \"%s\", \"pairs\": %d, ", m, pairs
         printf "\"parent\": {\"median\": %.6g, \"p25\": %.6g, \"p75\": %.6g}, ", pm, p25, p75
         printf "\"change\": {\"median\": %.6g, \"p25\": %.6g, \"p75\": %.6g}, ", cm, c25, c75
-        printf "\"change_wins\": %d, \"median_ratio\": %.4f, \"claim_rule_holds\": %s}\n", wins, quantile(r, pairs, 0.5), holds
+        printf "\"change_wins\": %d, \"median_ratio\": %.4f, \"claim_rule_holds\": %s, ", wins, quantile(r, pairs, 0.5), holds
+        printf "\"bound\": %.6g, \"worse_by\": %.4f, \"inside_bound\": %s}\n", bound[m], worse, inside
     }
-}' "$runs"
+}' "$change/BENCHMARK.json" "$runs"

@@ -2,6 +2,9 @@
 //! algorithm choices; the real-time guarantees and physical consistency must
 //! hold in every case.
 
+mod common;
+
+use common::run_certified;
 use proptest::prelude::*;
 use rtdls::prelude::*;
 
@@ -36,8 +39,10 @@ proptest! {
 
     /// For any random configuration and any algorithm: zero deadline misses,
     /// zero estimate overruns, every accepted task completes, trace is
-    /// physically consistent. Strict mode converts violations into panics,
-    /// so the run itself is most of the assertion.
+    /// physically consistent, and every dispatched plan passes the
+    /// independent certificate. Strict mode and the certified head node
+    /// convert violations into panics, so the run itself is most of the
+    /// assertion.
     #[test]
     fn guarantees_hold_for_random_configurations(
         (params, load, dc, n_interarrivals, seed) in sim_inputs(),
@@ -49,7 +54,7 @@ proptest! {
         spec.horizon = n_interarrivals * spec.mean_interarrival();
         let tasks: Vec<Task> = WorkloadGenerator::new(spec, seed).collect();
         let cfg = SimConfig::new(params, algorithm).strict().with_trace();
-        let report = run_simulation(cfg, tasks.clone());
+        let report = run_certified(cfg, tasks.clone());
         let m = &report.metrics;
         prop_assert_eq!(m.arrivals as usize, tasks.len());
         prop_assert_eq!(m.accepted + m.rejected, m.arrivals);
