@@ -292,8 +292,7 @@ fn render(addr: &str, samples: &[MetricSample], traces: &[u64], panel: &HistoryP
         let acked = lookup("rtdls_replica_acked_offset").unwrap_or(0.0);
         let link = match lookup("rtdls_replica_connected") {
             Some(v) if v > 0.0 => "follower attached",
-            Some(_) => "NO FOLLOWER",
-            None => "transport unknown",
+            _ => "NO FOLLOWER",
         };
         println!(
             "replication: epoch {epoch} — appended {appended} / shipped {shipped} / acked {acked} — lag {lag} frame(s) — {link}"

@@ -16,6 +16,7 @@ use rtdls_core::prelude::SimTime;
 use rtdls_telemetry::Profiler;
 
 use crate::codec::FrameDecoder;
+use crate::poll::Selector;
 use crate::proto::{encode_server_into, ClientMsg, ServerMsg};
 
 /// Recycled frame buffers kept per connection. Small: a connection that
@@ -26,15 +27,6 @@ const POOL_CAP: usize = 8;
 /// Frames gathered into one vectored write. Linux caps `IOV_MAX` at 1024;
 /// 16 already amortizes the syscall across a pipelined burst.
 const MAX_IOV: usize = 16;
-
-/// What one flush attempt did.
-#[derive(Default)]
-pub(crate) struct FlushOutcome {
-    /// Any bytes left the process.
-    pub progressed: bool,
-    /// Frames fully written (the caller folds these into `EdgeStats`).
-    pub frames_sent: u64,
-}
 
 pub(crate) struct Conn {
     pub id: u64,
@@ -95,10 +87,26 @@ impl Conn {
         self.draining_since.get_or_insert(now);
     }
 
+    /// Flushes, then arms `EPOLLOUT` (under the connection's id) only while
+    /// frames are left: a permanently armed write interest would wake
+    /// every turn. Returns the frames fully written.
+    pub(crate) fn flush_and_arm(&mut self, selector: &mut Selector) -> u64 {
+        let sent = self.flush();
+        let want = !self.outq.is_empty() && !self.dead;
+        if want != self.write_armed
+            && selector
+                .set_write_interest(&self.stream, self.id, want)
+                .is_ok()
+        {
+            self.write_armed = want;
+        }
+        sent
+    }
+
     /// Writes as much of the queue as the socket accepts, gathering up to
     /// [`MAX_IOV`] frames per syscall.
-    pub(crate) fn flush(&mut self) -> FlushOutcome {
-        let mut outcome = FlushOutcome::default();
+    fn flush(&mut self) -> u64 {
+        let mut sent = 0;
         'flush: while !self.outq.is_empty() {
             let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(self.outq.len().min(MAX_IOV));
             for (idx, buf) in self.outq.iter().take(MAX_IOV).enumerate() {
@@ -120,15 +128,15 @@ impl Conn {
                     }
                 }
             };
-            outcome.progressed = true;
-            self.consume(written, &mut outcome);
+            sent += self.consume(written);
         }
-        outcome
+        sent
     }
 
     /// Accounts `written` bytes against the queue front, recycling fully
-    /// written frames.
-    fn consume(&mut self, mut written: usize, outcome: &mut FlushOutcome) {
+    /// written frames; returns how many there were.
+    fn consume(&mut self, mut written: usize) -> u64 {
+        let mut sent = 0;
         while written > 0 {
             let front_len = self.outq.front().map_or(0, Vec::len);
             let remaining = front_len - self.front_written;
@@ -137,12 +145,13 @@ impl Conn {
                 let buf = self.outq.pop_front().expect("accounted frame exists");
                 self.recycle(buf);
                 self.front_written = 0;
-                outcome.frames_sent += 1;
+                sent += 1;
             } else {
                 self.front_written += written;
                 written = 0;
             }
         }
+        sent
     }
 
     fn recycle(&mut self, mut buf: Vec<u8>) {

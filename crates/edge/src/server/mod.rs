@@ -22,6 +22,13 @@
 //! * [`multi`] — the sharded edge ([`EdgeCluster`]): N reactor threads,
 //!   each owning its own gateway, with connections pinned by tenant hash.
 //!
+//! **Replication.** The follower link ([`EdgeServer::follow`]) is one more
+//! registered socket: after every drive the gateway swaps its shipped
+//! frames for the link's acks, as bytes ([`EdgeGateway::swap_ship_bytes`]),
+//! so the edge learns no ship format and a follower that stops reading
+//! loses its link, never the turn. Unlinked (cluster reactors too), the
+//! frames are dropped.
+//!
 //! **Sharded serving.** In a cluster, a connection is accepted by reactor
 //! 0 and *adopted* by its home reactor — chosen by hashing the tenant of
 //! its first submission ([`reactor_for_tenant`]) — through a mutexed
@@ -126,6 +133,13 @@ impl EdgeClock {
     }
 }
 
+/// Bytes a follower link may queue beyond what its socket took before the
+/// reactor drops it: ≈ 45 of the largest message a bench fleet ships
+/// (≈ 90 KB) or of a window-64 turn of explained refusals, so a follower
+/// that keeps reading never nears it, and one that stopped reaches it in
+/// seconds. Holding more would only grow memory.
+pub const LINK_QUEUE_CAP: usize = 4 << 20;
+
 /// Edge tunables.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeConfig {
@@ -197,6 +211,9 @@ pub struct EdgeStats {
     /// undeliverable anyway; without this purge the map grows forever
     /// under churning clients with parked work).
     pub pending_evicted: u64,
+    /// Follower links dropped: over [`LINK_QUEUE_CAP`], bytes that are
+    /// not acks, or the follower hung up.
+    pub links_dropped: u64,
     /// Reactor turns counted while telemetry was attached (the divisor
     /// for the per-phase nanosecond counters below).
     pub turns: u64,
@@ -207,7 +224,7 @@ pub struct EdgeStats {
     /// Cumulative gateway-drive + update-push phase time, in nanoseconds
     /// (telemetry-on only).
     pub drive_ns: u64,
-    /// Cumulative write-flush + reap phase time, in nanoseconds
+    /// Cumulative link swap + write-flush + reap phase time, in nanoseconds
     /// (telemetry-on only).
     pub flush_ns: u64,
 }
@@ -229,6 +246,7 @@ impl EdgeStats {
             total.protocol_errors += s.protocol_errors;
             total.slow_consumer_evictions += s.slow_consumer_evictions;
             total.pending_evicted += s.pending_evicted;
+            total.links_dropped += s.links_dropped;
             total.turns += s.turns;
             total.read_ns += s.read_ns;
             total.drive_ns += s.drive_ns;
@@ -270,6 +288,7 @@ pub fn fold_edge_stats(
         stats.slow_consumer_evictions,
     );
     reg.counter("rtdls_edge_pending_evicted", &[], stats.pending_evicted);
+    reg.counter("rtdls_edge_links_dropped", &[], stats.links_dropped);
     reg.counter("rtdls_edge_turns", &[], stats.turns);
     reg.counter("rtdls_edge_read_ns", &[], stats.read_ns);
     reg.counter("rtdls_edge_drive_ns", &[], stats.drive_ns);

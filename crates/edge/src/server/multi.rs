@@ -182,6 +182,6 @@ fn reactor_main<G: EdgeGateway>(
             wakers[target].wake();
         }
     }
-    let _ = server.poll(clock.now());
+    server.poll(clock.now());
     (server.gateway, server.stats)
 }

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,12 +34,15 @@ use crate::proto::{decode_client, ClientMsg, OpsQuery, OpsReport, ServerMsg, PRO
 use super::conn::Conn;
 use super::multi::reactor_for_tenant;
 use super::registry::{PendingEntry, PendingRegistry};
-use super::{fold_edge_stats, EdgeClock, EdgeConfig, EdgeGateway, EdgeStats};
+use super::{fold_edge_stats, EdgeClock, EdgeConfig, EdgeGateway, EdgeStats, LINK_QUEUE_CAP};
 
 /// Selector token for the listener (connection ids count up from
 /// `EdgeConfig::first_conn_id` and can never reach it; `u64::MAX` is the
 /// wake pipe's).
 pub(crate) const LISTENER_TOKEN: u64 = u64::MAX - 1;
+
+/// Selector token (and connection id) of the follower link.
+const LINK_TOKEN: u64 = u64::MAX - 2;
 
 /// A connection staged for adoption by another reactor, together with the
 /// submit that revealed its tenant (decoded but *not yet decided* — the
@@ -96,6 +99,10 @@ pub struct EdgeServer<G: EdgeGateway> {
     /// Connections staged for adoption elsewhere; the cluster loop drains
     /// this into the target reactors' mailboxes after each turn.
     pub(crate) outbox: Vec<ConnTransfer>,
+    /// The follower link ([`EdgeServer::follow`]) and the bytes it read
+    /// that the gateway has not taken yet (at most one torn frame).
+    link: Option<Conn>,
+    link_acks: Vec<u8>,
 }
 
 impl<G: EdgeGateway> EdgeServer<G> {
@@ -155,7 +162,23 @@ impl<G: EdgeGateway> EdgeServer<G> {
             history: None,
             home,
             outbox: Vec::new(),
+            link: None,
+            link_acks: Vec::new(),
         }
+    }
+
+    /// Links a follower: `stream`, connected to its standby, joins the
+    /// epoll set (replacing an earlier link) and carries the bytes of
+    /// [`EdgeGateway::swap_ship_bytes`]. A link over [`LINK_QUEUE_CAP`],
+    /// sending anything but acks or hanging up is dropped and counted in
+    /// [`EdgeStats::links_dropped`]; serving goes on.
+    pub fn follow(&mut self, stream: TcpStream) -> std::io::Result<()> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        self.selector.register(&stream, LINK_TOKEN)?;
+        self.link = Some(Conn::new(LINK_TOKEN, stream, 0, true));
+        self.link_acks.clear();
+        Ok(())
     }
 
     /// Attaches a telemetry handle: the edge mints a trace id for every
@@ -243,10 +266,8 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// the selector what is ready right now and runs the same turn
     /// [`run`](EdgeServer::run) does (the selector is level-triggered, so
     /// whatever is unread or unaccepted is reported again). The inline-test
-    /// path, and the last turn of a stopping reactor. Returns `true` when
-    /// the turn made progress (accepted, read, served, pushed, or wrote
-    /// anything).
-    pub fn poll(&mut self, now: SimTime) -> bool {
+    /// path, and the last turn of a stopping reactor.
+    pub fn poll(&mut self, now: SimTime) {
         let mut events = Vec::new();
         self.wait_ready(0, &mut events);
         self.poll_events(now, &events)
@@ -254,8 +275,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     /// One selector-driven turn: the listener is accepted from and a
     /// connection read only when `events` names it.
-    pub(crate) fn poll_events(&mut self, now: SimTime, events: &[Event]) -> bool {
-        let mut progressed = false;
+    pub(crate) fn poll_events(&mut self, now: SimTime, events: &[Event]) {
         // `timer()` is None while telemetry is disabled (and `start()`
         // while the profiler is), so the phase accounting below is free
         // (no clock reads) on the bare path.
@@ -265,9 +285,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
             .iter()
             .any(|e| e.token == LISTENER_TOKEN && e.readable)
         {
-            progressed |= self.accept_new();
+            self.accept_new();
         }
-        progressed |= self.read_and_serve(now, events);
+        self.read_and_serve(now, events);
         if self.home.is_some() {
             self.extract_transfers();
         }
@@ -281,18 +301,20 @@ impl<G: EdgeGateway> EdgeServer<G> {
             .gateway
             .next_due()
             .is_some_and(|t| t.at_or_before_eps(now));
-        if self.dirty || due {
+        let drove = self.dirty || due;
+        if drove {
             let drive_timer = self.telemetry.timer();
             let drive_phase = self.profiler.start();
             self.gateway.drive(now);
             self.dirty = false;
-            progressed |= self.push_updates(now);
+            self.push_updates(now);
             self.profiler.stop("edge/drive", drive_phase);
             self.stats.drive_ns += Telemetry::elapsed_ns(drive_timer);
         }
         let flush_timer = self.telemetry.timer();
         let flush_phase = self.profiler.start();
-        progressed |= self.flush_writes();
+        self.ship(now, drove, events);
+        self.flush_writes();
         self.reap(now);
         self.profiler.stop("edge/flush", flush_phase);
         self.stats.flush_ns += Telemetry::elapsed_ns(flush_timer);
@@ -300,7 +322,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
             self.stats.turns += 1;
         }
         self.sample_history(now);
-        progressed
     }
 
     /// Records one metrics-history sample when the cadence says one is
@@ -311,12 +332,21 @@ impl<G: EdgeGateway> EdgeServer<G> {
         if !due {
             return;
         }
-        let mut reg = MetricsRegistry::new();
-        self.gateway.fold_metrics(&mut reg);
-        fold_edge_stats(&mut reg, &self.stats, self.pending.len(), self.conns.len());
+        let reg = self.fold();
         if let Some(store) = self.history.as_mut() {
             store.sample(now, &reg);
         }
+    }
+
+    /// Every layer's metrics, the reactor's own and whether a follower is
+    /// linked (`rtdls_replica_connected`).
+    fn fold(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        self.gateway.fold_metrics(&mut reg);
+        fold_edge_stats(&mut reg, &self.stats, self.pending.len(), self.conns.len());
+        let linked = if self.link.is_some() { 1.0 } else { 0.0 };
+        reg.gauge("rtdls_replica_connected", &[], linked);
+        reg
     }
 
     /// The selector timeout: wall time until the gateway's next due
@@ -354,7 +384,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
             self.poll_events(clock.now(), &scratch);
         }
         // A graceful stop flushes what it can in one last turn.
-        let _ = self.poll(clock.now());
+        self.poll(clock.now());
         (self.gateway, self.stats)
     }
 
@@ -371,11 +401,10 @@ impl<G: EdgeGateway> EdgeServer<G> {
         }
     }
 
-    fn accept_new(&mut self) -> bool {
+    fn accept_new(&mut self) {
         let Some(listener) = &self.listener else {
-            return false;
+            return;
         };
-        let mut progressed = false;
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
@@ -397,18 +426,15 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
                     self.conns.push(conn);
                     self.stats.connections_accepted += 1;
-                    progressed = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        progressed
     }
 
-    fn read_and_serve(&mut self, now: SimTime, events: &[Event]) -> bool {
-        let mut progressed = false;
+    fn read_and_serve(&mut self, now: SimTime, events: &[Event]) {
         // Index-based: handling a frame needs `&mut self.gateway` and the
         // connection simultaneously, so split via `take`-free indexing.
         for i in 0..self.conns.len() {
@@ -419,15 +445,13 @@ impl<G: EdgeGateway> EdgeServer<G> {
             if !events.iter().any(|e| e.readable && e.token == id) {
                 continue;
             }
-            progressed |= self.read_conn(i);
-            progressed |= self.decode_and_serve(i, now);
+            self.read_conn(i);
+            self.decode_and_serve(i, now);
         }
-        progressed
     }
 
     /// Pulls everything the socket has into the connection's decoder.
-    fn read_conn(&mut self, i: usize) -> bool {
-        let mut progressed = false;
+    fn read_conn(&mut self, i: usize) {
         let mut buf = [0u8; 8192];
         loop {
             match self.conns[i].stream.read(&mut buf) {
@@ -435,10 +459,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     self.conns[i].dead = true;
                     break;
                 }
-                Ok(n) => {
-                    self.conns[i].decoder.push(&buf[..n]);
-                    progressed = true;
-                }
+                Ok(n) => self.conns[i].decoder.push(&buf[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -447,14 +468,12 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 }
             }
         }
-        progressed
     }
 
     /// Decodes and serves complete frames. Payloads are borrowed straight
     /// from the decoder's stream buffer (`next_frame_ref`) — decoding a
     /// `ClientMsg` is the only copy on the inbound path.
-    pub(crate) fn decode_and_serve(&mut self, i: usize, now: SimTime) -> bool {
-        let mut progressed = false;
+    pub(crate) fn decode_and_serve(&mut self, i: usize, now: SimTime) {
         loop {
             if self.conns[i].draining || self.conns[i].dead || self.conns[i].transfer.is_some() {
                 break;
@@ -466,7 +485,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 Err(e) => Err(e.to_string()),
                 Ok(Some((direction, payload))) => {
                     self.stats.frames_received += 1;
-                    progressed = true;
                     if direction != Direction::FromClient {
                         // A looped or confused peer: fail fast instead
                         // of misparsing a server-direction payload.
@@ -484,7 +502,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 Err(message) => self.fail_conn(i, None, message, now),
             }
         }
-        progressed
     }
 
     fn handle(&mut self, i: usize, msg: ClientMsg, now: SimTime) {
@@ -619,9 +636,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
     fn ops_report(&self, query: OpsQuery, now: SimTime) -> OpsReport {
         match query {
             OpsQuery::Stats => {
-                let mut reg = MetricsRegistry::new();
-                self.gateway.fold_metrics(&mut reg);
-                fold_edge_stats(&mut reg, &self.stats, self.pending.len(), self.conns.len());
+                let reg = self.fold();
                 OpsReport::Stats {
                     samples: reg.flatten(),
                     epoch: self.gateway.epoch(),
@@ -673,13 +688,8 @@ impl<G: EdgeGateway> EdgeServer<G> {
         self.conns[i].start_draining(now);
     }
 
-    fn push_updates(&mut self, now: SimTime) -> bool {
-        let updates = self.gateway.take_updates();
-        if updates.is_empty() {
-            return false;
-        }
-        let mut progressed = false;
-        for update in updates {
+    fn push_updates(&mut self, now: SimTime) {
+        for update in self.gateway.take_updates() {
             let minted = update.task();
             let terminal = update.is_terminal();
             let entry = self.pending.get(minted).map(|e| (e.conn, e.client_task));
@@ -708,7 +718,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
             };
             if delivered {
                 self.stats.updates_pushed += 1;
-                progressed = true;
             } else {
                 self.stats.updates_dropped += 1;
             }
@@ -729,30 +738,57 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 }
             }
         }
-        progressed
     }
 
-    fn flush_writes(&mut self) -> bool {
-        let mut progressed = false;
-        for conn in &mut self.conns {
-            if !conn.outq.is_empty() {
-                let outcome = conn.flush();
-                progressed |= outcome.progressed;
-                self.stats.frames_sent += outcome.frames_sent;
-            }
-            // EPOLLOUT only while there is something to write: a
-            // permanently-armed write interest would wake every turn.
-            let want = !conn.outq.is_empty() && !conn.dead;
-            if want != conn.write_armed
-                && self
-                    .selector
-                    .set_write_interest(&conn.stream, conn.id, want)
-                    .is_ok()
-            {
-                conn.write_armed = want;
+    /// Swaps replication bytes with the gateway after every drive and
+    /// whenever the follower link read something. Unlinked, the frames are
+    /// dropped here, so the gateway's outbox stays bounded.
+    fn ship(&mut self, now: SimTime, drove: bool, events: &[Event]) {
+        let before = self.link_acks.len();
+        if let Some(link) = &mut self.link {
+            if events.iter().any(|e| e.readable && e.token == LINK_TOKEN) {
+                // Non-blocking: what arrived before `WouldBlock` is kept;
+                // `Ok` is the follower hanging up.
+                let read = link.stream.read_to_end(&mut self.link_acks);
+                link.dead |= !matches!(read, Err(e) if e.kind() == ErrorKind::WouldBlock);
             }
         }
-        progressed
+        if !drove && self.link_acks.len() == before {
+            return;
+        }
+        let mut frames = Vec::new();
+        let swapped = self
+            .gateway
+            .swap_ship_bytes(now, &self.link_acks, &mut frames);
+        if let Some(link) = &mut self.link {
+            match swapped {
+                Ok(used) => drop(self.link_acks.drain(..used)),
+                Err(_) => link.dead = true,
+            }
+            if !frames.is_empty() {
+                link.outq.push_back(frames);
+            }
+            let queued = link.outq.iter().map(Vec::len).sum::<usize>() - link.front_written;
+            link.dead |= queued > LINK_QUEUE_CAP;
+        }
+    }
+
+    fn flush_writes(&mut self) {
+        for conn in &mut self.conns {
+            self.stats.frames_sent += conn.flush_and_arm(&mut self.selector);
+        }
+        if let Some(link) = &mut self.link {
+            if !link.dead {
+                link.flush_and_arm(&mut self.selector);
+            }
+            if link.dead {
+                // Closing the socket takes it out of the epoll set; the
+                // shipper re-ships the unacked tail over the next link.
+                self.link = None;
+                self.link_acks.clear();
+                self.stats.links_dropped += 1;
+            }
+        }
     }
 
     fn reap(&mut self, now: SimTime) {
@@ -820,7 +856,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         let i = self.conns.len() - 1;
         // The carried frame was already counted by the accepting reactor.
         self.handle(i, carried, now);
-        let _ = self.decode_and_serve(i, now);
+        self.decode_and_serve(i, now);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Seeded mutation loops over every decoder that reads bytes another
 //! process wrote: the edge's frame decoder and its `ClientMsg`/`ServerMsg`
 //! payloads, the ship transport's `read_msg` and its `ShipMsg` payload, and
-//! the journal's `decode_frames` and its `JournalEvent` payload.
+//! the journal's `decode_frames` and its `JournalEvent` payload — plus the
+//! acks a follower link feeds a live reactor.
 //!
 //! The corpus is real traffic: a generated multi-tenant stream decided by a
 //! journaled, explaining gateway gives the submits, the verdicts (deferrals
@@ -31,8 +32,9 @@ use rtdls_edge::prelude::*;
 use rtdls_edge::proto::{decode_server, encode_client, encode_server, OpsQuery};
 use rtdls_journal::prelude::*;
 use rtdls_journal::wire::{self, RecordKind};
-use rtdls_replica::net::{read_msg, write_msg};
-use rtdls_replica::ship::ShipMsg;
+use rtdls_replica::net::{encode_msg, read_msg, write_msg};
+use rtdls_replica::ship::{ShipConfig, ShipMsg};
+use rtdls_replica::ShippingGateway;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
 
@@ -519,36 +521,8 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
             // An honest client is still served.
             served += 1;
             let mut honest = TcpStream::connect(addr).unwrap();
-            honest
-                .set_read_timeout(Some(Duration::from_millis(2)))
-                .unwrap();
-            let task = Task::new(1_000_000 + served, 1.0e6, 10.0, 1.0e6);
-            honest
-                .write_all(&encode_client(&ClientMsg::Submit {
-                    seq: served,
-                    request: SubmitRequest::new(task),
-                }))
-                .unwrap();
-            let mut dec = FrameDecoder::new(rtdls_edge::codec::DEFAULT_MAX_FRAME);
-            let mut answered = false;
-            for _ in 0..2_000 {
-                server.poll(now);
-                let mut buf = [0u8; 4096];
-                if let Ok(n) = honest.read(&mut buf) {
-                    dec.push(&buf[..n]);
-                }
-                while let Some((_, payload)) = dec.next_frame().unwrap() {
-                    if let ServerMsg::Verdict { seq, .. } = decode_server(&payload).unwrap() {
-                        assert_eq!(seq, served);
-                        answered = true;
-                    }
-                }
-                if answered {
-                    break;
-                }
-            }
             assert!(
-                answered,
+                answered(&mut server, &mut honest, served, now),
                 "seed {seed} case {case}: the reactor stopped serving"
             );
         }
@@ -558,4 +532,96 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
     }
     assert_eq!(server.connections(), 0, "every connection was reaped");
     assert!(server.stats().protocol_errors > 0);
+}
+
+/// Submits one task on `conn` and turns `server` until its verdict is
+/// back; whether it came.
+fn answered<G: EdgeGateway>(
+    server: &mut EdgeServer<G>,
+    conn: &mut TcpStream,
+    seq: u64,
+    now: SimTime,
+) -> bool {
+    conn.set_read_timeout(Some(Duration::from_millis(2)))
+        .unwrap();
+    let task = Task::new(1_000_000 + seq, now.as_f64(), 10.0, 1.0e6);
+    conn.write_all(&encode_client(&ClientMsg::Submit {
+        seq,
+        request: SubmitRequest::new(task),
+    }))
+    .unwrap();
+    let mut dec = FrameDecoder::new(rtdls_edge::codec::DEFAULT_MAX_FRAME);
+    for _ in 0..2_000 {
+        server.poll(now);
+        let mut buf = [0u8; 4096];
+        if let Ok(n) = conn.read(&mut buf) {
+            dec.push(&buf[..n]);
+        }
+        while let Some((_, payload)) = dec.next_frame().unwrap() {
+            if let ServerMsg::Verdict { seq: got, .. } = decode_server(&payload).unwrap() {
+                assert_eq!(got, seq);
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Acks are bytes from outside the program too: a follower link that sends
+/// a bad magic, a length prefix over the cap, a flipped checksum or a
+/// message that is not an ack is dropped and counted, and a client on the
+/// same reactor keeps getting its verdicts.
+#[test]
+fn hostile_follower_bytes_end_the_link_not_the_edge() {
+    let mut ack = Vec::new();
+    encode_msg(&ShipMsg::Ack { seq: 1 }, &mut ack);
+    let mut bad_magic = ack.clone();
+    bad_magic[..2].copy_from_slice(b"XX");
+    let mut oversized = ack[..HEADER_LEN].to_vec();
+    oversized[4..8].copy_from_slice(&(wire::MAX_SHIP_FRAME as u32 + 1).to_le_bytes());
+    let mut flipped = ack.clone();
+    *flipped.last_mut().unwrap() ^= 0x01;
+    let mut not_an_ack = Vec::new();
+    encode_msg(&ShipMsg::Heartbeat { epoch: 0, head: 0 }, &mut not_an_ack);
+    let now = SimTime::new(1.0e6);
+    for (what, hostile) in [
+        ("bad magic", bad_magic),
+        ("length prefix over the cap", oversized),
+        ("flipped checksum", flipped),
+        ("not an ack", not_an_ack),
+    ] {
+        let journaled = JournaledGateway::new(
+            ShardedGateway::new(
+                ClusterParams::paper_baseline(),
+                2,
+                AlgorithmKind::EDF_DLT,
+                PlanConfig::default(),
+                Routing::LeastLoaded,
+                DeferPolicy::default(),
+            )
+            .unwrap(),
+            JournalConfig::default(),
+        );
+        let gateway = ShippingGateway::new(journaled, ShipConfig::default());
+        let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        server
+            .follow(TcpStream::connect(listener.local_addr().unwrap()).unwrap())
+            .unwrap();
+        let (mut standby, _) = listener.accept().unwrap();
+        let mut client = TcpStream::connect(server.local_addr()).unwrap();
+        assert!(answered(&mut server, &mut client, 1, now), "{what}");
+        // An honest ack first: the link takes it.
+        standby.write_all(&ack).unwrap();
+        standby.write_all(&hostile).unwrap();
+        for _ in 0..2_000 {
+            if server.stats().links_dropped > 0 {
+                break;
+            }
+            server.poll(now);
+        }
+        assert_eq!(server.stats().links_dropped, 1, "{what}: the link survived");
+        assert_eq!(server.gateway().shipper().acked(), 1, "{what}");
+        assert!(answered(&mut server, &mut client, 2, now), "{what}");
+    }
 }

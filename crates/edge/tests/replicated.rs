@@ -1,15 +1,20 @@
 //! A replicated edge deployment, end to end over real sockets: an edge
-//! server fronting a [`ShippingGateway`] whose journal streams over TCP
-//! into a [`FollowerServer`] warm standby, with the whole observability
-//! plane on, while every query `rtdls-top` sends is answered over the wire.
+//! server fronting a [`ShippingGateway`] whose journal streams over its
+//! follower link into a [`FollowerServer`] warm standby, with the whole
+//! observability plane on, while every query `rtdls-top` sends is answered
+//! over the wire — and the link's two ways to fail a primary: a standby
+//! that stops reading, and a primary that goes quiet.
 
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtdls_core::prelude::*;
 use rtdls_edge::prelude::*;
 use rtdls_journal::prelude::*;
+use rtdls_replica::net::{read_msg, write_msg};
 use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_telemetry::{HistoryConfig, MetricKind, MetricsRegistry, Telemetry};
@@ -48,10 +53,11 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
 
     // The primary edge, shipping as it serves: tracing, profiler and
     // history on (a cadence fast enough for this short run to land samples).
-    let mut gateway = ShippingGateway::new(journaled_primary(), ShipConfig::default());
-    gateway.attach(ShipClient::connect(standby_addr).expect("connect standby"));
+    let gateway = ShippingGateway::new(journaled_primary(), ShipConfig::default());
     let mut server =
         EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
+    let link = TcpStream::connect(standby_addr).expect("connect standby");
+    server.follow(link).expect("link the standby");
     server.set_telemetry(&Telemetry::with_defaults());
     server.enable_profiler();
     server.enable_history(HistoryConfig {
@@ -99,9 +105,17 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     assert_eq!(get("rtdls_edge_submits"), 8.0);
     assert_eq!(get("rtdls_gateway_submitted"), 8.0);
     assert!(get("rtdls_edge_turns") >= 1.0, "phase timing accumulated");
-    let (epoch, ack_lag) = ops.identity(deadline).expect("identity");
+    // Acks come back on the link's own readiness, so wait for the first.
+    let asked = Instant::now();
+    let (epoch, ack_lag) = loop {
+        let (epoch, ack_lag) = ops.identity(deadline).expect("identity");
+        if ack_lag.is_some() || asked.elapsed() > deadline {
+            break (epoch, ack_lag);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     assert_eq!(epoch, 0, "pre-failover primary");
-    assert!(ack_lag.is_some(), "an attached transport reports ack lag");
+    assert!(ack_lag.is_some(), "a linked standby's acks report ack lag");
 
     // A scrape: the registry rebuilt from the wire samples renders an
     // exposition whose every metric line is `name[{labels}] value`.
@@ -200,4 +214,96 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
 fn gateway_snapshot_of(wal: &[u8]) -> GatewaySnapshot {
     let (gw, _) = replay::<ShardedGateway>(wal).expect("wal replays");
     gw.capture().normalized()
+}
+
+/// Both ends of one loopback connection: the primary's, the standby's.
+fn socket_pair() -> (TcpStream, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let primary = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (standby, _) = listener.accept().expect("accept");
+    (primary, standby)
+}
+
+/// Submits enough refusals to fill the kernel's loopback buffers and then
+/// the link's queue past its cap. Each is refused with its explanation
+/// journaled: ≈ 300 B of journal, ≈ 1.4 KB as ship messages. With Linux's
+/// default 4 MiB `tcp_wmem` ceiling the link drops between 6 000 and 8 000
+/// submits; this sends half again as many.
+const WEDGE_SUBMITS: u64 = 12_000;
+
+/// How long the whole wedge run may take, dev build included.
+const WEDGE_BOUND: Duration = Duration::from_secs(60);
+
+/// A standby that accepts and never reads costs the primary its link, not
+/// its clients: every submit gets its verdict in bounded time, and the
+/// link is dropped and counted once. A primary that wrote to the standby
+/// with a blocking `write_all` on the reactor thread stopped for good once
+/// the kernel's buffers were full, at ≈ 0.9 MB of journal.
+#[test]
+fn a_standby_that_never_reads_loses_its_link_not_the_clients() {
+    let gateway = ShippingGateway::new(journaled_primary(), ShipConfig::default());
+    let mut server =
+        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
+    let (link, standby) = socket_pair();
+    server.follow(link).expect("link the standby");
+    let addr = server.local_addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let server_stop = Arc::clone(&stop);
+    let handle = std::thread::spawn(move || server.run(EdgeClock::real_time(), &server_stop));
+
+    let started = Instant::now();
+    let hopeless =
+        (1..=WEDGE_SUBMITS).map(|id| SubmitRequest::new(Task::new(id, 0.0, 30_000.0, 0.001)));
+    let report = ReplayClient::connect(addr)
+        .expect("connect replay")
+        .run(hopeless, 64, Duration::ZERO, WEDGE_BOUND)
+        .expect("replay run");
+    let took = started.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    let (_, stats) = handle.join().expect("edge thread");
+    assert!(!report.timed_out, "{report:?}");
+    assert_eq!(report.verdicts(), WEDGE_SUBMITS);
+    assert!(took < WEDGE_BOUND, "{took:?}");
+    assert_eq!(stats.links_dropped, 1, "{stats:?}");
+    drop(standby);
+}
+
+/// An idle linked primary heartbeats on its own timer: over four heartbeat
+/// intervals without a submit, the standby hears at least four beats and
+/// never decides the primary is dead. Driven inline on a manual clock.
+#[test]
+fn an_idle_linked_primary_keeps_its_standby_from_promoting() {
+    let cfg = ShipConfig::default();
+    let gateway = ShippingGateway::new(journaled_primary(), cfg);
+    let mut server =
+        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
+    let (link, mut standby) = socket_pair();
+    server.follow(link).expect("link the standby");
+    standby
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("read timeout");
+    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+    assert!(4.0 * cfg.heartbeat_every > FollowerConfig::default().promote_after);
+
+    let step = cfg.heartbeat_every / 10.0;
+    let mut now = SimTime::ZERO;
+    for _ in 0..=40 {
+        server.poll(now);
+        loop {
+            match read_msg(&mut standby) {
+                Ok(Some(msg)) => {
+                    if let Some(ack) = follower.on_msg(now, msg).expect("applies") {
+                        write_msg(&mut standby, &ack).expect("ack");
+                    }
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                other => panic!("standby read {other:?}"),
+            }
+        }
+        now += SimTime::new(step);
+    }
+    assert!(follower.stats().heartbeats >= 4, "{:?}", follower.stats());
+    assert!(!follower.should_promote(now));
+    assert_eq!(server.stats().links_dropped, 0);
+    assert!(server.gateway().ack_lag().is_some(), "acks came back");
 }

@@ -2,29 +2,21 @@
 //!
 //! This is the deployable bundle the edge serves, and the primary the
 //! failover harness kills: a [`JournaledGateway`] plus the [`Shipper`] on
-//! its journal, and optionally a live TCP [`ShipClient`] to a follower.
-//! Once per turn, after its `drive` has committed, freshly appended journal
-//! frames become outbound [`ShipMsg`]s and any acks the follower sent back
-//! are drained: the journal image holds a turn's frames from the moment
-//! they are decided, but none of them leaves the process before the turn
-//! is durable.
+//! its journal. Once per turn, after its `drive` has committed, freshly
+//! appended journal frames become outbound [`ShipMsg`]s in an outbox: the
+//! journal image holds a turn's frames from the moment they are decided,
+//! but none of them leaves the process before the turn is durable.
 //!
-//! Shipping must never make the admission hot path hostage to the
-//! follower:
+//! The gateway touches no socket. Its owner carries the outbox: the
+//! failover harness and the benches drain [`take_outbox`] and feed acks to
+//! [`on_ack`]; the edge reactor swaps the outbox for acks as bytes through
+//! [`EdgeGateway::swap_ship_bytes`] after every `drive`, writing them to
+//! its follower link, one more non-blocking socket in its epoll set. A
+//! follower that stops reading costs the primary its link, never its
+//! turn: replication is an availability feature, not a durability gate.
 //!
-//! * frames go out through a **non-blocking-ish** send (a dead follower
-//!   surfaces as an error; the transport is dropped, a counter ticks, and
-//!   the primary keeps serving solo — replication is an availability
-//!   feature, not a durability gate);
-//! * acks are only *polled* at heartbeat cadence, not awaited — they feed
-//!   retransmission bookkeeping and the lag gauge, neither of which is
-//!   latency-critical.
-//!
-//! Without a transport attached, outbound messages accumulate in an
-//! outbox the owner drains by hand — the mode tests, benches, and custom
-//! transports use.
-
-use std::time::Duration;
+//! [`take_outbox`]: ShippingGateway::take_outbox
+//! [`on_ack`]: ShippingGateway::on_ack
 
 use rtdls_core::prelude::{AdmissionFailure, SimTime, SubmitRequest, TaskId, TaskPlan};
 use rtdls_journal::prelude::{JournaledGateway, Recoverable};
@@ -32,120 +24,42 @@ use rtdls_service::prelude::{EdgeGateway, ServiceBook, ShardedGateway, Verdict};
 use rtdls_sim::serve::{Resolution, Serve, Turn};
 use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
 
-use crate::net::ShipClient;
+use crate::net::{decode_msg, encode_msg};
 use crate::ship::{ShipConfig, ShipMsg, Shipper};
 use crate::telemetry::fold_replication_metrics;
-
-/// How long one ack poll may block the pump. Acks are polled once per
-/// heartbeat interval, so this bounds the shipping tax on an edge turn.
-const ACK_POLL_BUDGET: Duration = Duration::from_millis(1);
 
 /// A journaled gateway that ships its journal as it grows.
 pub struct ShippingGateway<G: Recoverable> {
     inner: JournaledGateway<G>,
     shipper: Shipper,
-    transport: Option<ShipClient>,
     outbox: Vec<ShipMsg>,
-    last_ack_poll: Option<SimTime>,
-    heartbeat_every: f64,
-    transport_errors: u64,
 }
 
 impl<G: Recoverable> ShippingGateway<G> {
-    /// Wraps `inner`, shipping under `cfg`. No transport is attached yet:
-    /// outbound messages buffer in the outbox until
-    /// [`attach`](ShippingGateway::attach) or
-    /// [`take_outbox`](ShippingGateway::take_outbox).
+    /// Wraps `inner`, shipping under `cfg`. Outbound messages buffer in the
+    /// outbox until [`take_outbox`](ShippingGateway::take_outbox) or
+    /// [`EdgeGateway::swap_ship_bytes`] drains it.
     pub fn new(inner: JournaledGateway<G>, cfg: ShipConfig) -> Self {
-        let heartbeat_every = cfg.heartbeat_every;
         ShippingGateway {
             inner,
             shipper: Shipper::new(cfg),
-            transport: None,
             outbox: Vec::new(),
-            last_ack_poll: None,
-            heartbeat_every,
-            transport_errors: 0,
         }
     }
 
-    /// Attaches a live connection to a follower. Anything already in the
-    /// outbox is flushed through it first (the follower deduplicates by
-    /// offset, so a re-send is harmless).
-    pub fn attach(&mut self, transport: ShipClient) {
-        self.transport = Some(transport);
-        let queued: Vec<ShipMsg> = self.outbox.drain(..).collect();
-        for msg in queued {
-            self.send(msg);
-        }
-    }
-
-    /// Whether a transport is currently attached (it detaches itself on
-    /// the first send error).
-    pub fn connected(&self) -> bool {
-        self.transport.is_some()
-    }
-
-    /// Ships everything appended since the last pump and polls for acks —
+    /// Ships everything appended since the last pump into the outbox —
     /// after a commit, never inside a turn.
     fn pump(&mut self, now: SimTime) {
-        for msg in self.shipper.poll(self.inner.journal(), now) {
-            self.send(msg);
-        }
-        self.poll_acks(now);
+        self.outbox
+            .extend(self.shipper.poll(self.inner.journal(), now));
     }
 
-    fn send(&mut self, msg: ShipMsg) {
-        match &mut self.transport {
-            Some(client) => {
-                if let Err(_e) = client.send(&msg) {
-                    // The follower is gone (or the pipe broke). Shipping
-                    // is best-effort by design: drop the transport, count
-                    // the loss, keep serving. Unacked frames stay owned by
-                    // the shipper and re-ship wholesale on reattach.
-                    self.transport = None;
-                    self.transport_errors += 1;
-                    self.outbox.push(msg);
-                }
-            }
-            None => self.outbox.push(msg),
-        }
-    }
-
-    fn poll_acks(&mut self, now: SimTime) {
-        if self.transport.is_none() {
-            return;
-        }
-        let due = match self.last_ack_poll {
-            None => true,
-            Some(last) => now.as_f64() - last.as_f64() >= self.heartbeat_every,
-        };
-        if !due {
-            return;
-        }
-        self.last_ack_poll = Some(now);
-        // Drain whatever is already buffered; the budget bounds the wait
-        // for the first message, subsequent reads hit warm buffers.
-        while let Some(client) = self.transport.as_mut() {
-            match client.recv_timeout(ACK_POLL_BUDGET) {
-                Ok(Some(ShipMsg::Ack { seq })) => self.shipper.on_ack(seq, now),
-                Ok(Some(_)) => {} // followers only send acks; ignore
-                Ok(None) => break,
-                Err(_) => {
-                    self.transport = None;
-                    self.transport_errors += 1;
-                }
-            }
-        }
-    }
-
-    /// Applies one ack by hand — the outbox-mode counterpart of the
-    /// transport's ack poll.
+    /// Applies one follower ack.
     pub fn on_ack(&mut self, seq: u64, now: SimTime) {
         self.shipper.on_ack(seq, now);
     }
 
-    /// Drains the buffered outbound messages (outbox mode).
+    /// Drains the buffered outbound messages.
     pub fn take_outbox(&mut self) -> Vec<ShipMsg> {
         std::mem::take(&mut self.outbox)
     }
@@ -163,11 +77,6 @@ impl<G: Recoverable> ShippingGateway<G> {
     /// The shipper (ship/ack offsets, retransmission stats).
     pub fn shipper(&self) -> &Shipper {
         &self.shipper
-    }
-
-    /// Send failures observed so far (each one detaches the transport).
-    pub fn transport_errors(&self) -> u64 {
-        self.transport_errors
     }
 }
 
@@ -188,28 +97,36 @@ impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
     /// history a failover right now would lose. `None` when no follower
     /// has ever acked (nothing is known about the other side).
     fn ack_lag(&self) -> Option<u64> {
-        if self.shipper.acked() == 0 && self.transport.is_none() && self.transport_errors == 0 {
-            return None;
-        }
-        Some(
-            self.inner
-                .journal()
-                .next_seq()
-                .saturating_sub(self.shipper.acked()),
-        )
+        (self.shipper.acked() > 0).then(|| self.shipper.lag(self.inner.journal()))
     }
 
     /// Everything the journaled gateway folds, plus the `rtdls_replica_*`
-    /// offsets/lag and the transport health gauges.
+    /// offsets and lag. Whether a follower is linked is the edge's to say.
     fn fold_metrics(&self, reg: &mut MetricsRegistry) {
         self.inner.fold_metrics(reg);
         fold_replication_metrics(reg, &self.shipper, self.inner.journal());
-        reg.gauge(
-            "rtdls_replica_connected",
-            &[],
-            if self.transport.is_some() { 1.0 } else { 0.0 },
-        );
-        reg.counter("rtdls_replica_transport_errors", &[], self.transport_errors);
+    }
+
+    /// Applies the follower's acks and hands over the outbox in the `RS`
+    /// framing of [`crate::net`].
+    fn swap_ship_bytes(
+        &mut self,
+        now: SimTime,
+        acks: &[u8],
+        frames: &mut Vec<u8>,
+    ) -> Result<usize, String> {
+        let mut used = 0;
+        while let Some((msg, len)) = decode_msg(&acks[used..]).map_err(|e| e.to_string())? {
+            let ShipMsg::Ack { seq } = msg else {
+                return Err("a follower sent something other than an ack".into());
+            };
+            self.shipper.on_ack(seq, now);
+            used += len;
+        }
+        for msg in self.outbox.drain(..) {
+            encode_msg(&msg, frames);
+        }
+        Ok(used)
     }
 
     /// Attaches to both the wrapped gateway and the shipper, so shipped
@@ -245,8 +162,12 @@ impl<G: Recoverable> Serve for ShippingGateway<G> {
         turn
     }
 
+    /// The journaled gateway's timed work, or the next heartbeat: an idle
+    /// primary still owes its follower a sign of life (the first one at
+    /// once), or the standby would promote itself.
     fn next_due(&self) -> Option<SimTime> {
-        self.inner.next_due()
+        let beat = self.shipper.next_heartbeat().unwrap_or(SimTime::ZERO);
+        Some(self.inner.next_due().map_or(beat, |due| due.min(beat)))
     }
 
     fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
@@ -276,7 +197,6 @@ impl<G: Recoverable> Serve for ShippingGateway<G> {
 mod tests {
     use super::*;
     use crate::follower::{Follower, FollowerConfig};
-    use crate::net::FollowerServer;
     use rtdls_core::prelude::*;
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
@@ -374,35 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_transport_replicates_into_a_follower_server() {
-        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
-        let mut server = FollowerServer::bind("127.0.0.1:0", follower).expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || {
-            let n = server
-                .serve_connection(Duration::from_millis(400))
-                .expect("serve");
-            (server, n)
-        });
-
-        let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
-        gw.attach(ShipClient::connect(addr).expect("connect"));
-        for (i, t) in [0.0, 10.0, 20.0].iter().enumerate() {
-            gw.decide(
-                &SubmitRequest::new(Task::new(i as u64, *t, 20.0, 2_000.0)),
-                SimTime::new(*t),
-            );
-            gw.drive(SimTime::new(*t));
-        }
-        let wal = gw.inner().journal().bytes().to_vec();
-        drop(gw); // primary "dies": socket closes, server returns on EOF
-
-        let (server, processed) = handle.join().expect("server thread");
-        assert!(processed >= 4, "genesis + three submissions: {processed}");
-        assert_eq!(server.follower().bytes(), &wal[..]);
-    }
-
-    #[test]
     fn fold_covers_gateway_and_replication_views() {
         let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
         gw.decide(
@@ -416,6 +307,5 @@ mod tests {
         assert!(text.contains("rtdls_gateway_submitted"), "{text}");
         assert!(text.contains("rtdls_journal_events_appended"), "{text}");
         assert!(text.contains("rtdls_replica_shipped_offset"), "{text}");
-        assert!(text.contains("rtdls_replica_connected 0"), "{text}");
     }
 }

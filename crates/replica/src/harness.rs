@@ -2,7 +2,7 @@
 //!
 //! [`ReplicaFrontend`] packages a complete replication deployment — a
 //! journaled shard primary behind the one shipping wrapper
-//! ([`ShippingGateway`], in outbox mode), two [`FaultyLink`]s (frames out,
+//! ([`ShippingGateway`]), two [`FaultyLink`]s (frames out,
 //! acks back), and a warm-standby [`Follower`] — behind the serving trait
 //! the simulator drives ([`Serve`]), so the discrete-event engine drives
 //! the *entire* failover story as one seeded, replayable run, in the same
@@ -128,7 +128,8 @@ enum Process<G: Recoverable> {
 impl<G: Recoverable> Process<G> {
     fn serving(&self) -> Option<&dyn Serve<Outcome = Verdict>> {
         match self {
-            Process::Primary(gw) => Some(gw),
+            // The harness times heartbeats itself (see `next_due`).
+            Process::Primary(gw) => Some(gw.inner()),
             Process::Down => None,
             Process::Promoted(gw) => Some(gw),
         }

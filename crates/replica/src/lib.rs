@@ -26,8 +26,10 @@
 //! simulator over `rtdls-sim`'s [`FaultyLink`] — seeded message loss,
 //! reordering, duplication, delay, and netsplit windows — so an entire
 //! failover (kill the primary mid-netsplit, promote the follower, fence the
-//! zombie) replays bit-identically from its seed. [`net`] carries the same
-//! [`ShipMsg`] protocol over real TCP for the wall-clock demo.
+//! zombie) replays bit-identically from its seed. [`net`] gives the same
+//! [`ShipMsg`] protocol its byte form: the edge reactor carries a
+//! [`ShippingGateway`]'s frames to a follower over its one event loop, and
+//! [`FollowerServer`](net::FollowerServer) replays them on the standby.
 //!
 //! [`FaultyLink`]: rtdls_sim::net::FaultyLink
 
@@ -52,7 +54,7 @@ pub mod prelude {
     pub use crate::follower::{Follower, FollowerConfig, FollowerStats, Promotion};
     pub use crate::gateway::ShippingGateway;
     pub use crate::harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend};
-    pub use crate::net::{FollowerServer, ShipClient};
+    pub use crate::net::FollowerServer;
     pub use crate::ship::{ShipConfig, ShipMsg, Shipper};
     pub use crate::telemetry::{fold_follower_metrics, fold_replication_metrics};
 }

@@ -1,23 +1,22 @@
-//! Wall-clock TCP transport for the [`ShipMsg`] protocol.
+//! The byte format of the [`ShipMsg`] protocol, and the follower's socket.
 //!
 //! The sim harness proves the protocol correct under seeded faults; this
-//! module carries the *identical* messages over a real socket for the
-//! `failover` example and ops smoke tests. Each message is its JSON
-//! encoding in one frame of the workspace's header codec
-//! ([`rtdls_journal::wire`], the header the journal and the edge use) under
-//! the magic `RS`: the length prefix is held against [`MAX_SHIP_FRAME`]
-//! before a byte of payload is read, and the checksum catches what a bare
-//! length prefix would pass on as a misparsed message.
+//! module gives the *identical* messages a byte form for real sockets. Each
+//! message is its JSON encoding in one frame of the workspace's header
+//! codec ([`rtdls_journal::wire`], the header the journal and the edge use)
+//! under the magic `RS`: the length prefix is held against
+//! [`MAX_SHIP_FRAME`] before a byte of payload is read, and the checksum
+//! catches what a bare length prefix would pass on as a misparsed message.
 //!
-//! Two small blocking endpoints:
-//!
-//! * [`ShipClient`] — the primary side: connects out, sends frames and
-//!   heartbeats, polls for acks with a read timeout so a silent follower
-//!   never wedges the primary's hot path.
-//! * [`FollowerServer`] — accepts one primary at a time and feeds every
-//!   message into a [`Follower`], acking back. Read-timeout silence is the
-//!   wall-clock analogue of the sim's heartbeat-loss detector: the caller
-//!   decides when the silence budget is spent and promotes.
+//! The primary side owns no socket here: [`encode_msg`] appends a frame to
+//! a buffer and [`decode_msg`] takes one off the front of a buffer, and the
+//! edge reactor carries those bytes on its follower link (one more socket
+//! in its epoll set) through `EdgeGateway::swap_ship_bytes`. The follower
+//! side, [`FollowerServer`], is not latency-critical and stays a simple
+//! blocking loop: it accepts one primary at a time and feeds every message
+//! into a [`Follower`], acking back. Read-timeout silence is the
+//! wall-clock analogue of the sim's heartbeat-loss detector: the caller
+//! decides when the silence budget is spent and promotes.
 //!
 //! Timestamps handed to the follower are seconds since the server started
 //! — the follower only compares them against its own `promote_after`
@@ -29,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use rtdls_core::prelude::SimTime;
 use rtdls_journal::prelude::Recoverable;
-use rtdls_journal::wire::{parse_header, write_frame, HEADER_LEN, MAX_SHIP_FRAME};
+use rtdls_journal::wire::{parse_header, write_frame, Header, HEADER_LEN, MAX_SHIP_FRAME};
 
 use crate::follower::Follower;
 use crate::ship::ShipMsg;
@@ -44,16 +43,43 @@ fn invalid(reason: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
 }
 
+/// Appends one message to `out` as one frame. Real messages sit far under
+/// the cap (the largest bench fleet's snapshot is a 64th of it); a reader
+/// refuses whatever does not.
+pub fn encode_msg(msg: &ShipMsg, out: &mut Vec<u8>) {
+    write_frame(MAGIC, TAG, out, |out| {
+        serde_json::to_writer(out, msg).expect("ship messages are serializable")
+    });
+}
+
 /// Writes one message as one frame.
 pub fn write_msg(stream: &mut TcpStream, msg: &ShipMsg) -> io::Result<()> {
     let mut frame = Vec::new();
-    write_frame(MAGIC, TAG, &mut frame, |out| {
-        serde_json::to_writer(out, msg).expect("ship messages are serializable")
-    });
-    if frame.len() - HEADER_LEN > MAX_SHIP_FRAME {
-        return Err(invalid("message exceeds the ship frame cap"));
-    }
+    encode_msg(msg, &mut frame);
     stream.write_all(&frame)
+}
+
+fn header(head: &[u8; HEADER_LEN]) -> io::Result<Header> {
+    parse_header(head, MAGIC, MAX_SHIP_FRAME)
+        .map_err(|e| invalid(format!("bad ship frame header: {e:?}")))
+}
+
+/// Takes the first frame off the front of `buf`: `Ok(None)` while it is
+/// still incomplete, else the message and the bytes it used. Errors as
+/// [`read_msg`]'s `InvalidData`.
+pub fn decode_msg(buf: &[u8]) -> io::Result<Option<(ShipMsg, usize)>> {
+    let Some((head, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let header = header(head)?;
+    let Some(body) = rest.get(..header.len) else {
+        return Ok(None);
+    };
+    if header.tag != TAG || !header.verifies(body) {
+        return Err(invalid("ship frame fails its tag or checksum"));
+    }
+    let msg = serde_json::from_slice(body).map_err(invalid)?;
+    Ok(Some((msg, HEADER_LEN + header.len)))
 }
 
 /// Reads one framed message. `Ok(None)` means clean EOF at a frame
@@ -68,52 +94,15 @@ pub fn read_msg(stream: &mut TcpStream) -> io::Result<Option<ShipMsg>> {
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let header = parse_header(&head, MAGIC, MAX_SHIP_FRAME)
-        .map_err(|e| invalid(format!("bad ship frame header: {e:?}")))?;
+    let len = header(&head)?.len;
     // Sized for an ordinary message up front; beyond that it grows with what
     // arrives, never by what the prefix announces.
-    let mut body = Vec::with_capacity(header.len.min(1 << 16));
-    Read::take(&mut *stream, header.len as u64).read_to_end(&mut body)?;
-    if body.len() < header.len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    if header.tag != TAG || !header.verifies(&body) {
-        return Err(invalid("ship frame fails its tag or checksum"));
-    }
-    serde_json::from_slice(&body).map(Some).map_err(invalid)
-}
-
-/// The primary-side socket: sends frames/heartbeats, polls for acks.
-pub struct ShipClient {
-    stream: TcpStream,
-}
-
-impl ShipClient {
-    /// Connects to a [`FollowerServer`].
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(ShipClient { stream })
-    }
-
-    /// Sends one message.
-    pub fn send(&mut self, msg: &ShipMsg) -> io::Result<()> {
-        write_msg(&mut self.stream, msg)
-    }
-
-    /// Waits up to `timeout` for one reply; `Ok(None)` = nothing arrived
-    /// (or clean EOF), which the caller treats as "no progress yet".
-    pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<ShipMsg>> {
-        self.stream.set_read_timeout(Some(timeout))?;
-        match read_msg(&mut self.stream) {
-            Ok(msg) => Ok(msg),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
+    let mut frame = Vec::with_capacity(HEADER_LEN + len.min(1 << 16));
+    frame.extend_from_slice(&head);
+    Read::take(&mut *stream, len as u64).read_to_end(&mut frame)?;
+    match decode_msg(&frame)? {
+        Some((msg, _)) => Ok(Some(msg)),
+        None => Err(io::ErrorKind::UnexpectedEof.into()),
     }
 }
 
@@ -134,7 +123,7 @@ impl<G: Recoverable> FollowerServer<G> {
         })
     }
 
-    /// The bound address, for handing to [`ShipClient::connect`].
+    /// The bound address, for the primary to connect to.
     pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
         self.listener.local_addr()
     }
@@ -225,12 +214,10 @@ mod tests {
         stream
     }
 
-    /// The bytes `write_msg` puts on the wire for `msg`.
+    /// The bytes `encode_msg` frames `msg` into.
     fn wire_bytes(msg: &ShipMsg) -> Vec<u8> {
-        let msg = msg.clone();
-        let mut stream = accept_from(move |mut s| write_msg(&mut s, &msg).unwrap());
         let mut bytes = Vec::new();
-        stream.read_to_end(&mut bytes).unwrap();
+        encode_msg(msg, &mut bytes);
         bytes
     }
 
@@ -286,12 +273,25 @@ mod tests {
             ("flipped payload byte", flipped),
             ("payload nested past the depth cap", nested),
         ] {
+            let err = decode_msg(&bytes).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
             let err = read_back(bytes).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
-        // A frame cut short is a torn stream, not a framing violation.
-        let err = read_back(good[..good.len() - 3].to_vec()).unwrap_err();
+        // A frame cut short is a torn stream, not a framing violation; from
+        // a buffer, it is a frame still arriving.
+        let torn = good[..good.len() - 3].to_vec();
+        assert!(decode_msg(&torn).unwrap().is_none());
+        assert!(decode_msg(&good[..HEADER_LEN - 1]).unwrap().is_none());
+        let err = read_back(torn).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let (msg, used) = decode_msg(&[good.clone(), good.clone()].concat())
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (msg, used),
+            (ShipMsg::Heartbeat { epoch: 3, head: 18 }, good.len())
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! side-band framing protocol.
 //!
 //! The shipper is transport-agnostic and **pull-based**: the owner calls
-//! [`Shipper::poll`] whenever it has cycles (the sim harness does it on
-//! every frontend call; the TCP demo does it on a writer loop) and sends
-//! whatever messages come back. Three things can come back:
+//! [`Shipper::poll`] whenever it has cycles (the sim harness on every
+//! frontend call, a `ShippingGateway` after every committed turn) and
+//! sends whatever messages come back. Three things can come back:
 //!
 //! * **Frames** — everything appended since the last poll. Compaction is
 //!   handled by [`Journal::frames_from`]'s clamp: if the log compacted past

@@ -86,6 +86,20 @@ pub trait EdgeGateway: Serve<Outcome = Verdict> {
         None
     }
 
+    /// Swaps replication bytes with a follower link, after every `drive`
+    /// and whenever the link read something: appends what the stack
+    /// shipped since the last call to `frames`, and returns how many bytes
+    /// of `acks` it took (whole frames; a torn tail waits). `Err` = not
+    /// acks: the caller drops the link. By default nothing replicates.
+    fn swap_ship_bytes(
+        &mut self,
+        _now: SimTime,
+        acks: &[u8],
+        _frames: &mut Vec<u8>,
+    ) -> Result<usize, String> {
+        Ok(acks.len())
+    }
+
     /// Attaches a decision-tracing handle: spans from the decision flow
     /// land in the handle's shared flight recorder (`Route` spans carry the
     /// chosen shard), and untraced in-process submissions get a trace id

@@ -17,9 +17,11 @@
 //!
 //! Run with: `cargo run --release --example failover`
 
+use std::net::TcpStream;
 use std::time::Duration;
 
 use rtdls::prelude::*;
+use rtdls::replica::net::write_msg;
 
 /// Genesis-only snapshots keep the WAL and its mirror byte-comparable:
 /// later snapshots embed wall-clock latency histograms, the one thing a
@@ -57,20 +59,24 @@ fn main() {
         (standby, processed)
     });
 
-    // The primary: a journaled gateway shipping as it admits.
+    // The primary: a journaled gateway shipping as it admits, its outbox
+    // carried to the standby by hand (an edge does it on its reactor).
     let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
-    gw.attach(ShipClient::connect(addr).expect("connect standby"));
+    let mut link = TcpStream::connect(addr).expect("connect standby");
     let mut accepted = 0;
     for i in 0..10u64 {
         let now = SimTime::new(i as f64 * 10.0);
         // One serving turn: `decide` journals the request and decides it;
-        // `drive` commits the turn and only then pumps its frames to the
-        // standby.
+        // `drive` commits the turn and only then pumps its frames into the
+        // outbox for the standby.
         let request = SubmitRequest::new(Task::new(i, now.as_f64(), 20.0, 2_000.0));
         if gw.decide(&request, now).is_accepted() {
             accepted += 1;
         }
         gw.drive(now);
+        for msg in gw.take_outbox() {
+            write_msg(&mut link, &msg).expect("ship to standby");
+        }
     }
     let wal = gw.inner().journal().bytes().to_vec();
     println!(
@@ -81,7 +87,7 @@ fn main() {
 
     // The crash: drop the primary with no shutdown protocol at all. The
     // kernel resets the socket; the standby drains what was in flight.
-    drop(gw);
+    drop((gw, link));
     println!("*** primary killed ***");
 
     let (mut standby, processed) = standby_thread.join().expect("standby thread");
