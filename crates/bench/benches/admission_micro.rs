@@ -12,7 +12,8 @@
 //! `now` up to the candidate's deadline, less the ones that repeat the last),
 //! `explain_deep` that refusal explained (`open` →
 //! `finish`: the deadline and σ bisections, each probe a verdict walk from
-//! the front of the queue, and the same start search) — traffic no
+//! the queue ahead walked once per insertion point, and the same start
+//! search) — traffic no
 //! `BENCHMARK.json` workload sends a book this deep.
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
@@ -20,7 +21,7 @@
 //! a 64-node shard, kept (into a pass's arena) and verdict-only. Printed,
 //! not gated.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use rtdls_bench::{baseline, waiting_queue};
@@ -199,13 +200,13 @@ fn bench_explain_fleet(c: &mut Criterion) {
 /// staggered releases and nothing waiting, both ways there are to take it.
 /// `kept` is `probe_plan`: a one-step pass that plans the task and hands the
 /// plan back (a pass set up on fresh buffers, the step into its arena, the
-/// plan read back out as a value of its own). `verdict_only` is
-/// one bisection step of an open refusal explanation: the reused walk
-/// restarted, the step taken, nothing kept but the answer (about one
-/// iteration in 35 re-opens a converged search, which costs a few such
-/// steps).
+/// plan read back out as a value of its own). `verdict_only` is one probe
+/// of a refusal explanation's deadline search, nothing kept but the answer:
+/// an iteration opens the search on the refusal in hand and bisects it to
+/// the end, and the throughput column counts its probes (most of them copy
+/// the walk stood at their insertion point and take the step).
 fn bench_place(c: &mut Criterion) {
-    use rtdls_core::admission::ExplainSearch;
+    use rtdls_core::admission::{ExplainSearch, ProbeWalks};
     let params = ClusterParams::new(64, 1.0, 100.0).expect("valid params");
     let (algorithm, cfg, now) = (AlgorithmKind::EDF_DLT, PlanConfig::default(), SimTime::ZERO);
     let mut ctl = AdmissionController::new(params, algorithm, cfg);
@@ -231,16 +232,18 @@ fn bench_place(c: &mut Criterion) {
     // Too tight for the staggered shard now, fine with a longer deadline:
     // the search bisects between the two, a verdict-only step per probe.
     let refused = Task::new(2, 0.0, 200.0, lands_at(12, 0.9));
-    let open = || ExplainSearch::open(&ctl, &refused, now).expect("refused");
-    let mut search = open();
-    assert!(search.refine(), "the search has a bracket to halve");
-    group.bench_function("verdict_only", |b| {
-        b.iter(|| {
-            if !search.refine() {
-                search = open();
-            }
-        })
-    });
+    let Decision::Rejected(cause) = ctl.probe(&refused, now) else {
+        panic!("refused");
+    };
+    let bisect = |walks: &mut ProbeWalks| {
+        let search = ExplainSearch::open(&ctl, walks, &refused, now, Some(cause));
+        let mut search = search.expect("refused");
+        while search.refine() {}
+        search.probes()
+    };
+    let mut walks = ProbeWalks::default();
+    group.throughput(Throughput::Elements(bisect(&mut walks)));
+    group.bench_function("verdict_only", |b| b.iter(|| bisect(&mut walks)));
     group.finish();
 }
 

@@ -8,9 +8,9 @@
 //! explanation is `open` → `finish`. A fleet compares shards by deadline
 //! alone, so it opens a search per shard, refines them side by side,
 //! abandons a search whose bracket already lies wholly above another's, and
-//! finishes only the winner's. Every probe is one verdict walk
-//! (`AdmissionController::verdict`, `probe.rs`) over the engine's own book
-//! and cache, from the front of the queue, on one walk the search reuses.
+//! finishes only the winner's. Every probe is a verdict walk over the
+//! engine's own book and cache (`probe.rs`) on walks its caller lends
+//! ([`ProbeWalks`]), from where the last probe stood if it lands there too.
 //!
 //! [`open`]: ExplainSearch::open
 //! [`refine`]: ExplainSearch::refine
@@ -23,7 +23,7 @@ use crate::task::Task;
 use crate::time::SimTime;
 
 use super::walk::Walk;
-use super::{Admission, AdmissionController, EXPLAIN_TOL};
+use super::{Admission, AdmissionController, AdmissionFailure, EXPLAIN_TOL};
 
 /// A structured account of why a submission failed the schedulability test
 /// at a given instant, with honest counterfactuals: every suggested value
@@ -130,6 +130,45 @@ impl Bracket {
     }
 }
 
+/// The walks an explanation search probes on, lent by its caller (a fleet
+/// keeps a set per shard, like an engine its pass): a walk stood at the last
+/// probe's insertion point, with what reaching it answered, and the walk a
+/// probe landing there goes on in, from a copy of it. The search borrows the
+/// engine immutably, so the queue ahead stays put; [`ExplainSearch::open`]
+/// forgets the last search's.
+#[derive(Clone, Debug, Default)]
+pub struct ProbeWalks {
+    walk: Walk,
+    stood_walk: Walk,
+    stood: Option<(usize, Result<(), AdmissionFailure>)>,
+}
+
+impl ProbeWalks {
+    /// The Fig. 2 test for `candidate` against `engine`'s book at `now`,
+    /// verdict-only: `Ok` iff the literal test of the waiting tasks plus
+    /// `candidate` passes, else its first failure.
+    pub(super) fn verdict(
+        &mut self,
+        engine: &AdmissionController,
+        candidate: &Task,
+        now: SimTime,
+    ) -> Result<(), AdmissionFailure> {
+        let at = engine.insertion_point(candidate);
+        let reached = match self.stood {
+            Some((stood, reached)) if stood == at => reached,
+            _ => {
+                let reached = engine.stand(at, now, &mut self.stood_walk);
+                self.stood.insert((at, reached)).1
+            }
+        };
+        reached?;
+        // The other half, from where the first stood.
+        self.walk.copy_from(&self.stood_walk);
+        engine.test(candidate, &mut self.walk)?;
+        engine.walk_positions(&mut self.walk, at..engine.queue_len(), |_| false)
+    }
+}
+
 /// A refusal explanation in progress: the cause and a bracket around the
 /// counterfactual deadline are known ([`ExplainSearch::open`]), the bracket
 /// can be halved step by step ([`ExplainSearch::refine`]), and the
@@ -140,8 +179,7 @@ pub struct ExplainSearch<'a> {
     /// tests against.
     engine: &'a AdmissionController,
     now: SimTime,
-    /// The walk every probe restarts, reused across probes.
-    walk: Walk,
+    walks: &'a mut ProbeWalks,
     /// Tests answered so far.
     probes: u64,
     task: Task,
@@ -154,7 +192,7 @@ impl<'a> ExplainSearch<'a> {
     /// One probe: whether `candidate` passes against the book.
     fn passes(&mut self, candidate: &Task) -> bool {
         self.probes += 1;
-        let verdict = self.engine.verdict(candidate, self.now, &mut self.walk);
+        let verdict = self.walks.verdict(self.engine, candidate, self.now);
         verdict.is_ok()
     }
 
@@ -168,25 +206,33 @@ impl<'a> ExplainSearch<'a> {
         self.passes(&relaxed)
     }
 
-    /// Runs the Fig. 2 test for `task` at `now` against `engine`'s book —
-    /// `None` when it is in fact feasible as-is — and, for a refusal,
-    /// brackets the counterfactual deadline: the upper probe is seeded at
-    /// the analytic full-cluster slack floor
-    /// ([`crate::nmin::min_feasible_slack`]) measured from the latest
-    /// committed release and doubled until feasible; the refused deadline
-    /// is the bracket's failing end. Bisecting it down is
-    /// [`refine`](ExplainSearch::refine)'s.
-    pub fn open(engine: &'a AdmissionController, task: &Task, now: SimTime) -> Option<Self> {
-        let mut walk = Walk::new(&[], now);
-        let cause = match engine.verdict(task, now, &mut walk) {
-            Ok(()) => return None,
-            Err(f) => f.reason,
-        };
+    /// Runs the Fig. 2 test for `task` at `now` against `engine`'s book on
+    /// `walks` — `None` when it is in fact feasible as-is — unless `refused`
+    /// is the refusal in hand (a dev build checks it), and brackets the
+    /// counterfactual deadline: the upper probe is seeded at the analytic
+    /// full-cluster slack floor ([`crate::nmin::min_feasible_slack`])
+    /// measured from the latest committed release and doubled until
+    /// feasible; the refused deadline is the bracket's failing end.
+    /// Bisecting it down is [`refine`](ExplainSearch::refine)'s.
+    pub fn open(
+        engine: &'a AdmissionController,
+        walks: &'a mut ProbeWalks,
+        task: &Task,
+        now: SimTime,
+        refused: Option<Infeasible>,
+    ) -> Option<Self> {
+        walks.stood = None;
+        let mut test = || walks.verdict(engine, task, now).err().map(|f| f.reason);
+        debug_assert!(
+            refused.is_none() || refused == test(),
+            "the refusal in hand is not the test's"
+        );
+        let cause = refused.or_else(test)?;
         let mut search = ExplainSearch {
             engine,
             now,
-            walk,
-            probes: 1,
+            walks,
+            probes: u64::from(refused.is_none()),
             task: *task,
             cause,
             deadline: None,
@@ -271,9 +317,9 @@ impl<'a> ExplainSearch<'a> {
         };
 
         // `open` failed the test at `now` itself, so only later instants
-        // are left to search — by the engine's own search.
+        // are left to search — by the engine's own search, on a lent walk.
         let now = self.now;
-        let earliest = self.engine.earliest_start_after(&task, now);
+        let earliest = self.engine.start_search(&task, now, &mut self.walks.walk);
         AdmissionExplanation {
             cause: self.cause,
             at: now,
@@ -379,9 +425,11 @@ mod tests {
             .submit(Task::new(1, 0.0, 10.0, 1750.0), SimTime::ZERO)
             .is_accepted());
         let task = Task::new(2, 0.0, 20.0, 1850.0);
-        let open = || ExplainSearch::open(&c, &task, SimTime::ZERO).expect("refused");
-        let alone = open().finish();
-        let mut stepped = open();
+        let (mut alone, mut stepped) = (ProbeWalks::default(), ProbeWalks::default());
+        let open =
+            |walks| ExplainSearch::open(&c, walks, &task, SimTime::ZERO, None).expect("refused");
+        let alone = open(&mut alone).finish();
+        let mut stepped = open(&mut stepped);
         let mut brackets = vec![stepped.deadline_bracket().expect("a feasible deadline")];
         assert_eq!(brackets[0].failing, 1850.0);
         let opened_with = stepped.probes();

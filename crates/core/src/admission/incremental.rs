@@ -141,7 +141,7 @@ use crate::time::SimTime;
 use super::walk::{PlanMeta, Tail, Walk};
 use super::{
     schedulability_test, Admission, AdmissionExplanation, AdmissionFailure, ControllerState,
-    Decision, EngineProfile, ExplainSearch,
+    Decision, EngineProfile, ExplainSearch, ProbeWalks,
 };
 
 /// How many refusals the engine remembers. The askers that come back are
@@ -370,6 +370,21 @@ impl AdmissionController {
         let strategy = self.algorithm.strategy;
         walk.test(strategy, task, &self.params, &self.cfg, &self.meta)
             .map(drop)
+    }
+
+    /// The half of a what-if test that never reads the candidate: `walk`
+    /// restarted at the committed releases, stood at queue position `at` and
+    /// settled; `Err`, every candidate's answer there, when a task ahead fails.
+    pub(super) fn stand(
+        &self,
+        at: usize,
+        now: SimTime,
+        walk: &mut Walk,
+    ) -> Result<(), AdmissionFailure> {
+        walk.restart(&self.releases, now);
+        self.walk_positions(walk, 0..at, |_| false)?;
+        walk.settle(&self.meta);
+        Ok(())
     }
 
     /// Plans one task fresh at the walk's current step into the tail.
@@ -643,12 +658,13 @@ impl Admission for AdmissionController {
 
     /// `probe.rs`'s start search, on this engine's cache.
     fn earliest_start_after(&self, task: &Task, now: SimTime) -> Option<SimTime> {
-        self.start_search(task, now)
+        self.start_search(task, now, &mut Walk::default())
     }
 
-    /// One [`ExplainSearch`], opened and finished.
+    /// One [`ExplainSearch`], opened and finished on fresh walks.
     fn explain(&self, request: &SubmitRequest, now: SimTime) -> Option<AdmissionExplanation> {
-        ExplainSearch::open(self, &request.task, now).map(ExplainSearch::finish)
+        let walks = &mut ProbeWalks::default();
+        ExplainSearch::open(self, walks, &request.task, now, None).map(ExplainSearch::finish)
     }
 
     /// Positions whose inputs are unchanged keep their plans without a
@@ -736,6 +752,7 @@ impl Admission for AdmissionController {
 
 #[cfg(test)]
 mod tests {
+    use super::super::walk::tests::walk_at;
     use super::*;
     use crate::dlt::homogeneous;
     use crate::strategy::NodeCountPolicy;
@@ -890,7 +907,7 @@ mod tests {
         // The cached plans ahead of the task are vouched for — each as if
         // planned on what the ones before it wrote — so the walks apply
         // them; the one behind it is planned.
-        let mut walk = Walk::new(&inc.releases, now);
+        let mut walk = walk_at(&inc.releases, now);
         for q in 0..3 {
             inc.meta[q] = Some(recorded(&mut walk));
             walk.apply(&inc.queue[q].1);
@@ -929,7 +946,7 @@ mod tests {
     /// recorded it, each on what the ones before it wrote (so each follows
     /// the one ahead).
     fn vouch(inc: &mut AdmissionController, at: f64) {
-        let mut walk = Walk::new(&inc.releases, SimTime::new(at));
+        let mut walk = walk_at(&inc.releases, SimTime::new(at));
         for q in 0..inc.queue.len() {
             inc.meta[q] = Some(recorded(&mut walk));
             walk.apply(&inc.queue[q].1);
@@ -939,7 +956,7 @@ mod tests {
     /// The prefix helper over the whole queue at `now`: where it stopped,
     /// and how many gates it compared.
     fn held(inc: &AdmissionController, now: f64) -> (usize, u64) {
-        let mut walk = Walk::new(&inc.releases, SimTime::new(now));
+        let mut walk = walk_at(&inc.releases, SimTime::new(now));
         let mut work = EngineProfile::default();
         let stop = |_: &Task, _: &mut Walk| Ok::<_, Infallible>(false);
         let Ok(stop) = inc.held_run(&mut walk, 0..inc.queue.len(), |_| false, &mut work, stop);
@@ -994,7 +1011,7 @@ mod tests {
             ],
         );
         vouch(&mut inc, 100.0);
-        let mut at_150 = Walk::new(&inc.releases, SimTime::new(150.0));
+        let mut at_150 = walk_at(&inc.releases, SimTime::new(150.0));
         inc.meta[0] = Some(recorded(&mut at_150));
         assert!(inc.meta[1].as_ref().is_some_and(|m| m.follows));
         assert_eq!(held(&inc, 150.0), (1, 2));

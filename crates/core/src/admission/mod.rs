@@ -54,7 +54,7 @@ pub mod incremental;
 mod probe;
 mod walk;
 
-pub use explain::{AdmissionExplanation, Bracket, ExplainSearch};
+pub use explain::{AdmissionExplanation, Bracket, ExplainSearch, ProbeWalks};
 pub use incremental::AdmissionController;
 
 /// Why (and for which task) a schedulability test failed.

@@ -10,11 +10,14 @@
 //! lemma in `incremental.rs` allows; where one fails, the task planned for
 //! its verdict), and allocate nothing per step.
 //!
-//! A what-if test at one instant is [`AdmissionController::verdict`]: a walk
-//! from the front of the queue, restarted at the committed releases. No walk
-//! state is kept from one probe to the next: on a settled book the positions
-//! ahead of the candidate are a proved run, taken by reading each plan's
-//! chunks, and one rebase.
+//! A what-if test at one instant has two halves. The first walks the queue
+//! ahead of the insertion point from the committed releases (on a settled
+//! book a proved run and one rebase) and reads nothing of the candidate
+//! ([`AdmissionController::stand`]); the second tests the candidate there
+//! and walks the queue behind it. A search keeps the walk the first half
+//! left at the last insertion point and copies it for every probe landing
+//! there (`ProbeWalks`, `explain.rs`): no policy key reads σ, so the σ
+//! search stands once, and so does a converging deadline bracket.
 //!
 //! The start search ([`AdmissionController::start_search`]) builds each
 //! instant's post-dispatch book from the last one's, and walks books that
@@ -34,30 +37,19 @@ use crate::task::Task;
 use crate::time::SimTime;
 
 use super::walk::{PlanMeta, Walk};
-use super::{Admission, AdmissionController, AdmissionFailure};
+use super::{Admission, AdmissionController};
 
 impl AdmissionController {
-    /// The Fig. 2 test for `candidate` against the book at `now`,
-    /// verdict-only, on `walk` restarted at the committed releases: `Ok` iff
-    /// the literal test of the waiting tasks plus `candidate` passes, and the
-    /// same first failure when it does not.
-    pub(super) fn verdict(
-        &self,
-        candidate: &Task,
-        now: SimTime,
-        walk: &mut Walk,
-    ) -> Result<(), AdmissionFailure> {
-        let at = self.insertion_point(candidate);
-        walk.restart(self.committed_releases(), now);
-        self.walk_positions(walk, 0..at, |_| false)?;
-        self.test(candidate, walk)?;
-        self.walk_positions(walk, at..self.queue_len(), |_| false)
-    }
-
     /// [`Admission::earliest_start_after`] on this engine, which says why
     /// dispatch instants up to the task's deadline are the only candidates;
-    /// which of them are refused on arrival is in the module docs.
-    pub(super) fn start_search(&self, task: &Task, now: SimTime) -> Option<SimTime> {
+    /// which of them are refused on arrival is in the module docs. Every
+    /// instant restarts `walk`.
+    pub(super) fn start_search(
+        &self,
+        task: &Task,
+        now: SimTime,
+        walk: &mut Walk,
+    ) -> Option<SimTime> {
         let (queue, cfg) = (self.queue(), self.config());
         let deadline = task.absolute_deadline();
         // The waiting positions in the order they fall due: the plans due at
@@ -85,7 +77,6 @@ impl AdmissionController {
         let mut releases = self.committed_releases().to_vec();
         let mut owner = vec![0; releases.len()];
         let (mut fallen, mut waiting) = (0, queue.len() - at);
-        let mut walk = Walk::new(&[], now);
         // The last instant whose walk got as far as the task: its inputs
         // there, and how many positions behind it were still waiting
         // (`None`: no instant yet).
@@ -114,12 +105,12 @@ impl AdmissionController {
                 fallen += 1;
             }
             walk.restart(&releases, t);
-            if self.walk_positions(&mut walk, 0..at, due).is_err() {
+            if self.walk_positions(walk, 0..at, due).is_err() {
                 return false;
             }
             // Dispatches only accumulate from instant to instant, so an equal
             // count is the same set of positions.
-            if seen_waiting == Some(waiting) && seen.holds_for(&walk, cfg) {
+            if seen_waiting == Some(waiting) && seen.holds_for(walk, cfg) {
                 debug_assert!(
                     {
                         let mut dispatched = self.clone();
@@ -130,12 +121,12 @@ impl AdmissionController {
                 );
                 return false;
             }
-            seen.record(&walk);
+            seen.record(walk);
             seen_waiting = Some(waiting);
             #[cfg(test)]
             WALKED_ON.with(|instants| instants.borrow_mut().push(t));
-            self.test(task, &mut walk)
-                .and_then(|()| self.walk_positions(&mut walk, at..queue.len(), due))
+            self.test(task, walk)
+                .and_then(|()| self.walk_positions(walk, at..queue.len(), due))
                 .is_ok()
         })
     }
@@ -150,7 +141,7 @@ thread_local! {
 
 #[cfg(test)]
 mod tests {
-    use super::super::ControllerState;
+    use super::super::{ControllerState, ProbeWalks};
     use super::*;
     use crate::algorithm::AlgorithmKind;
     use crate::dlt::homogeneous;
@@ -233,10 +224,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// The verdict walk answers exactly what the literal test answers —
-        /// verdict and first failure — for the searched task, for
-        /// variations sorting behind it in any order of asking, one walk
-        /// reused across them all, for variations sorting *ahead* of it, for
+        /// A search's probe path ([`ProbeWalks`]: one walk stood at the last
+        /// insertion point and copied by every probe landing there) answers
+        /// exactly what the literal test answers — verdict and first failure
+        /// — for the searched task, for variations sorting behind it in any
+        /// order of asking, one set of walks reused across them all, so the
+        /// stood walk is met again at a point left earlier and replaced at
+        /// every other, for variations sorting *ahead* of it, for
         /// keys that tie a waiting task's, and with a waiting task that
         /// cannot be planned anywhere in the order (its failure is every
         /// probe's behind it). The reservation search answers `now` exactly
@@ -275,8 +269,8 @@ mod tests {
                     engine.earliest_feasible_start(&task, now) == Some(now),
                     engine.literal_test(&task, now).is_ok()
                 );
-                let mut walk = Walk::new(&[], now);
-                let mut probe = |candidate: &Task| engine.verdict(candidate, now, &mut walk);
+                let mut walks = ProbeWalks::default();
+                let mut probe = |candidate: &Task| walks.verdict(engine, candidate, now);
                 prop_assert_eq!(probe(&task), engine.literal_test(&task, now));
                 for &(s, d, id_kind) in &variations {
                     let varied = Task {
@@ -373,15 +367,15 @@ mod tests {
             &[SimTime::ZERO; NODES],
             &[stale],
         );
-        let mut walk = Walk::new(&[], now);
+        let mut walks = ProbeWalks::default();
         let literal = engine.literal_test(&task, now);
         assert_eq!(literal.unwrap_err().task, stale.id);
-        assert_eq!(engine.verdict(&task, now, &mut walk), literal);
+        assert_eq!(walks.verdict(&engine, &task, now), literal);
         let roomier = Task {
             rel_deadline: 1e9,
             ..task
         };
-        assert_eq!(engine.verdict(&roomier, now, &mut walk), literal);
+        assert_eq!(walks.verdict(&engine, &roomier, now), literal);
     }
 
     #[test]
@@ -402,7 +396,7 @@ mod tests {
         let task = Task::new(100, 0.0, 100.0, 10_000.0);
         let now = SimTime::ZERO;
         let engine = restored(params, AlgorithmKind::EDF_DLT, &committed, &waiting);
-        let mut walk = Walk::new(&[], now);
+        let mut walks = ProbeWalks::default();
         // Long first, then short: one walk reused, whatever was asked before.
         for rel_deadline in [70_000.0, 10_000.0, 30_000.0, 50_000.0, 70_000.0] {
             let varied = Task {
@@ -411,7 +405,7 @@ mod tests {
             };
             let literal = engine.literal_test(&varied, now);
             assert_eq!(literal.unwrap_err().task, waiting[1].id);
-            let verdict = engine.verdict(&varied, now, &mut walk);
+            let verdict = walks.verdict(&engine, &varied, now);
             assert_eq!(verdict, literal, "deadline {rel_deadline}");
         }
         // Without the heavy task the same probes pass: it is the failure.

@@ -295,16 +295,6 @@ pub(super) struct Walk {
 }
 
 impl Walk {
-    /// A walk starting from `releases` at the planning instant `now`.
-    pub(super) fn new(releases: &[SimTime], now: SimTime) -> Self {
-        let releases = releases.to_vec();
-        Walk {
-            now,
-            releases,
-            ..Walk::default()
-        }
-    }
-
     /// Starts over from `releases` at `now`, keeping the allocations.
     pub(super) fn restart(&mut self, releases: &[SimTime], now: SimTime) {
         self.now = now;
@@ -332,6 +322,15 @@ impl Walk {
             let on_head = plan.nodes.iter().zip(&meta.order);
             (at, on_head.take_while(|(a, b)| a == b).count())
         });
+    }
+
+    /// Stands the walk where `stood` stands, keeping its own allocations:
+    /// the scratches are not copied (a step writes them before reading).
+    pub(super) fn copy_from(&mut self, stood: &Walk) {
+        self.releases.clone_from(&stood.releases);
+        self.avail.copy_from(&stood.avail);
+        (self.now, self.built, self.stale_head) = (stood.now, stood.built, stood.stale_head);
+        (self.since_record, self.seed) = (stood.since_record, stood.seed);
     }
 
     /// Records a queue position where the walk stands: whether its vector
@@ -364,7 +363,7 @@ impl Walk {
     /// Brings the sorted availability up to date with `releases`: built
     /// from the seed's order in `book` (the queue's records) after a rebase,
     /// else sorted, and once built by merging back the stale head.
-    fn settle(&mut self, book: &[Option<PlanMeta>]) -> &NodeAvailability {
+    pub(super) fn settle(&mut self, book: &[Option<PlanMeta>]) -> &NodeAvailability {
         if !self.built {
             let (releases, now) = (&self.releases, self.now);
             let seed = self.seed.take();
@@ -505,10 +504,17 @@ impl Walk {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::strategy::{plan_task, NodeCountPolicy, ReleaseEstimate};
     use proptest::prelude::*;
+
+    /// A walk starting from `releases` at the planning instant `now`.
+    pub(in crate::admission) fn walk_at(releases: &[SimTime], now: SimTime) -> Walk {
+        let mut walk = Walk::default();
+        walk.restart(releases, now);
+        walk
+    }
 
     /// A cluster below the crossover, and one above it.
     const SMALL: usize = 12;
@@ -587,8 +593,8 @@ mod tests {
                     (task, fresh)
                 })
                 .collect();
-            let mut walk = Walk::new(&releases, now);
-            let mut verdicts = Walk::new(&releases, now);
+            let mut walk = walk_at(&releases, now);
+            let mut verdicts = walk_at(&releases, now);
             let (mut tail, mut kept) = (Tail::default(), Vec::new());
             tail.open(0, &walk);
             for &(task, fresh) in &tasks {
@@ -647,7 +653,7 @@ mod tests {
             }
             let p = (pick * queue.len() as f64) as usize;
             let later = SimTime::new(now.as_f64() + later as f64 * grid);
-            let mut rebased = Walk::new(&releases, later);
+            let mut rebased = walk_at(&releases, later);
             rebased.rebase(p, meta[p].as_ref().expect("installed inputs"), &queue[p].1);
             let mut expected = kept[p].1.clone();
             queue[p].1.write_releases(&mut expected);
@@ -671,7 +677,7 @@ mod tests {
     fn a_plan_off_the_head_falls_back_to_a_fresh_sort() {
         let params = ClusterParams::new(4, 1.0, 100.0).expect("valid params");
         let cfg = PlanConfig::default();
-        let mut walk = Walk::new(&[SimTime::ZERO; 4], SimTime::ZERO);
+        let mut walk = walk_at(&[SimTime::ZERO; 4], SimTime::ZERO);
         let mut tail = Tail::default();
         let task = Task::new(1, 0.0, 50.0, 1e6);
         walk.keep(StrategyKind::DltIit, &task, &params, &cfg, &[], &mut tail)

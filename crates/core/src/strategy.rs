@@ -215,6 +215,12 @@ impl NodeAvailability {
         self.retime_head(head, releases, scratch);
     }
 
+    /// Takes over `other`'s snapshot, keeping this one's allocation.
+    pub(crate) fn copy_from(&mut self, other: &NodeAvailability) {
+        self.reset(other.nodes, other.now)
+            .copy_from_slice(other.entries());
+    }
+
     /// The window of `nodes` entries at the buffer's start, at `now`, to
     /// be filled.
     fn reset(&mut self, nodes: usize, now: SimTime) -> &mut [(SimTime, NodeId)] {

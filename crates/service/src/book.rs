@@ -292,14 +292,16 @@ pub(crate) fn apply_departures(
 ) {
     for (ticket, outcome) in departed {
         let admitted = matches!(outcome, DeferOutcome::Rescued);
+        let cause = (!admitted).then_some(ticket.cause);
+        let (outcome_label, counter) = match outcome {
+            DeferOutcome::Rescued => ("Rescued", &mut book.metrics.rescued),
+            DeferOutcome::Expired => ("Expired", &mut book.metrics.defer_expired),
+            DeferOutcome::Evicted => ("Evicted", &mut book.metrics.defer_evicted),
+            DeferOutcome::Flushed => ("Flushed", &mut book.metrics.defer_flushed),
+        };
+        *counter += 1;
         if book.telemetry.is_enabled() {
             let trace = book.telemetry.trace_of(ticket.task.id.0).unwrap_or(0);
-            let outcome_label = match outcome {
-                DeferOutcome::Rescued => "Rescued",
-                DeferOutcome::Expired => "Expired",
-                DeferOutcome::Evicted => "Evicted",
-                DeferOutcome::Flushed => "Flushed",
-            };
             book.telemetry.record(
                 trace,
                 Stage::Resolve,
@@ -314,7 +316,7 @@ pub(crate) fn apply_departures(
             task: ticket.task.id.0,
             ticket: Some(ticket.id),
             admitted,
-            cause: (!admitted).then_some(ticket.cause),
+            cause,
         });
         // A deferred request's acceptance SLO is judged here, where its
         // fate becomes known; a rescue is also an attained guarantee.
@@ -337,29 +339,13 @@ pub(crate) fn apply_departures(
             );
         }
         let tenant = book.metrics.tenants.counters_mut(ticket.tenant);
-        match outcome {
-            DeferOutcome::Rescued => {
-                tenant.accepted += 1;
-                book.metrics.rescued += 1;
-                book.ledger.insert(ticket.task.id, ticket.tenant);
-                book.resolutions.push((ticket.task, None));
-            }
-            DeferOutcome::Expired => {
-                tenant.rejected += 1;
-                book.metrics.defer_expired += 1;
-                book.resolutions.push((ticket.task, Some(ticket.cause)));
-            }
-            DeferOutcome::Evicted => {
-                tenant.rejected += 1;
-                book.metrics.defer_evicted += 1;
-                book.resolutions.push((ticket.task, Some(ticket.cause)));
-            }
-            DeferOutcome::Flushed => {
-                tenant.rejected += 1;
-                book.metrics.defer_flushed += 1;
-                book.resolutions.push((ticket.task, Some(ticket.cause)));
-            }
+        if admitted {
+            tenant.accepted += 1;
+            book.ledger.insert(ticket.task.id, ticket.tenant);
+        } else {
+            tenant.rejected += 1;
         }
+        book.resolutions.push((ticket.task, cause));
     }
 }
 

@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use rtdls_core::admission::ExplainSearch;
+use rtdls_core::admission::{ExplainSearch, ProbeWalks};
 use rtdls_core::error::ModelError;
 use rtdls_core::prelude::{
     Admission, AdmissionController, AdmissionExplanation, AdmissionFailure, AlgorithmKind,
@@ -111,99 +111,82 @@ fn routable(skip: &[bool], s: usize) -> bool {
     skip.get(s).copied() != Some(true)
 }
 
-/// Tries shards in routing order, skipping every shard whose `skip` bit is
-/// set (quota-throttled for this request's tenant); `Ok(shard)` on the
-/// first acceptance, `Err(a rejection cause)` when every candidate rejects
-/// (or none remain).
-fn try_admit(
-    shards: &mut [Shard],
-    routing: Routing,
-    cursor: &mut usize,
-    task: &Task,
-    now: SimTime,
-    skip: &[bool],
-) -> Result<usize, Infeasible> {
-    let k = shards.len();
-    if routing == Routing::BestFit {
-        // Probe every shard once; the probe *is* the submit's test, so the
-        // winner's submit is guaranteed to accept and losers are never
-        // re-tested.
-        let mut best: Option<(SimTime, usize)> = None;
-        let mut first_cause = None;
-        for (i, shard) in shards.iter().enumerate() {
-            if !routable(skip, i) {
-                continue;
-            }
-            match shard.ctl.probe_plan(task, now) {
-                Ok(plan) => {
-                    let key = (plan.est_completion, i);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                Err(failure) => {
-                    first_cause.get_or_insert(failure.reason);
-                }
-            }
-        }
-        return match best {
-            Some((_, s)) => {
-                let accepted = shards[s].ctl.submit(*task, now).is_accepted();
-                debug_assert!(accepted, "probe and submit run the same test");
-                Ok(s)
-            }
-            None => Err(first_cause.unwrap_or(Infeasible::NotEnoughNodes)),
-        };
-    }
-    let order: Vec<usize> = match routing {
-        Routing::RoundRobin => {
-            let start = *cursor;
-            *cursor = (*cursor + 1) % k;
-            (0..k).map(|i| (start + i) % k).collect()
-        }
-        Routing::LeastLoaded => {
-            let mut idx: Vec<usize> = (0..k).collect();
-            let backlogs: Vec<f64> = shards.iter().map(|s| s.ctl.backlog(now)).collect();
-            idx.sort_by(|&a, &b| backlogs[a].total_cmp(&backlogs[b]).then(a.cmp(&b)));
-            idx
-        }
-        Routing::BestFit => unreachable!("handled above"),
-    };
-    let mut first_cause = None;
-    for s in order {
-        if !routable(skip, s) {
-            continue;
-        }
-        match shards[s].ctl.submit(*task, now) {
-            Decision::Accepted => return Ok(s),
-            Decision::Rejected(cause) => {
-                first_cause.get_or_insert(cause);
-            }
-        }
-    }
-    Err(first_cause.unwrap_or(Infeasible::NotEnoughNodes))
+/// What the gateway keeps from a refusal to its explanation: the refusals
+/// of the request in flight by the shards [`RoutedShards::submit`] tried, in
+/// the order it tried them, and the walks each shard's search probes on,
+/// kept like an engine's pass.
+#[derive(Clone, Debug, Default)]
+struct Refusals {
+    causes: Vec<(usize, Infeasible)>,
+    walks: Vec<ProbeWalks>,
 }
 
-/// The engine side of the decision flow in [`book`]: it submits through
-/// [`try_admit`] (routing order, spillover) and takes the reservation
-/// search over all shards. `skip` is the per-shard quota-throttle mask for
-/// the request in flight (empty = unrestricted — activation and defer
-/// re-tests route freely so promises are honored).
+/// The engine side of the decision flow in [`book`]: it submits in routing
+/// order with spillover and takes the reservation search over all shards.
+/// `skip` is the per-shard quota-throttle mask for the request in flight
+/// (empty = unrestricted — activation and defer re-tests route freely so
+/// promises are honored).
 pub(crate) struct RoutedShards<'a> {
     shards: &'a mut [Shard],
     routing: Routing,
     cursor: &'a mut usize,
     skip: &'a [bool],
+    refusals: &'a mut Refusals,
 }
 
 impl RoutedShards<'_> {
-    /// The mutating admission test, with the shard an accepted task was
-    /// routed to (the decision-tracing `Route` span input).
+    /// The mutating admission test: tries shards in routing order, skipping
+    /// every shard whose `skip` bit is set (quota-throttled for this
+    /// request's tenant), with the shard an accepted task was routed to
+    /// (the decision-tracing `Route` span input); a rejection carries the
+    /// first refusal's cause (`NotEnoughNodes` when no shard is left). The
+    /// refusals are kept for an explanation to open on.
     pub(crate) fn submit(&mut self, task: &Task, now: SimTime) -> (Decision, Option<u32>) {
-        match try_admit(self.shards, self.routing, self.cursor, task, now, self.skip) {
-            Ok(shard) => (Decision::Accepted, Some(shard as u32)),
-            Err(cause) => (Decision::Rejected(cause), None),
+        let (k, refused) = (self.shards.len(), &mut self.refusals.causes);
+        refused.clear();
+        let order: Vec<usize> = match self.routing {
+            Routing::RoundRobin => {
+                let start = *self.cursor;
+                *self.cursor = (start + 1) % k;
+                (0..k).map(|i| (start + i) % k).collect()
+            }
+            Routing::LeastLoaded => {
+                let mut idx: Vec<usize> = (0..k).collect();
+                let backlogs: Vec<f64> = self.shards.iter().map(|s| s.ctl.backlog(now)).collect();
+                idx.sort_by(|&a, &b| backlogs[a].total_cmp(&backlogs[b]).then(a.cmp(&b)));
+                idx
+            }
+            // Probe every shard once; the probe *is* the submit's test, so the
+            // best fit's submit accepts and the others are never re-tested.
+            Routing::BestFit => {
+                let mut best: Option<(SimTime, usize)> = None;
+                for s in (0..k).filter(|&s| routable(self.skip, s)) {
+                    match self.shards[s].ctl.probe_plan(task, now) {
+                        Ok(plan) => {
+                            let fit = (plan.est_completion, s);
+                            best = Some(best.map_or(fit, |best| best.min(fit)));
+                        }
+                        Err(failure) => refused.push((s, failure.reason)),
+                    }
+                }
+                if let Some((_, s)) = best {
+                    let accepted = self.shards[s].ctl.submit(*task, now).is_accepted();
+                    debug_assert!(accepted, "probe and submit run the same test");
+                    return (Decision::Accepted, Some(s as u32));
+                }
+                Vec::new()
+            }
+        };
+        for s in order.into_iter().filter(|&s| routable(self.skip, s)) {
+            match self.shards[s].ctl.submit(*task, now) {
+                Decision::Accepted => return (Decision::Accepted, Some(s as u32)),
+                Decision::Rejected(cause) => refused.push((s, cause)),
+            }
         }
+        let cause = refused
+            .first()
+            .map_or(Infeasible::NotEnoughNodes, |&(_, cause)| cause);
+        (Decision::Rejected(cause), None)
     }
 
     /// The reservation search (non-mutating on the engines) right after
@@ -223,37 +206,29 @@ impl RoutedShards<'_> {
         !self.skip.is_empty() && self.skip.iter().all(|&s| s)
     }
 
-    /// The admission explanation for a request every shard refuses
-    /// (non-mutating; `None` when it is feasible somewhere as-is).
+    /// The admission explanation of the refusal [`submit`](Self::submit)
+    /// just gave (non-mutating on the engines), opened on its refusals.
     pub(crate) fn explain(
-        &self,
+        &mut self,
         request: &SubmitRequest,
         now: SimTime,
     ) -> Option<AdmissionExplanation> {
-        best_explanation(self.shards, request, now)
+        let fleet = explain_fleet(self.shards, self.refusals, &request.task, now, self.skip);
+        fleet.map(|(explanation, _)| explanation)
     }
 }
 
-/// The cluster-level explanation for a request every shard refuses: each
-/// shard opens its own search, and the shard offering the *shortest*
-/// verified counterfactual deadline wins — a resubmission relaxed to that
-/// deadline would be admitted by that shard, so the suggestion stays
-/// honest across the whole fleet. Shards without a feasible deadline lose
-/// to any shard with one, and the first shard wins a tie; `None` only when
-/// some shard does not refuse (feasible there as-is). Only the winner's
-/// search is finished (the σ and start counterfactuals): the losers' would
-/// be thrown away.
-fn best_explanation(
-    shards: &[Shard],
-    request: &SubmitRequest,
-    now: SimTime,
-) -> Option<AdmissionExplanation> {
-    race_deadline_searches(shards, request, now).map(|(winner, _)| winner.finish())
-}
-
-/// Runs the shards' deadline searches side by side and returns the one
-/// whose finished explanation the fleet reports, with the probes all the
-/// other searches spent.
+/// The cluster-level explanation for a request every shard `skip` leaves
+/// refuses (a resubmission is masked from the others again), with the
+/// deadline probes the race spent. Each shard opens a search on its own
+/// walks in `refusals`, on its refusal there where that is in hand, and the
+/// shard offering the *shortest* verified counterfactual deadline wins — a
+/// resubmission relaxed to that deadline would be admitted by that shard,
+/// so the suggestion stays honest across the fleet. Shards without a
+/// feasible deadline lose to any shard with one, and the first shard wins a
+/// tie; `None` when one of them does not refuse (feasible there as-is) or
+/// none is left. Only the winner's search is finished (the σ and start
+/// counterfactuals): the losers' would be thrown away.
 ///
 /// The searches are bisected in rounds, one step each, and a search is
 /// abandoned as soon as its *own* bracket lies wholly above another live
@@ -275,17 +250,25 @@ fn best_explanation(
 /// fleet answers when it was tried. No shard is ever probed at a deadline
 /// derived from another shard, and the winner's deadline is tight at its
 /// own bracket, not a global minimum.
-fn race_deadline_searches<'a>(
-    shards: &'a [Shard],
-    request: &SubmitRequest,
+fn explain_fleet(
+    shards: &[Shard],
+    refusals: &mut Refusals,
+    task: &Task,
     now: SimTime,
-) -> Option<(ExplainSearch<'a>, u64)> {
+    skip: &[bool],
+) -> Option<(AdmissionExplanation, u64)> {
+    let Refusals { causes, walks } = refusals;
+    walks.resize_with(shards.len(), ProbeWalks::default);
     let mut live = Vec::with_capacity(shards.len());
-    for shard in shards {
+    let routed = shards.iter().zip(walks).enumerate();
+    for (s, (shard, walks)) in routed.filter(|&(s, _)| routable(skip, s)) {
+        let cause = causes
+            .iter()
+            .find_map(|&(tried, cause)| (tried == s).then_some(cause));
         // Feasible as-is on this shard: nothing to explain.
-        live.push(ExplainSearch::open(&shard.ctl, &request.task, now)?);
+        live.push(ExplainSearch::open(&shard.ctl, walks, task, now, cause)?);
     }
-    let mut other_probes = 0;
+    let mut probes = 0;
     loop {
         let best_passing = live
             .iter()
@@ -297,7 +280,7 @@ fn race_deadline_searches<'a>(
                 .deadline_bracket()
                 .is_some_and(|b| b.failing >= best_passing);
             if beaten {
-                other_probes += s.probes();
+                probes += s.probes();
             }
             !beaten
         });
@@ -322,12 +305,11 @@ fn race_deadline_searches<'a>(
     // offers, and no offer loses to any. `min_by` keeps the first of equal
     // minima, so the first shard wins a tie.
     let offer = |s: &ExplainSearch<'_>| s.deadline_bracket().map_or(f64::INFINITY, |b| b.passing);
-    let winner = (0..live.len())
-        .min_by(|&a, &b| offer(&live[a]).total_cmp(&offer(&live[b])))
-        .expect("at least one shard");
-    let winner = live.swap_remove(winner);
-    other_probes += live.iter().map(ExplainSearch::probes).sum::<u64>();
-    Some((winner, other_probes))
+    let winner = (0..live.len()).min_by(|&a, &b| offer(&live[a]).total_cmp(&offer(&live[b])))?;
+    let mut winner = live.swap_remove(winner);
+    while winner.refine() {}
+    probes += winner.probes() + live.iter().map(ExplainSearch::probes).sum::<u64>();
+    Some((winner.finish(), probes))
 }
 
 /// Online admission gateway over `K` independent cluster shards, each an
@@ -345,6 +327,7 @@ pub struct ShardedGateway {
     routing: Routing,
     cursor: usize,
     book: ServiceBook,
+    refusals: Refusals,
 }
 
 /// The shape of the largest of `shards`.
@@ -376,26 +359,14 @@ impl ShardedGateway {
         }
         let base = params.num_nodes / num_shards;
         let extra = params.num_nodes % num_shards;
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut offset = 0;
+        let mut states = Vec::with_capacity(num_shards);
         for i in 0..num_shards {
             let size = base + usize::from(i < extra);
             let shard_params = ClusterParams::new(size, params.cms, params.cps)?;
-            shards.push(Shard {
-                ctl: AdmissionController::new(shard_params, algorithm, cfg),
-                offset,
-            });
-            offset += size;
+            states.push(AdmissionController::new(shard_params, algorithm, cfg).state());
         }
-        Ok(ShardedGateway {
-            params,
-            algorithm,
-            widest_params: widest_params(&shards),
-            shards,
-            routing,
-            cursor: 0,
-            book: ServiceBook::new(defer_policy, QuotaPolicy::default()),
-        })
+        let book = ServiceBook::new(defer_policy, QuotaPolicy::default());
+        Self::from_parts(params, algorithm, routing, 0, states, book)
     }
 
     /// Sets the per-tenant quota policy (builder style).
@@ -461,12 +432,16 @@ impl ShardedGateway {
         self.book.slo = slo;
     }
 
-    /// The cluster-level explanation for a request every shard would
-    /// refuse right now (`None` when some shard admits it as-is) — the
-    /// `Ops::Explain` query surface. The shortest verified counterfactual
-    /// deadline across shards wins, the first shard on a tie.
+    /// The cluster-level explanation for a request every shard its tenant
+    /// may route to would refuse right now (`None` when one admits it as-is,
+    /// or per-shard caps leave none) — the `Ops::Explain` query surface, on
+    /// fresh walks. The shortest verified counterfactual deadline across
+    /// those shards wins, the first shard on a tie.
     pub fn explain(&self, request: &SubmitRequest, now: SimTime) -> Option<AdmissionExplanation> {
-        best_explanation(&self.shards, request, now)
+        let skip = self.shard_throttle_mask(request.tenant, request.qos);
+        let fresh = &mut Refusals::default();
+        let fleet = explain_fleet(&self.shards, fresh, &request.task, now, &skip);
+        fleet.map(|(explanation, _)| explanation)
     }
 
     /// Waiting-queue lengths per shard (a load-balance diagnostic).
@@ -584,6 +559,7 @@ impl ShardedGateway {
             routing,
             cursor,
             book,
+            refusals: Refusals::default(),
         })
     }
 
@@ -608,23 +584,6 @@ impl ShardedGateway {
         demoted
     }
 
-    /// How many *waiting* tasks `tenant` holds on each shard, by joining
-    /// the shard queues against the tenant ledger — O(shards × queue),
-    /// paid only when a per-shard cap is in force.
-    fn shard_held_counts(&self, tenant: rtdls_core::prelude::TenantId) -> Vec<u32> {
-        let ledger = &self.book.ledger;
-        self.shards
-            .iter()
-            .map(|s| {
-                s.ctl
-                    .queue()
-                    .iter()
-                    .filter(|(t, _)| ledger.tenant_of(t.id) == Some(tenant))
-                    .count() as u32
-            })
-            .collect()
-    }
-
     /// The per-shard quota-throttle mask for one submission: `mask[s]` is
     /// `true` when `tenant` already holds [`QuotaPolicy::max_shard_inflight`]
     /// waiting tasks on shard `s`, so routing must skip it. Empty (no
@@ -640,10 +599,12 @@ impl ShardedGateway {
         if !self.book.quota.applies_to(qos) {
             return Vec::new();
         }
-        self.shard_held_counts(tenant)
-            .into_iter()
-            .map(|held| held >= cap)
-            .collect()
+        // The tenant's *waiting* tasks a shard, the queues joined against the
+        // ledger: O(shards × queue), paid only when a cap is in force.
+        let ledger = &self.book.ledger;
+        let mine = |(task, _): &&(Task, TaskPlan)| ledger.tenant_of(task.id) == Some(tenant);
+        let held = |shard: &Shard| shard.ctl.queue().iter().filter(mine).count() as u32;
+        self.shards.iter().map(|shard| held(shard) >= cap).collect()
     }
 
     /// Folds this gateway's native stats — service counters, tenant books,
@@ -684,53 +645,44 @@ impl ShardedGateway {
             request.trace = self.book.telemetry().mint();
         }
         let request = &request;
-        let verdict = book::decide_request(
-            &mut self.book,
-            &self.widest_params,
-            algorithm,
-            request,
-            now,
-            &mut RoutedShards {
-                shards: &mut self.shards,
-                routing: self.routing,
-                cursor: &mut self.cursor,
-                skip: &skip,
-            },
-        );
+        let widest = self.widest_params;
+        let (service, mut engine) = self.routed(&skip);
+        let verdict = book::decide_request(service, &widest, algorithm, request, now, &mut engine);
         book::record_request(&mut self.book.metrics, start, request.tenant);
         verdict
     }
 
     /// Re-tests the defer queue against current capacity across all shards.
     pub fn retest_deferred(&mut self, now: SimTime) {
-        let shards = &mut self.shards;
-        let routing = self.routing;
-        let cursor = &mut self.cursor;
         let retest_phase = self.book.profiler().start();
-        let (departed, retests) = self.book.defer.sweep(now, |task| {
-            try_admit(shards, routing, cursor, task, now, NO_SKIP).is_ok()
-        });
-        self.book.profiler().stop("gateway/retest", retest_phase);
-        self.book.metrics.retests += retests;
-        book::apply_departures(&mut self.book, departed, now);
+        let (service, mut engine) = self.routed(NO_SKIP);
+        let retest = |task: &Task| engine.submit(task, now).0.is_accepted();
+        let (departed, retests) = service.defer.sweep(now, retest);
+        service.profiler().stop("gateway/retest", retest_phase);
+        service.metrics.retests += retests;
+        book::apply_departures(service, departed, now);
     }
 
     /// Activates every reservation whose `start_at` has been reached,
     /// routing each across shards like any submission. The engine drives
     /// this after the dispatches at each instant commit.
     pub fn activate_reservations(&mut self, now: SimTime) {
-        book::activate_due(
-            &mut self.book,
-            &self.widest_params,
-            self.algorithm,
-            now,
-            &mut RoutedShards {
-                shards: &mut self.shards,
-                routing: self.routing,
-                cursor: &mut self.cursor,
-                skip: NO_SKIP,
-            },
-        );
+        let (algorithm, widest) = (self.algorithm, self.widest_params);
+        let (service, mut engine) = self.routed(NO_SKIP);
+        book::activate_due(service, &widest, algorithm, now, &mut engine);
+    }
+
+    /// The book, and the shards as its decision flow routes over them under
+    /// the quota mask `skip`.
+    fn routed<'a>(&'a mut self, skip: &'a [bool]) -> (&'a mut ServiceBook, RoutedShards<'a>) {
+        let engine = RoutedShards {
+            shards: &mut self.shards,
+            routing: self.routing,
+            cursor: &mut self.cursor,
+            skip,
+            refusals: &mut self.refusals,
+        };
+        (&mut self.book, engine)
     }
 
     fn shard_of(&self, node: usize) -> (usize, usize) {
@@ -1020,6 +972,45 @@ mod tests {
     }
 
     #[test]
+    fn a_tenant_at_a_shard_cap_is_explained_by_the_shards_it_may_route_to() {
+        use crate::request::QuotaPolicy;
+        // Tenant 3 holds a roomy task on shard 0 and is at its cap there;
+        // tenant 9 fills shard 1 with a tight all-node task. Tenant 3's next
+        // task only shard 0 could take, so it is refused on shard 1 and
+        // parked. The explanation must name what shard 1 would take: a
+        // resubmission is masked from shard 0 again.
+        let p = ClusterParams::paper_baseline();
+        let (e8, e4) = (
+            homogeneous::exec_time(&p, 800.0, 8),
+            homogeneous::exec_time(&p, 400.0, 8),
+        );
+        let mut g = sharded(2, Routing::LeastLoaded).with_quota(QuotaPolicy {
+            max_shard_inflight: Some(1),
+            ..Default::default()
+        });
+        g.book_mut().enable_explanations(true);
+        let mine = |task| SubmitRequest::new(task).with_tenant(TenantId(3));
+        let held = mine(Task::new(1, 0.0, 50.0, 1e6));
+        assert!(g.submit_request(&held, SimTime::ZERO).is_accepted());
+        let fill = SubmitRequest::new(Task::new(2, 0.0, 800.0, e8 * 1.05)).with_tenant(TenantId(9));
+        assert!(g.submit_request(&fill, SimTime::ZERO).is_accepted());
+        assert_eq!(g.shard_queue_lens(), vec![1, 1]);
+        let task = Task::new(3, 0.0, 400.0, e4 * 1.5);
+        assert!(g.shards[0].ctl.probe(&task, SimTime::ZERO).is_accepted());
+        let verdict = g.submit_request(&mine(task), SimTime::ZERO);
+        assert!(matches!(verdict, Verdict::Deferred { .. }), "{verdict:?}");
+        let ex = verdict.explanation().expect("explained");
+        assert!(ex.has_feasible_deadline());
+        let relaxed = Task {
+            rel_deadline: ex.min_feasible_deadline,
+            ..task
+        };
+        assert!(g.shards[1].ctl.probe(&relaxed, SimTime::ZERO).is_accepted());
+        // The ops query masks alike, and answers the same.
+        assert_eq!(g.explain(&mine(task), SimTime::ZERO), Some(ex));
+    }
+
+    #[test]
     fn a_reservation_asks_a_capped_shard_the_full_search() {
         use crate::request::QuotaPolicy;
         // Shard 0 refuses the candidate now and takes it once its waiting
@@ -1272,17 +1263,32 @@ mod tests {
         assert!(depths.iter().all(|&depth| depth >= 3), "{depths:?}");
 
         let (mut full_probes, mut raced_probes) = (0, 0);
+        let mut refusals = Refusals::default();
         for request in &refused {
             // Every shard's search run to the end, then the documented
             // fold: a feasible deadline beats none, a strictly shorter one
-            // wins, the first shard wins a tie.
+            // wins, the first shard wins a tie. Each search opened on the
+            // shard's refusal in hand is the one opened plain, one probe
+            // fewer: the same bracket, the same finished explanation.
             let mut fold: Option<AdmissionExplanation> = None;
-            for shard in &g.shards {
-                let mut search = ExplainSearch::open(&shard.ctl, &request.task, now)
+            let mut causes = Vec::new();
+            for (s, shard) in g.shards.iter().enumerate() {
+                let Decision::Rejected(cause) = shard.ctl.probe(&request.task, now) else {
+                    panic!("refused everywhere");
+                };
+                causes.push((s, cause));
+                let (mut plain, mut in_hand) = (ProbeWalks::default(), ProbeWalks::default());
+                let task = &request.task;
+                let mut search = ExplainSearch::open(&shard.ctl, &mut plain, task, now, None)
                     .expect("refused everywhere");
+                let opened = ExplainSearch::open(&shard.ctl, &mut in_hand, task, now, Some(cause))
+                    .expect("refused");
+                assert_eq!(opened.deadline_bracket(), search.deadline_bracket());
+                assert_eq!(opened.probes() + 1, search.probes());
                 while search.refine() {}
                 full_probes += search.probes();
                 let ex = search.finish();
+                assert_eq!(opened.finish(), ex);
                 let better = fold.is_none_or(|cur| {
                     ex.has_feasible_deadline()
                         && (!cur.has_feasible_deadline()
@@ -1292,11 +1298,22 @@ mod tests {
                     fold = Some(ex);
                 }
             }
-            let (mut winner, other_probes) =
-                race_deadline_searches(&g.shards, request, now).expect("refused everywhere");
-            while winner.refine() {}
-            raced_probes += other_probes + winner.probes();
-            assert_eq!(Some(winner.finish()), fold);
+            let mut race = |in_hand: &[(usize, Infeasible)]| {
+                refusals.causes.clear();
+                refusals.causes.extend_from_slice(in_hand);
+                let fleet = explain_fleet(&g.shards, &mut refusals, &request.task, now, NO_SKIP);
+                fleet.expect("refused everywhere")
+            };
+            let (plain_fold, plain) = race(&[]);
+            let (in_hand_fold, in_hand) = race(&causes);
+            assert_eq!(
+                plain,
+                in_hand + g.shards.len() as u64,
+                "one probe fewer a shard"
+            );
+            raced_probes += plain;
+            assert_eq!(Some(plain_fold), fold);
+            assert_eq!(Some(in_hand_fold), fold);
             assert_eq!(g.explain(request, now), fold);
         }
         // A race that tightened every bracket would spend what the full
