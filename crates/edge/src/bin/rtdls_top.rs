@@ -77,7 +77,7 @@ fn poll_once(addr: String, json: bool) -> i32 {
         Ok((samples, traces, panel)) => {
             if json {
                 for s in &samples {
-                    println!("{}", sample_json(s));
+                    println!("{}", s.to_json());
                 }
             } else {
                 render(&addr, &samples, &traces, &panel);
@@ -386,19 +386,4 @@ fn print_timeline(spans: &[Span]) {
     for s in spans {
         println!("  {s}");
     }
-}
-
-fn sample_json(s: &MetricSample) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = write!(out, "{{\"name\":\"{}\"", s.name);
-    for (k, v) in &s.labels {
-        let _ = write!(out, ",\"{k}\":\"{v}\"");
-    }
-    let kind = match s.kind {
-        MetricKind::Counter => "counter",
-        MetricKind::Gauge => "gauge",
-    };
-    let _ = write!(out, ",\"kind\":\"{kind}\",\"value\":{}}}", s.value);
-    out
 }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use rtdls_core::prelude::SubmitRequest;
 use rtdls_service::prelude::{DecisionUpdate, Verdict};
 
-use crate::codec::{FrameDecoder, DEFAULT_MAX_FRAME};
+use crate::codec::{Direction, FrameDecoder, DEFAULT_MAX_FRAME};
 use crate::proto::{
     decode_server, encode_client, ClientMsg, OpsQuery, OpsReport, ServerMsg, PROTOCOL_VERSION,
 };
@@ -54,24 +54,72 @@ impl ReplayReport {
     }
 }
 
-/// A windowed request-stream driver over one TCP connection.
-pub struct ReplayClient {
+/// One client connection to an edge server. The socket stays blocking
+/// with a short read timeout — a client interleaves sends and receives on
+/// one thread without a reactor of its own.
+struct Link {
     stream: TcpStream,
     decoder: FrameDecoder,
 }
 
-impl ReplayClient {
-    /// Connects to an edge server. The socket stays blocking with a short
-    /// read timeout — the client interleaves sends and receives on one
-    /// thread without a reactor of its own.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+fn invalid(reason: impl ToString) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, reason.to_string())
+}
+
+impl Link {
+    fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_millis(2)))?;
-        Ok(ReplayClient {
+        Ok(Link {
             stream,
             decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
         })
+    }
+
+    /// Writes `msg`'s frame whole: the timeout is the read side's alone,
+    /// so a write blocks until done and only a signal cuts one short.
+    fn send(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
+        self.stream.write_all(&encode_client(msg))
+    }
+
+    /// One read into the decoder; `Ok(false)` when the server closed.
+    fn read(&mut self) -> std::io::Result<bool> {
+        let mut buf = [0u8; 8192];
+        match self.stream.read(&mut buf) {
+            Ok(0) => return Ok(false),
+            Ok(n) => self.decoder.push(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e),
+        }
+        Ok(true)
+    }
+
+    /// The next whole server message read so far.
+    fn next(&mut self) -> std::io::Result<Option<ServerMsg>> {
+        match self.decoder.next_frame_ref().map_err(invalid)? {
+            None => Ok(None),
+            Some((Direction::FromServer, payload)) => {
+                decode_server(payload).map(Some).map_err(invalid)
+            }
+            Some(_) => Err(invalid("misdirected frame from server")),
+        }
+    }
+}
+
+/// A windowed request-stream driver over one TCP connection.
+pub struct ReplayClient {
+    link: Link,
+}
+
+impl ReplayClient {
+    /// Connects to an edge server.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        Link::connect(addr).map(|link| ReplayClient { link })
     }
 
     /// Plays `requests` against the server: at most `window` submits
@@ -91,9 +139,8 @@ impl ReplayClient {
         let mut report = ReplayReport::default();
         let mut source = requests.into_iter();
         let mut outstanding: HashSet<u64> = HashSet::new();
-        let mut next_seq = 0u64;
         let mut exhausted = false;
-        self.send(&ClientMsg::Hello {
+        self.link.send(&ClientMsg::Hello {
             protocol: PROTOCOL_VERSION,
         })?;
         let mut settle_from: Option<Instant> = None;
@@ -106,15 +153,12 @@ impl ReplayClient {
             while !exhausted && outstanding.len() < window.max(1) {
                 match source.next() {
                     Some(request) => {
-                        let seq = next_seq;
-                        next_seq += 1;
-                        self.send(&ClientMsg::Submit { seq, request })?;
+                        let seq = report.submitted;
+                        self.link.send(&ClientMsg::Submit { seq, request })?;
                         outstanding.insert(seq);
                         report.submitted += 1;
                     }
-                    None => {
-                        exhausted = true;
-                    }
+                    None => exhausted = true,
                 }
             }
             // Drain whatever the server has for us.
@@ -129,12 +173,8 @@ impl ReplayClient {
                 }
             }
         }
-        let _ = self.send(&ClientMsg::Bye);
+        let _ = self.link.send(&ClientMsg::Bye);
         Ok(report)
-    }
-
-    fn send(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
-        write_frame(&mut self.stream, &encode_client(msg))
     }
 
     /// Reads and applies every available server message; `Ok(true)` when
@@ -144,59 +184,31 @@ impl ReplayClient {
         report: &mut ReplayReport,
         outstanding: &mut HashSet<u64>,
     ) -> std::io::Result<bool> {
-        let mut buf = [0u8; 8192];
-        let mut got_any = false;
-        match self.stream.read(&mut buf) {
-            Ok(0) => {
-                // Server closed; anything still outstanding never resolves.
-                report.timed_out = !outstanding.is_empty();
-                outstanding.clear();
-            }
-            Ok(n) => {
-                self.decoder.push(&buf[..n]);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
+        if !self.link.read()? {
+            // Server closed; anything still outstanding never resolves.
+            report.timed_out = !outstanding.is_empty();
+            outstanding.clear();
         }
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some((direction, payload))) => {
-                    got_any = true;
-                    if direction != crate::codec::Direction::FromServer {
-                        return Err(std::io::Error::new(
-                            ErrorKind::InvalidData,
-                            "misdirected frame from server",
-                        ));
-                    }
-                    let msg = decode_server(&payload)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-                    match msg {
-                        ServerMsg::Hello { .. } => {}
-                        ServerMsg::Verdict { seq, verdict, .. } => {
-                            outstanding.remove(&seq);
-                            match verdict {
-                                Verdict::Accepted => report.accepted += 1,
-                                Verdict::Reserved { .. } => report.reserved += 1,
-                                Verdict::Deferred { .. } => report.deferred += 1,
-                                Verdict::Rejected { .. } => report.rejected += 1,
-                                Verdict::Throttled => report.throttled += 1,
-                            }
-                        }
-                        ServerMsg::Update { update } => report.updates.push(update),
-                        // A replay run never sends ops queries; a stray
-                        // report is harmless.
-                        ServerMsg::OpsReport { .. } => {}
-                        ServerMsg::Error { message, .. } => report.errors.push(message),
+        let mut got_any = false;
+        while let Some(msg) = self.link.next()? {
+            got_any = true;
+            match msg {
+                ServerMsg::Hello { .. } => {}
+                ServerMsg::Verdict { seq, verdict, .. } => {
+                    outstanding.remove(&seq);
+                    match verdict {
+                        Verdict::Accepted => report.accepted += 1,
+                        Verdict::Reserved { .. } => report.reserved += 1,
+                        Verdict::Deferred { .. } => report.deferred += 1,
+                        Verdict::Rejected { .. } => report.rejected += 1,
+                        Verdict::Throttled => report.throttled += 1,
                     }
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    return Err(std::io::Error::new(ErrorKind::InvalidData, e.to_string()));
-                }
+                ServerMsg::Update { update } => report.updates.push(update),
+                // A replay run never sends ops queries; a stray report is
+                // harmless.
+                ServerMsg::OpsReport { .. } => {}
+                ServerMsg::Error { message, .. } => report.errors.push(message),
             }
         }
         Ok(got_any)
@@ -208,30 +220,22 @@ impl ReplayClient {
 /// This is `rtdls-top`'s transport, and works alongside serving traffic —
 /// an ops connection is just another connection to the reactor.
 pub struct OpsClient {
-    stream: TcpStream,
-    decoder: FrameDecoder,
+    link: Link,
 }
 
 impl OpsClient {
-    /// Connects to an edge server (blocking socket, short read timeout —
-    /// the same interleaving idiom as [`ReplayClient`]).
+    /// Connects to an edge server (the same socket discipline as
+    /// [`ReplayClient`]).
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(2)))?;
-        Ok(OpsClient {
-            stream,
-            decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
-        })
+        Link::connect(addr).map(|link| OpsClient { link })
     }
 
     /// Sends one query and waits up to `deadline` for its report. Other
     /// server messages arriving in between (the greeting, stray updates)
     /// are skipped; a server `Error` or an expired deadline is an error.
     pub fn query(&mut self, query: OpsQuery, deadline: Duration) -> std::io::Result<OpsReport> {
-        write_frame(&mut self.stream, &encode_client(&ClientMsg::Ops { query }))?;
+        self.link.send(&ClientMsg::Ops { query })?;
         let started = Instant::now();
-        let mut buf = [0u8; 8192];
         loop {
             if started.elapsed() > deadline {
                 return Err(std::io::Error::new(
@@ -239,34 +243,13 @@ impl OpsClient {
                     "no ops report before the deadline",
                 ));
             }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "server closed before answering",
-                    ));
-                }
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e),
+            if !self.link.read()? {
+                return Err(std::io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "server closed before answering",
+                ));
             }
-            while let Some((direction, payload)) = self
-                .decoder
-                .next_frame()
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?
-            {
-                if direction != crate::codec::Direction::FromServer {
-                    return Err(std::io::Error::new(
-                        ErrorKind::InvalidData,
-                        "misdirected frame from server",
-                    ));
-                }
-                let msg = decode_server(&payload)
-                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+            while let Some(msg) = self.link.next()? {
                 match msg {
                     ServerMsg::OpsReport { report } => return Ok(report),
                     ServerMsg::Error { message, .. } => {
@@ -378,26 +361,5 @@ impl OpsClient {
 }
 
 fn mismatched(got: OpsReport) -> std::io::Error {
-    std::io::Error::new(
-        ErrorKind::InvalidData,
-        format!("ops report does not answer the query: {got:?}"),
-    )
-}
-
-/// Writes all of `frame`, retrying where the socket's timeout or a signal
-/// cut a write short.
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
-    let mut written = 0;
-    while written < frame.len() {
-        match stream.write(&frame[written..]) {
-            Ok(n) => written += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+    invalid(format!("ops report does not answer the query: {got:?}"))
 }

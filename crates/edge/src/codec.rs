@@ -1,24 +1,25 @@
 //! The edge wire framing: length-prefixed, checksummed, streamed.
 //!
 //! The edge frames its messages with the workspace's one header codec
-//! ([`rtdls_journal::wire`]: `write_frame` builds the 16 bytes,
-//! `parse_header` validates them) under its own magic, `RE`, with a
-//! *direction* byte (1 = client → server, 2 = server → client) as the tag
-//! and one JSON protocol message as the payload. The header table is in
-//! that module's docs and in README § Wire format.
+//! ([`rtdls_journal::wire`]: `write_frame` builds the 16 bytes, header
+//! version 2 with an XXH64 checksum, and `parse_header` validates them,
+//! version 1's FNV-1a frames from older peers included) under its own
+//! magic, `RE`, with a *direction* byte (1 = client → server, 2 = server →
+//! client) as the tag and one JSON protocol message as the payload. The
+//! header table is in that module's docs and in README § Wire format.
 //!
 //! Unlike the journal (which decodes a complete byte image at rest), the
 //! edge decodes a *stream*: bytes arrive in arbitrary chunks, so
 //! [`FrameDecoder`] buffers partial frames and yields complete ones as
 //! they close. The failure model also differs: a torn tail in a WAL is a
 //! recoverable crash artifact, but a malformed frame on a live socket is a
-//! protocol violation — [`FrameDecoder::next_frame`] returns a fatal
+//! protocol violation — [`FrameDecoder::next_frame_ref`] returns a fatal
 //! [`WireError`] (bad magic/version/direction, checksum mismatch, or a
 //! length prefix beyond the configured cap) and the connection must close.
 //! The cap matters: without it a single 4-byte length prefix could demand
 //! a 4 GiB allocation from the server.
 
-use rtdls_journal::wire::{parse_header, write_frame, HeaderError};
+use rtdls_journal::wire::{parse_header, HeaderError};
 
 pub use rtdls_journal::wire::{DEFAULT_MAX_FRAME, HEADER_LEN};
 
@@ -86,15 +87,6 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encodes one message payload into its frame bytes.
-pub fn encode_frame(direction: Direction, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    write_frame(MAGIC, direction as u8, &mut out, |out| {
-        out.extend_from_slice(payload)
-    });
-    out
-}
-
 /// Incremental frame decoder over an arbitrary chunking of the stream.
 #[derive(Debug)]
 pub struct FrameDecoder {
@@ -140,11 +132,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Current allocation backing the stream buffer. Exposed so tests can
     /// assert that hostile length headers never inflate the buffer beyond
     /// the configured frame cap.
@@ -155,21 +142,9 @@ impl FrameDecoder {
     /// Yields the next complete frame: `Ok(Some(…))` when one closed,
     /// `Ok(None)` when more bytes are needed, `Err` on a fatal violation
     /// (after which the decoder stays poisoned — the connection is over).
-    ///
-    /// This is the owning variant; the hot path uses [`next_frame_ref`]
-    /// to borrow the payload straight out of the stream buffer.
-    ///
-    /// [`next_frame_ref`]: FrameDecoder::next_frame_ref
-    pub fn next_frame(&mut self) -> Result<Option<(Direction, Vec<u8>)>, WireError> {
-        Ok(self
-            .next_frame_ref()?
-            .map(|(direction, payload)| (direction, payload.to_vec())))
-    }
-
-    /// Zero-copy variant of [`next_frame`](FrameDecoder::next_frame): the
-    /// payload is borrowed from the decoder's stream buffer, valid until
-    /// the next `push`. The cursor has already advanced past the frame
-    /// when this returns, so dropping the borrow loses nothing.
+    /// The payload is borrowed from the decoder's stream buffer, valid
+    /// until the next `push`. The cursor has already advanced past the
+    /// frame when this returns, so dropping the borrow loses nothing.
     pub fn next_frame_ref(&mut self) -> Result<Option<(Direction, &[u8])>, WireError> {
         if self.poisoned {
             return Err(WireError::Corrupt {
@@ -227,6 +202,11 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtdls_journal::wire;
+
+    fn encode_frame(direction: Direction, payload: &[u8]) -> Vec<u8> {
+        wire::encode_frame(MAGIC, direction as u8, payload)
+    }
 
     /// A well-formed header announcing a 4 GiB − 1 payload.
     fn oversized_header() -> Vec<u8> {
@@ -248,8 +228,8 @@ mod tests {
             let mut out = Vec::new();
             for piece in stream.chunks(chunk) {
                 dec.push(piece);
-                while let Some(frame) = dec.next_frame().expect("clean stream") {
-                    out.push(frame);
+                while let Some((d, p)) = dec.next_frame_ref().expect("clean stream") {
+                    out.push((d, p.to_vec()));
                 }
             }
             assert_eq!(out.len(), 3, "chunk={chunk}");
@@ -264,12 +244,12 @@ mod tests {
         let frame = encode_frame(Direction::FromClient, b"payload");
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         dec.push(&frame[..HEADER_LEN - 1]);
-        assert_eq!(dec.next_frame(), Ok(None));
+        assert_eq!(dec.next_frame_ref(), Ok(None));
         dec.push(&frame[HEADER_LEN - 1..HEADER_LEN + 3]);
-        assert_eq!(dec.next_frame(), Ok(None));
+        assert_eq!(dec.next_frame_ref(), Ok(None));
         dec.push(&frame[HEADER_LEN + 3..]);
-        assert!(matches!(dec.next_frame(), Ok(Some(_))));
-        assert_eq!(dec.buffered(), 0);
+        assert!(matches!(dec.next_frame_ref(), Ok(Some(_))));
+        assert_eq!(dec.next_frame_ref(), Ok(None));
     }
 
     #[test]
@@ -280,12 +260,12 @@ mod tests {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         dec.push(&frame);
         assert!(matches!(
-            dec.next_frame(),
+            dec.next_frame_ref(),
             Err(WireError::Corrupt { offset: 0, .. })
         ));
         // Even after "good" bytes arrive the decoder stays poisoned.
         dec.push(&encode_frame(Direction::FromClient, b"ok"));
-        assert!(dec.next_frame().is_err());
+        assert!(dec.next_frame_ref().is_err());
     }
 
     #[test]
@@ -294,7 +274,7 @@ mod tests {
         let hdr = oversized_header();
         dec.push(&hdr);
         assert!(matches!(
-            dec.next_frame(),
+            dec.next_frame_ref(),
             Err(WireError::Oversized {
                 len,
                 max: 1024,
@@ -304,45 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_decode_matches_owned_decode() {
-        let frames = [
-            encode_frame(Direction::FromClient, b"{\"a\":1}"),
-            encode_frame(Direction::FromServer, &vec![b'y'; 2000]),
-        ];
-        let stream: Vec<u8> = frames.concat();
-        let mut owned = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        let mut borrowed = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        for piece in stream.chunks(5) {
-            owned.push(piece);
-            borrowed.push(piece);
-            loop {
-                let a = owned.next_frame().expect("clean stream");
-                let b = borrowed
-                    .next_frame_ref()
-                    .expect("clean stream")
-                    .map(|(d, p)| (d, p.to_vec()));
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-        assert_eq!(owned.buffered(), 0);
-        assert_eq!(borrowed.buffered(), 0);
-    }
-
-    #[test]
     fn poisoned_decoder_discards_further_input() {
         let mut dec = FrameDecoder::new(1024);
         let hdr = oversized_header();
         dec.push(&hdr);
-        assert!(dec.next_frame().is_err());
+        assert!(dec.next_frame_ref().is_err());
         // A hostile peer keeps streaming after the violation; none of it
         // should accumulate.
         for _ in 0..64 {
             dec.push(&[0xAB; 4096]);
         }
-        assert_eq!(dec.buffered(), hdr.len());
+        assert!(dec.capacity() < 4096, "{}", dec.capacity());
     }
 
     #[test]
@@ -353,9 +305,9 @@ mod tests {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         dec.push(&good);
         dec.push(&bad);
-        assert!(matches!(dec.next_frame(), Ok(Some(_))));
+        assert!(matches!(dec.next_frame_ref(), Ok(Some(_))));
         assert!(matches!(
-            dec.next_frame(),
+            dec.next_frame_ref(),
             Err(WireError::Corrupt { offset, .. }) if offset == good.len() as u64
         ));
     }

@@ -13,10 +13,10 @@
 //! The layers:
 //!
 //! * [`codec`] — stream framing: magic/version/direction header, u32
-//!   length prefix, FNV-1a 64 checksum, incremental [`FrameDecoder`] with
-//!   an oversize cap (a protocol violation closes the connection) and a
-//!   borrowed-slice decode path (`next_frame_ref`) for the zero-copy
-//!   inbound hot path;
+//!   length prefix, XXH64 checksum (FNV-1a 64 on a version-1 frame), and
+//!   an incremental [`FrameDecoder`] with an oversize cap (a protocol
+//!   violation closes the connection) that lends each payload out of its
+//!   stream buffer (`next_frame_ref`);
 //! * [`proto`] — the message vocabulary: [`ClientMsg::Submit`] →
 //!   [`ServerMsg::Verdict`], plus pushed [`ServerMsg::Update`]s for parked
 //!   tasks and a `Hello`/`Error`/`Bye` lifecycle;

@@ -273,9 +273,9 @@ mod tests {
             let frame = encode_client(&msg);
             let mut dec = crate::codec::FrameDecoder::new(crate::codec::DEFAULT_MAX_FRAME);
             dec.push(&frame);
-            let (direction, payload) = dec.next_frame().unwrap().unwrap();
+            let (direction, payload) = dec.next_frame_ref().unwrap().unwrap();
             assert_eq!(direction, Direction::FromClient);
-            assert_eq!(decode_client(&payload).unwrap(), msg);
+            assert_eq!(decode_client(payload).unwrap(), msg);
         }
     }
 
@@ -300,9 +300,9 @@ mod tests {
             let frame = encode_server(&msg);
             let mut dec = crate::codec::FrameDecoder::new(crate::codec::DEFAULT_MAX_FRAME);
             dec.push(&frame);
-            let (direction, payload) = dec.next_frame().unwrap().unwrap();
+            let (direction, payload) = dec.next_frame_ref().unwrap().unwrap();
             assert_eq!(direction, Direction::FromServer);
-            assert_eq!(decode_server(&payload).unwrap(), msg);
+            assert_eq!(decode_server(payload).unwrap(), msg);
         }
         let others = [
             ServerMsg::Hello {

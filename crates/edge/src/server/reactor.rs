@@ -1,8 +1,9 @@
 //! The reactor turn loop: one [`EdgeServer`] per reactor thread.
 //!
-//! There is one turn — accept, read/decode/serve, drive the gateway when
-//! dirty or due, push updates, flush, reap — and readable events from the
-//! selector say which sockets it accepts from and reads.
+//! There is one turn — accept, read/decode/serve (timed work already due
+//! runs, by `catch_up`, before the first decision), drive the gateway
+//! when dirty or due, push updates, flush, reap — and readable events from
+//! the selector say which sockets it accepts from and reads.
 //! [`EdgeServer::run`] blocks in the epoll wait before each turn: the
 //! timeout is derived from the gateway's next due instant and the earliest
 //! drain deadline, and `EPOLLOUT` is armed only while a connection has
@@ -297,11 +298,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         // only when a submission arrived or timed work (a dispatch or an
         // activation) has come due. An idle reactor turn leaves the
         // gateway — and a journaled gateway's WAL — untouched.
-        let due = self
-            .gateway
-            .next_due()
-            .is_some_and(|t| t.at_or_before_eps(now));
-        let drove = self.dirty || due;
+        let drove = self.dirty || self.due(now);
         if drove {
             let drive_timer = self.telemetry.timer();
             let drive_phase = self.profiler.start();
@@ -322,6 +319,13 @@ impl<G: EdgeGateway> EdgeServer<G> {
             self.stats.turns += 1;
         }
         self.sample_history(now);
+    }
+
+    /// Whether the gateway's timed work has come due at `now`.
+    fn due(&self, now: SimTime) -> bool {
+        self.gateway
+            .next_due()
+            .is_some_and(|t| t.at_or_before_eps(now))
     }
 
     /// Records one metrics-history sample when the cadence says one is
@@ -569,32 +573,25 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 if request.trace == 0 {
                     request.trace = self.telemetry.mint();
                 }
-                let verdict = if queued >= self.cfg.write_queue_limit {
-                    // Edge backpressure: the client is not consuming its
-                    // replies; shed before the admission test spends CPU.
+                // Edge backpressure: the client is not consuming its
+                // replies; shed before the admission test spends CPU.
+                let shed = queued >= self.cfg.write_queue_limit;
+                let what = if shed { "edge_throttled" } else { "submit" };
+                let trace = request.trace;
+                self.telemetry
+                    .record(trace, Stage::EdgeReceive, None, minted, what, now, None);
+                let verdict = if shed {
                     self.stats.edge_throttled += 1;
-                    self.telemetry.record(
-                        request.trace,
-                        Stage::EdgeReceive,
-                        None,
-                        minted,
-                        "edge_throttled",
-                        now,
-                        None,
-                    );
                     Verdict::Throttled
                 } else {
                     // Arrival is when the request reached this edge.
                     request.task.arrival = now;
-                    self.telemetry.record(
-                        request.trace,
-                        Stage::EdgeReceive,
-                        None,
-                        minted,
-                        "submit",
-                        now,
-                        None,
-                    );
+                    // The turn's first decision: timed work already due
+                    // runs first, inside the turn, so none of its submits
+                    // is decided against an overdue plan.
+                    if !self.dirty && self.due(now) {
+                        self.gateway.catch_up(now);
+                    }
                     let verdict = self.gateway.decide(&request, now);
                     self.dirty = true;
                     if matches!(verdict, Verdict::Reserved { .. } | Verdict::Deferred { .. }) {

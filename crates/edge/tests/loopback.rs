@@ -162,8 +162,8 @@ impl InlineClient {
                     ) => {}
                 Err(e) => panic!("read failed: {e}"),
             }
-            if let Some((_, payload)) = self.decoder.next_frame().unwrap() {
-                return decode_server(&payload).unwrap();
+            if let Some((_, payload)) = self.decoder.next_frame_ref().unwrap() {
+                return decode_server(payload).unwrap();
             }
         }
         panic!("no message within the polling budget");
@@ -398,7 +398,8 @@ fn protocol_violations_are_answered_and_close_the_connection() {
 /// abort the process — and a key sent twice, which used to be first-wins.
 #[test]
 fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
-    use rtdls_edge::codec::{encode_frame, Direction, HEADER_LEN};
+    use rtdls_edge::codec::{Direction, HEADER_LEN, MAGIC};
+    use rtdls_journal::wire::encode_frame;
 
     let mut gateway = sharded(2);
     gateway.enable_explanations();
@@ -449,7 +450,8 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
             ServerMsg::Hello { .. }
         ));
         let frame = encode_frame(
-            Direction::FromClient,
+            MAGIC,
+            Direction::FromClient as u8,
             payload.replace(field, poison).as_bytes(),
         );
         violator.send_raw(&frame);
@@ -1142,6 +1144,7 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
 
     let requests = request_stream(48, 31);
     let mut seq = 0u64;
+    let mut overdue_turns = 0;
     for (turn, window) in requests.chunks(8).enumerate() {
         let now = window.last().unwrap().task.arrival;
         let mut burst = Vec::new();
@@ -1152,6 +1155,9 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
             }));
             seq += 1;
         }
+        // Dispatches planned by earlier windows came due in between: the
+        // window's turn runs them before its decisions, in the same commit.
+        overdue_turns += usize::from(server.gateway().next_due().is_some_and(|t| t < now));
         client.send_raw(&burst);
         let submitted_before = server.gateway().metrics().submitted;
         let guarded_before = guarded.load(Ordering::Relaxed);
@@ -1187,8 +1193,8 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
             let mut buf = [0u8; 8192];
             let n = client.stream.read(&mut buf).unwrap();
             client.decoder.push(&buf[..n]);
-            while let Some((_, payload)) = client.decoder.next_frame().unwrap() {
-                if matches!(decode_server(&payload).unwrap(), ServerMsg::Verdict { .. }) {
+            while let Some((_, payload)) = client.decoder.next_frame_ref().unwrap() {
+                if matches!(decode_server(payload).unwrap(), ServerMsg::Verdict { .. }) {
                     verdicts += 1;
                 }
             }
@@ -1205,6 +1211,7 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
         );
     }
     assert!(server.gateway().journal().snapshots_appended() >= 3);
+    assert!(overdue_turns > 0, "no window's turn also ran overdue work");
     drop(server);
     let _ = std::fs::remove_file(&wal);
     let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
@@ -1473,4 +1480,78 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
 
     let _ = std::fs::remove_file(&wal);
     let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
+}
+
+/// A client from before header version 2 frames its submits in version 1,
+/// checksummed with FNV-1a; the reactor reads and serves them as ever.
+#[test]
+fn a_version_1_submit_frame_is_served() {
+    use rtdls_edge::codec::HEADER_LEN;
+    use rtdls_journal::wire::checksum;
+
+    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), EdgeConfig::default()).unwrap();
+    let now = SimTime::ZERO;
+    let mut client = InlineClient::connect(server.local_addr());
+    assert!(matches!(
+        client.recv(&mut server, now),
+        ServerMsg::Hello { .. }
+    ));
+    let mut frame = encode_client(&ClientMsg::Submit {
+        seq: 3,
+        request: SubmitRequest::new(Task::new(1, 0.0, 100.0, 50_000.0)),
+    });
+    let sum = checksum(1, frame[3], &frame[HEADER_LEN..]);
+    frame[2] = 1;
+    frame[8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    client.send_raw(&frame);
+    let msg = client.recv(&mut server, now);
+    assert!(
+        matches!(&msg, ServerMsg::Verdict { seq: 3, verdict, .. } if verdict.is_accepted()),
+        "{msg:?}"
+    );
+    assert_eq!(server.stats().protocol_errors, 0);
+}
+
+/// A turn commits the timed work already due before it decides the
+/// submits it read, as the simulator orders them. Task 2 waits behind task
+/// 1's 16 nodes with half a second of slack; a submit arriving a second
+/// after task 2's dispatch came due, in the same turn, is decided once
+/// that dispatch is committed (accepted), never against the overdue plan
+/// (which would re-plan task 2 past its deadline and defer the submit).
+#[test]
+fn a_turn_commits_due_work_before_deciding_its_submits() {
+    let p = ClusterParams::paper_baseline();
+    let e16 = homogeneous::exec_time(&p, 800.0, 16);
+    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(1), EdgeConfig::default()).unwrap();
+    let mut client = InlineClient::connect(server.local_addr());
+    let t0 = SimTime::ZERO;
+    assert!(matches!(
+        client.recv(&mut server, t0),
+        ServerMsg::Hello { .. }
+    ));
+    for (seq, deadline) in [(1, e16 * 1.0001), (2, e16 * 2.0 + 0.5)] {
+        client.send(&ClientMsg::Submit {
+            seq,
+            request: SubmitRequest::new(Task::new(seq, 0.0, 800.0, deadline)),
+        });
+        let msg = client.recv(&mut server, t0);
+        assert!(
+            matches!(&msg, ServerMsg::Verdict { verdict, .. } if verdict.is_accepted()),
+            "{msg:?}"
+        );
+    }
+    let due = server
+        .gateway()
+        .next_due()
+        .expect("task 2 waits for task 1");
+    let now = SimTime::new(due.as_f64() + 1.0);
+    client.send(&ClientMsg::Submit {
+        seq: 3,
+        request: SubmitRequest::new(Task::new(3, now.as_f64(), 800.0, e16 * 3.0)),
+    });
+    let msg = client.recv(&mut server, now);
+    assert!(
+        matches!(&msg, ServerMsg::Verdict { seq: 3, verdict, .. } if verdict.is_accepted()),
+        "{msg:?}"
+    );
 }

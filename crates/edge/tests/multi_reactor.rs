@@ -311,8 +311,8 @@ impl WireClient {
     fn recv(&mut self, deadline: Duration) -> ServerMsg {
         let start = Instant::now();
         loop {
-            if let Some((_, payload)) = self.decoder.next_frame().unwrap() {
-                return decode_server(&payload).unwrap();
+            if let Some((_, payload)) = self.decoder.next_frame_ref().unwrap() {
+                return decode_server(payload).unwrap();
             }
             assert!(start.elapsed() < deadline, "no message within {deadline:?}");
             let mut buf = [0u8; 8192];
@@ -450,4 +450,18 @@ fn reserved_activation_pushes_on_the_owning_reactor() {
     );
     assert_eq!(s0.updates_pushed, 0, "no cross-reactor misdelivery");
     assert_eq!(s1.updates_dropped + s0.updates_dropped, 0);
+}
+
+/// Placement hashes the tenant id with FNV-1a 64 whatever checksum the
+/// frames carry: a tenant's reactor, and so its WAL, must not move between
+/// releases.
+#[test]
+fn tenant_placement_is_pinned() {
+    let homes = |reactors| -> Vec<usize> {
+        (0u32..16)
+            .map(|t| reactor_for_tenant(TenantId(t), reactors))
+            .collect()
+    };
+    assert_eq!(homes(4), [1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2]);
+    assert_eq!(homes(3), [2, 1, 2, 1, 0, 1, 2, 1, 1, 0, 1, 0, 2, 0, 1, 0]);
 }

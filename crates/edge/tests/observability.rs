@@ -162,7 +162,7 @@ fn the_profiler_counts_one_decode_per_frame_in_and_one_encode_per_frame_out() {
         if let Ok(n) = client.read(&mut buf) {
             decoder.push(&buf[..n]);
         }
-        while decoder.next_frame().unwrap().is_some() {
+        while decoder.next_frame_ref().unwrap().is_some() {
             frames_read += 1;
         }
         if frames_read > submits && server.stats().frames_sent == frames_read {

@@ -18,11 +18,12 @@
 use proptest::prelude::*;
 
 use rtdls_core::prelude::{QosClass, SimTime, SubmitRequest, Task, TenantId};
-use rtdls_edge::codec::{encode_frame, Direction, FrameDecoder, DEFAULT_MAX_FRAME, HEADER_LEN};
+use rtdls_edge::codec::{Direction, FrameDecoder, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC};
 use rtdls_edge::proto::{
     decode_client, decode_server, encode_client, encode_server, ClientMsg, ServerMsg,
     PROTOCOL_VERSION,
 };
+use rtdls_journal::wire::encode_frame;
 use rtdls_service::prelude::{DecisionUpdate, Verdict};
 
 fn arb_request() -> impl Strategy<Value = SubmitRequest> {
@@ -106,9 +107,9 @@ proptest! {
         let mut out = Vec::new();
         for piece in stream.chunks(chunk) {
             dec.push(piece);
-            while let Some((direction, payload)) = dec.next_frame().expect("clean stream") {
+            while let Some((direction, payload)) = dec.next_frame_ref().expect("clean stream") {
                 prop_assert_eq!(direction, Direction::FromClient);
-                out.push(decode_client(&payload).expect("decodable"));
+                out.push(decode_client(payload).expect("decodable"));
             }
         }
         prop_assert_eq!(out, msgs);
@@ -124,9 +125,9 @@ proptest! {
         let mut out = Vec::new();
         for piece in stream.chunks(chunk) {
             dec.push(piece);
-            while let Some((direction, payload)) = dec.next_frame().expect("clean stream") {
+            while let Some((direction, payload)) = dec.next_frame_ref().expect("clean stream") {
                 prop_assert_eq!(direction, Direction::FromServer);
-                out.push(decode_server(&payload).expect("decodable"));
+                out.push(decode_server(payload).expect("decodable"));
             }
         }
         prop_assert_eq!(out, msgs);
@@ -142,15 +143,15 @@ proptest! {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME);
         dec.push(&stream[..cut]);
         let mut seen = 0usize;
-        while let Some((_, payload)) = dec.next_frame().expect("a truncated clean stream is just incomplete") {
+        while let Some((_, payload)) = dec.next_frame_ref().expect("a truncated clean stream is just incomplete") {
             // Every frame that closed before the cut is intact.
-            prop_assert_eq!(decode_client(&payload).expect("intact"), msgs[seen]);
+            prop_assert_eq!(decode_client(payload).expect("intact"), msgs[seen]);
             seen += 1;
         }
         // The tail arrives: the stream completes exactly.
         dec.push(&stream[cut..]);
-        while let Some((_, payload)) = dec.next_frame().expect("completed stream") {
-            prop_assert_eq!(decode_client(&payload).expect("intact"), msgs[seen]);
+        while let Some((_, payload)) = dec.next_frame_ref().expect("completed stream") {
+            prop_assert_eq!(decode_client(payload).expect("intact"), msgs[seen]);
             seen += 1;
         }
         prop_assert_eq!(seen, msgs.len());
@@ -171,8 +172,8 @@ proptest! {
         dec.push(&bad);
         let mut decoded = Vec::new();
         let outcome = loop {
-            match dec.next_frame() {
-                Ok(Some((_, payload))) => decoded.push(payload),
+            match dec.next_frame_ref() {
+                Ok(Some((_, payload))) => decoded.push(payload.to_vec()),
                 Ok(None) => break Ok(()),       // stalled waiting (length grew)
                 Err(e) => break Err(e),         // violation detected
             }
@@ -242,9 +243,9 @@ proptest! {
     ) {
         let mut dec = FrameDecoder::new(cap);
         let payload = vec![b'x'; cap + over];
-        dec.push(&encode_frame(Direction::FromClient, &payload));
+        dec.push(&encode_frame(MAGIC, Direction::FromClient as u8, &payload));
         prop_assert!(matches!(
-            dec.next_frame(),
+            dec.next_frame_ref(),
             Err(rtdls_edge::codec::WireError::Oversized { len, max, .. })
                 if len == cap + over && max == cap
         ));

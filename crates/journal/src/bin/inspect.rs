@@ -12,9 +12,10 @@
 //! ```
 //!
 //! `--json` switches to a machine-readable mode for edge/ops tooling: one
-//! JSON object per line — `{"offset":…,"kind":"snapshot"|"event",
-//! "class":"input"|"audit","record":…}` with the record's own JSON
-//! embedded verbatim — closed by `{"omitted":…}` when `--limit` truncates,
+//! JSON object per line — `{"offset":…,"version":1|2,"kind":"snapshot"|
+//! "event","class":"input"|"audit","record":…}` with the frame's header
+//! version (a WAL begun before version 2 mixes both) and the record's own
+//! JSON embedded verbatim — closed by `{"omitted":…}` when `--limit` truncates,
 //! a `{"durability":…}` summary of the physical log (bytes, record and
 //! snapshot counts), and a final `{"tail":…}` status object.
 //!
@@ -28,7 +29,7 @@ use std::process::ExitCode;
 
 use rtdls_journal::event::JournalEvent;
 use rtdls_journal::snapshot::GatewaySnapshot;
-use rtdls_journal::wire::{self, RecordKind, TailStatus};
+use rtdls_journal::wire::{self, Frame, RecordKind, TailStatus};
 
 /// One line per snapshot: the gateway shape and the sizes of its books.
 fn describe_snapshot(snap: &GatewaySnapshot) -> String {
@@ -116,42 +117,54 @@ fn describe_event(ev: &JournalEvent) -> String {
     format!("{class} {body}")
 }
 
-/// Renders the whole log. `filter`: None = everything, Some(true) = inputs
-/// only, Some(false) = audit records only (snapshots always print).
-fn render(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailStatus) {
-    // Describe the frames that survive the filter first, so the
-    // truncation marker counts exactly what the listing omits.
-    let mut entries: Vec<String> = Vec::new();
-    let (frames, tail) = wire::decode_frames(wal);
-    for frame in &frames {
-        let line = match frame.kind {
-            RecordKind::Snapshot => {
-                match serde_json::from_slice::<GatewaySnapshot>(&frame.payload) {
-                    Ok(snap) => describe_snapshot(&snap),
-                    Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
-                }
-            }
-            RecordKind::Event => match serde_json::from_slice::<JournalEvent>(&frame.payload) {
-                Ok(ev) => {
-                    if let Some(inputs_only) = filter {
-                        if ev.is_input() != inputs_only {
-                            continue;
-                        }
-                    }
-                    describe_event(&ev)
-                }
-                Err(e) => format!("EVENT <undecodable: {e}>"),
-            },
-        };
-        entries.push(format!("{:>10}  {line}", frame.offset));
-    }
+/// Each frame with its event decoded, unless `filter` drops it: None =
+/// everything, Some(true) = inputs only, Some(false) = audit records only
+/// (snapshots and undecodable events always print).
+fn select(
+    frames: &[Frame],
+    filter: Option<bool>,
+) -> impl Iterator<Item = (&Frame, Option<Result<JournalEvent, serde::Error>>)> {
+    frames.iter().filter_map(move |frame| {
+        let ev = (frame.kind == RecordKind::Event)
+            .then(|| serde_json::from_slice::<JournalEvent>(&frame.payload));
+        match (&ev, filter) {
+            (Some(Ok(ev)), Some(inputs_only)) if ev.is_input() != inputs_only => None,
+            _ => Some((frame, ev)),
+        }
+    })
+}
+
+/// `entries` cut to `limit`, `marker(n)` standing for the `n` cut: the
+/// filter ran first, so the marker counts exactly what the listing omits.
+fn cut(mut entries: Vec<String>, limit: usize, marker: impl Fn(usize) -> String) -> Vec<String> {
     let omitted = entries.len().saturating_sub(limit);
-    let mut lines = entries;
     if omitted > 0 {
-        lines.truncate(limit);
-        lines.push(format!("… {omitted} more record(s)"));
+        entries.truncate(limit);
+        entries.push(marker(omitted));
     }
-    (lines, tail)
+    entries
+}
+
+/// Renders the whole log, [`select`]ed by `filter`, cut at `limit`.
+fn render(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailStatus) {
+    let (frames, tail) = wire::decode_frames(wal);
+    let entries = select(&frames, filter).map(|(frame, ev)| {
+        let line = match ev {
+            None => match serde_json::from_slice::<GatewaySnapshot>(&frame.payload) {
+                Ok(snap) => describe_snapshot(&snap),
+                Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
+            },
+            Some(Ok(ev)) => describe_event(&ev),
+            Some(Err(e)) => format!("EVENT <undecodable: {e}>"),
+        };
+        format!("{:>10}  {line}", frame.offset)
+    });
+    (
+        cut(entries.collect(), limit, |n| {
+            format!("… {n} more record(s)")
+        }),
+        tail,
+    )
 }
 
 /// Renders the whole log as JSON lines (see the module docs for the
@@ -160,45 +173,25 @@ fn render(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailS
 /// aborting the listing.
 fn render_json(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailStatus) {
     use serde::Value;
-    let mut entries: Vec<String> = Vec::new();
     let (frames, tail) = wire::decode_frames(wal);
-    for frame in &frames {
-        let (kind, class) = match frame.kind {
-            RecordKind::Snapshot => ("snapshot", None),
-            RecordKind::Event => {
-                let is_input = serde_json::from_slice::<JournalEvent>(&frame.payload)
-                    .map(|ev| ev.is_input())
-                    .ok();
-                if let (Some(inputs_only), Some(is_input)) = (filter, is_input) {
-                    if is_input != inputs_only {
-                        continue;
-                    }
-                }
-                ("event", is_input)
-            }
-        };
+    let entries = select(&frames, filter).map(|(frame, ev)| {
         let record: Value = serde_json::from_slice(&frame.payload).unwrap_or_else(|e| {
             Value::Map(vec![("undecodable".to_string(), Value::Str(e.to_string()))])
         });
+        let kind = if ev.is_some() { "event" } else { "snapshot" };
         let mut obj = vec![
             ("offset".to_string(), Value::Int(frame.offset as i64)),
+            ("version".into(), Value::Int(frame.version.into())),
             ("kind".to_string(), Value::Str(kind.to_string())),
         ];
-        if let Some(is_input) = class {
-            obj.push((
-                "class".to_string(),
-                Value::Str(if is_input { "input" } else { "audit" }.to_string()),
-            ));
+        if let Some(Ok(ev)) = ev {
+            let class = if ev.is_input() { "input" } else { "audit" };
+            obj.push(("class".to_string(), Value::Str(class.to_string())));
         }
         obj.push(("record".to_string(), record));
-        entries.push(serde_json::to_string(&Value::Map(obj)).expect("serializable"));
-    }
-    let omitted = entries.len().saturating_sub(limit);
-    let mut lines = entries;
-    if omitted > 0 {
-        lines.truncate(limit);
-        lines.push(format!("{{\"omitted\":{omitted}}}"));
-    }
+        serde_json::to_string(&Value::Map(obj)).expect("serializable")
+    });
+    let mut lines = cut(entries.collect(), limit, |n| format!("{{\"omitted\":{n}}}"));
     // Physical durability summary (unfiltered): what actually survives on
     // disk, for edge/ops tooling that watches WAL growth and compaction.
     let snapshots = frames
@@ -262,34 +255,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if json {
-        let (lines, tail) = render_json(&wal, filter, limit);
-        for line in lines {
-            println!("{line}");
-        }
-        return match tail {
-            TailStatus::Clean => ExitCode::SUCCESS,
-            _ => ExitCode::FAILURE,
-        };
-    }
-    let (lines, tail) = render(&wal, filter, limit);
-    println!("{path}: {} byte(s)", wal.len());
+    let (lines, tail) = if json {
+        render_json(&wal, filter, limit)
+    } else {
+        println!("{path}: {} byte(s)", wal.len());
+        render(&wal, filter, limit)
+    };
     for line in lines {
         println!("{line}");
     }
     match tail {
-        TailStatus::Clean => {
-            println!("tail: clean");
-            ExitCode::SUCCESS
-        }
+        _ if json => {}
+        TailStatus::Clean => println!("tail: clean"),
         TailStatus::Truncated { offset } => {
-            println!("tail: TORN WRITE at byte {offset} (records before it are intact)");
-            ExitCode::FAILURE
+            println!("tail: TORN WRITE at byte {offset} (records before it are intact)")
         }
         TailStatus::Corrupt { offset } => {
-            println!("tail: CORRUPT at byte {offset} (records before it are intact)");
-            ExitCode::FAILURE
+            println!("tail: CORRUPT at byte {offset} (records before it are intact)")
         }
+    }
+    if tail.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -409,6 +397,14 @@ mod tests {
         };
         assert_eq!(kind_of(&objects[0]).as_deref(), Some("snapshot"));
         assert!(objects[0].get("offset").is_some());
+        assert!(objects[..objects.len() - 2]
+            .iter()
+            .all(|o| o.get("version") == Some(&serde::Value::Int(2))));
+        // A WAL written before version 2 lists as version 1.
+        let legacy = include_bytes!("../../tests/fixtures/legacy_single_cluster.wal");
+        let (lines, tail) = render_json(legacy, None, usize::MAX);
+        assert_eq!(tail, TailStatus::Clean);
+        assert!(lines[0].starts_with("{\"offset\":0,\"version\":1,"));
         assert!(
             objects[0].get("segment").is_none(),
             "single-file listings carry no segment ids"

@@ -284,15 +284,21 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
     /// each reactor owns its own journal file, so the single-writer
     /// crash-safety argument is per-reactor and unchanged.
     fn drive(&mut self, now: SimTime) -> Turn {
+        let turn = self.catch_up(now);
+        self.journal.flush();
+        turn
+    }
+
+    /// The turn's timed work, journaled into the held turn: the turn's
+    /// `drive` commits it with the decisions between (one group commit).
+    fn catch_up(&mut self, now: SimTime) -> Turn {
         self.journal.hold_turn();
         let dispatched = self.dispatch_due(now);
         self.retest(now);
         self.activate_due(now);
-        let resolved = self.drain();
-        self.journal.flush();
         Turn {
             dispatched,
-            resolved,
+            resolved: self.drain(),
         }
     }
 

@@ -671,7 +671,7 @@ mod tests {
 
     /// One whole (tiny) frame, for driving a bare sink.
     fn frame() -> Vec<u8> {
-        crate::wire::encode_frame(RecordKind::Event, b"{}")
+        crate::wire::encode_frame(MAGIC, RecordKind::Event as u8, b"{}")
     }
 
     fn snap() -> GatewaySnapshot {

@@ -6,20 +6,24 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic: "RJ" journal, "RE" edge, "RS" replication ship
-//! 2       1     header layout version (currently 1)
+//! 2       1     header layout version: 2 written; 1 still read
 //! 3       1     tag: the transport's own byte (journal: record kind,
 //!               1 = event, 2 = snapshot; edge: direction; ship: 1)
 //! 4       4     payload length, u32 little-endian
-//! 8       8     FNV-1a 64 checksum over tag byte + payload, u64 LE
+//! 8       8     checksum, u64 LE: v2 XXH64 of the payload seeded with
+//!               the tag; v1 FNV-1a 64 over tag byte + payload
 //! 16      len   payload (UTF-8 JSON via the in-repo serde stand-ins)
 //! ```
 //!
 //! The layout is built in one function, [`write_frame`] — the payload is
 //! rendered in place after a reserved header, then length and checksum are
 //! patched in: typed value to framed bytes, no `String` or second copy
-//! between — and validated in one, [`parse_header`] (magic, version, and the length against the
-//! caller's cap *before* anyone sizes a buffer by it); [`Header::verifies`]
-//! is the checksum. The journal decodes a byte image at rest
+//! between — and validated in one, [`parse_header`] (magic, version, and
+//! the length against the caller's cap *before* anyone sizes a buffer by
+//! it); [`Header::verifies`] checks the sum of the header's own version
+//! ([`checksum`], the one home of both versions' sums).
+//! Every writer writes v2; v1 (a WAL, mirror or peer from before v2) is
+//! read, never written. The journal decodes a byte image at rest
 //! ([`decode_frames`], [`frame_count`]); the edge's streaming
 //! `FrameDecoder` and the ship transport's blocking `read_msg` sit on the
 //! same two functions with their own magic, tag meaning and cap.
@@ -40,8 +44,8 @@
 /// Journal frame magic: `RJ` (rtdls journal).
 pub const MAGIC: [u8; 2] = *b"RJ";
 
-/// Current header layout version, shared by all three transports.
-pub const VERSION: u8 = 1;
+/// The header version all three transports write; [`parse_header`] also reads 1.
+pub const VERSION: u8 = 2;
 
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -62,11 +66,13 @@ pub const MAX_SHIP_FRAME: usize = 64 << 20;
 /// The fields of a header that passed [`parse_header`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Header {
+    /// The header layout version: 1 or [`VERSION`].
+    pub version: u8,
     /// The transport's tag byte (not interpreted here).
     pub tag: u8,
     /// Payload length, already held against the caller's cap.
     pub len: usize,
-    /// The checksum the writer computed over tag + payload.
+    /// The checksum the writer computed ([`Header::verifies`]).
     pub checksum: u64,
 }
 
@@ -74,7 +80,17 @@ impl Header {
     /// Whether `payload` is what the writer checksummed.
     #[inline]
     pub fn verifies(&self, payload: &[u8]) -> bool {
-        checksum(self.tag, payload) == self.checksum
+        checksum(self.version, self.tag, payload) == self.checksum
+    }
+}
+
+/// The sum a header of `version` carries over `payload` under `tag`: v2
+/// ([`VERSION`]) XXH64 seeded by the tag, v1 FNV-1a 64 over tag + payload.
+#[inline]
+pub fn checksum(version: u8, tag: u8, payload: &[u8]) -> u64 {
+    match version {
+        1 => fnv1a64(fnv1a64(FNV_OFFSET, &[tag]), payload),
+        _ => xxh64(u64::from(tag), payload),
     }
 }
 
@@ -104,7 +120,7 @@ pub fn write_frame(magic: [u8; 2], tag: u8, out: &mut Vec<u8>, render: impl FnOn
     let (header, payload) = out[at..].split_at_mut(HEADER_LEN);
     let len = u32::try_from(payload.len()).expect("frame payload under 4 GiB");
     header[4..8].copy_from_slice(&len.to_le_bytes());
-    header[8..].copy_from_slice(&checksum(tag, payload).to_le_bytes());
+    header[8..].copy_from_slice(&checksum(VERSION, tag, payload).to_le_bytes());
 }
 
 /// Parses and validates one header: the one place the layout is read. The
@@ -119,7 +135,8 @@ pub fn parse_header(
     if bytes[0..2] != magic {
         return Err(HeaderError::Corrupt("bad magic"));
     }
-    if bytes[2] != VERSION {
+    let version = bytes[2];
+    if !matches!(version, 1 | VERSION) {
         return Err(HeaderError::Corrupt("unknown framing version"));
     }
     let len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
@@ -127,6 +144,7 @@ pub fn parse_header(
         return Err(HeaderError::Oversized(len));
     }
     Ok(Header {
+        version,
         tag: bytes[3],
         len,
         checksum: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
@@ -156,6 +174,8 @@ impl RecordKind {
 pub struct Frame {
     /// Payload interpretation.
     pub kind: RecordKind,
+    /// The header version it was written in (1 or [`VERSION`]).
+    pub version: u8,
     /// Byte offset of the frame header within the log.
     pub offset: usize,
     /// The record payload (JSON bytes).
@@ -192,13 +212,8 @@ impl TailStatus {
 pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
 /// FNV-1a 64 of `bytes`, continuing from `seed` ([`FNV_OFFSET`] to start;
-/// a previous result to extend a running hash). The tree's one copy: frame
-/// checksums and the edge's tenant placement both hash through it.
-///
-/// `#[inline]` is measured, not decoration: every WAL and edge frame is
-/// checksummed, and with the two calls in the frame checksum left out of
-/// line the durable edge read ≈ 5 % more reactor CPU per request.
-#[inline]
+/// a previous result to extend a running hash): the checksum of v1 frames,
+/// read but no longer written, and the edge's tenant placement.
 pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -208,19 +223,71 @@ pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64 over the tag byte followed by the payload. Not
-/// cryptographic — it detects torn writes and bit rot, which is all a
-/// single-writer WAL needs.
-fn checksum(tag: u8, payload: &[u8]) -> u64 {
-    fnv1a64(fnv1a64(FNV_OFFSET, &[tag]), payload)
+const P1: u64 = 0x9E3779B185EBCA87;
+const P2: u64 = 0xC2B2AE3D27D4EB4F;
+const P3: u64 = 0x165667B19E3779F9;
+const P4: u64 = 0x85EBCA77C2B2AE63;
+const P5: u64 = 0x27D4EB2F165667C5;
+
+/// One XXH64 lane step over eight input bytes.
+#[inline]
+fn round(acc: u64, word: &[u8; 8]) -> u64 {
+    let acc = acc.wrapping_add(u64::from_le_bytes(*word).wrapping_mul(P2));
+    acc.rotate_left(31).wrapping_mul(P1)
 }
 
-/// Encodes one record into its frame bytes.
-pub fn encode_frame(kind: RecordKind, payload: &[u8]) -> Vec<u8> {
+/// XXH64 of `bytes` under `seed` (Collet's xxHash, zstd's content
+/// checksum): four lanes over each 32-byte stripe, then the tail. Not
+/// cryptographic: it catches torn writes and bit rot, all a frame needs.
+#[inline]
+pub fn xxh64(seed: u64, bytes: &[u8]) -> u64 {
+    let (stripes, rest) = bytes.as_chunks::<32>();
+    let mut h = seed.wrapping_add(P5);
+    if !stripes.is_empty() {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()].map(|v| v.wrapping_add(seed));
+        for stripe in stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *lane = round(*lane, word);
+            }
+        }
+        h = [1, 7, 12, 18]
+            .iter()
+            .zip(v)
+            .fold(0, |h, (&r, lane)| h.wrapping_add(lane.rotate_left(r)));
+        for lane in v {
+            h = (h ^ round(0, &lane.to_le_bytes()))
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+        }
+    }
+    h = h.wrapping_add(bytes.len() as u64);
+    let (words, mut tail) = rest.as_chunks::<8>();
+    for word in words {
+        h = (h ^ round(0, word))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    if let Some((word, rest)) = tail.split_first_chunk::<4>() {
+        h ^= u64::from(u32::from_le_bytes(*word)).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        tail = rest;
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ h >> 33).wrapping_mul(P2);
+    h = (h ^ h >> 29).wrapping_mul(P3);
+    h ^ h >> 32
+}
+
+/// One payload framed whole under `magic` and `tag` — for a caller holding
+/// the payload's bytes already (a mirror, a replayed image, a test).
+pub fn encode_frame(magic: [u8; 2], tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    write_frame(MAGIC, kind as u8, &mut out, |out| {
-        out.extend_from_slice(payload)
-    });
+    write_frame(magic, tag, &mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -271,6 +338,7 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, TailStatus) {
         }
         frames.push(Frame {
             kind,
+            version: header.version,
             offset: pos,
             payload: payload.to_vec(),
         });
@@ -285,9 +353,13 @@ mod tests {
 
     fn sample_log() -> Vec<u8> {
         let mut log = Vec::new();
-        log.extend(encode_frame(RecordKind::Snapshot, b"{\"s\":0}"));
-        log.extend(encode_frame(RecordKind::Event, b"{\"e\":1}"));
-        log.extend(encode_frame(RecordKind::Event, b"{\"e\":2}"));
+        for (kind, payload) in [
+            (RecordKind::Snapshot, b"{\"s\":0}"),
+            (RecordKind::Event, b"{\"e\":1}"),
+            (RecordKind::Event, b"{\"e\":2}"),
+        ] {
+            log.extend(encode_frame(MAGIC, kind as u8, payload));
+        }
         log
     }
 
@@ -356,10 +428,91 @@ mod tests {
 
     #[test]
     fn checksum_differs_between_kinds_for_same_payload() {
-        assert_ne!(checksum(1, b"abc"), checksum(2, b"abc"));
-        let a = encode_frame(RecordKind::Event, b"abc");
-        let b = encode_frame(RecordKind::Snapshot, b"abc");
+        assert_ne!(xxh64(1, b"abc"), xxh64(2, b"abc"));
+        let a = encode_frame(MAGIC, RecordKind::Event as u8, b"abc");
+        let b = encode_frame(MAGIC, RecordKind::Snapshot as u8, b"abc");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn xxh64_matches_its_published_vectors() {
+        assert_eq!(xxh64(0, b""), 0xEF46DB3751D8E999);
+        assert_eq!(xxh64(0, b"a"), 0xD24EC4F1A98C6E5B);
+        assert_eq!(xxh64(0, b"abc"), 0x44BC2CF5AD770999);
+        // 39 bytes: one four-lane stripe, then the 8-, 4- and 1-byte tails.
+        let long = b"Nobody inspects the spammish repetition";
+        assert_eq!(xxh64(0, long), 0xFBCEA83C8A378BF1);
+        // zstd's content checksum is the low half: `zstd --check` of a
+        // thousand 'x' ends in e1 00 b7 9c.
+        assert_eq!(xxh64(0, &[b'x'; 1000]) as u32, 0x9CB700E1);
+    }
+
+    /// `frame` rewritten as the version-1 header a pre-v2 writer wrote.
+    fn as_v1(mut frame: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(1, frame[3], &frame[HEADER_LEN..]);
+        frame[2] = 1;
+        frame[8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        frame
+    }
+
+    /// The bytes a v2 writer puts down, pinned (the sums by an independent
+    /// XXH64 checked against the published vectors): the layout, the tag
+    /// as the seed, and the four-lane path under a seed (38 bytes).
+    #[test]
+    fn a_v2_frame_is_these_bytes() {
+        let snapshot = b"{\"kind\":\"snapshot\",\"shards\":[0,1,2,3]}";
+        for (tag, payload, header) in [
+            (1, &b"{}"[..], 0x524a020102000000a23ed4b834261f1d_u128),
+            (2, &snapshot[..], 0x524a0202260000009e20252b57b5485d),
+        ] {
+            let frame = encode_frame(MAGIC, tag, payload);
+            assert_eq!(frame[..HEADER_LEN], header.to_be_bytes());
+            assert_eq!(&frame[HEADER_LEN..], payload);
+        }
+    }
+
+    #[test]
+    fn a_v1_prefix_and_a_v2_tail_decode_clean() {
+        // A follower's mirror across an upgrade: frames written before it
+        // in v1, after it in v2.
+        let mut log = as_v1(encode_frame(
+            MAGIC,
+            RecordKind::Snapshot as u8,
+            b"{\"s\":0}",
+        ));
+        log.extend(as_v1(encode_frame(
+            MAGIC,
+            RecordKind::Event as u8,
+            b"{\"e\":1}",
+        )));
+        log.extend(encode_frame(MAGIC, RecordKind::Event as u8, b"{\"e\":2}"));
+        let (frames, tail) = decode_frames(&log);
+        assert_eq!(tail, TailStatus::Clean);
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frame_count(&log), 3);
+        let versions: Vec<u8> = frames.iter().map(|f| f.version).collect();
+        assert_eq!(versions, [1, 1, VERSION]);
+    }
+
+    #[test]
+    fn a_checksum_of_the_wrong_version_or_an_unknown_version_is_corrupt() {
+        let v2 = encode_frame(MAGIC, RecordKind::Event as u8, b"{\"e\":1}");
+        let v1 = as_v1(v2.clone());
+        for (version, frame) in [(1, &v2), (VERSION, &v1), (3, &v2), (0, &v1)] {
+            let mut bad = frame.clone();
+            bad[2] = version;
+            assert_eq!(decode_frames(&bad).1, TailStatus::Corrupt { offset: 0 });
+        }
+        let mut flipped = v2;
+        flipped[HEADER_LEN] ^= 1;
+        assert_eq!(decode_frames(&flipped).1, TailStatus::Corrupt { offset: 0 });
+        let mut head = [0; HEADER_LEN];
+        head.copy_from_slice(&v1[..HEADER_LEN]);
+        head[2] = 3;
+        assert_eq!(
+            parse_header(&head, MAGIC, NO_CAP),
+            Err(HeaderError::Corrupt("unknown framing version"))
+        );
     }
 
     #[test]

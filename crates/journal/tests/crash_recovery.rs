@@ -591,12 +591,14 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
         serde_json::from_str(&serde_json::to_string(&live.capture()).unwrap()).unwrap();
     let old_genesis = strip_keys(&genesis, V2_FIELDS);
     let mut wal = rtdls_journal::wire::encode_frame(
-        rtdls_journal::wire::RecordKind::Snapshot,
+        rtdls_journal::wire::MAGIC,
+        rtdls_journal::wire::RecordKind::Snapshot as u8,
         serde_json::to_string(&old_genesis).unwrap().as_bytes(),
     );
     for ev in &commands {
         wal.extend(rtdls_journal::wire::encode_frame(
-            rtdls_journal::wire::RecordKind::Event,
+            rtdls_journal::wire::MAGIC,
+            rtdls_journal::wire::RecordKind::Event as u8,
             serde_json::to_string(ev).unwrap().as_bytes(),
         ));
     }
@@ -649,7 +651,7 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
 /// order.
 #[test]
 fn a_legacy_batch_on_a_busy_queue_recovers_as_its_members_in_policy_order() {
-    use rtdls_journal::wire::{encode_frame, RecordKind};
+    use rtdls_journal::wire::{encode_frame, RecordKind, MAGIC};
     let p = params();
     let genesis = ShardedGateway::new(
         p,
@@ -684,12 +686,14 @@ fn a_legacy_batch_on_a_busy_queue_recovers_as_its_members_in_policy_order() {
     }];
     let wal_of = |events: &[JournalEvent]| {
         let mut wal = encode_frame(
-            RecordKind::Snapshot,
+            MAGIC,
+            RecordKind::Snapshot as u8,
             serde_json::to_string(&genesis).unwrap().as_bytes(),
         );
         for ev in events {
             wal.extend(encode_frame(
-                RecordKind::Event,
+                MAGIC,
+                RecordKind::Event as u8,
                 serde_json::to_string(ev).unwrap().as_bytes(),
             ));
         }
@@ -743,7 +747,7 @@ fn a_legacy_batch_on_a_busy_queue_recovers_as_its_members_in_policy_order() {
 /// node index −1 as `usize::MAX`.
 #[test]
 fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() {
-    use rtdls_journal::wire::{encode_frame, RecordKind};
+    use rtdls_journal::wire::{encode_frame, RecordKind, MAGIC};
     let gateway = ShardedGateway::new(
         params(),
         1,
@@ -769,9 +773,10 @@ fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() 
         (&completed, "\"node\":1", "\"node\":-1", "usize"),
     ] {
         assert!(event.contains(field), "{field} not in {event}");
-        let mut wal = encode_frame(RecordKind::Snapshot, genesis.as_bytes());
+        let mut wal = encode_frame(MAGIC, RecordKind::Snapshot as u8, genesis.as_bytes());
         wal.extend(encode_frame(
-            RecordKind::Event,
+            MAGIC,
+            RecordKind::Event as u8,
             event.replace(field, poison).as_bytes(),
         ));
         match recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None) {
@@ -805,9 +810,9 @@ fn three_waiting() -> GatewaySnapshot {
 
 /// Recovers a WAL holding nothing but `snapshot`, checksums intact.
 fn recover_image(snapshot: &GatewaySnapshot) -> Result<(JG, RecoveryReport), JournalError> {
-    use rtdls_journal::wire::{encode_frame, RecordKind};
+    use rtdls_journal::wire::{encode_frame, RecordKind, MAGIC};
     let image = serde_json::to_string(snapshot).unwrap();
-    let wal = encode_frame(RecordKind::Snapshot, image.as_bytes());
+    let wal = encode_frame(MAGIC, RecordKind::Snapshot as u8, image.as_bytes());
     recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
 }
 

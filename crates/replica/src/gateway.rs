@@ -162,6 +162,11 @@ impl<G: Recoverable> Serve for ShippingGateway<G> {
         turn
     }
 
+    /// The journaled turn's timed work; nothing ships before its `drive`.
+    fn catch_up(&mut self, now: SimTime) -> Turn {
+        self.inner.catch_up(now)
+    }
+
     /// The journaled gateway's timed work, or the next heartbeat: an idle
     /// primary still owes its follower a sign of life (the first one at
     /// once), or the standby would promote itself.
@@ -248,6 +253,12 @@ mod tests {
         // Decided, in the journal's image, not yet durable: nothing ships.
         assert!(gw.inner().journal().next_seq() > 4);
         assert!(shipped_requests(&gw.take_outbox()).is_empty());
+        // The turn's timed work run ahead of its drive: journaled, unshipped.
+        let seq = gw.inner().journal().next_seq();
+        assert_eq!(gw.catch_up(now).dispatched.len(), 4);
+        assert!(gw.inner().journal().next_seq() > seq);
+        let outbox = gw.take_outbox();
+        assert!(!outbox.iter().any(|m| matches!(m, ShipMsg::Frame { .. })));
         gw.drive(now);
         assert_eq!(shipped_requests(&gw.take_outbox()), vec![0, 1, 2, 3]);
     }

@@ -295,6 +295,29 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_message_reads_and_a_mislabelled_one_does_not() {
+        let msg = ShipMsg::frame(3, 17, vec![0, 1, 2, 254, 255]);
+        let v2 = wire_bytes(&msg);
+        assert_eq!(v2[2], rtdls_journal::wire::VERSION);
+        // As a primary from before header version 2 framed it.
+        let mut v1 = v2.clone();
+        let sum = rtdls_journal::wire::checksum(1, TAG, &v2[HEADER_LEN..]);
+        v1[2] = 1;
+        v1[8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(read_back(v1.clone()).unwrap(), Some(msg));
+        let mut v1_over_v2_sum = v2.clone();
+        v1_over_v2_sum[2] = 1;
+        let mut v2_over_v1_sum = v1;
+        v2_over_v1_sum[2] = 2;
+        let mut v3 = v2;
+        v3[2] = 3;
+        for bytes in [v1_over_v2_sum, v2_over_v1_sum, v3] {
+            let err = read_back(bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    #[test]
     fn a_framing_violation_ends_its_connection_and_keeps_the_follower() {
         let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         let mut server = FollowerServer::bind("127.0.0.1:0", follower).unwrap();

@@ -10,7 +10,8 @@
 //! ships it. Nothing decided since the last turn may leave the process (a
 //! verdict on a socket, a resolution counted, a frame sent to a follower)
 //! before that turn's `drive` has returned. A driver drives again at
-//! [`next_due`](Serve::next_due) even if nothing arrives.
+//! [`next_due`](Serve::next_due) even if nothing arrives; one whose turn
+//! may open on due work runs it first ([`catch_up`](Serve::catch_up)).
 //!
 //! No method here shares a name with an [`Admission`] method, so a type
 //! implementing both never needs a path call to say which one it means.
@@ -82,6 +83,13 @@ pub trait Serve {
     /// Runs the turn's timed work at `now` and commits the turn (see the
     /// module docs).
     fn drive(&mut self, now: SimTime) -> Turn;
+
+    /// Runs the timed work due by `now` inside the current turn, before its
+    /// decisions; the turn's [`drive`](Serve::drive) commits it. By default
+    /// the drive itself, right for a layer that commits nothing.
+    fn catch_up(&mut self, now: SimTime) -> Turn {
+        self.drive(now)
+    }
 
     /// The earliest instant at which timed work falls due; `None` =
     /// nothing scheduled. A drive at that instant acts: after a turn at

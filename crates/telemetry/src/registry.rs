@@ -212,19 +212,24 @@ impl MetricsRegistry {
 
     /// JSON-lines exposition: one flattened sample object per line.
     pub fn to_json_lines(&self) -> String {
+        self.flatten().iter().map(|s| s.to_json() + "\n").collect()
+    }
+}
+
+impl MetricSample {
+    /// The sample as one JSON object: name, then its labels as fields,
+    /// then kind and value.
+    pub fn to_json(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::new();
-        for s in self.flatten() {
-            let _ = write!(out, "{{\"name\":\"{}\"", s.name);
-            for (k, v) in &s.labels {
-                let _ = write!(out, ",\"{k}\":\"{v}\"");
-            }
-            let kind = match s.kind {
-                MetricKind::Counter => "counter",
-                MetricKind::Gauge => "gauge",
-            };
-            let _ = writeln!(out, ",\"kind\":\"{kind}\",\"value\":{}}}", s.value);
+        let mut out = format!("{{\"name\":\"{}\"", self.name);
+        for (k, v) in &self.labels {
+            let _ = write!(out, ",\"{k}\":\"{v}\"");
         }
+        let kind = match self.kind {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+        };
+        let _ = write!(out, ",\"kind\":\"{kind}\",\"value\":{}}}", self.value);
         out
     }
 }

@@ -20,6 +20,7 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
+use rtdls::journal::wire;
 use rtdls::prelude::*;
 use rtdls::replica::net::write_msg;
 
@@ -160,7 +161,7 @@ fn main() {
             ShipMsg::frame(
                 0,
                 seq as u64,
-                rtdls::journal::wire::encode_frame(frame.kind, &frame.payload),
+                wire::encode_frame(wire::MAGIC, frame.kind as u8, &frame.payload),
             ),
         );
     }

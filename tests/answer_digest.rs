@@ -40,11 +40,12 @@
 //! ```
 //!
 //! writes each stream of the build's size to
-//! `target/tmp/answer_digest/<stream>.txt` and prints the golden lines.
+//! `target/tmp/answer_digest/<stream>.txt` (and the WAL itself to
+//! `admit-wal.bin`) and prints the golden lines.
 
 use std::fmt::Write as _;
 
-use rtdls::journal::wire::{decode_frames, fnv1a64, FNV_OFFSET};
+use rtdls::journal::wire::{checksum, decode_frames, fnv1a64, FNV_OFFSET, HEADER_LEN, VERSION};
 use rtdls::prelude::*;
 use rtdls_check::independent::certify;
 use serde::{Serialize, Value};
@@ -96,6 +97,9 @@ impl Size {
 #[derive(Default)]
 struct Stream {
     lines: Vec<String>,
+    /// The bytes behind the stream, where it has any: dump mode writes
+    /// them next to the text (`admit-wal.bin`, a WAL `inspect` reads).
+    bytes: Vec<u8>,
 }
 
 impl Stream {
@@ -238,17 +242,30 @@ fn admit_streams(size: Size) -> Vec<(&'static str, Stream)> {
         "journaling changed an answer"
     );
     // Frame by frame, so a dump diffs record by record, then the FNV of
-    // the bytes themselves (headers and checksums included).
+    // the bytes themselves, headers included. The digest was recorded
+    // under header version 1, so each header is hashed as version 1 wrote
+    // it: a version-2 header (checked here, and verified by the decode) is
+    // the same function of tag and payload with another checksum. The v2
+    // bytes themselves are pinned by `wire`'s `a_v2_frame_is_these_bytes`.
     let bytes = journaled.journal().bytes();
     let (frames, tail) = decode_frames(bytes);
     assert!(tail.is_clean());
-    let mut wal = Stream::default();
+    let mut as_v1 = bytes.to_vec();
+    let mut wal = Stream {
+        bytes: bytes.to_vec(),
+        ..Stream::default()
+    };
     for frame in frames {
+        assert_eq!(frame.version, VERSION);
+        let head = &mut as_v1[frame.offset..frame.offset + HEADER_LEN];
+        let sum = checksum(1, head[3], &frame.payload);
+        head[2] = 1;
+        head[8..].copy_from_slice(&sum.to_le_bytes());
         let payload = String::from_utf8(frame.payload).expect("JSON payloads");
         wal.lines.push(format!("{:?} {payload}", frame.kind));
     }
     wal.lines
-        .push(format!("bytes 0x{:016x}", fnv1a64(FNV_OFFSET, bytes)));
+        .push(format!("bytes 0x{:016x}", fnv1a64(FNV_OFFSET, &as_v1)));
     vec![
         ("admit/sharded", sharded),
         ("admit/journaled", answers),
@@ -479,6 +496,9 @@ fn dump_answer_streams() {
     for (name, stream) in streams(size) {
         let path = dir.join(format!("{}.txt", name.replace('/', "-")));
         std::fs::write(&path, stream.lines.join("\n") + "\n").unwrap();
+        if !stream.bytes.is_empty() {
+            std::fs::write(path.with_extension("bin"), &stream.bytes).unwrap();
+        }
         println!("{}", golden_line(name, size, &stream));
         eprintln!("wrote {}", path.display());
     }
