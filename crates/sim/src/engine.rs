@@ -15,11 +15,20 @@
 //!   which point waiting tasks may be re-planned to grab the slack
 //!   ([`ReplanPolicy::OnRelease`]).
 //!
+//! Events come from three sources: the workload's arrivals (one stream,
+//! sorted once by [`prime`](Simulation::prime)), and node releases and due
+//! work, which the run schedules itself into a heap. They pop in one order,
+//! `(time, kind, insertion sequence)`: at one instant releases, then
+//! arrivals, then due work (see [`EventQueue`]). A due event a later turn
+//! superseded is still popped: it counts in
+//! [`events_processed`](Simulation::events_processed) and moves the clock.
+//!
 //! Theorem 4 and the deadline guarantee are checked at run time for every
 //! completed task; under the paper's model (per-task link) violations are
 //! impossible and `strict` mode turns them into panics in tests.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rtdls_core::prelude::*;
 
@@ -78,18 +87,41 @@ pub struct Simulation<F: Serve = AdmissionController> {
     release_slack_seen: bool,
     /// End of the most recent transmission under the shared-link ablation.
     link_free: SimTime,
-    running: HashMap<TaskId, RunningTask>,
+    running: HashMap<TaskId, RunningTask, IdHash>,
     /// Every task ever physically dispatched. A promoted standby that never
     /// heard of a dispatch its dead primary made still holds that task as
     /// waiting and may offer it again; the engine dispatches each task at
     /// most once.
-    ever_dispatched: HashSet<TaskId>,
+    ever_dispatched: HashSet<TaskId, IdHash>,
     /// Re-offered dispatches the engine suppressed (see `ever_dispatched`).
     duplicate_dispatches: u64,
     metrics: MetricsCollector,
     trace: Option<Trace>,
-    trace_task_idx: HashMap<TaskId, usize>,
+    trace_task_idx: HashMap<TaskId, usize, IdHash>,
 }
+
+/// Hashes a task id with one multiply by an odd constant (Fibonacci
+/// hashing): the ids come from the engine's own callers, not from a network
+/// peer, so they need no flood-resistant hash, and an odd multiplier maps
+/// consecutive ids to distinct low bits.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+}
+
+type IdHash = BuildHasherDefault<IdHasher>;
 
 impl Simulation {
     /// Creates an idle simulation for `cfg`, driving a bare
@@ -117,12 +149,12 @@ impl<F: Serve> Simulation<F> {
             node_committed_until: vec![SimTime::ZERO; n],
             release_slack_seen: false,
             link_free: SimTime::ZERO,
-            running: HashMap::new(),
-            ever_dispatched: HashSet::new(),
+            running: HashMap::default(),
+            ever_dispatched: HashSet::default(),
             duplicate_dispatches: 0,
             metrics: MetricsCollector::new(),
             trace: cfg.record_trace.then(Trace::default),
-            trace_task_idx: HashMap::new(),
+            trace_task_idx: HashMap::default(),
             cfg,
         }
     }
@@ -151,11 +183,7 @@ impl<F: Serve> Simulation<F> {
     /// [`step`]: Simulation::step
     /// [`finish`]: Simulation::finish
     pub fn prime(&mut self, tasks: impl IntoIterator<Item = Task>) {
-        let mut tasks: Vec<Task> = tasks.into_iter().collect();
-        tasks.sort_by_key(|t| (t.arrival, t.id));
-        for t in tasks {
-            self.events.push(t.arrival, Event::Arrival(t));
-        }
+        self.events.prime(tasks);
     }
 
     /// Processes the next pending event. Returns `false` once the event
@@ -404,7 +432,7 @@ impl<F: Serve> Simulation<F> {
                 self.now
             );
             let generation = self.generation;
-            self.events.push(t.max(self.now), Event::Due { generation });
+            self.events.push_due(t.max(self.now), generation);
         }
     }
 
@@ -479,13 +507,7 @@ impl<F: Serve> Simulation<F> {
             self.node_free_actual[node.index()] = compute_end;
             self.node_last_task[node.index()] = Some(task.id);
             self.node_committed_until[node.index()] = compute_end;
-            self.events.push(
-                compute_end,
-                Event::NodeRelease {
-                    node,
-                    task: task.id,
-                },
-            );
+            self.events.push_release(compute_end, node, task.id);
             prev_tx_end = tx_end;
             last_completion = last_completion.max(compute_end);
         }
@@ -893,6 +915,75 @@ mod tests {
         let trace = report.trace.unwrap();
         let first = trace.task_chunks(task.id).next().expect("dispatched");
         assert_eq!(first.tx_start, at, "dispatched at the instant it fell due");
+    }
+
+    /// The bare controller, but until a second task arrives it also
+    /// reports work due at `late`: an instant that arrival's turn
+    /// supersedes.
+    struct Lingering {
+        ctl: AdmissionController,
+        late: Option<SimTime>,
+    }
+
+    impl Serve for Lingering {
+        type Outcome = Decision;
+
+        fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Decision {
+            if request.task.id != TaskId(1) {
+                self.late = None;
+            }
+            self.ctl.decide(request, now)
+        }
+        fn drive(&mut self, now: SimTime) -> crate::serve::Turn {
+            self.ctl.drive(now)
+        }
+        fn next_due(&self) -> Option<SimTime> {
+            self.ctl.next_due().or(self.late)
+        }
+        fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
+            self.ctl.replan_waiting(now)
+        }
+        fn committed_release(&self, node: usize) -> SimTime {
+            self.ctl.committed_release(node)
+        }
+        fn node_released(&mut self, node: usize, at: SimTime) {
+            self.ctl.node_released(node, at);
+        }
+        fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
+            self.ctl.plan_of(task)
+        }
+    }
+
+    #[test]
+    fn a_superseded_due_still_counts_and_ends_the_run() {
+        // The first arrival's turn arms a due event at `late`; the second
+        // arrival's turn supersedes it, and every chunk is released long
+        // before `late`. The stale event is still popped: it counts as an
+        // event processed and moves the clock, so the run ends at `late`.
+        let late = SimTime::new(1e6);
+        let frontend = Lingering {
+            ctl: AdmissionController::new(
+                ClusterParams::paper_baseline(),
+                AlgorithmKind::EDF_DLT,
+                PlanConfig::default(),
+            ),
+            late: Some(late),
+        };
+        let mut sim = Simulation::with_frontend(baseline_cfg(AlgorithmKind::EDF_DLT), frontend);
+        sim.prime([Task::new(1, 0.0, 200.0, 1e5), Task::new(2, 1.0, 200.0, 1e5)]);
+        while sim.step() {}
+        let events = sim.events_processed();
+        let (report, _) = sim.finish();
+        assert_eq!(report.metrics.completed, 2);
+        let chunks = report.trace.unwrap().chunks;
+        let last_release = chunks.iter().map(|c| c.compute_end).max().unwrap();
+        assert!(last_release < late, "released at {last_release}");
+        assert_eq!(
+            events,
+            2 + chunks.len() as u64 + 1,
+            "two arrivals, a release per chunk and the stale due"
+        );
+        assert_eq!(report.metrics.end_time, late.as_f64());
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! The discrete-event queue.
 //!
-//! Events are ordered by `(time, type priority, insertion sequence)`. The
-//! type priority resolves simultaneous events deterministically and in the
-//! causally sensible order: a node releasing at time `t` is visible to an
-//! arrival at the same `t`, and due work runs after state changes.
+//! Events come from three sources: the workload's **arrivals**, handed over
+//! by [`EventQueue::prime`] and kept as one stream sorted by arrival time;
+//! **node releases**, one per dispatched chunk; and **due work**, the
+//! frontend's next due instant, re-armed after every turn. Only the last
+//! two, which the run schedules itself, sit in a binary heap: a pop sifts
+//! through the chunks in flight, never through the workload still to come.
+//!
+//! One order covers all three: `(time, kind, insertion sequence)`. At one
+//! instant a release runs first (a node freed at `t` is visible to an
+//! arrival at `t`), then arrivals, then due work (after the state changes
+//! whose own turns may already have done it). Within a kind, ties keep
+//! insertion order: arrivals as primed (one batch by task id, a later batch
+//! after every arrival already queued), the rest as pushed.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rtdls_core::prelude::{NodeId, SimTime, Task, TaskId};
 
@@ -36,50 +45,34 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Tie-break priority at equal timestamps (lower runs first).
-    fn priority(&self) -> u8 {
+/// An event the run schedules itself, as the heap holds it. (Its `Ord`
+/// never decides: the insertion sequence ahead of it is unique.)
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Scheduled {
+    NodeRelease { node: NodeId, task: TaskId },
+    Due { generation: u64 },
+}
+
+/// The kind rank of an arrival at equal times (lower runs first).
+const ARRIVAL: u8 = 1;
+
+impl Scheduled {
+    /// The kind rank: a release before an [`ARRIVAL`], due work after it.
+    fn priority(self) -> u8 {
         match self {
-            Event::NodeRelease { .. } => 0,
-            Event::Arrival(_) => 1,
-            Event::Due { .. } => 2,
+            Scheduled::NodeRelease { .. } => 0,
+            Scheduled::Due { .. } => 2,
         }
-    }
-}
-
-/// A scheduled event.
-#[derive(Clone, Debug)]
-struct Entry {
-    time: SimTime,
-    priority: u8,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse to pop the earliest entry first.
-        (other.time, other.priority, other.seq).cmp(&(self.time, self.priority, self.seq))
     }
 }
 
 /// Min-queue of timed events with deterministic tie-breaking.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Entry>,
+    /// Arrivals not yet popped, sorted by arrival time.
+    arrivals: VecDeque<Task>,
+    /// `(time, kind, insertion sequence, event)`, earliest on top.
+    heap: BinaryHeap<Reverse<(SimTime, u8, u64, Scheduled)>>,
     next_seq: u64,
 }
 
@@ -89,42 +82,125 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.next_seq;
+    /// Queues a workload's arrivals (any order; arrival times rule, ties
+    /// by id). Arrivals already queued keep their order, ahead of any task
+    /// of this batch at the same instant.
+    pub fn prime(&mut self, tasks: impl IntoIterator<Item = Task>) {
+        let queued = self.arrivals.len();
+        self.arrivals.extend(tasks);
+        let all = self.arrivals.make_contiguous();
+        all[queued..].sort_by_key(|t| (t.arrival, t.id));
+        // Two sorted runs: a stable sort merges them in one pass.
+        all.sort_by_key(|t| t.arrival);
+    }
+
+    /// Schedules the release of `node` by `task`'s chunk at `time`.
+    pub fn push_release(&mut self, time: SimTime, node: NodeId, task: TaskId) {
+        self.push(time, Scheduled::NodeRelease { node, task });
+    }
+
+    /// Schedules due work stamped with `generation` at `time`.
+    pub fn push_due(&mut self, time: SimTime, generation: u64) {
+        self.push(time, Scheduled::Due { generation });
+    }
+
+    fn push(&mut self, time: SimTime, event: Scheduled) {
+        self.heap
+            .push(Reverse((time, event.priority(), self.next_seq, event)));
         self.next_seq += 1;
-        self.heap.push(Entry {
-            time,
-            priority: event.priority(),
-            seq,
-            event,
-        });
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        let arrival_first = match (self.arrivals.front(), self.heap.peek()) {
+            (Some(a), Some(Reverse((time, kind, ..)))) => (a.arrival, ARRIVAL) < (*time, *kind),
+            (arrival, _) => arrival.is_some(),
+        };
+        if arrival_first {
+            return self
+                .arrivals
+                .pop_front()
+                .map(|task| (task.arrival, Event::Arrival(task)));
+        }
+        let Reverse((time, _, _, event)) = self.heap.pop()?;
+        let event = match event {
+            Scheduled::NodeRelease { node, task } => Event::NodeRelease { node, task },
+            Scheduled::Due { generation } => Event::Due { generation },
+        };
+        Some((time, event))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+
+    /// The single-heap queue the stream replaced, kept as the reference:
+    /// every event, arrivals included, in one heap ordered by `(time,
+    /// kind, insertion sequence)`.
+    #[derive(Default)]
+    struct SingleHeap {
+        heap: BinaryHeap<HeapEntry>,
+        next_seq: u64,
+    }
+
+    struct HeapEntry {
+        time: SimTime,
+        priority: u8,
+        seq: u64,
+        event: Event,
+    }
+
+    impl PartialEq for HeapEntry {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl Eq for HeapEntry {}
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (other.time, other.priority, other.seq).cmp(&(self.time, self.priority, self.seq))
+        }
+    }
+
+    impl SingleHeap {
+        fn push(&mut self, time: SimTime, event: Event) {
+            let priority = match event {
+                Event::NodeRelease { .. } => 0,
+                Event::Arrival(_) => 1,
+                Event::Due { .. } => 2,
+            };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(HeapEntry {
+                time,
+                priority,
+                seq,
+                event,
+            });
+        }
+
+        /// What the engine's `prime` did: sort, then push one by one.
+        fn prime(&mut self, mut tasks: Vec<Task>) {
+            tasks.sort_by_key(|t| (t.arrival, t.id));
+            for t in tasks {
+                self.push(t.arrival, Event::Arrival(t));
+            }
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.heap.pop().map(|e| (e.time, e.event))
+        }
+    }
 
     fn release(node: u32) -> Event {
         Event::NodeRelease {
@@ -133,61 +209,124 @@ mod tests {
         }
     }
 
+    fn drain(q: &mut EventQueue) -> Vec<(SimTime, Event)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::new(5.0), release(1));
-        q.push(SimTime::new(1.0), release(2));
-        q.push(SimTime::new(3.0), release(3));
-        let times: Vec<f64> = std::iter::from_fn(|| q.pop())
-            .map(|(t, _)| t.as_f64())
-            .collect();
+        q.push_release(SimTime::new(5.0), NodeId(1), TaskId(0));
+        q.push_due(SimTime::new(1.0), 0);
+        q.prime([Task::new(7, 3.0, 1.0, 1.0)]);
+        let times: Vec<f64> = drain(&mut q).iter().map(|(t, _)| t.as_f64()).collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
 
     #[test]
-    fn equal_times_order_by_type_priority() {
+    fn equal_times_order_by_kind() {
         let mut q = EventQueue::new();
         let t = SimTime::new(7.0);
-        q.push(t, Event::Due { generation: 0 });
-        q.push(t, Event::Arrival(Task::new(1, 7.0, 1.0, 1.0)));
-        q.push(t, release(4));
-        let kinds: Vec<u8> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| e.priority())
-            .collect();
+        q.push_due(t, 0);
+        q.prime([Task::new(1, 7.0, 1.0, 1.0)]);
+        q.push_release(t, NodeId(4), TaskId(0));
+        let events: Vec<Event> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         assert_eq!(
-            kinds,
-            vec![0, 1, 2],
+            events,
+            vec![
+                release(4),
+                Event::Arrival(Task::new(1, 7.0, 1.0, 1.0)),
+                Event::Due { generation: 0 }
+            ],
             "release before arrival before due work"
         );
     }
 
     #[test]
-    fn equal_everything_orders_by_insertion() {
+    fn a_later_batch_queues_behind_arrivals_at_the_same_instant() {
         let mut q = EventQueue::new();
-        let t = SimTime::new(1.0);
-        q.push(t, Event::Arrival(Task::new(10, 1.0, 1.0, 1.0)));
-        q.push(t, Event::Arrival(Task::new(20, 1.0, 1.0, 1.0)));
-        let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
+        q.prime([Task::new(20, 1.0, 1.0, 1.0), Task::new(10, 1.0, 1.0, 1.0)]);
+        q.prime([Task::new(5, 1.0, 1.0, 1.0), Task::new(30, 0.5, 1.0, 1.0)]);
+        let ids: Vec<u64> = drain(&mut q)
+            .into_iter()
             .map(|(_, e)| match e {
                 Event::Arrival(task) => task.id.0,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(ids, vec![10, 20]);
+        assert_eq!(ids, vec![30, 10, 20, 5]);
     }
 
-    #[test]
-    fn peek_and_len_track_contents() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::new(2.0), release(0));
-        q.push(SimTime::new(1.0), release(1));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
+    /// One step of a random schedule: prime a batch, push a release or due
+    /// work, or pop.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Prime(Vec<(u8, u64)>),
+        Release(u8, u32, u64),
+        Due(u8, u64),
+        Pop,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (
+            0u8..10,
+            prop::collection::vec((0u8..6, 0u64..8), 0..6),
+            0u8..6,
+            0u32..4,
+            0u64..8,
+        )
+            .prop_map(|(kind, batch, at, node, key)| match kind {
+                0 => Op::Prime(batch),
+                1 | 2 => Op::Release(at, node, key),
+                3 => Op::Due(at, key),
+                _ => Op::Pop,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// The stream beside the heap pops exactly what one heap of every
+        /// event pops, the same time and event, under any interleaving:
+        /// batches primed before and after pops began, equal instants
+        /// across all three kinds and among arrivals (few distinct times,
+        /// repeated ids). Times never precede the last pop, as in a run.
+        #[test]
+        fn the_stream_beside_the_heap_pops_what_one_heap_pops(
+            ops in prop::collection::vec(op(), 0..60),
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference = SingleHeap::default();
+            let mut now = 0.0;
+            let time = |now: f64, at: u8| SimTime::new(now + f64::from(at / 2));
+            for op in ops.into_iter().chain(std::iter::repeat_n(Op::Pop, 400)) {
+                match op {
+                    Op::Prime(batch) => {
+                        let tasks: Vec<Task> = batch
+                            .iter()
+                            .map(|&(at, id)| Task::new(id, time(now, at), 1.0, 1.0))
+                            .collect();
+                        q.prime(tasks.iter().copied());
+                        reference.prime(tasks);
+                    }
+                    Op::Release(at, node, task) => {
+                        q.push_release(time(now, at), NodeId(node), TaskId(task));
+                        reference.push(time(now, at), Event::NodeRelease { node: NodeId(node), task: TaskId(task) });
+                    }
+                    Op::Due(at, generation) => {
+                        q.push_due(time(now, at), generation);
+                        reference.push(time(now, at), Event::Due { generation });
+                    }
+                    Op::Pop => {
+                        let got = q.pop();
+                        prop_assert_eq!(&got, &reference.pop());
+                        if let Some((t, _)) = got {
+                            now = t.as_f64();
+                        }
+                    }
+                }
+            }
+            prop_assert!(q.pop().is_none());
+        }
     }
 }

@@ -14,8 +14,8 @@
 //! Delivery order is `(deliver_at, send sequence)`: random per-message
 //! delays reorder messages naturally (a later send drawing a shorter delay
 //! overtakes an earlier one), while ties preserve send order — the same
-//! two-key determinism discipline as the engine's
-//! [`EventQueue`](crate::event::EventQueue).
+//! two-key determinism discipline the engine's
+//! [`EventQueue`](crate::event::EventQueue) keeps within each event kind.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
