@@ -204,16 +204,16 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     let (cold, report) = replay::<ShardedGateway>(standby.follower().bytes()).expect("replays");
     assert!(report.tail.is_clean());
     assert_eq!(
-        cold.capture().normalized(),
+        cold.capture(),
         gateway_snapshot_of(&wal),
         "standby state equals a cold recovery of the primary's WAL"
     );
 }
 
-/// Normalized snapshot of a cold replay of `wal` — the reference state.
+/// The captured state of a cold replay of `wal` — the reference state.
 fn gateway_snapshot_of(wal: &[u8]) -> GatewaySnapshot {
     let (gw, _) = replay::<ShardedGateway>(wal).expect("wal replays");
-    gw.capture().normalized()
+    gw.capture()
 }
 
 /// Both ends of one loopback connection: the primary's, the standby's.

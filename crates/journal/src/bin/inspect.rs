@@ -37,7 +37,11 @@ fn describe_snapshot(snap: &GatewaySnapshot) -> String {
     format!(
         "SNAPSHOT {} {} nodes × {} shard(s) | waiting {:?} | defer {} | reservations {} | \
          tenants {} | submitted {} accepted {} rejected {}",
-        if snap.sharded { "sharded" } else { "single" },
+        if snap.shards.len() > 1 {
+            "sharded"
+        } else {
+            "single"
+        },
         snap.params.num_nodes,
         snap.shards.len(),
         queues,

@@ -9,9 +9,12 @@
 //!    genesis snapshot, so one always exists in an undamaged log).
 //! 3. **Replay** the input events appended after that snapshot through the
 //!    gateway's ordinary code paths. The gateway is a deterministic state
-//!    machine over its inputs, so the replayed state equals the live
-//!    pre-crash state exactly (modulo wall-clock latency samples — see
-//!    [`GatewaySnapshot::normalized`]).
+//!    machine over its inputs and a snapshot holds nothing else, so the
+//!    replayed state's capture equals the live pre-crash capture exactly.
+//!    Wall-clock measurements are not state: the recovered gateway's
+//!    latency histograms and decision window start empty, so the
+//!    decisions this replay makes again are their first samples, while
+//!    every counter carries over.
 //! 4. **Re-verify**: re-run the strict Fig. 2 admission test over every
 //!    recovered waiting plan at the recovery instant. Time passed while the
 //!    gateway was down; any plan that no longer survives the strict test is

@@ -3,9 +3,12 @@
 //! A [`GatewaySnapshot`] is the complete durable image of a gateway at one
 //! instant: per-shard controller books (waiting queues with plans, committed
 //! node releases), the defer queue with its policy and ticket ids, the
-//! routing cursor, cumulative service metrics, and any undrained defer
-//! resolutions. Restoring a snapshot and replaying the journal events
-//! appended after it reproduces the pre-crash gateway exactly.
+//! routing cursor, cumulative service counters, and any undrained defer
+//! resolutions. It holds only what replay reproduces — every field is a
+//! function of the journaled inputs, and wall-clock measurements (the
+//! decision latency histograms, the decision window) stay process-local —
+//! so restoring a snapshot and replaying the journal events appended after
+//! it reproduces the pre-crash gateway's capture exactly, byte for byte.
 //! [`ShardedGateway`] is the one [`Recoverable`]; a single cluster is its
 //! one-shard case.
 
@@ -75,10 +78,6 @@ impl From<rtdls_core::error::ModelError> for JournalError {
 /// default-policy tracker, epoch 0.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GatewaySnapshot {
-    /// Whether the gateway has more than one shard. Derived from the
-    /// shard count on capture and ignored on restore; kept so the image's
-    /// key set matches every WAL written so far.
-    pub sharded: bool,
     /// Global cluster parameters the gateway fronts.
     pub params: ClusterParams,
     /// Scheduling policy × partitioning strategy.
@@ -102,7 +101,7 @@ pub struct GatewaySnapshot {
     /// The per-tenant quota policy in force.
     #[serde(default)]
     pub quota: QuotaPolicy,
-    /// Cumulative service metrics.
+    /// Cumulative service counters.
     pub metrics: MetricsSnapshot,
     /// Defer/reservation verdicts reached but not yet drained by the
     /// engine.
@@ -124,22 +123,6 @@ pub struct GatewaySnapshot {
     pub epoch: u64,
 }
 
-impl GatewaySnapshot {
-    /// The snapshot with its wall-clock latency histogram cleared.
-    ///
-    /// Everything in a snapshot is a deterministic function of the journaled
-    /// input events *except* the per-decision latency samples, which measure
-    /// real elapsed time and therefore differ between a live run and its
-    /// replay. Compare normalized snapshots when checking replay
-    /// determinism; compare raw snapshots for pure capture/restore
-    /// round-trips.
-    pub fn normalized(mut self) -> Self {
-        self.metrics.decision_latency = Default::default();
-        self.metrics.tenants = self.metrics.tenants.normalized();
-        self
-    }
-}
-
 /// A gateway the journal subsystem can persist and rebuild: the serving
 /// trait plus capture and restore, and mutable access to the bare
 /// [`ShardedGateway`] whose own methods are the per-event steps a turn is
@@ -149,9 +132,9 @@ impl GatewaySnapshot {
 /// serving trait itself.
 ///
 /// Implementors must be *deterministic state machines* over the journal's
-/// input events: same state + same inputs ⇒ same state. The gateway
-/// satisfies this (its only nondeterminism, wall-clock latency metrics,
-/// lives outside the captured state).
+/// input events: same state + same inputs ⇒ same capture. The gateway
+/// satisfies this (its only nondeterminism, the wall-clock half of its
+/// metrics, lives outside the captured state).
 pub trait Recoverable: EdgeGateway + Sized {
     /// Captures the complete durable state.
     fn capture(&self) -> GatewaySnapshot;
@@ -169,7 +152,6 @@ pub trait Recoverable: EdgeGateway + Sized {
 impl Recoverable for ShardedGateway {
     fn capture(&self) -> GatewaySnapshot {
         GatewaySnapshot {
-            sharded: self.num_shards() > 1,
             params: *self.params(),
             algorithm: self.algorithm(),
             routing: Some(self.routing()),
@@ -260,7 +242,6 @@ mod tests {
     fn sharded_capture_restore_round_trips_exactly() {
         let g = busy_sharded();
         let snap = g.capture();
-        assert!(snap.sharded);
         assert_eq!(snap.shards.len(), 4);
         let json = serde_json::to_string(&snap).unwrap();
         let back: GatewaySnapshot = serde_json::from_str(&json).unwrap();
@@ -290,7 +271,6 @@ mod tests {
         let t = Task::new(1, 0.0, 200.0, 30_000.0);
         g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
         let snap = g.capture();
-        assert!(!snap.sharded);
         assert_eq!(snap.routing, Some(Routing::RoundRobin));
         let restored: ShardedGateway = ShardedGateway::restore(&snap).unwrap();
         assert_eq!(restored.capture(), snap);
@@ -323,8 +303,6 @@ mod tests {
             live.decide(&probe, SimTime::new(10.0)),
             restored.decide(&probe, SimTime::new(10.0))
         );
-        // Wall-clock latency samples differ between the two processes;
-        // everything else must agree exactly.
-        assert_eq!(live.capture().normalized(), restored.capture().normalized());
+        assert_eq!(live.capture(), restored.capture());
     }
 }

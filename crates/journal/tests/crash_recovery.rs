@@ -447,8 +447,8 @@ fn one_wal_recovers_to_the_same_state_twice() {
             "kill_at={kill_at}: demotions diverged"
         );
         assert_eq!(
-            first.inner().capture().normalized(),
-            second.inner().capture().normalized(),
+            first.inner().capture(),
+            second.inner().capture(),
             "kill_at={kill_at}: recovered gateways diverged"
         );
         // And both recovered gateways keep deciding identically.
@@ -534,7 +534,7 @@ fn legacy_single_cluster_wal_recovers_as_one_shard() {
     assert_eq!(g.metrics().submitted, 6);
     // The rewritten journal opens with today's image of the same state.
     let snap = recovered.inner().capture();
-    assert!(!snap.sharded);
+    assert_eq!(snap.shards.len(), 1);
     assert!(snap.routing.is_some());
 }
 
@@ -912,8 +912,8 @@ fn reservation_bearing_wal_recovers_with_its_book_intact() {
 
 #[test]
 fn tenant_counters_survive_a_crash_and_restart() {
-    // Per-tenant metrics (counters + latency histograms) must round-trip
-    // through snapshot()/restore() across the durability boundary: drive
+    // Per-tenant counters must round-trip through snapshot()/restore()
+    // across the durability boundary: drive
     // tenant-tagged traffic (including a quota rejection), crash, recover,
     // and compare the tenant books.
     let gateway = ShardedGateway::new(
@@ -947,19 +947,10 @@ fn tenant_counters_survive_a_crash_and_restart() {
     let (recovered, _) =
         recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None).unwrap();
     let recovered_tenants = recovered.metrics().snapshot().tenants;
-    // Counters are deterministic and must match exactly; the latency
-    // histograms are wall-clock and compare only after normalization.
-    assert_eq!(
-        recovered_tenants.clone().normalized(),
-        live_tenants.clone().normalized()
-    );
+    // Every per-tenant counter survives the crash exactly.
+    assert_eq!(recovered_tenants, live_tenants);
     let t1 = recovered_tenants.get(TenantId(1)).unwrap();
     assert_eq!((t1.submitted, t1.accepted, t1.throttled), (4, 3, 1));
-    assert_eq!(
-        t1.decision_latency.count(),
-        4,
-        "tenant latency histogram has a serialization path"
-    );
     let t2 = recovered_tenants.get(TenantId(2)).unwrap();
     assert_eq!((t2.submitted, t2.accepted), (1, 1));
     // The quota policy survived too: tenant 1 is still throttled.

@@ -3,9 +3,9 @@
 //! with and without its optional parts, and the values older encodings
 //! (which lack the later-added fields) read back as. The strings were
 //! captured before the hand-written impls were deleted and pass on both
-//! sides of that change.
-
-use std::time::Duration;
+//! sides of that change. The metrics and gateway images have since lost
+//! their wall-clock keys; the images that still carry them are kept here
+//! and must restore.
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
@@ -142,6 +142,11 @@ fn defer_ticket_reads_a_ticket_that_predates_tenancy() {
     );
 }
 
+/// A `MetricsSnapshot` as images carried it until the wall-clock latency
+/// histograms left the durable image: with the retired batch counters and
+/// a `decision_latency` histogram, overall and per tenant.
+const LATENCY_ERA_METRICS: &str = r#"{"submitted":9,"accepted_immediate":4,"rejected_immediate":1,"deferred":2,"rescued":1,"defer_evicted":0,"defer_expired":1,"defer_flushed":0,"demoted":0,"demote_rejected":0,"retests":6,"batch_calls":1,"batch_tasks":3,"reserved":1,"reservations_activated":1,"reservation_misses":0,"reservations_flushed":0,"throttled":1,"rejection_causes":{"deadline_before_start":0,"no_time_for_transmission":0,"not_enough_nodes":1,"user_request_infeasible":0,"completion_after_deadline":0},"tenants":{"entries":[[5,{"submitted":9,"accepted":0,"reserved":0,"deferred":0,"rejected":0,"throttled":0,"demoted":0,"decision_latency":{"buckets":[],"count":0,"sum_ns":0,"max_ns":0}}]]},"decision_latency":{"buckets":[0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,1],"count":2,"sum_ns":90700,"max_ns":90000}}"#;
+
 #[test]
 fn metrics_snapshot_reads_a_pre_v2_image() {
     let mut m = MetricsSnapshot {
@@ -152,8 +157,6 @@ fn metrics_snapshot_reads_a_pre_v2_image() {
         rescued: 1,
         defer_expired: 1,
         retests: 6,
-        batch_calls: 1,
-        batch_tasks: 3,
         reserved: 1,
         reservations_activated: 1,
         throttled: 1,
@@ -161,10 +164,14 @@ fn metrics_snapshot_reads_a_pre_v2_image() {
     };
     m.rejection_causes.record(Infeasible::NotEnoughNodes);
     m.tenants.counters_mut(TenantId(5)).submitted = 9;
-    m.decision_latency.record(Duration::from_nanos(700));
-    m.decision_latency.record(Duration::from_nanos(90_000));
-    let json = r#"{"submitted":9,"accepted_immediate":4,"rejected_immediate":1,"deferred":2,"rescued":1,"defer_evicted":0,"defer_expired":1,"defer_flushed":0,"demoted":0,"demote_rejected":0,"retests":6,"batch_calls":1,"batch_tasks":3,"reserved":1,"reservations_activated":1,"reservation_misses":0,"reservations_flushed":0,"throttled":1,"rejection_causes":{"deadline_before_start":0,"no_time_for_transmission":0,"not_enough_nodes":1,"user_request_infeasible":0,"completion_after_deadline":0},"tenants":{"entries":[[5,{"submitted":9,"accepted":0,"reserved":0,"deferred":0,"rejected":0,"throttled":0,"demoted":0,"decision_latency":{"buckets":[],"count":0,"sum_ns":0,"max_ns":0}}]]},"decision_latency":{"buckets":[0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,1],"count":2,"sum_ns":90700,"max_ns":90000}}"#;
+    let json = r#"{"submitted":9,"accepted_immediate":4,"rejected_immediate":1,"deferred":2,"rescued":1,"defer_evicted":0,"defer_expired":1,"defer_flushed":0,"demoted":0,"demote_rejected":0,"retests":6,"reserved":1,"reservations_activated":1,"reservation_misses":0,"reservations_flushed":0,"throttled":1,"rejection_causes":{"deadline_before_start":0,"no_time_for_transmission":0,"not_enough_nodes":1,"user_request_infeasible":0,"completion_after_deadline":0},"tenants":{"entries":[[5,{"submitted":9,"accepted":0,"reserved":0,"deferred":0,"rejected":0,"throttled":0,"demoted":0}]]}}"#;
     pinned(&m, json);
+    // An image of the latency era restores with every counter intact; its
+    // histograms and batch counters are skipped as unknown keys.
+    assert_eq!(
+        serde_json::from_str::<MetricsSnapshot>(LATENCY_ERA_METRICS).unwrap(),
+        m
+    );
     let v2 = [
         "reserved",
         "reservations_activated",
@@ -186,10 +193,6 @@ fn metrics_snapshot_reads_a_pre_v2_image() {
             ..m
         }
     );
-    // The histogram is never optional.
-    assert!(
-        serde_json::from_str::<MetricsSnapshot>(&without(json, &["decision_latency"])).is_err()
-    );
 }
 
 #[test]
@@ -206,7 +209,7 @@ fn gateway_snapshot_reads_a_pre_redesign_image() {
     .unwrap();
     let req = SubmitRequest::new(Task::new(1, 0.0, 10.0, 5_000.0)).with_tenant(TenantId(3));
     assert!(g.decide(&req, SimTime::ZERO).is_accepted());
-    let snap = g.capture().normalized();
+    let snap = g.capture();
     let json = serde_json::to_string(&snap).unwrap();
     // 8 369 bytes of mostly empty SLO windows: pinned by key order, length
     // and hash, not by literal.
@@ -217,7 +220,6 @@ fn gateway_snapshot_reads_a_pre_redesign_image() {
     assert_eq!(
         keys,
         [
-            "sharded",
             "params",
             "algorithm",
             "routing",
@@ -233,13 +235,41 @@ fn gateway_snapshot_reads_a_pre_redesign_image() {
             "epoch"
         ]
     );
-    assert_eq!(json.len(), 8_369);
+    assert_eq!(json.len(), 8_189);
     assert_eq!(
         fnv1a64(FNV_OFFSET, json.as_bytes()),
-        1_925_505_634_799_635_279
+        14_004_558_726_781_985_332
     );
     assert_eq!(
         serde_json::from_str::<GatewaySnapshot>(&json).unwrap(),
+        snap
+    );
+
+    // The same state as images carried it until the wall-clock latency
+    // histograms left them — `sharded`, the retired batch counters, and a
+    // `decision_latency` histogram per tenant and overall (empty, as
+    // pinned then) — is byte for byte the image pinned then, and restores
+    // with every counter intact.
+    let latency = r#""decision_latency":{"buckets":[],"count":0,"sum_ns":0,"max_ns":0}"#;
+    let latency_era = json
+        .replacen('{', r#"{"sharded":false,"#, 1)
+        .replacen(
+            r#""retests":0,"#,
+            r#""retests":0,"batch_calls":0,"batch_tasks":0,"#,
+            1,
+        )
+        .replacen(
+            r#""demoted":0}]]}}"#,
+            &format!(r#""demoted":0,{latency}}}]]}},{latency}}}"#),
+            1,
+        );
+    assert_eq!(latency_era.len(), 8_369);
+    assert_eq!(
+        fnv1a64(FNV_OFFSET, latency_era.as_bytes()),
+        1_925_505_634_799_635_279
+    );
+    assert_eq!(
+        serde_json::from_str::<GatewaySnapshot>(&latency_era).unwrap(),
         snap
     );
 

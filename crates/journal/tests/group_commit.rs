@@ -98,31 +98,6 @@ fn turns(seed: u64, n: usize) -> Vec<(SimTime, Vec<SubmitRequest>)> {
         .collect()
 }
 
-/// Asserts two logs tell the same story frame for frame: the same kinds in
-/// the same order, event frames byte-identical, snapshots equal once their
-/// wall-clock latency samples (the one thing two live runs of the same
-/// inputs differ in) are set aside.
-fn assert_same_log(a: &[u8], b: &[u8]) {
-    use rtdls_journal::wire::{decode_frames, RecordKind};
-    let ((a, a_tail), (b, b_tail)) = (decode_frames(a), decode_frames(b));
-    assert!(a_tail.is_clean() && b_tail.is_clean());
-    assert_eq!(a.len(), b.len(), "same number of frames");
-    for (a, b) in a.iter().zip(&b) {
-        assert_eq!(a.kind, b.kind);
-        if a.kind == RecordKind::Event {
-            assert_eq!(a.payload, b.payload);
-        } else {
-            let snapshot = |payload: &[u8]| -> GatewaySnapshot {
-                serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap()
-            };
-            assert_eq!(
-                snapshot(&a.payload).normalized(),
-                snapshot(&b.payload).normalized()
-            );
-        }
-    }
-}
-
 #[test]
 fn a_held_turn_is_one_append_and_one_sync() {
     for policy in [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend] {
@@ -187,7 +162,10 @@ fn a_snapshot_inside_a_held_turn_is_one_reset_and_the_same_file() {
             through.journal().bytes()
         );
         assert_eq!(FileSink::read(&held_path).unwrap(), held.journal().bytes());
-        assert_same_log(held.journal().bytes(), through.journal().bytes());
+        assert!(
+            held.journal().bytes() == through.journal().bytes(),
+            "holding a turn changes no byte of the log"
+        );
         if held.journal().snapshots_appended() > snapshots_before {
             snapshot_turns += 1;
             assert_eq!(

@@ -5,8 +5,7 @@
 //! * **Replay determinism** — `recover(journal(events)) == live_state(events)`:
 //!   for arbitrary workloads, shard counts, routings, snapshot cadences, and
 //!   kill points, restoring the last snapshot and replaying the input tail
-//!   rebuilds the live gateway *exactly* (modulo wall-clock latency samples,
-//!   which measure real time and cannot replay).
+//!   rebuilds the live gateway's capture *exactly*.
 //! * **Torn tails** — truncating or corrupting the log at an arbitrary byte
 //!   never panics recovery and never loses a record before the damage
 //!   point: recovery comes back with a clean prefix of the history (or
@@ -115,12 +114,12 @@ proptest! {
     ) {
         let tasks = workload(params, load, dc, seed);
         let sim = drive(params, tasks, journaled(params, shards, routing, snapshot_every), kill_at);
-        let live = sim.frontend().inner().capture().normalized();
+        let live = sim.frontend().inner().capture();
         let bytes = sim.frontend().journal().bytes().to_vec();
 
         let (replayed, report) = replay::<ShardedGateway>(&bytes).unwrap();
         prop_assert!(report.tail.is_clean());
-        prop_assert_eq!(replayed.capture().normalized(), live);
+        prop_assert_eq!(replayed.capture(), live);
     }
 
     /// A `FileSink` keeps zeros ahead of its log and `FileSink::read`
@@ -160,7 +159,7 @@ proptest! {
             replay::<ShardedGateway>(genesis_only.frontend().journal().bytes()).unwrap();
         let (b, rep_b) =
             replay::<ShardedGateway>(compacting.frontend().journal().bytes()).unwrap();
-        prop_assert_eq!(a.capture().normalized(), b.capture().normalized());
+        prop_assert_eq!(a.capture(), b.capture());
         // The compacted log replays from a much later snapshot. (The tail
         // can exceed the cadence by the handful of inputs appended between
         // two cadence checks, but never by a whole epoch.)
@@ -247,8 +246,8 @@ proptest! {
             replay::<ShardedGateway>(&bytes[..damaged_frame_start]).unwrap();
         prop_assert_eq!(prefix_rep.frames_decoded, report.frames_decoded);
         prop_assert_eq!(
-            g.capture().normalized(),
-            prefix_g.capture().normalized()
+            g.capture(),
+            prefix_g.capture()
         );
     }
 }

@@ -156,7 +156,7 @@ pub struct FailoverOutcome {
     /// The follower's applied journal prefix at the promotion instant —
     /// the bytes a reference recovery must reproduce the new primary from.
     pub shipped_prefix: Vec<u8>,
-    /// The promoted gateway's normalized state immediately after the
+    /// The promoted gateway's captured state immediately after the
     /// re-admission pass (before any post-promotion traffic).
     pub promoted_genesis: Option<GatewaySnapshot>,
     /// The dead primary's full journal at the kill instant (includes the
@@ -299,7 +299,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
             .follower
             .promote(now, self.plan.journal, None)
             .expect("should_promote implies a standby exists");
-        self.promoted_genesis = Some(promoted.inner().capture().normalized());
+        self.promoted_genesis = Some(promoted.inner().capture());
         self.promotion = Some(record);
         self.promoted_at = Some(now);
         // The zombie wakes up and ships its tail. The still-alive follower

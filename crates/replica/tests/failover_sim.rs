@@ -25,8 +25,8 @@ const SPLIT_FROM: f64 = 1_910.0;
 const SPLIT_UNTIL: f64 = 2_600.0;
 const PROMOTE_AFTER: f64 = 2_000.0;
 
-/// Byte-determinism requires genesis-only snapshots: later snapshots embed
-/// wall-clock latency histograms, the one thing replay cannot reproduce.
+/// Genesis-only snapshots: the shipped prefix is the primary's whole log,
+/// so every frame it ever journaled reaches the reference recovery.
 fn journal_cfg() -> JournalConfig {
     JournalConfig {
         snapshot_every: 0,
@@ -34,7 +34,18 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
+/// Periodic snapshots that compact the log: the bit-identity check runs
+/// this arm too, so snapshots written mid-run are compared byte for byte.
+const COMPACTING: JournalConfig = JournalConfig {
+    snapshot_every: 64,
+    compact_on_snapshot: true,
+};
+
 fn primary() -> JournaledGateway<ShardedGateway> {
+    primary_with(journal_cfg())
+}
+
+fn primary_with(journal: JournalConfig) -> JournaledGateway<ShardedGateway> {
     let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         2,
@@ -44,7 +55,7 @@ fn primary() -> JournaledGateway<ShardedGateway> {
         DeferPolicy::default(),
     )
     .unwrap();
-    JournaledGateway::new(gateway, journal_cfg())
+    JournaledGateway::new(gateway, journal)
 }
 
 /// The scripted workload. Absolute-time landmarks:
@@ -94,6 +105,10 @@ fn workload() -> Vec<Task> {
 }
 
 fn plan(seed: u64) -> FailoverPlan {
+    plan_with(seed, journal_cfg())
+}
+
+fn plan_with(seed: u64, journal: JournalConfig) -> FailoverPlan {
     FailoverPlan::kill_at(SimTime::new(KILL_AT), seed)
         .with_fault(
             FaultPlan::clean(seed)
@@ -112,13 +127,22 @@ fn plan(seed: u64) -> FailoverPlan {
         .with_follower(FollowerConfig {
             promote_after: PROMOTE_AFTER,
         })
-        .with_journal(journal_cfg())
+        .with_journal(journal)
 }
 
 fn run(seed: u64) -> (SimReport, ReplicaFrontend<ShardedGateway>) {
+    run_with(seed, journal_cfg())
+}
+
+fn run_with(seed: u64, journal: JournalConfig) -> (SimReport, ReplicaFrontend<ShardedGateway>) {
     let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
         .with_tenants(TenantMix::uniform(3));
-    run_failover(cfg, primary(), plan(seed), workload())
+    run_failover(
+        cfg,
+        primary_with(journal),
+        plan_with(seed, journal),
+        workload(),
+    )
 }
 
 /// Task ids carried by the input (submission) events of a WAL.
@@ -158,7 +182,7 @@ fn assert_promotion_is_a_recovery_of_the_shipped_prefix(out: &FailoverOutcome) {
     let _ = reference.book_mut().take_breach_log();
     let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
     let genesis = out.promoted_genesis.clone().expect("promotion snapshot");
-    let ref_state = reference.inner().capture().normalized();
+    let ref_state = reference.inner().capture();
     assert_eq!(
         genesis.shards, ref_state.shards,
         "per-shard ControllerState diverged from the reference recovery"
@@ -318,21 +342,31 @@ fn one_trace_id_reconstructs_the_cross_node_timeline_after_failover() {
 
 #[test]
 fn the_whole_scenario_replays_bit_identically_from_its_seed() {
-    for seed in 42..=49 {
-        let (r1, f1) = run(seed);
-        let (r2, f2) = run(seed);
-        // The forensic outcome covers every byte that matters: the shipped
-        // prefix, the promoted genesis snapshot, the dead primary's WAL,
-        // all link/follower/shipper counters.
-        assert_eq!(f1.outcome(), f2.outcome(), "seed {seed}");
-        assert_eq!(r1.metrics.accepted, r2.metrics.accepted);
-        assert_eq!(r1.metrics.rejected, r2.metrics.rejected);
-        assert_eq!(r1.metrics.completed, r2.metrics.completed);
-        assert_eq!(r1.metrics.deadline_misses, r2.metrics.deadline_misses);
+    for journal in [journal_cfg(), COMPACTING] {
+        for seed in 42..=49 {
+            let (r1, f1) = run_with(seed, journal);
+            let (r2, f2) = run_with(seed, journal);
+            // The forensic outcome covers every byte that matters: the
+            // shipped prefix, the promoted genesis snapshot, the dead
+            // primary's WAL, all link/follower/shipper counters.
+            let out = f1.outcome();
+            assert_eq!(out, f2.outcome(), "{journal:?} seed {seed}");
+            assert_eq!(r1.metrics.accepted, r2.metrics.accepted);
+            assert_eq!(r1.metrics.rejected, r2.metrics.rejected);
+            assert_eq!(r1.metrics.completed, r2.metrics.completed);
+            assert_eq!(r1.metrics.deadline_misses, r2.metrics.deadline_misses);
+            if journal.compact_on_snapshot {
+                // The primary compacted before it died: its log opens on a
+                // snapshot taken mid-run, not on the genesis image.
+                let (frames, _) = decode_frames(&out.primary_wal);
+                let opening: GatewaySnapshot = serde_json::from_slice(&frames[0].payload).unwrap();
+                assert!(opening.metrics.submitted > 0, "seed {seed}");
+            }
 
-        // A different seed misbehaves differently.
-        let (_, f3) = run(seed + 1);
-        assert_ne!(f1.outcome(), f3.outcome(), "seed {seed}");
+            // A different seed misbehaves differently.
+            let (_, f3) = run_with(seed + 1, journal);
+            assert_ne!(out, f3.outcome(), "{journal:?} seed {seed}");
+        }
     }
 }
 

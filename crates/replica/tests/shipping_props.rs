@@ -149,7 +149,7 @@ fn pump(schedule: &Schedule) -> RunResult {
         ship_stats: shipper.stats(),
         link: link.stats(),
         acks: acks.stats(),
-        standby: follower.standby().map(|g| g.capture().normalized()),
+        standby: follower.standby().map(|g| g.capture()),
     }
 }
 
@@ -177,7 +177,7 @@ proptest! {
         if let Some(standby) = &run.standby {
             let (cold, report) = replay::<ShardedGateway>(&run.mirror).expect("mirror replays");
             prop_assert!(report.tail.is_clean());
-            prop_assert_eq!(standby, &cold.capture().normalized());
+            prop_assert_eq!(standby, &cold.capture());
         } else {
             // Nothing (not even the genesis snapshot) arrived: the mirror
             // must be empty too.

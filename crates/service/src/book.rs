@@ -761,14 +761,10 @@ pub(crate) fn reverify_controller(
     demoted
 }
 
-/// Stamps the wall-clock window around one decision and books it, its
-/// latency sample included, globally and under the request's tenant.
+/// Books one decision globally and under the request's tenant, its
+/// wall-clock half (window and latency sample) included.
 pub(crate) fn record_request(metrics: &mut ServiceMetrics, start: Instant, tenant: TenantId) {
-    let elapsed = start.elapsed();
     metrics.submitted += 1;
-    metrics.stamp_decision_window(start);
-    metrics.decision_latency.record(elapsed);
-    let counters = metrics.tenants.counters_mut(tenant);
-    counters.submitted += 1;
-    counters.decision_latency.record(elapsed);
+    metrics.tenants.counters_mut(tenant).submitted += 1;
+    metrics.record_decision(start, tenant);
 }

@@ -1,11 +1,13 @@
 //! Gateway observability: decision counters, defer-queue accounting, and
-//! per-decision latency histograms — plus the serializable
-//! [`MetricsSnapshot`] a journal persists so a recovered gateway keeps its
-//! cumulative counters and histograms instead of resetting to zero. The
-//! histogram is `rtdls-telemetry`'s [`LatencyHistogram`], re-exported here
-//! under the name (and with the serialized shape) snapshots have always
-//! held.
+//! per-decision latency histograms. The counters form the serializable
+//! [`MetricsSnapshot`] a journal persists, so a recovered gateway keeps
+//! them instead of resetting to zero; like everything else in a snapshot,
+//! they are a function of the journaled inputs alone. The wall-clock half —
+//! the decision window and the latency histograms, global and per tenant —
+//! is process-local: it measures this process and restarts with it. The
+//! histogram is `rtdls-telemetry`'s [`LatencyHistogram`], re-exported here.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -15,8 +17,8 @@ use rtdls_core::prelude::{Infeasible, TenantId};
 
 pub use rtdls_telemetry::LatencyHistogram;
 
-/// Cumulative per-tenant decision counters plus the tenant's own decision
-/// latency histogram. Lives inside [`TenantMetrics`], keyed by tenant id.
+/// Cumulative per-tenant decision counters. Lives inside [`TenantMetrics`],
+/// keyed by tenant id.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantCounters {
     /// Requests submitted by this tenant.
@@ -38,13 +40,10 @@ pub struct TenantCounters {
     /// rejection — net admitted = `accepted − demoted`, mirroring
     /// [`MetricsSnapshot::accepted_total`]).
     pub demoted: u64,
-    /// Wall-clock latency of this tenant's admission decisions.
-    pub decision_latency: LatencyHistogram,
 }
 
 /// Tenant-keyed decision metrics: one [`TenantCounters`] per tenant that
-/// has ever submitted, id-sorted so equal books serialize identically and
-/// both admission engines produce byte-identical snapshots.
+/// has ever submitted, id-sorted so equal books serialize identically.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantMetrics {
     /// `(tenant id, counters)` pairs, sorted by tenant id.
@@ -83,17 +82,6 @@ impl TenantMetrics {
     /// Iterates `(tenant, counters)` in tenant-id order.
     pub fn iter(&self) -> impl Iterator<Item = (TenantId, &TenantCounters)> {
         self.entries.iter().map(|(id, c)| (TenantId(*id), c))
-    }
-
-    /// The metrics with every per-tenant latency histogram cleared.
-    /// Latencies measure real elapsed time and differ between a live run
-    /// and its replay; everything else is deterministic (see
-    /// `GatewaySnapshot::normalized` in `rtdls-journal`).
-    pub fn normalized(mut self) -> Self {
-        for (_, counters) in &mut self.entries {
-            counters.decision_latency = LatencyHistogram::default();
-        }
-        self
     }
 }
 
@@ -167,11 +155,11 @@ impl RejectionCauses {
     }
 }
 
-/// The durable image of the gateway's cumulative counters and latency
-/// histogram — everything in [`ServiceMetrics`] except the process-local
-/// wall-clock window. Journals persist this inside gateway snapshots, and
-/// [`ServiceMetrics`] embeds it directly (reachable through `Deref`), so
-/// the two can never drift apart field-wise.
+/// The durable image of the gateway's cumulative counters — everything in
+/// [`ServiceMetrics`] except its process-local wall-clock half. Journals
+/// persist this inside gateway snapshots, and [`ServiceMetrics`] embeds it
+/// directly (reachable through `Deref`), so the two can never drift apart
+/// field-wise.
 ///
 /// The fields marked `#[serde(default)]` arrived with the v2
 /// request/verdict redesign (`reserved` … `throttled`) and the explain/SLO
@@ -208,12 +196,6 @@ pub struct MetricsSnapshot {
     pub demote_rejected: u64,
     /// Re-test attempts performed across all defer-queue sweeps.
     pub retests: u64,
-    /// Calls of the retired batched submission path. Nothing counts here
-    /// any more; kept so that images written while it existed restore.
-    pub batch_calls: u64,
-    /// Tasks that went through the retired batched path (see
-    /// [`batch_calls`](MetricsSnapshot::batch_calls)).
-    pub batch_tasks: u64,
     /// Reservations booked (`Verdict::Reserved`).
     #[serde(default)]
     pub reserved: u64,
@@ -233,11 +215,9 @@ pub struct MetricsSnapshot {
     /// Rejections broken down by [`Infeasible`] cause.
     #[serde(default)]
     pub rejection_causes: RejectionCauses,
-    /// Per-tenant decision counters and latency histograms.
+    /// Per-tenant decision counters.
     #[serde(default)]
     pub tenants: TenantMetrics,
-    /// Wall-clock latency of each admission decision.
-    pub decision_latency: LatencyHistogram,
 }
 
 impl MetricsSnapshot {
@@ -284,7 +264,8 @@ impl MetricsSnapshot {
 
 /// Aggregated gateway statistics: the durable [`MetricsSnapshot`] counters
 /// (all reachable directly on this type through `Deref`) plus the
-/// process-local wall-clock decision window.
+/// process-local wall-clock half — the decision window and the decision
+/// latency histograms, global and per tenant.
 ///
 /// Counters split decisions into their *initial* verdict (accepted /
 /// deferred / rejected at submission) and the *final* fate of deferred
@@ -293,6 +274,8 @@ impl MetricsSnapshot {
 #[derive(Clone, Debug, Default)]
 pub struct ServiceMetrics {
     counters: MetricsSnapshot,
+    decision_latency: LatencyHistogram,
+    tenant_latency: BTreeMap<TenantId, LatencyHistogram>,
     first_decision: Option<Instant>,
     last_decision: Option<Instant>,
 }
@@ -316,42 +299,58 @@ impl ServiceMetrics {
         Self::default()
     }
 
-    /// Stamps the wall-clock window around one decision.
-    pub fn stamp_decision_window(&mut self, at: Instant) {
-        if self.first_decision.is_none() {
-            self.first_decision = Some(at);
-        }
-        self.last_decision = Some(at);
+    /// Books the wall-clock half of one decision that began at `start`:
+    /// stamps the decision window and records the elapsed time, globally
+    /// and under `tenant`.
+    pub fn record_decision(&mut self, start: Instant, tenant: TenantId) {
+        let elapsed = start.elapsed();
+        self.first_decision.get_or_insert(start);
+        self.last_decision = Some(start);
+        self.decision_latency.record(elapsed);
+        self.tenant_latency
+            .entry(tenant)
+            .or_default()
+            .record(elapsed);
     }
 
-    /// Admission decisions per wall-clock second over the observed window
-    /// (0 with fewer than two decisions).
+    /// Wall-clock latency of each admission decision this process made.
+    pub fn decision_latency(&self) -> &LatencyHistogram {
+        &self.decision_latency
+    }
+
+    /// Wall-clock latency of one tenant's admission decisions in this
+    /// process, if it made any.
+    pub fn tenant_latency(&self, tenant: TenantId) -> Option<&LatencyHistogram> {
+        self.tenant_latency.get(&tenant)
+    }
+
+    /// Admission decisions per wall-clock second over this process's
+    /// decision window (0 with fewer than two decisions). Counts the
+    /// window's own decisions, not the restored cumulative `submitted`.
     pub fn decisions_per_sec(&self) -> f64 {
         match (self.first_decision, self.last_decision) {
-            (Some(a), Some(b)) if b > a => self.submitted as f64 / (b - a).as_secs_f64(),
+            (Some(a), Some(b)) if b > a => {
+                self.decision_latency.count() as f64 / (b - a).as_secs_f64()
+            }
             _ => 0.0,
         }
     }
 
-    /// Serializable copy of every cumulative counter and histogram. The
-    /// wall-clock decision window ([`decisions_per_sec`]) is process-local
-    /// state (`Instant`s) and intentionally not captured — it restarts with
-    /// the process.
-    ///
-    /// [`decisions_per_sec`]: ServiceMetrics::decisions_per_sec
+    /// Serializable copy of every cumulative counter — a function of the
+    /// journaled inputs alone. The wall-clock half is process-local and
+    /// intentionally not captured: it restarts with the process.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.counters.clone()
     }
 
     /// Rebuilds metrics from a snapshot so a recovered gateway continues its
     /// cumulative counters instead of resetting to zero. The inverse of
-    /// [`snapshot`](ServiceMetrics::snapshot) up to the (uncaptured)
-    /// wall-clock window.
+    /// [`snapshot`](ServiceMetrics::snapshot); the wall-clock half starts
+    /// empty, from this process's first decision.
     pub fn restore(snap: &MetricsSnapshot) -> Self {
         ServiceMetrics {
             counters: snap.clone(),
-            first_decision: None,
-            last_decision: None,
+            ..Self::default()
         }
     }
 }
@@ -430,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_counters_and_histogram() {
+    fn snapshot_restore_round_trips_counters_not_latency() {
         let mut m = ServiceMetrics::new();
         m.submitted = 11;
         m.accepted_immediate = 6;
@@ -439,27 +438,38 @@ mod tests {
         m.defer_expired = 1;
         m.demoted = 1;
         m.retests = 40;
-        m.batch_calls = 2;
-        m.batch_tasks = 8;
-        for us in [3u64, 17, 210, 9000] {
-            m.decision_latency.record(Duration::from_micros(us));
-        }
-        m.stamp_decision_window(Instant::now());
+        m.tenants.counters_mut(TenantId(4)).submitted = 11;
+        m.record_decision(Instant::now(), TenantId(4));
         let snap = m.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
+        assert!(!json.contains("latency"), "{json}");
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
         let restored = ServiceMetrics::restore(&back);
         assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.accepted_total(), m.accepted_total());
         assert_eq!(restored.rejected_total(), m.rejected_total());
-        assert_eq!(restored.decision_latency, m.decision_latency);
-        assert_eq!(
-            restored.decision_latency.quantile_ns(0.5),
-            m.decision_latency.quantile_ns(0.5)
-        );
-        // The wall-clock window is process-local and resets.
+        // The wall-clock half is process-local and restarts empty.
+        assert_eq!(restored.decision_latency().count(), 0);
+        assert!(restored.tenant_latency(TenantId(4)).is_none());
         assert_eq!(restored.decisions_per_sec(), 0.0);
+    }
+
+    #[test]
+    fn a_restored_gateway_rates_only_its_own_decisions() {
+        let mut m = ServiceMetrics::restore(&MetricsSnapshot {
+            submitted: 10_000,
+            ..MetricsSnapshot::default()
+        });
+        let first = Instant::now();
+        let second = first + Duration::from_millis(1);
+        m.record_decision(first, TenantId(0));
+        m.record_decision(second, TenantId(0));
+        assert_eq!(m.submitted, 10_000);
+        // Two decisions in a 1 ms window: about 2 000 a second, not the
+        // 10 M the restored all-time count would give.
+        let rate = m.decisions_per_sec();
+        assert!((1_000.0..=4_000.0).contains(&rate), "{rate} decisions/s");
     }
 
     #[test]
@@ -482,6 +492,6 @@ mod tests {
         assert_eq!(m.defer_rescue_rate(), 0.0);
         assert_eq!(m.accept_ratio(), 0.0);
         assert_eq!(m.decisions_per_sec(), 0.0);
-        assert_eq!(m.decision_latency.quantile_ns(0.99), 0);
+        assert_eq!(m.decision_latency().quantile_ns(0.99), 0);
     }
 }

@@ -1099,12 +1099,13 @@ mod tests {
         assert_eq!(d, Verdict::Accepted);
         assert_eq!(g.metrics().accepted_immediate, 1);
         assert_eq!(g.metrics().submitted, 1);
-        assert!(g.metrics().decision_latency.count() == 1);
+        assert_eq!(g.metrics().decision_latency().count(), 1);
         // The default envelope books the anonymous tenant.
         let t0 = g.metrics().tenants.get(TenantId(0)).unwrap();
         assert_eq!(t0.submitted, 1);
         assert_eq!(t0.accepted, 1);
-        assert_eq!(t0.decision_latency.count(), 1);
+        let t0_latency = g.metrics().tenant_latency(TenantId(0)).unwrap();
+        assert_eq!(t0_latency.count(), 1);
         assert_eq!(g.ledger().count_for(TenantId(0)), 1);
     }
 

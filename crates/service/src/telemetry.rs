@@ -64,12 +64,13 @@ pub fn fold_service_metrics(reg: &mut MetricsRegistry, metrics: &ServiceMetrics)
         &[],
         metrics.decisions_per_sec(),
     );
+    let latency = metrics.decision_latency();
     reg.histogram(
         "rtdls_decision_latency_ns",
         &[],
-        metrics.decision_latency.occupied().collect(),
-        metrics.decision_latency.count(),
-        metrics.decision_latency.sum_ns() as f64,
+        latency.occupied().collect(),
+        latency.count(),
+        latency.sum_ns() as f64,
     );
     // Per-tenant books: verdict-labeled counters keyed by tenant id.
     for (tenant, counters) in metrics.tenants.iter() {
@@ -158,7 +159,7 @@ pub fn fold_engine_profile(reg: &mut MetricsRegistry, profile: &EngineProfile, s
 mod tests {
     use super::*;
     use rtdls_core::prelude::TenantId;
-    use std::time::Duration;
+    use std::time::Instant;
 
     #[test]
     fn service_metrics_fold_covers_counters_tenants_and_latency() {
@@ -167,7 +168,7 @@ mod tests {
         metrics.accepted_immediate = 6;
         metrics.reserved = 2;
         metrics.throttled = 1;
-        metrics.decision_latency.record(Duration::from_micros(5));
+        metrics.record_decision(Instant::now(), TenantId(3));
         metrics.tenants.counters_mut(TenantId(3)).accepted = 4;
         let mut reg = MetricsRegistry::new();
         fold_service_metrics(&mut reg, &metrics);

@@ -3,15 +3,15 @@
 //! Bucket `i` holds samples in `[2^i, 2^(i+1))` ns (0 lands in bucket 0) and
 //! reports `2^(i+1)` as its upper bound, so a quantile read off the bounds
 //! is within 2× of the sample — plenty for latencies that span a branch and
-//! a batch fsync on one scale. Gateway decision latencies
-//! (`MetricsSnapshot::decision_latency`, per tenant and overall) and every
-//! profiler phase are this type; [`quantile`] is the one walk over
-//! `(bound, count)` pairs, which the registry's `HistogramSample` calls too.
+//! a batch fsync on one scale. Gateway decision latencies (per tenant and
+//! overall, process-local in `ServiceMetrics`) and every profiler phase are
+//! this type; [`quantile`] is the one walk over `(bound, count)` pairs,
+//! which the registry's `HistogramSample` calls too. It is never
+//! serialized: a latency measures one process's wall clock, and nothing
+//! durable holds one.
 
 use std::fmt;
 use std::time::Duration;
-
-use serde::{Deserialize, Serialize};
 
 const BUCKETS: usize = 64;
 
@@ -117,49 +117,6 @@ impl LatencyHistogram {
     }
 }
 
-// Hand-written serde, for a reason a derive cannot state: the 64 buckets
-// travel as a sequence with its trailing zero buckets dropped (snapshots
-// hold one histogram per tenant, most of them short), and a sequence longer
-// than 64 is refused rather than truncated. The keys and their order are
-// declared once, on the shape both impls go through.
-#[derive(Serialize, Deserialize)]
-struct Wire {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl Serialize for LatencyHistogram {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        let used = BUCKETS - self.buckets.iter().rev().take_while(|&&b| b == 0).count();
-        let wire = Wire {
-            buckets: self.buckets[..used].to_vec(),
-            count: self.count,
-            sum_ns: self.sum_ns(),
-            max_ns: self.max_ns,
-        };
-        wire.write_json(out)
-    }
-}
-
-impl Deserialize for LatencyHistogram {
-    fn read_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::Error> {
-        let wire = Wire::read_json(p)?;
-        if wire.buckets.len() > BUCKETS {
-            return Err(serde::Error::msg("histogram has more than 64 buckets"));
-        }
-        let mut buckets = [0u64; BUCKETS];
-        buckets[..wire.buckets.len()].copy_from_slice(&wire.buckets);
-        Ok(LatencyHistogram {
-            buckets,
-            count: wire.count,
-            sum_ns: wire.sum_ns as u128,
-            max_ns: wire.max_ns,
-        })
-    }
-}
-
 impl fmt::Display for LatencyHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -245,17 +202,5 @@ mod tests {
         }
         // A count the buckets do not add up to ends on the last bound.
         assert_eq!(q(&[(10, 1), (100, 1)], 5, 1.0), 100);
-    }
-
-    #[test]
-    fn serialized_shape_trims_trailing_buckets_and_caps_at_64() {
-        let mut h = LatencyHistogram::new();
-        h.record_ns(700);
-        h.record_ns(90_000);
-        let json = serde_json::to_string(&h).unwrap();
-        assert_eq!(json.matches(',').count(), 16 + 3, "17 buckets: {json}");
-        assert_eq!(serde_json::from_str::<LatencyHistogram>(&json).unwrap(), h);
-        let wide = json.replacen('[', &format!("[{}", "0,".repeat(48)), 1);
-        assert!(serde_json::from_str::<LatencyHistogram>(&wide).is_err());
     }
 }

@@ -100,7 +100,7 @@ fn main() {
             c.deferred,
             c.rejected,
             c.throttled,
-            c.decision_latency.quantile_ns(0.99) as f64 / 1e3,
+            m.tenant_latency(tenant).map_or(0, |h| h.quantile_ns(0.99)) as f64 / 1e3,
         );
     }
     println!("\n=== cluster ===");

@@ -229,8 +229,9 @@ fn admit_requests(size: Size) -> Vec<SubmitRequest> {
 fn admit_streams(size: Size) -> Vec<(&'static str, Stream)> {
     let requests = admit_requests(size);
     let sharded = admit(&mut gateway(1), &requests);
-    // Genesis-only snapshots: a later one would embed wall-clock latency
-    // histograms, the one thing that differs run to run.
+    // Genesis-only snapshots: the stream is the genesis image and one
+    // frame per event. A periodic snapshot would replay byte for byte too
+    // (a snapshot holds nothing wall-clock), but would move the digest.
     let cfg = JournalConfig {
         snapshot_every: 0,
         compact_on_snapshot: false,

@@ -167,7 +167,7 @@ fn drive_until_power_loss(
     torn: bool,
 ) -> Outcome {
     let (mut gateway, disk) = powered_gateway(policy, kill_at, torn);
-    let mut committed = vec![(0, gateway.inner().capture().normalized())];
+    let mut committed = vec![(0, gateway.inner().capture())];
     let mut rest = requests;
     let mut sizes = TURN_SIZES.iter().cycle();
     while !rest.is_empty() {
@@ -184,7 +184,7 @@ fn drive_until_power_loss(
             break;
         }
         let submitted = gateway.metrics().submitted;
-        committed.push((submitted, gateway.inner().capture().normalized()));
+        committed.push((submitted, gateway.inner().capture()));
     }
     // The process is gone, and with it whatever the journal still held.
     std::mem::forget(gateway);
@@ -241,7 +241,7 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
                         .iter()
                         .find(|(submits, _)| *submits == held)
                         .unwrap_or_else(|| panic!("{what}: {held} is not a turn boundary"));
-                    assert_eq!(gateway.capture().normalized(), boundary.1, "{what}");
+                    assert_eq!(gateway.capture(), boundary.1, "{what}");
                 } else {
                     assert!(
                         matches!(
