@@ -1377,7 +1377,7 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
             continue;
         }
         let event: JournalEvent =
-            serde_json::from_str(std::str::from_utf8(&frame.payload).unwrap()).unwrap();
+            serde_json::from_str(std::str::from_utf8(frame.payload).unwrap()).unwrap();
         if let JournalEvent::SloBreach { breach } = event {
             audited.push(breach);
         }

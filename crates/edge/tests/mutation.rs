@@ -133,10 +133,10 @@ fn corpus(seed: u64) -> Corpus {
     ];
     let mut events = Vec::new();
     for (seq, frame) in frames.iter().enumerate() {
-        let bytes = wire::encode_frame(wire::MAGIC, frame.kind as u8, &frame.payload);
+        let bytes = wire::encode_frame(wire::MAGIC, frame.kind as u8, frame.payload);
         ship.push(ShipMsg::frame(1, seq as u64, bytes));
         if frame.kind == RecordKind::Event {
-            let text = std::str::from_utf8(&frame.payload).unwrap();
+            let text = std::str::from_utf8(frame.payload).unwrap();
             events.push(serde_json::from_str(text).unwrap());
         }
     }
@@ -390,13 +390,13 @@ fn mutated_wal_images_lose_only_their_tail() {
             let survivors = ends.iter().filter(|&&end| end <= intact).count();
             assert!(frames.len() >= survivors, "lost an undamaged frame");
             for (frame, ev) in frames.iter().zip(&events).take(survivors) {
-                let text = std::str::from_utf8(&frame.payload).unwrap();
+                let text = std::str::from_utf8(frame.payload).unwrap();
                 assert_eq!(&serde_json::from_str::<JournalEvent>(text).unwrap(), *ev);
             }
             // A later frame that still passes its checksum is refused or
             // stable like any other payload.
             for frame in frames.iter().skip(survivors) {
-                if let Ok(text) = std::str::from_utf8(&frame.payload) {
+                if let Ok(text) = std::str::from_utf8(frame.payload) {
                     refused_or_stable::<JournalEvent>(text);
                 }
             }
@@ -472,7 +472,7 @@ fn the_largest_bench_fleet_snapshot_ships_under_the_cap() {
     let (frames, _) = wire::decode_frames(gateway.journal().bytes());
     let largest = frames.iter().max_by_key(|f| f.payload.len()).unwrap();
     assert_eq!(largest.kind, RecordKind::Snapshot);
-    let bytes = wire::encode_frame(wire::MAGIC, largest.kind as u8, &largest.payload);
+    let bytes = wire::encode_frame(wire::MAGIC, largest.kind as u8, largest.payload);
     let shipped = serde_json::to_string(&ShipMsg::frame(1, 0, bytes.clone())).unwrap();
     // ≈ 27 KB as a frame, ≈ 90 KB as a message: under a 64th of the cap.
     assert!(

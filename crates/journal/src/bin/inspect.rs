@@ -124,13 +124,13 @@ fn describe_event(ev: &JournalEvent) -> String {
 /// Each frame with its event decoded, unless `filter` drops it: None =
 /// everything, Some(true) = inputs only, Some(false) = audit records only
 /// (snapshots and undecodable events always print).
-fn select(
-    frames: &[Frame],
+fn select<'a>(
+    frames: &'a [Frame<'a>],
     filter: Option<bool>,
-) -> impl Iterator<Item = (&Frame, Option<Result<JournalEvent, serde::Error>>)> {
+) -> impl Iterator<Item = (&'a Frame<'a>, Option<Result<JournalEvent, serde::Error>>)> {
     frames.iter().filter_map(move |frame| {
         let ev = (frame.kind == RecordKind::Event)
-            .then(|| serde_json::from_slice::<JournalEvent>(&frame.payload));
+            .then(|| serde_json::from_slice::<JournalEvent>(frame.payload));
         match (&ev, filter) {
             (Some(Ok(ev)), Some(inputs_only)) if ev.is_input() != inputs_only => None,
             _ => Some((frame, ev)),
@@ -154,7 +154,7 @@ fn render(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, TailS
     let (frames, tail) = wire::decode_frames(wal);
     let entries = select(&frames, filter).map(|(frame, ev)| {
         let line = match ev {
-            None => match serde_json::from_slice::<GatewaySnapshot>(&frame.payload) {
+            None => match serde_json::from_slice::<GatewaySnapshot>(frame.payload) {
                 Ok(snap) => describe_snapshot(&snap),
                 Err(e) => format!("SNAPSHOT <undecodable: {e}>"),
             },
@@ -179,7 +179,7 @@ fn render_json(wal: &[u8], filter: Option<bool>, limit: usize) -> (Vec<String>, 
     use serde::Value;
     let (frames, tail) = wire::decode_frames(wal);
     let entries = select(&frames, filter).map(|(frame, ev)| {
-        let record: Value = serde_json::from_slice(&frame.payload).unwrap_or_else(|e| {
+        let record: Value = serde_json::from_slice(frame.payload).unwrap_or_else(|e| {
             Value::Map(vec![("undecodable".to_string(), Value::Str(e.to_string()))])
         });
         let kind = if ev.is_some() { "event" } else { "snapshot" };

@@ -169,7 +169,42 @@ pub enum JournalEvent {
     },
 }
 
+/// The audit variants' tags, the one list [`JournalEvent::decode_input`]
+/// classifies by (a test holds it against [`JournalEvent::is_input`]).
+const AUDIT_TAGS: [&str; 9] = [
+    "Accepted",
+    "Deferred",
+    "Rejected",
+    "Rescued",
+    "Demoted",
+    "Reserved",
+    "ReservationActivated",
+    "Throttled",
+    "SloBreach",
+];
+
 impl JournalEvent {
+    /// The variant tag `payload` opens with, byte-exact as the writer renders
+    /// a struct variant (`{"Accepted":`); `None` for anything else (a unit
+    /// variant such as `"Drained"`, whitespace, an escape).
+    pub fn tag_of(payload: &[u8]) -> Option<&str> {
+        let rest = payload.strip_prefix(b"{\"")?;
+        let (tag, after) = rest.split_at(rest.iter().position(|&b| b == b'"')?);
+        let tag = std::str::from_utf8(tag).ok()?;
+        after.starts_with(b"\":").then_some(tag)
+    }
+
+    /// Reads one event payload as replay does: an input decodes in full, an
+    /// audit is `Ok(None)`. A payload tagged byte-exactly as an audit is
+    /// classified by its tag and its body left unread; every other payload
+    /// is decoded, so a bad input record or an unknown tag is an error.
+    pub fn decode_input(payload: &[u8]) -> Result<Option<JournalEvent>, serde::Error> {
+        if Self::tag_of(payload).is_some_and(|tag| AUDIT_TAGS.contains(&tag)) {
+            return Ok(None);
+        }
+        serde_json::from_slice(payload).map(|event: Self| event.is_input().then_some(event))
+    }
+
     /// `true` for the replayed command events; `false` for audit outputs.
     pub fn is_input(&self) -> bool {
         matches!(
@@ -206,9 +241,9 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        let events = vec![
+    /// One sample of every variant.
+    fn one_of_each() -> Vec<JournalEvent> {
+        vec![
             JournalEvent::Submitted {
                 task: Task::new(1, 2.5, 100.0, 5_000.0).with_user_nodes(Some(3)),
                 at: SimTime::new(2.5),
@@ -294,12 +329,77 @@ mod tests {
                 task: 4,
                 at: SimTime::new(12.0),
             },
-        ];
-        for ev in events {
+        ]
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_json() {
+        for ev in one_of_each() {
             let json = serde_json::to_string(&ev).unwrap();
             let back: JournalEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(back, ev, "{json}");
         }
+    }
+
+    /// The tag list agrees with `is_input` on every variant as the writer
+    /// renders it: an audit variant missing from `AUDIT_TAGS` would be
+    /// decoded as an unknown record, an input on it skipped by replay.
+    #[test]
+    fn the_tag_classifier_agrees_with_is_input_on_every_variant() {
+        // No wildcard arm: a new variant does not compile here until it is
+        // given an index, and then fails the coverage check until sampled.
+        let index = |ev: &JournalEvent| match ev {
+            JournalEvent::Submitted { .. } => 0,
+            JournalEvent::RequestSubmitted { .. } => 1,
+            JournalEvent::ActivationDue { .. } => 2,
+            JournalEvent::BatchSubmitted { .. } => 3,
+            JournalEvent::Completed { .. } => 4,
+            JournalEvent::DispatchDue { .. } => 5,
+            JournalEvent::Replanned { .. } => 6,
+            JournalEvent::Retested { .. } => 7,
+            JournalEvent::Finalized { .. } => 8,
+            JournalEvent::Drained => 9,
+            JournalEvent::Accepted { .. } => 10,
+            JournalEvent::Deferred { .. } => 11,
+            JournalEvent::Rejected { .. } => 12,
+            JournalEvent::Rescued { .. } => 13,
+            JournalEvent::Demoted { .. } => 14,
+            JournalEvent::Reserved { .. } => 15,
+            JournalEvent::ReservationActivated { .. } => 16,
+            JournalEvent::Throttled { .. } => 17,
+            JournalEvent::SloBreach { .. } => 18,
+        };
+        let samples = one_of_each();
+        let mut seen: Vec<usize> = samples.iter().map(index).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..19).collect::<Vec<_>>(), "one sample a variant");
+        for ev in samples {
+            let mut payload = Vec::new();
+            serde_json::to_writer(&mut payload, &ev).unwrap();
+            let tagged_audit =
+                JournalEvent::tag_of(&payload).is_some_and(|t| AUDIT_TAGS.contains(&t));
+            assert_eq!(tagged_audit, !ev.is_input(), "{ev:?}");
+            let read = JournalEvent::decode_input(&payload).unwrap();
+            assert_eq!(read, ev.is_input().then_some(ev));
+        }
+    }
+
+    #[test]
+    fn only_a_byte_exact_opening_is_a_tag() {
+        assert_eq!(JournalEvent::tag_of(b"{\"Accepted\":{}}"), Some("Accepted"));
+        assert_eq!(JournalEvent::tag_of(b"\"Drained\""), None);
+        for near in [
+            &b"{ \"Accepted\":{}}"[..],
+            b"{\"Accepted\" :{}}",
+            b"{\"Accepted",
+        ] {
+            assert_eq!(JournalEvent::tag_of(near), None);
+        }
+        // Not byte-exact, so decoded in full: an audit all the same.
+        let spaced = b"{\"Rescued\" : {\"task\": 1}}";
+        assert_eq!(JournalEvent::decode_input(spaced).unwrap(), None);
+        // An unknown tag is no audit: decoded, and refused.
+        assert!(JournalEvent::decode_input(b"{\"Bogus\":{}}").is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use crate::event::JournalEvent;
 use crate::snapshot::{GatewaySnapshot, JournalError};
-use crate::wire::{decode_frames, frame_count, write_frame, Frame, RecordKind, TailStatus, MAGIC};
+use crate::wire::{frame_count, write_frame, RecordKind, MAGIC};
 
 /// Journal tunables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -641,26 +641,10 @@ impl core::fmt::Debug for Journal {
     }
 }
 
-/// Splits a decoded log into the frames up to and including the **last**
-/// intact snapshot, the events after it, and the tail status. Returns
-/// `(snapshot, tail_events)`; `snapshot` is `None` when no snapshot frame
-/// survived.
-pub fn split_at_last_snapshot(bytes: &[u8]) -> (Option<Frame>, Vec<Frame>, TailStatus) {
-    let (frames, tail) = decode_frames(bytes);
-    let last_snap = frames.iter().rposition(|f| f.kind == RecordKind::Snapshot);
-    match last_snap {
-        Some(i) => {
-            let mut it = frames.into_iter();
-            let snap = it.nth(i).expect("index in range");
-            (Some(snap), it.collect(), tail)
-        }
-        None => (None, frames, tail),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::decode_frames;
     use rtdls_core::prelude::SimTime;
 
     fn ev(at: f64) -> JournalEvent {
@@ -718,12 +702,9 @@ mod tests {
         j.append_event(&ev(2.0));
         j.append_snapshot(&snap()); // compacts
         j.append_event(&ev(3.0));
-        let (s, events, tail) = split_at_last_snapshot(j.bytes());
+        let (frames, tail) = decode_frames(j.bytes());
         assert!(tail.is_clean());
-        assert!(s.is_some());
-        assert_eq!(events.len(), 1, "pre-snapshot events were compacted away");
-        let (frames, _) = decode_frames(j.bytes());
-        assert_eq!(frames.len(), 2, "snapshot + one event");
+        assert_eq!(frames.len(), 2, "pre-snapshot events were compacted away");
         assert_eq!(frames[0].kind, RecordKind::Snapshot);
     }
 
@@ -914,13 +895,12 @@ mod tests {
     }
 
     #[test]
-    fn split_with_no_snapshot_returns_all_events() {
+    fn a_log_of_events_alone_has_no_snapshot_to_replay_from() {
         let mut j = Journal::in_memory(JournalConfig::default());
         j.append_event(&ev(1.0));
         j.append_event(&ev(2.0));
-        let (s, events, tail) = split_at_last_snapshot(j.bytes());
-        assert!(s.is_none());
-        assert_eq!(events.len(), 2);
-        assert!(tail.is_clean());
+        assert_eq!(decode_frames(j.bytes()).0.len(), 2);
+        let replayed = crate::replay::<rtdls_service::prelude::ShardedGateway>(j.bytes());
+        assert_eq!(replayed.err(), Some(JournalError::NoSnapshot));
     }
 }

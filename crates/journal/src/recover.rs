@@ -4,17 +4,15 @@
 //!
 //! 1. **Decode** the log ([`wire`](crate::wire)), tolerating a torn or
 //!    corrupt tail — at most the records at the damage point are lost,
-//!    never earlier ones.
+//!    never earlier ones. Checksums are verified; payloads are not copied.
 //! 2. **Restore** the last intact snapshot (every journal starts with a
 //!    genesis snapshot, so one always exists in an undamaged log).
 //! 3. **Replay** the input events appended after that snapshot through the
-//!    gateway's ordinary code paths. The gateway is a deterministic state
-//!    machine over its inputs and a snapshot holds nothing else, so the
-//!    replayed state's capture equals the live pre-crash capture exactly.
-//!    Wall-clock measurements are not state: the recovered gateway's
-//!    latency histograms and decision window start empty, so the
-//!    decisions this replay makes again are their first samples, while
-//!    every counter carries over.
+//!    gateway's ordinary code paths, read by [`JournalEvent::decode_input`]
+//!    as the warm standby reads them: audit records are counted by their
+//!    tag, never decoded. The gateway is a deterministic state machine over
+//!    its inputs and a snapshot holds nothing else, so the replayed state's
+//!    capture equals the live pre-crash capture exactly.
 //! 4. **Re-verify**: re-run the strict Fig. 2 admission test over every
 //!    recovered waiting plan at the recovery instant. Time passed while the
 //!    gateway was down; any plan that no longer survives the strict test is
@@ -24,13 +22,16 @@
 //!
 //! The result is wrapped in a fresh [`JournaledGateway`] whose journal
 //! begins with a post-recovery snapshot — recovery doubles as compaction.
+//! Wall-clock measurements are not state: the recovered (or promoted)
+//! gateway's latency histograms and decision window start at its first
+//! live decision, while every counter carries over.
 
 use rtdls_core::prelude::{SimTime, SubmitRequest, TaskId};
 
 use crate::event::JournalEvent;
-use crate::journal::{split_at_last_snapshot, Journal, JournalConfig, JournalSink};
+use crate::journal::{Journal, JournalConfig, JournalSink};
 use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
-use crate::wire::{RecordKind, TailStatus};
+use crate::wire::{decode_frames, RecordKind, TailStatus};
 use crate::JournaledGateway;
 
 /// What a recovery did, for operators and tests.
@@ -117,29 +118,23 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
 /// journal) plus the partial report — the exact pre-crash state, which the
 /// replay-determinism tests compare against the live gateway.
 pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), JournalError> {
-    let (snapshot_frame, tail_frames, tail) = split_at_last_snapshot(bytes);
-    let snapshot_frame = snapshot_frame.ok_or(JournalError::NoSnapshot)?;
-    let snapshot: GatewaySnapshot = serde_json::from_slice(&snapshot_frame.payload)?;
+    let (frames, tail) = decode_frames(bytes);
+    let last = frames
+        .iter()
+        .rposition(|f| f.kind == RecordKind::Snapshot)
+        .ok_or(JournalError::NoSnapshot)?;
+    let snapshot: GatewaySnapshot = serde_json::from_slice(frames[last].payload)?;
     let epoch = snapshot.epoch;
     let mut gateway = G::restore(&snapshot)?;
+    let frames_decoded = frames.len() - last; // the snapshot and its tail
     let mut events_replayed = 0;
-    let mut audit_records = 0;
-    let mut frames_decoded = 1; // the snapshot frame
-    for frame in tail_frames {
-        frames_decoded += 1;
-        debug_assert_eq!(frame.kind, RecordKind::Event, "snapshot split is exact");
-        let event: JournalEvent = serde_json::from_slice(&frame.payload)?;
-        if event.is_input() {
+    for frame in &frames[last + 1..] {
+        if let Some(event) = JournalEvent::decode_input(frame.payload)? {
             apply_event(&mut gateway, &event);
             events_replayed += 1;
-        } else {
-            audit_records += 1;
         }
     }
-    // Replay regenerates (and discards) the pre-crash breach records — the
-    // original WAL already holds them; re-auditing them into the recovery
-    // journal would double-book the same breaches.
-    let _ = gateway.book_mut().take_breach_log();
+    let audit_records = frames_decoded - 1 - events_replayed;
     Ok((
         gateway,
         RecoveryReport {
@@ -172,7 +167,8 @@ pub fn recover<G: Recoverable>(
     Ok((journaled, report))
 }
 
-/// Step 4 of recovery, shared with warm-standby promotion: re-verify every
+/// Step 4 of recovery, shared with warm-standby promotion: drop what replay
+/// left in the breach log and the metrics' wall-clock half, re-verify every
 /// waiting plan at `now` (demoting what no longer passes the strict test),
 /// wrap the gateway in a fresh [`JournaledGateway`] journaling under
 /// `epoch`, and journal the demotions after the genesis snapshot. Returns
@@ -184,6 +180,7 @@ pub fn requalify<G: Recoverable>(
     sink: Option<Box<dyn JournalSink>>,
     epoch: u64,
 ) -> (JournaledGateway<G>, Vec<TaskId>) {
+    gateway.book_mut().forget_replay();
     let demoted: Vec<TaskId> = gateway
         .bare_mut()
         .reverify(now)

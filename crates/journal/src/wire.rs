@@ -24,9 +24,10 @@
 //! ([`checksum`], the one home of both versions' sums).
 //! Every writer writes v2; v1 (a WAL, mirror or peer from before v2) is
 //! read, never written. The journal decodes a byte image at rest
-//! ([`decode_frames`], [`frame_count`]); the edge's streaming
-//! `FrameDecoder` and the ship transport's blocking `read_msg` sit on the
-//! same two functions with their own magic, tag meaning and cap.
+//! ([`decode_frames`]: checksummed [`Frame`]s borrowing their payloads, and
+//! [`frame_count`]); the edge's streaming `FrameDecoder` and the ship
+//! transport's blocking `read_msg` sit on the same two functions with their
+//! own magic, tag meaning and cap.
 //!
 //! The journal's decoder walks frames front to back and stops at the first
 //! anomaly, classifying the tail:
@@ -169,17 +170,17 @@ impl RecordKind {
     }
 }
 
-/// One decoded record.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Frame {
+/// One checksum-verified record, its payload borrowed from the log.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Frame<'a> {
     /// Payload interpretation.
     pub kind: RecordKind,
     /// The header version it was written in (1 or [`VERSION`]).
     pub version: u8,
     /// Byte offset of the frame header within the log.
     pub offset: usize,
-    /// The record payload (JSON bytes).
-    pub payload: Vec<u8>,
+    /// The record payload (JSON bytes), a slice of the decoded log.
+    pub payload: &'a [u8],
 }
 
 /// How the log's tail looked to the decoder.
@@ -316,8 +317,8 @@ pub fn frame_count(run: &[u8]) -> usize {
 }
 
 /// Decodes every intact frame from `bytes`, classifying the tail. Never
-/// fails: damage only shortens the returned list.
-pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, TailStatus) {
+/// fails: damage only shortens the returned list. Payloads are borrowed.
+pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame<'_>>, TailStatus) {
     let mut frames = Vec::new();
     let mut pos = 0;
     while pos < bytes.len() {
@@ -340,7 +341,7 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<Frame>, TailStatus) {
             kind,
             version: header.version,
             offset: pos,
-            payload: payload.to_vec(),
+            payload,
         });
         pos += HEADER_LEN + header.len;
     }
@@ -365,7 +366,8 @@ mod tests {
 
     #[test]
     fn clean_log_round_trips() {
-        let (frames, tail) = decode_frames(&sample_log());
+        let log = sample_log();
+        let (frames, tail) = decode_frames(&log);
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].kind, RecordKind::Snapshot);

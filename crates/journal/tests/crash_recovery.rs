@@ -170,7 +170,7 @@ fn recover_from_wal(wal: Vec<u8>, now: SimTime) -> JG {
         .filter(|f| f.kind == rtdls_journal::wire::RecordKind::Event)
         .filter_map(|f| {
             let ev: JournalEvent =
-                serde_json::from_str(std::str::from_utf8(&f.payload).unwrap()).unwrap();
+                serde_json::from_str(std::str::from_utf8(f.payload).unwrap()).unwrap();
             match ev {
                 JournalEvent::Demoted { task, .. } => Some(task),
                 _ => None,
@@ -410,7 +410,7 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
     let (frames, _) = rtdls_journal::wire::decode_frames(recovered.journal().bytes());
     let has_demoted = frames.iter().any(|f| {
         f.kind == rtdls_journal::wire::RecordKind::Event
-            && serde_json::from_str::<JournalEvent>(std::str::from_utf8(&f.payload).unwrap())
+            && serde_json::from_str::<JournalEvent>(std::str::from_utf8(f.payload).unwrap())
                 .map(|e| matches!(e, JournalEvent::Demoted { task: 2, .. }))
                 .unwrap_or(false)
     });
@@ -787,6 +787,40 @@ fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() 
     }
 }
 
+/// Replay classifies an audit record by its tag and never decodes it, so a
+/// checksum-valid `Accepted` frame whose body does not parse recovers, its
+/// audit counted (replay regenerates the decision; `inspect` still decodes
+/// the body and shows the damage). An unknown tag is no audit: it stays
+/// `Corrupt`, like an input record that does not parse (above).
+#[test]
+fn a_checksum_valid_audit_whose_body_does_not_parse_is_counted_not_decoded() {
+    use rtdls_journal::wire::{encode_frame, RecordKind, MAGIC};
+    let gateway = ShardedGateway::new(
+        params(),
+        1,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    let genesis = serde_json::to_string(&gateway.capture()).unwrap();
+    let recover_with = |payload: &[u8]| {
+        let mut wal = encode_frame(MAGIC, RecordKind::Snapshot as u8, genesis.as_bytes());
+        wal.extend(encode_frame(MAGIC, RecordKind::Event as u8, payload));
+        recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
+    };
+    let (_, report) =
+        recover_with(b"{\"Accepted\":{\"task\":1,\"plan\":").expect("an audit body is never read");
+    assert!(report.tail.is_clean());
+    assert_eq!((report.events_replayed, report.audit_records), (0, 1));
+    match recover_with(b"{\"Bogus\":{\"task\":1}}") {
+        Err(JournalError::Corrupt(why)) => assert!(why.contains("Bogus"), "{why}"),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("an unknown tag replayed"),
+    }
+}
+
 /// A one-shard gateway's snapshot with three tasks waiting.
 fn three_waiting() -> GatewaySnapshot {
     let mut gateway = ShardedGateway::new(
@@ -1126,7 +1160,7 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
         let inputs: Vec<JournalEvent> = frames
             .iter()
             .filter(|f| f.kind == rtdls_journal::wire::RecordKind::Event)
-            .filter_map(|f| serde_json::from_str(&String::from_utf8_lossy(&f.payload)).ok())
+            .filter_map(|f| serde_json::from_str(&String::from_utf8_lossy(f.payload)).ok())
             .filter(JournalEvent::is_input)
             .collect();
         assert_eq!(

@@ -12,6 +12,10 @@
 //!   reports the genesis snapshot itself as lost).
 //! * **Frame endings** — no frame ends in a 0x00 byte, so dropping a WAL
 //!   file's zero tail (`FileSink::read`) is exact.
+//!
+//! Every log these families build, whole, torn or corrupted, is also
+//! replayed by [`reference_replay`], the decode-everything loop, and must
+//! give the same capture and the same [`RecoveryReport`] as `replay`.
 
 use proptest::prelude::*;
 
@@ -100,6 +104,62 @@ fn drive(
     sim
 }
 
+/// Replay as it was before audit records were classified by their tag:
+/// every payload copied out of the log and decoded in full, the audits then
+/// dropped. Kept as the reference the faster path must agree with.
+fn reference_replay(bytes: &[u8]) -> Result<(ShardedGateway, RecoveryReport), JournalError> {
+    use rtdls_journal::wire::{decode_frames, RecordKind};
+    let (frames, tail) = decode_frames(bytes);
+    let payloads: Vec<(RecordKind, Vec<u8>)> = frames
+        .iter()
+        .map(|f| (f.kind, f.payload.to_vec()))
+        .collect();
+    let last = payloads
+        .iter()
+        .rposition(|(kind, _)| *kind == RecordKind::Snapshot)
+        .ok_or(JournalError::NoSnapshot)?;
+    let snapshot: GatewaySnapshot = serde_json::from_slice(&payloads[last].1)?;
+    let mut gateway = ShardedGateway::restore(&snapshot)?;
+    let (mut events_replayed, mut audit_records) = (0, 0);
+    for (_, payload) in &payloads[last + 1..] {
+        let event: JournalEvent = serde_json::from_slice(payload)?;
+        if event.is_input() {
+            rtdls_journal::apply_event(&mut gateway, &event);
+            events_replayed += 1;
+        } else {
+            audit_records += 1;
+        }
+    }
+    let _ = gateway.book_mut().take_breach_log();
+    let report = RecoveryReport {
+        frames_decoded: payloads.len() - last,
+        events_replayed,
+        audit_records,
+        tail,
+        demoted: Vec::new(),
+        recovered_at: SimTime::ZERO,
+        epoch: snapshot.epoch,
+    };
+    Ok((gateway, report))
+}
+
+/// `replay` and [`reference_replay`] agree on `bytes`: the same capture and
+/// report, or the same error.
+fn same_as_reference(bytes: &[u8]) {
+    match (replay::<ShardedGateway>(bytes), reference_replay(bytes)) {
+        (Ok((fast, fast_report)), Ok((reference, reference_report))) => {
+            assert_eq!(fast.capture(), reference.capture());
+            assert_eq!(fast_report, reference_report);
+        }
+        (Err(fast), Err(reference)) => assert_eq!(fast.to_string(), reference.to_string()),
+        (fast, reference) => panic!(
+            "replay {:?} but the reference {:?}",
+            fast.map(|(_, report)| report),
+            reference.map(|(_, report)| report)
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -120,6 +180,7 @@ proptest! {
         let (replayed, report) = replay::<ShardedGateway>(&bytes).unwrap();
         prop_assert!(report.tail.is_clean());
         prop_assert_eq!(replayed.capture(), live);
+        same_as_reference(&bytes);
     }
 
     /// A `FileSink` keeps zeros ahead of its log and `FileSink::read`
@@ -160,6 +221,8 @@ proptest! {
         let (b, rep_b) =
             replay::<ShardedGateway>(compacting.frontend().journal().bytes()).unwrap();
         prop_assert_eq!(a.capture(), b.capture());
+        same_as_reference(genesis_only.frontend().journal().bytes());
+        same_as_reference(compacting.frontend().journal().bytes());
         // The compacted log replays from a much later snapshot. (The tail
         // can exceed the cadence by the handful of inputs appended between
         // two cadence checks, but never by a whole epoch.)
@@ -191,6 +254,7 @@ proptest! {
             .unwrap_or(bytes.len());
         let cut = (cut_frac * bytes.len() as f64) as usize;
         let torn = &bytes[..cut.min(bytes.len())];
+        same_as_reference(torn);
 
         match replay::<ShardedGateway>(torn) {
             Ok((g, report)) => {
@@ -230,6 +294,7 @@ proptest! {
 
         let mut bad = bytes.to_vec();
         bad[pos] ^= 1 << flip_bit;
+        same_as_reference(&bad);
         let (g, report) = replay::<ShardedGateway>(&bad)
             .expect("genesis intact: recovery must succeed");
         prop_assert!(!report.tail.is_clean(), "damage must be detected");

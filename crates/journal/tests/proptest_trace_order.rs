@@ -125,7 +125,7 @@ proptest! {
                 continue;
             }
             let ev: JournalEvent =
-                serde_json::from_str(&String::from_utf8_lossy(&frame.payload)).unwrap();
+                serde_json::from_str(&String::from_utf8_lossy(frame.payload)).unwrap();
             if let JournalEvent::RequestSubmitted { request, .. } = ev {
                 wal_traces.push(request.trace);
             }

@@ -9,8 +9,9 @@
 //!   exactly — the invariant the property tests pin.
 //! * a **warm standby** gateway — the mirror's state, maintained
 //!   *incrementally*: each snapshot frame restores it, each input event
-//!   frame is applied through the same [`apply_event`] dispatcher crash
-//!   recovery replays with. Promotion therefore starts from an
+//!   frame is read by [`JournalEvent::decode_input`] and applied by
+//!   [`apply_event`], the reader and dispatcher crash recovery replays
+//!   with. Promotion therefore starts from an
 //!   already-current gateway instead of replaying a whole log after the
 //!   disaster.
 //!
@@ -259,25 +260,24 @@ impl<G: Recoverable> Follower<G> {
         let mut task = 0u64;
         match record.kind {
             RecordKind::Snapshot => {
-                let snap: GatewaySnapshot = serde_json::from_slice(&record.payload)?;
+                let snap: GatewaySnapshot = serde_json::from_slice(record.payload)?;
                 self.standby = Some(G::restore(&snap)?);
                 self.stats.snapshots_restored += 1;
             }
+            // Audit records ship (the mirror is a faithful prefix) but only
+            // input events drive the state machine, read by the same reader
+            // recovery's replay uses.
             RecordKind::Event => {
-                let event: JournalEvent = serde_json::from_slice(&record.payload)?;
-                if let JournalEvent::RequestSubmitted { request, .. } = &event {
-                    // Untraced transports (or a telemetry-off primary)
-                    // ship trace 0; the trace minted at submission still
-                    // rides the WAL payload itself.
-                    if trace == 0 {
-                        trace = request.trace;
+                if let Some(event) = JournalEvent::decode_input(record.payload)? {
+                    if let JournalEvent::RequestSubmitted { request, .. } = &event {
+                        // Untraced transports (or a telemetry-off primary)
+                        // ship trace 0; the trace minted at submission
+                        // still rides the WAL payload itself.
+                        if trace == 0 {
+                            trace = request.trace;
+                        }
+                        task = request.task.id.0;
                     }
-                    task = request.task.id.0;
-                }
-                // Audit records ship (the mirror is a faithful prefix) but
-                // only input events drive the state machine — the same
-                // filter recovery's replay applies.
-                if event.is_input() {
                     if let Some(standby) = self.standby.as_mut() {
                         apply_event(standby, &event);
                     }
@@ -356,10 +356,7 @@ impl<G: Recoverable> Follower<G> {
         cfg: JournalConfig,
         sink: Option<Box<dyn JournalSink>>,
     ) -> Result<(JournaledGateway<G>, Promotion), JournalError> {
-        let mut standby = self.standby.take().ok_or(JournalError::NoSnapshot)?;
-        // Replay parity with `recover`: breach records accumulated while
-        // replaying history are not live alarms.
-        let _ = standby.book_mut().take_breach_log();
+        let standby = self.standby.take().ok_or(JournalError::NoSnapshot)?;
         self.epoch += 1;
         self.promoted = true;
         let (mut journaled, demoted) = requalify(standby, now, cfg, sink, self.epoch);
@@ -664,6 +661,38 @@ mod tests {
         assert_eq!(fol.stats().fenced, 1);
     }
 
+    /// Replay re-makes past decisions at replay speed; neither a recovered
+    /// nor a promoted gateway books them as its own wall-clock samples or
+    /// rate. Its first live decision is its first sample.
+    #[test]
+    fn recovery_and_promotion_start_the_wall_clock_empty() {
+        let mut gw = journaled(0, false);
+        let mut ship = Shipper::new(ShipConfig::default());
+        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        for i in 0..20 {
+            gw.submit_request(
+                &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
+                SimTime::ZERO,
+            );
+        }
+        ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
+        let now = SimTime::new(1.0);
+        let (recovered, _) =
+            recover::<ShardedGateway>(gw.journal().bytes(), now, JournalConfig::default(), None)
+                .unwrap();
+        let (promoted, _) = fol.promote(now, JournalConfig::default(), None).unwrap();
+        for mut restarted in [recovered, promoted] {
+            assert_eq!(restarted.metrics().submitted, 20, "counters carry over");
+            assert_eq!(restarted.metrics().decision_latency().count(), 0);
+            assert_eq!(restarted.metrics().decisions_per_sec(), 0.0);
+            restarted.submit_request(
+                &SubmitRequest::new(Task::new(99, 1.0, 500.0, 30_000.0)),
+                now,
+            );
+            assert_eq!(restarted.metrics().decision_latency().count(), 1);
+        }
+    }
+
     #[test]
     fn the_promoted_epoch_survives_compaction_and_a_file_restart() {
         let mut gw = journaled(0, false);
@@ -712,7 +741,7 @@ mod tests {
             .iter()
             .filter(|f| f.kind == RecordKind::Snapshot)
             .map(|f| {
-                serde_json::from_slice::<GatewaySnapshot>(&f.payload)
+                serde_json::from_slice::<GatewaySnapshot>(f.payload)
                     .unwrap()
                     .epoch
             })

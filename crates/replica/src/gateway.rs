@@ -231,8 +231,7 @@ mod tests {
             .filter_map(|m| match m {
                 ShipMsg::Frame { bytes, .. } => {
                     let (frames, _) = rtdls_journal::wire::decode_frames(bytes);
-                    let ev: JournalEvent = serde_json::from_slice(&frames[0].payload).ok()?;
-                    match ev {
+                    match JournalEvent::decode_input(frames[0].payload).ok()?? {
                         JournalEvent::RequestSubmitted { request, .. } => Some(request.task.id.0),
                         _ => None,
                     }

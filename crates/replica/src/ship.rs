@@ -90,20 +90,20 @@ impl ShipMsg {
 }
 
 /// The trace id and task id journaled in one encoded frame, when the frame
-/// is a decodable `RequestSubmitted` event (`(0, 0)` otherwise). This is
-/// how the shipper labels outbound frames without any side-band state: the
-/// trace already rides the WAL payload.
+/// is a decodable `RequestSubmitted` event (`(0, 0)` otherwise; no other
+/// payload is decoded). This is how the shipper labels outbound frames
+/// without any side-band state: the trace already rides the WAL payload.
 pub fn frame_trace(bytes: &[u8]) -> (u64, u64) {
-    use rtdls_journal::wire::{decode_frames, RecordKind, TailStatus};
+    use rtdls_journal::wire::{decode_frames, RecordKind};
     let (frames, tail) = decode_frames(bytes);
-    if tail != TailStatus::Clean || frames.len() != 1 {
+    let payload = match frames[..] {
+        [frame] if tail.is_clean() && frame.kind == RecordKind::Event => frame.payload,
+        _ => return (0, 0),
+    };
+    if JournalEvent::tag_of(payload) != Some("RequestSubmitted") {
         return (0, 0);
     }
-    let frame = &frames[0];
-    if frame.kind != RecordKind::Event {
-        return (0, 0);
-    }
-    match serde_json::from_slice::<JournalEvent>(&frame.payload) {
+    match serde_json::from_slice(payload) {
         Ok(JournalEvent::RequestSubmitted { request, .. }) => (request.trace, request.task.id.0),
         _ => (0, 0),
     }

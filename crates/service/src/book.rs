@@ -131,6 +131,13 @@ impl ServiceBook {
         }
     }
 
+    /// Forgets what a journal replay re-made: its breach records (the old
+    /// log holds them) and the metrics' wall-clock half. Counters stay.
+    pub fn forget_replay(&mut self) {
+        self.breach_log.clear();
+        self.metrics = ServiceMetrics::restore(&self.metrics);
+    }
+
     /// Attaches a decision-tracing handle (a clone; all clones share one
     /// recorder). Like [`observe_decisions`](ServiceBook::observe_decisions)
     /// this is process-local state the owner re-attaches after recovery.

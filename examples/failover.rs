@@ -132,13 +132,12 @@ fn main() {
     // Guarantee 2: promotion is recovery. An independent cold replay of the
     // mirror plus the same strict re-admission pass must land on the same
     // state and the same demotion set.
-    let (mut reference, report) = replay::<ShardedGateway>(&mirror).expect("mirror replays");
+    let (reference, report) = replay::<ShardedGateway>(&mirror).expect("mirror replays");
     assert!(
         report.tail.is_clean(),
         "mirror tail is clean: {:?}",
         report.tail
     );
-    let _ = reference.book_mut().take_breach_log();
     let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
     assert_eq!(
         promoted.inner().capture(),
@@ -161,7 +160,7 @@ fn main() {
             ShipMsg::frame(
                 0,
                 seq as u64,
-                wire::encode_frame(wire::MAGIC, frame.kind as u8, &frame.payload),
+                wire::encode_frame(wire::MAGIC, frame.kind as u8, frame.payload),
             ),
         );
     }

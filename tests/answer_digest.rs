@@ -259,10 +259,10 @@ fn admit_streams(size: Size) -> Vec<(&'static str, Stream)> {
     for frame in frames {
         assert_eq!(frame.version, VERSION);
         let head = &mut as_v1[frame.offset..frame.offset + HEADER_LEN];
-        let sum = checksum(1, head[3], &frame.payload);
+        let sum = checksum(1, head[3], frame.payload);
         head[2] = 1;
         head[8..].copy_from_slice(&sum.to_le_bytes());
-        let payload = String::from_utf8(frame.payload).expect("JSON payloads");
+        let payload = std::str::from_utf8(frame.payload).expect("JSON payloads");
         wal.lines.push(format!("{:?} {payload}", frame.kind));
     }
     wal.lines
