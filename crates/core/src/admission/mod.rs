@@ -264,7 +264,7 @@ impl ControllerState {
 /// re-planned, how many were served from the cache, how many reuse gates
 /// took a comparison, and how many refusals were answered from a
 /// remembered one. Telemetry folds them into the unified metrics registry;
-/// what planning *costs* is timed by the profiler's `gateway/plan` phase,
+/// what planning *costs* is timed by the `gateway/plan` phase,
 /// off the engine's hot path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineProfile {

@@ -195,9 +195,8 @@ fn fetch(addr: &str) -> std::io::Result<(Vec<MetricSample>, Vec<u64>, HistoryPan
 /// replication-lag series when tracked, padded with whatever else the store
 /// retains, capped so the panel stays one glance tall.
 fn pick_panel_series(available: &[String]) -> Vec<String> {
-    const PREFERRED: [&str; 4] = [
+    const PREFERRED: [&str; 3] = [
         "rtdls_edge_submits",
-        "rtdls_edge_turns",
         "rtdls_gateway_submitted",
         "rtdls_replica_lag_frames",
     ];
@@ -361,14 +360,15 @@ fn show_history(addr: String, series: String) -> i32 {
     }
 }
 
-/// `--profile`: render the hot-path phase tree the profiler accumulated.
+/// `--profile`: render the hot-path phase tree the server's telemetry
+/// accumulated.
 fn show_profile(addr: String) -> i32 {
     let Some(mut client) = connect(&addr) else {
         return 1;
     };
     match client.profile(POLL_DEADLINE) {
         Ok(phases) if phases.is_empty() => {
-            println!("profiler: no phases recorded (disabled, or no traffic yet)");
+            println!("profile: no phases recorded (telemetry off, or no traffic yet)");
             0
         }
         Ok(phases) => {

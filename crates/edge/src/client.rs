@@ -303,8 +303,8 @@ impl OpsClient {
         }
     }
 
-    /// The hot-path profiler's phase tree, path-sorted (empty when
-    /// profiling is disabled on the server).
+    /// The hot-path phase tree, path-sorted (empty when telemetry is not
+    /// attached on the server).
     pub fn profile(
         &mut self,
         deadline: Duration,

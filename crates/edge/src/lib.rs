@@ -40,7 +40,8 @@
 //! **Observability.** The edge is the tracing ingress: with a telemetry
 //! handle attached ([`EdgeServer::set_telemetry`]) every framed submission
 //! gets a trace id minted at receive, `EdgeReceive`/`PushUpdate` spans
-//! bracket the gateway's own stages in one shared flight recorder, and the
+//! bracket the gateway's own stages in one shared flight recorder, every
+//! layer's hot-path phases accumulate in the same handle, and the
 //! live-ops wire frames ([`ClientMsg::Ops`] → [`ServerMsg::OpsReport`])
 //! answer metrics snapshots, per-trace timelines, and recent-trace listings
 //! from a running server without stopping it.

@@ -104,8 +104,8 @@ pub enum OpsQuery {
         /// means everything the ring retains.
         range: f64,
     },
-    /// The hot-path profiler's phase tree (empty unless profiling is
-    /// enabled on the server).
+    /// The hot-path phase tree (empty unless telemetry is attached on the
+    /// server).
     Profile,
 }
 

@@ -13,7 +13,7 @@ use std::io::{ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
 
 use rtdls_core::prelude::SimTime;
-use rtdls_telemetry::Profiler;
+use rtdls_telemetry::Telemetry;
 
 use crate::codec::FrameDecoder;
 use crate::poll::Selector;
@@ -74,11 +74,11 @@ impl Conn {
 
     /// Encodes `msg` into a recycled buffer (the `edge/encode` phase) and
     /// queues it.
-    pub(crate) fn enqueue(&mut self, msg: &ServerMsg, profiler: &Profiler) {
+    pub(crate) fn enqueue(&mut self, msg: &ServerMsg, telemetry: &Telemetry) {
         let mut buf = self.pool.pop().unwrap_or_default();
-        let started = profiler.start();
+        let started = telemetry.timer();
         encode_server_into(msg, &mut buf);
-        profiler.stop("edge/encode", started);
+        telemetry.phase("edge/encode", started);
         self.outq.push_back(buf);
     }
 

@@ -214,19 +214,6 @@ pub struct EdgeStats {
     /// Follower links dropped: over [`LINK_QUEUE_CAP`], bytes that are
     /// not acks, or the follower hung up.
     pub links_dropped: u64,
-    /// Reactor turns counted while telemetry was attached (the divisor
-    /// for the per-phase nanosecond counters below).
-    pub turns: u64,
-    /// Cumulative accept+read+decode+serve phase time, in nanoseconds.
-    /// Only accumulated while telemetry is attached — the zero-telemetry
-    /// hot path takes no clock readings.
-    pub read_ns: u64,
-    /// Cumulative gateway-drive + update-push phase time, in nanoseconds
-    /// (telemetry-on only).
-    pub drive_ns: u64,
-    /// Cumulative link swap + write-flush + reap phase time, in nanoseconds
-    /// (telemetry-on only).
-    pub flush_ns: u64,
 }
 
 impl EdgeStats {
@@ -247,10 +234,6 @@ impl EdgeStats {
             total.slow_consumer_evictions += s.slow_consumer_evictions;
             total.pending_evicted += s.pending_evicted;
             total.links_dropped += s.links_dropped;
-            total.turns += s.turns;
-            total.read_ns += s.read_ns;
-            total.drive_ns += s.drive_ns;
-            total.flush_ns += s.flush_ns;
         }
         total
     }
@@ -289,10 +272,6 @@ pub fn fold_edge_stats(
     );
     reg.counter("rtdls_edge_pending_evicted", &[], stats.pending_evicted);
     reg.counter("rtdls_edge_links_dropped", &[], stats.links_dropped);
-    reg.counter("rtdls_edge_turns", &[], stats.turns);
-    reg.counter("rtdls_edge_read_ns", &[], stats.read_ns);
-    reg.counter("rtdls_edge_drive_ns", &[], stats.drive_ns);
-    reg.counter("rtdls_edge_flush_ns", &[], stats.flush_ns);
     reg.gauge("rtdls_edge_pending", &[], pending as f64);
     reg.gauge("rtdls_edge_connections", &[], connections as f64);
 }

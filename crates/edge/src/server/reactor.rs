@@ -24,9 +24,7 @@ use std::time::Duration;
 
 use rtdls_core::prelude::{SimTime, TaskId};
 use rtdls_service::prelude::Verdict;
-use rtdls_telemetry::{
-    HistoryConfig, MetricsRegistry, Profiler, Stage, Telemetry, TimeSeriesStore,
-};
+use rtdls_telemetry::{HistoryConfig, MetricsRegistry, Stage, Telemetry, TimeSeriesStore};
 
 use crate::codec::Direction;
 use crate::poll::{Event, Selector};
@@ -86,12 +84,10 @@ pub struct EdgeServer<G: EdgeGateway> {
     /// timed-work check (the gateway's `next_due`), the drive trigger.
     pub(crate) dirty: bool,
     pub(crate) stats: EdgeStats,
-    /// Tracing/metrics handle; disabled (and allocation-free on the hot
-    /// path) until [`EdgeServer::set_telemetry`].
+    /// Tracing and phase-timing handle (`edge/*` phases plus whatever the
+    /// gateway registers); disabled (and allocation-free on the hot path)
+    /// until [`EdgeServer::set_telemetry`].
     pub(crate) telemetry: Telemetry,
-    /// Hot-path phase profiler (`edge/*` plus whatever the gateway
-    /// registers); disabled until [`EdgeServer::enable_profiler`].
-    pub(crate) profiler: Profiler,
     /// Metrics history ring; absent until [`EdgeServer::enable_history`].
     pub(crate) history: Option<TimeSeriesStore>,
     /// `(my reactor index, reactor count)` in a cluster; `None` when
@@ -159,7 +155,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
             dirty: false,
             stats: EdgeStats::default(),
             telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
             history: None,
             home,
             outbox: Vec::new(),
@@ -182,35 +177,23 @@ impl<G: EdgeGateway> EdgeServer<G> {
         Ok(())
     }
 
-    /// Attaches a telemetry handle: the edge mints a trace id for every
-    /// framed submission at ingress, records `EdgeReceive`/`PushUpdate`
-    /// spans, accumulates per-turn phase timings, and forwards the handle
-    /// to the gateway so downstream stages land in the same flight
-    /// recorder. Until this is called, the telemetry path costs nothing.
+    /// Attaches the observability handle and forwards it to the gateway,
+    /// so every layer records into one flight recorder and one phase table.
+    /// The edge mints a trace id for every framed submission at ingress and
+    /// records `EdgeReceive`/`PushUpdate` spans; the reactor turn phases
+    /// (`edge/read`, `edge/drive`, `edge/flush`; inside them `edge/decode`,
+    /// one per frame received, and `edge/encode`, one per frame queued) and
+    /// every phase the gateway stack registers (`gateway/plan`,
+    /// `gateway/reserve`, `gateway/explain`, `gateway/retest`,
+    /// `journal/append` (encoding a frame into the journal's image),
+    /// `journal/write` (the turn's one hand-over to the sink, at commit),
+    /// `journal/fsync` (the sync that follows it), `ship/poll`, …)
+    /// accumulate into exponential-bucket histograms, served by
+    /// [`OpsQuery::Profile`] and folded as `rtdls_profile_ns`. Until this
+    /// is called each span and phase costs one `Option` check.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
         self.gateway.attach_telemetry(telemetry);
-    }
-
-    /// Turns the always-on hot-path profiler on: reactor turn phases
-    /// (`edge/read`, `edge/drive`, `edge/flush`; inside them `edge/decode`,
-    /// one per frame received, and `edge/encode`, one per frame queued) and
-    /// every phase the
-    /// gateway stack registers (`gateway/plan`, `gateway/reserve`,
-    /// `gateway/explain`, `gateway/retest`, `journal/append` (encoding a
-    /// frame into the journal's image), `journal/write` (the turn's one
-    /// hand-over to the sink, at commit), `journal/fsync` (the sync that
-    /// follows it), `ship/poll`, …) accumulate into
-    /// exponential-bucket histograms served by [`OpsQuery::Profile`]. Until
-    /// this is called the profiler costs one `Option` check per phase.
-    pub fn enable_profiler(&mut self) {
-        self.profiler = Profiler::enabled();
-        self.gateway.attach_profiler(&self.profiler);
-    }
-
-    /// The profiler handle (for tests and external folds).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// Turns metrics history on: once per `cfg.cadence` (edge-clock
@@ -277,11 +260,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// One selector-driven turn: the listener is accepted from and a
     /// connection read only when `events` names it.
     pub(crate) fn poll_events(&mut self, now: SimTime, events: &[Event]) {
-        // `timer()` is None while telemetry is disabled (and `start()`
-        // while the profiler is), so the phase accounting below is free
-        // (no clock reads) on the bare path.
+        // `timer()` is None while telemetry is disabled, so the phase
+        // accounting below is free (no clock reads) on the bare path.
         let read_timer = self.telemetry.timer();
-        let read_phase = self.profiler.start();
         if events
             .iter()
             .any(|e| e.token == LISTENER_TOKEN && e.readable)
@@ -292,8 +273,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         if self.home.is_some() {
             self.extract_transfers();
         }
-        self.profiler.stop("edge/read", read_phase);
-        self.stats.read_ns += Telemetry::elapsed_ns(read_timer);
+        self.telemetry.phase("edge/read", read_timer);
         // Event-driven drive, mirroring the simulator: sweep the books
         // only when a submission arrived or timed work (a dispatch or an
         // activation) has come due. An idle reactor turn leaves the
@@ -301,23 +281,16 @@ impl<G: EdgeGateway> EdgeServer<G> {
         let drove = self.dirty || self.due(now);
         if drove {
             let drive_timer = self.telemetry.timer();
-            let drive_phase = self.profiler.start();
             self.gateway.drive(now);
             self.dirty = false;
             self.push_updates(now);
-            self.profiler.stop("edge/drive", drive_phase);
-            self.stats.drive_ns += Telemetry::elapsed_ns(drive_timer);
+            self.telemetry.phase("edge/drive", drive_timer);
         }
         let flush_timer = self.telemetry.timer();
-        let flush_phase = self.profiler.start();
         self.ship(now, drove, events);
         self.flush_writes();
         self.reap(now);
-        self.profiler.stop("edge/flush", flush_phase);
-        self.stats.flush_ns += Telemetry::elapsed_ns(flush_timer);
-        if self.telemetry.is_enabled() {
-            self.stats.turns += 1;
-        }
+        self.telemetry.phase("edge/flush", flush_timer);
         self.sample_history(now);
     }
 
@@ -342,12 +315,14 @@ impl<G: EdgeGateway> EdgeServer<G> {
         }
     }
 
-    /// Every layer's metrics, the reactor's own and whether a follower is
-    /// linked (`rtdls_replica_connected`).
+    /// Every layer's metrics, the reactor's own, the phase table
+    /// (`rtdls_profile_ns`) and whether a follower is linked
+    /// (`rtdls_replica_connected`).
     fn fold(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         self.gateway.fold_metrics(&mut reg);
         fold_edge_stats(&mut reg, &self.stats, self.pending.len(), self.conns.len());
+        self.telemetry.fold_phases(&mut reg);
         let linked = if self.link.is_some() { 1.0 } else { 0.0 };
         reg.gauge("rtdls_replica_connected", &[], linked);
         reg
@@ -424,7 +399,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     let hello = ServerMsg::Hello {
                         protocol: PROTOCOL_VERSION,
                     };
-                    conn.enqueue(&hello, &self.profiler);
+                    conn.enqueue(&hello, &self.telemetry);
                     // A socket the selector will not watch would never be
                     // read: it is reaped this turn instead.
                     conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
@@ -494,9 +469,9 @@ impl<G: EdgeGateway> EdgeServer<G> {
                         // of misparsing a server-direction payload.
                         Err("misdirected frame".to_string())
                     } else {
-                        let started = self.profiler.start();
+                        let started = self.telemetry.timer();
                         let decoded = decode_client(payload);
-                        self.profiler.stop("edge/decode", started);
+                        self.telemetry.phase("edge/decode", started);
                         decoded.map_err(|e| format!("undecodable message: {e}"))
                     }
                 }
@@ -613,11 +588,11 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     task: client_task,
                     verdict,
                 };
-                self.conns[i].enqueue(&reply, &self.profiler);
+                self.conns[i].enqueue(&reply, &self.telemetry);
             }
             ClientMsg::Ops { query } => {
                 let report = self.ops_report(query, now);
-                self.conns[i].enqueue(&ServerMsg::OpsReport { report }, &self.profiler);
+                self.conns[i].enqueue(&ServerMsg::OpsReport { report }, &self.telemetry);
             }
             ClientMsg::Bye => {
                 self.conns[i].start_draining(now);
@@ -671,7 +646,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 },
             },
             OpsQuery::Profile => OpsReport::Profile {
-                phases: self.profiler.snapshot(),
+                phases: self.telemetry.phases(),
             },
         }
     }
@@ -681,7 +656,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         // A protocol violation is a black-box moment: dump the recent
         // flight-recorder tail before answering and draining.
         self.telemetry.dump_to_stderr("protocol violation");
-        self.conns[i].enqueue(&ServerMsg::Error { seq, message }, &self.profiler);
+        self.conns[i].enqueue(&ServerMsg::Error { seq, message }, &self.telemetry);
         self.conns[i].start_draining(now);
     }
 
@@ -710,7 +685,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                 // Rewrite back to the id the client knows before the
                 // update leaves the reactor.
                 let update = update.retagged(client_task);
-                conn.enqueue(&ServerMsg::Update { update }, &self.profiler);
+                conn.enqueue(&ServerMsg::Update { update }, &self.telemetry);
                 break 'push true;
             };
             if delivered {

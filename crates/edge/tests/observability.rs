@@ -115,12 +115,12 @@ fn promoted_edge_serves_the_cross_node_timeline_over_the_wire() {
     let (_gateway, _stats) = handle.join().expect("edge thread");
 }
 
-/// The codec has its own rows in the profiler: over a loopback burst,
+/// The codec has its own rows in the phase table: over a loopback burst,
 /// `edge/decode` ran once per frame received and `edge/encode` once per
 /// frame queued (every one of which was then sent), nested inside the
 /// turn's `edge/read` / `edge/drive` phases.
 #[test]
-fn the_profiler_counts_one_decode_per_frame_in_and_one_encode_per_frame_out() {
+fn the_edge_phases_count_one_decode_per_frame_in_and_one_encode_per_frame_out() {
     use rtdls_edge::codec::{FrameDecoder, DEFAULT_MAX_FRAME};
     use rtdls_edge::proto::encode_client;
     use std::io::{Read, Write};
@@ -135,7 +135,8 @@ fn the_profiler_counts_one_decode_per_frame_in_and_one_encode_per_frame_out() {
     )
     .unwrap();
     let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    server.enable_profiler();
+    let telemetry = Telemetry::with_defaults();
+    server.set_telemetry(&telemetry);
     let now = SimTime::ZERO;
     let mut client = std::net::TcpStream::connect(server.local_addr()).unwrap();
     client
@@ -177,7 +178,7 @@ fn the_profiler_counts_one_decode_per_frame_in_and_one_encode_per_frame_out() {
         "hello, one verdict a submit, the pushed updates"
     );
     assert_eq!(frames_read, stats.frames_sent, "everything queued was sent");
-    let phases = server.profiler().snapshot();
+    let phases = telemetry.phases();
     let count = |path: &str| {
         phases
             .iter()

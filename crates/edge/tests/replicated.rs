@@ -17,10 +17,57 @@ use rtdls_journal::prelude::*;
 use rtdls_replica::net::{read_msg, write_msg};
 use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_telemetry::{HistoryConfig, MetricKind, MetricsRegistry, Telemetry};
+use rtdls_telemetry::{HistoryConfig, MetricKind, MetricSample, MetricsRegistry, Telemetry};
+
+/// Names in README § Unified metrics that a single short replicated run
+/// cannot produce, each with the reason.
+const UNREACHED: [(&str, &str); 1] = [(
+    "rtdls_tenant_demoted",
+    "only a recovery that demotes a tenant's reservations emits it",
+)];
+
+/// Every full `rtdls_*` name the README's metrics table documents.
+fn documented_metric_names() -> Vec<String> {
+    let readme = include_str!("../../../README.md");
+    let start = readme
+        .find("### Unified metrics")
+        .expect("README has the metrics section");
+    let section = &readme[start..];
+    let section = &section[..section[4..].find("\n### ").map_or(section.len(), |e| e + 4)];
+    let mut names: Vec<String> = Vec::new();
+    for (at, _) in section.match_indices("rtdls_") {
+        let glued = section[..at]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+        let name: String = section[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
+            .collect();
+        if !glued && !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// Whether `samples` carry `name`, as a scalar or as a flattened histogram.
+fn exported(samples: &[MetricSample], name: &str) -> bool {
+    let count = format!("{name}_count");
+    samples.iter().any(|s| s.name == name || s.name == count)
+}
 
 fn journaled_primary() -> JournaledGateway<ShardedGateway> {
-    let gateway = ShardedGateway::new(
+    JournaledGateway::new(sharded(), NO_COMPACTION)
+}
+
+const NO_COMPACTION: JournalConfig = JournalConfig {
+    snapshot_every: 0,
+    compact_on_snapshot: false,
+};
+
+fn sharded() -> ShardedGateway {
+    ShardedGateway::new(
         ClusterParams::paper_baseline(),
         2,
         AlgorithmKind::EDF_DLT,
@@ -28,14 +75,7 @@ fn journaled_primary() -> JournaledGateway<ShardedGateway> {
         Routing::LeastLoaded,
         DeferPolicy::default(),
     )
-    .unwrap();
-    JournaledGateway::new(
-        gateway,
-        JournalConfig {
-            snapshot_every: 0,
-            compact_on_snapshot: false,
-        },
-    )
+    .unwrap()
 }
 
 #[test]
@@ -51,15 +91,18 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
         (standby, processed)
     });
 
-    // The primary edge, shipping as it serves: tracing, profiler and
-    // history on (a cadence fast enough for this short run to land samples).
-    let gateway = ShippingGateway::new(journaled_primary(), ShipConfig::default());
+    // The primary edge, shipping as it serves: telemetry (spans and
+    // phases) and history on (a cadence fast enough for this short run to
+    // land samples). Its WAL is a file, so the sink's series exist too.
+    let wal = std::env::temp_dir().join(format!("rtdls-replicated-{}.wal", std::process::id()));
+    let sink = FileSink::create(&wal).expect("create the primary's WAL");
+    let primary = JournaledGateway::with_sink(sharded(), NO_COMPACTION, Box::new(sink));
+    let gateway = ShippingGateway::new(primary, ShipConfig::default());
     let mut server =
         EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
     let link = TcpStream::connect(standby_addr).expect("connect standby");
     server.follow(link).expect("link the standby");
     server.set_telemetry(&Telemetry::with_defaults());
-    server.enable_profiler();
     server.enable_history(HistoryConfig {
         capacity: 240,
         cadence: 0.05,
@@ -69,8 +112,12 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     let server_stop = Arc::clone(&stop);
     let handle = std::thread::spawn(move || server.run(EdgeClock::real_time(), &server_stop));
 
-    // Submit through the real protocol.
-    let requests = (1..=8u64).map(|id| SubmitRequest::new(Task::new(id, 0.0, 200.0, 30_000.0)));
+    // Submit through the real protocol: eight that fit and one hopeless
+    // refusal (so the rejection breakdown has a row).
+    let requests = (1..=9u64).map(|id| {
+        let deadline = if id == 9 { 0.001 } else { 30_000.0 };
+        SubmitRequest::new(Task::new(id, 0.0, 200.0, deadline))
+    });
     let client = ReplayClient::connect(addr).expect("connect replay");
     let report = client
         .run(
@@ -80,7 +127,7 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
             Duration::from_secs(5),
         )
         .expect("replay run");
-    assert_eq!(report.verdicts(), 8, "every submit answered: {report:?}");
+    assert_eq!(report.verdicts(), 9, "every submit answered: {report:?}");
 
     // The ops channel reports the replication view rtdls-top renders.
     let deadline = Duration::from_secs(5);
@@ -94,17 +141,25 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
             .value
     };
     assert_eq!(get("rtdls_replica_connected"), 1.0);
-    assert!(get("rtdls_replica_appended_offset") >= 9.0, "genesis + 8");
+    assert!(get("rtdls_replica_appended_offset") >= 10.0, "genesis + 9");
     assert_eq!(
         get("rtdls_replica_shipped_offset"),
         get("rtdls_replica_appended_offset"),
         "decide() pumps in the same turn, so nothing admitted sits unshipped"
     );
-    assert!(get("rtdls_replica_frames_shipped") >= 9.0);
+    assert!(get("rtdls_replica_frames_shipped") >= 10.0);
     assert_eq!(get("rtdls_journal_epoch"), 0.0);
-    assert_eq!(get("rtdls_edge_submits"), 8.0);
-    assert_eq!(get("rtdls_gateway_submitted"), 8.0);
-    assert!(get("rtdls_edge_turns") >= 1.0, "phase timing accumulated");
+    assert_eq!(get("rtdls_edge_submits"), 9.0);
+    assert_eq!(get("rtdls_gateway_submitted"), 9.0);
+    // The phase table is part of the folded snapshot.
+    let drive_turns = samples
+        .iter()
+        .find(|s| {
+            s.name == "rtdls_profile_ns_count"
+                && s.labels == [("phase".to_string(), "edge/drive".to_string())]
+        })
+        .map_or(0.0, |s| s.value);
+    assert!(drive_turns >= 1.0, "phase timing accumulated");
     // Acks come back on the link's own readiness, so wait for the first.
     let asked = Instant::now();
     let (epoch, ack_lag) = loop {
@@ -192,11 +247,30 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     // Tear the primary down; the standby finishes draining on EOF.
     stop.store(true, Ordering::Relaxed);
     let (gateway, stats) = handle.join().expect("edge thread");
-    assert_eq!(stats.submits, 8);
-    let wal = gateway.inner().journal().bytes().to_vec();
+    assert_eq!(stats.submits, 9);
+    let wal_bytes = gateway.inner().journal().bytes().to_vec();
     drop(gateway);
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
+    let wal = wal_bytes;
     let (standby, processed) = standby_thread.join().expect("standby thread");
-    assert!(processed >= 9, "standby saw the whole stream: {processed}");
+    assert!(processed >= 10, "standby saw the whole stream: {processed}");
+
+    // Every metric the README documents is exported by the primary's
+    // `Ops::Stats` or by the follower's fold.
+    let mut follower_reg = MetricsRegistry::new();
+    fold_follower_metrics(&mut follower_reg, standby.follower());
+    let follower_samples = follower_reg.flatten();
+    let documented = documented_metric_names();
+    assert!(documented.len() >= 30, "{documented:?}");
+    for name in &documented {
+        let reached = exported(&samples, name) || exported(&follower_samples, name);
+        let excused = UNREACHED.iter().any(|(n, _)| n == name);
+        assert!(
+            reached != excused,
+            "{name}: reached {reached}, excused {excused}"
+        );
+    }
 
     // The mirror is byte-identical to the primary's WAL: a failover here
     // would lose nothing.

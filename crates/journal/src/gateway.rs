@@ -26,7 +26,7 @@ use rtdls_core::prelude::{
 };
 use rtdls_service::prelude::{EdgeGateway, ServiceBook, ServiceMetrics, ShardedGateway, Verdict};
 use rtdls_sim::serve::{Resolution, Serve, Turn};
-use rtdls_telemetry::{MetricsRegistry, Profiler, Stage, Telemetry};
+use rtdls_telemetry::{MetricsRegistry, Stage, Telemetry};
 
 use crate::event::JournalEvent;
 use crate::journal::{Journal, JournalConfig, JournalSink};
@@ -235,13 +235,15 @@ impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
         crate::telemetry::fold_journal_metrics(reg, &self.journal);
     }
 
-    /// Attaches to this wrapper *and* the wrapped gateway, so journal
-    /// appends and the service layer's decision stages record into the
-    /// same flight recorder. Attaching to a recovery-built gateway records
+    /// Attaches to this wrapper, its journal (append/write/fsync phases)
+    /// *and* the wrapped gateway, so journal appends and the service
+    /// layer's decision stages record into the same flight recorder and
+    /// phase table. Attaching to a recovery-built gateway records
     /// a `Recovery` span and dumps the recorder to stderr (the
     /// crash-recovery black-box hook).
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
+        self.journal.attach_telemetry(telemetry);
         self.inner.attach_telemetry(telemetry);
         if let Some(at) = self.recovered_at {
             self.telemetry.record(
@@ -255,13 +257,6 @@ impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
             );
             self.telemetry.dump_to_stderr("crash recovery");
         }
-    }
-
-    /// Attaches to the journal (append/fsync phases) *and* the wrapped
-    /// gateway (plan phase).
-    fn attach_profiler(&mut self, profiler: &Profiler) {
-        self.journal.attach_profiler(profiler);
-        self.inner.attach_profiler(profiler);
     }
 }
 

@@ -16,6 +16,8 @@ use std::io::Read as _;
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
+use rtdls_telemetry::Telemetry;
+
 use crate::event::JournalEvent;
 use crate::snapshot::{GatewaySnapshot, JournalError};
 use crate::wire::{frame_count, write_frame, RecordKind, MAGIC};
@@ -387,9 +389,9 @@ pub struct Journal {
     /// promotion; a zombie primary keeps its old epoch and its late shipped
     /// frames are fenced by it.
     epoch: u64,
-    /// Hot-path profiler handle (disabled by default: one `Option` check
-    /// per append, no clock reads).
-    profiler: rtdls_telemetry::Profiler,
+    /// Phase-timing handle (disabled by default: one `Option` check per
+    /// append, no clock reads).
+    telemetry: Telemetry,
     /// How much of `bytes` the sink holds: `bytes[written..]` is the run of
     /// whole frames still owed to it.
     written: usize,
@@ -415,7 +417,7 @@ impl Journal {
             base_seq: 0,
             frame_index: Vec::new(),
             epoch: 0,
-            profiler: rtdls_telemetry::Profiler::disabled(),
+            telemetry: Telemetry::disabled(),
             written: 0,
             rewrite_due: false,
             held: false,
@@ -440,12 +442,12 @@ impl Journal {
         self.rewrite_due = false;
     }
 
-    /// Attaches a hot-path profiler: `journal/append` and
+    /// Attaches the observability handle: `journal/append` and
     /// `journal/snapshot` time the encoding into the image, `journal/write`
     /// the hand-over to the sink (one frame, a held turn's run, or a
     /// compaction rewrite) and `journal/fsync` the closing sync.
-    pub fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        self.profiler = profiler.clone();
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.telemetry = telemetry.clone();
     }
 
     /// The canonical log bytes (exactly what a recovery would read).
@@ -541,9 +543,9 @@ impl Journal {
         self.held = false;
         self.hand_over();
         if let Some(sink) = &mut self.sink {
-            let started = self.profiler.start();
+            let started = self.telemetry.timer();
             sink.flush();
-            self.profiler.stop("journal/fsync", started);
+            self.telemetry.phase("journal/fsync", started);
         }
     }
 
@@ -554,13 +556,13 @@ impl Journal {
             return;
         }
         if let Some(sink) = &mut self.sink {
-            let started = self.profiler.start();
+            let started = self.telemetry.timer();
             if self.rewrite_due {
                 sink.reset(&self.bytes);
             } else {
                 sink.append(&self.bytes[self.written..]);
             }
-            self.profiler.stop("journal/write", started);
+            self.telemetry.phase("journal/write", started);
         }
         self.written = self.bytes.len();
         self.rewrite_due = false;
@@ -575,7 +577,7 @@ impl Journal {
 
     /// Appends one event record.
     pub fn append_event(&mut self, ev: &JournalEvent) {
-        let started = self.profiler.start();
+        let started = self.telemetry.timer();
         self.frame_index.push(self.bytes.len());
         self.head_seq += 1;
         self.render(RecordKind::Event, ev);
@@ -583,7 +585,7 @@ impl Journal {
         if ev.is_input() {
             self.events_since_snapshot += 1;
         }
-        self.profiler.stop("journal/append", started);
+        self.telemetry.phase("journal/append", started);
         if !self.held {
             self.hand_over();
         }
@@ -592,7 +594,7 @@ impl Journal {
     /// Appends a snapshot record, compacting away the preceding bytes when
     /// configured to.
     pub fn append_snapshot(&mut self, snap: &GatewaySnapshot) {
-        let started = self.profiler.start();
+        let started = self.telemetry.timer();
         if self.cfg.compact_on_snapshot {
             self.bytes.clear();
             self.base_seq = self.head_seq;
@@ -609,7 +611,7 @@ impl Journal {
         self.render(RecordKind::Snapshot, snap);
         self.events_since_snapshot = 0;
         self.snapshots_appended += 1;
-        self.profiler.stop("journal/snapshot", started);
+        self.telemetry.phase("journal/snapshot", started);
         if !self.held {
             self.hand_over();
         }

@@ -82,7 +82,7 @@ proptest! {
             },
         );
         let telemetry = Telemetry::new(TelemetryConfig {
-            recorder_capacity: 4096,
+            recorder_capacity: 8 * 4096,
             ..TelemetryConfig::default()
         });
         j.attach_telemetry(&telemetry);

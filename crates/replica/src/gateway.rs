@@ -22,7 +22,7 @@ use rtdls_core::prelude::{AdmissionFailure, SimTime, SubmitRequest, TaskId, Task
 use rtdls_journal::prelude::{JournaledGateway, Recoverable};
 use rtdls_service::prelude::{EdgeGateway, ServiceBook, ShardedGateway, Verdict};
 use rtdls_sim::serve::{Resolution, Serve, Turn};
-use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
+use rtdls_telemetry::{MetricsRegistry, Telemetry};
 
 use crate::net::{decode_msg, encode_msg};
 use crate::ship::{ShipConfig, ShipMsg, Shipper};
@@ -129,19 +129,13 @@ impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
         Ok(used)
     }
 
-    /// Attaches to both the wrapped gateway and the shipper, so shipped
-    /// frames carry the request's trace id and its primary-side spans
-    /// across the wire.
+    /// Attaches to both the wrapped gateway (the journal and the planning
+    /// core) and the shipper, so shipped frames carry the request's trace
+    /// id and its primary-side spans across the wire, and the shipper's
+    /// poll/ack phases are timed.
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.inner.attach_telemetry(telemetry);
         self.shipper.attach_telemetry(telemetry);
-    }
-
-    /// Attaches to the journal, the planning core, and the shipper's
-    /// poll/ack phases.
-    fn attach_profiler(&mut self, profiler: &Profiler) {
-        self.inner.attach_profiler(profiler);
-        self.shipper.attach_profiler(profiler);
     }
 }
 

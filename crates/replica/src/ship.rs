@@ -33,7 +33,7 @@
 
 use rtdls_core::prelude::SimTime;
 use rtdls_journal::{Journal, JournalEvent};
-use rtdls_telemetry::{Profiler, Span, Stage, Telemetry};
+use rtdls_telemetry::{Span, Stage, Telemetry};
 use serde::{Deserialize, Serialize};
 
 /// One message on the replication channel, in either direction.
@@ -156,10 +156,9 @@ pub struct Shipper {
     /// Trace handle: when enabled, outbound frames carry the journaled
     /// request's trace id plus the primary's retained spans for it, and
     /// every first-time ship records a `ShipFrame` span. Disabled by
-    /// default — the untraced path never decodes frame payloads.
+    /// default — the untraced path never decodes frame payloads. It also
+    /// times the `ship/poll` and `ship/ack` phases.
     telemetry: Telemetry,
-    /// Hot-path profiler (`ship/poll`, `ship/ack` phases).
-    profiler: Profiler,
 }
 
 impl Shipper {
@@ -173,19 +172,14 @@ impl Shipper {
             last_progress: SimTime::ZERO,
             stats: ShipStats::default(),
             telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
         }
     }
 
     /// Attaches a trace handle: shipped frames start carrying trace ids
-    /// and span payloads for cross-node timeline reconstruction.
+    /// and span payloads for cross-node timeline reconstruction, and the
+    /// `ship/*` phases start timing.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
-    }
-
-    /// Attaches a hot-path profiler (`ship/*` phases).
-    pub fn attach_profiler(&mut self, profiler: &Profiler) {
-        self.profiler = profiler.clone();
     }
 
     /// Builds one outbound frame, labeling it with the journaled request's
@@ -227,7 +221,7 @@ impl Shipper {
     /// stalled, and a heartbeat if one is due. The caller sends the
     /// returned messages in order.
     pub fn poll(&mut self, journal: &Journal, now: SimTime) -> Vec<ShipMsg> {
-        let phase = self.profiler.start();
+        let phase = self.telemetry.timer();
         let epoch = journal.epoch();
         let head = journal.next_seq();
         let mut out = Vec::new();
@@ -263,20 +257,20 @@ impl Shipper {
             self.last_heartbeat = Some(now);
         }
 
-        self.profiler.stop("ship/poll", phase);
+        self.telemetry.phase("ship/poll", phase);
         out
     }
 
     /// Applies a follower [`ShipMsg::Ack`]: acks are cumulative, so only a
     /// forward move counts as progress.
     pub fn on_ack(&mut self, seq: u64, now: SimTime) {
-        let phase = self.profiler.start();
+        let phase = self.telemetry.timer();
         if seq > self.acked {
             self.acked = seq;
             self.last_progress = now;
             self.stats.acks_applied += 1;
         }
-        self.profiler.stop("ship/ack", phase);
+        self.telemetry.phase("ship/ack", phase);
     }
 
     /// Frames handed to the transport at least once (`< shipped`).

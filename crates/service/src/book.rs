@@ -11,7 +11,7 @@ use rtdls_core::prelude::{
     Admission, AdmissionController, AlgorithmKind, ClusterParams, Decision, Infeasible, QosClass,
     SimTime, SubmitRequest, Task, TenantId,
 };
-use rtdls_telemetry::{Profiler, Stage, Telemetry};
+use rtdls_telemetry::{Stage, Telemetry};
 
 use crate::defer::{latest_feasible_start, DeferOutcome, DeferPolicy, DeferTicket, DeferredQueue};
 use crate::metrics::ServiceMetrics;
@@ -60,14 +60,12 @@ pub struct ServiceBook {
     updates: Vec<DecisionUpdate>,
     /// Whether parked-task updates are being recorded.
     observe: bool,
-    /// Decision-tracing handle. Process-local like `observe`: disabled by
-    /// default (the zero-telemetry path is one `Option` check), never
-    /// captured in snapshots, re-attached by the owner after recovery.
+    /// Decision-tracing and phase-timing handle (spans, and the plan,
+    /// reserve, explain and defer re-test phases). Process-local like
+    /// `observe`: disabled by default (the zero-telemetry path is one
+    /// `Option` check), never captured in snapshots, re-attached by the
+    /// owner after recovery.
     telemetry: Telemetry,
-    /// Hot-path profiler handle (phase timing on the plan, reserve,
-    /// explain and defer re-test paths). Same discipline as `telemetry`:
-    /// disabled by default, process-local.
-    profiler: Profiler,
     /// Deadline-SLO tracker. Durable: sim-time driven and deterministic, it
     /// rides inside gateway snapshots so alarm states and breach counts
     /// survive kill/recover.
@@ -123,7 +121,6 @@ impl ServiceBook {
             updates: Vec::new(),
             observe: false,
             telemetry: Telemetry::disabled(),
-            profiler: Profiler::disabled(),
             slo,
             breach_log: Vec::new(),
             recents: Vec::new(),
@@ -148,17 +145,6 @@ impl ServiceBook {
     /// The attached tracing handle (disabled unless the owner enabled it).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Attaches a hot-path profiler handle (a clone; all clones share one
-    /// phase table). Process-local like the telemetry handle.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-    }
-
-    /// The attached profiler handle (disabled unless the owner enabled it).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// A tenant's current undispatched liabilities: waiting + deferred +
@@ -409,9 +395,9 @@ pub(crate) fn decide_request(
     if book.explain_enabled
         && matches!(verdict, Verdict::Rejected { .. } | Verdict::Deferred { .. })
     {
-        let explain_phase = book.profiler.start();
+        let explain_timer = book.telemetry.timer();
         verdict = verdict.with_explanation(engine.explain(request, now));
-        book.profiler.stop("gateway/explain", explain_phase);
+        book.telemetry.phase("gateway/explain", explain_timer);
     }
     let (tenant, qos) = (request.tenant, request.qos);
     let acceptance = match verdict {
@@ -466,24 +452,16 @@ fn decide_request_inner(
     let task_id = request.task.id.0;
     let trace = request.trace;
     let plan_timer = book.telemetry.timer();
-    let plan_phase = book.profiler.start();
     let (decision, shard) = engine.submit(&request.task, now);
-    book.profiler.stop("gateway/plan", plan_phase);
+    let plan_ns = book.telemetry.phase("gateway/plan", plan_timer);
     if let Some(s) = shard {
         book.telemetry
             .record(trace, Stage::Route, Some(s), task_id, "routed", now, None);
     }
     match decision {
         Decision::Accepted => {
-            book.telemetry.record(
-                trace,
-                Stage::Plan,
-                shard,
-                task_id,
-                "Accepted",
-                now,
-                plan_timer,
-            );
+            book.telemetry
+                .record_ns(trace, Stage::Plan, shard, task_id, "Accepted", now, plan_ns);
             book.telemetry.remember(task_id, trace);
             book.ledger.insert(request.task.id, tenant);
             book.metrics.accepted_immediate += 1;
@@ -492,14 +470,14 @@ fn decide_request_inner(
         }
         Decision::Rejected(cause) => {
             if book.telemetry.is_enabled() {
-                book.telemetry.record(
+                book.telemetry.record_ns(
                     trace,
                     Stage::Plan,
                     shard,
                     task_id,
                     &format!("{cause:?}"),
                     now,
-                    plan_timer,
+                    plan_ns,
                 );
             }
             if let Some(max_delay) = request.max_delay {
@@ -508,9 +486,8 @@ fn decide_request_inner(
                     .admits_reservation(request.qos, book.reservations.count_for(tenant));
                 if can_book {
                     let reserve_timer = book.telemetry.timer();
-                    let reserve_phase = book.profiler.start();
                     let earliest = engine.earliest_feasible_start(&request.task, now);
-                    book.profiler.stop("gateway/reserve", reserve_phase);
+                    let reserve_ns = book.telemetry.phase("gateway/reserve", reserve_timer);
                     if let Some(start_at) = earliest {
                         if start_at.at_or_before_eps(now + SimTime::new(max_delay)) {
                             let ticket = book.reservations.book(
@@ -523,14 +500,14 @@ fn decide_request_inner(
                             );
                             book.metrics.reserved += 1;
                             book.metrics.tenants.counters_mut(tenant).reserved += 1;
-                            book.telemetry.record(
+                            book.telemetry.record_ns(
                                 trace,
                                 Stage::Reserve,
                                 shard,
                                 task_id,
                                 "Reserved",
                                 now,
-                                reserve_timer,
+                                reserve_ns,
                             );
                             book.telemetry.remember(task_id, trace);
                             return Verdict::Reserved { start_at, ticket };

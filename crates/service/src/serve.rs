@@ -16,7 +16,7 @@
 
 use rtdls_core::prelude::{AdmissionExplanation, SimTime, SubmitRequest};
 use rtdls_sim::serve::Serve;
-use rtdls_telemetry::{MetricsRegistry, Profiler, Telemetry};
+use rtdls_telemetry::{MetricsRegistry, Telemetry};
 
 use crate::book::ServiceBook;
 use crate::observe::DecisionUpdate;
@@ -100,20 +100,16 @@ pub trait EdgeGateway: Serve<Outcome = Verdict> {
         Ok(acks.len())
     }
 
-    /// Attaches a decision-tracing handle: spans from the decision flow
+    /// Attaches the observability handle: spans from the decision flow
     /// land in the handle's shared flight recorder (`Route` spans carry the
-    /// chosen shard), and untraced in-process submissions get a trace id
-    /// minted at ingress. Process-local, re-attached after recovery.
+    /// chosen shard), untraced in-process submissions get a trace id
+    /// minted at ingress, and phases start timing — the routed admission
+    /// test of every decision into `gateway/plan` (the `Plan` span carries
+    /// the same reading), a refusal's reservation search into
+    /// `gateway/reserve` (and its `Reserve` span) and its explanation
+    /// search into `gateway/explain`, and every sweep of the defer queue
+    /// into `gateway/retest`. Process-local, re-attached after recovery.
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.book_mut().set_telemetry(telemetry.clone());
-    }
-
-    /// Attaches a hot-path profiler handle: the routed admission/plan
-    /// phase of every decision starts timing into `gateway/plan`, a
-    /// refusal's reservation search into `gateway/reserve` and its
-    /// explanation search into `gateway/explain`, and every sweep of the
-    /// defer queue into `gateway/retest`.
-    fn attach_profiler(&mut self, profiler: &Profiler) {
-        self.book_mut().set_profiler(profiler.clone());
     }
 }

@@ -654,11 +654,11 @@ impl ShardedGateway {
 
     /// Re-tests the defer queue against current capacity across all shards.
     pub fn retest_deferred(&mut self, now: SimTime) {
-        let retest_phase = self.book.profiler().start();
+        let retest_timer = self.book.telemetry().timer();
         let (service, mut engine) = self.routed(NO_SKIP);
         let retest = |task: &Task| engine.submit(task, now).0.is_accepted();
         let (departed, retests) = service.defer.sweep(now, retest);
-        service.profiler().stop("gateway/retest", retest_phase);
+        service.telemetry().phase("gateway/retest", retest_timer);
         service.metrics.retests += retests;
         book::apply_departures(service, departed, now);
     }
@@ -1326,37 +1326,46 @@ mod tests {
     }
 
     #[test]
-    fn profiler_times_the_reservation_search_and_the_defer_sweep() {
+    fn telemetry_times_the_reservation_search_and_the_defer_sweep() {
         // `gateway/reserve` is the start search alone: a verdict that never
-        // reaches it (an acceptance) records none, a `Reserved` one does.
+        // reaches it (an acceptance) records none, a `Reserved` one does,
+        // and its `Reserve` span carries the same reading.
         // `gateway/retest` is one entry per defer sweep.
-        use rtdls_telemetry::Profiler;
-        let count = |profiler: &Profiler, path: &str| {
-            profiler
-                .snapshot()
+        use rtdls_telemetry::{Stage, Telemetry};
+        let phase = |telemetry: &Telemetry, path: &str| {
+            telemetry
+                .phases()
                 .iter()
                 .find(|p| p.path == path)
-                .map_or(0, |p| p.count)
+                .map_or((0, 0), |p| (p.count, p.total_ns))
         };
+        let count = |telemetry: &Telemetry, path: &str| phase(telemetry, path).0;
         let mut g = single();
-        let profiler = Profiler::enabled();
-        g.attach_profiler(&profiler);
+        let telemetry = Telemetry::with_defaults();
+        g.attach_telemetry(&telemetry);
         let roomy = SubmitRequest::new(Task::new(1, 0.0, 100.0, 1e6)).with_max_delay(Some(2000.0));
         assert!(g.submit_request(&roomy, SimTime::ZERO).is_accepted());
-        assert_eq!(count(&profiler, "gateway/plan"), 1);
-        assert_eq!(count(&profiler, "gateway/reserve"), 0);
+        assert_eq!(count(&telemetry, "gateway/plan"), 1);
+        assert_eq!(count(&telemetry, "gateway/reserve"), 0);
 
         let (mut g, c, _) = reservation_scenario();
-        let profiler = Profiler::enabled();
-        g.attach_profiler(&profiler);
+        let telemetry = Telemetry::with_defaults();
+        g.attach_telemetry(&telemetry);
         let req = SubmitRequest::new(c).with_max_delay(Some(2000.0));
         let verdict = g.submit_request(&req, SimTime::ZERO);
         assert!(matches!(verdict, Verdict::Reserved { .. }), "{verdict:?}");
-        assert_eq!(count(&profiler, "gateway/plan"), 1);
-        assert_eq!(count(&profiler, "gateway/reserve"), 1);
-        assert_eq!(count(&profiler, "gateway/retest"), 0);
+        assert_eq!(count(&telemetry, "gateway/plan"), 1);
+        assert_eq!(count(&telemetry, "gateway/reserve"), 1);
+        let reserve_spans: Vec<u64> = telemetry
+            .recent_spans(64)
+            .iter()
+            .filter(|s| s.stage == Stage::Reserve)
+            .map(|s| s.duration_ns)
+            .collect();
+        assert_eq!(reserve_spans, vec![phase(&telemetry, "gateway/reserve").1]);
+        assert_eq!(count(&telemetry, "gateway/retest"), 0);
         g.retest_deferred(SimTime::ZERO);
-        assert_eq!(count(&profiler, "gateway/retest"), 1);
+        assert_eq!(count(&telemetry, "gateway/retest"), 1);
 
         // What a sweep costs the engine: a parked ticket asked about again
         // with nothing changed around it (the task ahead of it dispatched as

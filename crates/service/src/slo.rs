@@ -27,9 +27,9 @@
 //!   dumps + a journaled `SloBreach` audit record).
 //!
 //! Everything here is driven by **sim time** and the decision stream, so
-//! the tracker is deterministic: both admission engines, and a journal
-//! replay of either, produce byte-identical tracker state — which is why
-//! the whole tracker can live inside durable gateway snapshots.
+//! the tracker is deterministic: a live run and a journal replay of it
+//! produce byte-identical tracker state — which is why the whole tracker
+//! can live inside durable gateway snapshots.
 
 use serde::{Deserialize, Serialize};
 

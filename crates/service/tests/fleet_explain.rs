@@ -17,7 +17,7 @@ use rtdls_check::oracle::ReferenceController;
 use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_telemetry::Profiler;
+use rtdls_telemetry::{Stage, Telemetry};
 use rtdls_workload::prelude::{WorkloadGenerator, WorkloadSpec};
 
 /// The documented fold over complete per-shard explanations.
@@ -439,34 +439,70 @@ fn the_first_shard_wins_an_observable_tie() {
     assert_eq!(seen.observable_tie, 1, "the tie must be observable");
 }
 
-/// The explanation search is timed into its own profiler phase, beside
+/// The explanation search is timed into its own phase, beside
 /// `gateway/plan`: only for refusals, only on an explaining gateway.
 #[test]
 fn a_refusal_records_the_gateway_explain_phase_and_an_acceptance_does_not() {
-    let count = |profiler: &Profiler, path: &str| {
-        profiler
-            .snapshot()
+    let count = |telemetry: &Telemetry, path: &str| {
+        telemetry
+            .phases()
             .iter()
             .find(|p| p.path == path)
             .map_or(0, |p| p.count)
     };
     let mut g = gateway(8, 2, AlgorithmKind::EDF_DLT, Routing::LeastLoaded);
-    let profiler = Profiler::enabled();
-    g.attach_profiler(&profiler);
+    let telemetry = Telemetry::with_defaults();
+    g.attach_telemetry(&telemetry);
     let now = SimTime::ZERO;
     let roomy = SubmitRequest::new(Task::new(1, 0.0, 100.0, 1e6));
     assert!(g.submit_request(&roomy, now).is_accepted());
-    assert_eq!(count(&profiler, "gateway/plan"), 1);
-    assert_eq!(count(&profiler, "gateway/explain"), 0);
+    assert_eq!(count(&telemetry, "gateway/plan"), 1);
+    assert_eq!(count(&telemetry, "gateway/explain"), 0);
     let hopeless = SubmitRequest::new(Task::new(2, 0.0, 1e5, 1.0));
     let verdict = g.submit_request(&hopeless, now);
     assert!(verdict.explanation().is_some(), "{verdict:?}");
-    assert_eq!(count(&profiler, "gateway/plan"), 2);
-    assert_eq!(count(&profiler, "gateway/explain"), 1);
+    assert_eq!(count(&telemetry, "gateway/plan"), 2);
+    assert_eq!(count(&telemetry, "gateway/explain"), 1);
     // Explanations off: the refusal is planned, not explained.
     g.book_mut().enable_explanations(false);
     let verdict = g.submit_request(&hopeless, now);
     assert!(verdict.explanation().is_none(), "{verdict:?}");
-    assert_eq!(count(&profiler, "gateway/plan"), 3);
-    assert_eq!(count(&profiler, "gateway/explain"), 1);
+    assert_eq!(count(&telemetry, "gateway/plan"), 3);
+    assert_eq!(count(&telemetry, "gateway/explain"), 1);
+}
+
+/// One handle records spans and phases, and where both time the same call
+/// they carry one clock reading: over a generated stream on four shards,
+/// the `Plan` spans' durations sum exactly to the `gateway/plan` phase's
+/// total, span for interval.
+#[test]
+fn plan_spans_and_the_plan_phase_read_one_clock() {
+    let mut g = gateway(32, 4, AlgorithmKind::EDF_DLT, Routing::LeastLoaded);
+    let telemetry = Telemetry::with_defaults();
+    g.attach_telemetry(&telemetry);
+    let mut spec = WorkloadSpec::paper_baseline(1.0);
+    spec.params = *g.params();
+    spec.horizon = f64::MAX;
+    let mut verdicts = 0;
+    for task in WorkloadGenerator::new(spec, 11).take(300) {
+        let _ = g.take_due(task.arrival);
+        let _ = g.submit_request(&SubmitRequest::new(task), task.arrival);
+        verdicts += 1;
+    }
+    let spans = telemetry.recent_spans(usize::MAX);
+    assert_eq!(
+        telemetry.spans_recorded(),
+        spans.len() as u64,
+        "ring kept all"
+    );
+    let plan_spans = spans.iter().filter(|s| s.stage == Stage::Plan);
+    let (count, total_ns) = telemetry
+        .phases()
+        .into_iter()
+        .find(|p| p.path == "gateway/plan")
+        .map(|p| (p.count, p.total_ns))
+        .expect("the plan phase is timed");
+    assert_eq!(count, verdicts);
+    assert_eq!(plan_spans.clone().count() as u64, count);
+    assert_eq!(plan_spans.map(|s| s.duration_ns).sum::<u64>(), total_ns);
 }

@@ -4,7 +4,7 @@
 //! reports `2^(i+1)` as its upper bound, so a quantile read off the bounds
 //! is within 2× of the sample — plenty for latencies that span a branch and
 //! a batch fsync on one scale. Gateway decision latencies (per tenant and
-//! overall, process-local in `ServiceMetrics`) and every profiler phase are
+//! overall, process-local in `ServiceMetrics`) and every timed phase are
 //! this type; [`quantile`] is the one walk over `(bound, count)` pairs,
 //! which the registry's `HistogramSample` calls too. It is never
 //! serialized: a latency measures one process's wall clock, and nothing
@@ -153,7 +153,7 @@ mod tests {
         assert_eq!(h.max_ns(), 1_000_000);
         assert_eq!(LatencyHistogram::new().quantile_ns(0.99), 0);
 
-        // Profiler phases: a sample sits under the next power of two (an
+        // Phases: a sample sits under the next power of two (an
         // exact power under the one after it), and the top bucket clamps.
         let bound_of = |ns| {
             let mut h = LatencyHistogram::new();

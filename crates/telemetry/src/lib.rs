@@ -1,21 +1,26 @@
 //! rtdls-telemetry: the observability substrate for the rtdls stack.
 //!
 //! Hand-rolled for the offline build (no `tracing` / `prometheus`
-//! dependencies), this crate provides the three pieces every layer reports
+//! dependencies), this crate provides the pieces every layer reports
 //! into:
 //!
 //! * **Decision tracing** — a trace id minted at the ingress point rides the
 //!   [`SubmitRequest`](rtdls_core::request::SubmitRequest) envelope through
 //!   edge framing, gateway routing, engine planning, journal append, and the
-//!   defer/reservation lifecycle; each stage records a [`Span`] into a
-//!   striped [`FlightRecorder`] ring, and the full timeline is
-//!   reconstructable by trace id.
+//!   defer/reservation lifecycle; each stage records a [`Span`] into one
+//!   [`FlightRecorder`] ring, and the full timeline is reconstructable by
+//!   trace id.
+//! * **Phase timings** — hierarchical hot-path phases (`edge/drive`,
+//!   `gateway/plan`, `journal/fsync`, …) summed into log₂ histograms beside
+//!   the ring ([`Telemetry::phase`]); where a span and a phase time the same
+//!   call, one clock reading feeds both.
 //! * **A unified [`MetricsRegistry`]** — counters/gauges/histograms by
 //!   name+labels that the layers' native stats fold into, with
 //!   Prometheus-text and JSON-lines exposition.
 //! * **The [`Telemetry`] handle** — a cheaply cloneable, shard-labelable
-//!   recording handle. [`Telemetry::disabled`] is the default everywhere:
-//!   the zero-telemetry path is one `Option` check, no allocation, no lock.
+//!   recording handle for spans and phases alike. [`Telemetry::disabled`]
+//!   is the default everywhere: the zero-telemetry path is one `Option`
+//!   check, no allocation, no lock.
 //!
 //! The recorder is dumped automatically (by the owning layer) on protocol
 //! violations, slow-consumer evictions, and crash recovery — the in-memory
@@ -23,7 +28,7 @@
 
 mod histogram;
 mod history;
-mod profiler;
+mod phase;
 mod recorder;
 mod registry;
 mod span;
@@ -31,7 +36,7 @@ mod window;
 
 pub use histogram::LatencyHistogram;
 pub use history::{HistoryConfig, SeriesPoint, TimeSeriesStore};
-pub use profiler::{render_tree, PhaseProfile, Profiler};
+pub use phase::{render_tree, PhaseProfile};
 pub use recorder::FlightRecorder;
 pub use registry::{HistogramSample, MetricKind, MetricSample, MetricsRegistry};
 pub use span::{Span, Stage};
@@ -45,14 +50,13 @@ use std::time::Instant;
 
 use rtdls_core::prelude::SimTime;
 
+use phase::PhaseTable;
+
 /// Sizing and behavior knobs for an enabled [`Telemetry`] handle.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TelemetryConfig {
-    /// Spans retained per recorder stripe.
+    /// Spans retained by the flight recorder.
     pub recorder_capacity: usize,
-    /// Number of recorder stripes (spans stripe by shard to keep lock
-    /// contention off the admission hot path).
-    pub stripes: usize,
     /// Maximum task→trace associations remembered for lifecycle stages
     /// (activation/resolution) that only know the task id; oldest entries
     /// are evicted first.
@@ -64,8 +68,7 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            recorder_capacity: 1024,
-            stripes: 8,
+            recorder_capacity: 8 * 1024,
             trace_map_capacity: 4096,
             dump_recent: 32,
         }
@@ -102,17 +105,17 @@ impl TraceMap {
 struct Inner {
     cfg: TelemetryConfig,
     next_trace: AtomicU64,
-    next_seq: AtomicU64,
-    stripes: Vec<Mutex<FlightRecorder>>,
+    recorder: Mutex<FlightRecorder>,
+    phases: Mutex<PhaseTable>,
     traces: Mutex<TraceMap>,
 }
 
 /// The recording handle threaded through the stack.
 ///
-/// Cloning is cheap (an `Arc` bump); all clones share one recorder and one
-/// trace-mint counter. A clone can carry a default shard label
-/// ([`Telemetry::labeled`]) so layers that always run on one shard don't
-/// have to thread the index through every call. The [`Default`] handle is
+/// Cloning is cheap (an `Arc` bump); all clones share one recorder, one
+/// phase table and one trace-mint counter. A clone can carry a default
+/// shard label ([`Telemetry::labeled`]) so layers that always run on one
+/// shard don't have to thread the index through every call. The [`Default`] handle is
 /// disabled: every recording method is a no-op costing one `Option` check.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
@@ -128,15 +131,12 @@ impl Telemetry {
 
     /// An enabled handle with the given sizing.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let stripes = (0..cfg.stripes.max(1))
-            .map(|_| Mutex::new(FlightRecorder::new(cfg.recorder_capacity)))
-            .collect();
         Telemetry {
             inner: Some(Arc::new(Inner {
                 cfg,
                 next_trace: AtomicU64::new(1),
-                next_seq: AtomicU64::new(0),
-                stripes,
+                recorder: Mutex::new(FlightRecorder::new(cfg.recorder_capacity)),
+                phases: Mutex::new(PhaseTable::default()),
                 traces: Mutex::new(TraceMap::default()),
             })),
             shard: None,
@@ -182,8 +182,8 @@ impl Telemetry {
         }
     }
 
-    /// Starts a stage timer; `None` when disabled, so the zero-telemetry
-    /// path never touches the clock.
+    /// Starts a stage or phase timer; `None` when disabled, so the
+    /// zero-telemetry path never touches the clock.
     pub fn timer(&self) -> Option<Instant> {
         self.inner.as_ref().map(|_| Instant::now())
     }
@@ -193,6 +193,42 @@ impl Telemetry {
         started
             .map(|t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
             .unwrap_or(0)
+    }
+
+    /// Ends a phase timer started with [`Telemetry::timer`]: adds the
+    /// elapsed nanoseconds to `path`'s histogram and returns them, so a
+    /// span timing the same call can carry the same reading
+    /// ([`Telemetry::record_ns`]). Returns 0 and records nothing for `None`.
+    pub fn phase(&self, path: &'static str, started: Option<Instant>) -> u64 {
+        let ns = Self::elapsed_ns(started);
+        if let (Some(inner), Some(_)) = (&self.inner, started) {
+            if let Ok(mut phases) = inner.phases.lock() {
+                phases.record(path, ns);
+            }
+        }
+        ns
+    }
+
+    /// A path-sorted summary of every phase timed so far (empty when
+    /// disabled).
+    pub fn phases(&self) -> Vec<PhaseProfile> {
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        inner
+            .phases
+            .lock()
+            .map(|p| p.profiles())
+            .unwrap_or_default()
+    }
+
+    /// Folds every phase into `reg` as an `rtdls_profile_ns` histogram
+    /// labeled `phase=<path>`. No-op when disabled.
+    pub fn fold_phases(&self, reg: &mut MetricsRegistry) {
+        let Some(inner) = &self.inner else { return };
+        if let Ok(phases) = inner.phases.lock() {
+            phases.fold(reg);
+        }
     }
 
     /// Records one span. No-op when disabled.
@@ -235,19 +271,18 @@ impl Telemetry {
         duration_ns: u64,
     ) {
         let Some(inner) = &self.inner else { return };
-        let shard = shard.or(self.shard);
-        let span = Span {
+        let mut span = Span {
             trace,
-            seq: inner.next_seq.fetch_add(1, Ordering::Relaxed),
+            seq: 0,
             stage,
-            shard,
+            shard: shard.or(self.shard),
             task,
             outcome: outcome.to_string(),
             at,
             duration_ns,
         };
-        let stripe = shard.unwrap_or(0) as usize % inner.stripes.len();
-        if let Ok(mut rec) = inner.stripes[stripe].lock() {
+        if let Ok(mut rec) = inner.recorder.lock() {
+            span.seq = rec.pushed();
             rec.push(span);
         }
     }
@@ -279,51 +314,28 @@ impl Telemetry {
         }
     }
 
-    /// Total spans ever recorded across all stripes.
-    pub fn spans_recorded(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner
-                .stripes
-                .iter()
-                .filter_map(|s| s.lock().ok())
-                .map(|r| r.pushed())
-                .sum(),
-            None => 0,
+    /// Runs `f` on the recorder (`default` when disabled).
+    fn with_recorder<T>(&self, default: T, f: impl FnOnce(&FlightRecorder) -> T) -> T {
+        match self.inner.as_ref().map(|inner| inner.recorder.lock()) {
+            Some(Ok(rec)) => f(&rec),
+            _ => default,
         }
     }
 
-    /// Reconstructs the full retained timeline of `trace`, ordered by the
-    /// process-global span sequence number.
-    pub fn trace_spans(&self, trace: u64) -> Vec<Span> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut spans: Vec<Span> = inner
-            .stripes
-            .iter()
-            .filter_map(|s| s.lock().ok())
-            .flat_map(|r| r.trace(trace))
-            .collect();
-        spans.sort_by_key(|s| s.seq);
-        spans
+    /// Total spans ever recorded.
+    pub fn spans_recorded(&self) -> u64 {
+        self.with_recorder(0, FlightRecorder::pushed)
     }
 
-    /// The newest retained spans across all stripes, seq-ordered
-    /// oldest → newest, at most `n`.
+    /// Reconstructs the full retained timeline of `trace`, ordered by the
+    /// span sequence number (the ring's order).
+    pub fn trace_spans(&self, trace: u64) -> Vec<Span> {
+        self.with_recorder(Vec::new(), |rec| rec.trace(trace))
+    }
+
+    /// The newest retained spans, oldest → newest, at most `n`.
     pub fn recent_spans(&self, n: usize) -> Vec<Span> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut spans: Vec<Span> = inner
-            .stripes
-            .iter()
-            .filter_map(|s| s.lock().ok())
-            .flat_map(|r| r.recent(n))
-            .collect();
-        spans.sort_by_key(|s| s.seq);
-        let drop = spans.len().saturating_sub(n);
-        spans.drain(..drop);
-        spans
+        self.with_recorder(Vec::new(), |rec| rec.recent(n))
     }
 
     /// Distinct trace ids among the newest spans, most recent first.
@@ -386,6 +398,26 @@ mod tests {
         assert!(t.dump("x").is_none());
         t.remember(5, 1);
         assert_eq!(t.trace_of(5), None);
+        assert_eq!(t.phase("edge/read", t.timer()), 0);
+        assert!(t.phases().is_empty());
+        let mut reg = MetricsRegistry::new();
+        t.fold_phases(&mut reg);
+        assert!(reg.histograms().is_empty());
+    }
+
+    #[test]
+    fn a_phase_returns_the_reading_it_recorded() {
+        let t = Telemetry::with_defaults();
+        let started = t.timer();
+        assert!(started.is_some());
+        let ns = t.phase("ship/poll", started);
+        assert_eq!(t.phase("ship/poll", None), 0, "no timer, no interval");
+        let phases = t.phases();
+        assert_eq!(phases.len(), 1);
+        assert_eq!((phases[0].count, phases[0].total_ns), (1, ns));
+        let mut reg = MetricsRegistry::new();
+        t.fold_phases(&mut reg);
+        assert_eq!(reg.histograms()[0].name, "rtdls_profile_ns");
     }
 
     #[test]
@@ -398,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_reconstruction_merges_stripes_in_seq_order() {
+    fn trace_reconstruction_is_in_seq_order() {
         let t = Telemetry::with_defaults();
         let id = t.mint();
         rec(&t, id, Stage::EdgeReceive, None, 9);

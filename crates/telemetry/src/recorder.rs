@@ -3,10 +3,9 @@
 //! The recorder is the in-memory black box: every traced stage lands here,
 //! the newest spans overwrite the oldest once the ring is full, and the
 //! whole thing can be dumped when something goes wrong (protocol violation,
-//! slow-consumer eviction, crash recovery). The telemetry handle stripes
-//! spans across several recorders keyed by shard to keep lock contention
-//! off the admission hot path; the process-global `seq` on each span
-//! restores a total order when stripes are merged for reconstruction.
+//! slow-consumer eviction, crash recovery). The telemetry handle keeps one
+//! ring and numbers each span by its push (`seq`), so the ring's order is
+//! the total order of every span recorded.
 
 use crate::span::Span;
 

@@ -4,8 +4,7 @@
 //! stack. Spans carry a `trace` id minted at the ingress point (the network
 //! edge, or `submit_request` for in-process callers) and a process-global
 //! `seq` number, so a request's full timeline is reconstructable by trace id
-//! and totally ordered even when its stages landed in different recorder
-//! stripes.
+//! and totally ordered by it.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,7 +81,7 @@ impl std::fmt::Display for Stage {
 pub struct Span {
     /// Trace id this span belongs to (`0` = untraced, never recorded).
     pub trace: u64,
-    /// Process-global sequence number: total order across recorder stripes.
+    /// Process-global sequence number: the total order of the recorder.
     pub seq: u64,
     /// Pipeline stage.
     pub stage: Stage,
