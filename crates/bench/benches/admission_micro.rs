@@ -18,8 +18,11 @@
 //! `explain_fleet` is one refusal explained by a fleet shaped like the
 //! repository benchmark's `edge_burst` workload: 8 shards × 8 nodes, every
 //! queue filled by one same-instant burst. `place` is one fresh walk step on
-//! a 64-node shard, kept (into a pass's arena) and verdict-only. Printed,
-//! not gated.
+//! a 64-node shard, kept (into a pass's arena) and verdict-only.
+//! `slo_record` is what the deadline-SLO plane adds to one accepted
+//! decision: its acceptance and attainment records on a warm tracker of 8
+//! tenants (each record reads a tenant's and a QoS class's two windows).
+//! Printed, not gated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -27,7 +30,7 @@ use std::hint::black_box;
 use rtdls_bench::{baseline, waiting_queue};
 use rtdls_core::admission::schedulability_test;
 use rtdls_core::prelude::*;
-use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway};
+use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway, SloObjective, SloTracker};
 use rtdls_workload::prelude::{WorkloadGenerator, WorkloadSpec};
 
 fn bench_schedulability_test(c: &mut Criterion) {
@@ -247,6 +250,41 @@ fn bench_place(c: &mut Criterion) {
     group.finish();
 }
 
+/// One accepted decision's two SLO records, tenants taking turns, the
+/// decisions 0.05 sim-time units apart on a tracker warmed with 10 000
+/// decisions, one in ten refused.
+fn bench_slo_record(c: &mut Criterion) {
+    const QOS: [QosClass; 3] = [QosClass::Premium, QosClass::Standard, QosClass::BestEffort];
+    let mut tracker = SloTracker::default();
+    let mut decision = 0u64;
+    let mut decide = |tracker: &mut SloTracker, accepted: bool| {
+        let tenant = (decision % 8) as u32;
+        let (qos, now) = (
+            QOS[tenant as usize % 3],
+            SimTime::new(decision as f64 * 0.05),
+        );
+        decision += 1;
+        let moved = tracker.record(
+            TenantId(tenant),
+            qos,
+            SloObjective::Acceptance,
+            accepted,
+            now,
+        );
+        if accepted {
+            let held = tracker.record(TenantId(tenant), qos, SloObjective::Attainment, true, now);
+            black_box(held);
+        }
+        black_box(moved);
+    };
+    for i in 0..10_000 {
+        decide(&mut tracker, i % 10 != 0);
+    }
+    let mut group = c.benchmark_group("slo_record");
+    group.bench_function("accepted", |b| b.iter(|| decide(&mut tracker, true)));
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -258,6 +296,6 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_schedulability_test, bench_controller_submit, bench_place, bench_deep_book,
-        bench_explain_fleet
+        bench_explain_fleet, bench_slo_record
 }
 criterion_main!(benches);

@@ -114,11 +114,13 @@ fn routable(skip: &[bool], s: usize) -> bool {
 /// What the gateway keeps from a refusal to its explanation: the refusals
 /// of the request in flight by the shards [`RoutedShards::submit`] tried, in
 /// the order it tried them, and the walks each shard's search probes on,
-/// kept like an engine's pass.
+/// kept like an engine's pass. `order` is the buffer `submit` lays its
+/// routing order out in, `(backlog, shard)` under `LeastLoaded`.
 #[derive(Clone, Debug, Default)]
 struct Refusals {
     causes: Vec<(usize, Infeasible)>,
     walks: Vec<ProbeWalks>,
+    order: Vec<(f64, usize)>,
 }
 
 /// The engine side of the decision flow in [`book`]: it submits in routing
@@ -142,19 +144,21 @@ impl RoutedShards<'_> {
     /// first refusal's cause (`NotEnoughNodes` when no shard is left). The
     /// refusals are kept for an explanation to open on.
     pub(crate) fn submit(&mut self, task: &Task, now: SimTime) -> (Decision, Option<u32>) {
-        let (k, refused) = (self.shards.len(), &mut self.refusals.causes);
+        let k = self.shards.len();
+        let (refused, order) = (&mut self.refusals.causes, &mut self.refusals.order);
         refused.clear();
-        let order: Vec<usize> = match self.routing {
+        order.clear();
+        match self.routing {
             Routing::RoundRobin => {
                 let start = *self.cursor;
                 *self.cursor = (start + 1) % k;
-                (0..k).map(|i| (start + i) % k).collect()
+                order.extend((0..k).map(|i| (0.0, (start + i) % k)));
             }
             Routing::LeastLoaded => {
-                let mut idx: Vec<usize> = (0..k).collect();
-                let backlogs: Vec<f64> = self.shards.iter().map(|s| s.ctl.backlog(now)).collect();
-                idx.sort_by(|&a, &b| backlogs[a].total_cmp(&backlogs[b]).then(a.cmp(&b)));
-                idx
+                order.extend(self.shards.iter().map(|s| s.ctl.backlog(now)).zip(0..k));
+                // Shard indices are distinct: the unstable sort is the
+                // stable order and never allocates.
+                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             }
             // Probe every shard once; the probe *is* the submit's test, so the
             // best fit's submit accepts and the others are never re-tested.
@@ -174,10 +178,9 @@ impl RoutedShards<'_> {
                     debug_assert!(accepted, "probe and submit run the same test");
                     return (Decision::Accepted, Some(s as u32));
                 }
-                Vec::new()
             }
-        };
-        for s in order.into_iter().filter(|&s| routable(self.skip, s)) {
+        }
+        for &(_, s) in order.iter().filter(|&&(_, s)| routable(self.skip, s)) {
             match self.shards[s].ctl.submit(*task, now) {
                 Decision::Accepted => return (Decision::Accepted, Some(s as u32)),
                 Decision::Rejected(cause) => refused.push((s, cause)),
@@ -257,7 +260,7 @@ fn explain_fleet(
     now: SimTime,
     skip: &[bool],
 ) -> Option<(AdmissionExplanation, u64)> {
-    let Refusals { causes, walks } = refusals;
+    let Refusals { causes, walks, .. } = refusals;
     walks.resize_with(shards.len(), ProbeWalks::default);
     let mut live = Vec::with_capacity(shards.len());
     let routed = shards.iter().zip(walks).enumerate();

@@ -196,13 +196,16 @@ impl ObjectiveState {
         good: bool,
         now: f64,
     ) -> Option<(SloHealth, SloHealth)> {
-        self.short.record(now, good);
-        self.long.record(now, good);
-        let (short_burn, long_burn) = self.burn_rates(policy, objective, now);
-        let armed_short = self.short.count(now) >= policy.min_events;
-        let armed_long = self.long.count(now) >= policy.min_events;
-        let fast = armed_short && short_burn >= policy.fast_burn;
-        let slow = armed_long && long_burn >= policy.slow_burn;
+        // A window alarms once armed (`min_events` in it) and burning over
+        // its threshold, judged on the totals its record just read back:
+        // the same arithmetic as `burn_rates`, on one pass per window.
+        let budget = policy.budget(objective);
+        let burns = |(good, bad): (u64, u64), threshold: f64| {
+            good + bad >= policy.min_events
+                && bad as f64 / (good + bad).max(1) as f64 / budget >= threshold
+        };
+        let fast = burns(self.short.record(now, good), policy.fast_burn);
+        let slow = burns(self.long.record(now, good), policy.slow_burn);
         let next = match (fast, slow) {
             (true, true) => SloHealth::Breached,
             (false, false) => SloHealth::Healthy,
@@ -519,6 +522,9 @@ impl SloTracker {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rtdls_telemetry::RollingWindow;
+
     use super::*;
 
     fn policy() -> SloPolicy {
@@ -673,5 +679,159 @@ mod tests {
             t
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// The evaluation `observe` made before a window's record read its
+    /// totals back: record both windows, then `burn_rates` (a scan of each)
+    /// and each window's totals again for arming.
+    fn reference_observe(
+        state: &mut ObjectiveState,
+        policy: &SloPolicy,
+        objective: SloObjective,
+        good: bool,
+        now: f64,
+    ) -> Option<(SloHealth, SloHealth)> {
+        state.short.record(now, good);
+        state.long.record(now, good);
+        let (short_burn, long_burn) = state.burn_rates(policy, objective, now);
+        let count = |w: &RollingWindow| {
+            let (good, bad) = w.totals(now);
+            good + bad
+        };
+        let fast = count(&state.short) >= policy.min_events && short_burn >= policy.fast_burn;
+        let slow = count(&state.long) >= policy.min_events && long_burn >= policy.slow_burn;
+        let next = match (fast, slow) {
+            (true, true) => SloHealth::Breached,
+            (false, false) => SloHealth::Healthy,
+            _ => SloHealth::Burning,
+        };
+        let prev = state.state;
+        if next == prev {
+            return None;
+        }
+        state.state = next;
+        if next == SloHealth::Breached {
+            state.breaches += 1;
+        }
+        Some((prev, next))
+    }
+
+    /// [`SloTracker::record`] on [`reference_observe`].
+    fn reference_record(
+        t: &mut SloTracker,
+        tenant: TenantId,
+        qos: QosClass,
+        objective: SloObjective,
+        good: bool,
+        now: SimTime,
+    ) -> Vec<SloTransition> {
+        let at = now.as_f64();
+        t.last_now = t.last_now.max(at);
+        let policy = t.policy;
+        let mut out = Vec::new();
+        let state = t.tenant_mut(tenant).objective_mut(objective);
+        if let Some((from, to)) = reference_observe(state, &policy, objective, good, at) {
+            let (tenant, qos) = (Some(tenant.0), None);
+            out.push(SloTransition {
+                tenant,
+                qos,
+                objective,
+                from,
+                to,
+                at: now,
+            });
+        }
+        let slot = t.qos.iter_mut().find(|(q, _)| *q == qos).unwrap();
+        let state = slot.1.objective_mut(objective);
+        if let Some((from, to)) = reference_observe(state, &policy, objective, good, at) {
+            let (tenant, qos) = (None, Some(qos));
+            out.push(SloTransition {
+                tenant,
+                qos,
+                objective,
+                from,
+                to,
+                at: now,
+            });
+        }
+        out
+    }
+
+    /// A policy with small windows, so a few hundred events cross whole
+    /// windows, arm, burn and recover.
+    fn small_policy() -> impl Strategy<Value = SloPolicy> {
+        let targets = (
+            prop::sample::select(vec![0.5, 0.8, 0.9, 0.95]),
+            prop::sample::select(vec![0.9, 0.99, 0.999]),
+        );
+        let windows = (
+            prop::sample::select(vec![3.0, 5.0, 10.0]),
+            prop::sample::select(vec![20.0, 50.0, 100.0]),
+        );
+        let burns = (0.5f64..8.0, 0.5f64..4.0);
+        (targets, windows, burns, 0u64..12, 1usize..13).prop_map(
+            |(
+                (acceptance_target, attainment_target),
+                (short_window, long_window),
+                (fast_burn, slow_burn),
+                min_events,
+                buckets,
+            )| SloPolicy {
+                acceptance_target,
+                attainment_target,
+                short_window,
+                long_window,
+                fast_burn,
+                slow_burn,
+                min_events,
+                buckets,
+            },
+        )
+    }
+
+    /// One event: tenant, QoS class, objective, good, and how the clock
+    /// moves before it (0–5 advance a little, 6 repeats, 7 steps back, 8
+    /// jumps past whole long windows, 9 goes to 0, 10 below 0, 11 to
+    /// `f64::MAX`).
+    fn events() -> impl Strategy<Value = Vec<(u32, QosClass, SloObjective, bool, u8, f64)>> {
+        let event = (
+            0u32..5,
+            prop::sample::select(QOS_ORDER.to_vec()),
+            prop::sample::select(vec![SloObjective::Acceptance, SloObjective::Attainment]),
+            prop::sample::select(vec![true, true, false]),
+            0u8..12,
+            0.0f64..1.0,
+        );
+        prop::collection::vec(event, 1..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn one_pass_evaluation_matches_the_reference(policy in small_policy(), events in events()) {
+            let mut fast = SloTracker::new(policy);
+            let mut reference = SloTracker::new(policy);
+            let mut now = 0.0f64;
+            for (i, &(tenant, qos, objective, good, step, u)) in events.iter().enumerate() {
+                now = match step {
+                    0..=5 => now + u * 2.0,
+                    6 => now,
+                    7 => now - u * policy.short_window * 2.0,
+                    8 => now + policy.long_window * (1.0 + 3.0 * u),
+                    9 => 0.0,
+                    10 => -1.0 - u * 100.0,
+                    _ => f64::MAX,
+                };
+                let at = SimTime::new(now);
+                let tenant = TenantId(tenant);
+                let moved = fast.record(tenant, qos, objective, good, at);
+                let expected = reference_record(&mut reference, tenant, qos, objective, good, at);
+                prop_assert_eq!(moved, expected, "event {} at {}", i, now);
+            }
+            prop_assert_eq!(fast.rows(), reference.rows());
+            let bytes = serde_json::to_string(&fast).unwrap();
+            prop_assert_eq!(bytes, serde_json::to_string(&reference).unwrap());
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! What explaining one refusal allocates on a warm fleet.
+//! What explaining one refusal, routing one refusal and re-testing one
+//! deferred request allocate on a warm fleet.
 //!
 //! A gateway explains a refusal on the walks it keeps, one set per shard,
 //! opened on the refusals `submit` has just handed out, so a warm
@@ -9,10 +10,16 @@
 //!
 //! An explanation is what a refused submission allocates with explanations
 //! on beyond what the same submission allocates with them off, on two
-//! gateways built alike. Allocations are counted by this binary's own global
-//! allocator, per thread, and asserted in release builds only: a dev build
-//! cross-checks the refusals in hand and the held runs on cloned walks. Run
-//! it as `cargo test --release -p rtdls-service --test alloc_budget`.
+//! gateways built alike. Routing lays its order out in a buffer the gateway
+//! keeps, so neither an unexplained refusal nor a defer re-test allocates
+//! for it: what is left is the shards' own refusals. A re-test is what a
+//! sweep re-testing the oldest ticket allocates beyond the same sweep
+//! re-testing none, on two gateways built alike.
+//!
+//! Allocations are counted by this binary's own global allocator, per
+//! thread, and asserted in release builds only: a dev build cross-checks
+//! the refusals in hand and the held runs on cloned walks. Run it as
+//! `cargo test --release -p rtdls-service --test alloc_budget`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,6 +69,11 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, usize) {
 
 /// The burst fleet with explanations on, and the refusals of the burst.
 fn burst_fleet(now: SimTime) -> (ShardedGateway, Vec<SubmitRequest>) {
+    burst_fleet_under(now, DeferPolicy::default())
+}
+
+/// [`burst_fleet`] parking its deferred requests under `defer`.
+fn burst_fleet_under(now: SimTime, defer: DeferPolicy) -> (ShardedGateway, Vec<SubmitRequest>) {
     let params = ClusterParams::new(64, 1.0, 100.0).expect("valid params");
     let mut gateway = ShardedGateway::new(
         params,
@@ -69,7 +81,7 @@ fn burst_fleet(now: SimTime) -> (ShardedGateway, Vec<SubmitRequest>) {
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
         Routing::LeastLoaded,
-        DeferPolicy::default(),
+        defer,
     )
     .expect("valid shard count");
     gateway.book_mut().enable_explanations(true);
@@ -118,5 +130,68 @@ fn a_warm_fleet_explanation_allocates_per_explanation_not_per_probe() {
     eprintln!("a fleet explanation: at most {worst} allocations (budget {budget})");
     if !cfg!(debug_assertions) {
         assert!(worst <= budget, "{worst} > {budget}");
+    }
+}
+
+#[test]
+fn a_warm_fleet_routes_a_refusal_and_a_retest_without_allocating() {
+    let now = SimTime::new(1_000.0);
+    let (mut fleet, refused) = burst_fleet(now);
+    fleet.book_mut().enable_explanations(false);
+    let mut worst_refusal = 0;
+    for (i, request) in refused.iter().enumerate() {
+        let again = SubmitRequest::new(Task {
+            id: TaskId(10_000 + i as u64),
+            ..request.task
+        });
+        let (verdict, n) = allocations(|| fleet.submit_request(&again, now));
+        assert!(!verdict.is_accepted(), "{verdict:?}");
+        eprintln!("refusal {i}: {n} allocations");
+        worst_refusal = worst_refusal.max(n);
+    }
+    // One re-test: the oldest ticket's, beyond a sweep that re-tests none,
+    // until a re-test rescues it (the two queues then differ).
+    let at_most = |retest_budget| DeferPolicy {
+        retest_budget,
+        ..DeferPolicy::default()
+    };
+    let (mut one, _) = burst_fleet_under(now, at_most(1));
+    let (mut none, _) = burst_fleet_under(now, at_most(0));
+    assert!(
+        one.deferred().len() >= 10,
+        "parked: {}",
+        one.deferred().len()
+    );
+    let mut worst_retest = 0;
+    let mut retests = 0;
+    for step in 1..=40 {
+        let later = now + SimTime::new(step as f64);
+        let ((), with) = allocations(|| one.retest_deferred(later));
+        let ((), without) = allocations(|| none.retest_deferred(later));
+        assert_eq!((one.metrics().retests, none.metrics().retests), (step, 0));
+        if one.deferred().len() != none.deferred().len() {
+            break;
+        }
+        eprintln!("re-test at {later:?}: {with} allocations, {without} without it");
+        worst_retest = worst_retest.max(with.saturating_sub(without));
+        retests += 1;
+    }
+    assert!(retests >= 10, "re-tests measured: {retests}");
+    // The shards' own refusals: read 0–5 a refusal and 0–1 a re-test; with
+    // the routing order built in two fresh vectors, 2–7 and 2–3.
+    let (refusal_budget, retest_budget) = (5, 1);
+    eprintln!(
+        "at most {worst_refusal} allocations a refusal (budget {refusal_budget}), \
+         {worst_retest} a re-test (budget {retest_budget})"
+    );
+    if !cfg!(debug_assertions) {
+        assert!(
+            worst_refusal <= refusal_budget,
+            "{worst_refusal} > {refusal_budget}"
+        );
+        assert!(
+            worst_retest <= retest_budget,
+            "{worst_retest} > {retest_budget}"
+        );
     }
 }

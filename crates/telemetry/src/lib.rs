@@ -17,7 +17,7 @@
 //! * **A unified [`MetricsRegistry`]** — counters/gauges/histograms by
 //!   name+labels that the layers' native stats fold into, with
 //!   Prometheus-text and JSON-lines exposition.
-//! * **The [`Telemetry`] handle** — a cheaply cloneable, shard-labelable
+//! * **The [`Telemetry`] handle** — a cheaply cloneable
 //!   recording handle for spans and phases alike. [`Telemetry::disabled`]
 //!   is the default everywhere: the zero-telemetry path is one `Option`
 //!   check, no allocation, no lock.
@@ -113,14 +113,12 @@ struct Inner {
 /// The recording handle threaded through the stack.
 ///
 /// Cloning is cheap (an `Arc` bump); all clones share one recorder, one
-/// phase table and one trace-mint counter. A clone can carry a default
-/// shard label ([`Telemetry::labeled`]) so layers that always run on one
-/// shard don't have to thread the index through every call. The [`Default`] handle is
+/// phase table and one trace-mint counter. A span carries the shard its
+/// call site passes ([`Telemetry::record`]). The [`Default`] handle is
 /// disabled: every recording method is a no-op costing one `Option` check.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
-    shard: Option<u32>,
 }
 
 impl Telemetry {
@@ -139,7 +137,6 @@ impl Telemetry {
                 phases: Mutex::new(PhaseTable::default()),
                 traces: Mutex::new(TraceMap::default()),
             })),
-            shard: None,
         }
     }
 
@@ -161,15 +158,6 @@ impl Telemetry {
     pub fn reserve_traces(&self, next: u64) {
         if let Some(inner) = &self.inner {
             inner.next_trace.fetch_max(next, Ordering::Relaxed);
-        }
-    }
-
-    /// A clone whose spans default to `shard` when the call site passes
-    /// `None` (used by the sharded gateway to label per-shard books).
-    pub fn labeled(&self, shard: u32) -> Telemetry {
-        Telemetry {
-            inner: self.inner.clone(),
-            shard: Some(shard),
         }
     }
 
@@ -275,7 +263,7 @@ impl Telemetry {
             trace,
             seq: 0,
             stage,
-            shard: shard.or(self.shard),
+            shard,
             task,
             outcome: outcome.to_string(),
             at,
@@ -441,17 +429,6 @@ mod tests {
         let stages: Vec<Stage> = spans.iter().map(|s| s.stage).collect();
         assert_eq!(stages, vec![Stage::EdgeReceive, Stage::Route, Stage::Plan]);
         assert!(spans.windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn labeled_clone_defaults_the_shard() {
-        let t = Telemetry::with_defaults();
-        let s2 = t.labeled(2);
-        rec(&s2, 1, Stage::Plan, None, 4);
-        rec(&s2, 1, Stage::Reserve, Some(5), 4); // explicit shard wins
-        let spans = t.trace_spans(1);
-        assert_eq!(spans[0].shard, Some(2));
-        assert_eq!(spans[1].shard, Some(5));
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! A [`RollingWindow`] covers the last `span` sim-time units with a fixed
 //! number of equal-width buckets. Recording an event stamps the bucket the
 //! current sim-time falls into (resetting it first if it still holds data
-//! from a previous rotation), so the structure is O(buckets) memory, O(1)
-//! per event, and fully deterministic — the same event sequence at the same
-//! sim-times produces the same window regardless of wall clock, engine, or
-//! replay. That determinism is what lets SLO state live inside durable
-//! gateway snapshots (see `rtdls-service`'s tracker) without breaking the
-//! journal layer's byte-identical-snapshot guarantees.
+//! from a previous rotation) and reads the window's totals back, so the
+//! structure is O(buckets) memory, costs one epoch, one bucket stamp and one
+//! pass over the buckets per event, and is fully deterministic — the same
+//! event sequence at the same sim-times produces the same window regardless
+//! of wall clock, engine, or replay. That determinism is what lets SLO state
+//! live inside durable gateway snapshots (see `rtdls-service`'s tracker)
+//! without breaking the journal layer's byte-identical-snapshot guarantees.
 
 use serde::{Deserialize, Serialize};
 
@@ -49,11 +50,6 @@ impl RollingWindow {
         }
     }
 
-    /// The configured span in sim-time units.
-    pub fn span(&self) -> f64 {
-        self.span
-    }
-
     fn width(&self) -> f64 {
         self.span / self.buckets.len() as f64
     }
@@ -67,8 +63,10 @@ impl RollingWindow {
         }
     }
 
-    /// Records one event at sim-time `now`.
-    pub fn record(&mut self, now: f64, good: bool) {
+    /// Records one event at sim-time `now` and returns the window's
+    /// `(good, bad)` totals at `now` with it counted — what
+    /// [`totals`](Self::totals) would read next, on the same epoch.
+    pub fn record(&mut self, now: f64, good: bool) -> (u64, u64) {
         let epoch = self.epoch_at(now);
         let n = self.buckets.len() as u64;
         let slot = (epoch % n) as usize;
@@ -85,24 +83,21 @@ impl RollingWindow {
         } else {
             bucket.bad += 1;
         }
+        self.totals_at(epoch)
     }
 
     /// `(good, bad)` totals over the window ending at sim-time `now`:
     /// buckets whose epoch lies within the last `buckets.len()` rotations.
     pub fn totals(&self, now: f64) -> (u64, u64) {
-        let current = self.epoch_at(now);
-        let n = self.buckets.len() as u64;
-        let oldest = current.saturating_sub(n - 1);
+        self.totals_at(self.epoch_at(now))
+    }
+
+    fn totals_at(&self, current: u64) -> (u64, u64) {
+        let oldest = current.saturating_sub(self.buckets.len() as u64 - 1);
         self.buckets
             .iter()
             .filter(|b| b.epoch >= oldest && b.epoch <= current)
             .fold((0, 0), |(g, bd), b| (g + b.good, bd + b.bad))
-    }
-
-    /// Events in the window at `now`.
-    pub fn count(&self, now: f64) -> u64 {
-        let (good, bad) = self.totals(now);
-        good + bad
     }
 
     /// Fraction of in-window events that were bad (0 when empty).
@@ -119,8 +114,8 @@ mod tests {
     #[test]
     fn events_roll_out_after_the_span() {
         let mut w = RollingWindow::new(10.0, 5);
-        w.record(0.5, false);
-        w.record(1.5, true);
+        assert_eq!(w.record(0.5, false), (0, 1));
+        assert_eq!(w.record(1.5, true), (1, 1));
         assert_eq!(w.totals(2.0), (1, 1));
         assert_eq!(w.bad_rate(2.0), 0.5);
         // 10 units later the early events have rotated out.
@@ -132,7 +127,7 @@ mod tests {
     fn stale_bucket_resets_on_rotation() {
         let mut w = RollingWindow::new(10.0, 5);
         w.record(1.0, false); // epoch 0
-        w.record(21.0, true); // epoch 10 → same slot, must reset
+        assert_eq!(w.record(21.0, true), (1, 0)); // epoch 10 → same slot, must reset
         assert_eq!(w.totals(21.0), (1, 0));
     }
 
