@@ -12,9 +12,13 @@
 //! * [`independent`] — what shares nothing with the kernel: the plan
 //!   certificate ([`independent::certify`]) and the dense solve of the
 //!   equal-finish system it re-derives the partition with.
+//! * [`books`] — every small book (2–3 nodes, up to three waiting tasks,
+//!   an integer grid) run op by op through both engines, compared after
+//!   every op and certified ([`books::exhaust`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod books;
 pub mod independent;
 pub mod oracle;

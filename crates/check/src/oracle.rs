@@ -445,8 +445,7 @@ impl Admission for ReferenceController {
         Ok(())
     }
 
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        let mut due = Vec::new();
+    fn take_due_into(&mut self, now: SimTime, due: &mut Vec<(Task, TaskPlan)>) {
         // A dispatch changes committed releases, which can only delay other
         // waiting plans' nodes — but those plans were computed against these
         // very release estimates, so plans due at `now` stay valid. Retain
@@ -463,7 +462,6 @@ impl Admission for ReferenceController {
                 i += 1;
             }
         }
-        due
     }
 
     fn set_node_release(&mut self, node: usize, time: SimTime) {

@@ -123,7 +123,11 @@
 //! decision-, plan-, and state-identical to the reference controller; the
 //! differential oracle suite (`tests/differential_admission.rs`) replays
 //! randomized scenarios through both and asserts exact equality after every
-//! operation, including across a cold-cache restore.
+//! operation, including across a cold-cache restore; `rtdls-check`'s
+//! `books` runs every small book through both.
+//! A new position is installed into a spare plan and inputs from a pool that
+//! dispatched and removed positions refill (`walk.rs`, `Spares`; at most the
+//! queue's peak length), with the plans the serving layers hand back.
 //!
 //! [`NodeCountPolicy::OneShot`]: crate::strategy::NodeCountPolicy::OneShot
 
@@ -138,7 +142,7 @@ use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
-use super::walk::{PlanMeta, Tail, Walk};
+use super::walk::{PlanMeta, Spares, Tail, Walk};
 use super::{
     schedulability_test, Admission, AdmissionExplanation, AdmissionFailure, ControllerState,
     Decision, EngineProfile, ExplainSearch, ProbeWalks,
@@ -236,6 +240,8 @@ pub struct AdmissionController {
     /// The last pass's working state, boxed so that the engine stays small
     /// to move; `None` while a pass has it, or cold.
     kept: Option<Box<Pass>>,
+    /// Spent plans and inputs an insertion refills ([`Spares`]).
+    spares: Spares,
 }
 
 impl AdmissionController {
@@ -245,6 +251,14 @@ impl AdmissionController {
     /// non-mutating and not counted.
     pub fn profile(&self) -> EngineProfile {
         self.profile
+    }
+
+    /// Takes back a plan the engine dispatched, as a buffer an insertion
+    /// refills; kept while the pool holds fewer than the queue has room for.
+    pub fn recycle(&mut self, plan: TaskPlan) {
+        if self.spares.plans.len() < self.queue.capacity() {
+            self.spares.plans.push(plan);
+        }
     }
 
     /// Whether the cached plan of waiting position `q` is provably what a
@@ -588,6 +602,7 @@ impl Admission for AdmissionController {
             refusals: Refusals::default(),
             profile: EngineProfile::default(),
             kept: None,
+            spares: Spares::default(),
         }
     }
 
@@ -621,7 +636,8 @@ impl Admission for AdmissionController {
             engine.book_work(work);
             match result {
                 Ok(()) => {
-                    pass.tail.install(&mut engine.queue, &mut engine.meta);
+                    pass.tail
+                        .install(&mut engine.queue, &mut engine.meta, &mut engine.spares);
                     Decision::Accepted
                 }
                 Err(refused) => {
@@ -648,7 +664,11 @@ impl Admission for AdmissionController {
             .map(|(_, p)| p.clone())
             .or_else(|| {
                 let j = pass.tail.tasks().position(|t| t.id == task.id);
-                j.map(|j| pass.tail.plan(j))
+                j.map(|j| {
+                    let mut plan = TaskPlan::default();
+                    pass.tail.fill(j, &mut plan);
+                    plan
+                })
             })
             .ok_or(AdmissionFailure {
                 task: task.id,
@@ -678,7 +698,8 @@ impl Admission for AdmissionController {
             let result = engine.pass(pass, now, None, &mut work);
             engine.book_work(work);
             result.map_err(|refused| refused.failure)?;
-            pass.tail.install(&mut engine.queue, &mut engine.meta);
+            pass.tail
+                .install(&mut engine.queue, &mut engine.meta, &mut engine.spares);
             Ok(())
         })
     }
@@ -687,13 +708,13 @@ impl Admission for AdmissionController {
     /// cached plans already observed from this task's temp-schedule slot,
     /// so a dispatch of a queue *prefix* leaves every remaining plan's
     /// reuse gate intact — the steady-state path stays diff-only.
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        let mut due = Vec::new();
+    /// Each dispatched position's inputs go to the spare pool.
+    fn take_due_into(&mut self, now: SimTime, due: &mut Vec<(Task, TaskPlan)>) {
         let mut i = 0;
         while i < self.queue.len() {
             if self.queue[i].1.first_start().at_or_before_eps(now) {
                 let (task, plan) = self.queue.remove(i);
-                self.meta.remove(i);
+                self.spares.inputs.extend(self.meta.remove(i));
                 self.unchain(i);
                 plan.write_releases(&mut self.releases);
                 due.push((task, plan));
@@ -701,7 +722,6 @@ impl Admission for AdmissionController {
                 i += 1;
             }
         }
-        due
     }
 
     /// Cached plans that observed the previous value fail their reuse gate
@@ -712,8 +732,9 @@ impl Admission for AdmissionController {
 
     fn remove_waiting(&mut self, id: TaskId) -> Option<Task> {
         let pos = self.queue.iter().position(|(t, _)| t.id == id)?;
-        let (task, _) = self.queue.remove(pos);
-        self.meta.remove(pos);
+        let (task, plan) = self.queue.remove(pos);
+        self.recycle(plan);
+        self.spares.inputs.extend(self.meta.remove(pos));
         self.unchain(pos);
         Some(task)
     }
@@ -746,6 +767,7 @@ impl Admission for AdmissionController {
             refusals: Refusals::default(),
             profile: EngineProfile::default(),
             kept: None,
+            spares: Spares::default(),
         })
     }
 }

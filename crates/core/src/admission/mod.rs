@@ -418,10 +418,17 @@ pub trait Admission: Clone + core::fmt::Debug {
     /// installed.
     fn replan(&mut self, now: SimTime) -> Result<(), AdmissionFailure>;
 
-    /// Removes and returns every waiting task whose plan is due at `now`
-    /// (first transmission start ≤ `now` within tolerance), committing its
-    /// node release estimates. Returns tasks in execution order.
-    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)>;
+    /// Removes every waiting task whose plan is due at `now` (first
+    /// transmission start ≤ `now` within tolerance), committing its node
+    /// release estimates, and appends it to `due`, in execution order.
+    fn take_due_into(&mut self, now: SimTime, due: &mut Vec<(Task, TaskPlan)>);
+
+    /// [`take_due_into`](Admission::take_due_into) a fresh vector.
+    fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+        let mut due = Vec::new();
+        self.take_due_into(now, &mut due);
+        due
+    }
 
     /// The earliest planned first-transmission instant across the waiting
     /// queue — when the next dispatch is due (if plans do not change first).

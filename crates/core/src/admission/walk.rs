@@ -8,7 +8,8 @@
 //! `strategy.rs` and into a scratch the walk keeps for all of its steps:
 //! [`keep`](Walk::keep) appends the plan to a [`Tail`] (the engine's passes
 //! keep what they plan, end to end in one arena that allocates nothing once
-//! warm), [`test`](Walk::test) wants the verdict only (every probe of an
+//! warm, and install a new position into a spare plan, [`Spares`]),
+//! [`test`](Walk::test) wants the verdict only (every probe of an
 //! explanation, every instant of a reservation search). The third,
 //! [`apply`](Walk::apply), takes a plan already known to be what `keep`
 //! would plan (the engine's reuse cache; [`keep_cached`](Walk::keep_cached)
@@ -193,7 +194,7 @@ impl Tail {
     }
 
     /// Refills `plan` with plan `j`, through the buffers it has.
-    fn fill(&self, j: usize, plan: &mut TaskPlan) {
+    pub(super) fn fill(&self, j: usize, plan: &mut TaskPlan) {
         let head = &self.heads[j];
         plan.task = head.task.id;
         plan.strategy = head.strategy;
@@ -210,39 +211,28 @@ impl Tail {
             .extend_from_slice(&self.releases[c]);
     }
 
-    /// Plan `j` as a value of its own.
-    pub(super) fn plan(&self, j: usize) -> TaskPlan {
-        let mut plan = TaskPlan {
-            task: self.heads[j].task.id,
-            strategy: self.heads[j].strategy,
-            nodes: Vec::new(),
-            start_times: Vec::new(),
-            fractions: Vec::new(),
-            est_completion: self.heads[j].est,
-            node_release_estimates: Vec::new(),
-        };
-        self.fill(j, &mut plan);
-        plan
-    }
-
     /// Writes the tail over `queue` and its inputs over `meta` from position
     /// `from` on, in place: each position's plan and inputs are refilled
     /// through the buffers already there, and what the old queue held past
     /// the tail goes. Where the tail holds a task the old queue does not
-    /// have next — the candidate — a position is inserted: the only
-    /// allocations, with a buffer too small for its new plan.
+    /// have next — the candidate — a position is inserted, into a spare
+    /// plan and inputs where the pool has them: warm, nothing is allocated
+    /// but for a buffer too small for its new plan.
     pub(super) fn install(
         &mut self,
         queue: &mut Vec<(Task, TaskPlan)>,
         meta: &mut Vec<Option<PlanMeta>>,
+        spares: &mut Spares,
     ) {
         // Each position's inputs, rebuilt in the first's buffer.
         let mut observed = std::mem::take(&mut self.first.observed);
         for (j, head) in self.heads.iter().enumerate() {
             let q = self.from + j;
             if queue.get(q).is_none_or(|(task, _)| *task != head.task) {
-                queue.insert(q, (head.task, self.plan(j)));
-                meta.insert(q, None);
+                let mut plan = spares.plans.pop().unwrap_or_default();
+                self.fill(j, &mut plan);
+                queue.insert(q, (head.task, plan));
+                meta.insert(q, spares.inputs.pop());
             } else {
                 self.fill(j, &mut queue[q].1);
             }
@@ -260,6 +250,15 @@ impl Tail {
         queue.truncate(self.from + self.heads.len());
         meta.truncate(self.from + self.heads.len());
     }
+}
+
+/// Spent plans and inputs, which [`Tail::install`] refills before it
+/// allocates. Every entry left the engine's queue, so the pool holds at
+/// most the queue's peak length (rounded up to its capacity).
+#[derive(Clone, Debug, Default)]
+pub(super) struct Spares {
+    pub(super) plans: Vec<TaskPlan>,
+    pub(super) inputs: Vec<PlanMeta>,
 }
 
 /// The cluster size from which walks record and build from orders (the
@@ -509,6 +508,13 @@ pub(super) mod tests {
     use crate::strategy::{plan_task, NodeCountPolicy, ReleaseEstimate};
     use proptest::prelude::*;
 
+    /// Plan `j` of `tail` as a value of its own.
+    fn plan_of(tail: &Tail, j: usize) -> TaskPlan {
+        let mut plan = TaskPlan::default();
+        tail.fill(j, &mut plan);
+        plan
+    }
+
     /// A walk starting from `releases` at the planning instant `now`.
     pub(in crate::admission) fn walk_at(releases: &[SimTime], now: SimTime) -> Walk {
         let mut walk = Walk::default();
@@ -616,7 +622,7 @@ pub(super) mod tests {
                     (literal, _) => {
                         let placed = walk
                             .keep(strategy, &task, &params, &cfg, &[], &mut tail)
-                            .map(|()| tail.plan(tail.tasks().len() - 1));
+                            .map(|()| plan_of(&tail, tail.tasks().len() - 1));
                         prop_assert_eq!(&placed, &literal);
                         if let Ok(plan) = placed {
                             kept.push((plan, observed, ordered));
@@ -629,7 +635,7 @@ pub(super) mod tests {
                 prop_assert!(sorted_afresh(&mut verdicts, &[]));
             }
             let (mut queue, mut meta) = (Vec::new(), Vec::new());
-            tail.install(&mut queue, &mut meta);
+            tail.install(&mut queue, &mut meta, &mut Spares::default());
             prop_assert_eq!(queue.len(), kept.len());
             for (((_, installed), inputs), (plan, observed, ordered)) in queue.iter().zip(&meta).zip(&kept) {
                 prop_assert_eq!(installed, plan);
@@ -683,7 +689,7 @@ pub(super) mod tests {
         walk.keep(StrategyKind::DltIit, &task, &params, &cfg, &[], &mut tail)
             .expect("feasible");
         // The same plan again, on nodes that are no longer the earliest.
-        walk.apply(&tail.plan(0));
+        walk.apply(&plan_of(&tail, 0));
         assert!(sorted_afresh(&mut walk, &[]));
     }
 }

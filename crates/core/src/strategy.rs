@@ -49,10 +49,11 @@ use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
 /// Which partitioning/assignment rule to apply.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// DLT-based partitioning with different processor available times
     /// (utilizes IITs; §4.1.1).
+    #[default]
     DltIit,
     /// Multi-round (multi-installment) DLT partitioning — the paper's §6
     /// future-work direction, following the multi-installment theory the
@@ -314,8 +315,9 @@ impl NodeAvailability {
 /// The plan is a sequence of *chunks* in transmission order. Single-round
 /// strategies emit one chunk per node; the multi-round strategy emits
 /// several chunks per node (`nodes` then contains repeats — consecutive
-/// rounds revisit the same nodes).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// rounds revisit the same nodes). The default is the empty plan, a buffer
+/// to fill.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskPlan {
     /// The planned task.
     pub task: TaskId,
@@ -347,12 +349,13 @@ impl TaskPlan {
         self.nodes.len()
     }
 
-    /// Number of distinct nodes the plan occupies.
+    /// Number of distinct nodes the plan occupies. A plan's chunks cycle one
+    /// list of distinct nodes, round after round (`Planned::chunk_nodes`), so
+    /// it is the chunks before the first node's second installment.
     pub fn distinct_nodes(&self) -> usize {
-        let mut nodes: Vec<NodeId> = self.nodes.clone();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes.len()
+        let first = self.nodes.first();
+        let again = self.nodes.iter().skip(1).position(|n| Some(n) == first);
+        again.map_or(self.n(), |i| i + 1)
     }
 
     /// When the plan's first transmission is due — the instant at which the
@@ -1129,5 +1132,39 @@ mod tests {
         }
         // (If the adaptive fallback chose single-round here, the workload
         // regime makes installments unprofitable — also a valid outcome.)
+    }
+
+    proptest::proptest! {
+        /// On the plans the kernel builds — every strategy, and multi-round
+        /// plans of 2–4 installments a node, which repeat their nodes — the
+        /// count equals a sort and dedup of the nodes.
+        #[test]
+        fn distinct_nodes_is_a_sort_and_dedup(
+            releases in proptest::collection::vec(0.0f64..400.0, 16),
+            sigma in 1.0f64..600.0,
+            deadline in 500.0f64..1e5,
+            rounds in 2u8..5,
+            user in 1usize..17,
+        ) {
+            let task = Task::new(1, 0.0, sigma, deadline).with_user_nodes(Some(user));
+            let a = avail(&releases, 0.0);
+            let kinds = [
+                StrategyKind::DltIit,
+                StrategyKind::DltMultiRound { rounds },
+                StrategyKind::OprMn,
+                StrategyKind::OprAn,
+                StrategyKind::UserSplit,
+            ];
+            for kind in kinds {
+                let Ok(plan) = plan_task(kind, &task, &a, &baseline(), &PlanConfig::default())
+                else {
+                    continue;
+                };
+                let mut sorted = plan.nodes.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                proptest::prop_assert_eq!(plan.distinct_nodes(), sorted.len(), "{:?}", plan);
+            }
+        }
     }
 }

@@ -10,7 +10,9 @@ use serde::{Deserialize, Serialize};
 use crate::time::SimTime;
 
 /// Stable task identifier, assigned in arrival order by the workload source.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
+)]
 pub struct TaskId(pub u64);
 
 /// An arbitrarily divisible real-time task.

@@ -2,11 +2,14 @@
 //!
 //! A pass plans its replacement tail into one arena the engine keeps from
 //! pass to pass, and `install` writes that tail over the queue's own plans
-//! where they lie, so a warm engine allocates for the position the queue
-//! grows by and for a plan buffer too small for its new plan — not per
-//! re-planned position. The book is the repository benchmark's `admit_deep`
-//! shape: one 64-node shard, 46 tasks waiting behind staggered committed
-//! work.
+//! where they lie. The position the queue grows by takes a spare plan and
+//! its inputs from the engine's pool, which dispatched and removed
+//! positions refill, and the plans a dispatch hands out come back to it
+//! (`recycle`). So a warm engine allocates only for a plan buffer too small
+//! for its new plan — not per re-planned position, nor per insertion. The
+//! book is the repository benchmark's `admit_deep` shape: one 64-node
+//! shard, 46 tasks waiting behind staggered committed work. These are the
+//! `core` layer's rows of the allocation table (`BENCH_alloc.json`).
 //!
 //! Allocations are counted by this binary's own global allocator, per
 //! thread, and asserted in release builds only: a dev build's cross-check of
@@ -118,7 +121,7 @@ fn an_accepted_deep_submit_allocates_per_decision_not_per_position() {
         assert!(fresh >= 18, "{fresh} positions re-planned");
         let (decision, n) = allocations(|| ctl.submit(task, SimTime::ZERO));
         assert!(decision.is_accepted());
-        within(&format!("accepted, {fresh} planned fresh"), n, 16);
+        within(&format!("accepted, {fresh} planned fresh"), n, 4);
         assert_eq!(ctl.remove_waiting(task.id), Some(task));
     }
 }
@@ -141,7 +144,56 @@ fn a_refused_submit_allocates_next_to_nothing_and_touches_nothing() {
     for id in 10..13 {
         let (decision, n) = allocations(|| ctl.submit(refused(10_000 + id), SimTime::ZERO));
         assert!(!decision.is_accepted());
-        within("refused", n, 8);
+        within("refused", n, 0);
     }
     assert_eq!(serde_json::to_string(&ctl.state()).expect("encodes"), state);
+}
+
+#[test]
+fn a_dispatch_and_the_insertions_that_refill_it_allocate_nothing() {
+    let mut ctl = deep_book();
+    let (mut due, mut refused) = (Vec::new(), 0);
+    let mut worst = [0usize; 3];
+    // Each round dispatches the head of the book into the kept buffer,
+    // hands the last round's plans back, and admits as many tasks at the
+    // back as it dispatched; rounds after the first are warm.
+    for round in 0..8u64 {
+        let now = ctl.queue()[0].1.first_start();
+        for (_, plan) in due.drain(..) {
+            ctl.recycle(plan);
+        }
+        let ((), n) = allocations(|| ctl.take_due_into(now, &mut due));
+        assert!(!due.is_empty());
+        let last = ctl
+            .queue()
+            .last()
+            .map_or(0.0, |(t, _)| t.absolute_deadline().as_f64());
+        for k in 0..due.len() as u64 {
+            let task = Task::new(
+                2_000 + 10 * round + k,
+                now.as_f64(),
+                150.0,
+                last + 1e5 - now.as_f64(),
+            );
+            let (decision, m) = allocations(|| ctl.submit(task, now));
+            if round > 0 {
+                if decision.is_accepted() {
+                    worst[1] = worst[1].max(m);
+                } else {
+                    refused += 1;
+                }
+            }
+        }
+        // The start search a refusal's reservation asks for.
+        let hopeless = Task::new(9_000 + round, now.as_f64(), 400.0, 1.0);
+        let (_, s) = allocations(|| ctl.earliest_start_after(&hopeless, now));
+        if round > 0 {
+            worst[0] = worst[0].max(n);
+            worst[2] = worst[2].max(s);
+        }
+    }
+    assert_eq!(refused, 0, "the back of the book has room");
+    within("a dispatch into the kept buffer", worst[0], 0);
+    within("an accepted submit refilling a spare", worst[1], 0);
+    within("a start search", worst[2], 3);
 }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rtdls_core::prelude::{SimTime, TaskId};
-use rtdls_service::prelude::Verdict;
+use rtdls_service::prelude::{Turn, Verdict};
 use rtdls_telemetry::{HistoryConfig, MetricsRegistry, Stage, Telemetry, TimeSeriesStore};
 
 use crate::codec::Direction;
@@ -565,7 +565,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     // runs first, inside the turn, so none of its submits
                     // is decided against an overdue plan.
                     if !self.dirty && self.due(now) {
-                        self.gateway.catch_up(now);
+                        self.gateway.catch_up(now, &mut Turn::default());
                     }
                     let verdict = self.gateway.decide(&request, now);
                     self.dirty = true;

@@ -278,23 +278,19 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
     /// [`FsyncPolicy`](crate::journal::FsyncPolicy). In an edge cluster
     /// each reactor owns its own journal file, so the single-writer
     /// crash-safety argument is per-reactor and unchanged.
-    fn drive(&mut self, now: SimTime) -> Turn {
-        let turn = self.catch_up(now);
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+        self.catch_up(now, turn);
         self.journal.flush();
-        turn
     }
 
     /// The turn's timed work, journaled into the held turn: the turn's
-    /// `drive` commits it with the decisions between (one group commit).
-    fn catch_up(&mut self, now: SimTime) -> Turn {
+    /// drive commits it with the decisions between (one group commit).
+    fn catch_up(&mut self, now: SimTime, turn: &mut Turn) {
         self.journal.hold_turn();
-        let dispatched = self.dispatch_due(now);
+        self.dispatch_due(now, &mut turn.dispatched);
         self.retest(now);
         self.activate_due(now);
-        Turn {
-            dispatched,
-            resolved: self.drain(),
-        }
+        self.drain(&mut turn.resolved);
     }
 
     fn next_due(&self) -> Option<SimTime> {
@@ -307,7 +303,8 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
         self.journal
             .append_event(&JournalEvent::Finalized { at: now });
         self.inner.bare_mut().flush_parked();
-        let resolved = self.drain();
+        let mut resolved = Vec::new();
+        self.drain(&mut resolved);
         self.journal.flush();
         resolved
     }
@@ -340,21 +337,21 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
 /// The turn's steps, each journaled write-ahead only when it changes
 /// something — the poll conditions mirror the gateway's own.
 impl<G: Recoverable> JournaledGateway<G> {
-    fn dispatch_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
+    fn dispatch_due(&mut self, now: SimTime, due: &mut Vec<(Task, TaskPlan)>) {
         let due_now = self
             .inner
             .bare()
             .next_dispatch_due()
             .is_some_and(|t| t.at_or_before_eps(now));
         if !due_now {
-            return Vec::new();
+            // Nothing falls due: this only hands the spent entries back.
+            return self.inner.bare_mut().refill_due(now, due);
         }
         self.journal
             .append_event(&JournalEvent::DispatchDue { at: now });
-        let due = self.inner.bare_mut().take_due(now);
+        self.inner.bare_mut().refill_due(now, due);
         debug_assert!(!due.is_empty(), "poll condition mirrors take_due");
         self.maybe_snapshot();
-        due
     }
 
     fn retest(&mut self, now: SimTime) {
@@ -386,13 +383,13 @@ impl<G: Recoverable> JournaledGateway<G> {
 
     /// Clearing the pending list is a state change: journaled as an input
     /// (write-ahead), then the per-task verdicts as audit records.
-    fn drain(&mut self) -> Vec<Resolution> {
+    fn drain(&mut self, resolved: &mut Vec<Resolution>) {
         if self.inner.bare().pending_resolutions().is_empty() {
-            return Vec::new();
+            return resolved.clear();
         }
         self.journal.append_event(&JournalEvent::Drained);
-        let resolutions = self.inner.bare_mut().drain_resolutions();
-        for (task, cause) in &resolutions {
+        self.inner.bare_mut().drain_resolutions(resolved);
+        for (task, cause) in resolved.iter() {
             let ev = match cause {
                 None => JournalEvent::Rescued { task: task.id.0 },
                 Some(cause) => JournalEvent::Rejected {
@@ -402,7 +399,6 @@ impl<G: Recoverable> JournaledGateway<G> {
             };
             self.journal.append_event(&ev);
         }
-        resolutions
     }
 }
 

@@ -27,6 +27,7 @@
 //! live decision, while every counter carries over.
 
 use rtdls_core::prelude::{SimTime, SubmitRequest, TaskId};
+use rtdls_sim::serve::Turn;
 
 use crate::event::JournalEvent;
 use crate::journal::{Journal, JournalConfig, JournalSink};
@@ -59,8 +60,10 @@ pub struct RecoveryReport {
 }
 
 /// Applies one replayed input event to a bare gateway through its ordinary
-/// code paths. Audit events are ignored (replay regenerates them).
-pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
+/// code paths. Audit events are ignored (replay regenerates them). `turn`
+/// is the replay's kept buffer: a dispatch or a drain fills it, and the
+/// next one spends it, as a driver's turn is spent.
+pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent, turn: &mut Turn) {
     match event {
         // No writer emits `Submitted` any more; WALs that hold it replay it
         // as what it always was, a submission under the default envelope.
@@ -90,7 +93,7 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
         JournalEvent::DispatchDue { at } => {
             // The physical dispatch already happened pre-crash; replay only
             // re-commits its release bookkeeping.
-            let _ = gateway.bare_mut().take_due(*at);
+            gateway.bare_mut().refill_due(*at, &mut turn.dispatched);
         }
         JournalEvent::Replanned { at } => {
             let _ = gateway.replan_waiting(*at);
@@ -98,7 +101,7 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent) {
         JournalEvent::Retested { at } => gateway.bare_mut().retest_deferred(*at),
         JournalEvent::Finalized { .. } => gateway.bare_mut().flush_parked(),
         JournalEvent::Drained => {
-            let _ = gateway.bare_mut().drain_resolutions();
+            gateway.bare_mut().drain_resolutions(&mut turn.resolved);
         }
         // Audit records carry no state.
         JournalEvent::Accepted { .. }
@@ -127,10 +130,10 @@ pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), Journ
     let epoch = snapshot.epoch;
     let mut gateway = G::restore(&snapshot)?;
     let frames_decoded = frames.len() - last; // the snapshot and its tail
-    let mut events_replayed = 0;
+    let (mut events_replayed, mut turn) = (0, Turn::default());
     for frame in &frames[last + 1..] {
         if let Some(event) = JournalEvent::decode_input(frame.payload)? {
-            apply_event(&mut gateway, &event);
+            apply_event(&mut gateway, &event, &mut turn);
             events_replayed += 1;
         }
     }

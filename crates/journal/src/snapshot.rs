@@ -234,7 +234,7 @@ mod tests {
         // Force at least one deferral.
         let t = Task::new(90, 0.0, 790.0, e4 * 2.0);
         g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
-        let _ = g.take_due(SimTime::ZERO);
+        g.refill_due(SimTime::ZERO, &mut Vec::new());
         g
     }
 

@@ -122,10 +122,9 @@ impl Serve for Restarting {
         self.serving(now).decide(request, now)
     }
 
-    fn drive(&mut self, now: SimTime) -> Turn {
-        let turn = self.serving(now).drive(now);
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+        self.serving(now).drive_into(now, turn);
         self.turns += 1;
-        turn
     }
 
     fn next_due(&self) -> Option<SimTime> {
@@ -606,7 +605,7 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
     // strict re-admission pass recovery always ends with.
     let mut reference = live;
     for ev in &commands {
-        rtdls_journal::apply_event(&mut reference, ev);
+        rtdls_journal::apply_event(&mut reference, ev, &mut Turn::default());
     }
     let demoted = reference.reverify(SimTime::new(2.0));
     assert!(demoted.is_empty(), "scenario stays feasible: {demoted:?}");

@@ -124,7 +124,7 @@ fn reference_replay(bytes: &[u8]) -> Result<(ShardedGateway, RecoveryReport), Jo
     for (_, payload) in &payloads[last + 1..] {
         let event: JournalEvent = serde_json::from_slice(payload)?;
         if event.is_input() {
-            rtdls_journal::apply_event(&mut gateway, &event);
+            rtdls_journal::apply_event(&mut gateway, &event, &mut Turn::default());
             events_replayed += 1;
         } else {
             audit_records += 1;

@@ -279,7 +279,7 @@ impl<G: Recoverable> Follower<G> {
                         task = request.task.id.0;
                     }
                     if let Some(standby) = self.standby.as_mut() {
-                        apply_event(standby, &event);
+                        apply_event(standby, &event, &mut Turn::default());
                     }
                 }
             }

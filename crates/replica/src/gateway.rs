@@ -150,15 +150,14 @@ impl<G: Recoverable> Serve for ShippingGateway<G> {
 
     /// The journaled turn, then the pump: replication lag is bounded by
     /// the serving turn cadence, not a side thread.
-    fn drive(&mut self, now: SimTime) -> Turn {
-        let turn = self.inner.drive(now);
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+        self.inner.drive_into(now, turn);
         self.pump(now);
-        turn
     }
 
-    /// The journaled turn's timed work; nothing ships before its `drive`.
-    fn catch_up(&mut self, now: SimTime) -> Turn {
-        self.inner.catch_up(now)
+    /// The journaled turn's timed work; nothing ships before its drive.
+    fn catch_up(&mut self, now: SimTime, turn: &mut Turn) {
+        self.inner.catch_up(now, turn)
     }
 
     /// The journaled gateway's timed work, or the next heartbeat: an idle
@@ -248,7 +247,9 @@ mod tests {
         assert!(shipped_requests(&gw.take_outbox()).is_empty());
         // The turn's timed work run ahead of its drive: journaled, unshipped.
         let seq = gw.inner().journal().next_seq();
-        assert_eq!(gw.catch_up(now).dispatched.len(), 4);
+        let mut turn = Turn::default();
+        gw.catch_up(now, &mut turn);
+        assert_eq!(turn.dispatched.len(), 4);
         assert!(gw.inner().journal().next_seq() > seq);
         let outbox = gw.take_outbox();
         assert!(!outbox.iter().any(|m| matches!(m, ShipMsg::Frame { .. })));

@@ -394,15 +394,13 @@ impl<G: Recoverable> Serve for ReplicaFrontend<G> {
 
     /// The live gateway's turn — the primary's ships what it committed —
     /// then a channel round that carries it to the follower.
-    fn drive(&mut self, now: SimTime) -> Turn {
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
         self.pump(now);
-        let turn = self
-            .process
-            .serving_mut()
-            .map(|gw| gw.drive(now))
-            .unwrap_or_default();
+        match self.process.serving_mut() {
+            Some(gw) => gw.drive_into(now, turn),
+            None => *turn = Turn::default(),
+        }
         self.pump(now);
-        turn
     }
 
     fn next_due(&self) -> Option<SimTime> {

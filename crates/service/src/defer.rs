@@ -222,14 +222,16 @@ impl DeferredQueue {
         mut try_admit: impl FnMut(&Task) -> bool,
     ) -> (Vec<(DeferTicket, DeferOutcome)>, u64) {
         let mut departed = Vec::new();
-        let mut kept = VecDeque::new();
         let mut budget = self.policy.retest_budget;
         let mut retests = 0u64;
         let aged_out = |t: &DeferTicket| match self.policy.max_age {
             Some(age) => now.definitely_after(t.deferred_at + SimTime::new(age)),
             None => false,
         };
-        while let Some(mut ticket) = self.tickets.pop_front() {
+        // One turn of the deque in place: each ticket popped, the kept ones
+        // pushed back behind the rest, so age order holds.
+        for _ in 0..self.tickets.len() {
+            let mut ticket = self.tickets.pop_front().expect("counted");
             if now.definitely_after(ticket.latest_start) || aged_out(&ticket) {
                 // Expiry costs no budget: it is a clock check, not a test.
                 departed.push((ticket, DeferOutcome::Expired));
@@ -238,11 +240,11 @@ impl DeferredQueue {
             if !now.definitely_after(ticket.deferred_at) {
                 // A re-test at the deferral instant would replay the submit
                 // that just failed; skip it without burning a retry.
-                kept.push_back(ticket);
+                self.tickets.push_back(ticket);
                 continue;
             }
             if budget == 0 {
-                kept.push_back(ticket);
+                self.tickets.push_back(ticket);
                 continue;
             }
             budget -= 1;
@@ -254,11 +256,10 @@ impl DeferredQueue {
                 if ticket.retries >= self.policy.max_retries {
                     departed.push((ticket, DeferOutcome::Evicted));
                 } else {
-                    kept.push_back(ticket);
+                    self.tickets.push_back(ticket);
                 }
             }
         }
-        self.tickets = kept;
         (departed, retests)
     }
 

@@ -55,8 +55,8 @@ use rtdls_core::admission::{ExplainSearch, ProbeWalks};
 use rtdls_core::error::ModelError;
 use rtdls_core::prelude::{
     Admission, AdmissionController, AdmissionExplanation, AdmissionFailure, AlgorithmKind,
-    ClusterParams, ControllerState, Decision, Infeasible, NodeId, PlanConfig, SimTime,
-    SubmitRequest, Task, TaskId, TaskPlan,
+    ClusterParams, ControllerState, Decision, Infeasible, PlanConfig, SimTime, SubmitRequest, Task,
+    TaskId, TaskPlan,
 };
 use rtdls_sim::serve::{Resolution, Serve, Turn};
 
@@ -91,14 +91,6 @@ impl Shard {
     fn len(&self) -> usize {
         self.ctl.params().num_nodes
     }
-}
-
-/// Translates a shard-local plan into the engine's global node space.
-fn globalize(mut plan: TaskPlan, offset: usize) -> TaskPlan {
-    for node in &mut plan.nodes {
-        *node = NodeId(node.0 + offset as u32);
-    }
-    plan
 }
 
 /// No routing restrictions: the empty per-shard skip mask.
@@ -473,28 +465,38 @@ impl ShardedGateway {
     }
 
     /// Hands over (and forgets) the verdicts reached for pending tasks
-    /// since the last call — the last step of a turn.
-    pub fn drain_resolutions(&mut self) -> Vec<Resolution> {
-        std::mem::take(&mut self.book.resolutions)
+    /// since the last call into `resolved` — the last step of a turn. What
+    /// `resolved` held is spent: the two buffers swap.
+    pub fn drain_resolutions(&mut self, resolved: &mut Vec<Resolution>) {
+        resolved.clear();
+        std::mem::swap(resolved, &mut self.book.resolutions);
     }
 
-    /// Removes and returns every waiting task due for dispatch at `now`,
+    /// Refills `due` with every waiting task due for dispatch at `now`,
     /// node ids global — the first step of a turn. Shard-major, controller
     /// order within each shard. The within-shard order is load-bearing: a
     /// shard's temp schedule commits nodes in policy order, and dispatching
     /// a successor before its predecessor would let it occupy a node the
     /// predecessor's plan still needs (shards never share nodes, so
     /// cross-shard order is free — keeping shard-major order is simply
-    /// deterministic).
-    pub fn take_due(&mut self, now: SimTime) -> Vec<(Task, TaskPlan)> {
-        let mut due = Vec::new();
-        for shard in &mut self.shards {
-            for (task, plan) in shard.ctl.take_due(now) {
-                due.push((task, globalize(plan, shard.offset)));
+    /// deterministic). What `due` holds on entry is spent, not kept (the
+    /// turn contract in [`rtdls_sim::serve`]; [`Admission::take_due_into`]
+    /// appends): each plan goes back to the shard whose nodes it names.
+    pub fn refill_due(&mut self, now: SimTime, due: &mut Vec<(Task, TaskPlan)>) {
+        for (_, plan) in due.drain(..) {
+            let node = plan.nodes.first().map_or(0, |n| n.index());
+            if let Some(shard) = self.shards.iter_mut().rfind(|s| s.offset <= node) {
+                shard.ctl.recycle(plan);
             }
         }
-        self.book.ledger.prune_dispatched(&due);
-        due
+        for shard in &mut self.shards {
+            let from = due.len();
+            shard.ctl.take_due_into(now, due);
+            for node in due[from..].iter_mut().flat_map(|(_, plan)| &mut plan.nodes) {
+                node.0 += shard.offset as u32;
+            }
+        }
+        self.book.ledger.prune_dispatched(due);
     }
 
     /// The earliest planned first transmission across the shards' queues.
@@ -723,14 +725,11 @@ impl Serve for ShardedGateway {
     /// (a reservation's `start_at` is typically exactly a dispatch
     /// instant), then drain what the turn resolved. The bare gateway owes
     /// nothing to commit.
-    fn drive(&mut self, now: SimTime) -> Turn {
-        let dispatched = self.take_due(now);
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+        self.refill_due(now, &mut turn.dispatched);
         self.retest_deferred(now);
         self.activate_reservations(now);
-        Turn {
-            dispatched,
-            resolved: self.drain_resolutions(),
-        }
+        self.drain_resolutions(&mut turn.resolved);
     }
 
     /// The next planned dispatch, reservation activation or defer-ticket
@@ -751,7 +750,7 @@ impl Serve for ShardedGateway {
 
     fn finalize(&mut self, _now: SimTime) -> Vec<Resolution> {
         self.flush_parked();
-        self.drain_resolutions()
+        std::mem::take(&mut self.book.resolutions)
     }
 
     fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
@@ -788,6 +787,13 @@ mod tests {
     /// reservation tolerance).
     fn submit(g: &mut ShardedGateway, task: Task, now: SimTime) -> Verdict {
         g.submit_request(&SubmitRequest::new(task), now)
+    }
+
+    /// Every waiting task due at `now`, into a fresh vector.
+    fn take_due(g: &mut ShardedGateway, now: SimTime) -> Vec<(Task, TaskPlan)> {
+        let mut due = Vec::new();
+        g.refill_due(now, &mut due);
+        due
     }
 
     /// A single cluster: the one-shard gateway.
@@ -909,7 +915,7 @@ mod tests {
         for i in 0..4 {
             assert!(submit(&mut g, Task::new(i, 0.0, 50.0, 1e6), SimTime::ZERO).is_accepted());
         }
-        let due = g.take_due(SimTime::ZERO);
+        let due = take_due(&mut g, SimTime::ZERO);
         assert_eq!(due.len(), 4);
         let mut seen_nodes: Vec<u32> = Vec::new();
         for (_, plan) in &due {
@@ -923,6 +929,34 @@ mod tests {
         // Four tasks on four distinct shards: nodes from all four quarters.
         assert!(seen_nodes.iter().any(|&n| n < 4));
         assert!(seen_nodes.iter().any(|&n| n >= 12));
+    }
+
+    /// `refill_due` consumes what `due` holds rather than appending to it:
+    /// the spent plans go back to their shard, and the next insertion there
+    /// is planned into one of their buffers.
+    #[test]
+    fn refill_due_spends_what_due_holds() {
+        let mut g = sharded(2, Routing::RoundRobin);
+        let mut due = Vec::new();
+        for i in 0..4 {
+            assert!(submit(&mut g, Task::new(i, 0.0, 50.0, 1e6), SimTime::ZERO).is_accepted());
+        }
+        g.refill_due(SimTime::ZERO, &mut due);
+        assert_eq!(due.len(), 4);
+        let spent: Vec<_> = due.iter().map(|(_, plan)| plan.nodes.as_ptr()).collect();
+        // Nothing new falls due: the spent entries go, none is kept.
+        g.refill_due(SimTime::ZERO, &mut due);
+        assert!(due.is_empty());
+        let now = SimTime::new(1.0);
+        assert!(submit(&mut g, Task::new(9, 1.0, 50.0, 1e6), now).is_accepted());
+        let at = g.next_dispatch_due().expect("one waiting");
+        g.refill_due(at, &mut due);
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].0.id, TaskId(9));
+        assert!(
+            spent.contains(&due[0].1.nodes.as_ptr()),
+            "a recycled buffer"
+        );
     }
 
     #[test]
@@ -958,7 +992,7 @@ mod tests {
         let premium = mk(6).with_qos(QosClass::Premium);
         assert!(g.submit_request(&premium, SimTime::ZERO).is_accepted());
         // Dispatch frees the waiting liabilities: the tenant submits again.
-        g.take_due(SimTime::ZERO);
+        take_due(&mut g, SimTime::ZERO);
         assert!(g.submit_request(&mk(7), SimTime::ZERO).is_accepted());
         // One shard: nowhere to spread to, so the cap bounds the tenant's
         // waiting tasks outright — still a throttle, never an admission test.
@@ -970,7 +1004,7 @@ mod tests {
         assert_eq!(g.submit_request(&mk(2), SimTime::ZERO), Verdict::Throttled);
         assert_eq!(g.metrics().throttled, 1);
         assert_eq!(g.shard_queue_lens(), vec![1]);
-        g.take_due(SimTime::ZERO);
+        take_due(&mut g, SimTime::ZERO);
         assert!(g.submit_request(&mk(3), SimTime::ZERO).is_accepted());
     }
 
@@ -1138,7 +1172,7 @@ mod tests {
         // Dispatch the blocker, then let its nodes come back *earlier* than
         // the committed estimate (the slack conservative release estimates
         // produce); the re-test sweep must rescue the parked task.
-        g.take_due(SimTime::ZERO);
+        take_due(&mut g, SimTime::ZERO);
         let early = SimTime::new(e16 * 0.3);
         for node in 0..16 {
             g.node_released(node, early);
@@ -1146,7 +1180,8 @@ mod tests {
         g.retest_deferred(early);
         assert_eq!(g.metrics().rescued, 1);
         assert!(g.deferred().is_empty());
-        let resolutions = g.drain_resolutions();
+        let mut resolutions = Vec::new();
+        g.drain_resolutions(&mut resolutions);
         assert_eq!(resolutions.len(), 1);
         assert_eq!(resolutions[0].0.id, near_miss.id);
         assert!(resolutions[0].1.is_none(), "rescued = accepted resolution");
@@ -1214,13 +1249,14 @@ mod tests {
         assert_eq!(g.reservations().next_activation(), Some(start_at));
         // Honesty: dispatch the blocker, then activating exactly at
         // start_at admits the task.
-        let due = g.take_due(start_at);
+        let due = take_due(&mut g, start_at);
         assert_eq!(due.len(), 1, "the waiting blocker dispatches");
         g.activate_reservations(start_at);
         assert_eq!(g.metrics().reservations_activated, 1);
         assert!(g.reservations().is_empty());
         assert_eq!(g.reservations().next_activation(), None);
-        let resolutions = g.drain_resolutions();
+        let mut resolutions = Vec::new();
+        g.drain_resolutions(&mut resolutions);
         assert_eq!(resolutions.len(), 1);
         assert!(resolutions[0].1.is_none(), "activated = accepted");
         let log = g.book_mut().take_activation_log();
@@ -1379,7 +1415,7 @@ mod tests {
         assert!(submit(&mut g, Task::new(1, 0.0, 800.0, e16 * 1.05), SimTime::ZERO).is_accepted());
         let parked = submit(&mut g, Task::new(2, 0.0, 800.0, e16 * 1.5), SimTime::ZERO);
         assert!(matches!(parked, Verdict::Deferred { .. }), "{parked:?}");
-        g.take_due(SimTime::ZERO);
+        take_due(&mut g, SimTime::ZERO);
         let before = g.shards[0].ctl.profile();
         g.retest_deferred(SimTime::new(1.0));
         let after = g.shards[0].ctl.profile();
@@ -1398,7 +1434,7 @@ mod tests {
         let Verdict::Reserved { start_at, ticket } = g.submit_request(&req, SimTime::ZERO) else {
             panic!("expected Reserved");
         };
-        g.take_due(start_at);
+        take_due(&mut g, start_at);
         g.activate_reservations(start_at);
         let updates = g.take_updates();
         assert_eq!(
@@ -1422,7 +1458,7 @@ mod tests {
         let Verdict::Deferred { ticket, .. } = submit(&mut g, near_miss, SimTime::ZERO) else {
             panic!("expected Deferred");
         };
-        g.take_due(SimTime::ZERO);
+        take_due(&mut g, SimTime::ZERO);
         let early = SimTime::new(e16 * 0.3);
         for node in 0..16 {
             g.node_released(node, early);
@@ -1442,7 +1478,7 @@ mod tests {
         let (mut g, c, _) = reservation_scenario();
         let req = SubmitRequest::new(c).with_max_delay(Some(2000.0));
         assert!(g.submit_request(&req, SimTime::ZERO).is_reserved());
-        g.take_due(SimTime::new(1000.0));
+        take_due(&mut g, SimTime::new(1000.0));
         g.activate_reservations(SimTime::new(1000.0));
         assert!(g.take_updates().is_empty());
     }
@@ -1479,7 +1515,7 @@ mod tests {
         let premium = mk(5).with_qos(QosClass::Premium);
         assert!(g.submit_request(&premium, SimTime::ZERO).is_accepted());
         // Dispatch frees the liability: the tenant can submit again.
-        g.take_due(SimTime::ZERO);
+        take_due(&mut g, SimTime::ZERO);
         assert_eq!(g.ledger().count_for(TenantId(1)), 0);
         assert!(g.submit_request(&mk(6), SimTime::ZERO).is_accepted());
         // Books balance: accepted + rejected = submitted.

@@ -16,6 +16,15 @@
 //! sweep re-testing the oldest ticket allocates beyond the same sweep
 //! re-testing none, on two gateways built alike.
 //!
+//! The table (`BENCH_alloc.json`) holds one row per operation on a warm
+//! gateway, each split by layer: the bare gateway (`service`, the engine's
+//! own allocations included), what a write-ahead journal adds to encode the
+//! records (`journal`), what an attached telemetry handle adds
+//! (`telemetry`), and what an explanation adds to a refusal (`explain`).
+//! Dispatched plans come back to the shards as buffers through the turn the
+//! driver keeps, so an accepted submit, a dispatching drive and an empty
+//! sweep allocate nothing.
+//!
 //! Allocations are counted by this binary's own global allocator, per
 //! thread, and asserted in release builds only: a dev build cross-checks
 //! the refusals in hand and the held runs on cloned walks. Run it as
@@ -25,8 +34,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rtdls_core::prelude::*;
-use rtdls_service::prelude::{DeferPolicy, EdgeGateway, Routing, ShardedGateway};
-use rtdls_workload::prelude::{WorkloadGenerator, WorkloadSpec};
+use rtdls_journal::prelude::{JournalConfig, JournaledGateway};
+use rtdls_service::prelude::{
+    DeferPolicy, EdgeGateway, Routing, Serve, ShardedGateway, Turn, Verdict,
+};
+use rtdls_telemetry::Telemetry;
+use rtdls_workload::prelude::{IntoRequests, WorkloadGenerator, WorkloadSpec};
 
 /// The system allocator, counting the allocations (and reallocations) the
 /// calling thread asks for.
@@ -194,4 +207,190 @@ fn a_warm_fleet_routes_a_refusal_and_a_retest_without_allocating() {
             "{worst_retest} > {retest_budget}"
         );
     }
+}
+
+/// The table's rows: an operation on a warm gateway, and its budget per
+/// layer — `service`, `journal`, `telemetry`, `explain` — where the layer
+/// has a part in it (`None`: it has none). Each budget is the worst case
+/// the stream below measured (`BENCH_alloc.json` holds the table). What is
+/// left: every refusal of a request with a reservation tolerance runs the
+/// start search on each shard on fresh buffers (a defer, a reservation, a
+/// rejection); an SLO alarm's transition is a fresh `Vec`, and a breach
+/// record a few more (the accepted
+/// submit's 4); and with telemetry attached, a breach record carries the
+/// span timelines of its tenant's recent tasks, as text.
+const TABLE: [(&str, [Option<usize>; 4]); 9] = [
+    ("accepted submit", [Some(4), Some(5), Some(2), None]),
+    ("defer", [Some(113), Some(0), Some(3), None]),
+    ("reject", [Some(49), Some(0), Some(2), None]),
+    ("reject, explained", [None, None, None, Some(5)]),
+    ("reservation search", [Some(113), Some(0), Some(3), None]),
+    ("dispatching drive", [Some(0), None, None, None]),
+    ("empty sweep", [Some(0), None, None, None]),
+    ("re-testing sweep", [Some(8), None, None, None]),
+    ("turn commit", [None, Some(4), Some(1527), None]),
+];
+
+const LAYERS: [&str; 4] = ["service", "journal", "telemetry", "explain"];
+
+/// The worst count seen per row and layer.
+#[derive(Default)]
+struct Table([[Option<usize>; 4]; 9]);
+
+impl Table {
+    fn note(&mut self, row: usize, layer: usize, n: usize) {
+        let cell = &mut self.0[row][layer];
+        *cell = Some(cell.unwrap_or(0).max(n));
+    }
+
+    /// Prints the table and holds it to [`TABLE`] (release builds only).
+    fn check(&self) {
+        let mut over = Vec::new();
+        for ((what, budgets), seen) in TABLE.iter().zip(&self.0) {
+            for ((layer, budget), seen) in LAYERS.iter().zip(budgets).zip(seen) {
+                eprintln!("{what} / {layer}: at most {seen:?} allocations (budget {budget:?})");
+                assert_eq!(
+                    seen.is_some(),
+                    budget.is_some(),
+                    "{what} / {layer}: measured"
+                );
+                if seen > budget {
+                    over.push(format!("{what} / {layer}: {seen:?} > {budget:?}"));
+                }
+            }
+        }
+        if !cfg!(debug_assertions) {
+            assert!(over.is_empty(), "{over:?}");
+        }
+    }
+}
+
+/// The table's stream: `edge_burst`'s shape — 8 shards of 8 nodes, the
+/// 8-tenant mix with reservation tolerance, turns of 16 same-instant
+/// requests — at a load where every outcome occurs, each turn driven
+/// `TURN` after the one before so that plans dispatch and tickets are
+/// re-tested in between.
+fn table_stream() -> Vec<Vec<SubmitRequest>> {
+    let params = ClusterParams::new(64, 1.0, 100.0).expect("valid params");
+    let mut spec = WorkloadSpec::paper_baseline(1.5);
+    spec.params = params;
+    spec.dc_ratio = 20.0;
+    spec.horizon = f64::MAX;
+    let mix = TenantMix {
+        tenants: 8,
+        premium_tenants: 1,
+        best_effort_tenants: 3,
+        max_delay_factor: Some(0.25),
+    };
+    let requests: Vec<SubmitRequest> = WorkloadGenerator::new(spec, 7)
+        .take(1_600)
+        .with_tenants(mix)
+        .collect();
+    requests.chunks(16).map(<[SubmitRequest]>::to_vec).collect()
+}
+
+const TURN: f64 = 400.0;
+
+/// Where the stream's second pass starts: after every plan and ticket of
+/// the first is gone.
+const SECOND: f64 = 1e6;
+
+#[test]
+fn the_allocation_table_holds_per_operation_and_layer() {
+    let gateway = || {
+        ShardedGateway::new(
+            ClusterParams::new(64, 1.0, 100.0).expect("valid params"),
+            8,
+            AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
+            Routing::LeastLoaded,
+            DeferPolicy::default(),
+        )
+        .expect("valid shard count")
+    };
+    let mut bare = gateway();
+    let mut explained = gateway();
+    explained.book_mut().enable_explanations(true);
+    let mut traced = gateway();
+    traced.attach_telemetry(&Telemetry::with_defaults());
+    // Snapshots off: the journal layer is the records' encoding.
+    let cfg = JournalConfig {
+        snapshot_every: 0,
+        compact_on_snapshot: false,
+    };
+    let mut journaled = JournaledGateway::new(gateway(), cfg);
+    let mut turns = [Turn::default(), Turn::default(), Turn::default()];
+    let mut table = Table::default();
+    // The stream twice: the first pass warms every buffer to the depths
+    // the stream reaches, the second is measured.
+    let stream = table_stream();
+    let pass = |start: f64| {
+        let at = move |i: usize| SimTime::new(start + i as f64 * TURN);
+        let settle = (SimTime::new(start + SECOND - TURN), &[][..]);
+        let turns = stream.iter().enumerate().map(move |(i, r)| (at(i), &r[..]));
+        turns.chain([settle])
+    };
+    let schedule = pass(0.0).chain(pass(SECOND)).chain(pass(2.0 * SECOND));
+    for (now, requests) in schedule {
+        let mut note = |row: usize, layer: usize, n: usize| {
+            if now.as_f64() >= 2.0 * SECOND {
+                table.note(row, layer, n);
+            }
+        };
+        for request in requests {
+            let request = SubmitRequest {
+                task: Task {
+                    arrival: now,
+                    ..request.task
+                },
+                ..*request
+            };
+            let (verdict, n) = allocations(|| bare.submit_request(&request, now));
+            let (_, with_explanation) = allocations(|| explained.submit_request(&request, now));
+            let (_, with_telemetry) = allocations(|| traced.submit_request(&request, now));
+            let (journaled_verdict, with_journal) = allocations(|| journaled.decide(&request, now));
+            assert_eq!(journaled_verdict, verdict);
+            let row = match verdict {
+                Verdict::Accepted => 0,
+                Verdict::Deferred { .. } => 1,
+                Verdict::Rejected { .. } => 2,
+                Verdict::Reserved { .. } => 4,
+                Verdict::Throttled => continue,
+            };
+            note(row, 0, n);
+            note(row, 1, with_journal.saturating_sub(n));
+            note(row, 2, with_telemetry.saturating_sub(n));
+            if row != 0 && row != 4 {
+                note(3, 3, with_explanation.saturating_sub(n));
+            }
+        }
+        // The bare gateway's turn step by step, as its `drive_into` runs
+        // it; the others whole.
+        let [turn, traced_turn, journaled_turn] = &mut turns;
+        let (parked, retests) = (bare.deferred().len(), bare.metrics().retests);
+        let ((), dispatch) = allocations(|| bare.refill_due(now, &mut turn.dispatched));
+        let ((), sweep) = allocations(|| bare.retest_deferred(now));
+        let ((), rest) = allocations(|| {
+            bare.activate_reservations(now);
+            bare.drain_resolutions(&mut turn.resolved);
+        });
+        let ((), with_telemetry) = allocations(|| traced.drive_into(now, traced_turn));
+        let ((), with_journal) = allocations(|| journaled.drive_into(now, journaled_turn));
+        explained.drive(now);
+        assert_eq!(*journaled_turn, *turn);
+        if !turn.dispatched.is_empty() {
+            note(5, 0, dispatch);
+        }
+        // A sweep that re-tested nothing and retired nothing, or one that
+        // re-tested.
+        if bare.metrics().retests > retests {
+            note(7, 0, sweep);
+        } else if parked > 0 && bare.deferred().len() == parked {
+            note(6, 0, sweep);
+        }
+        let drive = dispatch + sweep + rest;
+        note(8, 1, with_journal.saturating_sub(drive));
+        note(8, 2, with_telemetry.saturating_sub(drive));
+    }
+    table.check();
 }

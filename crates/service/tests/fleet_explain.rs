@@ -485,7 +485,7 @@ fn plan_spans_and_the_plan_phase_read_one_clock() {
     spec.horizon = f64::MAX;
     let mut verdicts = 0;
     for task in WorkloadGenerator::new(spec, 11).take(300) {
-        let _ = g.take_due(task.arrival);
+        g.refill_due(task.arrival, &mut Vec::new());
         let _ = g.submit_request(&SubmitRequest::new(task), task.arrival);
         verdicts += 1;
     }

@@ -313,7 +313,7 @@ proptest! {
         for t in &tasks {
             let now = t.arrival;
             // Advance the world: dispatch everything due by now.
-            gateway.take_due(now);
+            gateway.refill_due(now, &mut Vec::new());
             let before = one_shard_controller(&gateway);
             let req = SubmitRequest::new(*t).with_max_delay(Some(t.rel_deadline * 10.0));
             let verdict = gateway.submit_request(&req, now);

@@ -35,7 +35,7 @@ use rtdls_core::prelude::*;
 use crate::config::{LinkModel, ReplanPolicy, SimConfig};
 use crate::event::{Event, EventQueue};
 use crate::metrics::{Metrics, MetricsCollector};
-use crate::serve::{Resolution, Serve, SubmitOutcome};
+use crate::serve::{Resolution, Serve, SubmitOutcome, Turn};
 use crate::trace::{ChunkRecord, TaskRecord, Trace};
 
 /// Result of a completed simulation.
@@ -95,6 +95,8 @@ pub struct Simulation<F: Serve = AdmissionController> {
     ever_dispatched: HashSet<TaskId, IdHash>,
     /// Re-offered dispatches the engine suppressed (see `ever_dispatched`).
     duplicate_dispatches: u64,
+    /// The turn every drive fills, spent by the next one.
+    turn: Turn,
     metrics: MetricsCollector,
     trace: Option<Trace>,
     trace_task_idx: HashMap<TaskId, usize, IdHash>,
@@ -152,6 +154,7 @@ impl<F: Serve> Simulation<F> {
             running: HashMap::default(),
             ever_dispatched: HashSet::default(),
             duplicate_dispatches: 0,
+            turn: Turn::default(),
             metrics: MetricsCollector::new(),
             trace: cfg.record_trace.then(Trace::default),
             trace_task_idx: HashMap::default(),
@@ -219,7 +222,7 @@ impl<F: Serve> Simulation<F> {
         // No more capacity will ever free up: every still-deferred task must
         // resolve now so the books close.
         let resolved = self.ctl.finalize(self.now);
-        self.apply_resolutions(resolved);
+        self.apply_resolutions(&resolved);
         debug_assert!(self.running.is_empty(), "tasks still running after drain");
         self.metrics.set_end_time(self.now);
         let metrics = self.metrics.finish();
@@ -312,8 +315,8 @@ impl<F: Serve> Simulation<F> {
     /// Applies verdicts the frontend reached for previously pending tasks.
     /// A turn resolves after its dispatch step, so a rescued task is still
     /// waiting.
-    fn apply_resolutions(&mut self, resolved: Vec<Resolution>) {
-        for (task, rejection) in resolved {
+    fn apply_resolutions(&mut self, resolved: &[Resolution]) {
+        for &(task, rejection) in resolved {
             let rescued = rejection.is_none();
             self.metrics.on_admission(rejection);
             let plan = self.ctl.plan_of(task.id);
@@ -410,15 +413,17 @@ impl<F: Serve> Simulation<F> {
                 }
             }
         }
-        let turn = self.ctl.drive(self.now);
+        let mut turn = std::mem::take(&mut self.turn);
+        self.ctl.drive_into(self.now, &mut turn);
         let idle = turn.is_empty();
         if let Some((task, outcome, admitted)) = arrival {
             self.note_arrival(task, outcome, admitted);
         }
-        self.apply_resolutions(turn.resolved);
-        for (task, plan) in turn.dispatched {
+        self.apply_resolutions(&turn.resolved);
+        for (task, plan) in &turn.dispatched {
             self.dispatch(task, plan);
         }
+        self.turn = turn;
         self.generation += 1;
         // A plan admitted after the turn's dispatch step (a reservation
         // activation, a rescue) may be due at this very instant: the next
@@ -438,7 +443,7 @@ impl<F: Serve> Simulation<F> {
 
     /// Realizes a committed plan: computes the exact per-chunk timeline,
     /// reserves the nodes, and schedules the completion events.
-    fn dispatch(&mut self, task: Task, plan: TaskPlan) {
+    fn dispatch(&mut self, task: &Task, plan: &TaskPlan) {
         if !self.ever_dispatched.insert(task.id) {
             self.duplicate_dispatches += 1;
             return;
@@ -852,8 +857,8 @@ mod tests {
             self.parked = Some(request.task);
             SubmitOutcome::Pending
         }
-        fn drive(&mut self, now: SimTime) -> crate::serve::Turn {
-            let mut turn = crate::serve::Turn::default();
+        fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+            *turn = Turn::default();
             if self
                 .waiting
                 .as_ref()
@@ -869,7 +874,6 @@ mod tests {
                     turn.resolved.push((task, None));
                 }
             }
-            turn
         }
         fn next_due(&self) -> Option<SimTime> {
             let start = self.waiting.as_ref().map(|(_, p)| p.first_start());
@@ -934,8 +938,8 @@ mod tests {
             }
             self.ctl.decide(request, now)
         }
-        fn drive(&mut self, now: SimTime) -> crate::serve::Turn {
-            self.ctl.drive(now)
+        fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+            self.ctl.drive_into(now, turn)
         }
         fn next_due(&self) -> Option<SimTime> {
             self.ctl.next_due().or(self.late)

@@ -13,6 +13,10 @@
 //! [`next_due`](Serve::next_due) even if nothing arrives; one whose turn
 //! may open on due work runs it first ([`catch_up`](Serve::catch_up)).
 //!
+//! **The spent turn.** A driver keeps one [`Turn`] for every drive
+//! ([`drive_into`](Serve::drive_into)): what it holds on entry is spent, and
+//! the bare layer takes each dispatched plan back as its engine's buffer.
+//!
 //! No method here shares a name with an [`Admission`] method, so a type
 //! implementing both never needs a path call to say which one it means.
 //!
@@ -80,15 +84,22 @@ pub trait Serve {
     /// [`drive`](Serve::drive) has returned.
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Self::Outcome;
 
-    /// Runs the turn's timed work at `now` and commits the turn (see the
-    /// module docs).
-    fn drive(&mut self, now: SimTime) -> Turn;
+    /// Runs the turn's timed work at `now` into `turn`, whose entries are
+    /// spent, and commits the turn (see the module docs).
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn);
 
-    /// Runs the timed work due by `now` inside the current turn, before its
-    /// decisions; the turn's [`drive`](Serve::drive) commits it. By default
-    /// the drive itself, right for a layer that commits nothing.
-    fn catch_up(&mut self, now: SimTime) -> Turn {
-        self.drive(now)
+    /// [`drive_into`](Serve::drive_into) a fresh turn.
+    fn drive(&mut self, now: SimTime) -> Turn {
+        let mut turn = Turn::default();
+        self.drive_into(now, &mut turn);
+        turn
+    }
+
+    /// Runs the timed work due by `now` into `turn` inside the current turn,
+    /// before its decisions; the turn's drive commits it. By default the
+    /// drive itself, right for a layer that commits nothing.
+    fn catch_up(&mut self, now: SimTime, turn: &mut Turn) {
+        self.drive_into(now, turn)
     }
 
     /// The earliest instant at which timed work falls due; `None` =
@@ -125,11 +136,12 @@ impl Serve for AdmissionController {
         self.submit(request.task, now)
     }
 
-    fn drive(&mut self, now: SimTime) -> Turn {
-        Turn {
-            dispatched: self.take_due(now),
-            resolved: Vec::new(),
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
+        for (_, plan) in turn.dispatched.drain(..) {
+            self.recycle(plan);
         }
+        turn.resolved.clear();
+        self.take_due_into(now, &mut turn.dispatched);
     }
 
     fn next_due(&self) -> Option<SimTime> {

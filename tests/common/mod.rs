@@ -27,9 +27,9 @@ impl Serve for Certified {
         self.engine.decide(request, now)
     }
 
-    fn drive(&mut self, now: SimTime) -> Turn {
+    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
         let mut releases = self.engine.committed_releases().to_vec();
-        let turn = self.engine.drive(now);
+        self.engine.drive_into(now, turn);
         for (task, plan) in &turn.dispatched {
             if let Err(v) = certify(self.engine.params(), task, &releases, plan) {
                 panic!("dispatched at {now:?}, task {:?}: {v}\n{plan:?}", task.id);
@@ -39,7 +39,6 @@ impl Serve for Certified {
             }
             self.certified += 1;
         }
-        turn
     }
 
     fn next_due(&self) -> Option<SimTime> {
