@@ -93,6 +93,7 @@ fn serve_cluster_once(reactors: usize, batches: &[Vec<SubmitRequest>]) -> u64 {
                 let batch = batch.clone();
                 s.spawn(move || {
                     ReplayClient::connect(addr)
+                        .and_then(|client| client.bind(batch[0].tenant))
                         .expect("connect")
                         .run(batch, 32, Duration::from_millis(0), Duration::from_secs(30))
                         .expect("replay")

@@ -15,7 +15,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use rtdls_core::prelude::SubmitRequest;
+use rtdls_core::prelude::{SubmitRequest, TenantId};
 use rtdls_service::prelude::{DecisionUpdate, Verdict};
 
 use crate::codec::{Direction, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -77,6 +77,15 @@ impl Link {
         })
     }
 
+    /// Binds the connection to `tenant` (`Hello { tenant }`): the edge moves
+    /// it to the tenant's home reactor and refuses submits for any other.
+    fn bind(&mut self, tenant: TenantId) -> std::io::Result<()> {
+        self.send(&ClientMsg::Hello {
+            protocol: PROTOCOL_VERSION,
+            tenant: Some(tenant),
+        })
+    }
+
     /// Writes `msg`'s frame whole: the timeout is the read side's alone,
     /// so a write blocks until done and only a signal cuts one short.
     fn send(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
@@ -122,6 +131,14 @@ impl ReplayClient {
         Link::connect(addr).map(|link| ReplayClient { link })
     }
 
+    /// Binds the connection to `tenant`, which every request played over it
+    /// must carry; needed on a multi-reactor edge for a tenant homed away
+    /// from the accepting reactor.
+    pub fn bind(mut self, tenant: TenantId) -> std::io::Result<Self> {
+        self.link.bind(tenant)?;
+        Ok(self)
+    }
+
     /// Plays `requests` against the server: at most `window` submits
     /// unanswered at any instant, then — once every verdict arrived —
     /// keeps listening `settle` longer for pushed updates (reservations
@@ -142,6 +159,7 @@ impl ReplayClient {
         let mut exhausted = false;
         self.link.send(&ClientMsg::Hello {
             protocol: PROTOCOL_VERSION,
+            tenant: None,
         })?;
         let mut settle_from: Option<Instant> = None;
         loop {
@@ -228,6 +246,13 @@ impl OpsClient {
     /// [`ReplayClient`]).
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         Link::connect(addr).map(|link| OpsClient { link })
+    }
+
+    /// Binds the connection to `tenant`: on a multi-reactor edge, queries
+    /// are then answered by the books of the tenant's home reactor.
+    pub fn bind(mut self, tenant: TenantId) -> std::io::Result<Self> {
+        self.link.bind(tenant)?;
+        Ok(self)
     }
 
     /// Sends one query and waits up to `deadline` for its report. Other

@@ -29,9 +29,9 @@
 //!   or — for a durable edge — a `JournaledGateway` over one, whose
 //!   journal gets each turn as one write and one sync at the turn's
 //!   commit, before any of the turn's verdicts is flushed; plus the
-//!   sharded [`EdgeCluster`] — N reactor threads, connections pinned to
-//!   their tenant's home reactor, a mutexed adoption mailbox as the only
-//!   inter-reactor seam.
+//!   sharded [`EdgeCluster`] — N `EdgeServer`s behind one acceptor, each
+//!   deciding only its own tenants' submits, connections bound by
+//!   `Hello { tenant }` and handed to the home reactor through its mailbox.
 //!
 //! [`client`] provides the matching [`ReplayClient`] that plays a
 //! workload-generated request stream against a live edge and reconciles

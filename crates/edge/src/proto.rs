@@ -8,7 +8,13 @@
 //!
 //! 1. On accept, the server pushes [`ServerMsg::Hello`]. A client may send
 //!    its own [`ClientMsg::Hello`]; a protocol-version mismatch is answered
-//!    with [`ServerMsg::Error`] and the connection closes.
+//!    with [`ServerMsg::Error`] and the connection closes. A `Hello` naming
+//!    a `tenant` binds the connection to it: the connection moves to that
+//!    tenant's home reactor, and a later submit for another tenant is a
+//!    protocol error. An unbound connection may submit for any tenant homed
+//!    on the reactor that accepted it (every tenant, on one reactor); a
+//!    submit homed elsewhere is refused with an `Error` naming the home
+//!    reactor.
 //! 2. The client streams [`ClientMsg::Submit`]s — each a `seq`-tagged
 //!    [`SubmitRequest`] envelope. The server answers every submit with
 //!    exactly one [`ServerMsg::Verdict`] carrying the same `seq`.
@@ -27,7 +33,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rtdls_core::prelude::{AdmissionExplanation, SubmitRequest};
+use rtdls_core::prelude::{AdmissionExplanation, SubmitRequest, TenantId};
 use rtdls_service::prelude::{DecisionUpdate, SloStatusRow, Verdict};
 use rtdls_telemetry::{MetricSample, PhaseProfile, SeriesPoint, Span};
 
@@ -46,6 +52,10 @@ pub enum ClientMsg {
     Hello {
         /// The client's [`PROTOCOL_VERSION`].
         protocol: u32,
+        /// The one tenant this connection speaks for, if any (absent from
+        /// the bytes when `None`, so an unbound greeting is unchanged).
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        tenant: Option<TenantId>,
     },
     /// One submission. `seq` is client-chosen and echoed on the verdict;
     /// the task id inside the request must be unique across the stream
@@ -251,7 +261,7 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerMsg, serde::Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdls_core::prelude::{Infeasible, QosClass, SimTime, Task, TenantId};
+    use rtdls_core::prelude::{Infeasible, QosClass, SimTime, Task};
 
     #[test]
     fn client_messages_round_trip() {
@@ -262,6 +272,11 @@ mod tests {
         let msgs = [
             ClientMsg::Hello {
                 protocol: PROTOCOL_VERSION,
+                tenant: None,
+            },
+            ClientMsg::Hello {
+                protocol: PROTOCOL_VERSION,
+                tenant: Some(TenantId(4)),
             },
             ClientMsg::Submit {
                 seq: 9,
@@ -277,6 +292,32 @@ mod tests {
             assert_eq!(direction, Direction::FromClient);
             assert_eq!(decode_client(payload).unwrap(), msg);
         }
+    }
+
+    /// A greeting without a tenant keeps the bytes it had before the field
+    /// existed; a bound one adds exactly the one key.
+    #[test]
+    fn an_unbound_hello_keeps_its_bytes() {
+        let hello = |tenant| {
+            encode_client(&ClientMsg::Hello {
+                protocol: 1,
+                tenant,
+            })
+        };
+        let payload = |frame: &[u8]| frame[crate::codec::HEADER_LEN..].to_vec();
+        assert_eq!(payload(&hello(None)), br#"{"Hello":{"protocol":1}}"#);
+        assert_eq!(
+            payload(&hello(Some(TenantId(7)))),
+            br#"{"Hello":{"protocol":1,"tenant":7}}"#
+        );
+        let back = decode_client(br#"{"Hello":{"protocol":1}}"#).unwrap();
+        assert_eq!(
+            back,
+            ClientMsg::Hello {
+                protocol: 1,
+                tenant: None
+            }
+        );
     }
 
     #[test]

@@ -12,12 +12,12 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Write};
 use std::net::TcpStream;
 
-use rtdls_core::prelude::SimTime;
+use rtdls_core::prelude::{SimTime, TenantId};
 use rtdls_telemetry::Telemetry;
 
 use crate::codec::FrameDecoder;
 use crate::poll::Selector;
-use crate::proto::{encode_server_into, ClientMsg, ServerMsg};
+use crate::proto::{encode_server_into, ServerMsg};
 
 /// Recycled frame buffers kept per connection. Small: a connection that
 /// queues more than this many frames between flushes is already paying
@@ -41,13 +41,9 @@ pub(crate) struct Conn {
     pub draining_since: Option<SimTime>,
     /// Read side failed or EOF'd; close once the write side drains.
     pub dead: bool,
-    /// Shard affinity resolved: the connection is served where it lives.
-    /// Single-reactor connections are born pinned; in a cluster the first
-    /// submit's tenant hash decides, possibly via a transfer.
-    pub pinned: bool,
-    /// Cluster mode: hand this connection to reactor `.0`, which will
-    /// serve the carried (not-yet-decided) submit `.1` first.
-    pub transfer: Option<(usize, ClientMsg)>,
+    /// The tenant a `Hello { tenant }` bound this connection to: it is
+    /// served on that tenant's home reactor and submits for no other.
+    pub tenant: Option<TenantId>,
     /// Whether EPOLLOUT is currently armed for this fd.
     pub write_armed: bool,
     /// Recycled frame buffers.
@@ -55,7 +51,7 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(id: u64, stream: TcpStream, max_frame: usize, pinned: bool) -> Self {
+    pub(crate) fn new(id: u64, stream: TcpStream, max_frame: usize) -> Self {
         Conn {
             id,
             stream,
@@ -65,8 +61,7 @@ impl Conn {
             draining: false,
             draining_since: None,
             dead: false,
-            pinned,
-            transfer: None,
+            tenant: None,
             write_armed: false,
             pool: Vec::new(),
         }

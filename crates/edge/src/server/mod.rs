@@ -19,25 +19,20 @@
 //! * `registry` — the pending-pushback map, keyed by **server-minted**
 //!   task ids (`conn_id` in the high 32 bits, the client's task id in the
 //!   low 32) so identical client ids on different connections never alias;
-//! * [`multi`] — the sharded edge ([`EdgeCluster`]): N reactor threads,
-//!   each owning its own gateway, with connections pinned by tenant hash.
+//! * [`multi`] — the sharded edge ([`EdgeCluster`]): N `EdgeServer`s on
+//!   N threads behind one acceptor, each owning its own gateway.
 //!
 //! **Replication.** The follower link ([`EdgeServer::follow`]) is one more
 //! registered socket: after every drive the gateway swaps its shipped
 //! frames for the link's acks, as bytes ([`EdgeGateway::swap_ship_bytes`]),
 //! so the edge learns no ship format and a follower that stops reading
-//! loses its link, never the turn. Unlinked (cluster reactors too), the
-//! frames are dropped.
+//! loses its link, never the turn. Unlinked, the frames are dropped.
 //!
-//! **Sharded serving.** In a cluster, a connection is accepted by reactor
-//! 0 and *adopted* by its home reactor — chosen by hashing the tenant of
-//! its first submission ([`reactor_for_tenant`]) — through a mutexed
-//! mailbox drained once per turn, the cluster's only inter-reactor seam.
-//! After adoption every submit, verdict, and pushed update for that
-//! connection is served entirely by the home reactor: the hot path takes
-//! no cross-thread locks, and a `DecisionUpdate` can never be misdelivered
-//! across reactors because the pending entry and the socket live on the
-//! same thread by construction.
+//! **Routing.** A submit is decided only on its tenant's home reactor
+//! ([`reactor_for_tenant`]; every tenant's, on a lone server). A
+//! `Hello { tenant }` binds a connection, which then moves to that home
+//! through the reactor's mailbox, the only inter-reactor seam; a submit
+//! the rule refuses fails its own connection (see [`multi`]).
 //!
 //! **Connection lifecycle.** Each connection is a small state machine:
 //! `Open` (serving) → `Draining` (a fatal protocol error was answered, or
@@ -186,8 +181,8 @@ pub struct EdgeStats {
     pub connections_accepted: u64,
     /// Connections closed (any reason).
     pub connections_closed: u64,
-    /// Connections adopted from another reactor (cluster mode: the home
-    /// reactor's side of a tenant-hash transfer).
+    /// Connections adopted from another reactor (the home reactor's side
+    /// of a `Hello { tenant }` hand-off).
     pub conns_adopted: u64,
     /// Complete frames received.
     pub frames_received: u64,

@@ -10,24 +10,28 @@
 //! unflushed frames. [`EdgeServer::poll`] is the same turn after a
 //! zero-timeout wait, callable inline (tests drive it with a manual clock).
 //!
-//! In a cluster ([`super::multi::EdgeCluster`]) the same type runs once
-//! per reactor thread; only reactor 0 holds the listener, and the `home`
-//! field makes the first submit on an unpinned connection either pin it
-//! here or stage it for adoption by its tenant's home reactor.
+//! A lone server is reactor 0 of a group of one; a cluster
+//! ([`super::multi::EdgeCluster`]) is N of them built together, reactor 0
+//! holding the listener. One rule routes on both: a submit is decided only
+//! on its tenant's home reactor ([`reactor_for_tenant`]). A connection bound
+//! by `Hello { tenant }` to a tenant homed elsewhere leaves the read phase
+//! for that reactor's mailbox, unread frames still in its decoder, before
+//! any of its submits is decided; each turn begins by adopting what its
+//! mailbox holds. A submit the rule refuses fails its own connection.
 
 use std::collections::HashSet;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rtdls_core::prelude::{SimTime, TaskId};
+use rtdls_core::prelude::{SimTime, TaskId, TenantId};
 use rtdls_service::prelude::{Turn, Verdict};
 use rtdls_telemetry::{HistoryConfig, MetricsRegistry, Stage, Telemetry, TimeSeriesStore};
 
 use crate::codec::Direction;
-use crate::poll::{Event, Selector};
+use crate::poll::{Event, Selector, Waker};
 use crate::proto::{decode_client, ClientMsg, OpsQuery, OpsReport, ServerMsg, PROTOCOL_VERSION};
 
 use super::conn::Conn;
@@ -38,64 +42,48 @@ use super::{fold_edge_stats, EdgeClock, EdgeConfig, EdgeGateway, EdgeStats, LINK
 /// Selector token for the listener (connection ids count up from
 /// `EdgeConfig::first_conn_id` and can never reach it; `u64::MAX` is the
 /// wake pipe's).
-pub(crate) const LISTENER_TOKEN: u64 = u64::MAX - 1;
+const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 /// Selector token (and connection id) of the follower link.
 const LINK_TOKEN: u64 = u64::MAX - 2;
 
-/// A connection staged for adoption by another reactor, together with the
-/// submit that revealed its tenant (decoded but *not yet decided* — the
-/// adopter serves it first, so no verdict or pending entry ever needs to
-/// cross threads).
-pub(crate) struct ConnTransfer {
-    pub target: usize,
-    pub conn: Conn,
-    pub carried: ClientMsg,
-}
-
-/// Binds a non-blocking listener and a selector that already watches it.
-/// Every failure — bind, `epoll_create1`, the wake pipe, registering the
-/// listener — is the caller's `io::Error`: there is no second serving loop
-/// to absorb it.
-pub(crate) fn listen(addr: impl ToSocketAddrs) -> std::io::Result<(TcpListener, Selector)> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let mut selector = Selector::new()?;
-    selector.register(&listener, LISTENER_TOKEN)?;
-    Ok((listener, selector))
+/// One reactor's mailbox: connections handed over by the acceptor, bound
+/// to tenants homed here, and the waker that makes the reactor look.
+struct Mailbox {
+    inbound: Mutex<Vec<Conn>>,
+    waker: Waker,
 }
 
 /// The edge server: a listener (on reactor 0), its connections, and the
 /// gateway they serve. See the module docs for the reactor's shape.
 pub struct EdgeServer<G: EdgeGateway> {
-    pub(crate) listener: Option<TcpListener>,
+    listener: Option<TcpListener>,
     /// This reactor's epoll set: the listener (when held) and every live
     /// connection are registered in it from the moment they exist.
-    pub(crate) selector: Selector,
-    pub(crate) cfg: EdgeConfig,
-    pub(crate) gateway: G,
-    pub(crate) conns: Vec<Conn>,
-    /// Connection-id allocator — shared across a cluster's reactors so
-    /// ids (and therefore minted task ids) stay globally unique.
-    pub(crate) ids: Arc<AtomicU64>,
+    selector: Selector,
+    cfg: EdgeConfig,
+    gateway: G,
+    conns: Vec<Conn>,
+    /// The next connection id. Only the acceptor mints them, so ids (and
+    /// the task ids minted from them) are unique across a cluster.
+    next_id: u64,
     /// Parked-task pushback registry, keyed by server-minted ids.
-    pub(crate) pending: PendingRegistry,
+    pending: PendingRegistry,
     /// Set when a submission reached the gateway this turn — with the
     /// timed-work check (the gateway's `next_due`), the drive trigger.
-    pub(crate) dirty: bool,
-    pub(crate) stats: EdgeStats,
+    dirty: bool,
+    stats: EdgeStats,
     /// Tracing and phase-timing handle (`edge/*` phases plus whatever the
     /// gateway registers); disabled (and allocation-free on the hot path)
     /// until [`EdgeServer::set_telemetry`].
-    pub(crate) telemetry: Telemetry,
+    telemetry: Telemetry,
     /// Metrics history ring; absent until [`EdgeServer::enable_history`].
-    pub(crate) history: Option<TimeSeriesStore>,
-    /// `(my reactor index, reactor count)` in a cluster; `None` when
-    /// single-reactor (every connection is born pinned).
-    pub(crate) home: Option<(usize, usize)>,
-    /// Connections staged for adoption elsewhere; the cluster loop drains
-    /// this into the target reactors' mailboxes after each turn.
-    pub(crate) outbox: Vec<ConnTransfer>,
+    history: Option<TimeSeriesStore>,
+    /// This reactor's index in its group; `mailboxes.len()` is the group's
+    /// size (1 for a lone server).
+    index: usize,
+    /// Every reactor's mailbox, by index.
+    mailboxes: Arc<[Mailbox]>,
     /// The follower link ([`EdgeServer::follow`]) and the bytes it read
     /// that the gateway has not taken yet (at most one torn frame).
     link: Option<Conn>,
@@ -108,59 +96,59 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// stream). `addr` may be `"127.0.0.1:0"` for an ephemeral port — see
     /// [`EdgeServer::local_addr`].
     pub fn bind(addr: impl ToSocketAddrs, gateway: G, cfg: EdgeConfig) -> std::io::Result<Self> {
-        let (listener, selector) = listen(addr)?;
-        let ids = Arc::new(AtomicU64::new(cfg.first_conn_id));
-        Ok(Self::assemble(
-            Some(listener),
-            selector,
-            gateway,
-            cfg,
-            ids,
-            None,
-        ))
+        let mut lone = Self::group(addr, vec![gateway], cfg)?;
+        Ok(lone.pop().expect("a group of one"))
     }
 
-    /// A cluster reactor: reactor 0 carries the listener (already in its
-    /// `selector`), everyone shares the id allocator, and `home` routes
-    /// first submits.
-    pub(crate) fn for_cluster(
-        listener: Option<TcpListener>,
-        selector: Selector,
-        gateway: G,
+    /// `gateways.len()` reactors behind one listener at `addr`, in reactor
+    /// order; reactor 0 holds the listener and accepts every connection.
+    /// The one construction path: a lone server is a group of one. Every
+    /// failure — bind, `epoll_create1`, the wake pipe, registering the
+    /// listener — is the caller's `io::Error`.
+    pub(crate) fn group(
+        addr: impl ToSocketAddrs,
+        gateways: Vec<G>,
         cfg: EdgeConfig,
-        ids: Arc<AtomicU64>,
-        home: (usize, usize),
-    ) -> Self {
-        Self::assemble(listener, selector, gateway, cfg, ids, Some(home))
-    }
-
-    fn assemble(
-        listener: Option<TcpListener>,
-        selector: Selector,
-        mut gateway: G,
-        cfg: EdgeConfig,
-        ids: Arc<AtomicU64>,
-        home: Option<(usize, usize)>,
-    ) -> Self {
-        gateway.enable_observation();
-        gateway.enable_explanations();
-        EdgeServer {
-            listener,
-            selector,
-            cfg,
-            gateway,
-            conns: Vec::new(),
-            ids,
-            pending: PendingRegistry::default(),
-            dirty: false,
-            stats: EdgeStats::default(),
-            telemetry: Telemetry::disabled(),
-            history: None,
-            home,
-            outbox: Vec::new(),
-            link: None,
-            link_acks: Vec::new(),
-        }
+    ) -> std::io::Result<Vec<Self>> {
+        assert!(!gateways.is_empty(), "a cluster needs at least one reactor");
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let mut selectors = (0..gateways.len())
+            .map(|_| Selector::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        selectors[0].register(&listener, LISTENER_TOKEN)?;
+        let mailboxes: Arc<[Mailbox]> = selectors
+            .iter()
+            .map(|s| Mailbox {
+                inbound: Mutex::default(),
+                waker: s.waker(),
+            })
+            .collect();
+        let mut listener = Some(listener);
+        let reactors = gateways.into_iter().zip(selectors).enumerate();
+        Ok(reactors
+            .map(|(index, (mut gateway, selector))| {
+                gateway.enable_observation();
+                gateway.enable_explanations();
+                EdgeServer {
+                    listener: listener.take(),
+                    selector,
+                    cfg,
+                    gateway,
+                    conns: Vec::new(),
+                    next_id: cfg.first_conn_id,
+                    pending: PendingRegistry::default(),
+                    dirty: false,
+                    stats: EdgeStats::default(),
+                    telemetry: Telemetry::disabled(),
+                    history: None,
+                    index,
+                    mailboxes: Arc::clone(&mailboxes),
+                    link: None,
+                    link_acks: Vec::new(),
+                }
+            })
+            .collect())
     }
 
     /// Links a follower: `stream`, connected to its standby, joins the
@@ -172,7 +160,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         self.selector.register(&stream, LINK_TOKEN)?;
-        self.link = Some(Conn::new(LINK_TOKEN, stream, 0, true));
+        self.link = Some(Conn::new(LINK_TOKEN, stream, 0));
         self.link_acks.clear();
         Ok(())
     }
@@ -240,12 +228,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
         self.conns.len()
     }
 
-    /// Tears the server down, returning the gateway (e.g. to snapshot or
-    /// hand to another driver).
-    pub fn into_gateway(self) -> G {
-        self.gateway
-    }
-
     /// One reactor turn at simulated instant `now` without blocking: asks
     /// the selector what is ready right now and runs the same turn
     /// [`run`](EdgeServer::run) does (the selector is level-triggered, so
@@ -259,10 +241,14 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     /// One selector-driven turn: the listener is accepted from and a
     /// connection read only when `events` names it.
-    pub(crate) fn poll_events(&mut self, now: SimTime, events: &[Event]) {
+    fn poll_events(&mut self, now: SimTime, events: &[Event]) {
         // `timer()` is None while telemetry is disabled, so the phase
         // accounting below is free (no clock reads) on the bare path.
         let read_timer = self.telemetry.timer();
+        // A lone server has no peers: its turn takes no lock.
+        if self.mailboxes.len() > 1 {
+            self.adopt(now);
+        }
         if events
             .iter()
             .any(|e| e.token == LISTENER_TOKEN && e.readable)
@@ -270,9 +256,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
             self.accept_new();
         }
         self.read_and_serve(now, events);
-        if self.home.is_some() {
-            self.extract_transfers();
-        }
         self.telemetry.phase("edge/read", read_timer);
         // Event-driven drive, mirroring the simulator: sweep the books
         // only when a submission arrived or timed work (a dispatch or an
@@ -332,7 +315,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// instant or the earliest drain deadline, whichever is sooner,
     /// clamped to `[1, 10]` ms (0 when already due) so timed work is at
     /// most a millisecond late and a stop request is honored promptly.
-    pub(crate) fn wait_timeout_ms(&self, clock: &EdgeClock) -> i32 {
+    fn wait_timeout_ms(&self, clock: &EdgeClock) -> i32 {
         const IDLE_MS: u64 = 10;
         let drain_timeout = SimTime::new(self.cfg.drain_timeout.as_secs_f64());
         let mut due = self.gateway.next_due();
@@ -370,7 +353,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// Blocks in the selector for at most `timeout_ms` (readiness, a wake
     /// or the next timer) and leaves what it reported in `events`: the one
     /// place a turn's readiness comes from, `run` and `poll` alike.
-    pub(crate) fn wait_ready(&mut self, timeout_ms: i32, events: &mut Vec<Event>) {
+    fn wait_ready(&mut self, timeout_ms: i32, events: &mut Vec<Event>) {
         events.clear();
         match self.selector.wait(timeout_ms) {
             Ok(ready) => events.extend_from_slice(ready),
@@ -391,11 +374,8 @@ impl<G: EdgeGateway> EdgeServer<G> {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let id = self.ids.fetch_add(1, Ordering::Relaxed);
-                    // Single-reactor edges pin at accept; cluster members
-                    // wait for the first submit's tenant.
-                    let pinned = self.home.is_none();
-                    let mut conn = Conn::new(id, stream, self.cfg.max_frame_len, pinned);
+                    let mut conn = Conn::new(self.next_id, stream, self.cfg.max_frame_len);
+                    self.next_id += 1;
                     let hello = ServerMsg::Hello {
                         protocol: PROTOCOL_VERSION,
                     };
@@ -416,16 +396,52 @@ impl<G: EdgeGateway> EdgeServer<G> {
     fn read_and_serve(&mut self, now: SimTime, events: &[Event]) {
         // Index-based: handling a frame needs `&mut self.gateway` and the
         // connection simultaneously, so split via `take`-free indexing.
-        for i in 0..self.conns.len() {
-            if self.conns[i].draining || self.conns[i].dead {
-                continue;
+        let mut i = 0;
+        while i < self.conns.len() {
+            let conn = &self.conns[i];
+            let id = conn.id;
+            if !conn.draining && !conn.dead && events.iter().any(|e| e.readable && e.token == id) {
+                self.read_conn(i);
+                self.decode_and_serve(i, now);
+                if let Some(home) = self.elsewhere(&self.conns[i]) {
+                    // The last connection moved into slot `i`: read it next.
+                    self.hand_off(i, home);
+                    continue;
+                }
             }
-            let id = self.conns[i].id;
-            if !events.iter().any(|e| e.readable && e.token == id) {
-                continue;
-            }
-            self.read_conn(i);
-            self.decode_and_serve(i, now);
+            i += 1;
+        }
+    }
+
+    /// The home reactor of the tenant `conn` is bound to, when that is
+    /// another reactor.
+    fn elsewhere(&self, conn: &Conn) -> Option<usize> {
+        let home = reactor_for_tenant(conn.tenant?, self.mailboxes.len());
+        (home != self.index).then_some(home)
+    }
+
+    /// Posts connection `i` to reactor `home`'s mailbox and wakes it: the
+    /// socket leaves this epoll set, its unread frames travel in its
+    /// decoder and its queued replies in its write queue.
+    fn hand_off(&mut self, i: usize, home: usize) {
+        let mut conn = self.conns.swap_remove(i);
+        self.selector.deregister(&conn.stream);
+        conn.write_armed = false;
+        let mailbox = &self.mailboxes[home];
+        mailbox.inbound.lock().expect("mailbox lock").push(conn);
+        mailbox.waker.wake();
+    }
+
+    /// Installs the connections peer reactors handed over: registers each
+    /// and serves what its decoder already holds.
+    fn adopt(&mut self, now: SimTime) {
+        let inbound = &self.mailboxes[self.index].inbound;
+        let adopted = std::mem::take(&mut *inbound.lock().expect("mailbox lock"));
+        for mut conn in adopted {
+            conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
+            self.stats.conns_adopted += 1;
+            self.conns.push(conn);
+            self.decode_and_serve(self.conns.len() - 1, now);
         }
     }
 
@@ -452,9 +468,10 @@ impl<G: EdgeGateway> EdgeServer<G> {
     /// Decodes and serves complete frames. Payloads are borrowed straight
     /// from the decoder's stream buffer (`next_frame_ref`) — decoding a
     /// `ClientMsg` is the only copy on the inbound path.
-    pub(crate) fn decode_and_serve(&mut self, i: usize, now: SimTime) {
+    fn decode_and_serve(&mut self, i: usize, now: SimTime) {
         loop {
-            if self.conns[i].draining || self.conns[i].dead || self.conns[i].transfer.is_some() {
+            let conn = &self.conns[i];
+            if conn.draining || conn.dead || self.elsewhere(conn).is_some() {
                 break;
             }
             // A complete frame counts as received whatever it holds; a
@@ -485,7 +502,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     fn handle(&mut self, i: usize, msg: ClientMsg, now: SimTime) {
         match msg {
-            ClientMsg::Hello { protocol } => {
+            ClientMsg::Hello { protocol, tenant } => {
                 if protocol != PROTOCOL_VERSION {
                     self.fail_conn(
                         i,
@@ -495,23 +512,19 @@ impl<G: EdgeGateway> EdgeServer<G> {
                         ),
                         now,
                     );
+                } else if let Some(tenant) = tenant {
+                    // Bound here; the read phase hands the connection to
+                    // the tenant's home reactor when that is another one.
+                    let bound = *self.conns[i].tenant.get_or_insert(tenant);
+                    if bound != tenant {
+                        self.fail_conn(i, None, rebound(bound, tenant), now);
+                    }
                 }
             }
             ClientMsg::Submit { seq, mut request } => {
-                // Shard affinity: the first submit reveals the tenant. If
-                // its home is another reactor, stage the whole connection
-                // (decoder bytes included) for adoption — this submit is
-                // NOT decided here, so nothing gateway-side ever migrates.
-                if !self.conns[i].pinned {
-                    if let Some((me, total)) = self.home {
-                        let target = reactor_for_tenant(request.tenant, total);
-                        if target != me {
-                            self.conns[i].transfer =
-                                Some((target, ClientMsg::Submit { seq, request }));
-                            return;
-                        }
-                    }
-                    self.conns[i].pinned = true;
+                if let Some(message) = self.misrouted(i, request.tenant) {
+                    self.fail_conn(i, Some(seq), message, now);
+                    return;
                 }
                 self.stats.submits += 1;
                 let queued = self.conns[i].outq.len();
@@ -596,6 +609,24 @@ impl<G: EdgeGateway> EdgeServer<G> {
             }
             ClientMsg::Bye => {
                 self.conns[i].start_draining(now);
+            }
+        }
+    }
+
+    /// Why connection `i` may not submit for `tenant` on this reactor, if
+    /// it may not: a bound connection speaks for its tenant alone, and an
+    /// unbound one for the tenants homed here.
+    fn misrouted(&self, i: usize, tenant: TenantId) -> Option<String> {
+        match self.conns[i].tenant {
+            Some(bound) => (bound != tenant).then(|| rebound(bound, tenant)),
+            None => {
+                let home = reactor_for_tenant(tenant, self.mailboxes.len());
+                (home != self.index).then(|| {
+                    format!(
+                        "tenant {} is homed on reactor {home}: send Hello {{ tenant }} first",
+                        tenant.0
+                    )
+                })
             }
         }
     }
@@ -790,46 +821,11 @@ impl<G: EdgeGateway> EdgeServer<G> {
             self.stats.pending_evicted += self.pending.purge_closed(&live);
         }
     }
+}
 
-    /// Pulls connections staged for adoption out of the live set (cluster
-    /// mode, after the read phase).
-    fn extract_transfers(&mut self) {
-        let mut i = 0;
-        while i < self.conns.len() {
-            if self.conns[i].transfer.is_some() {
-                let mut conn = self.conns.swap_remove(i);
-                self.selector.deregister(&conn.stream);
-                let (target, carried) = conn.transfer.take().expect("just checked");
-                conn.write_armed = false;
-                self.outbox.push(ConnTransfer {
-                    target,
-                    conn,
-                    carried,
-                });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Installs a connection transferred from another reactor: register
-    /// its fd, serve the carried submit (the one that revealed its
-    /// tenant), then drain whatever else its decoder already buffered.
-    pub(crate) fn adopt(&mut self, transfer: ConnTransfer, now: SimTime) {
-        let ConnTransfer {
-            conn: mut adopted,
-            carried,
-            ..
-        } = transfer;
-        adopted.pinned = true;
-        adopted.dead = self.selector.register(&adopted.stream, adopted.id).is_err();
-        self.stats.conns_adopted += 1;
-        self.conns.push(adopted);
-        let i = self.conns.len() - 1;
-        // The carried frame was already counted by the accepting reactor.
-        self.handle(i, carried, now);
-        self.decode_and_serve(i, now);
-    }
+/// The refusal of a bound connection speaking for another tenant.
+fn rebound(bound: TenantId, other: TenantId) -> String {
+    format!("connection is bound to tenant {}, not {}", bound.0, other.0)
 }
 
 impl<G: EdgeGateway> core::fmt::Debug for EdgeServer<G> {

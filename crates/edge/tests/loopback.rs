@@ -380,9 +380,68 @@ fn protocol_violations_are_answered_and_close_the_connection() {
         client.recv(&mut server, now),
         ServerMsg::Hello { .. }
     ));
-    client.send(&ClientMsg::Hello { protocol: 999 });
+    client.send(&ClientMsg::Hello {
+        protocol: 999,
+        tenant: None,
+    });
     let msg = client.recv(&mut server, now);
     assert!(matches!(&msg, ServerMsg::Error { message, .. } if message.contains("unsupported")));
+}
+
+/// Two sockets bound by `Hello { tenant }` to two tenants on one reactor.
+/// The impostor's submit for the victim's tenant is answered `Error` and
+/// its connection drains; the victim's submits before and after are
+/// decided as if nothing happened.
+#[test]
+fn a_bound_socket_cannot_speak_for_another_tenant() {
+    use std::io::Read;
+    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), EdgeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let now = SimTime::ZERO;
+    let (victim_tenant, impostor_tenant) = (TenantId(1), TenantId(2));
+    let submit = |seq, tenant| ClientMsg::Submit {
+        seq,
+        request: SubmitRequest::new(Task::new(seq + 1, 0.0, 100.0, 1.0e6)).with_tenant(tenant),
+    };
+    let mut victim = InlineClient::connect(addr);
+    let mut impostor = InlineClient::connect(addr);
+    for (client, tenant) in [
+        (&mut victim, victim_tenant),
+        (&mut impostor, impostor_tenant),
+    ] {
+        assert!(matches!(
+            client.recv(&mut server, now),
+            ServerMsg::Hello { .. }
+        ));
+        client.send(&ClientMsg::Hello {
+            protocol: PROTOCOL_VERSION,
+            tenant: Some(tenant),
+        });
+    }
+    victim.send(&submit(0, victim_tenant));
+    let msg = victim.recv(&mut server, now);
+    assert!(matches!(msg, ServerMsg::Verdict { seq: 0, .. }), "{msg:?}");
+
+    impostor.send(&submit(0, victim_tenant));
+    let msg = impostor.recv(&mut server, now);
+    assert!(
+        matches!(&msg, ServerMsg::Error { seq: Some(0), message }
+            if message == "connection is bound to tenant 2, not 1"),
+        "{msg:?}"
+    );
+    let closed = (0..2000).any(|_| {
+        server.poll(now);
+        let mut buf = [0u8; 64];
+        matches!(impostor.stream.read(&mut buf), Ok(0))
+    });
+    assert!(closed, "the impostor drains");
+
+    victim.send(&submit(1, victim_tenant));
+    let msg = victim.recv(&mut server, now);
+    assert!(matches!(msg, ServerMsg::Verdict { seq: 1, .. }), "{msg:?}");
+    assert_eq!(server.connections(), 1, "the victim stays connected");
+    assert_eq!(server.stats().protocol_errors, 1);
+    assert_eq!(server.gateway().metrics().submitted, 2, "only the victim's");
 }
 
 /// A `Submit` (or an ops `Explain`) whose task no scheduler could hold —

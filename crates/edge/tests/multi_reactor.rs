@@ -1,12 +1,15 @@
 //! Sharded-edge acceptance: a real [`EdgeCluster`] — N reactor threads,
-//! epoll-driven, connections pinned to their tenant's home reactor — over
-//! real loopback TCP.
+//! epoll-driven, connections bound by `Hello { tenant }` to their tenant's
+//! home reactor — over real loopback TCP.
 //!
-//! Three properties:
+//! The properties:
 //!
 //! * **Reconciliation** — a mixed-tenant stream fanned across ≥2 reactors
 //!   reconciles client- and server-side books *exactly*, and every
 //!   connection's submits land on (only) its tenant's home reactor.
+//! * **Routing** — every submit is decided on its tenant's home reactor or
+//!   refused: an unbound connection's submit homed elsewhere, and a bound
+//!   connection's submit for another tenant, fail that connection alone.
 //! * **Durability** — a journaled cluster (one WAL file per reactor)
 //!   killed mid-stream recovers every reactor's book from its own WAL and
 //!   restarts with the same reactor count, so every tenant hashes back to
@@ -15,6 +18,8 @@
 //!   gateway is pushed on the connection pinned to reactor A; the other
 //!   reactor never sees the update (the pending entry and the socket live
 //!   on the same thread by construction).
+//! * **Per-reactor telemetry** — each reactor carries its own handle, read
+//!   by an ops connection bound to one of its tenants.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -95,6 +100,7 @@ fn mixed_tenant_stream_across_reactors_reconciles_exactly() {
                 let stream = tenant_stream(PER_CLIENT, 100 + t.0 as u64, *t);
                 s.spawn(move || {
                     ReplayClient::connect(addr)
+                        .and_then(|client| client.bind(stream[0].tenant))
                         .unwrap()
                         .run(
                             stream,
@@ -199,6 +205,7 @@ fn killed_cluster_recovers_per_reactor_wals_with_the_same_reactor_count() {
                 .map(|half| {
                     s.spawn(move || {
                         ReplayClient::connect(addr)
+                            .and_then(|client| client.bind(half[0].tenant))
                             .unwrap()
                             .run(half, 8, Duration::from_millis(50), Duration::from_secs(60))
                             .unwrap()
@@ -308,26 +315,221 @@ impl WireClient {
         self.stream.write_all(&encode_client(msg)).unwrap();
     }
 
+    /// Binds the connection to `tenant`, as a tenant's client must before
+    /// submitting to a cluster whose accepting reactor is not its home.
+    fn bind(&mut self, tenant: TenantId) {
+        self.send(&ClientMsg::Hello {
+            protocol: PROTOCOL_VERSION,
+            tenant: Some(tenant),
+        });
+    }
+
     fn recv(&mut self, deadline: Duration) -> ServerMsg {
+        self.next_or_close(deadline)
+            .expect("server closed the connection")
+    }
+
+    /// The next message, or `None` once the server has closed the
+    /// connection and every frame it sent was read.
+    fn next_or_close(&mut self, deadline: Duration) -> Option<ServerMsg> {
         let start = Instant::now();
         loop {
             if let Some((_, payload)) = self.decoder.next_frame_ref().unwrap() {
-                return decode_server(payload).unwrap();
+                return Some(decode_server(payload).unwrap());
             }
             assert!(start.elapsed() < deadline, "no message within {deadline:?}");
             let mut buf = [0u8; 8192];
             match self.stream.read(&mut buf) {
-                Ok(0) => panic!("server closed the connection"),
+                Ok(0) => return None,
                 Ok(n) => self.decoder.push(&buf[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return None,
                 Err(e) => panic!("read failed: {e}"),
             }
         }
     }
+}
+
+/// Sets the cluster's stop flag when dropped, so a failed assertion in a
+/// client stops the reactors instead of hanging the test.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A submit of `tenant`'s task `id`, small enough for an idle book.
+fn submit(seq: u64, id: u64, tenant: TenantId) -> ClientMsg {
+    ClientMsg::Submit {
+        seq,
+        request: SubmitRequest::new(Task::new(id, 0.0, 100.0, 1.0e6)).with_tenant(tenant),
+    }
+}
+
+/// One unbound connection alternating tenant 1 (home reactor 0) and tenant
+/// 0 (home reactor 1): every verdict comes from its tenant's home book.
+/// The accepting reactor decides tenant 1's first submit; the first submit
+/// homed elsewhere is refused with an `Error` naming the home reactor and
+/// the `Hello { tenant }` that reaches it, and the connection drains.
+#[test]
+fn an_unbound_connection_is_decided_only_on_its_tenants_home() {
+    const REACTORS: usize = 2;
+    let tenants = [TenantId(1), TenantId(0)];
+    let homes = tenants.map(|t| reactor_for_tenant(t, REACTORS));
+    assert_eq!(homes, [0, 1]);
+    let gateways: Vec<_> = (0..REACTORS).map(|_| sharded(2)).collect();
+    let cluster = EdgeCluster::bind("127.0.0.1:0", gateways, EdgeConfig::default()).unwrap();
+    let addr = cluster.local_addr();
+    let stop = AtomicBool::new(false);
+    let (results, verdicts, errors) = std::thread::scope(|s| {
+        let server = s.spawn(|| cluster.run(EdgeClock::real_time(), &stop));
+        let stopping = StopOnDrop(&stop);
+        let mut client = WireClient::connect(addr);
+        // All 100 in one write: the connection may close after any of them.
+        let frames: Vec<u8> = (0..100u64)
+            .flat_map(|seq| encode_client(&submit(seq, seq, tenants[seq as usize % 2])))
+            .collect();
+        client.stream.write_all(&frames).unwrap();
+        let (mut verdicts, mut errors) = (Vec::new(), Vec::new());
+        while verdicts.len() + errors.len() < 100 {
+            let Some(msg) = client.next_or_close(Duration::from_secs(20)) else {
+                break;
+            };
+            match msg {
+                ServerMsg::Verdict { seq, .. } => verdicts.push(seq),
+                ServerMsg::Error { seq, message } => errors.push((seq, message)),
+                _ => {}
+            }
+        }
+        drop(stopping);
+        (server.join().unwrap(), verdicts, errors)
+    });
+    for (i, (g, _)) in results.iter().enumerate() {
+        let homed_here = verdicts
+            .iter()
+            .filter(|seq| homes[**seq as usize % 2] == i)
+            .count() as u64;
+        assert_eq!(
+            g.metrics().submitted,
+            homed_here,
+            "reactor {i} decided exactly the verdicts of its own tenants ({verdicts:?})"
+        );
+    }
+    assert_eq!(verdicts, [0], "tenant 1's first submit, on its home");
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    let (seq, message) = &errors[0];
+    assert_eq!(*seq, Some(1), "the first foreign submit is refused");
+    assert!(
+        message.contains("homed on reactor 1") && message.contains("Hello { tenant }"),
+        "{message}"
+    );
+}
+
+/// Two bound sockets, the impostor's tenant homed on the accepting reactor
+/// and the victim's handed off to reactor 1: the impostor's submit for the
+/// victim's tenant is refused with an `Error` and its connection drains;
+/// the victim's submits before and after are decided on its home.
+#[test]
+fn an_impostor_is_refused_across_a_hand_off() {
+    const REACTORS: usize = 2;
+    let victim_tenant = tenant_homed_at(1, REACTORS);
+    let impostor_tenant = tenant_homed_at(0, REACTORS);
+    let gateways: Vec<_> = (0..REACTORS).map(|_| sharded(2)).collect();
+    let cluster = EdgeCluster::bind("127.0.0.1:0", gateways, EdgeConfig::default()).unwrap();
+    let addr = cluster.local_addr();
+    let stop = AtomicBool::new(false);
+    let wait = Duration::from_secs(10);
+    let results = std::thread::scope(|s| {
+        let server = s.spawn(|| cluster.run(EdgeClock::real_time(), &stop));
+        let stopping = StopOnDrop(&stop);
+        let mut victim = WireClient::connect(addr);
+        let mut impostor = WireClient::connect(addr);
+        for (client, tenant) in [
+            (&mut victim, victim_tenant),
+            (&mut impostor, impostor_tenant),
+        ] {
+            client.bind(tenant);
+            assert!(matches!(client.recv(wait), ServerMsg::Hello { .. }));
+        }
+        victim.send(&submit(0, 1, victim_tenant));
+        let msg = victim.recv(wait);
+        assert!(matches!(msg, ServerMsg::Verdict { seq: 0, .. }), "{msg:?}");
+        impostor.send(&submit(0, 1, victim_tenant));
+        let msg = impostor.recv(wait);
+        assert!(
+            matches!(&msg, ServerMsg::Error { seq: Some(0), message }
+                if message.contains(&format!("bound to tenant {}", impostor_tenant.0))),
+            "{msg:?}"
+        );
+        assert!(
+            impostor.next_or_close(wait).is_none(),
+            "the impostor drains"
+        );
+        victim.send(&submit(1, 2, victim_tenant));
+        let msg = victim.recv(wait);
+        assert!(matches!(msg, ServerMsg::Verdict { seq: 1, .. }), "{msg:?}");
+        drop(stopping);
+        server.join().unwrap()
+    });
+    let (g0, s0) = &results[0];
+    let (g1, s1) = &results[1];
+    assert_eq!(g1.metrics().submitted, 2, "the victim's home decided both");
+    assert_eq!(
+        g0.metrics().submitted,
+        0,
+        "the impostor's submit reached no book"
+    );
+    assert_eq!(s1.conns_adopted, 1, "the victim was handed off");
+    assert_eq!((s0.protocol_errors, s1.protocol_errors), (1, 0));
+}
+
+/// One telemetry handle per reactor: an ops connection bound to a tenant
+/// homed on reactor 1 reads reactor 1's phase table and traces.
+#[test]
+fn each_cluster_reactor_carries_its_own_telemetry() {
+    const REACTORS: usize = 2;
+    let tenant = tenant_homed_at(1, REACTORS);
+    let gateways: Vec<_> = (0..REACTORS).map(|_| sharded(2)).collect();
+    let mut cluster = EdgeCluster::bind("127.0.0.1:0", gateways, EdgeConfig::default()).unwrap();
+    for reactor in cluster.reactors_mut() {
+        reactor.set_telemetry(&rtdls_telemetry::Telemetry::new(Default::default()));
+    }
+    let addr = cluster.local_addr();
+    let stop = AtomicBool::new(false);
+    let wait = Duration::from_secs(10);
+    std::thread::scope(|s| {
+        let server = s.spawn(|| cluster.run(EdgeClock::real_time(), &stop));
+        let stopping = StopOnDrop(&stop);
+        let report = ReplayClient::connect(addr)
+            .and_then(|client| client.bind(tenant))
+            .unwrap()
+            .run(
+                tenant_stream(40, 7, tenant),
+                8,
+                Duration::from_millis(50),
+                Duration::from_secs(60),
+            )
+            .unwrap();
+        assert_eq!(report.verdicts(), 40, "{report:?}");
+        let mut ops = OpsClient::connect(addr)
+            .and_then(|client| client.bind(tenant))
+            .unwrap();
+        let phases = ops.profile(wait).unwrap();
+        let paths: Vec<&str> = phases.iter().map(|p| p.path.as_str()).collect();
+        assert!(
+            paths.contains(&"edge/read") && paths.contains(&"gateway/plan"),
+            "{paths:?}"
+        );
+        assert!(!ops.recent_traces(wait).unwrap().is_empty());
+        drop(stopping);
+        server.join().unwrap();
+    });
 }
 
 /// The canonical reservation scenario, served by a 2-reactor cluster: the
@@ -374,14 +576,15 @@ fn reserved_activation_pushes_on_the_owning_reactor() {
     let results = std::thread::scope(|s| {
         let server = s.spawn(|| cluster.run(clock, &stop));
         let mut client = WireClient::connect(addr);
+        client.bind(tenant);
         assert!(matches!(
             client.recv(Duration::from_secs(10)),
             ServerMsg::Hello {
                 protocol: PROTOCOL_VERSION
             }
         ));
-        // The all-node blocker: its tenant pins the connection to
-        // reactor 1, which accepts it.
+        // The all-node blocker, decided by reactor 1, the bound tenant's
+        // home.
         client.send(&ClientMsg::Submit {
             seq: 0,
             request: SubmitRequest::new(Task::new(1, 0.0, 800.0, 1000.0 + e16 + slack_w))

@@ -75,7 +75,14 @@ fn corpus(seed: u64) -> Corpus {
             .with_tenants(mix)
             .collect();
     let mut client = vec![
-        ClientMsg::Hello { protocol: 1 },
+        ClientMsg::Hello {
+            protocol: 1,
+            tenant: None,
+        },
+        ClientMsg::Hello {
+            protocol: 1,
+            tenant: Some(TenantId(3)),
+        },
         ClientMsg::Bye,
         ClientMsg::Ops {
             query: OpsQuery::History {

@@ -46,6 +46,8 @@ fn arb_client_msg() -> impl Strategy<Value = ClientMsg> {
     (0usize..3, 0u64..1_000_000, arb_request()).prop_map(|(which, seq, request)| match which {
         0 => ClientMsg::Hello {
             protocol: PROTOCOL_VERSION,
+            // Bound or not, from the request's tenant and the seq's parity.
+            tenant: (seq % 2 == 1).then_some(request.tenant),
         },
         1 => ClientMsg::Submit { seq, request },
         _ => ClientMsg::Bye,

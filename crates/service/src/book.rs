@@ -221,8 +221,8 @@ impl ServiceBook {
 /// forensics for every transition into `Breached`: the offending tenant's
 /// recent tasks and their flight-recorder timelines go into a versioned
 /// [`SloBreach`] record (journaled by the owner via
-/// [`ServiceBook::take_breach_log`]), and the flight recorder dumps to
-/// stderr — the black box fires exactly when the promise breaks.
+/// [`ServiceBook::take_breach_log`]) — the black box, cut exactly when
+/// the promise breaks, written once.
 pub(crate) fn record_slo(
     book: &mut ServiceBook,
     tenant: TenantId,
@@ -257,12 +257,6 @@ pub(crate) fn record_slo(
                     }
                 }
             }
-            book.telemetry.dump_to_stderr(&format!(
-                "slo breach: {} {} at t={}",
-                row.scope(),
-                transition.objective.label(),
-                now.as_f64(),
-            ));
         }
         book.breach_log.push(SloBreach {
             version: SLO_BREACH_VERSION,

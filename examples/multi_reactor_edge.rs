@@ -1,5 +1,5 @@
 //! The sharded edge end to end: an [`EdgeCluster`] of two epoll reactors,
-//! each group-committing its own WAL, serving tenant-pinned clients over
+//! each group-committing its own WAL, serving tenant-bound clients over
 //! real TCP — then killed and recovered per-reactor, restarting with the
 //! same reactor count.
 //!
@@ -9,10 +9,10 @@
 //!
 //! Phase 1 binds one listener over two reactor threads, each owning a
 //! journaled 2-shard gateway with its own WAL file. Two replay clients
-//! connect; each one's stream carries a tenant hashed to a different
-//! reactor, so one connection stays on the accepting reactor 0 and the
-//! other is adopted by reactor 1 at its first submit — after which every
-//! decision for it is thread-local. Phase 2 "kills" the cluster (drops
+//! connect, each bound by `Hello { tenant }` to a tenant hashed to a
+//! different reactor, so one connection stays on the accepting reactor 0
+//! and the other is adopted by reactor 1 before its first submit — after
+//! which every decision for it is thread-local. Phase 2 "kills" the cluster (drops
 //! every gateway, no finalize), rebuilds each reactor's book from its own
 //! WAL alone, and re-binds with the same reactor count — the tenant hash
 //! is deterministic, so every tenant lands back on the reactor holding
@@ -75,6 +75,7 @@ fn serve<G: EdgeGateway + Send>(
             .map(|batch| {
                 s.spawn(move || {
                     ReplayClient::connect(addr)
+                        .and_then(|client| client.bind(batch[0].tenant))
                         .expect("connect")
                         .run(
                             batch,
