@@ -78,6 +78,16 @@ fn cluster_batches(reactors: usize) -> Vec<Vec<SubmitRequest>> {
         .collect()
 }
 
+/// Sets the cluster's stop flag when dropped, so a failed client stops the
+/// reactors instead of hanging the bench.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Serves every batch concurrently (one replay client each) against a
 /// fresh `reactors`-wide cluster and returns the total verdict count.
 fn serve_cluster_once(reactors: usize, batches: &[Vec<SubmitRequest>]) -> u64 {
@@ -87,6 +97,7 @@ fn serve_cluster_once(reactors: usize, batches: &[Vec<SubmitRequest>]) -> u64 {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let server = s.spawn(|| cluster.run(EdgeClock::real_time(), &stop));
+        let stopping = StopOnDrop(&stop);
         let clients: Vec<_> = batches
             .iter()
             .map(|batch| {
@@ -108,7 +119,7 @@ fn serve_cluster_once(reactors: usize, batches: &[Vec<SubmitRequest>]) -> u64 {
                 report.verdicts()
             })
             .sum();
-        stop.store(true, Ordering::Relaxed);
+        drop(stopping);
         let _ = server.join().expect("cluster threads");
         verdicts
     })

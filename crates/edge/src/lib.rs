@@ -20,9 +20,14 @@
 //! * [`proto`] — the message vocabulary: [`ClientMsg::Submit`] →
 //!   [`ServerMsg::Verdict`], plus pushed [`ServerMsg::Update`]s for parked
 //!   tasks and a `Hello`/`Error`/`Bye` lifecycle;
-//! * [`poll`] — the OS selector: epoll via raw `extern "C"` syscalls
-//!   (Linux is the only target), with a cross-thread [`Waker`];
-//! * [`server`] — the reactor ([`EdgeServer`]): accept → read → serve →
+//! * [`poll`] — the reactor's one I/O seam, [`Transport`] (readiness
+//!   wait, accept, read, vectored write, write interest, deregister and
+//!   shutdown, the mailbox wake), and its one production implementation,
+//!   the epoll [`Selector`] via raw `extern "C"` syscalls (Linux is the
+//!   only target); the edge's tests implement it in memory and turn the
+//!   same reactor at instants they choose;
+//! * [`server`] — the reactor ([`EdgeServer`], generic over the
+//!   transport, epoll by default): accept → read → serve →
 //!   drive the gateway clock → push updates → flush, with bounded
 //!   per-connection write queues (overload answers `Throttled` at the
 //!   edge) over the [`EdgeGateway`] bound — a `ShardedGateway`,
@@ -75,7 +80,8 @@
 //! [`ServerMsg::Update`]: proto::ServerMsg::Update
 //! [`EdgeServer`]: server::EdgeServer
 //! [`EdgeCluster`]: server::EdgeCluster
-//! [`Waker`]: poll::Waker
+//! [`Transport`]: poll::Transport
+//! [`Selector`]: poll::Selector
 //! [`EdgeServer::set_telemetry`]: server::EdgeServer::set_telemetry
 //! [`EdgeGateway`]: server::EdgeGateway
 //! [`ReplayClient`]: client::ReplayClient

@@ -1,4 +1,5 @@
-//! OS readiness selector for the edge reactors.
+//! The edge reactor's one I/O seam, [`Transport`], and its production
+//! implementation, [`Selector`]: epoll over non-blocking `std::net` sockets.
 //!
 //! The edge is built without external crates, so this module talks to the
 //! kernel directly: `epoll` via raw `extern "C"` syscall declarations (the
@@ -13,9 +14,60 @@
 //! `io::Error` the caller gets from [`Selector::new`] / `register`.
 //!
 //! Tokens are caller-chosen `u64`s (the reactor uses connection ids, plus
-//! two reserved values for the listener and the wake pipe).
+//! reserved values for the listener, the follower link and the wake pipe).
 
 use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+
+/// Every I/O call an edge reactor makes, and nothing else: the readiness
+/// wait, accept, the streams' reads and vectored writes (`Read`/`Write` on
+/// [`Transport::Stream`]), write-interest arming, deregistration and
+/// shutdown, and the wake of a reactor's mailbox from another thread.
+///
+/// [`Selector`] is the one production implementation; the edge's tests run
+/// the same reactor turn over an in-memory one. The clock is not part of
+/// the seam: a turn takes its instant as an argument.
+pub trait Transport {
+    /// A connection's (or the follower link's) byte stream. Reads and
+    /// writes never block: `WouldBlock` means "not now".
+    type Stream: io::Read + io::Write + Send;
+    /// What another thread holds to interrupt [`wait`](Transport::wait).
+    type Waker: Send + Sync;
+
+    /// Blocks until readiness, a wake, or `timeout_ms` elapses, and
+    /// returns the readiness per token (the listener's under
+    /// [`LISTENER_TOKEN`]); empty on a timeout or a wake.
+    fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Event]>;
+
+    /// The next inbound connection; `WouldBlock` when none is waiting (or
+    /// this transport holds no listener).
+    fn accept(&mut self) -> io::Result<Self::Stream>;
+
+    /// Makes `stream` non-blocking and watches it for reads under `token`.
+    fn register(&mut self, stream: &Self::Stream, token: u64) -> io::Result<()>;
+
+    /// Adds or removes write-readiness interest for a registered stream.
+    fn set_write_interest(
+        &mut self,
+        stream: &Self::Stream,
+        token: u64,
+        want_write: bool,
+    ) -> io::Result<()>;
+
+    /// Stops watching `stream` (it moves to another reactor). Dropping a
+    /// stream stops the watch too.
+    fn deregister(&mut self, stream: &Self::Stream);
+
+    /// Closes both directions of `stream` before it is dropped.
+    fn shutdown(&mut self, stream: &Self::Stream);
+
+    /// A handle other threads use to interrupt `wait`.
+    fn waker(&self) -> Self::Waker;
+
+    /// Interrupts the current (or next) `wait` of the waker's transport.
+    fn wake(waker: &Self::Waker);
+}
 
 /// Readiness interest / result for one registered fd.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,24 +80,21 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// Wakes a [`Selector`] blocked in `wait` from another thread.
-///
-/// Cloneable and `Send`; each clone shares the same pipe write end.
+/// Wakes a [`Selector`] blocked in `wait` from another thread
+/// ([`Transport::wake`]). Cloneable and `Send`; each clone shares the same
+/// pipe write end.
 #[derive(Clone)]
 pub struct Waker {
     pipe: std::sync::Arc<sys::OwnedFd>,
 }
 
-impl Waker {
-    /// Interrupts the selector's current (or next) `wait`.
-    pub fn wake(&self) {
-        sys::write_byte(self.pipe.0);
-    }
-}
-
 /// Reserved token reported when the wake pipe fires. Callers must not
 /// register fds under this token.
 pub const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Reserved token of the listener: [`Transport::wait`] reports inbound
+/// connections under it.
+pub const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 mod sys {
     use std::io;
@@ -169,11 +218,14 @@ mod sys {
     }
 }
 
-/// A readiness selector over non-blocking fds.
+/// A readiness selector over non-blocking sockets: the epoll
+/// [`Transport`].
 pub struct Selector {
     ep: sys::OwnedFd,
     wake_rx: sys::OwnedFd,
     wake_tx: std::sync::Arc<sys::OwnedFd>,
+    /// The listener, on the one selector that accepts.
+    listener: Option<TcpListener>,
     buf: Vec<sys::EpollEvent>,
     events: Vec<Event>,
 }
@@ -194,53 +246,41 @@ impl Selector {
             ep,
             wake_rx,
             wake_tx: std::sync::Arc::new(wake_tx),
+            listener: None,
             buf: Vec::with_capacity(256),
             events: Vec::with_capacity(256),
         })
     }
 
-    /// A handle other threads can use to interrupt `wait`.
-    pub fn waker(&self) -> Waker {
-        Waker {
-            pipe: self.wake_tx.clone(),
-        }
+    /// Takes `listener` over: non-blocking, watched under
+    /// [`LISTENER_TOKEN`], accepted from by [`Transport::accept`].
+    pub fn listen(&mut self, listener: TcpListener) -> io::Result<()> {
+        listener.set_nonblocking(true)?;
+        self.ctl(sys::EPOLL_CTL_ADD, &listener, LISTENER_TOKEN, false)?;
+        self.listener = Some(listener);
+        Ok(())
     }
 
-    /// Registers an fd for read readiness under `token`.
-    pub fn register(&mut self, fd: &impl std::os::fd::AsRawFd, token: u64) -> io::Result<()> {
+    /// The listener's address, on the selector that holds one.
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        self.listener.as_ref().and_then(|l| l.local_addr().ok())
+    }
+
+    fn ctl(&self, op: i32, fd: &impl AsRawFd, token: u64, want_write: bool) -> io::Result<()> {
         debug_assert_ne!(token, WAKE_TOKEN);
-        sys::ctl(
-            self.ep.0,
-            sys::EPOLL_CTL_ADD,
-            fd.as_raw_fd(),
-            sys::EPOLLIN | sys::EPOLLRDHUP,
-            token,
-        )
-    }
-
-    /// Adds or removes write-readiness interest for an already-registered fd.
-    pub fn set_write_interest(
-        &mut self,
-        fd: &impl std::os::fd::AsRawFd,
-        token: u64,
-        want_write: bool,
-    ) -> io::Result<()> {
         let mut events = sys::EPOLLIN | sys::EPOLLRDHUP;
         if want_write {
             events |= sys::EPOLLOUT;
         }
-        sys::ctl(self.ep.0, sys::EPOLL_CTL_MOD, fd.as_raw_fd(), events, token)
+        sys::ctl(self.ep.0, op, fd.as_raw_fd(), events, token)
     }
+}
 
-    /// Deregisters an fd. Best-effort: closing the fd removes it anyway.
-    pub fn deregister(&mut self, fd: &impl std::os::fd::AsRawFd) {
-        let _ = sys::ctl(self.ep.0, sys::EPOLL_CTL_DEL, fd.as_raw_fd(), 0, 0);
-    }
+impl Transport for Selector {
+    type Stream = TcpStream;
+    type Waker = Waker;
 
-    /// Blocks until readiness, a wake, or `timeout_ms` elapses, and returns
-    /// the per-fd readiness the OS reported (empty on a pure timeout or a
-    /// wake — timers and the mailbox still need running).
-    pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Event]> {
+    fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Event]> {
         self.buf.clear();
         let n = sys::wait(self.ep.0, &mut self.buf, timeout_ms)?;
         self.events.clear();
@@ -262,36 +302,78 @@ impl Selector {
         }
         Ok(&self.events)
     }
+
+    fn accept(&mut self) -> io::Result<TcpStream> {
+        match &self.listener {
+            Some(listener) => listener.accept().map(|(stream, _peer)| stream),
+            None => Err(io::ErrorKind::WouldBlock.into()),
+        }
+    }
+
+    fn register(&mut self, stream: &TcpStream, token: u64) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        self.ctl(sys::EPOLL_CTL_ADD, stream, token, false)
+    }
+
+    fn set_write_interest(
+        &mut self,
+        stream: &TcpStream,
+        token: u64,
+        want_write: bool,
+    ) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, stream, token, want_write)
+    }
+
+    /// Best-effort: closing the socket removes it anyway.
+    fn deregister(&mut self, stream: &TcpStream) {
+        let _ = sys::ctl(self.ep.0, sys::EPOLL_CTL_DEL, stream.as_raw_fd(), 0, 0);
+    }
+
+    fn shutdown(&mut self, stream: &TcpStream) {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    fn waker(&self) -> Waker {
+        Waker {
+            pipe: self.wake_tx.clone(),
+        }
+    }
+
+    fn wake(waker: &Waker) {
+        sys::write_byte(waker.pipe.0);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
 
     #[test]
     fn selector_reports_listener_and_socket_readiness() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).expect("nonblocking");
-        let addr = listener.local_addr().expect("addr");
         let mut sel = Selector::new().expect("selector");
-        sel.register(&listener, 7).expect("register");
+        sel.listen(TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .expect("listen");
+        let addr = sel.local_addr().expect("addr");
+        assert!(matches!(sel.accept(), Err(e) if e.kind() == io::ErrorKind::WouldBlock));
 
         let mut client = TcpStream::connect(addr).expect("connect");
         // The listener must become readable (an inbound connection).
         let mut saw_accept = false;
         for _ in 0..200 {
             let events = sel.wait(50).expect("wait");
-            if events.iter().any(|e| e.token == 7 && e.readable) {
+            if events
+                .iter()
+                .any(|e| e.token == LISTENER_TOKEN && e.readable)
+            {
                 saw_accept = true;
                 break;
             }
         }
         assert!(saw_accept, "listener never became readable");
 
-        let (server_side, _) = listener.accept().expect("accept");
-        server_side.set_nonblocking(true).expect("nonblocking");
+        let server_side = sel.accept().expect("accept");
         sel.register(&server_side, 9).expect("register conn");
         client.write_all(b"ping").expect("write");
         let mut saw_data = false;
@@ -312,7 +394,7 @@ mod tests {
         let waker = sel.waker();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            waker.wake();
+            Selector::wake(&waker);
         });
         // Without the wake this would block the full 5 s.
         let start = std::time::Instant::now();

@@ -10,13 +10,12 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Write};
-use std::net::TcpStream;
 
 use rtdls_core::prelude::{SimTime, TenantId};
 use rtdls_telemetry::Telemetry;
 
 use crate::codec::FrameDecoder;
-use crate::poll::Selector;
+use crate::poll::Transport;
 use crate::proto::{encode_server_into, ServerMsg};
 
 /// Recycled frame buffers kept per connection. Small: a connection that
@@ -28,9 +27,10 @@ const POOL_CAP: usize = 8;
 /// 16 already amortizes the syscall across a pipelined burst.
 const MAX_IOV: usize = 16;
 
-pub(crate) struct Conn {
+/// One connection over stream type `S` (a transport's `Stream`).
+pub(crate) struct Conn<S> {
     pub id: u64,
-    pub stream: TcpStream,
+    pub stream: S,
     pub decoder: FrameDecoder,
     pub outq: VecDeque<Vec<u8>>,
     /// Bytes of `outq.front()` already written (partial writes).
@@ -44,14 +44,14 @@ pub(crate) struct Conn {
     /// The tenant a `Hello { tenant }` bound this connection to: it is
     /// served on that tenant's home reactor and submits for no other.
     pub tenant: Option<TenantId>,
-    /// Whether EPOLLOUT is currently armed for this fd.
+    /// Whether write interest is currently armed for this stream.
     pub write_armed: bool,
     /// Recycled frame buffers.
     pool: Vec<Vec<u8>>,
 }
 
-impl Conn {
-    pub(crate) fn new(id: u64, stream: TcpStream, max_frame: usize) -> Self {
+impl<S: Write> Conn<S> {
+    pub(crate) fn new(id: u64, stream: S, max_frame: usize) -> Self {
         Conn {
             id,
             stream,
@@ -82,14 +82,14 @@ impl Conn {
         self.draining_since.get_or_insert(now);
     }
 
-    /// Flushes, then arms `EPOLLOUT` (under the connection's id) only while
-    /// frames are left: a permanently armed write interest would wake
+    /// Flushes, then arms write interest (under the connection's id) only
+    /// while frames are left: a permanently armed write interest would wake
     /// every turn. Returns the frames fully written.
-    pub(crate) fn flush_and_arm(&mut self, selector: &mut Selector) -> u64 {
+    pub(crate) fn flush_and_arm<T: Transport<Stream = S>>(&mut self, transport: &mut T) -> u64 {
         let sent = self.flush();
         let want = !self.outq.is_empty() && !self.dead;
         if want != self.write_armed
-            && selector
+            && transport
                 .set_write_interest(&self.stream, self.id, want)
                 .is_ok()
         {

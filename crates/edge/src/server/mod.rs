@@ -1,14 +1,17 @@
-//! The edge serving layer: epoll-driven reactors over non-blocking
-//! `std::net` sockets.
+//! The edge serving layer: reactors generic over one I/O seam,
+//! [`Transport`](crate::poll::Transport) — epoll over non-blocking `std::net` sockets in
+//! production, an in-memory transport in the edge's tests.
 //!
 //! The offline build has no tokio, so the reactor is hand-rolled. Every
-//! socket (listener included) is non-blocking; one reactor turn sweeps
+//! stream (listener included) is non-blocking; one reactor turn sweeps
 //! accept → read → decode/serve → drive the gateway's timers → push
-//! updates → flush writes, never blocking on any of them. Between turns
-//! the driver blocks in an OS selector ([`crate::poll::Selector`] — epoll
-//! via raw syscalls) with a timeout derived from the gateway's next due
-//! instant and the earliest drain deadline, so an unloaded edge parks in
-//! the kernel instead of spinning.
+//! updates → flush writes, never blocking on any of them, and makes every
+//! I/O call through its transport. Between turns the reactor blocks in the
+//! transport's wait (epoll via raw syscalls) with a timeout derived from
+//! the gateway's next due instant and the earliest drain deadline, so an
+//! unloaded edge parks in the kernel instead of spinning. The clock is not
+//! part of the seam: [`EdgeServer::poll`] runs one turn at an instant its
+//! caller chooses, and [`EdgeServer::run`] reads the [`EdgeClock`].
 //!
 //! The module splits along the reactor's seams:
 //!
@@ -20,10 +23,12 @@
 //!   task ids (`conn_id` in the high 32 bits, the client's task id in the
 //!   low 32) so identical client ids on different connections never alias;
 //! * [`multi`] — the sharded edge ([`EdgeCluster`]): N `EdgeServer`s on
-//!   N threads behind one acceptor, each owning its own gateway.
+//!   N threads behind one acceptor, each owning its own gateway;
+//! * `epoll` — what only the epoll transport builds: `bind` to an address
+//!   and `local_addr`.
 //!
 //! **Replication.** The follower link ([`EdgeServer::follow`]) is one more
-//! registered socket: after every drive the gateway swaps its shipped
+//! registered stream: after every drive the gateway swaps its shipped
 //! frames for the link's acks, as bytes ([`EdgeGateway::swap_ship_bytes`]),
 //! so the edge learns no ship format and a follower that stops reading
 //! loses its link, never the turn. Unlinked, the frames are dropped.
@@ -67,6 +72,7 @@
 //! the stamped request, so replay stays deterministic.
 
 pub(crate) mod conn;
+mod epoll;
 pub mod multi;
 pub mod reactor;
 pub(crate) mod registry;

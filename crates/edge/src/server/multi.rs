@@ -25,15 +25,14 @@
 //! with the same reactor count sends every tenant back to the reactor whose
 //! recovered gateway holds its state.
 
-use std::io;
-use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
 
 use rtdls_core::prelude::TenantId;
 use rtdls_journal::wire::{fnv1a64, FNV_OFFSET};
 
 use super::reactor::EdgeServer;
-use super::{EdgeClock, EdgeConfig, EdgeGateway, EdgeStats};
+use super::{EdgeClock, EdgeGateway, EdgeStats};
+use crate::poll::Transport;
 
 /// The home reactor for `tenant` in a cluster of `reactors`.
 ///
@@ -51,32 +50,21 @@ pub fn reactor_for_tenant(tenant: TenantId, reactors: usize) -> usize {
 }
 
 /// A sharded edge server: one listener, N reactor threads, each serving
-/// its own [`EdgeGateway`] for the tenants hashed to it.
+/// its own [`EdgeGateway`] for the tenants hashed to it over its own
+/// [`Transport`] (epoll by default).
 ///
 /// The gateway vector's length *is* the reactor count; index `i` serves
 /// exactly the tenants with `reactor_for_tenant(t, n) == i`. A journaled
 /// cluster passes one `JournaledGateway` per reactor (distinct WAL
 /// files); recovery rebuilds each and re-binds with the same count.
-pub struct EdgeCluster<G: EdgeGateway> {
-    reactors: Vec<EdgeServer<G>>,
+pub struct EdgeCluster<G: EdgeGateway, T: Transport = crate::poll::Selector> {
+    pub(super) reactors: Vec<EdgeServer<G, T>>,
 }
 
-impl<G: EdgeGateway + Send> EdgeCluster<G> {
-    /// Binds the shared listener and builds every reactor. `gateways` must
-    /// be non-empty; its length fixes the reactor count.
-    pub fn bind(addr: impl ToSocketAddrs, gateways: Vec<G>, cfg: EdgeConfig) -> io::Result<Self> {
-        let reactors = EdgeServer::group(addr, gateways, cfg)?;
-        Ok(EdgeCluster { reactors })
-    }
-
-    /// The bound address (the OS-chosen port for `:0` binds).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.reactors[0].local_addr()
-    }
-
+impl<G: EdgeGateway + Send, T: Transport + Send> EdgeCluster<G, T> {
     /// The reactors, in reactor order: attach telemetry, history or a
     /// follower link to each before [`run`](EdgeCluster::run).
-    pub fn reactors_mut(&mut self) -> &mut [EdgeServer<G>] {
+    pub fn reactors_mut(&mut self) -> &mut [EdgeServer<G, T>] {
         &mut self.reactors
     }
 

@@ -3,12 +3,14 @@
 //! There is one turn — accept, read/decode/serve (timed work already due
 //! runs, by `catch_up`, before the first decision), drive the gateway
 //! when dirty or due, push updates, flush, reap — and readable events from
-//! the selector say which sockets it accepts from and reads.
-//! [`EdgeServer::run`] blocks in the epoll wait before each turn: the
-//! timeout is derived from the gateway's next due instant and the earliest
-//! drain deadline, and `EPOLLOUT` is armed only while a connection has
-//! unflushed frames. [`EdgeServer::poll`] is the same turn after a
-//! zero-timeout wait, callable inline (tests drive it with a manual clock).
+//! the transport say which streams it accepts from and reads. Every I/O
+//! call goes through the reactor's [`Transport`] (epoll in production), so
+//! the turn is the same over any transport.
+//! [`EdgeServer::run`] blocks in the transport's wait before each turn:
+//! the timeout is derived from the gateway's next due instant and the
+//! earliest drain deadline, and write interest is armed only while a
+//! connection has unflushed frames. [`EdgeServer::poll`] is the same turn
+//! after a zero-timeout wait, at an instant the caller chooses.
 //!
 //! A lone server is reactor 0 of a group of one; a cluster
 //! ([`super::multi::EdgeCluster`]) is N of them built together, reactor 0
@@ -21,7 +23,6 @@
 
 use std::collections::HashSet;
 use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -31,7 +32,7 @@ use rtdls_service::prelude::{Turn, Verdict};
 use rtdls_telemetry::{HistoryConfig, MetricsRegistry, Stage, Telemetry, TimeSeriesStore};
 
 use crate::codec::Direction;
-use crate::poll::{Event, Selector, Waker};
+use crate::poll::{Event, Transport, LISTENER_TOKEN};
 use crate::proto::{decode_client, ClientMsg, OpsQuery, OpsReport, ServerMsg, PROTOCOL_VERSION};
 
 use super::conn::Conn;
@@ -39,31 +40,29 @@ use super::multi::reactor_for_tenant;
 use super::registry::{PendingEntry, PendingRegistry};
 use super::{fold_edge_stats, EdgeClock, EdgeConfig, EdgeGateway, EdgeStats, LINK_QUEUE_CAP};
 
-/// Selector token for the listener (connection ids count up from
-/// `EdgeConfig::first_conn_id` and can never reach it; `u64::MAX` is the
-/// wake pipe's).
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
-
-/// Selector token (and connection id) of the follower link.
+/// Transport token (and connection id) of the follower link. Connection
+/// ids count up from `EdgeConfig::first_conn_id` and never reach it, nor
+/// the listener's and wake's reserved tokens above it.
 const LINK_TOKEN: u64 = u64::MAX - 2;
 
 /// One reactor's mailbox: connections handed over by the acceptor, bound
 /// to tenants homed here, and the waker that makes the reactor look.
-struct Mailbox {
-    inbound: Mutex<Vec<Conn>>,
-    waker: Waker,
+struct Mailbox<T: Transport> {
+    inbound: Mutex<Vec<Conn<T::Stream>>>,
+    waker: T::Waker,
 }
 
-/// The edge server: a listener (on reactor 0), its connections, and the
-/// gateway they serve. See the module docs for the reactor's shape.
-pub struct EdgeServer<G: EdgeGateway> {
-    listener: Option<TcpListener>,
-    /// This reactor's epoll set: the listener (when held) and every live
+/// The edge server: its transport (holding the listener, on reactor 0),
+/// its connections, and the gateway they serve, generic over the
+/// [`Transport`] and epoll by default. See the module docs for the
+/// reactor's shape.
+pub struct EdgeServer<G: EdgeGateway, T: Transport = crate::poll::Selector> {
+    /// This reactor's I/O: the listener (when held) and every live
     /// connection are registered in it from the moment they exist.
-    selector: Selector,
+    pub(super) transport: T,
     cfg: EdgeConfig,
     gateway: G,
-    conns: Vec<Conn>,
+    conns: Vec<Conn<T::Stream>>,
     /// The next connection id. Only the acceptor mints them, so ids (and
     /// the task ids minted from them) are unique across a cluster.
     next_id: u64,
@@ -83,56 +82,49 @@ pub struct EdgeServer<G: EdgeGateway> {
     /// size (1 for a lone server).
     index: usize,
     /// Every reactor's mailbox, by index.
-    mailboxes: Arc<[Mailbox]>,
+    mailboxes: Arc<[Mailbox<T>]>,
     /// The follower link ([`EdgeServer::follow`]) and the bytes it read
     /// that the gateway has not taken yet (at most one torn frame).
-    link: Option<Conn>,
+    link: Option<Conn<T::Stream>>,
     link_acks: Vec<u8>,
+    /// The one turn every drive and catch-up runs into: what it holds is
+    /// spent by the next, so dispatched plans go back to their shards.
+    turn: Turn,
 }
 
-impl<G: EdgeGateway> EdgeServer<G> {
-    /// Binds the listener, creates the epoll set with the listener in it,
-    /// and takes ownership of the gateway (enabling its decision-update
-    /// stream). `addr` may be `"127.0.0.1:0"` for an ephemeral port — see
-    /// [`EdgeServer::local_addr`].
-    pub fn bind(addr: impl ToSocketAddrs, gateway: G, cfg: EdgeConfig) -> std::io::Result<Self> {
-        let mut lone = Self::group(addr, vec![gateway], cfg)?;
-        Ok(lone.pop().expect("a group of one"))
+impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
+    /// A lone reactor serving `gateway` over `transport`, which accepts
+    /// its connections. Takes ownership of the gateway (enabling its
+    /// decision-update stream). [`EdgeServer::bind`] is this over a fresh
+    /// epoll transport holding a bound listener.
+    pub fn with_transport(transport: T, gateway: G, cfg: EdgeConfig) -> Self {
+        let mut lone = Self::with_transports(vec![transport], vec![gateway], cfg);
+        lone.pop().expect("a group of one")
     }
 
-    /// `gateways.len()` reactors behind one listener at `addr`, in reactor
-    /// order; reactor 0 holds the listener and accepts every connection.
-    /// The one construction path: a lone server is a group of one. Every
-    /// failure — bind, `epoll_create1`, the wake pipe, registering the
-    /// listener — is the caller's `io::Error`.
-    pub(crate) fn group(
-        addr: impl ToSocketAddrs,
+    /// `gateways.len()` reactors, one transport each, in reactor order;
+    /// reactor 0's transport holds the listener and accepts every
+    /// connection. The one construction path: a lone server is a group of
+    /// one.
+    pub(super) fn with_transports(
+        transports: Vec<T>,
         gateways: Vec<G>,
         cfg: EdgeConfig,
-    ) -> std::io::Result<Vec<Self>> {
-        assert!(!gateways.is_empty(), "a cluster needs at least one reactor");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let mut selectors = (0..gateways.len())
-            .map(|_| Selector::new())
-            .collect::<std::io::Result<Vec<_>>>()?;
-        selectors[0].register(&listener, LISTENER_TOKEN)?;
-        let mailboxes: Arc<[Mailbox]> = selectors
+    ) -> Vec<Self> {
+        let mailboxes: Arc<[Mailbox<T>]> = transports
             .iter()
-            .map(|s| Mailbox {
+            .map(|t| Mailbox {
                 inbound: Mutex::default(),
-                waker: s.waker(),
+                waker: t.waker(),
             })
             .collect();
-        let mut listener = Some(listener);
-        let reactors = gateways.into_iter().zip(selectors).enumerate();
-        Ok(reactors
-            .map(|(index, (mut gateway, selector))| {
+        let reactors = gateways.into_iter().zip(transports).enumerate();
+        reactors
+            .map(|(index, (mut gateway, transport))| {
                 gateway.enable_observation();
                 gateway.enable_explanations();
                 EdgeServer {
-                    listener: listener.take(),
-                    selector,
+                    transport,
                     cfg,
                     gateway,
                     conns: Vec::new(),
@@ -146,20 +138,19 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     mailboxes: Arc::clone(&mailboxes),
                     link: None,
                     link_acks: Vec::new(),
+                    turn: Turn::default(),
                 }
             })
-            .collect())
+            .collect()
     }
 
     /// Links a follower: `stream`, connected to its standby, joins the
-    /// epoll set (replacing an earlier link) and carries the bytes of
+    /// transport (replacing an earlier link) and carries the bytes of
     /// [`EdgeGateway::swap_ship_bytes`]. A link over [`LINK_QUEUE_CAP`],
     /// sending anything but acks or hanging up is dropped and counted in
     /// [`EdgeStats::links_dropped`]; serving goes on.
-    pub fn follow(&mut self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        self.selector.register(&stream, LINK_TOKEN)?;
+    pub fn follow(&mut self, stream: T::Stream) -> std::io::Result<()> {
+        self.transport.register(&stream, LINK_TOKEN)?;
         self.link = Some(Conn::new(LINK_TOKEN, stream, 0));
         self.link_acks.clear();
         Ok(())
@@ -203,16 +194,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
         self.pending.len()
     }
 
-    /// The bound address (the OS-chosen port for `:0` binds). Panics on a
-    /// cluster reactor without the listener — ask the cluster instead.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .as_ref()
-            .expect("this reactor holds no listener")
-            .local_addr()
-            .expect("bound listener")
-    }
-
     /// The served gateway.
     pub fn gateway(&self) -> &G {
         &self.gateway
@@ -229,17 +210,19 @@ impl<G: EdgeGateway> EdgeServer<G> {
     }
 
     /// One reactor turn at simulated instant `now` without blocking: asks
-    /// the selector what is ready right now and runs the same turn
-    /// [`run`](EdgeServer::run) does (the selector is level-triggered, so
-    /// whatever is unread or unaccepted is reported again). The inline-test
-    /// path, and the last turn of a stopping reactor.
+    /// the transport what is ready right now and runs the same turn
+    /// [`run`](EdgeServer::run) does (readiness is level-triggered, so
+    /// whatever is unread or unaccepted is reported again). How a caller
+    /// that owns the clock steps the edge — the tests over the in-memory
+    /// transport, each at the instant it chooses — and the last turn of a
+    /// stopping reactor.
     pub fn poll(&mut self, now: SimTime) {
         let mut events = Vec::new();
         self.wait_ready(0, &mut events);
         self.poll_events(now, &events)
     }
 
-    /// One selector-driven turn: the listener is accepted from and a
+    /// One readiness-driven turn: the listener is accepted from and a
     /// connection read only when `events` names it.
     fn poll_events(&mut self, now: SimTime, events: &[Event]) {
         // `timer()` is None while telemetry is disabled, so the phase
@@ -264,7 +247,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         let drove = self.dirty || self.due(now);
         if drove {
             let drive_timer = self.telemetry.timer();
-            self.gateway.drive(now);
+            self.gateway.drive_into(now, &mut self.turn);
             self.dirty = false;
             self.push_updates(now);
             self.telemetry.phase("edge/drive", drive_timer);
@@ -311,7 +294,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
         reg
     }
 
-    /// The selector timeout: wall time until the gateway's next due
+    /// The wait timeout: wall time until the gateway's next due
     /// instant or the earliest drain deadline, whichever is sooner,
     /// clamped to `[1, 10]` ms (0 when already due) so timed work is at
     /// most a millisecond late and a stop request is honored promptly.
@@ -337,7 +320,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
     }
 
     /// Runs the reactor until `stop` is set, then returns the gateway and
-    /// final stats. Blocks in the OS selector between turns, so an
+    /// final stats. Blocks in the transport's wait between turns, so an
     /// unloaded edge parks in the kernel instead of spinning.
     pub fn run(mut self, clock: EdgeClock, stop: &AtomicBool) -> (G, EdgeStats) {
         let mut scratch: Vec<Event> = Vec::new();
@@ -350,12 +333,12 @@ impl<G: EdgeGateway> EdgeServer<G> {
         (self.gateway, self.stats)
     }
 
-    /// Blocks in the selector for at most `timeout_ms` (readiness, a wake
-    /// or the next timer) and leaves what it reported in `events`: the one
-    /// place a turn's readiness comes from, `run` and `poll` alike.
+    /// Blocks in the transport for at most `timeout_ms` (readiness, a
+    /// wake or the next timer) and leaves what it reported in `events`: the
+    /// one place a turn's readiness comes from, `run` and `poll` alike.
     fn wait_ready(&mut self, timeout_ms: i32, events: &mut Vec<Event>) {
         events.clear();
-        match self.selector.wait(timeout_ms) {
+        match self.transport.wait(timeout_ms) {
             Ok(ready) => events.extend_from_slice(ready),
             // A transient wait failure: the caller runs an empty-event turn
             // so timers advance, keeping all registrations intact.
@@ -364,25 +347,18 @@ impl<G: EdgeGateway> EdgeServer<G> {
     }
 
     fn accept_new(&mut self) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
         loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
+            match self.transport.accept() {
+                Ok(stream) => {
                     let mut conn = Conn::new(self.next_id, stream, self.cfg.max_frame_len);
                     self.next_id += 1;
                     let hello = ServerMsg::Hello {
                         protocol: PROTOCOL_VERSION,
                     };
                     conn.enqueue(&hello, &self.telemetry);
-                    // A socket the selector will not watch would never be
+                    // A stream the transport will not watch would never be
                     // read: it is reaped this turn instead.
-                    conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
+                    conn.dead = self.transport.register(&conn.stream, conn.id).is_err();
                     self.conns.push(conn);
                     self.stats.connections_accepted += 1;
                 }
@@ -415,21 +391,21 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     /// The home reactor of the tenant `conn` is bound to, when that is
     /// another reactor.
-    fn elsewhere(&self, conn: &Conn) -> Option<usize> {
+    fn elsewhere(&self, conn: &Conn<T::Stream>) -> Option<usize> {
         let home = reactor_for_tenant(conn.tenant?, self.mailboxes.len());
         (home != self.index).then_some(home)
     }
 
     /// Posts connection `i` to reactor `home`'s mailbox and wakes it: the
-    /// socket leaves this epoll set, its unread frames travel in its
+    /// stream leaves this transport, its unread frames travel in its
     /// decoder and its queued replies in its write queue.
     fn hand_off(&mut self, i: usize, home: usize) {
         let mut conn = self.conns.swap_remove(i);
-        self.selector.deregister(&conn.stream);
+        self.transport.deregister(&conn.stream);
         conn.write_armed = false;
         let mailbox = &self.mailboxes[home];
         mailbox.inbound.lock().expect("mailbox lock").push(conn);
-        mailbox.waker.wake();
+        T::wake(&mailbox.waker);
     }
 
     /// Installs the connections peer reactors handed over: registers each
@@ -438,14 +414,14 @@ impl<G: EdgeGateway> EdgeServer<G> {
         let inbound = &self.mailboxes[self.index].inbound;
         let adopted = std::mem::take(&mut *inbound.lock().expect("mailbox lock"));
         for mut conn in adopted {
-            conn.dead = self.selector.register(&conn.stream, conn.id).is_err();
+            conn.dead = self.transport.register(&conn.stream, conn.id).is_err();
             self.stats.conns_adopted += 1;
             self.conns.push(conn);
             self.decode_and_serve(self.conns.len() - 1, now);
         }
     }
 
-    /// Pulls everything the socket has into the connection's decoder.
+    /// Pulls everything the stream has into the connection's decoder.
     fn read_conn(&mut self, i: usize) {
         let mut buf = [0u8; 8192];
         loop {
@@ -578,7 +554,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                     // runs first, inside the turn, so none of its submits
                     // is decided against an overdue plan.
                     if !self.dirty && self.due(now) {
-                        self.gateway.catch_up(now, &mut Turn::default());
+                        self.gateway.catch_up(now, &mut self.turn);
                     }
                     let verdict = self.gateway.decide(&request, now);
                     self.dirty = true;
@@ -587,7 +563,6 @@ impl<G: EdgeGateway> EdgeServer<G> {
                             minted,
                             PendingEntry {
                                 conn: self.conns[i].id,
-                                seq,
                                 client_task,
                             },
                         );
@@ -778,14 +753,14 @@ impl<G: EdgeGateway> EdgeServer<G> {
 
     fn flush_writes(&mut self) {
         for conn in &mut self.conns {
-            self.stats.frames_sent += conn.flush_and_arm(&mut self.selector);
+            self.stats.frames_sent += conn.flush_and_arm(&mut self.transport);
         }
         if let Some(link) = &mut self.link {
             if !link.dead {
-                link.flush_and_arm(&mut self.selector);
+                link.flush_and_arm(&mut self.transport);
             }
             if link.dead {
-                // Closing the socket takes it out of the epoll set; the
+                // Dropping the stream takes it out of the transport; the
                 // shipper re-ships the unacked tail over the next link.
                 self.link = None;
                 self.link_acks.clear();
@@ -797,6 +772,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
     fn reap(&mut self, now: SimTime) {
         let before = self.conns.len();
         let drain_timeout = SimTime::new(self.cfg.drain_timeout.as_secs_f64());
+        let transport = &mut self.transport;
         self.conns.retain(|c| {
             // A draining peer gets `drain_timeout` *simulated* seconds to
             // consume its final frames; one that stops reading is closed
@@ -807,7 +783,7 @@ impl<G: EdgeGateway> EdgeServer<G> {
                         .is_some_and(|since| (since + drain_timeout).at_or_before_eps(now)));
             let close = c.dead || drained;
             if close {
-                let _ = c.stream.shutdown(std::net::Shutdown::Both);
+                transport.shutdown(&c.stream);
             }
             !close
         });
@@ -828,7 +804,7 @@ fn rebound(bound: TenantId, other: TenantId) -> String {
     format!("connection is bound to tenant {}, not {}", bound.0, other.0)
 }
 
-impl<G: EdgeGateway> core::fmt::Debug for EdgeServer<G> {
+impl<G: EdgeGateway, T: Transport> core::fmt::Debug for EdgeServer<G, T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("EdgeServer")
             .field("connections", &self.conns.len())

@@ -24,9 +24,6 @@ use std::collections::{HashMap, HashSet};
 pub(crate) struct PendingEntry {
     /// The submitting connection.
     pub conn: u64,
-    /// The submit's client-chosen correlation number.
-    #[allow(dead_code)]
-    pub seq: u64,
     /// The task id the client knows (minted ids stay server-side).
     pub client_task: u64,
 }
@@ -106,7 +103,6 @@ mod tests {
             PendingRegistry::mint(0, 1),
             PendingEntry {
                 conn: 0,
-                seq: 1,
                 client_task: 1,
             },
         );
@@ -114,7 +110,6 @@ mod tests {
             PendingRegistry::mint(3, 1),
             PendingEntry {
                 conn: 3,
-                seq: 1,
                 client_task: 1,
             },
         );

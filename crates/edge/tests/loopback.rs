@@ -1,31 +1,37 @@
-//! End-to-end loopback acceptance tests: a real TCP client against a real
-//! edge server.
+//! End-to-end edge acceptance tests: a wire-speaking client against the
+//! reactor.
 //!
 //! Three acceptance properties:
 //!
 //! * **Verdict conformance** — a mixed multi-tenant stream submitted over
-//!   the socket receives byte-decodable v2 verdicts whose client-side
-//!   counts reconcile exactly with the server-side gateway book.
+//!   a real loopback socket receives byte-decodable v2 verdicts whose
+//!   client-side counts reconcile exactly with the server-side gateway book.
 //! * **Verdict streaming** — a `Reserved` promise resolves by a *pushed*
 //!   activation update, with the client never sending another byte
 //!   (driven inline under a manual clock, so the activation instant is
 //!   deterministic).
 //! * **Durability** — a journaled edge killed mid-stream recovers its book
 //!   from the WAL file alone and keeps serving the remainder.
+//!
+//! The inline tests turn the reactor by hand over the in-memory transport
+//! (`support::Mem`), at instants they choose; the threaded smokes run it on
+//! epoll. `the_in_memory_transport_serves_byte_for_byte_what_epoll_serves`
+//! holds the two transports to the same output.
 
-use std::net::TcpStream;
+mod support;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::*;
-use rtdls_edge::codec::{FrameDecoder, DEFAULT_MAX_FRAME};
 use rtdls_edge::prelude::*;
-use rtdls_edge::proto::{decode_server, encode_client};
+use rtdls_edge::proto::encode_client;
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
+use support::{mem_server, InlineClient, MemClient, Probe};
 
 fn sharded(shards: usize) -> ShardedGateway {
     ShardedGateway::new(
@@ -115,61 +121,6 @@ fn loopback_mixed_tenant_stream_reconciles_client_and_server_books() {
     assert_eq!(stats.connections_accepted, 1);
 }
 
-/// Inline (single-threaded) harness: drive `server.poll` with explicit
-/// simulated instants while speaking the wire protocol over a blocking
-/// client socket — fully deterministic sim time.
-struct InlineClient {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-}
-
-impl InlineClient {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(2)))
-            .unwrap();
-        InlineClient {
-            stream,
-            decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
-        }
-    }
-
-    fn send(&mut self, msg: &ClientMsg) {
-        use std::io::Write;
-        self.stream.write_all(&encode_client(msg)).unwrap();
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        use std::io::Write;
-        self.stream.write_all(bytes).unwrap();
-    }
-
-    /// Polls the server at `now` until one message arrives (or panics).
-    fn recv<G: EdgeGateway>(&mut self, server: &mut EdgeServer<G>, now: SimTime) -> ServerMsg {
-        use std::io::Read;
-        for _ in 0..2000 {
-            server.poll(now);
-            let mut buf = [0u8; 8192];
-            match self.stream.read(&mut buf) {
-                Ok(0) => panic!("server closed the connection"),
-                Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => panic!("read failed: {e}"),
-            }
-            if let Some((_, payload)) = self.decoder.next_frame_ref().unwrap() {
-                return decode_server(payload).unwrap();
-            }
-        }
-        panic!("no message within the polling budget");
-    }
-}
-
 /// The canonical reservation scenario from the service layer, served over
 /// the wire: all 16 nodes committed until t=1000, a waiting all-node task,
 /// and a small EDF-earlier candidate that is only admissible once the
@@ -181,22 +132,9 @@ fn reserved_verdict_streams_its_activation_without_polling() {
     let e15 = homogeneous::exec_time(&p, 800.0, 15);
     let slack_w = (e15 - e16) * 0.75;
     let slack_c = slack_w * 0.8;
-    let mut gateway = ShardedGateway::new(
-        p,
-        1,
-        AlgorithmKind::EDF_OPR_MN,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap();
     let avail = SimTime::new(1000.0);
-    for node in 0..16 {
-        gateway.node_released(node, avail);
-    }
-    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let (mut server, net) = mem_server(saturated_until(avail), EdgeConfig::default());
+    let mut client = InlineClient::connect(&net);
     let t0 = SimTime::ZERO;
 
     assert!(matches!(
@@ -279,9 +217,8 @@ fn defer_expiry_is_pushed_on_an_otherwise_idle_server() {
         DeferPolicy::default(),
     )
     .unwrap();
-    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let (mut server, net) = mem_server(gateway, EdgeConfig::default());
+    let mut client = InlineClient::connect(&net);
     let t0 = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, t0),
@@ -335,9 +272,8 @@ fn defer_expiry_is_pushed_on_an_otherwise_idle_server() {
 #[test]
 fn protocol_violations_are_answered_and_close_the_connection() {
     // Garbage bytes → Error + close.
-    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let (mut server, net) = mem_server(sharded(2), EdgeConfig::default());
+    let mut client = InlineClient::connect(&net);
     let now = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, now),
@@ -356,7 +292,7 @@ fn protocol_violations_are_answered_and_close_the_connection() {
     assert_eq!(server.stats().protocol_errors, 1);
 
     // An oversized length prefix is refused before any allocation.
-    let mut client = InlineClient::connect(addr);
+    let mut client = InlineClient::connect(&net);
     assert!(matches!(
         client.recv(&mut server, now),
         ServerMsg::Hello { .. }
@@ -375,7 +311,7 @@ fn protocol_violations_are_answered_and_close_the_connection() {
     );
 
     // A protocol-version mismatch fails fast.
-    let mut client = InlineClient::connect(addr);
+    let mut client = InlineClient::connect(&net);
     assert!(matches!(
         client.recv(&mut server, now),
         ServerMsg::Hello { .. }
@@ -394,17 +330,15 @@ fn protocol_violations_are_answered_and_close_the_connection() {
 /// decided as if nothing happened.
 #[test]
 fn a_bound_socket_cannot_speak_for_another_tenant() {
-    use std::io::Read;
-    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
+    let (mut server, net) = mem_server(sharded(2), EdgeConfig::default());
     let now = SimTime::ZERO;
     let (victim_tenant, impostor_tenant) = (TenantId(1), TenantId(2));
     let submit = |seq, tenant| ClientMsg::Submit {
         seq,
         request: SubmitRequest::new(Task::new(seq + 1, 0.0, 100.0, 1.0e6)).with_tenant(tenant),
     };
-    let mut victim = InlineClient::connect(addr);
-    let mut impostor = InlineClient::connect(addr);
+    let mut victim = InlineClient::connect(&net);
+    let mut impostor = InlineClient::connect(&net);
     for (client, tenant) in [
         (&mut victim, victim_tenant),
         (&mut impostor, impostor_tenant),
@@ -429,12 +363,7 @@ fn a_bound_socket_cannot_speak_for_another_tenant() {
             if message == "connection is bound to tenant 2, not 1"),
         "{msg:?}"
     );
-    let closed = (0..2000).any(|_| {
-        server.poll(now);
-        let mut buf = [0u8; 64];
-        matches!(impostor.stream.read(&mut buf), Ok(0))
-    });
-    assert!(closed, "the impostor drains");
+    assert!(impostor.closed(&mut server, now), "the impostor drains");
 
     victim.send(&submit(1, victim_tenant));
     let msg = victim.recv(&mut server, now);
@@ -462,8 +391,7 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
 
     let mut gateway = sharded(2);
     gateway.enable_explanations();
-    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
+    let (mut server, net) = mem_server(gateway, EdgeConfig::default());
     let now = SimTime::ZERO;
     let task = Task::new(1, 0.0, 100.0, 50_000.0);
     let payload_of = |msg: &ClientMsg| {
@@ -503,7 +431,7 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
     for (k, (payload, field, poison)) in hostile.into_iter().enumerate() {
         assert!(payload.contains(field), "{field} not in {payload}");
         let poison_name = &poison[..poison.len().min(40)];
-        let mut violator = InlineClient::connect(addr);
+        let mut violator = InlineClient::connect(&net);
         assert!(matches!(
             violator.recv(&mut server, now),
             ServerMsg::Hello { .. }
@@ -530,7 +458,7 @@ fn a_hostile_submit_fails_its_own_connection_and_the_reactor_serves_on() {
         assert_eq!(server.stats().protocol_errors, k as u64 + 1);
 
         // The next connection is served as if nothing had happened.
-        let mut client = InlineClient::connect(addr);
+        let mut client = InlineClient::connect(&net);
         assert!(matches!(
             client.recv(&mut server, now),
             ServerMsg::Hello { .. }
@@ -564,9 +492,8 @@ fn edge_backpressure_throttles_without_reaching_the_gateway() {
         write_queue_limit: 0,
         ..Default::default()
     };
-    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), cfg).unwrap();
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let (mut server, net) = mem_server(sharded(2), cfg);
+    let mut client = InlineClient::connect(&net);
     let now = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, now),
@@ -625,10 +552,9 @@ fn ops_channel_reconstructs_a_reserved_flows_full_timeline_by_trace_id() {
         journaled.node_released(node, avail);
     }
     let telemetry = Telemetry::new(TelemetryConfig::default());
-    let mut server = EdgeServer::bind("127.0.0.1:0", journaled, EdgeConfig::default()).unwrap();
+    let (mut server, net) = mem_server(journaled, EdgeConfig::default());
     server.set_telemetry(&telemetry);
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let mut client = InlineClient::connect(&net);
     let t0 = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, t0),
@@ -674,7 +600,7 @@ fn ops_channel_reconstructs_a_reserved_flows_full_timeline_by_trace_id() {
     ));
 
     // Reconstruct both timelines over the wire, exactly as rtdls-top would.
-    let mut ops = InlineClient::connect(addr);
+    let mut ops = InlineClient::connect(&net);
     assert!(matches!(
         ops.recv(&mut server, avail),
         ServerMsg::Hello { .. }
@@ -790,11 +716,10 @@ fn pending_entries_are_evicted_when_their_connection_dies() {
         DeferPolicy::default(),
     )
     .unwrap();
-    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
+    let (mut server, net) = mem_server(gateway, EdgeConfig::default());
     let now = SimTime::ZERO;
     {
-        let mut client = InlineClient::connect(addr);
+        let mut client = InlineClient::connect(&net);
         assert!(matches!(
             client.recv(&mut server, now),
             ServerMsg::Hello { .. }
@@ -859,11 +784,10 @@ fn identical_task_ids_on_concurrent_connections_get_their_own_updates() {
         DeferPolicy::default(),
     )
     .unwrap();
-    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
+    let (mut server, net) = mem_server(gateway, EdgeConfig::default());
     let t0 = SimTime::ZERO;
-    let mut alice = InlineClient::connect(addr);
-    let mut bob = InlineClient::connect(addr);
+    let mut alice = InlineClient::connect(&net);
+    let mut bob = InlineClient::connect(&net);
     assert!(matches!(
         alice.recv(&mut server, t0),
         ServerMsg::Hello { .. }
@@ -956,28 +880,27 @@ fn identical_task_ids_on_concurrent_connections_get_their_own_updates() {
 }
 
 /// Drain reaping runs on the *simulated* clock, not the wall clock: a
-/// draining connection with unflushed frames survives any amount of wall
-/// time while sim time stands still, and is reaped the moment sim time
-/// passes `drain_timeout` — even within the same wall millisecond. The
-/// pre-fix reaper stamped `Instant::now()` at drain start, so a manual
-/// clock could not hold a connection open (nor close one promptly).
+/// draining connection with unflushed frames survives any number of turns
+/// while sim time stands still, and is reaped the moment sim time passes
+/// `drain_timeout` — even within the same wall millisecond. The pre-fix
+/// reaper stamped `Instant::now()` at drain start, so a manual clock could
+/// not hold a connection open (nor close one promptly).
 #[test]
 fn drain_reaping_follows_the_simulated_clock_not_the_wall_clock() {
     let cfg = EdgeConfig {
         drain_timeout: Duration::from_millis(50),
         ..Default::default()
     };
-    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), cfg).unwrap();
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let (mut server, net) = mem_server(sharded(2), cfg);
+    let mut client = InlineClient::connect(&net);
     let t0 = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, t0),
         ServerMsg::Hello { .. }
     ));
-    // Wedge the write path: thousands of unread ops reports overfill the
-    // loopback socket buffers, so the connection's outbound queue stays
-    // non-empty and only the drain deadline can close it.
+    // Wedge the write path: unread ops reports overfill the connection's
+    // buffer, so its outbound queue stays non-empty and only the drain
+    // deadline can close it.
     let mut wedged = false;
     for _ in 0..4000 {
         for _ in 0..8 {
@@ -992,7 +915,7 @@ fn drain_reaping_follows_the_simulated_clock_not_the_wall_clock() {
             break;
         }
     }
-    assert!(wedged, "the socket buffers must fill: {:?}", server.stats());
+    assert!(wedged, "the buffer must fill: {:?}", server.stats());
     // The client says goodbye but never reads its remaining frames.
     let seen = server.stats().frames_received;
     client.send(&ClientMsg::Bye);
@@ -1003,9 +926,8 @@ fn drain_reaping_follows_the_simulated_clock_not_the_wall_clock() {
         }
     }
     assert_eq!(server.connections(), 1, "draining, not yet closed");
-    // Wall time passes — three times the configured timeout — while the
+    // Turns go by, however long they take on the wall clock, while the
     // simulated clock stands still: the connection must survive.
-    std::thread::sleep(Duration::from_millis(150));
     for _ in 0..10 {
         server.poll(t0);
     }
@@ -1107,13 +1029,13 @@ fn killed_journaled_edge_recovers_from_the_wal_and_keeps_serving() {
 }
 
 /// A `FileSink` that, at every call the journal makes into it, looks at the
-/// client's end of the socket: whatever the reactor has decided this turn,
-/// none of it may be readable there before the sink's `flush` has
+/// client's end of the connection: whatever the reactor has decided this
+/// turn, none of it may be readable there before the sink's `flush` has
 /// returned.
 struct AckSpySink {
     inner: FileSink,
-    /// The client's socket (a clone), once the test has connected.
-    client: Arc<std::sync::Mutex<Option<TcpStream>>>,
+    /// A view of the client's end, once the test has connected.
+    client: Arc<std::sync::Mutex<Option<Probe>>>,
     /// Frames handed over since the last flush.
     pending_frames: usize,
     /// Flushes that made frames durable while the client saw nothing.
@@ -1124,25 +1046,11 @@ impl AckSpySink {
     fn assert_client_sees_nothing(&self, during: &str) {
         if let Some(client) = self.client.lock().unwrap().as_ref() {
             assert_eq!(
-                readable_bytes(client),
+                client.readable(),
                 0,
                 "a verdict reached the client before its frames were durable ({during})"
             );
         }
-    }
-}
-
-/// Bytes readable on `stream` right now, without consuming them.
-/// (`O_NONBLOCK` is shared with the socket's other clones, so it is put
-/// back before returning.)
-fn readable_bytes(stream: &TcpStream) -> usize {
-    stream.set_nonblocking(true).unwrap();
-    let seen = stream.peek(&mut [0u8; 4096]);
-    stream.set_nonblocking(false).unwrap();
-    match seen {
-        Ok(n) => n,
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => 0,
-        Err(e) => panic!("peek failed: {e}"),
     }
 }
 
@@ -1172,9 +1080,9 @@ impl JournalSink for AckSpySink {
 }
 
 /// Durable before acknowledged, observed from the client's side of the
-/// socket: in every reactor turn the journal's write and sync complete
-/// while the turn's verdicts are still unsent — and one poll later they
-/// are all there.
+/// connection: in every reactor turn the journal's write and sync complete
+/// while the turn's verdicts are still unsent — and when the turn returns
+/// they are all there.
 #[test]
 fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
     let wal = std::env::temp_dir().join(format!("rtdls-edge-ack-{}.wal", std::process::id()));
@@ -1193,13 +1101,14 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
         compact_on_snapshot: true,
     };
     let journaled = JournaledGateway::with_sink(sharded(2), journal_cfg, Box::new(sink));
-    let mut server = EdgeServer::bind("127.0.0.1:0", journaled, EdgeConfig::default()).unwrap();
-    let mut client = InlineClient::connect(server.local_addr());
+    let (mut server, net) = mem_server(journaled, EdgeConfig::default());
+    let mut client = InlineClient::connect(&net);
     assert!(matches!(
         client.recv(&mut server, SimTime::ZERO),
         ServerMsg::Hello { .. }
     ));
-    *client_slot.lock().unwrap() = Some(client.stream.try_clone().unwrap());
+    *client_slot.lock().unwrap() = Some(client.end.probe());
+    let probe = client.end.probe();
 
     let requests = request_stream(48, 31);
     let mut seq = 0u64;
@@ -1221,14 +1130,8 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
         let submitted_before = server.gateway().metrics().submitted;
         let guarded_before = guarded.load(Ordering::Relaxed);
         // One turn: read, decide × 8, drive → commit (the spy looks at the
-        // socket inside it), and only then the socket flush.
-        for _ in 0..200 {
-            server.poll(now);
-            if server.gateway().metrics().submitted > submitted_before {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // client's end inside it), and only then the flush.
+        server.poll(now);
         assert_eq!(
             server.gateway().metrics().submitted - submitted_before,
             window.len() as u64,
@@ -1241,23 +1144,18 @@ fn no_verdict_byte_is_readable_before_its_turn_is_durable() {
         );
         // The probe is not blind: now the verdicts are there.
         assert!(
-            readable_bytes(&client.stream) > 0,
+            probe.readable() > 0,
             "turn {turn}: verdicts left right after the commit"
         );
-        // Read the socket dry (so the next turn starts with nothing
+        // Read the connection dry (so the next turn starts with nothing
         // readable): the window's verdicts, plus any pushed updates.
         let mut verdicts = 0;
-        while readable_bytes(&client.stream) > 0 {
-            use std::io::Read;
-            let mut buf = [0u8; 8192];
-            let n = client.stream.read(&mut buf).unwrap();
-            client.decoder.push(&buf[..n]);
-            while let Some((_, payload)) = client.decoder.next_frame_ref().unwrap() {
-                if matches!(decode_server(payload).unwrap(), ServerMsg::Verdict { .. }) {
-                    verdicts += 1;
-                }
+        while let Some(msg) = client.try_next() {
+            if matches!(msg, ServerMsg::Verdict { .. }) {
+                verdicts += 1;
             }
         }
+        assert_eq!(probe.readable(), 0, "turn {turn}: read dry");
         assert_eq!(
             verdicts,
             window.len(),
@@ -1335,18 +1233,17 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     let journaled = JournaledGateway::with_sink(gateway, journal_cfg, Box::new(sink));
 
     let telemetry = rtdls_telemetry::Telemetry::new(rtdls_telemetry::TelemetryConfig::default());
-    let mut server = EdgeServer::bind("127.0.0.1:0", journaled, EdgeConfig::default()).unwrap();
+    let (mut server, net) = mem_server(journaled, EdgeConfig::default());
     server.set_telemetry(&telemetry);
-    let addr = server.local_addr();
-    let mut client = InlineClient::connect(addr);
+    let mut client = InlineClient::connect(&net);
     let t0 = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, t0),
         ServerMsg::Hello { .. }
     ));
 
-    let slo_rows = |client: &mut InlineClient,
-                    server: &mut EdgeServer<JournaledGateway<ShardedGateway>>,
+    let slo_rows = |client: &mut InlineClient<MemClient>,
+                    server: &mut EdgeServer<JournaledGateway<ShardedGateway>, support::Mem>,
                     now: SimTime| {
         client.send(&ClientMsg::Ops {
             query: rtdls_edge::proto::OpsQuery::Slo,
@@ -1479,8 +1376,8 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     // Generation 2 serves, and its Ops::Explain counterfactual is honest:
     // resubmitting at the suggested minimum deadline is accepted, and
     // 0.1% tighter (exact over the recovered empty queue) still rejects.
-    let mut server = EdgeServer::bind("127.0.0.1:0", recovered, EdgeConfig::default()).unwrap();
-    let mut client = InlineClient::connect(server.local_addr());
+    let (mut server, net) = mem_server(recovered, EdgeConfig::default());
+    let mut client = InlineClient::connect(&net);
     assert!(matches!(
         client.recv(&mut server, recover_at),
         ServerMsg::Hello { .. }
@@ -1548,9 +1445,9 @@ fn a_version_1_submit_frame_is_served() {
     use rtdls_edge::codec::HEADER_LEN;
     use rtdls_journal::wire::checksum;
 
-    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(2), EdgeConfig::default()).unwrap();
+    let (mut server, net) = mem_server(sharded(2), EdgeConfig::default());
     let now = SimTime::ZERO;
-    let mut client = InlineClient::connect(server.local_addr());
+    let mut client = InlineClient::connect(&net);
     assert!(matches!(
         client.recv(&mut server, now),
         ServerMsg::Hello { .. }
@@ -1581,8 +1478,8 @@ fn a_version_1_submit_frame_is_served() {
 fn a_turn_commits_due_work_before_deciding_its_submits() {
     let p = ClusterParams::paper_baseline();
     let e16 = homogeneous::exec_time(&p, 800.0, 16);
-    let mut server = EdgeServer::bind("127.0.0.1:0", sharded(1), EdgeConfig::default()).unwrap();
-    let mut client = InlineClient::connect(server.local_addr());
+    let (mut server, net) = mem_server(sharded(1), EdgeConfig::default());
+    let mut client = InlineClient::connect(&net);
     let t0 = SimTime::ZERO;
     assert!(matches!(
         client.recv(&mut server, t0),
@@ -1613,4 +1510,121 @@ fn a_turn_commits_due_work_before_deciding_its_submits() {
         matches!(&msg, ServerMsg::Verdict { seq: 3, verdict, .. } if verdict.is_accepted()),
         "{msg:?}"
     );
+}
+
+/// The reservation scenario's gateway: all 16 nodes committed until
+/// `avail`, so an all-node blocker waits for them and a small EDF-earlier
+/// candidate can only book a reservation at the blocker's dispatch.
+fn saturated_until(avail: SimTime) -> ShardedGateway {
+    let mut gateway = ShardedGateway::new(
+        ClusterParams::paper_baseline(),
+        1,
+        AlgorithmKind::EDF_OPR_MN,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    for node in 0..16 {
+        gateway.node_released(node, avail);
+    }
+    gateway
+}
+
+/// One scripted session against `server`: hello, two submits, the pushed
+/// activation of the second's reservation, an ops `Explain`, a second
+/// connection's protocol violation, then `Bye`. Returns every byte each
+/// connection received, in connection order.
+fn scripted_session<G: EdgeGateway, T: rtdls_edge::poll::Transport, D: support::Dial>(
+    server: &mut EdgeServer<G, T>,
+    to: &D,
+    avail: SimTime,
+) -> Vec<Vec<u8>> {
+    let p = ClusterParams::paper_baseline();
+    let e16 = homogeneous::exec_time(&p, 800.0, 16);
+    let e15 = homogeneous::exec_time(&p, 800.0, 15);
+    let slack_w = (e15 - e16) * 0.75;
+    let t0 = SimTime::ZERO;
+    let mut client = InlineClient::connect(to);
+    assert!(matches!(client.recv(server, t0), ServerMsg::Hello { .. }));
+    client.send(&ClientMsg::Hello {
+        protocol: PROTOCOL_VERSION,
+        tenant: None,
+    });
+    client.send(&ClientMsg::Submit {
+        seq: 0,
+        request: SubmitRequest::new(Task::new(1, 0.0, 800.0, 1000.0 + e16 + slack_w)),
+    });
+    let msg = client.recv(server, t0);
+    assert!(matches!(&msg, ServerMsg::Verdict { seq: 0, verdict, .. } if verdict.is_accepted()));
+    client.send(&ClientMsg::Submit {
+        seq: 1,
+        request: SubmitRequest::new(Task::new(2, 0.0, 10.0, 1000.0 + e16 + slack_w * 0.8))
+            .with_max_delay(Some(2000.0)),
+    });
+    let msg = client.recv(server, t0);
+    assert!(
+        matches!(
+            msg,
+            ServerMsg::Verdict {
+                verdict: Verdict::Reserved { .. },
+                ..
+            }
+        ),
+        "{msg:?}"
+    );
+    let msg = client.recv(server, avail);
+    assert!(matches!(msg, ServerMsg::Update { .. }), "{msg:?}");
+    // An ops query whose answer reads no wall clock (`Stats` carries
+    // measured latencies): why a hopeless request would be refused.
+    client.send(&ClientMsg::Ops {
+        query: OpsQuery::Explain {
+            request: SubmitRequest::new(Task::new(3, avail.as_f64(), 30_000.0, 0.001)),
+        },
+    });
+    let msg = client.recv(server, avail);
+    assert!(
+        matches!(
+            &msg,
+            ServerMsg::OpsReport {
+                report: OpsReport::Explain {
+                    explanation: Some(_),
+                    ..
+                }
+            }
+        ),
+        "{msg:?}"
+    );
+
+    let mut violator = InlineClient::connect(to);
+    assert!(matches!(
+        violator.recv(server, avail),
+        ServerMsg::Hello { .. }
+    ));
+    violator.send_raw(b"XXXXXXXXXXXXXXXXXXXXXXXX");
+    let msg = violator.recv(server, avail);
+    assert!(matches!(msg, ServerMsg::Error { .. }), "{msg:?}");
+    assert!(violator.closed(server, avail), "the violator is closed");
+
+    client.send(&ClientMsg::Bye);
+    assert!(client.closed(server, avail), "Bye closes the connection");
+    assert_eq!(server.connections(), 0);
+    vec![client.received, violator.received]
+}
+
+/// The in-memory transport cannot drift from production: one scripted
+/// session, served over epoll and over `support::Mem` from identical
+/// gateways at identical instants, sends every connection the same bytes.
+#[test]
+fn the_in_memory_transport_serves_byte_for_byte_what_epoll_serves() {
+    let avail = SimTime::new(1000.0);
+    let cfg = EdgeConfig::default();
+    let mut epoll = EdgeServer::bind("127.0.0.1:0", saturated_until(avail), cfg).unwrap();
+    let addr = epoll.local_addr();
+    let over_epoll = scripted_session(&mut epoll, &addr, avail);
+    let (mut mem, net) = mem_server(saturated_until(avail), cfg);
+    let over_mem = scripted_session(&mut mem, &net, avail);
+    assert!(over_epoll.iter().all(|bytes| !bytes.is_empty()));
+    assert_eq!(over_mem, over_epoll, "byte-identical server output");
+    assert_eq!(mem.stats(), epoll.stats());
 }

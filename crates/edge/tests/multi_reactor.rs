@@ -94,6 +94,7 @@ fn mixed_tenant_stream_across_reactors_reconciles_exactly() {
     let stop = AtomicBool::new(false);
     let (results, reports) = std::thread::scope(|s| {
         let server = s.spawn(|| cluster.run(EdgeClock::real_time(), &stop));
+        let stopping = StopOnDrop(&stop);
         let clients: Vec<_> = tenants
             .iter()
             .map(|t| {
@@ -113,7 +114,7 @@ fn mixed_tenant_stream_across_reactors_reconciles_exactly() {
             })
             .collect();
         let reports: Vec<ReplayReport> = clients.into_iter().map(|h| h.join().unwrap()).collect();
-        stop.store(true, Ordering::Relaxed);
+        drop(stopping);
         (server.join().unwrap(), reports)
     });
 
@@ -200,6 +201,7 @@ fn killed_cluster_recovers_per_reactor_wals_with_the_same_reactor_count() {
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             let server = s.spawn(|| cluster.run(EdgeClock::real_time(), &stop));
+            let stopping = StopOnDrop(&stop);
             let clients: Vec<_> = halves
                 .into_iter()
                 .map(|half| {
@@ -214,7 +216,7 @@ fn killed_cluster_recovers_per_reactor_wals_with_the_same_reactor_count() {
                 .collect();
             let reports: Vec<ReplayReport> =
                 clients.into_iter().map(|h| h.join().unwrap()).collect();
-            stop.store(true, Ordering::Relaxed);
+            drop(stopping);
             (server.join().unwrap(), reports)
         })
     };
@@ -575,6 +577,7 @@ fn reserved_activation_pushes_on_the_owning_reactor() {
     let clock = EdgeClock::starting_at(SimTime::ZERO, 250.0);
     let results = std::thread::scope(|s| {
         let server = s.spawn(|| cluster.run(clock, &stop));
+        let stopping = StopOnDrop(&stop);
         let mut client = WireClient::connect(addr);
         client.bind(tenant);
         assert!(matches!(
@@ -637,7 +640,7 @@ fn reserved_activation_pushes_on_the_owning_reactor() {
             panic!("expected the pushed activation, got {msg:?}");
         };
         assert_eq!(pushed_ticket, ticket, "the promise the client holds");
-        stop.store(true, Ordering::Relaxed);
+        drop(stopping);
         server.join().unwrap()
     });
     let (g0, s0) = &results[0];

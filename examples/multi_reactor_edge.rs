@@ -12,7 +12,10 @@
 //! connect, each bound by `Hello { tenant }` to a tenant hashed to a
 //! different reactor, so one connection stays on the accepting reactor 0
 //! and the other is adopted by reactor 1 before its first submit — after
-//! which every decision for it is thread-local. Phase 2 "kills" the cluster (drops
+//! which every decision for it is thread-local. Every verdict arrives over
+//! the socket, parked-task resolutions are *pushed* to the client as they
+//! happen, and each client's tally reconciles with its reactor's book.
+//! Phase 2 "kills" the cluster (drops
 //! every gateway, no finalize), rebuilds each reactor's book from its own
 //! WAL alone, and re-binds with the same reactor count — the tenant hash
 //! is deterministic, so every tenant lands back on the reactor holding
@@ -57,6 +60,16 @@ fn stream(n: usize, seed: u64, tenant: TenantId) -> Vec<SubmitRequest> {
     requests
 }
 
+/// Sets the cluster's stop flag when dropped, so a client that fails
+/// stops the reactors instead of hanging the demo.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Serves one batch per client against a fresh cluster built from
 /// `gateways`, returning each reactor's (gateway, stats) plus the reports.
 fn serve<G: EdgeGateway + Send>(
@@ -70,6 +83,7 @@ fn serve<G: EdgeGateway + Send>(
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let server = s.spawn(|| cluster.run(clock, &stop));
+        let stopping = StopOnDrop(&stop);
         let clients: Vec<_> = batches
             .into_iter()
             .map(|batch| {
@@ -91,7 +105,7 @@ fn serve<G: EdgeGateway + Send>(
             .into_iter()
             .map(|h| h.join().expect("client thread"))
             .collect();
-        stop.store(true, Ordering::Relaxed);
+        drop(stopping);
         (server.join().expect("cluster threads"), reports)
     })
 }
@@ -140,20 +154,32 @@ fn main() {
         EdgeClock::real_time(),
         batches,
     );
-    for (i, r) in reports.iter().enumerate() {
+    // Client i's tenant is homed on reactor i.
+    for (i, (r, (g, stats))) in reports.iter().zip(&dead).enumerate() {
         assert!(!r.timed_out, "every submit must be answered");
         assert_eq!(r.verdicts(), 200, "one verdict per submit");
         println!(
-            "client {i}: {} submitted | {} accepted, {} deferred, {} reserved, {} rejected",
-            r.submitted, r.accepted, r.deferred, r.reserved, r.rejected
+            "client {i}: {} submitted | {} accepted, {} deferred, {} reserved, {} rejected, \
+             {} throttled | {} pushed update(s)",
+            r.submitted,
+            r.accepted,
+            r.deferred,
+            r.reserved,
+            r.rejected,
+            r.throttled,
+            r.updates.len()
         );
-    }
-    for (i, (g, stats)) in dead.iter().enumerate() {
+        assert!(
+            r.updates.len() as u64 <= r.deferred + r.reserved,
+            "every pushed update resolves a parked task"
+        );
+        let m = g.metrics();
         assert_eq!(
-            g.metrics().submitted,
-            200,
+            m.submitted, 200,
             "each reactor decided exactly its tenant's stream"
         );
+        assert_eq!(m.accepted_immediate, r.accepted, "reactor {i}'s book");
+        assert_eq!(m.throttled, r.throttled, "reactor {i}'s book");
         println!(
             "reactor {i}: {} submits, {} adopted conn(s), {} frames out",
             stats.submits, stats.conns_adopted, stats.frames_sent
