@@ -37,7 +37,7 @@ use crate::proto::{decode_client, ClientMsg, OpsQuery, OpsReport, ServerMsg, PRO
 
 use super::conn::Conn;
 use super::multi::reactor_for_tenant;
-use super::registry::{PendingEntry, PendingRegistry};
+use super::registry::PendingRegistry;
 use super::{fold_edge_stats, EdgeClock, EdgeConfig, EdgeGateway, EdgeStats, LINK_QUEUE_CAP};
 
 /// Transport token (and connection id) of the follower link. Connection
@@ -559,13 +559,7 @@ impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
                     let verdict = self.gateway.decide(&request, now);
                     self.dirty = true;
                     if matches!(verdict, Verdict::Reserved { .. } | Verdict::Deferred { .. }) {
-                        self.pending.insert(
-                            minted,
-                            PendingEntry {
-                                conn: self.conns[i].id,
-                                client_task,
-                            },
-                        );
+                        self.pending.insert(minted);
                     }
                     verdict
                 };
@@ -670,14 +664,15 @@ impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
         for update in self.gateway.take_updates() {
             let minted = update.task();
             let terminal = update.is_terminal();
-            let entry = self.pending.get(minted).map(|e| (e.conn, e.client_task));
+            let owed = self.pending.contains(minted);
             if terminal {
                 self.pending.remove(minted);
             }
             let delivered = 'push: {
-                let Some((conn_id, client_task)) = entry else {
+                if !owed {
                     break 'push false;
-                };
+                }
+                let (conn_id, client_task) = PendingRegistry::unmint(minted);
                 let Some(conn) = self.conns.iter_mut().find(|c| c.id == conn_id) else {
                     break 'push false;
                 };

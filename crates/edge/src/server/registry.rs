@@ -17,20 +17,14 @@
 //! edge continues from `EdgeConfig::first_conn_id` to keep generations
 //! disjoint, because a recovered journal still holds pre-crash minted ids.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-/// Where to deliver one parked task's resolution.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingEntry {
-    /// The submitting connection.
-    pub conn: u64,
-    /// The task id the client knows (minted ids stay server-side).
-    pub client_task: u64,
-}
-
+/// The minted ids of the parked tasks whose resolutions are still owed:
+/// each id names its connection and the client's own task id
+/// ([`unmint`](PendingRegistry::unmint)).
 #[derive(Default)]
 pub(crate) struct PendingRegistry {
-    map: HashMap<u64, PendingEntry>,
+    minted: HashSet<u64>,
 }
 
 impl PendingRegistry {
@@ -42,32 +36,38 @@ impl PendingRegistry {
         (conn << 32) | client_task
     }
 
-    pub(crate) fn insert(&mut self, minted: u64, entry: PendingEntry) {
-        self.map.insert(minted, entry);
+    /// The connection and the client's task id a minted id was made from.
+    pub(crate) fn unmint(minted: u64) -> (u64, u64) {
+        (minted >> 32, minted & u64::from(u32::MAX))
     }
 
-    pub(crate) fn get(&self, minted: u64) -> Option<&PendingEntry> {
-        self.map.get(&minted)
+    pub(crate) fn insert(&mut self, minted: u64) {
+        self.minted.insert(minted);
+    }
+
+    pub(crate) fn contains(&self, minted: u64) -> bool {
+        self.minted.contains(&minted)
     }
 
     pub(crate) fn remove(&mut self, minted: u64) {
-        self.map.remove(&minted);
+        self.minted.remove(&minted);
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.map.len()
+        self.minted.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.minted.is_empty()
     }
 
-    /// Drops entries whose connection is no longer live; returns how many
-    /// (the `pending_evicted` stat).
+    /// Drops ids whose connection is no longer live; returns how many (the
+    /// `pending_evicted` stat).
     pub(crate) fn purge_closed(&mut self, live: &HashSet<u64>) -> u64 {
-        let before = self.map.len();
-        self.map.retain(|_, entry| live.contains(&entry.conn));
-        (before - self.map.len()) as u64
+        let before = self.minted.len();
+        self.minted
+            .retain(|&minted| live.contains(&Self::unmint(minted).0));
+        (before - self.minted.len()) as u64
     }
 }
 
@@ -83,6 +83,7 @@ mod tests {
                     let a = PendingRegistry::mint(conn_a, task);
                     let b = PendingRegistry::mint(conn_b, task);
                     assert_eq!(a == b, conn_a == conn_b);
+                    assert_eq!(PendingRegistry::unmint(a), (conn_a, task));
                 }
             }
         }
@@ -99,24 +100,12 @@ mod tests {
     #[test]
     fn purge_drops_only_closed_connections() {
         let mut reg = PendingRegistry::default();
-        reg.insert(
-            PendingRegistry::mint(0, 1),
-            PendingEntry {
-                conn: 0,
-                client_task: 1,
-            },
-        );
-        reg.insert(
-            PendingRegistry::mint(3, 1),
-            PendingEntry {
-                conn: 3,
-                client_task: 1,
-            },
-        );
+        reg.insert(PendingRegistry::mint(0, 1));
+        reg.insert(PendingRegistry::mint(3, 1));
         let live: HashSet<u64> = [3u64].into_iter().collect();
         assert_eq!(reg.purge_closed(&live), 1);
         assert_eq!(reg.len(), 1);
-        assert!(reg.get(PendingRegistry::mint(3, 1)).is_some());
+        assert!(reg.contains(PendingRegistry::mint(3, 1)));
         assert!(!reg.is_empty());
     }
 }

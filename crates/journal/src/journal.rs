@@ -11,13 +11,11 @@
 //! dropped (and the sink rewritten), bounding both log length and recovery
 //! replay time.
 
-use std::fs::{File, OpenOptions};
-use std::io::Read as _;
-use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use rtdls_telemetry::Telemetry;
 
+use crate::disk::{Disk, Open, Std};
 use crate::event::JournalEvent;
 use crate::snapshot::{GatewaySnapshot, JournalError};
 use crate::wire::{frame_count, write_frame, RecordKind, MAGIC};
@@ -89,14 +87,10 @@ pub trait JournalSink: Send {
     /// Replaces the entire stored log (compaction): a crash leaves the old
     /// log or the new one, never a mix.
     fn reset(&mut self, bytes: &[u8]);
-    /// Makes every appended byte durable (group-commit boundary). Sinks
-    /// that sync per append need not override this.
-    fn flush(&mut self) {}
-    /// Cumulative durability counters. Sinks that don't track them report
-    /// zeros.
-    fn stats(&self) -> SinkStats {
-        SinkStats::default()
-    }
+    /// Makes every appended byte durable (group-commit boundary).
+    fn flush(&mut self);
+    /// Cumulative durability counters.
+    fn stats(&self) -> SinkStats;
 }
 
 /// When a [`FileSink`] fsyncs what it appended.
@@ -127,9 +121,8 @@ pub enum FsyncPolicy {
 
 impl FsyncPolicy {
     /// Whether an `append` that just wrote a run of `run_frames` frames,
-    /// leaving `pending` frames unsynced, owes the sync itself (the one
-    /// place the rule lives; [`FileSink`] asks it).
-    pub fn sync_due(self, run_frames: usize, pending: usize) -> bool {
+    /// leaving `pending` frames unsynced, owes the sync itself.
+    fn sync_due(self, run_frames: usize, pending: usize) -> bool {
         match self {
             FsyncPolicy::EveryAppend => true,
             // A run is a turn being committed: the flush that follows is
@@ -149,10 +142,14 @@ impl FsyncPolicy {
 /// `renameat2(RENAME_EXCHANGE)` and a directory fsync: a crash leaves the
 /// old log or the new one, and no byte of a retired log is ever readable at
 /// `path`. Needs Linux ≥ 3.15 on a filesystem with `RENAME_EXCHANGE`.
+///
+/// Every filesystem call goes through the [`Disk`] seam `D`: the real one,
+/// [`Std`], by default.
 #[derive(Debug)]
-pub struct FileSink {
-    log: WalFile,
-    spare: WalFile,
+pub struct FileSink<D: Disk = Std> {
+    disk: D,
+    log: WalFile<D::File>,
+    spare: WalFile<D::File>,
     path: PathBuf,
     policy: FsyncPolicy,
     /// Frames written since the last `sync_data`.
@@ -163,26 +160,29 @@ pub struct FileSink {
 
 /// One of a [`FileSink`]'s files: frames to `end`, then zeros to `owned`.
 #[derive(Debug)]
-struct WalFile {
-    file: File,
+struct WalFile<F> {
+    file: F,
     end: u64,
     owned: u64,
 }
 
-impl WalFile {
-    fn open(path: &Path, truncate: bool) -> std::io::Result<Self> {
-        let mut options = OpenOptions::new();
-        let file = options.create(true).read(true).write(true);
-        let file = file.truncate(truncate).open(path)?;
-        let (end, owned) = (logical_end(&file)?, file.metadata()?.len());
+impl<F> WalFile<F> {
+    fn open<D: Disk<File = F>>(disk: &D, path: &Path, how: Open) -> std::io::Result<Self> {
+        let file = disk.open(path, how)?;
+        let (end, owned) = (logical_end(disk, &file)?, disk.len(&file)?);
         Ok(WalFile { file, end, owned })
     }
 
     /// Writes `bytes` at `at`, the new end, and keeps zeros past it: over
     /// what the file held beyond the new end, and ahead of it to the next
     /// power of two when the write passes what the file owns.
-    fn write_at(&mut self, bytes: &[u8], at: u64) -> std::io::Result<()> {
-        self.file.write_all_at(bytes, at)?;
+    fn write_at<D: Disk<File = F>>(
+        &mut self,
+        disk: &D,
+        bytes: &[u8],
+        at: u64,
+    ) -> std::io::Result<()> {
+        disk.write_all_at(&self.file, bytes, at)?;
         let mut from = at + bytes.len() as u64;
         let to = if from > self.owned {
             (from + 1).next_power_of_two()
@@ -194,7 +194,7 @@ impl WalFile {
         let zeros = [0u8; 4096];
         while from < to {
             let n = (to - from).min(zeros.len() as u64);
-            self.file.write_all_at(&zeros[..n as usize], from)?;
+            disk.write_all_at(&self.file, &zeros[..n as usize], from)?;
             from += n;
         }
         Ok(())
@@ -203,12 +203,12 @@ impl WalFile {
 
 /// One past the last non-zero byte of `file`, found without reading the
 /// log: backwards from the end of the file, over its zero tail.
-fn logical_end(file: &File) -> std::io::Result<u64> {
-    let (mut at, mut block) = (file.metadata()?.len(), [0u8; 4096]);
+fn logical_end<D: Disk>(disk: &D, file: &D::File) -> std::io::Result<u64> {
+    let (mut at, mut block) = (disk.len(file)?, [0u8; 4096]);
     loop {
         let from = at.saturating_sub(block.len() as u64);
         let chunk = &mut block[..(at - from) as usize];
-        file.read_exact_at(chunk, from)?;
+        disk.read_exact_at(file, chunk, from)?;
         match chunk.iter().rposition(|&b| b != 0) {
             Some(last) => return Ok(from + last as u64 + 1),
             None if from == 0 => return Ok(0),
@@ -223,48 +223,54 @@ fn spare_path(path: &Path) -> PathBuf {
     name.into()
 }
 
-/// Swaps the names `a` and `b` in one step: `renameat2(RENAME_EXCHANGE)`.
-fn exchange(a: &Path, b: &Path) -> std::io::Result<()> {
-    use std::ffi::{c_char, CString};
-    use std::os::unix::ffi::OsStrExt;
-    // No `libc` crate in the tree: the one call is declared directly.
-    extern "C" {
-        fn renameat2(fd1: i32, p1: *const c_char, fd2: i32, p2: *const c_char, flags: u32) -> i32;
-    }
-    const AT_FDCWD: i32 = -100;
-    let [a, b] = [a, b].map(|p| CString::new(p.as_os_str().as_bytes()));
-    let (a, b) = (a?, b?);
-    // SAFETY: two NUL-terminated paths that outlive the call; flag 2 is
-    // RENAME_EXCHANGE.
-    match unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), 2) } {
-        0 => Ok(()),
-        _ => Err(std::io::Error::last_os_error()),
-    }
-}
-
 impl FileSink {
     /// Creates (truncating) the journal file, syncing every append.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        Self::open(path.as_ref(), true)
+        Self::open_on(Std, path, true)
     }
 
     /// Opens the file for appending **without touching its contents**.
     /// Recovery attaches a sink this way so the existing log survives until
     /// the atomic post-recovery rewrite replaces it.
     pub fn open_preserving(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        Self::open(path.as_ref(), false)
+        Self::open_on(Std, path, false)
     }
 
-    fn open(path: &Path, truncate: bool) -> Result<Self, JournalError> {
+    /// Reads a journal file back into bytes up to its zero tail (no frame
+    /// ends in 0x00) — the recovery entry point.
+    pub fn read(path: impl AsRef<Path>) -> Result<Vec<u8>, JournalError> {
+        Self::read_on(&Std, path)
+    }
+}
+
+impl<D: Disk> FileSink<D> {
+    /// Opens the journal file on `disk`, syncing every append: emptied
+    /// ([`create`](FileSink::create)) or kept
+    /// ([`open_preserving`](FileSink::open_preserving)).
+    pub fn open_on(disk: D, path: impl AsRef<Path>, truncate: bool) -> Result<Self, JournalError> {
+        let path = path.as_ref();
+        let how = if truncate { Open::Truncate } else { Open::Keep };
         Ok(FileSink {
-            log: WalFile::open(path, truncate)?,
+            log: WalFile::open(&disk, path, how)?,
             // Whatever a spare holds is stale.
-            spare: WalFile::open(&spare_path(path), true)?,
+            spare: WalFile::open(&disk, &spare_path(path), Open::Truncate)?,
+            disk,
             path: path.to_path_buf(),
             policy: FsyncPolicy::EveryAppend,
             unsynced: 0,
             stats: SinkStats::default(),
         })
+    }
+
+    /// [`read`](FileSink::read) on `disk`.
+    pub fn read_on(disk: &D, path: impl AsRef<Path>) -> Result<Vec<u8>, JournalError> {
+        let file = disk.open(path.as_ref(), Open::Read)?;
+        let end = logical_end(disk, &file)?;
+        // Not `vec![0; end]`: zeroing a buffer the read overwrites costs a
+        // pass over the whole log once the allocator recycles heap memory.
+        let mut bytes = Vec::with_capacity(end as usize);
+        disk.read_prefix(&file, end, &mut bytes)?;
+        Ok(bytes)
     }
 
     /// Sets the fsync policy (builder style).
@@ -273,22 +279,9 @@ impl FileSink {
         self
     }
 
-    /// Reads a journal file back into bytes up to its zero tail (no frame
-    /// ends in 0x00) — the recovery entry point.
-    pub fn read(path: impl AsRef<Path>) -> Result<Vec<u8>, JournalError> {
-        let file = File::open(path.as_ref())?;
-        let end = logical_end(&file)?;
-        // Not `vec![0; end]`: zeroing a buffer the read overwrites costs a
-        // pass over the whole log once the allocator recycles heap memory.
-        let mut bytes = Vec::with_capacity(end as usize);
-        (&file).take(end).read_to_end(&mut bytes)?;
-        Ok(bytes)
-    }
-
     fn sync(&mut self) {
-        self.log
-            .file
-            .sync_data()
+        self.disk
+            .sync_data(&self.log.file)
             .expect("journal file fsync must succeed");
         self.stats.max_batch = self.stats.max_batch.max(self.unsynced as u64);
         self.unsynced = 0;
@@ -296,10 +289,10 @@ impl FileSink {
     }
 }
 
-impl JournalSink for FileSink {
+impl<D: Disk> JournalSink for FileSink<D> {
     fn append(&mut self, run: &[u8]) {
         self.log
-            .write_at(run, self.log.end)
+            .write_at(&self.disk, run, self.log.end)
             .expect("journal file append must succeed");
         let frames = frame_count(run);
         debug_assert!(frames > 0, "append takes whole frames");
@@ -320,15 +313,15 @@ impl JournalSink for FileSink {
 
     fn reset(&mut self, bytes: &[u8]) {
         let mut swap = || -> std::io::Result<()> {
-            self.spare.write_at(bytes, 0)?;
-            self.spare.file.sync_data()?;
-            exchange(&self.path, &spare_path(&self.path))?;
+            self.spare.write_at(&self.disk, bytes, 0)?;
+            self.disk.sync_data(&self.spare.file)?;
+            self.disk.exchange(&self.path, &spare_path(&self.path))?;
             // Make the exchange itself durable: without the directory fsync
             // a power failure could bring back the old names, and frames
             // appended (and acknowledged) after this compaction would
             // vanish with the new log.
             if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                File::open(parent)?.sync_all()?;
+                self.disk.sync_dir(parent)?;
             }
             Ok(())
         };
@@ -347,12 +340,12 @@ impl JournalSink for FileSink {
     }
 }
 
-impl Drop for FileSink {
+impl<D: Disk> Drop for FileSink<D> {
     /// Best-effort group-commit completion: a *graceful* shutdown should
     /// not lose the batched tail (a crash, by definition, skips this).
     fn drop(&mut self) {
         if self.unsynced > 0 {
-            let _ = self.log.file.sync_data();
+            let _ = self.disk.sync_data(&self.log.file);
         }
     }
 }

@@ -70,6 +70,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod disk;
 pub mod event;
 pub mod gateway;
 pub mod journal;
@@ -82,7 +83,8 @@ pub use event::JournalEvent;
 pub use gateway::JournaledGateway;
 pub use journal::{FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink, SinkStats};
 pub use recover::{
-    apply_event, recover, recover_file_with_policy, replay, requalify, RecoveryReport,
+    apply_event, recover, recover_file_on, recover_file_with_policy, replay, requalify,
+    RecoveryReport,
 };
 pub use snapshot::{GatewaySnapshot, JournalError, Recoverable};
 pub use telemetry::fold_journal_metrics;

@@ -26,11 +26,14 @@
 //! gateway's latency histograms and decision window start at its first
 //! live decision, while every counter carries over.
 
+use std::path::Path;
+
 use rtdls_core::prelude::{SimTime, SubmitRequest, TaskId};
 use rtdls_sim::serve::Turn;
 
+use crate::disk::{Disk, Std};
 use crate::event::JournalEvent;
-use crate::journal::{Journal, JournalConfig, JournalSink};
+use crate::journal::{FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink};
 use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
 use crate::wire::{decode_frames, RecordKind, TailStatus};
 use crate::JournaledGateway;
@@ -222,17 +225,26 @@ pub fn requalify<G: Recoverable>(
 /// The [`FsyncPolicy`] is process configuration, not journaled state, so recovery
 /// cannot infer it from the log: a group-commit edge passes its own to keep
 /// its durability/cost point across a restart.
-///
-/// [`FsyncPolicy`]: crate::journal::FsyncPolicy
 pub fn recover_file_with_policy<G: Recoverable>(
-    path: impl AsRef<std::path::Path>,
+    path: impl AsRef<Path>,
     now: SimTime,
     cfg: JournalConfig,
-    policy: crate::journal::FsyncPolicy,
+    policy: FsyncPolicy,
 ) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
-    let bytes = crate::journal::FileSink::read(&path)?;
+    recover_file_on(Std, path, now, cfg, policy)
+}
+
+/// [`recover_file_with_policy`] on `disk`.
+pub fn recover_file_on<G: Recoverable, D: Disk + 'static>(
+    disk: D,
+    path: impl AsRef<Path>,
+    now: SimTime,
+    cfg: JournalConfig,
+    policy: FsyncPolicy,
+) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
+    let bytes = FileSink::read_on(&disk, &path)?;
     let (mut journaled, report) = recover(&bytes, now, cfg, None)?;
-    let sink = crate::journal::FileSink::open_preserving(&path)?.with_fsync_policy(policy);
+    let sink = FileSink::open_on(disk, &path, false)?.with_fsync_policy(policy);
     journaled.journal_mut().attach_sink(Box::new(sink));
     Ok((journaled, report))
 }

@@ -1,103 +1,257 @@
-//! Durable before acknowledged, under power loss at every sink call.
+//! Durable before acknowledged, under power loss at every filesystem call.
 //!
 //! A journaled gateway is driven in serving turns — `decide` × k, then
 //! `drive`, whose commit is the point after which the turn's verdicts may
-//! leave the process — over a sink that models a disk: it keeps what was
-//! written, remembers how much of that was synced, and at a chosen call
-//! loses power. What survives is only the synced prefix (plus, in the torn
-//! variant, the first half of the write in flight); the journal's held
-//! turn dies with the process. Whatever the kill point, recovery must hold
-//! every submit of every turn whose commit returned.
+//! leave the process — over the real `FileSink` on a model disk. Each file
+//! keeps the bytes its page cache holds and the bytes a power loss keeps,
+//! and `sync_data` copies the first to the second; names become durable
+//! only at a directory sync. At a chosen call the power goes (in the torn
+//! variant a write in flight lands its first half, and that file's earlier
+//! writes with it); the journal's held turn dies with the process. Whatever
+//! the kill point, recovery must hold every submit of every turn whose
+//! commit returned — and a second power loss during recovery's own rewrite
+//! of the log must lose none of them either.
 //!
 //! Two drivers make the turns: a hand-written loop shaped like the edge
 //! reactor's (uneven same-instant batches), and the discrete-event
 //! simulator, whose turns are its events — with node releases fed back
 //! between them, outside any turn.
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use rtdls::journal::wire::frame_count;
+use rtdls::journal::disk::{Disk, Open};
+use rtdls::journal::recover_file_on;
 use rtdls::prelude::*;
 
-#[derive(Default)]
-struct Disk {
-    /// The file's contents, page cache included.
-    written: Vec<u8>,
-    /// How much of `written` a power loss keeps.
-    synced: usize,
-    /// Frames written since the last sync (what `Batch` counts).
-    unsynced_frames: usize,
-    /// Sink calls completed, and how many of them were rewrites.
+/// The log's path on the model disk (in a directory, so `FileSink` syncs
+/// the directory after an exchange).
+const PATH: &str = "/model/journal.wal";
+
+/// A filesystem call, as the power loss saw it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Call {
+    Open,
+    Len,
+    Read,
+    Write { zeros: bool },
+    Sync,
+    Exchange,
+    SyncDir,
+}
+
+/// One file: what the page cache holds, and what a power loss keeps.
+#[derive(Clone, Debug, Default)]
+struct Inode {
+    cached: Vec<u8>,
+    durable: Vec<u8>,
+}
+
+#[derive(Clone, Debug)]
+struct Fs {
+    inodes: Vec<Inode>,
+    /// The directory as the page cache holds it, and as a power loss
+    /// keeps it.
+    names: HashMap<PathBuf, usize>,
+    durable_names: HashMap<PathBuf, usize>,
+    /// Calls completed, and the exchanges among them.
     calls: usize,
-    rewrites: usize,
+    exchanges: usize,
     /// The call during which the power goes.
     kill_at: usize,
-    /// Whether an append in flight at the kill lands its first half.
+    /// Whether a write in flight at the kill lands its first half.
     torn: bool,
-    dead: bool,
+    /// The call the power went in.
+    killed: Option<Call>,
 }
 
-impl Disk {
-    fn sync(&mut self) {
-        self.synced = self.written.len();
-        self.unsynced_frames = 0;
-    }
-
-    /// Counts one sink call; `false` once the power is gone.
-    fn powered(&mut self) -> bool {
-        if !self.dead && self.calls == self.kill_at {
-            self.dead = true;
+impl Fs {
+    /// Counts one call; `false` once the power is gone.
+    fn powered(&mut self, call: Call) -> bool {
+        if self.killed.is_none() && self.calls == self.kill_at {
+            self.killed = Some(call);
         }
-        if !self.dead {
+        if self.killed.is_none() {
             self.calls += 1;
         }
-        !self.dead
+        self.killed.is_none()
     }
 }
 
-/// A `FileSink` in miniature over a [`Disk`]: the same policy rule, an
-/// atomic rewrite, and no I/O.
-struct PowerLossSink {
-    disk: Arc<Mutex<Disk>>,
-    policy: FsyncPolicy,
+/// A model disk. Once the power is gone every call returns `Ok` and does
+/// nothing: the process runs on as a ghost, and what it does never reaches
+/// the disk.
+#[derive(Clone, Debug)]
+struct Model(Arc<Mutex<Fs>>);
+
+/// The handle a ghost gets from `open`.
+const GHOST: usize = usize::MAX;
+
+impl Model {
+    /// A blank disk that loses power at call `kill_at`.
+    fn new(kill_at: usize, torn: bool) -> Self {
+        Model(Arc::new(Mutex::new(Fs {
+            inodes: Vec::new(),
+            names: HashMap::new(),
+            durable_names: HashMap::new(),
+            calls: 0,
+            exchanges: 0,
+            kill_at,
+            torn,
+            killed: None,
+        })))
+    }
+
+    fn fs(&self) -> MutexGuard<'_, Fs> {
+        self.0.lock().expect("no model call panics")
+    }
+
+    /// The disk after the power comes back, on its own copy: every page
+    /// cache holds what was durable, and the power stays on.
+    fn reboot(&self) -> Model {
+        let mut fs = self.fs().clone();
+        fs.names = fs.durable_names.clone();
+        for inode in &mut fs.inodes {
+            inode.cached = inode.durable.clone();
+        }
+        (fs.calls, fs.kill_at, fs.killed) = (0, usize::MAX, None);
+        Model(Arc::new(Mutex::new(fs)))
+    }
+
+    /// Cuts the power `after` calls from now.
+    fn arm(&self, after: usize) {
+        let mut fs = self.fs();
+        fs.kill_at = fs.calls.saturating_add(after);
+    }
+
+    fn calls(&self) -> usize {
+        self.fs().calls
+    }
+
+    fn killed(&self) -> Option<Call> {
+        self.fs().killed
+    }
+
+    /// What a reboot finds at [`PATH`], read the way recovery reads it.
+    fn survivors(&self) -> Vec<u8> {
+        let disk = self.reboot();
+        if !disk.fs().names.contains_key(Path::new(PATH)) {
+            // The log's name never reached the disk.
+            return Vec::new();
+        }
+        FileSink::read_on(&disk, PATH).unwrap()
+    }
 }
 
-impl JournalSink for PowerLossSink {
-    fn append(&mut self, run: &[u8]) {
-        let mut disk = self.disk.lock().unwrap();
-        let was_dead = disk.dead;
-        if !disk.powered() {
-            if !was_dead && disk.torn {
-                // The write was in flight: its first half reached the
-                // platter (and, writes being ordered, all before it).
-                disk.written.extend_from_slice(&run[..run.len() / 2]);
-                disk.sync();
+impl Disk for Model {
+    type File = usize;
+
+    fn open(&self, path: &Path, how: Open) -> io::Result<usize> {
+        let mut fs = self.fs();
+        if !fs.powered(Call::Open) {
+            return Ok(GHOST);
+        }
+        let inode = match (fs.names.get(path).copied(), how) {
+            (Some(inode), _) => inode,
+            (None, Open::Read) => return Err(io::ErrorKind::NotFound.into()),
+            (None, _) => {
+                fs.inodes.push(Inode::default());
+                let inode = fs.inodes.len() - 1;
+                fs.names.insert(path.to_path_buf(), inode);
+                inode
             }
-            return;
+        };
+        if how == Open::Truncate {
+            fs.inodes[inode].cached.clear();
         }
-        disk.written.extend_from_slice(run);
-        let frames = frame_count(run);
-        disk.unsynced_frames += frames;
-        if self.policy.sync_due(frames, disk.unsynced_frames) {
-            disk.sync();
-        }
+        Ok(inode)
     }
 
-    fn reset(&mut self, bytes: &[u8]) {
-        let mut disk = self.disk.lock().unwrap();
-        if disk.powered() {
-            // Staged, synced, renamed: the old log or the new, never a mix.
-            disk.written = bytes.to_vec();
-            disk.rewrites += 1;
-            disk.sync();
+    fn len(&self, &file: &usize) -> io::Result<u64> {
+        let mut fs = self.fs();
+        if !fs.powered(Call::Len) {
+            return Ok(0);
         }
+        Ok(fs.inodes[file].cached.len() as u64)
     }
 
-    fn flush(&mut self) {
-        let mut disk = self.disk.lock().unwrap();
-        if disk.powered() {
-            disk.sync();
+    fn read_exact_at(&self, &file: &usize, buf: &mut [u8], at: u64) -> io::Result<()> {
+        let mut fs = self.fs();
+        if !fs.powered(Call::Read) {
+            return Ok(());
         }
+        let at = at as usize;
+        let bytes = fs.inodes[file].cached.get(at..at + buf.len());
+        buf.copy_from_slice(bytes.ok_or(io::ErrorKind::UnexpectedEof)?);
+        Ok(())
+    }
+
+    fn read_prefix(&self, &file: &usize, len: u64, out: &mut Vec<u8>) -> io::Result<()> {
+        let mut fs = self.fs();
+        if !fs.powered(Call::Read) {
+            return Ok(());
+        }
+        let cached = &fs.inodes[file].cached;
+        out.extend_from_slice(&cached[..cached.len().min(len as usize)]);
+        Ok(())
+    }
+
+    fn write_all_at(&self, &file: &usize, buf: &[u8], at: u64) -> io::Result<()> {
+        let mut fs = self.fs();
+        let dying = fs.killed.is_none() && fs.calls == fs.kill_at;
+        let zeros = buf.iter().all(|&b| b == 0);
+        let (buf, landed) = if fs.powered(Call::Write { zeros }) {
+            (buf, false)
+        } else if dying && fs.torn {
+            // The write was in flight: its first half reached the platter
+            // and, writes being ordered, this file's writes before it.
+            (&buf[..buf.len() / 2], true)
+        } else {
+            return Ok(());
+        };
+        let inode = &mut fs.inodes[file];
+        let (at, end) = (at as usize, at as usize + buf.len());
+        if inode.cached.len() < end {
+            inode.cached.resize(end, 0);
+        }
+        inode.cached[at..end].copy_from_slice(buf);
+        if landed {
+            inode.durable = inode.cached.clone();
+        }
+        Ok(())
+    }
+
+    fn sync_data(&self, &file: &usize) -> io::Result<()> {
+        let mut fs = self.fs();
+        if fs.powered(Call::Sync) {
+            let inode = &mut fs.inodes[file];
+            inode.durable = inode.cached.clone();
+        }
+        Ok(())
+    }
+
+    fn exchange(&self, a: &Path, b: &Path) -> io::Result<()> {
+        let mut fs = self.fs();
+        if fs.powered(Call::Exchange) {
+            let (Some(ia), Some(ib)) = (fs.names.get(a).copied(), fs.names.get(b).copied()) else {
+                return Err(io::ErrorKind::NotFound.into());
+            };
+            fs.names.insert(a.to_path_buf(), ib);
+            fs.names.insert(b.to_path_buf(), ia);
+            fs.exchanges += 1;
+        }
+        Ok(())
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        let mut fs = self.fs();
+        if fs.powered(Call::SyncDir) {
+            assert_eq!(dir, Path::new(PATH).parent().unwrap());
+            fs.durable_names = fs.names.clone();
+        }
+        Ok(())
     }
 }
 
@@ -118,35 +272,18 @@ const JOURNAL: JournalConfig = JournalConfig {
     compact_on_snapshot: true,
 };
 
-/// What a run left behind.
-struct Outcome {
-    /// What a power loss at the kill point keeps of the file.
-    survivors: Vec<u8>,
-    /// Sink calls completed (all of them, on a run that was not killed),
-    /// and the rewrites among them.
-    calls: usize,
-    rewrites: usize,
-    /// After each turn whose commit returned: submits so far, and the
-    /// gateway's state.
-    committed: Vec<(u64, GatewaySnapshot)>,
-}
-
-/// A journaled gateway over a fresh [`Disk`] that loses power at sink call
-/// `kill_at`.
+/// A journaled gateway whose `FileSink` runs on a fresh [`Model`] that
+/// loses power at call `kill_at`. If the power went already, it went while
+/// the genesis log was being laid down.
 fn powered_gateway(
     policy: FsyncPolicy,
     kill_at: usize,
     torn: bool,
-) -> (JournaledGateway<ShardedGateway>, Arc<Mutex<Disk>>) {
-    let disk = Arc::new(Mutex::new(Disk {
-        kill_at,
-        torn,
-        ..Disk::default()
-    }));
-    let sink = PowerLossSink {
-        disk: Arc::clone(&disk),
-        policy,
-    };
+) -> (JournaledGateway<ShardedGateway>, Model) {
+    let disk = Model::new(kill_at, torn);
+    let sink = FileSink::open_on(disk.clone(), PATH, true)
+        .unwrap()
+        .with_fsync_policy(policy);
     let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         2,
@@ -160,6 +297,30 @@ fn powered_gateway(
     (gateway, disk)
 }
 
+/// A power loss before any log was durable: nothing to recover, and
+/// nothing was acknowledged.
+fn assert_no_log(what: &str, survivors: &[u8]) {
+    assert!(
+        matches!(
+            replay::<ShardedGateway>(survivors),
+            Err(JournalError::NoSnapshot)
+        ),
+        "{what}: a log survived the genesis ({} bytes)",
+        survivors.len()
+    );
+}
+
+/// What a run left behind.
+struct Outcome {
+    /// The disk as the power loss left it.
+    disk: Model,
+    /// The sink's counters (on a run that was not killed).
+    stats: SinkStats,
+    /// After each turn whose commit returned: submits so far, and the
+    /// gateway's state. Empty if the power went in the genesis.
+    committed: Vec<(u64, GatewaySnapshot)>,
+}
+
 fn drive_until_power_loss(
     requests: &[SubmitRequest],
     policy: FsyncPolicy,
@@ -167,32 +328,34 @@ fn drive_until_power_loss(
     torn: bool,
 ) -> Outcome {
     let (mut gateway, disk) = powered_gateway(policy, kill_at, torn);
-    let mut committed = vec![(0, gateway.inner().capture())];
-    let mut rest = requests;
-    let mut sizes = TURN_SIZES.iter().cycle();
-    while !rest.is_empty() {
-        let (turn, later) = rest.split_at((*sizes.next().unwrap()).min(rest.len()));
-        rest = later;
-        let now = turn.last().unwrap().task.arrival;
-        for request in turn {
-            let _ = gateway.decide(request, now);
+    let mut committed = Vec::new();
+    if disk.killed().is_none() {
+        committed.push((0, gateway.inner().capture()));
+        let mut rest = requests;
+        let mut sizes = TURN_SIZES.iter().cycle();
+        while !rest.is_empty() {
+            let (turn, later) = rest.split_at((*sizes.next().unwrap()).min(rest.len()));
+            rest = later;
+            let now = turn.last().unwrap().task.arrival;
+            for request in turn {
+                let _ = gateway.decide(request, now);
+            }
+            gateway.drive(now);
+            if disk.killed().is_some() {
+                // The process died somewhere in this turn: its commit never
+                // returned and none of its verdicts left.
+                break;
+            }
+            let submitted = gateway.metrics().submitted;
+            committed.push((submitted, gateway.inner().capture()));
         }
-        gateway.drive(now);
-        if disk.lock().unwrap().dead {
-            // The process died somewhere in this turn: its commit never
-            // returned and none of its verdicts left.
-            break;
-        }
-        let submitted = gateway.metrics().submitted;
-        committed.push((submitted, gateway.inner().capture()));
     }
+    let stats = gateway.journal().sink_stats().unwrap();
     // The process is gone, and with it whatever the journal still held.
     std::mem::forget(gateway);
-    let disk = disk.lock().unwrap();
     Outcome {
-        survivors: disk.written[..disk.synced].to_vec(),
-        calls: disk.calls,
-        rewrites: disk.rewrites,
+        disk,
+        stats,
         committed,
     }
 }
@@ -203,33 +366,43 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
     for policy in [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend] {
         let whole = drive_until_power_loss(&requests, policy, usize::MAX, false);
         assert_eq!(whole.committed.last().unwrap().0, requests.len() as u64);
-        let turns = whole.committed.len() - 1;
+        let turns = whole.committed.len() as u64 - 1;
+        let stats = whole.stats;
         assert!(
-            whole.calls <= 1 + 2 * turns,
-            "{policy:?}: at most a hand-over and a flush per turn, got {} calls \
-             for {turns} turns",
-            whole.calls
+            stats.writes <= 1 + turns && stats.syncs <= 1 + turns,
+            "{policy:?}: at most a hand-over and a flush per turn, got {stats:?} \
+             for {turns} turns"
         );
+        let rewrites = whole.disk.fs().exchanges;
         assert!(
-            whole.rewrites >= 3,
-            "{policy:?}: compactions fell inside the run ({} rewrites)",
-            whole.rewrites
+            rewrites >= 3,
+            "{policy:?}: compactions fell inside the run ({rewrites} rewrites)"
         );
-        // Call 0 is the genesis rewrite: a kill there leaves no log at all.
-        for kill_at in 1..whole.calls {
+        for kill_at in 0..whole.disk.calls() {
+            let mut in_write = true;
             for torn in [false, true] {
-                let what = format!("{policy:?}, killed at sink call {kill_at}, torn={torn}");
+                if torn && !in_write {
+                    // No write was in flight: the untorn run covered it.
+                    continue;
+                }
+                let what = format!("{policy:?}, killed at call {kill_at}, torn={torn}");
                 let run = drive_until_power_loss(&requests, policy, kill_at, torn);
-                let acknowledged = run.committed.len() - 1;
-                let (gateway, report) = replay::<ShardedGateway>(&run.survivors)
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let killed = run.disk.killed();
+                in_write = matches!(killed, Some(Call::Write { .. }));
+                let survivors = run.disk.survivors();
+                let Some(acknowledged) = run.committed.len().checked_sub(1) else {
+                    assert_no_log(&what, &survivors);
+                    continue;
+                };
+                let (gateway, report) = replay::<ShardedGateway>(&survivors)
+                    .unwrap_or_else(|e| panic!("{what} ({killed:?}): {e}"));
                 let held = gateway.metrics().submitted;
                 let (floor, _) = whole.committed[acknowledged];
                 let (ceiling, _) = whole.committed[acknowledged + 1];
                 assert!(
                     (floor..=ceiling).contains(&held),
-                    "{what}: {acknowledged} turns acknowledged ({floor} submits), \
-                     the dying turn ends at {ceiling}, recovered {held}"
+                    "{what} ({killed:?}): {acknowledged} turns acknowledged ({floor} \
+                     submits), the dying turn ends at {ceiling}, recovered {held}"
                 );
                 if !torn {
                     // Whole runs or nothing: the survivors end on a turn
@@ -255,7 +428,7 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
                 // And the full recovery (re-verification, fresh journal)
                 // accepts the same bytes.
                 let now = requests[held.max(1) as usize - 1].task.arrival;
-                let (recovered, _) = recover::<ShardedGateway>(&run.survivors, now, JOURNAL, None)
+                let (recovered, _) = recover::<ShardedGateway>(&survivors, now, JOURNAL, None)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(recovered.metrics().submitted, held, "{what}");
             }
@@ -263,13 +436,105 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
     }
 }
 
+/// The kill points a crash test must reach, by where the power went.
+#[derive(Debug, Default)]
+struct Reached {
+    /// Between the spare's `sync_data` and the exchange.
+    before_exchange: usize,
+    /// Between the exchange and the directory sync.
+    before_dir_sync: usize,
+    /// Inside a zero-fill write.
+    zero_fill: usize,
+    /// Before the genesis log was durable.
+    genesis: usize,
+}
+
+impl Reached {
+    fn count(&mut self, killed: Option<Call>) {
+        match killed {
+            Some(Call::Exchange) => self.before_exchange += 1,
+            Some(Call::SyncDir) => self.before_dir_sync += 1,
+            Some(Call::Write { zeros: true }) => self.zero_fill += 1,
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_second_power_loss_in_the_post_recovery_rewrite_keeps_every_committed_turn() {
+    let requests = requests(17, 60);
+    let policy = FsyncPolicy::Batch(16);
+    let whole = drive_until_power_loss(&requests, policy, usize::MAX, false);
+    let mut reached = Reached::default();
+    for first in 0..whole.disk.calls() {
+        let run = drive_until_power_loss(&requests, policy, first, false);
+        reached.count(run.disk.killed());
+        let what = format!("first power loss at call {first}");
+        let Some(&(acknowledged, _)) = run.committed.last() else {
+            reached.genesis += 1;
+            assert_no_log(&what, &run.disk.survivors());
+            continue;
+        };
+        // Recovery after the crash (`recover_file_with_policy` on the
+        // model: read the log, recover, attach a sink that keeps the file
+        // until its atomic rewrite), cut by a second power loss at call
+        // `second` of it.
+        let crashed = run.disk.reboot();
+        let bytes = FileSink::read_on(&crashed, PATH).unwrap();
+        let held = replay::<ShardedGateway>(&bytes)
+            .unwrap()
+            .0
+            .metrics()
+            .submitted;
+        assert!(
+            held >= acknowledged,
+            "{what}: recovered {held} < {acknowledged}"
+        );
+        let now = requests[held.max(1) as usize - 1].task.arrival;
+        let rewrite = |second: usize| {
+            let disk = crashed.reboot();
+            disk.arm(second);
+            match recover_file_on::<ShardedGateway, _>(disk.clone(), PATH, now, JOURNAL, policy) {
+                Ok((recovered, _)) => std::mem::forget(recovered),
+                // A read cut short reads nothing to recover from.
+                Err(e) => assert!(disk.killed().is_some(), "{what}: {e}"),
+            }
+            disk
+        };
+        // The last `second` cuts the power right after recovery returned.
+        let calls = rewrite(usize::MAX).calls();
+        for second in 0..=calls {
+            let disk = rewrite(second);
+            reached.count(disk.killed());
+            let survivors = disk.survivors();
+            let (gateway, _) = replay::<ShardedGateway>(&survivors)
+                .unwrap_or_else(|e| panic!("{what}, second at call {second}: {e}"));
+            assert_eq!(
+                gateway.metrics().submitted,
+                held,
+                "{what}, second at call {second} ({:?})",
+                disk.killed()
+            );
+        }
+    }
+    // Every window of the sink's rewrite was cut at least once, so a change
+    // to `FileSink` cannot drop one from this test unnoticed.
+    assert!(
+        reached.before_exchange > 0
+            && reached.before_dir_sync > 0
+            && reached.zero_fill > 0
+            && reached.genesis > 0,
+        "{reached:?}"
+    );
+}
+
 /// What a simulator-driven run left behind.
 struct SimOutcome {
-    survivors: Vec<u8>,
-    calls: usize,
+    disk: Model,
     /// Submits decided by the events that completed while the power was
     /// on — every one of them committed — and by the event it went in.
-    acknowledged: u64,
+    /// `None` if the power went in the genesis.
+    acknowledged: Option<u64>,
     decided: u64,
 }
 
@@ -280,6 +545,14 @@ fn simulate_until_power_loss(
     torn: bool,
 ) -> SimOutcome {
     let (gateway, disk) = powered_gateway(policy, kill_at, torn);
+    if disk.killed().is_some() {
+        std::mem::forget(gateway);
+        return SimOutcome {
+            disk,
+            acknowledged: None,
+            decided: 0,
+        };
+    }
     let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT).strict();
     let mut sim = Simulation::with_frontend(cfg, gateway);
     sim.prime(tasks.iter().copied());
@@ -287,22 +560,20 @@ fn simulate_until_power_loss(
     let decided = loop {
         let stepped = sim.step();
         let decided = sim.frontend().metrics().submitted;
-        if disk.lock().unwrap().dead || !stepped {
+        if disk.killed().is_some() || !stepped {
             break decided;
         }
         acknowledged = decided;
     };
-    if !disk.lock().unwrap().dead {
+    if disk.killed().is_none() {
         let (_, gateway) = sim.finish();
         std::mem::forget(gateway);
     } else {
         std::mem::forget(sim);
     }
-    let disk = disk.lock().unwrap();
     SimOutcome {
-        survivors: disk.written[..disk.synced].to_vec(),
-        calls: disk.calls,
-        acknowledged,
+        disk,
+        acknowledged: Some(acknowledged),
         decided,
     }
 }
@@ -312,25 +583,34 @@ fn power_loss_in_a_simulated_run_keeps_every_completed_arrival() {
     let tasks: Vec<Task> = requests(23, 12).into_iter().map(|r| r.task).collect();
     for policy in [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend] {
         let whole = simulate_until_power_loss(&tasks, policy, usize::MAX, false);
-        assert_eq!(whole.acknowledged, tasks.len() as u64);
-        for kill_at in 1..whole.calls {
+        assert_eq!(whole.acknowledged, Some(tasks.len() as u64));
+        for kill_at in 0..whole.disk.calls() {
+            let mut in_write = true;
             for torn in [false, true] {
-                let what = format!("{policy:?}, killed at sink call {kill_at}, torn={torn}");
+                if torn && !in_write {
+                    continue;
+                }
+                let what = format!("{policy:?}, killed at call {kill_at}, torn={torn}");
                 let run = simulate_until_power_loss(&tasks, policy, kill_at, torn);
-                let (gateway, report) = replay::<ShardedGateway>(&run.survivors)
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                in_write = matches!(run.disk.killed(), Some(Call::Write { .. }));
+                let survivors = run.disk.survivors();
+                let Some(acknowledged) = run.acknowledged else {
+                    assert_no_log(&what, &survivors);
+                    continue;
+                };
+                let (gateway, report) =
+                    replay::<ShardedGateway>(&survivors).unwrap_or_else(|e| panic!("{what}: {e}"));
                 let held = gateway.metrics().submitted;
                 assert!(
-                    (run.acknowledged..=run.decided).contains(&held),
-                    "{what}: {} arrivals completed, {} decided, recovered {held}",
-                    run.acknowledged,
+                    (acknowledged..=run.decided).contains(&held),
+                    "{what}: {acknowledged} arrivals completed, {} decided, recovered {held}",
                     run.decided
                 );
                 if !torn {
                     assert!(report.tail.is_clean(), "{what}: {:?}", report.tail);
                 }
                 let now = tasks[held.max(1) as usize - 1].arrival;
-                let (recovered, _) = recover::<ShardedGateway>(&run.survivors, now, JOURNAL, None)
+                let (recovered, _) = recover::<ShardedGateway>(&survivors, now, JOURNAL, None)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(recovered.metrics().submitted, held, "{what}");
             }
