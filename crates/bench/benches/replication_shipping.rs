@@ -46,7 +46,7 @@ fn workload() -> Vec<Task> {
         .collect()
 }
 
-fn journaled() -> JournaledGateway<ShardedGateway> {
+fn journaled() -> JournaledGateway {
     let gw = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         1,

@@ -109,7 +109,10 @@ pub fn check_invariants(model: &HeterogeneousModel, params: &ClusterParams) -> R
     }
     let exec_time = model.exec_time();
     for i in 0..n {
-        let f = model.model_finish_offset(i);
+        // Node i's finish inside the model, measured from `r_n`:
+        // `Σ_{j≤i} α_j σ Cms + α_i σ Cps_i` (one line of Eq. 3).
+        let tx = alphas[..=i].iter().sum::<f64>() * model.sigma() * params.cms;
+        let f = tx + alphas[i] * model.sigma() * model.cps_het(i);
         if ((f - exec_time) / exec_time).abs() > 1e-9 {
             return Err(format!(
                 "model node {i} finishes at {f}, expected Ê = {exec_time}"

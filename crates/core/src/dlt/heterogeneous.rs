@@ -152,16 +152,6 @@ impl HeterogeneousModel {
         self.cps_het[i]
     }
 
-    /// Finish time of node `i` *within the model* measured from `r_n`:
-    /// `Σ_{j≤i} α_j σ Cms + α_i σ Cps_i` (one line of Eq. 3).
-    ///
-    /// The optimal partition makes this equal to `Ê` for every `i` — exposed
-    /// for verification in tests.
-    pub fn model_finish_offset(&self, i: usize) -> f64 {
-        let tx: f64 = self.alphas[..=i].iter().sum::<f64>() * self.sigma * self.params.cms;
-        tx + self.alphas[i] * self.sigma * self.cps_het[i]
-    }
-
     /// Theorem 4's upper bound on the *actual* completion time of node `i`
     /// on the homogeneous cluster:
     /// `t̃_act_i = Σ_{j≤i} α_j σ Cms + α_i σ Cps + r_i`.

@@ -163,7 +163,8 @@ pub struct EdgeConfig {
     /// task ids (they form the high 32 bits of every server-minted id), so
     /// a *restarted* edge recovering a journaled book must start its ids
     /// past the previous generation's — otherwise a fresh connection could
-    /// mint an id that collides with a still-parked pre-crash task.
+    /// mint an id that collides with a still-parked pre-crash task. Past
+    /// `u32::MAX` connections are refused ([`EdgeStats::connections_refused`]).
     pub first_conn_id: u64,
 }
 
@@ -187,6 +188,9 @@ pub struct EdgeStats {
     pub connections_accepted: u64,
     /// Connections closed (any reason).
     pub connections_closed: u64,
+    /// Connections closed unserved at accept: their id would have passed
+    /// `u32::MAX`, the most a minted task id carries.
+    pub connections_refused: u64,
     /// Connections adopted from another reactor (the home reactor's side
     /// of a `Hello { tenant }` hand-off).
     pub conns_adopted: u64,
@@ -224,6 +228,7 @@ impl EdgeStats {
         for s in stats {
             total.connections_accepted += s.connections_accepted;
             total.connections_closed += s.connections_closed;
+            total.connections_refused += s.connections_refused;
             total.conns_adopted += s.conns_adopted;
             total.frames_received += s.frames_received;
             total.frames_sent += s.frames_sent;
@@ -257,6 +262,11 @@ pub fn fold_edge_stats(
         "rtdls_edge_connections_closed",
         &[],
         stats.connections_closed,
+    );
+    reg.counter(
+        "rtdls_edge_connections_refused",
+        &[],
+        stats.connections_refused,
     );
     reg.counter("rtdls_edge_conns_adopted", &[], stats.conns_adopted);
     reg.counter("rtdls_edge_frames_received", &[], stats.frames_received);

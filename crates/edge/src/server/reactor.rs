@@ -187,13 +187,6 @@ impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
         self.history.as_ref()
     }
 
-    /// Parked-task pushback entries currently held (server-minted task id →
-    /// submitting connection). Bounded by eviction on connection close —
-    /// see [`EdgeStats::pending_evicted`].
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The served gateway.
     pub fn gateway(&self) -> &G {
         &self.gateway
@@ -349,6 +342,12 @@ impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
     fn accept_new(&mut self) {
         loop {
             match self.transport.accept() {
+                // Connection ids are the high half of every minted task id
+                // (`PendingRegistry::mint`): past `u32::MAX` they would
+                // alias, so the connection is closed unserved instead.
+                Ok(_) if self.next_id > u64::from(u32::MAX) => {
+                    self.stats.connections_refused += 1;
+                }
                 Ok(stream) => {
                     let mut conn = Conn::new(self.next_id, stream, self.cfg.max_frame_len);
                     self.next_id += 1;

@@ -13,9 +13,10 @@
 //!
 //! The 32-bit split also bounds the wire contract: a client task id must
 //! fit in `u32` (enforced at ingress with a protocol error), and an edge
-//! generation must hand out fewer than 2³² connection ids — a restarted
-//! edge continues from `EdgeConfig::first_conn_id` to keep generations
-//! disjoint, because a recovered journal still holds pre-crash minted ids.
+//! hands out no connection id past `u32::MAX` (the reactor refuses those
+//! connections at accept) — a restarted edge continues from
+//! `EdgeConfig::first_conn_id` to keep generations disjoint, because a
+//! recovered journal still holds pre-crash minted ids.
 
 use std::collections::HashSet;
 
@@ -31,7 +32,7 @@ impl PendingRegistry {
     /// The server-side task id for `client_task` submitted on `conn`:
     /// distinct connections can never mint the same id.
     pub(crate) fn mint(conn: u64, client_task: u64) -> u64 {
-        debug_assert!(conn <= u32::MAX as u64, "connection id space exhausted");
+        debug_assert!(conn <= u32::MAX as u64, "refused at accept");
         debug_assert!(client_task <= u32::MAX as u64, "checked at ingress");
         (conn << 32) | client_task
     }

@@ -31,7 +31,7 @@ use rtdls_edge::proto::encode_client;
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
-use support::{mem_server, InlineClient, MemClient, Probe};
+use support::{mem_server, InlineClient, Mem, MemClient, MemNet, Probe};
 
 fn sharded(shards: usize) -> ShardedGateway {
     ShardedGateway::new(
@@ -747,22 +747,44 @@ fn pending_entries_are_evicted_when_their_connection_dies() {
                 ..
             }
         ));
-        assert_eq!(server.pending_len(), 1, "the parked task is tracked");
+        assert_eq!(
+            pending(&mut server, &net, now),
+            1.0,
+            "the parked task is tracked"
+        );
         // The client vanishes without a Bye.
     }
     for _ in 0..200 {
         server.poll(now);
-        if server.pending_len() == 0 {
+        if server.connections() == 0 {
             break;
         }
     }
     assert_eq!(server.connections(), 0, "the dead connection was reaped");
     assert_eq!(
-        server.pending_len(),
-        0,
+        pending(&mut server, &net, now),
+        0.0,
         "its pending entry went with it (no leak)"
     );
     assert_eq!(server.stats().pending_evicted, 1);
+}
+
+/// The edge's pending-pushback entries as an operator reads them: the
+/// `rtdls_edge_pending` gauge, asked over an ops connection of its own.
+fn pending<G: EdgeGateway>(server: &mut EdgeServer<G, Mem>, net: &MemNet, now: SimTime) -> f64 {
+    let mut ops = InlineClient::connect(net);
+    assert!(matches!(ops.recv(server, now), ServerMsg::Hello { .. }));
+    ops.send(&ClientMsg::Ops {
+        query: OpsQuery::Stats,
+    });
+    let ServerMsg::OpsReport {
+        report: OpsReport::Stats { samples, .. },
+    } = ops.recv(server, now)
+    else {
+        panic!("expected Stats report");
+    };
+    let gauge = samples.iter().find(|s| s.name == "rtdls_edge_pending");
+    gauge.expect("the edge exports its pending entries").value
 }
 
 /// Two independent clients are entitled to both call their task `2`: task
@@ -837,8 +859,8 @@ fn identical_task_ids_on_concurrent_connections_get_their_own_updates() {
     };
     assert_ne!(alice_ticket, bob_ticket, "two distinct parked tasks");
     assert_eq!(
-        server.pending_len(),
-        2,
+        pending(&mut server, &net, t0),
+        2.0,
         "both entries tracked — identical client ids must not alias"
     );
     // Both tickets expire; each client receives exactly its own
@@ -876,7 +898,88 @@ fn identical_task_ids_on_concurrent_connections_get_their_own_updates() {
     );
     assert_eq!(server.stats().updates_pushed, 2);
     assert_eq!(server.stats().updates_dropped, 0);
-    assert_eq!(server.pending_len(), 0);
+    assert_eq!(pending(&mut server, &net, late), 0.0);
+}
+
+/// Connection ids are the high half of every minted task id, so an edge
+/// hands out none past `u32::MAX`: it refuses those connections and counts
+/// them. Before the bound, a release build minted the next id's tasks into
+/// connection 0's and 1's space (their resolutions went to connections
+/// that do not exist), and a dev build's mint assertion fired.
+#[test]
+fn connections_past_the_id_space_are_refused_never_aliased() {
+    let p = ClusterParams::paper_baseline();
+    let e16 = homogeneous::exec_time(&p, 800.0, 16);
+    let gateway = ShardedGateway::new(
+        p,
+        1,
+        AlgorithmKind::EDF_DLT,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap();
+    let cfg = EdgeConfig {
+        first_conn_id: u64::from(u32::MAX) - 1,
+        ..Default::default()
+    };
+    let (mut server, net) = mem_server(gateway, cfg);
+    let t0 = SimTime::ZERO;
+    let mut clients: Vec<_> = (0..4).map(|_| InlineClient::connect(&net)).collect();
+    assert!(matches!(
+        clients[0].recv(&mut server, t0),
+        ServerMsg::Hello { .. }
+    ));
+    clients[0].send(&ClientMsg::Submit {
+        seq: 0,
+        request: SubmitRequest::new(Task::new(1, 0.0, 800.0, e16 * 1.05)),
+    });
+    assert!(matches!(
+        clients[0].recv(&mut server, t0),
+        ServerMsg::Verdict {
+            verdict: Verdict::Accepted,
+            ..
+        }
+    ));
+    // Every client parks a task under the same client-chosen id.
+    for client in &mut clients {
+        client.send(&ClientMsg::Submit {
+            seq: 1,
+            request: SubmitRequest::new(Task::new(2, 0.0, 800.0, e16 * 1.5)),
+        });
+    }
+    assert!(matches!(
+        clients[1].recv(&mut server, t0),
+        ServerMsg::Hello { .. }
+    ));
+    for client in &mut clients[..2] {
+        assert!(matches!(
+            client.recv(&mut server, t0),
+            ServerMsg::Verdict {
+                task: 2,
+                verdict: Verdict::Deferred { .. },
+                ..
+            }
+        ));
+    }
+    for (i, client) in clients.iter_mut().enumerate().skip(2) {
+        assert!(client.closed(&mut server, t0), "client {i} is refused");
+        assert!(client.received.is_empty(), "client {i} was sent nothing");
+    }
+    assert_eq!(server.stats().connections_accepted, 2);
+    assert_eq!(server.stats().connections_refused, 2);
+    // The ticket of each served client resolves to that client.
+    let late = SimTime::new(e16 * 2.0);
+    for client in &mut clients[..2] {
+        assert!(matches!(
+            client.recv(&mut server, late),
+            ServerMsg::Update {
+                update: DecisionUpdate::Resolved { task: 2, .. }
+            }
+        ));
+    }
+    assert_eq!(server.stats().updates_pushed, 2);
+    assert_eq!(server.stats().updates_dropped, 0);
 }
 
 /// Drain reaping runs on the *simulated* clock, not the wall clock: a
@@ -1210,7 +1313,7 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     };
     // max_queue 0: overload rejects outright instead of parking tickets,
     // so the acceptance SLO is fed entirely at decide time.
-    let mut gateway = ShardedGateway::new(
+    let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         2,
         AlgorithmKind::EDF_DLT,
@@ -1222,7 +1325,10 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
         },
     )
     .unwrap();
-    gateway.set_slo(SloTracker::new(policy));
+    // The tracker goes in the way recovery installs one: in an image.
+    let mut image = GatewaySnapshot::capture(&gateway);
+    image.slo = SloTracker::new(policy);
+    let gateway = image.restore().unwrap();
     let journal_cfg = JournalConfig {
         snapshot_every: 100_000, // genesis snapshot only: the whole WAL survives
         compact_on_snapshot: false,
@@ -1243,7 +1349,7 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     ));
 
     let slo_rows = |client: &mut InlineClient<MemClient>,
-                    server: &mut EdgeServer<JournaledGateway<ShardedGateway>, support::Mem>,
+                    server: &mut EdgeServer<JournaledGateway, support::Mem>,
                     now: SimTime| {
         client.send(&ClientMsg::Ops {
             query: rtdls_edge::proto::OpsQuery::Slo,

@@ -22,7 +22,7 @@ use rtdls_telemetry::{Stage, Telemetry};
 
 const KILL_AT: f64 = 2_000.0;
 
-fn primary() -> JournaledGateway<ShardedGateway> {
+fn primary() -> JournaledGateway {
     let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         2,

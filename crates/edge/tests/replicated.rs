@@ -57,7 +57,7 @@ fn exported(samples: &[MetricSample], name: &str) -> bool {
     samples.iter().any(|s| s.name == name || s.name == count)
 }
 
-fn journaled_primary() -> JournaledGateway<ShardedGateway> {
+fn journaled_primary() -> JournaledGateway {
     JournaledGateway::new(sharded(), NO_COMPACTION)
 }
 
@@ -81,7 +81,7 @@ fn sharded() -> ShardedGateway {
 #[test]
 fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     // The warm standby, accepting one primary.
-    let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+    let follower = Follower::new(FollowerConfig::default());
     let mut standby = FollowerServer::bind("127.0.0.1:0", follower).expect("bind standby");
     let standby_addr = standby.local_addr().expect("standby addr");
     let standby_thread = std::thread::spawn(move || {
@@ -278,7 +278,7 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     let (cold, report) = replay::<ShardedGateway>(standby.follower().bytes()).expect("replays");
     assert!(report.tail.is_clean());
     assert_eq!(
-        cold.capture(),
+        GatewaySnapshot::capture(&cold),
         gateway_snapshot_of(&wal),
         "standby state equals a cold recovery of the primary's WAL"
     );
@@ -287,7 +287,7 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
 /// The captured state of a cold replay of `wal` — the reference state.
 fn gateway_snapshot_of(wal: &[u8]) -> GatewaySnapshot {
     let (gw, _) = replay::<ShardedGateway>(wal).expect("wal replays");
-    gw.capture()
+    GatewaySnapshot::capture(&gw)
 }
 
 /// Both ends of one loopback connection: the primary's, the standby's.
@@ -356,7 +356,7 @@ fn an_idle_linked_primary_keeps_its_standby_from_promoting() {
     standby
         .set_read_timeout(Some(Duration::from_millis(20)))
         .expect("read timeout");
-    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+    let mut follower = Follower::new(FollowerConfig::default());
     assert!(4.0 * cfg.heartbeat_every > FollowerConfig::default().promote_after);
 
     let step = cfg.heartbeat_every / 10.0;

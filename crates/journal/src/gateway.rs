@@ -1,4 +1,5 @@
-//! [`JournaledGateway`]: the write-ahead-logging wrapper around a gateway.
+//! [`JournaledGateway`]: the write-ahead-logging wrapper around the
+//! [`ShardedGateway`].
 //!
 //! Serves the same turns as the wrapped gateway ([`Serve`]), so it drops
 //! into the network edge, a `Simulation::with_frontend` run or a bench
@@ -30,11 +31,13 @@ use rtdls_telemetry::{MetricsRegistry, Stage, Telemetry};
 
 use crate::event::JournalEvent;
 use crate::journal::{Journal, JournalConfig, JournalSink};
-use crate::snapshot::Recoverable;
+use crate::snapshot::GatewaySnapshot;
 
 /// A gateway whose every decision-relevant input is write-ahead journaled,
 /// with periodic compacting snapshots of the full gateway state.
-pub struct JournaledGateway<G: Recoverable> {
+/// `G` is always [`ShardedGateway`]; it is kept so the spelling
+/// `JournaledGateway<ShardedGateway>` still compiles.
+pub struct JournaledGateway<G = ShardedGateway> {
     inner: G,
     journal: Journal,
     /// Process-local recording handle (never journaled; see
@@ -46,25 +49,29 @@ pub struct JournaledGateway<G: Recoverable> {
     recovered_at: Option<SimTime>,
 }
 
-impl<G: Recoverable> JournaledGateway<G> {
+impl JournaledGateway {
     /// Wraps `inner`, writing the genesis snapshot into a fresh in-memory
     /// journal (use [`with_sink`](JournaledGateway::with_sink) for
     /// durability beyond the process).
-    pub fn new(inner: G, cfg: JournalConfig) -> Self {
+    pub fn new(inner: ShardedGateway, cfg: JournalConfig) -> Self {
         Self::with_journal(inner, Journal::in_memory(cfg))
     }
 
     /// Wraps `inner`, mirroring the journal into `sink` (e.g. a
     /// [`FileSink`](crate::journal::FileSink)).
-    pub fn with_sink(inner: G, cfg: JournalConfig, sink: Box<dyn JournalSink>) -> Self {
+    pub fn with_sink(
+        inner: ShardedGateway,
+        cfg: JournalConfig,
+        sink: Box<dyn JournalSink>,
+    ) -> Self {
         Self::with_journal(inner, Journal::with_sink(cfg, sink))
     }
 
     /// Wraps `inner` over an existing (empty) journal, writing the genesis
     /// snapshot (stamped with the journal's epoch). Recovery uses this to
     /// hand back a re-journaled gateway.
-    pub(crate) fn with_journal(inner: G, mut journal: Journal) -> Self {
-        let mut genesis = inner.capture();
+    pub(crate) fn with_journal(inner: ShardedGateway, mut journal: Journal) -> Self {
+        let mut genesis = GatewaySnapshot::capture(&inner);
         genesis.epoch = journal.epoch();
         journal.append_snapshot(&genesis);
         JournaledGateway {
@@ -81,7 +88,7 @@ impl<G: Recoverable> JournaledGateway<G> {
     }
 
     /// The wrapped gateway.
-    pub fn inner(&self) -> &G {
+    pub fn inner(&self) -> &ShardedGateway {
         &self.inner
     }
 
@@ -99,7 +106,7 @@ impl<G: Recoverable> JournaledGateway<G> {
 
     /// The wrapped gateway's cumulative metrics.
     pub fn metrics(&self) -> &ServiceMetrics {
-        self.inner.bare().metrics()
+        self.inner.metrics()
     }
 
     /// Decides one submission envelope at time `now`, journaling the full
@@ -199,14 +206,14 @@ impl<G: Recoverable> JournaledGateway<G> {
 
     fn maybe_snapshot(&mut self) {
         if self.journal.wants_snapshot() {
-            let mut snap = self.inner.capture();
+            let mut snap = GatewaySnapshot::capture(&self.inner);
             snap.epoch = self.journal.epoch();
             self.journal.append_snapshot(&snap);
         }
     }
 }
 
-impl<G: Recoverable> core::fmt::Debug for JournaledGateway<G> {
+impl core::fmt::Debug for JournaledGateway {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("JournaledGateway")
             .field("journal", &self.journal)
@@ -214,9 +221,9 @@ impl<G: Recoverable> core::fmt::Debug for JournaledGateway<G> {
     }
 }
 
-impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
+impl EdgeGateway for JournaledGateway {
     fn bare(&self) -> &ShardedGateway {
-        self.inner.bare()
+        &self.inner
     }
 
     fn book_mut(&mut self) -> &mut ServiceBook {
@@ -260,7 +267,7 @@ impl<G: Recoverable> EdgeGateway for JournaledGateway<G> {
     }
 }
 
-impl<G: Recoverable> Serve for JournaledGateway<G> {
+impl Serve for JournaledGateway {
     type Outcome = Verdict;
 
     /// [`submit_request`](JournaledGateway::submit_request) as part of the
@@ -302,7 +309,7 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
     fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
         self.journal
             .append_event(&JournalEvent::Finalized { at: now });
-        self.inner.bare_mut().flush_parked();
+        self.inner.flush_parked();
         let mut resolved = Vec::new();
         self.drain(&mut resolved);
         self.journal.flush();
@@ -311,7 +318,7 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
 
     fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
         // Every waiting task has a planned dispatch: none = nothing waits.
-        if self.inner.bare().next_dispatch_due().is_some() {
+        if self.inner.next_dispatch_due().is_some() {
             self.journal
                 .append_event(&JournalEvent::Replanned { at: now });
         }
@@ -336,29 +343,28 @@ impl<G: Recoverable> Serve for JournaledGateway<G> {
 
 /// The turn's steps, each journaled write-ahead only when it changes
 /// something — the poll conditions mirror the gateway's own.
-impl<G: Recoverable> JournaledGateway<G> {
+impl JournaledGateway {
     fn dispatch_due(&mut self, now: SimTime, due: &mut Vec<(Task, TaskPlan)>) {
         let due_now = self
             .inner
-            .bare()
             .next_dispatch_due()
             .is_some_and(|t| t.at_or_before_eps(now));
         if !due_now {
             // Nothing falls due: this only hands the spent entries back.
-            return self.inner.bare_mut().refill_due(now, due);
+            return self.inner.refill_due(now, due);
         }
         self.journal
             .append_event(&JournalEvent::DispatchDue { at: now });
-        self.inner.bare_mut().refill_due(now, due);
+        self.inner.refill_due(now, due);
         debug_assert!(!due.is_empty(), "poll condition mirrors take_due");
         self.maybe_snapshot();
     }
 
     fn retest(&mut self, now: SimTime) {
-        if !self.inner.bare().deferred().is_empty() {
+        if !self.inner.deferred().is_empty() {
             self.journal
                 .append_event(&JournalEvent::Retested { at: now });
-            self.inner.bare_mut().retest_deferred(now);
+            self.inner.retest_deferred(now);
             self.audit_breaches();
             self.maybe_snapshot();
         }
@@ -367,14 +373,13 @@ impl<G: Recoverable> JournaledGateway<G> {
     fn activate_due(&mut self, now: SimTime) {
         let due = self
             .inner
-            .bare()
             .reservations()
             .next_activation()
             .is_some_and(|t| t.at_or_before_eps(now));
         if due {
             self.journal
                 .append_event(&JournalEvent::ActivationDue { at: now });
-            self.inner.bare_mut().activate_reservations(now);
+            self.inner.activate_reservations(now);
             self.audit_activations();
             self.audit_breaches();
             self.maybe_snapshot();
@@ -384,11 +389,11 @@ impl<G: Recoverable> JournaledGateway<G> {
     /// Clearing the pending list is a state change: journaled as an input
     /// (write-ahead), then the per-task verdicts as audit records.
     fn drain(&mut self, resolved: &mut Vec<Resolution>) {
-        if self.inner.bare().pending_resolutions().is_empty() {
+        if self.inner.pending_resolutions().is_empty() {
             return resolved.clear();
         }
         self.journal.append_event(&JournalEvent::Drained);
-        self.inner.bare_mut().drain_resolutions(resolved);
+        self.inner.drain_resolutions(resolved);
         for (task, cause) in resolved.iter() {
             let ev = match cause {
                 None => JournalEvent::Rescued { task: task.id.0 },
@@ -480,13 +485,8 @@ mod tests {
         let wal = j.journal().bytes().to_vec();
         drop(j);
 
-        let (mut recovered, _report) = crate::recover::<ShardedGateway>(
-            &wal,
-            SimTime::new(5.0),
-            JournalConfig::default(),
-            None,
-        )
-        .unwrap();
+        let (mut recovered, _report) =
+            crate::recover(&wal, SimTime::new(5.0), JournalConfig::default(), None).unwrap();
         let telemetry = Telemetry::with_defaults();
         recovered.attach_telemetry(&telemetry);
         let spans = telemetry.recent_spans(4);

@@ -319,11 +319,9 @@ impl<D: Disk> JournalSink for FileSink<D> {
             // Make the exchange itself durable: without the directory fsync
             // a power failure could bring back the old names, and frames
             // appended (and acknowledged) after this compaction would
-            // vanish with the new log.
-            if let Some(parent) = self.path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                self.disk.sync_dir(parent)?;
-            }
-            Ok(())
+            // vanish with the new log. A bare name lives in `.`.
+            let dir = self.path.parent().filter(|p| !p.as_os_str().is_empty());
+            self.disk.sync_dir(dir.unwrap_or(Path::new(".")))
         };
         swap().expect("journal file rewrite must succeed");
         std::mem::swap(&mut self.log, &mut self.spare);
@@ -665,7 +663,7 @@ mod tests {
             DeferPolicy::default(),
         )
         .unwrap();
-        crate::snapshot::Recoverable::capture(&g)
+        GatewaySnapshot::capture(&g)
     }
 
     #[test]

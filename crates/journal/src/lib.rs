@@ -19,8 +19,10 @@
 //!   reach the durable sink as one write, synced before the turn's
 //!   verdicts may leave the process.
 //! * **Snapshots** of the full gateway state (per-shard books, defer queue
-//!   with its policy, cumulative metrics) are appended periodically and
-//!   compact the log, bounding recovery replay time.
+//!   with its policy, cumulative metrics), taken by
+//!   [`GatewaySnapshot::capture`] and rebuilt by
+//!   [`GatewaySnapshot::restore`], are appended periodically and compact
+//!   the log, bounding recovery replay time.
 //! * **[`recover()`]** rebuilds a gateway from nothing but journal bytes:
 //!   restore the last intact snapshot, replay the input tail (the gateway
 //!   is a deterministic state machine, so the replayed state equals the
@@ -53,7 +55,7 @@
 //! let wal = journaled.journal().bytes().to_vec();
 //! drop(journaled);
 //!
-//! let (recovered, report) = rtdls_journal::recover::<ShardedGateway>(
+//! let (recovered, report) = rtdls_journal::recover(
 //!     &wal,
 //!     SimTime::ZERO,
 //!     JournalConfig::default(),
@@ -86,7 +88,7 @@ pub use recover::{
     apply_event, recover, recover_file_on, recover_file_with_policy, replay, requalify,
     RecoveryReport,
 };
-pub use snapshot::{GatewaySnapshot, JournalError, Recoverable};
+pub use snapshot::{GatewaySnapshot, JournalError};
 pub use telemetry::fold_journal_metrics;
 pub use wire::TailStatus;
 
@@ -100,7 +102,7 @@ pub mod prelude {
     pub use crate::recover::{
         recover, recover_file_with_policy, replay, requalify, RecoveryReport,
     };
-    pub use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
+    pub use crate::snapshot::{GatewaySnapshot, JournalError};
     pub use crate::telemetry::fold_journal_metrics;
     pub use crate::wire::TailStatus;
     /// The serving traits a [`JournaledGateway`] is driven through.

@@ -1,16 +1,18 @@
 //! Crash recovery: snapshot restore + tail replay + strict re-admission.
 //!
-//! [`recover`] rebuilds a gateway from nothing but journal bytes:
+//! [`recover`] rebuilds the [`ShardedGateway`] from nothing but journal
+//! bytes:
 //!
 //! 1. **Decode** the log ([`wire`](crate::wire)), tolerating a torn or
 //!    corrupt tail — at most the records at the damage point are lost,
 //!    never earlier ones. Checksums are verified; payloads are not copied.
-//! 2. **Restore** the last intact snapshot (every journal starts with a
-//!    genesis snapshot, so one always exists in an undamaged log).
+//! 2. **Restore** the last intact snapshot with
+//!    [`GatewaySnapshot::restore`] (every journal starts with a genesis
+//!    snapshot, so one always exists in an undamaged log).
 //! 3. **Replay** the input events appended after that snapshot through the
-//!    gateway's ordinary code paths, read by [`JournalEvent::decode_input`]
-//!    as the warm standby reads them: audit records are counted by their
-//!    tag, never decoded. The gateway is a deterministic state machine over
+//!    gateway's ordinary code paths ([`apply_event`]), read by
+//!    [`JournalEvent::decode_input`] as the warm standby reads them: audit
+//!    records are counted by their tag, never decoded. The gateway is a deterministic state machine over
 //!    its inputs and a snapshot holds nothing else, so the replayed state's
 //!    capture equals the live pre-crash capture exactly.
 //! 4. **Re-verify**: re-run the strict Fig. 2 admission test over every
@@ -29,12 +31,13 @@
 use std::path::Path;
 
 use rtdls_core::prelude::{SimTime, SubmitRequest, TaskId};
-use rtdls_sim::serve::Turn;
+use rtdls_service::prelude::{EdgeGateway, ShardedGateway};
+use rtdls_sim::serve::{Serve, Turn};
 
 use crate::disk::{Disk, Std};
 use crate::event::JournalEvent;
 use crate::journal::{FileSink, FsyncPolicy, Journal, JournalConfig, JournalSink};
-use crate::snapshot::{GatewaySnapshot, JournalError, Recoverable};
+use crate::snapshot::{GatewaySnapshot, JournalError};
 use crate::wire::{decode_frames, RecordKind, TailStatus};
 use crate::JournaledGateway;
 
@@ -66,7 +69,7 @@ pub struct RecoveryReport {
 /// code paths. Audit events are ignored (replay regenerates them). `turn`
 /// is the replay's kept buffer: a dispatch or a drain fills it, and the
 /// next one spends it, as a driver's turn is spent.
-pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent, turn: &mut Turn) {
+pub fn apply_event(gateway: &mut ShardedGateway, event: &JournalEvent, turn: &mut Turn) {
     match event {
         // No writer emits `Submitted` any more; WALs that hold it replay it
         // as what it always was, a submission under the default envelope.
@@ -78,7 +81,7 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent, turn: 
         // order.
         JournalEvent::BatchSubmitted { tasks, at } => {
             let mut tasks = tasks.clone();
-            gateway.bare().algorithm().policy.sort(&mut tasks);
+            gateway.algorithm().policy.sort(&mut tasks);
             for task in tasks {
                 let _ = gateway.decide(&SubmitRequest::new(task), *at);
             }
@@ -87,7 +90,7 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent, turn: 
             let _ = gateway.decide(request, *at);
         }
         JournalEvent::ActivationDue { at } => {
-            gateway.bare_mut().activate_reservations(*at);
+            gateway.activate_reservations(*at);
             // Replay regenerates (and discards) the activation audit; the
             // recovery journal re-audits from its own fresh activations.
             let _ = gateway.book_mut().take_activation_log();
@@ -96,15 +99,15 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent, turn: 
         JournalEvent::DispatchDue { at } => {
             // The physical dispatch already happened pre-crash; replay only
             // re-commits its release bookkeeping.
-            gateway.bare_mut().refill_due(*at, &mut turn.dispatched);
+            gateway.refill_due(*at, &mut turn.dispatched);
         }
         JournalEvent::Replanned { at } => {
             let _ = gateway.replan_waiting(*at);
         }
-        JournalEvent::Retested { at } => gateway.bare_mut().retest_deferred(*at),
-        JournalEvent::Finalized { .. } => gateway.bare_mut().flush_parked(),
+        JournalEvent::Retested { at } => gateway.retest_deferred(*at),
+        JournalEvent::Finalized { .. } => gateway.flush_parked(),
         JournalEvent::Drained => {
-            gateway.bare_mut().drain_resolutions(&mut turn.resolved);
+            gateway.drain_resolutions(&mut turn.resolved);
         }
         // Audit records carry no state.
         JournalEvent::Accepted { .. }
@@ -123,7 +126,9 @@ pub fn apply_event<G: Recoverable>(gateway: &mut G, event: &JournalEvent, turn: 
 /// tail. Returns the rebuilt bare gateway (no re-verification yet, no new
 /// journal) plus the partial report — the exact pre-crash state, which the
 /// replay-determinism tests compare against the live gateway.
-pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), JournalError> {
+/// `G` is always [`ShardedGateway`]; it is kept so the spelling
+/// `replay::<ShardedGateway>` still compiles.
+pub fn replay<G: From<ShardedGateway>>(bytes: &[u8]) -> Result<(G, RecoveryReport), JournalError> {
     let (frames, tail) = decode_frames(bytes);
     let last = frames
         .iter()
@@ -131,7 +136,7 @@ pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), Journ
         .ok_or(JournalError::NoSnapshot)?;
     let snapshot: GatewaySnapshot = serde_json::from_slice(frames[last].payload)?;
     let epoch = snapshot.epoch;
-    let mut gateway = G::restore(&snapshot)?;
+    let mut gateway = snapshot.restore()?;
     let frames_decoded = frames.len() - last; // the snapshot and its tail
     let (mut events_replayed, mut turn) = (0, Turn::default());
     for frame in &frames[last + 1..] {
@@ -142,7 +147,7 @@ pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), Journ
     }
     let audit_records = frames_decoded - 1 - events_replayed;
     Ok((
-        gateway,
+        gateway.into(),
         RecoveryReport {
             frames_decoded,
             events_replayed,
@@ -160,13 +165,13 @@ pub fn replay<G: Recoverable>(bytes: &[u8]) -> Result<(G, RecoveryReport), Journ
 /// the strict test), and wrap the result in a [`JournaledGateway`] whose
 /// new journal opens with a post-recovery snapshot followed by the demotion
 /// audit records.
-pub fn recover<G: Recoverable>(
+pub fn recover(
     bytes: &[u8],
     now: SimTime,
     cfg: JournalConfig,
     sink: Option<Box<dyn JournalSink>>,
-) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
-    let (gateway, mut report) = replay::<G>(bytes)?;
+) -> Result<(JournaledGateway, RecoveryReport), JournalError> {
+    let (gateway, mut report) = replay(bytes)?;
     let (journaled, demoted) = requalify(gateway, now, cfg, sink, report.epoch);
     report.demoted = demoted;
     report.recovered_at = now;
@@ -179,20 +184,15 @@ pub fn recover<G: Recoverable>(
 /// wrap the gateway in a fresh [`JournaledGateway`] journaling under
 /// `epoch`, and journal the demotions after the genesis snapshot. Returns
 /// the wrapper and the demoted task ids.
-pub fn requalify<G: Recoverable>(
-    mut gateway: G,
+pub fn requalify(
+    mut gateway: ShardedGateway,
     now: SimTime,
     cfg: JournalConfig,
     sink: Option<Box<dyn JournalSink>>,
     epoch: u64,
-) -> (JournaledGateway<G>, Vec<TaskId>) {
+) -> (JournaledGateway, Vec<TaskId>) {
     gateway.book_mut().forget_replay();
-    let demoted: Vec<TaskId> = gateway
-        .bare_mut()
-        .reverify(now)
-        .iter()
-        .map(|t| t.id)
-        .collect();
+    let demoted: Vec<TaskId> = gateway.reverify(now).iter().map(|t| t.id).collect();
     let mut journal = match sink {
         Some(sink) => Journal::with_sink(cfg, sink),
         None => Journal::in_memory(cfg),
@@ -225,23 +225,28 @@ pub fn requalify<G: Recoverable>(
 /// The [`FsyncPolicy`] is process configuration, not journaled state, so recovery
 /// cannot infer it from the log: a group-commit edge passes its own to keep
 /// its durability/cost point across a restart.
-pub fn recover_file_with_policy<G: Recoverable>(
+/// `G` is always [`ShardedGateway`]; it is kept so the spelling
+/// `recover_file_with_policy::<ShardedGateway>` still compiles.
+pub fn recover_file_with_policy<G>(
     path: impl AsRef<Path>,
     now: SimTime,
     cfg: JournalConfig,
     policy: FsyncPolicy,
-) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
-    recover_file_on(Std, path, now, cfg, policy)
+) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError>
+where
+    JournaledGateway: Into<JournaledGateway<G>>,
+{
+    recover_file_on(Std, path, now, cfg, policy).map(|(j, report)| (j.into(), report))
 }
 
 /// [`recover_file_with_policy`] on `disk`.
-pub fn recover_file_on<G: Recoverable, D: Disk + 'static>(
+pub fn recover_file_on<D: Disk + 'static>(
     disk: D,
     path: impl AsRef<Path>,
     now: SimTime,
     cfg: JournalConfig,
     policy: FsyncPolicy,
-) -> Result<(JournaledGateway<G>, RecoveryReport), JournalError> {
+) -> Result<(JournaledGateway, RecoveryReport), JournalError> {
     let bytes = FileSink::read_on(&disk, &path)?;
     let (mut journaled, report) = recover(&bytes, now, cfg, None)?;
     let sink = FileSink::open_on(disk, &path, false)?.with_fsync_policy(policy);

@@ -1,4 +1,5 @@
-//! Full-state gateway snapshots and the [`Recoverable`] trait.
+//! Full-state gateway snapshots: [`GatewaySnapshot::capture`] and
+//! [`GatewaySnapshot::restore`].
 //!
 //! A [`GatewaySnapshot`] is the complete durable image of a gateway at one
 //! instant: per-shard controller books (waiting queues with plans, committed
@@ -9,16 +10,16 @@
 //! decision latency histograms, the decision window) stay process-local —
 //! so restoring a snapshot and replaying the journal events appended after
 //! it reproduces the pre-crash gateway's capture exactly, byte for byte.
-//! [`ShardedGateway`] is the one [`Recoverable`]; a single cluster is its
-//! one-shard case.
+//! The gateway is one deterministic state machine, [`ShardedGateway`]; a
+//! single cluster is its one-shard case.
 
 use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{AlgorithmKind, ClusterParams, ControllerState, Infeasible, Task};
 use rtdls_service::prelude::{
-    DeferState, DeferredQueue, EdgeGateway, MetricsSnapshot, QuotaPolicy, ReservationBook,
-    ReservationState, Routing, ServiceBook, ServiceMetrics, ShardedGateway, SloTracker,
-    TenantLedger, TenantLedgerState,
+    DeferState, DeferredQueue, MetricsSnapshot, QuotaPolicy, ReservationBook, ReservationState,
+    Routing, ServiceBook, ServiceMetrics, ShardedGateway, SloTracker, TenantLedger,
+    TenantLedgerState,
 };
 
 /// Errors surfaced by snapshot restore and journal recovery.
@@ -112,68 +113,48 @@ pub struct GatewaySnapshot {
     /// alarming exactly where the crashed one stopped.
     #[serde(default)]
     pub slo: SloTracker,
-    /// Promotion epoch the snapshot was journaled under. [`capture`]
-    /// (which is epoch-unaware) leaves it 0; the journaling wrapper stamps
-    /// its journal's epoch before appending, and recovery carries the
-    /// restored snapshot's epoch into the new journal. A follower
-    /// promotion bumps it, fencing the previous primary's late appends.
-    ///
-    /// [`capture`]: Recoverable::capture
+    /// Promotion epoch the snapshot was journaled under.
+    /// [`capture`](GatewaySnapshot::capture) (which is epoch-unaware)
+    /// leaves it 0; the journaling wrapper stamps its journal's epoch
+    /// before appending, and recovery carries the restored snapshot's epoch
+    /// into the new journal. A follower promotion bumps it, fencing the
+    /// previous primary's late appends.
     #[serde(default)]
     pub epoch: u64,
 }
 
-/// A gateway the journal subsystem can persist and rebuild: the serving
-/// trait plus capture and restore, and mutable access to the bare
-/// [`ShardedGateway`] whose own methods are the per-event steps a turn is
-/// made of — the journaling wrapper applies them one by one (each after its
-/// write-ahead record) and [`apply_event`](crate::recover::apply_event)
-/// replays them. Submissions, node releases and replans replay through the
-/// serving trait itself.
-///
-/// Implementors must be *deterministic state machines* over the journal's
-/// input events: same state + same inputs ⇒ same capture. The gateway
-/// satisfies this (its only nondeterminism, the wall-clock half of its
-/// metrics, lives outside the captured state).
-pub trait Recoverable: EdgeGateway + Sized {
-    /// Captures the complete durable state.
-    fn capture(&self) -> GatewaySnapshot;
-
-    /// Rebuilds a gateway from a captured state. Inverse of
-    /// [`capture`](Recoverable::capture): `restore(&g.capture())` is
-    /// indistinguishable from `g`.
-    fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError>;
-
-    /// The bare gateway, mutably (the mutable twin of
-    /// [`EdgeGateway::bare`]).
-    fn bare_mut(&mut self) -> &mut ShardedGateway;
-}
-
-impl Recoverable for ShardedGateway {
-    fn capture(&self) -> GatewaySnapshot {
+impl GatewaySnapshot {
+    /// Captures the complete durable state of `gateway`. The gateway is a
+    /// deterministic state machine over the journal's input events — same
+    /// state + same inputs ⇒ same capture; its only nondeterminism, the
+    /// wall-clock half of its metrics, lives outside the captured state.
+    pub fn capture(gateway: &ShardedGateway) -> GatewaySnapshot {
         GatewaySnapshot {
-            params: *self.params(),
-            algorithm: self.algorithm(),
-            routing: Some(self.routing()),
-            cursor: self.cursor(),
-            shards: self.shard_states(),
-            defer: self.deferred().state(),
-            reservations: self.reservations().state(),
-            ledger: self.ledger().state(),
-            quota: *self.quota(),
-            metrics: self.metrics().snapshot(),
-            resolutions: self.pending_resolutions().to_vec(),
-            slo: self.slo().clone(),
+            params: *gateway.params(),
+            algorithm: gateway.algorithm(),
+            routing: Some(gateway.routing()),
+            cursor: gateway.cursor(),
+            shards: gateway.shard_states(),
+            defer: gateway.deferred().state(),
+            reservations: gateway.reservations().state(),
+            ledger: gateway.ledger().state(),
+            quota: *gateway.quota(),
+            metrics: gateway.metrics().snapshot(),
+            resolutions: gateway.pending_resolutions().to_vec(),
+            slo: gateway.slo().clone(),
             epoch: 0,
         }
     }
 
-    fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError> {
-        let routing = match snap.routing {
+    /// Rebuilds the gateway this image was captured from. Inverse of
+    /// [`capture`](GatewaySnapshot::capture): `capture(&g).restore()` is
+    /// indistinguishable from `g`.
+    pub fn restore(&self) -> Result<ShardedGateway, JournalError> {
+        let routing = match self.routing {
             Some(routing) => routing,
             // A legacy single-cluster image: any policy is equivalent over
             // one shard.
-            None if snap.shards.len() == 1 => Routing::LeastLoaded,
+            None if self.shards.len() == 1 => Routing::LeastLoaded,
             None => {
                 return Err(JournalError::Incompatible(
                     "multi-shard snapshot lacks routing",
@@ -181,27 +162,23 @@ impl Recoverable for ShardedGateway {
             }
         };
         let book = ServiceBook::from_parts(
-            DeferredQueue::from_state(snap.defer.clone()),
-            ReservationBook::from_state(snap.reservations.clone()),
-            TenantLedger::from_state(snap.ledger.clone()),
-            snap.quota,
-            ServiceMetrics::restore(&snap.metrics),
-            snap.resolutions.clone(),
-            snap.slo.clone(),
+            DeferredQueue::from_state(self.defer.clone()),
+            ReservationBook::from_state(self.reservations.clone()),
+            TenantLedger::from_state(self.ledger.clone()),
+            self.quota,
+            ServiceMetrics::restore(&self.metrics),
+            self.resolutions.clone(),
+            self.slo.clone(),
         );
         ShardedGateway::from_parts(
-            snap.params,
-            snap.algorithm,
+            self.params,
+            self.algorithm,
             routing,
-            snap.cursor,
-            snap.shards.clone(),
+            self.cursor,
+            self.shards.clone(),
             book,
         )
         .map_err(JournalError::from)
-    }
-
-    fn bare_mut(&mut self) -> &mut ShardedGateway {
-        self
     }
 }
 
@@ -241,13 +218,13 @@ mod tests {
     #[test]
     fn sharded_capture_restore_round_trips_exactly() {
         let g = busy_sharded();
-        let snap = g.capture();
+        let snap = GatewaySnapshot::capture(&g);
         assert_eq!(snap.shards.len(), 4);
         let json = serde_json::to_string(&snap).unwrap();
         let back: GatewaySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-        let restored: ShardedGateway = ShardedGateway::restore(&back).unwrap();
-        assert_eq!(restored.capture(), snap);
+        let restored: ShardedGateway = back.restore().unwrap();
+        assert_eq!(GatewaySnapshot::capture(&restored), snap);
         assert_eq!(restored.shard_queue_lens(), g.shard_queue_lens());
         assert_eq!(restored.deferred().len(), g.deferred().len());
         assert_eq!(
@@ -270,26 +247,26 @@ mod tests {
         .unwrap();
         let t = Task::new(1, 0.0, 200.0, 30_000.0);
         g.submit_request(&SubmitRequest::new(t), SimTime::ZERO);
-        let snap = g.capture();
+        let snap = GatewaySnapshot::capture(&g);
         assert_eq!(snap.routing, Some(Routing::RoundRobin));
-        let restored: ShardedGateway = ShardedGateway::restore(&snap).unwrap();
-        assert_eq!(restored.capture(), snap);
+        let restored: ShardedGateway = snap.restore().unwrap();
+        assert_eq!(GatewaySnapshot::capture(&restored), snap);
         // An image of the retired single-cluster type (no routing) restores
         // as one shard with the same books…
         let legacy = GatewaySnapshot {
             routing: None,
             ..snap.clone()
         };
-        let restored: ShardedGateway = ShardedGateway::restore(&legacy).unwrap();
-        assert_eq!(restored.capture().shards, snap.shards);
-        assert_eq!(restored.capture().metrics, snap.metrics);
+        let restored: ShardedGateway = legacy.restore().unwrap();
+        assert_eq!(GatewaySnapshot::capture(&restored).shards, snap.shards);
+        assert_eq!(GatewaySnapshot::capture(&restored).metrics, snap.metrics);
         // …but several shards cannot be dealt to without a policy.
         let headless = GatewaySnapshot {
             routing: None,
-            ..busy_sharded().capture()
+            ..GatewaySnapshot::capture(&busy_sharded())
         };
         assert!(matches!(
-            ShardedGateway::restore(&headless),
+            headless.restore(),
             Err(JournalError::Incompatible(_))
         ));
     }
@@ -297,12 +274,15 @@ mod tests {
     #[test]
     fn restored_gateway_keeps_deciding_identically() {
         let mut live = busy_sharded();
-        let mut restored: ShardedGateway = ShardedGateway::restore(&live.capture()).unwrap();
+        let mut restored: ShardedGateway = GatewaySnapshot::capture(&live).restore().unwrap();
         let probe = SubmitRequest::new(Task::new(200, 10.0, 150.0, 80_000.0));
         assert_eq!(
             live.decide(&probe, SimTime::new(10.0)),
             restored.decide(&probe, SimTime::new(10.0))
         );
-        assert_eq!(live.capture(), restored.capture());
+        assert_eq!(
+            GatewaySnapshot::capture(&live),
+            GatewaySnapshot::capture(&restored)
+        );
     }
 }

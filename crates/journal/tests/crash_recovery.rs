@@ -16,7 +16,7 @@ use rtdls_service::prelude::*;
 use rtdls_sim::prelude::*;
 use rtdls_workload::prelude::*;
 
-type JG = JournaledGateway<ShardedGateway>;
+type JG = JournaledGateway;
 
 fn params() -> ClusterParams {
     ClusterParams::paper_baseline()
@@ -155,8 +155,7 @@ impl Serve for Restarting {
 /// Recovers from the dead gateway's WAL image — the only artifact a real
 /// crash leaves behind — and asserts the demotion audit contract.
 fn recover_from_wal(wal: Vec<u8>, now: SimTime) -> JG {
-    let (recovered, report) =
-        recover::<ShardedGateway>(&wal, now, JournalConfig::default(), None).expect("recovery");
+    let (recovered, report) = recover(&wal, now, JournalConfig::default(), None).expect("recovery");
     assert!(
         report.tail.is_clean(),
         "in-memory WAL has no torn tail: {:?}",
@@ -372,15 +371,13 @@ fn outage_long_enough_to_defeat_a_plan_demotes_it_explicitly() {
 
     // Short outage: B still makes it — no demotion.
     let recover_at = SimTime::new(e16_800 * 0.5);
-    let (ok, report) =
-        recover::<ShardedGateway>(&wal, recover_at, JournalConfig::default(), None).unwrap();
+    let (ok, report) = recover(&wal, recover_at, JournalConfig::default(), None).unwrap();
     assert!(report.demoted.is_empty(), "{report:?}");
     assert_eq!(ok.inner().shard_queue_lens(), vec![1]);
 
     // Long outage: by the time the gateway is back, B's plan is hopeless.
     let recover_at = SimTime::new(e16_800 + e16_400);
-    let (recovered, report) =
-        recover::<ShardedGateway>(&wal, recover_at, JournalConfig::default(), None).unwrap();
+    let (recovered, report) = recover(&wal, recover_at, JournalConfig::default(), None).unwrap();
     assert_eq!(report.demoted, vec![TaskId(2)], "{report:?}");
     assert_eq!(recovered.inner().shard_queue_lens(), vec![0]);
     assert_eq!(recovered.metrics().demoted, 1);
@@ -434,10 +431,8 @@ fn one_wal_recovers_to_the_same_state_twice() {
         let crash_time = sim.now();
         let wal = sim.frontend().journal().bytes().to_vec();
 
-        let recover_once = || {
-            recover::<ShardedGateway>(&wal, crash_time, JournalConfig::default(), None)
-                .expect("recovery")
-        };
+        let recover_once =
+            || recover(&wal, crash_time, JournalConfig::default(), None).expect("recovery");
         let (mut first, first_report) = recover_once();
         let (mut second, second_report) = recover_once();
 
@@ -446,8 +441,8 @@ fn one_wal_recovers_to_the_same_state_twice() {
             "kill_at={kill_at}: demotions diverged"
         );
         assert_eq!(
-            first.inner().capture(),
-            second.inner().capture(),
+            GatewaySnapshot::capture(first.inner()),
+            GatewaySnapshot::capture(second.inner()),
             "kill_at={kill_at}: recovered gateways diverged"
         );
         // And both recovered gateways keep deciding identically.
@@ -512,9 +507,8 @@ const V2_FIELDS: &[&str] = &[
 #[test]
 fn legacy_single_cluster_wal_recovers_as_one_shard() {
     let wal = include_bytes!("fixtures/legacy_single_cluster.wal");
-    let (recovered, report) =
-        recover::<ShardedGateway>(wal, SimTime::new(5.0), JournalConfig::default(), None)
-            .expect("legacy WAL must recover");
+    let (recovered, report) = recover(wal, SimTime::new(5.0), JournalConfig::default(), None)
+        .expect("legacy WAL must recover");
     assert!(report.tail.is_clean());
     assert_eq!(report.events_replayed, 21);
     assert_eq!(report.audit_records, 6);
@@ -532,7 +526,7 @@ fn legacy_single_cluster_wal_recovers_as_one_shard() {
     assert_eq!(g.metrics().accepted_total(), 3);
     assert_eq!(g.metrics().submitted, 6);
     // The rewritten journal opens with today's image of the same state.
-    let snap = recovered.inner().capture();
+    let snap = GatewaySnapshot::capture(recovered.inner());
     assert_eq!(snap.shards.len(), 1);
     assert!(snap.routing.is_some());
 }
@@ -587,7 +581,8 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
     // The old-format WAL: genesis snapshot (v2 fields stripped) + commands.
     let live = mk_gateway();
     let genesis: serde::Value =
-        serde_json::from_str(&serde_json::to_string(&live.capture()).unwrap()).unwrap();
+        serde_json::from_str(&serde_json::to_string(&GatewaySnapshot::capture(&live)).unwrap())
+            .unwrap();
     let old_genesis = strip_keys(&genesis, V2_FIELDS);
     let mut wal = rtdls_journal::wire::encode_frame(
         rtdls_journal::wire::MAGIC,
@@ -609,9 +604,8 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
     }
     let demoted = reference.reverify(SimTime::new(2.0));
     assert!(demoted.is_empty(), "scenario stays feasible: {demoted:?}");
-    let (recovered, report) =
-        recover::<ShardedGateway>(&wal, SimTime::new(2.0), JournalConfig::default(), None)
-            .expect("pre-redesign WAL must recover");
+    let (recovered, report) = recover(&wal, SimTime::new(2.0), JournalConfig::default(), None)
+        .expect("pre-redesign WAL must recover");
     assert!(report.tail.is_clean());
     assert_eq!(report.events_replayed, commands.len());
     assert_eq!(
@@ -652,16 +646,17 @@ fn pre_redesign_wal_recovers_with_identical_shard_states() {
 fn a_legacy_batch_on_a_busy_queue_recovers_as_its_members_in_policy_order() {
     use rtdls_journal::wire::{encode_frame, RecordKind, MAGIC};
     let p = params();
-    let genesis = ShardedGateway::new(
-        p,
-        2,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::RoundRobin,
-        DeferPolicy::default(),
-    )
-    .unwrap()
-    .capture();
+    let genesis = GatewaySnapshot::capture(
+        &ShardedGateway::new(
+            p,
+            2,
+            AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
+            Routing::RoundRobin,
+            DeferPolicy::default(),
+        )
+        .unwrap(),
+    );
     let e8 = rtdls_core::dlt::homogeneous::exec_time(&p, 400.0, 8);
     let submitted = |task: Task, at: f64| JournalEvent::RequestSubmitted {
         request: SubmitRequest::new(task),
@@ -708,7 +703,7 @@ fn a_legacy_batch_on_a_busy_queue_recovers_as_its_members_in_policy_order() {
     batched.extend(tail.iter().cloned());
     single.extend(tail.iter().cloned());
     let recover_wal = |events: &[JournalEvent]| {
-        let (recovered, report) = recover::<ShardedGateway>(
+        let (recovered, report) = recover(
             &wal_of(events),
             SimTime::new(1.0),
             JournalConfig::default(),
@@ -756,7 +751,7 @@ fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() 
         DeferPolicy::default(),
     )
     .unwrap();
-    let genesis = serde_json::to_string(&gateway.capture()).unwrap();
+    let genesis = serde_json::to_string(&GatewaySnapshot::capture(&gateway)).unwrap();
     let submitted = serde_json::to_string(&JournalEvent::RequestSubmitted {
         request: SubmitRequest::new(Task::new(1, 0.0, 100.0, 1e6)).with_tenant(TenantId(5)),
         at: SimTime::ZERO,
@@ -778,7 +773,7 @@ fn a_checksum_valid_event_with_an_out_of_range_integer_is_corrupt_not_aliased() 
             RecordKind::Event as u8,
             event.replace(field, poison).as_bytes(),
         ));
-        match recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None) {
+        match recover(&wal, SimTime::ZERO, JournalConfig::default(), None) {
             Err(JournalError::Corrupt(why)) => assert!(why.contains(ty), "{poison}: {why}"),
             Err(other) => panic!("{poison}: {other}"),
             Ok(_) => panic!("{poison} replayed as some other value"),
@@ -803,11 +798,11 @@ fn a_checksum_valid_audit_whose_body_does_not_parse_is_counted_not_decoded() {
         DeferPolicy::default(),
     )
     .unwrap();
-    let genesis = serde_json::to_string(&gateway.capture()).unwrap();
+    let genesis = serde_json::to_string(&GatewaySnapshot::capture(&gateway)).unwrap();
     let recover_with = |payload: &[u8]| {
         let mut wal = encode_frame(MAGIC, RecordKind::Snapshot as u8, genesis.as_bytes());
         wal.extend(encode_frame(MAGIC, RecordKind::Event as u8, payload));
-        recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
+        recover(&wal, SimTime::ZERO, JournalConfig::default(), None)
     };
     let (_, report) =
         recover_with(b"{\"Accepted\":{\"task\":1,\"plan\":").expect("an audit body is never read");
@@ -838,7 +833,7 @@ fn three_waiting() -> GatewaySnapshot {
             .submit_request(&request, SimTime::ZERO)
             .is_accepted());
     }
-    gateway.capture()
+    GatewaySnapshot::capture(&gateway)
 }
 
 /// Recovers a WAL holding nothing but `snapshot`, checksums intact.
@@ -846,7 +841,7 @@ fn recover_image(snapshot: &GatewaySnapshot) -> Result<(JG, RecoveryReport), Jou
     use rtdls_journal::wire::{encode_frame, RecordKind, MAGIC};
     let image = serde_json::to_string(snapshot).unwrap();
     let wal = encode_frame(MAGIC, RecordKind::Snapshot as u8, image.as_bytes());
-    recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
+    recover(&wal, SimTime::ZERO, JournalConfig::default(), None)
 }
 
 /// A checksum-valid snapshot whose waiting queue is not in policy order (two
@@ -923,9 +918,8 @@ fn reservation_wal() -> (Vec<u8>, SimTime, Task) {
 fn reservation_bearing_wal_recovers_with_its_book_intact() {
     let (wal, start_at, c) = reservation_wal();
     let (mut rec, _) =
-        recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None)
-            .expect("recovery");
-    let book = rec.inner().capture().reservations;
+        recover(&wal, SimTime::ZERO, JournalConfig::default(), None).expect("recovery");
+    let book = GatewaySnapshot::capture(rec.inner()).reservations;
     assert_eq!(book.reservations.len(), 1);
     let res = &book.reservations[0];
     assert_eq!(res.task.id, c.id);
@@ -968,7 +962,10 @@ fn tenant_counters_survive_a_crash_and_restart() {
     };
     assert!(j.submit_request(&mk(1, 1), SimTime::ZERO).is_accepted());
     assert!(j.submit_request(&mk(2, 1), SimTime::ZERO).is_accepted());
-    assert!(j.submit_request(&mk(3, 1), SimTime::ZERO).is_throttled());
+    assert_eq!(
+        j.submit_request(&mk(3, 1), SimTime::ZERO),
+        Verdict::Throttled
+    );
     assert!(j.submit_request(&mk(4, 2), SimTime::ZERO).is_accepted());
     assert!(j
         .submit_request(&mk(5, 1).with_qos(QosClass::Premium), SimTime::ZERO)
@@ -977,8 +974,7 @@ fn tenant_counters_survive_a_crash_and_restart() {
     let wal = j.journal().bytes().to_vec();
     drop(j); // the crash
 
-    let (recovered, _) =
-        recover::<ShardedGateway>(&wal, SimTime::ZERO, JournalConfig::default(), None).unwrap();
+    let (recovered, _) = recover(&wal, SimTime::ZERO, JournalConfig::default(), None).unwrap();
     let recovered_tenants = recovered.metrics().snapshot().tenants;
     // Every per-tenant counter survives the crash exactly.
     assert_eq!(recovered_tenants, live_tenants);
@@ -988,9 +984,10 @@ fn tenant_counters_survive_a_crash_and_restart() {
     assert_eq!((t2.submitted, t2.accepted), (1, 1));
     // The quota policy survived too: tenant 1 is still throttled.
     let mut recovered = recovered;
-    assert!(recovered
-        .submit_request(&mk(6, 1), SimTime::ZERO)
-        .is_throttled());
+    assert_eq!(
+        recovered.submit_request(&mk(6, 1), SimTime::ZERO),
+        Verdict::Throttled
+    );
 }
 
 #[test]
@@ -1154,7 +1151,7 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
             assert_eq!(a, b, "cut at {cut}: surviving frames are a prefix");
         }
         let (recovered, report) =
-            recover::<ShardedGateway>(prefix, SimTime::new(0.0), JournalConfig::default(), None)
+            recover(prefix, SimTime::new(0.0), JournalConfig::default(), None)
                 .expect("every prefix recovers");
         let inputs: Vec<JournalEvent> = frames
             .iter()

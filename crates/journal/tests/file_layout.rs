@@ -24,7 +24,7 @@ fn gateway() -> ShardedGateway {
 
 /// Submits `n` tasks one by one (each its own append): accepts, defers
 /// and a rejection on a 2-node shard.
-fn submit(gateway: &mut JournaledGateway<ShardedGateway>, n: u64) {
+fn submit(gateway: &mut JournaledGateway, n: u64) {
     for i in 0..n {
         let at = i as f64 * 10.0;
         let task = Task::new(i + 1, at, 10.0 + 6.0 * i as f64, 3_000.0);
@@ -49,7 +49,7 @@ fn log(n: u64) -> Vec<u8> {
 /// The state a replay of `bytes` rebuilds.
 fn recovered(bytes: &[u8]) -> GatewaySnapshot {
     let (gateway, _) = replay::<ShardedGateway>(bytes).unwrap();
-    gateway.capture()
+    GatewaySnapshot::capture(&gateway)
 }
 
 /// A WAL path of a test's own; the file and its spare go when it drops.
@@ -174,7 +174,7 @@ fn create_over_a_stale_spare_compacts_and_recovers_to_the_image() {
     assert!(raw[image.len()..].iter().all(|&b| b == 0));
     let read = FileSink::read(&file.0).unwrap();
     assert_eq!(read, image);
-    assert_eq!(recovered(&read), gateway.inner().capture());
+    assert_eq!(recovered(&read), GatewaySnapshot::capture(gateway.inner()));
 }
 
 #[test]

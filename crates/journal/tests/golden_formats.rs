@@ -209,7 +209,7 @@ fn gateway_snapshot_reads_a_pre_redesign_image() {
     .unwrap();
     let req = SubmitRequest::new(Task::new(1, 0.0, 10.0, 5_000.0)).with_tenant(TenantId(3));
     assert!(g.decide(&req, SimTime::ZERO).is_accepted());
-    let snap = g.capture();
+    let snap = GatewaySnapshot::capture(&g);
     let json = serde_json::to_string(&snap).unwrap();
     // 8 369 bytes of mostly empty SLO windows: pinned by key order, length
     // and hash, not by literal.
@@ -302,8 +302,7 @@ fn a_recycled_wal_recovers_past_its_zero_tail() {
     assert_eq!((raw.len(), wal.len()), (16_384, 10_812));
     assert!(raw[wal.len()..].iter().all(|&b| b == 0));
     let (recovered, report) =
-        recover::<ShardedGateway>(&wal, SimTime::new(90.0), JournalConfig::default(), None)
-            .unwrap();
+        recover(&wal, SimTime::new(90.0), JournalConfig::default(), None).unwrap();
     assert!(report.tail.is_clean());
     assert_eq!(
         (

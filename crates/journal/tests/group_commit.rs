@@ -11,7 +11,7 @@ use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
 
-type JG = JournaledGateway<ShardedGateway>;
+type JG = JournaledGateway;
 
 /// One call the journal made into its sink (`Append` carries the frames
 /// the run held).

@@ -67,7 +67,7 @@ fn journaled(
     shards: usize,
     routing: Routing,
     snapshot_every: usize,
-) -> JournaledGateway<ShardedGateway> {
+) -> JournaledGateway {
     let gateway = ShardedGateway::new(
         params,
         shards,
@@ -94,9 +94,9 @@ fn journaled(
 fn drive(
     params: ClusterParams,
     tasks: Vec<Task>,
-    gateway: JournaledGateway<ShardedGateway>,
+    gateway: JournaledGateway,
     kill_at: u64,
-) -> Simulation<JournaledGateway<ShardedGateway>> {
+) -> Simulation<JournaledGateway> {
     let cfg = SimConfig::new(params, AlgorithmKind::EDF_DLT).strict();
     let mut sim = Simulation::with_frontend(cfg, gateway);
     sim.prime(tasks);
@@ -119,7 +119,7 @@ fn reference_replay(bytes: &[u8]) -> Result<(ShardedGateway, RecoveryReport), Jo
         .rposition(|(kind, _)| *kind == RecordKind::Snapshot)
         .ok_or(JournalError::NoSnapshot)?;
     let snapshot: GatewaySnapshot = serde_json::from_slice(&payloads[last].1)?;
-    let mut gateway = ShardedGateway::restore(&snapshot)?;
+    let mut gateway = snapshot.restore()?;
     let (mut events_replayed, mut audit_records) = (0, 0);
     for (_, payload) in &payloads[last + 1..] {
         let event: JournalEvent = serde_json::from_slice(payload)?;
@@ -148,7 +148,10 @@ fn reference_replay(bytes: &[u8]) -> Result<(ShardedGateway, RecoveryReport), Jo
 fn same_as_reference(bytes: &[u8]) {
     match (replay::<ShardedGateway>(bytes), reference_replay(bytes)) {
         (Ok((fast, fast_report)), Ok((reference, reference_report))) => {
-            assert_eq!(fast.capture(), reference.capture());
+            assert_eq!(
+                GatewaySnapshot::capture(&fast),
+                GatewaySnapshot::capture(&reference)
+            );
             assert_eq!(fast_report, reference_report);
         }
         (Err(fast), Err(reference)) => assert_eq!(fast.to_string(), reference.to_string()),
@@ -174,12 +177,12 @@ proptest! {
     ) {
         let tasks = workload(params, load, dc, seed);
         let sim = drive(params, tasks, journaled(params, shards, routing, snapshot_every), kill_at);
-        let live = sim.frontend().inner().capture();
+        let live = GatewaySnapshot::capture(sim.frontend().inner());
         let bytes = sim.frontend().journal().bytes().to_vec();
 
         let (replayed, report) = replay::<ShardedGateway>(&bytes).unwrap();
         prop_assert!(report.tail.is_clean());
-        prop_assert_eq!(replayed.capture(), live);
+        prop_assert_eq!(GatewaySnapshot::capture(&replayed), live);
         same_as_reference(&bytes);
     }
 
@@ -220,7 +223,7 @@ proptest! {
             replay::<ShardedGateway>(genesis_only.frontend().journal().bytes()).unwrap();
         let (b, rep_b) =
             replay::<ShardedGateway>(compacting.frontend().journal().bytes()).unwrap();
-        prop_assert_eq!(a.capture(), b.capture());
+        prop_assert_eq!(GatewaySnapshot::capture(&a), GatewaySnapshot::capture(&b));
         same_as_reference(genesis_only.frontend().journal().bytes());
         same_as_reference(compacting.frontend().journal().bytes());
         // The compacted log replays from a much later snapshot. (The tail
@@ -311,8 +314,8 @@ proptest! {
             replay::<ShardedGateway>(&bytes[..damaged_frame_start]).unwrap();
         prop_assert_eq!(prefix_rep.frames_decoded, report.frames_decoded);
         prop_assert_eq!(
-            g.capture(),
-            prefix_g.capture()
+            GatewaySnapshot::capture(&g),
+            GatewaySnapshot::capture(&prefix_g)
         );
     }
 }

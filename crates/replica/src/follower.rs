@@ -38,6 +38,7 @@ use rtdls_core::prelude::{SimTime, TaskId};
 use rtdls_journal::prelude::*;
 use rtdls_journal::wire::{decode_frames, RecordKind, TailStatus};
 use rtdls_journal::{apply_event, requalify};
+use rtdls_service::prelude::ShardedGateway;
 use rtdls_telemetry::{Span, Stage, Telemetry};
 
 use crate::ship::ShipMsg;
@@ -102,10 +103,10 @@ pub struct Promotion {
 }
 
 /// A warm standby replaying one shard primary's shipped journal.
-pub struct Follower<G: Recoverable> {
+pub struct Follower {
     cfg: FollowerConfig,
     /// The standby gateway; `None` until the first snapshot frame lands.
-    standby: Option<G>,
+    standby: Option<ShardedGateway>,
     /// Byte-identical copy of the applied journal prefix.
     mirror: Vec<u8>,
     /// Next frame sequence number the standby expects.
@@ -127,7 +128,7 @@ pub struct Follower<G: Recoverable> {
     telemetry: Telemetry,
 }
 
-impl<G: Recoverable> Follower<G> {
+impl Follower {
     /// A follower that has heard nothing yet.
     pub fn new(cfg: FollowerConfig) -> Self {
         Follower {
@@ -261,7 +262,7 @@ impl<G: Recoverable> Follower<G> {
         match record.kind {
             RecordKind::Snapshot => {
                 let snap: GatewaySnapshot = serde_json::from_slice(record.payload)?;
-                self.standby = Some(G::restore(&snap)?);
+                self.standby = Some(snap.restore()?);
                 self.stats.snapshots_restored += 1;
             }
             // Audit records ship (the mirror is a faithful prefix) but only
@@ -355,7 +356,7 @@ impl<G: Recoverable> Follower<G> {
         now: SimTime,
         cfg: JournalConfig,
         sink: Option<Box<dyn JournalSink>>,
-    ) -> Result<(JournaledGateway<G>, Promotion), JournalError> {
+    ) -> Result<(JournaledGateway, Promotion), JournalError> {
         let standby = self.standby.take().ok_or(JournalError::NoSnapshot)?;
         self.epoch += 1;
         self.promoted = true;
@@ -384,12 +385,12 @@ impl<G: Recoverable> Follower<G> {
 
     /// Mutable access to the standby (the harness applies node releases
     /// that arrive during the outage window before promoting).
-    pub fn standby_mut(&mut self) -> Option<&mut G> {
+    pub fn standby_mut(&mut self) -> Option<&mut ShardedGateway> {
         self.standby.as_mut()
     }
 
     /// The standby gateway, if a snapshot has landed.
-    pub fn standby(&self) -> Option<&G> {
+    pub fn standby(&self) -> Option<&ShardedGateway> {
         self.standby.as_ref()
     }
 
@@ -441,7 +442,7 @@ mod tests {
     use rtdls_core::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<ShardedGateway> {
+    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway {
         let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
             1,
@@ -460,12 +461,7 @@ mod tests {
         )
     }
 
-    fn ship_all(
-        gw: &JournaledGateway<ShardedGateway>,
-        ship: &mut Shipper,
-        fol: &mut Follower<ShardedGateway>,
-        now: SimTime,
-    ) {
+    fn ship_all(gw: &JournaledGateway, ship: &mut Shipper, fol: &mut Follower, now: SimTime) {
         for msg in ship.poll(gw.journal(), now) {
             if let Some(ShipMsg::Ack { seq }) = fol.on_msg(now, msg).unwrap() {
                 ship.on_ack(seq, now);
@@ -477,7 +473,7 @@ mod tests {
     fn in_order_stream_builds_a_byte_identical_mirror() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         for i in 0..5 {
             gw.submit_request(
                 &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
@@ -490,14 +486,17 @@ mod tests {
         assert_eq!(ship.lag(gw.journal()), 0);
         // The warm standby equals a cold replay of the mirror.
         let (cold, _) = replay::<ShardedGateway>(fol.bytes()).unwrap();
-        assert_eq!(fol.standby().unwrap().capture(), cold.capture());
+        assert_eq!(
+            GatewaySnapshot::capture(fol.standby().unwrap()),
+            GatewaySnapshot::capture(&cold)
+        );
     }
 
     #[test]
     fn duplicates_and_reordering_never_double_apply() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         for i in 0..4 {
             gw.submit_request(
                 &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
@@ -521,14 +520,17 @@ mod tests {
         assert_eq!(fol.stats().applied, gw.journal().next_seq());
         assert!(fol.stats().duplicates >= 2 * gw.journal().next_seq());
         let (cold, _) = replay::<ShardedGateway>(fol.bytes()).unwrap();
-        assert_eq!(fol.standby().unwrap().capture(), cold.capture());
+        assert_eq!(
+            GatewaySnapshot::capture(fol.standby().unwrap()),
+            GatewaySnapshot::capture(&cold)
+        );
     }
 
     #[test]
     fn a_gap_blocks_until_filled_then_drains_in_order() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         for i in 0..3 {
             gw.submit_request(
                 &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
@@ -566,7 +568,7 @@ mod tests {
         // with the gap frames compacted out of existence. It must jump.
         let mut gw = journaled(2, true);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         // Let the log compact *before* the first poll: the early frames
         // are gone; shipping starts at the compacting snapshot.
         for i in 0..8 {
@@ -581,20 +583,23 @@ mod tests {
         assert!(fol.stats().fast_forwards >= 1, "jumped the compacted gap");
         // The mirror holds the anchored suffix; replay still works.
         let (cold, _) = replay::<ShardedGateway>(fol.bytes()).unwrap();
-        assert_eq!(fol.standby().unwrap().capture(), cold.capture());
+        assert_eq!(
+            GatewaySnapshot::capture(fol.standby().unwrap()),
+            GatewaySnapshot::capture(&cold)
+        );
     }
 
     #[test]
     fn stale_epochs_are_fenced_and_do_not_feed_the_failure_detector() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         gw.submit_request(
             &SubmitRequest::new(Task::new(1, 0.0, 500.0, 30_000.0)),
             SimTime::ZERO,
         );
         ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
-        let before = fol.standby().unwrap().capture();
+        let before = GatewaySnapshot::capture(fol.standby().unwrap());
         let heard = fol.last_heard();
 
         // A message from epoch 0 after the follower has moved to epoch 5.
@@ -609,7 +614,11 @@ mod tests {
         let reply = fol.on_msg(SimTime::new(2.0), stale).unwrap();
         assert_eq!(reply, None, "fenced traffic is not even acked");
         assert_eq!(fol.stats().fenced, 1);
-        assert_eq!(fol.standby().unwrap().capture(), before, "state untouched");
+        assert_eq!(
+            GatewaySnapshot::capture(fol.standby().unwrap()),
+            before,
+            "state untouched"
+        );
         assert_ne!(heard, fol.last_heard(), "heartbeat updated the detector");
         assert_eq!(fol.last_heard(), Some(SimTime::new(1.0)), "zombie did not");
     }
@@ -621,7 +630,7 @@ mod tests {
         let cfg = FollowerConfig {
             promote_after: 50.0,
         };
-        let mut fol: Follower<ShardedGateway> = Follower::new(cfg);
+        let mut fol = Follower::new(cfg);
         for i in 0..3 {
             gw.submit_request(
                 &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
@@ -653,7 +662,10 @@ mod tests {
             None,
             1,
         );
-        assert_eq!(promoted.inner().capture(), reference.inner().capture());
+        assert_eq!(
+            GatewaySnapshot::capture(promoted.inner()),
+            GatewaySnapshot::capture(reference.inner())
+        );
 
         // The zombie's late append, stamped with the dead epoch, fences.
         let zombie = ShipMsg::frame(0, 99, vec![0xde]);
@@ -668,7 +680,7 @@ mod tests {
     fn recovery_and_promotion_start_the_wall_clock_empty() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         for i in 0..20 {
             gw.submit_request(
                 &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),
@@ -678,8 +690,7 @@ mod tests {
         ship_all(&gw, &mut ship, &mut fol, SimTime::ZERO);
         let now = SimTime::new(1.0);
         let (recovered, _) =
-            recover::<ShardedGateway>(gw.journal().bytes(), now, JournalConfig::default(), None)
-                .unwrap();
+            recover(gw.journal().bytes(), now, JournalConfig::default(), None).unwrap();
         let (promoted, _) = fol.promote(now, JournalConfig::default(), None).unwrap();
         for mut restarted in [recovered, promoted] {
             assert_eq!(restarted.metrics().submitted, 20, "counters carry over");
@@ -697,7 +708,7 @@ mod tests {
     fn the_promoted_epoch_survives_compaction_and_a_file_restart() {
         let mut gw = journaled(0, false);
         let mut ship = Shipper::new(ShipConfig::default());
-        let mut fol: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut fol = Follower::new(FollowerConfig::default());
         for i in 0..3 {
             gw.submit_request(
                 &SubmitRequest::new(Task::new(i, 0.0, 500.0, 30_000.0)),

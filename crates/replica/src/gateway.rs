@@ -19,7 +19,7 @@
 //! [`on_ack`]: ShippingGateway::on_ack
 
 use rtdls_core::prelude::{AdmissionFailure, SimTime, SubmitRequest, TaskId, TaskPlan};
-use rtdls_journal::prelude::{JournaledGateway, Recoverable};
+use rtdls_journal::prelude::JournaledGateway;
 use rtdls_service::prelude::{EdgeGateway, ServiceBook, ShardedGateway, Verdict};
 use rtdls_sim::serve::{Resolution, Serve, Turn};
 use rtdls_telemetry::{MetricsRegistry, Telemetry};
@@ -29,17 +29,17 @@ use crate::ship::{ShipConfig, ShipMsg, Shipper};
 use crate::telemetry::fold_replication_metrics;
 
 /// A journaled gateway that ships its journal as it grows.
-pub struct ShippingGateway<G: Recoverable> {
-    inner: JournaledGateway<G>,
+pub struct ShippingGateway {
+    inner: JournaledGateway,
     shipper: Shipper,
     outbox: Vec<ShipMsg>,
 }
 
-impl<G: Recoverable> ShippingGateway<G> {
+impl ShippingGateway {
     /// Wraps `inner`, shipping under `cfg`. Outbound messages buffer in the
     /// outbox until [`take_outbox`](ShippingGateway::take_outbox) or
     /// [`EdgeGateway::swap_ship_bytes`] drains it.
-    pub fn new(inner: JournaledGateway<G>, cfg: ShipConfig) -> Self {
+    pub fn new(inner: JournaledGateway, cfg: ShipConfig) -> Self {
         ShippingGateway {
             inner,
             shipper: Shipper::new(cfg),
@@ -65,12 +65,12 @@ impl<G: Recoverable> ShippingGateway<G> {
     }
 
     /// The wrapped journaled gateway.
-    pub fn inner(&self) -> &JournaledGateway<G> {
+    pub fn inner(&self) -> &JournaledGateway {
         &self.inner
     }
 
     /// Unwraps, dropping the replication channel.
-    pub fn into_inner(self) -> JournaledGateway<G> {
+    pub fn into_inner(self) -> JournaledGateway {
         self.inner
     }
 
@@ -80,7 +80,7 @@ impl<G: Recoverable> ShippingGateway<G> {
     }
 }
 
-impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
+impl EdgeGateway for ShippingGateway {
     fn bare(&self) -> &ShardedGateway {
         self.inner.bare()
     }
@@ -139,7 +139,7 @@ impl<G: Recoverable> EdgeGateway for ShippingGateway<G> {
     }
 }
 
-impl<G: Recoverable> Serve for ShippingGateway<G> {
+impl Serve for ShippingGateway {
     type Outcome = Verdict;
 
     /// Decides inside the turn: the decision's frames ship with the turn,
@@ -199,7 +199,7 @@ mod tests {
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn primary() -> JournaledGateway<ShardedGateway> {
+    fn primary() -> JournaledGateway {
         let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
             1,
@@ -270,7 +270,7 @@ mod tests {
             msgs.iter().any(|m| matches!(m, ShipMsg::Frame { .. })),
             "{msgs:?}"
         );
-        let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut follower = Follower::new(FollowerConfig::default());
         let mut last_ack = None;
         for msg in msgs {
             if let Some(ShipMsg::Ack { seq }) = follower.on_msg(SimTime::ZERO, msg).unwrap() {

@@ -34,9 +34,7 @@
 use rtdls_core::prelude::{
     AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan,
 };
-use rtdls_journal::prelude::{
-    EdgeGateway, GatewaySnapshot, JournalConfig, JournaledGateway, Recoverable,
-};
+use rtdls_journal::prelude::{EdgeGateway, GatewaySnapshot, JournalConfig, JournaledGateway};
 use rtdls_service::prelude::Verdict;
 use rtdls_sim::config::SimConfig;
 use rtdls_sim::engine::{SimReport, Simulation};
@@ -116,16 +114,16 @@ impl FailoverPlan {
 }
 
 /// The process answering for the shard, by phase of the failover.
-enum Process<G: Recoverable> {
+enum Process {
     /// The original primary, shipping to the follower.
-    Primary(ShippingGateway<G>),
+    Primary(ShippingGateway),
     /// The outage window: nobody answers.
     Down,
     /// The promoted follower. Nobody follows it, so it ships nothing.
-    Promoted(JournaledGateway<G>),
+    Promoted(JournaledGateway),
 }
 
-impl<G: Recoverable> Process<G> {
+impl Process {
     fn serving(&self) -> Option<&dyn Serve<Outcome = Verdict>> {
         match self {
             // The harness times heartbeats itself (see `next_due`).
@@ -181,14 +179,14 @@ pub struct FailoverOutcome {
 }
 
 /// A primary + channel + follower deployment served as one [`Serve`].
-pub struct ReplicaFrontend<G: Recoverable> {
+pub struct ReplicaFrontend {
     plan: FailoverPlan,
-    process: Process<G>,
+    process: Process,
     /// Primary → follower frames and heartbeats.
     link: FaultyLink<ShipMsg>,
     /// Follower → primary acks.
     acks: FaultyLink<ShipMsg>,
-    follower: Follower<G>,
+    follower: Follower,
     /// Node releases seen while Down, replayed at promotion.
     buffered_releases: Vec<(usize, SimTime)>,
     /// The dead primary's unacked tail, re-delivered post-promotion.
@@ -205,9 +203,9 @@ pub struct ReplicaFrontend<G: Recoverable> {
     lost_submissions: u64,
 }
 
-impl<G: Recoverable> ReplicaFrontend<G> {
+impl ReplicaFrontend {
     /// Deploys `primary` with a fresh follower under `plan`.
-    pub fn new(primary: JournaledGateway<G>, plan: FailoverPlan) -> Self {
+    pub fn new(primary: JournaledGateway, plan: FailoverPlan) -> Self {
         ReplicaFrontend {
             process: Process::Primary(ShippingGateway::new(primary, plan.ship)),
             link: FaultyLink::new(plan.fault.clone()),
@@ -299,7 +297,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
             .follower
             .promote(now, self.plan.journal, None)
             .expect("should_promote implies a standby exists");
-        self.promoted_genesis = Some(promoted.inner().capture());
+        self.promoted_genesis = Some(GatewaySnapshot::capture(promoted.inner()));
         self.promotion = Some(record);
         self.promoted_at = Some(now);
         // The zombie wakes up and ships its tail. The still-alive follower
@@ -332,7 +330,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     /// Consumes the frontend, returning the live gateway (promoted after a
     /// failover) — e.g. to put it behind an edge server and serve timeline
     /// queries from the surviving process.
-    pub fn into_gateway(self) -> Option<JournaledGateway<G>> {
+    pub fn into_gateway(self) -> Option<JournaledGateway> {
         match self.process {
             Process::Primary(gw) => Some(gw.into_inner()),
             Process::Down => None,
@@ -341,7 +339,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     }
 
     /// The live gateway, if any (primary before the kill, promoted after).
-    pub fn gateway(&self) -> Option<&JournaledGateway<G>> {
+    pub fn gateway(&self) -> Option<&JournaledGateway> {
         match &self.process {
             Process::Primary(gw) => Some(gw.inner()),
             Process::Down => None,
@@ -350,7 +348,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     }
 
     /// The follower (post-promotion: the fence).
-    pub fn follower(&self) -> &Follower<G> {
+    pub fn follower(&self) -> &Follower {
         &self.follower
     }
 
@@ -378,7 +376,7 @@ impl<G: Recoverable> ReplicaFrontend<G> {
     }
 }
 
-impl<G: Recoverable> Serve for ReplicaFrontend<G> {
+impl Serve for ReplicaFrontend {
     type Outcome = Verdict;
 
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
@@ -474,12 +472,12 @@ impl<G: Recoverable> Serve for ReplicaFrontend<G> {
 /// guarantees by design (the outage window rejects, unshipped admissions
 /// die with the primary), so the run must be driven non-strict and judged
 /// by its [`FailoverOutcome`] instead.
-pub fn run_failover<G: Recoverable>(
+pub fn run_failover(
     cfg: SimConfig,
-    primary: JournaledGateway<G>,
+    primary: JournaledGateway,
     plan: FailoverPlan,
     tasks: Vec<Task>,
-) -> (SimReport, ReplicaFrontend<G>) {
+) -> (SimReport, ReplicaFrontend) {
     assert!(
         !cfg.strict_guarantees,
         "failover scenarios model guarantee loss; drive them non-strict"

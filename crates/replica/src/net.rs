@@ -27,7 +27,6 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use rtdls_core::prelude::SimTime;
-use rtdls_journal::prelude::Recoverable;
 use rtdls_journal::wire::{parse_header, write_frame, Header, HEADER_LEN, MAX_SHIP_FRAME};
 
 use crate::follower::Follower;
@@ -107,15 +106,15 @@ pub fn read_msg(stream: &mut TcpStream) -> io::Result<Option<ShipMsg>> {
 }
 
 /// The follower-side socket: accepts a primary and replays its stream.
-pub struct FollowerServer<G: Recoverable> {
+pub struct FollowerServer {
     listener: TcpListener,
-    follower: Follower<G>,
+    follower: Follower,
     started: Instant,
 }
 
-impl<G: Recoverable> FollowerServer<G> {
+impl FollowerServer {
     /// Binds `addr` (use port 0 to let the OS pick) around `follower`.
-    pub fn bind(addr: impl ToSocketAddrs, follower: Follower<G>) -> io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, follower: Follower) -> io::Result<Self> {
         Ok(FollowerServer {
             listener: TcpListener::bind(addr)?,
             follower,
@@ -187,12 +186,12 @@ impl<G: Recoverable> FollowerServer<G> {
     }
 
     /// The wrapped follower.
-    pub fn follower(&self) -> &Follower<G> {
+    pub fn follower(&self) -> &Follower {
         &self.follower
     }
 
     /// Mutable access, for promotion after the silence budget is spent.
-    pub fn follower_mut(&mut self) -> &mut Follower<G> {
+    pub fn follower_mut(&mut self) -> &mut Follower {
         &mut self.follower
     }
 }
@@ -201,7 +200,6 @@ impl<G: Recoverable> FollowerServer<G> {
 mod tests {
     use super::*;
     use crate::follower::FollowerConfig;
-    use rtdls_service::prelude::ShardedGateway;
 
     /// Runs `peer` against a fresh loopback connection and hands back the
     /// accepted side.
@@ -319,7 +317,7 @@ mod tests {
 
     #[test]
     fn a_framing_violation_ends_its_connection_and_keeps_the_follower() {
-        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let follower = Follower::new(FollowerConfig::default());
         let mut server = FollowerServer::bind("127.0.0.1:0", follower).unwrap();
         let addr = server.local_addr().unwrap();
         let beat = ShipMsg::Heartbeat { epoch: 0, head: 0 };

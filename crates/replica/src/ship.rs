@@ -309,7 +309,7 @@ mod tests {
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<ShardedGateway> {
+    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway {
         let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
             1,

@@ -36,10 +36,7 @@ pub fn fold_replication_metrics(reg: &mut MetricsRegistry, shipper: &Shipper, jo
 
 /// Folds the follower-side view: applied offset, fence and idempotence
 /// counters, failure-detector freshness.
-pub fn fold_follower_metrics<G: rtdls_journal::Recoverable>(
-    reg: &mut MetricsRegistry,
-    follower: &Follower<G>,
-) {
+pub fn fold_follower_metrics(reg: &mut MetricsRegistry, follower: &Follower) {
     reg.gauge("rtdls_follower_epoch", &[], follower.epoch() as f64);
     reg.gauge(
         "rtdls_follower_applied_offset",
@@ -106,7 +103,7 @@ mod tests {
         );
 
         let mut shipper = Shipper::new(ShipConfig::default());
-        let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let mut follower = Follower::new(FollowerConfig::default());
         for msg in shipper.poll(gw.journal(), SimTime::ZERO) {
             if let Some(ShipMsg::Ack { seq }) = follower.on_msg(SimTime::ZERO, msg).unwrap() {
                 shipper.on_ack(seq, SimTime::ZERO);
@@ -128,7 +125,7 @@ mod tests {
 
     #[test]
     fn lag_frames_gauge_distinguishes_silence_from_caught_up() {
-        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+        let follower = Follower::new(FollowerConfig::default());
         assert_eq!(follower.lag(), None, "nothing heard yet");
         let mut reg = MetricsRegistry::new();
         fold_follower_metrics(&mut reg, &follower);

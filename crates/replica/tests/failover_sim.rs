@@ -41,11 +41,11 @@ const COMPACTING: JournalConfig = JournalConfig {
     compact_on_snapshot: true,
 };
 
-fn primary() -> JournaledGateway<ShardedGateway> {
+fn primary() -> JournaledGateway {
     primary_with(journal_cfg())
 }
 
-fn primary_with(journal: JournalConfig) -> JournaledGateway<ShardedGateway> {
+fn primary_with(journal: JournalConfig) -> JournaledGateway {
     let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         2,
@@ -130,11 +130,11 @@ fn plan_with(seed: u64, journal: JournalConfig) -> FailoverPlan {
         .with_journal(journal)
 }
 
-fn run(seed: u64) -> (SimReport, ReplicaFrontend<ShardedGateway>) {
+fn run(seed: u64) -> (SimReport, ReplicaFrontend) {
     run_with(seed, journal_cfg())
 }
 
-fn run_with(seed: u64, journal: JournalConfig) -> (SimReport, ReplicaFrontend<ShardedGateway>) {
+fn run_with(seed: u64, journal: JournalConfig) -> (SimReport, ReplicaFrontend) {
     let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
         .with_tenants(TenantMix::uniform(3));
     run_failover(
@@ -181,7 +181,7 @@ fn assert_promotion_is_a_recovery_of_the_shipped_prefix(out: &FailoverOutcome) {
     }
     let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
     let genesis = out.promoted_genesis.clone().expect("promotion snapshot");
-    let ref_state = reference.inner().capture();
+    let ref_state = GatewaySnapshot::capture(reference.inner());
     assert_eq!(
         genesis.shards, ref_state.shards,
         "per-shard ControllerState diverged from the reference recovery"

@@ -25,7 +25,7 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway<ShardedGateway> {
+fn primary() -> JournaledGateway {
     let gw = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         1,
@@ -113,7 +113,7 @@ fn pump(schedule: &Schedule) -> RunResult {
     });
     let mut link: FaultyLink<ShipMsg> = FaultyLink::new(schedule.frame_plan());
     let mut acks: FaultyLink<ShipMsg> = FaultyLink::new(schedule.ack_plan());
-    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
+    let mut follower = Follower::new(FollowerConfig::default());
 
     let split_end = schedule.split.map(|(_, until)| until).unwrap_or(0.0);
     let settle_until = (1_200.0f64).max(split_end) + 3_000.0;
@@ -149,7 +149,7 @@ fn pump(schedule: &Schedule) -> RunResult {
         ship_stats: shipper.stats(),
         link: link.stats(),
         acks: acks.stats(),
-        standby: follower.standby().map(|g| g.capture()),
+        standby: follower.standby().map(GatewaySnapshot::capture),
     }
 }
 
@@ -177,7 +177,7 @@ proptest! {
         if let Some(standby) = &run.standby {
             let (cold, report) = replay::<ShardedGateway>(&run.mirror).expect("mirror replays");
             prop_assert!(report.tail.is_clean());
-            prop_assert_eq!(standby, &cold.capture());
+            prop_assert_eq!(standby, &GatewaySnapshot::capture(&cold));
         } else {
             // Nothing (not even the genesis snapshot) arrived: the mirror
             // must be empty too.

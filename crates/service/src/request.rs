@@ -117,11 +117,6 @@ impl Verdict {
     pub fn is_deferred(&self) -> bool {
         matches!(self, Verdict::Deferred { .. })
     }
-
-    /// `true` for [`Verdict::Throttled`].
-    pub fn is_throttled(&self) -> bool {
-        matches!(self, Verdict::Throttled)
-    }
 }
 
 impl From<Verdict> for SubmitOutcome {

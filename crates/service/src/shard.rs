@@ -421,12 +421,6 @@ impl ShardedGateway {
         &self.book.slo
     }
 
-    /// Replaces the SLO tracker — recovery installs the snapshotted
-    /// tracker here, and owners use it to set a non-default policy.
-    pub fn set_slo(&mut self, slo: crate::slo::SloTracker) {
-        self.book.slo = slo;
-    }
-
     /// The cluster-level explanation for a request every shard its tenant
     /// may route to would refuse right now (`None` when one admits it as-is,
     /// or per-shard caps leave none) — the `Ops::Explain` query surface, on

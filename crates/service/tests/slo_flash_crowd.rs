@@ -41,6 +41,35 @@ fn scaled_policy(scale: f64) -> SloPolicy {
     }
 }
 
+/// A fresh one-shard gateway whose SLO tracker runs `policy`, assembled
+/// the way recovery assembles one.
+fn slo_gateway(
+    params: ClusterParams,
+    algorithm: AlgorithmKind,
+    policy: SloPolicy,
+) -> ShardedGateway {
+    let shards = ShardedGateway::new(
+        params,
+        1,
+        algorithm,
+        PlanConfig::default(),
+        Routing::LeastLoaded,
+        DeferPolicy::default(),
+    )
+    .unwrap()
+    .shard_states();
+    let book = ServiceBook::from_parts(
+        DeferredQueue::new(DeferPolicy::default()),
+        ReservationBook::new(),
+        TenantLedger::new(),
+        QuotaPolicy::default(),
+        ServiceMetrics::new(),
+        Vec::new(),
+        SloTracker::new(policy),
+    );
+    ShardedGateway::from_parts(params, algorithm, Routing::LeastLoaded, 0, shards, book).unwrap()
+}
+
 #[test]
 fn flash_crowd_walks_the_burn_alarm_to_breach_and_back() {
     let params = ClusterParams::paper_baseline();
@@ -52,16 +81,7 @@ fn flash_crowd_walks_the_burn_alarm_to_breach_and_back() {
         tasks.len()
     );
 
-    let mut gateway = ShardedGateway::new(
-        params,
-        1,
-        algorithm,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap();
-    gateway.set_slo(SloTracker::new(scaled_policy(scale)));
+    let gateway = slo_gateway(params, algorithm, scaled_policy(scale));
 
     let mix = TenantMix::uniform(1);
     let cfg = SimConfig::new(params, algorithm).with_tenants(mix);
@@ -142,16 +162,7 @@ fn calm_traffic_never_breaches() {
     spec.horizon = 600.0 * scale;
     let tasks: Vec<Task> = WorkloadGenerator::new(spec, 77).collect();
 
-    let mut gateway = ShardedGateway::new(
-        params,
-        1,
-        algorithm,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap();
-    gateway.set_slo(SloTracker::new(scaled_policy(scale)));
+    let gateway = slo_gateway(params, algorithm, scaled_policy(scale));
     let cfg = SimConfig::new(params, algorithm).with_tenants(TenantMix::uniform(1));
     let (_report, mut gateway) =
         Simulation::with_frontend(cfg, gateway).run_returning_frontend(tasks);

@@ -34,7 +34,7 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway<ShardedGateway> {
+fn primary() -> JournaledGateway {
     let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
         1,
@@ -49,7 +49,7 @@ fn primary() -> JournaledGateway<ShardedGateway> {
 
 fn main() {
     // The warm standby: promotes after 0.3s of wall-clock silence.
-    let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig { promote_after: 0.3 });
+    let follower = Follower::new(FollowerConfig { promote_after: 0.3 });
     let mut standby = FollowerServer::bind("127.0.0.1:0", follower).expect("bind standby");
     let addr = standby.local_addr().expect("standby addr");
     println!("standby listening on {addr}");
@@ -140,8 +140,8 @@ fn main() {
     );
     let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
     assert_eq!(
-        promoted.inner().capture(),
-        reference.inner().capture(),
+        GatewaySnapshot::capture(promoted.inner()),
+        GatewaySnapshot::capture(reference.inner()),
         "promoted state equals a cold recovery of the shipped prefix"
     );
     assert_eq!(promotion.demoted, ref_demoted, "same demotion set");

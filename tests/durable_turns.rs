@@ -26,9 +26,9 @@ use rtdls::journal::disk::{Disk, Open};
 use rtdls::journal::recover_file_on;
 use rtdls::prelude::*;
 
-/// The log's path on the model disk (in a directory, so `FileSink` syncs
-/// the directory after an exchange).
-const PATH: &str = "/model/journal.wal";
+/// The log's paths on the model disk: in a directory, and a bare name,
+/// whose directory `FileSink` must sync as `.` after an exchange.
+const LOGS: [&str; 2] = ["/model/journal.wal", "journal.wal"];
 
 /// A filesystem call, as the power loss saw it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,6 +51,8 @@ struct Inode {
 
 #[derive(Clone, Debug)]
 struct Fs {
+    /// The log's path (one of [`LOGS`]).
+    log: &'static str,
     inodes: Vec<Inode>,
     /// The directory as the page cache holds it, and as a power loss
     /// keeps it.
@@ -90,9 +92,11 @@ struct Model(Arc<Mutex<Fs>>);
 const GHOST: usize = usize::MAX;
 
 impl Model {
-    /// A blank disk that loses power at call `kill_at`.
-    fn new(kill_at: usize, torn: bool) -> Self {
+    /// A blank disk for the log at `log` that loses power at call
+    /// `kill_at`.
+    fn new(log: &'static str, kill_at: usize, torn: bool) -> Self {
         Model(Arc::new(Mutex::new(Fs {
+            log,
             inodes: Vec::new(),
             names: HashMap::new(),
             durable_names: HashMap::new(),
@@ -134,14 +138,19 @@ impl Model {
         self.fs().killed
     }
 
-    /// What a reboot finds at [`PATH`], read the way recovery reads it.
+    fn log(&self) -> &'static str {
+        self.fs().log
+    }
+
+    /// What a reboot finds at the log's path, read the way recovery reads
+    /// it.
     fn survivors(&self) -> Vec<u8> {
         let disk = self.reboot();
-        if !disk.fs().names.contains_key(Path::new(PATH)) {
+        if !disk.fs().names.contains_key(Path::new(self.log())) {
             // The log's name never reached the disk.
             return Vec::new();
         }
-        FileSink::read_on(&disk, PATH).unwrap()
+        FileSink::read_on(&disk, self.log()).unwrap()
     }
 }
 
@@ -248,7 +257,13 @@ impl Disk for Model {
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         let mut fs = self.fs();
         if fs.powered(Call::SyncDir) {
-            assert_eq!(dir, Path::new(PATH).parent().unwrap());
+            let parent = Path::new(fs.log).parent().unwrap();
+            let parent = if parent.as_os_str().is_empty() {
+                Path::new(".")
+            } else {
+                parent
+            };
+            assert_eq!(dir, parent);
             fs.durable_names = fs.names.clone();
         }
         Ok(())
@@ -272,16 +287,17 @@ const JOURNAL: JournalConfig = JournalConfig {
     compact_on_snapshot: true,
 };
 
-/// A journaled gateway whose `FileSink` runs on a fresh [`Model`] that
-/// loses power at call `kill_at`. If the power went already, it went while
-/// the genesis log was being laid down.
+/// A journaled gateway whose `FileSink` writes `log` on a fresh [`Model`]
+/// that loses power at call `kill_at`. If the power went already, it went
+/// while the genesis log was being laid down.
 fn powered_gateway(
+    log: &'static str,
     policy: FsyncPolicy,
     kill_at: usize,
     torn: bool,
-) -> (JournaledGateway<ShardedGateway>, Model) {
-    let disk = Model::new(kill_at, torn);
-    let sink = FileSink::open_on(disk.clone(), PATH, true)
+) -> (JournaledGateway, Model) {
+    let disk = Model::new(log, kill_at, torn);
+    let sink = FileSink::open_on(disk.clone(), log, true)
         .unwrap()
         .with_fsync_policy(policy);
     let gateway = ShardedGateway::new(
@@ -322,15 +338,16 @@ struct Outcome {
 }
 
 fn drive_until_power_loss(
+    log: &'static str,
     requests: &[SubmitRequest],
     policy: FsyncPolicy,
     kill_at: usize,
     torn: bool,
 ) -> Outcome {
-    let (mut gateway, disk) = powered_gateway(policy, kill_at, torn);
+    let (mut gateway, disk) = powered_gateway(log, policy, kill_at, torn);
     let mut committed = Vec::new();
     if disk.killed().is_none() {
-        committed.push((0, gateway.inner().capture()));
+        committed.push((0, GatewaySnapshot::capture(gateway.inner())));
         let mut rest = requests;
         let mut sizes = TURN_SIZES.iter().cycle();
         while !rest.is_empty() {
@@ -347,7 +364,7 @@ fn drive_until_power_loss(
                 break;
             }
             let submitted = gateway.metrics().submitted;
-            committed.push((submitted, gateway.inner().capture()));
+            committed.push((submitted, GatewaySnapshot::capture(gateway.inner())));
         }
     }
     let stats = gateway.journal().sink_stats().unwrap();
@@ -360,23 +377,30 @@ fn drive_until_power_loss(
     }
 }
 
+/// Each log path under each fsync policy.
+fn logs_and_policies() -> impl Iterator<Item = (&'static str, FsyncPolicy)> {
+    let policies = [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend];
+    LOGS.into_iter()
+        .flat_map(move |log| policies.map(|policy| (log, policy)))
+}
+
 #[test]
 fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
     let requests = requests(17, 60);
-    for policy in [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend] {
-        let whole = drive_until_power_loss(&requests, policy, usize::MAX, false);
+    for (log, policy) in logs_and_policies() {
+        let whole = drive_until_power_loss(log, &requests, policy, usize::MAX, false);
         assert_eq!(whole.committed.last().unwrap().0, requests.len() as u64);
         let turns = whole.committed.len() as u64 - 1;
         let stats = whole.stats;
         assert!(
             stats.writes <= 1 + turns && stats.syncs <= 1 + turns,
-            "{policy:?}: at most a hand-over and a flush per turn, got {stats:?} \
+            "{log}, {policy:?}: at most a hand-over and a flush per turn, got {stats:?} \
              for {turns} turns"
         );
         let rewrites = whole.disk.fs().exchanges;
         assert!(
             rewrites >= 3,
-            "{policy:?}: compactions fell inside the run ({rewrites} rewrites)"
+            "{log}, {policy:?}: compactions fell inside the run ({rewrites} rewrites)"
         );
         for kill_at in 0..whole.disk.calls() {
             let mut in_write = true;
@@ -385,8 +409,8 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
                     // No write was in flight: the untorn run covered it.
                     continue;
                 }
-                let what = format!("{policy:?}, killed at call {kill_at}, torn={torn}");
-                let run = drive_until_power_loss(&requests, policy, kill_at, torn);
+                let what = format!("{log}, {policy:?}, killed at call {kill_at}, torn={torn}");
+                let run = drive_until_power_loss(log, &requests, policy, kill_at, torn);
                 let killed = run.disk.killed();
                 in_write = matches!(killed, Some(Call::Write { .. }));
                 let survivors = run.disk.survivors();
@@ -414,7 +438,7 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
                         .iter()
                         .find(|(submits, _)| *submits == held)
                         .unwrap_or_else(|| panic!("{what}: {held} is not a turn boundary"));
-                    assert_eq!(gateway.capture(), boundary.1, "{what}");
+                    assert_eq!(GatewaySnapshot::capture(&gateway), boundary.1, "{what}");
                 } else {
                     assert!(
                         matches!(
@@ -428,7 +452,7 @@ fn power_loss_at_every_sink_call_keeps_every_committed_turn() {
                 // And the full recovery (re-verification, fresh journal)
                 // accepts the same bytes.
                 let now = requests[held.max(1) as usize - 1].task.arrival;
-                let (recovered, _) = recover::<ShardedGateway>(&survivors, now, JOURNAL, None)
+                let (recovered, _) = recover(&survivors, now, JOURNAL, None)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(recovered.metrics().submitted, held, "{what}");
             }
@@ -464,57 +488,59 @@ impl Reached {
 fn a_second_power_loss_in_the_post_recovery_rewrite_keeps_every_committed_turn() {
     let requests = requests(17, 60);
     let policy = FsyncPolicy::Batch(16);
-    let whole = drive_until_power_loss(&requests, policy, usize::MAX, false);
     let mut reached = Reached::default();
-    for first in 0..whole.disk.calls() {
-        let run = drive_until_power_loss(&requests, policy, first, false);
-        reached.count(run.disk.killed());
-        let what = format!("first power loss at call {first}");
-        let Some(&(acknowledged, _)) = run.committed.last() else {
-            reached.genesis += 1;
-            assert_no_log(&what, &run.disk.survivors());
-            continue;
-        };
-        // Recovery after the crash (`recover_file_with_policy` on the
-        // model: read the log, recover, attach a sink that keeps the file
-        // until its atomic rewrite), cut by a second power loss at call
-        // `second` of it.
-        let crashed = run.disk.reboot();
-        let bytes = FileSink::read_on(&crashed, PATH).unwrap();
-        let held = replay::<ShardedGateway>(&bytes)
-            .unwrap()
-            .0
-            .metrics()
-            .submitted;
-        assert!(
-            held >= acknowledged,
-            "{what}: recovered {held} < {acknowledged}"
-        );
-        let now = requests[held.max(1) as usize - 1].task.arrival;
-        let rewrite = |second: usize| {
-            let disk = crashed.reboot();
-            disk.arm(second);
-            match recover_file_on::<ShardedGateway, _>(disk.clone(), PATH, now, JOURNAL, policy) {
-                Ok((recovered, _)) => std::mem::forget(recovered),
-                // A read cut short reads nothing to recover from.
-                Err(e) => assert!(disk.killed().is_some(), "{what}: {e}"),
-            }
-            disk
-        };
-        // The last `second` cuts the power right after recovery returned.
-        let calls = rewrite(usize::MAX).calls();
-        for second in 0..=calls {
-            let disk = rewrite(second);
-            reached.count(disk.killed());
-            let survivors = disk.survivors();
-            let (gateway, _) = replay::<ShardedGateway>(&survivors)
-                .unwrap_or_else(|e| panic!("{what}, second at call {second}: {e}"));
-            assert_eq!(
-                gateway.metrics().submitted,
-                held,
-                "{what}, second at call {second} ({:?})",
-                disk.killed()
+    for log in LOGS {
+        let whole = drive_until_power_loss(log, &requests, policy, usize::MAX, false);
+        for first in 0..whole.disk.calls() {
+            let run = drive_until_power_loss(log, &requests, policy, first, false);
+            reached.count(run.disk.killed());
+            let what = format!("{log}, first power loss at call {first}");
+            let Some(&(acknowledged, _)) = run.committed.last() else {
+                reached.genesis += 1;
+                assert_no_log(&what, &run.disk.survivors());
+                continue;
+            };
+            // Recovery after the crash (`recover_file_with_policy` on the
+            // model: read the log, recover, attach a sink that keeps the file
+            // until its atomic rewrite), cut by a second power loss at call
+            // `second` of it.
+            let crashed = run.disk.reboot();
+            let bytes = FileSink::read_on(&crashed, log).unwrap();
+            let held = replay::<ShardedGateway>(&bytes)
+                .unwrap()
+                .0
+                .metrics()
+                .submitted;
+            assert!(
+                held >= acknowledged,
+                "{what}: recovered {held} < {acknowledged}"
             );
+            let now = requests[held.max(1) as usize - 1].task.arrival;
+            let rewrite = |second: usize| {
+                let disk = crashed.reboot();
+                disk.arm(second);
+                match recover_file_on(disk.clone(), log, now, JOURNAL, policy) {
+                    Ok((recovered, _)) => std::mem::forget(recovered),
+                    // A read cut short reads nothing to recover from.
+                    Err(e) => assert!(disk.killed().is_some(), "{what}: {e}"),
+                }
+                disk
+            };
+            // The last `second` cuts the power right after recovery returned.
+            let calls = rewrite(usize::MAX).calls();
+            for second in 0..=calls {
+                let disk = rewrite(second);
+                reached.count(disk.killed());
+                let survivors = disk.survivors();
+                let (gateway, _) = replay::<ShardedGateway>(&survivors)
+                    .unwrap_or_else(|e| panic!("{what}, second at call {second}: {e}"));
+                assert_eq!(
+                    gateway.metrics().submitted,
+                    held,
+                    "{what}, second at call {second} ({:?})",
+                    disk.killed()
+                );
+            }
         }
     }
     // Every window of the sink's rewrite was cut at least once, so a change
@@ -539,12 +565,13 @@ struct SimOutcome {
 }
 
 fn simulate_until_power_loss(
+    log: &'static str,
     tasks: &[Task],
     policy: FsyncPolicy,
     kill_at: usize,
     torn: bool,
 ) -> SimOutcome {
-    let (gateway, disk) = powered_gateway(policy, kill_at, torn);
+    let (gateway, disk) = powered_gateway(log, policy, kill_at, torn);
     if disk.killed().is_some() {
         std::mem::forget(gateway);
         return SimOutcome {
@@ -581,8 +608,8 @@ fn simulate_until_power_loss(
 #[test]
 fn power_loss_in_a_simulated_run_keeps_every_completed_arrival() {
     let tasks: Vec<Task> = requests(23, 12).into_iter().map(|r| r.task).collect();
-    for policy in [FsyncPolicy::Batch(16), FsyncPolicy::EveryAppend] {
-        let whole = simulate_until_power_loss(&tasks, policy, usize::MAX, false);
+    for (log, policy) in logs_and_policies() {
+        let whole = simulate_until_power_loss(log, &tasks, policy, usize::MAX, false);
         assert_eq!(whole.acknowledged, Some(tasks.len() as u64));
         for kill_at in 0..whole.disk.calls() {
             let mut in_write = true;
@@ -590,8 +617,8 @@ fn power_loss_in_a_simulated_run_keeps_every_completed_arrival() {
                 if torn && !in_write {
                     continue;
                 }
-                let what = format!("{policy:?}, killed at call {kill_at}, torn={torn}");
-                let run = simulate_until_power_loss(&tasks, policy, kill_at, torn);
+                let what = format!("{log}, {policy:?}, killed at call {kill_at}, torn={torn}");
+                let run = simulate_until_power_loss(log, &tasks, policy, kill_at, torn);
                 in_write = matches!(run.disk.killed(), Some(Call::Write { .. }));
                 let survivors = run.disk.survivors();
                 let Some(acknowledged) = run.acknowledged else {
@@ -610,7 +637,7 @@ fn power_loss_in_a_simulated_run_keeps_every_completed_arrival() {
                     assert!(report.tail.is_clean(), "{what}: {:?}", report.tail);
                 }
                 let now = tasks[held.max(1) as usize - 1].arrival;
-                let (recovered, _) = recover::<ShardedGateway>(&survivors, now, JOURNAL, None)
+                let (recovered, _) = recover(&survivors, now, JOURNAL, None)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(recovered.metrics().submitted, held, "{what}");
             }
