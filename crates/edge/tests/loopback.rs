@@ -14,11 +14,9 @@
 //!   from the WAL file alone and keeps serving the remainder.
 //!
 //! The inline tests turn the reactor by hand over the in-memory transport
-//! (`support::Mem`), at instants they choose; the threaded smokes run it on
+//! (`rtdls_world::mem::Mem`), at instants they choose; the threaded smokes run it on
 //! epoll. `the_in_memory_transport_serves_byte_for_byte_what_epoll_serves`
 //! holds the two transports to the same output.
-
-mod support;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,7 +29,7 @@ use rtdls_edge::proto::encode_client;
 use rtdls_journal::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
-use support::{mem_server, InlineClient, Mem, MemClient, MemNet, Probe};
+use rtdls_world::mem::{mem_server, Dial, InlineClient, Mem, MemClient, MemNet, Probe};
 
 fn sharded(shards: usize) -> ShardedGateway {
     ShardedGateway::new(
@@ -1349,7 +1347,7 @@ fn flash_crowd_breach_is_observable_forensic_and_durable_over_the_wire() {
     ));
 
     let slo_rows = |client: &mut InlineClient<MemClient>,
-                    server: &mut EdgeServer<JournaledGateway, support::Mem>,
+                    server: &mut EdgeServer<JournaledGateway, Mem>,
                     now: SimTime| {
         client.send(&ClientMsg::Ops {
             query: rtdls_edge::proto::OpsQuery::Slo,
@@ -1641,7 +1639,7 @@ fn saturated_until(avail: SimTime) -> ShardedGateway {
 /// activation of the second's reservation, an ops `Explain`, a second
 /// connection's protocol violation, then `Bye`. Returns every byte each
 /// connection received, in connection order.
-fn scripted_session<G: EdgeGateway, T: rtdls_edge::poll::Transport, D: support::Dial>(
+fn scripted_session<G: EdgeGateway, T: rtdls_edge::poll::Transport, D: Dial>(
     server: &mut EdgeServer<G, T>,
     to: &D,
     avail: SimTime,
@@ -1719,7 +1717,7 @@ fn scripted_session<G: EdgeGateway, T: rtdls_edge::poll::Transport, D: support::
 }
 
 /// The in-memory transport cannot drift from production: one scripted
-/// session, served over epoll and over `support::Mem` from identical
+/// session, served over epoll and over `rtdls_world::mem::Mem` from identical
 /// gateways at identical instants, sends every connection the same bytes.
 #[test]
 fn the_in_memory_transport_serves_byte_for_byte_what_epoll_serves() {

@@ -3,7 +3,7 @@
 //! the zeros laid ahead of the log, the recycled spare, the exchange and
 //! the directory sync — is the same code over the real filesystem
 //! ([`Std`], the one production implementation) and over a model disk that
-//! cuts the power between any two calls (`tests/durable_turns.rs`).
+//! cuts the power at any call (`rtdls_world::disk`).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _};

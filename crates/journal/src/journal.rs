@@ -141,7 +141,11 @@ impl FsyncPolicy {
 /// end, syncs it and swaps the two names with one
 /// `renameat2(RENAME_EXCHANGE)` and a directory fsync: a crash leaves the
 /// old log or the new one, and no byte of a retired log is ever readable at
-/// `path`. Needs Linux ≥ 3.15 on a filesystem with `RENAME_EXCHANGE`.
+/// `path`. Needs Linux ≥ 3.15 on a filesystem with `RENAME_EXCHANGE`. The
+/// first sync that makes an append durable also syncs the directory, unless
+/// a rewrite's exchange already did: a log created and only ever appended
+/// to would otherwise keep every synced frame under a name a power loss
+/// can take back.
 ///
 /// Every filesystem call goes through the [`Disk`] seam `D`: the real one,
 /// [`Std`], by default.
@@ -154,6 +158,8 @@ pub struct FileSink<D: Disk = Std> {
     policy: FsyncPolicy,
     /// Frames written since the last `sync_data`.
     unsynced: usize,
+    /// Whether the log's name is durable (a directory sync since it opened).
+    named: bool,
     /// Cumulative durability counters (observability/tests).
     stats: SinkStats,
 }
@@ -258,6 +264,7 @@ impl<D: Disk> FileSink<D> {
             path: path.to_path_buf(),
             policy: FsyncPolicy::EveryAppend,
             unsynced: 0,
+            named: false,
             stats: SinkStats::default(),
         })
     }
@@ -283,9 +290,22 @@ impl<D: Disk> FileSink<D> {
         self.disk
             .sync_data(&self.log.file)
             .expect("journal file fsync must succeed");
+        if !self.named {
+            self.sync_dir()
+                .expect("journal directory fsync must succeed");
+        }
         self.stats.max_batch = self.stats.max_batch.max(self.unsynced as u64);
         self.unsynced = 0;
         self.stats.syncs += 1;
+    }
+
+    /// Makes the names in the log's directory durable; a bare name lives
+    /// in `.`.
+    fn sync_dir(&mut self) -> std::io::Result<()> {
+        let dir = self.path.parent().filter(|p| !p.as_os_str().is_empty());
+        self.disk.sync_dir(dir.unwrap_or(Path::new(".")))?;
+        self.named = true;
+        Ok(())
     }
 }
 
@@ -319,9 +339,8 @@ impl<D: Disk> JournalSink for FileSink<D> {
             // Make the exchange itself durable: without the directory fsync
             // a power failure could bring back the old names, and frames
             // appended (and acknowledged) after this compaction would
-            // vanish with the new log. A bare name lives in `.`.
-            let dir = self.path.parent().filter(|p| !p.as_os_str().is_empty());
-            self.disk.sync_dir(dir.unwrap_or(Path::new(".")))
+            // vanish with the new log.
+            self.sync_dir()
         };
         swap().expect("journal file rewrite must succeed");
         std::mem::swap(&mut self.log, &mut self.spare);
@@ -395,7 +414,7 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// An empty in-memory journal (tests, benches, and the crash harness).
+    /// An empty in-memory journal (tests, benches, and the crash world).
     pub fn in_memory(cfg: JournalConfig) -> Self {
         Journal {
             cfg,

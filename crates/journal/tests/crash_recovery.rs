@@ -1,14 +1,9 @@
-//! The acceptance scenario: kill the gateway mid-stream at an arbitrary
-//! turn, recover from snapshot + tail replay, and let the *strict*
-//! simulator verify that every previously accepted task still meets its
-//! deadline — or was explicitly demoted to the defer queue with the
-//! demotion journaled. Strict mode panics on any violated guarantee, so a
-//! completing run is the proof.
-//!
-//! The crash happens inside the serving stack: [`Restarting`] is the one
-//! frontend the simulator drives for the whole run, and the head node dies
-//! and comes back behind it — from the WAL image it leaves in memory, or
-//! from a WAL file.
+//! Crash recovery: recover from snapshot + tail replay, and let the
+//! *strict* simulator verify that every previously accepted task still
+//! meets its deadline — or was explicitly demoted to the defer queue with
+//! the demotion journaled. Strict mode panics on any violated guarantee, so
+//! a completing run is the proof. Kills in the middle of a served stream
+//! run in the crash world (`rtdls-world`'s `tests/restarts.rs`).
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
@@ -53,284 +48,6 @@ fn fresh_gateway(snapshot_every: usize) -> JG {
             compact_on_snapshot: true,
         },
     )
-}
-
-/// How a dead head node comes back: from the WAL image it left and the
-/// instant it restarts at. Never shown the dying gateway.
-type Recovery = Box<dyn FnOnce(Vec<u8>, SimTime) -> JG>;
-
-/// A journaled gateway whose process dies before its `kill_before`-th
-/// serving turn and restarts from its write-ahead log alone, the way a
-/// replicated deployment fails one over. The worker nodes outlive the head
-/// node: the simulator keeps running the dispatched chunks and feeds their
-/// releases to whichever process is alive.
-struct Restarting {
-    live: Option<JG>,
-    /// Serving turns committed so far (`drive` calls).
-    turns: u64,
-    kill_before: u64,
-    recover: Option<Recovery>,
-}
-
-impl Restarting {
-    fn new(
-        live: JG,
-        kill_before: u64,
-        recover: impl FnOnce(Vec<u8>, SimTime) -> JG + 'static,
-    ) -> Self {
-        Restarting {
-            live: Some(live),
-            turns: 0,
-            kill_before,
-            recover: Some(Box::new(recover)),
-        }
-    }
-
-    /// Whether the process died and came back.
-    fn restarted(&self) -> bool {
-        self.recover.is_none()
-    }
-
-    fn gateway(&self) -> &JG {
-        self.live
-            .as_ref()
-            .expect("a process is alive between calls")
-    }
-
-    /// The process serving a call at `now`: the first call after turn
-    /// `kill_before - 1` committed finds it dead, and what comes back is
-    /// rebuilt from the WAL image alone.
-    fn serving(&mut self, now: SimTime) -> &mut JG {
-        if self.turns + 1 >= self.kill_before {
-            if let Some(recover) = self.recover.take() {
-                let dead = self.live.take().expect("alive until killed");
-                let wal = dead.journal().bytes().to_vec();
-                drop(dead);
-                self.live = Some(recover(wal, now));
-            }
-        }
-        self.live
-            .as_mut()
-            .expect("a process is alive between calls")
-    }
-}
-
-impl Serve for Restarting {
-    type Outcome = Verdict;
-
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        self.serving(now).decide(request, now)
-    }
-
-    fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
-        self.serving(now).drive_into(now, turn);
-        self.turns += 1;
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        self.gateway().next_due()
-    }
-
-    fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
-        self.live.as_mut().expect("alive").finalize(now)
-    }
-
-    fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
-        self.serving(now).replan_waiting(now)
-    }
-
-    fn committed_release(&self, node: usize) -> SimTime {
-        self.gateway().committed_release(node)
-    }
-
-    fn node_released(&mut self, node: usize, at: SimTime) {
-        self.serving(at).node_released(node, at);
-    }
-
-    fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
-        self.gateway().plan_of(task)
-    }
-}
-
-/// Recovers from the dead gateway's WAL image — the only artifact a real
-/// crash leaves behind — and asserts the demotion audit contract.
-fn recover_from_wal(wal: Vec<u8>, now: SimTime) -> JG {
-    let (recovered, report) = recover(&wal, now, JournalConfig::default(), None).expect("recovery");
-    assert!(
-        report.tail.is_clean(),
-        "in-memory WAL has no torn tail: {:?}",
-        report.tail
-    );
-    // Every demotion must be journaled in the post-recovery log.
-    let (frames, _) = rtdls_journal::wire::decode_frames(recovered.journal().bytes());
-    let demoted_in_journal: Vec<u64> = frames
-        .iter()
-        .filter(|f| f.kind == rtdls_journal::wire::RecordKind::Event)
-        .filter_map(|f| {
-            let ev: JournalEvent =
-                serde_json::from_str(std::str::from_utf8(f.payload).unwrap()).unwrap();
-            match ev {
-                JournalEvent::Demoted { task, .. } => Some(task),
-                _ => None,
-            }
-        })
-        .collect();
-    let demoted_ids: Vec<u64> = report.demoted.iter().map(|t| t.0).collect();
-    assert_eq!(demoted_in_journal, demoted_ids, "demotions journaled");
-    // Demotions re-enter the books as deferral or rejection, never vanish:
-    // accepted + rejected + still-parked == submitted, at any instant.
-    let m = recovered.metrics();
-    assert_eq!(m.demoted, report.demoted.len() as u64);
-    let parked = m.deferred - (m.rescued + m.defer_evicted + m.defer_expired + m.defer_flushed);
-    assert_eq!(parked as usize, recovered.inner().deferred().len());
-    assert_eq!(
-        m.accepted_total() + m.rejected_total() + parked,
-        m.submitted,
-        "books balance at recovery"
-    );
-    recovered
-}
-
-#[test]
-fn a_restart_before_a_chosen_turn_keeps_every_guarantee_and_every_count() {
-    // Strict mode panics on any deadline miss or estimate overrun — for
-    // tasks admitted before *or* after the crash — so every kill point
-    // that completes is itself the acceptance proof.
-    let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
-    let uncrashed = Simulation::with_frontend(cfg, fresh_gateway(16)).run(bursty_tasks(7));
-    // The run serves 192 turns; a kill at its 200th event fell before
-    // turn 111, and 192 restarts before the last one.
-    for kill_before in [3u64, 10, 40, 90, 111, 192] {
-        let frontend = Restarting::new(fresh_gateway(16), kill_before, recover_from_wal);
-        let (report, frontend) =
-            Simulation::with_frontend(cfg, frontend).run_returning_frontend(bursty_tasks(7));
-        assert!(
-            frontend.restarted(),
-            "turn {kill_before} lies inside the run"
-        );
-        let m = &report.metrics;
-        assert_eq!(m.deadline_misses, 0, "kill_before={kill_before}");
-        assert_eq!(m.estimate_overruns, 0, "kill_before={kill_before}");
-        assert_eq!(
-            (m.accepted, m.rejected, m.completed),
-            (
-                uncrashed.metrics.accepted,
-                uncrashed.metrics.rejected,
-                uncrashed.metrics.completed
-            ),
-            "kill_before={kill_before}: the restart changed no outcome"
-        );
-        // The recovered gateway carried its cumulative metrics across the
-        // crash: it has seen every arrival the engine delivered.
-        assert_eq!(
-            frontend.gateway().metrics().submitted,
-            m.arrivals,
-            "kill_before={kill_before}: metrics survived the crash"
-        );
-    }
-}
-
-#[test]
-fn a_kill_past_the_end_never_recovers() {
-    let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
-    let frontend = Restarting::new(fresh_gateway(16), u64::MAX, |_, _| {
-        panic!("recovery must not run")
-    });
-    let (report, frontend) =
-        Simulation::with_frontend(cfg, frontend).run_returning_frontend(bursty_tasks(7));
-    assert!(!frontend.restarted());
-    assert_eq!(report.metrics.deadline_misses, 0);
-    assert_eq!(report.metrics.completed, report.metrics.accepted);
-}
-
-/// The full loop through a WAL *file*: a 4-shard journaled gateway serves a
-/// bursty stream, dies two-thirds of the way through, is rebuilt from the
-/// file alone, and finishes the stream under the strict simulator.
-#[test]
-fn a_restart_from_a_wal_file_finishes_with_all_guarantees() {
-    let params = params();
-    let algorithm = AlgorithmKind::EDF_DLT;
-    let plan = PlanConfig {
-        release_estimate: ReleaseEstimate::Uniform,
-        ..Default::default()
-    };
-    // Bursty, deadline-rich, defer-queue-exercising.
-    let mut spec = WorkloadSpec::paper_baseline(1.2);
-    spec.dc_ratio = 6.0;
-    spec.horizon = 1e5;
-    let profile = BurstProfile {
-        rate_factor: 4.0,
-        ..BurstProfile::moderate(&spec)
-    };
-    let tasks: Vec<Task> = BurstyPoisson::new(spec, profile, 42).collect();
-    assert!(tasks.len() > 20, "workload too small to exercise a crash");
-
-    let wal_path = std::env::temp_dir().join(format!(
-        "rtdls-restart-from-file-test-{}.wal",
-        std::process::id()
-    ));
-    let journal_cfg = JournalConfig {
-        snapshot_every: 64,
-        compact_on_snapshot: true,
-    };
-    let gateway = ShardedGateway::new(
-        params,
-        4,
-        algorithm,
-        plan,
-        Routing::LeastLoaded,
-        DeferPolicy {
-            max_retries: 64,
-            ..Default::default()
-        },
-    )
-    .expect("valid shard layout");
-    let journaled = JournaledGateway::with_sink(
-        gateway,
-        journal_cfg,
-        Box::new(FileSink::create(&wal_path).expect("create WAL")),
-    );
-
-    let kill_before = 2 * tasks.len() as u64 / 3;
-    let path = wal_path.clone();
-    let frontend = Restarting::new(journaled, kill_before, move |_image, now| {
-        // The only artifact that crosses the crash is the file on disk.
-        let (recovered, rec) = recover_file_with_policy::<ShardedGateway>(
-            &path,
-            now,
-            journal_cfg,
-            FsyncPolicy::EveryAppend,
-        )
-        .expect("recovery from WAL");
-        assert!(rec.frames_decoded > 0, "recovery read the journal");
-        recovered
-    });
-    let cfg = SimConfig::new(params, algorithm).with_plan(plan).strict();
-    let (report, frontend) = Simulation::with_frontend(cfg, frontend).run_returning_frontend(tasks);
-    assert!(frontend.restarted(), "the kill must fall inside the run");
-
-    assert_eq!(
-        report.metrics.deadline_misses, 0,
-        "no admitted deadline missed"
-    );
-    assert_eq!(report.metrics.estimate_overruns, 0);
-    assert_eq!(
-        frontend.gateway().metrics().submitted,
-        report.metrics.arrivals,
-        "cumulative metrics crossed the crash intact"
-    );
-    drop(frontend);
-    let wal = FileSink::read(&wal_path).expect("read WAL");
-    let (frames, tail) = rtdls_journal::wire::decode_frames(&wal);
-    assert!(tail.is_clean());
-    assert!(
-        frames
-            .iter()
-            .any(|f| f.kind == rtdls_journal::wire::RecordKind::Snapshot),
-        "compacted WAL keeps a snapshot"
-    );
-    let _ = std::fs::remove_file(&wal_path);
-    let _ = std::fs::remove_file(wal_path.with_extension("wal.spare"));
 }
 
 #[test]
@@ -988,65 +705,6 @@ fn tenant_counters_survive_a_crash_and_restart() {
         recovered.submit_request(&mk(6, 1), SimTime::ZERO),
         Verdict::Throttled
     );
-}
-
-#[test]
-fn recovery_through_a_journal_file_survives_process_boundaries() {
-    // Phase 1 writes the WAL to disk; phase 2 recovers from the file alone
-    // (same process here, but nothing except the path crosses the "boundary").
-    let path =
-        std::env::temp_dir().join(format!("rtdls-crash-recovery-{}.wal", std::process::id()));
-    let tasks = bursty_tasks(99);
-    let crash_time;
-    {
-        let sink = FileSink::create(&path).unwrap();
-        let gateway = ShardedGateway::new(
-            params(),
-            2,
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-            Routing::LeastLoaded,
-            DeferPolicy::default(),
-        )
-        .unwrap();
-        let j = JournaledGateway::with_sink(
-            gateway,
-            JournalConfig {
-                snapshot_every: 32,
-                compact_on_snapshot: true,
-            },
-            Box::new(sink),
-        );
-        let cfg = SimConfig::new(params(), AlgorithmKind::EDF_DLT).strict();
-        let mut sim = Simulation::with_frontend(cfg, j);
-        sim.prime(tasks);
-        while sim.events_processed() < 60 && sim.step() {}
-        crash_time = sim.now();
-        // The process "dies": everything in memory is dropped.
-    }
-    let (recovered, report) = recover_file_with_policy::<ShardedGateway>(
-        &path,
-        crash_time,
-        JournalConfig::default(),
-        FsyncPolicy::EveryAppend,
-    )
-    .unwrap();
-    assert!(report.frames_decoded > 0);
-    assert!(recovered.metrics().submitted > 0);
-    // The file was compacted down to the post-recovery snapshot (+ audits).
-    let on_disk = FileSink::read(&path).unwrap();
-    assert_eq!(on_disk, recovered.journal().bytes());
-    let (frames, tail) = rtdls_journal::wire::decode_frames(&on_disk);
-    assert!(tail.is_clean());
-    assert_eq!(
-        frames
-            .iter()
-            .filter(|f| f.kind == rtdls_journal::wire::RecordKind::Snapshot)
-            .count(),
-        1
-    );
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(path.with_extension("wal.spare"));
 }
 
 #[test]

@@ -383,8 +383,8 @@ impl Follower {
         ))
     }
 
-    /// Mutable access to the standby (the harness applies node releases
-    /// that arrive during the outage window before promoting).
+    /// Mutable access to the standby: node releases that arrive while no
+    /// primary serves reach it before the promotion's re-admission pass.
     pub fn standby_mut(&mut self) -> Option<&mut ShardedGateway> {
         self.standby.as_mut()
     }

@@ -1,14 +1,14 @@
 //! [`ShippingGateway`]: a journaled primary with replication riding along.
 //!
 //! This is the deployable bundle the edge serves, and the primary the
-//! failover harness kills: a [`JournaledGateway`] plus the [`Shipper`] on
+//! crash world (`rtdls-world`) kills: a [`JournaledGateway`] plus the [`Shipper`] on
 //! its journal. Once per turn, after its `drive` has committed, freshly
 //! appended journal frames become outbound [`ShipMsg`]s in an outbox: the
 //! journal image holds a turn's frames from the moment they are decided,
 //! but none of them leaves the process before the turn is durable.
 //!
 //! The gateway touches no socket. Its owner carries the outbox: the
-//! failover harness and the benches drain [`take_outbox`] and feed acks to
+//! crash world and the benches drain [`take_outbox`] and feed acks to
 //! [`on_ack`]; the edge reactor swaps the outbox for acks as bytes through
 //! [`EdgeGateway::swap_ship_bytes`] after every `drive`, writing them to
 //! its follower link, one more non-blocking socket in its epoll set. A
@@ -67,11 +67,6 @@ impl ShippingGateway {
     /// The wrapped journaled gateway.
     pub fn inner(&self) -> &JournaledGateway {
         &self.inner
-    }
-
-    /// Unwraps, dropping the replication channel.
-    pub fn into_inner(self) -> JournaledGateway {
-        self.inner
     }
 
     /// The shipper (ship/ack offsets, retransmission stats).

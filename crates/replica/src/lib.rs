@@ -2,8 +2,7 @@
 //!
 //! Shard replication and failover for the journaled admission gateway:
 //! journal **shipping**, warm-standby **followers**,
-//! epoch-fenced **promotion**, and a deterministic whole-system
-//! **fault harness**.
+//! and epoch-fenced **promotion**.
 //!
 //! `rtdls-journal` made the gateway's promises durable across a *restart*:
 //! the journal survives, the process recovers from it. This crate makes
@@ -21,31 +20,25 @@
 //! primary's epoch — the classic zombie-primary split-brain hazard, closed
 //! by a single integer comparison.
 //!
-//! The replication channel itself is modeled honestly: the
-//! [`harness`] drives a primary + follower pair *inside* the discrete-event
-//! simulator over `rtdls-sim`'s [`FaultyLink`] — seeded message loss,
-//! reordering, duplication, delay, and netsplit windows — so an entire
-//! failover (kill the primary mid-netsplit, promote the follower, fence the
-//! zombie) replays bit-identically from its seed. [`net`] gives the same
-//! [`ShipMsg`] protocol its byte form: the edge reactor carries a
-//! [`ShippingGateway`]'s frames to a follower over its one event loop, and
-//! [`FollowerServer`](net::FollowerServer) replays them on the standby.
-//!
-//! [`FaultyLink`]: rtdls_sim::net::FaultyLink
+//! [`net`] gives the [`ShipMsg`] protocol its byte form: the edge reactor
+//! carries a [`ShippingGateway`]'s frames to a follower over its one event
+//! loop, and [`FollowerServer`](net::FollowerServer) replays them on the
+//! standby. The dev-only `rtdls-world` crate runs the same pair inside the
+//! discrete-event simulator over seeded lossy links, so a whole failover
+//! (kill the primary mid-netsplit, promote the follower, fence the zombie)
+//! replays bit-identically from its seed.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod follower;
 pub mod gateway;
-pub mod harness;
 pub mod net;
 pub mod ship;
 pub mod telemetry;
 
 pub use follower::{Follower, FollowerConfig, FollowerStats, Promotion};
 pub use gateway::ShippingGateway;
-pub use harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend};
 pub use ship::{ShipConfig, ShipMsg, Shipper};
 pub use telemetry::{fold_follower_metrics, fold_replication_metrics};
 
@@ -53,7 +46,6 @@ pub use telemetry::{fold_follower_metrics, fold_replication_metrics};
 pub mod prelude {
     pub use crate::follower::{Follower, FollowerConfig, FollowerStats, Promotion};
     pub use crate::gateway::ShippingGateway;
-    pub use crate::harness::{run_failover, FailoverOutcome, FailoverPlan, ReplicaFrontend};
     pub use crate::net::FollowerServer;
     pub use crate::ship::{ShipConfig, ShipMsg, Shipper};
     pub use crate::telemetry::{fold_follower_metrics, fold_replication_metrics};

@@ -1,6 +1,6 @@
 //! The byte format of the [`ShipMsg`] protocol, and the follower's socket.
 //!
-//! The sim harness proves the protocol correct under seeded faults; this
+//! The crash world proves the protocol correct under seeded faults; this
 //! module gives the *identical* messages a byte form for real sockets. Each
 //! message is its JSON encoding in one frame of the workspace's header
 //! codec ([`rtdls_journal::wire`], the header the journal and the edge use)

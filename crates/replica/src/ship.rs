@@ -8,8 +8,8 @@
 //! side-band framing protocol.
 //!
 //! The shipper is transport-agnostic and **pull-based**: the owner calls
-//! [`Shipper::poll`] whenever it has cycles (the sim harness on every
-//! frontend call, a `ShippingGateway` after every committed turn) and
+//! [`Shipper::poll`] whenever it has cycles (a `ShippingGateway` after
+//! every committed turn, the tests by hand) and
 //! sends whatever messages come back. Three things can come back:
 //!
 //! * **Frames** — everything appended since the last poll. Compaction is
@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// One message on the replication channel, in either direction.
 ///
 /// `Frame` and `Heartbeat` flow primary → follower; `Ack` flows back.
-/// The enum is serde-serializable so the sim harness and the TCP transport
+/// The enum is serde-serializable so the crash world and the TCP transport
 /// ship the identical protocol.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ShipMsg {

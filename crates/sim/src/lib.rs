@@ -45,7 +45,6 @@ pub mod config;
 pub mod engine;
 pub mod event;
 pub mod metrics;
-pub mod net;
 pub mod serve;
 pub mod trace;
 
@@ -54,7 +53,6 @@ pub mod prelude {
     pub use crate::config::{LinkModel, ReplanPolicy, SimConfig};
     pub use crate::engine::{run_simulation, SimReport, Simulation};
     pub use crate::metrics::Metrics;
-    pub use crate::net::{FaultPlan, FaultyLink, LinkStats};
     pub use crate::serve::{Resolution, Serve, SubmitOutcome, Turn};
     pub use crate::trace::{ChunkRecord, TaskRecord, Trace};
 }

@@ -1,5 +1,5 @@
 //! Driving an edge reactor inline, one turn at a time, at instants the
-//! test chooses.
+//! caller chooses.
 //!
 //! * [`Mem`] — a deterministic in-memory [`Transport`]: connections are
 //!   pairs of byte queues, readiness is computed from them on every wait,
@@ -11,8 +11,6 @@
 //!   client end ([`MemClient`] or a non-blocking loopback `TcpStream`),
 //!   turning the server until the next message arrives, and keeps every
 //!   byte it received (the transport-differential test compares them).
-
-#![allow(dead_code)] // each test binary uses its own part of the helper
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
@@ -348,6 +346,7 @@ const TURNS: usize = 100_000;
 /// Speaks the wire protocol to a server the test turns by hand: `recv`
 /// polls the server at the instant given until one message arrives.
 pub struct InlineClient<E: ClientEnd> {
+    /// The connection's client end.
     pub end: E,
     decoder: FrameDecoder,
     /// Every byte the server sent, in order.
@@ -356,6 +355,7 @@ pub struct InlineClient<E: ClientEnd> {
 }
 
 impl<E: ClientEnd> InlineClient<E> {
+    /// Opens a connection to `to`.
     pub fn connect(to: &impl Dial<End = E>) -> Self {
         InlineClient {
             end: to.dial(),
@@ -365,10 +365,12 @@ impl<E: ClientEnd> InlineClient<E> {
         }
     }
 
+    /// Sends one message.
     pub fn send(&mut self, msg: &ClientMsg) {
         self.end.send(&encode_client(msg));
     }
 
+    /// Sends raw bytes (a hostile or malformed peer).
     pub fn send_raw(&mut self, bytes: &[u8]) {
         self.end.send(bytes);
     }

@@ -15,7 +15,7 @@
 //! delays reorder messages naturally (a later send drawing a shorter delay
 //! overtakes an earlier one), while ties preserve send order — the same
 //! two-key determinism discipline the engine's
-//! [`EventQueue`](crate::event::EventQueue) keeps within each event kind.
+//! [`EventQueue`](rtdls_sim::event::EventQueue) keeps within each event kind.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -130,11 +130,6 @@ impl<M: Clone> FaultyLink<M> {
             next_seq: 0,
             stats: LinkStats::default(),
         }
-    }
-
-    /// The plan this link runs under.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     fn draw_delay(&mut self) -> f64 {

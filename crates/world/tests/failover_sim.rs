@@ -7,18 +7,17 @@
 //! split heals, re-admits strictly (demotions journaled under the new
 //! epoch), and the zombie primary's late appends bounce off the epoch
 //! fence. The promoted state must equal a reference recovery of the
-//! shipped prefix, and the whole scenario must replay bit-identically
-//! from its seed.
+//! shipped prefix (the world asserts it at every promotion), and the whole
+//! scenario must replay bit-identically from its seed.
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
 use rtdls_journal::wire::{decode_frames, RecordKind};
 use rtdls_replica::prelude::*;
-use rtdls_service::prelude::*;
 use rtdls_sim::config::SimConfig;
 use rtdls_sim::engine::{SimReport, Simulation};
-use rtdls_sim::net::FaultPlan;
 use rtdls_telemetry::{Stage, Telemetry};
+use rtdls_world::{baseline_gateway, Comeback, FaultPlan, Follow, Kill, Scenario, World};
 
 const KILL_AT: f64 = 2_000.0;
 const SPLIT_FROM: f64 = 1_910.0;
@@ -27,12 +26,10 @@ const PROMOTE_AFTER: f64 = 2_000.0;
 
 /// Genesis-only snapshots: the shipped prefix is the primary's whole log,
 /// so every frame it ever journaled reaches the reference recovery.
-fn journal_cfg() -> JournalConfig {
-    JournalConfig {
-        snapshot_every: 0,
-        compact_on_snapshot: false,
-    }
-}
+const GENESIS_ONLY: JournalConfig = JournalConfig {
+    snapshot_every: 0,
+    compact_on_snapshot: false,
+};
 
 /// Periodic snapshots that compact the log: the bit-identity check runs
 /// this arm too, so snapshots written mid-run are compared byte for byte.
@@ -40,23 +37,6 @@ const COMPACTING: JournalConfig = JournalConfig {
     snapshot_every: 64,
     compact_on_snapshot: true,
 };
-
-fn primary() -> JournaledGateway {
-    primary_with(journal_cfg())
-}
-
-fn primary_with(journal: JournalConfig) -> JournaledGateway {
-    let gateway = ShardedGateway::new(
-        ClusterParams::paper_baseline(),
-        2,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap();
-    JournaledGateway::new(gateway, journal)
-}
 
 /// The scripted workload. Absolute-time landmarks:
 ///
@@ -95,105 +75,64 @@ fn workload() -> Vec<Task> {
             8_000.0,
         ));
     }
-    tasks.sort_by(|a, b| {
-        a.arrival
-            .as_f64()
-            .total_cmp(&b.arrival.as_f64())
-            .then(a.id.0.cmp(&b.id.0))
-    });
+    // The simulator orders arrivals by (time, id) itself.
     tasks
 }
 
-fn plan(seed: u64) -> FailoverPlan {
-    plan_with(seed, journal_cfg())
-}
-
-fn plan_with(seed: u64, journal: JournalConfig) -> FailoverPlan {
-    FailoverPlan::kill_at(SimTime::new(KILL_AT), seed)
-        .with_fault(
-            FaultPlan::clean(seed)
+fn scenario(seed: u64, journal: JournalConfig) -> Scenario {
+    Scenario::new(journal)
+        .kill(Kill::At(SimTime::new(KILL_AT)), Comeback::Promote)
+        .follow(Follow {
+            link: FaultPlan::clean(seed)
                 .with_loss(0.05)
                 .with_duplication(0.10)
                 .with_delay(1.0, 8.0)
                 .with_split(SimTime::new(SPLIT_FROM), SimTime::new(SPLIT_UNTIL)),
-        )
-        .with_ack_fault(
-            FaultPlan::clean(seed.wrapping_mul(31).wrapping_add(7)).with_delay(1.0, 5.0),
-        )
-        .with_ship(ShipConfig {
-            heartbeat_every: 40.0,
-            retransmit_after: 120.0,
+            acks: FaultPlan::clean(seed.wrapping_mul(31).wrapping_add(7)).with_delay(1.0, 5.0),
+            ship: ShipConfig {
+                heartbeat_every: 40.0,
+                retransmit_after: 120.0,
+            },
+            follower: FollowerConfig {
+                promote_after: PROMOTE_AFTER,
+            },
         })
-        .with_follower(FollowerConfig {
-            promote_after: PROMOTE_AFTER,
-        })
-        .with_journal(journal)
 }
 
-fn run(seed: u64) -> (SimReport, ReplicaFrontend) {
-    run_with(seed, journal_cfg())
+fn sim_cfg() -> SimConfig {
+    SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
+        .with_tenants(TenantMix::uniform(3))
 }
 
-fn run_with(seed: u64, journal: JournalConfig) -> (SimReport, ReplicaFrontend) {
-    let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
-        .with_tenants(TenantMix::uniform(3));
-    run_failover(
-        cfg,
-        primary_with(journal),
-        plan_with(seed, journal),
-        workload(),
-    )
+/// Runs `tasks` through `world` to completion, non-strict: a failover
+/// loses in-flight guarantees by design (the outage window rejects,
+/// unshipped admissions die with the primary), so it is judged by its
+/// record instead.
+fn run_world(cfg: SimConfig, world: World, tasks: Vec<Task>) -> (SimReport, World) {
+    Simulation::with_frontend(cfg, world).run_returning_frontend(tasks)
 }
 
-/// Task ids carried by the input (submission) events of a WAL.
+fn run(seed: u64, journal: JournalConfig) -> (SimReport, World) {
+    let world = World::new(baseline_gateway(2), scenario(seed, journal));
+    run_world(sim_cfg(), world, workload())
+}
+
+/// Task ids carried by the submissions of a WAL.
 fn submitted_ids(bytes: &[u8]) -> Vec<u64> {
     let (frames, _) = decode_frames(bytes);
     frames
         .iter()
-        .filter(|f| f.kind == RecordKind::Event)
-        .filter_map(|f| {
-            let ev: JournalEvent =
-                serde_json::from_str(std::str::from_utf8(f.payload).ok()?).ok()?;
-            match ev {
-                JournalEvent::Submitted { task, .. } => Some(vec![task.id.0]),
-                JournalEvent::RequestSubmitted { request, .. } => Some(vec![request.task.id.0]),
-                JournalEvent::BatchSubmitted { tasks, .. } => {
-                    Some(tasks.iter().map(|t| t.id.0).collect())
-                }
-                _ => None,
-            }
+        .filter_map(|f| match JournalEvent::decode_input(f.payload).ok()?? {
+            JournalEvent::RequestSubmitted { request, .. } => Some(request.task.id.0),
+            _ => None,
         })
-        .flatten()
         .collect()
-}
-
-/// The promoted gateway's state equals a reference recovery of the
-/// shipped prefix: cold replay + the buffered outage releases + the same
-/// strict re-admission pass at the promotion instant.
-fn assert_promotion_is_a_recovery_of_the_shipped_prefix(out: &FailoverOutcome) {
-    let promoted_at = out.promoted_at.expect("follower promoted");
-    let promotion = out.promotion.clone().expect("promotion record");
-    let (mut reference, replay_report) =
-        replay::<ShardedGateway>(&out.shipped_prefix).expect("shipped prefix replays");
-    assert!(replay_report.tail.is_clean());
-    for &(node, time) in &out.buffered_releases {
-        reference.node_released(node, time);
-    }
-    let (reference, ref_demoted) = requalify(reference, promoted_at, journal_cfg(), None, 1);
-    let genesis = out.promoted_genesis.clone().expect("promotion snapshot");
-    let ref_state = GatewaySnapshot::capture(reference.inner());
-    assert_eq!(
-        genesis.shards, ref_state.shards,
-        "per-shard ControllerState diverged from the reference recovery"
-    );
-    assert_eq!(genesis, ref_state, "full gateway state diverged");
-    assert_eq!(promotion.demoted, ref_demoted);
 }
 
 #[test]
 fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
-    let (report, frontend) = run(42);
-    let out = frontend.outcome();
+    let (report, world) = run(42, GENESIS_ONLY);
+    let out = world.record();
 
     // The kill fired at its scheduled instant, inside the netsplit.
     let killed_at = out.killed_at.expect("primary was killed");
@@ -210,7 +149,8 @@ fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
     assert!(promoted_at > SimTime::new(SPLIT_UNTIL));
     let promotion = out.promotion.clone().expect("promotion record");
     assert_eq!(promotion.epoch, 1);
-    assert_eq!(frontend.follower().epoch(), 1);
+    let follower = world.follower().expect("the follower is the fence");
+    assert_eq!(follower.epoch(), 1);
 
     // Strict re-admission journaled demotions: part of the burst stack was
     // still waiting, and the outage consumed its admission-time slack.
@@ -224,8 +164,8 @@ fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
     // promotion, mirror byte-identical to the shipped prefix.
     assert!(out.zombie_frames > 0, "netsplit left an unacked tail");
     assert!(out.follower.fenced >= out.zombie_frames);
-    assert_eq!(frontend.follower().bytes(), &out.shipped_prefix[..]);
-    assert_eq!(frontend.follower().next_seq() as usize, {
+    assert_eq!(follower.bytes(), &out.shipped_prefix[..]);
+    assert_eq!(follower.next_seq() as usize, {
         let (frames, _) = decode_frames(&out.shipped_prefix);
         frames.len()
     });
@@ -242,43 +182,19 @@ fn killed_primary_under_netsplit_fails_over_and_fences_the_zombie() {
             "task {id} must not have reached the follower"
         );
         assert!(
-            frontend.plan_of(TaskId(id)).is_none(),
+            world.plan_of(TaskId(id)).is_none(),
             "task {id} must not survive into the promoted gateway"
         );
     }
 
-    assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
-
-    // Demotions (and the new primary's genesis) are journaled under the
-    // bumped epoch.
-    let promoted_wal = frontend.gateway().expect("promoted gateway").journal();
+    // The new primary's genesis is journaled under the bumped epoch (the
+    // world checked that the demotions follow it).
+    let promoted_wal = world.gateway().expect("promoted gateway").journal();
     assert_eq!(promoted_wal.epoch(), 1);
     let (frames, tail) = decode_frames(promoted_wal.bytes());
-    assert!(tail.is_clean());
-    let genesis_epoch = frames
-        .iter()
-        .find(|f| f.kind == RecordKind::Snapshot)
-        .map(|f| {
-            let snap: GatewaySnapshot =
-                serde_json::from_str(std::str::from_utf8(f.payload).unwrap()).unwrap();
-            snap.epoch
-        })
-        .expect("promoted journal has a genesis snapshot");
-    assert_eq!(genesis_epoch, 1);
-    let journaled_demotions: Vec<u64> = frames
-        .iter()
-        .filter(|f| f.kind == RecordKind::Event)
-        .filter_map(|f| {
-            let ev: JournalEvent =
-                serde_json::from_str(std::str::from_utf8(f.payload).ok()?).ok()?;
-            match ev {
-                JournalEvent::Demoted { task, .. } => Some(task),
-                _ => None,
-            }
-        })
-        .collect();
-    let expected: Vec<u64> = promotion.demoted.iter().map(|t| t.0).collect();
-    assert_eq!(journaled_demotions, expected);
+    assert!(tail.is_clean() && frames[0].kind == RecordKind::Snapshot);
+    let genesis: GatewaySnapshot = serde_json::from_slice(frames[0].payload).unwrap();
+    assert_eq!(genesis.epoch, 1);
 
     // Life goes on: the outage window bounced arrivals, the promoted
     // primary served the post-outage ones.
@@ -295,17 +211,13 @@ fn one_trace_id_reconstructs_the_cross_node_timeline_after_failover() {
     // only the follower's survives to answer timeline queries.
     let primary_recorder = Telemetry::with_defaults();
     let follower_recorder = Telemetry::with_defaults();
-    let mut frontend = ReplicaFrontend::new(primary(), plan(42));
-    frontend.attach_primary_telemetry(&primary_recorder);
-    frontend.attach_follower_telemetry(&follower_recorder);
-    let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
-        .with_tenants(TenantMix::uniform(3));
-    let mut sim = Simulation::with_frontend(cfg, frontend);
-    sim.prime(workload());
-    while sim.step() {}
-    let (_report, frontend) = sim.finish();
-    let out = frontend.outcome();
-    assert!(out.promoted_at.is_some(), "scenario must fail over");
+    let mut world = World::new(baseline_gateway(2), scenario(42, GENESIS_ONLY));
+    world.attach_telemetry(&primary_recorder, &follower_recorder);
+    let (_report, world) = run_world(sim_cfg(), world, workload());
+    assert!(
+        world.record().promoted_at.is_some(),
+        "scenario must fail over"
+    );
 
     // Task 1 was admitted, journaled, and shipped long before the kill.
     // Drop the primary's recorder — the query must succeed without it.
@@ -341,15 +253,21 @@ fn one_trace_id_reconstructs_the_cross_node_timeline_after_failover() {
 
 #[test]
 fn the_whole_scenario_replays_bit_identically_from_its_seed() {
-    for journal in [journal_cfg(), COMPACTING] {
+    for journal in [GENESIS_ONLY, COMPACTING] {
         for seed in 42..=49 {
-            let (r1, f1) = run_with(seed, journal);
-            let (r2, f2) = run_with(seed, journal);
-            // The forensic outcome covers every byte that matters: the
-            // shipped prefix, the promoted genesis snapshot, the dead
-            // primary's WAL, all link/follower/shipper counters.
-            let out = f1.outcome();
-            assert_eq!(out, f2.outcome(), "{journal:?} seed {seed}");
+            let (r1, w1) = run(seed, journal);
+            let (r2, w2) = run(seed, journal);
+            // The record covers every byte that matters: the shipped
+            // prefix, the promoted genesis snapshot, the dead primary's
+            // WAL, all link/follower/shipper counters.
+            let out = w1.record();
+            assert_eq!(out, w2.record(), "{journal:?} seed {seed}");
+            // Every seed fails over. The world held the mirror to a prefix
+            // of the primary's WAL after every event, and the promotion to
+            // a recovery of what was shipped (cold replay + the buffered
+            // outage releases + the same strict re-admission pass at the
+            // promotion instant, bit for bit) with its demotions journaled.
+            assert!(out.promoted_genesis.is_some(), "{journal:?} seed {seed}");
             assert_eq!(r1.metrics.accepted, r2.metrics.accepted);
             assert_eq!(r1.metrics.rejected, r2.metrics.rejected);
             assert_eq!(r1.metrics.completed, r2.metrics.completed);
@@ -363,43 +281,28 @@ fn the_whole_scenario_replays_bit_identically_from_its_seed() {
             }
 
             // A different seed misbehaves differently.
-            let (_, f3) = run_with(seed + 1, journal);
-            assert_ne!(out, f3.outcome(), "{journal:?} seed {seed}");
+            let (_, w3) = run(seed + 1, journal);
+            assert_ne!(out, w3.record(), "{journal:?} seed {seed}");
         }
-    }
-}
-
-#[test]
-fn every_seed_promotes_a_recovery_of_its_shipped_prefix() {
-    for seed in 42..=49 {
-        let (_, frontend) = run(seed);
-        let out = frontend.outcome();
-        assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
-        // What reached the follower is a prefix of what the primary
-        // journaled: frames leave only whole, in order, after their commit.
-        assert!(
-            out.primary_wal.starts_with(&out.shipped_prefix),
-            "seed {seed}: the mirror is not a prefix of the primary's WAL"
-        );
     }
 }
 
 #[test]
 fn the_control_arm_never_kills_and_never_promotes() {
     let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT);
-    let (report, frontend) = run_failover(
+    let control = Scenario::new(GENESIS_ONLY).follow(Follow::clean(7));
+    let (report, world) = run_world(
         cfg,
-        primary(),
-        FailoverPlan::no_kill(7),
+        World::new(baseline_gateway(2), control),
         (0..10u64)
             .map(|i| Task::new(i, i as f64 * 200.0, 20.0, 2_000.0))
             .collect(),
     );
-    let out = frontend.outcome();
+    let out = world.record();
     assert_eq!(out.killed_at, None);
     assert_eq!(out.promoted_at, None);
     assert_eq!(out.lost_submissions, 0);
-    assert!(!frontend.follower().promoted());
+    assert!(!world.follower().unwrap().promoted());
     assert_eq!(report.metrics.completed, report.metrics.accepted);
     assert_eq!(report.metrics.deadline_misses, 0);
 }
@@ -411,13 +314,15 @@ fn over_clean_links_the_kill_fires_on_time_in_an_idle_tail() {
     // only remaining timers are the heartbeat cadence and the kill, so the
     // kill lands at its instant with the cluster long idle.
     let kill_at = SimTime::new(5_000.3);
-    let plan = FailoverPlan::kill_at(kill_at, 11).with_journal(journal_cfg());
+    let scenario = Scenario::new(GENESIS_ONLY)
+        .kill(Kill::At(kill_at), Comeback::Promote)
+        .follow(Follow::clean(11));
     let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT);
     let tasks = (0..5u64)
         .map(|i| Task::new(i, i as f64 * 100.0, 20.0, 2_000.0))
         .collect();
-    let (report, frontend) = run_failover(cfg, primary(), plan, tasks);
-    let out = frontend.outcome();
+    let (report, world) = run_world(cfg, World::new(baseline_gateway(2), scenario), tasks);
+    let out = world.record();
     assert_eq!(report.metrics.accepted, 5);
     assert_eq!(report.metrics.completed, 5);
     assert_eq!(out.killed_at, Some(kill_at), "the kill fired on time");
@@ -434,7 +339,7 @@ fn over_clean_links_the_kill_fires_on_time_in_an_idle_tail() {
             && promoted_at <= kill_at.as_f64() + silence,
         "promoted {silence} after the last heartbeat: {promoted_at}"
     );
-    assert_promotion_is_a_recovery_of_the_shipped_prefix(&out);
+    assert!(out.promoted_genesis.is_some());
 }
 
 #[test]
@@ -445,34 +350,22 @@ fn a_dispatch_the_standby_never_heard_of_runs_once() {
     // as waiting, re-admits it and offers it again; the engine has already
     // run it and drops the second offer.
     let params = ClusterParams::paper_baseline();
-    let one_shard = || {
-        let gateway = ShardedGateway::new(
-            params,
-            1,
-            AlgorithmKind::EDF_DLT,
-            PlanConfig::default(),
-            Routing::LeastLoaded,
-            DeferPolicy::default(),
-        )
-        .unwrap();
-        JournaledGateway::new(gateway, journal_cfg())
-    };
     // B takes all sixteen nodes at once; A waits behind it with room to
     // spare, so its dispatch is a turn of its own.
     let e16 = rtdls_core::dlt::homogeneous::exec_time(&params, 200.0, 16);
     let a = Task::new(2, 10.0, 20.0, 1e6);
     let tasks = vec![Task::new(1, 0.0, 200.0, e16 * 1.01), a];
     let cfg = SimConfig::new(params, AlgorithmKind::EDF_DLT).with_trace();
-    let run = |plan: FailoverPlan| {
-        let mut sim = Simulation::with_frontend(cfg, ReplicaFrontend::new(one_shard(), plan));
+    let run = |scenario: Scenario| {
+        let mut sim = Simulation::with_frontend(cfg, World::new(baseline_gateway(1), scenario));
         sim.prime(tasks.clone());
         while sim.step() {}
         let duplicates = sim.duplicate_dispatches();
-        let (report, frontend) = sim.finish();
-        (report, frontend.outcome(), duplicates)
+        let (report, world) = sim.finish();
+        (report, world.record(), duplicates)
     };
 
-    let (control, _, duplicates) = run(FailoverPlan::no_kill(5).with_journal(journal_cfg()));
+    let (control, _, duplicates) = run(Scenario::new(GENESIS_ONLY).follow(Follow::clean(5)));
     assert_eq!(duplicates, 0);
     let trace = control.trace.expect("traced");
     let chunks = trace.task_chunks(a.id).count();
@@ -481,9 +374,12 @@ fn a_dispatch_the_standby_never_heard_of_runs_once() {
 
     let kill_at = SimTime::new(dispatched_at.as_f64() + 1.0);
     let split = FaultPlan::clean(5).with_split(dispatched_at, SimTime::new(kill_at.as_f64() + 1.0));
-    let (report, out, duplicates) = run(FailoverPlan::kill_at(kill_at, 5)
-        .with_fault(split)
-        .with_journal(journal_cfg()));
+    let (report, out, duplicates) = run(Scenario::new(GENESIS_ONLY)
+        .kill(Kill::At(kill_at), Comeback::Promote)
+        .follow(Follow {
+            link: split,
+            ..Follow::clean(5)
+        }));
     assert_eq!(out.killed_at, Some(kill_at));
     assert!(out.promoted_at.is_some(), "the standby took over");
     assert!(

@@ -1,8 +1,9 @@
 //! Property tests for the shipping protocol under seeded network faults.
 //!
-//! A hand-pumped primary/follower pair (no sim engine — just the shipper,
-//! two [`FaultyLink`]s, and a follower) is driven through arbitrary
-//! loss/duplication/delay/netsplit schedules. Whatever the channel does:
+//! A world with a shipping primary and a follower behind two lossy links
+//! is turned by hand (no sim engine: a turn every 10 time units) through
+//! arbitrary loss/duplication/delay/netsplit schedules. Whatever the
+//! channel does:
 //!
 //! * the follower's mirror is always a byte-prefix of the primary's
 //!   journal — reordering and duplication never corrupt or double-apply;
@@ -16,7 +17,7 @@ use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
 use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
-use rtdls_sim::net::{FaultPlan, FaultyLink, LinkStats};
+use rtdls_world::{baseline_gateway, FaultPlan, Follow, Record, Scenario, World};
 
 fn journal_cfg() -> JournalConfig {
     JournalConfig {
@@ -25,20 +26,7 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway {
-    let gw = ShardedGateway::new(
-        ClusterParams::paper_baseline(),
-        1,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap();
-    JournaledGateway::new(gw, journal_cfg())
-}
-
-/// One shipping schedule: the frame-link fault plan plus pump length.
+/// One shipping schedule: the frame-link fault plan plus run length.
 #[derive(Clone, Debug)]
 struct Schedule {
     seed: u64,
@@ -89,31 +77,36 @@ fn schedules() -> impl Strategy<Value = Schedule> {
         })
 }
 
-/// Everything a run produces that determinism must cover.
+/// Everything a run produces that determinism must cover: the record
+/// (follower, shipper and link counters among it), and the follower's
+/// cursor and warm standby.
 #[derive(Debug, PartialEq)]
 struct RunResult {
     primary_wal: Vec<u8>,
     mirror: Vec<u8>,
     follower_next: u64,
-    follower_stats: FollowerStats,
-    ship_stats: rtdls_replica::ship::ShipStats,
-    link: LinkStats,
-    acks: LinkStats,
+    record: Record,
     standby: Option<GatewaySnapshot>,
 }
 
-/// Pumps a scripted workload through the channel under `schedule`. The
-/// workload submits a task every 40 time units for 1200 units, then the
-/// channel settles (faults keep acting; retransmission drives catch-up).
-fn pump(schedule: &Schedule) -> RunResult {
-    let mut gw = primary();
-    let mut shipper = Shipper::new(ShipConfig {
-        heartbeat_every: 30.0,
-        retransmit_after: 60.0,
-    });
-    let mut link: FaultyLink<ShipMsg> = FaultyLink::new(schedule.frame_plan());
-    let mut acks: FaultyLink<ShipMsg> = FaultyLink::new(schedule.ack_plan());
-    let mut follower = Follower::new(FollowerConfig::default());
+/// Serves a scripted workload under `schedule`: a task every 40 time units
+/// for 1200 units, then the channel settles (faults keep acting;
+/// retransmission drives catch-up). The world checks after every call that
+/// the mirror is a prefix of the primary's WAL.
+fn serve(schedule: &Schedule) -> RunResult {
+    let follow = Follow {
+        link: schedule.frame_plan(),
+        acks: schedule.ack_plan(),
+        ship: ShipConfig {
+            heartbeat_every: 30.0,
+            retransmit_after: 60.0,
+        },
+        follower: FollowerConfig::default(),
+    };
+    let mut world = World::new(
+        baseline_gateway(1),
+        Scenario::new(journal_cfg()).follow(follow),
+    );
 
     let split_end = schedule.split.map(|(_, until)| until).unwrap_or(0.0);
     let settle_until = (1_200.0f64).max(split_end) + 3_000.0;
@@ -122,33 +115,19 @@ fn pump(schedule: &Schedule) -> RunResult {
     while t <= settle_until {
         let now = SimTime::new(t);
         if t <= 1_200.0 && (t / 40.0).fract() == 0.0 {
-            gw.submit_request(&SubmitRequest::new(Task::new(id, t, 20.0, 2_000.0)), now);
+            world.decide(&SubmitRequest::new(Task::new(id, t, 20.0, 2_000.0)), now);
             id += 1;
         }
-        for msg in shipper.poll(gw.journal(), now) {
-            link.send(now, msg);
-        }
-        for msg in link.deliver_due(now) {
-            if let Some(ack) = follower.on_msg(now, msg).expect("clean frames apply") {
-                acks.send(now, ack);
-            }
-        }
-        for msg in acks.deliver_due(now) {
-            if let ShipMsg::Ack { seq } = msg {
-                shipper.on_ack(seq, now);
-            }
-        }
+        world.drive(now);
         t += 10.0;
     }
 
+    let follower = world.follower().expect("the follower runs");
     RunResult {
-        primary_wal: gw.journal().bytes().to_vec(),
+        primary_wal: world.gateway().unwrap().journal().bytes().to_vec(),
         mirror: follower.bytes().to_vec(),
         follower_next: follower.next_seq(),
-        follower_stats: follower.stats(),
-        ship_stats: shipper.stats(),
-        link: link.stats(),
-        acks: acks.stats(),
+        record: world.record(),
         standby: follower.standby().map(GatewaySnapshot::capture),
     }
 }
@@ -161,16 +140,14 @@ proptest! {
     /// offset, and the standby equals a cold replay of the mirror.
     #[test]
     fn mirror_is_an_exactly_once_prefix_of_the_primary(schedule in schedules()) {
-        let run = pump(&schedule);
+        let run = serve(&schedule);
 
-        prop_assert!(
-            run.primary_wal.starts_with(&run.mirror),
-            "mirror diverged from the primary's journal"
-        );
+        // The world held the mirror to a prefix of the primary's journal
+        // after every call.
 
         // Idempotent replay: every applied frame advanced the cursor, so
         // duplicated and reordered deliveries never double-applied.
-        prop_assert_eq!(run.follower_stats.applied, run.follower_next);
+        prop_assert_eq!(run.record.follower.applied, run.follower_next);
 
         // The warm standby is exactly what cold recovery of the mirror
         // would rebuild.
@@ -189,8 +166,8 @@ proptest! {
     /// schedule is the only source of randomness.
     #[test]
     fn the_same_seed_replays_byte_identically(schedule in schedules()) {
-        let a = pump(&schedule);
-        let b = pump(&schedule);
+        let a = serve(&schedule);
+        let b = serve(&schedule);
         prop_assert_eq!(a, b);
     }
 
@@ -204,8 +181,8 @@ proptest! {
         split in splits(),
     ) {
         let schedule = Schedule { seed, loss: 0.0, duplicate, delay_max, split };
-        let run = pump(&schedule);
+        let run = serve(&schedule);
         prop_assert_eq!(&run.mirror, &run.primary_wal, "follower did not fully catch up");
-        prop_assert_eq!(run.follower_stats.applied, run.follower_next);
+        prop_assert_eq!(run.record.follower.applied, run.follower_next);
     }
 }

@@ -15,7 +15,7 @@
 //! | [`workload`] | the paper's workload generator (`SystemLoad`, `DCRatio`, normal sizes, uniform deadlines) plus bursty open-loop arrival streams |
 //! | [`service`] | the online serving layer: admission gateways with Accept/Defer/Reject and sharded multi-cluster dispatch |
 //! | [`journal`] | durability for the serving layer: write-ahead journaling of every gateway decision, compacting snapshots, and crash recovery with strict re-admission |
-//! | [`replica`] | shard replication & failover: journal shipping to a warm standby, epoch-fenced promotion, and a deterministic network-fault harness |
+//! | [`replica`] | shard replication & failover: journal shipping to a warm standby and epoch-fenced promotion (the crash world that kills, restarts and fails it over is the dev-only `rtdls-world`) |
 //! | [`edge`] | the network front-end: a hand-rolled non-blocking reactor serving the request/verdict protocol over TCP, with streamed reservation updates |
 //! | [`experiments`] | the figure harness reproducing Fig. 3–16 and the §5.2 aggregate |
 //!
