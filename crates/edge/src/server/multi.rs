@@ -9,7 +9,9 @@
 //!   elsewhere, the connection — socket, unread frames, queued replies —
 //!   is posted to the home reactor's mailbox before any of its submits is
 //!   decided, so a parked task's pending entry and its socket always live
-//!   on one thread and a pushed update cannot be misdelivered.
+//!   on one thread and a pushed update cannot be misdelivered. A bind that
+//!   would move a connection holding a parked task is refused like a
+//!   conflicting rebind (`Error`, then drain): no pending entry moves.
 //! * A bound connection that submits for another tenant, or an unbound one
 //!   that submits for a tenant homed on another reactor, is answered
 //!   `Error { seq }` (naming the home reactor, for the unbound case) and

@@ -106,11 +106,7 @@ impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
     /// reactor 0's transport holds the listener and accepts every
     /// connection. The one construction path: a lone server is a group of
     /// one.
-    pub(super) fn with_transports(
-        transports: Vec<T>,
-        gateways: Vec<G>,
-        cfg: EdgeConfig,
-    ) -> Vec<Self> {
+    pub fn with_transports(transports: Vec<T>, gateways: Vec<G>, cfg: EdgeConfig) -> Vec<Self> {
         let mailboxes: Arc<[Mailbox<T>]> = transports
             .iter()
             .map(|t| Mailbox {
@@ -489,10 +485,18 @@ impl<G: EdgeGateway, T: Transport> EdgeServer<G, T> {
                     );
                 } else if let Some(tenant) = tenant {
                     // Bound here; the read phase hands the connection to
-                    // the tenant's home reactor when that is another one.
-                    let bound = *self.conns[i].tenant.get_or_insert(tenant);
-                    if bound != tenant {
+                    // the tenant's home reactor when that is another one,
+                    // unless parked tasks' pending entries hold it here.
+                    let (conn, n) = (&self.conns[i], self.mailboxes.len());
+                    if let Some(bound) = conn.tenant.filter(|&b| b != tenant) {
                         self.fail_conn(i, None, rebound(bound, tenant), now);
+                    } else if reactor_for_tenant(tenant, n) != self.index
+                        && self.pending.holds(conn.id)
+                    {
+                        let message = "connection holds parked tasks: bind before submitting";
+                        self.fail_conn(i, None, message.to_string(), now);
+                    } else {
+                        self.conns[i].tenant = Some(tenant);
                     }
                 }
             }

@@ -54,6 +54,13 @@ impl PendingRegistry {
         self.minted.remove(&minted);
     }
 
+    /// Whether any parked task of connection `conn` is still owed.
+    pub(crate) fn holds(&self, conn: u64) -> bool {
+        self.minted
+            .iter()
+            .any(|&minted| Self::unmint(minted).0 == conn)
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.minted.len()
     }

@@ -20,7 +20,6 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize, Value};
 use rtdls_core::prelude::*;
 use rtdls_edge::codec::{Direction, FrameDecoder, HEADER_LEN};
 use rtdls_edge::prelude::*;
-use rtdls_edge::proto::{decode_server, encode_client, encode_server, OpsQuery};
+use rtdls_edge::proto::{encode_client, encode_server, OpsQuery};
 use rtdls_journal::prelude::*;
 use rtdls_journal::wire::{self, RecordKind};
 use rtdls_replica::net::{encode_msg, read_msg, write_msg};
@@ -37,6 +36,8 @@ use rtdls_replica::ship::{ShipConfig, ShipMsg};
 use rtdls_replica::ShippingGateway;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
+use rtdls_world::baseline_gateway;
+use rtdls_world::mem::{mem_server, ClientEnd, InlineClient, Mem, MemClient};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 /// Cases per seed and loop: ≈ 6 000 in all, a second or two.
@@ -502,17 +503,7 @@ fn the_largest_bench_fleet_snapshot_ships_under_the_cap() {
 /// reactor answers it or fails that connection, and goes on serving.
 #[test]
 fn a_live_reactor_outlives_every_mutated_client_frame() {
-    let gateway = ShardedGateway::new(
-        ClusterParams::paper_baseline(),
-        2,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap();
-    let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-    let addr = server.local_addr();
+    let (mut server, net) = mem_server(baseline_gateway(2), EdgeConfig::default());
     let now = SimTime::new(1.0e6);
     let mut served = 0u64;
     for seed in SEEDS {
@@ -530,8 +521,8 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
                     payload.as_bytes(),
                 )
             };
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.write_all(&frame).unwrap();
+            let mut conn = InlineClient::connect(&net);
+            conn.send_raw(&frame);
             for _ in 0..4 {
                 server.poll(now);
             }
@@ -541,7 +532,7 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
             }
             // An honest client is still served.
             served += 1;
-            let mut honest = TcpStream::connect(addr).unwrap();
+            let mut honest = InlineClient::greeted(&net, &mut server, now);
             assert!(
                 answered(&mut server, &mut honest, served, now),
                 "seed {seed} case {case}: the reactor stopped serving"
@@ -558,34 +549,21 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
 /// Submits one task on `conn` and turns `server` until its verdict is
 /// back; whether it came.
 fn answered<G: EdgeGateway>(
-    server: &mut EdgeServer<G>,
-    conn: &mut TcpStream,
+    server: &mut EdgeServer<G, Mem>,
+    conn: &mut InlineClient<MemClient>,
     seq: u64,
     now: SimTime,
 ) -> bool {
-    conn.set_read_timeout(Some(Duration::from_millis(2)))
-        .unwrap();
     let task = Task::new(1_000_000 + seq, now.as_f64(), 10.0, 1.0e6);
-    conn.write_all(&encode_client(&ClientMsg::Submit {
-        seq,
-        request: SubmitRequest::new(task),
-    }))
-    .unwrap();
-    let mut dec = FrameDecoder::new(rtdls_edge::codec::DEFAULT_MAX_FRAME);
-    for _ in 0..2_000 {
-        server.poll(now);
-        let mut buf = [0u8; 4096];
-        if let Ok(n) = conn.read(&mut buf) {
-            dec.push(&buf[..n]);
-        }
-        while let Some((_, payload)) = dec.next_frame_ref().unwrap() {
-            if let ServerMsg::Verdict { seq: got, .. } = decode_server(payload).unwrap() {
-                assert_eq!(got, seq);
-                return true;
-            }
+    let request = SubmitRequest::new(task);
+    conn.send(&ClientMsg::Submit { seq, request });
+    loop {
+        match conn.recv(server, now) {
+            ServerMsg::Verdict { seq: got, .. } => return got == seq,
+            ServerMsg::Update { .. } => continue,
+            _ => return false,
         }
     }
-    false
 }
 
 /// Acks are bytes from outside the program too: a follower link that sends
@@ -624,17 +602,14 @@ fn hostile_follower_bytes_end_the_link_not_the_edge() {
             JournalConfig::default(),
         );
         let gateway = ShippingGateway::new(journaled, ShipConfig::default());
-        let mut server = EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        server
-            .follow(TcpStream::connect(listener.local_addr().unwrap()).unwrap())
-            .unwrap();
-        let (mut standby, _) = listener.accept().unwrap();
-        let mut client = TcpStream::connect(server.local_addr()).unwrap();
+        let (mut server, net) = mem_server(gateway, EdgeConfig::default());
+        let (primary_end, mut standby) = net.link();
+        server.follow(primary_end).unwrap();
+        let mut client = InlineClient::greeted(&net, &mut server, now);
         assert!(answered(&mut server, &mut client, 1, now), "{what}");
         // An honest ack first: the link takes it.
-        standby.write_all(&ack).unwrap();
-        standby.write_all(&hostile).unwrap();
+        standby.send(&ack);
+        standby.send(&hostile);
         for _ in 0..2_000 {
             if server.stats().links_dropped > 0 {
                 break;

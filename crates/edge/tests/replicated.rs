@@ -18,6 +18,7 @@ use rtdls_replica::net::{read_msg, write_msg};
 use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_telemetry::{HistoryConfig, MetricKind, MetricSample, MetricsRegistry, Telemetry};
+use rtdls_world::baseline_gateway;
 
 /// Names in README § Unified metrics that a single short replicated run
 /// cannot produce, each with the reason.
@@ -58,25 +59,13 @@ fn exported(samples: &[MetricSample], name: &str) -> bool {
 }
 
 fn journaled_primary() -> JournaledGateway {
-    JournaledGateway::new(sharded(), NO_COMPACTION)
+    JournaledGateway::new(baseline_gateway(2), NO_COMPACTION)
 }
 
 const NO_COMPACTION: JournalConfig = JournalConfig {
     snapshot_every: 0,
     compact_on_snapshot: false,
 };
-
-fn sharded() -> ShardedGateway {
-    ShardedGateway::new(
-        ClusterParams::paper_baseline(),
-        2,
-        AlgorithmKind::EDF_DLT,
-        PlanConfig::default(),
-        Routing::LeastLoaded,
-        DeferPolicy::default(),
-    )
-    .unwrap()
-}
 
 #[test]
 fn edge_over_shipping_gateway_replicates_and_reports_lag() {
@@ -96,7 +85,7 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     // land samples). Its WAL is a file, so the sink's series exist too.
     let wal = std::env::temp_dir().join(format!("rtdls-replicated-{}.wal", std::process::id()));
     let sink = FileSink::create(&wal).expect("create the primary's WAL");
-    let primary = JournaledGateway::with_sink(sharded(), NO_COMPACTION, Box::new(sink));
+    let primary = JournaledGateway::with_sink(baseline_gateway(2), NO_COMPACTION, Box::new(sink));
     let gateway = ShippingGateway::new(primary, ShipConfig::default());
     let mut server =
         EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");

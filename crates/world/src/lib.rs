@@ -14,35 +14,50 @@
 //! balance, every demotion is journaled and a promotion is a recovery of
 //! the shipped prefix; at a restart, that it holds every submit of every
 //! turn whose `drive` returned. A scenario replays bit-identically.
+//!
+//! The head can also be an edge: [`World::edge`] runs N reactors, one
+//! journaled head each, on one in-memory net ([`mem`]), turned by
+//! [`World::poll`] or by [`World::run`] playing [`Client`]s; the same
+//! kill and comeback apply to the whole edge, and the world audits the
+//! wire after every turn (see the `edge` module).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod disk;
+mod edge;
 pub mod mem;
 pub mod net;
 
 use std::path::PathBuf;
 
+use rtdls_core::dlt::homogeneous;
 use rtdls_core::prelude::{
     AdmissionFailure, AlgorithmKind, ClusterParams, Infeasible, PlanConfig, SimTime, SubmitRequest,
-    TaskId, TaskPlan,
+    Task, TaskId, TaskPlan, TenantId, TenantMix,
 };
+use rtdls_edge::prelude::{EdgeConfig, EdgeServer, EdgeStats};
 use rtdls_journal::disk::Std;
 use rtdls_journal::wire::{decode_frames, RecordKind};
 use rtdls_journal::{
     recover, recover_file_on, replay, requalify, FileSink, FsyncPolicy, GatewaySnapshot,
-    JournalConfig, JournalEvent, JournaledGateway, RecoveryReport,
+    JournalConfig, JournalError, JournalEvent, JournaledGateway, RecoveryReport,
 };
 use rtdls_replica::prelude::{
     Follower, FollowerConfig, FollowerStats, Promotion, ShipConfig, ShipMsg, ShippingGateway,
 };
 use rtdls_replica::ship::ShipStats;
-use rtdls_service::prelude::{DeferPolicy, EdgeGateway, Routing, ShardedGateway, Verdict};
+use rtdls_service::prelude::{
+    DeferPolicy, EdgeGateway, Routing, ServiceMetrics, ShardedGateway, Verdict,
+};
 use rtdls_sim::serve::{Resolution, Serve, Turn};
 use rtdls_telemetry::Telemetry;
+use rtdls_workload::prelude::{IntoRequests, WorkloadGenerator, WorkloadSpec};
 
 pub use disk::{until_power_loss, Platter};
+pub use edge::{Client, Tally};
+use edge::{Edge, Session};
+use mem::{Mem, MemNet};
 pub use net::{FaultPlan, FaultyLink, LinkStats};
 
 /// The head node most scenarios serve: `shards` shards of the paper's
@@ -59,6 +74,63 @@ pub fn baseline_gateway(shards: usize) -> ShardedGateway {
         DeferPolicy::default(),
     )
     .expect("the baseline shards")
+}
+
+/// The reservation scenario's head: one EDF-OPR-MN shard of the baseline
+/// cluster whose 16 nodes are all committed until `avail`.
+pub fn saturated_until(avail: SimTime) -> ShardedGateway {
+    let (params, algorithm) = (ClusterParams::paper_baseline(), AlgorithmKind::EDF_OPR_MN);
+    let (plan, routing) = (PlanConfig::default(), Routing::LeastLoaded);
+    let mut gateway =
+        ShardedGateway::new(params, 1, algorithm, plan, routing, DeferPolicy::default())
+            .expect("one shard");
+    for node in 0..16 {
+        gateway.node_released(node, avail);
+    }
+    gateway
+}
+
+/// Its two submits for `tenant`: an all-node blocker (task 1) that waits
+/// for the nodes, and a small EDF-earlier candidate (task 2, tolerating
+/// 2 000 s of delay) that can only book a reservation at the blocker's
+/// dispatch, `avail`.
+pub fn reservation(avail: SimTime, tenant: TenantId) -> [SubmitRequest; 2] {
+    let p = ClusterParams::paper_baseline();
+    let e16 = homogeneous::exec_time(&p, 800.0, 16);
+    let slack = (homogeneous::exec_time(&p, 800.0, 15) - e16) * 0.75;
+    let end = avail.as_f64() + e16;
+    let candidate = SubmitRequest::new(Task::new(2, 0.0, 10.0, end + slack * 0.8));
+    [
+        SubmitRequest::new(Task::new(1, 0.0, 800.0, end + slack)).with_tenant(tenant),
+        candidate.with_tenant(tenant).with_max_delay(Some(2000.0)),
+    ]
+}
+
+/// On `baseline_gateway(1)`, two submits for `tenant` at instant 0: an
+/// all-node task 1 that is accepted, and a near miss, task 2, that parks
+/// as a defer ticket expiring at half the blocker's run (`e16 / 2`).
+pub fn near_miss(tenant: TenantId) -> [SubmitRequest; 2] {
+    let e16 = homogeneous::exec_time(&ClusterParams::paper_baseline(), 800.0, 16);
+    [(1, 1.05), (2, 1.5)]
+        .map(|(id, d)| SubmitRequest::new(Task::new(id, 0.0, 800.0, e16 * d)).with_tenant(tenant))
+}
+
+/// `n` requests of the paper's baseline workload at load 1.2 from `seed`,
+/// spread over six tenants (one premium, two best-effort) — or all for
+/// `tenant`, one client's traffic.
+pub fn requests(n: usize, seed: u64, tenant: Option<TenantId>) -> Vec<SubmitRequest> {
+    let mix = TenantMix {
+        tenants: 6,
+        premium_tenants: 1,
+        best_effort_tenants: 2,
+        max_delay_factor: None,
+    };
+    let stream = WorkloadGenerator::new(WorkloadSpec::paper_baseline(1.2), seed).take(n);
+    let mut requests: Vec<SubmitRequest> = stream.with_tenants(mix).collect();
+    if let Some(tenant) = tenant {
+        requests.iter_mut().for_each(|r| r.tenant = tenant);
+    }
+    requests
 }
 
 /// When the head node dies (at most once), short of a power loss.
@@ -197,6 +269,9 @@ pub struct Record {
     pub acks: LinkStats,
     /// The primary's shipping counters (frozen at its death).
     pub ship: ShipStats,
+    /// The verdicts an edge's connections carried, by their tenants' home
+    /// reactor.
+    pub wire: Vec<Tally>,
 }
 
 /// The process answering for the shard.
@@ -234,8 +309,11 @@ struct Channel {
 pub struct World<D: Platter = Std> {
     scenario: Scenario,
     head: Option<Head>,
-    /// The head's disk and log path; the rebooted copy after a restart.
-    disk: Option<(D, PathBuf)>,
+    /// The edge, when reactors serve the heads (one each) over the net.
+    edge: Option<Edge>,
+    /// The disk and the log paths (one a head); the rebooted copy after a
+    /// restart.
+    disk: Option<(D, Vec<PathBuf>)>,
     channel: Option<Channel>,
     /// The dead primary's unacked tail, delivered after the promotion.
     zombie: Vec<ShipMsg>,
@@ -251,6 +329,12 @@ impl World<Std> {
     pub fn new(gateway: ShardedGateway, scenario: Scenario) -> Self {
         Self::build(gateway, scenario, None)
     }
+
+    /// An edge of `gateways.len()` reactors on a fresh net, each serving
+    /// its gateway as a head journaling in memory.
+    pub fn edge(gateways: Vec<ShardedGateway>, scenario: Scenario, cfg: EdgeConfig) -> Self {
+        Self::build_edge(gateways, scenario, cfg, None)
+    }
 }
 
 impl<D: Platter> World<D> {
@@ -262,32 +346,71 @@ impl<D: Platter> World<D> {
         disk: D,
         path: impl Into<PathBuf>,
     ) -> Self {
-        Self::build(gateway, scenario, Some((disk, path.into())))
+        Self::build(gateway, scenario, Some((disk, vec![path.into()])))
     }
 
-    fn build(gateway: ShardedGateway, scenario: Scenario, disk: Option<(D, PathBuf)>) -> Self {
-        let (journal, fsync) = (scenario.journal, scenario.fsync);
-        let journaled = until_power_loss(|| match &disk {
-            Some((disk, path)) => {
-                let sink = FileSink::open_on(disk.clone(), path, true)
-                    .expect("the log opens")
-                    .with_fsync_policy(fsync);
-                JournaledGateway::with_sink(gateway, journal, Box::new(sink))
-            }
-            None => JournaledGateway::new(gateway, journal),
+    /// An edge of `gateways.len()` reactors on a fresh net, reactor `i`'s
+    /// head journaling through a [`FileSink`] at `dir/reactor-i.wal` on
+    /// `disk`.
+    pub fn edge_on_disk(
+        gateways: Vec<ShardedGateway>,
+        scenario: Scenario,
+        cfg: EdgeConfig,
+        disk: D,
+        dir: impl Into<PathBuf>,
+    ) -> Self {
+        let dir = dir.into();
+        let logs = (0..gateways.len()).map(|i| dir.join(format!("reactor-{i}.wal")));
+        Self::build_edge(gateways, scenario, cfg, Some((disk, logs.collect())))
+    }
+
+    fn build_edge(
+        gateways: Vec<ShardedGateway>,
+        scenario: Scenario,
+        cfg: EdgeConfig,
+        disk: Option<(D, Vec<PathBuf>)>,
+    ) -> Self {
+        assert!(scenario.follow.is_none(), "no follower behind an edge yet");
+        let mut edge = Edge::new(gateways.len(), cfg);
+        let heads = until_power_loss(|| {
+            let heads = gateways.into_iter().enumerate();
+            heads
+                .map(|(i, g)| journaled(g, &scenario, &disk, i))
+                .collect()
         });
+        let stillborn = heads.is_none();
+        if let Some(heads) = heads {
+            edge.revive(heads);
+        }
+        Self::assemble(scenario, disk, None, Some(edge), stillborn)
+    }
+
+    fn build(gateway: ShardedGateway, scenario: Scenario, disk: Option<(D, Vec<PathBuf>)>) -> Self {
+        let journaled = until_power_loss(|| journaled(gateway, &scenario, &disk, 0));
         let head = journaled.map(|gw| match &scenario.follow {
             Some(follow) => Head::Shipping(ShippingGateway::new(gw, follow.ship)),
             None => Head::Journaled(gw),
         });
+        let stillborn = head.is_none();
+        Self::assemble(scenario, disk, head, None, stillborn)
+    }
+
+    fn assemble(
+        scenario: Scenario,
+        disk: Option<(D, Vec<PathBuf>)>,
+        head: Option<Head>,
+        edge: Option<Edge>,
+        stillborn: bool,
+    ) -> Self {
         let channel = scenario.follow.as_ref().map(|follow| Channel {
             follower: Follower::new(follow.follower),
             link: FaultyLink::new(follow.link.clone()),
             acks: FaultyLink::new(follow.acks.clone()),
         });
-        let stillborn = head.is_none();
         World {
             scenario,
+            head,
+            edge,
             disk,
             channel,
             zombie: Vec::new(),
@@ -298,7 +421,6 @@ impl<D: Platter> World<D> {
                 killed_at: stillborn.then_some(SimTime::ZERO),
                 ..Record::default()
             },
-            head,
         }
     }
 
@@ -348,7 +470,127 @@ impl<D: Platter> World<D> {
         if let Some(Head::Shipping(gw)) = &self.head {
             record.ship = gw.shipper().stats();
         }
+        if let Some(edge) = &self.edge {
+            record.wire = edge.tally.clone();
+        }
         record
+    }
+
+    /// Whether a head serves: the lone one, or the edge's reactors.
+    fn up(&self) -> bool {
+        self.head.is_some() || self.edge.as_ref().is_some_and(|e| !e.reactors.is_empty())
+    }
+
+    fn edge_mut(&mut self) -> &mut Edge {
+        self.edge.as_mut().expect("a world with an edge")
+    }
+
+    /// The edge's reactors, in reactor order (none while it is down).
+    pub fn reactors(&self) -> &[EdgeServer<JournaledGateway, Mem>] {
+        &self.edge.as_ref().expect("a world with an edge").reactors
+    }
+
+    /// The reactors' books, in reactor order.
+    pub fn books(&self) -> Vec<&ServiceMetrics> {
+        self.reactors()
+            .iter()
+            .map(|r| r.gateway().metrics())
+            .collect()
+    }
+
+    /// The submits each reactor's book holds, in reactor order.
+    pub fn submitted(&self) -> Vec<u64> {
+        self.books().iter().map(|m| m.submitted).collect()
+    }
+
+    /// The reactors' counters, in reactor order.
+    pub fn stats(&self) -> Vec<EdgeStats> {
+        self.reactors().iter().map(|r| *r.stats()).collect()
+    }
+
+    /// The edge's reactors, to attach telemetry or a follower link.
+    pub fn reactors_mut(&mut self) -> &mut [EdgeServer<JournaledGateway, Mem>] {
+        &mut self.edge_mut().reactors
+    }
+
+    /// The net clients connect through.
+    pub fn net(&self) -> &MemNet {
+        &self.edge.as_ref().expect("a world with an edge").net
+    }
+
+    /// One turn of the edge at `now`: the kill when due, every reactor's
+    /// turn in reactor order (a power loss in one kills the whole edge),
+    /// the comeback when due, and the audit of the wire (see the crate
+    /// docs). On a disk, each reactor's log as a reboot finds it is then
+    /// its journal: nothing a turn acknowledged is still volatile.
+    pub fn poll(&mut self, now: SimTime) {
+        self.tick(now);
+        let edge = self.edge_mut();
+        let mut dead = false;
+        for (r, reactor) in edge.reactors.iter_mut().enumerate() {
+            dead = until_power_loss(|| reactor.poll(now)).is_none();
+            if dead {
+                break;
+            }
+            edge.acked[r] = reactor.gateway().metrics().submitted;
+        }
+        if dead {
+            self.kill(now);
+            self.tick(now);
+        } else if self.up() {
+            self.turns += 1;
+        }
+        if let (Some((disk, logs)), Some(edge)) = (&self.disk, &self.edge) {
+            let disk = disk.reboot();
+            for (reactor, log) in edge.reactors.iter().zip(logs) {
+                let on_disk = FileSink::read_on(&disk, log).expect("a live reactor's log");
+                assert_eq!(on_disk, reactor.gateway().journal().bytes(), "{log:?} lags");
+            }
+        }
+        self.edge_mut().audit();
+    }
+
+    /// Plays `clients` against the edge at the world's clock until each has
+    /// every request answered (or gave up, or the edge is gone for good),
+    /// then [`reconcile`](World::reconcile)s. The clock moves to the next
+    /// instant a client or a reactor has something to do, and stays while
+    /// a client awaits a verdict.
+    pub fn run(&mut self, clients: Vec<Client>) {
+        let mut sessions: Vec<Session> = clients.into_iter().map(Session::new).collect();
+        let (mut now, mut idle) = (SimTime::ZERO, 0);
+        loop {
+            let up = self.up();
+            for session in &mut sessions {
+                session.act(self.net(), up, now);
+            }
+            self.poll(now);
+            sessions.iter_mut().for_each(Session::read);
+            let gone = !self.up() && self.scenario.comeback == Comeback::Never;
+            let kill = match self.scenario.kill {
+                Kill::At(at) if self.record.killed_at.is_none() => Some(at),
+                _ => None,
+            };
+            let clients = sessions.iter().filter_map(|s| s.due(now)).min();
+            let Some(next) = clients.filter(|_| !gone) else {
+                break;
+            };
+            let next = [Some(next), kill, self.edge_mut().next_due()];
+            let next = next.into_iter().flatten().min().unwrap().max(now);
+            idle = if next == now { idle + 1 } else { 0 };
+            assert!(idle < 100_000, "the edge stalled at {now:?}");
+            now = next;
+        }
+        self.reconcile();
+    }
+
+    /// The end of a run: each reactor's book is the wire's tally for its
+    /// tenants, outcome by outcome, and the live reactors' merged
+    /// `EdgeStats` count what their connections carried.
+    pub fn reconcile(&self) {
+        self.edge
+            .as_ref()
+            .expect("a world with an edge")
+            .reconcile();
     }
 
     /// Runs `call` on the live head; `None` if none is up or the power
@@ -371,7 +613,7 @@ impl<D: Platter> World<D> {
             Kill::At(at) => now >= at,
             Kill::Never => false,
         };
-        if due && self.head.is_some() && self.record.killed_at.is_none() {
+        if due && self.up() && self.record.killed_at.is_none() {
             self.kill(now);
         }
         if let Some(channel) = &mut self.channel {
@@ -393,7 +635,7 @@ impl<D: Platter> World<D> {
                 }
             }
         }
-        if self.head.is_none() {
+        if !self.up() {
             self.come_back(now);
         }
         self.check();
@@ -404,8 +646,11 @@ impl<D: Platter> World<D> {
     /// zombie — stamped with the dying epoch, as a partitioned primary
     /// would later try to ship it.
     fn kill(&mut self, now: SimTime) {
-        let mut dead = self.head.take().expect("only a live head dies");
         self.record.killed_at = Some(now);
+        if let Some(edge) = &mut self.edge {
+            return edge.kill();
+        }
+        let mut dead = self.head.take().expect("only a live head dies");
         self.record.primary_wal = dead.journaled().journal().bytes().to_vec();
         if let (Head::Shipping(gw), Some(channel)) = (&mut dead, &mut self.channel) {
             for msg in gw.take_outbox() {
@@ -426,57 +671,96 @@ impl<D: Platter> World<D> {
     }
 
     /// The comeback, once due: a promotion waits for heartbeat silence; a
-    /// restart is tried once, at the head's death.
+    /// restart is tried once, at the head's death, of every head (the
+    /// edge's, one a reactor).
     fn come_back(&mut self, now: SimTime) {
-        let journal = self.scenario.journal;
         let comeback = self.scenario.comeback;
         if comeback == Comeback::Promote {
             return self.promote(now);
         }
         self.scenario.comeback = Comeback::Never;
-        let recovered = match comeback {
-            Comeback::Never | Comeback::Promote => return,
-            Comeback::Image => recover(&self.record.primary_wal, now, journal, None),
-            Comeback::Disk => {
-                let (disk, path) = self.disk.as_mut().expect("a restart from disk needs one");
-                *disk = disk.reboot();
-                recover_file_on(disk.clone(), &*path, now, journal, self.scenario.fsync)
+        if comeback == Comeback::Never {
+            return;
+        }
+        if let Some((disk, _)) = self.disk.as_mut().filter(|_| comeback == Comeback::Disk) {
+            *disk = disk.reboot();
+        }
+        let (images, acked) = match &self.edge {
+            Some(edge) => (edge.images.clone(), edge.acked.clone()),
+            None => (
+                vec![self.record.primary_wal.clone()],
+                vec![self.record.acknowledged],
+            ),
+        };
+        let mut heads = Vec::new();
+        for (i, image) in images.iter().enumerate() {
+            match self.restart(comeback, image, i, acked[i], now) {
+                Ok((gw, report)) => heads.push((gw, report)),
+                // The power went before a genesis log was durable: nothing
+                // to come back from, and nothing was acknowledged.
+                Err(e) => return assert_eq!(acked.iter().sum::<u64>(), 0, "recovery failed: {e}"),
+            }
+        }
+        self.record.restarted_at = Some(now);
+        self.record.recovery = heads.first().map(|(_, report)| report.clone());
+        self.record.decided = self.record.acknowledged;
+        let mut heads = heads.into_iter().map(|(gw, _)| gw);
+        if let Some(edge) = &mut self.edge {
+            edge.revive(heads.collect());
+            return edge.audit();
+        }
+        let mut gw = heads.next().expect("one head");
+        for &(node, at) in &self.record.buffered_releases {
+            gw.node_released(node, at);
+        }
+        self.head = Some(Head::Journaled(gw));
+        self.channel = None;
+    }
+
+    /// Head `i`'s restart, from its WAL image or from its log on the
+    /// rebooted disk, held to what a restart owes: a recovery from the disk
+    /// rewrote the log it read, durably, before it returned; the books and
+    /// demotions pass [`audit_comeback`]; and it holds every one of the
+    /// `acked` submits of turns whose drive returned.
+    fn restart(
+        &self,
+        comeback: Comeback,
+        image: &[u8],
+        i: usize,
+        acked: u64,
+        now: SimTime,
+    ) -> Result<(JournaledGateway, RecoveryReport), JournalError> {
+        let (journal, fsync) = (self.scenario.journal, self.scenario.fsync);
+        let (gw, report) = match (&self.disk, comeback) {
+            (Some((disk, logs)), Comeback::Disk) => {
+                let recovered = recover_file_on(disk.clone(), &logs[i], now, journal, fsync)?;
+                // The file is the recovered journal: one compacted
+                // snapshot and its demotions.
+                let on_disk = FileSink::read_on(&disk.reboot(), &logs[i]).expect("the log");
+                assert_eq!(
+                    on_disk,
+                    recovered.0.journal().bytes(),
+                    "the log is not the recovery"
+                );
+                let (frames, tail) = decode_frames(&on_disk);
+                let snapshots = frames.iter().filter(|f| f.kind == RecordKind::Snapshot);
+                assert!(tail.is_clean() && snapshots.count() == 1, "one snapshot");
+                recovered
+            }
+            (None, Comeback::Disk) => panic!("a restart from disk needs one"),
+            _ => {
+                let recovered = recover(image, now, journal, None)?;
+                assert!(recovered.1.tail.is_clean(), "an image has no torn tail");
+                recovered
             }
         };
-        let (mut gw, report) = match recovered {
-            Ok(recovered) => recovered,
-            // The power went before the genesis log was durable: nothing
-            // to come back from, and nothing was acknowledged.
-            Err(e) => return assert_eq!(self.record.acknowledged, 0, "recovery failed: {e}"),
-        };
-        if let Some((disk, path)) = &self.disk {
-            // Recovery rewrote the log it read, durably, before it returned:
-            // the file is the recovered journal, one compacted snapshot and
-            // its demotions.
-            let on_disk = FileSink::read_on(&disk.reboot(), path).expect("the rewritten log");
-            assert_eq!(on_disk, gw.journal().bytes(), "the log is not the recovery");
-            let (frames, tail) = decode_frames(&on_disk);
-            let snapshots = frames.iter().filter(|f| f.kind == RecordKind::Snapshot);
-            assert!(tail.is_clean() && snapshots.count() == 1, "one snapshot");
-        }
-        assert!(
-            comeback == Comeback::Disk || report.tail.is_clean(),
-            "an image has no torn tail"
-        );
         audit_comeback(&gw, &report.demoted);
-        let (held, acked) = (gw.metrics().submitted, self.record.acknowledged);
+        let held = gw.metrics().submitted;
         assert!(
             held >= acked,
             "a restart holds {held} of {acked} acknowledged submits"
         );
-        for &(node, at) in &self.record.buffered_releases {
-            gw.node_released(node, at);
-        }
-        self.record.restarted_at = Some(now);
-        self.record.recovery = Some(report);
-        self.record.decided = self.record.acknowledged;
-        self.head = Some(Head::Journaled(gw));
-        self.channel = None;
+        Ok((gw, report))
     }
 
     /// Heartbeat silence exceeded the follower's timeout: promote, and
@@ -544,8 +828,8 @@ impl<D: Platter> World<D> {
         }
         let on_disk;
         let durable = match (&self.disk, &self.head) {
-            (Some((disk, path)), _) => {
-                on_disk = FileSink::read_on(&disk.reboot(), path).unwrap_or_default();
+            (Some((disk, logs)), _) => {
+                on_disk = FileSink::read_on(&disk.reboot(), &logs[0]).unwrap_or_default();
                 &on_disk[..]
             }
             (None, Some(Head::Shipping(gw))) => gw.inner().journal().bytes(),
@@ -559,6 +843,22 @@ impl<D: Platter> World<D> {
         );
         self.checked = mirror.len();
     }
+}
+
+/// `gateway` as a head journaling under `scenario`: through a [`FileSink`]
+/// at log `i` on the disk, or in memory.
+fn journaled<D: Platter>(
+    gateway: ShardedGateway,
+    scenario: &Scenario,
+    disk: &Option<(D, Vec<PathBuf>)>,
+    i: usize,
+) -> JournaledGateway {
+    let Some((disk, logs)) = disk else {
+        return JournaledGateway::new(gateway, scenario.journal);
+    };
+    let sink = FileSink::open_on(disk.clone(), &logs[i], true).expect("the log opens");
+    let sink = Box::new(sink.with_fsync_policy(scenario.fsync));
+    JournaledGateway::with_sink(gateway, scenario.journal, sink)
 }
 
 /// What a restart or a promotion owes: every demotion journaled in the new
@@ -684,5 +984,13 @@ impl<D: Platter> Serve for World<D> {
 
     fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
         self.head.as_ref().and_then(|h| h.journaled().plan_of(task))
+    }
+}
+
+/// An [`InlineClient`](mem::InlineClient) turns a world's edge: each turn
+/// is [`World::poll`], audit included.
+impl<D: Platter> mem::Edge for World<D> {
+    fn poll(&mut self, now: SimTime) {
+        World::poll(self, now)
     }
 }
