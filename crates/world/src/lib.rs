@@ -552,7 +552,8 @@ impl<D: Platter> World<D> {
 
     /// Plays `clients` against the edge at the world's clock until each has
     /// every request answered (or gave up, or the edge is gone for good),
-    /// then [`reconcile`](World::reconcile)s. The clock moves to the next
+    /// then reconciles the books with the wire (see the `edge` module).
+    /// The clock moves to the next
     /// instant a client or a reactor has something to do, and stays while
     /// a client awaits a verdict.
     pub fn run(&mut self, clients: Vec<Client>) {
@@ -580,13 +581,6 @@ impl<D: Platter> World<D> {
             assert!(idle < 100_000, "the edge stalled at {now:?}");
             now = next;
         }
-        self.reconcile();
-    }
-
-    /// The end of a run: each reactor's book is the wire's tally for its
-    /// tenants, outcome by outcome, and the live reactors' merged
-    /// `EdgeStats` count what their connections carried.
-    pub fn reconcile(&self) {
         self.edge
             .as_ref()
             .expect("a world with an edge")

@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rtdls_core::prelude::{SimTime, SubmitRequest, TenantId};
 use rtdls_edge::codec::{FrameDecoder, DEFAULT_MAX_FRAME};
@@ -75,7 +75,9 @@ struct Shared(Arc<Mutex<Net>>);
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Net> {
-        self.0.lock().expect("in-memory net")
+        // A failed audit panics holding the lock; the streams' destructors
+        // still run after it.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
