@@ -88,3 +88,19 @@ impl<G: EdgeGateway + Send, T: Transport + Send> EdgeCluster<G, T> {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Placement hashes the tenant id with FNV-1a 64 whatever checksum the
+    /// frames carry: a tenant's reactor, and so its WAL, must not move
+    /// between releases.
+    #[test]
+    fn tenant_placement_is_pinned() {
+        let homes = |n| (0u32..16).map(move |t| reactor_for_tenant(TenantId(t), n));
+        let three = [2, 1, 2, 1, 0, 1, 2, 1, 1, 0, 1, 0, 2, 0, 1, 0];
+        assert_eq!(homes(4).collect::<Vec<_>>(), [1, 0, 3, 2].repeat(4));
+        assert_eq!(homes(3).collect::<Vec<_>>(), three);
+    }
+}

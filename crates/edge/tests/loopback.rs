@@ -1,10 +1,8 @@
-//! The edge's acceptance over the wire, one reactor: scripted sessions and
-//! client streams against an edge inside `rtdls_world`, on its in-memory
-//! net at instants the test chooses, audited by the world after every turn
-//! (see its `edge` module). Here: conformance, pushed resolutions, hostile
-//! peers, the drain clock, the turn order, a power cut at every file call,
-//! and (the real-socket check) epoll serving byte for byte what the
-//! in-memory net serves.
+//! The edge over the wire, one reactor: scripted sessions and client
+//! streams against an edge in `rtdls_world`'s in-memory net, audited by the
+//! world after every turn. Here: conformance, pushed resolutions, hostile
+//! peers, the drain clock, the turn order, group commit and a power cut at
+//! every file call, and epoll serving byte for byte what the net serves.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -19,8 +17,10 @@ use rtdls_journal::wire::{checksum, encode_frame};
 use rtdls_service::prelude::*;
 use rtdls_world::disk::{every_power_loss, Model};
 use rtdls_world::mem::{Dial, Edge, InlineClient, MemClient};
-use rtdls_world::{baseline_gateway, near_miss, requests, reservation, saturated_until};
-use rtdls_world::{Client, Comeback, Kill, Scenario, World};
+use rtdls_world::{
+    baseline_gateway, near_miss, requests, reservation, saturated_until, tenant_homed_at,
+};
+use rtdls_world::{Client, Comeback, Kill, Scenario, Tally, World};
 
 type Conn = InlineClient<MemClient>;
 
@@ -33,8 +33,7 @@ fn world(gateway: ShardedGateway, cfg: EdgeConfig) -> World {
 
 /// Past `near_miss`'s ticket expiry.
 fn late() -> SimTime {
-    let p = ClusterParams::paper_baseline();
-    SimTime::new(2.0 * homogeneous::exec_time(&p, 800.0, 16))
+    SimTime::new(2.0 * homogeneous::exec_time(&ClusterParams::paper_baseline(), 800.0, 16))
 }
 
 /// The `rtdls_edge_pending` gauge, read over an ops connection.
@@ -66,10 +65,9 @@ fn a_mixed_tenant_stream_reconciles_the_wire_with_the_book() {
 }
 
 /// Task ids are client-chosen: three connections park task 2. One
-/// vanishes without a `Bye`, and its pending entry goes with it; the
-/// other two each get their own expiry, pushed with no client traffic.
-/// Before the pending map keyed by `(connection, task)`, one got the
-/// other's.
+/// vanishes without a `Bye`, and its pending entry goes with it; the other
+/// two each get their own expiry (keyed by `(connection, task)`), pushed
+/// with no client traffic.
 #[test]
 fn identical_task_ids_get_their_own_expiry_and_a_dead_one_leaks_nothing() {
     let mut world = world(baseline_gateway(1), EdgeConfig::default());
@@ -178,7 +176,6 @@ fn a_hostile_frame_fails_its_own_connection_and_the_reactor_serves_on() {
         assert!(client.closed(&mut world, T0), "row {k}: Bye closes");
         assert_eq!(world.stats()[0].protocol_errors, k as u64 + 1);
     }
-    assert_eq!(world.books()[0].submitted, rows.len() as u64, "honest only");
 }
 
 #[test]
@@ -267,53 +264,94 @@ fn drain_reaping_follows_the_simulated_clock_not_the_wall_clock() {
     assert_eq!(open(&world), 0, "fifty simulated milliseconds");
 }
 
-/// The power goes at each file call of a run, torn writes included, with
-/// windows of eight submits decided in one turn and compactions inside
-/// turns: the comeback from the disk finds every verdict already on the
-/// wire in its books, so none left before its turn was durable.
-#[test]
-fn a_power_cut_at_any_file_call_finds_every_sent_verdict_durable() {
-    const LOG: &str = "/model/reactor-0.wal";
-    let mut stream = requests(48, 31, None);
+/// `requests(48, 31, tenant)` in windows of eight, each arriving at its
+/// last request's instant.
+fn windows(tenant: Option<TenantId>) -> Vec<SubmitRequest> {
+    let mut stream = requests(48, 31, tenant);
     for window in stream.chunks_mut(8) {
         let at = window[7].task.arrival;
         window.iter_mut().for_each(|r| r.task.arrival = at);
     }
+    stream
+}
+
+/// Windows of eight submits, compactions inside turns. Turned by hand at
+/// the windows' instants, each window is one turn whose frames take one
+/// write and one sync (a compaction's rewrite is both), and some turn also
+/// runs dispatches due since the last. Then the power goes at each file
+/// call, torn writes included, on one reactor and on two (a cut in reactor
+/// 1's turn falls after reactor 0 sent its verdicts): every comeback from
+/// the disk holds every verdict on the wire, so none left before durable.
+#[test]
+fn a_power_cut_at_any_file_call_finds_every_sent_verdict_durable() {
+    let model = || Model::new("/model/reactor-0.wal");
     let journal = JournalConfig {
         snapshot_every: 20,
         compact_on_snapshot: true,
     };
-    let run = |disk: &Model, comeback| {
-        let scenario = Scenario::new(journal)
-            .kill(Kill::Never, comeback)
-            .fsync(FsyncPolicy::Batch(16));
-        let (gateways, cfg) = (vec![baseline_gateway(2)], EdgeConfig::default());
-        let mut world = World::edge_on_disk(gateways, scenario, cfg, disk.clone(), "/model");
-        world.run(vec![Client::new(stream.clone(), 8)]);
-        world
+    let on_model = |n, disk: &Model, comeback| {
+        let scenario = Scenario::new(journal).kill(Kill::Never, comeback);
+        let scenario = scenario.fsync(FsyncPolicy::Batch(16));
+        let (gateways, cfg) = (vec![baseline_gateway(2); n], EdgeConfig::default());
+        World::edge_on_disk(gateways, scenario, cfg, disk.clone(), "/model")
     };
-    let disk = Model::new(LOG);
-    let whole = run(&disk, Comeback::Never);
-    assert_eq!(whole.record().wire[0].decided(), 48);
-    let journal = whole.reactors()[0].gateway().journal();
-    assert!(journal.snapshots_appended() >= 3);
-    let mut restarts = 0;
-    every_power_loss(disk.calls(), |call, torn| {
-        let disk = Model::new(LOG).armed(call, torn);
-        let record = run(&disk, Comeback::Disk).record();
-        assert!(record.killed_at.is_some(), "the power went at {call}");
-        restarts += usize::from(record.restarted_at.is_some());
-        disk.killed()
-    });
-    assert!(restarts > 0);
+    let mut world = on_model(1, &model(), Comeback::Never);
+    let mut client = Conn::greeted(&world.net().clone(), &mut world, T0);
+    let mut overdue = 0;
+    for (turn, window) in windows(None).chunks(8).enumerate() {
+        let now = window[0].task.arrival;
+        let counts = |world: &World<Model>| {
+            let gateway = world.reactors()[0].gateway();
+            let sink = gateway.journal().sink_stats().unwrap();
+            [gateway.metrics().submitted, sink.writes, sink.syncs]
+        };
+        let before = counts(&world);
+        let due = world.reactors()[0].gateway().next_due();
+        overdue += usize::from(due.is_some_and(|t| t < now));
+        for (i, &request) in window.iter().enumerate() {
+            let seq = (turn * 8 + i) as u64;
+            client.send(&ClientMsg::Submit { seq, request });
+        }
+        world.poll(now);
+        let delta: [u64; 3] = std::array::from_fn(|i| counts(&world)[i] - before[i]);
+        assert_eq!(delta, [8, 1, 1], "turn {turn}: submits, writes, syncs");
+        let msgs = std::iter::from_fn(|| client.try_next());
+        let verdicts = msgs.filter(|m| matches!(m, ServerMsg::Verdict { .. }));
+        assert_eq!(verdicts.count(), 8, "turn {turn}: sent once durable");
+    }
+    assert!(overdue > 0, "no window's turn also ran overdue work");
+    assert!(world.reactors()[0].gateway().journal().snapshots_appended() >= 3);
+    drop(world);
+    let one = vec![Client::new(windows(None), 8)];
+    let two = [0, 1].map(|r| tenant_homed_at(r, 2));
+    let two = two.map(|t| Client::new(windows(Some(t)), 8).bound(t));
+    for clients in [one, two.to_vec()] {
+        let n = clients.len();
+        let run = |disk: &Model, comeback| {
+            let mut world = on_model(n, disk, comeback);
+            world.run(clients.clone());
+            world.record()
+        };
+        let disk = model();
+        let wire = run(&disk, Comeback::Never).wire;
+        assert_eq!(wire.iter().map(Tally::decided).sum::<u64>(), 48 * n as u64);
+        let mut restarts = 0;
+        every_power_loss(disk.calls(), |call, torn| {
+            let disk = model().armed(call, torn);
+            let record = run(&disk, Comeback::Disk);
+            assert!(record.killed_at.is_some(), "{n} reactors, call {call}");
+            restarts += usize::from(record.restarted_at.is_some());
+            disk.killed()
+        });
+        assert!(restarts > 0);
+    }
 }
 
 /// A turn commits the timed work already due before it decides the
 /// submits it read, as the simulator orders them. Task 2 waits behind task
-/// 1's 16 nodes with half a second of slack; a submit arriving a second
-/// after task 2's dispatch came due, in the same turn, is decided once
-/// that dispatch is committed (accepted), never against the overdue plan
-/// (which would re-plan task 2 past its deadline and defer the submit).
+/// 1's 16 nodes with half a second of slack; a submit a second after task
+/// 2's dispatch came due is decided once that dispatch is committed
+/// (accepted), never against the overdue plan (which would defer it).
 #[test]
 fn a_turn_commits_due_work_before_deciding_its_submits() {
     let e16 = homogeneous::exec_time(&ClusterParams::paper_baseline(), 800.0, 16);
@@ -329,10 +367,9 @@ fn a_turn_commits_due_work_before_deciding_its_submits() {
     assert!(client.submit(3, request, &mut world, now).is_accepted());
 }
 
-/// One scripted session: hello, two submits, the pushed activation of the
-/// second's reservation, an ops `Explain` (its answer reads no wall clock),
-/// a second connection's protocol violation, then `Bye`. Every byte each
-/// connection received, in connection order.
+/// Hello, two submits, the second's pushed activation, an ops `Explain`
+/// (reading no wall clock), a second connection's protocol violation, then
+/// `Bye`: every byte each connection received, in connection order.
 fn scripted_session(server: &mut impl Edge, to: &impl Dial, avail: SimTime) -> Vec<Vec<u8>> {
     let mut client = InlineClient::greeted(to, server, T0);
     client.hello(None);

@@ -36,8 +36,8 @@ use rtdls_replica::ship::{ShipConfig, ShipMsg};
 use rtdls_replica::ShippingGateway;
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
-use rtdls_world::baseline_gateway;
-use rtdls_world::mem::{mem_server, ClientEnd, InlineClient, Mem, MemClient};
+use rtdls_world::mem::{ClientEnd, Edge, InlineClient, MemClient, MemNet};
+use rtdls_world::{baseline_gateway, Scenario, World};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 /// Cases per seed and loop: ≈ 6 000 in all, a second or two.
@@ -503,7 +503,9 @@ fn the_largest_bench_fleet_snapshot_ships_under_the_cap() {
 /// reactor answers it or fails that connection, and goes on serving.
 #[test]
 fn a_live_reactor_outlives_every_mutated_client_frame() {
-    let (mut server, net) = mem_server(baseline_gateway(2), EdgeConfig::default());
+    let scenario = Scenario::new(JournalConfig::default());
+    let mut world = World::edge(vec![baseline_gateway(2)], scenario, EdgeConfig::default());
+    let net = world.net().clone();
     let now = SimTime::new(1.0e6);
     let mut served = 0u64;
     for seed in SEEDS {
@@ -524,7 +526,7 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
             let mut conn = InlineClient::connect(&net);
             conn.send_raw(&frame);
             for _ in 0..4 {
-                server.poll(now);
+                world.poll(now);
             }
             drop(conn);
             if case % 50 != 49 {
@@ -532,24 +534,28 @@ fn a_live_reactor_outlives_every_mutated_client_frame() {
             }
             // An honest client is still served.
             served += 1;
-            let mut honest = InlineClient::greeted(&net, &mut server, now);
+            let mut honest = InlineClient::greeted(&net, &mut world, now);
             assert!(
-                answered(&mut server, &mut honest, served, now),
+                answered(&mut world, &mut honest, served, now),
                 "seed {seed} case {case}: the reactor stopped serving"
             );
         }
     }
     for _ in 0..50 {
-        server.poll(now);
+        world.poll(now);
     }
-    assert_eq!(server.connections(), 0, "every connection was reaped");
-    assert!(server.stats().protocol_errors > 0);
+    assert_eq!(
+        world.reactors()[0].connections(),
+        0,
+        "every connection was reaped"
+    );
+    assert!(world.stats()[0].protocol_errors > 0);
 }
 
 /// Submits one task on `conn` and turns `server` until its verdict is
 /// back; whether it came.
-fn answered<G: EdgeGateway>(
-    server: &mut EdgeServer<G, Mem>,
+fn answered(
+    server: &mut impl Edge,
     conn: &mut InlineClient<MemClient>,
     seq: u64,
     now: SimTime,
@@ -602,7 +608,10 @@ fn hostile_follower_bytes_end_the_link_not_the_edge() {
             JournalConfig::default(),
         );
         let gateway = ShippingGateway::new(journaled, ShipConfig::default());
-        let (mut server, net) = mem_server(gateway, EdgeConfig::default());
+        // A shipping head: behind a lone reactor, outside the world.
+        let net = MemNet::default();
+        let mem = net.transports(1).pop().unwrap();
+        let mut server = EdgeServer::with_transport(mem, gateway, EdgeConfig::default());
         let (primary_end, mut standby) = net.link();
         server.follow(primary_end).unwrap();
         let mut client = InlineClient::greeted(&net, &mut server, now);

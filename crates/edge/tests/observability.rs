@@ -17,7 +17,7 @@ use rtdls_sim::config::SimConfig;
 use rtdls_sim::engine::Simulation;
 use rtdls_telemetry::{Stage, Telemetry};
 use rtdls_workload::prelude::*;
-use rtdls_world::mem::{mem_server, InlineClient, Mem, MemClient};
+use rtdls_world::mem::{InlineClient, Mem, MemClient, MemNet};
 use rtdls_world::{baseline_gateway, reservation, saturated_until};
 use rtdls_world::{Comeback, FaultPlan, Follow, Kill, Scenario, World};
 
@@ -82,7 +82,9 @@ fn promoted_edge_serves_the_cross_node_timeline_over_the_wire() {
     let trace = follower_recorder
         .trace_of(1)
         .expect("shipped frames re-associated task 1 with its trace");
-    let (mut server, net) = mem_server(promoted, EdgeConfig::default());
+    let net = MemNet::default();
+    let mem = net.transports(1).pop().unwrap();
+    let mut server = EdgeServer::with_transport(mem, promoted, EdgeConfig::default());
     server.set_telemetry(&follower_recorder);
     let mut ops = InlineClient::connect(&net);
 
@@ -129,10 +131,11 @@ fn promoted_edge_serves_the_cross_node_timeline_over_the_wire() {
 fn the_edge_phases_count_one_decode_per_frame_in_and_one_encode_per_frame_out() {
     use rtdls_edge::proto::encode_client;
 
-    let (mut server, net) = mem_server(baseline_gateway(2), EdgeConfig::default());
+    let scenario = Scenario::new(JournalConfig::default());
+    let mut world = World::edge(vec![baseline_gateway(2)], scenario, EdgeConfig::default());
     let telemetry = Telemetry::with_defaults();
-    server.set_telemetry(&telemetry);
-    let mut client = InlineClient::connect(&net);
+    world.reactors_mut()[0].set_telemetry(&telemetry);
+    let mut client = Conn::connect(&world.net().clone());
 
     // One write of forty submits: every frame in decodes, every frame out
     // is the hello, a verdict or a pushed update.
@@ -148,15 +151,15 @@ fn the_edge_phases_count_one_decode_per_frame_in_and_one_encode_per_frame_out() 
     client.send_raw(&burst);
     let mut frames_read = 0u64;
     for _ in 0..2_000 {
-        server.poll(SimTime::ZERO);
+        world.poll(T0);
         while client.try_next().is_some() {
             frames_read += 1;
         }
-        if frames_read > submits && server.stats().frames_sent == frames_read {
+        if frames_read > submits && world.stats()[0].frames_sent == frames_read {
             break;
         }
     }
-    let stats = server.stats();
+    let stats = world.stats()[0];
     assert_eq!(stats.frames_received, submits);
     assert_eq!(
         stats.frames_sent,

@@ -16,7 +16,7 @@
 //! At a comeback the recovered books must hold every verdict already on
 //! the wire, so a verdict sent before its turn was durable fails there;
 //! what they hold beyond it (a torn write can leave part of a turn that
-//! was never acknowledged) is counted as orphans. At the end of a run,
+//! was never acknowledged) is counted as orphans. When the world drops,
 //! [`Edge::reconcile`] holds each reactor's book, less its orphans, to the
 //! wire's tally outcome by outcome, and the merged [`EdgeStats`] of the
 //! live reactors to the frames their connections carried.
@@ -290,8 +290,10 @@ impl Edge {
     }
 
     /// The process dies with every reactor and connection; no destructor
-    /// runs.
+    /// runs. What it sent before it died is audited first, so the
+    /// comeback's books are held to it.
     pub(crate) fn kill(&mut self) {
+        self.audit();
         let reactors = std::mem::take(&mut self.reactors);
         self.images = reactors
             .iter()
@@ -349,7 +351,7 @@ impl Edge {
         }
     }
 
-    /// The end of a run: each live reactor's book is the wire's tally for
+    /// The end of a world: each live reactor's book is the wire's tally for
     /// its tenants, and the live reactors' merged stats are what their
     /// connections carried.
     pub(crate) fn reconcile(&self) {

@@ -36,7 +36,7 @@ use rtdls_core::prelude::{
     AdmissionFailure, AlgorithmKind, ClusterParams, Infeasible, PlanConfig, SimTime, SubmitRequest,
     Task, TaskId, TaskPlan, TenantId, TenantMix,
 };
-use rtdls_edge::prelude::{EdgeConfig, EdgeServer, EdgeStats};
+use rtdls_edge::prelude::{reactor_for_tenant, EdgeConfig, EdgeServer, EdgeStats};
 use rtdls_journal::disk::Std;
 use rtdls_journal::wire::{decode_frames, RecordKind};
 use rtdls_journal::{
@@ -113,6 +113,15 @@ pub fn near_miss(tenant: TenantId) -> [SubmitRequest; 2] {
     let e16 = homogeneous::exec_time(&ClusterParams::paper_baseline(), 800.0, 16);
     [(1, 1.05), (2, 1.5)]
         .map(|(id, d)| SubmitRequest::new(Task::new(id, 0.0, 800.0, e16 * d)).with_tenant(tenant))
+}
+
+/// The first tenant homed on reactor `home` of an edge of `reactors`.
+pub fn tenant_homed_at(home: usize, reactors: usize) -> TenantId {
+    let homed = |t: &TenantId| reactor_for_tenant(*t, reactors) == home;
+    (0..1024)
+        .map(TenantId)
+        .find(homed)
+        .expect("a tenant for each home")
 }
 
 /// `n` requests of the paper's baseline workload at load 1.2 from `seed`,
@@ -447,8 +456,8 @@ impl<D: Platter> World<D> {
 
     /// The live head, if it journals without shipping (restarted or
     /// promoted) — e.g. to serve it behind an edge server.
-    pub fn into_gateway(self) -> Option<JournaledGateway> {
-        match self.head {
+    pub fn into_gateway(mut self) -> Option<JournaledGateway> {
+        match self.head.take() {
             Some(Head::Journaled(gw)) => Some(gw),
             _ => None,
         }
@@ -551,11 +560,9 @@ impl<D: Platter> World<D> {
     }
 
     /// Plays `clients` against the edge at the world's clock until each has
-    /// every request answered (or gave up, or the edge is gone for good),
-    /// then reconciles the books with the wire (see the `edge` module).
-    /// The clock moves to the next
-    /// instant a client or a reactor has something to do, and stays while
-    /// a client awaits a verdict.
+    /// every request answered (or gave up, or the edge is gone for good).
+    /// The clock moves to the next instant a client or a reactor has
+    /// something to do, and stays while a client awaits a verdict.
     pub fn run(&mut self, clients: Vec<Client>) {
         let mut sessions: Vec<Session> = clients.into_iter().map(Session::new).collect();
         let (mut now, mut idle) = (SimTime::ZERO, 0);
@@ -581,10 +588,6 @@ impl<D: Platter> World<D> {
             assert!(idle < 100_000, "the edge stalled at {now:?}");
             now = next;
         }
-        self.edge
-            .as_ref()
-            .expect("a world with an edge")
-            .reconcile();
     }
 
     /// Runs `call` on the live head; `None` if none is up or the power
@@ -978,6 +981,19 @@ impl<D: Platter> Serve for World<D> {
 
     fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
         self.head.as_ref().and_then(|h| h.journaled().plan_of(task))
+    }
+}
+
+/// The end of a world with an edge, scripted or played by
+/// [`World::run`]: the wire audited to its last byte, then each book
+/// reconciled with the wire (see the `edge` module). A test that already
+/// failed is not failed again.
+impl<D: Platter> Drop for World<D> {
+    fn drop(&mut self) {
+        if let Some(edge) = self.edge.as_mut().filter(|_| !std::thread::panicking()) {
+            edge.audit();
+            edge.reconcile();
+        }
     }
 }
 

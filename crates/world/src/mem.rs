@@ -94,13 +94,6 @@ pub struct Mem {
 #[derive(Clone, Default)]
 pub struct MemNet(Shared);
 
-/// A lone reactor serving `gateway` over a fresh [`MemNet`].
-pub fn mem_server<G: EdgeGateway>(gateway: G, cfg: EdgeConfig) -> (EdgeServer<G, Mem>, MemNet) {
-    let net = MemNet::default();
-    let mem = net.transports(1).pop().expect("one transport");
-    (EdgeServer::with_transport(mem, gateway, cfg), net)
-}
-
 impl MemNet {
     /// One transport per reactor of a group of `reactors`, in reactor
     /// order; reactor 0's accepts every connection.
