@@ -273,9 +273,9 @@ fn bench_slo_record(c: &mut Criterion) {
         );
         if accepted {
             let held = tracker.record(TenantId(tenant), qos, SloObjective::Attainment, true, now);
-            black_box(held);
+            black_box(held.count());
         }
-        black_box(moved);
+        black_box(moved.count());
     };
     for i in 0..10_000 {
         decide(&mut tracker, i % 10 != 0);

@@ -19,6 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::Infeasible;
+use crate::strategy::meets_deadline;
 use crate::task::Task;
 use crate::time::SimTime;
 
@@ -132,15 +133,21 @@ impl Bracket {
 
 /// The walks an explanation search probes on, lent by its caller (a fleet
 /// keeps a set per shard, like an engine its pass): a walk stood at the last
-/// probe's insertion point, with what reaching it answered, and the walk a
-/// probe landing there goes on in, from a copy of it. The search borrows the
-/// engine immutably, so the queue ahead stays put; [`ExplainSearch::open`]
-/// forgets the last search's.
+/// probe's insertion point, with what reaching it answered, the walk a probe
+/// landing there goes on in, from a copy of it, and the record of what those
+/// probes answered. The search borrows the engine immutably, so the queue
+/// ahead stays put; [`ExplainSearch::open`] forgets the last search's.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeWalks {
     walk: Walk,
     stood_walk: Walk,
     stood: Option<(usize, Result<(), AdmissionFailure>)>,
+    /// The candidate `record` is of, its deadline zeroed.
+    recorded: Option<Task>,
+    /// Per insertion point and node count (the module docs' record): the
+    /// estimate the candidate's deadline check reads, and the verdict of the
+    /// walk behind it.
+    record: Vec<(usize, usize, SimTime, Result<(), AdmissionFailure>)>,
 }
 
 impl ProbeWalks {
@@ -162,10 +169,31 @@ impl ProbeWalks {
             }
         };
         reached?;
-        // The other half, from where the first stood.
-        self.walk.copy_from(&self.stood_walk);
-        engine.test(candidate, &mut self.walk)?;
-        engine.walk_positions(&mut self.walk, at..engine.queue_len(), |_| false)
+        // The other half, from where the first stood: the node count, then
+        // the plan on it and the walk behind, unless recorded.
+        let n = engine.node_count(candidate, &mut self.stood_walk)?;
+        let asked = Task {
+            rel_deadline: 0.0,
+            ..*candidate
+        };
+        if self.recorded.replace(asked) != Some(asked) {
+            self.record.clear();
+        }
+        let (checked, behind) = match self.record.iter().find(|e| (e.0, e.1) == (at, n)) {
+            Some(&(_, _, checked, behind)) => (checked, behind),
+            None => {
+                #[cfg(test)]
+                tests::PLANNED_ON.with(|planned| planned.borrow_mut().push((at, n)));
+                self.walk.copy_from(&self.stood_walk);
+                let checked = engine.place(candidate, n, &mut self.walk);
+                let behind =
+                    engine.walk_positions(&mut self.walk, at..engine.queue_len(), |_| false);
+                self.record.push((at, n, checked, behind));
+                (checked, behind)
+            }
+        };
+        meets_deadline(checked, candidate).map_err(AdmissionFailure::of(candidate))?;
+        behind
     }
 }
 
@@ -221,7 +249,7 @@ impl<'a> ExplainSearch<'a> {
         now: SimTime,
         refused: Option<Infeasible>,
     ) -> Option<Self> {
-        walks.stood = None;
+        (walks.stood, walks.recorded) = (None, None);
         let mut test = || walks.verdict(engine, task, now).err().map(|f| f.reason);
         debug_assert!(
             refused.is_none() || refused == test(),
@@ -342,6 +370,13 @@ mod tests {
     use crate::params::ClusterParams;
     use crate::strategy::PlanConfig;
 
+    thread_local! {
+        /// The (insertion point, node count) pairs the calling thread's
+        /// probes planned the candidate on and walked behind; every other
+        /// probe was answered from the record.
+        pub(super) static PLANNED_ON: std::cell::RefCell<Vec<(usize, usize)>> = Default::default();
+    }
+
     #[test]
     fn explain_is_none_for_feasible_and_honest_for_infeasible() {
         use crate::request::SubmitRequest;
@@ -450,6 +485,56 @@ mod tests {
         for b in brackets {
             assert!(b.failing < last.passing && last.passing <= b.passing);
         }
+    }
+
+    #[test]
+    fn a_deadline_search_plans_once_per_insertion_point_and_node_count() {
+        // Eight nodes freeing one after another, three tasks waiting: the
+        // bisection meets each node count at many deadlines, but plans the
+        // candidate, and walks the queue behind it, once per (insertion
+        // point, node count) — the record answers the rest.
+        let p = ClusterParams::new(8, 1.0, 100.0).unwrap();
+        let mut c = AdmissionController::new(p, AlgorithmKind::EDF_DLT, PlanConfig::default());
+        for node in 0..p.num_nodes {
+            c.set_node_release(node, SimTime::new(500.0 * node as f64));
+        }
+        let now = SimTime::ZERO;
+        for (id, d) in [(1, 4_000.0), (2, 4_500.0), (3, 5_000.0)] {
+            assert!(c.submit(Task::new(id, 0.0, 30.0, d), now).is_accepted());
+        }
+        let task = Task::new(9, 0.0, 200.0, 1_000.0);
+        let opening = &mut ProbeWalks::default();
+        let opened = ExplainSearch::open(&c, opening, &task, now, None);
+        let mut bracket = opened
+            .and_then(|s| s.deadline_bracket())
+            .expect("a feasible deadline");
+        PLANNED_ON.take();
+        let (mut walks, mut asked) = (ProbeWalks::default(), Vec::new());
+        while !bracket.done() {
+            bracket.step(|d| {
+                let probe = Task {
+                    rel_deadline: d,
+                    ..task
+                };
+                let (at, mut stood) = (c.insertion_point(&probe), Walk::default());
+                let n = c
+                    .stand(at, now, &mut stood)
+                    .and_then(|()| c.node_count(&probe, &mut stood));
+                asked.extend(n.ok().map(|n| (at, n)));
+                let verdict = walks.verdict(&c, &probe, now);
+                assert_eq!(verdict, c.literal_test(&probe, now), "deadline {d}");
+                verdict.is_ok()
+            });
+        }
+        let first_asked = |(i, pair): (usize, &(usize, usize))| !asked[..i].contains(pair);
+        let distinct: Vec<_> = asked
+            .iter()
+            .enumerate()
+            .filter(|&e| first_asked(e))
+            .collect();
+        let distinct: Vec<_> = distinct.into_iter().map(|(_, &pair)| pair).collect();
+        assert!(asked.len() > 2 * distinct.len(), "{asked:?}");
+        assert_eq!(PLANNED_ON.take(), distinct);
     }
 
     #[test]

@@ -138,7 +138,7 @@ use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
 use crate::request::SubmitRequest;
-use crate::strategy::{PlanConfig, TaskPlan};
+use crate::strategy::{select_node_count, PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
@@ -384,6 +384,25 @@ impl AdmissionController {
         let strategy = self.algorithm.strategy;
         walk.test(strategy, task, &self.params, &self.cfg, &self.meta)
             .map(drop)
+    }
+
+    /// The node-count step of a task not in the book, where `walk` stands.
+    pub(super) fn node_count(
+        &self,
+        task: &Task,
+        walk: &mut Walk,
+    ) -> Result<usize, AdmissionFailure> {
+        let (strategy, avail) = (self.algorithm.strategy, walk.settle(&self.meta));
+        select_node_count(strategy, task, avail, &self.params, &self.cfg)
+            .map_err(AdmissionFailure::of(task))
+    }
+
+    /// [`Walk::place`] for a task not in the book: the estimate its deadline
+    /// check reads.
+    pub(super) fn place(&self, task: &Task, n: usize, walk: &mut Walk) -> SimTime {
+        let strategy = self.algorithm.strategy;
+        walk.place(strategy, n, task, &self.params, &self.cfg)
+            .checked
     }
 
     /// The half of a what-if test that never reads the candidate: `walk`

@@ -66,6 +66,14 @@ pub struct AdmissionFailure {
     pub reason: Infeasible,
 }
 
+impl AdmissionFailure {
+    /// The failure of `task`, for the reason `map_err` is given.
+    pub(crate) fn of(task: &Task) -> impl Fn(Infeasible) -> Self {
+        let task = task.id;
+        move |reason| AdmissionFailure { task, reason }
+    }
+}
+
 impl core::fmt::Display for AdmissionFailure {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "task {:?} infeasible: {}", self.task, self.reason)
@@ -147,21 +155,9 @@ pub fn schedulability_test(
     let mut plans = Vec::with_capacity(tasks.len());
     for task in &tasks {
         let avail = NodeAvailability::new(&releases, now);
-        let plan = plan_task(algorithm.strategy, task, &avail, params, cfg).map_err(|reason| {
-            AdmissionFailure {
-                task: task.id,
-                reason,
-            }
-        })?;
-        debug_assert!(
-            !plan
-                .est_completion
-                .definitely_after(task.absolute_deadline()),
-            "strategy returned a plan missing its deadline"
-        );
-        for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-            releases[node.index()] = rel;
-        }
+        let plan = plan_task(algorithm.strategy, task, &avail, params, cfg)
+            .map_err(AdmissionFailure::of(task))?;
+        plan.write_releases(&mut releases);
         plans.push(plan);
     }
     Ok(plans)

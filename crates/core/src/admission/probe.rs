@@ -141,35 +141,39 @@ thread_local! {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ControllerState, ProbeWalks};
+    use super::super::{ControllerState, ExplainSearch, ProbeWalks};
     use super::*;
     use crate::algorithm::AlgorithmKind;
     use crate::dlt::homogeneous;
     use crate::params::ClusterParams;
-    use crate::strategy::{PlanConfig, StrategyKind, TaskPlan};
+    use crate::policy::Policy;
+    use crate::request::SubmitRequest;
+    use crate::strategy::{NodeCountPolicy, PlanConfig, ReleaseEstimate, StrategyKind, TaskPlan};
     use proptest::prelude::*;
 
     const NODES: usize = 8;
 
-    /// A random book and walk task, decoded from unit-interval draws so
-    /// deadlines sit around what the cluster can serve (a mix of passing
-    /// and failing walks) and land on a coarse grid (so keys tie). Waiting
-    /// task `heavy`, if there is one, is far too large for its deadline:
-    /// wherever it sorts, the walk fails on it.
+    /// A random book and walk task on `params`' cluster (`releases`, one a
+    /// node), decoded from unit-interval draws so deadlines sit around what
+    /// the cluster can serve (a mix of passing and failing walks) and land on
+    /// a coarse grid (so keys tie). Waiting task `heavy`, if there is one, is
+    /// far too large for its deadline: wherever it sorts, the walk fails on
+    /// it. Each task asks User-Split for a node count of its own.
     fn book(
+        params: ClusterParams,
         releases: &[f64],
         waiting: &[(f64, f64)],
         own: (f64, f64),
         heavy: usize,
-    ) -> (ClusterParams, Vec<SimTime>, Vec<Task>, Task) {
-        let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
-        let e = |sigma: f64| homogeneous::exec_time(&params, sigma, NODES);
-        let grid = e(100.0);
+    ) -> (Vec<SimTime>, Vec<Task>, Task) {
+        let nodes = params.num_nodes;
+        let grid = homogeneous::exec_time(&params, 100.0, nodes);
         let mk = |id: u64, (s, d): (f64, f64)| {
             let sigma = 20.0 + s * 180.0;
             // Deadlines on a grid of a few steps: ties are common.
             let steps = 2.0 + (d * 10.0).floor();
-            Task::new(id, 0.0, sigma, steps * grid)
+            let user = 1 + (s * 7.0 * nodes as f64) as usize % nodes;
+            Task::new(id, 0.0, sigma, steps * grid).with_user_nodes(Some(user))
         };
         let committed = releases
             .iter()
@@ -186,7 +190,7 @@ mod tests {
                 }
             })
             .collect();
-        (params, committed, queue, mk(100, own))
+        (committed, queue, mk(100, own))
     }
 
     /// A cold engine holding exactly `waiting` (unplannable tasks and all)
@@ -195,6 +199,7 @@ mod tests {
     fn restored(
         params: ClusterParams,
         algorithm: AlgorithmKind,
+        cfg: PlanConfig,
         committed: &[SimTime],
         waiting: &[Task],
     ) -> AdmissionController {
@@ -214,7 +219,7 @@ mod tests {
         AdmissionController::from_state(ControllerState {
             params,
             algorithm,
-            cfg: PlanConfig::default(),
+            cfg,
             releases: committed.to_vec(),
             queue: ordered.iter().map(|t| (*t, unplanned(t))).collect(),
         })
@@ -253,9 +258,10 @@ mod tests {
             // Half the books have no unplannable task.
             heavy in 0usize..14,
         ) {
-            let (params, committed, queue, task) = book(&releases, &waiting, own, heavy);
+            let params = ClusterParams::new(NODES, 1.0, 100.0).expect("valid params");
+            let (committed, queue, task) = book(params, &releases, &waiting, own, heavy);
             let now = SimTime::new(now * 1_000.0);
-            let cold = restored(params, algorithm, &committed, &queue);
+            let cold = restored(params, algorithm, PlanConfig::default(), &committed, &queue);
             let mut warm = AdmissionController::new(params, algorithm, PlanConfig::default());
             for (node, release) in committed.iter().enumerate() {
                 warm.set_node_release(node, *release);
@@ -307,6 +313,181 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every strategy, multi-round at two and three installments included.
+    fn kinds() -> Vec<StrategyKind> {
+        vec![
+            StrategyKind::DltIit,
+            StrategyKind::DltMultiRound { rounds: 2 },
+            StrategyKind::DltMultiRound { rounds: 3 },
+            StrategyKind::OprMn,
+            StrategyKind::OprAn,
+            StrategyKind::UserSplit,
+        ]
+    }
+
+    /// One case of the record's properties below: a drawn book (`book`)
+    /// under `algorithm` and `cfg`, on a cold engine and a warm one, each
+    /// swept by [`sweep`] — `cms` 8 makes transmission heavy enough for
+    /// multi-round plans to be chosen.
+    #[allow(clippy::too_many_arguments)]
+    fn record_case(
+        (algorithm, cfg, cms): (AlgorithmKind, PlanConfig, f64),
+        releases: &[f64],
+        waiting: &[(f64, f64)],
+        own: (f64, f64),
+        other_sigma: f64,
+        now: f64,
+        heavy: usize,
+    ) {
+        let params = ClusterParams::new(releases.len(), cms, 100.0).expect("valid params");
+        let (committed, queue, task) = book(params, releases, waiting, own, heavy);
+        let now = SimTime::new(now * 1_000.0);
+        let cold = restored(params, algorithm, cfg, &committed, &queue);
+        let mut warm = AdmissionController::new(params, algorithm, cfg);
+        for (node, release) in committed.iter().enumerate() {
+            warm.set_node_release(node, *release);
+        }
+        for waiting in &queue {
+            let _ = warm.submit(*waiting, now);
+        }
+        let grid = homogeneous::exec_time(&params, 100.0, params.num_nodes);
+        let other_sigma = 20.0 + other_sigma * 380.0;
+        for engine in [&cold, &warm] {
+            sweep(engine, task, other_sigma, grid, now);
+        }
+        // One set of walks lent to a deadline search on each engine in turn,
+        // none finished (as a fleet leaves the searches it abandons): where
+        // the warm engine refused the heavy task their books differ, and
+        // each search forgets the last one's record.
+        let mut lent = ProbeWalks::default();
+        for engine in [&cold, &warm, &cold] {
+            let fresh = engine.explain(&SubmitRequest::new(task), now);
+            let Some(mut search) = ExplainSearch::open(engine, &mut lent, &task, now, None) else {
+                assert!(fresh.is_none());
+                continue;
+            };
+            while search.refine() {}
+            let found = search.deadline_bracket().map_or(0.0, |b| b.passing);
+            assert_eq!(found, fresh.expect("refused").min_feasible_deadline);
+        }
+    }
+
+    /// Deadline sweeps of `task` on one set of walks, every probe held
+    /// against the literal test — verdict and first failure: up a fine grid
+    /// and down it again (every insertion point left and come back to, each
+    /// node count met at several deadlines, below and above the estimate
+    /// it records), up it once more with the size switched to `other_sigma`
+    /// and back at every step, and a bisection between the first failing
+    /// deadline of the way up and the passing one above it.
+    fn sweep(engine: &AdmissionController, task: Task, other_sigma: f64, grid: f64, now: SimTime) {
+        let mut walks = ProbeWalks::default();
+        let mut passes = |candidate: Task| {
+            let verdict = walks.verdict(engine, &candidate, now);
+            assert_eq!(
+                verdict,
+                engine.literal_test(&candidate, now),
+                "{candidate:?}"
+            );
+            verdict.is_ok()
+        };
+        let by = |rel_deadline: f64| Task {
+            rel_deadline,
+            ..task
+        };
+        let step = |k: usize| (0.5 + 0.25 * k as f64) * grid;
+        let mut bracket = None;
+        let mut last = false;
+        for k in 0..56 {
+            let passed = passes(by(step(k)));
+            if passed && !last && bracket.is_none() && k > 0 {
+                bracket = Some((step(k - 1), step(k)));
+            }
+            last = passed;
+        }
+        for k in (0..56).rev() {
+            passes(by(step(k)));
+        }
+        for k in 0..56 {
+            passes(Task {
+                data_size: other_sigma,
+                ..by(step(k))
+            });
+            passes(by(step(k)));
+        }
+        if let Some((mut failing, mut passing)) = bracket {
+            for _ in 0..30 {
+                let mid = 0.5 * (failing + passing);
+                if passes(by(mid)) {
+                    passing = mid;
+                } else {
+                    failing = mid;
+                }
+            }
+        }
+    }
+
+    fn configs() -> impl Strategy<Value = (AlgorithmKind, PlanConfig, f64)> {
+        (
+            prop::sample::select(kinds()),
+            prop::sample::select(vec![Policy::Edf, Policy::Fifo]),
+            prop::sample::select(vec![
+                ReleaseEstimate::Exact,
+                ReleaseEstimate::Uniform,
+                ReleaseEstimate::TightPerNode,
+            ]),
+            prop::sample::select(vec![NodeCountPolicy::FixedPoint, NodeCountPolicy::OneShot]),
+            prop::sample::select(vec![1.0, 8.0]),
+        )
+            .prop_map(|(strategy, policy, release_estimate, node_count, cms)| {
+                let cfg = PlanConfig {
+                    release_estimate,
+                    node_count,
+                };
+                (AlgorithmKind { policy, strategy }, cfg, cms)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        /// A probe answered from its search's record — the candidate planned
+        /// once per insertion point and node count, the deadline checked
+        /// against the estimate recorded there — answers what the literal
+        /// test answers, for every strategy, node-count policy and release
+        /// estimate, under EDF (the deadline moves the insertion point) and
+        /// FIFO (it does not), on cold and warm engines ([`sweep`]).
+        #[test]
+        fn the_record_answers_what_the_literal_test_does(
+            config in configs(),
+            releases in proptest::collection::vec(0.0f64..1.5, NODES),
+            waiting in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..7),
+            (own, other_sigma) in ((0.0f64..1.0, 0.0f64..1.0), 0.0f64..1.0),
+            now in 0.0f64..0.5,
+            heavy in 0usize..14,
+        ) {
+            record_case(config, &releases, &waiting, own, other_sigma, now, heavy);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// [`the_record_answers_what_the_literal_test_does`] on 64-node books
+        /// with up to 40 tasks waiting (CI runs it in release).
+        #[test]
+        #[ignore = "heavy: 64-node books, queues up to 40 deep"]
+        fn the_record_answers_what_the_literal_test_does_on_deep_books(
+            config in configs(),
+            releases in proptest::collection::vec(0.0f64..1.5, 64),
+            waiting in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..41),
+            (own, other_sigma) in ((0.0f64..1.0, 0.0f64..1.0), 0.0f64..1.0),
+            now in 0.0f64..0.5,
+            heavy in 0usize..80,
+        ) {
+            record_case(config, &releases, &waiting, own, other_sigma, now, heavy);
         }
     }
 
@@ -364,6 +545,7 @@ mod tests {
         let engine = restored(
             params,
             AlgorithmKind::EDF_DLT,
+            PlanConfig::default(),
             &[SimTime::ZERO; NODES],
             &[stale],
         );
@@ -395,7 +577,8 @@ mod tests {
         ];
         let task = Task::new(100, 0.0, 100.0, 10_000.0);
         let now = SimTime::ZERO;
-        let engine = restored(params, AlgorithmKind::EDF_DLT, &committed, &waiting);
+        let cfg = PlanConfig::default();
+        let engine = restored(params, AlgorithmKind::EDF_DLT, cfg, &committed, &waiting);
         let mut walks = ProbeWalks::default();
         // Long first, then short: one walk reused, whatever was asked before.
         for rel_deadline in [70_000.0, 10_000.0, 30_000.0, 50_000.0, 70_000.0] {
@@ -412,6 +595,7 @@ mod tests {
         let light = restored(
             params,
             AlgorithmKind::EDF_DLT,
+            cfg,
             &committed,
             &[waiting[0], waiting[2]],
         );

@@ -47,8 +47,8 @@ use std::ops::Range;
 
 use crate::params::{ClusterParams, NodeId};
 use crate::strategy::{
-    plan_into, NodeAvailability, NodeCountPolicy, PlanConfig, PlanScratch, Planned, StrategyKind,
-    TaskPlan,
+    plan_into, plan_on, NodeAvailability, NodeCountPolicy, PlanConfig, PlanScratch, Planned,
+    StrategyKind, TaskPlan,
 };
 use crate::task::Task;
 use crate::time::SimTime;
@@ -396,11 +396,12 @@ impl Walk {
             .count()
     }
 
-    /// The fresh step, verdict-only (every probe and search) and the first
-    /// half of [`keep`](Walk::keep)'s: plans `task` into the walk's scratch
-    /// and writes its release estimates back, straight from there through
-    /// the availability's head — no plan kept, nothing allocated. `book` is
-    /// the queue's records, which a rebased walk seeds from.
+    /// The fresh step, verdict-only (every search, and the walk behind a
+    /// probe) and the first half of [`keep`](Walk::keep)'s: plans `task`
+    /// into the walk's scratch and writes its release estimates back,
+    /// straight from there through the availability's head — no plan kept,
+    /// nothing allocated. `book` is the queue's records, which a rebased walk
+    /// seeds from.
     pub(super) fn test(
         &mut self,
         strategy: StrategyKind,
@@ -411,19 +412,40 @@ impl Walk {
     ) -> Result<Planned, AdmissionFailure> {
         self.settle(book);
         let planned = plan_into(strategy, task, &self.avail, params, cfg, &mut self.scratch)
-            .map_err(|reason| AdmissionFailure {
-                task: task.id,
-                reason,
-            })?;
-        debug_assert!(
-            !planned.est.definitely_after(task.absolute_deadline()),
-            "strategy returned a plan missing its deadline"
+            .map_err(AdmissionFailure::of(task))?;
+        Ok(self.write_back(planned))
+    }
+
+    /// [`test`](Walk::test) on `n` nodes of the settled availability, the
+    /// deadline unread (a probe's, which its record checks, `explain.rs`).
+    pub(super) fn place(
+        &mut self,
+        strategy: StrategyKind,
+        n: usize,
+        task: &Task,
+        params: &ClusterParams,
+        cfg: &PlanConfig,
+    ) -> Planned {
+        debug_assert!(self.built && self.stale_head == 0, "an unsettled walk");
+        let planned = plan_on(
+            strategy,
+            n,
+            task,
+            &self.avail,
+            params,
+            cfg,
+            &mut self.scratch,
         );
+        self.write_back(planned)
+    }
+
+    /// Writes back the plan just planned into the scratch.
+    fn write_back(&mut self, planned: Planned) -> Planned {
         // Planned on this availability, so on its earliest nodes.
         self.stale_head = planned.nodes;
         planned.write_releases(&self.avail, &self.scratch, &mut self.releases);
         self.since_record = self.since_record.map(|n| n.saturating_add(1));
-        Ok(planned)
+        planned
     }
 
     /// Records the position, plans `task` against the walk, writes its

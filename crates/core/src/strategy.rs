@@ -25,9 +25,14 @@
 //! products of Eq. 4–5 turned into `α` in place, per-chunk release
 //! estimates, and `Cps_i` of Eq. 1) and returns what it decided (`Planned`:
 //! the strategy, how many of the earliest-available nodes it took, the
-//! completion estimate). It keeps the heterogeneous model's input checks
-//! and checks the estimate against the deadline itself. Three callers read
-//! the result three ways: [`plan_task`] — the public function, and the one
+//! completion estimate). It keeps the heterogeneous model's input checks.
+//! It is two steps and a check: the node count (`select_node_count`: the
+//! `ñ_min` scan, the cluster for OPR-AN, the user's count for User-Split),
+//! the plan on those `n` nodes (`plan_on`), and the final check of the
+//! estimate against the deadline (`meets_deadline`). The deadline is read by
+//! the first and the last only, so a plan on `n` nodes serves every
+//! deadline that selects `n` (what a refusal explanation's record relies
+//! on, `admission/explain.rs`). Three callers read the result three ways: [`plan_task`] — the public function, and the one
 //! thing the admission oracle shares with the production walks — runs the
 //! kernel on fresh buffers and moves them into a [`TaskPlan`]; a walk's
 //! kept step appends the plan, from the walk's own scratch, to the arena
@@ -87,15 +92,6 @@ impl StrategyKind {
             StrategyKind::OprAn => "OPR-AN".to_string(),
             StrategyKind::UserSplit => "UserSplit".to_string(),
         }
-    }
-
-    /// Whether the strategy lets a task start on a node before *all* its
-    /// nodes are available (i.e., whether it utilizes Inserted Idle Times).
-    pub fn utilizes_iits(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::DltIit | StrategyKind::DltMultiRound { .. } | StrategyKind::UserSplit
-        )
     }
 }
 
@@ -432,8 +428,11 @@ pub(crate) struct Planned {
     /// Number of chunks: `nodes`, times the rounds of a multi-round plan.
     /// Chunk `c` goes to the `c mod nodes`-th earliest node.
     chunks: usize,
-    /// The completion estimate, checked against the deadline.
+    /// The completion estimate.
     pub(crate) est: SimTime,
+    /// The estimate the deadline check reads: `est`, but for a multi-round
+    /// plan the single-round one it beat.
+    pub(crate) checked: SimTime,
 }
 
 impl PlanScratch {
@@ -469,7 +468,8 @@ impl Planned {
 }
 
 /// The planning kernel: one task under `kind` against the availability
-/// snapshot, planned into `scratch`. Every strategy's arithmetic lives here
+/// snapshot, planned into `scratch` — the node count, the plan on those
+/// nodes, and the deadline check. Every strategy's arithmetic lives here
 /// and only here — [`plan_task`] moves the result into a plan, a walk's kept
 /// step appends it to its pass's arena, and a walk's verdict-only step reads
 /// nothing but the release estimates.
@@ -481,17 +481,82 @@ pub(crate) fn plan_into(
     cfg: &PlanConfig,
     scratch: &mut PlanScratch,
 ) -> Result<Planned, Infeasible> {
+    let n = select_node_count(kind, task, avail, params, cfg)?;
+    let planned = plan_on(kind, n, task, avail, params, cfg, scratch);
+    meets_deadline(planned.checked, task)?;
+    Ok(planned)
+}
+
+/// The final check of Fig. 2 on the estimate a plan is checked by
+/// ([`Planned::checked`]). Load-bearing under `OneShot` (the wait can defeat
+/// the optimistic `n`) and for OPR-AN and User-Split, whose counts ignore
+/// the deadline; a pure float-noise guard under `FixedPoint`.
+#[inline]
+pub(crate) fn meets_deadline(checked: SimTime, task: &Task) -> Result<(), Infeasible> {
+    if checked.definitely_after(task.absolute_deadline()) {
+        return Err(Infeasible::CompletionAfterDeadline);
+    }
+    Ok(())
+}
+
+/// The kernel's first step, and with the final check the only one that
+/// reads the deadline: the `n ← ñ_min(t)` step under the configured
+/// [`NodeCountPolicy`] for DLT and OPR-MN, the cluster for OPR-AN, the
+/// user's count for User-Split.
+pub(crate) fn select_node_count(
+    kind: StrategyKind,
+    task: &Task,
+    avail: &NodeAvailability,
+    params: &ClusterParams,
+    cfg: &PlanConfig,
+) -> Result<usize, Infeasible> {
+    let deadline = task.absolute_deadline();
+    match (kind, cfg.node_count) {
+        (StrategyKind::OprAn, _) => Ok(avail.num_nodes()),
+        (StrategyKind::UserSplit, _) => task
+            .user_nodes
+            .filter(|n| (1..=avail.num_nodes()).contains(n))
+            .ok_or(Infeasible::UserRequestInfeasible),
+        (_, NodeCountPolicy::OneShot) => {
+            // Evaluate the bound as if the task started right now; the
+            // deadline check on the completion estimate rejects the task
+            // if the wait for these nodes proves too long.
+            let n = crate::nmin::n_tilde_min(params, task.data_size, avail.now(), deadline)?;
+            if n > avail.num_nodes() {
+                Err(Infeasible::NotEnoughNodes)
+            } else {
+                Ok(n)
+            }
+        }
+        (_, NodeCountPolicy::FixedPoint) => {
+            Ok(scan_feasible_nodes(params, task.data_size, avail.times(), deadline)?.n)
+        }
+    }
+}
+
+/// The kernel's second step: `task` under `kind` on the `n` earliest nodes
+/// of the snapshot, into `scratch`. Reads neither the deadline nor the
+/// node-count policy.
+pub(crate) fn plan_on(
+    kind: StrategyKind,
+    n: usize,
+    task: &Task,
+    avail: &NodeAvailability,
+    params: &ClusterParams,
+    cfg: &PlanConfig,
+    scratch: &mut PlanScratch,
+) -> Planned {
     scratch.starts.clear();
     scratch.fractions.clear();
     scratch.releases.clear();
     let planned = match kind {
-        StrategyKind::DltIit => plan_dlt_iit(task, avail, params, cfg, scratch)?,
+        StrategyKind::DltIit => plan_dlt_iit(n, task, avail, params, cfg, scratch),
         StrategyKind::DltMultiRound { rounds } => {
-            plan_dlt_multi_round(task, avail, params, cfg, rounds, scratch)?
+            plan_dlt_multi_round(n, task, avail, params, cfg, rounds, scratch)
         }
-        StrategyKind::OprMn => plan_opr(task, avail, params, cfg, false, scratch)?,
-        StrategyKind::OprAn => plan_opr(task, avail, params, cfg, true, scratch)?,
-        StrategyKind::UserSplit => plan_user_split(task, avail, params, scratch)?,
+        StrategyKind::OprMn => plan_opr(n, task, avail, params, false, scratch),
+        StrategyKind::OprAn => plan_opr(n, task, avail, params, true, scratch),
+        StrategyKind::UserSplit => plan_user_split(n, task, avail, params, scratch),
     };
     debug_assert_eq!(scratch.starts.len(), planned.chunks);
     debug_assert_eq!(scratch.fractions.len(), planned.chunks);
@@ -504,45 +569,18 @@ pub(crate) fn plan_into(
         scratch.starts.windows(2).all(|w| w[0] <= w[1]),
         "start times must be non-decreasing in transmission order"
     );
-    Ok(planned)
-}
-
-/// The `n ← ñ_min(t)` step under the configured [`NodeCountPolicy`].
-fn select_node_count(
-    task: &Task,
-    avail: &NodeAvailability,
-    params: &ClusterParams,
-    cfg: &PlanConfig,
-) -> Result<usize, Infeasible> {
-    let deadline = task.absolute_deadline();
-    match cfg.node_count {
-        NodeCountPolicy::OneShot => {
-            // Evaluate the bound as if the task started right now; the
-            // subsequent deadline check on the completion estimate rejects
-            // the task if the wait for these nodes proves too long.
-            let n = crate::nmin::n_tilde_min(params, task.data_size, avail.now(), deadline)?;
-            if n > avail.num_nodes() {
-                Err(Infeasible::NotEnoughNodes)
-            } else {
-                Ok(n)
-            }
-        }
-        NodeCountPolicy::FixedPoint => {
-            Ok(scan_feasible_nodes(params, task.data_size, avail.times(), deadline)?.n)
-        }
-    }
+    planned
 }
 
 /// §4.1.1: heterogeneous-model partitioning over individual available times.
 fn plan_dlt_iit(
+    n: usize,
     task: &Task,
     avail: &NodeAvailability,
     params: &ClusterParams,
     cfg: &PlanConfig,
     scratch: &mut PlanScratch,
-) -> Result<Planned, Infeasible> {
-    let deadline = task.absolute_deadline();
-    let n = select_node_count(task, avail, params, cfg)?;
+) -> Planned {
     let PlanScratch {
         starts,
         fractions,
@@ -558,11 +596,6 @@ fn plan_dlt_iit(
         heterogeneous::partition_into(params, task.data_size, starts, cps_het, fractions);
     // Eq. 7: the model's nodes are all allocated at r_n.
     let est = SimTime::new(starts[n - 1].as_f64() + exec_time);
-    // Load-bearing under OneShot (the wait can defeat the optimistic n);
-    // a pure float-noise guard under FixedPoint.
-    if est.definitely_after(deadline) {
-        return Err(Infeasible::CompletionAfterDeadline);
-    }
     match cfg.release_estimate {
         ReleaseEstimate::Exact => {
             exact_completions_into(params, task.data_size, fractions, starts, releases)
@@ -576,42 +609,34 @@ fn plan_dlt_iit(
             releases,
         ),
     }
-    Ok(Planned {
+    Planned {
         strategy: StrategyKind::DltIit,
         nodes: n,
         chunks: n,
         est,
-    })
+        checked: est,
+    }
 }
 
 /// \[22\]'s OPR baseline: all nodes start together once the last is free.
-/// `all_nodes` selects the AN variant (every task on the full cluster).
+/// `all_nodes` names the AN variant (every task on the full cluster).
 fn plan_opr(
+    n: usize,
     task: &Task,
     avail: &NodeAvailability,
     params: &ClusterParams,
-    cfg: &PlanConfig,
     all_nodes: bool,
     scratch: &mut PlanScratch,
-) -> Result<Planned, Infeasible> {
-    let deadline = task.absolute_deadline();
-    let n = if all_nodes {
-        avail.num_nodes()
-    } else {
-        select_node_count(task, avail, params, cfg)?
-    };
+) -> Planned {
     let t_start = avail.entries()[..n].last().expect("n >= 1").0;
     let e = homogeneous::exec_time(params, task.data_size, n);
     let est = t_start + SimTime::new(e);
-    if est.definitely_after(deadline) {
-        return Err(Infeasible::CompletionAfterDeadline);
-    }
     // No IIT use: every node waits for the common start.
     scratch.starts.resize(n, t_start);
     homogeneous::alphas_into(params, n, &mut scratch.fractions);
     // OPR's equal-finish property makes the estimate exact per node.
     scratch.releases.resize(n, est);
-    Ok(Planned {
+    Planned {
         strategy: if all_nodes {
             StrategyKind::OprAn
         } else {
@@ -620,23 +645,20 @@ fn plan_opr(
         nodes: n,
         chunks: n,
         est,
-    })
+        checked: est,
+    }
 }
 
 /// §4.1.2: user splits the task into `n` equal chunks; chunks are dispatched
 /// sequentially, each node starting as soon as it is available and the
 /// preceding transmission has finished (Eq. 15).
 fn plan_user_split(
+    n: usize,
     task: &Task,
     avail: &NodeAvailability,
     params: &ClusterParams,
     scratch: &mut PlanScratch,
-) -> Result<Planned, Infeasible> {
-    let n = task.user_nodes.ok_or(Infeasible::UserRequestInfeasible)?;
-    if n == 0 || n > avail.num_nodes() {
-        return Err(Infeasible::UserRequestInfeasible);
-    }
-    let deadline = task.absolute_deadline();
+) -> Planned {
     let chunk = task.data_size / n as f64;
     let tx = chunk * params.cms;
     let per_node = tx + chunk * params.cps;
@@ -652,16 +674,14 @@ fn plan_user_split(
         scratch.releases.push(SimTime::new(si + per_node));
     }
     let est = *scratch.releases.last().expect("n >= 1");
-    if est.definitely_after(deadline) {
-        return Err(Infeasible::CompletionAfterDeadline);
-    }
     scratch.fractions.resize(n, 1.0 / n as f64);
-    Ok(Planned {
+    Planned {
         strategy: StrategyKind::UserSplit,
         nodes: n,
         chunks: n,
         est,
-    })
+        checked: est,
+    }
 }
 
 /// §6 future work: multi-round (multi-installment) DLT partitioning.
@@ -674,23 +694,24 @@ fn plan_user_split(
 /// chunk timeline (the same arithmetic the dispatch engine performs), so
 /// admission remains sound. Adaptive: if the single-round plan's estimate is
 /// at least as good (communication-cheap regimes where extra round trips buy
-/// nothing), the single-round plan is returned instead.
+/// nothing), the single-round plan is returned instead. Either way the
+/// deadline check reads the single-round estimate: a replay that beats it
+/// meets every deadline it does, so the choice never reads the deadline.
 fn plan_dlt_multi_round(
+    n: usize,
     task: &Task,
     avail: &NodeAvailability,
     params: &ClusterParams,
     cfg: &PlanConfig,
     rounds: u8,
     scratch: &mut PlanScratch,
-) -> Result<Planned, Infeasible> {
-    let single = plan_dlt_iit(task, avail, params, cfg, scratch)?;
+) -> Planned {
+    let single = plan_dlt_iit(n, task, avail, params, cfg, scratch);
     if rounds <= 1 {
-        return Ok(single);
+        return single;
     }
-    let n = single.nodes;
     let m = rounds as usize;
     let sigma = task.data_size;
-    let deadline = task.absolute_deadline();
     let PlanScratch {
         starts,
         fractions,
@@ -733,23 +754,22 @@ fn plan_dlt_multi_round(
         }
     }
     let est = *releases[n..].iter().max().expect("non-empty");
-    // A replay past the deadline loses to the single-round plan, which
-    // passed its own check; so does one that is no better.
-    if est.definitely_after(deadline) || est >= single.est {
+    if est >= single.est {
         starts.truncate(n);
         fractions.truncate(n);
         releases.truncate(n);
-        return Ok(single);
+        return single;
     }
     starts.drain(..n);
     fractions.drain(..n);
     releases.drain(..n);
-    Ok(Planned {
+    Planned {
         strategy: StrategyKind::DltMultiRound { rounds },
         nodes: n,
         chunks: n * m,
         est,
-    })
+        checked: single.est,
+    }
 }
 
 /// Replays a plan's execution timeline exactly, appending each chunk's
@@ -1012,11 +1032,6 @@ mod tests {
 
     #[test]
     fn strategy_metadata() {
-        assert!(StrategyKind::DltIit.utilizes_iits());
-        assert!(StrategyKind::UserSplit.utilizes_iits());
-        assert!(StrategyKind::DltMultiRound { rounds: 2 }.utilizes_iits());
-        assert!(!StrategyKind::OprMn.utilizes_iits());
-        assert!(!StrategyKind::OprAn.utilizes_iits());
         assert_eq!(StrategyKind::DltIit.paper_name(), "DLT");
         assert_eq!(
             StrategyKind::DltMultiRound { rounds: 4 }.paper_name(),

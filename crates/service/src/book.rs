@@ -19,7 +19,7 @@ use crate::observe::DecisionUpdate;
 use crate::request::{QuotaPolicy, Verdict};
 use crate::reserve::{ActivationRecord, ReservationBook};
 use crate::shard::RoutedShards;
-use crate::slo::{SloBreach, SloObjective, SloTracker, SLO_BREACH_VERSION};
+use crate::slo::{SloBreach, SloObjective, SloTracker, SloTransition, SLO_BREACH_VERSION};
 use crate::tenant::TenantLedger;
 
 /// Recently decided task ids retained per tenant for breach forensics.
@@ -236,18 +236,14 @@ pub(crate) fn record_slo(
         // would teleport every window into the far future.
         return;
     }
-    for transition in book.slo.record(tenant, qos, objective, good, now) {
-        if !transition.is_breach() {
-            continue;
-        }
+    let moved = book.slo.record(tenant, qos, objective, good, now);
+    for transition in moved.filter(SloTransition::is_breach) {
         let row = book
             .slo
             .row_for(transition.tenant, transition.qos, transition.objective)
             .expect("a transition's scope always has a row");
-        let recent_tasks = match transition.tenant {
-            Some(id) => book.recent_tasks(TenantId(id)),
-            None => Vec::new(),
-        };
+        let recent_tasks =
+            (transition.tenant).map_or_else(Vec::new, |id| book.recent_tasks(TenantId(id)));
         let mut timelines = Vec::new();
         if book.telemetry.is_enabled() {
             for &task in &recent_tasks {

@@ -419,7 +419,8 @@ impl SloTracker {
 
     /// Records one objective event under both scopes (the tenant and the
     /// QoS class) at sim-time `now`, returning every alarm-state change it
-    /// caused (at most two: one per scope).
+    /// caused: at most one per scope, the tenant's first, from a slot a
+    /// scope (nothing is allocated).
     pub fn record(
         &mut self,
         tenant: TenantId,
@@ -427,42 +428,28 @@ impl SloTracker {
         objective: SloObjective,
         good: bool,
         now: SimTime,
-    ) -> Vec<SloTransition> {
+    ) -> impl Iterator<Item = SloTransition> {
         let at = now.as_f64();
         self.last_now = self.last_now.max(at);
         let policy = self.policy;
-        let mut out = Vec::new();
-        if let Some((from, to)) = self
-            .tenant_mut(tenant)
-            .objective_mut(objective)
-            .observe(&policy, objective, good, at)
-        {
-            out.push(SloTransition {
-                tenant: Some(tenant.0),
-                qos: None,
-                objective,
-                from,
-                to,
-                at: now,
-            });
-        }
-        if let Some(slot) = self.qos.iter_mut().find(|(q, _)| *q == qos) {
-            if let Some((from, to)) = slot
-                .1
-                .objective_mut(objective)
-                .observe(&policy, objective, good, at)
-            {
-                out.push(SloTransition {
-                    tenant: None,
-                    qos: Some(qos),
-                    objective,
-                    from,
-                    to,
-                    at: now,
-                });
-            }
-        }
-        out
+        let observe = |state: &mut SloKeyState| {
+            let state = state.objective_mut(objective);
+            state.observe(&policy, objective, good, at)
+        };
+        let transition = |tenant, qos, (from, to)| SloTransition {
+            tenant,
+            qos,
+            objective,
+            from,
+            to,
+            at: now,
+        };
+        let by_tenant = observe(self.tenant_mut(tenant));
+        let by_tenant = by_tenant.map(|moved| transition(Some(tenant.0), None, moved));
+        let slot = self.qos.iter_mut().find(|(q, _)| *q == qos);
+        let by_qos = slot.and_then(|(_, state)| observe(state));
+        let by_qos = by_qos.map(|moved| transition(None, Some(qos), moved));
+        [by_tenant, by_qos].into_iter().flatten()
     }
 
     /// The full status table at the tracker's last event time: one row per
@@ -554,7 +541,7 @@ mod tests {
                 true,
                 SimTime::new(i as f64),
             );
-            assert!(moved.is_empty(), "healthy stream must not alarm");
+            assert_eq!(moved.count(), 0, "healthy stream must not alarm");
         }
         let state = |t: &SloTracker| t.tenant(tenant).unwrap().acceptance.state();
         assert_eq!(state(&t), SloHealth::Healthy);
@@ -566,7 +553,7 @@ mod tests {
         for i in 0..80 {
             let now = SimTime::new(50.0 + i as f64 * 0.5);
             let moved = t.record(tenant, qos, SloObjective::Acceptance, false, now);
-            for m in &moved {
+            for m in moved {
                 if m.tenant == Some(7) && m.to == SloHealth::Burning && m.from == SloHealth::Healthy
                 {
                     saw_burning = true;
@@ -583,7 +570,7 @@ mod tests {
         assert_eq!(t.tenant(tenant).unwrap().acceptance.breaches(), 1);
         // Recovery: a long healthy stream rolls the bad events out.
         for i in 0..300 {
-            t.record(
+            let _ = t.record(
                 tenant,
                 qos,
                 SloObjective::Acceptance,
@@ -608,7 +595,7 @@ mod tests {
                 false,
                 SimTime::new(i as f64),
             );
-            assert!(moved.is_empty(), "below min_events nothing alarms");
+            assert_eq!(moved.count(), 0, "below min_events nothing alarms");
         }
     }
 
@@ -620,16 +607,15 @@ mod tests {
         let mut qos_alarmed = false;
         for i in 0..6 {
             let tenant = TenantId(if i % 2 == 0 { 1 } else { 2 });
-            let moved = t.record(
+            let mut moved = t.record(
                 tenant,
                 QosClass::BestEffort,
                 SloObjective::Acceptance,
                 false,
                 SimTime::new(i as f64),
             );
-            qos_alarmed |= moved
-                .iter()
-                .any(|m| m.qos == Some(QosClass::BestEffort) && m.to != SloHealth::Healthy);
+            qos_alarmed |=
+                moved.any(|m| m.qos == Some(QosClass::BestEffort) && m.to != SloHealth::Healthy);
         }
         assert!(qos_alarmed);
     }
@@ -637,7 +623,7 @@ mod tests {
     #[test]
     fn rows_cover_tenants_and_qos_and_serde_round_trips() {
         let mut t = SloTracker::new(SloPolicy::default());
-        t.record(
+        let _ = t.record(
             TenantId(3),
             QosClass::Premium,
             SloObjective::Attainment,
@@ -664,7 +650,7 @@ mod tests {
         let mk = || {
             let mut t = SloTracker::new(policy());
             for i in 0..200 {
-                t.record(
+                let _ = t.record(
                     TenantId((i % 3) as u32),
                     QosClass::Standard,
                     if i % 2 == 0 {
@@ -827,7 +813,7 @@ mod tests {
                 let tenant = TenantId(tenant);
                 let moved = fast.record(tenant, qos, objective, good, at);
                 let expected = reference_record(&mut reference, tenant, qos, objective, good, at);
-                prop_assert_eq!(moved, expected, "event {} at {}", i, now);
+                prop_assert_eq!(moved.collect::<Vec<_>>(), expected, "event {} at {}", i, now);
             }
             prop_assert_eq!(fast.rows(), reference.rows());
             let bytes = serde_json::to_string(&fast).unwrap();

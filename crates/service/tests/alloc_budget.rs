@@ -215,19 +215,18 @@ fn a_warm_fleet_routes_a_refusal_and_a_retest_without_allocating() {
 /// the stream below measured (`BENCH_alloc.json` holds the table). What is
 /// left: every refusal of a request with a reservation tolerance runs the
 /// start search on each shard on fresh buffers (a defer, a reservation, a
-/// rejection); an SLO alarm's transition is a fresh `Vec`, and a breach
-/// record a few more (the accepted
-/// submit's 4); and with telemetry attached, a breach record carries the
-/// span timelines of its tenant's recent tasks, as text.
+/// rejection); an SLO breach record (the accepted submit's 4); and with
+/// telemetry attached, a breach record carries the span timelines of its
+/// tenant's recent tasks, as text.
 const TABLE: [(&str, [Option<usize>; 4]); 9] = [
     ("accepted submit", [Some(4), Some(5), Some(2), None]),
     ("defer", [Some(113), Some(0), Some(3), None]),
-    ("reject", [Some(49), Some(0), Some(2), None]),
+    ("reject", [Some(48), Some(0), Some(2), None]),
     ("reject, explained", [None, None, None, Some(5)]),
     ("reservation search", [Some(113), Some(0), Some(3), None]),
     ("dispatching drive", [Some(0), None, None, None]),
     ("empty sweep", [Some(0), None, None, None]),
-    ("re-testing sweep", [Some(8), None, None, None]),
+    ("re-testing sweep", [Some(4), None, None, None]),
     ("turn commit", [None, Some(4), Some(1527), None]),
 ];
 
