@@ -12,6 +12,15 @@
 //! engine's own book and cache (`probe.rs`) on walks its caller lends
 //! ([`ProbeWalks`]), from where the last probe stood if it lands there too.
 //!
+//! **The record.** A deadline reaches a plan only through its node count
+//! (`ñ_min`) and the final check of the estimate against it: the partition
+//! on `n` nodes (Eq. 1–6) and the walk behind read σ and available times
+//! alone. A search varies nothing but the deadline and σ, so the estimate
+//! and the verdict behind, recorded per insertion point and `n` for one σ,
+//! answer every deadline exactly (past the estimate:
+//! `CompletionAfterDeadline`); only a miss plans, on `n`, and walks. Another
+//! σ, or a search opening, drops the record.
+//!
 //! [`open`]: ExplainSearch::open
 //! [`refine`]: ExplainSearch::refine
 //! [`finish`]: ExplainSearch::finish
@@ -19,7 +28,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::Infeasible;
-use crate::strategy::meets_deadline;
+use crate::strategy::{meets_deadline, select_node_count};
 use crate::task::Task;
 use crate::time::SimTime;
 
@@ -142,13 +151,12 @@ pub struct ProbeWalks {
     walk: Walk,
     stood_walk: Walk,
     stood: Option<(usize, Result<(), AdmissionFailure>)>,
-    /// The candidate `record` is of, its deadline zeroed.
-    recorded: Option<Task>,
-    /// Per insertion point and node count (the module docs' record): the
-    /// estimate the candidate's deadline check reads, and the verdict of the
-    /// walk behind it.
-    record: Vec<(usize, usize, SimTime, Result<(), AdmissionFailure>)>,
+    record: Vec<Recorded>,
 }
+
+/// An entry of the record (module docs): insertion point, `n`, σ, the
+/// estimate the deadline check reads and the verdict behind.
+type Recorded = (usize, usize, f64, SimTime, Result<(), AdmissionFailure>);
 
 impl ProbeWalks {
     /// The Fig. 2 test for `candidate` against `engine`'s book at `now`,
@@ -169,30 +177,28 @@ impl ProbeWalks {
             }
         };
         reached?;
-        // The other half, from where the first stood: the node count, then
-        // the plan on it and the walk behind, unless recorded.
-        let n = engine.node_count(candidate, &mut self.stood_walk)?;
-        let asked = Task {
-            rel_deadline: 0.0,
-            ..*candidate
-        };
-        if self.recorded.replace(asked) != Some(asked) {
+        // The other half, from where the first stood (settled there): the
+        // node count, then the plan on it and the walk behind, unless recorded.
+        let (strategy, cfg) = (engine.algorithm().strategy, engine.config());
+        let (params, fail) = (engine.params(), AdmissionFailure::of(candidate));
+        let avail = self.stood_walk.settle(&[]);
+        let n = select_node_count(strategy, candidate, avail, params, cfg).map_err(&fail)?;
+        let sigma = candidate.data_size;
+        if self.record.last().is_some_and(|e| e.2 != sigma) {
             self.record.clear();
         }
-        let (checked, behind) = match self.record.iter().find(|e| (e.0, e.1) == (at, n)) {
-            Some(&(_, _, checked, behind)) => (checked, behind),
-            None => {
-                #[cfg(test)]
-                tests::PLANNED_ON.with(|planned| planned.borrow_mut().push((at, n)));
-                self.walk.copy_from(&self.stood_walk);
-                let checked = engine.place(candidate, n, &mut self.walk);
-                let behind =
-                    engine.walk_positions(&mut self.walk, at..engine.queue_len(), |_| false);
-                self.record.push((at, n, checked, behind));
-                (checked, behind)
-            }
-        };
-        meets_deadline(checked, candidate).map_err(AdmissionFailure::of(candidate))?;
+        let hit = self.record.iter().position(|e| (e.0, e.1) == (at, n));
+        let i = hit.unwrap_or_else(|| {
+            #[cfg(test)]
+            tests::PLANNED_ON.with(|planned| planned.borrow_mut().push((at, n)));
+            self.walk.copy_from(&self.stood_walk);
+            let checked = self.walk.place(strategy, n, candidate, params, cfg).checked;
+            let behind = engine.walk_positions(&mut self.walk, at..engine.queue_len(), |_| false);
+            self.record.push((at, n, sigma, checked, behind));
+            self.record.len() - 1
+        });
+        let (.., checked, behind) = self.record[i];
+        meets_deadline(checked, candidate).map_err(fail)?;
         behind
     }
 }
@@ -249,7 +255,8 @@ impl<'a> ExplainSearch<'a> {
         now: SimTime,
         refused: Option<Infeasible>,
     ) -> Option<Self> {
-        (walks.stood, walks.recorded) = (None, None);
+        walks.stood = None;
+        walks.record.clear();
         let mut test = || walks.verdict(engine, task, now).err().map(|f| f.reason);
         debug_assert!(
             refused.is_none() || refused == test(),
@@ -368,7 +375,7 @@ mod tests {
     use super::*;
     use crate::algorithm::AlgorithmKind;
     use crate::params::ClusterParams;
-    use crate::strategy::PlanConfig;
+    use crate::strategy::{PlanConfig, StrategyKind};
 
     thread_local! {
         /// The (insertion point, node count) pairs the calling thread's
@@ -517,22 +524,23 @@ mod tests {
                     ..task
                 };
                 let (at, mut stood) = (c.insertion_point(&probe), Walk::default());
-                let n = c
-                    .stand(at, now, &mut stood)
-                    .and_then(|()| c.node_count(&probe, &mut stood));
-                asked.extend(n.ok().map(|n| (at, n)));
+                let n = c.stand(at, now, &mut stood).ok().and_then(|()| {
+                    let (avail, cfg) = (stood.settle(&[]), PlanConfig::default());
+                    select_node_count(StrategyKind::DltIit, &probe, avail, &p, &cfg).ok()
+                });
+                asked.extend(n.map(|n| (at, n)));
                 let verdict = walks.verdict(&c, &probe, now);
                 assert_eq!(verdict, c.literal_test(&probe, now), "deadline {d}");
                 verdict.is_ok()
             });
         }
-        let first_asked = |(i, pair): (usize, &(usize, usize))| !asked[..i].contains(pair);
+        let first = |&(i, pair): &(usize, &(usize, usize))| !asked[..i].contains(pair);
         let distinct: Vec<_> = asked
             .iter()
             .enumerate()
-            .filter(|&e| first_asked(e))
+            .filter(first)
+            .map(|e| *e.1)
             .collect();
-        let distinct: Vec<_> = distinct.into_iter().map(|(_, &pair)| pair).collect();
         assert!(asked.len() > 2 * distinct.len(), "{asked:?}");
         assert_eq!(PLANNED_ON.take(), distinct);
     }

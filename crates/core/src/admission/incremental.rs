@@ -138,7 +138,7 @@ use crate::algorithm::AlgorithmKind;
 use crate::error::{Infeasible, ModelError};
 use crate::params::ClusterParams;
 use crate::request::SubmitRequest;
-use crate::strategy::{select_node_count, PlanConfig, TaskPlan};
+use crate::strategy::{PlanConfig, TaskPlan};
 use crate::task::{Task, TaskId};
 use crate::time::SimTime;
 
@@ -384,25 +384,6 @@ impl AdmissionController {
         let strategy = self.algorithm.strategy;
         walk.test(strategy, task, &self.params, &self.cfg, &self.meta)
             .map(drop)
-    }
-
-    /// The node-count step of a task not in the book, where `walk` stands.
-    pub(super) fn node_count(
-        &self,
-        task: &Task,
-        walk: &mut Walk,
-    ) -> Result<usize, AdmissionFailure> {
-        let (strategy, avail) = (self.algorithm.strategy, walk.settle(&self.meta));
-        select_node_count(strategy, task, avail, &self.params, &self.cfg)
-            .map_err(AdmissionFailure::of(task))
-    }
-
-    /// [`Walk::place`] for a task not in the book: the estimate its deadline
-    /// check reads.
-    pub(super) fn place(&self, task: &Task, n: usize, walk: &mut Walk) -> SimTime {
-        let strategy = self.algorithm.strategy;
-        walk.place(strategy, n, task, &self.params, &self.cfg)
-            .checked
     }
 
     /// The half of a what-if test that never reads the candidate: `walk`
@@ -677,6 +658,7 @@ impl Admission for AdmissionController {
         // Match the reference engine exactly: the first id match over the
         // whole plan list in policy order (prefix first, then the rebuilt
         // tail) — load-bearing if the probed id shadows a waiting task's.
+        let unplanned = AdmissionFailure::of(task)(Infeasible::CompletionAfterDeadline);
         self.queue[..pass.tail.from]
             .iter()
             .find(|(t, _)| t.id == task.id)
@@ -689,10 +671,7 @@ impl Admission for AdmissionController {
                     plan
                 })
             })
-            .ok_or(AdmissionFailure {
-                task: task.id,
-                reason: Infeasible::CompletionAfterDeadline,
-            })
+            .ok_or(unplanned)
     }
 
     /// `probe.rs`'s start search, on this engine's cache.
@@ -954,10 +933,10 @@ mod tests {
             walk.apply(&inc.queue[q].1);
         }
         let c = task(100, 1.0, 10.0, 2_999.0);
-        super::super::probe::WALKED_ON.take();
+        super::super::probe::tests::WALKED_ON.take();
         assert_eq!(inc.earliest_start_after(&c, now), None);
         assert_eq!(
-            super::super::probe::WALKED_ON.take(),
+            super::super::probe::tests::WALKED_ON.take(),
             vec![SimTime::new(100.0), SimTime::new(400.0)]
         );
     }

@@ -17,7 +17,8 @@
 //! and walks the queue behind it. A search keeps the walk the first half
 //! left at the last insertion point and copies it for every probe landing
 //! there (`ProbeWalks`, `explain.rs`): no policy key reads σ, so the σ
-//! search stands once, and so does a converging deadline bracket.
+//! search stands once, and so does a converging deadline bracket, whose
+//! probes at a node count met before are answered from a record.
 //!
 //! The start search ([`AdmissionController::start_search`]) builds each
 //! instant's post-dispatch book from the last one's, and walks books that
@@ -124,7 +125,7 @@ impl AdmissionController {
             seen.record(walk);
             seen_waiting = Some(waiting);
             #[cfg(test)]
-            WALKED_ON.with(|instants| instants.borrow_mut().push(t));
+            tests::WALKED_ON.with(|instants| instants.borrow_mut().push(t));
             self.test(task, walk)
                 .and_then(|()| self.walk_positions(walk, at..queue.len(), due))
                 .is_ok()
@@ -133,14 +134,7 @@ impl AdmissionController {
 }
 
 #[cfg(test)]
-thread_local! {
-    /// The instants the calling thread's start searches walked past the
-    /// task's position (the others were refused ahead of it, or skipped).
-    pub(super) static WALKED_ON: std::cell::RefCell<Vec<SimTime>> = Default::default();
-}
-
-#[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::{ControllerState, ExplainSearch, ProbeWalks};
     use super::*;
     use crate::algorithm::AlgorithmKind;
@@ -152,6 +146,13 @@ mod tests {
     use proptest::prelude::*;
 
     const NODES: usize = 8;
+
+    thread_local! {
+        /// The instants the calling thread's start searches walked past the
+        /// task's position (the others were refused ahead of it, or skipped).
+        pub(in crate::admission) static WALKED_ON: std::cell::RefCell<Vec<SimTime>> =
+            Default::default();
+    }
 
     /// A random book and walk task on `params`' cluster (`releases`, one a
     /// node), decoded from unit-interval draws so deadlines sit around what

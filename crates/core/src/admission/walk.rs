@@ -353,12 +353,6 @@ impl Walk {
         self.built
     }
 
-    /// The release vector the steps so far have built.
-    #[cfg(test)]
-    pub(super) fn releases(&self) -> &[SimTime] {
-        &self.releases
-    }
-
     /// Brings the sorted availability up to date with `releases`: built
     /// from the seed's order in `book` (the queue's records) after a rebase,
     /// else sorted, and once built by merging back the stale head.
@@ -396,12 +390,11 @@ impl Walk {
             .count()
     }
 
-    /// The fresh step, verdict-only (every search, and the walk behind a
-    /// probe) and the first half of [`keep`](Walk::keep)'s: plans `task`
-    /// into the walk's scratch and writes its release estimates back,
-    /// straight from there through the availability's head — no plan kept,
-    /// nothing allocated. `book` is the queue's records, which a rebased walk
-    /// seeds from.
+    /// The fresh step, verdict-only (every search, and a probe's walk
+    /// behind) and the first half of [`keep`](Walk::keep)'s: plans `task`
+    /// into the walk's scratch and writes its release estimates back, from
+    /// there through the availability's head — no plan kept, nothing
+    /// allocated. `book` is the queue's records, which a rebase seeds from.
     pub(super) fn test(
         &mut self,
         strategy: StrategyKind,
@@ -416,8 +409,8 @@ impl Walk {
         Ok(self.write_back(planned))
     }
 
-    /// [`test`](Walk::test) on `n` nodes of the settled availability, the
-    /// deadline unread (a probe's, which its record checks, `explain.rs`).
+    /// [`test`](Walk::test) on the settled availability's `n` earliest
+    /// nodes, its deadline unread (a probe's record checks it, `explain.rs`).
     pub(super) fn place(
         &mut self,
         strategy: StrategyKind,
@@ -426,20 +419,12 @@ impl Walk {
         params: &ClusterParams,
         cfg: &PlanConfig,
     ) -> Planned {
-        debug_assert!(self.built && self.stale_head == 0, "an unsettled walk");
-        let planned = plan_on(
-            strategy,
-            n,
-            task,
-            &self.avail,
-            params,
-            cfg,
-            &mut self.scratch,
-        );
+        let (avail, scratch) = (&self.avail, &mut self.scratch);
+        let planned = plan_on(strategy, n, task, avail, params, cfg, scratch);
         self.write_back(planned)
     }
 
-    /// Writes back the plan just planned into the scratch.
+    /// Writes the plan just planned back, from the scratch.
     fn write_back(&mut self, planned: Planned) -> Planned {
         // Planned on this availability, so on its earliest nodes.
         self.stale_head = planned.nodes;
@@ -529,6 +514,13 @@ pub(super) mod tests {
     use super::*;
     use crate::strategy::{plan_task, NodeCountPolicy, ReleaseEstimate};
     use proptest::prelude::*;
+
+    impl Walk {
+        /// The release vector the steps so far have built.
+        fn releases(&self) -> &[SimTime] {
+            &self.releases
+        }
+    }
 
     /// Plan `j` of `tail` as a value of its own.
     fn plan_of(tail: &Tail, j: usize) -> TaskPlan {

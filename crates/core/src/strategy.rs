@@ -20,27 +20,23 @@
 //!
 //! ## One planning kernel
 //!
-//! Each strategy's arithmetic exists once, in `plan_into`: it plans into
-//! buffers its caller owns (`PlanScratch`: per-chunk starts, the prefix
-//! products of Eq. 4–5 turned into `α` in place, per-chunk release
-//! estimates, and `Cps_i` of Eq. 1) and returns what it decided (`Planned`:
-//! the strategy, how many of the earliest-available nodes it took, the
-//! completion estimate). It keeps the heterogeneous model's input checks.
-//! It is two steps and a check: the node count (`select_node_count`: the
-//! `ñ_min` scan, the cluster for OPR-AN, the user's count for User-Split),
-//! the plan on those `n` nodes (`plan_on`), and the final check of the
-//! estimate against the deadline (`meets_deadline`). The deadline is read by
-//! the first and the last only, so a plan on `n` nodes serves every
-//! deadline that selects `n` (what a refusal explanation's record relies
-//! on, `admission/explain.rs`). Three callers read the result three ways: [`plan_task`] — the public function, and the one
-//! thing the admission oracle shares with the production walks — runs the
-//! kernel on fresh buffers and moves them into a [`TaskPlan`]; a walk's
-//! kept step appends the plan, from the walk's own scratch, to the arena
-//! its pass keeps (`admission/walk.rs`, no allocation once warm); a walk's
-//! verdict-only step (every probe of an explanation or reservation search)
-//! writes the release estimates through the availability's head and
-//! allocates nothing. The heterogeneous recurrence itself
-//! (`dlt::heterogeneous::partition_into`) is also what
+//! Each strategy's arithmetic exists once, in the kernel `plan_into`: the
+//! node count (`select_node_count`), the plan on those `n` nodes
+//! (`plan_on`) and the check of its estimate against the deadline
+//! (`meets_deadline`) — only the first and the last read the deadline
+//! (`admission/explain.rs` relies on it). It plans into buffers its caller
+//! owns (`PlanScratch`: per-chunk starts, the prefix products of Eq. 4–5
+//! turned into `α` in place, per-chunk release estimates, and `Cps_i` of
+//! Eq. 1), keeps the heterogeneous model's input checks and returns what it
+//! decided (`Planned`: the strategy, how many of the earliest-available
+//! nodes it took, the completion estimate). [`plan_task`] — the public
+//! function, and the one thing the admission oracle shares with the
+//! production walks — runs it on fresh buffers and moves them into a
+//! [`TaskPlan`]; a walk's kept step appends the plan, from the walk's own
+//! scratch, to the arena its pass keeps (`admission/walk.rs`, no allocation
+//! once warm); its verdict-only steps write the release estimates through
+//! the availability's head and allocate nothing. The heterogeneous
+//! recurrence (`dlt::heterogeneous::partition_into`) is also what
 //! [`HeterogeneousModel::new`](crate::dlt::heterogeneous::HeterogeneousModel::new)
 //! builds on.
 
@@ -399,8 +395,8 @@ pub fn plan_task(
 
 /// The buffers one planning step works in, owned by whoever takes the steps
 /// (a walk keeps one set for all of its steps; [`plan_task`] brings a fresh
-/// one). After a successful [`plan_into`] the per-chunk vectors hold the
-/// plan, chunk for chunk in transmission order.
+/// one). After [`plan_on`] the per-chunk vectors hold the plan, chunk for
+/// chunk in transmission order.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PlanScratch {
     /// Per chunk: the earliest instant its transmission may start.
@@ -416,7 +412,7 @@ pub(crate) struct PlanScratch {
     node_free: Vec<f64>,
 }
 
-/// What [`plan_into`] decided; the chunks themselves are in the scratch it
+/// What [`plan_on`] decided; the chunks themselves are in the scratch it
 /// planned into, and the nodes are the availability's earliest.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Planned {
@@ -467,12 +463,8 @@ impl Planned {
     }
 }
 
-/// The planning kernel: one task under `kind` against the availability
-/// snapshot, planned into `scratch` — the node count, the plan on those
-/// nodes, and the deadline check. Every strategy's arithmetic lives here
-/// and only here — [`plan_task`] moves the result into a plan, a walk's kept
-/// step appends it to its pass's arena, and a walk's verdict-only step reads
-/// nothing but the release estimates.
+/// The planning kernel for one task under `kind` against the availability
+/// snapshot, into `scratch` (the module docs name its callers).
 pub(crate) fn plan_into(
     kind: StrategyKind,
     task: &Task,
@@ -487,10 +479,8 @@ pub(crate) fn plan_into(
     Ok(planned)
 }
 
-/// The final check of Fig. 2 on the estimate a plan is checked by
-/// ([`Planned::checked`]). Load-bearing under `OneShot` (the wait can defeat
-/// the optimistic `n`) and for OPR-AN and User-Split, whose counts ignore
-/// the deadline; a pure float-noise guard under `FixedPoint`.
+/// The final check of Fig. 2, on [`Planned::checked`]: a float-noise guard
+/// but under `OneShot`, OPR-AN and User-Split, whose counts ignore the wait.
 #[inline]
 pub(crate) fn meets_deadline(checked: SimTime, task: &Task) -> Result<(), Infeasible> {
     if checked.definitely_after(task.absolute_deadline()) {
@@ -522,11 +512,9 @@ pub(crate) fn select_node_count(
             // deadline check on the completion estimate rejects the task
             // if the wait for these nodes proves too long.
             let n = crate::nmin::n_tilde_min(params, task.data_size, avail.now(), deadline)?;
-            if n > avail.num_nodes() {
-                Err(Infeasible::NotEnoughNodes)
-            } else {
-                Ok(n)
-            }
+            (n <= avail.num_nodes())
+                .then_some(n)
+                .ok_or(Infeasible::NotEnoughNodes)
         }
         (_, NodeCountPolicy::FixedPoint) => {
             Ok(scan_feasible_nodes(params, task.data_size, avail.times(), deadline)?.n)
@@ -549,15 +537,23 @@ pub(crate) fn plan_on(
     scratch.starts.clear();
     scratch.fractions.clear();
     scratch.releases.clear();
-    let planned = match kind {
-        StrategyKind::DltIit => plan_dlt_iit(n, task, avail, params, cfg, scratch),
-        StrategyKind::DltMultiRound { rounds } => {
-            plan_dlt_multi_round(n, task, avail, params, cfg, rounds, scratch)
+    let est = match kind {
+        StrategyKind::DltIit | StrategyKind::DltMultiRound { .. } => {
+            plan_dlt_iit(n, task, avail, params, cfg, scratch)
         }
-        StrategyKind::OprMn => plan_opr(n, task, avail, params, false, scratch),
-        StrategyKind::OprAn => plan_opr(n, task, avail, params, true, scratch),
+        StrategyKind::OprMn | StrategyKind::OprAn => plan_opr(n, task, avail, params, scratch),
         StrategyKind::UserSplit => plan_user_split(n, task, avail, params, scratch),
     };
+    let mut planned = Planned {
+        strategy: kind,
+        nodes: n,
+        chunks: n,
+        est,
+        checked: est,
+    };
+    if let StrategyKind::DltMultiRound { rounds } = kind {
+        plan_dlt_multi_round(&mut planned, rounds, task, params, scratch);
+    }
     debug_assert_eq!(scratch.starts.len(), planned.chunks);
     debug_assert_eq!(scratch.fractions.len(), planned.chunks);
     debug_assert_eq!(scratch.releases.len(), planned.chunks);
@@ -580,7 +576,7 @@ fn plan_dlt_iit(
     params: &ClusterParams,
     cfg: &PlanConfig,
     scratch: &mut PlanScratch,
-) -> Planned {
+) -> SimTime {
     let PlanScratch {
         starts,
         fractions,
@@ -609,25 +605,17 @@ fn plan_dlt_iit(
             releases,
         ),
     }
-    Planned {
-        strategy: StrategyKind::DltIit,
-        nodes: n,
-        chunks: n,
-        est,
-        checked: est,
-    }
+    est
 }
 
 /// \[22\]'s OPR baseline: all nodes start together once the last is free.
-/// `all_nodes` names the AN variant (every task on the full cluster).
 fn plan_opr(
     n: usize,
     task: &Task,
     avail: &NodeAvailability,
     params: &ClusterParams,
-    all_nodes: bool,
     scratch: &mut PlanScratch,
-) -> Planned {
+) -> SimTime {
     let t_start = avail.entries()[..n].last().expect("n >= 1").0;
     let e = homogeneous::exec_time(params, task.data_size, n);
     let est = t_start + SimTime::new(e);
@@ -636,17 +624,7 @@ fn plan_opr(
     homogeneous::alphas_into(params, n, &mut scratch.fractions);
     // OPR's equal-finish property makes the estimate exact per node.
     scratch.releases.resize(n, est);
-    Planned {
-        strategy: if all_nodes {
-            StrategyKind::OprAn
-        } else {
-            StrategyKind::OprMn
-        },
-        nodes: n,
-        chunks: n,
-        est,
-        checked: est,
-    }
+    est
 }
 
 /// §4.1.2: user splits the task into `n` equal chunks; chunks are dispatched
@@ -658,7 +636,7 @@ fn plan_user_split(
     avail: &NodeAvailability,
     params: &ClusterParams,
     scratch: &mut PlanScratch,
-) -> Planned {
+) -> SimTime {
     let chunk = task.data_size / n as f64;
     let tx = chunk * params.cms;
     let per_node = tx + chunk * params.cps;
@@ -675,13 +653,7 @@ fn plan_user_split(
     }
     let est = *scratch.releases.last().expect("n >= 1");
     scratch.fractions.resize(n, 1.0 / n as f64);
-    Planned {
-        strategy: StrategyKind::UserSplit,
-        nodes: n,
-        chunks: n,
-        est,
-        checked: est,
-    }
+    est
 }
 
 /// §6 future work: multi-round (multi-installment) DLT partitioning.
@@ -694,23 +666,22 @@ fn plan_user_split(
 /// chunk timeline (the same arithmetic the dispatch engine performs), so
 /// admission remains sound. Adaptive: if the single-round plan's estimate is
 /// at least as good (communication-cheap regimes where extra round trips buy
-/// nothing), the single-round plan is returned instead. Either way the
-/// deadline check reads the single-round estimate: a replay that beats it
-/// meets every deadline it does, so the choice never reads the deadline.
+/// nothing), `single`, the single-round plan in `scratch`, is kept instead.
+/// Either way the deadline check reads the single-round estimate: a replay
+/// that beats it meets every deadline it does, so the choice never reads
+/// the deadline.
 fn plan_dlt_multi_round(
-    n: usize,
-    task: &Task,
-    avail: &NodeAvailability,
-    params: &ClusterParams,
-    cfg: &PlanConfig,
+    single: &mut Planned,
     rounds: u8,
+    task: &Task,
+    params: &ClusterParams,
     scratch: &mut PlanScratch,
-) -> Planned {
-    let single = plan_dlt_iit(n, task, avail, params, cfg, scratch);
+) {
+    single.strategy = StrategyKind::DltIit;
     if rounds <= 1 {
-        return single;
+        return;
     }
-    let m = rounds as usize;
+    let (n, m) = (single.nodes, rounds as usize);
     let sigma = task.data_size;
     let PlanScratch {
         starts,
@@ -758,18 +729,13 @@ fn plan_dlt_multi_round(
         starts.truncate(n);
         fractions.truncate(n);
         releases.truncate(n);
-        return single;
+        return;
     }
     starts.drain(..n);
     fractions.drain(..n);
     releases.drain(..n);
-    Planned {
-        strategy: StrategyKind::DltMultiRound { rounds },
-        nodes: n,
-        chunks: n * m,
-        est,
-        checked: single.est,
-    }
+    (single.strategy, single.chunks, single.est) =
+        (StrategyKind::DltMultiRound { rounds }, n * m, est);
 }
 
 /// Replays a plan's execution timeline exactly, appending each chunk's

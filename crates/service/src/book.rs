@@ -242,18 +242,16 @@ pub(crate) fn record_slo(
             .slo
             .row_for(transition.tenant, transition.qos, transition.objective)
             .expect("a transition's scope always has a row");
-        let recent_tasks =
-            (transition.tenant).map_or_else(Vec::new, |id| book.recent_tasks(TenantId(id)));
-        let mut timelines = Vec::new();
-        if book.telemetry.is_enabled() {
-            for &task in &recent_tasks {
-                if let Some(trace) = book.telemetry.trace_of(task) {
-                    for span in book.telemetry.trace_spans(trace) {
-                        timelines.push(span.to_string());
-                    }
-                }
-            }
-        }
+        let recent_tasks = transition
+            .tenant
+            .map_or_else(Vec::new, |id| book.recent_tasks(TenantId(id)));
+        // A recorder that is off knows no trace.
+        let telemetry = &book.telemetry;
+        let traces = recent_tasks
+            .iter()
+            .filter_map(|&task| telemetry.trace_of(task));
+        let spans = traces.flat_map(|trace| telemetry.trace_spans(trace));
+        let timelines = spans.map(|span| span.to_string()).collect();
         book.breach_log.push(SloBreach {
             version: SLO_BREACH_VERSION,
             transition,
