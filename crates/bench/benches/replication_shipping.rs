@@ -1,7 +1,7 @@
 //! The shipping tax: what replication costs the primary's hot path.
 //!
-//! Replication is only deployable if the primary barely notices it. The
-//! [`ShippingGateway`] design claims the per-submission overhead of
+//! Replication is only deployable if the primary barely notices it.
+//! Shipping on a [`JournaledGateway`] claims the per-submission overhead of
 //! journal shipping — frame extraction, outbox bookkeeping, heartbeat
 //! scheduling — stays under 10% of the bare journaled admission cost,
 //! because the expensive parts (socket serialization, ack waits) are
@@ -11,23 +11,23 @@
 //! * `replication_shipping/bare_journaled` — a [`JournaledGateway`]
 //!   serving a submission stream one turn per submission (`decide`, then
 //!   `drive`), journal appends included, no shipping.
-//! * `replication_shipping/shipping_outbox` — the same turns through a
-//!   [`ShippingGateway`] in outbox mode, whose `drive` pumps once the turn
-//!   committed, the way the edge reactor's turn does.
+//! * `replication_shipping/shipping_outbox` — the same turns with shipping
+//!   on (`JournaledGateway::start_shipping`), draining the outbox by hand:
+//!   its `drive` pumps once the turn committed, the way the edge reactor's
+//!   turn does.
 //!
 //! After the criterion output the bench times both once more, medians of
 //! nine runs in this process, and hands `overhead` (`shipping/bare − 1`)
 //! to `rtdls_bench::guard`: over the 10 % ceiling, or more than 14 points
 //! past the committed reading, the run exits non-zero. That shipping
 //! never changes a decision and that the shipped stream rebuilds the WAL
-//! byte for byte is pinned by `crates/replica/tests/shipping_props.rs` and
+//! byte for byte is pinned by `crates/world/tests/shipping_props.rs` and
 //! `crates/edge/tests/replicated.rs`.
 
 use criterion::{black_box, Criterion};
 
 use rtdls_core::prelude::*;
 use rtdls_journal::prelude::*;
-use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
 
 const STREAM: u64 = 256;
@@ -78,14 +78,15 @@ fn run_bare(tasks: &[Task]) -> u64 {
     accepted
 }
 
-/// The same turns through a shipping gateway, whose `drive` pumps the way
+/// The same turns with shipping on, whose `drive` pumps the way
 /// the edge reactor's turn does. The outbox is drained as a transport
 /// would drain it and every shipped frame is acked — the steady state of a
 /// follower that keeps up, so the measurement excludes retransmission
 /// storms a dead follower would cause (the transport detaches in that case
 /// anyway).
 fn run_shipping(tasks: &[Task]) -> (u64, usize) {
-    let mut gw = ShippingGateway::new(journaled(), ShipConfig::default());
+    let mut gw = journaled();
+    gw.start_shipping(ShipConfig::default());
     let mut accepted = 0u64;
     let mut shipped_msgs = 0usize;
     for t in tasks {
@@ -94,7 +95,8 @@ fn run_shipping(tasks: &[Task]) -> (u64, usize) {
         }
         gw.drive(t.arrival);
         shipped_msgs += gw.take_outbox().len();
-        gw.on_ack(gw.shipper().shipped(), t.arrival);
+        let shipped = gw.shipper().map_or(0, Shipper::shipped);
+        gw.on_ack(shipped, t.arrival);
     }
     (accepted, shipped_msgs)
 }

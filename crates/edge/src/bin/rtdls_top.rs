@@ -17,8 +17,8 @@
 //!
 //! Watch mode additionally renders a sparkline panel from the server's
 //! metrics history ring when [`EdgeServer::enable_history`] is on. Every
-//! query the console sends is exercised over a real (replicated) edge by
-//! `crates/edge/tests/replicated.rs`.
+//! query the console sends is answered by a replicated edge in the crash
+//! world in `crates/edge/tests/replicated.rs`.
 
 use std::time::Duration;
 

@@ -82,8 +82,8 @@ pub use reactor::EdgeServer;
 /// The bound the reactor holds its gateway stack to: the serving trait
 /// (`rtdls_sim::serve::Serve` — `decide` per submit, `drive` per turn,
 /// `next_due` for the timed-work check) plus the ops surface —
-/// implemented by `ShardedGateway`, `JournaledGateway` and
-/// `ShippingGateway`, each writing its turn once.
+/// implemented by `ShardedGateway` and `JournaledGateway` (shipping or
+/// not), each writing its turn once.
 pub use rtdls_service::serve::EdgeGateway;
 
 use std::time::{Duration, Instant};

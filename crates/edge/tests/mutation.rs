@@ -30,14 +30,13 @@ use rtdls_edge::codec::{Direction, FrameDecoder, HEADER_LEN};
 use rtdls_edge::prelude::*;
 use rtdls_edge::proto::{encode_client, encode_server, OpsQuery};
 use rtdls_journal::prelude::*;
+use rtdls_journal::ship::encode_msg;
 use rtdls_journal::wire::{self, RecordKind};
-use rtdls_replica::net::{encode_msg, read_msg, write_msg};
-use rtdls_replica::ship::{ShipConfig, ShipMsg};
-use rtdls_replica::ShippingGateway;
+use rtdls_replica::net::{read_msg, write_msg};
 use rtdls_service::prelude::*;
 use rtdls_workload::prelude::*;
-use rtdls_world::mem::{ClientEnd, Edge, InlineClient, MemClient, MemNet};
-use rtdls_world::{baseline_gateway, Scenario, World};
+use rtdls_world::mem::{ClientEnd, Edge, InlineClient, MemClient};
+use rtdls_world::{baseline_gateway, FaultPlan, Follow, Scenario, World};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 /// Cases per seed and loop: ≈ 6 000 in all, a second or two.
@@ -595,38 +594,31 @@ fn hostile_follower_bytes_end_the_link_not_the_edge() {
         ("flipped checksum", flipped),
         ("not an ack", not_an_ack),
     ] {
-        let journaled = JournaledGateway::new(
-            ShardedGateway::new(
-                ClusterParams::paper_baseline(),
-                2,
-                AlgorithmKind::EDF_DLT,
-                PlanConfig::default(),
-                Routing::LeastLoaded,
-                DeferPolicy::default(),
-            )
-            .unwrap(),
-            JournalConfig::default(),
-        );
-        let gateway = ShippingGateway::new(journaled, ShipConfig::default());
-        // A shipping head: behind a lone reactor, outside the world.
-        let net = MemNet::default();
-        let mem = net.transports(1).pop().unwrap();
-        let mut server = EdgeServer::with_transport(mem, gateway, EdgeConfig::default());
-        let (primary_end, mut standby) = net.link();
-        server.follow(primary_end).unwrap();
-        let mut client = InlineClient::greeted(&net, &mut server, now);
-        assert!(answered(&mut server, &mut client, 1, now), "{what}");
+        // A shipping edge whose reactor's link is handed to a hostile
+        // standby before its first turn.
+        let scenario = Scenario::new(JournalConfig::default()).follow(Follow::clean(1));
+        let mut world = World::edge(vec![baseline_gateway(2)], scenario, EdgeConfig::default());
+        let net = world.net().clone();
+        let (primary_end, mut standby) = net.link(FaultPlan::clean(3), FaultPlan::clean(4));
+        world.reactors_mut()[0].follow(primary_end).unwrap();
+        let mut client = InlineClient::greeted(&net, &mut world, now);
+        assert!(answered(&mut world, &mut client, 1, now), "{what}");
         // An honest ack first: the link takes it.
         standby.send(&ack);
         standby.send(&hostile);
         for _ in 0..2_000 {
-            if server.stats().links_dropped > 0 {
+            if world.stats()[0].links_dropped > 0 {
                 break;
             }
-            server.poll(now);
+            world.poll(now);
         }
-        assert_eq!(server.stats().links_dropped, 1, "{what}: the link survived");
-        assert_eq!(server.gateway().shipper().acked(), 1, "{what}");
-        assert!(answered(&mut server, &mut client, 2, now), "{what}");
+        assert_eq!(
+            world.stats()[0].links_dropped,
+            1,
+            "{what}: the link survived"
+        );
+        let shipper = world.reactors()[0].gateway().shipper();
+        assert_eq!(shipper.map(Shipper::acked), Some(1), "{what}");
+        assert!(answered(&mut world, &mut client, 2, now), "{what}");
     }
 }

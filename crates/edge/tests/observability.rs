@@ -1,11 +1,10 @@
-//! The observability-plane capstone: after a full failover in the crash
-//! world, the *promoted* gateway goes behind an edge server over the
-//! in-memory transport, and one ops query with one trace id reconstructs
-//! the cross-node timeline — primary-side plan/append/ship spans,
-//! follower-side replay, and the promotion fence — over the wire, exactly
-//! as `rtdls-top --trace` would render it. The primary process (and its
-//! flight recorder) is long dead by then; every span served came off the
-//! shipped frames.
+//! The observability-plane capstone: a shipping edge in the crash world
+//! fails over, its follower promotes behind the edge, and one ops query
+//! with one trace id reconstructs the cross-node timeline — primary-side
+//! plan/append/ship spans, follower-side replay, and the promotion fence —
+//! over the wire, exactly as `rtdls-top --trace` would render it. The
+//! primary process (and its flight recorder) is long dead by then; every
+//! span served came off the shipped frames.
 
 use rtdls_core::prelude::*;
 use rtdls_edge::prelude::*;
@@ -13,13 +12,11 @@ use rtdls_edge::proto::{OpsQuery, OpsReport};
 use rtdls_journal::prelude::*;
 use rtdls_journal::wire::decode_frames;
 use rtdls_service::prelude::*;
-use rtdls_sim::config::SimConfig;
-use rtdls_sim::engine::Simulation;
 use rtdls_telemetry::{Stage, Telemetry};
 use rtdls_workload::prelude::*;
-use rtdls_world::mem::{InlineClient, Mem, MemClient, MemNet};
+use rtdls_world::mem::{InlineClient, MemClient};
 use rtdls_world::{baseline_gateway, reservation, saturated_until};
-use rtdls_world::{Comeback, FaultPlan, Follow, Kill, Scenario, World};
+use rtdls_world::{Client, Comeback, FaultPlan, Follow, Kill, Scenario, World};
 
 type Conn = InlineClient<MemClient>;
 
@@ -39,21 +36,22 @@ fn scenario(seed: u64) -> Scenario {
     })
 }
 
-fn workload() -> Vec<Task> {
-    (0..12u64)
-        .map(|i| Task::new(i, i as f64 * 150.0, 20.0, 1_200.0))
+/// Twelve submits before the kill, and one the promoted edge serves.
+fn workload() -> Vec<SubmitRequest> {
+    let task = |i: u64| Task::new(i, i as f64 * 150.0, 20.0, 1_200.0);
+    let late = Task::new(12, 2_500.0, 20.0, 4_000.0);
+    (0..12)
+        .map(task)
+        .chain([late])
+        .map(SubmitRequest::new)
         .collect()
 }
 
-/// Sends one ops query and turns the server until its report arrives.
-fn ask(
-    client: &mut InlineClient<MemClient>,
-    server: &mut EdgeServer<JournaledGateway, Mem>,
-    query: OpsQuery,
-) -> OpsReport {
+/// Sends one ops query and turns the world until its report arrives.
+fn ask(client: &mut InlineClient<MemClient>, world: &mut World, query: OpsQuery) -> OpsReport {
     client.send(&ClientMsg::Ops { query });
     loop {
-        if let ServerMsg::OpsReport { report } = client.recv(server, SimTime::ZERO) {
+        if let ServerMsg::OpsReport { report } = client.recv(world, SimTime::new(1.0e5)) {
             return report;
         }
     }
@@ -64,41 +62,36 @@ fn promoted_edge_serves_the_cross_node_timeline_over_the_wire() {
     // Two recorders model two processes; only the follower's survives.
     let primary_recorder = Telemetry::with_defaults();
     let follower_recorder = Telemetry::with_defaults();
-    let mut world = World::new(baseline_gateway(2), scenario(42));
+    let mut world = World::edge(
+        vec![baseline_gateway(2)],
+        scenario(42),
+        EdgeConfig::default(),
+    );
     world.attach_telemetry(&primary_recorder, &follower_recorder);
-    let cfg = SimConfig::new(ClusterParams::paper_baseline(), AlgorithmKind::EDF_DLT)
-        .with_tenants(TenantMix::uniform(3));
-    let mut sim = Simulation::with_frontend(cfg, world);
-    sim.prime(workload());
-    while sim.step() {}
-    let (_report, world) = sim.finish();
+    world.run(vec![Client::new(workload(), 4)]);
     assert!(world.record().promoted_at.is_some(), "must fail over");
     drop(primary_recorder); // the head node is gone
 
-    // The survivor: the promoted gateway fronted by a fresh edge server,
-    // serving the follower-process recorder.
-    let promoted = world.into_gateway().expect("promotion yields a gateway");
+    // The survivor: the promoted gateway behind the edge, serving the
+    // follower-process recorder.
+    world.reactors_mut()[0].set_telemetry(&follower_recorder);
+    let promoted = world.reactors()[0].gateway();
     assert_eq!(promoted.journal().epoch(), 1, "promoted into epoch 1");
     let trace = follower_recorder
         .trace_of(1)
         .expect("shipped frames re-associated task 1 with its trace");
-    let net = MemNet::default();
-    let mem = net.transports(1).pop().unwrap();
-    let mut server = EdgeServer::with_transport(mem, promoted, EdgeConfig::default());
-    server.set_telemetry(&follower_recorder);
-    let mut ops = InlineClient::connect(&net);
+    let mut ops = InlineClient::connect(&world.net().clone());
 
     // Identity over the wire names the post-failover epoch.
-    let OpsReport::Stats { epoch, ack_lag, .. } = ask(&mut ops, &mut server, OpsQuery::Stats)
-    else {
+    let OpsReport::Stats { epoch, ack_lag, .. } = ask(&mut ops, &mut world, OpsQuery::Stats) else {
         panic!("expected a Stats report");
     };
     assert_eq!(epoch, 1, "the edge reports the promoted epoch");
-    assert_eq!(ack_lag, None, "a plain journaled gateway has no shipper");
+    assert_eq!(ack_lag, None, "a promoted gateway ships to nobody");
 
     // One trace id, queried like `rtdls-top --trace <id>`, yields the
     // ordered cross-node timeline.
-    let OpsReport::Trace { spans, .. } = ask(&mut ops, &mut server, OpsQuery::Trace { id: trace })
+    let OpsReport::Trace { spans, .. } = ask(&mut ops, &mut world, OpsQuery::Trace { id: trace })
     else {
         panic!("expected a Trace report");
     };
@@ -116,7 +109,7 @@ fn promoted_edge_serves_the_cross_node_timeline_over_the_wire() {
 
     // The promoted trace also shows up in the recent-traces listing.
     let OpsReport::RecentTraces { traces: recent } =
-        ask(&mut ops, &mut server, OpsQuery::RecentTraces)
+        ask(&mut ops, &mut world, OpsQuery::RecentTraces)
     else {
         panic!("expected a RecentTraces report");
     };

@@ -1,24 +1,27 @@
-//! A replicated edge deployment, end to end over real sockets: an edge
-//! server fronting a [`ShippingGateway`] whose journal streams over its
-//! follower link into a [`FollowerServer`] warm standby, with the whole
-//! observability plane on, while every query `rtdls-top` sends is answered
-//! over the wire — and the link's two ways to fail a primary: a standby
-//! that stops reading, and a primary that goes quiet.
-
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! A replicated edge in the crash world: a reactor whose journaled head
+//! ships over its follower link into the world's warm standby, with the
+//! whole observability plane on, while every query `rtdls-top` sends is
+//! answered over the wire — and the link's ways to fail a primary: a
+//! standby that stops reading, a primary that goes quiet, and a link that
+//! delays and splits.
 
 use rtdls_core::prelude::*;
 use rtdls_edge::prelude::*;
+use rtdls_edge::proto::{OpsQuery, OpsReport};
 use rtdls_journal::prelude::*;
-use rtdls_replica::net::{read_msg, write_msg};
 use rtdls_replica::prelude::*;
 use rtdls_service::prelude::*;
 use rtdls_telemetry::{HistoryConfig, MetricKind, MetricSample, MetricsRegistry, Telemetry};
-use rtdls_world::baseline_gateway;
+use rtdls_world::disk::Model;
+use rtdls_world::mem::{InlineClient, MemClient};
+use rtdls_world::{baseline_gateway, Client, FaultPlan, Follow, Scenario, World};
+
+type Conn = InlineClient<MemClient>;
+
+const NO_COMPACTION: JournalConfig = JournalConfig {
+    snapshot_every: 0,
+    compact_on_snapshot: false,
+};
 
 /// Names in README § Unified metrics that a single short replicated run
 /// cannot produce, each with the reason.
@@ -27,7 +30,9 @@ const UNREACHED: [(&str, &str); 1] = [(
     "only a recovery that demotes a tenant's reservations emits it",
 )];
 
-/// Every full `rtdls_*` name the README's metrics table documents.
+/// Every `rtdls_*` name the README's metrics table documents. A name
+/// abbreviated after a slash (`rtdls_journal_sink_appends` / `_writes`)
+/// replaces as many trailing words of the name before it as it has.
 fn documented_metric_names() -> Vec<String> {
     let readme = include_str!("../../../README.md");
     let start = readme
@@ -35,93 +40,80 @@ fn documented_metric_names() -> Vec<String> {
         .expect("README has the metrics section");
     let section = &readme[start..];
     let section = &section[..section[4..].find("\n### ").map_or(section.len(), |e| e + 4)];
-    let mut names: Vec<String> = Vec::new();
-    for (at, _) in section.match_indices("rtdls_") {
-        let glued = section[..at]
-            .chars()
-            .next_back()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        let name: String = section[at..]
-            .chars()
+    let (mut names, mut last): (Vec<String>, Option<String>) = (Vec::new(), None);
+    for (at, _) in section.match_indices('`') {
+        let name = section[at + 1..].chars();
+        let name: String = name
             .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_')
             .collect();
-        if !glued && !names.contains(&name) {
+        let name = match &last {
+            _ if name.starts_with("rtdls_") => name,
+            Some(last) if name.len() > 1 && name.starts_with('_') => {
+                let words: Vec<&str> = last.split('_').collect();
+                let keep = words.len() - name[1..].split('_').count();
+                words[..keep].join("_") + &name
+            }
+            _ => continue,
+        };
+        last = Some(name.clone());
+        if !names.contains(&name) {
             names.push(name);
         }
     }
     names
 }
 
-/// Whether `samples` carry `name`, as a scalar or as a flattened histogram.
-fn exported(samples: &[MetricSample], name: &str) -> bool {
-    let count = format!("{name}_count");
-    samples.iter().any(|s| s.name == name || s.name == count)
+/// The name a sample is documented under: a histogram's flattened
+/// series count as its base name.
+fn base_name(sample: &str) -> &str {
+    ["_count", "_sum", "_bucket", "_p50", "_p90", "_p99"]
+        .iter()
+        .find_map(|suffix| sample.strip_suffix(suffix))
+        .unwrap_or(sample)
 }
-
-fn journaled_primary() -> JournaledGateway {
-    JournaledGateway::new(baseline_gateway(2), NO_COMPACTION)
-}
-
-const NO_COMPACTION: JournalConfig = JournalConfig {
-    snapshot_every: 0,
-    compact_on_snapshot: false,
-};
 
 #[test]
-fn edge_over_shipping_gateway_replicates_and_reports_lag() {
-    // The warm standby, accepting one primary.
-    let follower = Follower::new(FollowerConfig::default());
-    let mut standby = FollowerServer::bind("127.0.0.1:0", follower).expect("bind standby");
-    let standby_addr = standby.local_addr().expect("standby addr");
-    let standby_thread = std::thread::spawn(move || {
-        let processed = standby
-            .serve_connection(Duration::from_secs(5))
-            .expect("standby serves");
-        (standby, processed)
-    });
-
-    // The primary edge, shipping as it serves: telemetry (spans and
-    // phases) and history on (a cadence fast enough for this short run to
-    // land samples). Its WAL is a file, so the sink's series exist too.
-    let wal = std::env::temp_dir().join(format!("rtdls-replicated-{}.wal", std::process::id()));
-    let sink = FileSink::create(&wal).expect("create the primary's WAL");
-    let primary = JournaledGateway::with_sink(baseline_gateway(2), NO_COMPACTION, Box::new(sink));
-    let gateway = ShippingGateway::new(primary, ShipConfig::default());
-    let mut server =
-        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
-    let link = TcpStream::connect(standby_addr).expect("connect standby");
-    server.follow(link).expect("link the standby");
-    server.set_telemetry(&Telemetry::with_defaults());
-    server.enable_history(HistoryConfig {
+fn a_replicated_edge_ships_its_wal_and_answers_every_ops_query() {
+    // The primary's WAL is a file on the model disk, so the sink's series
+    // exist too; telemetry (spans and phases) and history are on.
+    let disk = Model::new("/model/reactor-0.wal");
+    let scenario = Scenario::new(NO_COMPACTION).follow(Follow::clean(1));
+    let cfg = EdgeConfig::default();
+    let gateways = vec![baseline_gateway(2)];
+    let mut world = World::edge_on_disk(gateways, scenario, cfg, disk, "/model");
+    world.reactors_mut()[0].set_telemetry(&Telemetry::with_defaults());
+    world.reactors_mut()[0].enable_history(HistoryConfig {
         capacity: 240,
         cadence: 0.05,
     });
-    let addr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server_stop = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || server.run(EdgeClock::real_time(), &server_stop));
+    let net = world.net().clone();
 
-    // Submit through the real protocol: eight that fit and one hopeless
-    // refusal (so the rejection breakdown has a row).
-    let requests = (1..=9u64).map(|id| {
+    // Eight submits that fit and one hopeless refusal (so the rejection
+    // breakdown has a row).
+    let mut now = SimTime::new(1.0);
+    let mut client = Conn::greeted(&net, &mut world, now);
+    for id in 1..=9u64 {
         let deadline = if id == 9 { 0.001 } else { 30_000.0 };
-        SubmitRequest::new(Task::new(id, 0.0, 200.0, deadline))
-    });
-    let client = ReplayClient::connect(addr).expect("connect replay");
-    let report = client
-        .run(
-            requests,
-            4,
-            Duration::from_millis(50),
-            Duration::from_secs(5),
-        )
-        .expect("replay run");
-    assert_eq!(report.verdicts(), 9, "every submit answered: {report:?}");
+        let request = SubmitRequest::new(Task::new(id, 0.0, 200.0, deadline));
+        let verdict = client.submit(id, request, &mut world, now);
+        assert_eq!(verdict.is_accepted(), id != 9, "{verdict:?}");
+    }
+    // A few turns for the acks to come back and history to sample.
+    for _ in 0..4 {
+        now += SimTime::new(0.1);
+        world.poll(now);
+    }
 
     // The ops channel reports the replication view rtdls-top renders.
-    let deadline = Duration::from_secs(5);
-    let mut ops = OpsClient::connect(addr).expect("connect ops");
-    let samples = ops.stats(deadline).expect("stats");
+    let mut ops = Conn::greeted(&net, &mut world, now);
+    let OpsReport::Stats {
+        samples,
+        epoch,
+        ack_lag,
+    } = ops.ops(OpsQuery::Stats, &mut world, now)
+    else {
+        panic!("expected a Stats report");
+    };
     let get = |name: &str| {
         samples
             .iter()
@@ -134,7 +126,7 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
     assert_eq!(
         get("rtdls_replica_shipped_offset"),
         get("rtdls_replica_appended_offset"),
-        "decide() pumps in the same turn, so nothing admitted sits unshipped"
+        "each turn pumps after its commit, so nothing admitted sits unshipped"
     );
     assert!(get("rtdls_replica_frames_shipped") >= 10.0);
     assert_eq!(get("rtdls_journal_epoch"), 0.0);
@@ -149,15 +141,6 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
         })
         .map_or(0.0, |s| s.value);
     assert!(drive_turns >= 1.0, "phase timing accumulated");
-    // Acks come back on the link's own readiness, so wait for the first.
-    let asked = Instant::now();
-    let (epoch, ack_lag) = loop {
-        let (epoch, ack_lag) = ops.identity(deadline).expect("identity");
-        if ack_lag.is_some() || asked.elapsed() > deadline {
-            break (epoch, ack_lag);
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
     assert_eq!(epoch, 0, "pre-failover primary");
     assert!(ack_lag.is_some(), "a linked standby's acks report ack lag");
 
@@ -189,184 +172,200 @@ fn edge_over_shipping_gateway_replicates_and_reports_lag() {
 
     // Traces, SLO table and what-if probes, as `--trace`, `--slo` and an
     // `Explain` query would fetch them.
-    let traces = ops.recent_traces(deadline).expect("recent traces");
-    let newest = *traces.last().expect("submissions minted traces");
-    assert!(!ops.trace(newest, deadline).expect("trace").is_empty());
-    let rows = ops.slo(deadline).expect("slo report");
+    let OpsReport::RecentTraces { traces } = ops.ops(OpsQuery::RecentTraces, &mut world, now)
+    else {
+        panic!("expected recent traces");
+    };
+    let id = *traces.last().expect("submissions minted traces");
+    let OpsReport::Trace { spans, .. } = ops.ops(OpsQuery::Trace { id }, &mut world, now) else {
+        panic!("expected a trace");
+    };
+    assert!(!spans.is_empty());
+    let OpsReport::Slo { rows } = ops.ops(OpsQuery::Slo, &mut world, now) else {
+        panic!("expected the SLO table");
+    };
     assert!(
         rows.iter()
             .any(|r| r.objective == SloObjective::Acceptance && r.good > 0),
         "accepted submissions fed the acceptance SLO: {rows:?}"
     );
+    let mut explain = |request| match ops.ops(OpsQuery::Explain { request }, &mut world, now) {
+        OpsReport::Explain { explanation, .. } => explanation,
+        other => panic!("expected an explanation, got {other:?}"),
+    };
     let hopeless = SubmitRequest::new(Task::new(900, 0.0, 30_000.0, 0.001));
-    let explanation = ops
-        .explain(&hopeless, deadline)
-        .expect("explain report")
-        .expect("a hopeless request has an explanation");
+    let explanation = explain(hopeless).expect("a hopeless request has an explanation");
     assert!(explanation.min_feasible_deadline > 0.001, "{explanation:?}");
     let easy = SubmitRequest::new(Task::new(901, 0.0, 200.0, 1.0e6));
-    assert!(
-        ops.explain(&easy, deadline)
-            .expect("explain report")
-            .is_none(),
-        "an admissible request needs no explanation"
-    );
+    assert!(explain(easy).is_none(), "an admissible request needs none");
 
     // History (`--history`): the empty series is the catalog; a named one
     // returns its retained ring.
-    let (points, available) = ops.history("", 0.0, deadline).expect("history catalog");
+    let mut history = |series: &str| {
+        let query = OpsQuery::History {
+            series: series.to_string(),
+            range: 0.0,
+        };
+        match ops.ops(query, &mut world, now) {
+            OpsReport::History {
+                points, available, ..
+            } => (points, available),
+            other => panic!("expected history, got {other:?}"),
+        }
+    };
+    let (points, available) = history("");
     assert!(points.is_empty(), "catalog query carries no points");
     assert!(
         available.iter().any(|s| s == "rtdls_edge_submits"),
         "{available:?}"
     );
-    let (points, _) = ops
-        .history("rtdls_edge_submits", 0.0, deadline)
-        .expect("history series");
+    let (points, _) = history("rtdls_edge_submits");
     assert!(!points.is_empty(), "the submit series has sampled points");
 
     // Profile (`--profile`): the reactor's and the shipper's phases.
-    let phases = ops.profile(deadline).expect("profile report");
+    let OpsReport::Profile { phases } = ops.ops(OpsQuery::Profile, &mut world, now) else {
+        panic!("expected the profile");
+    };
     assert!(
         phases.iter().any(|p| p.path == "edge/drive" && p.count > 0)
             && phases.iter().any(|p| p.path.starts_with("ship/")),
         "{phases:?}"
     );
 
-    // Tear the primary down; the standby finishes draining on EOF.
-    stop.store(true, Ordering::Relaxed);
-    let (gateway, stats) = handle.join().expect("edge thread");
-    assert_eq!(stats.submits, 9);
-    let wal_bytes = gateway.inner().journal().bytes().to_vec();
-    drop(gateway);
-    let _ = std::fs::remove_file(&wal);
-    let _ = std::fs::remove_file(wal.with_extension("wal.spare"));
-    let wal = wal_bytes;
-    let (standby, processed) = standby_thread.join().expect("standby thread");
-    assert!(processed >= 10, "standby saw the whole stream: {processed}");
+    // The mirror is byte-identical to the primary's WAL, and the standby
+    // equals the live head's state: a failover here would lose nothing.
+    let follower = world.follower().expect("the standby");
+    let head = world.reactors()[0].gateway();
+    assert!(follower.stats().applied >= 10, "{:?}", follower.stats());
+    assert_eq!(follower.bytes(), head.journal().bytes());
+    assert_eq!(
+        GatewaySnapshot::capture(follower.standby().expect("a standby")),
+        GatewaySnapshot::capture(head.inner()),
+        "standby state equals the primary's"
+    );
 
-    // Every metric the README documents is exported by the primary's
-    // `Ops::Stats` or by the follower's fold.
+    // README § Unified metrics and the series a replicated edge exports
+    // (the primary's `Ops::Stats` and the follower's fold) name each
+    // other, both ways.
     let mut follower_reg = MetricsRegistry::new();
-    fold_follower_metrics(&mut follower_reg, standby.follower());
-    let follower_samples = follower_reg.flatten();
+    fold_follower_metrics(&mut follower_reg, follower);
+    let exported: Vec<MetricSample> = samples.into_iter().chain(follower_reg.flatten()).collect();
+    let exported: Vec<&str> = exported.iter().map(|s| base_name(&s.name)).collect();
     let documented = documented_metric_names();
     assert!(documented.len() >= 30, "{documented:?}");
     for name in &documented {
-        let reached = exported(&samples, name) || exported(&follower_samples, name);
+        let reached = exported.contains(&name.as_str());
         let excused = UNREACHED.iter().any(|(n, _)| n == name);
         assert!(
             reached != excused,
             "{name}: reached {reached}, excused {excused}"
         );
     }
-
-    // The mirror is byte-identical to the primary's WAL: a failover here
-    // would lose nothing.
-    assert_eq!(standby.follower().bytes(), &wal[..]);
-    let (cold, report) = replay::<ShardedGateway>(standby.follower().bytes()).expect("replays");
-    assert!(report.tail.is_clean());
-    assert_eq!(
-        GatewaySnapshot::capture(&cold),
-        gateway_snapshot_of(&wal),
-        "standby state equals a cold recovery of the primary's WAL"
-    );
+    let undocumented: Vec<&&str> = (exported.iter())
+        .filter(|name| !documented.iter().any(|d| d == *name))
+        .collect();
+    assert!(undocumented.is_empty(), "not in README: {undocumented:?}");
 }
 
-/// The captured state of a cold replay of `wal` — the reference state.
-fn gateway_snapshot_of(wal: &[u8]) -> GatewaySnapshot {
-    let (gw, _) = replay::<ShardedGateway>(wal).expect("wal replays");
-    GatewaySnapshot::capture(&gw)
-}
+/// Submits enough refusals to fill the link's 64 KiB in-memory buffer and
+/// then its queue past [`LINK_QUEUE_CAP`] (4 MiB): each is refused with its
+/// explanation journaled, ≈ 1.4 KB as ship messages.
+const WEDGE_SUBMITS: u64 = 4_000;
 
-/// Both ends of one loopback connection: the primary's, the standby's.
-fn socket_pair() -> (TcpStream, TcpStream) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let primary = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-    let (standby, _) = listener.accept().expect("accept");
-    (primary, standby)
-}
-
-/// Submits enough refusals to fill the kernel's loopback buffers and then
-/// the link's queue past its cap. Each is refused with its explanation
-/// journaled: ≈ 300 B of journal, ≈ 1.4 KB as ship messages. With Linux's
-/// default 4 MiB `tcp_wmem` ceiling the link drops between 6 000 and 8 000
-/// submits; this sends half again as many.
-const WEDGE_SUBMITS: u64 = 12_000;
-
-/// How long the whole wedge run may take, dev build included.
-const WEDGE_BOUND: Duration = Duration::from_secs(60);
-
-/// A standby that accepts and never reads costs the primary its link, not
-/// its clients: every submit gets its verdict in bounded time, and the
-/// link is dropped and counted once. A primary that wrote to the standby
-/// with a blocking `write_all` on the reactor thread stopped for good once
-/// the kernel's buffers were full, at ≈ 0.9 MB of journal.
+/// A standby that is linked and never reads costs the primary its link,
+/// not its clients: every submit gets its verdict, and the link is dropped
+/// and counted once. A primary that wrote to the standby with a blocking
+/// write on the reactor thread stopped for good once the buffers were full.
 #[test]
 fn a_standby_that_never_reads_loses_its_link_not_the_clients() {
-    let gateway = ShippingGateway::new(journaled_primary(), ShipConfig::default());
-    let mut server =
-        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
-    let (link, standby) = socket_pair();
-    server.follow(link).expect("link the standby");
-    let addr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server_stop = Arc::clone(&stop);
-    let handle = std::thread::spawn(move || server.run(EdgeClock::real_time(), &server_stop));
-
-    let started = Instant::now();
+    let scenario = Scenario::new(NO_COMPACTION).follow(Follow::clean(2));
+    let mut world = World::edge(vec![baseline_gateway(2)], scenario, EdgeConfig::default());
+    let (link, _standby) = world.net().link(FaultPlan::clean(3), FaultPlan::clean(4));
+    world.reactors_mut()[0]
+        .follow(link)
+        .expect("link the standby");
     let hopeless =
         (1..=WEDGE_SUBMITS).map(|id| SubmitRequest::new(Task::new(id, 0.0, 30_000.0, 0.001)));
-    let report = ReplayClient::connect(addr)
-        .expect("connect replay")
-        .run(hopeless, 64, Duration::ZERO, WEDGE_BOUND)
-        .expect("replay run");
-    let took = started.elapsed();
-    stop.store(true, Ordering::Relaxed);
-    let (_, stats) = handle.join().expect("edge thread");
-    assert!(!report.timed_out, "{report:?}");
-    assert_eq!(report.verdicts(), WEDGE_SUBMITS);
-    assert!(took < WEDGE_BOUND, "{took:?}");
+    world.run(vec![Client::new(hopeless.collect(), 64)]);
+    let stats = world.stats()[0];
+    assert_eq!(stats.submits, WEDGE_SUBMITS, "{stats:?}");
     assert_eq!(stats.links_dropped, 1, "{stats:?}");
-    drop(standby);
 }
 
 /// An idle linked primary heartbeats on its own timer: over four heartbeat
 /// intervals without a submit, the standby hears at least four beats and
-/// never decides the primary is dead. Driven inline on a manual clock.
+/// never decides the primary is dead.
 #[test]
 fn an_idle_linked_primary_keeps_its_standby_from_promoting() {
     let cfg = ShipConfig::default();
-    let gateway = ShippingGateway::new(journaled_primary(), cfg);
-    let mut server =
-        EdgeServer::bind("127.0.0.1:0", gateway, EdgeConfig::default()).expect("bind edge");
-    let (link, mut standby) = socket_pair();
-    server.follow(link).expect("link the standby");
-    standby
-        .set_read_timeout(Some(Duration::from_millis(20)))
-        .expect("read timeout");
-    let mut follower = Follower::new(FollowerConfig::default());
+    let scenario = Scenario::new(NO_COMPACTION).follow(Follow::clean(5));
+    let mut world = World::edge(vec![baseline_gateway(2)], scenario, EdgeConfig::default());
     assert!(4.0 * cfg.heartbeat_every > FollowerConfig::default().promote_after);
-
-    let step = cfg.heartbeat_every / 10.0;
     let mut now = SimTime::ZERO;
     for _ in 0..=40 {
-        server.poll(now);
-        loop {
-            match read_msg(&mut standby) {
-                Ok(Some(msg)) => {
-                    if let Some(ack) = follower.on_msg(now, msg).expect("applies") {
-                        write_msg(&mut standby, &ack).expect("ack");
-                    }
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-                other => panic!("standby read {other:?}"),
-            }
-        }
-        now += SimTime::new(step);
+        world.poll(now);
+        now += SimTime::new(cfg.heartbeat_every / 10.0);
     }
+    let follower = world.follower().expect("the standby");
     assert!(follower.stats().heartbeats >= 4, "{:?}", follower.stats());
     assert!(!follower.should_promote(now));
-    assert_eq!(server.stats().links_dropped, 0);
-    assert!(server.gateway().ack_lag().is_some(), "acks came back");
+    assert_eq!(world.stats()[0].links_dropped, 0);
+    let head = world.reactors()[0].gateway();
+    assert!(head.ack_lag().is_some(), "acks came back");
+}
+
+/// An edge reactor's link delays every write by 1–8 s and splits for a
+/// window shorter than the standby's silence budget. The world holds the
+/// mirror to a prefix of the WAL after every turn; the split leaves the
+/// mirror behind, the shipper's retransmission closes the gap after it
+/// heals, and the standby never decides the primary is dead.
+#[test]
+fn an_edge_link_that_delays_and_splits_catches_up_without_a_promotion() {
+    let (from, until) = (SimTime::new(300.0), SimTime::new(420.0));
+    let follow = Follow {
+        link: FaultPlan::clean(7)
+            .with_delay(1.0, 8.0)
+            .with_split(from, until),
+        acks: FaultPlan::clean(8).with_delay(1.0, 3.0),
+        ship: ShipConfig {
+            heartbeat_every: 20.0,
+            retransmit_after: 60.0,
+        },
+        follower: FollowerConfig {
+            promote_after: 150.0,
+        },
+    };
+    assert!((until - from).as_f64() < follow.follower.promote_after);
+    let scenario = Scenario::new(NO_COMPACTION).follow(follow);
+    let mut world = World::edge(vec![baseline_gateway(2)], scenario, EdgeConfig::default());
+    let net = world.net().clone();
+    let mut client = Conn::greeted(&net, &mut world, SimTime::ZERO);
+    let mut behind_at_heal = 0;
+    for step in 0..=240u64 {
+        let now = SimTime::new(step as f64 * 5.0);
+        if step % 4 == 0 && step < 160 {
+            let request = SubmitRequest::new(Task::new(step, now.as_f64(), 20.0, 2_000.0));
+            client.send(&ClientMsg::Submit { seq: step, request });
+        }
+        // A turn's channel round comes first: over a perfect link the
+        // mirror then holds everything the turns before shipped.
+        let shipped = world.reactors()[0].gateway().journal().bytes().len();
+        world.poll(now);
+        let follower = world.follower().expect("the standby");
+        assert!(!follower.should_promote(now), "promotable at {now:?}");
+        if now == until {
+            behind_at_heal = shipped - follower.bytes().len();
+        }
+    }
+    assert!(behind_at_heal > 0, "the split held the mirror back");
+    let record = world.record();
+    assert!(record.link.split_dropped > 0, "{:?}", record.link);
+    assert!(record.ship.retransmitted > 0, "{:?}", record.ship);
+    let head = world.reactors()[0].gateway();
+    assert_eq!(
+        world.follower().expect("the standby").bytes(),
+        head.journal().bytes(),
+        "caught up"
+    );
+    assert_eq!(record.promoted_at, None);
 }

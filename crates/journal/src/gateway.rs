@@ -21,6 +21,19 @@
 //! applied outside a turn (a node release fed back between turns, a
 //! replan, the turnless [`submit_request`](JournaledGateway::submit_request))
 //! is handed to the sink as it is appended.
+//!
+//! Shipping is off by default. [`start_shipping`] puts a [`Shipper`] on
+//! the journal: once per turn, after its `drive` has committed, freshly
+//! appended frames become outbound [`ShipMsg`]s in an outbox, so none of a
+//! turn's frames leaves the process before the turn is durable. The
+//! gateway touches no socket: the edge reactor swaps the outbox for acks
+//! as bytes through [`EdgeGateway::swap_ship_bytes`], a bench or an example
+//! drains [`take_outbox`] and feeds acks to [`on_ack`]. A follower that
+//! stops reading costs the primary its link, never its turn.
+//!
+//! [`start_shipping`]: JournaledGateway::start_shipping
+//! [`take_outbox`]: JournaledGateway::take_outbox
+//! [`on_ack`]: JournaledGateway::on_ack
 
 use rtdls_core::prelude::{
     AdmissionFailure, SimTime, SubmitRequest, Task, TaskId, TaskPlan, TenantId,
@@ -31,6 +44,7 @@ use rtdls_telemetry::{MetricsRegistry, Stage, Telemetry};
 
 use crate::event::JournalEvent;
 use crate::journal::{Journal, JournalConfig, JournalSink};
+use crate::ship::{decode_msg, encode_msg, ShipConfig, ShipMsg, Shipper};
 use crate::snapshot::GatewaySnapshot;
 
 /// A gateway whose every decision-relevant input is write-ahead journaled,
@@ -47,6 +61,10 @@ pub struct JournaledGateway<G = ShardedGateway> {
     /// the instant the re-admission pass ran at, stamped onto the
     /// `Recovery` span once telemetry is attached.
     recovered_at: Option<SimTime>,
+    /// The shipper, once [`start_shipping`](JournaledGateway::start_shipping)
+    /// ran, and the messages it owes the follower.
+    shipper: Option<Shipper>,
+    outbox: Vec<ShipMsg>,
 }
 
 impl JournaledGateway {
@@ -79,6 +97,42 @@ impl JournaledGateway {
             journal,
             telemetry: Telemetry::disabled(),
             recovered_at: None,
+            shipper: None,
+            outbox: Vec::new(),
+        }
+    }
+
+    /// Turns shipping on under `cfg` (see the module docs): from the next
+    /// committed turn the journal ships from its first retained frame, and
+    /// an idle gateway still owes its follower a heartbeat.
+    pub fn start_shipping(&mut self, cfg: ShipConfig) {
+        let mut shipper = Shipper::new(cfg);
+        shipper.attach_telemetry(&self.telemetry);
+        self.shipper = Some(shipper);
+    }
+
+    /// The shipper, while shipping is on.
+    pub fn shipper(&self) -> Option<&Shipper> {
+        self.shipper.as_ref()
+    }
+
+    /// Drains the buffered outbound messages.
+    pub fn take_outbox(&mut self) -> Vec<ShipMsg> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Applies one follower ack.
+    pub fn on_ack(&mut self, seq: u64, now: SimTime) {
+        if let Some(shipper) = &mut self.shipper {
+            shipper.on_ack(seq, now);
+        }
+    }
+
+    /// Ships everything appended since the last pump into the outbox —
+    /// after a commit, never inside a turn.
+    fn pump(&mut self, now: SimTime) {
+        if let Some(shipper) = &mut self.shipper {
+            self.outbox.extend(shipper.poll(&self.journal, now));
         }
     }
 
@@ -236,22 +290,67 @@ impl EdgeGateway for JournaledGateway {
         self.journal.epoch()
     }
 
-    /// Adds this journal's durability counters to the wrapped stack's.
+    /// Frames appended but not yet acked by the follower — the admitted
+    /// history a failover right now would lose. `None` when not shipping
+    /// or no follower has ever acked (nothing is known about the other
+    /// side).
+    fn ack_lag(&self) -> Option<u64> {
+        let shipper = self.shipper.as_ref().filter(|s| s.acked() > 0)?;
+        Some(shipper.lag(&self.journal))
+    }
+
+    /// Adds this journal's durability counters to the wrapped stack's,
+    /// and while shipping the `rtdls_replica_*` offsets and lag. Whether a
+    /// follower is linked is the edge's to say.
     fn fold_metrics(&self, reg: &mut MetricsRegistry) {
         self.inner.fold_metrics(reg);
         crate::telemetry::fold_journal_metrics(reg, &self.journal);
+        if let Some(shipper) = &self.shipper {
+            shipper.fold(reg, &self.journal);
+        }
     }
 
-    /// Attaches to this wrapper, its journal (append/write/fsync phases)
-    /// *and* the wrapped gateway, so journal appends and the service
-    /// layer's decision stages record into the same flight recorder and
-    /// phase table. Attaching to a recovery-built gateway records
+    /// Applies the follower's acks and hands over the outbox in the `RS`
+    /// framing of [`crate::ship`]. Not shipping, it takes every byte and
+    /// ships nothing.
+    fn swap_ship_bytes(
+        &mut self,
+        now: SimTime,
+        acks: &[u8],
+        frames: &mut Vec<u8>,
+    ) -> Result<usize, String> {
+        let Some(shipper) = &mut self.shipper else {
+            return Ok(acks.len());
+        };
+        let mut used = 0;
+        while let Some((msg, len)) = decode_msg(&acks[used..]).map_err(|e| e.to_string())? {
+            let ShipMsg::Ack { seq } = msg else {
+                return Err("a follower sent something other than an ack".into());
+            };
+            shipper.on_ack(seq, now);
+            used += len;
+        }
+        for msg in self.outbox.drain(..) {
+            encode_msg(&msg, frames);
+        }
+        Ok(used)
+    }
+
+    /// Attaches to this wrapper, its journal (append/write/fsync phases),
+    /// the shipper (its frames carry the request's trace id and its
+    /// primary-side spans across the wire; `ship/*` phases) *and* the
+    /// wrapped gateway, so journal appends and the service layer's
+    /// decision stages record into the same flight recorder and phase
+    /// table. Attaching to a recovery-built gateway records
     /// a `Recovery` span and dumps the recorder to stderr (the
     /// crash-recovery black-box hook).
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
         self.journal.attach_telemetry(telemetry);
         self.inner.attach_telemetry(telemetry);
+        if let Some(shipper) = &mut self.shipper {
+            shipper.attach_telemetry(telemetry);
+        }
         if let Some(at) = self.recovered_at {
             self.telemetry.record(
                 self.telemetry.mint(),
@@ -284,10 +383,13 @@ impl Serve for JournaledGateway {
     /// as one write and is synced once, whatever the sink's
     /// [`FsyncPolicy`](crate::journal::FsyncPolicy). In an edge cluster
     /// each reactor owns its own journal file, so the single-writer
-    /// crash-safety argument is per-reactor and unchanged.
+    /// crash-safety argument is per-reactor and unchanged. Then, while
+    /// shipping, the pump: replication lag is bounded by the serving turn
+    /// cadence, not a side thread.
     fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
         self.catch_up(now, turn);
         self.journal.flush();
+        self.pump(now);
     }
 
     /// The turn's timed work, journaled into the held turn: the turn's
@@ -300,8 +402,16 @@ impl Serve for JournaledGateway {
         self.drain(&mut turn.resolved);
     }
 
+    /// The wrapped gateway's timed work, and while shipping the next
+    /// heartbeat: an idle primary still owes its follower a sign of life
+    /// (the first one at once), or the standby would promote itself.
     fn next_due(&self) -> Option<SimTime> {
-        self.inner.next_due()
+        let due = self.inner.next_due();
+        let Some(shipper) = &self.shipper else {
+            return due;
+        };
+        let beat = shipper.next_heartbeat().unwrap_or(SimTime::ZERO);
+        Some(due.map_or(beat, |due| due.min(beat)))
     }
 
     /// End of stream: the flush is journaled, then the drain of what it
@@ -313,6 +423,7 @@ impl Serve for JournaledGateway {
         let mut resolved = Vec::new();
         self.drain(&mut resolved);
         self.journal.flush();
+        self.pump(now);
         resolved
     }
 
@@ -410,8 +521,12 @@ impl JournaledGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::SinkStats;
     use rtdls_core::prelude::*;
     use rtdls_service::prelude::{DeferPolicy, Routing};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn gateway() -> ShardedGateway {
         ShardedGateway::new(
@@ -498,5 +613,128 @@ mod tests {
         let t2 = Telemetry::with_defaults();
         fresh.attach_telemetry(&t2);
         assert_eq!(t2.spans_recorded(), 0);
+    }
+
+    fn shipping() -> JournaledGateway {
+        let cfg = JournalConfig {
+            snapshot_every: 0,
+            compact_on_snapshot: false,
+        };
+        let mut gw = JournaledGateway::new(gateway(), cfg);
+        gw.start_shipping(ShipConfig::default());
+        gw
+    }
+
+    /// Task ids of the `RequestSubmitted` frames among `msgs`.
+    fn shipped_requests(msgs: &[ShipMsg]) -> Vec<u64> {
+        msgs.iter()
+            .filter_map(|m| match m {
+                ShipMsg::Frame { bytes, .. } => {
+                    let (frames, _) = crate::wire::decode_frames(bytes);
+                    match JournalEvent::decode_input(frames[0].payload).ok()?? {
+                        JournalEvent::RequestSubmitted { request, .. } => Some(request.task.id.0),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_decision_leaves_the_process_only_with_its_turn() {
+        let mut gw = shipping();
+        let now = SimTime::ZERO;
+        for id in 0..4u64 {
+            let request = SubmitRequest::new(Task::new(id, 0.0, 20.0, 2_000.0));
+            assert!(gw.decide(&request, now).is_accepted());
+        }
+        // Decided, in the journal's image, not yet durable: nothing ships.
+        assert!(gw.journal().next_seq() > 4);
+        assert!(shipped_requests(&gw.take_outbox()).is_empty());
+        // The turn's timed work run ahead of its drive: journaled, unshipped.
+        let seq = gw.journal().next_seq();
+        let mut turn = Turn::default();
+        gw.catch_up(now, &mut turn);
+        assert_eq!(turn.dispatched.len(), 4);
+        assert!(gw.journal().next_seq() > seq);
+        let outbox = gw.take_outbox();
+        assert!(!outbox.iter().any(|m| matches!(m, ShipMsg::Frame { .. })));
+        gw.drive(now);
+        assert_eq!(shipped_requests(&gw.take_outbox()), vec![0, 1, 2, 3]);
+
+        // A turn whose commit never returns (the power went in its sync)
+        // left nothing of itself in the outbox.
+        let cut = Arc::new(AtomicBool::new(false));
+        let sink = Box::new(PowerCut(Arc::clone(&cut)));
+        let mut gw = JournaledGateway::with_sink(gateway(), JournalConfig::default(), sink);
+        gw.start_shipping(ShipConfig::default());
+        let request = SubmitRequest::new(Task::new(9, 0.0, 20.0, 2_000.0));
+        assert!(gw.decide(&request, now).is_accepted());
+        cut.store(true, Ordering::Relaxed);
+        let drive = std::panic::catch_unwind(AssertUnwindSafe(|| gw.drive(now)));
+        assert!(drive.is_err(), "the power went");
+        assert!(shipped_requests(&gw.take_outbox()).is_empty());
+    }
+
+    /// A sink that loses power at its first sync once armed.
+    struct PowerCut(Arc<AtomicBool>);
+
+    impl JournalSink for PowerCut {
+        fn append(&mut self, _run: &[u8]) {}
+        fn reset(&mut self, _bytes: &[u8]) {}
+        fn flush(&mut self) {
+            if self.0.load(Ordering::Relaxed) {
+                std::panic::resume_unwind(Box::new("power loss"));
+            }
+        }
+        fn stats(&self) -> SinkStats {
+            SinkStats::default()
+        }
+    }
+
+    #[test]
+    fn the_outbox_rebuilds_the_wal_and_shipping_changes_no_decision() {
+        let idle = JournaledGateway::new(gateway(), JournalConfig::default());
+        assert_eq!(idle.next_due(), None, "not shipping, nothing is due");
+        let mut gw = shipping();
+        assert_eq!(gw.next_due(), Some(SimTime::ZERO), "a heartbeat is due");
+        let request = SubmitRequest::new(Task::new(1, 0.0, 20.0, 2_000.0));
+        gw.decide(&request, SimTime::ZERO);
+        gw.drive(SimTime::ZERO);
+        let mut mirror = Vec::new();
+        for msg in gw.take_outbox() {
+            if let ShipMsg::Frame { bytes, .. } = msg {
+                mirror.extend(bytes);
+            }
+        }
+        assert_eq!(mirror, gw.journal().bytes());
+        let shipped = gw.shipper().unwrap().shipped();
+        assert_eq!(gw.ack_lag(), None, "no follower has acked");
+        gw.on_ack(shipped, SimTime::ZERO);
+        assert_eq!(gw.ack_lag(), Some(0));
+        let mut reg = MetricsRegistry::new();
+        gw.fold_metrics(&mut reg);
+        let text = reg.to_prometheus();
+        for name in ["rtdls_gateway_submitted", "rtdls_journal_events_appended"] {
+            assert!(text.contains(name), "{text}");
+        }
+        assert!(text.contains("rtdls_replica_lag 0"), "{text}");
+
+        // `decide` answers what a journaled gateway that does not ship
+        // answers, refusals included.
+        let mut bare = JournaledGateway::new(gateway(), JournalConfig::default());
+        let mut gw = shipping();
+        let mut accepted = 0;
+        for id in 0..40u64 {
+            let deadline = 300.0 * (1 + id % 8) as f64;
+            let request = SubmitRequest::new(Task::new(id, 0.0, 200.0, deadline));
+            let verdict = gw.decide(&request, SimTime::ZERO);
+            assert_eq!(verdict, bare.submit_request(&request, SimTime::ZERO));
+            accepted += verdict.is_accepted() as usize;
+        }
+        assert!(0 < accepted && accepted < 40, "both outcomes: {accepted}");
+        gw.drive(SimTime::ZERO);
+        assert!(gw.take_outbox().len() > 40, "every decision shipped");
     }
 }

@@ -32,6 +32,9 @@
 //!   `Demoted`) instead of carrying a guarantee the cluster can no longer
 //!   honor. Torn or corrupt tail records are detected by checksum and
 //!   skipped without losing earlier records.
+//! * **[Shipping](ship)**, off by default: a journaled gateway that ships
+//!   hands each committed turn's frames to a follower (`rtdls-replica`)
+//!   as [`ShipMsg`]s, in the `RS` byte framing of [`ship`].
 //!
 //! ```
 //! use rtdls_core::prelude::*;
@@ -77,6 +80,7 @@ pub mod event;
 pub mod gateway;
 pub mod journal;
 pub mod recover;
+pub mod ship;
 pub mod snapshot;
 pub mod telemetry;
 pub mod wire;
@@ -88,6 +92,7 @@ pub use recover::{
     apply_event, recover, recover_file_on, recover_file_with_policy, replay, requalify,
     RecoveryReport,
 };
+pub use ship::{ShipConfig, ShipMsg, Shipper};
 pub use snapshot::{GatewaySnapshot, JournalError};
 pub use telemetry::fold_journal_metrics;
 pub use wire::TailStatus;
@@ -102,6 +107,7 @@ pub mod prelude {
     pub use crate::recover::{
         recover, recover_file_with_policy, replay, requalify, RecoveryReport,
     };
+    pub use crate::ship::{ShipConfig, ShipMsg, Shipper};
     pub use crate::snapshot::{GatewaySnapshot, JournalError};
     pub use crate::telemetry::fold_journal_metrics;
     pub use crate::wire::TailStatus;

@@ -1,16 +1,17 @@
-//! The primary side of the replication channel: shipping journal frames.
+//! Journal shipping: the primary side of the replication channel and its
+//! byte format.
 //!
 //! A [`Shipper`] rides next to a shard primary's [`Journal`] and turns its
 //! append stream into [`ShipMsg`]s. The unit of shipping is the journal's
 //! own wire frame (checksummed, length-prefixed, exactly what the WAL file
 //! stores), addressed by the journal's global frame sequence number — so
-//! the follower can replay, deduplicate, and ack by offset without any
-//! side-band framing protocol.
+//! the follower (`rtdls-replica`) can replay, deduplicate, and ack by
+//! offset without any side-band framing protocol.
 //!
-//! The shipper is transport-agnostic and **pull-based**: the owner calls
-//! [`Shipper::poll`] whenever it has cycles (a `ShippingGateway` after
-//! every committed turn, the tests by hand) and
-//! sends whatever messages come back. Three things can come back:
+//! The shipper is transport-agnostic and **pull-based**: a
+//! [`JournaledGateway`](crate::JournaledGateway) with shipping on polls it
+//! after every committed turn, and its owner sends whatever messages come
+//! back. Three things can come back:
 //!
 //! * **Frames** — everything appended since the last poll. Compaction is
 //!   handled by [`Journal::frames_from`]'s clamp: if the log compacted past
@@ -30,17 +31,30 @@
 //! inspects epochs itself — fencing is entirely the receiving follower's
 //! job — it just stamps faithfully, which is exactly what makes a zombie
 //! primary's post-partition traffic detectable.
+//!
+//! On a link each message is its JSON encoding in one frame of the
+//! workspace's header codec ([`crate::wire`], the header the journal and
+//! the edge use) under the magic `RS`: [`encode_msg`] appends a frame to a
+//! buffer and [`decode_msg`] takes one off the front of a buffer. The
+//! length prefix is held against [`MAX_SHIP_FRAME`] before a byte of
+//! payload is read, and the checksum catches what a bare length prefix
+//! would pass on as a misparsed message.
+
+use std::io;
 
 use rtdls_core::prelude::SimTime;
-use rtdls_journal::{Journal, JournalEvent};
-use rtdls_telemetry::{Span, Stage, Telemetry};
+use rtdls_telemetry::{MetricsRegistry, Span, Stage, Telemetry};
 use serde::{Deserialize, Serialize};
+
+use crate::event::JournalEvent;
+use crate::journal::Journal;
+use crate::wire::{
+    decode_frames, parse_header, write_frame, RecordKind, HEADER_LEN, MAX_SHIP_FRAME,
+};
 
 /// One message on the replication channel, in either direction.
 ///
 /// `Frame` and `Heartbeat` flow primary → follower; `Ack` flows back.
-/// The enum is serde-serializable so the crash world and the TCP transport
-/// ship the identical protocol.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ShipMsg {
     /// One journal wire frame (snapshot or event record), verbatim.
@@ -89,12 +103,51 @@ impl ShipMsg {
     }
 }
 
+/// Frame magic: `RS` (rtdls ship).
+pub const MAGIC: [u8; 2] = *b"RS";
+
+/// The header tag of a ship frame; the payload is always one [`ShipMsg`].
+pub const TAG: u8 = 1;
+
+fn invalid(reason: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
+}
+
+/// Appends one message to `out` as one frame. Real messages sit far under
+/// the cap (the largest bench fleet's snapshot is a 64th of it); a reader
+/// refuses whatever does not.
+pub fn encode_msg(msg: &ShipMsg, out: &mut Vec<u8>) {
+    write_frame(MAGIC, TAG, out, |out| {
+        serde_json::to_writer(out, msg).expect("ship messages are serializable")
+    });
+}
+
+/// Takes the first frame off the front of `buf`: `Ok(None)` while it is
+/// still incomplete, else the message and the bytes it used. A header that
+/// is not a ship header, a length beyond the cap, a checksum mismatch or an
+/// undecodable payload is `InvalidData`, after which the stream has lost
+/// its framing.
+pub fn decode_msg(buf: &[u8]) -> io::Result<Option<(ShipMsg, usize)>> {
+    let Some((head, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let header = parse_header(head, MAGIC, MAX_SHIP_FRAME)
+        .map_err(|e| invalid(format!("bad ship frame header: {e:?}")))?;
+    let Some(body) = rest.get(..header.len) else {
+        return Ok(None);
+    };
+    if header.tag != TAG || !header.verifies(body) {
+        return Err(invalid("ship frame fails its tag or checksum"));
+    }
+    let msg = serde_json::from_slice(body).map_err(invalid)?;
+    Ok(Some((msg, HEADER_LEN + header.len)))
+}
+
 /// The trace id and task id journaled in one encoded frame, when the frame
 /// is a decodable `RequestSubmitted` event (`(0, 0)` otherwise; no other
 /// payload is decoded). This is how the shipper labels outbound frames
 /// without any side-band state: the trace already rides the WAL payload.
 pub fn frame_trace(bytes: &[u8]) -> (u64, u64) {
-    use rtdls_journal::wire::{decode_frames, RecordKind};
     let (frames, tail) = decode_frames(bytes);
     let payload = match frames[..] {
         [frame] if tail.is_clean() && frame.kind == RecordKind::Event => frame.payload,
@@ -300,13 +353,30 @@ impl Shipper {
     pub fn stats(&self) -> ShipStats {
         self.stats
     }
+
+    /// Folds the primary-side view into `reg`: ship/ack offsets, the
+    /// replication lag (`appended − acked`: how much admitted history a
+    /// failover right now would lose), the epoch and the counters.
+    pub fn fold(&self, reg: &mut MetricsRegistry, journal: &Journal) {
+        reg.gauge("rtdls_replica_epoch", &[], journal.epoch() as f64);
+        let appended = journal.next_seq() as f64;
+        reg.gauge("rtdls_replica_appended_offset", &[], appended);
+        reg.gauge("rtdls_replica_shipped_offset", &[], self.shipped as f64);
+        reg.gauge("rtdls_replica_acked_offset", &[], self.acked as f64);
+        reg.gauge("rtdls_replica_lag", &[], self.lag(journal) as f64);
+        let stats = self.stats;
+        reg.counter("rtdls_replica_frames_shipped", &[], stats.frames_shipped);
+        reg.counter("rtdls_replica_retransmitted", &[], stats.retransmitted);
+        reg.counter("rtdls_replica_heartbeats_sent", &[], stats.heartbeats);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gateway::JournaledGateway;
+    use crate::journal::JournalConfig;
     use rtdls_core::prelude::*;
-    use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
     fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway {

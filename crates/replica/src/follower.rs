@@ -41,8 +41,6 @@ use rtdls_journal::{apply_event, requalify};
 use rtdls_service::prelude::ShardedGateway;
 use rtdls_telemetry::{Span, Stage, Telemetry};
 
-use crate::ship::ShipMsg;
-
 /// One out-of-order frame parked until its gap fills: the encoded bytes
 /// plus the trace label and shipped primary spans that rode the wire.
 #[derive(Clone, Debug)]
@@ -438,7 +436,6 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ship::{ShipConfig, Shipper};
     use rtdls_core::prelude::*;
     use rtdls_service::prelude::*;
 

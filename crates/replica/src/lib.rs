@@ -20,33 +20,33 @@
 //! primary's epoch — the classic zombie-primary split-brain hazard, closed
 //! by a single integer comparison.
 //!
-//! [`net`] gives the [`ShipMsg`] protocol its byte form: the edge reactor
-//! carries a [`ShippingGateway`]'s frames to a follower over its one event
-//! loop, and [`FollowerServer`](net::FollowerServer) replays them on the
-//! standby. The dev-only `rtdls-world` crate runs the same pair inside the
-//! discrete-event simulator over seeded lossy links, so a whole failover
-//! (kill the primary mid-netsplit, promote the follower, fence the zombie)
-//! replays bit-identically from its seed.
+//! [`Shipper`]: rtdls_journal::Shipper
+//! [`ShipMsg`]: rtdls_journal::ShipMsg
+//!
+//! The primary's side — the [`Shipper`], the [`ShipMsg`] protocol and its
+//! `RS` byte framing — lives in `rtdls-journal`: a journaled gateway with
+//! shipping on hands each committed turn's frames to its owner, and the
+//! edge reactor carries them to a follower over its one event loop. This
+//! crate is the other end: the [`Follower`], and
+//! [`FollowerServer`](net::FollowerServer), which reads the framing off a
+//! socket and replays it on the standby. The dev-only `rtdls-world` crate runs the same pair
+//! over seeded lossy in-memory links, so a whole failover (kill the
+//! primary mid-netsplit, promote the follower, fence the zombie) replays
+//! bit-identically from its seed.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod follower;
-pub mod gateway;
 pub mod net;
-pub mod ship;
 pub mod telemetry;
 
 pub use follower::{Follower, FollowerConfig, FollowerStats, Promotion};
-pub use gateway::ShippingGateway;
-pub use ship::{ShipConfig, ShipMsg, Shipper};
-pub use telemetry::{fold_follower_metrics, fold_replication_metrics};
+pub use telemetry::fold_follower_metrics;
 
 /// One-stop imports for replication users.
 pub mod prelude {
     pub use crate::follower::{Follower, FollowerConfig, FollowerStats, Promotion};
-    pub use crate::gateway::ShippingGateway;
     pub use crate::net::FollowerServer;
-    pub use crate::ship::{ShipConfig, ShipMsg, Shipper};
-    pub use crate::telemetry::{fold_follower_metrics, fold_replication_metrics};
+    pub use crate::telemetry::fold_follower_metrics;
 }

@@ -1,22 +1,16 @@
-//! The byte format of the [`ShipMsg`] protocol, and the follower's socket.
+//! The follower's socket: [`read_msg`] / [`write_msg`] carry the `RS`
+//! framing of [`rtdls_journal::ship`] over a blocking stream, and
+//! [`FollowerServer`] replays a primary's stream on the standby.
 //!
-//! The crash world proves the protocol correct under seeded faults; this
-//! module gives the *identical* messages a byte form for real sockets. Each
-//! message is its JSON encoding in one frame of the workspace's header
-//! codec ([`rtdls_journal::wire`], the header the journal and the edge use)
-//! under the magic `RS`: the length prefix is held against
-//! [`MAX_SHIP_FRAME`] before a byte of payload is read, and the checksum
-//! catches what a bare length prefix would pass on as a misparsed message.
-//!
-//! The primary side owns no socket here: [`encode_msg`] appends a frame to
-//! a buffer and [`decode_msg`] takes one off the front of a buffer, and the
-//! edge reactor carries those bytes on its follower link (one more socket
-//! in its epoll set) through `EdgeGateway::swap_ship_bytes`. The follower
-//! side, [`FollowerServer`], is not latency-critical and stays a simple
-//! blocking loop: it accepts one primary at a time and feeds every message
-//! into a [`Follower`], acking back. Read-timeout silence is the
-//! wall-clock analogue of the sim's heartbeat-loss detector: the caller
-//! decides when the silence budget is spent and promotes.
+//! The primary side owns no socket: a journaled gateway with shipping on
+//! hands its frames to the edge reactor, which carries them on its
+//! follower link (one more socket in its epoll set) through
+//! `EdgeGateway::swap_ship_bytes`. The follower side is not
+//! latency-critical and stays a simple blocking loop: it accepts one
+//! primary at a time and feeds every message into a [`Follower`], acking
+//! back. Read-timeout silence is the wall-clock analogue of the crash
+//! world's heartbeat-loss detector: the caller decides when the silence
+//! budget is spent and promotes.
 //!
 //! Timestamps handed to the follower are seconds since the server started
 //! — the follower only compares them against its own `promote_after`
@@ -27,28 +21,13 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use rtdls_core::prelude::SimTime;
-use rtdls_journal::wire::{parse_header, write_frame, Header, HEADER_LEN, MAX_SHIP_FRAME};
+use rtdls_journal::ship::{decode_msg, encode_msg, ShipMsg, MAGIC};
+use rtdls_journal::wire::{parse_header, Header, HEADER_LEN, MAX_SHIP_FRAME};
 
 use crate::follower::Follower;
-use crate::ship::ShipMsg;
-
-/// Frame magic: `RS` (rtdls ship).
-pub const MAGIC: [u8; 2] = *b"RS";
-
-/// The header tag of a ship frame; the payload is always one [`ShipMsg`].
-const TAG: u8 = 1;
 
 fn invalid(reason: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
-}
-
-/// Appends one message to `out` as one frame. Real messages sit far under
-/// the cap (the largest bench fleet's snapshot is a 64th of it); a reader
-/// refuses whatever does not.
-pub fn encode_msg(msg: &ShipMsg, out: &mut Vec<u8>) {
-    write_frame(MAGIC, TAG, out, |out| {
-        serde_json::to_writer(out, msg).expect("ship messages are serializable")
-    });
 }
 
 /// Writes one message as one frame.
@@ -61,24 +40,6 @@ pub fn write_msg(stream: &mut TcpStream, msg: &ShipMsg) -> io::Result<()> {
 fn header(head: &[u8; HEADER_LEN]) -> io::Result<Header> {
     parse_header(head, MAGIC, MAX_SHIP_FRAME)
         .map_err(|e| invalid(format!("bad ship frame header: {e:?}")))
-}
-
-/// Takes the first frame off the front of `buf`: `Ok(None)` while it is
-/// still incomplete, else the message and the bytes it used. Errors as
-/// [`read_msg`]'s `InvalidData`.
-pub fn decode_msg(buf: &[u8]) -> io::Result<Option<(ShipMsg, usize)>> {
-    let Some((head, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
-        return Ok(None);
-    };
-    let header = header(head)?;
-    let Some(body) = rest.get(..header.len) else {
-        return Ok(None);
-    };
-    if header.tag != TAG || !header.verifies(body) {
-        return Err(invalid("ship frame fails its tag or checksum"));
-    }
-    let msg = serde_json::from_slice(body).map_err(invalid)?;
-    Ok(Some((msg, HEADER_LEN + header.len)))
 }
 
 /// Reads one framed message. `Ok(None)` means clean EOF at a frame
@@ -200,6 +161,8 @@ impl FollowerServer {
 mod tests {
     use super::*;
     use crate::follower::FollowerConfig;
+    use rtdls_journal::ship::TAG;
+    use rtdls_journal::wire::write_frame;
 
     /// Runs `peer` against a fresh loopback connection and hands back the
     /// accepted side.

@@ -1,38 +1,16 @@
-//! Fold adapter: replication health into the unified telemetry registry.
+//! Fold adapter: the follower's health into the unified telemetry
+//! registry.
 //!
-//! Mirrors `fold_journal_metrics`: the shipper and follower keep counting
-//! natively; an ops poll folds the current values in here. The headline
-//! gauge is **replication lag** — `appended_offset − acked_offset` — the
-//! number that says how much admitted history a failover right now would
-//! lose.
+//! Mirrors `fold_journal_metrics`: the follower keeps counting natively;
+//! an ops poll folds the current values in here. The primary's side —
+//! ship/ack offsets and the **replication lag** — is folded by the
+//! shipping journaled gateway itself ([`Shipper::fold`]).
+//!
+//! [`Shipper::fold`]: rtdls_journal::Shipper::fold
 
-use rtdls_journal::Journal;
 use rtdls_telemetry::MetricsRegistry;
 
 use crate::follower::Follower;
-use crate::ship::Shipper;
-
-/// Folds the primary-side view: ship/ack offsets, lag, epoch, and the
-/// shipping counters.
-pub fn fold_replication_metrics(reg: &mut MetricsRegistry, shipper: &Shipper, journal: &Journal) {
-    reg.gauge("rtdls_replica_epoch", &[], journal.epoch() as f64);
-    reg.gauge(
-        "rtdls_replica_appended_offset",
-        &[],
-        journal.next_seq() as f64,
-    );
-    reg.gauge(
-        "rtdls_replica_shipped_offset",
-        &[],
-        shipper.shipped() as f64,
-    );
-    reg.gauge("rtdls_replica_acked_offset", &[], shipper.acked() as f64);
-    reg.gauge("rtdls_replica_lag", &[], shipper.lag(journal) as f64);
-    let stats = shipper.stats();
-    reg.counter("rtdls_replica_frames_shipped", &[], stats.frames_shipped);
-    reg.counter("rtdls_replica_retransmitted", &[], stats.retransmitted);
-    reg.counter("rtdls_replica_heartbeats_sent", &[], stats.heartbeats);
-}
 
 /// Folds the follower-side view: applied offset, fence and idempotence
 /// counters, failure-detector freshness.
@@ -74,7 +52,6 @@ pub fn fold_follower_metrics(reg: &mut MetricsRegistry, follower: &Follower) {
 mod tests {
     use super::*;
     use crate::follower::FollowerConfig;
-    use crate::ship::{ShipConfig, ShipMsg};
     use rtdls_core::prelude::*;
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
@@ -111,7 +88,7 @@ mod tests {
         }
 
         let mut reg = MetricsRegistry::new();
-        fold_replication_metrics(&mut reg, &shipper, gw.journal());
+        shipper.fold(&mut reg, gw.journal());
         fold_follower_metrics(&mut reg, &follower);
         let text = reg.to_prometheus();
         assert!(text.contains("rtdls_replica_lag 0"), "{text}");

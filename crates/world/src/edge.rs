@@ -235,8 +235,6 @@ pub(crate) struct Edge {
     n: usize,
     /// Per reactor: the submits its book held when its last turn returned.
     pub(crate) acked: Vec<u64>,
-    /// The dead reactors' WAL images.
-    pub(crate) images: Vec<Vec<u8>>,
     /// Per reactor, the dead generations' edge throttles.
     throttled: Vec<u64>,
     lines: Vec<Line>,
@@ -250,16 +248,15 @@ pub(crate) struct Edge {
 }
 
 impl Edge {
-    /// An edge of `n` reactors on a fresh net, down until
+    /// An edge of `n` reactors on `net`, down until
     /// [`revive`](Edge::revive)d.
-    pub(crate) fn new(n: usize, cfg: EdgeConfig) -> Self {
+    pub(crate) fn new(n: usize, cfg: EdgeConfig, net: MemNet) -> Self {
         Edge {
             cfg,
             reactors: Vec::new(),
-            net: MemNet::default(),
+            net,
             n,
             acked: vec![0; n],
-            images: vec![Vec::new(); n],
             throttled: vec![0; n],
             lines: Vec::new(),
             tally: vec![Tally::default(); n],
@@ -295,10 +292,6 @@ impl Edge {
     pub(crate) fn kill(&mut self) {
         self.audit();
         let reactors = std::mem::take(&mut self.reactors);
-        self.images = reactors
-            .iter()
-            .map(|r| r.gateway().journal().bytes().to_vec())
-            .collect();
         for (r, reactor) in reactors.iter().enumerate() {
             self.throttled[r] += reactor.stats().edge_throttled;
         }
@@ -317,15 +310,15 @@ impl Edge {
         self.net.audit(|net| {
             lines.resize_with(net.pipes.len(), Line::default);
             for (i, line) in lines.iter_mut().enumerate() {
+                if net.is_link(i) {
+                    continue;
+                }
                 let owner = net.owner(i);
                 let pipe = &mut net.pipes[i];
                 let (sent, served) = (
                     std::mem::take(&mut pipe.sent),
                     std::mem::take(&mut pipe.served),
                 );
-                if pipe.link {
-                    continue;
-                }
                 (line.conn, line.registrations) = (pipe.conn, pipe.registrations);
                 line.read_client(&sent);
                 line.read_server(&served, tally);

@@ -2,24 +2,26 @@
 //!
 //! One deterministic crash world for the serving stack (a dev-dependency
 //! only). A [`World`] is a [`Serve`] owning a head node — a
-//! [`JournaledGateway`], or a [`ShippingGateway`] with a follower,
-//! journaling in memory or through a [`FileSink`] on a [`Platter`] — and
-//! an optional [`Follower`] behind two [`FaultyLink`]s. A [`Scenario`] is
-//! data: when the head dies ([`Kill`]), how it comes back ([`Comeback`]),
-//! the links and the configs; a power loss is armed on the model disk
-//! itself ([`disk::Model::armed`]), and kills the head wherever it falls. The world asserts, in every scenario: after
-//! every channel round, that the follower's mirror is a byte-prefix of
-//! what the primary holds durably (its disk, else its WAL image;
-//! non-compacting logs); at every restart or promotion, that the books
-//! balance, every demotion is journaled and a promotion is a recovery of
-//! the shipped prefix; at a restart, that it holds every submit of every
-//! turn whose `drive` returned. A scenario replays bit-identically.
+//! [`JournaledGateway`], journaling in memory or through a [`FileSink`] on
+//! a [`Platter`], and shipping when the scenario has a [`Follower`] — on
+//! one in-memory net ([`mem`]), where the follower sits behind a
+//! [`MemNet::link`] whose two directions fail per their [`FaultPlan`]s. A
+//! [`Scenario`] is data: when the head dies ([`Kill`]), how it comes back
+//! ([`Comeback`]), the links and the configs; a power loss is armed on the
+//! model disk itself ([`disk::Model::armed`]), and kills the head wherever
+//! it falls. The world asserts, in every scenario: after every channel
+//! round, that each follower's mirror is a byte-prefix of what its primary
+//! holds durably (its disk, else its WAL image; non-compacting logs); at
+//! every restart or promotion, that the books balance, every demotion is
+//! journaled and a promotion is a recovery of the shipped prefix; at a
+//! restart, that it holds every submit of every turn whose `drive`
+//! returned. A scenario replays bit-identically.
 //!
 //! The head can also be an edge: [`World::edge`] runs N reactors, one
-//! journaled head each, on one in-memory net ([`mem`]), turned by
-//! [`World::poll`] or by [`World::run`] playing [`Client`]s; the same
-//! kill and comeback apply to the whole edge, and the world audits the
-//! wire after every turn (see the `edge` module).
+//! journaled head each (and one follower each, on its reactor's link), on
+//! the same net, turned by [`World::poll`] or by [`World::run`] playing
+//! [`Client`]s; the same kill and comeback apply to the whole edge, and
+//! the world audits the wire after every turn (see the `edge` module).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,8 +29,9 @@
 pub mod disk;
 mod edge;
 pub mod mem;
-pub mod net;
 
+use std::borrow::Cow;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use rtdls_core::dlt::homogeneous;
@@ -38,15 +41,14 @@ use rtdls_core::prelude::{
 };
 use rtdls_edge::prelude::{reactor_for_tenant, EdgeConfig, EdgeServer, EdgeStats};
 use rtdls_journal::disk::Std;
+use rtdls_journal::ship::{decode_msg, encode_msg, ShipStats};
 use rtdls_journal::wire::{decode_frames, RecordKind};
 use rtdls_journal::{
     recover, recover_file_on, replay, requalify, FileSink, FsyncPolicy, GatewaySnapshot,
-    JournalConfig, JournalError, JournalEvent, JournaledGateway, RecoveryReport,
+    JournalConfig, JournalError, JournalEvent, JournaledGateway, RecoveryReport, ShipConfig,
+    ShipMsg,
 };
-use rtdls_replica::prelude::{
-    Follower, FollowerConfig, FollowerStats, Promotion, ShipConfig, ShipMsg, ShippingGateway,
-};
-use rtdls_replica::ship::ShipStats;
+use rtdls_replica::{Follower, FollowerConfig, FollowerStats, Promotion};
 use rtdls_service::prelude::{
     DeferPolicy, EdgeGateway, Routing, ServiceMetrics, ShardedGateway, Verdict,
 };
@@ -57,8 +59,8 @@ use rtdls_workload::prelude::{IntoRequests, WorkloadGenerator, WorkloadSpec};
 pub use disk::{until_power_loss, Platter};
 pub use edge::{Client, Tally};
 use edge::{Edge, Session};
-use mem::{Mem, MemNet};
-pub use net::{FaultPlan, FaultyLink, LinkStats};
+use mem::{ClientEnd, Mem, MemClient, MemNet, MemStream};
+pub use mem::{FaultPlan, LinkStats};
 
 /// The head node most scenarios serve: `shards` shards of the paper's
 /// baseline cluster under EDF-DLT, least-loaded routing, default policies.
@@ -154,7 +156,8 @@ pub enum Kill {
     At(SimTime),
 }
 
-/// How the head node comes back. A restart ends replication.
+/// How the head node (the lone one, or every reactor of an edge) comes
+/// back. A restart ends replication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Comeback {
     /// It does not: later submissions are lost.
@@ -163,11 +166,13 @@ pub enum Comeback {
     Image,
     /// A restart at once from its rebooted disk (`recover_file_on`).
     Disk,
-    /// The follower promotes on heartbeat silence; nobody follows it.
+    /// The followers promote on heartbeat silence (an edge's, each its
+    /// reactor's, once every one may); nobody follows them.
     Promote,
 }
 
-/// The follower's side of a scenario: its links and tunables.
+/// The follower's side of a scenario (one follower a head): its link's
+/// two directions and its tunables.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Follow {
     /// Primary → follower frames and heartbeats.
@@ -199,7 +204,8 @@ pub struct Scenario {
     pub kill: Kill,
     /// How it comes back.
     pub comeback: Comeback,
-    /// The follower, if the head ships to one.
+    /// The follower, if the head ships to one (each reactor of an edge to
+    /// its own).
     pub follow: Option<Follow>,
     /// The journal config of the head and of whatever replaces it.
     pub journal: JournalConfig,
@@ -238,7 +244,8 @@ impl Scenario {
     }
 }
 
-/// The forensic record of a run, for assertions.
+/// The forensic record of a run, for assertions. Of an edge's followers
+/// and primaries, the first reactor's.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
     /// The power went before the head's genesis log was laid down.
@@ -272,9 +279,9 @@ pub struct Record {
     pub acknowledged: u64,
     /// Follower counters.
     pub follower: FollowerStats,
-    /// Frame-link accounting.
+    /// What the link did toward the follower.
     pub link: LinkStats,
-    /// Ack-link accounting.
+    /// What it did to the acks.
     pub acks: LinkStats,
     /// The primary's shipping counters (frozen at its death).
     pub ship: ShipStats,
@@ -283,66 +290,109 @@ pub struct Record {
     pub wire: Vec<Tally>,
 }
 
-/// The process answering for the shard.
-enum Head {
-    Journaled(JournaledGateway),
-    /// A primary shipping to the follower.
-    Shipping(ShippingGateway),
-}
-
-impl Head {
-    fn journaled(&self) -> &JournaledGateway {
-        match self {
-            Head::Journaled(gw) => gw,
-            Head::Shipping(gw) => gw.inner(),
-        }
-    }
-
-    fn serving_mut(&mut self) -> &mut dyn Serve<Outcome = Verdict> {
-        match self {
-            Head::Journaled(gw) => gw,
-            Head::Shipping(gw) => gw,
-        }
-    }
-}
-
-/// The follower and its two links.
+/// A follower on the standby's end of its head's link.
 struct Channel {
     follower: Follower,
-    link: FaultyLink<ShipMsg>,
-    acks: FaultyLink<ShipMsg>,
+    end: MemClient,
+    /// Bytes read off the link that are not a whole message yet.
+    read: Vec<u8>,
+    /// The dead primary's unacked tail, delivered after the promotion.
+    zombie: Vec<ShipMsg>,
+    /// Mirror length at the last prefix check that passed.
+    checked: usize,
 }
 
-/// A head node, its disk and its follower, served as one [`Serve`] under a
-/// [`Scenario`] (see the crate docs).
+impl Channel {
+    /// The follower applies what the link delivered and acks it, in one
+    /// write.
+    fn hear(&mut self, now: SimTime) {
+        self.end.receive(&mut self.read);
+        let (mut used, mut acks) = (0, Vec::new());
+        while let Some((msg, len)) = decode_msg(&self.read[used..]).expect("whole messages") {
+            used += len;
+            let reply = self.follower.on_msg(now, msg);
+            if let Some(ack) = reply.expect("shipped frames decode cleanly") {
+                encode_msg(&ack, &mut acks);
+            }
+        }
+        self.read.drain(..used);
+        if !acks.is_empty() {
+            self.end.send(&acks);
+        }
+    }
+
+    /// Promotes the standby (the outage's node releases reach it before
+    /// the re-admission pass judges feasibility) and holds it to a
+    /// recovery of the shipped prefix; then the zombie wakes up and ships
+    /// its tail into the still-alive follower, the fence. The promoted
+    /// head and the prefix.
+    fn promote(
+        &mut self,
+        now: SimTime,
+        releases: &[(usize, SimTime)],
+        journal: JournalConfig,
+    ) -> (JournaledGateway, Promotion, Vec<u8>) {
+        let prefix = self.follower.bytes().to_vec();
+        let standby = self
+            .follower
+            .standby_mut()
+            .expect("a follower that may promote");
+        let mut reference = replay::<ShardedGateway>(&prefix).expect("the shipped prefix replays");
+        assert!(reference.1.tail.is_clean());
+        for &(node, at) in releases {
+            standby.node_released(node, at);
+            reference.0.node_released(node, at);
+        }
+        let (promoted, promotion) = (self.follower.promote(now, journal, None))
+            .expect("should_promote implies a standby exists");
+        let (reference, demoted) = requalify(reference.0, now, journal, None, promotion.epoch);
+        assert_eq!(
+            GatewaySnapshot::capture(promoted.inner()),
+            GatewaySnapshot::capture(reference.inner()),
+            "the promoted state is not a recovery of the shipped prefix"
+        );
+        assert_eq!(promotion.demoted, demoted);
+        audit_comeback(&promoted, &promotion.demoted);
+        for msg in std::mem::take(&mut self.zombie) {
+            let _ = self.follower.on_msg(now, msg);
+        }
+        (promoted, promotion, prefix)
+    }
+}
+
+/// A head node (or an edge of them), its disk and its followers, served as
+/// one [`Serve`] under a [`Scenario`] (see the crate docs).
 pub struct World<D: Platter = Std> {
     scenario: Scenario,
-    head: Option<Head>,
+    /// The lone head, when no edge serves.
+    head: Option<JournaledGateway>,
     /// The edge, when reactors serve the heads (one each) over the net.
     edge: Option<Edge>,
+    net: MemNet,
     /// The disk and the log paths (one a head); the rebooted copy after a
     /// restart.
     disk: Option<(D, Vec<PathBuf>)>,
-    channel: Option<Channel>,
-    /// The dead primary's unacked tail, delivered after the promotion.
-    zombie: Vec<ShipMsg>,
+    /// The lone head's end of its follower link, and the acks it read.
+    link: Option<(MemStream, Vec<u8>)>,
+    /// One a head, while replication runs.
+    channels: Vec<Channel>,
+    /// The dead heads' WAL images.
+    images: Vec<Vec<u8>>,
     /// Serving turns committed.
     turns: u64,
-    /// Mirror length at the last prefix check that passed.
-    checked: usize,
     record: Record,
 }
 
 impl World<Std> {
     /// `gateway` as the head node, journaling in memory.
     pub fn new(gateway: ShardedGateway, scenario: Scenario) -> Self {
-        Self::build(gateway, scenario, None)
+        Self::build(vec![gateway], scenario, None, None)
     }
 
     /// An edge of `gateways.len()` reactors on a fresh net, each serving
     /// its gateway as a head journaling in memory.
     pub fn edge(gateways: Vec<ShardedGateway>, scenario: Scenario, cfg: EdgeConfig) -> Self {
-        Self::build_edge(gateways, scenario, cfg, None)
+        Self::build(gateways, scenario, Some(cfg), None)
     }
 }
 
@@ -355,7 +405,12 @@ impl<D: Platter> World<D> {
         disk: D,
         path: impl Into<PathBuf>,
     ) -> Self {
-        Self::build(gateway, scenario, Some((disk, vec![path.into()])))
+        Self::build(
+            vec![gateway],
+            scenario,
+            None,
+            Some((disk, vec![path.into()])),
+        )
     }
 
     /// An edge of `gateways.len()` reactors on a fresh net, reactor `i`'s
@@ -370,114 +425,105 @@ impl<D: Platter> World<D> {
     ) -> Self {
         let dir = dir.into();
         let logs = (0..gateways.len()).map(|i| dir.join(format!("reactor-{i}.wal")));
-        Self::build_edge(gateways, scenario, cfg, Some((disk, logs.collect())))
+        Self::build(gateways, scenario, Some(cfg), Some((disk, logs.collect())))
     }
 
-    fn build_edge(
+    /// The heads over `gateways` — shipping, each on its own link, when the
+    /// scenario has a follower — lone or behind an edge.
+    fn build(
         gateways: Vec<ShardedGateway>,
         scenario: Scenario,
-        cfg: EdgeConfig,
+        edge: Option<EdgeConfig>,
         disk: Option<(D, Vec<PathBuf>)>,
     ) -> Self {
-        assert!(scenario.follow.is_none(), "no follower behind an edge yet");
-        let mut edge = Edge::new(gateways.len(), cfg);
+        let n = gateways.len();
         let heads = until_power_loss(|| {
             let heads = gateways.into_iter().enumerate();
-            heads
-                .map(|(i, g)| journaled(g, &scenario, &disk, i))
-                .collect()
+            let heads = heads.map(|(i, g)| journaled(g, &scenario, &disk, i));
+            heads.collect::<Vec<_>>()
         });
-        let stillborn = heads.is_none();
-        if let Some(heads) = heads {
-            edge.revive(heads);
-        }
-        Self::assemble(scenario, disk, None, Some(edge), stillborn)
-    }
-
-    fn build(gateway: ShardedGateway, scenario: Scenario, disk: Option<(D, Vec<PathBuf>)>) -> Self {
-        let journaled = until_power_loss(|| journaled(gateway, &scenario, &disk, 0));
-        let head = journaled.map(|gw| match &scenario.follow {
-            Some(follow) => Head::Shipping(ShippingGateway::new(gw, follow.ship)),
-            None => Head::Journaled(gw),
-        });
-        let stillborn = head.is_none();
-        Self::assemble(scenario, disk, head, None, stillborn)
-    }
-
-    fn assemble(
-        scenario: Scenario,
-        disk: Option<(D, Vec<PathBuf>)>,
-        head: Option<Head>,
-        edge: Option<Edge>,
-        stillborn: bool,
-    ) -> Self {
-        let channel = scenario.follow.as_ref().map(|follow| Channel {
-            follower: Follower::new(follow.follower),
-            link: FaultyLink::new(follow.link.clone()),
-            acks: FaultyLink::new(follow.acks.clone()),
-        });
-        World {
-            scenario,
-            head,
-            edge,
+        let net = MemNet::default();
+        let mut world = World {
+            edge: edge.map(|cfg| Edge::new(n, cfg, net.clone())),
+            head: None,
+            net,
             disk,
-            channel,
-            zombie: Vec::new(),
+            link: None,
+            channels: Vec::new(),
+            images: vec![Vec::new(); n],
             turns: 0,
-            checked: 0,
             record: Record {
-                stillborn,
-                killed_at: stillborn.then_some(SimTime::ZERO),
+                stillborn: heads.is_none(),
+                killed_at: heads.is_none().then_some(SimTime::ZERO),
                 ..Record::default()
             },
+            scenario,
+        };
+        let Some(mut heads) = heads else {
+            return world;
+        };
+        let mut ends = Vec::new();
+        if let Some(follow) = world.scenario.follow.clone() {
+            for head in &mut heads {
+                head.start_shipping(follow.ship);
+                let (primary, standby) = world.net.link(follow.link.clone(), follow.acks.clone());
+                world.channels.push(Channel {
+                    follower: Follower::new(follow.follower),
+                    end: standby,
+                    read: Vec::new(),
+                    zombie: Vec::new(),
+                    checked: 0,
+                });
+                ends.push(primary);
+            }
         }
+        world.revive(heads);
+        for (i, end) in ends.into_iter().enumerate() {
+            match &mut world.edge {
+                Some(edge) => edge.reactors[i].follow(end).expect("the link registers"),
+                None => world.link = Some((end, Vec::new())),
+            }
+        }
+        world
     }
 
-    /// Attaches one recorder to the head's process (its spans ride the
-    /// shipped frames; it dies with the head) and one to the follower's
-    /// (replayed spans, the promotion fence; the promoted gateway inherits
+    /// Attaches one recorder to the heads' process (its spans ride the
+    /// shipped frames; it dies with the heads) and one to the followers'
+    /// (replayed spans, the promotion fence; a promoted gateway inherits
     /// it).
     pub fn attach_telemetry(&mut self, head: &Telemetry, follower: &Telemetry) {
-        match &mut self.head {
-            Some(Head::Journaled(gw)) => gw.attach_telemetry(head),
-            Some(Head::Shipping(gw)) => gw.attach_telemetry(head),
-            None => {}
+        if let Some(gw) = &mut self.head {
+            gw.attach_telemetry(head);
         }
-        if let Some(channel) = &mut self.channel {
+        for reactor in self.reactors_mut() {
+            reactor.set_telemetry(head);
+        }
+        for channel in &mut self.channels {
             channel.follower.attach_telemetry(follower);
         }
     }
 
-    /// The live head's journaled gateway (the primary, restarted or
-    /// promoted), if a head is up.
+    /// The live lone head's journaled gateway (the primary, restarted or
+    /// promoted), if it is up.
     pub fn gateway(&self) -> Option<&JournaledGateway> {
-        self.head.as_ref().map(Head::journaled)
+        self.head.as_ref()
     }
 
-    /// The live head, if it journals without shipping (restarted or
-    /// promoted) — e.g. to serve it behind an edge server.
-    pub fn into_gateway(mut self) -> Option<JournaledGateway> {
-        match self.head.take() {
-            Some(Head::Journaled(gw)) => Some(gw),
-            _ => None,
-        }
-    }
-
-    /// The follower (after a promotion: the fence), while replication runs.
+    /// The first follower (after a promotion: the fence), while
+    /// replication runs.
     pub fn follower(&self) -> Option<&Follower> {
-        self.channel.as_ref().map(|c| &c.follower)
+        self.channels.first().map(|c| &c.follower)
     }
 
     /// The record of the run so far.
     pub fn record(&self) -> Record {
         let mut record = self.record.clone();
-        if let Some(channel) = &self.channel {
+        if let Some(channel) = self.channels.first() {
             record.follower = channel.follower.stats();
-            record.link = channel.link.stats();
-            record.acks = channel.acks.stats();
+            (record.link, record.acks) = channel.end.link_stats();
         }
-        if let Some(Head::Shipping(gw)) = &self.head {
-            record.ship = gw.shipper().stats();
+        if let Some(shipper) = self.heads().first().and_then(|gw| gw.shipper()) {
+            record.ship = shipper.stats();
         }
         if let Some(edge) = &self.edge {
             record.wire = edge.tally.clone();
@@ -485,18 +531,23 @@ impl<D: Platter> World<D> {
         record
     }
 
+    /// The live heads: the lone one, or the edge's, in reactor order.
+    fn heads(&self) -> Vec<&JournaledGateway> {
+        match &self.edge {
+            Some(edge) => edge.reactors.iter().map(|r| r.gateway()).collect(),
+            None => self.head.iter().collect(),
+        }
+    }
+
     /// Whether a head serves: the lone one, or the edge's reactors.
     fn up(&self) -> bool {
-        self.head.is_some() || self.edge.as_ref().is_some_and(|e| !e.reactors.is_empty())
+        self.head.is_some() || !self.reactors().is_empty()
     }
 
-    fn edge_mut(&mut self) -> &mut Edge {
-        self.edge.as_mut().expect("a world with an edge")
-    }
-
-    /// The edge's reactors, in reactor order (none while it is down).
+    /// The edge's reactors, in reactor order (none while it is down, or
+    /// without an edge).
     pub fn reactors(&self) -> &[EdgeServer<JournaledGateway, Mem>] {
-        &self.edge.as_ref().expect("a world with an edge").reactors
+        self.edge.as_ref().map_or(&[], |e| &e.reactors)
     }
 
     /// The reactors' books, in reactor order.
@@ -517,14 +568,14 @@ impl<D: Platter> World<D> {
         self.reactors().iter().map(|r| *r.stats()).collect()
     }
 
-    /// The edge's reactors, to attach telemetry or a follower link.
+    /// The edge's reactors, to attach telemetry or another follower link.
     pub fn reactors_mut(&mut self) -> &mut [EdgeServer<JournaledGateway, Mem>] {
-        &mut self.edge_mut().reactors
+        self.edge.as_mut().map_or(&mut [], |e| &mut e.reactors)
     }
 
-    /// The net clients connect through.
+    /// The net clients connect through and the follower links run on.
     pub fn net(&self) -> &MemNet {
-        &self.edge.as_ref().expect("a world with an edge").net
+        &self.net
     }
 
     /// One turn of the edge at `now`: the kill when due, every reactor's
@@ -534,7 +585,9 @@ impl<D: Platter> World<D> {
     /// its journal: nothing a turn acknowledged is still volatile.
     pub fn poll(&mut self, now: SimTime) {
         self.tick(now);
-        let edge = self.edge_mut();
+        let Some(edge) = &mut self.edge else {
+            return;
+        };
         let mut dead = false;
         for (r, reactor) in edge.reactors.iter_mut().enumerate() {
             dead = until_power_loss(|| reactor.poll(now)).is_none();
@@ -549,50 +602,85 @@ impl<D: Platter> World<D> {
         } else if self.up() {
             self.turns += 1;
         }
-        if let (Some((disk, logs)), Some(edge)) = (&self.disk, &self.edge) {
+        if let Some((disk, logs)) = &self.disk {
             let disk = disk.reboot();
-            for (reactor, log) in edge.reactors.iter().zip(logs) {
+            for (reactor, log) in self.reactors().iter().zip(logs) {
                 let on_disk = FileSink::read_on(&disk, log).expect("a live reactor's log");
                 assert_eq!(on_disk, reactor.gateway().journal().bytes(), "{log:?} lags");
             }
         }
-        self.edge_mut().audit();
+        if let Some(edge) = &mut self.edge {
+            edge.audit();
+        }
     }
 
     /// Plays `clients` against the edge at the world's clock until each has
     /// every request answered (or gave up, or the edge is gone for good).
-    /// The clock moves to the next instant a client or a reactor has
-    /// something to do, and stays while a client awaits a verdict.
+    /// The clock moves to the next instant a client (while the edge is up),
+    /// a reactor, a link or the comeback has something to do, and stays
+    /// while a client awaits a verdict.
     pub fn run(&mut self, clients: Vec<Client>) {
         let mut sessions: Vec<Session> = clients.into_iter().map(Session::new).collect();
         let (mut now, mut idle) = (SimTime::ZERO, 0);
         loop {
             let up = self.up();
             for session in &mut sessions {
-                session.act(self.net(), up, now);
+                session.act(&self.net, up, now);
             }
             self.poll(now);
             sessions.iter_mut().for_each(Session::read);
             let gone = !self.up() && self.scenario.comeback == Comeback::Never;
-            let kill = match self.scenario.kill {
-                Kill::At(at) if self.record.killed_at.is_none() => Some(at),
-                _ => None,
-            };
             let clients = sessions.iter().filter_map(|s| s.due(now)).min();
-            let Some(next) = clients.filter(|_| !gone) else {
+            if clients.is_none() || gone {
+                break;
+            }
+            let next = [clients.filter(|_| self.up()), self.due()];
+            let Some(next) = next.into_iter().flatten().min() else {
                 break;
             };
-            let next = [Some(next), kill, self.edge_mut().next_due()];
-            let next = next.into_iter().flatten().min().unwrap().max(now);
+            let next = next.max(now);
             idle = if next == now { idle + 1 } else { 0 };
             assert!(idle < 100_000, "the edge stalled at {now:?}");
             now = next;
         }
     }
 
-    /// Runs `call` on the live head; `None` if none is up or the power
-    /// went in the call, which kills it.
-    fn on_head<T>(&mut self, now: SimTime, call: impl FnOnce(&mut Head) -> T) -> Option<T> {
+    /// The next instant the world has work: the heads' timed work (a lone
+    /// head's heartbeats only with a kill timed, so an idle channel runs
+    /// out with the event queue), the kill, the comeback's promotion, and
+    /// the links' deliveries.
+    fn due(&self) -> Option<SimTime> {
+        let kill = match self.scenario.kill {
+            Kill::At(at) if self.up() && self.record.killed_at.is_none() => Some(at),
+            _ => None,
+        };
+        let heads = match (&self.head, &self.edge) {
+            (Some(gw), _) if kill.is_none() => gw.inner().next_due(),
+            (Some(gw), _) => gw.next_due(),
+            (None, Some(edge)) => edge.next_due(),
+            (None, None) => None,
+        };
+        let promote = match self.scenario.comeback {
+            Comeback::Promote if !self.up() => {
+                let at = self.channels.iter().map(|c| c.follower.promote_at());
+                at.collect::<Option<Vec<_>>>()
+                    .and_then(|at| at.into_iter().max())
+            }
+            _ => None,
+        };
+        [heads, kill, promote, self.net.next_delivery()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Runs `call` on the live lone head; `None` if none is up or the
+    /// power went in the call, which kills it.
+    fn on_head<T>(
+        &mut self,
+        now: SimTime,
+        call: impl FnOnce(&mut JournaledGateway) -> T,
+    ) -> Option<T> {
         let head = self.head.as_mut()?;
         let done = until_power_loss(|| call(head));
         if done.is_none() {
@@ -613,58 +701,66 @@ impl<D: Platter> World<D> {
         if due && self.up() && self.record.killed_at.is_none() {
             self.kill(now);
         }
-        if let Some(channel) = &mut self.channel {
-            if let Some(Head::Shipping(gw)) = &mut self.head {
-                for msg in gw.take_outbox() {
-                    channel.link.send(now, msg);
-                }
-            }
-            for msg in channel.link.deliver_due(now) {
-                let reply = channel.follower.on_msg(now, msg);
-                if let Some(ack) = reply.expect("shipped frames decode cleanly") {
-                    channel.acks.send(now, ack);
-                }
-            }
-            for msg in channel.acks.deliver_due(now) {
-                // Acks addressed to a dead primary die with it.
-                if let (Some(Head::Shipping(gw)), ShipMsg::Ack { seq }) = (&mut self.head, msg) {
-                    gw.on_ack(seq, now);
-                }
-            }
+        self.net.release(now);
+        self.swap(now);
+        for channel in &mut self.channels {
+            channel.hear(now);
         }
+        self.swap(now);
         if !self.up() {
             self.come_back(now);
         }
         self.check();
     }
 
-    /// The head process dies: no destructor runs, what it had handed to its
-    /// link is on the wire, and its unacked journal tail is kept as the
-    /// zombie — stamped with the dying epoch, as a partitioned primary
-    /// would later try to ship it.
+    /// The lone head's side of its link, as a reactor's ship step does it
+    /// (an edge's reactors swap their own): the acks that arrived for the
+    /// shipped frames, in one write.
+    fn swap(&mut self, now: SimTime) {
+        let (Some(gw), Some((end, acks))) = (&mut self.head, &mut self.link) else {
+            return;
+        };
+        let _ = end.read_to_end(acks);
+        let mut frames = Vec::new();
+        let used = gw.swap_ship_bytes(now, acks, &mut frames);
+        acks.drain(..used.expect("the follower sends acks"));
+        if !frames.is_empty() {
+            end.write_all(&frames)
+                .expect("the follower reads every round");
+        }
+    }
+
+    /// The heads die: no destructor runs, what they wrote to their links
+    /// (a lone head's outbox included) is on the wire, and each primary's
+    /// unacked journal tail is kept as its zombie — stamped with the dying
+    /// epoch, as a partitioned primary would later try to ship it.
     fn kill(&mut self, now: SimTime) {
         self.record.killed_at = Some(now);
-        if let Some(edge) = &mut self.edge {
-            return edge.kill();
+        let heads = self.heads();
+        let images: Vec<Vec<u8>> = heads
+            .iter()
+            .map(|gw| gw.journal().bytes().to_vec())
+            .collect();
+        let zombies: Vec<Vec<ShipMsg>> = heads.iter().map(|gw| zombie(gw)).collect();
+        if let Some(shipper) = heads.first().and_then(|gw| gw.shipper()) {
+            self.record.ship = shipper.stats();
         }
-        let mut dead = self.head.take().expect("only a live head dies");
-        self.record.primary_wal = dead.journaled().journal().bytes().to_vec();
-        if let (Head::Shipping(gw), Some(channel)) = (&mut dead, &mut self.channel) {
-            for msg in gw.take_outbox() {
-                channel.link.send(now, msg);
+        for (channel, zombie) in self.channels.iter_mut().zip(zombies) {
+            self.record.zombie_frames += zombie.len() as u64;
+            channel.zombie = zombie;
+        }
+        self.record.primary_wal = images[0].clone();
+        self.images = images;
+        match &mut self.edge {
+            Some(edge) => edge.kill(),
+            None => {
+                // The outbox counts as written: a primary that shipped
+                // before its commit is caught by the mirror check.
+                self.swap(now);
+                std::mem::forget(self.head.take());
+                self.link = None;
             }
-            let journal = gw.inner().journal();
-            let epoch = journal.epoch();
-            let (start, frames) = journal.frames_from(gw.shipper().acked());
-            self.zombie = frames
-                .iter()
-                .enumerate()
-                .map(|(i, bytes)| ShipMsg::frame(epoch, start + i as u64, bytes.to_vec()))
-                .collect();
-            self.record.zombie_frames = self.zombie.len() as u64;
-            self.record.ship = gw.shipper().stats();
         }
-        std::mem::forget(dead);
     }
 
     /// The comeback, once due: a promotion waits for heartbeat silence; a
@@ -682,17 +778,14 @@ impl<D: Platter> World<D> {
         if let Some((disk, _)) = self.disk.as_mut().filter(|_| comeback == Comeback::Disk) {
             *disk = disk.reboot();
         }
-        let (images, acked) = match &self.edge {
-            Some(edge) => (edge.images.clone(), edge.acked.clone()),
-            None => (
-                vec![self.record.primary_wal.clone()],
-                vec![self.record.acknowledged],
-            ),
+        let acked = match &self.edge {
+            Some(edge) => edge.acked.clone(),
+            None => vec![self.record.acknowledged],
         };
         let mut heads = Vec::new();
-        for (i, image) in images.iter().enumerate() {
+        for (i, image) in self.images.iter().enumerate() {
             match self.restart(comeback, image, i, acked[i], now) {
-                Ok((gw, report)) => heads.push((gw, report)),
+                Ok(head) => heads.push(head),
                 // The power went before a genesis log was durable: nothing
                 // to come back from, and nothing was acknowledged.
                 Err(e) => return assert_eq!(acked.iter().sum::<u64>(), 0, "recovery failed: {e}"),
@@ -701,20 +794,27 @@ impl<D: Platter> World<D> {
         self.record.restarted_at = Some(now);
         self.record.recovery = heads.first().map(|(_, report)| report.clone());
         self.record.decided = self.record.acknowledged;
-        let mut heads = heads.into_iter().map(|(gw, _)| gw);
-        if let Some(edge) = &mut self.edge {
-            edge.revive(heads.collect());
-            return edge.audit();
-        }
-        let mut gw = heads.next().expect("one head");
+        let mut heads: Vec<_> = heads.into_iter().map(|(gw, _)| gw).collect();
+        // The node releases no head heard (only a lone head hears any).
         for &(node, at) in &self.record.buffered_releases {
-            gw.node_released(node, at);
+            heads[0].node_released(node, at);
         }
-        self.head = Some(Head::Journaled(gw));
-        self.channel = None;
+        self.channels.clear();
+        self.revive(heads);
     }
 
-    /// Head `i`'s restart, from its WAL image or from its log on the
+    /// `heads` serve: the lone one, or the edge's reactors over them.
+    fn revive(&mut self, heads: Vec<JournaledGateway>) {
+        match &mut self.edge {
+            Some(edge) => {
+                edge.revive(heads);
+                edge.audit();
+            }
+            None => self.head = heads.into_iter().next(),
+        }
+    }
+
+    /// The restart of head `i`, from its WAL image or from its log on the
     /// rebooted disk, held to what a restart owes: a recovery from the disk
     /// rewrote the log it read, durably, before it returned; the books and
     /// demotions pass [`audit_comeback`]; and it holds every one of the
@@ -760,85 +860,53 @@ impl<D: Platter> World<D> {
         Ok((gw, report))
     }
 
-    /// Heartbeat silence exceeded the follower's timeout: promote, and
-    /// hold the promoted state to a recovery of the shipped prefix.
+    /// Heartbeat silence exceeded every follower's timeout: each promotes,
+    /// held to a recovery of its shipped prefix, and the heads serve again.
     fn promote(&mut self, now: SimTime) {
-        let Some(channel) = self
-            .channel
-            .as_mut()
-            .filter(|c| c.follower.should_promote(now))
-        else {
+        let silent = self.channels.iter().all(|c| c.follower.should_promote(now));
+        if self.channels.is_empty() || !silent {
             return;
-        };
-        let prefix = channel.follower.bytes().to_vec();
-        // Node releases that landed during the outage reach the standby
-        // before the re-admission pass judges feasibility.
-        let releases = &self.record.buffered_releases;
-        if let Some(standby) = channel.follower.standby_mut() {
-            for &(node, at) in releases {
-                standby.node_released(node, at);
-            }
         }
-        let (promoted, promotion) = channel
-            .follower
-            .promote(now, self.scenario.journal, None)
-            .expect("should_promote implies a standby exists");
-        let (mut reference, replayed) =
-            replay::<ShardedGateway>(&prefix).expect("the shipped prefix replays");
-        assert!(replayed.tail.is_clean());
-        for &(node, at) in releases {
-            reference.node_released(node, at);
-        }
-        let (reference, demoted) =
-            requalify(reference, now, self.scenario.journal, None, promotion.epoch);
-        let genesis = GatewaySnapshot::capture(promoted.inner());
-        assert_eq!(
-            genesis,
-            GatewaySnapshot::capture(reference.inner()),
-            "the promoted state is not a recovery of the shipped prefix"
-        );
-        assert_eq!(promotion.demoted, demoted);
-        audit_comeback(&promoted, &promotion.demoted);
-        // The zombie wakes up and ships its tail. The still-alive follower
-        // is the fence: every frame carries the dead epoch.
-        for msg in std::mem::take(&mut self.zombie) {
-            let _ = channel.follower.on_msg(now, msg);
-        }
-        self.record.shipped_prefix = prefix;
-        self.record.promoted_genesis = Some(genesis);
-        self.record.promotion = Some(promotion);
+        let (releases, journal) = (&self.record.buffered_releases, self.scenario.journal);
+        let promoted: Vec<_> = (self.channels.iter_mut())
+            .map(|c| c.promote(now, releases, journal))
+            .collect();
+        let (gw, promotion, prefix) = &promoted[0];
+        self.record.promoted_genesis = Some(GatewaySnapshot::capture(gw.inner()));
+        self.record.promotion = Some(promotion.clone());
+        self.record.shipped_prefix = prefix.clone();
         self.record.promoted_at = Some(now);
         self.record.decided = self.record.acknowledged;
-        self.head = Some(Head::Journaled(promoted));
+        self.revive(promoted.into_iter().map(|(gw, ..)| gw).collect());
     }
 
-    /// The mirror is a byte-prefix of what the primary holds durably (a
-    /// non-compacting log's durable bytes only grow, so a prefix that held
-    /// holds until the mirror grows).
+    /// Each follower's mirror is a byte-prefix of what its primary holds
+    /// durably (a non-compacting log's durable bytes only grow, so a prefix
+    /// that held holds until the mirror grows).
     fn check(&mut self) {
-        let mirror = self
-            .channel
-            .as_ref()
-            .map_or(&[][..], |c| c.follower.bytes());
-        if self.scenario.journal.compact_on_snapshot || mirror.len() == self.checked {
+        if self.scenario.journal.compact_on_snapshot {
             return;
         }
-        let on_disk;
-        let durable = match (&self.disk, &self.head) {
-            (Some((disk, logs)), _) => {
-                on_disk = FileSink::read_on(&disk.reboot(), &logs[0]).unwrap_or_default();
-                &on_disk[..]
+        for i in 0..self.channels.len() {
+            let mirror = self.channels[i].follower.bytes();
+            if mirror.len() == self.channels[i].checked {
+                continue;
             }
-            (None, Some(Head::Shipping(gw))) => gw.inner().journal().bytes(),
-            (None, _) => &self.record.primary_wal[..],
-        };
-        assert!(
-            durable.starts_with(mirror),
-            "the follower holds {} bytes the primary never made durable ({} durable)",
-            mirror.len(),
-            durable.len()
-        );
-        self.checked = mirror.len();
+            let durable = match (&self.disk, self.heads().get(i)) {
+                (Some((disk, logs)), _) => {
+                    Cow::Owned(FileSink::read_on(&disk.reboot(), &logs[i]).unwrap_or_default())
+                }
+                (None, Some(gw)) => Cow::Borrowed(gw.journal().bytes()),
+                (None, None) => Cow::Borrowed(&self.images[i][..]),
+            };
+            assert!(
+                durable.starts_with(mirror),
+                "follower {i} holds {} bytes the primary never made durable ({} durable)",
+                mirror.len(),
+                durable.len()
+            );
+            self.channels[i].checked = mirror.len();
+        }
     }
 }
 
@@ -856,6 +924,18 @@ fn journaled<D: Platter>(
     let sink = FileSink::open_on(disk.clone(), &logs[i], true).expect("the log opens");
     let sink = Box::new(sink.with_fsync_policy(scenario.fsync));
     JournaledGateway::with_sink(gateway, scenario.journal, sink)
+}
+
+/// A dying primary's unacked journal tail, as it would ship it.
+fn zombie(gw: &JournaledGateway) -> Vec<ShipMsg> {
+    let (Some(shipper), journal) = (gw.shipper(), gw.journal()) else {
+        return Vec::new();
+    };
+    let (epoch, (start, frames)) = (journal.epoch(), journal.frames_from(shipper.acked()));
+    let frames = frames.iter().enumerate();
+    frames
+        .map(|(i, bytes)| ShipMsg::frame(epoch, start + i as u64, bytes.to_vec()))
+        .collect()
 }
 
 /// What a restart or a promotion owes: every demotion journaled in the new
@@ -889,7 +969,7 @@ impl<D: Platter> Serve for World<D> {
         if self.head.is_some() {
             self.record.decided += 1;
         }
-        let verdict = self.on_head(now, |head| head.serving_mut().decide(request, now));
+        let verdict = self.on_head(now, |gw| gw.decide(request, now));
         verdict.unwrap_or_else(|| {
             self.record.lost_submissions += 1;
             Verdict::rejected(Infeasible::NotEnoughNodes)
@@ -900,13 +980,13 @@ impl<D: Platter> Serve for World<D> {
     /// channel round that carries it to the follower.
     fn drive_into(&mut self, now: SimTime, turn: &mut Turn) {
         self.tick(now);
-        let mut driven = self.on_head(now, |head| head.serving_mut().drive_into(now, turn));
+        let mut driven = self.on_head(now, |gw| gw.drive_into(now, turn));
         if driven.is_none() {
             // Nothing of a turn whose commit never returned leaves; a head
             // that comes back at once runs the turn's timed work.
             *turn = Turn::default();
             self.tick(now);
-            driven = self.on_head(now, |head| head.serving_mut().drive_into(now, turn));
+            driven = self.on_head(now, |gw| gw.drive_into(now, turn));
         }
         if driven.is_some() {
             self.turns += 1;
@@ -916,71 +996,38 @@ impl<D: Platter> Serve for World<D> {
     }
 
     fn next_due(&self) -> Option<SimTime> {
-        // With a kill timed, the channel stays due-driven: heartbeats
-        // tick, and the kill fires on time even in an idle lull. Otherwise
-        // the channel idles out with the event queue instead of
-        // heartbeating forever.
-        let kill = match (self.scenario.kill, &self.head) {
-            (Kill::At(at), Some(_)) if self.record.killed_at.is_none() => Some(at),
-            _ => None,
-        };
-        let heartbeat = match &self.head {
-            Some(Head::Shipping(gw)) if kill.is_some() => gw.shipper().next_heartbeat(),
-            _ => None,
-        };
-        let promote = match (&self.head, &self.channel) {
-            (None, Some(channel)) if self.scenario.comeback == Comeback::Promote => {
-                channel.follower.promote_at()
-            }
-            _ => None,
-        };
-        let links = self.channel.as_ref().map_or([None, None], |c| {
-            [c.link.next_delivery(), c.acks.next_delivery()]
-        });
-        [
-            self.head.as_ref().and_then(|h| h.journaled().next_due()),
-            kill,
-            heartbeat,
-            promote,
-        ]
-        .into_iter()
-        .chain(links)
-        .flatten()
-        .min()
+        self.due()
     }
 
     fn finalize(&mut self, now: SimTime) -> Vec<Resolution> {
         self.tick(now);
-        let resolved = self.on_head(now, |head| head.serving_mut().finalize(now));
+        let resolved = self.on_head(now, |gw| gw.finalize(now));
         self.tick(now);
         resolved.unwrap_or_default()
     }
 
     fn replan_waiting(&mut self, now: SimTime) -> Result<(), AdmissionFailure> {
         self.tick(now);
-        let replanned = self.on_head(now, |head| head.serving_mut().replan_waiting(now));
+        let replanned = self.on_head(now, |gw| gw.replan_waiting(now));
         replanned.unwrap_or(Ok(()))
     }
 
     fn committed_release(&self, node: usize) -> SimTime {
         self.head
             .as_ref()
-            .map_or(SimTime::ZERO, |h| h.journaled().committed_release(node))
+            .map_or(SimTime::ZERO, |gw| gw.committed_release(node))
     }
 
     fn node_released(&mut self, node: usize, at: SimTime) {
         self.tick(at);
-        if self
-            .on_head(at, |head| head.serving_mut().node_released(node, at))
-            .is_none()
-        {
+        if self.on_head(at, |gw| gw.node_released(node, at)).is_none() {
             // The worker node released; no head heard it. Its successor will.
             self.record.buffered_releases.push((node, at));
         }
     }
 
     fn plan_of(&self, task: TaskId) -> Option<&TaskPlan> {
-        self.head.as_ref().and_then(|h| h.journaled().plan_of(task))
+        self.head.as_ref().and_then(|gw| gw.plan_of(task))
     }
 }
 

@@ -9,8 +9,17 @@
 //!   a reactor writes is readable by the client the moment its turn
 //!   returns, and what the client sends is readable at the next turn, so a
 //!   test needs no threads, sleeps, read timeouts or retries. Every byte
-//!   sent either way is also kept for the world's audit of the wire, and
-//!   [`MemNet::link`] makes the follower link `EdgeServer::follow` takes.
+//!   sent either way is also kept for the world's audit of the wire.
+//! * [`MemNet::link`] — a follower link, each way under a [`FaultPlan`]:
+//!   one write is the unit. A link end takes each slice it is given whole
+//!   or not at all, and each taken slice is delivered whole after its
+//!   drawn delay — once, twice or never — when the world moves the net's
+//!   clock past it (a write due at once is delivered at once).
+//!   The shipping side writes one batch of whole `RS` messages a turn, so
+//!   loss, duplication and reordering reach the follower as gaps,
+//!   duplicates and out-of-order frames, never as a torn message. Every
+//!   draw comes from one `SmallRng` per direction seeded from its plan, so
+//!   the same plan over the same writes replays the same deliveries.
 //! * [`InlineClient`] — speaks the wire protocol over either transport's
 //!   client end ([`MemClient`] or a non-blocking loopback `TcpStream`),
 //!   turning the server (an [`Edge`]: one reactor, or a world) until the
@@ -22,6 +31,8 @@ use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use rtdls_core::prelude::{SimTime, SubmitRequest, TenantId};
 use rtdls_edge::codec::{FrameDecoder, DEFAULT_MAX_FRAME};
 use rtdls_edge::poll::{Event, Transport, LISTENER_TOKEN};
@@ -34,6 +45,152 @@ use rtdls_service::prelude::Verdict;
 /// that stops reading wedges the write path within a few dozen reports.
 pub const MEM_BUFFER: usize = 64 << 10;
 
+/// A seeded description of how one direction of a link misbehaves. The
+/// default plan is a perfect link; each fault is opted into by a builder
+/// call.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultPlan {
+    /// Seed for every probabilistic draw the link makes.
+    pub seed: u64,
+    /// Probability a write is silently dropped.
+    pub loss: f64,
+    /// Probability a write is delivered twice (the copy draws its own
+    /// delay, so duplicates usually arrive out of order).
+    pub duplicate: f64,
+    /// Minimum extra latency added to every delivery.
+    pub delay_min: f64,
+    /// Maximum extra latency; `delay_max > delay_min` makes delays random
+    /// and therefore reorders writes.
+    pub delay_max: f64,
+    /// Netsplit windows `[from, until)`: a write made while one is open is
+    /// dropped — both directions of a real partition, modeled at the
+    /// sender.
+    pub splits: Vec<(SimTime, SimTime)>,
+}
+
+impl FaultPlan {
+    /// A perfect link (no loss, no duplication, zero delay).
+    pub fn clean(seed: u64) -> Self {
+        FaultPlan {
+            seed,
+            loss: 0.0,
+            duplicate: 0.0,
+            delay_min: 0.0,
+            delay_max: 0.0,
+            splits: Vec::new(),
+        }
+    }
+
+    /// Drops each write with probability `p`.
+    pub fn with_loss(mut self, p: f64) -> Self {
+        self.loss = p;
+        self
+    }
+
+    /// Duplicates each delivered write with probability `p`.
+    pub fn with_duplication(mut self, p: f64) -> Self {
+        self.duplicate = p;
+        self
+    }
+
+    /// Delays each delivery by a uniform draw from `[min, max]`.
+    pub fn with_delay(mut self, min: f64, max: f64) -> Self {
+        assert!(min >= 0.0 && max >= min, "delay range must be ordered");
+        (self.delay_min, self.delay_max) = (min, max);
+        self
+    }
+
+    /// Adds a netsplit window `[from, until)`.
+    pub fn with_split(mut self, from: SimTime, until: SimTime) -> Self {
+        assert!(from < until, "empty split window");
+        self.splits.push((from, until));
+        self
+    }
+}
+
+/// What one direction of a link did to the writes it carried.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Writes taken.
+    pub sent: u64,
+    /// Writes delivered (duplicates counted individually).
+    pub delivered: u64,
+    /// Writes dropped by random loss.
+    pub lost: u64,
+    /// Writes dropped because they were made inside a split window.
+    pub split_dropped: u64,
+    /// Extra deliveries created by duplication.
+    pub duplicated: u64,
+}
+
+/// One direction of a link: its plan, its draws and the writes in flight,
+/// `(deliver_at, bytes)` in delivery order (ties in write order).
+struct Flight {
+    plan: FaultPlan,
+    rng: SmallRng,
+    writes: Vec<(SimTime, Vec<u8>)>,
+    stats: LinkStats,
+}
+
+impl Flight {
+    fn new(plan: FaultPlan) -> Self {
+        Flight {
+            rng: SmallRng::seed_from_u64(plan.seed),
+            plan,
+            writes: Vec::new(),
+            stats: LinkStats::default(),
+        }
+    }
+
+    /// One write at `now`: dropped, or in flight once or twice; what is
+    /// due at once lands in `queue`.
+    fn send(&mut self, now: SimTime, bytes: &[u8], queue: &mut VecDeque<u8>) {
+        let plan = &self.plan;
+        self.stats.sent += 1;
+        if plan
+            .splits
+            .iter()
+            .any(|&(from, until)| from <= now && now < until)
+        {
+            self.stats.split_dropped += 1;
+            return;
+        }
+        if plan.loss > 0.0 && self.rng.gen_bool(plan.loss) {
+            self.stats.lost += 1;
+            return;
+        }
+        let twice = plan.duplicate > 0.0 && self.rng.gen_bool(plan.duplicate);
+        self.stats.duplicated += twice as u64;
+        for _ in 0..1 + twice as usize {
+            let (min, max) = (self.plan.delay_min, self.plan.delay_max);
+            let delay = if max > min {
+                self.rng.gen_range(min..max)
+            } else {
+                min
+            };
+            let at = now + SimTime::new(delay);
+            let slot = self.writes.partition_point(|w| w.0 <= at);
+            self.writes.insert(slot, (at, bytes.to_vec()));
+        }
+        self.release(now, queue);
+    }
+
+    /// Delivers every write due at `now` into `queue`, in order.
+    fn release(&mut self, now: SimTime, queue: &mut VecDeque<u8>) {
+        let due = self.writes.partition_point(|w| w.0 <= now);
+        for (_, bytes) in self.writes.drain(..due) {
+            queue.extend(bytes);
+            self.stats.delivered += 1;
+        }
+    }
+}
+
+/// A follower link's two directions: toward the standby, and back.
+struct Link {
+    frames: Flight,
+    acks: Flight,
+}
+
 /// One connection: a byte queue each way, who has closed it, and what
 /// crossed it that the world has not audited yet.
 #[derive(Default)]
@@ -42,9 +199,9 @@ pub(crate) struct Pipe {
     to_client: VecDeque<u8>,
     client_closed: bool,
     server_closed: bool,
-    /// A follower link, not a client connection: the world audits no
-    /// protocol on it.
-    pub(crate) link: bool,
+    /// A follower link, not a client connection: its writes are faulted
+    /// per its plans, and the world audits no protocol on it.
+    link: Option<Box<Link>>,
     /// The connection id a reactor registered it under, and how many
     /// reactors did (one more per hand-off).
     pub(crate) conn: Option<u64>,
@@ -59,6 +216,8 @@ pub(crate) struct Net {
     pub(crate) pipes: Vec<Pipe>,
     /// Connections made and not yet accepted.
     backlog: VecDeque<usize>,
+    /// The instant link writes are made at (see [`MemNet::release`]).
+    clock: SimTime,
     /// Registered streams: (reactor, pipe, token, write interest).
     watched: Vec<(usize, usize, u64, bool)>,
 }
@@ -67,6 +226,11 @@ impl Net {
     /// The reactor whose transport watches `pipe`, if one does.
     pub(crate) fn owner(&self, pipe: usize) -> Option<usize> {
         self.watched.iter().find(|w| w.1 == pipe).map(|w| w.0)
+    }
+
+    /// Whether `pipe` is a follower link.
+    pub(crate) fn is_link(&self, pipe: usize) -> bool {
+        self.pipes[pipe].link.is_some()
     }
 }
 
@@ -108,7 +272,7 @@ impl MemNet {
 
     /// Opens a connection; reactor 0 accepts it at its next turn.
     pub fn connect(&self) -> MemClient {
-        let pipe = self.pipe(false);
+        let pipe = self.pipe(None);
         self.0.lock().backlog.push_back(pipe);
         MemClient {
             net: self.0.clone(),
@@ -116,10 +280,11 @@ impl MemNet {
         }
     }
 
-    /// A follower link: the primary's end, for `EdgeServer::follow`, and
-    /// the standby's.
-    pub fn link(&self) -> (MemStream, MemClient) {
-        let pipe = self.pipe(true);
+    /// A follower link, `frames` toward the standby and `acks` back: the
+    /// primary's end, for `EdgeServer::follow`, and the standby's.
+    pub fn link(&self, frames: FaultPlan, acks: FaultPlan) -> (MemStream, MemClient) {
+        let (frames, acks) = (Flight::new(frames), Flight::new(acks));
+        let pipe = self.pipe(Some(Box::new(Link { frames, acks })));
         let net = self.0.clone();
         let end = MemClient {
             net: net.clone(),
@@ -128,13 +293,36 @@ impl MemNet {
         (MemStream { net, pipe }, end)
     }
 
-    fn pipe(&self, link: bool) -> usize {
+    fn pipe(&self, link: Option<Box<Link>>) -> usize {
         let mut net = self.0.lock();
         net.pipes.push(Pipe {
             link,
             ..Pipe::default()
         });
         net.pipes.len() - 1
+    }
+
+    /// Moves the net's clock to `now` and delivers every link write due by
+    /// then.
+    pub(crate) fn release(&self, now: SimTime) {
+        let mut net = self.0.lock();
+        net.clock = now;
+        for pipe in &mut net.pipes {
+            if let Some(link) = &mut pipe.link {
+                link.frames.release(now, &mut pipe.to_client);
+                link.acks.release(now, &mut pipe.to_server);
+            }
+        }
+    }
+
+    /// The next instant a link write is due.
+    pub(crate) fn next_delivery(&self) -> Option<SimTime> {
+        let net = self.0.lock();
+        let links = net.pipes.iter().filter_map(|p| p.link.as_ref());
+        let due = links
+            .flat_map(|l| [&l.frames, &l.acks])
+            .filter_map(|f| f.writes.first());
+        due.map(|w| w.0).min()
     }
 
     /// The serving process died: the reactors' transports are gone, every
@@ -201,13 +389,26 @@ impl Write for MemStream {
     /// room for — a socket's `writev`.
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         let mut net = self.net.lock();
+        let clock = net.clock;
         let pipe = &mut net.pipes[self.pipe];
         if pipe.client_closed || pipe.server_closed {
             return Err(ErrorKind::BrokenPipe.into());
         }
-        let room = MEM_BUFFER - pipe.to_client.len();
+        let room = MEM_BUFFER.saturating_sub(pipe.to_client.len());
         if room == 0 {
             return Err(ErrorKind::WouldBlock.into());
+        }
+        if let Some(link) = &mut pipe.link {
+            // Whole slices, while the standby's queue has room.
+            let mut written = 0;
+            for buf in bufs {
+                if pipe.to_client.len() >= MEM_BUFFER {
+                    break;
+                }
+                link.frames.send(clock, buf, &mut pipe.to_client);
+                written += buf.len();
+            }
+            return Ok(written);
         }
         let mut written = 0;
         for buf in bufs {
@@ -279,7 +480,7 @@ impl Transport for Mem {
     fn register(&mut self, stream: &MemStream, token: u64) -> io::Result<()> {
         let mut net = self.net.lock();
         let pipe = &mut net.pipes[stream.pipe];
-        if !pipe.link {
+        if pipe.link.is_none() {
             (pipe.conn, pipe.registrations) = (Some(token), pipe.registrations + 1);
         }
         net.watched.push((self.reactor, stream.pipe, token, false));
@@ -318,6 +519,16 @@ pub struct MemClient {
     pipe: usize,
 }
 
+impl MemClient {
+    /// What a link did each way: toward the standby, and back (nothing
+    /// on a client connection).
+    pub(crate) fn link_stats(&self) -> (LinkStats, LinkStats) {
+        let net = self.net.lock();
+        let link = net.pipes[self.pipe].link.as_ref();
+        link.map_or_else(Default::default, |l| (l.frames.stats, l.acks.stats))
+    }
+}
+
 impl Drop for MemClient {
     fn drop(&mut self) {
         self.net.lock().pipes[self.pipe].client_closed = true;
@@ -336,9 +547,15 @@ pub trait ClientEnd {
 impl ClientEnd for MemClient {
     fn send(&mut self, bytes: &[u8]) {
         let mut net = self.net.lock();
+        let clock = net.clock;
         let pipe = &mut net.pipes[self.pipe];
-        pipe.to_server.extend(bytes);
-        pipe.sent.extend_from_slice(bytes);
+        match &mut pipe.link {
+            Some(link) => link.acks.send(clock, bytes, &mut pipe.to_server),
+            None => {
+                pipe.to_server.extend(bytes);
+                pipe.sent.extend_from_slice(bytes);
+            }
+        }
     }
 
     fn receive(&mut self, into: &mut Vec<u8>) -> bool {

@@ -309,7 +309,7 @@ fn the_control_arm_never_kills_and_never_promotes() {
 
 #[test]
 fn over_clean_links_the_kill_fires_on_time_in_an_idle_tail() {
-    // Zero-delay links: every frame and heartbeat a turn ships reaches the
+    // A zero-delay link: every frame and heartbeat a turn ships reaches the
     // follower, and its ack the primary, inside that turn. The channel's
     // only remaining timers are the heartbeat cadence and the kill, so the
     // kill lands at its instant with the cluster long idle.

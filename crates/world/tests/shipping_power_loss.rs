@@ -1,8 +1,8 @@
 //! A replicated head node loses power at each filesystem call of its run.
 //!
-//! The primary is a `ShippingGateway` journaling through the real
-//! `FileSink` on the model disk, shipping to a follower over zero-delay
-//! links, served by the simulator. At every kill point the process halts
+//! The primary is a journaled gateway journaling through the real
+//! `FileSink` on the model disk, shipping to a follower over a zero-delay
+//! link, served by the simulator. At every kill point the process halts
 //! inside the call the power went in, and whatever it had handed to its
 //! link by then is on the wire. Then, in one run, the follower promotes on
 //! heartbeat silence and, in another, the head restarts from its disk. The

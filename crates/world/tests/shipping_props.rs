@@ -1,6 +1,6 @@
 //! Property tests for the shipping protocol under seeded network faults.
 //!
-//! A world with a shipping primary and a follower behind two lossy links
+//! A world with a shipping primary and a follower behind a lossy link
 //! is turned by hand (no sim engine: a turn every 10 time units) through
 //! arbitrary loss/duplication/delay/netsplit schedules. Whatever the
 //! channel does:

@@ -1,10 +1,11 @@
 //! Kill a TCP-replicated primary mid-stream and promote its warm standby.
 //!
-//! The wall-clock companion to the seeded sim proof in
-//! `crates/replica/tests/failover_sim.rs`: a journaled admission gateway
-//! ships every WAL frame over a real socket into a [`FollowerServer`]
-//! standby while it serves, then dies without ceremony — no flush, no
-//! goodbye, the socket just resets. The standby notices the silence,
+//! The wall-clock companion to the seeded proof in
+//! `crates/world/tests/failover_sim.rs`: a journaled admission gateway with
+//! shipping on (`JournaledGateway::start_shipping`) ships every WAL frame
+//! over a real socket into a [`FollowerServer`] standby while it serves,
+//! then dies without ceremony — no flush, no goodbye, the socket just
+//! resets. The standby notices the silence,
 //! promotes itself under a bumped epoch, and the example verifies the
 //! three failover guarantees end to end:
 //!
@@ -62,7 +63,8 @@ fn main() {
 
     // The primary: a journaled gateway shipping as it admits, its outbox
     // carried to the standby by hand (an edge does it on its reactor).
-    let mut gw = ShippingGateway::new(primary(), ShipConfig::default());
+    let mut gw = primary();
+    gw.start_shipping(ShipConfig::default());
     let mut link = TcpStream::connect(addr).expect("connect standby");
     let mut accepted = 0;
     for i in 0..10u64 {
@@ -79,11 +81,11 @@ fn main() {
             write_msg(&mut link, &msg).expect("ship to standby");
         }
     }
-    let wal = gw.inner().journal().bytes().to_vec();
+    let wal = gw.journal().bytes().to_vec();
     println!(
         "primary admitted {accepted}/10 tasks, WAL {} bytes, shipped offset {}",
         wal.len(),
-        gw.shipper().shipped()
+        gw.shipper().expect("shipping").shipped()
     );
 
     // The crash: drop the primary with no shutdown protocol at all. The

@@ -14,8 +14,8 @@
 //! | [`sim`] | the discrete-event cluster simulator (head node, workers, dispatch, metrics, traces) and the one serving trait, [`Serve`](sim::serve::Serve), it drives in the turns the edge drives |
 //! | [`workload`] | the paper's workload generator (`SystemLoad`, `DCRatio`, normal sizes, uniform deadlines) plus bursty open-loop arrival streams |
 //! | [`service`] | the online serving layer: admission gateways with Accept/Defer/Reject and sharded multi-cluster dispatch |
-//! | [`journal`] | durability for the serving layer: write-ahead journaling of every gateway decision, compacting snapshots, and crash recovery with strict re-admission |
-//! | [`replica`] | shard replication & failover: journal shipping to a warm standby and epoch-fenced promotion (the crash world that kills, restarts and fails it over is the dev-only `rtdls-world`) |
+//! | [`journal`] | durability for the serving layer: write-ahead journaling of every gateway decision, compacting snapshots, crash recovery with strict re-admission, and journal shipping (off by default) |
+//! | [`replica`] | failover: the warm standby a journaled head ships to, and epoch-fenced promotion (the crash world that kills, restarts and fails it over is the dev-only `rtdls-world`) |
 //! | [`edge`] | the network front-end: a hand-rolled non-blocking reactor serving the request/verdict protocol over TCP, with streamed reservation updates |
 //! | [`experiments`] | the figure harness reproducing Fig. 3–16 and the §5.2 aggregate |
 //!
